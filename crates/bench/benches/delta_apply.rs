@@ -11,7 +11,7 @@
 //! plus the empty-batch fast path that a quiet serving loop pays:
 //!
 //! * `mem_roundtrip` — in-memory [`CqapIndex`]: delta plans, support
-//!   counts, in-place hash-view maintenance, plan recompile;
+//!   counts, in-place atom-index and hash-view maintenance;
 //! * `disk_roundtrip` — disk-resident [`StoredIndex`]: the same
 //!   maintenance with ΔS-views absorbed as LSM-style overlay segments
 //!   (the round trip cancels in the overlay, so no compaction runs);
@@ -20,7 +20,7 @@
 //!
 //! The `post_delta_probe` group reports the per-request cold latency of
 //! the *maintained* indexes after a real (uncancelled) delta —
-//! `mem_cold` against the recompiled in-memory index, `disk_overlay`
+//! `mem_cold` against the maintained in-memory index, `disk_overlay`
 //! with delta segments still pending on every probed view, and
 //! `disk_compacted` after folding them down — the same zipf stream and
 //! measurement shape as `online_latency`'s `driver_cold`, so the two
@@ -93,7 +93,7 @@ fn bench_delta_apply(c: &mut Criterion) {
     group.finish();
 
     // Leave one real chain applied, so the probed state is genuinely
-    // post-delta: the in-memory index recompiled, the disk index with
+    // post-delta: the in-memory index edited in place, the disk index with
     // uncompacted overlay segments on its views.
     memory.apply_delta(&fwd).expect("final chain (memory)");
     stored.apply_delta(&fwd).expect("final chain (disk)");

@@ -4,8 +4,8 @@
 //! This crate introduces the vocabulary for *live* data: a [`DeltaBatch`]
 //! is an ordered stream of `(relation, insert | delete, tuples)`
 //! operations, and [`ApplyDelta`] is the seam every backend implements to
-//! absorb one batch in place — the in-memory index updates its S-views and
-//! recompiles its probe plans, the disk tier buffers LSM-style overlay
+//! absorb one batch in place — the in-memory index edits its S-views and
+//! atom indexes tuple by tuple, the disk tier buffers LSM-style overlay
 //! segments, shards route tuples by the routing variable, and the serving
 //! runtime invalidates its answer cache.
 //!
@@ -212,9 +212,7 @@ impl ApplyDelta for Database {
         let mut stats = DeltaStats::default();
         for delta in &deltas {
             let rel = self.relation_mut(&delta.relation)?;
-            let removed: cqap_common::FxHashSet<Tuple> =
-                delta.deletes.iter().cloned().collect();
-            stats.deleted += rel.remove_all(&removed);
+            stats.deleted += rel.remove_all(&delta.deletes);
             for t in &delta.inserts {
                 if rel.insert(t.clone())? {
                     stats.inserted += 1;

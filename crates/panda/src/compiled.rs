@@ -14,7 +14,10 @@
 //! * a bag **covered by its atoms and access pattern** compiles to a
 //!   chain of pre-built [`HashIndex`]es keyed on the join variables: the
 //!   per-request work is one index probe per accumulator tuple, never a
-//!   scan of the database;
+//!   scan of the database. The programs hold *slot numbers* into the
+//!   index's [`AtomIndexCache`], not the indexes themselves, so delta
+//!   maintenance edits the one copy in place and every pipeline reads the
+//!   live content without being recompiled;
 //! * the rare uncovered bag (hand-written decompositions) falls back to
 //!   the full join, which is precomputed once and shared.
 //!
@@ -28,7 +31,7 @@ use std::cell::RefCell;
 use std::sync::Arc;
 
 use cqap_common::{hash_vals, CqapError, FxHashSet, Result, Tuple, Val, VarSet};
-use cqap_query::{AccessRequest, Cqap};
+use cqap_query::{AccessRequest, Atom, Cqap};
 use cqap_relation::{Database, HashIndex, Relation, RelationBuilder, Schema};
 use cqap_yannakakis::naive::atom_relation;
 use cqap_yannakakis::{
@@ -79,21 +82,83 @@ impl DriverScratch {
     }
 }
 
-/// Build-time memo of per-atom join indexes, keyed by the atom's stored
-/// relation, its variable renaming and the join-key varset: the PMTDs of
-/// one index routinely join the same atoms on the same keys, so the
-/// O(|D|)-sized indexes are built (and retained) once per distinct key,
-/// not once per PMTD.
-pub(crate) type AtomIndexCache =
-    cqap_common::FxHashMap<(String, Vec<usize>, u64), Arc<HashIndex>>;
+/// The single owner of one index's per-atom join indexes, one *slot* per
+/// distinct (stored relation, variable renaming, join-key varset): the
+/// PMTDs of one index routinely join the same atoms on the same keys, so
+/// the `O(|D|)`-sized indexes are built once per distinct key, not once
+/// per PMTD. T-view programs and delta plans hold slot numbers and borrow
+/// the table per request, which is what lets delta maintenance edit the
+/// indexes in place instead of evicting and rebuilding them.
+///
+/// Cloning shares every index by `Arc` and keeps the slot numbering, so a
+/// second backend over the same preprocessing output (the disk spill)
+/// keeps executing the source's compiled pipelines against its own copy
+/// of the table; the first delta on either side copies a touched index
+/// once (`Arc::make_mut`) and the lineages diverge from there.
+#[derive(Clone, Debug, Default)]
+pub struct AtomIndexCache {
+    slots: Vec<AtomSlot>,
+}
+
+#[derive(Clone, Debug)]
+struct AtomSlot {
+    relation: String,
+    vars: Vec<usize>,
+    index: Arc<HashIndex>,
+}
+
+impl AtomIndexCache {
+    /// The slot indexing `atom` on `key`, building the index from `db` the
+    /// first time the (atom, key) pair is asked for.
+    pub(crate) fn slot_for(&mut self, db: &Database, atom: &Atom, key: VarSet) -> Result<usize> {
+        let found = self.slots.iter().position(|s| {
+            s.relation == atom.relation && s.vars == atom.vars && s.index.key_vars() == key
+        });
+        if let Some(slot) = found {
+            return Ok(slot);
+        }
+        let index = HashIndex::build(&atom_relation(db, atom)?, key)?;
+        self.slots.push(AtomSlot {
+            relation: atom.relation.clone(),
+            vars: atom.vars.clone(),
+            index: Arc::new(index),
+        });
+        Ok(self.slots.len() - 1)
+    }
+
+    #[inline]
+    pub(crate) fn index(&self, slot: usize) -> &HashIndex {
+        &self.slots[slot].index
+    }
+
+    /// Applies one stored relation's net delta to every slot over it (a
+    /// self-join has several), bucket by bucket. The caller guarantees net
+    /// semantics: `deletes` are indexed, `inserts` are not.
+    pub(crate) fn apply(&mut self, relation: &str, inserts: &[Tuple], deletes: &[Tuple]) {
+        for slot in self.slots.iter_mut().filter(|s| s.relation == relation) {
+            let index = Arc::make_mut(&mut slot.index);
+            index.remove_all(deletes);
+            index.insert_all(inserts);
+        }
+    }
+
+    /// Iterates `(stored relation, atom variables, index)` over the slots —
+    /// what the rebuild-equivalence tests compare against
+    /// [`HashIndex::build`] over the post-delta database.
+    pub fn entries(&self) -> impl Iterator<Item = (&str, &[usize], &HashIndex)> + '_ {
+        self.slots
+            .iter()
+            .map(|s| (s.relation.as_str(), s.vars.as_slice(), s.index.as_ref()))
+    }
+}
 
 /// One pre-resolved join of the accumulator with an in-bag atom: the
 /// atom's relation is indexed once, at build time, on the variables it
 /// shares with the accumulator schema at this point of the chain.
 #[derive(Clone, Debug)]
 struct PreJoin {
-    /// Shared across the PMTDs of one index build (see [`AtomIndexCache`]).
-    index: Arc<HashIndex>,
+    /// The atom's index in the [`AtomIndexCache`] of the owning backend.
+    slot: usize,
     /// Shared-variable positions in the accumulator schema.
     key_positions: Vec<usize>,
     /// Atom-side positions of the columns appended to the output.
@@ -129,6 +194,7 @@ struct TViewProgram {
 impl TViewProgram {
     fn exec(
         &self,
+        atom_indexes: &AtomIndexCache,
         request: &AccessRequest,
         scratch: &mut DriverScratch,
     ) -> Result<Option<Relation>> {
@@ -164,10 +230,11 @@ impl TViewProgram {
                 // The pre-indexed join chain: requests never scan an atom
                 // relation, they probe its build-time index.
                 for join in joins {
+                    let index = atom_indexes.index(join.slot);
                     next.clear();
                     for lt in acc.iter() {
                         let key = lt.project(&join.key_positions);
-                        for rt in join.index.probe(&key) {
+                        for rt in index.probe(&key) {
                             next.push(lt.concat_projected(rt, &join.appended));
                         }
                     }
@@ -198,6 +265,7 @@ impl TViewProgram {
     /// non-static programs (static content lives folded inside the plan).
     fn exec_columns(
         &self,
+        atom_indexes: &AtomIndexCache,
         request: &AccessRequest,
         out: &mut ColumnRun,
         ping: &mut ColumnRun,
@@ -232,11 +300,12 @@ impl TViewProgram {
                 // per row, append matches as column pushes (the key tuple
                 // is the only row-shaped value, and it stays inline).
                 for join in joins {
+                    let index = atom_indexes.index(join.slot);
                     ping.reset(out.width() + join.appended.len());
                     for r in 0..out.rows() {
                         out.project_row_into(r, &join.key_positions, key_vals);
                         let key = Tuple::from_slice(key_vals);
-                        for rt in join.index.probe(&key) {
+                        for rt in index.probe(&key) {
                             ping.push_join_row(out, r, rt.as_slice(), &join.appended);
                         }
                     }
@@ -267,12 +336,17 @@ impl TViewProgram {
 /// One PMTD's full compiled answering pipeline: the T-view programs plus
 /// the compiled Online-Yannakakis plan, sharing one fixed set of schemas.
 ///
-/// Compiled once per plan at index build time; cloned (cheaply — the big
-/// pieces are behind `Arc` or are position tables) when a second backend
-/// (e.g. a disk spill) reuses the same preprocessing output.
+/// Compiled once per plan at index build time and shared by `Arc` when a
+/// second backend (e.g. a disk spill) reuses the same preprocessing
+/// output. A delta leaves it valid unless it touches content folded in
+/// at compile time (static and fallback T-views): the dynamic programs
+/// read the live [`AtomIndexCache`] and the plan probes the live S-views.
 #[derive(Clone, Debug)]
 pub struct CompiledPmtd {
     access: VarSet,
+    /// Stored relations whose content was folded into this pipeline at
+    /// compile time (static and fallback T-views), sorted and distinct.
+    folded: Vec<String>,
     programs: Vec<TViewProgram>,
     /// Indices into `programs` of the non-static (per-request) programs —
     /// precomputed so the warm columnar path never re-partitions (or
@@ -285,25 +359,16 @@ impl CompiledPmtd {
     /// Compiles the T-view programs and the probe plan for `evaluator`'s
     /// PMTD against the backend `views`. `full` is the precomputed full
     /// join of the query (the build phase has it anyway); it is retained
-    /// only if some bag needs the fallback path.
+    /// only if some bag needs the fallback path. The join indexes of the
+    /// dynamic programs are looked up (or built) in `atom_indexes`, the
+    /// table the compiled pipeline must be answered against — a
+    /// multi-PMTD build shares one index per distinct (atom, join-key)
+    /// pair instead of building it per PMTD.
     ///
     /// # Errors
     /// Propagates schema/atom resolution failures; fails if a probed
     /// S-view is missing from `views`.
     pub fn compile<V: SViewProbe>(
-        cqap: &Cqap,
-        db: &Database,
-        evaluator: &OnlineYannakakis,
-        views: &V,
-        full: &Relation,
-    ) -> Result<CompiledPmtd> {
-        CompiledPmtd::compile_cached(cqap, db, evaluator, views, full, &mut AtomIndexCache::default())
-    }
-
-    /// [`CompiledPmtd::compile`] with a caller-owned atom-index memo, so a
-    /// multi-PMTD build shares one `Arc`'d join index per distinct
-    /// (atom, join-key) pair instead of rebuilding it per PMTD.
-    pub(crate) fn compile_cached<V: SViewProbe>(
         cqap: &Cqap,
         db: &Database,
         evaluator: &OnlineYannakakis,
@@ -316,6 +381,8 @@ impl CompiledPmtd {
         let request_schema = Schema::of(access.iter());
         let mut full_arc: Option<Arc<Relation>> = None;
         let mut programs = Vec::new();
+        let mut folded: Vec<String> = Vec::new();
+        let all_relations = || cqap.cq().atoms().iter().map(|a| a.relation.clone());
         for node in 0..pmtd.td().num_nodes() {
             if pmtd.is_materialized(node) {
                 continue;
@@ -329,10 +396,11 @@ impl CompiledPmtd {
                 .filter(|atom| atom.varset().is_subset(bag))
                 .collect();
 
-            let fallback = |full_arc: &mut Option<Arc<Relation>>| {
+            let fallback = |full_arc: &mut Option<Arc<Relation>>, folded: &mut Vec<String>| {
                 let full = full_arc
                     .get_or_insert_with(|| Arc::new(full.clone()))
                     .clone();
+                folded.extend(all_relations());
                 TViewProgram {
                     node,
                     schema: Schema::of(bag.iter()),
@@ -351,12 +419,22 @@ impl CompiledPmtd {
                     });
                 }
                 match acc {
-                    Some(rel) if rel.varset() == bag => TViewProgram {
-                        node,
-                        schema: rel.schema().clone(),
-                        kind: TViewKind::Static(Arc::new(rel)),
-                    },
-                    _ => fallback(&mut full_arc),
+                    Some(rel) if rel.varset() == bag => {
+                        // The plan folds a static bag's reduction by a
+                        // materialized child too, and an S-view is a
+                        // projection of the full join: it reads every atom.
+                        if pmtd.td().children(node).iter().any(|&c| pmtd.is_materialized(c)) {
+                            folded.extend(all_relations());
+                        } else {
+                            folded.extend(in_bag_atoms.iter().map(|a| a.relation.clone()));
+                        }
+                        TViewProgram {
+                            node,
+                            schema: rel.schema().clone(),
+                            kind: TViewKind::Static(Arc::new(rel)),
+                        }
+                    }
+                    _ => fallback(&mut full_arc, &mut folded),
                 }
             } else {
                 // Simulate the join chain's schemas and index each atom
@@ -372,19 +450,9 @@ impl CompiledPmtd {
                         .iter()
                         .map(|&v| atom_schema.position(v).expect("appended var"))
                         .collect();
-                    let cache_key = (atom.relation.clone(), atom.vars.clone(), shared.0);
-                    let index = match atom_indexes.get(&cache_key) {
-                        Some(index) => Arc::clone(index),
-                        None => {
-                            let rel = atom_relation(db, atom)?;
-                            let index = Arc::new(HashIndex::build(&rel, shared)?);
-                            atom_indexes.insert(cache_key, Arc::clone(&index));
-                            index
-                        }
-                    };
                     joins.push(PreJoin {
+                        slot: atom_indexes.slot_for(db, atom, shared)?,
                         key_positions: schema.positions_of_set(shared)?,
-                        index,
                         appended,
                     });
                     schema = out_schema;
@@ -399,7 +467,7 @@ impl CompiledPmtd {
                         },
                     }
                 } else {
-                    fallback(&mut full_arc)
+                    fallback(&mut full_arc, &mut folded)
                 }
             };
             programs.push(program);
@@ -424,12 +492,25 @@ impl CompiledPmtd {
         let dynamic = (0..programs.len())
             .filter(|&i| !programs[i].is_static())
             .collect();
+        folded.sort_unstable();
+        folded.dedup();
         Ok(CompiledPmtd {
             access,
+            folded,
             programs,
             dynamic,
             plan,
         })
+    }
+
+    /// Whether a delta that changed the stored relations `touched` left
+    /// this pipeline stale. Dynamic T-view programs read the live atom
+    /// indexes and the plan probes the live S-views, so only content
+    /// folded at compile time can go stale: a static (access-free) bag's
+    /// join and its folded reductions, or a fallback bag's retained full
+    /// join. None of the Figure-1 plans folds anything.
+    pub(crate) fn is_stale_after(&self, touched: &[String]) -> bool {
+        touched.iter().any(|t| self.folded.binary_search(t).is_ok())
     }
 
     /// Whether some bag of this plan uses the fallback T-view path (and
@@ -454,6 +535,7 @@ impl CompiledPmtd {
     /// storage errors.
     pub fn answer<V: SViewProbe>(
         &self,
+        atom_indexes: &AtomIndexCache,
         views: &V,
         request: &AccessRequest,
         scratch: &mut DriverScratch,
@@ -471,6 +553,7 @@ impl CompiledPmtd {
         let mut result = Ok(());
         for (&i, run) in self.dynamic.iter().zip(runs.iter_mut()) {
             result = self.programs[i].exec_columns(
+                atom_indexes,
                 request,
                 run,
                 &mut scratch.col_acc,
@@ -505,6 +588,7 @@ impl CompiledPmtd {
     /// Same failure modes as [`CompiledPmtd::answer`].
     pub fn answer_rows<V: SViewProbe>(
         &self,
+        atom_indexes: &AtomIndexCache,
         views: &V,
         request: &AccessRequest,
         scratch: &mut DriverScratch,
@@ -517,7 +601,7 @@ impl CompiledPmtd {
         }
         let mut owned: Vec<(usize, Relation)> = Vec::new();
         for program in &self.programs {
-            if let Some(rel) = program.exec(request, scratch)? {
+            if let Some(rel) = program.exec(atom_indexes, request, scratch)? {
                 owned.push((program.node, rel));
             }
         }
@@ -542,8 +626,9 @@ fn project_final(rel: Relation, target: VarSet) -> Result<Relation> {
 }
 
 /// The compiled driver loop over any S-view backend: runs every PMTD's
-/// **columnar** pipeline (the default serving path), unions the per-PMTD
-/// answers, and projects onto `declared_head ∪ access` — the compiled
+/// **columnar** pipeline (the default serving path) against the backend's
+/// live `atom_indexes`, unions the per-PMTD answers, and projects onto
+/// `declared_head ∪ access` — the compiled
 /// mirror of [`answer_with_plans`](crate::answer_with_plans), used by
 /// `CqapIndex` (in-memory views) and `cqap-store`'s `StoredIndex` (disk
 /// views), so the backends cannot silently diverge.
@@ -552,6 +637,7 @@ fn project_final(rel: Relation, target: VarSet) -> Result<Relation> {
 /// Fails for an empty plan set, and propagates evaluation errors.
 pub fn answer_with_compiled<'a, V, I>(
     cqap: &Cqap,
+    atom_indexes: &AtomIndexCache,
     plans: I,
     request: &AccessRequest,
 ) -> Result<Relation>
@@ -562,7 +648,7 @@ where
     with_driver_scratch(|scratch| {
         let mut acc: Option<Relation> = None;
         for (plan, views) in plans {
-            let part = plan.answer(views, request, scratch)?;
+            let part = plan.answer(atom_indexes, views, request, scratch)?;
             acc = Some(match acc {
                 None => part,
                 // Both sides are owned: the larger moves, the smaller's
@@ -585,6 +671,7 @@ where
 /// Same failure modes as [`answer_with_compiled`].
 pub fn answer_with_compiled_rows<'a, V, I>(
     cqap: &Cqap,
+    atom_indexes: &AtomIndexCache,
     plans: I,
     request: &AccessRequest,
 ) -> Result<Relation>
@@ -595,7 +682,7 @@ where
     with_driver_scratch(|scratch| {
         let mut acc: Option<Relation> = None;
         for (plan, views) in plans {
-            let part = plan.answer_rows(views, request, scratch)?;
+            let part = plan.answer_rows(atom_indexes, views, request, scratch)?;
             acc = Some(match acc {
                 None => part,
                 Some(prev) => prev.union_with(part)?,
@@ -629,7 +716,10 @@ mod tests {
                 s_views.push((node, full.project_onto(pmtd.view_schema(node)).unwrap()));
             }
             let pre = evaluator.preprocess(&s_views).unwrap();
-            let compiled = CompiledPmtd::compile(&cqap, &db, &evaluator, &pre, &full).unwrap();
+            let mut atom_indexes = AtomIndexCache::default();
+            let compiled =
+                CompiledPmtd::compile(&cqap, &db, &evaluator, &pre, &full, &mut atom_indexes)
+                    .unwrap();
             for (u, v) in graph_pair_requests(&g, 15, 5) {
                 let request = AccessRequest::single(cqap.access(), &[u, v]).unwrap();
                 let expected = online_t_views(&cqap, &db, pmtd, &request).unwrap();
@@ -639,7 +729,7 @@ mod tests {
                         TViewKind::Static(rel) => rel,
                         _ => {
                             produced = program
-                                .exec(&request, &mut DriverScratch::new())
+                                .exec(&atom_indexes, &request, &mut DriverScratch::new())
                                 .unwrap()
                                 .unwrap();
                             &produced
@@ -721,6 +811,46 @@ mod tests {
     }
 
     #[test]
+    fn static_bag_reduced_by_an_s_view_goes_stale_with_any_relation() {
+        // x1-only access over a 3-path: the bag {x2,x3} is access-free
+        // (static) and its reduction by the materialized child S34 is
+        // folded at compile time. S34 projects the *full* join, so a
+        // delta on R1 — an atom outside the static bag — changes what the
+        // fold should have kept, and the plan must recompile.
+        use cqap_common::{vars, VarSet};
+        use cqap_decomp::{Pmtd, TreeDecomposition};
+        use cqap_delta::{ApplyDelta, DeltaBatch};
+        use cqap_query::{Atom, ConjunctiveQuery};
+
+        let atoms = vec![
+            Atom::new("R1", vec![0, 1]).unwrap(),
+            Atom::new("R2", vec![1, 2]).unwrap(),
+            Atom::new("R3", vec![2, 3]).unwrap(),
+        ];
+        let cq = ConjunctiveQuery::new("p3", 4, atoms, VarSet::from_iter([0, 1, 2, 3])).unwrap();
+        let cqap = Cqap::new(cq, VarSet::from_iter([0])).unwrap();
+        let td = TreeDecomposition::path(vec![vars![1, 2], vars![2, 3], vars![3, 4]]).unwrap();
+        let pmtds = vec![Pmtd::for_cqap(td, [2], &cqap).unwrap()];
+        let mut db = Database::new();
+        db.add_relation(Relation::binary("R1", 0, 1, [(1, 2)])).unwrap();
+        // (5,6) dangles at build time: no R1 edge reaches 5, so x3 = 6 is
+        // absent from S34 and the folded reduction drops (5,6).
+        db.add_relation(Relation::binary("R2", 0, 1, [(2, 3), (5, 6)])).unwrap();
+        db.add_relation(Relation::binary("R3", 0, 1, [(3, 4), (6, 7)])).unwrap();
+        let mut index = CqapIndex::build(&cqap, &db, &pmtds).unwrap();
+        assert!(index.compiled().next().unwrap().is_stale_after(&["R1".to_string()]));
+
+        let request = AccessRequest::single(cqap.access(), &[9]).unwrap();
+        assert!(index.answer(&request).unwrap().is_empty());
+        let batch = DeltaBatch::new().insert("R1", vec![Tuple::pair(9, 5)]);
+        assert!(!index.apply_delta(&batch).unwrap().is_noop());
+        let expected = index.answer_from_scratch(&request).unwrap();
+        assert_eq!(expected.len(), 1, "9 → 5 → 6 → 7");
+        assert_eq!(index.answer(&request).unwrap(), expected, "columnar");
+        assert_eq!(index.answer_rows(&request).unwrap(), expected, "rows");
+    }
+
+    #[test]
     fn warm_single_request_driver_path_performs_zero_dedup_inserts() {
         // The fully-materialized plan (S14): after one warm-up request,
         // the complete driver path — T-view programs, compiled plan,
@@ -766,8 +896,9 @@ mod tests {
         // online phase: an empty [`DeltaBatch`] short-circuits without
         // touching the compiled plans, so a warm serving loop that
         // absorbs it stays allocation-free; and after a *real* delta
-        // (which recompiles the plans) a single re-warming request
-        // restores the zero-dedup / zero-boxing steady state.
+        // (which edits the atom indexes and S-views under the plans) a
+        // single re-warming request restores the zero-dedup /
+        // zero-boxing steady state.
         use cqap_delta::{ApplyDelta, DeltaBatch};
 
         let (cqap, pmtds) = pf::pmtds_3reach_fig1().unwrap();
@@ -803,9 +934,9 @@ mod tests {
         );
         assert_eq!(answers, expected);
 
-        // A real delta: plans recompile, answers change where the new
-        // chain completes, and one re-warming request restores the
-        // allocation-free steady state.
+        // A real delta: answers change where the new chain completes, and
+        // one re-warming request restores the allocation-free steady
+        // state.
         let batch = DeltaBatch::new()
             .insert("R1", vec![Tuple::pair(90_000, 90_001)])
             .insert("R2", vec![Tuple::pair(90_001, 90_002)])
@@ -823,7 +954,7 @@ mod tests {
             1,
             "the inserted chain must produce the new answer"
         );
-        index.answer(&post_requests[0]).unwrap(); // re-warm after recompile
+        index.answer(&post_requests[0]).unwrap(); // re-warm after the delta
 
         // Counted window 2: warm answering over the maintained index.
         let dedup_before = cqap_relation::instrument::dedup_inserts();

@@ -20,21 +20,35 @@
 //! when its count reaches zero and enters when it departs from zero.
 //!
 //! The per-atom join chains are **compiled once at build time** (schemas,
-//! key positions, appended columns — the same pre-resolved shape as the
-//! T-view programs of `compiled.rs`) and execute by probing the shared
-//! `AtomIndexCache`, so delta application reuses the build's `O(|D|)`
-//! atom indexes instead of re-deriving them, evicting only the indexes
-//! over relations the batch touched.
+//! key positions, appended columns, atom-index slots — the same
+//! pre-resolved shape as the T-view programs of `compiled.rs`) and execute
+//! by probing the shared [`AtomIndexCache`].
+//!
+//! Every step of an apply costs `O(|Δ| + |ΔJ|)`, never `O(|D|)`:
+//!
+//! * the stored relations absorb the net delta by position-map edits
+//!   (`Relation::remove_all` / `insert`);
+//! * the atom indexes over a touched relation are **edited in place**
+//!   (`HashIndex::{remove_all, insert_all}`, bucket by bucket) between the
+//!   ΔJ⁻ and ΔJ⁺ joins — the cache is their single owner, T-view programs
+//!   and delta plans only hold slot numbers, so nothing is evicted,
+//!   rebuilt or re-shared;
+//! * because the compiled pipelines read those live indexes (and probe
+//!   the live S-views), a plan is **recompiled only when content folded
+//!   into it at compile time is stale**: a static (access-free) bag whose
+//!   atoms — or a fallback bag whose full join — read a touched relation
+//!   ([`DeltaMaintenance::refresh`]). None of the Figure-1 plans folds
+//!   anything, so their deltas recompile nothing.
 
 use std::sync::Arc;
 
-use cqap_common::{FxHashMap, FxHashSet, Result, Tuple, VarSet};
+use cqap_common::{FxHashMap, Result, Tuple, VarSet};
 use cqap_decomp::Pmtd;
 use cqap_delta::{net_effect, DeltaBatch, DeltaStats, RelationDelta};
 use cqap_obs::{CounterId, MetricsSink, StageId, TraceStage};
 use cqap_query::Cqap;
-use cqap_relation::{Database, HashIndex, Relation, RelationBuilder, Schema};
-use cqap_yannakakis::naive::{atom_relation, full_join};
+use cqap_relation::{Database, Relation, RelationBuilder, Schema};
+use cqap_yannakakis::naive::full_join;
 use cqap_yannakakis::{OnlineYannakakis, SViewProbe};
 
 use crate::compiled::{AtomIndexCache, CompiledPmtd};
@@ -44,11 +58,10 @@ use crate::compiled::{AtomIndexCache, CompiledPmtd};
 /// build-time hash index on the (statically known) shared variables.
 #[derive(Clone, Debug)]
 struct DeltaStep {
-    /// Index of the joined atom in `cqap.cq().atoms()`.
-    atom: usize,
-    /// Variables shared between the chain schema so far and the atom.
-    shared: VarSet,
-    /// Positions of `shared` in the chain schema at this step.
+    /// The joined atom's index, keyed on the variables it shares with the
+    /// chain schema so far, in the [`AtomIndexCache`].
+    slot: usize,
+    /// Positions of the shared variables in the chain schema at this step.
     key_positions: Vec<usize>,
     /// Atom-side positions of the columns appended to the chain.
     appended: Vec<usize>,
@@ -66,7 +79,12 @@ struct DeltaProgram {
 }
 
 impl DeltaProgram {
-    fn compile(cqap: &Cqap, a: usize) -> Result<DeltaProgram> {
+    fn compile(
+        cqap: &Cqap,
+        db: &Database,
+        a: usize,
+        atom_indexes: &mut AtomIndexCache,
+    ) -> Result<DeltaProgram> {
         let atoms = cqap.cq().atoms();
         let schema = Schema::new(atoms[a].vars.clone())?;
         let mut chain = schema.clone();
@@ -90,8 +108,7 @@ impl DeltaProgram {
                 .map(|&v| b_schema.position(v).expect("appended var"))
                 .collect();
             steps.push(DeltaStep {
-                atom: b,
-                shared,
+                slot: atom_indexes.slot_for(db, &atoms[b], shared)?,
                 key_positions: chain.positions_of_set(shared)?,
                 appended,
             });
@@ -101,30 +118,13 @@ impl DeltaProgram {
     }
 
     /// Expands this atom's tuple delta into full-join row deltas by
-    /// running the compiled chain against `db`, probing (and lazily
-    /// rebuilding) the shared atom-index cache.
-    fn exec(
-        &self,
-        tuples: &[Tuple],
-        cqap: &Cqap,
-        db: &Database,
-        cache: &mut AtomIndexCache,
-    ) -> Result<Relation> {
-        let atoms = cqap.cq().atoms();
+    /// running the compiled chain against the live atom indexes (which
+    /// hold the pre-delta database for ΔJ⁻ and the post-delta one for ΔJ⁺).
+    fn exec(&self, tuples: &[Tuple], atom_indexes: &AtomIndexCache) -> Result<Relation> {
         let mut acc =
             Relation::from_tuples("ΔR", self.schema.clone(), tuples.iter().cloned())?;
         for step in &self.steps {
-            let atom = &atoms[step.atom];
-            let cache_key = (atom.relation.clone(), atom.vars.clone(), step.shared.0);
-            let index = match cache.get(&cache_key) {
-                Some(index) => Arc::clone(index),
-                None => {
-                    let rel = atom_relation(db, atom)?;
-                    let index = Arc::new(HashIndex::build(&rel, step.shared)?);
-                    cache.insert(cache_key, Arc::clone(&index));
-                    index
-                }
-            };
+            let index = atom_indexes.index(step.slot);
             let out_schema = acc.schema().join(index.schema());
             // A join of two sets is duplicate-free by construction (the
             // probed tuple is determined by the key plus the appended
@@ -174,11 +174,13 @@ pub struct DeltaOutcome {
 
 /// Build-once maintenance state for a set of PMTD plans over one
 /// database: compiled per-atom delta plans, per-view support counts, the
-/// shared atom-index cache, and whether recompiles need the full join.
+/// atom-index cache the backend's compiled pipelines answer against, and
+/// whether recompiles need the full join.
 ///
 /// Cloneable so a second backend over the same preprocessing output (the
 /// disk spill in `cqap-store`) carries its own maintenance lineage; the
-/// cached atom indexes are `Arc`-shared until a delta diverges them.
+/// atom indexes are `Arc`-shared until a delta diverges them (one
+/// copy-on-write per touched index).
 #[derive(Clone, Debug)]
 pub struct DeltaMaintenance {
     programs: Vec<DeltaProgram>,
@@ -195,21 +197,24 @@ pub struct DeltaMaintenance {
 
 impl DeltaMaintenance {
     /// Compiles the delta plans and initializes the support counts from
-    /// the build-time full join. `atom_indexes` is the build's memo (the
-    /// delta plans keep reusing it); `needs_full` records whether any
-    /// compiled plan uses the fallback T-view path, in which case
-    /// recompiles after a delta must recompute the full join.
+    /// the build-time full join. `atom_indexes` is the table the build's
+    /// pipelines were compiled against; the delta plans add the join
+    /// indexes only they need (built from `db`) and the maintenance takes
+    /// ownership. `needs_full` records whether any compiled plan uses the
+    /// fallback T-view path, in which case recompiles after a delta must
+    /// recompute the full join.
     pub fn build(
         cqap: &Cqap,
+        db: &Database,
         pmtds: &[Pmtd],
         full: &Relation,
-        atom_indexes: AtomIndexCache,
+        mut atom_indexes: AtomIndexCache,
         needs_full: bool,
     ) -> Result<Self> {
         let num_atoms = cqap.cq().atoms().len();
         let mut programs = Vec::with_capacity(num_atoms);
         for a in 0..num_atoms {
-            programs.push(DeltaProgram::compile(cqap, a)?);
+            programs.push(DeltaProgram::compile(cqap, db, a, &mut atom_indexes)?);
         }
         let mut plans = Vec::with_capacity(pmtds.len());
         for pmtd in pmtds {
@@ -236,55 +241,72 @@ impl DeltaMaintenance {
 
     /// Attaches a metrics sink: [`DeltaMaintenance::apply`] records the
     /// `delta_apply` stage latency and the net insert/delete counters,
-    /// and [`DeltaMaintenance::recompile`] counts plan recompilations.
+    /// and [`DeltaMaintenance::refresh`] counts plan recompilations.
     pub fn set_metrics_sink(&mut self, sink: MetricsSink) {
         self.sink = sink;
     }
 
-    /// Whether recompiled pipelines need the (recomputed) full join —
-    /// true only if some bag of some plan uses the fallback T-view path.
-    pub fn needs_full(&self) -> bool {
-        self.needs_full
+    /// The live atom indexes the owning backend's compiled pipelines
+    /// answer against (see
+    /// [`answer_with_compiled`](crate::answer_with_compiled)).
+    pub fn atom_indexes(&self) -> &AtomIndexCache {
+        &self.atom_indexes
     }
 
-    /// The full join to feed [`DeltaMaintenance::recompile`]: recomputed
-    /// from `db` only when some plan actually retains it (fallback bags);
-    /// otherwise a cheap empty placeholder, which is sound because
-    /// fallback-ness is decided purely from schemas and so cannot change
-    /// between builds over the same CQAP and PMTDs.
-    pub fn full_for_recompile(&self, cqap: &Cqap, db: &Database) -> Result<Relation> {
-        if self.needs_full {
-            full_join(cqap, db)
-        } else {
-            Ok(Relation::new("J∅", Schema::empty()))
-        }
-    }
-
-    /// Recompiles one plan's answering pipeline against `views` after the
-    /// backing database and S-views absorbed a delta, reusing the shared
-    /// atom-index cache (indexes over touched relations were evicted by
-    /// [`DeltaMaintenance::apply`] and rebuild lazily from `db`).
-    pub fn recompile<V: SViewProbe>(
+    /// Recompiles, in place, exactly the pipelines a delta over the
+    /// `touched` relations left stale, after the backing database and
+    /// S-views absorbed it: those that folded content of a touched
+    /// relation at compile time (see the module docs). The atom indexes
+    /// were already edited in place by [`DeltaMaintenance::apply`], so a
+    /// recompile finds every slot it needs. The full join is recomputed
+    /// from `db` only when a stale plan actually retains it (fallback
+    /// bags); otherwise a cheap empty placeholder stands in, which is
+    /// sound because fallback-ness is decided purely from schemas and so
+    /// cannot change between builds over the same CQAP and PMTDs.
+    ///
+    /// # Errors
+    /// Propagates recompilation failures.
+    pub fn refresh<'a, V: SViewProbe + 'a>(
         &mut self,
         cqap: &Cqap,
         db: &Database,
-        evaluator: &OnlineYannakakis,
-        views: &V,
-        full: &Relation,
-    ) -> Result<CompiledPmtd> {
-        self.sink.incr(CounterId::PlanRecompiles);
-        CompiledPmtd::compile_cached(cqap, db, evaluator, views, full, &mut self.atom_indexes)
+        touched: &[String],
+        plans: impl IntoIterator<Item = (&'a OnlineYannakakis, &'a V, &'a mut Arc<CompiledPmtd>)>,
+    ) -> Result<()> {
+        let mut full: Option<Relation> = None;
+        for (evaluator, views, compiled) in plans {
+            if !compiled.is_stale_after(touched) {
+                continue;
+            }
+            if full.is_none() {
+                full = Some(if self.needs_full {
+                    full_join(cqap, db)?
+                } else {
+                    Relation::new("J∅", Schema::empty())
+                });
+            }
+            let full = full.as_ref().expect("just computed");
+            self.sink.incr(CounterId::PlanRecompiles);
+            *compiled = Arc::new(CompiledPmtd::compile(
+                cqap,
+                db,
+                evaluator,
+                views,
+                full,
+                &mut self.atom_indexes,
+            )?);
+        }
+        Ok(())
     }
 
-    /// Applies one batch: computes `ΔJ⁻` against the pre-delta `db`,
-    /// mutates `db` to the post-delta state, computes `ΔJ⁺`, updates the
-    /// support counts, and returns the per-plan net ΔS-views for the
-    /// caller's backend to absorb. Evicts cached atom indexes over the
-    /// touched relations so subsequent plan executions and recompiles see
-    /// post-delta content.
+    /// Applies one batch: computes `ΔJ⁻` against the pre-delta atom
+    /// indexes, moves `db` and the atom indexes over the touched
+    /// relations to the post-delta state (in place, tuple by tuple),
+    /// computes `ΔJ⁺`, updates the support counts, and returns the
+    /// per-plan net ΔS-views for the caller's backend to absorb.
     ///
     /// A batch whose net effect is empty short-circuits: `db`, the
-    /// counts and the index cache are left untouched and the outcome
+    /// counts and the atom indexes are left untouched and the outcome
     /// carries no view deltas.
     pub fn apply(
         &mut self,
@@ -301,26 +323,24 @@ impl DeltaMaintenance {
             return Ok(DeltaOutcome::default());
         }
         // ΔJ⁻ over the pre-delta database.
-        let minus = self.delta_join(cqap, db, &deltas, Side::Deletes)?;
-        // Net effect into the stored relations.
+        let minus = self.delta_join(cqap, &deltas, Side::Deletes)?;
+        // Net effect into the stored relations and, bucket by bucket,
+        // into every atom index over them.
         let mut stats = DeltaStats::default();
         for delta in &deltas {
             let rel = db.relation_mut(&delta.relation)?;
-            let gone: FxHashSet<Tuple> = delta.deletes.iter().cloned().collect();
-            stats.deleted += rel.remove_all(&gone);
+            stats.deleted += rel.remove_all(&delta.deletes);
             for t in &delta.inserts {
                 if rel.insert(t.clone())? {
                     stats.inserted += 1;
                 }
             }
+            self.atom_indexes
+                .apply(&delta.relation, &delta.inserts, &delta.deletes);
         }
-        // Indexes over touched relations are stale from here on; evict
-        // them so ΔJ⁺ (and later recompiles) rebuild from the new content.
         let touched: Vec<String> = deltas.iter().map(|d| d.relation.clone()).collect();
-        self.atom_indexes
-            .retain(|(name, _, _), _| !touched.iter().any(|t| t == name));
         // ΔJ⁺ over the post-delta database.
-        let plus = self.delta_join(cqap, db, &deltas, Side::Inserts)?;
+        let plus = self.delta_join(cqap, &deltas, Side::Inserts)?;
         // Support-count transitions → net ΔS-views per plan and node.
         let mut views = Vec::with_capacity(self.plans.len());
         for plan in &mut self.plans {
@@ -382,9 +402,8 @@ impl DeltaMaintenance {
     /// the exact set of full-join rows the batch removes (`Deletes`, run
     /// against the pre-delta database) or adds (`Inserts`, post-delta).
     fn delta_join(
-        &mut self,
+        &self,
         cqap: &Cqap,
-        db: &Database,
         deltas: &[RelationDelta],
         side: Side,
     ) -> Result<Option<Relation>> {
@@ -401,7 +420,7 @@ impl DeltaMaintenance {
             if tuples.is_empty() {
                 continue;
             }
-            let part = self.programs[a].exec(tuples, cqap, db, &mut self.atom_indexes)?;
+            let part = self.programs[a].exec(tuples, &self.atom_indexes)?;
             acc = Some(match acc {
                 None => part,
                 Some(prev) => prev.union_with(part)?,

@@ -44,8 +44,9 @@ struct Plan {
     evaluator: OnlineYannakakis,
     preprocessed: PreprocessedViews,
     /// `Arc`-shared so a second backend over the same preprocessing
-    /// output (a disk spill) reuses the pipeline — including its
-    /// `O(|D|)`-sized pre-built atom indexes — by refcount, not by copy.
+    /// output (a disk spill) reuses the pipeline by refcount, not by copy
+    /// (the `O(|D|)`-sized atom indexes it probes live in the
+    /// maintenance's `AtomIndexCache`, shared the same way).
     compiled: std::sync::Arc<CompiledPmtd>,
 }
 
@@ -71,8 +72,8 @@ impl CqapIndex {
         }
         let full = full_join(cqap, db)?;
         let mut plans = Vec::with_capacity(pmtds.len());
-        // One atom-index memo for the whole build: PMTDs sharing an
-        // (atom, join-key) pair share one Arc'd index.
+        // One atom-index table for the whole build: PMTDs sharing an
+        // (atom, join-key) pair share one slot.
         let mut atom_indexes = AtomIndexCache::default();
         for pmtd in pmtds {
             let evaluator = OnlineYannakakis::new(pmtd.clone());
@@ -82,7 +83,7 @@ impl CqapIndex {
                 s_views.push((node, full.project_onto(schema)?));
             }
             let preprocessed = evaluator.preprocess(&s_views)?;
-            let compiled = CompiledPmtd::compile_cached(
+            let compiled = CompiledPmtd::compile(
                 cqap,
                 db,
                 &evaluator,
@@ -99,10 +100,11 @@ impl CqapIndex {
         // Delta-maintenance state rides along from day one: the compiled
         // per-atom delta plans, the per-view support counts (initialized
         // from the same full join the S-views were projected from), and
-        // the atom-index memo, retained so incremental applies and
-        // recompiles keep sharing the build's indexes.
+        // ownership of the atom-index table the pipelines above answer
+        // against, which incremental applies edit in place.
         let needs_full = plans.iter().any(|p| p.compiled.needs_full());
-        let maintenance = DeltaMaintenance::build(cqap, pmtds, &full, atom_indexes, needs_full)?;
+        let maintenance =
+            DeltaMaintenance::build(cqap, db, pmtds, &full, atom_indexes, needs_full)?;
         Ok(CqapIndex {
             cqap: cqap.clone(),
             db: db.clone(),
@@ -141,8 +143,8 @@ impl CqapIndex {
     /// The per-PMTD compiled pipelines (T-view programs + probe plans) —
     /// what [`CqapIndex::answer`] executes. A second backend over the same
     /// preprocessing output (e.g. `cqap-store`'s disk spill) shares these
-    /// by `Arc` instead of recompiling or deep-copying the pre-built atom
-    /// indexes.
+    /// by `Arc` instead of recompiling, and answers them against its clone
+    /// of [`CqapIndex::maintenance`]'s atom indexes.
     pub fn compiled(&self) -> impl Iterator<Item = &std::sync::Arc<CompiledPmtd>> {
         self.plans.iter().map(|p| &p.compiled)
     }
@@ -166,6 +168,7 @@ impl CqapIndex {
     pub fn answer(&self, request: &AccessRequest) -> Result<Relation> {
         answer_with_compiled(
             &self.cqap,
+            self.maintenance.atom_indexes(),
             self.plans
                 .iter()
                 .map(|p| (p.compiled.as_ref(), &p.preprocessed)),
@@ -195,6 +198,7 @@ impl CqapIndex {
             .expect("build requires at least one PMTD");
         let answer = answer_with_compiled(
             &self.cqap,
+            self.maintenance.atom_indexes(),
             std::iter::once((plan.compiled.as_ref(), &plan.preprocessed)),
             request,
         )?;
@@ -207,6 +211,7 @@ impl CqapIndex {
     pub fn answer_rows(&self, request: &AccessRequest) -> Result<Relation> {
         answer_with_compiled_rows(
             &self.cqap,
+            self.maintenance.atom_indexes(),
             self.plans
                 .iter()
                 .map(|p| (p.compiled.as_ref(), &p.preprocessed)),
@@ -230,7 +235,7 @@ impl CqapIndex {
     }
 
     /// The delta-maintenance state (compiled delta plans, support counts,
-    /// atom-index memo). A second backend over the same preprocessing
+    /// atom indexes). A second backend over the same preprocessing
     /// output (the disk spill in `cqap-store`) clones this to maintain
     /// its own lineage of the views.
     pub fn maintenance(&self) -> &DeltaMaintenance {
@@ -245,13 +250,12 @@ impl CqapIndex {
     }
 }
 
-/// In-place incremental maintenance: the net effect flows through the
-/// compiled delta plans into ΔS-views applied to every plan's hash-backed
-/// [`PreprocessedViews`], then each plan's compiled pipeline is refreshed
-/// (its precomputed static bags and pre-built atom indexes fold database
-/// content, so they must re-fold the post-delta relations — the retained
-/// atom-index memo makes that incremental too: only indexes over touched
-/// relations rebuild).
+/// In-place incremental maintenance, `O(|Δ| + |ΔJ|)` end to end: the net
+/// effect flows through the compiled delta plans (editing the stored
+/// relations and the atom indexes tuple by tuple) into ΔS-views applied to
+/// every plan's hash-backed [`PreprocessedViews`]. The compiled pipelines
+/// read that live state, so only a plan that folded a touched relation's
+/// content at compile time (static or fallback bags) is recompiled.
 impl ApplyDelta for CqapIndex {
     fn apply_delta(&mut self, batch: &DeltaBatch) -> Result<DeltaStats> {
         let outcome = self.maintenance.apply(&self.cqap, &mut self.db, batch)?;
@@ -265,17 +269,14 @@ impl ApplyDelta for CqapIndex {
                 plan.preprocessed.apply_delta(*node, ins, del)?;
             }
         }
-        let full = self.maintenance.full_for_recompile(&self.cqap, &self.db)?;
-        for plan in &mut self.plans {
-            let compiled = self.maintenance.recompile(
-                &self.cqap,
-                &self.db,
-                &plan.evaluator,
-                &plan.preprocessed,
-                &full,
-            )?;
-            plan.compiled = std::sync::Arc::new(compiled);
-        }
+        self.maintenance.refresh(
+            &self.cqap,
+            &self.db,
+            &outcome.touched,
+            self.plans
+                .iter_mut()
+                .map(|p| (&p.evaluator, &p.preprocessed, &mut p.compiled)),
+        )?;
         Ok(outcome.stats)
     }
 }

@@ -6,18 +6,31 @@
 //! which the heavy/light split steps and the specialized application indexes
 //! rely on.
 
-use crate::relation::Relation;
+use crate::relation::{instrument, Relation};
 use crate::schema::Schema;
 use cqap_common::{FxHashMap, Result, Tuple, VarSet};
 
 /// A hash index of a relation on a key subset of its variables.
+///
+/// Equality is content equality: same key variables, schema and keys, and
+/// per key the same *set* of tuples (bucket order is unspecified, and the
+/// incremental edits below permute it).
 #[derive(Clone, Debug)]
 pub struct HashIndex {
     key_vars: VarSet,
+    /// Positions of `key_vars` in `schema`, resolved once at build time.
+    key_positions: Vec<usize>,
     schema: Schema,
     /// Maps a key-projection tuple to the full tuples sharing that key.
     buckets: FxHashMap<Tuple, Vec<Tuple>>,
     entries: usize,
+}
+
+/// A bucket for a key's first tuple. Sized for exactly that tuple: a view
+/// keyed on all of its variables has one tuple per key, and `Vec`'s
+/// default first growth (four slots) would quadruple its bucket memory.
+fn new_bucket() -> Vec<Tuple> {
+    Vec::with_capacity(1)
 }
 
 impl HashIndex {
@@ -32,11 +45,13 @@ impl HashIndex {
         for t in rel.iter() {
             buckets
                 .entry(t.project(&key_positions))
-                .or_default()
+                .or_insert_with(new_bucket)
                 .push(t.clone());
         }
+        instrument::record_indexed_tuples(rel.len() as u64);
         Ok(HashIndex {
             key_vars,
+            key_positions,
             schema: rel.schema().clone(),
             entries: rel.len(),
             buckets,
@@ -113,19 +128,14 @@ impl HashIndex {
     /// The caller guarantees the tuples are not already indexed (the
     /// owning relation deduplicates before forwarding its net inserts);
     /// a duplicate would inflate [`HashIndex::len`] and degree counts.
-    pub fn insert_all(&mut self, tuples: &[Tuple]) -> Result<()> {
-        if tuples.is_empty() {
-            return Ok(());
-        }
-        let key_positions = self.schema.positions_of_set(self.key_vars)?;
+    pub fn insert_all(&mut self, tuples: &[Tuple]) {
         for t in tuples {
             self.buckets
-                .entry(t.project(&key_positions))
-                .or_default()
+                .entry(t.project(&self.key_positions))
+                .or_insert_with(new_bucket)
                 .push(t.clone());
-            self.entries += 1;
         }
-        Ok(())
+        self.entries += tuples.len();
     }
 
     /// Removes tuples incrementally, returning how many were found.
@@ -133,18 +143,13 @@ impl HashIndex {
     /// Buckets left empty are dropped so [`HashIndex::contains_key`] (the
     /// semijoin probe) stays exact — a lingering empty bucket would make
     /// a deleted key look present.
-    pub fn remove_all(&mut self, tuples: &[Tuple]) -> Result<usize> {
-        if tuples.is_empty() {
-            return Ok(0);
-        }
-        let key_positions = self.schema.positions_of_set(self.key_vars)?;
+    pub fn remove_all(&mut self, tuples: &[Tuple]) -> usize {
         let mut removed = 0;
         for t in tuples {
-            let key = t.project(&key_positions);
+            let key = t.project(&self.key_positions);
             if let Some(bucket) = self.buckets.get_mut(&key) {
                 if let Some(pos) = bucket.iter().position(|b| b == t) {
                     bucket.swap_remove(pos);
-                    self.entries -= 1;
                     removed += 1;
                     if bucket.is_empty() {
                         self.buckets.remove(&key);
@@ -152,9 +157,25 @@ impl HashIndex {
                 }
             }
         }
-        Ok(removed)
+        self.entries -= removed;
+        removed
     }
 }
+
+impl PartialEq for HashIndex {
+    fn eq(&self, other: &Self) -> bool {
+        self.key_vars == other.key_vars
+            && self.schema == other.schema
+            && self.entries == other.entries
+            && self.buckets.len() == other.buckets.len()
+            && self.buckets.iter().all(|(key, bucket)| {
+                let theirs = other.probe(key);
+                bucket.len() == theirs.len() && bucket.iter().all(|t| theirs.contains(t))
+            })
+    }
+}
+
+impl Eq for HashIndex {}
 
 #[cfg(test)]
 mod tests {
@@ -224,12 +245,11 @@ mod tests {
     fn incremental_insert_and_remove() {
         let r = sample();
         let mut idx = HashIndex::build(&r, vars![1]).unwrap();
-        idx.insert_all(&[Tuple::pair(9, 90)]).unwrap();
+        idx.insert_all(&[Tuple::pair(9, 90)]);
         assert_eq!(idx.len(), 6);
         assert!(idx.contains_key(&Tuple::unary(9)));
         assert_eq!(
-            idx.remove_all(&[Tuple::pair(9, 90), Tuple::pair(1, 10)])
-                .unwrap(),
+            idx.remove_all(&[Tuple::pair(9, 90), Tuple::pair(1, 10)]),
             2
         );
         assert_eq!(idx.len(), 4);
@@ -239,7 +259,26 @@ mod tests {
         );
         assert_eq!(idx.degree(&Tuple::unary(1)), 1);
         // Removing an absent tuple is a no-op.
-        assert_eq!(idx.remove_all(&[Tuple::pair(9, 90)]).unwrap(), 0);
+        assert_eq!(idx.remove_all(&[Tuple::pair(9, 90)]), 0);
         assert_eq!(idx.len(), 4);
+    }
+
+    #[test]
+    fn edited_index_equals_a_rebuild_and_edits_are_not_counted_as_builds() {
+        let mut r = sample();
+        let mut idx = HashIndex::build(&r, vars![1]).unwrap();
+        let builds = instrument::indexed_tuples();
+        // Bucket order diverges from a fresh build (swap_remove, append)
+        // but the content — keys and per-key tuple sets — must not.
+        idx.remove_all(&[Tuple::pair(1, 10), Tuple::pair(2, 10)]);
+        idx.insert_all(&[Tuple::pair(1, 10), Tuple::pair(3, 32)]);
+        assert_eq!(instrument::indexed_tuples(), builds);
+        r.remove_all(&[Tuple::pair(2, 10)]);
+        r.insert(Tuple::pair(3, 32)).unwrap();
+        let rebuilt = HashIndex::build(&r, vars![1]).unwrap();
+        assert_eq!(instrument::indexed_tuples(), builds + r.len() as u64);
+        assert_eq!(idx, rebuilt);
+        idx.remove_all(&[Tuple::pair(3, 32)]);
+        assert_ne!(idx, rebuilt);
     }
 }

@@ -22,6 +22,7 @@
 pub mod constraints;
 pub mod database;
 pub mod index;
+mod membership;
 pub mod ops;
 pub mod relation;
 pub mod schema;

@@ -1,5 +1,6 @@
 //! In-memory relations (sets of tuples with a schema).
 
+use crate::membership::Membership;
 use crate::schema::Schema;
 use cqap_common::{CqapError, FxHashSet, Result, Tuple, Val, Var, VarSet};
 use std::borrow::Cow;
@@ -13,6 +14,7 @@ pub mod instrument {
 
     thread_local! {
         static DEDUP_INSERTS: Cell<u64> = const { Cell::new(0) };
+        static INDEXED_TUPLES: Cell<u64> = const { Cell::new(0) };
     }
 
     /// Total tuples **this thread** has inserted into a relation-level
@@ -31,6 +33,22 @@ pub mod instrument {
             DEDUP_INSERTS.with(|c| c.set(c.get() + n));
         }
     }
+
+    /// Total tuples **this thread** has pushed through a from-scratch
+    /// [`HashIndex::build`](crate::HashIndex::build) (incremental
+    /// `insert_all` / `remove_all` edits are not counted). Monotone and
+    /// per-thread like [`dedup_inserts`]; the delta-maintenance tests diff
+    /// it around an apply to prove no index was rebuilt.
+    pub fn indexed_tuples() -> u64 {
+        INDEXED_TUPLES.with(Cell::get)
+    }
+
+    #[inline]
+    pub(crate) fn record_indexed_tuples(n: u64) {
+        if n > 0 {
+            INDEXED_TUPLES.with(|c| c.set(c.get() + n));
+        }
+    }
 }
 
 /// An in-memory relation: a set of tuples over a [`Schema`].
@@ -39,11 +57,13 @@ pub mod instrument {
 /// paper's size measures (`|R|`, degree constraints) are all defined over
 /// set semantics.
 ///
-/// The dedup hash set backing [`Relation::contains`] and equality is built
-/// **lazily**: a relation assembled from tuples that are already distinct
-/// (every semijoin/join output of the online phase — see
-/// [`RelationBuilder::distinct`]) carries only its tuple vector until some
-/// caller actually needs membership tests. Names are `Cow<'static, str>`,
+/// The membership table backing [`Relation::contains`], dedup and equality
+/// maps each tuple to its position in the tuple vector (the tuples are
+/// stored once) and is built **lazily**: a relation assembled from tuples
+/// that are already distinct (every semijoin/join output of the online
+/// phase — see [`RelationBuilder::distinct`]) carries only its tuple
+/// vector until some caller actually needs membership tests. Names are
+/// `Cow<'static, str>`,
 /// so the hot path labels intermediates with borrowed constants instead of
 /// `format!` allocations.
 #[derive(Clone)]
@@ -51,9 +71,10 @@ pub struct Relation {
     name: Cow<'static, str>,
     schema: Schema,
     tuples: Vec<Tuple>,
-    /// Lazily materialized dedup/membership set; empty for relations built
-    /// through the distinct builder until first needed.
-    seen: OnceLock<FxHashSet<Tuple>>,
+    /// Lazily materialized dedup/membership table, tuple → its position in
+    /// `tuples` (so a delete is a `swap_remove`, not a scan); empty for
+    /// relations built through the distinct builder until first needed.
+    seen: OnceLock<Membership>,
 }
 
 impl Relation {
@@ -152,20 +173,12 @@ impl Relation {
         self.tuples
     }
 
-    /// The membership set, materializing it on first use.
-    fn seen(&self) -> &FxHashSet<Tuple> {
+    /// The membership table, materializing it on first use.
+    fn seen(&self) -> &Membership {
         self.seen.get_or_init(|| {
             instrument::record_dedup_inserts(self.tuples.len() as u64);
-            self.tuples.iter().cloned().collect()
+            Membership::of(&self.tuples)
         })
-    }
-
-    /// Mutable access to the membership set, materializing it on first use.
-    fn seen_mut(&mut self) -> &mut FxHashSet<Tuple> {
-        if self.seen.get().is_none() {
-            let _ = self.seen();
-        }
-        self.seen.get_mut().expect("seen set just materialized")
     }
 
     /// Inserts a tuple, ignoring duplicates.
@@ -180,17 +193,18 @@ impl Relation {
             });
         }
         instrument::record_dedup_inserts(1);
-        if self.seen_mut().insert(t.clone()) {
+        let _ = self.seen();
+        let seen = self.seen.get_mut().expect("membership table just materialized");
+        let fresh = seen.insert(&self.tuples, &t);
+        if fresh {
             self.tuples.push(t);
-            Ok(true)
-        } else {
-            Ok(false)
         }
+        Ok(fresh)
     }
 
     /// Whether the relation contains the tuple.
     pub fn contains(&self, t: &Tuple) -> bool {
-        self.seen().contains(t)
+        self.seen().contains(&self.tuples, t)
     }
 
     /// Returns the tuple values for variable `v` (one per tuple, with
@@ -235,25 +249,29 @@ impl Relation {
     }
 
     /// Removes every tuple in `gone` from the relation, returning how many
-    /// were actually present (and hence removed).
+    /// were actually present (and hence removed). Tuple order is
+    /// unspecified afterwards.
     ///
-    /// One retain pass over the tuple vector. The lazy membership set is
-    /// updated only if it has already been materialized — removal never
-    /// forces it into existence, so the delta-maintenance path stays off
-    /// the counted dedup machinery for relations built distinct.
-    pub fn remove_all(&mut self, gone: &FxHashSet<Tuple>) -> usize {
-        if gone.is_empty() {
-            return 0;
-        }
-        let before = self.tuples.len();
-        self.tuples.retain(|t| !gone.contains(t));
-        let removed = before - self.tuples.len();
-        if removed > 0 {
-            if let Some(seen) = self.seen.get_mut() {
-                seen.retain(|t| !gone.contains(t));
+    /// With the membership table materialized (always the case on the
+    /// delta-maintenance path, whose net-effect computation and inserts
+    /// both go through it) each delete is one table removal plus a
+    /// `swap_remove` — `O(|gone|)`, independent of the relation's size.
+    /// Removal never forces the lazy table into existence: a relation
+    /// built distinct and never membership-tested falls back to one retain
+    /// pass over its tuple vector, staying off the counted dedup machinery.
+    pub fn remove_all(&mut self, gone: &[Tuple]) -> usize {
+        let Some(seen) = self.seen.get_mut() else {
+            if gone.is_empty() {
+                return 0;
             }
-        }
-        removed
+            let gone: FxHashSet<&Tuple> = gone.iter().collect();
+            let before = self.tuples.len();
+            self.tuples.retain(|t| !gone.contains(t));
+            return before - self.tuples.len();
+        };
+        gone.iter()
+            .filter(|t| seen.remove(&mut self.tuples, t))
+            .count()
     }
 
     /// An estimate of the memory footprint in *stored values* (arity ×
@@ -281,7 +299,9 @@ impl PartialEq for Relation {
     /// Two relations are equal if they have the same schema and the same set
     /// of tuples (order-insensitive). Names are ignored.
     fn eq(&self, other: &Self) -> bool {
-        self.schema == other.schema && self.len() == other.len() && self.seen() == other.seen()
+        self.schema == other.schema
+            && self.len() == other.len()
+            && self.tuples.iter().all(|t| other.contains(t))
     }
 }
 
@@ -307,8 +327,9 @@ pub struct RelationBuilder {
     name: Cow<'static, str>,
     schema: Schema,
     tuples: Vec<Tuple>,
-    /// `Some` while dedup-on-push is active; `None` for distinct builders.
-    seen: Option<FxHashSet<Tuple>>,
+    /// `Some` while dedup-on-push is active (donated to the finished
+    /// relation); `None` for distinct builders.
+    seen: Option<Membership>,
 }
 
 impl RelationBuilder {
@@ -319,7 +340,7 @@ impl RelationBuilder {
             name: name.into(),
             schema,
             tuples: Vec::new(),
-            seen: Some(FxHashSet::default()),
+            seen: Some(Membership::default()),
         }
     }
 
@@ -371,7 +392,7 @@ impl RelationBuilder {
         match &mut self.seen {
             Some(seen) => {
                 instrument::record_dedup_inserts(1);
-                if seen.insert(t.clone()) {
+                if seen.insert(&self.tuples, &t) {
                     self.tuples.push(t);
                 }
             }
@@ -379,8 +400,8 @@ impl RelationBuilder {
         }
     }
 
-    /// Finalizes the relation. A deduplicating builder donates its hash set
-    /// as the relation's membership set; a distinct builder leaves it to be
+    /// Finalizes the relation. A deduplicating builder donates its
+    /// membership table as the relation's; a distinct builder leaves it to be
     /// materialized lazily (never, on the probe-only serving path).
     pub fn finish(self) -> Relation {
         #[cfg(debug_assertions)]
@@ -522,14 +543,17 @@ mod tests {
     fn remove_all_updates_membership() {
         let mut r = edges("R", &[(1, 2), (3, 4), (5, 6)]);
         assert!(r.contains(&Tuple::pair(1, 2))); // forces the seen set
-        let gone: FxHashSet<Tuple> =
-            [Tuple::pair(1, 2), Tuple::pair(9, 9)].into_iter().collect();
-        assert_eq!(r.remove_all(&gone), 1);
+        assert_eq!(r.remove_all(&[Tuple::pair(1, 2), Tuple::pair(9, 9)]), 1);
         assert_eq!(r.len(), 2);
         assert!(!r.contains(&Tuple::pair(1, 2)));
+        // The survivor that was swapped into the hole is still addressable.
+        assert_eq!(r.remove_all(&[Tuple::pair(5, 6), Tuple::pair(5, 6)]), 1);
+        assert_eq!(r.tuples(), &[Tuple::pair(3, 4)]);
+        assert!(r.insert(Tuple::pair(5, 6)).unwrap());
         // A removed tuple can be re-inserted (delete-then-reinsert).
         assert!(r.insert(Tuple::pair(1, 2)).unwrap());
         assert_eq!(r.len(), 3);
+        assert_eq!(r, edges("R", &[(1, 2), (3, 4), (5, 6)]));
     }
 
     #[test]
@@ -540,8 +564,7 @@ mod tests {
         }
         let mut r = b.finish();
         let before = instrument::dedup_inserts();
-        let gone: FxHashSet<Tuple> = [Tuple::pair(0, 1)].into_iter().collect();
-        assert_eq!(r.remove_all(&gone), 1);
+        assert_eq!(r.remove_all(&[Tuple::pair(0, 1)]), 1);
         assert_eq!(
             instrument::dedup_inserts(),
             before,

@@ -47,7 +47,7 @@
 
 use std::cell::RefCell;
 use std::fs::File;
-use std::io::{BufWriter, Write};
+use std::io::Write;
 use std::path::{Path, PathBuf};
 
 use cqap_common::{varint, CqapError, FxHashMap, FxHashSet, Result, Tuple, Val, VarSet};
@@ -248,16 +248,114 @@ pub struct StoredView {
 
 /// Validates the freshly written run at `tmp` (magic, counts, every
 /// varint, key order — the full [`StoredView::open`] check) before
-/// renaming it over `base`. A torn or truncated temp file is removed and
-/// rejected, leaving the base run untouched, so a crash mid-compaction
-/// can never replace a valid run with garbage.
-fn validate_and_swap(base: &Path, tmp: &Path) -> Result<()> {
-    match StoredView::open(tmp) {
-        Ok(_) => std::fs::rename(tmp, base).map_err(|e| io_err(base, "swap compacted run", e)),
-        Err(error) => {
-            let _ = std::fs::remove_file(tmp);
-            Err(error)
+/// renaming it over `base`, and returns the validated handle re-pointed
+/// at `base` (the open file follows the rename), so the caller never
+/// decodes the run a second time. A torn or truncated temp file is
+/// rejected and — like a temp whose rename fails — removed, leaving the
+/// base run untouched, so a crash mid-compaction can never replace a
+/// valid run with garbage.
+fn validate_and_swap(base: &Path, tmp: &Path) -> Result<StoredView> {
+    let swapped = StoredView::open(tmp).and_then(|mut view| {
+        std::fs::rename(tmp, base).map_err(|e| io_err(base, "swap compacted run", e))?;
+        view.path = base.to_path_buf();
+        Ok(view)
+    });
+    if swapped.is_err() {
+        let _ = std::fs::remove_file(tmp);
+    }
+    swapped
+}
+
+/// The v2 encoder: records are pushed in strictly ascending key order and
+/// come out as the segment-compressed body; [`RunWriter::finish`] puts the
+/// header in front and writes the file. Shared by [`write_view`] (which
+/// sorts a relation first) and compaction (which streams an already
+/// sorted merge), so both produce the same bytes for the same content.
+struct RunWriter<'a> {
+    layout: &'a ColLayout,
+    body: Vec<u8>,
+    /// Key of the current segment's first record: the delta base.
+    head: Vec<Val>,
+    records: usize,
+    tuples: usize,
+}
+
+impl<'a> RunWriter<'a> {
+    fn new(layout: &'a ColLayout) -> Self {
+        RunWriter {
+            layout,
+            body: Vec::new(),
+            head: Vec::new(),
+            records: 0,
+            tuples: 0,
         }
+    }
+
+    /// Opens a record of `count` tuples under `key`.
+    fn begin_record(&mut self, key: &[Val], count: usize) {
+        if self.records % FENCE_STRIDE == 0 {
+            // Segment head: absolute key, the delta base for the rest of
+            // the segment (and the fence key the open scan retains).
+            self.head.clear();
+            self.head.extend_from_slice(key);
+            for &v in key {
+                varint::encode_u64(v, &mut self.body);
+            }
+        } else {
+            for (&base, &v) in self.head.iter().zip(key) {
+                varint::encode_delta(base, v, &mut self.body);
+            }
+        }
+        varint::encode_u64(count as u64, &mut self.body);
+        self.records += 1;
+        self.tuples += count;
+    }
+
+    /// One record from its tuples, which must be sorted ascending (files
+    /// are deterministic: blocks are sorted too, by `Tuple`'s value order
+    /// like the keys) and all project to `key`.
+    fn push_record(&mut self, key: &[Val], block: &[&Tuple]) {
+        self.begin_record(key, block.len());
+        // Column-major, non-link columns only: the link columns of every
+        // tuple in this record equal the key and are not stored.
+        for &p in &self.layout.stored_positions {
+            for t in block {
+                varint::encode_u64(t.get(p), &mut self.body);
+            }
+        }
+    }
+
+    /// One record whose block is already encoded (copied out of a
+    /// validated run): canonical varints re-encode to themselves, so the
+    /// bytes are taken verbatim.
+    fn push_encoded(&mut self, key: &[Val], count: usize, block: &[u8]) {
+        self.begin_record(key, count);
+        self.body.extend_from_slice(block);
+    }
+
+    /// Writes header and body to a new file at `path` (truncating any
+    /// existing file). A file this call created is removed again if
+    /// writing it fails, so a short write never leaves a torn run behind.
+    fn finish(self, path: &Path, schema: &Schema, link: VarSet) -> Result<()> {
+        let mut header = Vec::with_capacity((5 + schema.arity()) * 8);
+        let mut emit = |v: u64| header.extend_from_slice(&v.to_le_bytes());
+        emit(MAGIC);
+        emit(schema.arity() as u64);
+        for &v in schema.vars() {
+            emit(v as u64);
+        }
+        emit(link.0);
+        emit(self.records as u64);
+        emit(self.tuples as u64);
+        let mut file = File::create(path).map_err(|e| io_err(path, "create", e))?;
+        let written = file
+            .write_all(&header)
+            .and_then(|()| file.write_all(&self.body))
+            .map_err(|e| io_err(path, "write", e));
+        if written.is_err() {
+            let _ = std::fs::remove_file(path);
+        }
+        written
     }
 }
 
@@ -276,54 +374,14 @@ pub fn write_view(path: &Path, rel: &Relation, link: VarSet) -> Result<()> {
             .or_default()
             .push(t);
     }
-    let mut keys: Vec<&Tuple> = groups.keys().collect();
-    keys.sort_unstable_by(|a, b| a.as_slice().cmp(b.as_slice()));
-
-    let file = File::create(path).map_err(|e| io_err(path, "create", e))?;
-    let mut out = BufWriter::new(file);
-    let mut emit = |v: u64| -> Result<()> {
-        out.write_all(&v.to_le_bytes())
-            .map_err(|e| io_err(path, "write", e))
-    };
-    emit(MAGIC)?;
-    emit(rel.schema().arity() as u64)?;
-    for &v in rel.schema().vars() {
-        emit(v as u64)?;
+    let mut records: Vec<(&Tuple, &mut Vec<&Tuple>)> = groups.iter_mut().collect();
+    records.sort_unstable_by(|a, b| a.0.cmp(b.0));
+    let mut writer = RunWriter::new(&layout);
+    for (key, block) in records {
+        block.sort_unstable();
+        writer.push_record(key.as_slice(), block);
     }
-    emit(link.0)?;
-    emit(keys.len() as u64)?;
-    emit(rel.len() as u64)?;
-
-    let mut body: Vec<u8> = Vec::new();
-    let mut head: &[Val] = &[];
-    for (idx, key) in keys.iter().enumerate() {
-        if idx % FENCE_STRIDE == 0 {
-            // Segment head: absolute key, the delta base for the rest of
-            // the segment (and the fence key the open scan retains).
-            head = key.as_slice();
-            for &v in head {
-                varint::encode_u64(v, &mut body);
-            }
-        } else {
-            for (&base, &v) in head.iter().zip(key.as_slice()) {
-                varint::encode_delta(base, v, &mut body);
-            }
-        }
-        let mut block = groups[*key].clone();
-        // Deterministic files: blocks are sorted too.
-        block.sort_unstable_by(|a, b| a.as_slice().cmp(b.as_slice()));
-        varint::encode_u64(block.len() as u64, &mut body);
-        // Column-major, non-link columns only: the link columns of every
-        // tuple in this record equal the key and are not stored.
-        for &p in &layout.stored_positions {
-            for t in &block {
-                varint::encode_u64(t.get(p), &mut body);
-            }
-        }
-    }
-    out.write_all(&body).map_err(|e| io_err(path, "write", e))?;
-    out.flush().map_err(|e| io_err(path, "flush", e))?;
-    Ok(())
+    writer.finish(path, rel.schema(), link)
 }
 
 /// Strict varint reader over an in-memory segment (or body) buffer.
@@ -921,14 +979,17 @@ impl StoredView {
         Ok(())
     }
 
-    /// Folds the overlay into a fresh sorted run: the merged content is
-    /// written to a temp file next to the base run, fully re-validated by
-    /// opening it, and only then renamed over the base — a torn write can
-    /// never replace a valid run. A clean overlay is a no-op.
+    /// Folds the overlay into a fresh sorted run: base and overlay are
+    /// merged in one streaming pass into a temp file next to the base run,
+    /// which is fully re-validated by opening it and only then renamed
+    /// over the base — a torn write can never replace a valid run. The
+    /// validated handle becomes the view, so the new run is decoded
+    /// exactly once. A clean overlay is a no-op.
     ///
     /// # Errors
-    /// Fails on I/O errors; the base run stays valid and the overlay is
-    /// retained, so the view remains fully probe-able after a failure.
+    /// Fails on I/O errors; the base run stays valid, the overlay is
+    /// retained and no temp file is left behind, so the view remains
+    /// fully probe-able after a failure.
     pub fn compact(&mut self) -> Result<()> {
         if self.overlay.is_empty() {
             return Ok(());
@@ -939,17 +1000,13 @@ impl StoredView {
         let pending = self.overlay.len() as u64;
         let compact_mark = self.sink.trace_mark_background();
         let timer = self.sink.start();
-        let merged = self.merged_relation()?;
         let tmp = self.path.with_extension("tmp");
-        write_view(&tmp, &merged, self.link)?;
-        validate_and_swap(&self.path, &tmp)?;
-        let delete_on_drop = self.delete_on_drop;
+        self.write_merged(&tmp)?;
+        let mut fresh = validate_and_swap(&self.path, &tmp)?;
         // The stale handle must not delete the just-swapped file when it
         // drops in the assignment below — and, like the drop flag, the
         // attached sink must survive the swap.
-        self.delete_on_drop = false;
-        let mut fresh = StoredView::open(&self.path)?;
-        fresh.delete_on_drop = delete_on_drop;
+        fresh.delete_on_drop = std::mem::take(&mut self.delete_on_drop);
         fresh.sink = self.sink.clone();
         *self = fresh;
         self.sink.incr(CounterId::Compactions);
@@ -959,10 +1016,14 @@ impl StoredView {
         Ok(())
     }
 
-    /// The maintained view content as an in-memory relation: one
-    /// sequential walk of the base run, minus tombstones, plus the
-    /// overlay's inserts.
-    fn merged_relation(&self) -> Result<Relation> {
+    /// Writes the maintained view content — base run minus tombstones plus
+    /// the overlay's inserts — as a v2 run at `tmp`, byte for byte what
+    /// [`write_view`] produces for that content, without materializing it:
+    /// one sequential walk of the (key- and block-sorted) base run merged
+    /// with the sorted overlay, straight into the encoder. A base record
+    /// the overlay does not touch is not even decoded; its block bytes
+    /// are copied.
+    fn write_merged(&self, tmp: &Path) -> Result<()> {
         let bytes = std::fs::read(&self.path)
             .map_err(|e| io_err(&self.path, "read for compaction", e))?;
         let header = (5 + self.schema.arity()) * 8;
@@ -972,12 +1033,38 @@ impl StoredView {
         let layout = &self.layout;
         let key_arity = layout.key_positions.len();
         let stored_arity = layout.stored_arity();
+
+        // The overlay in run order: insert buckets by key (each sorted),
+        // and the keys holding at least one tombstone.
+        let mut added: Vec<(&Tuple, Vec<&Tuple>)> = self
+            .overlay
+            .added
+            .iter()
+            .map(|(key, bucket)| {
+                let mut bucket: Vec<&Tuple> = bucket.iter().collect();
+                bucket.sort_unstable();
+                (key, bucket)
+            })
+            .collect();
+        added.sort_unstable_by(|a, b| a.0.cmp(b.0));
+        let mut added = added.into_iter().peekable();
+        let mut dead_keys: Vec<Tuple> = self
+            .overlay
+            .deleted
+            .iter()
+            .map(|t| t.project(&layout.key_positions))
+            .collect();
+        dead_keys.sort_unstable();
+        dead_keys.dedup();
+        let mut dead_keys = dead_keys.iter().peekable();
+
+        let mut writer = RunWriter::new(layout);
         let mut cursor = Cursor::new(body);
         let mut head: Vec<Val> = Vec::new();
         let mut key: Vec<Val> = Vec::new();
         let mut block: Vec<Val> = Vec::new();
         let mut row: Vec<Val> = Vec::with_capacity(self.schema.arity());
-        let mut tuples = Vec::with_capacity(self.len());
+        let mut survivors: Vec<Tuple> = Vec::new();
         for record in 0..self.num_records {
             let segment_head = record % FENCE_STRIDE == 0;
             let base = if segment_head { None } else { Some(head.as_slice()) };
@@ -992,9 +1079,30 @@ impl StoredView {
                 .read_varint()
                 .ok_or_else(|| corrupt(&self.path, "truncated count"))?
                 as usize;
+            if count > self.num_tuples {
+                return Err(corrupt(&self.path, "block overruns tuple count"));
+            }
+            // Overlay-only keys sorting before this record go out first.
+            while let Some((k, bucket)) = added.next_if(|(k, _)| k.as_slice() < key.as_slice()) {
+                writer.push_record(k.as_slice(), &bucket);
+            }
+            let inserts = added.next_if(|(k, _)| k.as_slice() == key.as_slice());
+            while dead_keys.next_if(|k| k.as_slice() < key.as_slice()).is_some() {}
+            let tombstoned = dead_keys
+                .next_if(|k| k.as_slice() == key.as_slice())
+                .is_some();
+            if inserts.is_none() && !tombstoned {
+                let start = cursor.pos;
+                if !cursor.skip_varints(count * stored_arity) {
+                    return Err(corrupt(&self.path, "truncated tuple"));
+                }
+                writer.push_encoded(&key, count, &body[start..cursor.pos]);
+                continue;
+            }
             if !cursor.read_block(count * stored_arity, &mut block) {
                 return Err(corrupt(&self.path, "truncated tuple"));
             }
+            survivors.clear();
             for r in 0..count {
                 row.clear();
                 for src in &layout.sources {
@@ -1004,15 +1112,24 @@ impl StoredView {
                     });
                 }
                 let t = Tuple::from_slice(&row);
-                if !self.overlay.deleted.contains(&t) {
-                    tuples.push(t);
+                if !(tombstoned && self.overlay.deleted.contains(&t)) {
+                    survivors.push(t);
                 }
             }
+            // The sides are disjoint (`added ∩ base = ∅`): no dedup needed.
+            let mut merged: Vec<&Tuple> = survivors.iter().collect();
+            if let Some((_, bucket)) = inserts {
+                merged.extend(bucket);
+                merged.sort_unstable();
+            }
+            if !merged.is_empty() {
+                writer.push_record(&key, &merged);
+            }
         }
-        for bucket in self.overlay.added.values() {
-            tuples.extend(bucket.iter().cloned());
+        for (key, bucket) in added {
+            writer.push_record(key.as_slice(), &bucket);
         }
-        Relation::from_tuples("compacted", self.schema.clone(), tuples)
+        writer.finish(tmp, &self.schema, self.link)
     }
 }
 
@@ -1375,11 +1492,31 @@ mod tests {
         assert_eq!(view.probe(&Tuple::unary(700)).unwrap(), vec![Tuple::pair(700, 500)]);
         assert!(view.probe(&Tuple::unary(3)).unwrap().is_empty(), "tombstone holds");
         assert_eq!(view.probe(&Tuple::unary(10)).unwrap(), vec![Tuple::pair(10, 11)]);
+        std::fs::remove_dir(&tmp).unwrap();
+
+        // A fault *after* the temp file exists: the temp path resolves to
+        // `/dev/full`, so `File::create` succeeds and the write of the
+        // merged run fails with ENOSPC. The half-made temp must not
+        // survive, and again nothing durable or volatile may change.
+        #[cfg(unix)]
+        if Path::new("/dev/full").exists() {
+            std::os::unix::fs::symlink("/dev/full", &tmp).unwrap();
+            let err = view.compact().unwrap_err();
+            assert!(err.to_string().contains("writefail"), "I/O error names the file: {err}");
+            assert!(
+                tmp.symlink_metadata().is_err(),
+                "no .tmp survives a failed compaction"
+            );
+            assert_eq!(std::fs::read(&path).unwrap(), base_bytes, "base untouched");
+            assert!(view.overlay_len() > 0, "overlay retained after failure");
+            assert_eq!(view.probe(&Tuple::unary(700)).unwrap(), vec![Tuple::pair(700, 500)]);
+            assert!(view.probe(&Tuple::unary(3)).unwrap().is_empty(), "tombstone holds");
+        }
 
         // Once the fault clears, the same view compacts successfully and
         // the merged run serves identically with an empty overlay.
-        std::fs::remove_dir(&tmp).unwrap();
         view.compact().unwrap();
+        assert!(!tmp.exists(), "a successful compaction renames its temp away");
         assert_eq!(view.overlay_len(), 0);
         assert_eq!(view.len(), 30, "30 base - 1 tombstone + 1 insert");
         assert_eq!(view.probe(&Tuple::unary(700)).unwrap(), vec![Tuple::pair(700, 500)]);

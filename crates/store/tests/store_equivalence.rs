@@ -10,13 +10,14 @@
 //! format, so every case here also checks the compressed footprint
 //! undercuts the plain 8-bytes-per-value encoding.
 
-use cqap_common::Tuple;
-use cqap_decomp::families::pmtds_3reach_fig1;
+use cqap_common::{vars, Tuple, VarSet};
+use cqap_decomp::families::{pmtds_3reach_fig1, pmtds_4reach};
+use cqap_decomp::{Pmtd, TreeDecomposition};
 use cqap_delta::{ApplyDelta, DeltaBatch};
-use cqap_panda::CqapIndex;
+use cqap_panda::{AtomIndexCache, CqapIndex};
 use cqap_query::workload::{graph_pair_requests, zipf_multi_requests, Graph};
-use cqap_query::AccessRequest;
-use cqap_relation::Database;
+use cqap_query::{AccessRequest, Atom, ConjunctiveQuery, Cqap};
+use cqap_relation::{Database, HashIndex, Relation, Schema};
 use cqap_shard::ShardedIndex;
 use cqap_store::{scratch_dir, PlacementPolicy, ShardTier, StoredIndex, TieredShardedIndex};
 use proptest::prelude::*;
@@ -70,6 +71,26 @@ fn delta_round(round: usize, db: &Database, seed: u64) -> DeltaBatch {
             }
             batch
         }
+    }
+}
+
+/// The cold tier's atom indexes are edited in place like the hot tier's:
+/// after every batch each must equal `HashIndex::build` over the
+/// post-delta database (same keys, same bucket sets).
+fn assert_atom_indexes_match_rebuild(maintained: &AtomIndexCache, db: &Database, round: usize) {
+    assert!(maintained.entries().next().is_some(), "no atom indexes kept");
+    for (relation, vars, index) in maintained.entries() {
+        let renamed = Relation::from_tuples(
+            relation.to_string(),
+            Schema::new(vars.to_vec()).unwrap(),
+            db.relation(relation).unwrap().iter().cloned(),
+        )
+        .unwrap();
+        assert!(
+            *index == HashIndex::build(&renamed, index.key_vars()).unwrap(),
+            "round {round}: cold-tier index of {relation}{vars:?} on {} diverged from a rebuild",
+            index.key_vars()
+        );
     }
 }
 
@@ -266,6 +287,11 @@ proptest! {
                 prop_assert_eq!(stored.overlay_len(), 0, "compaction left overlay tuples");
             }
 
+            assert_atom_indexes_match_rebuild(
+                stored.maintenance().atom_indexes(),
+                &reference_db,
+                round,
+            );
             let rebuilt = CqapIndex::build(&cqap, &reference_db, &pmtds).unwrap();
             let rebuilt_stored =
                 StoredIndex::build_in_temp(&cqap, &reference_db, &pmtds).unwrap();
@@ -317,6 +343,113 @@ proptest! {
                     rebuilt_stored.answer(request).unwrap(),
                     expected,
                     "round {}: rebuilt stored answer diverged", round
+                );
+            }
+        }
+    }
+
+    /// The two shapes the Figure-1 set does not have, on the cold tier: a
+    /// self-join (one stored relation under two atoms — one delta edits
+    /// both index slots of the spilled backend's own copy-on-write
+    /// lineage, while the source index it was spilled from stays
+    /// untouched) and `(T1245, T234)` of Example E.8, whose access-free
+    /// bag is folded at compile time and must be recompiled when its
+    /// atoms change.
+    #[test]
+    fn stored_self_join_and_access_free_bag_match_rebuild(
+        seed in 0u64..10_000,
+        edges in 40usize..110,
+    ) {
+        let graph = Graph::random(24, edges, seed);
+
+        let atoms = vec![
+            Atom::new("E", vec![0, 1]).unwrap(),
+            Atom::new("E", vec![1, 2]).unwrap(),
+        ];
+        let cq = ConjunctiveQuery::new("self_join", 3, atoms, VarSet::from_iter([0, 2])).unwrap();
+        let self_join = Cqap::new(cq, VarSet::from_iter([0, 2])).unwrap();
+        let td = TreeDecomposition::single(vars![1, 2, 3]);
+        let self_join_pmtds = vec![
+            Pmtd::for_cqap(td.clone(), [], &self_join).unwrap(),
+            Pmtd::for_cqap(td, [0], &self_join).unwrap(),
+        ];
+        let mut edge_db = Database::new();
+        edge_db
+            .add_relation(Relation::binary("E", 0, 1, graph.edges.iter().copied()))
+            .unwrap();
+
+        let (four_reach, all) = pmtds_4reach().unwrap();
+        let access_free: Vec<Pmtd> = all
+            .into_iter()
+            .filter(|p| p.summary() == "(T1245, T234)")
+            .collect();
+        prop_assert_eq!(access_free.len(), 1);
+
+        for (cqap, pmtds, db) in [
+            (&self_join, &self_join_pmtds, edge_db),
+            (&four_reach, &access_free, graph.as_path_database(4)),
+        ] {
+            let hops = cqap.cq().atoms().len() as u64;
+            let base = 20_000 + (seed % 89) * 10;
+            let mut requests: Vec<AccessRequest> = graph_pair_requests(&graph, 8, seed ^ 0x5e1f)
+                .into_iter()
+                .map(|(u, v)| AccessRequest::single(cqap.access(), &[u, v]).unwrap())
+                .collect();
+            requests.push(AccessRequest::single(cqap.access(), &[base, base + hops]).unwrap());
+
+            let source = CqapIndex::build(cqap, &db, pmtds).unwrap();
+            let mut stored = StoredIndex::spill(&source, scratch_dir("fixtures")).unwrap();
+            let mut reference_db = db.clone();
+            // Round 0 inserts a fresh chain (one edge per atom) and
+            // deletes scattered edges; round 1 deletes the chain again.
+            for round in 0..2 {
+                let mut batch = DeltaBatch::new();
+                for (i, atom) in cqap.cq().atoms().iter().enumerate() {
+                    let edge = vec![Tuple::pair(base + i as u64, base + i as u64 + 1)];
+                    batch = if round == 0 {
+                        batch.insert(atom.relation.clone(), edge)
+                    } else {
+                        batch.delete(atom.relation.clone(), edge)
+                    };
+                }
+                if round == 0 {
+                    for rel in reference_db.relations() {
+                        let victims = rel.tuples().iter().step_by(7).take(3).cloned().collect();
+                        batch = batch.delete(rel.name().to_string(), victims);
+                    }
+                }
+                let stats = stored.apply_delta(&batch).unwrap();
+                prop_assert_eq!(stats, reference_db.apply_delta(&batch).unwrap());
+                assert_atom_indexes_match_rebuild(
+                    stored.maintenance().atom_indexes(),
+                    &reference_db,
+                    round,
+                );
+                let rebuilt = CqapIndex::build(cqap, &reference_db, pmtds).unwrap();
+                prop_assert_eq!(stored.space_used(), rebuilt.space_used());
+                for request in &requests {
+                    let expected = rebuilt.answer(request).unwrap();
+                    prop_assert_eq!(
+                        stored.answer(request).unwrap(),
+                        expected.clone(),
+                        "round {}: stored answer diverged from a rebuild", round
+                    );
+                    prop_assert_eq!(
+                        stored.answer_rows(request).unwrap(),
+                        expected,
+                        "round {}: row-compiled stored answer diverged", round
+                    );
+                }
+            }
+            // The spill diverged copy-on-write: the source it shares its
+            // compiled pipelines with still answers over the old database.
+            assert_atom_indexes_match_rebuild(source.maintenance().atom_indexes(), &db, 2);
+            let pristine = CqapIndex::build(cqap, &db, pmtds).unwrap();
+            for request in &requests {
+                prop_assert_eq!(
+                    source.answer(request).unwrap(),
+                    pristine.answer(request).unwrap(),
+                    "the spilled sibling's deltas leaked into the source index"
                 );
             }
         }

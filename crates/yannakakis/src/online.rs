@@ -11,7 +11,7 @@
 //! 2. a **top-down join pass** over the reduced tree that assembles the
 //!    output without producing dangling intermediate tuples.
 
-use cqap_common::{CqapError, FxHashMap, FxHashSet, Result, Tuple, VarSet};
+use cqap_common::{CqapError, FxHashMap, Result, Tuple, VarSet};
 use cqap_decomp::{Pmtd, ViewKind};
 use cqap_query::AccessRequest;
 use cqap_relation::{HashIndex, Relation, Schema};
@@ -79,7 +79,9 @@ impl PreprocessedViews {
     /// `cqap-panda`) computes the net lists against the view's ideal
     /// content, so deletes are present and inserts absent; duplicates are
     /// tolerated (the relation's set semantics absorbs them and the index
-    /// is only updated for tuples that actually entered).
+    /// is only updated for tuples that actually entered). Both structures
+    /// are edited per tuple — the cost is `O(|inserts| + |deletes|)`,
+    /// independent of the view's size.
     ///
     /// # Errors
     /// Fails if the node has no materialized view or a tuple's arity does
@@ -97,16 +99,15 @@ impl PreprocessedViews {
             .ok_or_else(|| {
                 CqapError::InvalidPmtd(format!("S-view {node} was not preprocessed"))
             })?;
-        if !deletes.is_empty() {
-            let gone: FxHashSet<Tuple> = deletes.iter().cloned().collect();
-            view.rel.remove_all(&gone);
-            view.index.remove_all(deletes)?;
-        }
+        view.rel.remove_all(deletes);
+        view.index.remove_all(deletes);
+        let mut accepted = Vec::with_capacity(inserts.len());
         for t in inserts {
             if view.rel.insert(t.clone())? {
-                view.index.insert_all(std::slice::from_ref(t))?;
+                accepted.push(t.clone());
             }
         }
+        view.index.insert_all(&accepted);
         Ok(())
     }
 }

@@ -8,15 +8,27 @@
 //! post-delta database, on every evaluation path (columnar, row-compiled
 //! and interpreted), for all three query families of
 //! `compiled_equivalence.rs`. The S-view space must match the rebuild
-//! too: incremental maintenance may not leak or drop view tuples.
+//! too: incremental maintenance may not leak or drop view tuples. And
+//! because the compiled pipelines read the atom indexes *in place* — a
+//! delta edits them bucket by bucket instead of rebuilding them — every
+//! maintained index must equal `HashIndex::build` over the post-delta
+//! database after every batch.
+//!
+//! Two fixtures cover what the reachability families do not: a self-join
+//! (one stored relation under two atoms, so one delta edits two index
+//! slots) and the `(T1245, T234)` PMTD of Example E.8, whose access-free
+//! bag is folded into the plan at compile time — the one case where a
+//! delta must still recompile.
 
-use cqap_common::Tuple;
+use cqap_common::{vars, Tuple, VarSet};
 use cqap_decomp::families as pmtd_families;
+use cqap_decomp::{Pmtd, TreeDecomposition};
 use cqap_delta::{ApplyDelta, DeltaBatch};
-use cqap_panda::CqapIndex;
+use cqap_obs::{CounterId, MetricsSink};
+use cqap_panda::{AtomIndexCache, CqapIndex};
 use cqap_query::workload::{graph_pair_requests, zipf_multi_requests, Graph};
-use cqap_query::{AccessRequest, Cqap};
-use cqap_relation::{Database, Relation};
+use cqap_query::{AccessRequest, Atom, ConjunctiveQuery, Cqap};
+use cqap_relation::{Database, HashIndex, Relation, Schema};
 use proptest::prelude::*;
 
 /// The chain base vertex for inserted tuples: far outside any generated
@@ -28,24 +40,38 @@ fn chain_base(seed: u64) -> u64 {
 /// One update batch, generated against the *current* database state so
 /// the intended no-op / cancellation structure actually holds:
 ///
-/// * round 0 — inserts a fresh "chain" tuple into every relation (for a
-///   path query this creates brand-new answers) and deletes a few
-///   existing tuples per relation;
+/// * round 0 — inserts a fresh "chain" tuple per atom into that atom's
+///   relation (for a path query this creates brand-new answers) and
+///   deletes a few existing tuples per relation;
 /// * round 1 — delete-then-reinsert of an existing tuple (nets out),
 ///   an insert of an already-present tuple and a delete of an absent
 ///   tuple (both no-ops), plus one real insert;
 /// * round 2 — an entirely empty batch;
 /// * round 3 — deletes the chain inserted in round 0 (removing the
 ///   answers it created).
-fn make_batch(round: usize, db: &Database, seed: u64) -> DeltaBatch {
+fn make_batch(round: usize, cqap: &Cqap, db: &Database, seed: u64) -> DeltaBatch {
     let names: Vec<String> = db.relations().iter().map(|r| r.name().to_string()).collect();
+    // Chain edge `i` goes into atom `i`'s relation: one relation per atom
+    // for the reachability families, the same relation twice for a
+    // self-join.
+    let chain: Vec<(String, Tuple)> = cqap
+        .cq()
+        .atoms()
+        .iter()
+        .enumerate()
+        .map(|(i, atom)| {
+            let from = chain_base(seed) + i as u64;
+            (atom.relation.clone(), Tuple::pair(from, from + 1))
+        })
+        .collect();
     let base = chain_base(seed);
     match round {
         0 => {
             let mut batch = DeltaBatch::new();
-            for (i, name) in names.iter().enumerate() {
-                let i = i as u64;
-                batch = batch.insert(name.clone(), vec![Tuple::pair(base + i, base + i + 1)]);
+            for (name, edge) in &chain {
+                batch = batch.insert(name.clone(), vec![edge.clone()]);
+            }
+            for name in &names {
                 let victims: Vec<Tuple> = db
                     .relation(name)
                     .unwrap()
@@ -82,13 +108,40 @@ fn make_batch(round: usize, db: &Database, seed: u64) -> DeltaBatch {
         2 => DeltaBatch::new(),
         _ => {
             let mut batch = DeltaBatch::new();
-            for (i, name) in names.iter().enumerate() {
-                let i = i as u64;
-                batch = batch.delete(name.clone(), vec![Tuple::pair(base + i, base + i + 1)]);
+            for (name, edge) in chain {
+                batch = batch.delete(name, vec![edge]);
             }
             batch
         }
     }
+}
+
+/// Every in-place-maintained atom index must be what a fresh build over
+/// `db` produces: same keys, same bucket sets (`HashIndex` equality).
+fn assert_atom_indexes_match_rebuild(maintained: &AtomIndexCache, db: &Database, context: &str) {
+    let mut checked = 0;
+    for (relation, vars, index) in maintained.entries() {
+        let stored = db.relation(relation).expect("atom relation is stored");
+        let renamed = Relation::from_tuples(
+            relation.to_string(),
+            Schema::new(vars.to_vec()).unwrap(),
+            stored.iter().cloned(),
+        )
+        .unwrap();
+        let rebuilt = HashIndex::build(&renamed, index.key_vars()).unwrap();
+        assert!(
+            *index == rebuilt,
+            "{context}: maintained index of {relation}{vars:?} on {} diverged from a rebuild \
+             ({} tuples / {} keys maintained, {} / {} rebuilt)",
+            index.key_vars(),
+            index.len(),
+            index.num_keys(),
+            rebuilt.len(),
+            rebuilt.num_keys(),
+        );
+        checked += 1;
+    }
+    assert!(checked > 0, "{context}: the index keeps no atom indexes to check");
 }
 
 fn requests_for(cqap: &Cqap, graph: &Graph, seed: u64) -> Vec<AccessRequest> {
@@ -117,19 +170,24 @@ fn check_family(
     // round 0 and disappears again in round 3.
     let base = chain_base(seed);
     requests.push(
-        AccessRequest::single(cqap.access(), &[base, base + db.num_relations() as u64])
+        AccessRequest::single(cqap.access(), &[base, base + cqap.cq().atoms().len() as u64])
             .unwrap(),
     );
 
     let mut incremental = CqapIndex::build(cqap, db, pmtds).unwrap();
     let mut reference_db = db.clone();
     for round in 0..4 {
-        let batch = make_batch(round, &reference_db, seed);
+        let batch = make_batch(round, cqap, &reference_db, seed);
         let inc_stats = incremental.apply_delta(&batch).unwrap();
         let ref_stats = reference_db.apply_delta(&batch).unwrap();
         assert_eq!(
             inc_stats, ref_stats,
             "round {round}: index and reference database disagree on the net effect"
+        );
+        assert_atom_indexes_match_rebuild(
+            incremental.maintenance().atom_indexes(),
+            &reference_db,
+            &format!("round {round}"),
         );
         let rebuilt = CqapIndex::build(cqap, &reference_db, pmtds).unwrap();
         assert_eq!(
@@ -195,5 +253,107 @@ proptest! {
             .unwrap();
         }
         check_family(&cqap, &pmtds, &db, &graph, seed);
+    }
+
+    /// A self-join: the 2-path query over *one* edge relation, so every
+    /// delta on `E` must edit the index slots of both atoms.
+    #[test]
+    fn self_join_delta_equivalence(seed in 0u64..10_000, edges in 40usize..160) {
+        let (cqap, pmtds) = self_join_2path();
+        let graph = Graph::random(30, edges, seed);
+        let mut db = Database::new();
+        db.add_relation(Relation::binary("E", 0, 1, graph.edges.iter().copied())).unwrap();
+        let index = CqapIndex::build(&cqap, &db, &pmtds).unwrap();
+        let on_e = index
+            .maintenance()
+            .atom_indexes()
+            .entries()
+            .filter(|(relation, _, _)| *relation == "E")
+            .map(|(_, vars, _)| vars.to_vec())
+            .collect::<std::collections::BTreeSet<_>>();
+        prop_assert_eq!(on_e.len(), 2, "both atoms of the self-join keep indexes over E");
+        check_family(&cqap, &pmtds, &db, &graph, seed);
+    }
+
+    /// `(T1245, T234)` of Example E.8 on its own (every PMTD answers
+    /// completely, so beside others a stale plan would hide in the union):
+    /// the bag `{x2,x3,x4}` holds no access variable, so its join is folded
+    /// into the plan at compile time and goes stale when `R2` or `R3`
+    /// change.
+    #[test]
+    fn access_free_bag_delta_equivalence(seed in 0u64..10_000, edges in 40usize..110) {
+        let (cqap, pmtds) = access_free_bag_pmtds();
+        let graph = Graph::random(24, edges, seed);
+        let db = graph.as_path_database(4);
+        check_family(&cqap, &pmtds[..1], &db, &graph, seed);
+    }
+}
+
+/// `Q(x1, x3 | x1, x3) :- E(x1, x2), E(x2, x3)` with the two PMTDs of the
+/// 2-reachability family: the online-only `(T123)` (which joins both atoms
+/// through their indexes on every request) and the materialized `(S13)`.
+fn self_join_2path() -> (Cqap, Vec<Pmtd>) {
+    let atoms = vec![
+        Atom::new("E", vec![0, 1]).unwrap(),
+        Atom::new("E", vec![1, 2]).unwrap(),
+    ];
+    let cq = ConjunctiveQuery::new("self_join", 3, atoms, VarSet::from_iter([0, 2])).unwrap();
+    let cqap = Cqap::new(cq, VarSet::from_iter([0, 2])).unwrap();
+    let td = TreeDecomposition::single(vars![1, 2, 3]);
+    let pmtds = vec![
+        Pmtd::for_cqap(td.clone(), [], &cqap).unwrap(),
+        Pmtd::for_cqap(td, [0], &cqap).unwrap(),
+    ];
+    (cqap, pmtds)
+}
+
+/// The two PMTDs of the 4-reachability set (Example E.8) built on the
+/// decomposition `{x1,x2,x4,x5} → {x2,x3,x4}` — `(T1245, T234)` first —
+/// plus the fully materialized `(S15)`.
+fn access_free_bag_pmtds() -> (Cqap, Vec<Pmtd>) {
+    let (cqap, all) = pmtd_families::pmtds_4reach().unwrap();
+    let pmtds: Vec<Pmtd> = all
+        .into_iter()
+        .filter(|p| ["(T1245, T234)", "(T1245, S24)", "(S15)"].contains(&p.summary().as_str()))
+        .collect();
+    assert_eq!(pmtds.len(), 3);
+    (cqap, pmtds)
+}
+
+/// The recompile rule, counted: a plan is recompiled exactly when a delta
+/// touches a relation whose content it folded at compile time. Of the
+/// three plans only `(T1245, T234)` folds anything (`R2 ⋈ R3`, the
+/// access-free bag), so a delta on `R2` recompiles one plan, a delta on
+/// `R1` none — and the Figure-1 plans never recompile.
+#[test]
+fn only_plans_with_stale_folded_content_recompile() {
+    let recompiles_after = |index: &mut CqapIndex, relation: &str, edge: (u64, u64)| {
+        let sink = MetricsSink::recording();
+        index.set_metrics_sink(sink.clone());
+        let batch = DeltaBatch::new().insert(relation, vec![Tuple::pair(edge.0, edge.1)]);
+        assert!(!index.apply_delta(&batch).unwrap().is_noop());
+        sink.snapshot().unwrap().counter(CounterId::PlanRecompiles)
+    };
+
+    let (cqap, pmtds) = access_free_bag_pmtds();
+    let graph = Graph::random(24, 90, 7);
+    let mut index = CqapIndex::build(&cqap, &graph.as_path_database(4), &pmtds).unwrap();
+    assert_eq!(recompiles_after(&mut index, "R1", (9_000, 9_001)), 0);
+    assert_eq!(recompiles_after(&mut index, "R4", (9_003, 9_004)), 0);
+    assert_eq!(recompiles_after(&mut index, "R2", (9_001, 9_002)), 1);
+    assert_eq!(recompiles_after(&mut index, "R3", (9_002, 9_003)), 1);
+    // The chain is now complete and the recompiled static bag serves it.
+    let request = AccessRequest::single(cqap.access(), &[9_000, 9_004]).unwrap();
+    assert_eq!(index.answer(&request).unwrap().len(), 1);
+    assert_eq!(
+        index.answer(&request).unwrap(),
+        index.answer_from_scratch(&request).unwrap()
+    );
+
+    let (cqap, pmtds) = pmtd_families::pmtds_3reach_fig1().unwrap();
+    let graph = Graph::random(30, 120, 11);
+    let mut index = CqapIndex::build(&cqap, &graph.as_path_database(3), &pmtds).unwrap();
+    for relation in ["R1", "R2", "R3"] {
+        assert_eq!(recompiles_after(&mut index, relation, (9_000, 9_001)), 0);
     }
 }
