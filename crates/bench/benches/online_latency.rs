@@ -27,22 +27,20 @@
 //! * `tiered_cold` — a 2-shard `TieredShardedIndex` with one shard
 //!   spilled to disk (half the probes pay fence + segment reads).
 //!
-//! The `columnar` group isolates the PR-5 change on both storage
-//! backends: the same request stream answered by the columnar path
-//! (struct-of-arrays scratch, batched key probing, column-direct cold
-//! decode) and by the retained PR-4 row-compiled path —
-//! `mem_columnar` / `mem_row_compiled` against the in-memory index,
-//! `disk_columnar` / `disk_row_compiled` against a fully disk-resident
-//! `StoredIndex` over the same preprocessing output. All four are
-//! scratch-warm per-request medians with no LRU in front.
+//! The `columnar` group runs the same request stream through the engine
+//! on both storage backends — `mem_columnar` against the in-memory index,
+//! `disk_columnar` against a fully disk-resident `StoredIndex` over the
+//! same preprocessing output. Both are scratch-warm medians with no LRU
+//! in front.
 //!
 //! Like the other serving benches this always emits a JSON baseline
 //! (`BENCH_online_latency_<name>.json`, name from `BENCH_BASELINE`,
 //! default `local`); when the named file already exists, the criterion
 //! shim prints each benchmark's median delta against the saved run — CI
-//! runs with `BENCH_BASELINE=pr4`, so the columnar-vs-PR-4 delta prints
-//! in every workflow log. Since PR 7 every line (and JSON record) also
-//! carries the **p99/p999 tail latency**, estimated through the
+//! runs with `BENCH_BASELINE=pr4`, so the drift of every case against
+//! the PR-4 run prints in every workflow log. Since PR 7 every line (and
+//! JSON record) also carries the **p99/p999 tail latency**, estimated
+//! through the
 //! `cqap-obs` log-bucketed histogram — the same estimator the serving
 //! stack's live metrics exposition uses, so bench tails and production
 //! tails are directly comparable.
@@ -197,17 +195,15 @@ fn bench_online_latency(c: &mut Criterion) {
     );
     group.finish();
 
-    // Columnar vs row-compiled, same stream, both storage backends. The
-    // StoredIndex spills the *same* preprocessing output, so the two
-    // backends execute identical plans — only the probes differ (hash
-    // buckets scattered column-wise vs segments decoded column-directly).
+    // Same stream, both storage backends. The StoredIndex spills the
+    // *same* preprocessing output, so the two backends execute identical
+    // plans — only the probes differ (hash buckets scattered column-wise
+    // vs segments decoded column-directly).
     let stored =
         StoredIndex::spill(&index, scratch_dir("online-latency-columnar")).expect("spill");
     for request in requests.iter().take(8) {
-        let expected = index.answer(request).expect("columnar answer");
-        assert_eq!(index.answer_rows(request).expect("row answer"), expected);
-        assert_eq!(stored.answer(request).expect("disk columnar"), expected);
-        assert_eq!(stored.answer_rows(request).expect("disk rows"), expected);
+        let expected = index.answer(request).expect("memory answer");
+        assert_eq!(stored.answer(request).expect("disk answer"), expected);
     }
     // Unlike the per-request sampling above, each iteration here answers
     // the *whole* 256-request stream: every sample measures identical
@@ -223,24 +219,10 @@ fn bench_online_latency(c: &mut Criterion) {
             }
         })
     });
-    group.bench_function("mem_row_compiled", |b| {
-        b.iter(|| {
-            for request in &requests {
-                black_box(index.answer_rows(request).expect("answer"));
-            }
-        })
-    });
     group.bench_function("disk_columnar", |b| {
         b.iter(|| {
             for request in &requests {
                 black_box(stored.answer(request).expect("answer"));
-            }
-        })
-    });
-    group.bench_function("disk_row_compiled", |b| {
-        b.iter(|| {
-            for request in &requests {
-                black_box(stored.answer_rows(request).expect("answer"));
             }
         })
     });

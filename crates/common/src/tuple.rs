@@ -272,26 +272,6 @@ impl Tuple {
             col.push(v);
         }
     }
-
-    /// Whether `self` projected onto `my_positions` equals `other`
-    /// projected onto `other_positions`, compared value-by-value without
-    /// materializing either projection. Both position slices must have the
-    /// same length (callers derive them from one shared variable set).
-    #[inline]
-    pub fn projected_eq(
-        &self,
-        my_positions: &[usize],
-        other: &Tuple,
-        other_positions: &[usize],
-    ) -> bool {
-        debug_assert_eq!(my_positions.len(), other_positions.len());
-        let a = self.as_slice();
-        let b = other.as_slice();
-        my_positions
-            .iter()
-            .zip(other_positions)
-            .all(|(&p, &q)| a[p] == b[q])
-    }
 }
 
 impl fmt::Debug for Tuple {
@@ -454,15 +434,6 @@ mod tests {
             wide.concat_projected(&b, &[0, 1]),
             wide.concat(&b.project(&[0, 1]))
         );
-    }
-
-    #[test]
-    fn projected_equality() {
-        let a = Tuple::triple(1, 5, 9);
-        let b = Tuple::from_slice(&[5, 9, 1, 0]);
-        assert!(a.projected_eq(&[0, 1], &b, &[2, 0]));
-        assert!(!a.projected_eq(&[0, 1], &b, &[0, 1]));
-        assert!(a.projected_eq(&[], &b, &[]));
     }
 
     #[test]

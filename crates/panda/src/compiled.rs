@@ -27,15 +27,16 @@
 //! disk-resident `StoredIndex`), mirroring
 //! [`answer_with_plans`](crate::answer_with_plans) step for step.
 
+use std::borrow::Cow;
 use std::cell::RefCell;
 use std::sync::Arc;
 
-use cqap_common::{hash_vals, CqapError, FxHashSet, Result, Tuple, Val, VarSet};
+use cqap_common::{hash_vals, CqapError, Result, Tuple, Val, VarSet};
 use cqap_query::{AccessRequest, Atom, Cqap};
-use cqap_relation::{Database, HashIndex, Relation, RelationBuilder, Schema};
+use cqap_relation::{Database, HashIndex, Relation, Schema};
 use cqap_yannakakis::naive::atom_relation;
 use cqap_yannakakis::{
-    ColumnRun, ColumnarScratch, CompiledPlan, KeyMemo, OnlineYannakakis, PlanScratch, SViewProbe,
+    ColumnRun, ColumnarScratch, CompiledPlan, KeyMemo, OnlineYannakakis, SViewProbe,
 };
 
 thread_local! {
@@ -50,28 +51,21 @@ pub fn with_driver_scratch<R>(f: impl FnOnce(&mut DriverScratch) -> R) -> R {
     DRIVER_SCRATCH.with(|cell| f(&mut cell.borrow_mut()))
 }
 
-/// The per-worker scratch of the full compiled driver: the plan-execution
-/// arenas (row and columnar) plus the buffers of the T-view programs, so
-/// neither half of a request allocates working state on a warm worker.
+/// The per-worker scratch of the full compiled driver: the plan
+/// executor's arena plus the buffers of the T-view programs, so neither
+/// half of a request allocates working state on a warm worker.
 #[derive(Debug, Default)]
 pub struct DriverScratch {
-    /// The row-plan arena (handed to `CompiledPlan::answer_with`).
-    plan: PlanScratch,
-    /// The columnar-plan arena (handed to
+    /// The plan executor's arena (handed to
     /// `CompiledPlan::answer_from_columns`).
     col: ColumnarScratch,
-    /// Ping-pong accumulators of the row-path dynamic T-view join chains.
-    acc: Vec<Tuple>,
-    next: Vec<Tuple>,
-    /// Seed-deduplication set for multi-tuple requests (row path).
-    seen: FxHashSet<Tuple>,
-    /// Ping buffer of the columnar T-view join chains.
+    /// Ping buffer of the T-view join chains.
     col_acc: ColumnRun,
-    /// Reused key-projection buffer of the columnar T-view programs.
+    /// Reused key-projection buffer of the T-view programs.
     key_vals: Vec<Val>,
-    /// Seed-deduplication memo for multi-tuple requests (columnar path).
+    /// Seed-deduplication memo for multi-tuple requests.
     seed_memo: KeyMemo<()>,
-    /// Pooled per-program output runs of the columnar path.
+    /// Pooled per-program output runs.
     slot_runs: Vec<ColumnRun>,
 }
 
@@ -192,77 +186,10 @@ struct TViewProgram {
 }
 
 impl TViewProgram {
-    fn exec(
-        &self,
-        atom_indexes: &AtomIndexCache,
-        request: &AccessRequest,
-        scratch: &mut DriverScratch,
-    ) -> Result<Option<Relation>> {
-        match &self.kind {
-            // Statics are shared by reference; the caller borrows them.
-            TViewKind::Static(_) => Ok(None),
-            TViewKind::Dynamic {
-                start_positions,
-                joins,
-            } => {
-                // Seed: the request projected onto the bag's access
-                // variables, deduplicated, in the reused accumulator.
-                let acc = &mut scratch.acc;
-                let next = &mut scratch.next;
-                acc.clear();
-                if request.len() <= 1 {
-                    acc.extend(
-                        request
-                            .tuples()
-                            .iter()
-                            .map(|t| t.project(start_positions)),
-                    );
-                } else {
-                    scratch.seen.clear();
-                    for t in request.tuples() {
-                        let p = t.project(start_positions);
-                        if !scratch.seen.contains(&p) {
-                            scratch.seen.insert(p.clone());
-                            acc.push(p);
-                        }
-                    }
-                }
-                // The pre-indexed join chain: requests never scan an atom
-                // relation, they probe its build-time index.
-                for join in joins {
-                    let index = atom_indexes.index(join.slot);
-                    next.clear();
-                    for lt in acc.iter() {
-                        let key = lt.project(&join.key_positions);
-                        for rt in index.probe(&key) {
-                            next.push(lt.concat_projected(rt, &join.appended));
-                        }
-                    }
-                    std::mem::swap(acc, next);
-                }
-                // Distinct by construction: the seed is deduplicated and
-                // each join extends tuples by key-determined columns.
-                let mut builder = RelationBuilder::distinct("T_view", self.schema.clone());
-                for t in acc.drain(..) {
-                    builder.push(t);
-                }
-                Ok(Some(builder.finish()))
-            }
-            TViewKind::Fallback { bag, full } => {
-                let restricted = if request.access().is_empty() {
-                    full.as_ref().clone()
-                } else {
-                    full.semijoin(&request.as_relation())?
-                };
-                Ok(Some(restricted.project_onto(*bag)?))
-            }
-        }
-    }
-
-    /// The columnar mirror of [`TViewProgram::exec`]: produces the T-view
-    /// directly as a [`ColumnRun`] in the compile-time column order, so
-    /// the view's tuples never exist in row form. Only called for
-    /// non-static programs (static content lives folded inside the plan).
+    /// Produces the T-view for `request` directly as a [`ColumnRun`] in
+    /// the compile-time column order, so the view's tuples never exist in
+    /// row form. Only called for non-static programs (static content lives
+    /// folded inside the plan).
     fn exec_columns(
         &self,
         atom_indexes: &AtomIndexCache,
@@ -315,9 +242,9 @@ impl TViewProgram {
             }
             TViewKind::Fallback { bag, full } => {
                 let restricted = if request.access().is_empty() {
-                    full.as_ref().clone()
+                    Cow::Borrowed(full.as_ref())
                 } else {
-                    full.semijoin(&request.as_relation())?
+                    Cow::Owned(full.semijoin(&request.as_relation())?)
                 };
                 let rel = restricted.project_onto(*bag)?;
                 debug_assert_eq!(rel.schema(), &self.schema);
@@ -524,8 +451,7 @@ impl CompiledPmtd {
             .any(|p| matches!(p.kind, TViewKind::Fallback { .. }))
     }
 
-    /// Answers one request through the **columnar** pipeline (the default
-    /// serving path): the T-view programs write their output directly as
+    /// Answers one request: the T-view programs write their output directly as
     /// column runs, the plan executes column-at-a-time, and rows become
     /// tuples only at the final head projection. Static T-views were
     /// folded into the plan at compile time and cost nothing per request.
@@ -578,39 +504,6 @@ impl CompiledPmtd {
         scratch.slot_runs = runs;
         answer
     }
-
-    /// Answers one request through the row-compiled pipeline of PR 4 —
-    /// the tested fallback the columnar path is measured (and proptested)
-    /// against. Static T-views are folded into the plan exactly as on the
-    /// columnar path.
-    ///
-    /// # Errors
-    /// Same failure modes as [`CompiledPmtd::answer`].
-    pub fn answer_rows<V: SViewProbe>(
-        &self,
-        atom_indexes: &AtomIndexCache,
-        views: &V,
-        request: &AccessRequest,
-        scratch: &mut DriverScratch,
-    ) -> Result<Relation> {
-        if request.access() != self.access {
-            return Err(CqapError::AccessPatternMismatch {
-                expected_arity: self.access.len(),
-                found_arity: request.access().len(),
-            });
-        }
-        let mut owned: Vec<(usize, Relation)> = Vec::new();
-        for program in &self.programs {
-            if let Some(rel) = program.exec(atom_indexes, request, scratch)? {
-                owned.push((program.node, rel));
-            }
-        }
-        // Static T-views are omitted: the plan folded their content at
-        // compile time and would ignore anything passed for them.
-        let t_views: Vec<(usize, &Relation)> =
-            owned.iter().map(|(node, rel)| (*node, rel)).collect();
-        self.plan.answer_with(views, &t_views, request, &mut scratch.plan)
-    }
 }
 
 /// Projects `rel` onto `target ∩ varset` like
@@ -626,9 +519,8 @@ fn project_final(rel: Relation, target: VarSet) -> Result<Relation> {
 }
 
 /// The compiled driver loop over any S-view backend: runs every PMTD's
-/// **columnar** pipeline (the default serving path) against the backend's
-/// live `atom_indexes`, unions the per-PMTD answers, and projects onto
-/// `declared_head ∪ access` — the compiled
+/// pipeline against the backend's live `atom_indexes`, unions the per-PMTD
+/// answers, and projects onto `declared_head ∪ access` — the compiled
 /// mirror of [`answer_with_plans`](crate::answer_with_plans), used by
 /// `CqapIndex` (in-memory views) and `cqap-store`'s `StoredIndex` (disk
 /// views), so the backends cannot silently diverge.
@@ -663,38 +555,6 @@ where
     })
 }
 
-/// [`answer_with_compiled`] over the **row-compiled** pipelines of PR 4 —
-/// the tested fallback the columnar default is benchmarked and proptested
-/// against.
-///
-/// # Errors
-/// Same failure modes as [`answer_with_compiled`].
-pub fn answer_with_compiled_rows<'a, V, I>(
-    cqap: &Cqap,
-    atom_indexes: &AtomIndexCache,
-    plans: I,
-    request: &AccessRequest,
-) -> Result<Relation>
-where
-    V: SViewProbe + 'a,
-    I: IntoIterator<Item = (&'a CompiledPmtd, &'a V)>,
-{
-    with_driver_scratch(|scratch| {
-        let mut acc: Option<Relation> = None;
-        for (plan, views) in plans {
-            let part = plan.answer_rows(atom_indexes, views, request, scratch)?;
-            acc = Some(match acc {
-                None => part,
-                Some(prev) => prev.union_with(part)?,
-            });
-        }
-        let result = acc.ok_or_else(|| {
-            CqapError::InvalidQuery("the framework needs at least one PMTD".into())
-        })?;
-        project_final(result, cqap.declared_head().union(cqap.access()))
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -702,6 +562,34 @@ mod tests {
     use cqap_decomp::families as pf;
     use cqap_query::workload::{graph_pair_requests, Graph};
     use cqap_yannakakis::naive::full_join;
+
+    /// Runs a non-static program and lifts its column run into a relation
+    /// over the program's schema.
+    fn exec_to_relation(
+        program: &TViewProgram,
+        atom_indexes: &AtomIndexCache,
+        request: &AccessRequest,
+    ) -> Relation {
+        let (mut out, mut ping) = (ColumnRun::new(), ColumnRun::new());
+        program
+            .exec_columns(
+                atom_indexes,
+                request,
+                &mut out,
+                &mut ping,
+                &mut Vec::new(),
+                &mut KeyMemo::default(),
+            )
+            .unwrap();
+        let mut row = Vec::new();
+        let rows = (0..out.rows()).map(|r| {
+            out.row_into(r, &mut row);
+            Tuple::from_slice(&row)
+        });
+        let rel = Relation::from_tuples("T_view", program.schema.clone(), rows).unwrap();
+        assert_eq!(rel.len(), out.rows(), "a T-view program emits distinct rows");
+        rel
+    }
 
     #[test]
     fn compiled_t_views_match_the_interpreted_ones() {
@@ -728,10 +616,7 @@ mod tests {
                     let got: &Relation = match &program.kind {
                         TViewKind::Static(rel) => rel,
                         _ => {
-                            produced = program
-                                .exec(&atom_indexes, &request, &mut DriverScratch::new())
-                                .unwrap()
-                                .unwrap();
+                            produced = exec_to_relation(program, &atom_indexes, &request);
                             &produced
                         }
                     };
@@ -773,8 +658,7 @@ mod tests {
             let index = CqapIndex::build(cqap, &db, pmtds).unwrap();
             for request in requests {
                 let expected = index.answer_from_scratch(request).unwrap();
-                assert_eq!(index.answer(request).unwrap(), expected, "columnar");
-                assert_eq!(index.answer_rows(request).unwrap(), expected, "rows");
+                assert_eq!(index.answer(request).unwrap(), expected, "engine");
                 assert_eq!(
                     index.answer_interpreted(request).unwrap(),
                     expected,
@@ -806,7 +690,6 @@ mod tests {
         let falsy = AccessRequest::new(VarSet::EMPTY, vec![]).unwrap();
         let index = CqapIndex::build(&bool_cqap, &db, &pmtds).unwrap();
         assert!(index.answer(&falsy).unwrap().is_empty());
-        assert!(index.answer_rows(&falsy).unwrap().is_empty());
         assert!(index.answer_interpreted(&falsy).unwrap().is_empty());
     }
 
@@ -846,8 +729,7 @@ mod tests {
         assert!(!index.apply_delta(&batch).unwrap().is_noop());
         let expected = index.answer_from_scratch(&request).unwrap();
         assert_eq!(expected.len(), 1, "9 → 5 → 6 → 7");
-        assert_eq!(index.answer(&request).unwrap(), expected, "columnar");
-        assert_eq!(index.answer_rows(&request).unwrap(), expected, "rows");
+        assert_eq!(index.answer(&request).unwrap(), expected);
     }
 
     #[test]

@@ -24,7 +24,7 @@ use cqap_relation::{Database, Relation};
 use cqap_yannakakis::naive::{atom_relation, full_join};
 use cqap_yannakakis::{naive_answer, OnlineYannakakis, PreprocessedViews, SViewProbe};
 
-use crate::compiled::{answer_with_compiled, answer_with_compiled_rows, AtomIndexCache, CompiledPmtd};
+use crate::compiled::{answer_with_compiled, AtomIndexCache, CompiledPmtd};
 use crate::delta::DeltaMaintenance;
 
 /// The relation name stamped onto answers produced by
@@ -163,8 +163,9 @@ impl CqapIndex {
     /// positions, pre-built atom indexes and hoisted static-side
     /// reductions, with all intermediate state in a per-worker
     /// struct-of-arrays scratch arena. Answers are identical to
-    /// [`CqapIndex::answer_rows`] and [`CqapIndex::answer_interpreted`]
-    /// (proptest-enforced in `crates/yannakakis/tests`).
+    /// [`CqapIndex::answer_interpreted`] and
+    /// [`CqapIndex::answer_from_scratch`] (proptest-enforced in
+    /// `crates/yannakakis/tests`).
     pub fn answer(&self, request: &AccessRequest) -> Result<Relation> {
         answer_with_compiled(
             &self.cqap,
@@ -203,20 +204,6 @@ impl CqapIndex {
             request,
         )?;
         Ok(answer.with_name(DEGRADED_ANSWER_NAME))
-    }
-
-    /// The row-compiled online phase of PR 4 (tuple ping-pong instead of
-    /// column runs) — kept as the tested fallback and as the columnar
-    /// path's baseline in the `online_latency` bench.
-    pub fn answer_rows(&self, request: &AccessRequest) -> Result<Relation> {
-        answer_with_compiled_rows(
-            &self.cqap,
-            self.maintenance.atom_indexes(),
-            self.plans
-                .iter()
-                .map(|p| (p.compiled.as_ref(), &p.preprocessed)),
-            request,
-        )
     }
 
     /// The pre-compilation online phase: re-resolves schemas and rebuilds

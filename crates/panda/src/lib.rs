@@ -69,8 +69,7 @@ pub mod rules;
 
 pub use analysis::{figure4a_curve, figure4b_curve, goldstein_baseline, table1_3reach, RuleReport};
 pub use compiled::{
-    answer_with_compiled, answer_with_compiled_rows, with_driver_scratch, AtomIndexCache,
-    CompiledPmtd, DriverScratch,
+    answer_with_compiled, with_driver_scratch, AtomIndexCache, CompiledPmtd, DriverScratch,
 };
 pub use delta::{DeltaMaintenance, DeltaOutcome};
 pub use driver::{answer_with_plans, online_t_views, CqapIndex, DEGRADED_ANSWER_NAME};

@@ -2,7 +2,7 @@
 //!
 //! An unbounded runtime accepts every submission, so an open-loop
 //! overload (arrivals faster than service) grows the pool queue — and
-//! every request's queue wait — without limit. An [`AdmissionGate`]
+//! every request's queue wait — without limit. An `AdmissionGate`
 //! caps how many requests may be in flight at once and applies one of
 //! three [`AdmissionPolicy`]s to the excess:
 //!
@@ -20,7 +20,7 @@
 //! Admission is enforced at `submit`/`submit_traced`/`serve_batch` in
 //! the runtime, so everything layered on top (`ShardRouter`, tiered
 //! backends) inherits the bound unchanged. A granted permit is RAII
-//! ([`AdmissionPermit`]): it rides into the worker closure and is
+//! (`AdmissionPermit`): it rides into the worker closure and is
 //! released when the request resolves — including on a panicking
 //! backend, because the pool catches unwinds and drops the closure.
 //!

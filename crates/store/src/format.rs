@@ -73,8 +73,11 @@ struct Scratch {
     head: Vec<Val>,
     /// Decoded block values, column-major (stored columns only).
     block: Vec<Val>,
-    /// One row being assembled on the row-probe path.
+    /// One row being assembled for a tombstone check.
     row: Vec<Val>,
+    /// Block rows that survive the overlay's tombstones (filled only
+    /// while tombstones are pending).
+    live: Vec<usize>,
 }
 
 /// `b"CQAPSVW2"` — the format tag checked at open. Version 1 (plain
@@ -190,6 +193,17 @@ impl ColLayout {
 
     fn stored_arity(&self) -> usize {
         self.stored_positions.len()
+    }
+
+    /// Assembles row `r` of a decoded `count`-row block into `row`
+    /// (cleared first): link columns come from the record key, the rest
+    /// from the column-major block.
+    fn row_into(&self, key: &[Val], block: &[Val], count: usize, r: usize, row: &mut Vec<Val>) {
+        row.clear();
+        row.extend(self.sources.iter().map(|src| match *src {
+            ColSource::Key(i) => key[i],
+            ColSource::Stored(c) => block[c * count + r],
+        }));
     }
 }
 
@@ -655,18 +669,27 @@ impl StoredView {
         fences + self.overlay.len() * self.schema.arity()
     }
 
-    /// All stored tuples whose link projection equals `key`, as a fresh
-    /// vector — a convenience wrapper over [`StoredView::probe_into`].
+    /// All stored tuples whose link projection equals `key`, as row
+    /// tuples — an adapter over [`StoredView::probe_columns`] for tests
+    /// and tools off the serving path.
     ///
     /// # Errors
     /// Fails on I/O errors or if the segment bytes are malformed.
     pub fn probe(&self, key: &Tuple) -> Result<Vec<Tuple>> {
-        let mut out = Vec::new();
-        self.probe_into(key, &mut out)?;
-        Ok(out)
+        let mut run = ColumnRun::new();
+        run.reset(self.schema.arity());
+        self.probe_columns(key, &mut run)?;
+        let mut row = Vec::with_capacity(run.width());
+        Ok((0..run.rows())
+            .map(|r| {
+                run.row_into(r, &mut row);
+                Tuple::from_slice(&row)
+            })
+            .collect())
     }
 
-    /// The shared segment walk behind the probe entry points: fence
+    /// The shared segment walk behind [`StoredView::probe_columns`] and
+    /// [`StoredView::contains_key`]: fence
     /// search, one contiguous segment read into this worker thread's
     /// reused buffer, then a forward walk of the sorted records (decoding
     /// each delta key against the segment head) that stops as soon as the
@@ -709,7 +732,7 @@ impl StoredView {
             let scratch = &mut *cell.borrow_mut();
             // The buffer and key vectors move out of the scratch for the
             // duration of the walk so the closure can still receive the
-            // remaining scratch (block/row) mutably; they move back in
+            // remaining scratch (block/row/live) mutably; they move back in
             // before returning, so their capacity is kept either way.
             let mut buf = std::mem::take(&mut scratch.buf);
             let mut kv = std::mem::take(&mut scratch.key);
@@ -781,149 +804,108 @@ impl StoredView {
         })
     }
 
-    /// Appends all stored tuples whose link projection equals `key` to
-    /// `out`, merging the base run with the delta overlay: base tuples are
-    /// filtered through the tombstone set (a no-op while it is empty) and
-    /// the overlay's insert bucket for the key is appended after. A warm
-    /// worker with a clean overlay performs the whole probe without
-    /// allocating (beyond the output tuples it appends): the segment lands
-    /// in the thread's reused buffer, the block decompresses into reused
-    /// scratch, and link columns rebuild from the key.
+    /// Counts a probe that finds delta tuples pending in the overlay and
+    /// arms its `OverlayProbe` trace leaf; free while the overlay is clean.
+    fn overlay_mark(&self) -> Option<std::time::Instant> {
+        if self.overlay.is_empty() {
+            return None;
+        }
+        self.sink.incr(CounterId::OverlayPendingProbes);
+        self.sink.trace_mark()
+    }
+
+    /// The one block decode of the cold tier, run with `cursor` at the
+    /// block of the record [`StoredView::find_record`] matched: the
+    /// `count`-row block decompresses (8-wide varint fast path, fully
+    /// validated) into `scratch.block`, column-major, and — only while
+    /// tombstones are pending — `scratch.live` receives the rows that
+    /// survive them.
+    fn decode_block(
+        &self,
+        cursor: &mut Cursor<'_>,
+        count: usize,
+        key_vals: &[Val],
+        scratch: &mut Scratch,
+    ) -> Result<()> {
+        if !cursor.read_block(count * self.layout.stored_arity(), &mut scratch.block) {
+            return Err(corrupt(&self.path, "truncated tuple"));
+        }
+        scratch.live.clear();
+        let deleted = &self.overlay.deleted;
+        if !deleted.is_empty() {
+            for r in 0..count {
+                self.layout
+                    .row_into(key_vals, &scratch.block, count, r, &mut scratch.row);
+                if !deleted.contains(scratch.row.as_slice()) {
+                    scratch.live.push(r);
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// Appends all stored tuples whose link projection equals `key` to the
+    /// columns of `out` (which must be reset to the view's arity), merging
+    /// the base run with the delta overlay. The matching record's block is
+    /// decoded **column-directly**: stored columns are already
+    /// column-major on disk, so each decompresses into scratch and
+    /// bulk-copies into its output column, while link columns splat from
+    /// the key — no `Tuple` boxing, no row assembly. Pending tombstones
+    /// turn the bulk copy into a gather over the surviving rows, and the
+    /// overlay's insert bucket for the key is scattered column-wise after.
+    /// A warm worker performs the whole probe without allocating: the
+    /// segment lands in the thread's reused buffer and the block
+    /// decompresses into reused scratch.
     ///
     /// # Errors
     /// Fails on I/O errors or if the segment bytes are malformed.
-    pub fn probe_into(&self, key: &Tuple, out: &mut Vec<Tuple>) -> Result<()> {
-        let overlay_mark = if self.overlay.is_empty() {
-            None
-        } else {
-            self.sink.incr(CounterId::OverlayPendingProbes);
-            self.sink.trace_mark()
-        };
-        let path = &self.path;
-        let deleted = &self.overlay.deleted;
-        let layout = &self.layout;
-        let stored_arity = layout.stored_arity();
+    pub fn probe_columns(&self, key: &Tuple, out: &mut ColumnRun) -> Result<()> {
+        debug_assert_eq!(out.width(), self.schema.arity());
+        let overlay_mark = self.overlay_mark();
+        let sources = &self.layout.sources;
         self.find_record(key, |cursor, count, key_vals, scratch| {
-            if !cursor.read_block(count * stored_arity, &mut scratch.block) {
-                return Err(corrupt(path, "truncated tuple"));
-            }
-            out.reserve(count);
-            for r in 0..count {
-                scratch.row.clear();
-                for src in &layout.sources {
-                    scratch.row.push(match *src {
-                        ColSource::Key(i) => key_vals[i],
-                        ColSource::Stored(c) => scratch.block[c * count + r],
-                    });
+            // The whole block is decoded (and validated) before any
+            // append, so a malformed segment can never leave `out` with
+            // half-appended, uneven columns.
+            self.decode_block(cursor, count, key_vals, scratch)?;
+            let (block, live) = (&scratch.block, &scratch.live);
+            let tombstones = !self.overlay.deleted.is_empty();
+            let rows = if tombstones { live.len() } else { count };
+            out.append_columns(rows, |j, col| match sources[j] {
+                ColSource::Key(i) => col.extend(std::iter::repeat(key_vals[i]).take(rows)),
+                ColSource::Stored(c) if tombstones => {
+                    col.extend(live.iter().map(|&r| block[c * count + r]));
                 }
-                let t = Tuple::from_slice(&scratch.row);
-                if deleted.is_empty() || !deleted.contains(&t) {
-                    out.push(t);
-                }
-            }
+                ColSource::Stored(c) => col.extend_from_slice(&block[c * count..(c + 1) * count]),
+            });
             Ok(())
         })?;
         if let Some(bucket) = self.overlay.added.get(key) {
-            out.extend(bucket.iter().cloned());
+            out.extend_from_tuples(bucket);
         }
         self.sink
             .trace_leaf(overlay_mark, TraceStage::OverlayProbe, self.overlay.len() as u64);
         Ok(())
     }
 
-    /// Appends all stored tuples whose link projection equals `key` to the
-    /// columns of `out` (which must be reset to the view's arity). The
-    /// matching record's block is decoded **column-directly**: stored
-    /// columns are already column-major on disk, so each decompresses
-    /// (8-wide varint fast path) into scratch and bulk-copies into its
-    /// output column, while link columns splat from the key — no `Tuple`
-    /// boxing, no row assembly. This is how the cold tier feeds the
-    /// columnar execution path.
-    ///
-    /// # Errors
-    /// Fails on I/O errors or if the segment bytes are malformed.
-    pub fn probe_columns(&self, key: &Tuple, out: &mut ColumnRun) -> Result<()> {
-        debug_assert_eq!(out.width(), self.schema.arity());
-        let path = &self.path;
-        let layout = &self.layout;
-        let stored_arity = layout.stored_arity();
-        if self.overlay.is_empty() {
-            return self
-                .find_record(key, |cursor, count, key_vals, scratch| {
-                    // Decode (and validate) the whole block first so a
-                    // malformed segment can never leave `out` with
-                    // half-appended, uneven columns.
-                    if !cursor.read_block(count * stored_arity, &mut scratch.block) {
-                        return Err(corrupt(path, "truncated tuple"));
-                    }
-                    let block = &scratch.block;
-                    out.append_columns(count, |j, col| match layout.sources[j] {
-                        ColSource::Key(i) => {
-                            col.extend(std::iter::repeat(key_vals[i]).take(count));
-                        }
-                        ColSource::Stored(c) => {
-                            col.extend_from_slice(&block[c * count..(c + 1) * count]);
-                        }
-                    });
-                    Ok(())
-                })
-                .map(|_| ());
-        }
-        // Overlay pending: merge through the row path, then transpose. The
-        // column-direct decode resumes once compaction folds the overlay
-        // back into a single sorted run.
-        let mut rows = Vec::new();
-        self.probe_into(key, &mut rows)?;
-        out.append_columns(rows.len(), |j, col| {
-            col.reserve(rows.len());
-            for t in &rows {
-                col.push(t.get(j));
-            }
-        });
-        Ok(())
-    }
-
     /// Whether any stored tuple matches `key` on the link variables — the
-    /// key walk of [`StoredView::probe_into`] without decoding any tuple
-    /// block (a semijoin probe needs only existence), unless tombstones
-    /// are pending, in which case the matching block is decoded to check
-    /// that some tuple survives them.
+    /// key walk of [`StoredView::probe_columns`] without decoding any
+    /// tuple block (a semijoin probe needs only existence), unless
+    /// tombstones are pending, in which case the matching block is decoded
+    /// to check that some tuple survives them.
     ///
     /// # Errors
     /// Fails on I/O errors or if the segment bytes are malformed.
     pub fn contains_key(&self, key: &Tuple) -> Result<bool> {
-        let overlay_mark = if self.overlay.is_empty() {
-            None
-        } else {
-            self.sink.incr(CounterId::OverlayPendingProbes);
-            self.sink.trace_mark()
-        };
+        let overlay_mark = self.overlay_mark();
         let found = if self.overlay.added.get(key).is_some_and(|b| !b.is_empty()) {
             true
         } else if self.overlay.deleted.is_empty() {
             self.find_record(key, |_, _, _, _| Ok(()))?.is_some()
         } else {
-            let path = &self.path;
-            let layout = &self.layout;
-            let stored_arity = layout.stored_arity();
-            let deleted = &self.overlay.deleted;
             self.find_record(key, |cursor, count, key_vals, scratch| {
-                if !cursor.read_block(count * stored_arity, &mut scratch.block) {
-                    return Err(corrupt(path, "truncated tuple"));
-                }
-                for r in 0..count {
-                    scratch.row.clear();
-                    for src in &layout.sources {
-                        scratch.row.push(match *src {
-                            ColSource::Key(i) => key_vals[i],
-                            ColSource::Stored(c) => scratch.block[c * count + r],
-                        });
-                    }
-                    if !deleted.contains(&Tuple::from_slice(&scratch.row)) {
-                        return Ok(true);
-                    }
-                }
-                Ok(false)
+                self.decode_block(cursor, count, key_vals, scratch)?;
+                Ok(!scratch.live.is_empty())
             })?
             .unwrap_or(false)
         };
@@ -1104,16 +1086,9 @@ impl StoredView {
             }
             survivors.clear();
             for r in 0..count {
-                row.clear();
-                for src in &layout.sources {
-                    row.push(match *src {
-                        ColSource::Key(i) => key[i],
-                        ColSource::Stored(c) => block[c * count + r],
-                    });
-                }
-                let t = Tuple::from_slice(&row);
-                if !(tombstoned && self.overlay.deleted.contains(&t)) {
-                    survivors.push(t);
+                layout.row_into(&key, &block, count, r, &mut row);
+                if !(tombstoned && self.overlay.deleted.contains(row.as_slice())) {
+                    survivors.push(Tuple::from_slice(&row));
                 }
             }
             // The sides are disjoint (`added ∩ base = ∅`): no dedup needed.
@@ -1393,14 +1368,8 @@ mod tests {
         assert!(probe(&view, 0).contains(&Tuple::pair(0, 0)));
         assert!(view.contains_key(&Tuple::unary(9)).unwrap());
 
-        // The columnar fallback agrees with the row path while dirty.
-        let mut cols = ColumnRun::new();
-        cols.reset(2);
-        view.probe_columns(&Tuple::unary(3), &mut cols).unwrap();
-        assert_eq!(cols.rows(), probe(&view, 3).len());
-
         // Compaction folds the overlay into the run without changing
-        // content, and the column-direct fast path takes over again.
+        // content.
         let expected: Vec<Vec<Tuple>> = (0..10).map(|k| probe(&view, k)).collect();
         view.compact().unwrap();
         assert_eq!(view.overlay_len(), 0);

@@ -5,8 +5,9 @@
 //! in-memory [`CqapIndex`] — each plan's semijoin-reduced, link-keyed
 //! S-views are spilled to one sorted-run file per view (see
 //! [`crate::format`]) — and answers through the **same online phase**
-//! ([`OnlineYannakakis::answer_with`]), with the hash-index probes replaced
-//! by fence-indexed segment reads. Because every probe returns the same
+//! (the compiled columnar engine; [`OnlineYannakakis::answer_with`] as the
+//! interpreted reference), with the hash-index probes replaced by
+//! fence-indexed segment reads. Because every probe returns the same
 //! tuples, the answers are identical to the in-memory index (the
 //! equivalence proptest in `crates/store/tests` enforces this bit for
 //! bit), while the resident footprint of the S-views drops to the fence
@@ -162,15 +163,9 @@ impl SViewProbe for StoredViews {
         self.views.get(node).and_then(|v| v.as_ref()).map(StoredView::schema)
     }
 
-    /// Disk probes decode straight into the caller's buffer out of this
-    /// worker's reused segment buffer — no per-probe allocation.
-    fn probe_into(&self, node: usize, key: &Tuple, out: &mut Vec<Tuple>) -> Result<()> {
-        self.view(node)?.probe_into(key, out)
-    }
-
-    /// Columnar probes decode the matching segment block straight into the
-    /// caller's column runs — the cold tier's bytes reach the columnar
-    /// executor without any intermediate `Tuple` boxing.
+    /// Probes decode the matching segment block straight into the caller's
+    /// column runs — the cold tier's bytes reach the executor without any
+    /// intermediate `Tuple` boxing.
     fn probe_columns(
         &self,
         node: usize,
@@ -350,24 +345,6 @@ impl StoredIndex {
     /// errors from the cold tier.
     pub fn answer(&self, request: &AccessRequest) -> Result<Relation> {
         cqap_panda::answer_with_compiled(
-            &self.cqap,
-            self.maintenance.atom_indexes(),
-            self.compiled
-                .iter()
-                .zip(&self.plans)
-                .map(|(compiled, (_, views))| (compiled.as_ref(), views)),
-            request,
-        )
-    }
-
-    /// The row-compiled online phase of PR 4 over the disk backend — the
-    /// tested fallback and the columnar path's bench baseline, mirroring
-    /// [`CqapIndex::answer_rows`].
-    ///
-    /// # Errors
-    /// Same failure modes as [`StoredIndex::answer`].
-    pub fn answer_rows(&self, request: &AccessRequest) -> Result<Relation> {
-        cqap_panda::answer_with_compiled_rows(
             &self.cqap,
             self.maintenance.atom_indexes(),
             self.compiled

@@ -5,9 +5,10 @@
 //! relations of every arity (1 up to 7), every link subset (empty, full,
 //! scattered), and value mixes that force every varint length class —
 //! zero, `u64::MAX`, both sides of each 7-bit boundary — must round-trip
-//! through `write_view` → [`StoredView::open`] and answer both the
-//! row-probe and the column-direct probe exactly like a
-//! [`cqap_relation::HashIndex`] over the same tuples. Wide-value cases
+//! through `write_view` → [`StoredView::open`] and answer the
+//! column-direct probe, its row adapter and the key-existence check
+//! exactly like a [`cqap_relation::HashIndex`] over the same tuples —
+//! first clean, then again under a random uncompacted delta overlay. Wide-value cases
 //! make every key distinct, so single-tuple records and single-record
 //! segments are covered, as are max-arity tuples where *all* columns are
 //! link columns and the blocks store nothing at all.
@@ -76,8 +77,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// Any relation, any arity, any link subset: the compressed run
-    /// answers row probes, column probes and key-existence checks exactly
-    /// like a hash index over the same tuples.
+    /// answers column probes, their row adapter and key-existence checks
+    /// exactly like a hash index over the same tuples — and keeps doing so
+    /// with tombstones and inserts pending in the overlay.
     #[test]
     fn arbitrary_relations_round_trip(
         seed in 0u64..1_000_000,
@@ -106,7 +108,7 @@ proptest! {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join(format!("case-{seed}-{arity}-{rows}-{link_bits}.sview"));
         write_view(&path, &rel, link).unwrap();
-        let view = StoredView::open(&path).unwrap();
+        let mut view = StoredView::open(&path).unwrap();
         prop_assert_eq!(view.len(), rel.len());
         prop_assert_eq!(view.stored_values(), rel.stored_values());
         prop_assert_eq!(view.schema(), rel.schema());
@@ -134,7 +136,7 @@ proptest! {
             prop_assert_eq!(
                 sorted(view.probe(key).unwrap()),
                 expected.clone(),
-                "row probe diverged at key {:?}", key
+                "row adapter diverged at key {:?}", key
             );
             cols.reset(arity);
             view.probe_columns(key, &mut cols).unwrap();
@@ -147,6 +149,72 @@ proptest! {
                 view.contains_key(key).unwrap(),
                 !expected.is_empty(),
                 "contains_key diverged at key {:?}", key
+            );
+        }
+
+        // The same run under an *uncompacted* overlay: the smallest key
+        // tombstoned away entirely, a few scattered tombstones, inserts
+        // under existing keys (an existing tuple with its non-link columns
+        // redrawn) and under fresh ones. At most 16 delta tuples, which
+        // stays below the compaction trigger at every base size.
+        let mut blocks: std::collections::BTreeMap<Tuple, Vec<Tuple>> = Default::default();
+        for t in rel.iter() {
+            blocks.entry(t.project(&key_positions)).or_default().push(t.clone());
+        }
+        let mut deletes: Vec<Tuple> = blocks
+            .values()
+            .min_by_key(|block| block.len())
+            .filter(|block| block.len() <= 6)
+            .cloned()
+            .unwrap_or_default();
+        for t in rel.iter().filter(|_| rng.random_range(0u32..8) == 0).take(3) {
+            if !deletes.contains(t) {
+                deletes.push(t.clone());
+            }
+        }
+        let mut inserts: Vec<Tuple> = Vec::new();
+        for i in 0..7 {
+            for v in &mut buf {
+                *v = draw_val(&mut rng, wide);
+            }
+            if let Some(anchor) = rel.tuples().get(i).filter(|_| i % 2 == 0) {
+                for &p in &key_positions {
+                    buf[p] = anchor.get(p);
+                }
+            }
+            let t = Tuple::from_slice(&buf);
+            if !rel.contains(&t) && !inserts.contains(&t) {
+                inserts.push(t);
+            }
+        }
+        view.apply_delta(&inserts, &deletes).unwrap();
+        prop_assert_eq!(
+            view.overlay_len(),
+            inserts.len() + deletes.len(),
+            "the overlay must still be pending"
+        );
+        let post = Relation::from_tuples(
+            "P",
+            rel.schema().clone(),
+            rel.iter().filter(|t| !deletes.contains(t)).chain(&inserts).cloned(),
+        )
+        .unwrap();
+        prop_assert_eq!(view.len(), post.len());
+        let post_index = HashIndex::build(&post, link).unwrap();
+        keys.extend(inserts.iter().map(|t| t.project(&key_positions)));
+        for key in &keys {
+            let expected = sorted(post_index.probe(key).to_vec());
+            cols.reset(arity);
+            view.probe_columns(key, &mut cols).unwrap();
+            prop_assert_eq!(
+                rows_of(&cols),
+                expected.clone(),
+                "overlay-pending column probe diverged at key {:?}", key
+            );
+            prop_assert_eq!(
+                view.contains_key(key).unwrap(),
+                !expected.is_empty(),
+                "overlay-pending contains_key diverged at key {:?}", key
             );
         }
         std::fs::remove_file(&path).unwrap();

@@ -121,10 +121,9 @@ proptest! {
             .collect();
 
         // Unsharded, fully disk-resident: same intrinsic S, same answers.
-        // The six-way check covers the columnar (default), row-compiled
-        // and interpreted online paths on *both* backends (hash probes in
-        // memory, fence + segment reads with column-direct decode on
-        // disk): one equivalence class per request.
+        // Naive oracle ≡ interpreted reference ≡ engine on *both* backends
+        // (hash probes in memory, fence + segment reads with column-direct
+        // decode on disk): one equivalence class per request.
         let stored = StoredIndex::build_in_temp(&cqap, &db, &pmtds).unwrap();
         prop_assert_eq!(stored.space_used(), reference.space_used());
         // The v2 delta+varint runs must beat the plain 8-bytes-per-value
@@ -135,16 +134,11 @@ proptest! {
             stored.disk_bytes(), stored.space_used()
         );
         for request in singles.iter().chain(&multis) {
-            let expected = reference.answer(request).unwrap();
+            let expected = reference.answer_from_scratch(request).unwrap();
             prop_assert_eq!(
                 stored.answer(request).unwrap(),
                 expected.clone(),
-                "columnar StoredIndex diverged"
-            );
-            prop_assert_eq!(
-                stored.answer_rows(request).unwrap(),
-                expected.clone(),
-                "row-compiled StoredIndex diverged"
+                "StoredIndex engine diverged from the naive oracle"
             );
             prop_assert_eq!(
                 stored.answer_interpreted(request).unwrap(),
@@ -152,14 +146,14 @@ proptest! {
                 "interpreted StoredIndex diverged"
             );
             prop_assert_eq!(
-                reference.answer_rows(request).unwrap(),
+                reference.answer(request).unwrap(),
                 expected.clone(),
-                "row-compiled CqapIndex diverged from its columnar path"
+                "CqapIndex engine diverged from the naive oracle"
             );
             prop_assert_eq!(
                 reference.answer_interpreted(request).unwrap(),
                 expected,
-                "interpreted CqapIndex diverged from its compiled path"
+                "interpreted CqapIndex diverged"
             );
         }
 
@@ -244,8 +238,9 @@ proptest! {
     /// segments, then folded down by a forced compaction — answers
     /// identically to the incrementally maintained in-memory index *and*
     /// to a fresh rebuild (memory and disk) over the post-delta database.
-    /// Eight answer paths per request: columnar / row-compiled /
-    /// interpreted on both maintained backends, plus the two rebuilds.
+    /// Per request: the naive oracle over the post-delta database, engine
+    /// and interpreted reference on both maintained backends, plus the
+    /// two rebuilds.
     #[test]
     fn stored_delta_segments_match_incremental_and_rebuild(
         seed in 0u64..10_000,
@@ -310,14 +305,14 @@ proptest! {
             for request in &requests {
                 let expected = rebuilt.answer(request).unwrap();
                 prop_assert_eq!(
-                    stored.answer(request).unwrap(),
+                    rebuilt.answer_from_scratch(request).unwrap(),
                     expected.clone(),
-                    "round {}: columnar stored answer diverged", round
+                    "round {}: rebuilt answer diverged from the naive oracle", round
                 );
                 prop_assert_eq!(
-                    stored.answer_rows(request).unwrap(),
+                    stored.answer(request).unwrap(),
                     expected.clone(),
-                    "round {}: row-compiled stored answer diverged", round
+                    "round {}: stored engine answer diverged", round
                 );
                 prop_assert_eq!(
                     stored.answer_interpreted(request).unwrap(),
@@ -327,12 +322,7 @@ proptest! {
                 prop_assert_eq!(
                     memory.answer(request).unwrap(),
                     expected.clone(),
-                    "round {}: columnar memory answer diverged", round
-                );
-                prop_assert_eq!(
-                    memory.answer_rows(request).unwrap(),
-                    expected.clone(),
-                    "round {}: row-compiled memory answer diverged", round
+                    "round {}: memory engine answer diverged", round
                 );
                 prop_assert_eq!(
                     memory.answer_interpreted(request).unwrap(),
@@ -435,9 +425,9 @@ proptest! {
                         "round {}: stored answer diverged from a rebuild", round
                     );
                     prop_assert_eq!(
-                        stored.answer_rows(request).unwrap(),
+                        stored.answer_interpreted(request).unwrap(),
                         expected,
-                        "round {}: row-compiled stored answer diverged", round
+                        "round {}: interpreted stored answer diverged", round
                     );
                 }
             }

@@ -1,12 +1,9 @@
-//! Columnar plan execution: the compiled online phase over
-//! struct-of-arrays scratch.
+//! The plan executor: a [`CompiledPlan`]'s step program run
+//! column-at-a-time over struct-of-arrays scratch.
 //!
-//! The row-compiled path ([`CompiledPlan::answer_with`]) still moves
-//! row-major [`Tuple`]s: every semijoin/join step re-materializes per-row
-//! keys, hashes them one row at a time, and clones whole tuples between
-//! the ping-pong accumulators. Step schemas are fixed at compile time, so
-//! every intermediate has a *static width* — which means the entire
-//! scratch pipeline can be flat column runs instead:
+//! Step schemas are fixed at compile time, so every intermediate has a
+//! *static width* and the whole scratch pipeline is flat column runs — no
+//! step moves a row-major [`Tuple`]:
 //!
 //! * a [`ColumnRun`] stores an accumulator as one `Vec<Val>` per column
 //!   with a shared row count — filtering is a gather over row indices,
@@ -19,10 +16,10 @@
 //!   *distinct* key probes the S-view backend a single time across all
 //!   accumulator rows;
 //! * backends append probe results column-wise through
-//!   [`SViewProbe::probe_columns`] — the in-memory indexes scatter their
-//!   bucket slices, the disk backend decodes little-endian segments
-//!   straight into the columns — so probe results never round-trip
-//!   through a `Tuple` at all;
+//!   [`SViewProbe::probe_columns`], the seam's one join probe — the
+//!   in-memory indexes scatter their bucket slices, the disk backend
+//!   decodes its segments straight into the columns — so probe results
+//!   never round-trip through a `Tuple` at all;
 //! * rows become [`Tuple`]s exactly once, at the final head projection
 //!   into the answer [`Relation`]
 //!   ([`cqap_relation::RelationBuilder::push_row`], inline for arity ≤ 4).
@@ -30,7 +27,7 @@
 //! On the warm serving path this executes a probe-only plan with **zero
 //! tuple heap boxings and zero relation-level dedup inserts**
 //! (counter-enforced by tests); answers are bit-for-bit identical to the
-//! row-compiled and interpreted paths (proptest-enforced in
+//! interpreted reference and the naive evaluator (proptest-enforced in
 //! `crates/yannakakis/tests`).
 
 use cqap_common::{hash_fold_column, hash_vals, CqapError, FxHashMap, Result, Tuple, Val};
@@ -217,7 +214,7 @@ impl ColumnRun {
 /// A hash-grouping memo over variable-width value-slice keys, keyed by a
 /// **caller-supplied 64-bit hash** plus a slice check.
 ///
-/// This is the probe memo of the compiled execution paths: a hot loop
+/// This is the probe memo of the plan executor: a hot loop
 /// projects a key into a reused buffer, hashes it once with
 /// [`cqap_common::hash_vals`], and then uses that hash for both lookup
 /// and insertion — a map keyed by the slice (or by a key `Tuple`) would
@@ -315,9 +312,11 @@ impl KeyMemo<()> {
     }
 }
 
-/// Reusable per-worker scratch for the columnar execution path
+/// Reusable per-worker scratch of the plan executor
 /// ([`CompiledPlan::answer_columnar`]). All buffers retain capacity
-/// across requests; one scratch per serving worker.
+/// across requests, so a warm worker executes a plan without allocating;
+/// one scratch per serving worker (the drivers keep it in a thread-local,
+/// so every pool thread owns exactly one arena).
 #[derive(Debug, Default)]
 pub struct ColumnarScratch {
     /// The two ping-pong accumulators.
@@ -390,8 +389,10 @@ impl ColSlot<'_> {
 
 impl CompiledPlan {
     /// Executes the plan column-at-a-time: same inputs, same validation
-    /// failures and same answers as [`CompiledPlan::answer_with`], with
-    /// all intermediate state in flat column runs (see the module docs).
+    /// failures and same answers as the interpreted reference
+    /// ([`crate::OnlineYannakakis::answer_with`]), with every schema lookup
+    /// and traversal decision pre-resolved and all intermediate state in
+    /// `scratch`'s flat column runs (see the module docs).
     ///
     /// The supplied T-view relations are scattered into columns up front
     /// (reordering on a slow path if the column order differs from the
@@ -400,7 +401,7 @@ impl CompiledPlan {
     /// [`CompiledPlan::answer_from_columns`].
     ///
     /// # Errors
-    /// The same validation failures as the row path, plus whatever
+    /// The same validation failures as the interpreted path, plus whatever
     /// storage-level errors the backend's probes surface.
     pub fn answer_columnar<V: SViewProbe>(
         &self,
@@ -448,8 +449,8 @@ impl CompiledPlan {
     /// schemas.
     ///
     /// # Errors
-    /// The same validation failures as the row path, plus backend storage
-    /// errors.
+    /// The same validation failures as [`CompiledPlan::answer_columnar`],
+    /// plus backend storage errors.
     pub fn answer_from_columns<'a, V: SViewProbe>(
         &self,
         views: &V,

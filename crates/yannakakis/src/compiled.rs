@@ -1,40 +1,32 @@
-//! Compiled probe plans: the online phase with all per-request bookkeeping
-//! hoisted to construction time.
+//! Compiled probe plans: the plan IR and its compiler.
 //!
 //! [`OnlineYannakakis::answer_with`] re-derives, on *every* request, facts
 //! that depend only on the PMTD and the view schemas: which edges are SS /
 //! ST / TT, which nodes survive into the top-down pass, where the link
-//! variables sit in each schema, what every join's output schema is. A
-//! [`CompiledPlan`] resolves all of it once — per (PMTD node, access
-//! pattern) — into a linear program of steps over pre-resolved column
-//! positions, leaving the per-request work as:
+//! variables sit in each schema, what every join's output schema is.
+//! [`OnlineYannakakis::compile`] resolves all of it once — per (PMTD node,
+//! access pattern) — into a [`CompiledPlan`]: a linear program of
+//! bottom-up, root and top-down steps over pre-resolved column positions,
+//! with every reduction that touches only request-independent T-views
+//! folded or pre-indexed at compile time
+//! ([`OnlineYannakakis::compile_with_statics`]).
 //!
-//! 1. validating the request and T-view contents (cheap, per the contract
-//!    of the interpreted path);
-//! 2. executing the steps against reusable scratch buffers
-//!    ([`PlanScratch`], one arena per serving worker): tuples ping-pong
-//!    between two pooled vectors, probe results are memoized in a pooled
-//!    range table, and semijoin/projection dedup uses pooled hash sets;
-//! 3. materializing the single output [`Relation`] through the
-//!    duplicate-free [`RelationBuilder`] path — every intermediate the
-//!    plan produces is a subset, permutation or key-extension of a set,
-//!    so **no relation-level hash-dedup insert happens at all** (the
-//!    `cqap_relation::instrument` counter stays flat on the warm path).
-//!
-//! Answers are identical to the interpreted path by construction: the
-//! steps are the same semijoin-reduce and join passes, executed against
-//! the same [`SViewProbe`] backend, with the same validation failures.
-//! The equivalence proptest in `crates/yannakakis/tests` enforces this
-//! against both the interpreted path and the naive evaluator.
+//! This module holds the IR, the compiler and the per-request input
+//! validation; the step program is executed by [`crate::columnar`], the
+//! single engine. Answers are identical to the interpreted reference by
+//! construction: the steps are the same semijoin-reduce and join passes,
+//! executed against the same [`SViewProbe`] backend, with the same
+//! validation failures. The equivalence proptest in
+//! `crates/yannakakis/tests` enforces this against both the interpreted
+//! path and the naive evaluator.
 
 use std::sync::Arc;
 
-use cqap_common::{hash_vals, CqapError, FxHashMap, FxHashSet, Result, Tuple, VarSet};
+use cqap_common::{CqapError, FxHashMap, FxHashSet, Result, Tuple, VarSet};
 use cqap_decomp::ViewKind;
 use cqap_query::AccessRequest;
-use cqap_relation::{is_identity, Relation, RelationBuilder, Schema};
+use cqap_relation::{is_identity, Relation, Schema};
 
-use crate::columnar::KeyMemo;
 use crate::online::{OnlineYannakakis, SViewProbe};
 
 /// A prebuilt hash grouping of request-independent tuples by a key
@@ -164,86 +156,12 @@ pub(crate) enum TopDownStep {
     },
 }
 
-/// Reusable per-worker scratch for [`CompiledPlan::answer_with`].
-///
-/// All buffers retain their capacity across requests, so a warm worker
-/// executes the S-only path of a plan without allocating: probe results
-/// land in one pooled tuple vector addressed by `(start, end)` ranges, the
-/// accumulator ping-pongs between two pooled vectors, and the memo /
-/// dedup tables are cleared, never dropped. One scratch per serving
-/// worker (the drivers keep it in a thread-local, so every pool thread
-/// owns exactly one arena).
-#[derive(Debug, Default)]
-pub struct PlanScratch {
-    /// Pooled probe results; `ranges` addresses slices of it.
-    pool: Vec<Tuple>,
-    /// Per-step memo: probe key → `(start, end)` range in `pool`. Keyed by
-    /// a precomputed 64-bit key hash plus a slice check, so each key
-    /// occurrence is hashed exactly once (lookup and insertion reuse the
-    /// same hash instead of re-hashing the projected slice).
-    ranges: KeyMemo<(u32, u32)>,
-    /// Per-step memo for semijoin probes: key → hit (hash-cached like
-    /// `ranges`).
-    semi: KeyMemo<bool>,
-    /// Per-step dedup / key set.
-    keys: FxHashSet<Tuple>,
-    /// Reused key-projection buffer: memo tables are probed with this
-    /// slice (via `Tuple`'s `Borrow<[Val]>`), so an owned key tuple is
-    /// built only on the miss path.
-    key_vals: Vec<cqap_common::Val>,
-    /// Build side of the T-view hash joins.
-    groups: FxHashMap<Tuple, Vec<Tuple>>,
-    /// The two accumulator buffers.
-    acc_a: Vec<Tuple>,
-    acc_b: Vec<Tuple>,
-    /// Recycled vectors for owned T-view slots.
-    slot_pool: Vec<Vec<Tuple>>,
-}
-
-impl PlanScratch {
-    /// A fresh scratch arena (all buffers empty).
-    pub fn new() -> Self {
-        PlanScratch::default()
-    }
-
-    fn take_slot_vec(&mut self) -> Vec<Tuple> {
-        self.slot_pool.pop().unwrap_or_default()
-    }
-
-    fn recycle_slot_vec(&mut self, mut v: Vec<Tuple>) {
-        v.clear();
-        self.slot_pool.push(v);
-    }
-}
-
-/// A T-view's tuples during plan execution: borrowed from the caller until
-/// a bottom-up step filters or projects it.
-enum Slot<'a> {
-    Empty,
-    Borrowed(&'a [Tuple]),
-    Owned(Vec<Tuple>),
-}
-
-impl Slot<'_> {
-    fn tuples(&self) -> &[Tuple] {
-        match self {
-            Slot::Empty => &[],
-            Slot::Borrowed(t) => t,
-            Slot::Owned(v) => v,
-        }
-    }
-
-    fn is_empty_slot(&self) -> bool {
-        matches!(self, Slot::Empty)
-    }
-}
-
 /// An Online-Yannakakis execution compiled for one PMTD, one access
 /// pattern and one fixed set of view schemas.
 ///
 /// Built once per plan at index-construction time via
 /// [`OnlineYannakakis::compile`]; executed per request via
-/// [`CompiledPlan::answer_with`] against any [`SViewProbe`] backend whose
+/// [`CompiledPlan::answer_columnar`] against any [`SViewProbe`] backend whose
 /// view schemas match the compile-time ones (the in-memory and disk
 /// backends spill the *same* preprocessing output, so one compiled plan
 /// serves both).
@@ -305,6 +223,17 @@ fn group_by(tuples: &[Tuple], key: &[usize]) -> StaticGroups {
         groups.entry(t.project(key)).or_default().push(t.clone());
     }
     groups
+}
+
+/// The distinct projections of `rows` onto `positions`, in first-seen
+/// order — the compile-time fold of a static kept-child or root
+/// projection.
+fn project_distinct(rows: &[Tuple], positions: &[usize]) -> Vec<Tuple> {
+    let mut seen = FxHashSet::default();
+    rows.iter()
+        .map(|t| t.project(positions))
+        .filter(|p| seen.insert(p.clone()))
+        .collect()
 }
 
 fn compile_hash_join(left: &Schema, rel: &Schema) -> Result<HashJoin> {
@@ -567,10 +496,7 @@ impl OnlineYannakakis {
                         let project =
                             compile_project(slot_schema[t].as_ref().expect("T slot schema"), child_head)?;
                         if let Some(rows) = static_rows[t].take() {
-                            let mut keys = FxHashSet::default();
-                            let mut projected = Vec::new();
-                            project_dedup(&rows, &project.positions, &mut keys, &mut projected);
-                            static_rows[t] = Some(projected);
+                            static_rows[t] = Some(project_distinct(&rows, &project.positions));
                         } else {
                             bottom_up.push(BottomUpStep::ProjectChild {
                                 node: t,
@@ -609,9 +535,7 @@ impl OnlineYannakakis {
                 if let Some(rows) = static_rows[root_node].take() {
                     // Static root: the projected root view and its join
                     // index are built once, now.
-                    let mut keys = FxHashSet::default();
-                    let mut reduced = Vec::new();
-                    project_dedup(&rows, &project.positions, &mut keys, &mut reduced);
+                    let reduced = project_distinct(&rows, &project.positions);
                     RootStep::JoinStatic {
                         groups: Arc::new(group_by(&reduced, &join.build_key)),
                         join,
@@ -696,61 +620,6 @@ impl CompiledPlan {
         &self.final_schema
     }
 
-    /// Executes the plan: same inputs, same validation failures and same
-    /// answers as [`OnlineYannakakis::answer_with`], with every schema
-    /// lookup and traversal decision pre-resolved and all intermediate
-    /// state living in `scratch`.
-    ///
-    /// # Errors
-    /// The same validation failures as the interpreted path, plus whatever
-    /// storage-level errors the backend's probes surface.
-    pub fn answer_with<V: SViewProbe>(
-        &self,
-        views: &V,
-        t_views: &[(usize, &Relation)],
-        request: &AccessRequest,
-        scratch: &mut PlanScratch,
-    ) -> Result<Relation> {
-        self.check_access(request)?;
-        self.check_backend(views)?;
-
-        // Load and validate the T-views; matching column orders are
-        // borrowed, mismatching ones reordered on a (rare) slow path.
-        // Static nodes are validated but never read — their (folded)
-        // content lives inside the plan.
-        let mut slots: Vec<Slot> = (0..self.num_nodes).map(|_| Slot::Empty).collect();
-        for (node, rel) in t_views {
-            self.check_t_view(*node, rel)?;
-            if self.static_node[*node] {
-                continue;
-            }
-            let expected = self.t_schema[*node].as_ref().expect("validated at compile");
-            if rel.schema() == expected {
-                slots[*node] = Slot::Borrowed(rel.tuples());
-            } else {
-                let positions = rel.schema().positions_of(expected.vars())?;
-                let mut owned = scratch.take_slot_vec();
-                owned.extend(rel.iter().map(|t| t.project(&positions)));
-                slots[*node] = Slot::Owned(owned);
-            }
-        }
-        for t in 0..self.num_nodes {
-            if !self.materialized[t] && !self.static_node[t] && slots[t].is_empty_slot() {
-                return Err(CqapError::InvalidPmtd(format!(
-                    "missing T-view for node {t}"
-                )));
-            }
-        }
-
-        let result = self.run(views, request, &mut slots, scratch);
-        for slot in slots {
-            if let Slot::Owned(v) = slot {
-                scratch.recycle_slot_vec(v);
-            }
-        }
-        result
-    }
-
     /// Rejects a request whose access pattern differs from the compiled
     /// one.
     pub(crate) fn check_access(&self, request: &AccessRequest) -> Result<()> {
@@ -803,340 +672,6 @@ impl CompiledPlan {
         }
         Ok(())
     }
-
-    fn run<V: SViewProbe>(
-        &self,
-        views: &V,
-        request: &AccessRequest,
-        slots: &mut [Slot],
-        scratch: &mut PlanScratch,
-    ) -> Result<Relation> {
-        // Bottom-up semijoin-reduce.
-        for step in &self.bottom_up {
-            match step {
-                BottomUpStep::ProbeSemi {
-                    child,
-                    parent,
-                    key_positions,
-                } => {
-                    scratch.semi.clear();
-                    let src = std::mem::replace(&mut slots[*parent], Slot::Empty);
-                    let mut filtered = scratch.take_slot_vec();
-                    for t in src.tuples() {
-                        t.project_into(key_positions, &mut scratch.key_vals);
-                        let hash = hash_vals(&scratch.key_vals);
-                        let hit = match scratch.semi.get(hash, &scratch.key_vals) {
-                            Some(&hit) => hit,
-                            None => {
-                                let key = Tuple::from_slice(&scratch.key_vals);
-                                let hit = views.contains(*child, &key)?;
-                                scratch.semi.insert(hash, &scratch.key_vals, hit);
-                                hit
-                            }
-                        };
-                        if hit {
-                            filtered.push(t.clone());
-                        }
-                    }
-                    if let Slot::Owned(v) = src {
-                        scratch.recycle_slot_vec(v);
-                    }
-                    slots[*parent] = Slot::Owned(filtered);
-                }
-                BottomUpStep::HashSemi {
-                    child,
-                    parent,
-                    child_key,
-                    parent_key,
-                } => {
-                    scratch.keys.clear();
-                    for t in slots[*child].tuples() {
-                        scratch.keys.insert(t.project(child_key));
-                    }
-                    let src = std::mem::replace(&mut slots[*parent], Slot::Empty);
-                    let mut filtered = scratch.take_slot_vec();
-                    for t in src.tuples() {
-                        t.project_into(parent_key, &mut scratch.key_vals);
-                        if scratch.keys.contains(scratch.key_vals.as_slice()) {
-                            filtered.push(t.clone());
-                        }
-                    }
-                    if let Slot::Owned(v) = src {
-                        scratch.recycle_slot_vec(v);
-                    }
-                    slots[*parent] = Slot::Owned(filtered);
-                }
-                BottomUpStep::HashSemiStaticChild {
-                    parent,
-                    parent_key,
-                    keys,
-                } => {
-                    let src = std::mem::replace(&mut slots[*parent], Slot::Empty);
-                    let mut filtered = scratch.take_slot_vec();
-                    for t in src.tuples() {
-                        t.project_into(parent_key, &mut scratch.key_vals);
-                        if keys.contains(scratch.key_vals.as_slice()) {
-                            filtered.push(t.clone());
-                        }
-                    }
-                    if let Slot::Owned(v) = src {
-                        scratch.recycle_slot_vec(v);
-                    }
-                    slots[*parent] = Slot::Owned(filtered);
-                }
-                BottomUpStep::HashSemiStaticParent {
-                    child,
-                    parent,
-                    child_key,
-                    index,
-                    ..
-                } => {
-                    // Probe the prebuilt static-parent index with each
-                    // distinct key of the (small) dynamic child.
-                    scratch.keys.clear();
-                    let mut filtered = scratch.take_slot_vec();
-                    for t in slots[*child].tuples() {
-                        t.project_into(child_key, &mut scratch.key_vals);
-                        if scratch.keys.contains(scratch.key_vals.as_slice()) {
-                            continue;
-                        }
-                        scratch.keys.insert(Tuple::from_slice(&scratch.key_vals));
-                        if let Some(bucket) = index.get(scratch.key_vals.as_slice()) {
-                            filtered.extend(bucket.iter().cloned());
-                        }
-                    }
-                    let old = std::mem::replace(&mut slots[*parent], Slot::Owned(filtered));
-                    if let Slot::Owned(v) = old {
-                        scratch.recycle_slot_vec(v);
-                    }
-                }
-                BottomUpStep::ProjectChild { node, project } => {
-                    let src = std::mem::replace(&mut slots[*node], Slot::Empty);
-                    let mut projected = scratch.take_slot_vec();
-                    project_dedup(
-                        src.tuples(),
-                        &project.positions,
-                        &mut scratch.keys,
-                        &mut projected,
-                    );
-                    if let Slot::Owned(v) = src {
-                        scratch.recycle_slot_vec(v);
-                    }
-                    slots[*node] = Slot::Owned(projected);
-                }
-            }
-        }
-
-        // Seed the accumulator with the (deduplicated) request bindings.
-        let mut acc = std::mem::take(&mut scratch.acc_a);
-        let mut next = std::mem::take(&mut scratch.acc_b);
-        acc.clear();
-        next.clear();
-        if self.access.is_empty() {
-            if !request.is_empty() {
-                acc.push(Tuple::empty());
-            }
-        } else if request.len() <= 1 {
-            acc.extend_from_slice(request.tuples());
-        } else {
-            scratch.keys.clear();
-            for t in request.tuples() {
-                if !scratch.keys.contains(t) {
-                    scratch.keys.insert(t.clone());
-                    acc.push(t.clone());
-                }
-            }
-        }
-
-        // Root reduction.
-        match &self.root {
-            RootStep::Probe { node, join } => {
-                self.exec_probe_join(views, *node, join, &acc, &mut next, scratch)?;
-                std::mem::swap(&mut acc, &mut next);
-            }
-            RootStep::Join {
-                node,
-                project,
-                join,
-            } => {
-                let src = std::mem::replace(&mut slots[*node], Slot::Empty);
-                let mut reduced = scratch.take_slot_vec();
-                project_dedup(
-                    src.tuples(),
-                    &project.positions,
-                    &mut scratch.keys,
-                    &mut reduced,
-                );
-                if let Slot::Owned(v) = src {
-                    scratch.recycle_slot_vec(v);
-                }
-                exec_hash_join(join, &acc, &reduced, &mut next, &mut scratch.groups);
-                scratch.recycle_slot_vec(reduced);
-                std::mem::swap(&mut acc, &mut next);
-            }
-            RootStep::JoinStatic { join, groups } => {
-                exec_static_join(join, groups, &acc, &mut next, &mut scratch.key_vals);
-                std::mem::swap(&mut acc, &mut next);
-            }
-        }
-
-        // Top-down joins over the kept nodes.
-        for step in &self.top_down {
-            match step {
-                TopDownStep::Probe { node, join } => {
-                    self.exec_probe_join(views, *node, join, &acc, &mut next, scratch)?;
-                }
-                TopDownStep::Join { node, join } => {
-                    exec_hash_join(join, &acc, slots[*node].tuples(), &mut next, &mut scratch.groups);
-                }
-                TopDownStep::JoinStatic { join, groups } => {
-                    exec_static_join(join, groups, &acc, &mut next, &mut scratch.key_vals);
-                }
-            }
-            std::mem::swap(&mut acc, &mut next);
-        }
-
-        // Materialize the answer; every path above preserves distinctness,
-        // so the builder never touches the dedup machinery.
-        let out = match &self.final_project {
-            None => {
-                let mut builder =
-                    RelationBuilder::distinct("Q_ans", self.final_schema.clone());
-                for t in &acc {
-                    builder.push(t.clone());
-                }
-                builder.finish()
-            }
-            Some(project) => {
-                // `next` holds the previous step's (stale) accumulator
-                // after the last swap — drop it before reusing the buffer.
-                next.clear();
-                project_dedup(&acc, &project.positions, &mut scratch.keys, &mut next);
-                let mut builder =
-                    RelationBuilder::distinct("Q_ans", project.schema.clone());
-                for t in next.drain(..) {
-                    builder.push(t);
-                }
-                builder.finish()
-            }
-        };
-        scratch.acc_a = acc;
-        scratch.acc_b = next;
-        Ok(out)
-    }
-
-    /// `acc_out = acc_in ⋈ view(node)` by probing the backend on the link
-    /// variables; one backend probe per distinct key, results pooled in
-    /// `scratch.pool` and shared across the accumulator via ranges.
-    fn exec_probe_join<V: SViewProbe>(
-        &self,
-        views: &V,
-        node: usize,
-        join: &ProbeJoin,
-        acc_in: &[Tuple],
-        acc_out: &mut Vec<Tuple>,
-        scratch: &mut PlanScratch,
-    ) -> Result<()> {
-        scratch.ranges.clear();
-        scratch.pool.clear();
-        acc_out.clear();
-        for lt in acc_in {
-            lt.project_into(&join.key_positions, &mut scratch.key_vals);
-            let hash = hash_vals(&scratch.key_vals);
-            let (start, end) = match scratch.ranges.get(hash, &scratch.key_vals) {
-                Some(&range) => range,
-                None => {
-                    let key = Tuple::from_slice(&scratch.key_vals);
-                    let start = scratch.pool.len() as u32;
-                    views.probe_into(node, &key, &mut scratch.pool)?;
-                    let end = scratch.pool.len() as u32;
-                    scratch.ranges.insert(hash, &scratch.key_vals, (start, end));
-                    (start, end)
-                }
-            };
-            let matches = &scratch.pool[start as usize..end as usize];
-            if join.left_extra.is_empty() {
-                for rt in matches {
-                    acc_out.push(lt.concat_projected(rt, &join.appended));
-                }
-            } else {
-                for rt in matches {
-                    if lt.projected_eq(&join.left_extra, rt, &join.rel_extra) {
-                        acc_out.push(lt.concat_projected(rt, &join.appended));
-                    }
-                }
-            }
-        }
-        Ok(())
-    }
-}
-
-/// Deduplicating projection of `src` onto `positions` into `out`, using
-/// `keys` as the (cleared) per-step membership set — the shape shared by
-/// the kept-child, reduced-root and final projections of a plan.
-fn project_dedup(
-    src: &[Tuple],
-    positions: &[usize],
-    keys: &mut FxHashSet<Tuple>,
-    out: &mut Vec<Tuple>,
-) {
-    keys.clear();
-    for t in src {
-        let p = t.project(positions);
-        if !keys.contains(&p) {
-            keys.insert(p.clone());
-            out.push(p);
-        }
-    }
-}
-
-/// `acc_out = acc_in ⋈ static side` through a compile-time join index:
-/// the request-dependent accumulator probes the prebuilt groups with a
-/// borrowed key slice — the static side is never scanned, and no build
-/// work happens per request.
-fn exec_static_join(
-    join: &HashJoin,
-    groups: &StaticGroups,
-    acc_in: &[Tuple],
-    acc_out: &mut Vec<Tuple>,
-    key_vals: &mut Vec<cqap_common::Val>,
-) {
-    acc_out.clear();
-    for lt in acc_in {
-        lt.project_into(&join.probe_key, key_vals);
-        if let Some(bucket) = groups.get(key_vals.as_slice()) {
-            for rt in bucket {
-                acc_out.push(lt.concat_projected(rt, &join.appended));
-            }
-        }
-    }
-}
-
-/// `acc_out = acc_in ⋈ rel` on all shared variables: build a hash table
-/// over the (request-dependent, hence small) T-view side, probe with the
-/// accumulator.
-fn exec_hash_join(
-    join: &HashJoin,
-    acc_in: &[Tuple],
-    rel: &[Tuple],
-    acc_out: &mut Vec<Tuple>,
-    groups: &mut FxHashMap<Tuple, Vec<Tuple>>,
-) {
-    groups.clear();
-    for rt in rel {
-        groups
-            .entry(rt.project(&join.build_key))
-            .or_default()
-            .push(rt.clone());
-    }
-    acc_out.clear();
-    for lt in acc_in {
-        if let Some(bucket) = groups.get(&lt.project(&join.probe_key)) {
-            for rt in bucket {
-                acc_out.push(lt.concat_projected(rt, &join.appended));
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -1186,7 +721,6 @@ mod tests {
         let (cqap, pmtds) = pmtd_families::pmtds_3reach_fig1().unwrap();
         let g = Graph::random(40, 160, 7);
         let db = g.as_path_database(3);
-        let mut scratch = PlanScratch::new();
         let mut col = ColumnarScratch::new();
         for pmtd in &pmtds {
             let oy = OnlineYannakakis::new(pmtd.clone());
@@ -1195,12 +729,10 @@ mod tests {
             for (a, b) in [(0u64, 1u64), (3, 7), (12, 4), (1, 1)] {
                 let req = AccessRequest::single(cqap.access(), &[a, b]).unwrap();
                 let interpreted = oy.answer(&pre, &t_views, &req).unwrap();
-                let compiled = plan.answer_with(&pre, &refs(&t_views), &req, &mut scratch).unwrap();
-                assert_eq!(compiled, interpreted, "{} on ({a},{b})", pmtd.summary());
-                let columnar = plan
+                let compiled = plan
                     .answer_columnar(&pre, &refs(&t_views), &req, &mut col)
                     .unwrap();
-                assert_eq!(columnar, interpreted, "columnar {} on ({a},{b})", pmtd.summary());
+                assert_eq!(compiled, interpreted, "{} on ({a},{b})", pmtd.summary());
             }
         }
     }
@@ -1215,7 +747,6 @@ mod tests {
         let (cqap, pmtds) = pmtd_families::pmtds_3reach_fig1().unwrap();
         let g = Graph::random(30, 130, 9);
         let db = g.as_path_database(3);
-        let mut scratch = PlanScratch::new();
         let mut col = ColumnarScratch::new();
         for pmtd in &pmtds[..2] {
             let oy = OnlineYannakakis::new(pmtd.clone());
@@ -1228,28 +759,21 @@ mod tests {
             for (a, b) in [(0u64, 1u64), (3, 7), (12, 4), (1, 1)] {
                 let req = AccessRequest::single(cqap.access(), &[a, b]).unwrap();
                 let expected = plain
-                    .answer_with(&pre, &refs(&t_views), &req, &mut scratch)
+                    .answer_columnar(&pre, &refs(&t_views), &req, &mut col)
                     .unwrap();
                 // Static T-views may be omitted per request...
                 assert_eq!(
-                    folded.answer_with(&pre, &[], &req, &mut scratch).unwrap(),
-                    expected,
-                    "folded rows {} on ({a},{b})",
-                    pmtd.summary()
-                );
-                // ...or passed anyway (validated, not read), on both
-                // execution paths.
-                assert_eq!(
-                    folded
-                        .answer_with(&pre, &refs(&t_views), &req, &mut scratch)
-                        .unwrap(),
-                    expected
-                );
-                assert_eq!(
                     folded.answer_columnar(&pre, &[], &req, &mut col).unwrap(),
                     expected,
-                    "folded columnar {} on ({a},{b})",
+                    "folded {} on ({a},{b})",
                     pmtd.summary()
+                );
+                // ...or passed anyway (validated, not read).
+                assert_eq!(
+                    folded
+                        .answer_columnar(&pre, &refs(&t_views), &req, &mut col)
+                        .unwrap(),
+                    expected
                 );
             }
         }
@@ -1279,21 +803,14 @@ mod tests {
         for (a, b) in [(0u64, 1u64), (3, 7), (12, 4)] {
             let req = AccessRequest::single(cqap.access(), &[a, b]).unwrap();
             let expected = plain
-                .answer_with(&pre, &refs(&t_views), &req, &mut scratch)
+                .answer_columnar(&pre, &refs(&t_views), &req, &mut col)
                 .unwrap();
-            assert_eq!(
-                folded
-                    .answer_with(&pre, &leaf_views, &req, &mut scratch)
-                    .unwrap(),
-                expected,
-                "static-parent rows on ({a},{b})"
-            );
             assert_eq!(
                 folded
                     .answer_columnar(&pre, &leaf_views, &req, &mut col)
                     .unwrap(),
                 expected,
-                "static-parent columnar on ({a},{b})"
+                "static-parent on ({a},{b})"
             );
         }
 
@@ -1314,16 +831,16 @@ mod tests {
         let oy = OnlineYannakakis::new(middle.clone());
         let (pre, t_views) = views_for(middle, &cqap, &db);
         let plan = oy.compile(&pre, &t_schemas(&t_views)).unwrap();
-        let mut scratch = PlanScratch::new();
+        let mut col = ColumnarScratch::new();
 
         let req = AccessRequest::single(cqap.access(), &[0, 1]).unwrap();
         // Missing T-view.
-        assert!(plan.answer_with(&pre, &[], &req, &mut scratch).is_err());
+        assert!(plan.answer_columnar(&pre, &[], &req, &mut col).is_err());
         // Wrong access pattern.
         let bad_req =
             AccessRequest::single(cqap_common::vars![1, 2], &[0, 1]).unwrap();
         assert!(plan
-            .answer_with(&pre, &refs(&t_views), &bad_req, &mut scratch)
+            .answer_columnar(&pre, &refs(&t_views), &bad_req, &mut col)
             .is_err());
         // Supplying content for a materialized node.
         let wrong_phase = vec![(
@@ -1331,7 +848,7 @@ mod tests {
             Relation::from_tuples("x", Schema::of([0, 2]), std::iter::empty()).unwrap(),
         )];
         assert!(plan
-            .answer_with(&pre, &refs(&wrong_phase), &req, &mut scratch)
+            .answer_columnar(&pre, &refs(&wrong_phase), &req, &mut col)
             .is_err());
     }
 
@@ -1344,10 +861,8 @@ mod tests {
         let oy = OnlineYannakakis::new(middle.clone());
         let (pre, t_views) = views_for(middle, &cqap, &db);
         let plan = oy.compile(&pre, &t_schemas(&t_views)).unwrap();
-        let mut scratch = PlanScratch::new();
 
-        // Reverse every T-view's column order: answers must not change,
-        // on the row and the columnar path alike.
+        // Reverse every T-view's column order: answers must not change.
         let reversed: Vec<(usize, Relation)> = t_views
             .iter()
             .map(|(n, r)| {
@@ -1358,10 +873,6 @@ mod tests {
             .collect();
         let req = AccessRequest::single(cqap.access(), &[0, 1]).unwrap();
         let expected = oy.answer(&pre, &t_views, &req).unwrap();
-        assert_eq!(
-            plan.answer_with(&pre, &refs(&reversed), &req, &mut scratch).unwrap(),
-            expected
-        );
         let mut col = ColumnarScratch::new();
         assert_eq!(
             plan.answer_columnar(&pre, &refs(&reversed), &req, &mut col)
@@ -1387,19 +898,13 @@ mod tests {
         let (pre, t_views) = views_for(&pmtd, &q, &db);
         assert!(t_views.is_empty());
         let plan = oy.compile(&pre, &[]).unwrap();
-        let mut scratch = PlanScratch::new();
+        let mut col = ColumnarScratch::new();
         let req = AccessRequest::new(VarSet::EMPTY, vec![Tuple::empty()]).unwrap();
-        let ans = plan.answer_with(&pre, &[], &req, &mut scratch).unwrap();
+        let ans = plan.answer_columnar(&pre, &[], &req, &mut col).unwrap();
         assert_eq!(ans, oy.answer(&pre, &[], &req).unwrap());
         assert_eq!(ans.len(), 3);
-        let mut col = ColumnarScratch::new();
-        assert_eq!(plan.answer_columnar(&pre, &[], &req, &mut col).unwrap(), ans);
         // The empty request is the "false" binding: no answers.
         let empty = AccessRequest::new(VarSet::EMPTY, vec![]).unwrap();
-        assert!(plan
-            .answer_with(&pre, &[], &empty, &mut scratch)
-            .unwrap()
-            .is_empty());
         assert!(plan
             .answer_columnar(&pre, &[], &empty, &mut col)
             .unwrap()
@@ -1410,7 +915,9 @@ mod tests {
     fn warm_probe_only_plan_performs_zero_dedup_inserts() {
         // The fully-materialized Figure 1 PMTD (S14): the plan is a pure
         // probe — after a warm-up request, answering must not touch the
-        // relation-level dedup machinery at all.
+        // relation-level dedup machinery at all, and must never box a
+        // tuple: rows live in column runs until the final (inline-width)
+        // head projection.
         let (cqap, pmtds) = pmtd_families::pmtds_3reach_fig1().unwrap();
         let single = &pmtds[2];
         let g = Graph::random(60, 300, 41);
@@ -1419,10 +926,10 @@ mod tests {
         let (pre, t_views) = views_for(single, &cqap, &db);
         assert!(t_views.is_empty());
         let plan = oy.compile(&pre, &[]).unwrap();
-        let mut scratch = PlanScratch::new();
+        let mut col = ColumnarScratch::new();
 
         let warmup = AccessRequest::single(cqap.access(), &[0, 1]).unwrap();
-        plan.answer_with(&pre, &[], &warmup, &mut scratch).unwrap();
+        plan.answer_columnar(&pre, &[], &warmup, &mut col).unwrap();
 
         // Expected answers computed up front: the interpreted reference
         // (and relation equality itself) uses the dedup machinery, so it
@@ -1437,22 +944,6 @@ mod tests {
             .map(|req| oy.answer(&pre, &[], req).unwrap())
             .collect();
 
-        let before = cqap_relation::instrument::dedup_inserts();
-        let answers: Vec<Relation> = requests
-            .iter()
-            .map(|req| plan.answer_with(&pre, &[], req, &mut scratch).unwrap())
-            .collect();
-        assert_eq!(
-            cqap_relation::instrument::dedup_inserts(),
-            before,
-            "warm probe-only requests must perform zero relation-level dedup inserts"
-        );
-        assert_eq!(answers, expected);
-
-        // The columnar path additionally never boxes a tuple: rows live in
-        // column runs until the final (inline-width) head projection.
-        let mut col = ColumnarScratch::new();
-        plan.answer_columnar(&pre, &[], &warmup, &mut col).unwrap();
         let dedup_before = cqap_relation::instrument::dedup_inserts();
         let boxes_before = cqap_common::tuple::instrument::heap_boxings();
         let answers: Vec<Relation> = requests
@@ -1462,12 +953,12 @@ mod tests {
         assert_eq!(
             cqap_relation::instrument::dedup_inserts(),
             dedup_before,
-            "warm columnar requests must perform zero relation-level dedup inserts"
+            "warm probe-only requests must perform zero relation-level dedup inserts"
         );
         assert_eq!(
             cqap_common::tuple::instrument::heap_boxings(),
             boxes_before,
-            "warm columnar requests must perform zero tuple heap boxings"
+            "warm probe-only requests must perform zero tuple heap boxings"
         );
         assert_eq!(answers, expected);
     }

@@ -10,7 +10,16 @@
 //!   paper): the two-pass algorithm that answers an access request from a
 //!   PMTD's S-views (materialized, probe-only) and T-views (computed
 //!   online), in time that depends on the T-views and the output but *not*
-//!   on the size of the S-views (Theorem 3.7).
+//!   on the size of the S-views (Theorem 3.7). This interpreted,
+//!   paper-literal form is the reference the engine is tested against.
+//! * [`compiled`] — the plan IR and its compiler: per (PMTD, access
+//!   pattern) every schema lookup, traversal decision and request-independent
+//!   reduction of the online phase is resolved once, at index build time,
+//!   into a linear step program ([`CompiledPlan`]).
+//! * [`columnar`] — the executor, and the one production engine: it runs a
+//!   compiled plan's steps column-at-a-time over a per-worker
+//!   struct-of-arrays scratch ([`ColumnarScratch`]), reaching the S-views
+//!   through the single column-writing probe of [`SViewProbe`].
 //!
 //! ## Quick start
 //!
@@ -75,6 +84,6 @@ pub mod naive;
 pub mod online;
 
 pub use columnar::{ColumnRun, ColumnarScratch, KeyMemo};
-pub use compiled::{CompiledPlan, PlanScratch};
+pub use compiled::CompiledPlan;
 pub use naive::naive_answer;
 pub use online::{OnlineYannakakis, PreprocessedViews, SViewProbe};

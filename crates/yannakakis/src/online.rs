@@ -16,6 +16,8 @@ use cqap_decomp::{Pmtd, ViewKind};
 use cqap_query::AccessRequest;
 use cqap_relation::{HashIndex, Relation, Schema};
 
+use crate::columnar::ColumnRun;
+
 /// The preprocessed (materialized) S-views of a PMTD: each S-view is stored
 /// together with a hash index keyed on its *link* variables — the variables
 /// it shares with its parent (for the root: with the access pattern).
@@ -119,8 +121,10 @@ impl PreprocessedViews {
 /// the view's *link* variables (a semijoin probe) and (b) fetches the block
 /// of tuples matching a key (a join probe). Anything that can serve those
 /// two lookups — the in-memory [`PreprocessedViews`] hash indexes, or a
-/// disk-resident sorted run with a fence index — can sit behind
-/// [`OnlineYannakakis::answer_with`] and produce identical answers.
+/// disk-resident sorted run with a fence index — can sit behind the
+/// columnar engine ([`crate::CompiledPlan::answer_columnar`]) and the
+/// paper-literal reference ([`OnlineYannakakis::answer_with`]) alike, and
+/// produce identical answers.
 ///
 /// Keys are the projection of a view tuple onto its link variables, in
 /// ascending variable order (the [`cqap_relation::HashIndex`] convention).
@@ -130,72 +134,33 @@ pub trait SViewProbe {
     fn schema(&self, node: usize) -> Option<&Schema>;
 
     /// Appends all stored tuples of `node`'s view whose link-variable
-    /// projection equals `key` to `out` (which is *not* cleared, so callers
-    /// can pool several probes in one buffer).
+    /// projection equals `key` to the columns of `out` (which must already
+    /// be reset to the view's arity and is *not* cleared, so the executor
+    /// pools several probes in one run).
     ///
-    /// This is the borrowing entry point of the storage seam: the caller
-    /// owns the destination, so a backend never allocates a fresh vector
-    /// per probe — the in-memory indexes copy out of their buckets, the
-    /// disk backend decodes out of a reused segment buffer.
+    /// This is the one join-probe entry point of the storage seam, and it
+    /// writes columns: the caller owns the destination, the in-memory
+    /// indexes scatter their bucket slices column-wise, the disk backend
+    /// decodes its segments straight into the columns — probe results
+    /// reach the executor without ever materializing a row [`Tuple`].
     ///
     /// # Errors
     /// Fails if the node has no stored view, or on a storage-level fault
     /// (e.g. an I/O error in a disk backend).
-    fn probe_into(&self, node: usize, key: &Tuple, out: &mut Vec<Tuple>) -> Result<()>;
-
-    /// Appends all stored tuples of `node`'s view whose link-variable
-    /// projection equals `key` to the columns of `out` (which must already
-    /// be reset to the view's arity and is *not* cleared, so the columnar
-    /// execution path pools several probes in one run).
-    ///
-    /// This is the column-writing entry point of the storage seam: the
-    /// in-memory indexes scatter their bucket slices column-wise, the disk
-    /// backend decodes its little-endian segments straight into the
-    /// columns — in both cases probe results reach the columnar executor
-    /// without ever materializing a row [`Tuple`]. The default
-    /// implementation is a row-based fallback over
-    /// [`SViewProbe::probe_into`] for backends that have not been
-    /// columnarized.
-    ///
-    /// # Errors
-    /// Same failure modes as [`SViewProbe::probe_into`].
-    fn probe_columns(
-        &self,
-        node: usize,
-        key: &Tuple,
-        out: &mut crate::columnar::ColumnRun,
-    ) -> Result<()> {
-        let mut rows = Vec::new();
-        self.probe_into(node, key, &mut rows)?;
-        out.extend_from_tuples(&rows);
-        Ok(())
-    }
-
-    /// All stored tuples of `node`'s view whose link-variable projection
-    /// equals `key`, as a fresh vector. Convenience wrapper over
-    /// [`SViewProbe::probe_into`] for callers off the hot path.
-    ///
-    /// # Errors
-    /// Same failure modes as [`SViewProbe::probe_into`].
-    fn probe(&self, node: usize, key: &Tuple) -> Result<Vec<Tuple>> {
-        let mut out = Vec::new();
-        self.probe_into(node, key, &mut out)?;
-        Ok(out)
-    }
+    fn probe_columns(&self, node: usize, key: &Tuple, out: &mut ColumnRun) -> Result<()>;
 
     /// Whether any stored tuple of `node`'s view matches `key` on the link
-    /// variables.
+    /// variables (the semijoin probe; a backend answers it without
+    /// producing the matching block).
     ///
     /// # Errors
-    /// Same failure modes as [`SViewProbe::probe_into`].
-    fn contains(&self, node: usize, key: &Tuple) -> Result<bool> {
-        Ok(!self.probe(node, key)?.is_empty())
-    }
+    /// Same failure modes as [`SViewProbe::probe_columns`].
+    fn contains(&self, node: usize, key: &Tuple) -> Result<bool>;
 }
 
-/// The in-memory backend: probes are O(1) hash lookups that copy the
-/// matching bucket into the caller's buffer — the bucket itself is never
-/// cloned into a fresh allocation.
+/// The in-memory backend: probes are O(1) hash lookups whose matching
+/// bucket slice is scattered column-wise into the caller's run — no row
+/// tuple is built or cloned.
 impl SViewProbe for PreprocessedViews {
     fn schema(&self, node: usize) -> Option<&Schema> {
         self.views
@@ -204,19 +169,7 @@ impl SViewProbe for PreprocessedViews {
             .map(|v| v.rel.schema())
     }
 
-    fn probe_into(&self, node: usize, key: &Tuple, out: &mut Vec<Tuple>) -> Result<()> {
-        out.extend_from_slice(self.sview(node)?.index.probe(key));
-        Ok(())
-    }
-
-    /// The matching bucket slice is scattered column-wise — no row tuple
-    /// is built or cloned.
-    fn probe_columns(
-        &self,
-        node: usize,
-        key: &Tuple,
-        out: &mut crate::columnar::ColumnRun,
-    ) -> Result<()> {
+    fn probe_columns(&self, node: usize, key: &Tuple, out: &mut ColumnRun) -> Result<()> {
         out.extend_from_tuples(self.sview(node)?.index.probe(key));
         Ok(())
     }
@@ -511,6 +464,26 @@ fn semijoin_probe<V: SViewProbe>(
     Ok(out)
 }
 
+/// The block of `node`'s view matching `key`, as row tuples: the seam
+/// writes columns, the paper-literal reference reads rows.
+fn probe_tuples<V: SViewProbe>(
+    views: &V,
+    node: usize,
+    key: &Tuple,
+    arity: usize,
+) -> Result<Vec<Tuple>> {
+    let mut run = ColumnRun::new();
+    run.reset(arity);
+    views.probe_columns(node, key, &mut run)?;
+    let mut row = Vec::with_capacity(arity);
+    Ok((0..run.rows())
+        .map(|r| {
+            run.row_into(r, &mut row);
+            Tuple::from_slice(&row)
+        })
+        .collect())
+}
+
 /// Join `left ⋈ view(node)` by probing the S-view backend on the link
 /// variables; matches are additionally checked on any other shared
 /// variables. O(|left| + |output|) probes, one backend probe per distinct
@@ -541,7 +514,7 @@ fn join_probe<V: SViewProbe>(
     for lt in left.iter() {
         let key = lt.project(&key_positions);
         if !probes.contains_key(&key) {
-            let matched = views.probe(node, &key)?;
+            let matched = probe_tuples(views, node, &key, rel_schema.arity())?;
             probes.insert(key.clone(), matched);
         }
         let matches = probes.get(&key).expect("just inserted");

@@ -1,14 +1,14 @@
-//! Property test: the compiled probe plans answer *exactly* like the
-//! interpreted Online Yannakakis and the naive from-scratch evaluator.
+//! Property test: the compiled plans, executed by the columnar engine,
+//! answer *exactly* like the interpreted Online Yannakakis and the naive
+//! from-scratch evaluator.
 //!
 //! Across randomized databases, every PMTD of several query families
 //! (covering different access patterns, S/T mixes and tree shapes),
-//! single-binding and multi-tuple requests, the four evaluation paths —
-//! naive join, the interpreted online phase, the row-compiled plan, and
-//! the **columnar** plan over struct-of-arrays scratch — must be
-//! bit-for-bit identical. This is the acceptance bar for the zero-copy
-//! and columnar refactors: compiled plans are an *optimization*, never a
-//! semantics change.
+//! single-binding and multi-tuple requests, the three evaluation paths —
+//! the naive join (the oracle), the interpreted online phase (the
+//! paper-literal reference) and the compiled plan over struct-of-arrays
+//! scratch (the engine) — must be bit-for-bit identical: compiled plans
+//! are an *optimization*, never a semantics change.
 
 use cqap_common::Tuple;
 use cqap_decomp::{families as pmtd_families, Pmtd};
@@ -16,7 +16,7 @@ use cqap_query::workload::{graph_pair_requests, zipf_multi_requests, Graph};
 use cqap_query::{AccessRequest, Cqap};
 use cqap_relation::{Database, Relation, Schema};
 use cqap_yannakakis::naive::{full_join, naive_answer};
-use cqap_yannakakis::{ColumnarScratch, OnlineYannakakis, PlanScratch, PreprocessedViews};
+use cqap_yannakakis::{ColumnarScratch, OnlineYannakakis, PreprocessedViews};
 use proptest::prelude::*;
 
 /// Ideal view contents from the full join, as in the paper's
@@ -41,15 +41,14 @@ fn views_from_full_join(
     (oy.preprocess(&s_views).unwrap(), t_views)
 }
 
-/// Checks naive ≡ interpreted ≡ row-compiled ≡ columnar for every PMTD of
-/// the family on every request.
+/// Checks naive ≡ interpreted ≡ engine for every PMTD of the family on
+/// every request.
 fn check_family(
     cqap: &Cqap,
     pmtds: &[Pmtd],
     db: &Database,
     requests: &[AccessRequest],
-    scratch: &mut PlanScratch,
-    columnar: &mut ColumnarScratch,
+    scratch: &mut ColumnarScratch,
 ) {
     for pmtd in pmtds {
         let oy = OnlineYannakakis::new(pmtd.clone());
@@ -64,9 +63,8 @@ fn check_family(
         for request in requests {
             let naive = naive_answer(cqap, db, request).unwrap();
             let interpreted = oy.answer(&pre, &t_views, request).unwrap();
-            let compiled = plan.answer_with(&pre, &t_refs, request, scratch).unwrap();
-            let columnar_ans = plan
-                .answer_columnar(&pre, &t_refs, request, columnar)
+            let compiled = plan
+                .answer_columnar(&pre, &t_refs, request, scratch)
                 .unwrap();
             assert_eq!(
                 interpreted,
@@ -78,12 +76,6 @@ fn check_family(
                 compiled,
                 interpreted,
                 "compiled diverged from interpreted on {}",
-                pmtd.summary()
-            );
-            assert_eq!(
-                columnar_ans,
-                interpreted,
-                "columnar diverged from interpreted on {}",
                 pmtd.summary()
             );
         }
@@ -119,9 +111,8 @@ proptest! {
         let graph = Graph::random(35, edges, seed);
         let db = graph.as_path_database(3);
         let requests = requests_for(&cqap, &graph, seed ^ 0x51ed);
-        let mut scratch = PlanScratch::new();
-        let mut columnar = ColumnarScratch::new();
-        check_family(&cqap, &pmtds, &db, &requests, &mut scratch, &mut columnar);
+        let mut scratch = ColumnarScratch::new();
+        check_family(&cqap, &pmtds, &db, &requests, &mut scratch);
     }
 
     /// 2-reachability: a different access pattern and bag structure.
@@ -131,9 +122,8 @@ proptest! {
         let graph = Graph::random(30, edges, seed);
         let db = graph.as_path_database(2);
         let requests = requests_for(&cqap, &graph, seed ^ 0x2bad);
-        let mut scratch = PlanScratch::new();
-        let mut columnar = ColumnarScratch::new();
-        check_family(&cqap, &pmtds, &db, &requests, &mut scratch, &mut columnar);
+        let mut scratch = ColumnarScratch::new();
+        check_family(&cqap, &pmtds, &db, &requests, &mut scratch);
     }
 
     /// The square (cyclic) query: four atoms over one edge relation.
@@ -152,8 +142,7 @@ proptest! {
             .unwrap();
         }
         let requests = requests_for(&cqap, &graph, seed ^ 0x4u64);
-        let mut scratch = PlanScratch::new();
-        let mut columnar = ColumnarScratch::new();
-        check_family(&cqap, &pmtds, &db, &requests, &mut scratch, &mut columnar);
+        let mut scratch = ColumnarScratch::new();
+        check_family(&cqap, &pmtds, &db, &requests, &mut scratch);
     }
 }

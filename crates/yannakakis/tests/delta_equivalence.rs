@@ -5,20 +5,21 @@
 //! deletes of absent tuples and entirely empty batches — a [`CqapIndex`]
 //! maintained in place through the [`ApplyDelta`] seam must answer
 //! bit-for-bit identically to an index rebuilt from scratch over the
-//! post-delta database, on every evaluation path (columnar, row-compiled
-//! and interpreted), for all three query families of
-//! `compiled_equivalence.rs`. The S-view space must match the rebuild
+//! post-delta database — and to the naive evaluator over it — on the
+//! engine and on the interpreted reference, for all three query families
+//! of `compiled_equivalence.rs`. The S-view space must match the rebuild
 //! too: incremental maintenance may not leak or drop view tuples. And
 //! because the compiled pipelines read the atom indexes *in place* — a
 //! delta edits them bucket by bucket instead of rebuilding them — every
 //! maintained index must equal `HashIndex::build` over the post-delta
 //! database after every batch.
 //!
-//! Two fixtures cover what the reachability families do not: a self-join
+//! Three fixtures cover what the reachability families do not: a self-join
 //! (one stored relation under two atoms, so one delta edits two index
-//! slots) and the `(T1245, T234)` PMTD of Example E.8, whose access-free
-//! bag is folded into the plan at compile time — the one case where a
-//! delta must still recompile.
+//! slots), the `(T1245, T234)` PMTD of Example E.8, whose access-free
+//! bag is folded into the plan at compile time, and a hand-written
+//! decomposition with an *uncovered* bag, whose T-view falls back to the
+//! retained full join — the two cases where a delta must still recompile.
 
 use cqap_common::{vars, Tuple, VarSet};
 use cqap_decomp::families as pmtd_families;
@@ -26,6 +27,7 @@ use cqap_decomp::{Pmtd, TreeDecomposition};
 use cqap_delta::{ApplyDelta, DeltaBatch};
 use cqap_obs::{CounterId, MetricsSink};
 use cqap_panda::{AtomIndexCache, CqapIndex};
+use cqap_query::families::k_path_distinct;
 use cqap_query::workload::{graph_pair_requests, zipf_multi_requests, Graph};
 use cqap_query::{AccessRequest, Atom, ConjunctiveQuery, Cqap};
 use cqap_relation::{Database, HashIndex, Relation, Schema};
@@ -198,14 +200,14 @@ fn check_family(
         for request in &requests {
             let expected = rebuilt.answer(request).unwrap();
             assert_eq!(
-                incremental.answer(request).unwrap(),
+                rebuilt.answer_from_scratch(request).unwrap(),
                 expected,
-                "round {round}: columnar answer diverged from rebuild"
+                "round {round}: rebuilt answer diverged from the naive oracle"
             );
             assert_eq!(
-                incremental.answer_rows(request).unwrap(),
+                incremental.answer(request).unwrap(),
                 expected,
-                "round {round}: row-compiled answer diverged from rebuild"
+                "round {round}: engine answer diverged from rebuild"
             );
             assert_eq!(
                 incremental.answer_interpreted(request).unwrap(),
@@ -287,6 +289,17 @@ proptest! {
         let db = graph.as_path_database(4);
         check_family(&cqap, &pmtds[..1], &db, &graph, seed);
     }
+
+    /// An uncovered bag: the root `{x1,x3,x5}` holds no atom, so its T-view
+    /// is the fallback program (semijoin of the retained full join by the
+    /// request); every delta leaves that full join stale.
+    #[test]
+    fn uncovered_bag_delta_equivalence(seed in 0u64..10_000, edges in 40usize..110) {
+        let (cqap, pmtds) = uncovered_bag_pmtds(VarSet::from_iter([0, 4]));
+        let graph = Graph::random(24, edges, seed);
+        let db = graph.as_path_database(4);
+        check_family(&cqap, &pmtds, &db, &graph, seed);
+    }
 }
 
 /// `Q(x1, x3 | x1, x3) :- E(x1, x2), E(x2, x3)` with the two PMTDs of the
@@ -318,6 +331,49 @@ fn access_free_bag_pmtds() -> (Cqap, Vec<Pmtd>) {
         .collect();
     assert_eq!(pmtds.len(), 3);
     (cqap, pmtds)
+}
+
+/// The 4-path query under `access` (head `{x1,x5}`) on the hand-written
+/// decomposition `{x1,x3,x5} → {x1,x2,x3}, {x3,x4,x5}`, nothing
+/// materialized. No atom lies inside the root bag and the access pattern
+/// never contains `x3`, so the root is not covered by its atoms plus the
+/// access pattern: its T-view program is the fallback over the full join.
+fn uncovered_bag_pmtds(access: VarSet) -> (Cqap, Vec<Pmtd>) {
+    let cqap = Cqap::new(k_path_distinct(4).cq().clone(), access).unwrap();
+    let td = TreeDecomposition::new(
+        vec![vars![1, 3, 5], vars![1, 2, 3], vars![3, 4, 5]],
+        vec![None, Some(0), Some(0)],
+        0,
+    )
+    .unwrap();
+    let pmtds = vec![Pmtd::for_cqap(td, [], &cqap).unwrap()];
+    (cqap, pmtds)
+}
+
+/// The fallback program with an empty access pattern reads the retained
+/// full join as it is (no request to semijoin by): engine, interpreted
+/// reference and naive oracle must agree on it, before and after a delta
+/// that changes the join.
+#[test]
+fn uncovered_bag_with_empty_access_pattern_matches_the_references() {
+    let (cqap, pmtds) = uncovered_bag_pmtds(VarSet::EMPTY);
+    let graph = Graph::random(20, 70, 5);
+    let mut index = CqapIndex::build(&cqap, &graph.as_path_database(4), &pmtds).unwrap();
+    let request = AccessRequest::new(VarSet::EMPTY, vec![Tuple::empty()]).unwrap();
+    let check = |index: &CqapIndex| {
+        let expected = index.answer_from_scratch(&request).unwrap();
+        assert!(!expected.is_empty());
+        assert_eq!(index.answer(&request).unwrap(), expected, "engine");
+        assert_eq!(index.answer_interpreted(&request).unwrap(), expected, "interpreted");
+        expected.len()
+    };
+    let before = check(&index);
+    let mut batch = DeltaBatch::new();
+    for i in 0..4u64 {
+        batch = batch.insert(format!("R{}", i + 1), vec![Tuple::pair(9_000 + i, 9_001 + i)]);
+    }
+    assert!(!index.apply_delta(&batch).unwrap().is_noop());
+    assert_eq!(check(&index), before + 1, "the inserted chain is one new answer");
 }
 
 /// The recompile rule, counted: a plan is recompiled exactly when a delta
@@ -355,5 +411,16 @@ fn only_plans_with_stale_folded_content_recompile() {
     let mut index = CqapIndex::build(&cqap, &graph.as_path_database(3), &pmtds).unwrap();
     for relation in ["R1", "R2", "R3"] {
         assert_eq!(recompiles_after(&mut index, relation, (9_000, 9_001)), 0);
+    }
+
+    // A fallback bag folds the full join, i.e. every relation: this is
+    // also what shows the uncovered-bag fixture reaches the fallback
+    // program (both of its other bags hold an access variable, so nothing
+    // else in the plan is folded).
+    let (cqap, pmtds) = uncovered_bag_pmtds(VarSet::from_iter([0, 4]));
+    let graph = Graph::random(24, 90, 7);
+    let mut index = CqapIndex::build(&cqap, &graph.as_path_database(4), &pmtds).unwrap();
+    for relation in ["R1", "R2", "R3", "R4"] {
+        assert_eq!(recompiles_after(&mut index, relation, (9_000, 9_001)), 1);
     }
 }
