@@ -42,12 +42,11 @@
 
 use std::sync::Arc;
 
-use cqap_common::{FxHashMap, Result, Tuple, VarSet};
-use cqap_decomp::Pmtd;
+use cqap_common::{FxHashMap, Result, Tuple};
 use cqap_delta::{net_effect, DeltaBatch, DeltaStats, RelationDelta};
 use cqap_obs::{CounterId, MetricsSink, StageId, TraceStage};
 use cqap_query::Cqap;
-use cqap_relation::{Database, Relation, RelationBuilder, Schema};
+use cqap_relation::{Database, KeyedRows, Relation, RelationBuilder, Schema};
 use cqap_yannakakis::naive::full_join;
 use cqap_yannakakis::{OnlineYannakakis, SViewProbe};
 
@@ -143,12 +142,13 @@ impl DeltaProgram {
 }
 
 /// Support counts for one materialized node of one plan: how many
-/// full-join rows project onto each stored view tuple.
+/// full-join rows project onto each stored view tuple — a counted
+/// [`KeyedRows`] over the view schema (ascending variable order), the
+/// same compact layout as the resident S-view itself.
 #[derive(Clone, Debug)]
 struct ViewCounts {
     node: usize,
-    vars: VarSet,
-    counts: FxHashMap<Tuple, u64>,
+    counts: KeyedRows,
 }
 
 /// Which side of a net delta to expand through the delta plans.
@@ -196,8 +196,11 @@ pub struct DeltaMaintenance {
 }
 
 impl DeltaMaintenance {
-    /// Compiles the delta plans and initializes the support counts from
-    /// the build-time full join. `atom_indexes` is the table the build's
+    /// Compiles the delta plans and takes over the support counts:
+    /// `counts[i]` holds, per materialized node of plan `i`, the counted
+    /// projection of the build-time full join onto that node's view
+    /// schema ([`KeyedRows::count_projection`] — the very pass the
+    /// S-views came out of). `atom_indexes` is the table the build's
     /// pipelines were compiled against; the delta plans add the join
     /// indexes only they need (built from `db`) and the maintenance takes
     /// ownership. `needs_full` records whether any compiled plan uses the
@@ -206,8 +209,7 @@ impl DeltaMaintenance {
     pub fn build(
         cqap: &Cqap,
         db: &Database,
-        pmtds: &[Pmtd],
-        full: &Relation,
+        counts: Vec<Vec<(usize, KeyedRows)>>,
         mut atom_indexes: AtomIndexCache,
         needs_full: bool,
     ) -> Result<Self> {
@@ -216,20 +218,14 @@ impl DeltaMaintenance {
         for a in 0..num_atoms {
             programs.push(DeltaProgram::compile(cqap, db, a, &mut atom_indexes)?);
         }
-        let mut plans = Vec::with_capacity(pmtds.len());
-        for pmtd in pmtds {
-            let mut views = Vec::new();
-            for node in pmtd.materialization_set() {
-                let vars = pmtd.view_schema(node);
-                let positions = full.schema().positions_of_set(vars)?;
-                let mut counts: FxHashMap<Tuple, u64> = FxHashMap::default();
-                for t in full.iter() {
-                    *counts.entry(t.project(&positions)).or_insert(0) += 1;
-                }
-                views.push(ViewCounts { node, vars, counts });
-            }
-            plans.push(views);
-        }
+        let plans = counts
+            .into_iter()
+            .map(|plan| {
+                plan.into_iter()
+                    .map(|(node, counts)| ViewCounts { node, counts })
+                    .collect()
+            })
+            .collect();
         Ok(DeltaMaintenance {
             programs,
             plans,
@@ -244,6 +240,19 @@ impl DeltaMaintenance {
     /// and [`DeltaMaintenance::refresh`] counts plan recompilations.
     pub fn set_metrics_sink(&mut self, sink: MetricsSink) {
         self.sink = sink;
+    }
+
+    /// Heap bytes the support counts hold (see
+    /// [`KeyedRows::heap_bytes`]): the part of the maintenance state that
+    /// grows with `S` and stays resident in every lineage, hot or cold.
+    /// The atom indexes are `O(|D|)` state outside the `S` accounting,
+    /// like the database itself.
+    pub fn resident_bytes(&self) -> usize {
+        self.plans
+            .iter()
+            .flatten()
+            .map(|vc| vc.counts.heap_bytes())
+            .sum()
     }
 
     /// The live atom indexes the owning backend's compiled pipelines
@@ -346,15 +355,16 @@ impl DeltaMaintenance {
         for plan in &mut self.plans {
             let mut per_plan = Vec::with_capacity(plan.len());
             for vc in plan.iter_mut() {
+                let vars = vc.counts.schema().varset();
                 let mut shifts: FxHashMap<Tuple, i64> = FxHashMap::default();
                 if let Some(minus) = &minus {
-                    let positions = minus.schema().positions_of_set(vc.vars)?;
+                    let positions = minus.schema().positions_of_set(vars)?;
                     for t in minus.iter() {
                         *shifts.entry(t.project(&positions)).or_insert(0) -= 1;
                     }
                 }
                 if let Some(plus) = &plus {
-                    let positions = plus.schema().positions_of_set(vc.vars)?;
+                    let positions = plus.schema().positions_of_set(vars)?;
                     for t in plus.iter() {
                         *shifts.entry(t.project(&positions)).or_insert(0) += 1;
                     }
@@ -362,21 +372,12 @@ impl DeltaMaintenance {
                 let mut ins = Vec::new();
                 let mut del = Vec::new();
                 for (key, shift) in shifts {
-                    if shift == 0 {
-                        continue;
-                    }
-                    let old = vc.counts.get(&key).copied().unwrap_or(0);
-                    let new = old as i64 + shift;
-                    debug_assert!(new >= 0, "view support count went negative");
-                    let new = new.max(0) as u64;
-                    if old > 0 && new == 0 {
-                        vc.counts.remove(&key);
-                        del.push(key);
-                    } else if old == 0 && new > 0 {
-                        vc.counts.insert(key.clone(), new);
+                    let by = u32::try_from(shift.unsigned_abs())
+                        .expect("support count shift overflows u32");
+                    if shift > 0 && vc.counts.add(key.as_slice(), by) {
                         ins.push(key);
-                    } else if new != old {
-                        vc.counts.insert(key, new);
+                    } else if shift < 0 && vc.counts.sub(key.as_slice(), by) {
+                        del.push(key);
                     }
                 }
                 per_plan.push((vc.node, ins, del));

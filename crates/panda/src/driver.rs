@@ -20,7 +20,7 @@ use cqap_common::{CqapError, Result};
 use cqap_decomp::Pmtd;
 use cqap_delta::{ApplyDelta, DeltaBatch, DeltaStats};
 use cqap_query::{AccessRequest, Cqap};
-use cqap_relation::{Database, Relation};
+use cqap_relation::{Database, KeyedRows, Relation};
 use cqap_yannakakis::naive::{atom_relation, full_join};
 use cqap_yannakakis::{naive_answer, OnlineYannakakis, PreprocessedViews, SViewProbe};
 
@@ -72,17 +72,25 @@ impl CqapIndex {
         }
         let full = full_join(cqap, db)?;
         let mut plans = Vec::with_capacity(pmtds.len());
+        let mut counts = Vec::with_capacity(pmtds.len());
         // One atom-index table for the whole build: PMTDs sharing an
         // (atom, join-key) pair share one slot.
         let mut atom_indexes = AtomIndexCache::default();
         for pmtd in pmtds {
             let evaluator = OnlineYannakakis::new(pmtd.clone());
-            let mut s_views = Vec::new();
-            for node in pmtd.materialization_set() {
-                let schema = pmtd.view_schema(node);
-                s_views.push((node, full.project_onto(schema)?));
-            }
-            let preprocessed = evaluator.preprocess(&s_views)?;
+            // One pass over the full join per materialized node: its
+            // counted projection is both the S-view (the distinct rows)
+            // and the view's support counts.
+            let projections = pmtd
+                .materialization_set()
+                .into_iter()
+                .map(|node| {
+                    let rows = KeyedRows::count_projection(&full, pmtd.view_schema(node))?;
+                    Ok((node, rows))
+                })
+                .collect::<Result<Vec<_>>>()?;
+            let preprocessed = evaluator.preprocess_projections(&projections)?;
+            counts.push(projections);
             let compiled = CompiledPmtd::compile(
                 cqap,
                 db,
@@ -98,13 +106,12 @@ impl CqapIndex {
             });
         }
         // Delta-maintenance state rides along from day one: the compiled
-        // per-atom delta plans, the per-view support counts (initialized
-        // from the same full join the S-views were projected from), and
-        // ownership of the atom-index table the pipelines above answer
-        // against, which incremental applies edit in place.
+        // per-atom delta plans, the per-view support counts (the counted
+        // projections the S-views were copied from), and ownership of the
+        // atom-index table the pipelines above answer against, which
+        // incremental applies edit in place.
         let needs_full = plans.iter().any(|p| p.compiled.needs_full());
-        let maintenance =
-            DeltaMaintenance::build(cqap, db, pmtds, &full, atom_indexes, needs_full)?;
+        let maintenance = DeltaMaintenance::build(cqap, db, counts, atom_indexes, needs_full)?;
         Ok(CqapIndex {
             cqap: cqap.clone(),
             db: db.clone(),
@@ -120,6 +127,16 @@ impl CqapIndex {
         self.plans.iter().map(|p| p.preprocessed.stored_values()).sum()
     }
 
+    /// Heap bytes the index actually holds for its `S`: the resident
+    /// S-views of every plan plus their support counts, from vector
+    /// capacities (see [`KeyedRows::heap_bytes`]) — the number to hold
+    /// against `space_used() × size_of::<Val>()`. Excludes the `O(|D|)`
+    /// state (database, atom indexes), like [`CqapIndex::space_used`].
+    pub fn resident_bytes(&self) -> usize {
+        let views: usize = self.plans.iter().map(|p| p.preprocessed.resident_bytes()).sum();
+        views + self.maintenance.resident_bytes()
+    }
+
     /// The CQAP this index answers.
     pub fn cqap(&self) -> &Cqap {
         &self.cqap
@@ -133,9 +150,10 @@ impl CqapIndex {
     }
 
     /// The per-PMTD plans — each an Online-Yannakakis evaluator plus its
-    /// preprocessed (semijoin-reduced, link-indexed) S-views. This is the
+    /// preprocessed (semijoin-reduced, link-keyed) S-views. This is the
     /// preprocessing output a second storage tier spills: `cqap-store`
-    /// serializes exactly these views, keyed by the same link variables.
+    /// streams exactly these views to disk, keyed by the same link
+    /// variables.
     pub fn plans(&self) -> impl Iterator<Item = (&OnlineYannakakis, &PreprocessedViews)> {
         self.plans.iter().map(|p| (&p.evaluator, &p.preprocessed))
     }
@@ -240,7 +258,7 @@ impl CqapIndex {
 /// In-place incremental maintenance, `O(|Δ| + |ΔJ|)` end to end: the net
 /// effect flows through the compiled delta plans (editing the stored
 /// relations and the atom indexes tuple by tuple) into ΔS-views applied to
-/// every plan's hash-backed [`PreprocessedViews`]. The compiled pipelines
+/// every plan's resident [`PreprocessedViews`]. The compiled pipelines
 /// read that live state, so only a plan that folded a touched relation's
 /// content at compile time (static or fallback bags) is recompiled.
 impl ApplyDelta for CqapIndex {

@@ -9,8 +9,13 @@
 //!   schema, plus the relational operators the paper's algorithms need
 //!   (projection, selection, natural join, semijoin, union, distinct).
 //! * [`HashIndex`] — a hash index over a key subset of a relation's
-//!   variables; the building block for the S-view probing of Online
-//!   Yannakakis (probes are O(1) and never enumerate the indexed relation).
+//!   variables (probes are O(1) and never enumerate the indexed relation);
+//!   the join index over the atoms of a query.
+//! * [`KeyedRows`] — the compact resident form of a materialized view: flat
+//!   rows stored once, found through a 9-byte-per-slot position table,
+//!   probed by a link key, optionally carrying support counts. The S-views
+//!   of Online Yannakakis and the support counts of delta maintenance live
+//!   in it.
 //! * [`Database`] — a named collection of relations guarded by a set of
 //!   degree constraints.
 //! * [`DegreeConstraint`] / [`ConstraintSet`] — the statistics `N_{Y|X}`
@@ -22,6 +27,7 @@
 pub mod constraints;
 pub mod database;
 pub mod index;
+pub mod keyed_rows;
 mod membership;
 pub mod ops;
 pub mod relation;
@@ -31,6 +37,7 @@ pub mod split;
 pub use constraints::{ConstraintSet, DegreeConstraint};
 pub use database::Database;
 pub use index::HashIndex;
+pub use keyed_rows::KeyedRows;
 pub use ops::is_identity;
 pub use relation::{instrument, Relation, RelationBuilder};
 pub use schema::Schema;

@@ -1,8 +1,8 @@
 //! In-memory relations (sets of tuples with a schema).
 
-use crate::membership::Membership;
+use crate::membership::{hash_bits, PositionTable};
 use crate::schema::Schema;
-use cqap_common::{CqapError, FxHashSet, Result, Tuple, Val, Var, VarSet};
+use cqap_common::{hash_vals, CqapError, FxHashSet, Result, Tuple, Val, Var, VarSet};
 use std::borrow::Cow;
 use std::fmt;
 use std::sync::OnceLock;
@@ -74,7 +74,13 @@ pub struct Relation {
     /// Lazily materialized dedup/membership table, tuple → its position in
     /// `tuples` (so a delete is a `swap_remove`, not a scan); empty for
     /// relations built through the distinct builder until first needed.
-    seen: OnceLock<Membership>,
+    seen: OnceLock<PositionTable>,
+}
+
+/// The hash bits the membership table files `t` under.
+#[inline]
+fn tuple_bits(t: &Tuple) -> u64 {
+    hash_bits(hash_vals(t.as_slice()))
 }
 
 impl Relation {
@@ -174,10 +180,14 @@ impl Relation {
     }
 
     /// The membership table, materializing it on first use.
-    fn seen(&self) -> &Membership {
+    fn seen(&self) -> &PositionTable {
         self.seen.get_or_init(|| {
             instrument::record_dedup_inserts(self.tuples.len() as u64);
-            Membership::of(&self.tuples)
+            let mut table = PositionTable::with_capacity(self.tuples.len());
+            for (at, t) in self.tuples.iter().enumerate() {
+                table.insert_new(tuple_bits(t), at);
+            }
+            table
         })
     }
 
@@ -195,16 +205,14 @@ impl Relation {
         instrument::record_dedup_inserts(1);
         let _ = self.seen();
         let seen = self.seen.get_mut().expect("membership table just materialized");
-        let fresh = seen.insert(&self.tuples, &t);
-        if fresh {
-            self.tuples.push(t);
-        }
-        Ok(fresh)
+        Ok(push_if_absent(seen, &mut self.tuples, t))
     }
 
     /// Whether the relation contains the tuple.
     pub fn contains(&self, t: &Tuple) -> bool {
-        self.seen().contains(&self.tuples, t)
+        self.seen()
+            .find(tuple_bits(t), |at| self.tuples[at] == *t)
+            .is_some()
     }
 
     /// Returns the tuple values for variable `v` (one per tuple, with
@@ -269,9 +277,35 @@ impl Relation {
             self.tuples.retain(|t| !gone.contains(t));
             return before - self.tuples.len();
         };
-        gone.iter()
-            .filter(|t| seen.remove(&mut self.tuples, t))
-            .count()
+        let tuples = &mut self.tuples;
+        let mut removed = 0;
+        for t in gone {
+            let bits = tuple_bits(t);
+            let Some(at) = seen.find(bits, |i| tuples[i] == *t) else {
+                continue;
+            };
+            seen.remove(bits, at);
+            tuples.swap_remove(at);
+            if let Some(moved) = tuples.get(at) {
+                seen.repoint(tuple_bits(moved), tuples.len(), at);
+            }
+            removed += 1;
+        }
+        removed
+    }
+
+    /// Heap bytes held, from the tuple vector's and the membership table's
+    /// capacities (plus the boxed values of tuples too wide to be inline).
+    pub fn heap_bytes(&self) -> usize {
+        let inline = std::mem::size_of::<Tuple>();
+        let boxed = if self.schema.arity() * std::mem::size_of::<Val>() < inline {
+            0
+        } else {
+            self.stored_values() * std::mem::size_of::<Val>()
+        };
+        self.tuples.capacity() * inline
+            + boxed
+            + self.seen.get().map_or(0, PositionTable::heap_bytes)
     }
 
     /// An estimate of the memory footprint in *stored values* (arity ×
@@ -281,6 +315,18 @@ impl Relation {
     pub fn stored_values(&self) -> usize {
         self.len() * self.schema.arity()
     }
+}
+
+/// Appends `t` to `tuples` unless the table already holds it.
+#[inline]
+fn push_if_absent(seen: &mut PositionTable, tuples: &mut Vec<Tuple>, t: Tuple) -> bool {
+    let fresh = seen
+        .insert(tuple_bits(&t), tuples.len(), |at| tuples[at] == t)
+        .is_none();
+    if fresh {
+        tuples.push(t);
+    }
+    fresh
 }
 
 impl fmt::Debug for Relation {
@@ -329,7 +375,7 @@ pub struct RelationBuilder {
     tuples: Vec<Tuple>,
     /// `Some` while dedup-on-push is active (donated to the finished
     /// relation); `None` for distinct builders.
-    seen: Option<Membership>,
+    seen: Option<PositionTable>,
 }
 
 impl RelationBuilder {
@@ -340,7 +386,7 @@ impl RelationBuilder {
             name: name.into(),
             schema,
             tuples: Vec::new(),
-            seen: Some(Membership::default()),
+            seen: Some(PositionTable::default()),
         }
     }
 
@@ -392,9 +438,7 @@ impl RelationBuilder {
         match &mut self.seen {
             Some(seen) => {
                 instrument::record_dedup_inserts(1);
-                if seen.insert(&self.tuples, &t) {
-                    self.tuples.push(t);
-                }
+                push_if_absent(seen, &mut self.tuples, t);
             }
             None => self.tuples.push(t),
         }

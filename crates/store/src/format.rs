@@ -52,7 +52,7 @@ use std::path::{Path, PathBuf};
 
 use cqap_common::{varint, CqapError, FxHashMap, FxHashSet, Result, Tuple, Val, VarSet};
 use cqap_obs::{CounterId, MetricsSink, StageId, TraceStage};
-use cqap_relation::{Relation, Schema};
+use cqap_relation::{KeyedRows, Relation, Schema};
 use cqap_yannakakis::ColumnRun;
 
 thread_local! {
@@ -282,9 +282,10 @@ fn validate_and_swap(base: &Path, tmp: &Path) -> Result<StoredView> {
 
 /// The v2 encoder: records are pushed in strictly ascending key order and
 /// come out as the segment-compressed body; [`RunWriter::finish`] puts the
-/// header in front and writes the file. Shared by [`write_view`] (which
-/// sorts a relation first) and compaction (which streams an already
-/// sorted merge), so both produce the same bytes for the same content.
+/// header in front and writes the file. Shared by [`write_view`] /
+/// [`write_run`] (which sort row positions first) and compaction (which
+/// streams an already sorted merge), so all produce the same bytes for
+/// the same content.
 struct RunWriter<'a> {
     layout: &'a ColLayout,
     body: Vec<u8>,
@@ -325,18 +326,24 @@ impl<'a> RunWriter<'a> {
         self.tuples += count;
     }
 
-    /// One record from its tuples, which must be sorted ascending (files
-    /// are deterministic: blocks are sorted too, by `Tuple`'s value order
-    /// like the keys) and all project to `key`.
-    fn push_record(&mut self, key: &[Val], block: &[&Tuple]) {
-        self.begin_record(key, block.len());
+    /// One record of `count` rows, `value(r, p)` being column `p` of its
+    /// `r`-th row; the rows must be sorted ascending (files are
+    /// deterministic: blocks are sorted too, by value order like the keys)
+    /// and all project to `key`.
+    fn push_record(&mut self, key: &[Val], count: usize, value: impl Fn(usize, usize) -> Val) {
+        self.begin_record(key, count);
         // Column-major, non-link columns only: the link columns of every
-        // tuple in this record equal the key and are not stored.
+        // row in this record equal the key and are not stored.
         for &p in &self.layout.stored_positions {
-            for t in block {
-                varint::encode_u64(t.get(p), &mut self.body);
+            for r in 0..count {
+                varint::encode_u64(value(r, p), &mut self.body);
             }
         }
+    }
+
+    /// [`RunWriter::push_record`] over row tuples.
+    fn push_tuples(&mut self, key: &[Val], block: &[&Tuple]) {
+        self.push_record(key, block.len(), |r, p| block[r].get(p));
     }
 
     /// One record whose block is already encoded (copied out of a
@@ -373,6 +380,39 @@ impl<'a> RunWriter<'a> {
     }
 }
 
+/// Serializes the `len` distinct rows `row(0..len)` over `schema`, grouped
+/// and sorted by their projection onto `link`, to a new v2 compressed file
+/// at `path`. The rows stay where they are: only a vector of their
+/// positions is sorted — by (link key, row) — and each run of equal keys
+/// streams into the encoder as one record.
+fn write_rows<'a>(
+    path: &Path,
+    schema: &Schema,
+    link: VarSet,
+    len: usize,
+    row: impl Fn(usize) -> &'a [Val],
+) -> Result<()> {
+    let layout = ColLayout::new(schema, link)?;
+    let key_of = |at: u32| {
+        let r = row(at as usize);
+        layout.key_positions.iter().map(move |&p| r[p])
+    };
+    let mut order: Vec<u32> = (0..len as u32).collect();
+    order.sort_unstable_by(|&a, &b| {
+        key_of(a)
+            .cmp(key_of(b))
+            .then_with(|| row(a as usize).cmp(row(b as usize)))
+    });
+    let mut writer = RunWriter::new(&layout);
+    let mut key = Vec::with_capacity(layout.key_positions.len());
+    for block in order.chunk_by(|&a, &b| key_of(a).eq(key_of(b))) {
+        key.clear();
+        key.extend(key_of(block[0]));
+        writer.push_record(&key, block.len(), |r, p| row(block[r] as usize)[p]);
+    }
+    writer.finish(path, schema, link)
+}
+
 /// Serializes `rel`, grouped and sorted by its projection onto `link`, to
 /// a new v2 compressed file at `path` (truncating any existing file).
 ///
@@ -380,22 +420,19 @@ impl<'a> RunWriter<'a> {
 /// Fails if `link` is not a subset of the relation's variables, or on I/O
 /// errors.
 pub fn write_view(path: &Path, rel: &Relation, link: VarSet) -> Result<()> {
-    let layout = ColLayout::new(rel.schema(), link)?;
-    let mut groups: FxHashMap<Tuple, Vec<&Tuple>> = FxHashMap::default();
-    for t in rel.iter() {
-        groups
-            .entry(t.project(&layout.key_positions))
-            .or_default()
-            .push(t);
-    }
-    let mut records: Vec<(&Tuple, &mut Vec<&Tuple>)> = groups.iter_mut().collect();
-    records.sort_unstable_by(|a, b| a.0.cmp(b.0));
-    let mut writer = RunWriter::new(&layout);
-    for (key, block) in records {
-        block.sort_unstable();
-        writer.push_record(key.as_slice(), block);
-    }
-    writer.finish(path, rel.schema(), link)
+    let tuples = rel.tuples();
+    write_rows(path, rel.schema(), link, tuples.len(), |at| tuples[at].as_slice())
+}
+
+/// Serializes a resident view, grouped and sorted by its own link key, to
+/// a new v2 compressed file at `path` (truncating any existing file) —
+/// byte for byte what [`write_view`] writes for the same rows and link,
+/// streamed straight from the flat row store.
+///
+/// # Errors
+/// Fails on I/O errors.
+pub fn write_run(path: &Path, run: &KeyedRows) -> Result<()> {
+    write_rows(path, run.schema(), run.link(), run.len(), |at| run.row(at))
 }
 
 /// Strict varint reader over an in-memory segment (or body) buffer.
@@ -667,6 +704,19 @@ impl StoredView {
     pub fn resident_values(&self) -> usize {
         let fences: usize = self.fences.iter().map(|f| f.key.arity()).sum();
         fences + self.overlay.len() * self.schema.arity()
+    }
+
+    /// Heap bytes held resident, from container capacities: the fence
+    /// index plus the overlay's insert buckets and tombstones (hash-table
+    /// slots are counted at their entry size plus one control byte).
+    pub fn resident_bytes(&self) -> usize {
+        let tuple = std::mem::size_of::<Tuple>();
+        let bucket_slot = std::mem::size_of::<(Tuple, Vec<Tuple>)>() + 1;
+        let buckets: usize = self.overlay.added.values().map(|b| b.capacity() * tuple).sum();
+        self.fences.capacity() * std::mem::size_of::<Fence>()
+            + self.overlay.added.capacity() * bucket_slot
+            + buckets
+            + self.overlay.deleted.capacity() * (tuple + 1)
     }
 
     /// All stored tuples whose link projection equals `key`, as row
@@ -1066,7 +1116,7 @@ impl StoredView {
             }
             // Overlay-only keys sorting before this record go out first.
             while let Some((k, bucket)) = added.next_if(|(k, _)| k.as_slice() < key.as_slice()) {
-                writer.push_record(k.as_slice(), &bucket);
+                writer.push_tuples(k.as_slice(), &bucket);
             }
             let inserts = added.next_if(|(k, _)| k.as_slice() == key.as_slice());
             while dead_keys.next_if(|k| k.as_slice() < key.as_slice()).is_some() {}
@@ -1098,11 +1148,11 @@ impl StoredView {
                 merged.sort_unstable();
             }
             if !merged.is_empty() {
-                writer.push_record(&key, &merged);
+                writer.push_tuples(&key, &merged);
             }
         }
         for (key, bucket) in added {
-            writer.push_record(key.as_slice(), &bucket);
+            writer.push_tuples(key.as_slice(), &bucket);
         }
         writer.finish(tmp, &self.schema, self.link)
     }

@@ -6,12 +6,13 @@
 //! S-views are spilled to one sorted-run file per view (see
 //! [`crate::format`]) — and answers through the **same online phase**
 //! (the compiled columnar engine; [`OnlineYannakakis::answer_with`] as the
-//! interpreted reference), with the hash-index probes replaced by
+//! interpreted reference), with the position-table probes replaced by
 //! fence-indexed segment reads. Because every probe returns the same
 //! tuples, the answers are identical to the in-memory index (the
 //! equivalence proptest in `crates/store/tests` enforces this bit for
 //! bit), while the resident footprint of the S-views drops to the fence
-//! index.
+//! index — plus the support counts every maintenance lineage keeps
+//! ([`StoredIndex::resident_bytes`] is the honest total).
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -25,7 +26,7 @@ use cqap_relation::{Database, Relation, Schema};
 use cqap_serve::BatchAnswer;
 use cqap_yannakakis::{OnlineYannakakis, SViewProbe};
 
-use crate::format::{write_view, StoredView};
+use crate::format::{write_run, StoredView};
 
 /// Counter for unique scratch-directory names within one process.
 static SCRATCH: AtomicU64 = AtomicU64::new(0);
@@ -62,6 +63,7 @@ pub struct StoredViews {
 
 impl StoredViews {
     /// Spills every materialized view of `pre` to `<dir>/<prefix>_node<n>.sview`
+    /// — streamed from the resident rows, no row relation in between —
     /// and opens the files back as fence-indexed stored views (which own
     /// and delete the files when dropped).
     ///
@@ -73,9 +75,9 @@ impl StoredViews {
         prefix: &str,
     ) -> Result<StoredViews> {
         let mut views: Vec<Option<StoredView>> = Vec::new();
-        for (node, rel, link) in pre.materialized() {
+        for (node, run) in pre.runs() {
             let path = dir.join(format!("{prefix}_node{node}.sview"));
-            write_view(&path, rel, link)?;
+            write_run(&path, run)?;
             let mut view = StoredView::open(&path)?;
             view.delete_on_drop();
             if views.len() <= node {
@@ -108,6 +110,12 @@ impl StoredViews {
     /// Values resident in RAM (the fence indexes plus any delta overlays).
     pub fn resident_values(&self) -> usize {
         self.views.iter().flatten().map(StoredView::resident_values).sum()
+    }
+
+    /// Heap bytes resident in RAM for the views (see
+    /// [`StoredView::resident_bytes`]).
+    pub fn resident_bytes(&self) -> usize {
+        self.views.iter().flatten().map(StoredView::resident_bytes).sum()
     }
 
     /// Absorbs one node's net ΔS-view into that view's delta overlay (see
@@ -184,8 +192,13 @@ impl SViewProbe for StoredViews {
 
 /// A CQAP index whose S-views live on disk: same preprocessing content,
 /// same online algorithm, answers identical to [`CqapIndex`] — but the
-/// space budget `S` is spent on the cold tier, with only the fence
-/// indexes (and the input database) resident.
+/// space budget `S` is spent on the cold tier. What stays resident is the
+/// fence indexes and pending delta overlays of the views, this lineage's
+/// support counts (one 4-byte count per stored view row on top of a
+/// compact copy of the row — what keeps `apply_delta` proportional to the
+/// delta without reading the runs back), and the `O(|D|)` state every
+/// backend keeps: the input database and the atom indexes.
+/// [`StoredIndex::resident_bytes`] adds up the `S`-proportional part.
 pub struct StoredIndex {
     cqap: Cqap,
     db: Database,
@@ -196,11 +209,13 @@ pub struct StoredIndex {
     compiled: Vec<std::sync::Arc<cqap_panda::CompiledPmtd>>,
     /// This backend's own maintenance lineage (cloned from the source
     /// index at spill time): compiled delta plans, per-view support
-    /// counts and the atom indexes the pipelines above probe — shared
-    /// with the source by `Arc`, so they exist once per deployment until
-    /// either side applies a delta and its touched indexes diverge
-    /// copy-on-write. (Like the retained database, they are `O(|D|)`
-    /// state outside the `space_used`/`resident_values` S-accounting.)
+    /// counts (a compact copy, counted in
+    /// [`StoredIndex::resident_bytes`]) and the atom indexes the
+    /// pipelines above probe — shared with the source by `Arc`, so they
+    /// exist once per deployment until either side applies a delta and
+    /// its touched indexes diverge copy-on-write. (Like the retained
+    /// database, the atom indexes are `O(|D|)` state outside the
+    /// S-accounting.)
     maintenance: DeltaMaintenance,
     // Declared last: removes the spill directory after the views above
     // have deleted their files.
@@ -328,10 +343,22 @@ impl StoredIndex {
         self.plans.iter().map(|(_, v)| v.disk_bytes()).sum()
     }
 
-    /// Values resident in RAM for probing (the sparse fence indexes) —
-    /// the cold tier's actual memory footprint, excluding the database.
+    /// View values resident in RAM for probing: the sparse fence indexes
+    /// plus any pending delta overlays. This is the *S-view* share of the
+    /// cold tier's memory in the paper's unit; the bytes the tier really
+    /// holds, support counts included, are
+    /// [`StoredIndex::resident_bytes`].
     pub fn resident_values(&self) -> usize {
         self.plans.iter().map(|(_, v)| v.resident_values()).sum()
+    }
+
+    /// Heap bytes this cold lineage keeps resident for its `S`: the
+    /// views' fence indexes and overlays plus the maintenance's support
+    /// counts, from container capacities — the cold sibling of
+    /// [`CqapIndex::resident_bytes`], excluding the same `O(|D|)` state.
+    pub fn resident_bytes(&self) -> usize {
+        let views: usize = self.plans.iter().map(|(_, v)| v.resident_bytes()).sum();
+        views + self.maintenance.resident_bytes()
     }
 
     /// Online phase: identical to [`CqapIndex::answer`] — literally the
@@ -374,7 +401,7 @@ impl StoredIndex {
 /// Incremental maintenance of the disk tier: the same net effect and
 /// ΔS-views as the in-memory index (computed by this backend's own
 /// [`DeltaMaintenance`] lineage), absorbed as LSM-style delta overlays on
-/// the spilled runs instead of hash-index edits. Probes merge base +
+/// the spilled runs instead of in-place row edits. Probes merge base +
 /// overlay until a size-triggered compaction streams both into a fresh
 /// fence-indexed run; stale compiled pipelines are refreshed exactly like
 /// the in-memory backend's, so rebuild equivalence holds at any overlay

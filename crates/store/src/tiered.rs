@@ -122,7 +122,10 @@ pub struct TieredSpace {
     pub cold_values: usize,
     /// Bytes the cold shards occupy on disk.
     pub cold_disk_bytes: u64,
-    /// Values the cold shards keep resident (their sparse fence indexes).
+    /// View values the cold shards keep resident (their sparse fence
+    /// indexes and pending overlays) — the S-view share only; the cold
+    /// tier's support counts show in
+    /// [`TieredShardedIndex::resident_bytes`].
     pub cold_resident_values: usize,
 }
 
@@ -331,25 +334,37 @@ impl TieredShardedIndex {
     }
 
     /// Publishes the RAM-resident footprint of each tier as absolute
-    /// gauges — hot S-view values and the cold shards' resident fence
-    /// values, both in bytes of [`cqap_common::Val`] — plus the cold
-    /// tier's *compressed* on-disk bytes (the v2 run files' sizes), so
-    /// the exposition carries the physical footprint the byte budget
+    /// gauges — [`TieredShardedIndex::resident_bytes`], i.e. what the
+    /// tiers actually hold, not a nominal 8 bytes per value — plus the
+    /// cold tier's *compressed* on-disk bytes (the v2 run files' sizes),
+    /// so the exposition carries the physical footprint the byte budget
     /// actually buys.
     fn publish_space_gauges(&self) {
         if !self.sink.is_enabled() {
             return;
         }
-        let space = self.space_used();
-        let val_bytes = std::mem::size_of::<cqap_common::Val>() as i64;
+        let (hot, cold) = self.resident_bytes();
+        self.sink.gauge_set(GaugeId::HotResidentBytes, hot as i64);
+        self.sink.gauge_set(GaugeId::ColdResidentBytes, cold as i64);
         self.sink
-            .gauge_set(GaugeId::HotResidentBytes, space.hot_values as i64 * val_bytes);
-        self.sink.gauge_set(
-            GaugeId::ColdResidentBytes,
-            space.cold_resident_values as i64 * val_bytes,
-        );
-        self.sink
-            .gauge_set(GaugeId::ColdDiskBytes, space.cold_disk_bytes as i64);
+            .gauge_set(GaugeId::ColdDiskBytes, self.space_used().cold_disk_bytes as i64);
+    }
+
+    /// Heap bytes `(hot, cold)` the two tiers keep resident for their
+    /// `S`, from container capacities: hot shards hold their S-views and
+    /// support counts ([`CqapIndex::resident_bytes`]); cold shards hold
+    /// fence indexes, pending overlays and — the part a fence-only count
+    /// misses — their own support counts
+    /// ([`StoredIndex::resident_bytes`]).
+    pub fn resident_bytes(&self) -> (usize, usize) {
+        let (mut hot, mut cold) = (0, 0);
+        for shard in &self.shards {
+            match shard {
+                TierShard::Hot(index) => hot += index.resident_bytes(),
+                TierShard::Cold(stored) => cold += stored.resident_bytes(),
+            }
+        }
+        (hot, cold)
     }
 
     /// The per-tier space breakdown.
@@ -610,23 +625,26 @@ mod tests {
         use cqap_delta::{ApplyDelta, DeltaBatch};
 
         let (cqap, pmtds, _, db, _) = fixture();
-        let val_bytes = std::mem::size_of::<cqap_common::Val>() as i64;
+        let val_bytes = std::mem::size_of::<cqap_common::Val>();
 
-        // All-cold: the hot gauge is zero, the cold gauge is exactly the
-        // resident fence values.
+        // All-cold: the hot gauge is zero, the cold gauge is what the cold
+        // shards really hold — more than their resident fence values,
+        // because every cold lineage keeps its support counts.
         let policy = PlacementPolicy::hot_budget(0);
         let mut tiered =
             TieredShardedIndex::build_in_temp(&cqap, &db, &pmtds, 2, &policy).unwrap();
         let sink = MetricsSink::recording();
         tiered.set_metrics_sink(sink.clone()).unwrap();
         let space = tiered.space_used();
+        let (hot, cold) = tiered.resident_bytes();
         let snap = sink.snapshot().unwrap();
+        assert_eq!(hot, 0);
         assert_eq!(snap.gauge(GaugeId::HotResidentBytes), 0);
-        assert_eq!(
-            snap.gauge(GaugeId::ColdResidentBytes),
-            space.cold_resident_values as i64 * val_bytes
+        assert_eq!(snap.gauge(GaugeId::ColdResidentBytes), cold as i64);
+        assert!(
+            cold > space.cold_resident_values * val_bytes,
+            "the cold gauge must include the support counts"
         );
-        assert!(snap.gauge(GaugeId::ColdResidentBytes) > 0);
         // The disk gauge carries the cold runs' *compressed* bytes: it
         // matches the space report exactly and sits well under the
         // logical (values x 8) footprint of the cold tier.
@@ -634,7 +652,8 @@ mod tests {
         assert!(snap.gauge(GaugeId::ColdDiskBytes) > 0);
         assert!(space.cold_disk_bytes < (space.cold_values * 8) as u64);
 
-        // A delta re-publishes: gauges still match the current breakdown.
+        // A delta re-publishes: gauges still match the current state, and
+        // the pending overlay shows.
         let mut batch = DeltaBatch::new();
         for (i, rel) in db.relations().iter().enumerate() {
             let base = 9_000 + i as u64;
@@ -642,27 +661,28 @@ mod tests {
         }
         tiered.apply_delta(&batch).unwrap();
         let space = tiered.space_used();
+        let (_, cold_after) = tiered.resident_bytes();
         let snap = sink.snapshot().unwrap();
-        assert_eq!(
-            snap.gauge(GaugeId::ColdResidentBytes),
-            space.cold_resident_values as i64 * val_bytes
-        );
+        assert!(cold_after > cold, "overlay and new counts are resident");
+        assert_eq!(snap.gauge(GaugeId::ColdResidentBytes), cold_after as i64);
         assert_eq!(snap.gauge(GaugeId::ColdDiskBytes), space.cold_disk_bytes as i64);
 
         // All-hot: the cold gauge is zero and the hot gauge carries the
-        // full S-view footprint.
+        // S-views and their support counts at their real size — above the
+        // nominal 8 bytes per value, and far below the 24x a tuple-copying
+        // layout cost.
         let policy = PlacementPolicy::hot_budget(usize::MAX);
         let mut tiered =
             TieredShardedIndex::build_in_temp(&cqap, &db, &pmtds, 2, &policy).unwrap();
         let sink = MetricsSink::recording();
         tiered.set_metrics_sink(sink.clone()).unwrap();
         let space = tiered.space_used();
+        let (hot, cold) = tiered.resident_bytes();
         let snap = sink.snapshot().unwrap();
-        assert_eq!(
-            snap.gauge(GaugeId::HotResidentBytes),
-            space.hot_values as i64 * val_bytes
-        );
-        assert!(snap.gauge(GaugeId::HotResidentBytes) > 0);
+        assert_eq!(snap.gauge(GaugeId::HotResidentBytes), hot as i64);
+        assert!(hot > space.hot_values * val_bytes);
+        assert!(hot <= 8 * space.hot_values * val_bytes);
+        assert_eq!(cold, 0);
         assert_eq!(snap.gauge(GaugeId::ColdResidentBytes), 0);
         assert_eq!(snap.gauge(GaugeId::ColdDiskBytes), 0);
     }

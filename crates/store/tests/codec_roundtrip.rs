@@ -5,7 +5,8 @@
 //! relations of every arity (1 up to 7), every link subset (empty, full,
 //! scattered), and value mixes that force every varint length class —
 //! zero, `u64::MAX`, both sides of each 7-bit boundary — must round-trip
-//! through `write_view` → [`StoredView::open`] and answer the
+//! through `write_view` → [`StoredView::open`] (with `write_run`, the
+//! spill from resident rows, producing the same bytes) and answer the
 //! column-direct probe, its row adapter and the key-existence check
 //! exactly like a [`cqap_relation::HashIndex`] over the same tuples —
 //! first clean, then again under a random uncompacted delta overlay. Wide-value cases
@@ -21,8 +22,8 @@
 //! base keys.
 
 use cqap_common::{Tuple, Val, VarSet};
-use cqap_relation::{HashIndex, Relation, Schema};
-use cqap_store::format::write_view;
+use cqap_relation::{HashIndex, KeyedRows, Relation, Schema};
+use cqap_store::format::{write_run, write_view};
 use cqap_store::{scratch_dir, StoredView};
 use cqap_yannakakis::ColumnRun;
 use proptest::prelude::*;
@@ -108,6 +109,15 @@ proptest! {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join(format!("case-{seed}-{arity}-{rows}-{link_bits}.sview"));
         write_view(&path, &rel, link).unwrap();
+        // A spill streams the same rows from their resident form: the
+        // file must not differ by a byte.
+        let spilled = path.with_extension("spilled");
+        write_run(&spilled, &KeyedRows::from_relation(&rel, link).unwrap()).unwrap();
+        prop_assert!(
+            std::fs::read(&spilled).unwrap() == std::fs::read(&path).unwrap(),
+            "write_run differs from write_view ({} tuples, link {})", rel.len(), link
+        );
+        std::fs::remove_file(&spilled).unwrap();
         let mut view = StoredView::open(&path).unwrap();
         prop_assert_eq!(view.len(), rel.len());
         prop_assert_eq!(view.stored_values(), rel.stored_values());

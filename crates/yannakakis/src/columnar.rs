@@ -17,7 +17,7 @@
 //!   accumulator rows;
 //! * backends append probe results column-wise through
 //!   [`SViewProbe::probe_columns`], the seam's one join probe — the
-//!   in-memory indexes scatter their bucket slices, the disk backend
+//!   in-memory backend copies its flat resident rows, the disk backend
 //!   decodes its segments straight into the columns — so probe results
 //!   never round-trip through a `Tuple` at all;
 //! * rows become [`Tuple`]s exactly once, at the final head projection
@@ -108,8 +108,8 @@ impl ColumnRun {
         self.rows += 1;
     }
 
-    /// Appends a slice of row tuples — the scatter used by the in-memory
-    /// backend's bucket probes and by loading a row [`Relation`] whose
+    /// Appends a slice of row tuples — the scatter used by the static-side
+    /// and overlay bucket probes and by loading a row [`Relation`] whose
     /// column order already matches ([`Tuple::scatter_into`] per row).
     pub fn extend_from_tuples(&mut self, tuples: &[Tuple]) {
         let cols = &mut self.cols[..self.width];

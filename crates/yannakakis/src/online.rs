@@ -11,16 +11,23 @@
 //! 2. a **top-down join pass** over the reduced tree that assembles the
 //!    output without producing dangling intermediate tuples.
 
+use std::borrow::Cow;
+use std::sync::OnceLock;
+
 use cqap_common::{CqapError, FxHashMap, Result, Tuple, VarSet};
 use cqap_decomp::{Pmtd, ViewKind};
 use cqap_query::AccessRequest;
-use cqap_relation::{HashIndex, Relation, Schema};
+use cqap_relation::{KeyedRows, Relation, Schema};
 
 use crate::columnar::ColumnRun;
 
-/// The preprocessed (materialized) S-views of a PMTD: each S-view is stored
-/// together with a hash index keyed on its *link* variables — the variables
-/// it shares with its parent (for the root: with the access pattern).
+/// The preprocessed (materialized) S-views of a PMTD, resident at the
+/// size `S` says: each view is one [`KeyedRows`] — its rows stored once as
+/// flat values, probed by the view's *link* variables (the variables it
+/// shares with its parent; for the root: with the access pattern) through
+/// a 9-byte-per-slot position table. There is no row `Tuple`, no second
+/// copy in an index and no per-key allocation; delta maintenance edits a
+/// view in `O(1)` per row.
 #[derive(Clone, Debug)]
 pub struct PreprocessedViews {
     views: Vec<Option<SView>>,
@@ -28,20 +35,44 @@ pub struct PreprocessedViews {
 
 #[derive(Clone, Debug)]
 struct SView {
-    rel: Relation,
-    index: HashIndex,
-    link: VarSet,
+    run: KeyedRows,
+    /// The rows as a [`Relation`], built on the first
+    /// [`PreprocessedViews::materialized`] call and dropped by the next
+    /// edit. Nothing on a build, serving, spill or maintenance path asks
+    /// for it.
+    rows: OnceLock<Relation>,
 }
 
 impl PreprocessedViews {
+    fn of(runs: Vec<Option<KeyedRows>>) -> Self {
+        let views = runs
+            .into_iter()
+            .map(|run| {
+                run.map(|run| SView {
+                    run,
+                    rows: OnceLock::new(),
+                })
+            })
+            .collect();
+        PreprocessedViews { views }
+    }
+
     /// Total number of stored values across all S-views — the
     /// machine-independent space measure reported by the benchmarks (the
     /// paper's intrinsic space cost `S`).
     pub fn stored_values(&self) -> usize {
+        self.runs().map(|(_, run)| run.stored_values()).sum()
+    }
+
+    /// Heap bytes the S-views hold, from their vectors' capacities (see
+    /// [`KeyedRows::heap_bytes`]) — what `S` actually costs resident. A
+    /// row relation handed out by [`PreprocessedViews::materialized`] is
+    /// included while it is cached.
+    pub fn resident_bytes(&self) -> usize {
         self.views
             .iter()
             .flatten()
-            .map(|v| v.rel.stored_values())
+            .map(|v| v.run.heap_bytes() + v.rows.get().map_or(0, Relation::heap_bytes))
             .sum()
     }
 
@@ -50,40 +81,51 @@ impl PreprocessedViews {
         self.views.iter().flatten().count()
     }
 
-    /// The materialized relation for a node, if any.
-    pub fn view(&self, node: usize) -> Option<&Relation> {
-        self.views.get(node).and_then(|v| v.as_ref()).map(|v| &v.rel)
-    }
-
-    /// Iterates `(node, reduced S-view, link variables)` over the
-    /// materialized nodes — the exact content-plus-key layout a second
-    /// storage tier (e.g. the disk backend in `cqap-store`) has to
-    /// replicate to answer through [`SViewProbe`].
-    pub fn materialized(&self) -> impl Iterator<Item = (usize, &Relation, VarSet)> + '_ {
+    /// Iterates `(node, S-view)` over the materialized nodes: the reduced
+    /// rows and their link key in the resident layout. A second storage
+    /// tier (the disk backend in `cqap-store`) streams its runs from
+    /// these.
+    pub fn runs(&self) -> impl Iterator<Item = (usize, &KeyedRows)> + '_ {
         self.views
             .iter()
             .enumerate()
-            .filter_map(|(node, v)| v.as_ref().map(|v| (node, &v.rel, v.link)))
+            .filter_map(|(node, v)| v.as_ref().map(|v| (node, &v.run)))
     }
 
-    fn sview(&self, node: usize) -> Result<&SView> {
+    /// Iterates `(node, reduced S-view, link variables)` over the
+    /// materialized nodes with each view as a row [`Relation`] — an
+    /// adapter for tools and measurements, **not** a production path: the
+    /// relation is built from the resident rows on first use (one `Tuple`
+    /// per row, as large as the pre-compaction layout) and cached until
+    /// the view is next edited. Serving probes and spills read
+    /// [`PreprocessedViews::runs`] instead.
+    pub fn materialized(&self) -> impl Iterator<Item = (usize, &Relation, VarSet)> + '_ {
+        self.views.iter().enumerate().filter_map(|(node, v)| {
+            let v = v.as_ref()?;
+            let rows = v.rows.get_or_init(|| v.run.to_relation("S"));
+            Some((node, rows, v.run.link()))
+        })
+    }
+
+    fn run(&self, node: usize) -> Result<&KeyedRows> {
         self.views
             .get(node)
             .and_then(|v| v.as_ref())
+            .map(|v| &v.run)
             .ok_or_else(|| {
                 CqapError::InvalidPmtd(format!("S-view {node} was not preprocessed"))
             })
     }
 
     /// Applies a net ΔS-view to one materialized node in place: `deletes`
-    /// leave the stored relation and its link-variable hash index,
-    /// `inserts` enter both. The caller (the delta-maintenance layer in
-    /// `cqap-panda`) computes the net lists against the view's ideal
-    /// content, so deletes are present and inserts absent; duplicates are
-    /// tolerated (the relation's set semantics absorbs them and the index
-    /// is only updated for tuples that actually entered). Both structures
-    /// are edited per tuple — the cost is `O(|inserts| + |deletes|)`,
-    /// independent of the view's size.
+    /// leave the view, `inserts` enter it. The caller (the
+    /// delta-maintenance layer in `cqap-panda`) computes the net lists
+    /// against the view's ideal content, so deletes are present and
+    /// inserts absent; duplicates and absent deletes are tolerated (set
+    /// semantics absorbs them). Each row is one position-table edit plus
+    /// a `swap_remove` or an append — the cost is
+    /// `O(|inserts| + |deletes|)`, independent of the view's size and of
+    /// the degree of the keys touched.
     ///
     /// # Errors
     /// Fails if the node has no materialized view or a tuple's arity does
@@ -101,15 +143,13 @@ impl PreprocessedViews {
             .ok_or_else(|| {
                 CqapError::InvalidPmtd(format!("S-view {node} was not preprocessed"))
             })?;
-        view.rel.remove_all(deletes);
-        view.index.remove_all(deletes);
-        let mut accepted = Vec::with_capacity(inserts.len());
-        for t in inserts {
-            if view.rel.insert(t.clone())? {
-                accepted.push(t.clone());
-            }
+        view.rows.take();
+        for t in deletes {
+            view.run.remove(t.as_slice());
         }
-        view.index.insert_all(&accepted);
+        for t in inserts {
+            view.run.insert(t.as_slice())?;
+        }
         Ok(())
     }
 }
@@ -120,11 +160,11 @@ impl PreprocessedViews {
 /// scans an S-view, it only (a) asks whether some tuple matches a key over
 /// the view's *link* variables (a semijoin probe) and (b) fetches the block
 /// of tuples matching a key (a join probe). Anything that can serve those
-/// two lookups — the in-memory [`PreprocessedViews`] hash indexes, or a
-/// disk-resident sorted run with a fence index — can sit behind the
-/// columnar engine ([`crate::CompiledPlan::answer_columnar`]) and the
-/// paper-literal reference ([`OnlineYannakakis::answer_with`]) alike, and
-/// produce identical answers.
+/// two lookups — the resident [`PreprocessedViews`] rows behind their
+/// position tables, or a disk-resident sorted run with a fence index — can
+/// sit behind the columnar engine ([`crate::CompiledPlan::answer_columnar`])
+/// and the paper-literal reference ([`OnlineYannakakis::answer_with`])
+/// alike, and produce identical answers.
 ///
 /// Keys are the projection of a view tuple onto its link variables, in
 /// ascending variable order (the [`cqap_relation::HashIndex`] convention).
@@ -140,7 +180,7 @@ pub trait SViewProbe {
     ///
     /// This is the one join-probe entry point of the storage seam, and it
     /// writes columns: the caller owns the destination, the in-memory
-    /// indexes scatter their bucket slices column-wise, the disk backend
+    /// backend copies the matching flat rows into it, the disk backend
     /// decodes its segments straight into the columns — probe results
     /// reach the executor without ever materializing a row [`Tuple`].
     ///
@@ -158,24 +198,25 @@ pub trait SViewProbe {
     fn contains(&self, node: usize, key: &Tuple) -> Result<bool>;
 }
 
-/// The in-memory backend: probes are O(1) hash lookups whose matching
-/// bucket slice is scattered column-wise into the caller's run — no row
-/// tuple is built or cloned.
+/// The in-memory backend: a probe is one position-table lookup (slot →
+/// row) whose matching flat rows are written straight into the caller's
+/// columns — no row tuple is built or cloned.
 impl SViewProbe for PreprocessedViews {
     fn schema(&self, node: usize) -> Option<&Schema> {
         self.views
             .get(node)
             .and_then(|v| v.as_ref())
-            .map(|v| v.rel.schema())
+            .map(|v| v.run.schema())
     }
 
     fn probe_columns(&self, node: usize, key: &Tuple, out: &mut ColumnRun) -> Result<()> {
-        out.extend_from_tuples(self.sview(node)?.index.probe(key));
+        self.run(node)?
+            .for_each_match(key.as_slice(), |row| out.push_row(row));
         Ok(())
     }
 
     fn contains(&self, node: usize, key: &Tuple) -> Result<bool> {
-        Ok(self.sview(node)?.index.contains_key(key))
+        Ok(self.run(node)?.contains_key(key.as_slice()))
     }
 }
 
@@ -206,54 +247,96 @@ impl OnlineYannakakis {
         }
     }
 
+    /// Checks that `node` is materialized and `vars` is its view schema.
+    fn check_s_view(&self, node: usize, vars: VarSet, found: &Schema) -> Result<()> {
+        if !self.pmtd.is_materialized(node) {
+            return Err(CqapError::InvalidPmtd(format!(
+                "node {node} is not in the materialization set"
+            )));
+        }
+        let expected = self.pmtd.view_schema(node);
+        if vars != expected {
+            return Err(CqapError::SchemaMismatch {
+                expected: format!("ν({node}) = {expected}"),
+                found: format!("{found}"),
+            });
+        }
+        Ok(())
+    }
+
+    /// Checks that every materialized node received a view.
+    fn check_all_present<T>(&self, views: &[Option<T>]) -> Result<()> {
+        match self
+            .pmtd
+            .materialization_set()
+            .into_iter()
+            .find(|&node| views[node].is_none())
+        {
+            Some(node) => Err(CqapError::InvalidPmtd(format!(
+                "missing S-view for materialized node {node}"
+            ))),
+            None => Ok(()),
+        }
+    }
+
     /// Preprocessing phase: takes the content of every S-view (one relation
     /// per materialized node, over exactly the view schema `ν(t)`), runs the
-    /// bottom-up semijoin-reduce over SS-edges, and builds one hash index
-    /// per S-view keyed on its link variables.
+    /// bottom-up semijoin-reduce over SS-edges, and stores every S-view as
+    /// one [`KeyedRows`] probed by its link variables. The relations are
+    /// only borrowed: an unreduced view's rows are copied once, flat, into
+    /// its resident run.
     pub fn preprocess(&self, s_views: &[(usize, Relation)]) -> Result<PreprocessedViews> {
         let td = self.pmtd.td();
-        let mut rels: Vec<Option<Relation>> = vec![None; td.num_nodes()];
+        let mut rels: Vec<Option<Cow<'_, Relation>>> = vec![None; td.num_nodes()];
         for (node, rel) in s_views {
-            if !self.pmtd.is_materialized(*node) {
-                return Err(CqapError::InvalidPmtd(format!(
-                    "node {node} is not in the materialization set"
-                )));
-            }
-            let expected = self.pmtd.view_schema(*node);
-            if rel.varset() != expected {
-                return Err(CqapError::SchemaMismatch {
-                    expected: format!("ν({node}) = {expected}"),
-                    found: format!("{}", rel.schema()),
-                });
-            }
-            rels[*node] = Some(rel.clone());
+            self.check_s_view(*node, rel.varset(), rel.schema())?;
+            rels[*node] = Some(Cow::Borrowed(rel));
         }
-        for node in self.pmtd.materialization_set() {
-            if rels[node].is_none() {
-                return Err(CqapError::InvalidPmtd(format!(
-                    "missing S-view for materialized node {node}"
-                )));
-            }
-        }
+        self.check_all_present(&rels)?;
         // Bottom-up semijoin-reduce over SS-edges.
         for t in td.bottom_up_order() {
             let Some(p) = td.parent(t) else { continue };
             if self.pmtd.is_materialized(t) && self.pmtd.is_materialized(p) {
-                let child = rels[t].clone().expect("S-view present");
                 let parent = rels[p].take().expect("S-view present");
-                rels[p] = Some(parent.semijoin(&child)?);
+                let reduced = parent.semijoin(rels[t].as_ref().expect("S-view present"))?;
+                rels[p] = Some(Cow::Owned(reduced));
             }
         }
-        // Index every S-view on its link variables.
-        let mut views = vec![None; td.num_nodes()];
-        for t in 0..td.num_nodes() {
-            if let Some(rel) = rels[t].take() {
-                let link = self.link(t);
-                let index = HashIndex::build(&rel, link)?;
-                views[t] = Some(SView { rel, index, link });
-            }
+        let runs = rels
+            .iter()
+            .enumerate()
+            .map(|(t, rel)| {
+                rel.as_ref()
+                    .map(|rel| KeyedRows::from_relation(rel, self.link(t)))
+                    .transpose()
+            })
+            .collect::<Result<_>>()?;
+        Ok(PreprocessedViews::of(runs))
+    }
+
+    /// Preprocessing from the S-views' *ideal* content: every view given
+    /// as `π_{ν(t)}` of the full join (see
+    /// [`KeyedRows::count_projection`], whose support counts the caller
+    /// keeps for delta maintenance). On that content the SS-edge
+    /// semijoin-reduce is a no-op — every parent row is the projection of
+    /// a full-join row that also projects into the child — so each view is
+    /// just re-keyed by its link variables: the rows and their position
+    /// table are copied as they are, nothing is hashed again.
+    ///
+    /// # Errors
+    /// Fails if a node is not materialized, a projection is not over the
+    /// node's view schema, or a materialized node is missing.
+    pub fn preprocess_projections(
+        &self,
+        projections: &[(usize, KeyedRows)],
+    ) -> Result<PreprocessedViews> {
+        let mut runs: Vec<Option<KeyedRows>> = vec![None; self.pmtd.td().num_nodes()];
+        for (node, rows) in projections {
+            self.check_s_view(*node, rows.schema().varset(), rows.schema())?;
+            runs[*node] = Some(rows.keyed_by(self.link(*node))?);
         }
-        Ok(PreprocessedViews { views })
+        self.check_all_present(&runs)?;
+        Ok(PreprocessedViews::of(runs))
     }
 
     /// Online phase (Theorem 3.7): answers the access request given the
@@ -652,6 +735,82 @@ mod tests {
         let req = AccessRequest::single(cqap.access(), &[0, 1]).unwrap();
         let expected = crate::naive::naive_answer(&cqap, &db, &req).unwrap();
         assert_eq!(oy.answer(&pre, &[], &req).unwrap(), expected);
+    }
+
+    #[test]
+    fn fused_projections_equal_hand_fed_views() {
+        // The two ways into `PreprocessedViews` — borrowed row relations
+        // (SS-edges reduced here) and counted projections of the full
+        // join (already reduced) — must store the same rows under the
+        // same link keys, for every PMTD family.
+        let (cqap3, fig3) = pmtd_families::pmtds_3reach_all().unwrap();
+        let (cqap4, reach4) = pmtd_families::pmtds_4reach().unwrap();
+        let g = Graph::skewed(40, 150, 2, 20, 61);
+        for (cqap, pmtds, db) in [
+            (cqap3, fig3, g.as_path_database(3)),
+            (cqap4, reach4, g.as_path_database(4)),
+        ] {
+            let full = crate::naive::full_join(&cqap, &db).unwrap();
+            for pmtd in &pmtds {
+                let oy = OnlineYannakakis::new(pmtd.clone());
+                let (s_views, _) = views_from_full_join(pmtd, &cqap, &db);
+                let fed = oy.preprocess(&s_views).unwrap();
+                let projections: Vec<(usize, KeyedRows)> = pmtd
+                    .materialization_set()
+                    .into_iter()
+                    .map(|t| {
+                        let counted = KeyedRows::count_projection(&full, pmtd.view_schema(t));
+                        (t, counted.unwrap())
+                    })
+                    .collect();
+                let fused = oy.preprocess_projections(&projections).unwrap();
+                assert_eq!(fused.stored_values(), fed.stored_values());
+                assert_eq!(fused.num_views(), s_views.len());
+                for ((a, fused_run), (b, fed_run)) in fused.runs().zip(fed.runs()) {
+                    assert_eq!(a, b);
+                    assert_eq!(fused_run.link(), oy.link(a));
+                    assert_eq!(fused_run, fed_run, "{} node {a}", pmtd.summary());
+                }
+                // The same validation as the hand-fed entry point.
+                assert_eq!(
+                    oy.preprocess_projections(&[]).is_err(),
+                    !s_views.is_empty()
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn the_row_relation_adapter_is_lazy_and_dropped_by_edits() {
+        let (cqap, pmtds) = pmtd_families::pmtds_3reach_fig1().unwrap();
+        let middle = &pmtds[1]; // (T134, S13)
+        let db = Graph::random(30, 120, 47).as_path_database(3);
+        let oy = OnlineYannakakis::new(middle.clone());
+        let (s_views, _) = views_from_full_join(middle, &cqap, &db);
+        let mut pre = oy.preprocess(&s_views).unwrap();
+        let compact = pre.resident_bytes();
+        assert!(compact > 0);
+        {
+            let (node, rows, link) = pre.materialized().next().unwrap();
+            assert_eq!((node, link), (s_views[0].0, oy.link(node)));
+            assert_eq!(rows, &s_views[0].1);
+        }
+        assert!(
+            pre.resident_bytes() > compact,
+            "the adapter's row relation is resident while cached"
+        );
+        let fresh = Tuple::pair(9_001, 9_002);
+        pre.apply_delta(s_views[0].0, std::slice::from_ref(&fresh), &[])
+            .unwrap();
+        let edited = pre.resident_bytes();
+        assert!(edited < compact + 1_024, "an edit drops the cached adapter");
+        let (_, rows, _) = pre.materialized().next().unwrap();
+        assert_eq!(rows.len(), s_views[0].1.len() + 1);
+        assert!(rows.contains(&fresh));
+        // Wrong-arity deltas are refused.
+        assert!(pre
+            .apply_delta(s_views[0].0, &[Tuple::triple(1, 2, 3)], &[])
+            .is_err());
     }
 
     #[test]
