@@ -8,18 +8,22 @@
 //! index over it. Both are request-independent, so a compiled T-view program
 //! hoists them to build time:
 //!
-//! * a bag containing **no access variable** has a request-independent
-//!   T-view: its content is joined once at build time and reused as-is
-//!   (the program's static form);
+//! * a bag containing **no access variable** and covered by its atoms has
+//!   a request-independent T-view: its content is joined once at build
+//!   time and folded into the plan;
 //! * a bag **covered by its atoms and access pattern** compiles to a
-//!   chain of pre-built [`HashIndex`]es keyed on the join variables: the
-//!   per-request work is one index probe per accumulator tuple, never a
-//!   scan of the database. The programs hold *slot numbers* into the
-//!   index's [`AtomIndexCache`], not the indexes themselves, so delta
-//!   maintenance edits the one copy in place and every pipeline reads the
-//!   live content without being recompiled;
-//! * the rare uncovered bag (hand-written decompositions) falls back to
-//!   the full join, which is precomputed once and shared.
+//!   `JoinChain` (`chain.rs`) over its atoms' pre-built [`HashIndex`]es,
+//!   seeded by the request projected onto the bag: the per-request work is
+//!   one index probe per row, never a scan of the database. The programs hold
+//!   *slot numbers* into the index's [`AtomIndexCache`], not the indexes
+//!   themselves, so delta maintenance edits the one copy in place and
+//!   every pipeline reads the live content without being recompiled;
+//! * the rare **uncovered** bag (hand-written decompositions) is the same
+//!   chain over *all* atoms seeded by the *whole* request, its rows
+//!   projected onto the bag and deduplicated: `π_bag(J ⋉ request)`, sound
+//!   by the naive evaluator's argument (joining every atom with the
+//!   request yields exactly the full-join rows the request selects). It
+//!   reads the live indexes too, so it folds nothing and never goes stale.
 //!
 //! A [`CompiledPmtd`] pairs these programs with the
 //! [`CompiledPlan`] for the PMTD; [`answer_with_compiled`] is the driver
@@ -27,7 +31,6 @@
 //! disk-resident `StoredIndex`), mirroring
 //! [`answer_with_plans`](crate::answer_with_plans) step for step.
 
-use std::borrow::Cow;
 use std::cell::RefCell;
 use std::sync::Arc;
 
@@ -38,6 +41,8 @@ use cqap_yannakakis::naive::atom_relation;
 use cqap_yannakakis::{
     ColumnRun, ColumnarScratch, CompiledPlan, KeyMemo, OnlineYannakakis, SViewProbe,
 };
+
+use crate::chain::{ChainScratch, JoinChain, MORSEL_ROWS};
 
 thread_local! {
     /// One scratch arena per serving worker: the pool threads of
@@ -59,12 +64,16 @@ pub struct DriverScratch {
     /// The plan executor's arena (handed to
     /// `CompiledPlan::answer_from_columns`).
     col: ColumnarScratch,
-    /// Ping buffer of the T-view join chains.
-    col_acc: ColumnRun,
-    /// Reused key-projection buffer of the T-view programs.
-    key_vals: Vec<Val>,
-    /// Seed-deduplication memo for multi-tuple requests.
-    seed_memo: KeyMemo<()>,
+    /// A T-view program's seed: the request projected onto its start
+    /// variables.
+    seed: ColumnRun,
+    /// The per-step runs of the T-view join chains.
+    chain: ChainScratch,
+    /// Reused projection buffer of the T-view programs.
+    vals: Vec<Val>,
+    /// Deduplication memo: of the seed of a multi-tuple request, then of
+    /// an uncovered bag's final projection.
+    memo: KeyMemo<()>,
     /// Pooled per-program output runs.
     slot_runs: Vec<ColumnRun>,
 }
@@ -146,117 +155,67 @@ impl AtomIndexCache {
     }
 }
 
-/// One pre-resolved join of the accumulator with an in-bag atom: the
-/// atom's relation is indexed once, at build time, on the variables it
-/// shares with the accumulator schema at this point of the chain.
-#[derive(Clone, Debug)]
-struct PreJoin {
-    /// The atom's index in the [`AtomIndexCache`] of the owning backend.
-    slot: usize,
-    /// Shared-variable positions in the accumulator schema.
-    key_positions: Vec<usize>,
-    /// Atom-side positions of the columns appended to the output.
-    appended: Vec<usize>,
-}
-
-/// How one T-view is produced per request.
-#[derive(Clone, Debug)]
-enum TViewKind {
-    /// No access variable in the bag: the content is request-independent
-    /// and fully precomputed.
-    Static(Arc<Relation>),
-    /// Start from the request projected onto the bag's access variables,
-    /// then run the pre-indexed join chain.
-    Dynamic {
-        /// Positions of the bag's access variables in the request schema.
-        start_positions: Vec<usize>,
-        joins: Vec<PreJoin>,
-    },
-    /// Uncovered bag: semijoin the precomputed full join by the request
-    /// and project onto the bag.
-    Fallback { bag: VarSet, full: Arc<Relation> },
-}
-
-/// A compiled producer for the T-view of one non-materialized node.
+/// The compiled producer of the T-view of one non-materialized node whose
+/// content depends on the request: start from the request projected onto
+/// the start variables, then run the pre-indexed join chain.
 #[derive(Clone, Debug)]
 struct TViewProgram {
     node: usize,
     schema: Schema,
-    kind: TViewKind,
+    /// Positions of the start variables in the request schema.
+    start_positions: Vec<usize>,
+    chain: JoinChain,
+    /// Uncovered bag: the bag's positions in the chain's rows, which are
+    /// projected onto it and deduplicated.
+    project: Option<Vec<usize>>,
 }
 
 impl TViewProgram {
     /// Produces the T-view for `request` directly as a [`ColumnRun`] in
     /// the compile-time column order, so the view's tuples never exist in
-    /// row form. Only called for non-static programs (static content lives
-    /// folded inside the plan).
+    /// row form.
     fn exec_columns(
         &self,
         atom_indexes: &AtomIndexCache,
         request: &AccessRequest,
         out: &mut ColumnRun,
-        ping: &mut ColumnRun,
-        key_vals: &mut Vec<Val>,
-        seed_memo: &mut KeyMemo<()>,
-    ) -> Result<()> {
-        match &self.kind {
-            TViewKind::Static(_) => unreachable!("static T-views are folded into the plan"),
-            TViewKind::Dynamic {
-                start_positions,
-                joins,
-            } => {
-                // Seed: the request projected onto the bag's access
-                // variables, deduplicated, straight into columns.
-                out.reset(start_positions.len());
-                if request.len() <= 1 {
-                    for t in request.tuples() {
-                        t.project_into(start_positions, key_vals);
-                        out.push_row(key_vals);
-                    }
-                } else {
-                    seed_memo.clear();
-                    for t in request.tuples() {
-                        t.project_into(start_positions, key_vals);
-                        let hash = hash_vals(key_vals);
-                        if seed_memo.insert_if_absent(hash, key_vals) {
-                            out.push_row(key_vals);
-                        }
-                    }
-                }
-                // The pre-indexed join chain: probe the build-time index
-                // per row, append matches as column pushes (the key tuple
-                // is the only row-shaped value, and it stays inline).
-                for join in joins {
-                    let index = atom_indexes.index(join.slot);
-                    ping.reset(out.width() + join.appended.len());
-                    for r in 0..out.rows() {
-                        out.project_row_into(r, &join.key_positions, key_vals);
-                        let key = Tuple::from_slice(key_vals);
-                        for rt in index.probe(&key) {
-                            ping.push_join_row(out, r, rt.as_slice(), &join.appended);
-                        }
-                    }
-                    std::mem::swap(out, ping);
-                }
-                Ok(())
+        scratch: &mut DriverScratch,
+    ) {
+        let DriverScratch { seed, chain, vals, memo, .. } = scratch;
+        // Seed: the request projected onto the start variables,
+        // deduplicated, straight into columns.
+        seed.reset(self.start_positions.len());
+        if request.len() <= 1 {
+            for t in request.tuples() {
+                t.project_into(&self.start_positions, vals);
+                seed.push_row(vals);
             }
-            TViewKind::Fallback { bag, full } => {
-                let restricted = if request.access().is_empty() {
-                    Cow::Borrowed(full.as_ref())
-                } else {
-                    Cow::Owned(full.semijoin(&request.as_relation())?)
-                };
-                let rel = restricted.project_onto(*bag)?;
-                debug_assert_eq!(rel.schema(), &self.schema);
-                out.reset(rel.schema().arity());
-                out.extend_from_tuples(rel.tuples());
-                Ok(())
+        } else {
+            memo.clear();
+            for t in request.tuples() {
+                t.project_into(&self.start_positions, vals);
+                if memo.insert_if_absent(hash_vals(vals), vals) {
+                    seed.push_row(vals);
+                }
             }
         }
-    }
-
-    fn is_static(&self) -> bool {
-        matches!(self.kind, TViewKind::Static(_))
+        out.reset(self.schema.arity());
+        if self.project.is_some() {
+            memo.clear();
+        }
+        let mut emit = |rows: &ColumnRun| match &self.project {
+            None => out.append_columns(rows.rows(), |j, col| col.extend_from_slice(rows.col(j))),
+            Some(positions) => {
+                for r in 0..rows.rows() {
+                    rows.project_row_into(r, positions, vals);
+                    if memo.insert_if_absent(hash_vals(vals), vals) {
+                        out.push_row(vals);
+                    }
+                }
+            }
+        };
+        let no_skip = |_, _: &Tuple| false;
+        self.chain.run(0, atom_indexes, seed, MORSEL_ROWS, &no_skip, chain, &mut emit);
     }
 }
 
@@ -266,31 +225,28 @@ impl TViewProgram {
 /// Compiled once per plan at index build time and shared by `Arc` when a
 /// second backend (e.g. a disk spill) reuses the same preprocessing
 /// output. A delta leaves it valid unless it touches content folded in
-/// at compile time (static and fallback T-views): the dynamic programs
-/// read the live [`AtomIndexCache`] and the plan probes the live S-views.
+/// at compile time (static T-views): the dynamic programs read the live
+/// [`AtomIndexCache`] and the plan probes the live S-views.
 #[derive(Clone, Debug)]
 pub struct CompiledPmtd {
     access: VarSet,
     /// Stored relations whose content was folded into this pipeline at
-    /// compile time (static and fallback T-views), sorted and distinct.
+    /// compile time (static T-views), sorted and distinct.
     folded: Vec<String>,
+    /// The per-request T-view programs. (A static T-view — no access
+    /// variable in the bag, covered by its atoms — is joined once at
+    /// compile time and lives folded inside the plan.)
     programs: Vec<TViewProgram>,
-    /// Indices into `programs` of the non-static (per-request) programs —
-    /// precomputed so the warm columnar path never re-partitions (or
-    /// allocates) per request.
-    dynamic: Vec<usize>,
     plan: CompiledPlan,
 }
 
 impl CompiledPmtd {
     /// Compiles the T-view programs and the probe plan for `evaluator`'s
-    /// PMTD against the backend `views`. `full` is the precomputed full
-    /// join of the query (the build phase has it anyway); it is retained
-    /// only if some bag needs the fallback path. The join indexes of the
-    /// dynamic programs are looked up (or built) in `atom_indexes`, the
-    /// table the compiled pipeline must be answered against — a
-    /// multi-PMTD build shares one index per distinct (atom, join-key)
-    /// pair instead of building it per PMTD.
+    /// PMTD against the backend `views`. The join indexes of the dynamic
+    /// programs are looked up (or built) in `atom_indexes`, the table the
+    /// compiled pipeline must be answered against — a multi-PMTD build
+    /// shares one index per distinct (atom, join-key) pair instead of
+    /// building it per PMTD.
     ///
     /// # Errors
     /// Propagates schema/atom resolution failures; fails if a probed
@@ -300,132 +256,86 @@ impl CompiledPmtd {
         db: &Database,
         evaluator: &OnlineYannakakis,
         views: &V,
-        full: &Relation,
         atom_indexes: &mut AtomIndexCache,
     ) -> Result<CompiledPmtd> {
         let pmtd = evaluator.pmtd();
         let access = cqap.access();
+        let atoms = cqap.cq().atoms();
         let request_schema = Schema::of(access.iter());
-        let mut full_arc: Option<Arc<Relation>> = None;
         let mut programs = Vec::new();
+        let mut statics: Vec<(usize, Relation)> = Vec::new();
+        let mut t_schemas: Vec<(usize, Schema)> = Vec::new();
         let mut folded: Vec<String> = Vec::new();
-        let all_relations = || cqap.cq().atoms().iter().map(|a| a.relation.clone());
         for node in 0..pmtd.td().num_nodes() {
             if pmtd.is_materialized(node) {
                 continue;
             }
             let bag = pmtd.td().bag(node);
             let access_in_bag = access.intersect(bag);
-            let in_bag_atoms: Vec<_> = cqap
-                .cq()
-                .atoms()
-                .iter()
-                .filter(|atom| atom.varset().is_subset(bag))
+            let in_bag: Vec<usize> = (0..atoms.len())
+                .filter(|&i| atoms[i].varset().is_subset(bag))
                 .collect();
+            let atom_vars = in_bag
+                .iter()
+                .fold(VarSet::EMPTY, |vars, &i| vars.union(atoms[i].varset()));
 
-            let fallback = |full_arc: &mut Option<Arc<Relation>>, folded: &mut Vec<String>| {
-                let full = full_arc
-                    .get_or_insert_with(|| Arc::new(full.clone()))
-                    .clone();
-                folded.extend(all_relations());
-                TViewProgram {
-                    node,
-                    schema: Schema::of(bag.iter()),
-                    kind: TViewKind::Fallback { bag, full },
-                }
-            };
-
-            let program = if access_in_bag.is_empty() {
+            if access_in_bag.is_empty() && atom_vars == bag && !in_bag.is_empty() {
                 // Request-independent: join the in-bag atoms once, now.
-                let mut acc: Option<Relation> = None;
-                for atom in &in_bag_atoms {
-                    let rel = atom_relation(db, atom)?;
-                    acc = Some(match acc {
-                        None => rel,
-                        Some(prev) => prev.join(&rel)?,
-                    });
+                let mut rel = atom_relation(db, &atoms[in_bag[0]])?;
+                for &i in &in_bag[1..] {
+                    rel = rel.join(&atom_relation(db, &atoms[i])?)?;
                 }
-                match acc {
-                    Some(rel) if rel.varset() == bag => {
-                        // The plan folds a static bag's reduction by a
-                        // materialized child too, and an S-view is a
-                        // projection of the full join: it reads every atom.
-                        if pmtd.td().children(node).iter().any(|&c| pmtd.is_materialized(c)) {
-                            folded.extend(all_relations());
-                        } else {
-                            folded.extend(in_bag_atoms.iter().map(|a| a.relation.clone()));
-                        }
-                        TViewProgram {
-                            node,
-                            schema: rel.schema().clone(),
-                            kind: TViewKind::Static(Arc::new(rel)),
-                        }
-                    }
-                    _ => fallback(&mut full_arc, &mut folded),
-                }
-            } else {
-                // Simulate the join chain's schemas and index each atom
-                // on its (statically known) join variables.
-                let start_positions = request_schema.positions_of_set(access_in_bag)?;
-                let mut schema = request_schema.project(access_in_bag);
-                let mut joins = Vec::with_capacity(in_bag_atoms.len());
-                for atom in &in_bag_atoms {
-                    let atom_schema = Schema::new(atom.vars.clone())?;
-                    let shared = schema.varset().intersect(atom_schema.varset());
-                    let out_schema = schema.join(&atom_schema);
-                    let appended = out_schema.vars()[schema.arity()..]
-                        .iter()
-                        .map(|&v| atom_schema.position(v).expect("appended var"))
-                        .collect();
-                    joins.push(PreJoin {
-                        slot: atom_indexes.slot_for(db, atom, shared)?,
-                        key_positions: schema.positions_of_set(shared)?,
-                        appended,
-                    });
-                    schema = out_schema;
-                }
-                if schema.varset() == bag {
-                    TViewProgram {
-                        node,
-                        schema,
-                        kind: TViewKind::Dynamic {
-                            start_positions,
-                            joins,
-                        },
-                    }
+                // The plan folds a static bag's reduction by a
+                // materialized child too, and an S-view is a
+                // projection of the full join: it reads every atom.
+                if pmtd.td().children(node).iter().any(|&c| pmtd.is_materialized(c)) {
+                    folded.extend(atoms.iter().map(|a| a.relation.clone()));
                 } else {
-                    fallback(&mut full_arc, &mut folded)
+                    folded.extend(in_bag.iter().map(|&i| atoms[i].relation.clone()));
                 }
+                t_schemas.push((node, rel.schema().clone()));
+                statics.push((node, rel));
+                continue;
+            }
+            // A covered bag joins its own atoms onto its share of the
+            // request; an uncovered one joins every atom onto the whole
+            // request and projects onto the bag.
+            let covered = access_in_bag.union(atom_vars) == bag;
+            let (start, join) = if covered {
+                (access_in_bag, in_bag)
+            } else {
+                (access, (0..atoms.len()).collect())
             };
-            programs.push(program);
+            let start_schema = request_schema.project(start);
+            let chain = JoinChain::compile(db, atom_indexes, atoms, start_schema, join)?;
+            let (schema, project) = if covered {
+                (chain.schema().clone(), None)
+            } else {
+                let positions = chain.schema().positions_of_set(bag)?;
+                (Schema::of(bag.iter()), Some(positions))
+            };
+            t_schemas.push((node, schema.clone()));
+            programs.push(TViewProgram {
+                node,
+                schema,
+                start_positions: request_schema.positions_of_set(start)?,
+                chain,
+                project,
+            });
         }
 
-        let t_schemas: Vec<(usize, Schema)> = programs
-            .iter()
-            .map(|p| (p.node, p.schema.clone()))
-            .collect();
-        // Static programs produce the same content on every request, so
+        // Static T-views produce the same content on every request, so
         // their reductions are hoisted out of the per-request plan: the
         // plan folds static-only edges at compile time and prebuilds
         // key sets / join indexes over the still-static sides.
-        let statics: Vec<(usize, &Relation)> = programs
-            .iter()
-            .filter_map(|p| match &p.kind {
-                TViewKind::Static(rel) => Some((p.node, rel.as_ref())),
-                _ => None,
-            })
-            .collect();
+        let statics: Vec<(usize, &Relation)> = statics.iter().map(|(n, rel)| (*n, rel)).collect();
         let plan = evaluator.compile_with_statics(views, &t_schemas, &statics)?;
-        let dynamic = (0..programs.len())
-            .filter(|&i| !programs[i].is_static())
-            .collect();
         folded.sort_unstable();
         folded.dedup();
         Ok(CompiledPmtd {
             access,
             folded,
             programs,
-            dynamic,
             plan,
         })
     }
@@ -434,21 +344,10 @@ impl CompiledPmtd {
     /// this pipeline stale. Dynamic T-view programs read the live atom
     /// indexes and the plan probes the live S-views, so only content
     /// folded at compile time can go stale: a static (access-free) bag's
-    /// join and its folded reductions, or a fallback bag's retained full
-    /// join. None of the Figure-1 plans folds anything.
+    /// join and its folded reductions. None of the Figure-1 plans folds
+    /// anything.
     pub(crate) fn is_stale_after(&self, touched: &[String]) -> bool {
         touched.iter().any(|t| self.folded.binary_search(t).is_ok())
-    }
-
-    /// Whether some bag of this plan uses the fallback T-view path (and
-    /// therefore retains the full join): recompiles after a delta must
-    /// recompute the full join exactly when this is true. Fallback-ness
-    /// is decided purely from schemas, so it is stable across recompiles
-    /// over the same CQAP and PMTD.
-    pub(crate) fn needs_full(&self) -> bool {
-        self.programs
-            .iter()
-            .any(|p| matches!(p.kind, TViewKind::Fallback { .. }))
     }
 
     /// Answers one request: the T-view programs write their output directly as
@@ -473,34 +372,18 @@ impl CompiledPmtd {
             });
         }
         let mut runs = std::mem::take(&mut scratch.slot_runs);
-        while runs.len() < self.dynamic.len() {
+        while runs.len() < self.programs.len() {
             runs.push(ColumnRun::new());
         }
-        let mut result = Ok(());
-        for (&i, run) in self.dynamic.iter().zip(runs.iter_mut()) {
-            result = self.programs[i].exec_columns(
-                atom_indexes,
-                request,
-                run,
-                &mut scratch.col_acc,
-                &mut scratch.key_vals,
-                &mut scratch.seed_memo,
-            );
-            if result.is_err() {
-                break;
-            }
+        for (program, run) in self.programs.iter().zip(runs.iter_mut()) {
+            program.exec_columns(atom_indexes, request, run, scratch);
         }
-        let answer = result.and_then(|()| {
-            self.plan.answer_from_columns(
-                views,
-                self.dynamic
-                    .iter()
-                    .map(|&i| self.programs[i].node)
-                    .zip(runs.iter().map(|r| &*r)),
-                request,
-                &mut scratch.col,
-            )
-        });
+        let answer = self.plan.answer_from_columns(
+            views,
+            self.programs.iter().map(|p| p.node).zip(runs.iter()),
+            request,
+            &mut scratch.col,
+        );
         scratch.slot_runs = runs;
         answer
     }
@@ -570,17 +453,8 @@ mod tests {
         atom_indexes: &AtomIndexCache,
         request: &AccessRequest,
     ) -> Relation {
-        let (mut out, mut ping) = (ColumnRun::new(), ColumnRun::new());
-        program
-            .exec_columns(
-                atom_indexes,
-                request,
-                &mut out,
-                &mut ping,
-                &mut Vec::new(),
-                &mut KeyMemo::default(),
-            )
-            .unwrap();
+        let mut out = ColumnRun::new();
+        program.exec_columns(atom_indexes, request, &mut out, &mut DriverScratch::new());
         let mut row = Vec::new();
         let rows = (0..out.rows()).map(|r| {
             out.row_into(r, &mut row);
@@ -591,41 +465,72 @@ mod tests {
         rel
     }
 
+    /// The 4-path query under the access pattern `{x1,x5}` on the
+    /// hand-written decomposition `{x1,x3,x5} → {x1,x2,x3}, {x3,x4,x5}`,
+    /// nothing materialized: no atom lies inside the root bag and `x3` is
+    /// no access variable, so the root is *uncovered* and its program is
+    /// the all-atoms chain seeded by the whole request.
+    fn uncovered_bag_fixture() -> (Cqap, Vec<cqap_decomp::Pmtd>) {
+        use cqap_common::vars;
+        use cqap_decomp::{Pmtd, TreeDecomposition};
+        let path = cqap_query::families::k_path_distinct(4);
+        let cqap = Cqap::new(path.cq().clone(), VarSet::from_iter([0, 4])).unwrap();
+        let td = TreeDecomposition::new(
+            vec![vars![1, 3, 5], vars![1, 2, 3], vars![3, 4, 5]],
+            vec![None, Some(0), Some(0)],
+            0,
+        )
+        .unwrap();
+        let pmtds = vec![Pmtd::for_cqap(td, [], &cqap).unwrap()];
+        (cqap, pmtds)
+    }
+
     #[test]
     fn compiled_t_views_match_the_interpreted_ones() {
-        let (cqap, pmtds) = pf::pmtds_3reach_fig1().unwrap();
         let g = Graph::random(35, 150, 3);
-        let db = g.as_path_database(3);
-        let full = full_join(&cqap, &db).unwrap();
-        for pmtd in &pmtds {
-            let evaluator = OnlineYannakakis::new(pmtd.clone());
-            let mut s_views = Vec::new();
-            for node in pmtd.materialization_set() {
-                s_views.push((node, full.project_onto(pmtd.view_schema(node)).unwrap()));
-            }
-            let pre = evaluator.preprocess(&s_views).unwrap();
-            let mut atom_indexes = AtomIndexCache::default();
-            let compiled =
-                CompiledPmtd::compile(&cqap, &db, &evaluator, &pre, &full, &mut atom_indexes)
-                    .unwrap();
-            for (u, v) in graph_pair_requests(&g, 15, 5) {
-                let request = AccessRequest::single(cqap.access(), &[u, v]).unwrap();
-                let expected = online_t_views(&cqap, &db, pmtd, &request).unwrap();
-                for program in &compiled.programs {
-                    let produced;
-                    let got: &Relation = match &program.kind {
-                        TViewKind::Static(rel) => rel,
-                        _ => {
-                            produced = exec_to_relation(program, &atom_indexes, &request);
-                            &produced
-                        }
-                    };
-                    let want = expected
-                        .iter()
-                        .find(|(n, _)| *n == program.node)
-                        .map(|(_, r)| r)
-                        .expect("same node set");
-                    assert_eq!(got, want, "node {} of {}", program.node, pmtd.summary());
+        let (fig1, fig1_pmtds) = pf::pmtds_3reach_fig1().unwrap();
+        let (uncovered, uncovered_pmtds) = uncovered_bag_fixture();
+        for (cqap, pmtds, db, uncovered_bags) in [
+            (fig1, fig1_pmtds, g.as_path_database(3), 0),
+            (uncovered, uncovered_pmtds, g.as_path_database(4), 1),
+        ] {
+            let full = full_join(&cqap, &db).unwrap();
+            for pmtd in &pmtds {
+                let evaluator = OnlineYannakakis::new(pmtd.clone());
+                let mut s_views = Vec::new();
+                for node in pmtd.materialization_set() {
+                    s_views.push((node, full.project_onto(pmtd.view_schema(node)).unwrap()));
+                }
+                let pre = evaluator.preprocess(&s_views).unwrap();
+                let mut atom_indexes = AtomIndexCache::default();
+                let compiled =
+                    CompiledPmtd::compile(&cqap, &db, &evaluator, &pre, &mut atom_indexes)
+                        .unwrap();
+                let projected = compiled.programs.iter().filter(|p| p.project.is_some());
+                assert_eq!(projected.count(), uncovered_bags);
+                assert_eq!(compiled.programs.len(), pmtd.td().num_nodes() - s_views.len());
+                for (u, v) in graph_pair_requests(&g, 15, 5) {
+                    let request = AccessRequest::single(cqap.access(), &[u, v]).unwrap();
+                    let expected = online_t_views(&cqap, &db, pmtd, &request).unwrap();
+                    for program in &compiled.programs {
+                        let want = expected
+                            .iter()
+                            .find(|(n, _)| *n == program.node)
+                            .map(|(_, r)| r)
+                            .expect("same node set");
+                        // The chain's join order is connectivity-greedy,
+                        // the reference's is the query's: same content,
+                        // possibly other column order.
+                        let got = exec_to_relation(program, &atom_indexes, &request)
+                            .reorder(want.schema());
+                        assert_eq!(
+                            &got.unwrap(),
+                            want,
+                            "node {} of {}",
+                            program.node,
+                            pmtd.summary()
+                        );
+                    }
                 }
             }
         }

@@ -1,4 +1,5 @@
-//! Compiled delta plans: incremental maintenance of the S-views.
+//! Delta maintenance of the S-views — and their build, which is the same
+//! pass from empty.
 //!
 //! The paper's preprocessing phase materializes, per PMTD, the S-views as
 //! semijoin-reduced projections of the full join `J = ⋈_F R_F`. Because
@@ -13,16 +14,25 @@
 //! * `ΔJ⁺ = ⋃_a (ΔR⁺ renamed to atom a) ⋈ (all other atoms over the
 //!   post-delta database)` — the J-rows that appear.
 //!
-//! (Net deltas are disjoint from / contained in the stored relations, so
-//! both unions are exact — no overcounting across atoms beyond the set
-//! union.) A support count per (plan, materialized node, view tuple)
-//! tracks how many J-rows project onto it; a view tuple leaves its S-view
-//! when its count reaches zero and enters when it departs from zero.
+//! A support count per (plan, materialized node, view tuple) tracks how
+//! many J-rows project onto it; a view tuple leaves its S-view when its
+//! count reaches zero and enters when it departs from zero.
 //!
-//! The per-atom join chains are **compiled once at build time** (schemas,
-//! key positions, appended columns, atom-index slots — the same
-//! pre-resolved shape as the T-view programs of `compiled.rs`) and execute
-//! by probing the shared [`AtomIndexCache`].
+//! Each atom's term is one `JoinChain` (the chain type of the T-view
+//! programs, compiled once at build time) seeded with that atom's net
+//! tuples, and its rows are **streamed**: every morsel is projected onto
+//! every view and bumps that view's counts straight from the columns, so
+//! no `ΔJ` relation exists. That needs the unions above to be disjoint,
+//! and they are not: a J-row whose tuples under two atoms are both in the
+//! batch (any self-join, any multi-relation batch) comes out of both
+//! chains. The **first-atom rule** attributes it to the first atom whose
+//! tuple is in that side's delta: while atom `a`'s chain runs, a probed
+//! tuple of an atom `b < a` that is in `ΔR_b` is skipped at the step
+//! joining `b` — a lookup in the batch-sized delta set.
+//!
+//! **Build is a delta from empty**: every J-row is new and atom 0 is its
+//! first atom, so [`DeltaMaintenance::build`] runs atom 0's chain seeded
+//! with all of `R₀` into empty count tables — `J` is streamed, never held.
 //!
 //! Every step of an apply costs `O(|Δ| + |ΔJ|)`, never `O(|D|)`:
 //!
@@ -31,131 +41,102 @@
 //! * the atom indexes over a touched relation are **edited in place**
 //!   (`HashIndex::{remove_all, insert_all}`, bucket by bucket) between the
 //!   ΔJ⁻ and ΔJ⁺ joins — the cache is their single owner, T-view programs
-//!   and delta plans only hold slot numbers, so nothing is evicted,
+//!   and delta chains only hold slot numbers, so nothing is evicted,
 //!   rebuilt or re-shared;
 //! * because the compiled pipelines read those live indexes (and probe
 //!   the live S-views), a plan is **recompiled only when content folded
 //!   into it at compile time is stale**: a static (access-free) bag whose
-//!   atoms — or a fallback bag whose full join — read a touched relation
-//!   ([`DeltaMaintenance::refresh`]). None of the Figure-1 plans folds
-//!   anything, so their deltas recompile nothing.
+//!   atoms read a touched relation ([`DeltaMaintenance::refresh`]). None
+//!   of the Figure-1 plans folds anything, so their deltas recompile
+//!   nothing.
 
 use std::sync::Arc;
 
-use cqap_common::{FxHashMap, Result, Tuple};
+use cqap_common::{FxHashSet, Result, Tuple, Val};
+use cqap_decomp::Pmtd;
 use cqap_delta::{net_effect, DeltaBatch, DeltaStats, RelationDelta};
 use cqap_obs::{CounterId, MetricsSink, StageId, TraceStage};
-use cqap_query::Cqap;
-use cqap_relation::{Database, KeyedRows, Relation, RelationBuilder, Schema};
-use cqap_yannakakis::naive::full_join;
-use cqap_yannakakis::{OnlineYannakakis, SViewProbe};
+use cqap_query::{Atom, Cqap};
+use cqap_relation::{Database, KeyedRows, Schema};
+use cqap_yannakakis::{ColumnRun, OnlineYannakakis, SViewProbe};
 
+use crate::chain::{ChainScratch, JoinChain, MORSEL_ROWS};
 use crate::compiled::{AtomIndexCache, CompiledPmtd};
 
-/// One pre-resolved join step of a delta plan: joining the accumulated
-/// ΔJ-prefix with one other atom of the query, probing that atom's
-/// build-time hash index on the (statically known) shared variables.
-#[derive(Clone, Debug)]
-struct DeltaStep {
-    /// The joined atom's index, keyed on the variables it shares with the
-    /// chain schema so far, in the [`AtomIndexCache`].
-    slot: usize,
-    /// Positions of the shared variables in the chain schema at this step.
-    key_positions: Vec<usize>,
-    /// Atom-side positions of the columns appended to the chain.
-    appended: Vec<usize>,
-}
-
-/// The compiled delta plan of one atom: how a batch of that atom's tuple
-/// deltas expands to full-join row deltas. Compiled once per atom at
-/// index build time; the join order is connectivity-greedy so each step
-/// keys on a non-empty shared variable set whenever the query allows it.
-#[derive(Clone, Debug)]
-struct DeltaProgram {
-    /// The delta tuples renamed to the atom's variables.
-    schema: Schema,
-    steps: Vec<DeltaStep>,
-}
-
-impl DeltaProgram {
-    fn compile(
-        cqap: &Cqap,
-        db: &Database,
-        a: usize,
-        atom_indexes: &mut AtomIndexCache,
-    ) -> Result<DeltaProgram> {
-        let atoms = cqap.cq().atoms();
-        let schema = Schema::new(atoms[a].vars.clone())?;
-        let mut chain = schema.clone();
-        let mut remaining: Vec<usize> = (0..atoms.len()).filter(|&b| b != a).collect();
-        let mut steps = Vec::with_capacity(remaining.len());
-        while !remaining.is_empty() {
-            let pick = remaining
-                .iter()
-                .position(|&b| {
-                    !Schema::new(atoms[b].vars.clone())
-                        .map(|s| s.varset().intersect(chain.varset()).is_empty())
-                        .unwrap_or(true)
-                })
-                .unwrap_or(0);
-            let b = remaining.remove(pick);
-            let b_schema = Schema::new(atoms[b].vars.clone())?;
-            let shared = chain.varset().intersect(b_schema.varset());
-            let out = chain.join(&b_schema);
-            let appended = out.vars()[chain.arity()..]
-                .iter()
-                .map(|&v| b_schema.position(v).expect("appended var"))
-                .collect();
-            steps.push(DeltaStep {
-                slot: atom_indexes.slot_for(db, &atoms[b], shared)?,
-                key_positions: chain.positions_of_set(shared)?,
-                appended,
-            });
-            chain = out;
-        }
-        Ok(DeltaProgram { schema, steps })
-    }
-
-    /// Expands this atom's tuple delta into full-join row deltas by
-    /// running the compiled chain against the live atom indexes (which
-    /// hold the pre-delta database for ΔJ⁻ and the post-delta one for ΔJ⁺).
-    fn exec(&self, tuples: &[Tuple], atom_indexes: &AtomIndexCache) -> Result<Relation> {
-        let mut acc =
-            Relation::from_tuples("ΔR", self.schema.clone(), tuples.iter().cloned())?;
-        for step in &self.steps {
-            let index = atom_indexes.index(step.slot);
-            let out_schema = acc.schema().join(index.schema());
-            // A join of two sets is duplicate-free by construction (the
-            // probed tuple is determined by the key plus the appended
-            // columns), so the builder skips the dedup set.
-            let mut out = RelationBuilder::distinct("ΔJ", out_schema);
-            for lt in acc.iter() {
-                let key = lt.project(&step.key_positions);
-                for rt in index.probe(&key) {
-                    out.push(lt.concat_projected(rt, &step.appended));
-                }
-            }
-            acc = out.finish();
-        }
-        Ok(acc)
-    }
-}
-
-/// Support counts for one materialized node of one plan: how many
-/// full-join rows project onto each stored view tuple — a counted
-/// [`KeyedRows`] over the view schema (ascending variable order), the
-/// same compact layout as the resident S-view itself.
-#[derive(Clone, Debug)]
-struct ViewCounts {
-    node: usize,
-    counts: KeyedRows,
-}
-
-/// Which side of a net delta to expand through the delta plans.
+/// Which side of a net delta to expand through the delta chains.
 #[derive(Clone, Copy)]
 enum Side {
     Inserts,
     Deletes,
+}
+
+/// Streams one side of the full-join delta of `deltas` into `sink`, which
+/// gets each morsel with the atom whose chain (and so whose column order)
+/// produced it: `Side::Deletes` against indexes holding the pre-delta
+/// database is `J_old ∖ J_new`, `Side::Inserts` against the post-delta
+/// ones `J_new ∖ J_old` — each row exactly once, by the first-atom rule
+/// of the module docs.
+fn stream_delta_join(
+    chains: &[JoinChain],
+    atom_indexes: &AtomIndexCache,
+    atoms: &[Atom],
+    deltas: &[RelationDelta],
+    side: Side,
+    cap: usize,
+    sink: &mut impl FnMut(usize, &ColumnRun),
+) {
+    // Per atom, this side's net tuples of its relation.
+    let changed = atoms.iter().map(|atom| {
+        match (deltas.iter().find(|d| d.relation == atom.relation), side) {
+            (None, _) => &[][..],
+            (Some(delta), Side::Inserts) => &delta.inserts,
+            (Some(delta), Side::Deletes) => &delta.deletes,
+        }
+    });
+    let mut earlier: Vec<FxHashSet<&Tuple>> = Vec::with_capacity(atoms.len());
+    let (mut seed, mut scratch) = (ColumnRun::new(), ChainScratch::default());
+    for (a, tuples) in changed.enumerate() {
+        if !tuples.is_empty() {
+            seed.reset(atoms[a].arity());
+            seed.extend_from_tuples(tuples);
+            let skip = |b: usize, t: &Tuple| b < a && earlier[b].contains(&t);
+            let mut emit = |rows: &ColumnRun| sink(a, rows);
+            chains[a].run(0, atom_indexes, &seed, cap, &skip, &mut scratch, &mut emit);
+        }
+        earlier.push(tuples.iter().collect());
+    }
+}
+
+/// Gives (`Side::Inserts`) or takes (`Side::Deletes`) one support per row
+/// of `rows` (over `schema`, a permutation of the query's variables) to
+/// its projection onto every view of every plan, and calls
+/// `moved(plan, view, row)` for each view row that thereby entered or
+/// left its view.
+fn shift_counts(
+    schema: &Schema,
+    rows: &ColumnRun,
+    plans: &mut [Vec<(usize, KeyedRows)>],
+    side: Side,
+    mut moved: impl FnMut(usize, usize, &[Val]),
+) {
+    let mut row = Vec::new();
+    for (p, plan) in plans.iter_mut().enumerate() {
+        for (v, (_, counts)) in plan.iter_mut().enumerate() {
+            let positions = schema
+                .positions_of_set(counts.schema().varset())
+                .expect("a view projects the full join");
+            for r in 0..rows.rows() {
+                rows.project_row_into(r, &positions, &mut row);
+                let crossed_zero = match side {
+                    Side::Inserts => counts.add(&row, 1),
+                    Side::Deletes => counts.sub(&row, 1),
+                };
+                if crossed_zero {
+                    moved(p, v, &row);
+                }
+            }
+        }
+    }
 }
 
 /// The per-plan ΔS-views of one applied batch plus what it changed.
@@ -173,9 +154,8 @@ pub struct DeltaOutcome {
 }
 
 /// Build-once maintenance state for a set of PMTD plans over one
-/// database: compiled per-atom delta plans, per-view support counts, the
-/// atom-index cache the backend's compiled pipelines answer against, and
-/// whether recompiles need the full join.
+/// database: the per-atom delta chains, the per-view support counts and
+/// the atom-index cache the backend's compiled pipelines answer against.
 ///
 /// Cloneable so a second backend over the same preprocessing output (the
 /// disk spill in `cqap-store`) carries its own maintenance lineage; the
@@ -183,10 +163,13 @@ pub struct DeltaOutcome {
 /// copy-on-write per touched index).
 #[derive(Clone, Debug)]
 pub struct DeltaMaintenance {
-    programs: Vec<DeltaProgram>,
-    plans: Vec<Vec<ViewCounts>>,
+    chains: Vec<JoinChain>,
+    /// Per plan, per materialized node: `(node, support counts)` — how
+    /// many full-join rows project onto each stored view tuple, a counted
+    /// [`KeyedRows`] over the view schema (ascending variable order), the
+    /// same compact layout as the resident S-view itself.
+    plans: Vec<Vec<(usize, KeyedRows)>>,
     atom_indexes: AtomIndexCache,
-    needs_full: bool,
     /// Observability seam: apply latency, net-op sizes and recompile
     /// counts. Disabled (free) unless a sink is attached via
     /// [`DeltaMaintenance::set_metrics_sink`]. Clones share the
@@ -196,41 +179,49 @@ pub struct DeltaMaintenance {
 }
 
 impl DeltaMaintenance {
-    /// Compiles the delta plans and takes over the support counts:
-    /// `counts[i]` holds, per materialized node of plan `i`, the counted
-    /// projection of the build-time full join onto that node's view
-    /// schema ([`KeyedRows::count_projection`] — the very pass the
-    /// S-views came out of). `atom_indexes` is the table the build's
-    /// pipelines were compiled against; the delta plans add the join
-    /// indexes only they need (built from `db`) and the maintenance takes
-    /// ownership. `needs_full` records whether any compiled plan uses the
-    /// fallback T-view path, in which case recompiles after a delta must
-    /// recompute the full join.
-    pub fn build(
-        cqap: &Cqap,
-        db: &Database,
-        counts: Vec<Vec<(usize, KeyedRows)>>,
-        mut atom_indexes: AtomIndexCache,
-        needs_full: bool,
-    ) -> Result<Self> {
-        let num_atoms = cqap.cq().atoms().len();
-        let mut programs = Vec::with_capacity(num_atoms);
-        for a in 0..num_atoms {
-            programs.push(DeltaProgram::compile(cqap, db, a, &mut atom_indexes)?);
-        }
-        let plans = counts
-            .into_iter()
-            .map(|plan| {
-                plan.into_iter()
-                    .map(|(node, counts)| ViewCounts { node, counts })
+    /// Compiles, per atom, the delta chain expanding that atom's tuple
+    /// deltas to full-join row deltas (its own schema joined with all
+    /// other atoms, indexed over `db`), and fills the support counts of
+    /// every materialized node of every PMTD in one pass over the streamed
+    /// full join: the insert of the whole database into an empty one,
+    /// whose first atom is always atom 0.
+    ///
+    /// # Errors
+    /// Propagates schema/atom resolution failures.
+    pub fn build(cqap: &Cqap, db: &Database, pmtds: &[Pmtd]) -> Result<Self> {
+        let atoms = cqap.cq().atoms();
+        let mut atom_indexes = AtomIndexCache::default();
+        let chains = (0..atoms.len())
+            .map(|a| {
+                let others = (0..atoms.len()).filter(|&b| b != a).collect();
+                let start = Schema::new(atoms[a].vars.clone())?;
+                JoinChain::compile(db, &mut atom_indexes, atoms, start, others)
+            })
+            .collect::<Result<Vec<_>>>()?;
+        let mut plans = pmtds
+            .iter()
+            .map(|pmtd| {
+                pmtd.materialization_set()
+                    .into_iter()
+                    .map(|node| {
+                        let vars = pmtd.view_schema(node);
+                        Ok((node, KeyedRows::counted(Schema::of(vars.iter()), vars)?))
+                    })
                     .collect()
             })
-            .collect();
+            .collect::<Result<Vec<Vec<_>>>>()?;
+        let mut seed = ColumnRun::new();
+        seed.reset(atoms[0].arity());
+        seed.extend_from_tuples(db.relation_or_err(&atoms[0].relation)?.tuples());
+        let (no_skip, mut scratch) = (|_, _: &Tuple| false, ChainScratch::default());
+        let mut count = |rows: &ColumnRun| {
+            shift_counts(chains[0].schema(), rows, &mut plans, Side::Inserts, |_, _, _| {})
+        };
+        chains[0].run(0, &atom_indexes, &seed, MORSEL_ROWS, &no_skip, &mut scratch, &mut count);
         Ok(DeltaMaintenance {
-            programs,
+            chains,
             plans,
             atom_indexes,
-            needs_full,
             sink: MetricsSink::disabled(),
         })
     }
@@ -248,10 +239,8 @@ impl DeltaMaintenance {
     /// The atom indexes are `O(|D|)` state outside the `S` accounting,
     /// like the database itself.
     pub fn resident_bytes(&self) -> usize {
-        self.plans
-            .iter()
-            .flatten()
-            .map(|vc| vc.counts.heap_bytes())
+        self.support_counts()
+            .map(|(_, _, counts)| counts.heap_bytes())
             .sum()
     }
 
@@ -262,16 +251,41 @@ impl DeltaMaintenance {
         &self.atom_indexes
     }
 
+    /// Iterates `(plan, node, support counts)` over every materialized
+    /// node — what the rebuild-equivalence tests compare against a fresh
+    /// build over the post-delta database (rows *and* counts).
+    pub fn support_counts(&self) -> impl Iterator<Item = (usize, usize, &KeyedRows)> + '_ {
+        self.plans.iter().enumerate().flat_map(|(plan, views)| {
+            views
+                .iter()
+                .map(move |(node, counts)| (plan, *node, counts))
+        })
+    }
+
+    /// Plan `plan`'s counted projections of the full join — the content
+    /// its S-views are copied from.
+    pub(crate) fn projections(&self, plan: usize) -> &[(usize, KeyedRows)] {
+        &self.plans[plan]
+    }
+
+    /// Compiles `evaluator`'s pipeline against this maintenance's atom
+    /// indexes (see [`CompiledPmtd::compile`]).
+    pub(crate) fn compile<V: SViewProbe>(
+        &mut self,
+        cqap: &Cqap,
+        db: &Database,
+        evaluator: &OnlineYannakakis,
+        views: &V,
+    ) -> Result<CompiledPmtd> {
+        CompiledPmtd::compile(cqap, db, evaluator, views, &mut self.atom_indexes)
+    }
+
     /// Recompiles, in place, exactly the pipelines a delta over the
     /// `touched` relations left stale, after the backing database and
     /// S-views absorbed it: those that folded content of a touched
     /// relation at compile time (see the module docs). The atom indexes
     /// were already edited in place by [`DeltaMaintenance::apply`], so a
-    /// recompile finds every slot it needs. The full join is recomputed
-    /// from `db` only when a stale plan actually retains it (fallback
-    /// bags); otherwise a cheap empty placeholder stands in, which is
-    /// sound because fallback-ness is decided purely from schemas and so
-    /// cannot change between builds over the same CQAP and PMTDs.
+    /// recompile finds every slot it needs.
     ///
     /// # Errors
     /// Propagates recompilation failures.
@@ -282,37 +296,21 @@ impl DeltaMaintenance {
         touched: &[String],
         plans: impl IntoIterator<Item = (&'a OnlineYannakakis, &'a V, &'a mut Arc<CompiledPmtd>)>,
     ) -> Result<()> {
-        let mut full: Option<Relation> = None;
         for (evaluator, views, compiled) in plans {
-            if !compiled.is_stale_after(touched) {
-                continue;
+            if compiled.is_stale_after(touched) {
+                self.sink.incr(CounterId::PlanRecompiles);
+                *compiled = Arc::new(self.compile(cqap, db, evaluator, views)?);
             }
-            if full.is_none() {
-                full = Some(if self.needs_full {
-                    full_join(cqap, db)?
-                } else {
-                    Relation::new("J∅", Schema::empty())
-                });
-            }
-            let full = full.as_ref().expect("just computed");
-            self.sink.incr(CounterId::PlanRecompiles);
-            *compiled = Arc::new(CompiledPmtd::compile(
-                cqap,
-                db,
-                evaluator,
-                views,
-                full,
-                &mut self.atom_indexes,
-            )?);
         }
         Ok(())
     }
 
-    /// Applies one batch: computes `ΔJ⁻` against the pre-delta atom
-    /// indexes, moves `db` and the atom indexes over the touched
-    /// relations to the post-delta state (in place, tuple by tuple),
-    /// computes `ΔJ⁺`, updates the support counts, and returns the
-    /// per-plan net ΔS-views for the caller's backend to absorb.
+    /// Applies one batch: streams `ΔJ⁻` against the pre-delta atom
+    /// indexes into the support counts, moves `db` and the atom indexes
+    /// over the touched relations to the post-delta state (in place, tuple
+    /// by tuple), streams `ΔJ⁺`, and returns the per-plan net ΔS-views —
+    /// the view rows whose count reached or left zero — for the caller's
+    /// backend to absorb.
     ///
     /// A batch whose net effect is empty short-circuits: `db`, the
     /// counts and the atom indexes are left untouched and the outcome
@@ -331,8 +329,27 @@ impl DeltaMaintenance {
             self.sink.trace_leaf(apply_mark, TraceStage::DeltaApply, 0);
             return Ok(DeltaOutcome::default());
         }
-        // ΔJ⁻ over the pre-delta database.
-        let minus = self.delta_join(cqap, &deltas, Side::Deletes)?;
+        let atoms = cqap.cq().atoms();
+        let no_moves = |(node, _): &(usize, KeyedRows)| (*node, Vec::new(), Vec::new());
+        let views_of = |plan: &Vec<(usize, KeyedRows)>| plan.iter().map(no_moves).collect();
+        let mut views: Vec<Vec<_>> = self.plans.iter().map(views_of).collect();
+        let (chains, plans) = (&self.chains, &mut self.plans);
+        let mut stream = |side: Side, atom_indexes: &AtomIndexCache| {
+            let mut count = |a: usize, rows: &ColumnRun| {
+                shift_counts(chains[a].schema(), rows, plans, side, |p, v, row| {
+                    let (_, entered, left) = &mut views[p][v];
+                    let moved: &mut Vec<Tuple> = match side {
+                        Side::Inserts => entered,
+                        Side::Deletes => left,
+                    };
+                    moved.push(Tuple::from_slice(row));
+                })
+            };
+            stream_delta_join(chains, atom_indexes, atoms, &deltas, side, MORSEL_ROWS, &mut count);
+        };
+        // ΔJ⁻ over the pre-delta database: the view rows that lose their
+        // last support leave.
+        stream(Side::Deletes, &self.atom_indexes);
         // Net effect into the stored relations and, bucket by bucket,
         // into every atom index over them.
         let mut stats = DeltaStats::default();
@@ -348,41 +365,24 @@ impl DeltaMaintenance {
                 .apply(&delta.relation, &delta.inserts, &delta.deletes);
         }
         let touched: Vec<String> = deltas.iter().map(|d| d.relation.clone()).collect();
-        // ΔJ⁺ over the post-delta database.
-        let plus = self.delta_join(cqap, &deltas, Side::Inserts)?;
-        // Support-count transitions → net ΔS-views per plan and node.
-        let mut views = Vec::with_capacity(self.plans.len());
-        for plan in &mut self.plans {
-            let mut per_plan = Vec::with_capacity(plan.len());
-            for vc in plan.iter_mut() {
-                let vars = vc.counts.schema().varset();
-                let mut shifts: FxHashMap<Tuple, i64> = FxHashMap::default();
-                if let Some(minus) = &minus {
-                    let positions = minus.schema().positions_of_set(vars)?;
-                    for t in minus.iter() {
-                        *shifts.entry(t.project(&positions)).or_insert(0) -= 1;
-                    }
-                }
-                if let Some(plus) = &plus {
-                    let positions = plus.schema().positions_of_set(vars)?;
-                    for t in plus.iter() {
-                        *shifts.entry(t.project(&positions)).or_insert(0) += 1;
-                    }
-                }
-                let mut ins = Vec::new();
-                let mut del = Vec::new();
-                for (key, shift) in shifts {
-                    let by = u32::try_from(shift.unsigned_abs())
-                        .expect("support count shift overflows u32");
-                    if shift > 0 && vc.counts.add(key.as_slice(), by) {
-                        ins.push(key);
-                    } else if shift < 0 && vc.counts.sub(key.as_slice(), by) {
-                        del.push(key);
-                    }
-                }
-                per_plan.push((vc.node, ins, del));
+        // ΔJ⁺ over the post-delta database: the view rows that gain their
+        // first support enter.
+        stream(Side::Inserts, &self.atom_indexes);
+        // A row that left under ΔJ⁻ and came back under ΔJ⁺ never moved.
+        for (_, entered, left) in views.iter_mut().flatten() {
+            if entered.is_empty() || left.is_empty() {
+                continue;
             }
-            views.push(per_plan);
+            let gone: FxHashSet<&Tuple> = left.iter().collect();
+            let back: FxHashSet<Tuple> = entered
+                .iter()
+                .filter(|t| gone.contains(t))
+                .cloned()
+                .collect();
+            if !back.is_empty() {
+                entered.retain(|t| !back.contains(t));
+                left.retain(|t| !back.contains(t));
+            }
         }
         self.sink.add(CounterId::DeltaNetInserts, stats.inserted as u64);
         self.sink.add(CounterId::DeltaNetDeletes, stats.deleted as u64);
@@ -398,35 +398,62 @@ impl DeltaMaintenance {
             touched,
         })
     }
+}
 
-    /// `⋃_a ΔR_a ⋈ (other atoms over db)` for one side of the net deltas:
-    /// the exact set of full-join rows the batch removes (`Deletes`, run
-    /// against the pre-delta database) or adds (`Inserts`, post-delta).
-    fn delta_join(
-        &self,
-        cqap: &Cqap,
-        deltas: &[RelationDelta],
-        side: Side,
-    ) -> Result<Option<Relation>> {
-        let atoms = cqap.cq().atoms();
-        let mut acc: Option<Relation> = None;
-        for (a, atom) in atoms.iter().enumerate() {
-            let Some(delta) = deltas.iter().find(|d| d.relation == atom.relation) else {
-                continue;
-            };
-            let tuples = match side {
-                Side::Inserts => &delta.inserts,
-                Side::Deletes => &delta.deletes,
-            };
-            if tuples.is_empty() {
-                continue;
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::chain::tests::{assert_each_once, collect, oracle_join, random_db, shapes};
+    use cqap_delta::ApplyDelta;
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(6))]
+
+        /// A batch touching every relation: the streamed `ΔJ⁻` / `ΔJ⁺` are
+        /// the oracle's `J_old ∖ J_new` / `J_new ∖ J_old`, each row once —
+        /// rows completed by delta tuples of two atoms included — at
+        /// every morsel cap.
+        #[test]
+        fn delta_chains_stream_the_join_delta(seed in 0u64..10_000, edges in 10usize..40) {
+            for cqap in shapes() {
+                let atoms = cqap.cq().atoms();
+                let old_db = random_db(&cqap, 9, edges, seed);
+                let fresh = random_db(&cqap, 9, edges / 3 + 2, seed ^ 0xd17a);
+                let mut batch = DeltaBatch::new();
+                for rel in old_db.relations() {
+                    let name = rel.name().to_string();
+                    let gone = rel.tuples().iter().skip(seed as usize % 3).step_by(3).cloned();
+                    batch = batch
+                        .delete(name.clone(), gone.collect())
+                        .insert(name.clone(), fresh.relation(&name).unwrap().tuples().to_vec());
+                }
+                let deltas = net_effect(&old_db, &batch).unwrap();
+                let mut new_db = old_db.clone();
+                new_db.apply_delta(&batch).unwrap();
+                let (j_old, j_new) = (oracle_join(&cqap, &old_db), oracle_join(&cqap, &new_db));
+                for cap in [1, 3, MORSEL_ROWS] {
+                    let mut m = DeltaMaintenance::build(&cqap, &old_db, &[]).unwrap();
+                    let what = |side: &str| format!("{side} of {} at cap {cap}", cqap.cq().name());
+                    let stream = |side: Side, indexes: &AtomIndexCache, target: &Schema| {
+                        let mut streamed = Vec::new();
+                        let mut sink = collect(target, cap, &mut streamed);
+                        stream_delta_join(&m.chains, indexes, atoms, &deltas, side, cap,
+                            &mut |a, rows| sink(m.chains[a].schema(), rows));
+                        drop(sink);
+                        streamed
+                    };
+                    let minus = stream(Side::Deletes, &m.atom_indexes, j_old.schema());
+                    let gone = j_old.iter().filter(|t| !j_new.contains(t));
+                    assert_each_once(&minus, gone, &what("ΔJ⁻"));
+                    for delta in &deltas {
+                        m.atom_indexes.apply(&delta.relation, &delta.inserts, &delta.deletes);
+                    }
+                    let plus = stream(Side::Inserts, &m.atom_indexes, j_new.schema());
+                    let fresh = j_new.iter().filter(|t| !j_old.contains(t));
+                    assert_each_once(&plus, fresh, &what("ΔJ⁺"));
+                }
             }
-            let part = self.programs[a].exec(tuples, &self.atom_indexes)?;
-            acc = Some(match acc {
-                None => part,
-                Some(prev) => prev.union_with(part)?,
-            });
         }
-        Ok(acc)
     }
 }

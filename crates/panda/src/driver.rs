@@ -5,10 +5,14 @@
 //! S-views of every PMTD (as semijoin-reduced projections of the full join,
 //! which is exactly the content the paper's preprocessing phase guarantees
 //! after its final semijoin-reduce step) and indexes them for Online
-//! Yannakakis. The online phase computes the T-views for the incoming
-//! access request — joining only the atoms of each non-materialized bag,
-//! restricted by the request — runs Online Yannakakis per PMTD, and unions
-//! the results across PMTDs.
+//! Yannakakis. The full join itself is never held: the build is delta
+//! maintenance from empty ([`DeltaMaintenance::build`]), which streams it
+//! through the crate's one join chain into the views' support counts. The
+//! online phase computes the T-views for the incoming access request —
+//! joining only the atoms of each non-materialized bag, restricted by the
+//! request, through the same chain — runs Online Yannakakis per PMTD, and
+//! unions the results across PMTDs. The oracle's join (`naive::full_join`)
+//! is left to the oracle and the interpreted reference ([`online_t_views`]).
 //!
 //! The engine is *correct for every CQAP and PMTD set* and its space usage
 //! is exactly the S-view sizes; its online time is not always the optimum
@@ -20,11 +24,11 @@ use cqap_common::{CqapError, Result};
 use cqap_decomp::Pmtd;
 use cqap_delta::{ApplyDelta, DeltaBatch, DeltaStats};
 use cqap_query::{AccessRequest, Cqap};
-use cqap_relation::{Database, KeyedRows, Relation};
+use cqap_relation::{Database, Relation};
 use cqap_yannakakis::naive::{atom_relation, full_join};
 use cqap_yannakakis::{naive_answer, OnlineYannakakis, PreprocessedViews, SViewProbe};
 
-use crate::compiled::{answer_with_compiled, AtomIndexCache, CompiledPmtd};
+use crate::compiled::{answer_with_compiled, CompiledPmtd};
 use crate::delta::DeltaMaintenance;
 
 /// The relation name stamped onto answers produced by
@@ -70,48 +74,24 @@ impl CqapIndex {
                 ));
             }
         }
-        let full = full_join(cqap, db)?;
+        // Delta maintenance from empty: the atom indexes (one table for
+        // the whole build — PMTDs sharing an (atom, join-key) pair share
+        // one slot), the per-atom delta chains, and every view's counted
+        // projection of the streamed full join, all views in one pass.
+        let mut maintenance = DeltaMaintenance::build(cqap, db, pmtds)?;
         let mut plans = Vec::with_capacity(pmtds.len());
-        let mut counts = Vec::with_capacity(pmtds.len());
-        // One atom-index table for the whole build: PMTDs sharing an
-        // (atom, join-key) pair share one slot.
-        let mut atom_indexes = AtomIndexCache::default();
-        for pmtd in pmtds {
+        for (i, pmtd) in pmtds.iter().enumerate() {
             let evaluator = OnlineYannakakis::new(pmtd.clone());
-            // One pass over the full join per materialized node: its
-            // counted projection is both the S-view (the distinct rows)
+            // A counted projection is both the S-view (its distinct rows)
             // and the view's support counts.
-            let projections = pmtd
-                .materialization_set()
-                .into_iter()
-                .map(|node| {
-                    let rows = KeyedRows::count_projection(&full, pmtd.view_schema(node))?;
-                    Ok((node, rows))
-                })
-                .collect::<Result<Vec<_>>>()?;
-            let preprocessed = evaluator.preprocess_projections(&projections)?;
-            counts.push(projections);
-            let compiled = CompiledPmtd::compile(
-                cqap,
-                db,
-                &evaluator,
-                &preprocessed,
-                &full,
-                &mut atom_indexes,
-            )?;
+            let preprocessed = evaluator.preprocess_projections(maintenance.projections(i))?;
+            let compiled = maintenance.compile(cqap, db, &evaluator, &preprocessed)?;
             plans.push(Plan {
                 evaluator,
                 preprocessed,
                 compiled: std::sync::Arc::new(compiled),
             });
         }
-        // Delta-maintenance state rides along from day one: the compiled
-        // per-atom delta plans, the per-view support counts (the counted
-        // projections the S-views were copied from), and ownership of the
-        // atom-index table the pipelines above answer against, which
-        // incremental applies edit in place.
-        let needs_full = plans.iter().any(|p| p.compiled.needs_full());
-        let maintenance = DeltaMaintenance::build(cqap, db, counts, atom_indexes, needs_full)?;
         Ok(CqapIndex {
             cqap: cqap.clone(),
             db: db.clone(),
@@ -129,7 +109,7 @@ impl CqapIndex {
 
     /// Heap bytes the index actually holds for its `S`: the resident
     /// S-views of every plan plus their support counts, from vector
-    /// capacities (see [`KeyedRows::heap_bytes`]) — the number to hold
+    /// capacities (see [`cqap_relation::KeyedRows::heap_bytes`]) — the number to hold
     /// against `space_used() × size_of::<Val>()`. Excludes the `O(|D|)`
     /// state (database, atom indexes), like [`CqapIndex::space_used`].
     pub fn resident_bytes(&self) -> usize {
@@ -239,8 +219,8 @@ impl CqapIndex {
         ans.project_onto(self.cqap.declared_head().union(self.cqap.access()))
     }
 
-    /// The delta-maintenance state (compiled delta plans, support counts,
-    /// atom indexes). A second backend over the same preprocessing
+    /// The delta-maintenance state (delta chains, support counts, atom
+    /// indexes). A second backend over the same preprocessing
     /// output (the disk spill in `cqap-store`) clones this to maintain
     /// its own lineage of the views.
     pub fn maintenance(&self) -> &DeltaMaintenance {
@@ -256,11 +236,11 @@ impl CqapIndex {
 }
 
 /// In-place incremental maintenance, `O(|Δ| + |ΔJ|)` end to end: the net
-/// effect flows through the compiled delta plans (editing the stored
-/// relations and the atom indexes tuple by tuple) into ΔS-views applied to
-/// every plan's resident [`PreprocessedViews`]. The compiled pipelines
-/// read that live state, so only a plan that folded a touched relation's
-/// content at compile time (static or fallback bags) is recompiled.
+/// effect flows through the delta chains (editing the stored relations
+/// and the atom indexes tuple by tuple) into ΔS-views applied to every
+/// plan's resident [`PreprocessedViews`]. The compiled pipelines read
+/// that live state, so only a plan that folded a touched relation's
+/// content at compile time (static bags) is recompiled.
 impl ApplyDelta for CqapIndex {
     fn apply_delta(&mut self, batch: &DeltaBatch) -> Result<DeltaStats> {
         let outcome = self.maintenance.apply(&self.cqap, &mut self.db, batch)?;

@@ -62,6 +62,7 @@
 //! ```
 
 pub mod analysis;
+mod chain;
 pub mod compiled;
 pub mod delta;
 pub mod driver;

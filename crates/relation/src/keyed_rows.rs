@@ -177,25 +177,6 @@ impl KeyedRows {
         Ok(out)
     }
 
-    /// `π_vars(rel)` with support counts, in **one pass**: every tuple of
-    /// `rel` inserts-or-bumps its projection, so the distinct projected
-    /// rows (the view) and how many tuples project onto each (its support
-    /// counts) come out together. Columns are in ascending variable order
-    /// and the key is the whole row.
-    ///
-    /// # Errors
-    /// Fails if `vars` is not a subset of the relation's variables.
-    pub fn count_projection(rel: &Relation, vars: VarSet) -> Result<Self> {
-        let positions = rel.schema().positions_of_set(vars)?;
-        let mut out = KeyedRows::counted(Schema::of(vars.iter()), vars)?;
-        let mut row = Vec::with_capacity(positions.len());
-        for t in rel.iter() {
-            t.project_into(&positions, &mut row);
-            out.add(&row, 1);
-        }
-        Ok(out)
-    }
-
     /// The same rows as an uncounted set probed by `link`: the row store
     /// and its table are copied as they are (no row is re-hashed), the
     /// counts are left behind, and only a link that is a proper part of

@@ -76,8 +76,8 @@ impl Relation {
     /// columns. Implemented as a hash join with the smaller input on the
     /// build side.
     pub fn join(&self, other: &Relation) -> Result<Relation> {
-        // Build on the smaller relation.
-        if other.len() < self.len() {
+        // `join_impl` indexes its argument: hand it the smaller relation.
+        if self.len() < other.len() {
             let swapped = other.join_impl(self)?;
             // Reorder columns to keep the documented column order
             // (self's columns first).
@@ -87,6 +87,7 @@ impl Relation {
         self.join_impl(other)
     }
 
+    /// Hash join probing an index built over `other` with `self`'s tuples.
     fn join_impl(&self, other: &Relation) -> Result<Relation> {
         let shared = self.varset().intersect(other.varset());
         let out_schema = self.schema().join(other.schema());
@@ -326,6 +327,20 @@ mod tests {
         assert!(j.contains(&Tuple::triple(2, 10, 101)));
         assert!(j.contains(&Tuple::triple(3, 30, 300)));
         assert!(!j.contains(&Tuple::triple(3, 30, 100)));
+    }
+
+    #[test]
+    fn join_indexes_the_smaller_input() {
+        use crate::relation::instrument::indexed_tuples;
+        let one = rel("one", 0, 1, &[(7, 8)]);
+        let many = rel("many", 1, 2, &(0..300u64).map(|i| (i, i + 1)).collect::<Vec<_>>());
+        for (left, right, row) in [(&one, &many, [7, 8, 9]), (&many, &one, [8, 9, 7])] {
+            let before = indexed_tuples();
+            let j = left.join(right).unwrap();
+            assert_eq!(indexed_tuples() - before, 1, "a 1 × n join indexes the one tuple");
+            assert_eq!(j.schema(), &left.schema().join(right.schema()));
+            assert_eq!(j.tuples(), [Tuple::from_slice(&row)]);
+        }
     }
 
     #[test]

@@ -295,6 +295,16 @@ proptest! {
                 rebuilt.space_used(),
                 "round {}: maintained disk S-view space diverged from a rebuild", round
             );
+            // Both lineages keep the rebuild's support counts, row for
+            // row and count for count.
+            for (lineage, maintenance) in
+                [("disk", stored.maintenance()), ("memory", memory.maintenance())]
+            {
+                prop_assert!(
+                    maintenance.support_counts().eq(rebuilt.maintenance().support_counts()),
+                    "round {}: {} support counts diverged from a rebuild", round, lineage
+                );
+            }
             // Compression must survive the full overlay / compaction
             // cycle: base runs rewritten by compaction are still v2.
             prop_assert!(
@@ -503,5 +513,55 @@ proptest! {
             let all_cold = tiered.replan(&PlacementPolicy::hot_budget(0));
             prop_assert!(all_cold.iter().all(|t| matches!(t, ShardTier::Cold)));
         }
+    }
+}
+
+/// Build is a delta from empty: an index built over the empty database
+/// that absorbs the whole database as one insert batch — every relation
+/// in the batch, so every full-join row comes out of three atoms' chains
+/// and is kept by the first — is the index `CqapIndex::build` makes, hot
+/// and cold. The join is several morsels long, so this also drives the
+/// executor's flush through the maintenance sink.
+#[test]
+fn an_empty_index_absorbing_the_database_as_one_batch_equals_a_build() {
+    let (cqap, pmtds) = pmtds_3reach_fig1().unwrap();
+    let graph = Graph::skewed(60, 420, 3, 45, 77);
+    let db = graph.as_path_database(3);
+    let mut empty = Database::new();
+    let mut batch = DeltaBatch::new();
+    for rel in db.relations() {
+        empty
+            .add_relation(Relation::new(rel.name().to_string(), rel.schema().clone()))
+            .unwrap();
+        batch = batch.insert(rel.name().to_string(), rel.tuples().to_vec());
+    }
+
+    let built = CqapIndex::build(&cqap, &db, &pmtds).unwrap();
+    let join_rows: u64 = built
+        .maintenance()
+        .support_counts()
+        .filter(|(plan, _, _)| *plan == 2)
+        .flat_map(|(_, _, counts)| counts.rows().map(|row| u64::from(counts.count(row))))
+        .sum();
+    assert!(join_rows > 3 * 4096, "a full join of {join_rows} rows is too few morsels");
+
+    let mut hot = CqapIndex::build(&cqap, &empty, &pmtds).unwrap();
+    let mut cold = StoredIndex::spill(&hot, scratch_dir("from-empty")).unwrap();
+    assert_eq!((hot.space_used(), cold.space_used()), (0, 0));
+    for stats in [hot.apply_delta(&batch).unwrap(), cold.apply_delta(&batch).unwrap()] {
+        assert_eq!((stats.inserted, stats.deleted), (3 * graph.edges.len(), 0));
+    }
+    assert_eq!(hot.space_used(), built.space_used());
+    assert_eq!(cold.space_used(), built.space_used());
+    for maintenance in [hot.maintenance(), cold.maintenance()] {
+        assert!(maintenance.support_counts().eq(built.maintenance().support_counts()));
+        assert_atom_indexes_match_rebuild(maintenance.atom_indexes(), &db, 0);
+    }
+    for (u, v) in graph_pair_requests(&graph, 30, 79) {
+        let request = AccessRequest::single(cqap.access(), &[u, v]).unwrap();
+        let expected = built.answer_from_scratch(&request).unwrap();
+        assert_eq!(built.answer(&request).unwrap(), expected);
+        assert_eq!(hot.answer(&request).unwrap(), expected, "grown hot index, ({u},{v})");
+        assert_eq!(cold.answer(&request).unwrap(), expected, "grown cold index, ({u},{v})");
     }
 }

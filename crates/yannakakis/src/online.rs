@@ -315,13 +315,13 @@ impl OnlineYannakakis {
     }
 
     /// Preprocessing from the S-views' *ideal* content: every view given
-    /// as `π_{ν(t)}` of the full join (see
-    /// [`KeyedRows::count_projection`], whose support counts the caller
-    /// keeps for delta maintenance). On that content the SS-edge
-    /// semijoin-reduce is a no-op — every parent row is the projection of
-    /// a full-join row that also projects into the child — so each view is
-    /// just re-keyed by its link variables: the rows and their position
-    /// table are copied as they are, nothing is hashed again.
+    /// as `π_{ν(t)}` of the full join (a counted [`KeyedRows`], whose
+    /// support counts the caller keeps for delta maintenance). On that
+    /// content the SS-edge semijoin-reduce is a no-op — every parent row
+    /// is the projection of a full-join row that also projects into the
+    /// child — so each view is just re-keyed by its link variables: the
+    /// rows and their position table are copied as they are, nothing is
+    /// hashed again.
     ///
     /// # Errors
     /// Fails if a node is not materialized, a projection is not over the
@@ -759,8 +759,14 @@ mod tests {
                     .materialization_set()
                     .into_iter()
                     .map(|t| {
-                        let counted = KeyedRows::count_projection(&full, pmtd.view_schema(t));
-                        (t, counted.unwrap())
+                        let vars = pmtd.view_schema(t);
+                        let positions = full.schema().positions_of_set(vars).unwrap();
+                        let mut counted =
+                            KeyedRows::counted(Schema::of(vars.iter()), vars).unwrap();
+                        for row in full.iter() {
+                            counted.add(row.project(&positions).as_slice(), 1);
+                        }
+                        (t, counted)
                     })
                     .collect();
                 let fused = oy.preprocess_projections(&projections).unwrap();

@@ -7,8 +7,10 @@
 //! bit-for-bit identically to an index rebuilt from scratch over the
 //! post-delta database — and to the naive evaluator over it — on the
 //! engine and on the interpreted reference, for all three query families
-//! of `compiled_equivalence.rs`. The S-view space must match the rebuild
-//! too: incremental maintenance may not leak or drop view tuples. And
+//! of `compiled_equivalence.rs`. The maintained support counts — every
+//! view's rows *and* how many full-join rows project onto each — must
+//! equal the rebuild's: a join-delta row counted twice, or not at all,
+//! shows here even while the answers still agree. And
 //! because the compiled pipelines read the atom indexes *in place* — a
 //! delta edits them bucket by bucket instead of rebuilding them — every
 //! maintained index must equal `HashIndex::build` over the post-delta
@@ -16,10 +18,11 @@
 //!
 //! Three fixtures cover what the reachability families do not: a self-join
 //! (one stored relation under two atoms, so one delta edits two index
-//! slots), the `(T1245, T234)` PMTD of Example E.8, whose access-free
-//! bag is folded into the plan at compile time, and a hand-written
-//! decomposition with an *uncovered* bag, whose T-view falls back to the
-//! retained full join — the two cases where a delta must still recompile.
+//! slots and one join-delta row comes out of both atoms' chains), the
+//! `(T1245, T234)` PMTD of Example E.8, whose access-free bag is folded
+//! into the plan at compile time — the one case where a delta must still
+//! recompile — and a hand-written decomposition with an *uncovered* bag,
+//! whose T-view joins every atom onto the whole request.
 
 use cqap_common::{vars, Tuple, VarSet};
 use cqap_decomp::families as pmtd_families;
@@ -197,6 +200,13 @@ fn check_family(
             rebuilt.space_used(),
             "round {round}: incremental S-view space diverged from a rebuild"
         );
+        assert!(
+            incremental
+                .maintenance()
+                .support_counts()
+                .eq(rebuilt.maintenance().support_counts()),
+            "round {round}: maintained support counts diverged from a rebuild"
+        );
         for request in &requests {
             let expected = rebuilt.answer(request).unwrap();
             assert_eq!(
@@ -291,8 +301,9 @@ proptest! {
     }
 
     /// An uncovered bag: the root `{x1,x3,x5}` holds no atom, so its T-view
-    /// is the fallback program (semijoin of the retained full join by the
-    /// request); every delta leaves that full join stale.
+    /// is the chain over all four atoms seeded by the whole request and
+    /// projected onto the bag; it reads the live atom indexes, so no delta
+    /// leaves it stale.
     #[test]
     fn uncovered_bag_delta_equivalence(seed in 0u64..10_000, edges in 40usize..110) {
         let (cqap, pmtds) = uncovered_bag_pmtds(VarSet::from_iter([0, 4]));
@@ -337,7 +348,8 @@ fn access_free_bag_pmtds() -> (Cqap, Vec<Pmtd>) {
 /// decomposition `{x1,x3,x5} → {x1,x2,x3}, {x3,x4,x5}`, nothing
 /// materialized. No atom lies inside the root bag and the access pattern
 /// never contains `x3`, so the root is not covered by its atoms plus the
-/// access pattern: its T-view program is the fallback over the full join.
+/// access pattern: its T-view program joins every atom onto the whole
+/// request and projects onto the bag.
 fn uncovered_bag_pmtds(access: VarSet) -> (Cqap, Vec<Pmtd>) {
     let cqap = Cqap::new(k_path_distinct(4).cq().clone(), access).unwrap();
     let td = TreeDecomposition::new(
@@ -350,8 +362,9 @@ fn uncovered_bag_pmtds(access: VarSet) -> (Cqap, Vec<Pmtd>) {
     (cqap, pmtds)
 }
 
-/// The fallback program with an empty access pattern reads the retained
-/// full join as it is (no request to semijoin by): engine, interpreted
+/// An uncovered bag under an empty access pattern: the all-atoms chain is
+/// seeded by the one empty request row and streams the whole join (its
+/// first step probes an index keyed on no variable): engine, interpreted
 /// reference and naive oracle must agree on it, before and after a delta
 /// that changes the join.
 #[test]
@@ -413,14 +426,23 @@ fn only_plans_with_stale_folded_content_recompile() {
         assert_eq!(recompiles_after(&mut index, relation, (9_000, 9_001)), 0);
     }
 
-    // A fallback bag folds the full join, i.e. every relation: this is
-    // also what shows the uncovered-bag fixture reaches the fallback
-    // program (both of its other bags hold an access variable, so nothing
-    // else in the plan is folded).
+    // An uncovered bag folds nothing either: its program joins every atom
+    // onto the whole request through the live indexes. That the fixture
+    // reaches that program shows in the index slots: only a chain seeded
+    // by `x1` *and* `x5` closes on `R4(x4,x5)` with both variables bound
+    // (the delta chains and the two covered bags key `R4` on one).
     let (cqap, pmtds) = uncovered_bag_pmtds(VarSet::from_iter([0, 4]));
     let graph = Graph::random(24, 90, 7);
     let mut index = CqapIndex::build(&cqap, &graph.as_path_database(4), &pmtds).unwrap();
+    let r4_keys: Vec<VarSet> = index
+        .maintenance()
+        .atom_indexes()
+        .entries()
+        .filter(|(relation, _, _)| *relation == "R4")
+        .map(|(_, _, index)| index.key_vars())
+        .collect();
+    assert!(r4_keys.contains(&VarSet::from_iter([3, 4])), "R4 is keyed on {r4_keys:?}");
     for relation in ["R1", "R2", "R3", "R4"] {
-        assert_eq!(recompiles_after(&mut index, relation, (9_000, 9_001)), 1);
+        assert_eq!(recompiles_after(&mut index, relation, (9_000, 9_001)), 0);
     }
 }
