@@ -25,6 +25,56 @@
 //!   request yields exactly the full-join rows the request selects). It
 //!   reads the live indexes too, so it folds nothing and never goes stale.
 //!
+//! **Two seeds (reduce before you expand).** The programs compile and run
+//! in top-down order, and a covered program whose parent is itself a
+//! per-request T-view gets a second seed: the **distinct link keys** `π_L`
+//! of the run the parent's program has just produced, `L = bag ∩ parent
+//! bag`, joined with the bag's atoms by a second `JoinChain` compiled
+//! from start schema `L` — same compiler, same executor, its columns
+//! permuted into the node's one compile-time schema, so the plan, the
+//! columnar kernels and the `SViewProbe` seam see nothing new. A PMTD puts
+//! the access pattern inside the root bag, so by running intersection every
+//! access variable of the bag lies in `L`: the keys carry every request
+//! value the program needs, for single- and multi-tuple requests alike. (A
+//! link with nothing but access variables would only repeat the request's
+//! seed and is not compiled; an uncovered program stays request-seeded as a
+//! child, and seeds its own children like any parent.) `(T134, T123)` is
+//! the case this exists for: seeded by `x1` alone, `T123` is every 2-path
+//! out of `x1` — thousands out of a hub — to filter a `T134` of a handful
+//! of rows; seeded by that handful's `(x1, x3)` it is the 2-paths between
+//! them.
+//!
+//! *Soundness.* From the parent's keys the program emits exactly `T_c ⋉_L
+//! T_p`, its T-view semijoin-reduced by the parent's run, and the plan
+//! gets that instead of `T_c`. The plan only ever combines a child with
+//! its parent through the link: bottom-up `p ⋉ c`, top-down `p ⋈ c` for a
+//! kept child, and both look only at child rows carrying the link key of
+//! the parent row at hand. A child row whose key no parent row carries is
+//! dangling — it passes no semijoin up and joins nothing down — so
+//! dropping it first changes no answer (`p ⋉ c ≡ p ⋉ (c ⋉ π_L p)`, the
+//! first step of Yannakakis' full reducer run early); reductions of `c` by
+//! its own children only shrink it further and commute. The parent's run
+//! may itself be reduced by the grandparent's: the same argument, one
+//! level up.
+//!
+//! *The side is chosen per request*, from exact counts the live indexes
+//! already hold — no knob, no statistics to maintain. A side costs its
+//! seed rows plus the tuples the chain's first step would walk for them
+//! (one [`HashIndex::degree`] lookup per seed row, nothing expanded). The
+//! request's side is priced first, one lookup per request tuple. A parent
+//! run with at least that many rows settles it for the request without a
+//! look at its keys; otherwise the parent's keys are deduplicated and
+//! priced one by one, **stopping as soon as their sum passes the
+//! request's** — so choosing never costs more than the request's side
+//! would have, the common light request pays one extra degree lookup and
+//! runs as it always did, a hub request runs from the parent's keys, and
+//! an empty parent run (zero keys, cheaper than any request) makes an
+//! empty child for nothing. The mirrored `(T124, T234)` is the other side
+//! of the choice — its parent is the hub's out-neighbours, its child a
+//! reverse two-hop over small in-degrees — and keeps the request's seed.
+//! This is the online shadow of the paper's heavy/light split, decided per
+//! request instead of per sub-instance; it does not replace the partition.
+//!
 //! A [`CompiledPmtd`] pairs these programs with the
 //! [`CompiledPlan`] for the PMTD; [`answer_with_compiled`] is the driver
 //! loop shared by every backend (in-memory `CqapIndex`, `cqap-store`'s
@@ -43,6 +93,7 @@ use cqap_yannakakis::{
 };
 
 use crate::chain::{ChainScratch, JoinChain, MORSEL_ROWS};
+use crate::instrument;
 
 thread_local! {
     /// One scratch arena per serving worker: the pool threads of
@@ -67,12 +118,15 @@ pub struct DriverScratch {
     /// A T-view program's seed: the request projected onto its start
     /// variables.
     seed: ColumnRun,
+    /// A link-seeded program's other seed: the distinct link keys of its
+    /// parent's run.
+    keys: ColumnRun,
     /// The per-step runs of the T-view join chains.
     chain: ChainScratch,
     /// Reused projection buffer of the T-view programs.
     vals: Vec<Val>,
     /// Deduplication memo: of the seed of a multi-tuple request, then of
-    /// an uncovered bag's final projection.
+    /// the parent's link keys or an uncovered bag's final projection.
     memo: KeyMemo<()>,
     /// Pooled per-program output runs.
     slot_runs: Vec<ColumnRun>,
@@ -129,6 +183,15 @@ impl AtomIndexCache {
         Ok(self.slots.len() - 1)
     }
 
+    /// The existing slot over `atom` (on whatever key) whose longest bucket
+    /// is shortest: what a membership step of a link-seeded chain walks
+    /// instead of getting a slot of its own.
+    pub(crate) fn lightest_slot_over(&self, atom: &Atom) -> Option<usize> {
+        (0..self.slots.len())
+            .filter(|&i| self.slots[i].relation == atom.relation && self.slots[i].vars == atom.vars)
+            .min_by_key(|&i| self.slots[i].index.max_degree())
+    }
+
     #[inline]
     pub(crate) fn index(&self, slot: usize) -> &HashIndex {
         &self.slots[slot].index
@@ -157,7 +220,8 @@ impl AtomIndexCache {
 
 /// The compiled producer of the T-view of one non-materialized node whose
 /// content depends on the request: start from the request projected onto
-/// the start variables, then run the pre-indexed join chain.
+/// the start variables — or, under a T-parent, from the parent's link keys
+/// when that is the cheaper side — then run the pre-indexed join chain.
 #[derive(Clone, Debug)]
 struct TViewProgram {
     node: usize,
@@ -168,22 +232,79 @@ struct TViewProgram {
     /// Uncovered bag: the bag's positions in the chain's rows, which are
     /// projected onto it and deduplicated.
     project: Option<Vec<usize>>,
+    /// The second seed of a covered program under a per-request T-parent.
+    link: Option<LinkSeed>,
+}
+
+/// A program's second seed and chain: the distinct link keys `π_L` of its
+/// parent's run (`L = bag ∩ parent bag`), joined with the bag's atoms by a
+/// chain compiled from start schema `L`.
+#[derive(Clone, Debug)]
+struct LinkSeed {
+    /// The parent's program (earlier in the top-down program order).
+    parent: usize,
+    /// Positions of the link variables in the parent's run.
+    key_positions: Vec<usize>,
+    chain: JoinChain,
+    /// Per column of the program's schema, its column in this chain's rows.
+    columns: Vec<usize>,
 }
 
 impl TViewProgram {
+    /// Collects the distinct link keys of `parent`, the run of `link`'s
+    /// parent program, into `scratch.keys` and reports whether running from
+    /// them costs no more than running from the request's seed (already in
+    /// `scratch.seed`) — cost being seed rows plus the tuples the first
+    /// step would walk for them. Gives up (false) as soon as the keys cost
+    /// more, and without looking when the parent run alone is that long:
+    /// never more keys are collected or looked up than the request's side
+    /// costs.
+    fn parent_is_cheaper(
+        &self,
+        link: &LinkSeed,
+        atom_indexes: &AtomIndexCache,
+        parent: &ColumnRun,
+        scratch: &mut DriverScratch,
+    ) -> bool {
+        let DriverScratch { seed, keys, chain, vals, memo, .. } = scratch;
+        let fanout = |r| 1 + self.chain.first_fanout(atom_indexes, seed, r, chain);
+        let request_cost: usize = (0..seed.rows()).map(fanout).sum();
+        if parent.rows() >= request_cost {
+            return false;
+        }
+        keys.reset(link.key_positions.len());
+        memo.clear();
+        let mut cost = 0;
+        for r in 0..parent.rows() {
+            parent.project_row_into(r, &link.key_positions, vals);
+            if memo.insert_if_absent(hash_vals(vals), vals) {
+                keys.push_row(vals);
+                cost += 1 + link.chain.first_fanout(atom_indexes, keys, keys.rows() - 1, chain);
+                if cost > request_cost {
+                    return false;
+                }
+            }
+        }
+        true
+    }
+
     /// Produces the T-view for `request` directly as a [`ColumnRun`] in
     /// the compile-time column order, so the view's tuples never exist in
-    /// row form.
+    /// row form. `done` holds the runs the programs before this one (in
+    /// top-down order) produced for this request; a link-seeded program
+    /// reads its parent's: the output is the T-view semijoin-reduced by
+    /// it, or the whole T-view when the request was the cheaper seed.
     fn exec_columns(
         &self,
         atom_indexes: &AtomIndexCache,
         request: &AccessRequest,
+        done: &[ColumnRun],
         out: &mut ColumnRun,
         scratch: &mut DriverScratch,
     ) {
-        let DriverScratch { seed, chain, vals, memo, .. } = scratch;
         // Seed: the request projected onto the start variables,
         // deduplicated, straight into columns.
+        let DriverScratch { seed, vals, memo, .. } = &mut *scratch;
         seed.reset(self.start_positions.len());
         if request.len() <= 1 {
             for t in request.tuples() {
@@ -200,22 +321,38 @@ impl TViewProgram {
             }
         }
         out.reset(self.schema.arity());
-        if self.project.is_some() {
-            memo.clear();
-        }
-        let mut emit = |rows: &ColumnRun| match &self.project {
-            None => out.append_columns(rows.rows(), |j, col| col.extend_from_slice(rows.col(j))),
-            Some(positions) => {
-                for r in 0..rows.rows() {
-                    rows.project_row_into(r, positions, vals);
-                    if memo.insert_if_absent(hash_vals(vals), vals) {
-                        out.push_row(vals);
+        // The side: exact first-step costs read off the live indexes.
+        let link = self.link.as_ref().filter(|link| {
+            let cheaper = self.parent_is_cheaper(link, atom_indexes, &done[link.parent], scratch);
+            instrument::record_side(cheaper);
+            cheaper
+        });
+        let DriverScratch { seed, keys, chain, vals, memo, .. } = scratch;
+        let no_skip = |_, _: &Tuple| false;
+        if let Some(link) = link {
+            let mut emit = |rows: &ColumnRun| {
+                out.append_columns(rows.rows(), |j, col| {
+                    col.extend_from_slice(rows.col(link.columns[j]))
+                })
+            };
+            link.chain.run(0, atom_indexes, keys, MORSEL_ROWS, &no_skip, chain, &mut emit);
+        } else {
+            if self.project.is_some() {
+                memo.clear();
+            }
+            let mut emit = |rows: &ColumnRun| match &self.project {
+                None => out.append_columns(rows.rows(), |j, col| col.extend_from_slice(rows.col(j))),
+                Some(positions) => {
+                    for r in 0..rows.rows() {
+                        rows.project_row_into(r, positions, vals);
+                        if memo.insert_if_absent(hash_vals(vals), vals) {
+                            out.push_row(vals);
+                        }
                     }
                 }
-            }
-        };
-        let no_skip = |_, _: &Tuple| false;
-        self.chain.run(0, atom_indexes, seed, MORSEL_ROWS, &no_skip, chain, &mut emit);
+            };
+            self.chain.run(0, atom_indexes, seed, MORSEL_ROWS, &no_skip, chain, &mut emit);
+        }
     }
 }
 
@@ -262,11 +399,13 @@ impl CompiledPmtd {
         let access = cqap.access();
         let atoms = cqap.cq().atoms();
         let request_schema = Schema::of(access.iter());
-        let mut programs = Vec::new();
+        let mut programs: Vec<TViewProgram> = Vec::new();
         let mut statics: Vec<(usize, Relation)> = Vec::new();
         let mut t_schemas: Vec<(usize, Schema)> = Vec::new();
         let mut folded: Vec<String> = Vec::new();
-        for node in 0..pmtd.td().num_nodes() {
+        // Top-down, so a program's parent program exists when it compiles
+        // and has run when it runs.
+        for node in pmtd.td().top_down_order() {
             if pmtd.is_materialized(node) {
                 continue;
             }
@@ -307,12 +446,46 @@ impl CompiledPmtd {
                 (access, (0..atoms.len()).collect())
             };
             let start_schema = request_schema.project(start);
-            let chain = JoinChain::compile(db, atom_indexes, atoms, start_schema, join)?;
+            let chain = JoinChain::compile(
+                db,
+                atom_indexes,
+                atoms,
+                start_schema,
+                join.clone(),
+                VarSet::EMPTY,
+            )?;
             let (schema, project) = if covered {
                 (chain.schema().clone(), None)
             } else {
                 let positions = chain.schema().positions_of_set(bag)?;
                 (Schema::of(bag.iter()), Some(positions))
+            };
+            // The second seed: under a per-request T-parent, the parent's
+            // link keys — when they carry every request value the bag
+            // needs (running intersection says they do) and are more than
+            // the request's own share again.
+            let parent = pmtd.td().parent(node).and_then(|parent| {
+                let program = programs.iter().position(|p| p.node == parent)?;
+                Some((program, bag.intersect(pmtd.td().bag(parent))))
+            });
+            let link = match parent {
+                Some((parent, link)) if covered && start.is_strict_subset(link) => {
+                    let chain = JoinChain::compile(
+                        db,
+                        atom_indexes,
+                        atoms,
+                        Schema::of(link.iter()),
+                        join,
+                        link.difference(access),
+                    )?;
+                    Some(LinkSeed {
+                        parent,
+                        key_positions: programs[parent].schema.positions_of_set(link)?,
+                        columns: chain.schema().positions_of(schema.vars())?,
+                        chain,
+                    })
+                }
+                _ => None,
             };
             t_schemas.push((node, schema.clone()));
             programs.push(TViewProgram {
@@ -321,6 +494,7 @@ impl CompiledPmtd {
                 start_positions: request_schema.positions_of_set(start)?,
                 chain,
                 project,
+                link,
             });
         }
 
@@ -375,8 +549,11 @@ impl CompiledPmtd {
         while runs.len() < self.programs.len() {
             runs.push(ColumnRun::new());
         }
-        for (program, run) in self.programs.iter().zip(runs.iter_mut()) {
-            program.exec_columns(atom_indexes, request, run, scratch);
+        // Top-down: a program's parent has produced its run — empty or
+        // not, every program hands the plan one.
+        for (i, program) in self.programs.iter().enumerate() {
+            let (done, rest) = runs.split_at_mut(i);
+            program.exec_columns(atom_indexes, request, done, &mut rest[0], scratch);
         }
         let answer = self.plan.answer_from_columns(
             views,
@@ -446,15 +623,17 @@ mod tests {
     use cqap_query::workload::{graph_pair_requests, Graph};
     use cqap_yannakakis::naive::full_join;
 
-    /// Runs a non-static program and lifts its column run into a relation
-    /// over the program's schema.
+    /// Runs a non-static program — fed `done`, the runs of the programs
+    /// before it — and lifts its column run into a relation over the
+    /// program's schema.
     fn exec_to_relation(
         program: &TViewProgram,
         atom_indexes: &AtomIndexCache,
         request: &AccessRequest,
-    ) -> Relation {
+        done: &[ColumnRun],
+    ) -> (ColumnRun, Relation) {
         let mut out = ColumnRun::new();
-        program.exec_columns(atom_indexes, request, &mut out, &mut DriverScratch::new());
+        program.exec_columns(atom_indexes, request, done, &mut out, &mut DriverScratch::new());
         let mut row = Vec::new();
         let rows = (0..out.rows()).map(|r| {
             out.row_into(r, &mut row);
@@ -462,7 +641,7 @@ mod tests {
         });
         let rel = Relation::from_tuples("T_view", program.schema.clone(), rows).unwrap();
         assert_eq!(rel.len(), out.rows(), "a T-view program emits distinct rows");
-        rel
+        (out, rel)
     }
 
     /// The 4-path query under the access pattern `{x1,x5}` on the
@@ -485,55 +664,130 @@ mod tests {
         (cqap, pmtds)
     }
 
+    /// What a T-view program promises. A program without a T-parent emits
+    /// exactly the interpreted T-view. A program under one emits that view
+    /// semijoin-reduced by its parent's run when it took the parent's side
+    /// and the whole view when it took the request's: in both cases a
+    /// subset of the interpreted T-view holding every row of it whose link
+    /// key some row of the parent's run carries — all the plan's semijoin
+    /// and join with the parent ever look at.
     #[test]
     fn compiled_t_views_match_the_interpreted_ones() {
-        let g = Graph::random(35, 150, 3);
+        let random = Graph::random(35, 150, 3);
+        let skewed = Graph::skewed(35, 150, 2, 24, 3);
         let (fig1, fig1_pmtds) = pf::pmtds_3reach_fig1().unwrap();
         let (uncovered, uncovered_pmtds) = uncovered_bag_fixture();
-        for (cqap, pmtds, db, uncovered_bags) in [
-            (fig1, fig1_pmtds, g.as_path_database(3), 0),
-            (uncovered, uncovered_pmtds, g.as_path_database(4), 1),
-        ] {
-            let full = full_join(&cqap, &db).unwrap();
-            for pmtd in &pmtds {
-                let evaluator = OnlineYannakakis::new(pmtd.clone());
-                let mut s_views = Vec::new();
-                for node in pmtd.materialization_set() {
-                    s_views.push((node, full.project_onto(pmtd.view_schema(node)).unwrap()));
-                }
-                let pre = evaluator.preprocess(&s_views).unwrap();
-                let mut atom_indexes = AtomIndexCache::default();
-                let compiled =
-                    CompiledPmtd::compile(&cqap, &db, &evaluator, &pre, &mut atom_indexes)
-                        .unwrap();
-                let projected = compiled.programs.iter().filter(|p| p.project.is_some());
-                assert_eq!(projected.count(), uncovered_bags);
-                assert_eq!(compiled.programs.len(), pmtd.td().num_nodes() - s_views.len());
-                for (u, v) in graph_pair_requests(&g, 15, 5) {
-                    let request = AccessRequest::single(cqap.access(), &[u, v]).unwrap();
-                    let expected = online_t_views(&cqap, &db, pmtd, &request).unwrap();
-                    for program in &compiled.programs {
-                        let want = expected
-                            .iter()
-                            .find(|(n, _)| *n == program.node)
-                            .map(|(_, r)| r)
-                            .expect("same node set");
-                        // The chain's join order is connectivity-greedy,
-                        // the reference's is the query's: same content,
-                        // possibly other column order.
-                        let got = exec_to_relation(program, &atom_indexes, &request)
-                            .reorder(want.schema());
-                        assert_eq!(
-                            &got.unwrap(),
-                            want,
-                            "node {} of {}",
-                            program.node,
-                            pmtd.summary()
-                        );
+        for (cqap, pmtds, path_len, uncovered_bags) in
+            [(fig1, fig1_pmtds, 3, 0), (uncovered, uncovered_pmtds, 4, 1)]
+        {
+            let (mut from_request, mut from_parent) = (0, 0);
+            for g in [&random, &skewed] {
+                let db = g.as_path_database(path_len);
+                let full = full_join(&cqap, &db).unwrap();
+                for pmtd in &pmtds {
+                    let evaluator = OnlineYannakakis::new(pmtd.clone());
+                    let mut s_views = Vec::new();
+                    for node in pmtd.materialization_set() {
+                        s_views.push((node, full.project_onto(pmtd.view_schema(node)).unwrap()));
+                    }
+                    let pre = evaluator.preprocess(&s_views).unwrap();
+                    let mut atom_indexes = AtomIndexCache::default();
+                    let compiled =
+                        CompiledPmtd::compile(&cqap, &db, &evaluator, &pre, &mut atom_indexes)
+                            .unwrap();
+                    let projected = compiled.programs.iter().filter(|p| p.project.is_some());
+                    assert_eq!(projected.count(), uncovered_bags);
+                    assert_eq!(compiled.programs.len(), pmtd.td().num_nodes() - s_views.len());
+                    for (u, v) in graph_pair_requests(g, 15, 5) {
+                        let request = AccessRequest::single(cqap.access(), &[u, v]).unwrap();
+                        let expected = online_t_views(&cqap, &db, pmtd, &request).unwrap();
+                        let (mut runs, mut rels) = (Vec::new(), Vec::<Relation>::new());
+                        for program in &compiled.programs {
+                            let what = format!("node {} of {}", program.node, pmtd.summary());
+                            let want = expected
+                                .iter()
+                                .find(|(n, _)| *n == program.node)
+                                .map(|(_, r)| r)
+                                .expect("same node set");
+                            let parent = program.link.as_ref().map(|link| &rels[link.parent]);
+                            assert_eq!(
+                                parent.is_some(),
+                                program.project.is_none() && program.node != pmtd.td().root(),
+                                "{what}: every covered non-root program here has a T-parent"
+                            );
+                            let taken = instrument::parent_side_programs();
+                            let (run, got) =
+                                exec_to_relation(program, &atom_indexes, &request, &runs);
+                            // The chain's join order is connectivity-greedy,
+                            // the reference's is the query's: same content,
+                            // possibly other column order.
+                            let got = got.reorder(want.schema()).unwrap();
+                            match parent {
+                                None => assert_eq!(&got, want, "{what}"),
+                                Some(parent_run) => {
+                                    assert!(got.iter().all(|t| want.contains(t)), "{what}: ⊆");
+                                    let reduced = want.semijoin(parent_run).unwrap();
+                                    assert!(reduced.iter().all(|t| got.contains(t)), "{what}: ⊇");
+                                    if instrument::parent_side_programs() > taken {
+                                        assert_eq!(got, reduced, "{what}: the parent's side");
+                                        from_parent += 1;
+                                    } else {
+                                        assert_eq!(&got, want, "{what}: the request's side");
+                                        from_request += 1;
+                                    }
+                                }
+                            }
+                            runs.push(run);
+                            rels.push(got);
+                        }
                     }
                 }
             }
+            assert!(
+                from_request > 0 && from_parent > 0,
+                "{}: {from_request} child runs from the request, {from_parent} from the parent",
+                cqap.cq().name()
+            );
         }
+    }
+
+    /// Top-down order makes an empty parent run an empty child, and the
+    /// cost rule yields it by itself: no key costs less than any request.
+    #[test]
+    fn an_empty_parent_run_empties_the_child_for_one_degree_lookup() {
+        let (cqap, pmtds) = pf::pmtds_3reach_fig1().unwrap();
+        let g = Graph::skewed(40, 200, 2, 30, 9);
+        let db = g.as_path_database(3);
+        let index = CqapIndex::build(&cqap, &db, &pmtds[..1]).unwrap();
+        let compiled = index.compiled().next().unwrap();
+        let atom_indexes = index.maintenance().atom_indexes();
+        let [root, child] = &compiled.programs[..] else {
+            panic!("(T134, T123) has two programs")
+        };
+        assert!(root.link.is_none() && child.link.is_some());
+        // Out of a hub, into a vertex no edge reaches.
+        let request = AccessRequest::single(cqap.access(), &[0, 10_000]).unwrap();
+        let (parent_run, parent_rel) = exec_to_relation(root, atom_indexes, &request, &[]);
+        assert!(parent_rel.is_empty());
+
+        let probes = instrument::index_probes();
+        let rows = instrument::chain_rows();
+        let taken = instrument::parent_side_programs();
+        let (_, child_rel) = exec_to_relation(child, atom_indexes, &request, &[parent_run]);
+        assert!(child_rel.is_empty());
+        assert_eq!(instrument::chain_rows(), rows, "nothing expanded out of the hub");
+        assert_eq!(instrument::parent_side_programs(), taken + 1);
+        assert_eq!(
+            instrument::index_probes(),
+            probes + 1,
+            "the request side's degree lookup and nothing else"
+        );
+        // The plan still gets a run — an empty one — for every program.
+        let answer = with_driver_scratch(|scratch| {
+            let views = index.plans().next().unwrap().1;
+            compiled.answer(atom_indexes, views, &request, scratch)
+        });
+        assert!(answer.unwrap().is_empty());
     }
 
     #[test]

@@ -52,7 +52,7 @@
 
 use std::sync::Arc;
 
-use cqap_common::{FxHashSet, Result, Tuple, Val};
+use cqap_common::{FxHashSet, Result, Tuple, Val, VarSet};
 use cqap_decomp::Pmtd;
 use cqap_delta::{net_effect, DeltaBatch, DeltaStats, RelationDelta};
 use cqap_obs::{CounterId, MetricsSink, StageId, TraceStage};
@@ -195,7 +195,7 @@ impl DeltaMaintenance {
             .map(|a| {
                 let others = (0..atoms.len()).filter(|&b| b != a).collect();
                 let start = Schema::new(atoms[a].vars.clone())?;
-                JoinChain::compile(db, &mut atom_indexes, atoms, start, others)
+                JoinChain::compile(db, &mut atom_indexes, atoms, start, others, VarSet::EMPTY)
             })
             .collect::<Result<Vec<_>>>()?;
         let mut plans = pmtds

@@ -18,7 +18,14 @@
 //! is exactly the S-view sizes; its online time is not always the optimum
 //! the 2PP analysis promises (that requires the per-rule heavy/light
 //! splitting implemented by the specialized structures in `cqap-indexes`),
-//! which is precisely the gap the benchmarks quantify.
+//! which is precisely the gap the benchmarks quantify. One part of that
+//! gap is closed online: a T-view under a T-parent is expanded from the
+//! parent's link keys when exact first-step fan-outs say that is cheaper
+//! than expanding from the request (`compiled.rs`, "Two seeds"), so a hub
+//! request no longer enumerates every 2-path out of the hub to filter a
+//! handful of parent rows. That is a per-request choice between two
+//! seeds over the *whole* database — the shadow of the paper's partition
+//! into heavy and light sub-instances, not the partition.
 
 use cqap_common::{CqapError, Result};
 use cqap_decomp::Pmtd;

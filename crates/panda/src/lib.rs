@@ -66,6 +66,7 @@ mod chain;
 pub mod compiled;
 pub mod delta;
 pub mod driver;
+pub mod instrument;
 pub mod rules;
 
 pub use analysis::{figure4a_curve, figure4b_curve, goldstein_baseline, table1_3reach, RuleReport};

@@ -23,13 +23,19 @@
 //! into the plan at compile time — the one case where a delta must still
 //! recompile — and a hand-written decomposition with an *uncovered* bag,
 //! whose T-view joins every atom onto the whole request.
+//!
+//! A T-view under a T-parent has two seeds — the request, or the parent's
+//! link keys when those are cheaper — and uniform random graphs mostly
+//! exercise one. `both_seeds_agree_with_the_references` runs the plan
+//! families with T-children on skewed inputs and asserts, from
+//! `cqap_panda::instrument`, that each family took both sides.
 
 use cqap_common::{vars, Tuple, VarSet};
 use cqap_decomp::families as pmtd_families;
 use cqap_decomp::{Pmtd, TreeDecomposition};
 use cqap_delta::{ApplyDelta, DeltaBatch};
 use cqap_obs::{CounterId, MetricsSink};
-use cqap_panda::{AtomIndexCache, CqapIndex};
+use cqap_panda::{instrument, AtomIndexCache, CqapIndex};
 use cqap_query::families::k_path_distinct;
 use cqap_query::workload::{graph_pair_requests, zipf_multi_requests, Graph};
 use cqap_query::{AccessRequest, Atom, ConjunctiveQuery, Cqap};
@@ -444,5 +450,132 @@ fn only_plans_with_stale_folded_content_recompile() {
     assert!(r4_keys.contains(&VarSet::from_iter([3, 4])), "R4 is keyed on {r4_keys:?}");
     for relation in ["R1", "R2", "R3", "R4"] {
         assert_eq!(recompiles_after(&mut index, relation, (9_000, 9_001)), 0);
+    }
+}
+
+/// naive ≡ interpreted ≡ engine on `requests`, as built and after `batch`,
+/// with the engine's two-seeded T-view programs having run from the
+/// request *and* from their parent's link keys. Returns the plans the
+/// batch recompiled.
+fn check_both_seeds(
+    what: &str,
+    cqap: &Cqap,
+    pmtds: &[Pmtd],
+    db: &Database,
+    requests: &[AccessRequest],
+    batch: &DeltaBatch,
+) -> u64 {
+    let sink = MetricsSink::recording();
+    let mut index = CqapIndex::build(cqap, db, pmtds).unwrap();
+    index.set_metrics_sink(sink.clone());
+    let check = |index: &CqapIndex, when: &str| {
+        let sides = (instrument::request_side_programs(), instrument::parent_side_programs());
+        for request in requests {
+            let expected = index.answer_from_scratch(request).unwrap();
+            assert_eq!(index.answer(request).unwrap(), expected, "{what}, {when}: engine");
+            assert_eq!(
+                index.answer_interpreted(request).unwrap(),
+                expected,
+                "{what}, {when}: interpreted"
+            );
+        }
+        let from_request = instrument::request_side_programs() - sides.0;
+        let from_parent = instrument::parent_side_programs() - sides.1;
+        assert!(
+            from_request > 0 && from_parent > 0,
+            "{what}, {when}: {from_request} program runs from the request, {from_parent} from \
+             the parent — a harness that never reaches a side proves nothing about it"
+        );
+    };
+    check(&index, "as built");
+    assert!(!index.apply_delta(batch).unwrap().is_noop());
+    check(&index, "after the delta");
+    sink.snapshot().unwrap().counter(CounterId::PlanRecompiles)
+}
+
+/// Single-tuple, multi-tuple and duplicate-binding requests over a graph's
+/// endpoints (raw zipf ids: the hubs of a skewed graph are its low ids).
+fn mixed_requests(cqap: &Cqap, graph: &Graph, seed: u64) -> Vec<AccessRequest> {
+    let mut requests = requests_for(cqap, graph, seed);
+    let pairs = graph_pair_requests(graph, 14, seed ^ 0xd0b1e);
+    requests.extend(
+        pairs[6..]
+            .iter()
+            .map(|&(u, v)| AccessRequest::single(cqap.access(), &[u, v]).unwrap()),
+    );
+    // One tuple twice, and a second binding of the same `x1`.
+    for w in pairs[..6].windows(2) {
+        let ((u, v), (_, other)) = (w[0], w[1]);
+        let tuples = vec![Tuple::pair(u, v), Tuple::pair(u, v), Tuple::pair(u, other)];
+        requests.push(AccessRequest::new(cqap.access(), tuples).unwrap());
+    }
+    requests
+}
+
+/// The families whose plans hold a T-view under a T-parent, on skewed
+/// inputs: the five 3-reachability PMTDs (a plan and its mirror), the
+/// eleven of Example E.8, and the hierarchical set of Appendix F (an
+/// uncovered 5-variable root seeding two T-children).
+#[test]
+fn both_seeds_agree_with_the_references() {
+    for seed in [3, 11] {
+        let graph = Graph::skewed(45, 210, 3, 30, seed);
+
+        let (cqap, pmtds) = pmtd_families::pmtds_3reach_all().unwrap();
+        let db = graph.as_path_database(3);
+        let requests = mixed_requests(&cqap, &graph, seed);
+        let batch = make_batch(0, &cqap, &db, seed);
+        let recompiled = check_both_seeds("3-reach", &cqap, &pmtds, &db, &requests, &batch);
+        assert_eq!(recompiled, 0, "the link-seeded chains read live slots too");
+
+        let (cqap, pmtds) = pmtd_families::pmtds_4reach().unwrap();
+        assert_eq!(pmtds.len(), 11);
+        let db = graph.as_path_database(4);
+        let requests = mixed_requests(&cqap, &graph, seed);
+        let batch = make_batch(0, &cqap, &db, seed);
+        check_both_seeds("4-reach", &cqap, &pmtds, &db, &requests, &batch);
+
+        // R(x,y1,z1), S(x,y1,z2), T(x,y2,z3), U(x,y2,z4) over small
+        // domains, three quarters full: most bindings of Z keep several
+        // `x` (the request is the cheaper seed), while a binding of the
+        // value 4, which no relation holds, empties the root (the parent
+        // is).
+        let (cqap, pmtds) = pmtd_families::pmtds_hierarchical().unwrap();
+        let mut state = 0x9E37_79B9_7F4A_7C15u64 ^ seed;
+        let mut next = move |below: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state % below
+        };
+        let mut db = Database::new();
+        for name in ["R", "S", "T", "U"] {
+            let atom = cqap.cq().atoms().iter().find(|a| a.relation == name).unwrap();
+            let cells = (0..6).flat_map(|x| (0..3).flat_map(move |y| (0..4).map(move |z| [x, y, z])));
+            let tuples: Vec<Tuple> = cells
+                .filter(|_| next(4) > 0)
+                .map(|cell| Tuple::from_slice(&cell))
+                .collect();
+            let schema = Schema::new((0..atom.arity()).collect()).unwrap();
+            db.add_relation(Relation::from_tuples(name, schema, tuples).unwrap()).unwrap();
+        }
+        let binding = |next: &mut dyn FnMut(u64) -> u64| {
+            Tuple::from_slice(&[next(5), next(5), next(5), next(5)])
+        };
+        let mut requests = Vec::new();
+        for i in 0..24 {
+            let mut tuples = vec![binding(&mut next)];
+            if i % 3 == 1 {
+                tuples.push(tuples[0].clone());
+                tuples.push(binding(&mut next));
+            }
+            requests.push(AccessRequest::new(cqap.access(), tuples).unwrap());
+        }
+        let gone: Vec<Tuple> = db.relation("S").unwrap().tuples().iter().step_by(7).cloned().collect();
+        let batch = DeltaBatch::new()
+            .delete("S", gone)
+            .insert("R", vec![Tuple::from_slice(&[7, 1, 4])])
+            .insert("T", vec![Tuple::from_slice(&[7, 2, 2]), Tuple::from_slice(&[2, 0, 4])]);
+        check_both_seeds("hierarchical", &cqap, &pmtds, &db, &requests, &batch);
     }
 }

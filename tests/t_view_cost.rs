@@ -1,0 +1,123 @@
+//! The T-view programs' cost contract, counted: a T-view under a T-parent
+//! is expanded from whichever seed is cheaper — the request or the
+//! parent's link keys — chosen per request.
+//!
+//! On the benchmark's `g20k` (the fixture of `tests/delta_cost.rs`) the
+//! plan `(T134, T123)` used to emit, for every request, every 2-path out
+//! of `x1` — 519 chain rows per request over this stream, thousands out
+//! of a hub — to filter a parent `T134` of a handful of rows. Seeded from
+//! the parent's link keys `(x1, x3)` when those are the cheaper side, it
+//! emits a tenth of that (48). The mirrored plan `(T124, T234)` is the other side of
+//! the choice: its parent is the up-to-400 out-neighbours of `x1`, its
+//! child a reverse two-hop from `x4` over in-degrees ≤ 16, and there the
+//! request's seed must keep winning. So the test fails under "always from
+//! the parent" (on the mirror) and under "never" (on `(T134, T123)`).
+//!
+//! The counts come from `cqap_panda::instrument` — rows emitted by the
+//! steps of the programs' join chains, two-seeded programs run per side —
+//! and are exact and machine-independent: no timing.
+
+use cqap_suite::decomp::families::pmtds_3reach_all;
+use cqap_suite::panda::{instrument, with_driver_scratch};
+use cqap_suite::prelude::*;
+use cqap_suite::query::workload::graph_pair_requests;
+
+/// Rows emitted and programs run per side while `index`'s one plan
+/// answers `requests`.
+struct Counted {
+    rows: u64,
+    from_request: u64,
+    from_parent: u64,
+    answers: Vec<Relation>,
+}
+
+fn count(index: &CqapIndex, requests: &[AccessRequest]) -> Counted {
+    let rows = instrument::chain_rows();
+    let from_request = instrument::request_side_programs();
+    let from_parent = instrument::parent_side_programs();
+    let (plan, views) = (index.compiled().next().unwrap(), index.plans().next().unwrap().1);
+    let atom_indexes = index.maintenance().atom_indexes();
+    let answers = requests
+        .iter()
+        .map(|r| with_driver_scratch(|s| plan.answer(atom_indexes, views, r, s)).unwrap())
+        .collect();
+    Counted {
+        rows: instrument::chain_rows() - rows,
+        from_request: instrument::request_side_programs() - from_request,
+        from_parent: instrument::parent_side_programs() - from_parent,
+        answers,
+    }
+}
+
+#[test]
+fn a_t_view_under_a_t_parent_expands_from_the_cheaper_side() {
+    let (cqap, pmtds) = pmtds_3reach_all().unwrap();
+    let plan = |summary: &str| {
+        let pmtd = pmtds.iter().find(|p| p.summary() == summary).expect(summary);
+        std::slice::from_ref(pmtd)
+    };
+    let graph = Graph::skewed(3_000, 20_000, 16, 400, 20_000);
+    let db = graph.as_path_database(3);
+    let keys = graph_pair_requests(&graph, 2_000, 1);
+    let n = keys.len() as u64;
+    let requests: Vec<AccessRequest> = keys
+        .iter()
+        .map(|&(u, v)| AccessRequest::single(cqap.access(), &[u, v]).unwrap())
+        .collect();
+
+    let mut out = vec![Vec::new(); graph.num_vertices];
+    let mut into = vec![Vec::new(); graph.num_vertices];
+    for &(u, v) in &graph.edges {
+        out[u as usize].push(v as usize);
+        into[v as usize].push(u as usize);
+    }
+    // What seeding every program from the request alone emits: the
+    // parent's one hop off one access variable plus the child's two steps
+    // — one hop, then two — off the other.
+    let request_only = |parent: &[Vec<usize>], child: &[Vec<usize>], mirrored: bool| -> u64 {
+        let two_hops = |from: usize| {
+            child[from].iter().map(|&mid| 1 + child[mid].len()).sum::<usize>()
+        };
+        let per_request = |&(u, v): &(Val, Val)| {
+            let (p, c) = if mirrored { (u, v) } else { (v, u) };
+            (parent[p as usize].len() + two_hops(c as usize)) as u64
+        };
+        keys.iter().map(per_request).sum()
+    };
+
+    let index = CqapIndex::build(&cqap, &db, plan("(T134, T123)")).unwrap();
+    let slots = index.maintenance().atom_indexes().entries().count();
+    let forward = count(&index, &requests);
+    let alone = request_only(&into, &out, false);
+    assert!(alone > 400 * n, "the fixture: {} rows per request from the request alone", alone / n);
+    assert!(
+        forward.rows <= 80 * n,
+        "(T134, T123) emitted {} rows over {n} requests ({} from the request alone)",
+        forward.rows,
+        alone
+    );
+    // One two-seeded program, T123, per request.
+    assert_eq!(forward.from_request + forward.from_parent, n);
+    assert!(
+        20 * forward.from_request >= n && 20 * forward.from_parent >= n,
+        "T123 ran {} times from the request, {} from T134's keys",
+        forward.from_request,
+        forward.from_parent
+    );
+
+    let mirror = CqapIndex::build(&cqap, &db, plan("(T124, T234)")).unwrap();
+    let mirrored = count(&mirror, &requests);
+    let alone = request_only(&out, &into, true);
+    assert!(
+        mirrored.rows <= alone,
+        "(T124, T234) emitted {} rows, more than the {alone} of seeding from the request alone",
+        mirrored.rows
+    );
+    assert!(mirrored.from_request > mirrored.from_parent, "the request is T234's usual side");
+    assert_eq!(forward.answers, mirrored.answers, "each plan answers completely");
+
+    // The second chain of a program borrows its membership slot: the
+    // delta chains' four slots plus the two request-seeded programs' two.
+    assert_eq!(slots, 6);
+    assert_eq!(mirror.maintenance().atom_indexes().entries().count(), 6);
+}
