@@ -16,7 +16,17 @@
 //!
 //! A support count per (plan, materialized node, view tuple) tracks how
 //! many J-rows project onto it; a view tuple leaves its S-view when its
-//! count reaches zero and enters when it departs from zero.
+//! count reaches zero and enters when it departs from zero. The counts
+//! live **in the S-view itself**: the backend's resident
+//! [`PreprocessedViews`] are counted `KeyedRows` keyed by each view's
+//! link, so the table the online phase probes is the table a delta edits
+//! — one `S`-sized table per (plan, node) per lineage, one random-access
+//! edit per `ΔJ` row and view, and nothing to copy the edit into. The
+//! backend owns the tables (`CqapIndex` serves from them; a spilled
+//! `StoredIndex` keeps a clone as its counts beside the runs it probes)
+//! and lends them to [`DeltaMaintenance::build`] / [`DeltaMaintenance::apply`]
+//! by `&mut`; this module keeps only what expands a delta: the chains and
+//! the atom indexes.
 //!
 //! Each atom's term is one `JoinChain` (the chain type of the T-view
 //! programs, compiled once at build time) seeded with that atom's net
@@ -32,7 +42,7 @@
 //!
 //! **Build is a delta from empty**: every J-row is new and atom 0 is its
 //! first atom, so [`DeltaMaintenance::build`] runs atom 0's chain seeded
-//! with all of `R₀` into empty count tables — `J` is streamed, never held.
+//! with all of `R₀` into the empty views — `J` is streamed, never held.
 //!
 //! Every step of an apply costs `O(|Δ| + |ΔJ|)`, never `O(|D|)`:
 //!
@@ -53,12 +63,11 @@
 use std::sync::Arc;
 
 use cqap_common::{FxHashSet, Result, Tuple, Val, VarSet};
-use cqap_decomp::Pmtd;
 use cqap_delta::{net_effect, DeltaBatch, DeltaStats, RelationDelta};
 use cqap_obs::{CounterId, MetricsSink, StageId, TraceStage};
 use cqap_query::{Atom, Cqap};
-use cqap_relation::{Database, KeyedRows, Schema};
-use cqap_yannakakis::{ColumnRun, OnlineYannakakis, SViewProbe};
+use cqap_relation::{Database, Schema};
+use cqap_yannakakis::{ColumnRun, OnlineYannakakis, PreprocessedViews, SViewProbe};
 
 use crate::chain::{ChainScratch, JoinChain, MORSEL_ROWS};
 use crate::compiled::{AtomIndexCache, CompiledPmtd};
@@ -109,19 +118,19 @@ fn stream_delta_join(
 
 /// Gives (`Side::Inserts`) or takes (`Side::Deletes`) one support per row
 /// of `rows` (over `schema`, a permutation of the query's variables) to
-/// its projection onto every view of every plan, and calls
-/// `moved(plan, view, row)` for each view row that thereby entered or
-/// left its view.
+/// its projection onto every (counted) view of every plan — the one hot
+/// edit of a delta — and calls `moved(plan, view, row)` for each view row
+/// that thereby entered or left its view.
 fn shift_counts(
     schema: &Schema,
     rows: &ColumnRun,
-    plans: &mut [Vec<(usize, KeyedRows)>],
+    plans: &mut [PreprocessedViews],
     side: Side,
     mut moved: impl FnMut(usize, usize, &[Val]),
 ) {
     let mut row = Vec::new();
     for (p, plan) in plans.iter_mut().enumerate() {
-        for (v, (_, counts)) in plan.iter_mut().enumerate() {
+        for (v, (_, counts)) in plan.edit().enumerate() {
             let positions = schema
                 .positions_of_set(counts.schema().varset())
                 .expect("a view projects the full join");
@@ -154,8 +163,9 @@ pub struct DeltaOutcome {
 }
 
 /// Build-once maintenance state for a set of PMTD plans over one
-/// database: the per-atom delta chains, the per-view support counts and
-/// the atom-index cache the backend's compiled pipelines answer against.
+/// database: the per-atom delta chains and the atom-index cache the
+/// backend's compiled pipelines answer against. The counted S-views a
+/// delta edits are the backend's (see the module docs).
 ///
 /// Cloneable so a second backend over the same preprocessing output (the
 /// disk spill in `cqap-store`) carries its own maintenance lineage; the
@@ -164,11 +174,6 @@ pub struct DeltaOutcome {
 #[derive(Clone, Debug)]
 pub struct DeltaMaintenance {
     chains: Vec<JoinChain>,
-    /// Per plan, per materialized node: `(node, support counts)` — how
-    /// many full-join rows project onto each stored view tuple, a counted
-    /// [`KeyedRows`] over the view schema (ascending variable order), the
-    /// same compact layout as the resident S-view itself.
-    plans: Vec<Vec<(usize, KeyedRows)>>,
     atom_indexes: AtomIndexCache,
     /// Observability seam: apply latency, net-op sizes and recompile
     /// counts. Disabled (free) unless a sink is attached via
@@ -181,14 +186,15 @@ pub struct DeltaMaintenance {
 impl DeltaMaintenance {
     /// Compiles, per atom, the delta chain expanding that atom's tuple
     /// deltas to full-join row deltas (its own schema joined with all
-    /// other atoms, indexed over `db`), and fills the support counts of
-    /// every materialized node of every PMTD in one pass over the streamed
-    /// full join: the insert of the whole database into an empty one,
-    /// whose first atom is always atom 0.
+    /// other atoms, indexed over `db`), and fills `views` — one plan's
+    /// empty counted S-views per element
+    /// ([`OnlineYannakakis::counted_views`]) — in one pass over the
+    /// streamed full join: the insert of the whole database into an empty
+    /// one, whose first atom is always atom 0.
     ///
     /// # Errors
     /// Propagates schema/atom resolution failures.
-    pub fn build(cqap: &Cqap, db: &Database, pmtds: &[Pmtd]) -> Result<Self> {
+    pub fn build(cqap: &Cqap, db: &Database, views: &mut [PreprocessedViews]) -> Result<Self> {
         let atoms = cqap.cq().atoms();
         let mut atom_indexes = AtomIndexCache::default();
         let chains = (0..atoms.len())
@@ -198,29 +204,16 @@ impl DeltaMaintenance {
                 JoinChain::compile(db, &mut atom_indexes, atoms, start, others, VarSet::EMPTY)
             })
             .collect::<Result<Vec<_>>>()?;
-        let mut plans = pmtds
-            .iter()
-            .map(|pmtd| {
-                pmtd.materialization_set()
-                    .into_iter()
-                    .map(|node| {
-                        let vars = pmtd.view_schema(node);
-                        Ok((node, KeyedRows::counted(Schema::of(vars.iter()), vars)?))
-                    })
-                    .collect()
-            })
-            .collect::<Result<Vec<Vec<_>>>>()?;
         let mut seed = ColumnRun::new();
         seed.reset(atoms[0].arity());
         seed.extend_from_tuples(db.relation_or_err(&atoms[0].relation)?.tuples());
         let (no_skip, mut scratch) = (|_, _: &Tuple| false, ChainScratch::default());
         let mut count = |rows: &ColumnRun| {
-            shift_counts(chains[0].schema(), rows, &mut plans, Side::Inserts, |_, _, _| {})
+            shift_counts(chains[0].schema(), rows, views, Side::Inserts, |_, _, _| {})
         };
         chains[0].run(0, &atom_indexes, &seed, MORSEL_ROWS, &no_skip, &mut scratch, &mut count);
         Ok(DeltaMaintenance {
             chains,
-            plans,
             atom_indexes,
             sink: MetricsSink::disabled(),
         })
@@ -233,39 +226,11 @@ impl DeltaMaintenance {
         self.sink = sink;
     }
 
-    /// Heap bytes the support counts hold (see
-    /// [`KeyedRows::heap_bytes`]): the part of the maintenance state that
-    /// grows with `S` and stays resident in every lineage, hot or cold.
-    /// The atom indexes are `O(|D|)` state outside the `S` accounting,
-    /// like the database itself.
-    pub fn resident_bytes(&self) -> usize {
-        self.support_counts()
-            .map(|(_, _, counts)| counts.heap_bytes())
-            .sum()
-    }
-
     /// The live atom indexes the owning backend's compiled pipelines
     /// answer against (see
     /// [`answer_with_compiled`](crate::answer_with_compiled)).
     pub fn atom_indexes(&self) -> &AtomIndexCache {
         &self.atom_indexes
-    }
-
-    /// Iterates `(plan, node, support counts)` over every materialized
-    /// node — what the rebuild-equivalence tests compare against a fresh
-    /// build over the post-delta database (rows *and* counts).
-    pub fn support_counts(&self) -> impl Iterator<Item = (usize, usize, &KeyedRows)> + '_ {
-        self.plans.iter().enumerate().flat_map(|(plan, views)| {
-            views
-                .iter()
-                .map(move |(node, counts)| (plan, *node, counts))
-        })
-    }
-
-    /// Plan `plan`'s counted projections of the full join — the content
-    /// its S-views are copied from.
-    pub(crate) fn projections(&self, plan: usize) -> &[(usize, KeyedRows)] {
-        &self.plans[plan]
     }
 
     /// Compiles `evaluator`'s pipeline against this maintenance's atom
@@ -306,19 +271,23 @@ impl DeltaMaintenance {
     }
 
     /// Applies one batch: streams `ΔJ⁻` against the pre-delta atom
-    /// indexes into the support counts, moves `db` and the atom indexes
-    /// over the touched relations to the post-delta state (in place, tuple
-    /// by tuple), streams `ΔJ⁺`, and returns the per-plan net ΔS-views —
-    /// the view rows whose count reached or left zero — for the caller's
-    /// backend to absorb.
+    /// indexes into `views` (the lineage's counted S-views, one element
+    /// per plan, as given to [`DeltaMaintenance::build`]), moves `db` and
+    /// the atom indexes over the touched relations to the post-delta
+    /// state (in place, tuple by tuple), streams `ΔJ⁺`, and returns the
+    /// per-plan net ΔS-views — the view rows whose count reached or left
+    /// zero. `views` already holds them when this returns; the lists are
+    /// for a backend that probes a second form of the views (the cold
+    /// tier's overlays).
     ///
     /// A batch whose net effect is empty short-circuits: `db`, the
-    /// counts and the atom indexes are left untouched and the outcome
+    /// views and the atom indexes are left untouched and the outcome
     /// carries no view deltas.
     pub fn apply(
         &mut self,
         cqap: &Cqap,
         db: &mut Database,
+        views: &mut [PreprocessedViews],
         batch: &DeltaBatch,
     ) -> Result<DeltaOutcome> {
         let timer = self.sink.start();
@@ -330,14 +299,15 @@ impl DeltaMaintenance {
             return Ok(DeltaOutcome::default());
         }
         let atoms = cqap.cq().atoms();
-        let no_moves = |(node, _): &(usize, KeyedRows)| (*node, Vec::new(), Vec::new());
-        let views_of = |plan: &Vec<(usize, KeyedRows)>| plan.iter().map(no_moves).collect();
-        let mut views: Vec<Vec<_>> = self.plans.iter().map(views_of).collect();
-        let (chains, plans) = (&self.chains, &mut self.plans);
+        let no_moves = |plan: &PreprocessedViews| {
+            plan.runs().map(|(node, _)| (node, Vec::new(), Vec::new())).collect()
+        };
+        let mut moves: Vec<Vec<_>> = views.iter().map(no_moves).collect();
+        let chains = &self.chains;
         let mut stream = |side: Side, atom_indexes: &AtomIndexCache| {
             let mut count = |a: usize, rows: &ColumnRun| {
-                shift_counts(chains[a].schema(), rows, plans, side, |p, v, row| {
-                    let (_, entered, left) = &mut views[p][v];
+                shift_counts(chains[a].schema(), rows, views, side, |p, v, row| {
+                    let (_, entered, left) = &mut moves[p][v];
                     let moved: &mut Vec<Tuple> = match side {
                         Side::Inserts => entered,
                         Side::Deletes => left,
@@ -369,7 +339,7 @@ impl DeltaMaintenance {
         // first support enter.
         stream(Side::Inserts, &self.atom_indexes);
         // A row that left under ΔJ⁻ and came back under ΔJ⁺ never moved.
-        for (_, entered, left) in views.iter_mut().flatten() {
+        for (_, entered, left) in moves.iter_mut().flatten() {
             if entered.is_empty() || left.is_empty() {
                 continue;
             }
@@ -394,7 +364,7 @@ impl DeltaMaintenance {
         );
         Ok(DeltaOutcome {
             stats,
-            views,
+            views: moves,
             touched,
         })
     }
@@ -433,7 +403,7 @@ mod tests {
                 new_db.apply_delta(&batch).unwrap();
                 let (j_old, j_new) = (oracle_join(&cqap, &old_db), oracle_join(&cqap, &new_db));
                 for cap in [1, 3, MORSEL_ROWS] {
-                    let mut m = DeltaMaintenance::build(&cqap, &old_db, &[]).unwrap();
+                    let mut m = DeltaMaintenance::build(&cqap, &old_db, &mut []).unwrap();
                     let what = |side: &str| format!("{side} of {} at cap {cap}", cqap.cq().name());
                     let stream = |side: Side, indexes: &AtomIndexCache, target: &Schema| {
                         let mut streamed = Vec::new();

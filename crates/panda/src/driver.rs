@@ -7,12 +7,14 @@
 //! after its final semijoin-reduce step) and indexes them for Online
 //! Yannakakis. The full join itself is never held: the build is delta
 //! maintenance from empty ([`DeltaMaintenance::build`]), which streams it
-//! through the crate's one join chain into the views' support counts. The
-//! online phase computes the T-views for the incoming access request —
-//! joining only the atoms of each non-materialized bag, restricted by the
-//! request, through the same chain — runs Online Yannakakis per PMTD, and
-//! unions the results across PMTDs. The oracle's join (`naive::full_join`)
-//! is left to the oracle and the interpreted reference ([`online_t_views`]).
+//! through the crate's one join chain into the index's counted S-views —
+//! the tables the online phase probes are the support-count tables a delta
+//! edits, so `S` is resident once. The online phase computes the T-views
+//! for the incoming access request — joining only the atoms of each
+//! non-materialized bag, restricted by the request, through the same
+//! chain — runs Online Yannakakis per PMTD, and unions the results across
+//! PMTDs. The oracle's join (`naive::full_join`) is left to the oracle and
+//! the interpreted reference ([`online_t_views`]).
 //!
 //! The engine is *correct for every CQAP and PMTD set* and its space usage
 //! is exactly the S-view sizes; its online time is not always the optimum
@@ -31,7 +33,7 @@ use cqap_common::{CqapError, Result};
 use cqap_decomp::Pmtd;
 use cqap_delta::{ApplyDelta, DeltaBatch, DeltaStats};
 use cqap_query::{AccessRequest, Cqap};
-use cqap_relation::{Database, Relation};
+use cqap_relation::{Database, KeyedRows, Relation};
 use cqap_yannakakis::naive::{atom_relation, full_join};
 use cqap_yannakakis::{naive_answer, OnlineYannakakis, PreprocessedViews, SViewProbe};
 
@@ -48,12 +50,14 @@ pub struct CqapIndex {
     cqap: Cqap,
     db: Database,
     plans: Vec<Plan>,
+    /// Per plan, its counted S-views: probed by [`CqapIndex::answer`],
+    /// edited by `maintenance` — the one `S`-sized table per (plan, node).
+    views: Vec<PreprocessedViews>,
     maintenance: DeltaMaintenance,
 }
 
 struct Plan {
     evaluator: OnlineYannakakis,
-    preprocessed: PreprocessedViews,
     /// `Arc`-shared so a second backend over the same preprocessing
     /// output (a disk spill) reuses the pipeline by refcount, not by copy
     /// (the `O(|D|)`-sized atom indexes it probes live in the
@@ -83,19 +87,21 @@ impl CqapIndex {
         }
         // Delta maintenance from empty: the atom indexes (one table for
         // the whole build — PMTDs sharing an (atom, join-key) pair share
-        // one slot), the per-atom delta chains, and every view's counted
-        // projection of the streamed full join, all views in one pass.
-        let mut maintenance = DeltaMaintenance::build(cqap, db, pmtds)?;
+        // one slot), the per-atom delta chains, and every view filled
+        // with its counted projection of the streamed full join, all
+        // views in one pass. A counted projection is both the S-view (its
+        // distinct rows, keyed by the link) and the view's support counts.
+        let evaluators: Vec<_> = pmtds.iter().map(|p| OnlineYannakakis::new(p.clone())).collect();
+        let mut views = evaluators
+            .iter()
+            .map(OnlineYannakakis::counted_views)
+            .collect::<Result<Vec<_>>>()?;
+        let mut maintenance = DeltaMaintenance::build(cqap, db, &mut views)?;
         let mut plans = Vec::with_capacity(pmtds.len());
-        for (i, pmtd) in pmtds.iter().enumerate() {
-            let evaluator = OnlineYannakakis::new(pmtd.clone());
-            // A counted projection is both the S-view (its distinct rows)
-            // and the view's support counts.
-            let preprocessed = evaluator.preprocess_projections(maintenance.projections(i))?;
-            let compiled = maintenance.compile(cqap, db, &evaluator, &preprocessed)?;
+        for (evaluator, views) in evaluators.into_iter().zip(&views) {
+            let compiled = maintenance.compile(cqap, db, &evaluator, views)?;
             plans.push(Plan {
                 evaluator,
-                preprocessed,
                 compiled: std::sync::Arc::new(compiled),
             });
         }
@@ -103,6 +109,7 @@ impl CqapIndex {
             cqap: cqap.clone(),
             db: db.clone(),
             plans,
+            views,
             maintenance,
         })
     }
@@ -111,17 +118,26 @@ impl CqapIndex {
     /// all PMTDs (excluding the input database itself, as in the paper's
     /// `Õ(S + |D|)` accounting).
     pub fn space_used(&self) -> usize {
-        self.plans.iter().map(|p| p.preprocessed.stored_values()).sum()
+        self.views.iter().map(PreprocessedViews::stored_values).sum()
     }
 
     /// Heap bytes the index actually holds for its `S`: the resident
-    /// S-views of every plan plus their support counts, from vector
-    /// capacities (see [`cqap_relation::KeyedRows::heap_bytes`]) — the number to hold
-    /// against `space_used() × size_of::<Val>()`. Excludes the `O(|D|)`
-    /// state (database, atom indexes), like [`CqapIndex::space_used`].
+    /// S-views of every plan, support counts included (they are one
+    /// table), from vector capacities (see [`KeyedRows::heap_bytes`]) —
+    /// the number to hold against `space_used() × size_of::<Val>()`.
+    /// Excludes the `O(|D|)` state (database, atom indexes), like
+    /// [`CqapIndex::space_used`].
     pub fn resident_bytes(&self) -> usize {
-        let views: usize = self.plans.iter().map(|p| p.preprocessed.resident_bytes()).sum();
-        views + self.maintenance.resident_bytes()
+        self.views.iter().map(PreprocessedViews::resident_bytes).sum()
+    }
+
+    /// Iterates `(plan, node, counted S-view)` over every materialized
+    /// node — what the rebuild-equivalence tests compare against a fresh
+    /// build over the post-delta database (rows, link *and* counts).
+    pub fn support_counts(&self) -> impl Iterator<Item = (usize, usize, &KeyedRows)> + '_ {
+        self.views.iter().enumerate().flat_map(|(plan, views)| {
+            views.runs().map(move |(node, counts)| (plan, node, counts))
+        })
     }
 
     /// The CQAP this index answers.
@@ -137,12 +153,12 @@ impl CqapIndex {
     }
 
     /// The per-PMTD plans — each an Online-Yannakakis evaluator plus its
-    /// preprocessed (semijoin-reduced, link-keyed) S-views. This is the
-    /// preprocessing output a second storage tier spills: `cqap-store`
-    /// streams exactly these views to disk, keyed by the same link
-    /// variables.
+    /// preprocessed (semijoin-reduced, link-keyed, counted) S-views. This
+    /// is the preprocessing output a second storage tier spills:
+    /// `cqap-store` streams exactly these views to disk, keyed by the same
+    /// link variables, and clones them as its lineage's support counts.
     pub fn plans(&self) -> impl Iterator<Item = (&OnlineYannakakis, &PreprocessedViews)> {
-        self.plans.iter().map(|p| (&p.evaluator, &p.preprocessed))
+        self.plans.iter().map(|p| &p.evaluator).zip(&self.views)
     }
 
     /// The per-PMTD compiled pipelines (T-view programs + probe plans) —
@@ -175,9 +191,7 @@ impl CqapIndex {
         answer_with_compiled(
             &self.cqap,
             self.maintenance.atom_indexes(),
-            self.plans
-                .iter()
-                .map(|p| (p.compiled.as_ref(), &p.preprocessed)),
+            self.plans.iter().map(|p| p.compiled.as_ref()).zip(&self.views),
             request,
         )
     }
@@ -197,15 +211,16 @@ impl CqapIndex {
     /// # Errors
     /// Propagates the plan's evaluation errors.
     pub fn answer_degraded(&self, request: &AccessRequest) -> Result<Relation> {
-        let plan = self
+        let (plan, views) = self
             .plans
             .iter()
-            .max_by_key(|p| p.preprocessed.stored_values())
+            .zip(&self.views)
+            .max_by_key(|(_, views)| views.stored_values())
             .expect("build requires at least one PMTD");
         let answer = answer_with_compiled(
             &self.cqap,
             self.maintenance.atom_indexes(),
-            std::iter::once((plan.compiled.as_ref(), &plan.preprocessed)),
+            std::iter::once((plan.compiled.as_ref(), views)),
             request,
         )?;
         Ok(answer.with_name(DEGRADED_ANSWER_NAME))
@@ -226,10 +241,10 @@ impl CqapIndex {
         ans.project_onto(self.cqap.declared_head().union(self.cqap.access()))
     }
 
-    /// The delta-maintenance state (delta chains, support counts, atom
-    /// indexes). A second backend over the same preprocessing
-    /// output (the disk spill in `cqap-store`) clones this to maintain
-    /// its own lineage of the views.
+    /// The delta-maintenance state (delta chains, atom indexes). A second
+    /// backend over the same preprocessing output (the disk spill in
+    /// `cqap-store`) clones this, and the views of [`CqapIndex::plans`],
+    /// to maintain its own lineage.
     pub fn maintenance(&self) -> &DeltaMaintenance {
         &self.maintenance
     }
@@ -244,22 +259,19 @@ impl CqapIndex {
 
 /// In-place incremental maintenance, `O(|Δ| + |ΔJ|)` end to end: the net
 /// effect flows through the delta chains (editing the stored relations
-/// and the atom indexes tuple by tuple) into ΔS-views applied to every
-/// plan's resident [`PreprocessedViews`]. The compiled pipelines read
-/// that live state, so only a plan that folded a touched relation's
-/// content at compile time (static bags) is recompiled.
+/// and the atom indexes tuple by tuple) into the support counts of every
+/// plan's resident [`PreprocessedViews`] — a view row enters or leaves
+/// where its count crosses zero, so that one edit per `ΔJ` row is the
+/// whole view maintenance. The compiled pipelines read that live state,
+/// so only a plan that folded a touched relation's content at compile
+/// time (static bags) is recompiled.
 impl ApplyDelta for CqapIndex {
     fn apply_delta(&mut self, batch: &DeltaBatch) -> Result<DeltaStats> {
-        let outcome = self.maintenance.apply(&self.cqap, &mut self.db, batch)?;
+        let outcome = self.maintenance.apply(&self.cqap, &mut self.db, &mut self.views, batch)?;
         if outcome.touched.is_empty() {
             // Net no-op: views, plans and scratch state are untouched, so
             // the warm answering path stays warm.
             return Ok(outcome.stats);
-        }
-        for (plan, view_deltas) in self.plans.iter_mut().zip(&outcome.views) {
-            for (node, ins, del) in view_deltas {
-                plan.preprocessed.apply_delta(*node, ins, del)?;
-            }
         }
         self.maintenance.refresh(
             &self.cqap,
@@ -267,7 +279,8 @@ impl ApplyDelta for CqapIndex {
             &outcome.touched,
             self.plans
                 .iter_mut()
-                .map(|p| (&p.evaluator, &p.preprocessed, &mut p.compiled)),
+                .zip(&self.views)
+                .map(|(p, views)| (&p.evaluator, views, &mut p.compiled)),
         )?;
         Ok(outcome.stats)
     }

@@ -18,9 +18,9 @@
 //!   through the rows (8 bytes per row, no per-key allocation, no key
 //!   copies: a key is read off its head row), so chain edits stay `O(1)`
 //!   whatever the key's degree;
-//! * an optional 4-byte count column turns the set into the support-count
-//!   table of delta maintenance (how many full-join rows project onto
-//!   each view row).
+//! * an optional 4-byte count column makes the view its own support-count
+//!   table for delta maintenance (how many full-join rows project onto
+//!   each view row): the probed rows and the counted rows are one store.
 //!
 //! Vectors grow by an eighth, not by doubling, and give capacity back
 //! when they shrink, so [`KeyedRows::heap_bytes`] tracks the content.
@@ -173,28 +173,6 @@ impl KeyedRows {
             // A relation is a set: no row is present yet.
             out.table.insert_new(row_bits(t.as_slice()), out.len);
             out.push(t.as_slice());
-        }
-        Ok(out)
-    }
-
-    /// The same rows as an uncounted set probed by `link`: the row store
-    /// and its table are copied as they are (no row is re-hashed), the
-    /// counts are left behind, and only a link that is a proper part of
-    /// the row threads its chains.
-    ///
-    /// # Errors
-    /// Fails if `link` is not a subset of the schema's variables.
-    pub fn keyed_by(&self, link: VarSet) -> Result<Self> {
-        let mut out = KeyedRows::new(self.schema.clone(), link)?;
-        out.vals = self.vals.clone();
-        out.table = self.table.clone();
-        if let KeyIndex::Chains { heads, links } = &mut out.key {
-            *heads = PositionTable::with_capacity(self.len);
-            links.reserve_exact(self.len);
-        }
-        out.len = self.len;
-        for at in 0..self.len {
-            out.link_in(at);
         }
         Ok(out)
     }

@@ -13,9 +13,9 @@
 //!   the join index over the atoms of a query.
 //! * [`KeyedRows`] — the compact resident form of a materialized view: flat
 //!   rows stored once, found through a 9-byte-per-slot position table,
-//!   probed by a link key, optionally carrying support counts. The S-views
-//!   of Online Yannakakis and the support counts of delta maintenance live
-//!   in it.
+//!   probed by a link key, optionally carrying support counts. An S-view
+//!   of Online Yannakakis and the support counts delta maintenance keeps
+//!   for it are one such table.
 //! * [`Database`] — a named collection of relations guarded by a set of
 //!   degree constraints.
 //! * [`DegreeConstraint`] / [`ConstraintSet`] — the statistics `N_{Y|X}`

@@ -10,9 +10,17 @@
 //! fence-indexed segment reads. Because every probe returns the same
 //! tuples, the answers are identical to the in-memory index (the
 //! equivalence proptest in `crates/store/tests` enforces this bit for
-//! bit), while the resident footprint of the S-views drops to the fence
-//! index — plus the support counts every maintenance lineage keeps
+//! bit), while the resident footprint of the probed S-views drops to the
+//! fence index — plus the support counts every maintenance lineage keeps
 //! ([`StoredIndex::resident_bytes`] is the honest total).
+//!
+//! Those counts are a clone, taken at spill time, of the source index's
+//! counted S-views — the same `S`-sized link-keyed tables the hot index
+//! probes, so a cold lineage is resident at the hot figure *plus* its
+//! fences and overlays, and a view whose link is a proper part of its row
+//! carries its key chains along (+8 B per row and the chain heads) though
+//! nothing cold probes them. That stands until the counts themselves
+//! move to disk (ROADMAP open item 4(b)).
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -22,9 +30,9 @@ use cqap_decomp::Pmtd;
 use cqap_delta::{ApplyDelta, DeltaBatch, DeltaStats};
 use cqap_panda::{CqapIndex, DeltaMaintenance};
 use cqap_query::{AccessRequest, Cqap};
-use cqap_relation::{Database, Relation, Schema};
+use cqap_relation::{Database, KeyedRows, Relation, Schema};
 use cqap_serve::BatchAnswer;
-use cqap_yannakakis::{OnlineYannakakis, SViewProbe};
+use cqap_yannakakis::{OnlineYannakakis, PreprocessedViews, SViewProbe};
 
 use crate::format::{write_run, StoredView};
 
@@ -70,7 +78,7 @@ impl StoredViews {
     /// # Errors
     /// Fails on I/O errors.
     pub fn spill(
-        pre: &cqap_yannakakis::PreprocessedViews,
+        pre: &PreprocessedViews,
         dir: &Path,
         prefix: &str,
     ) -> Result<StoredViews> {
@@ -194,10 +202,11 @@ impl SViewProbe for StoredViews {
 /// same online algorithm, answers identical to [`CqapIndex`] — but the
 /// space budget `S` is spent on the cold tier. What stays resident is the
 /// fence indexes and pending delta overlays of the views, this lineage's
-/// support counts (one 4-byte count per stored view row on top of a
-/// compact copy of the row — what keeps `apply_delta` proportional to the
-/// delta without reading the runs back), and the `O(|D|)` state every
-/// backend keeps: the input database and the atom indexes.
+/// support counts (a clone of the source's counted S-views: one 4-byte
+/// count per stored view row on top of a compact copy of the row — what
+/// keeps `apply_delta` proportional to the delta without reading the runs
+/// back), and the `O(|D|)` state every backend keeps: the input database
+/// and the atom indexes.
 /// [`StoredIndex::resident_bytes`] adds up the `S`-proportional part.
 pub struct StoredIndex {
     cqap: Cqap,
@@ -207,13 +216,15 @@ pub struct StoredIndex {
     /// disk backend executes the *same* compiled plans as the in-memory
     /// one — only the probes behind `SViewProbe` change.
     compiled: Vec<std::sync::Arc<cqap_panda::CompiledPmtd>>,
+    /// This lineage's support counts, per plan: the source index's
+    /// counted S-views cloned at spill time, edited by `maintenance` and
+    /// never probed (counted in [`StoredIndex::resident_bytes`]).
+    counts: Vec<PreprocessedViews>,
     /// This backend's own maintenance lineage (cloned from the source
-    /// index at spill time): compiled delta plans, per-view support
-    /// counts (a compact copy, counted in
-    /// [`StoredIndex::resident_bytes`]) and the atom indexes the
-    /// pipelines above probe — shared with the source by `Arc`, so they
-    /// exist once per deployment until either side applies a delta and
-    /// its touched indexes diverge copy-on-write. (Like the retained
+    /// index at spill time): compiled delta plans and the atom indexes
+    /// the pipelines above probe — shared with the source by `Arc`, so
+    /// they exist once per deployment until either side applies a delta
+    /// and its touched indexes diverge copy-on-write. (Like the retained
     /// database, the atom indexes are `O(|D|)` state outside the
     /// S-accounting.)
     maintenance: DeltaMaintenance,
@@ -235,16 +246,18 @@ impl StoredIndex {
         std::fs::create_dir_all(dir).map_err(|e| {
             CqapError::Other(format!("cannot create spill dir {}: {e}", dir.display()))
         })?;
-        let mut plans = Vec::new();
+        let (mut plans, mut counts) = (Vec::new(), Vec::new());
         for (i, (evaluator, pre)) in index.plans().enumerate() {
             let stored = StoredViews::spill(pre, dir, &format!("plan{i}"))?;
             plans.push((evaluator.clone(), stored));
+            counts.push(pre.clone());
         }
         Ok(StoredIndex {
             cqap: index.cqap().clone(),
             db: index.database().clone(),
             plans,
             compiled: index.compiled().cloned().collect(),
+            counts,
             maintenance: index.maintenance().clone(),
             _dir: DirCleanup(dir.to_path_buf()),
         })
@@ -289,10 +302,18 @@ impl StoredIndex {
         &self.db
     }
 
-    /// The delta-maintenance state (compiled delta plans, support counts,
-    /// live atom indexes), mirroring [`CqapIndex::maintenance`].
+    /// The delta-maintenance state (compiled delta plans, live atom
+    /// indexes), mirroring [`CqapIndex::maintenance`].
     pub fn maintenance(&self) -> &DeltaMaintenance {
         &self.maintenance
+    }
+
+    /// Iterates `(plan, node, support counts)` over every materialized
+    /// node, mirroring [`CqapIndex::support_counts`].
+    pub fn support_counts(&self) -> impl Iterator<Item = (usize, usize, &KeyedRows)> + '_ {
+        self.counts.iter().enumerate().flat_map(|(plan, counts)| {
+            counts.runs().map(move |(node, counts)| (plan, node, counts))
+        })
     }
 
     /// Forces every spilled view with a pending delta overlay to compact:
@@ -353,12 +374,13 @@ impl StoredIndex {
     }
 
     /// Heap bytes this cold lineage keeps resident for its `S`: the
-    /// views' fence indexes and overlays plus the maintenance's support
+    /// views' fence indexes and overlays plus the lineage's support
     /// counts, from container capacities — the cold sibling of
     /// [`CqapIndex::resident_bytes`], excluding the same `O(|D|)` state.
     pub fn resident_bytes(&self) -> usize {
         let views: usize = self.plans.iter().map(|(_, v)| v.resident_bytes()).sum();
-        views + self.maintenance.resident_bytes()
+        let counts: usize = self.counts.iter().map(PreprocessedViews::resident_bytes).sum();
+        views + counts
     }
 
     /// Online phase: identical to [`CqapIndex::answer`] — literally the
@@ -408,7 +430,7 @@ impl StoredIndex {
 /// state.
 impl ApplyDelta for StoredIndex {
     fn apply_delta(&mut self, batch: &DeltaBatch) -> Result<DeltaStats> {
-        let outcome = self.maintenance.apply(&self.cqap, &mut self.db, batch)?;
+        let outcome = self.maintenance.apply(&self.cqap, &mut self.db, &mut self.counts, batch)?;
         if outcome.touched.is_empty() {
             return Ok(outcome.stats);
         }

@@ -26,8 +26,22 @@ use crate::columnar::ColumnRun;
 /// flat values, probed by the view's *link* variables (the variables it
 /// shares with its parent; for the root: with the access pattern) through
 /// a 9-byte-per-slot position table. There is no row `Tuple`, no second
-/// copy in an index and no per-key allocation; delta maintenance edits a
-/// view in `O(1)` per row.
+/// copy in an index and no per-key allocation.
+///
+/// The views come in two kinds, told apart by how they were made:
+///
+/// * **counted**, when the framework driver builds them
+///   ([`OnlineYannakakis::counted_views`], filled and maintained by
+///   `cqap-panda`'s delta maintenance): every row carries how many
+///   full-join rows project onto it, so the table the online phase probes
+///   *is* the support-count table a delta edits — one `S`-sized table per
+///   view, one random-access edit per full-join delta row;
+/// * **uncounted**, when hand-fed as row relations
+///   ([`OnlineYannakakis::preprocess`]): plain sets, for the interpreted
+///   reference, the tests and tools.
+///
+/// Both are edited through [`PreprocessedViews::edit`] and probed through
+/// [`SViewProbe`].
 #[derive(Clone, Debug)]
 pub struct PreprocessedViews {
     views: Vec<Option<SView>>,
@@ -117,40 +131,21 @@ impl PreprocessedViews {
             })
     }
 
-    /// Applies a net ΔS-view to one materialized node in place: `deletes`
-    /// leave the view, `inserts` enter it. The caller (the
-    /// delta-maintenance layer in `cqap-panda`) computes the net lists
-    /// against the view's ideal content, so deletes are present and
-    /// inserts absent; duplicates and absent deletes are tolerated (set
-    /// semantics absorbs them). Each row is one position-table edit plus
-    /// a `swap_remove` or an append — the cost is
-    /// `O(|inserts| + |deletes|)`, independent of the view's size and of
-    /// the degree of the keys touched.
-    ///
-    /// # Errors
-    /// Fails if the node has no materialized view or a tuple's arity does
-    /// not match the view schema.
-    pub fn apply_delta(
-        &mut self,
-        node: usize,
-        inserts: &[Tuple],
-        deletes: &[Tuple],
-    ) -> Result<()> {
-        let view = self
-            .views
-            .get_mut(node)
-            .and_then(|v| v.as_mut())
-            .ok_or_else(|| {
-                CqapError::InvalidPmtd(format!("S-view {node} was not preprocessed"))
-            })?;
-        view.rows.take();
-        for t in deletes {
-            view.run.remove(t.as_slice());
-        }
-        for t in inserts {
-            view.run.insert(t.as_slice())?;
-        }
-        Ok(())
+    /// The one edit entry: iterates `(node, S-view)` over the materialized
+    /// nodes for in-place edits — [`KeyedRows::add`] / [`KeyedRows::sub`]
+    /// on counted views (delta maintenance gives and takes one support
+    /// per full-join delta row), [`KeyedRows::insert`] /
+    /// [`KeyedRows::remove`] on hand-fed ones. Each edit is one
+    /// position-table edit plus an append or a `swap_remove`, independent
+    /// of the view's size and of the degree of the key touched. Every
+    /// row relation cached by [`PreprocessedViews::materialized`] is
+    /// dropped.
+    pub fn edit(&mut self) -> impl Iterator<Item = (usize, &mut KeyedRows)> + '_ {
+        self.views.iter_mut().enumerate().filter_map(|(node, v)| {
+            let v = v.as_mut()?;
+            v.rows.take();
+            Some((node, &mut v.run))
+        })
     }
 }
 
@@ -247,38 +242,6 @@ impl OnlineYannakakis {
         }
     }
 
-    /// Checks that `node` is materialized and `vars` is its view schema.
-    fn check_s_view(&self, node: usize, vars: VarSet, found: &Schema) -> Result<()> {
-        if !self.pmtd.is_materialized(node) {
-            return Err(CqapError::InvalidPmtd(format!(
-                "node {node} is not in the materialization set"
-            )));
-        }
-        let expected = self.pmtd.view_schema(node);
-        if vars != expected {
-            return Err(CqapError::SchemaMismatch {
-                expected: format!("ν({node}) = {expected}"),
-                found: format!("{found}"),
-            });
-        }
-        Ok(())
-    }
-
-    /// Checks that every materialized node received a view.
-    fn check_all_present<T>(&self, views: &[Option<T>]) -> Result<()> {
-        match self
-            .pmtd
-            .materialization_set()
-            .into_iter()
-            .find(|&node| views[node].is_none())
-        {
-            Some(node) => Err(CqapError::InvalidPmtd(format!(
-                "missing S-view for materialized node {node}"
-            ))),
-            None => Ok(()),
-        }
-    }
-
     /// Preprocessing phase: takes the content of every S-view (one relation
     /// per materialized node, over exactly the view schema `ν(t)`), runs the
     /// bottom-up semijoin-reduce over SS-edges, and stores every S-view as
@@ -289,10 +252,27 @@ impl OnlineYannakakis {
         let td = self.pmtd.td();
         let mut rels: Vec<Option<Cow<'_, Relation>>> = vec![None; td.num_nodes()];
         for (node, rel) in s_views {
-            self.check_s_view(*node, rel.varset(), rel.schema())?;
+            if !self.pmtd.is_materialized(*node) {
+                return Err(CqapError::InvalidPmtd(format!(
+                    "node {node} is not in the materialization set"
+                )));
+            }
+            let expected = self.pmtd.view_schema(*node);
+            if rel.varset() != expected {
+                return Err(CqapError::SchemaMismatch {
+                    expected: format!("ν({node}) = {expected}"),
+                    found: format!("{}", rel.schema()),
+                });
+            }
             rels[*node] = Some(Cow::Borrowed(rel));
         }
-        self.check_all_present(&rels)?;
+        for node in self.pmtd.materialization_set() {
+            if rels[node].is_none() {
+                return Err(CqapError::InvalidPmtd(format!(
+                    "missing S-view for materialized node {node}"
+                )));
+            }
+        }
         // Bottom-up semijoin-reduce over SS-edges.
         for t in td.bottom_up_order() {
             let Some(p) = td.parent(t) else { continue };
@@ -314,28 +294,24 @@ impl OnlineYannakakis {
         Ok(PreprocessedViews::of(runs))
     }
 
-    /// Preprocessing from the S-views' *ideal* content: every view given
-    /// as `π_{ν(t)}` of the full join (a counted [`KeyedRows`], whose
-    /// support counts the caller keeps for delta maintenance). On that
-    /// content the SS-edge semijoin-reduce is a no-op — every parent row
-    /// is the projection of a full-join row that also projects into the
-    /// child — so each view is just re-keyed by its link variables: the
-    /// rows and their position table are copied as they are, nothing is
-    /// hashed again.
+    /// The preprocessing output before any full-join row is known: one
+    /// empty *counted* [`KeyedRows`] per materialized node, over the view
+    /// schema `ν(t)` in ascending variable order and keyed by the node's
+    /// link. The framework driver fills them with every view's *ideal*
+    /// content — `π_{ν(t)}` of the full join, one support per full-join
+    /// row — on which the SS-edge semijoin-reduce of
+    /// [`OnlineYannakakis::preprocess`] is a no-op: every parent row is
+    /// the projection of a full-join row that also projects into the
+    /// child.
     ///
     /// # Errors
-    /// Fails if a node is not materialized, a projection is not over the
-    /// node's view schema, or a materialized node is missing.
-    pub fn preprocess_projections(
-        &self,
-        projections: &[(usize, KeyedRows)],
-    ) -> Result<PreprocessedViews> {
+    /// Propagates schema failures.
+    pub fn counted_views(&self) -> Result<PreprocessedViews> {
         let mut runs: Vec<Option<KeyedRows>> = vec![None; self.pmtd.td().num_nodes()];
-        for (node, rows) in projections {
-            self.check_s_view(*node, rows.schema().varset(), rows.schema())?;
-            runs[*node] = Some(rows.keyed_by(self.link(*node))?);
+        for node in self.pmtd.materialization_set() {
+            let schema = Schema::of(self.pmtd.view_schema(node).iter());
+            runs[node] = Some(KeyedRows::counted(schema, self.link(node))?);
         }
-        self.check_all_present(&runs)?;
         Ok(PreprocessedViews::of(runs))
     }
 
@@ -740,9 +716,9 @@ mod tests {
     #[test]
     fn fused_projections_equal_hand_fed_views() {
         // The two ways into `PreprocessedViews` — borrowed row relations
-        // (SS-edges reduced here) and counted projections of the full
-        // join (already reduced) — must store the same rows under the
-        // same link keys, for every PMTD family.
+        // (SS-edges reduced here) and counted views given one support per
+        // full-join row (already reduced) — must store the same rows
+        // under the same link keys, for every PMTD family.
         let (cqap3, fig3) = pmtd_families::pmtds_3reach_all().unwrap();
         let (cqap4, reach4) = pmtd_families::pmtds_4reach().unwrap();
         let g = Graph::skewed(40, 150, 2, 20, 61);
@@ -755,33 +731,30 @@ mod tests {
                 let oy = OnlineYannakakis::new(pmtd.clone());
                 let (s_views, _) = views_from_full_join(pmtd, &cqap, &db);
                 let fed = oy.preprocess(&s_views).unwrap();
-                let projections: Vec<(usize, KeyedRows)> = pmtd
-                    .materialization_set()
-                    .into_iter()
-                    .map(|t| {
-                        let vars = pmtd.view_schema(t);
-                        let positions = full.schema().positions_of_set(vars).unwrap();
-                        let mut counted =
-                            KeyedRows::counted(Schema::of(vars.iter()), vars).unwrap();
-                        for row in full.iter() {
-                            counted.add(row.project(&positions).as_slice(), 1);
-                        }
-                        (t, counted)
-                    })
-                    .collect();
-                let fused = oy.preprocess_projections(&projections).unwrap();
+                let mut fused = oy.counted_views().unwrap();
+                assert_eq!(fused.stored_values(), 0);
+                for (_, counted) in fused.edit() {
+                    let vars = counted.schema().varset();
+                    let positions = full.schema().positions_of_set(vars).unwrap();
+                    for row in full.iter() {
+                        counted.add(row.project(&positions).as_slice(), 1);
+                    }
+                }
                 assert_eq!(fused.stored_values(), fed.stored_values());
                 assert_eq!(fused.num_views(), s_views.len());
                 for ((a, fused_run), (b, fed_run)) in fused.runs().zip(fed.runs()) {
                     assert_eq!(a, b);
                     assert_eq!(fused_run.link(), oy.link(a));
-                    assert_eq!(fused_run, fed_run, "{} node {a}", pmtd.summary());
+                    assert_eq!(fused_run.link(), fed_run.link());
+                    assert_eq!(fused_run.schema(), fed_run.schema());
+                    // Counted against uncounted: compare the row sets, and
+                    // the supports against the full join's size.
+                    assert_eq!(fused_run.len(), fed_run.len(), "{} node {a}", pmtd.summary());
+                    assert!(fed_run.rows().all(|row| fused_run.contains(row)));
+                    let supports: usize =
+                        fused_run.rows().map(|row| fused_run.count(row) as usize).sum();
+                    assert_eq!(supports, full.len());
                 }
-                // The same validation as the hand-fed entry point.
-                assert_eq!(
-                    oy.preprocess_projections(&[]).is_err(),
-                    !s_views.is_empty()
-                );
             }
         }
     }
@@ -806,17 +779,40 @@ mod tests {
             "the adapter's row relation is resident while cached"
         );
         let fresh = Tuple::pair(9_001, 9_002);
-        pre.apply_delta(s_views[0].0, std::slice::from_ref(&fresh), &[])
-            .unwrap();
+        let (node, view) = pre.edit().next().unwrap();
+        assert_eq!(node, s_views[0].0);
+        assert!(view.insert(fresh.as_slice()).unwrap());
+        // Wrong-arity rows are refused.
+        assert!(view.insert(&[1, 2, 3]).is_err());
         let edited = pre.resident_bytes();
         assert!(edited < compact + 1_024, "an edit drops the cached adapter");
         let (_, rows, _) = pre.materialized().next().unwrap();
         assert_eq!(rows.len(), s_views[0].1.len() + 1);
         assert!(rows.contains(&fresh));
-        // Wrong-arity deltas are refused.
-        assert!(pre
-            .apply_delta(s_views[0].0, &[Tuple::triple(1, 2, 3)], &[])
-            .is_err());
+    }
+
+    #[test]
+    fn counted_views_enter_and_leave_by_support() {
+        // The driver's kind of view: a row is probed exactly while its
+        // support count is positive, and the adapter follows the edits.
+        let (_, pmtds) = pmtd_families::pmtds_3reach_fig1().unwrap();
+        let oy = OnlineYannakakis::new(pmtds[1].clone()); // (T134, S13)
+        let mut pre = oy.counted_views().unwrap();
+        assert_eq!((pre.num_views(), pre.stored_values()), (1, 0));
+        let (node, view) = pre.edit().next().unwrap();
+        assert!(view.add(&[1, 3], 1));
+        assert!(!view.add(&[1, 3], 1));
+        let key = Tuple::pair(1, 3);
+        assert!(pre.contains(node, &key).unwrap());
+        assert_eq!(pre.materialized().next().unwrap().1.len(), 1);
+        let (_, view) = pre.edit().next().unwrap();
+        assert!(!view.sub(&[1, 3], 1));
+        assert!(view.sub(&[1, 3], 1));
+        assert!(!pre.contains(node, &key).unwrap());
+        assert_eq!(pre.materialized().next().unwrap().1.len(), 0);
+        // A PMTD without materialized nodes has nothing to edit.
+        let online_only = OnlineYannakakis::new(pmtds[0].clone());
+        assert_eq!(online_only.counted_views().unwrap().edit().count(), 0);
     }
 
     #[test]

@@ -24,6 +24,14 @@
 //! recompile — and a hand-written decomposition with an *uncovered* bag,
 //! whose T-view joins every atom onto the whole request.
 //!
+//! Every S-view of those families is keyed by its whole row. A fourth
+//! fixture keeps more in the head than the access pattern binds, so its
+//! S-views are keyed by a *proper part* of their rows (per-key chains
+//! inside the counted table): `check_family` probes every such view key
+//! by key against the rebuild's, as built and after every round, and
+//! `a_hub_key_of_a_chain_keyed_view_is_deleted_in_one_batch` empties a
+//! 1 200-row chain at once.
+//!
 //! A T-view under a T-parent has two seeds — the request, or the parent's
 //! link keys when those are cheaper — and uniform random graphs mostly
 //! exercise one. `both_seeds_agree_with_the_references` runs the plan
@@ -40,6 +48,7 @@ use cqap_query::families::k_path_distinct;
 use cqap_query::workload::{graph_pair_requests, zipf_multi_requests, Graph};
 use cqap_query::{AccessRequest, Atom, ConjunctiveQuery, Cqap};
 use cqap_relation::{Database, HashIndex, Relation, Schema};
+use cqap_yannakakis::{ColumnRun, PreprocessedViews, SViewProbe};
 use proptest::prelude::*;
 
 /// The chain base vertex for inserted tuples: far outside any generated
@@ -155,37 +164,88 @@ fn assert_atom_indexes_match_rebuild(maintained: &AtomIndexCache, db: &Database,
     assert!(checked > 0, "{context}: the index keeps no atom indexes to check");
 }
 
+/// The pair `(u, v)` as a binding of the access pattern: both endpoints
+/// for the reachability families, the source alone where the access
+/// pattern is one variable.
+fn binding(cqap: &Cqap, (u, v): (u64, u64)) -> Tuple {
+    Tuple::from_slice(&[u, v][..cqap.access().len()])
+}
+
 fn requests_for(cqap: &Cqap, graph: &Graph, seed: u64) -> Vec<AccessRequest> {
     let mut requests: Vec<AccessRequest> = graph_pair_requests(graph, 6, seed)
         .into_iter()
-        .map(|(u, v)| AccessRequest::single(cqap.access(), &[u, v]).unwrap())
+        .map(|pair| AccessRequest::new(cqap.access(), vec![binding(cqap, pair)]).unwrap())
         .collect();
     for tuples in zipf_multi_requests(graph, 2, 5, 1.1, seed ^ 0xfeed) {
-        let tuples: Vec<Tuple> = tuples.into_iter().map(|(u, v)| Tuple::pair(u, v)).collect();
+        let tuples: Vec<Tuple> = tuples.into_iter().map(|pair| binding(cqap, pair)).collect();
         requests.push(AccessRequest::new(cqap.access(), tuples).unwrap());
     }
     requests
 }
 
+/// Probes every S-view of `index` whose link is a proper part of its row
+/// — the views the counted table serves through per-key chains — key by
+/// key against `reference`'s: the same block of rows per link key, and no
+/// block for a key the reference does not hold. Returns how many such
+/// views there were.
+fn chain_keyed_views_served(index: &CqapIndex, reference: &CqapIndex, when: &str) -> usize {
+    let mut served = 0;
+    for ((_, views), (_, expected)) in index.plans().zip(reference.plans()) {
+        for ((node, run), (_, expected_run)) in views.runs().zip(expected.runs()) {
+            let link = run.link();
+            if link.is_empty() || link == run.schema().varset() {
+                continue;
+            }
+            served += 1;
+            let positions = run.schema().positions_of_set(link).unwrap();
+            let block_of = |views: &PreprocessedViews, key: &Tuple| {
+                let mut block = ColumnRun::new();
+                block.reset(run.schema().arity());
+                views.probe_columns(node, key, &mut block).unwrap();
+                let mut row = Vec::new();
+                let mut rows: Vec<Vec<u64>> = (0..block.rows())
+                    .map(|r| {
+                        block.row_into(r, &mut row);
+                        row.clone()
+                    })
+                    .collect();
+                rows.sort_unstable();
+                rows
+            };
+            for row in expected_run.rows().chain(run.rows()) {
+                let key = Tuple::from_slice(row).project(&positions);
+                let block = block_of(views, &key);
+                assert_eq!(block, block_of(expected, &key), "{when}: node {node}, key {key:?}");
+                assert_eq!(views.contains(node, &key).unwrap(), !block.is_empty());
+                assert_eq!(block.contains(&row.to_vec()), run.contains(row));
+            }
+        }
+    }
+    served
+}
+
 /// Runs four update rounds, comparing the incrementally maintained index
 /// against a fresh rebuild over the reference database after each round.
+/// Returns the fewest chain-keyed S-views (see
+/// [`chain_keyed_views_served`]) any phase served — as built, or after a
+/// round.
 fn check_family(
     cqap: &Cqap,
     pmtds: &[cqap_decomp::Pmtd],
     db: &Database,
     graph: &Graph,
     seed: u64,
-) {
+) -> usize {
     let mut requests = requests_for(cqap, graph, seed ^ 0xde17a);
     // A request that crosses the inserted chain: its answer appears in
     // round 0 and disappears again in round 3.
     let base = chain_base(seed);
-    requests.push(
-        AccessRequest::single(cqap.access(), &[base, base + cqap.cq().atoms().len() as u64])
-            .unwrap(),
-    );
+    let crossing = binding(cqap, (base, base + cqap.cq().atoms().len() as u64));
+    requests.push(AccessRequest::new(cqap.access(), vec![crossing]).unwrap());
 
     let mut incremental = CqapIndex::build(cqap, db, pmtds).unwrap();
+    let as_built = CqapIndex::build(cqap, db, pmtds).unwrap();
+    let mut chain_keyed = chain_keyed_views_served(&incremental, &as_built, "as built");
     let mut reference_db = db.clone();
     for round in 0..4 {
         let batch = make_batch(round, cqap, &reference_db, seed);
@@ -207,12 +267,11 @@ fn check_family(
             "round {round}: incremental S-view space diverged from a rebuild"
         );
         assert!(
-            incremental
-                .maintenance()
-                .support_counts()
-                .eq(rebuilt.maintenance().support_counts()),
+            incremental.support_counts().eq(rebuilt.support_counts()),
             "round {round}: maintained support counts diverged from a rebuild"
         );
+        let served = chain_keyed_views_served(&incremental, &rebuilt, &format!("round {round}"));
+        chain_keyed = chain_keyed.min(served);
         for request in &requests {
             let expected = rebuilt.answer(request).unwrap();
             assert_eq!(
@@ -232,6 +291,7 @@ fn check_family(
             );
         }
     }
+    chain_keyed
 }
 
 proptest! {
@@ -271,6 +331,18 @@ proptest! {
             .unwrap();
         }
         check_family(&cqap, &pmtds, &db, &graph, seed);
+    }
+
+    /// Chain-keyed S-views: `S23` probed by `x2`, `S123` by `x1` — the
+    /// counted tables serve them through per-key chains, as built and
+    /// after every delta round.
+    #[test]
+    fn chain_keyed_view_delta_equivalence(seed in 0u64..10_000, edges in 40usize..160) {
+        let (cqap, pmtds) = open_head_2path();
+        let graph = Graph::random(30, edges, seed);
+        let db = graph.as_path_database(2);
+        let chain_keyed = check_family(&cqap, &pmtds, &db, &graph, seed);
+        prop_assert_eq!(chain_keyed, 2, "S23 and S123 are keyed by a proper part of their rows");
     }
 
     /// A self-join: the 2-path query over *one* edge relation, so every
@@ -335,6 +407,80 @@ fn self_join_2path() -> (Cqap, Vec<Pmtd>) {
         Pmtd::for_cqap(td, [0], &cqap).unwrap(),
     ];
     (cqap, pmtds)
+}
+
+/// `Q(x1, x2, x3 | x1) :- R1(x1, x2), R2(x2, x3)` — every 2-path out of a
+/// source, the head keeping more than the access pattern binds — under
+/// the online-only `(T12, T23)`, `(T12, S23)` whose S-view `(x2, x3)` is
+/// probed by `x2` alone, and the single bag `(S123)`, probed by `x1`.
+fn open_head_2path() -> (Cqap, Vec<Pmtd>) {
+    let atoms = vec![
+        Atom::new("R1", vec![0, 1]).unwrap(),
+        Atom::new("R2", vec![1, 2]).unwrap(),
+    ];
+    let head = VarSet::from_iter([0, 1, 2]);
+    let cq = ConjunctiveQuery::new("open_head_2path", 3, atoms, head).unwrap();
+    let cqap = Cqap::new(cq, VarSet::from_iter([0])).unwrap();
+    let two = TreeDecomposition::new(vec![vars![1, 2], vars![2, 3]], vec![None, Some(0)], 0).unwrap();
+    let pmtds = vec![
+        Pmtd::for_cqap(two.clone(), [], &cqap).unwrap(),
+        Pmtd::for_cqap(two, [1], &cqap).unwrap(),
+        Pmtd::for_cqap(TreeDecomposition::single(vars![1, 2, 3]), [0], &cqap).unwrap(),
+    ];
+    (cqap, pmtds)
+}
+
+/// A hub key of a chain-keyed view, deleted whole: sources 0 and 1 each
+/// reach 40 midpoints with 30 targets apiece, so `S123` (probed by `x1`)
+/// holds two chains of 1 200 rows — one full-join row each — and `S23`
+/// (probed by `x2`) 40 chains of 30 rows supported twice. One batch
+/// deletes every `R1` tuple: 2 400 `ΔJ⁻` rows empty both views, take the
+/// first support of every `S23` row before its second, and must leave what
+/// a rebuild over the empty join leaves — no row, no key, no capacity.
+#[test]
+fn a_hub_key_of_a_chain_keyed_view_is_deleted_in_one_batch() {
+    let (cqap, pmtds) = open_head_2path();
+    let sources = (0..2u64).flat_map(|u| (0..40u64).map(move |mid| (u, 100 + mid)));
+    let targets = (0..40u64).flat_map(|mid| (0..30u64).map(move |t| (100 + mid, 1_000 + t)));
+    let mut db = Database::new();
+    db.add_relation(Relation::binary("R1", 0, 1, sources.clone())).unwrap();
+    db.add_relation(Relation::binary("R2", 0, 1, targets)).unwrap();
+    let mut index = CqapIndex::build(&cqap, &db, &pmtds).unwrap();
+    let hub = AccessRequest::single(cqap.access(), &[0]).unwrap();
+    let check = |index: &CqapIndex, rows: usize| {
+        let expected = index.answer_from_scratch(&hub).unwrap();
+        assert_eq!(expected.len(), rows);
+        assert_eq!(index.answer(&hub).unwrap(), expected, "engine");
+        assert_eq!(index.answer_interpreted(&hub).unwrap(), expected, "interpreted");
+    };
+    check(&index, 1_200);
+    let (_, s123) = index.plans().nth(2).unwrap();
+    assert_eq!(s123.stored_values(), 3 * 2_400);
+    assert!(s123.contains(0, &Tuple::from_slice(&[0])).unwrap());
+    let held = index.resident_bytes();
+    assert!(held > 8 * index.space_used());
+
+    let gone: Vec<Tuple> = sources.map(|(u, mid)| Tuple::pair(u, mid)).collect();
+    let batch = DeltaBatch::new().delete("R1", gone);
+    let stats = index.apply_delta(&batch).unwrap();
+    assert_eq!((stats.inserted, stats.deleted), (0, 80));
+    db.apply_delta(&batch).unwrap();
+    let rebuilt = CqapIndex::build(&cqap, &db, &pmtds).unwrap();
+    assert_eq!(index.space_used(), 0);
+    assert!(index.support_counts().eq(rebuilt.support_counts()), "maintained == rebuilt");
+    assert_eq!(chain_keyed_views_served(&index, &rebuilt, "emptied"), 2);
+    for (_, views) in index.plans() {
+        for (node, run) in views.runs() {
+            assert!(!views.contains(node, &Tuple::from_slice(&[0])).unwrap());
+            assert!(!views.contains(node, &Tuple::from_slice(&[100])).unwrap());
+            assert!(
+                run.heap_bytes() <= 2_048,
+                "emptied view {node} still holds {} of {held} bytes",
+                run.heap_bytes()
+            );
+        }
+    }
+    check(&index, 0);
 }
 
 /// The two PMTDs of the 4-reachability set (Example E.8) built on the

@@ -3,14 +3,24 @@
 //!
 //! The paper's budget is `S` stored values. On a 20 k-edge skewed graph
 //! (the benchmark's `g20k`, the fixture of `tests/delta_cost.rs`) the hot
-//! index must hold its S-views **and** their support counts in at most
-//! eight times `space_used() × size_of::<Val>()` heap bytes — each row
-//! once as flat values plus a 9-byte-per-slot position table, twice over
-//! (view and counts). The tuple-copying layout this replaced cost about
-//! 24×: a row lived three times as a 40-byte `Tuple`, in a relation, in a
-//! hash index's per-key `Vec` and in a hash map of counts. `resident_bytes`
-//! is computed from container capacities, so unlike RSS it is
-//! deterministic and this test fails when a copy comes back.
+//! index must hold its S-views, support counts included, in at most
+//! **4.5 times** `space_used() × size_of::<Val>()` heap bytes — each row
+//! once as flat values plus a 9-byte-per-slot position table and a 4-byte
+//! count (3.35× measured as built). The S-view *is* its counted table, so
+//! there is no second copy to pay for; with one (a view beside the count
+//! table it was copied from) the same index cost 6.3×, and the
+//! tuple-copying layout before that about 24×: a row lived three times as
+//! a 40-byte `Tuple`, in a relation, in a hash index's per-key `Vec` and
+//! in a hash map of counts. `resident_bytes` is computed from container
+//! capacities, so unlike RSS it is deterministic and this test fails when
+//! a copy comes back.
+//!
+//! A cold lineage is **not** smaller than the hot index any more: its
+//! support counts are a clone of the very tables the hot index probes, so
+//! it holds the hot figure *plus* its fences and overlays. That is the
+//! standing argument for moving the cold counts to disk (ROADMAP open
+//! item 4(b)); until then the test pins "cold counts = the hot figure at
+//! spill time" and "the rest is fences".
 
 use std::collections::HashSet;
 
@@ -19,7 +29,7 @@ use cqap_suite::prelude::*;
 use cqap_suite::store::scratch_dir;
 
 #[test]
-fn resident_bytes_stay_within_eight_times_the_stored_values() {
+fn resident_bytes_stay_within_four_and_a_half_times_the_stored_values() {
     let (cqap, pmtds) = pmtds_3reach_fig1().unwrap();
     let graph = Graph::skewed(3_000, 20_000, 16, 400, 20_000);
     let db = graph.as_path_database(3);
@@ -32,7 +42,7 @@ fn resident_bytes_stay_within_eight_times_the_stored_values() {
             "{when}: the rows alone are `nominal` bytes"
         );
         assert!(
-            resident <= 8 * nominal,
+            2 * resident <= 9 * nominal,
             "{when}: {resident} resident bytes for {nominal} bytes of stored values ({:.1}x)",
             resident as f64 / nominal as f64
         );
@@ -93,19 +103,23 @@ fn resident_bytes_stay_within_eight_times_the_stored_values() {
         );
     }
 
-    // A cold lineage keeps fences and its own support counts — strictly
-    // less than the hot index, which also holds the views.
+    // A cold lineage keeps fences and its own support counts: a clone of
+    // the hot tables (exact-fit, where the originals carry up to an eighth
+    // of growth slack in their vectors), so it is resident at the hot
+    // figure plus a fence index — a small fraction of it, and at least the
+    // fence keys themselves (no overlay is pending right after a spill).
     let stored = StoredIndex::spill(&index, scratch_dir("resident-cost")).unwrap();
     let hot = index.resident_bytes();
     drop(index);
     let cold = stored.resident_bytes();
+    let counts: usize = stored.support_counts().map(|(_, _, c)| c.heap_bytes()).sum();
     assert!(
-        cold < hot,
-        "cold lineage holds {cold} bytes, the hot index held {hot}"
+        counts <= hot && 9 * counts >= 8 * hot,
+        "cold counts hold {counts} bytes, the hot index they were cloned from {hot}"
     );
+    let fences = cold - counts;
     assert!(
-        cold >= stored.maintenance().resident_bytes(),
-        "the cold figure includes the support counts"
+        fences >= stored.resident_values() * std::mem::size_of::<Val>() && fences < hot / 16,
+        "cold lineage holds {cold} bytes: {counts} of counts, {fences} of fences"
     );
-    assert!(stored.maintenance().resident_bytes() > 0);
 }
