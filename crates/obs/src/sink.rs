@@ -116,8 +116,6 @@ pub enum CounterId {
     DeltaNetInserts,
     /// Net tuple deletions applied by delta maintenance.
     DeltaNetDeletes,
-    /// Probe-plan recompilations triggered by delta maintenance.
-    PlanRecompiles,
     /// Requests rejected at the admission gate (shed, or timed out
     /// waiting for admission), counted per resolved ticket.
     RequestsShed,
@@ -131,7 +129,7 @@ pub enum CounterId {
 
 impl CounterId {
     /// Number of counters.
-    pub const COUNT: usize = 13;
+    pub const COUNT: usize = 12;
 
     /// Every counter, in canonical export order.
     pub const ALL: [CounterId; Self::COUNT] = [
@@ -144,7 +142,6 @@ impl CounterId {
         CounterId::Compactions,
         CounterId::DeltaNetInserts,
         CounterId::DeltaNetDeletes,
-        CounterId::PlanRecompiles,
         CounterId::RequestsShed,
         CounterId::DeadlinesExpired,
         CounterId::DegradedAnswers,
@@ -162,7 +159,6 @@ impl CounterId {
             CounterId::Compactions => "cqap_store_compactions_total",
             CounterId::DeltaNetInserts => "cqap_delta_net_inserts_total",
             CounterId::DeltaNetDeletes => "cqap_delta_net_deletes_total",
-            CounterId::PlanRecompiles => "cqap_delta_plan_recompiles_total",
             CounterId::RequestsShed => "cqap_serve_shed_total",
             CounterId::DeadlinesExpired => "cqap_serve_deadline_expired_total",
             CounterId::DegradedAnswers => "cqap_serve_degraded_answers_total",
@@ -187,9 +183,6 @@ impl CounterId {
             CounterId::Compactions => "Stored-view compactions performed.",
             CounterId::DeltaNetInserts => "Net tuple insertions applied by delta maintenance.",
             CounterId::DeltaNetDeletes => "Net tuple deletions applied by delta maintenance.",
-            CounterId::PlanRecompiles => {
-                "Probe-plan recompilations triggered by delta maintenance."
-            }
             CounterId::RequestsShed => {
                 "Requests rejected at the admission gate (shed or admission timeout)."
             }

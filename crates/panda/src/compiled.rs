@@ -6,18 +6,26 @@
 //! (a) cloning each in-bag atom's relation out of the database (a full
 //! copy including its membership set) and (b) re-building a hash-join
 //! index over it. Both are request-independent, so a compiled T-view program
-//! hoists them to build time:
+//! hoists them to build time, and nothing else — a program holds no
+//! database content:
 //!
-//! * a bag containing **no access variable** and covered by its atoms has
-//!   a request-independent T-view: its content is joined once at build
-//!   time and folded into the plan;
 //! * a bag **covered by its atoms and access pattern** compiles to a
 //!   `JoinChain` (`chain.rs`) over its atoms' pre-built [`HashIndex`]es,
 //!   seeded by the request projected onto the bag: the per-request work is
 //!   one index probe per row, never a scan of the database. The programs hold
 //!   *slot numbers* into the index's [`AtomIndexCache`], not the indexes
 //!   themselves, so delta maintenance edits the one copy in place and
-//!   every pipeline reads the live content without being recompiled;
+//!   every pipeline reads the live content without being recompiled. A bag
+//!   with **no access variable** is no exception: its chain starts from
+//!   the empty schema (one empty seed row per non-empty request, a first
+//!   step over an index keyed on no variable), and under a T-parent it has
+//!   the parent's link keys as its second seed like any other. Its T-view
+//!   is request-independent, but computing it online *is* what the PMTD
+//!   says — the paper lists `(T1245, T234)` beside `(T1245, S24)` (Example
+//!   E.8) and `(T123)` beside `(S13)` (Example E.4) — and the stored form
+//!   is the PMTD that materializes the bag. Joining it once at build time
+//!   would store a view `S` does not count, and re-join it on every delta
+//!   that touches it;
 //! * the rare **uncovered** bag (hand-written decompositions) is the same
 //!   chain over *all* atoms seeded by the *whole* request, its rows
 //!   projected onto the bag and deduplicated: `π_bag(J ⋉ request)`, sound
@@ -361,18 +369,13 @@ impl TViewProgram {
 ///
 /// Compiled once per plan at index build time and shared by `Arc` when a
 /// second backend (e.g. a disk spill) reuses the same preprocessing
-/// output. A delta leaves it valid unless it touches content folded in
-/// at compile time (static T-views): the dynamic programs read the live
-/// [`AtomIndexCache`] and the plan probes the live S-views.
+/// output. It holds no database content — the programs read the live
+/// [`AtomIndexCache`] and the plan probes the live S-views — so no delta
+/// leaves it stale and it is never recompiled.
 #[derive(Clone, Debug)]
 pub struct CompiledPmtd {
     access: VarSet,
-    /// Stored relations whose content was folded into this pipeline at
-    /// compile time (static T-views), sorted and distinct.
-    folded: Vec<String>,
-    /// The per-request T-view programs. (A static T-view — no access
-    /// variable in the bag, covered by its atoms — is joined once at
-    /// compile time and lives folded inside the plan.)
+    /// One T-view program per non-materialized node, in top-down order.
     programs: Vec<TViewProgram>,
     plan: CompiledPlan,
 }
@@ -400,9 +403,7 @@ impl CompiledPmtd {
         let atoms = cqap.cq().atoms();
         let request_schema = Schema::of(access.iter());
         let mut programs: Vec<TViewProgram> = Vec::new();
-        let mut statics: Vec<(usize, Relation)> = Vec::new();
         let mut t_schemas: Vec<(usize, Schema)> = Vec::new();
-        let mut folded: Vec<String> = Vec::new();
         // Top-down, so a program's parent program exists when it compiles
         // and has run when it runs.
         for node in pmtd.td().top_down_order() {
@@ -418,24 +419,6 @@ impl CompiledPmtd {
                 .iter()
                 .fold(VarSet::EMPTY, |vars, &i| vars.union(atoms[i].varset()));
 
-            if access_in_bag.is_empty() && atom_vars == bag && !in_bag.is_empty() {
-                // Request-independent: join the in-bag atoms once, now.
-                let mut rel = atom_relation(db, &atoms[in_bag[0]])?;
-                for &i in &in_bag[1..] {
-                    rel = rel.join(&atom_relation(db, &atoms[i])?)?;
-                }
-                // The plan folds a static bag's reduction by a
-                // materialized child too, and an S-view is a
-                // projection of the full join: it reads every atom.
-                if pmtd.td().children(node).iter().any(|&c| pmtd.is_materialized(c)) {
-                    folded.extend(atoms.iter().map(|a| a.relation.clone()));
-                } else {
-                    folded.extend(in_bag.iter().map(|&i| atoms[i].relation.clone()));
-                }
-                t_schemas.push((node, rel.schema().clone()));
-                statics.push((node, rel));
-                continue;
-            }
             // A covered bag joins its own atoms onto its share of the
             // request; an uncovered one joins every atom onto the whole
             // request and projects onto the bag.
@@ -497,37 +480,17 @@ impl CompiledPmtd {
                 link,
             });
         }
-
-        // Static T-views produce the same content on every request, so
-        // their reductions are hoisted out of the per-request plan: the
-        // plan folds static-only edges at compile time and prebuilds
-        // key sets / join indexes over the still-static sides.
-        let statics: Vec<(usize, &Relation)> = statics.iter().map(|(n, rel)| (*n, rel)).collect();
-        let plan = evaluator.compile_with_statics(views, &t_schemas, &statics)?;
-        folded.sort_unstable();
-        folded.dedup();
+        let plan = evaluator.compile(views, &t_schemas)?;
         Ok(CompiledPmtd {
             access,
-            folded,
             programs,
             plan,
         })
     }
 
-    /// Whether a delta that changed the stored relations `touched` left
-    /// this pipeline stale. Dynamic T-view programs read the live atom
-    /// indexes and the plan probes the live S-views, so only content
-    /// folded at compile time can go stale: a static (access-free) bag's
-    /// join and its folded reductions. None of the Figure-1 plans folds
-    /// anything.
-    pub(crate) fn is_stale_after(&self, touched: &[String]) -> bool {
-        touched.iter().any(|t| self.folded.binary_search(t).is_ok())
-    }
-
     /// Answers one request: the T-view programs write their output directly as
     /// column runs, the plan executes column-at-a-time, and rows become
-    /// tuples only at the final head projection. Static T-views were
-    /// folded into the plan at compile time and cost nothing per request.
+    /// tuples only at the final head projection.
     ///
     /// # Errors
     /// The same validation failures as the interpreted path, plus backend
@@ -623,9 +586,8 @@ mod tests {
     use cqap_query::workload::{graph_pair_requests, Graph};
     use cqap_yannakakis::naive::full_join;
 
-    /// Runs a non-static program — fed `done`, the runs of the programs
-    /// before it — and lifts its column run into a relation over the
-    /// program's schema.
+    /// Runs a program — fed `done`, the runs of the programs before it —
+    /// and lifts its column run into a relation over the program's schema.
     fn exec_to_relation(
         program: &TViewProgram,
         atom_indexes: &AtomIndexCache,
@@ -791,14 +753,14 @@ mod tests {
     }
 
     #[test]
-    fn access_free_bags_are_hoisted_and_answers_stay_exact() {
+    fn access_free_bags_run_as_chains_and_answers_stay_exact() {
         // A 2-path CQAP whose access pattern is only {x1}: the bag
-        // {x2,x3} contains no access variable, so its T-view program is
-        // static and every reduction over it must be hoisted into the
-        // plan (prebuilt key set, folded projection, top-down static
-        // join). A Boolean variant (empty access pattern) folds the whole
-        // tree: the root join and the top-down join probe compile-time
-        // indexes, and the per-request work is output-sensitive.
+        // {x2,x3} contains no access variable, so its T-view program is a
+        // chain from the empty schema — and, under the T-parent {x1,x2},
+        // from the parent's link keys `x2` when those are cheaper. A
+        // Boolean variant (empty access pattern) has no access variable
+        // anywhere: both programs start from the empty schema, seeded by
+        // the one empty request row, and the empty request seeds nothing.
         use cqap_common::{vars, VarSet};
         use cqap_decomp::{Pmtd, TreeDecomposition};
         use cqap_query::{Atom, ConjunctiveQuery};
@@ -824,6 +786,8 @@ mod tests {
                     "interpreted"
                 );
             }
+            // One program per bag, nothing folded into the plan.
+            assert_eq!(index.compiled().next().unwrap().programs.len(), 2);
         };
 
         let cq = ConjunctiveQuery::new("p2", 3, atoms(), full_head).unwrap();
@@ -855,10 +819,12 @@ mod tests {
     #[test]
     fn static_bag_reduced_by_an_s_view_goes_stale_with_any_relation() {
         // x1-only access over a 3-path: the bag {x2,x3} is access-free
-        // (static) and its reduction by the materialized child S34 is
-        // folded at compile time. S34 projects the *full* join, so a
-        // delta on R1 — an atom outside the static bag — changes what the
-        // fold should have kept, and the plan must recompile.
+        // and reduced by the materialized child S34. S34 projects the
+        // *full* join, so a delta on R1 — an atom outside the bag —
+        // changes which of the bag's rows survive the reduction: content
+        // folded at compile time would go stale here with any relation.
+        // The bag's T-view is joined per request and reduced by the live
+        // S34, so the answer follows the delta with no recompile.
         use cqap_common::{vars, VarSet};
         use cqap_decomp::{Pmtd, TreeDecomposition};
         use cqap_delta::{ApplyDelta, DeltaBatch};
@@ -876,11 +842,10 @@ mod tests {
         let mut db = Database::new();
         db.add_relation(Relation::binary("R1", 0, 1, [(1, 2)])).unwrap();
         // (5,6) dangles at build time: no R1 edge reaches 5, so x3 = 6 is
-        // absent from S34 and the folded reduction drops (5,6).
+        // absent from S34 and the reduction drops (5,6).
         db.add_relation(Relation::binary("R2", 0, 1, [(2, 3), (5, 6)])).unwrap();
         db.add_relation(Relation::binary("R3", 0, 1, [(3, 4), (6, 7)])).unwrap();
         let mut index = CqapIndex::build(&cqap, &db, &pmtds).unwrap();
-        assert!(index.compiled().next().unwrap().is_stale_after(&["R1".to_string()]));
 
         let request = AccessRequest::single(cqap.access(), &[9]).unwrap();
         assert!(index.answer(&request).unwrap().is_empty());

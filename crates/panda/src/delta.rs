@@ -53,14 +53,10 @@
 //!   ΔJ⁻ and ΔJ⁺ joins — the cache is their single owner, T-view programs
 //!   and delta chains only hold slot numbers, so nothing is evicted,
 //!   rebuilt or re-shared;
-//! * because the compiled pipelines read those live indexes (and probe
-//!   the live S-views), a plan is **recompiled only when content folded
-//!   into it at compile time is stale**: a static (access-free) bag whose
-//!   atoms read a touched relation ([`DeltaMaintenance::refresh`]). None
-//!   of the Figure-1 plans folds anything, so their deltas recompile
-//!   nothing.
-
-use std::sync::Arc;
+//! * the compiled pipelines read those live indexes and probe the live
+//!   S-views and fold no database content — an access-free bag's T-view
+//!   is computed per request like any other — so **no plan is ever
+//!   recompiled**: a delta never re-joins a bag.
 
 use cqap_common::{FxHashSet, Result, Tuple, Val, VarSet};
 use cqap_delta::{net_effect, DeltaBatch, DeltaStats, RelationDelta};
@@ -157,9 +153,6 @@ pub struct DeltaOutcome {
     /// over), per materialized node: `(node, inserts, deletes)` — the net
     /// view tuples to add and remove from that S-view.
     pub views: Vec<Vec<(usize, Vec<Tuple>, Vec<Tuple>)>>,
-    /// Names of the stored relations the batch actually changed; empty
-    /// exactly when the batch was a net no-op.
-    pub touched: Vec<String>,
 }
 
 /// Build-once maintenance state for a set of PMTD plans over one
@@ -175,8 +168,8 @@ pub struct DeltaOutcome {
 pub struct DeltaMaintenance {
     chains: Vec<JoinChain>,
     atom_indexes: AtomIndexCache,
-    /// Observability seam: apply latency, net-op sizes and recompile
-    /// counts. Disabled (free) unless a sink is attached via
+    /// Observability seam: apply latency and net-op sizes. Disabled
+    /// (free) unless a sink is attached via
     /// [`DeltaMaintenance::set_metrics_sink`]. Clones share the
     /// recorder, so a spilled backend's maintenance lineage keeps
     /// reporting into the same registry.
@@ -220,8 +213,7 @@ impl DeltaMaintenance {
     }
 
     /// Attaches a metrics sink: [`DeltaMaintenance::apply`] records the
-    /// `delta_apply` stage latency and the net insert/delete counters,
-    /// and [`DeltaMaintenance::refresh`] counts plan recompilations.
+    /// `delta_apply` stage latency and the net insert/delete counters.
     pub fn set_metrics_sink(&mut self, sink: MetricsSink) {
         self.sink = sink;
     }
@@ -243,31 +235,6 @@ impl DeltaMaintenance {
         views: &V,
     ) -> Result<CompiledPmtd> {
         CompiledPmtd::compile(cqap, db, evaluator, views, &mut self.atom_indexes)
-    }
-
-    /// Recompiles, in place, exactly the pipelines a delta over the
-    /// `touched` relations left stale, after the backing database and
-    /// S-views absorbed it: those that folded content of a touched
-    /// relation at compile time (see the module docs). The atom indexes
-    /// were already edited in place by [`DeltaMaintenance::apply`], so a
-    /// recompile finds every slot it needs.
-    ///
-    /// # Errors
-    /// Propagates recompilation failures.
-    pub fn refresh<'a, V: SViewProbe + 'a>(
-        &mut self,
-        cqap: &Cqap,
-        db: &Database,
-        touched: &[String],
-        plans: impl IntoIterator<Item = (&'a OnlineYannakakis, &'a V, &'a mut Arc<CompiledPmtd>)>,
-    ) -> Result<()> {
-        for (evaluator, views, compiled) in plans {
-            if compiled.is_stale_after(touched) {
-                self.sink.incr(CounterId::PlanRecompiles);
-                *compiled = Arc::new(self.compile(cqap, db, evaluator, views)?);
-            }
-        }
-        Ok(())
     }
 
     /// Applies one batch: streams `ΔJ⁻` against the pre-delta atom
@@ -334,7 +301,6 @@ impl DeltaMaintenance {
             self.atom_indexes
                 .apply(&delta.relation, &delta.inserts, &delta.deletes);
         }
-        let touched: Vec<String> = deltas.iter().map(|d| d.relation.clone()).collect();
         // ΔJ⁺ over the post-delta database: the view rows that gain their
         // first support enter.
         stream(Side::Inserts, &self.atom_indexes);
@@ -362,11 +328,7 @@ impl DeltaMaintenance {
             TraceStage::DeltaApply,
             (stats.inserted + stats.deleted) as u64,
         );
-        Ok(DeltaOutcome {
-            stats,
-            views: moves,
-            touched,
-        })
+        Ok(DeltaOutcome { stats, views: moves })
     }
 }
 

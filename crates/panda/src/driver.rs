@@ -180,9 +180,10 @@ impl CqapIndex {
     /// projected onto the CQAP's declared head.
     ///
     /// Requests run through the **compiled columnar** pipeline: per-request
-    /// work is column-at-a-time plan execution against pre-resolved
-    /// positions, pre-built atom indexes and hoisted static-side
-    /// reductions, with all intermediate state in a per-worker
+    /// work is the T-view programs' join chains over the live atom indexes
+    /// (an access-free bag's included — its T-view is computed online, as
+    /// the PMTD says) and column-at-a-time plan execution against
+    /// pre-resolved positions, with all intermediate state in a per-worker
     /// struct-of-arrays scratch arena. Answers are identical to
     /// [`CqapIndex::answer_interpreted`] and
     /// [`CqapIndex::answer_from_scratch`] (proptest-enforced in
@@ -250,8 +251,8 @@ impl CqapIndex {
     }
 
     /// Attaches a metrics sink to the index's delta maintenance:
-    /// [`ApplyDelta::apply_delta`] then records apply latency, net
-    /// insert/delete counters, and plan-recompile counts into it.
+    /// [`ApplyDelta::apply_delta`] then records apply latency and net
+    /// insert/delete counters into it.
     pub fn set_metrics_sink(&mut self, sink: cqap_obs::MetricsSink) {
         self.maintenance.set_metrics_sink(sink);
     }
@@ -262,27 +263,12 @@ impl CqapIndex {
 /// and the atom indexes tuple by tuple) into the support counts of every
 /// plan's resident [`PreprocessedViews`] — a view row enters or leaves
 /// where its count crosses zero, so that one edit per `ΔJ` row is the
-/// whole view maintenance. The compiled pipelines read that live state,
-/// so only a plan that folded a touched relation's content at compile
-/// time (static bags) is recompiled.
+/// whole view maintenance. The compiled pipelines read that live state
+/// and hold no database content of their own, so none is ever recompiled;
+/// a net no-op leaves views, plans and the warm scratch state untouched.
 impl ApplyDelta for CqapIndex {
     fn apply_delta(&mut self, batch: &DeltaBatch) -> Result<DeltaStats> {
-        let outcome = self.maintenance.apply(&self.cqap, &mut self.db, &mut self.views, batch)?;
-        if outcome.touched.is_empty() {
-            // Net no-op: views, plans and scratch state are untouched, so
-            // the warm answering path stays warm.
-            return Ok(outcome.stats);
-        }
-        self.maintenance.refresh(
-            &self.cqap,
-            &self.db,
-            &outcome.touched,
-            self.plans
-                .iter_mut()
-                .zip(&self.views)
-                .map(|(p, views)| (&p.evaluator, views, &mut p.compiled)),
-        )?;
-        Ok(outcome.stats)
+        Ok(self.maintenance.apply(&self.cqap, &mut self.db, &mut self.views, batch)?.stats)
     }
 }
 

@@ -338,8 +338,7 @@ impl StoredIndex {
 
     /// Attaches a metrics sink to the whole disk tier: every stored view
     /// (segment reads/bytes, overlay probes, compactions) and this
-    /// backend's delta maintenance (apply latency, net ops, recompiles of
-    /// plans whose folded content a delta left stale).
+    /// backend's delta maintenance (apply latency, net ops).
     pub fn set_metrics_sink(&mut self, sink: cqap_obs::MetricsSink) {
         for (_, views) in &mut self.plans {
             views.set_metrics_sink(&sink);
@@ -425,29 +424,18 @@ impl StoredIndex {
 /// [`DeltaMaintenance`] lineage), absorbed as LSM-style delta overlays on
 /// the spilled runs instead of in-place row edits. Probes merge base +
 /// overlay until a size-triggered compaction streams both into a fresh
-/// fence-indexed run; stale compiled pipelines are refreshed exactly like
-/// the in-memory backend's, so rebuild equivalence holds at any overlay
-/// state.
+/// fence-indexed run. The shared compiled pipelines read the live atom
+/// indexes and fold no database content, so they are never recompiled and
+/// rebuild equivalence holds at any overlay state. A net no-op carries no
+/// ΔS-views and leaves the overlays untouched.
 impl ApplyDelta for StoredIndex {
     fn apply_delta(&mut self, batch: &DeltaBatch) -> Result<DeltaStats> {
         let outcome = self.maintenance.apply(&self.cqap, &mut self.db, &mut self.counts, batch)?;
-        if outcome.touched.is_empty() {
-            return Ok(outcome.stats);
-        }
         for ((_, views), view_deltas) in self.plans.iter_mut().zip(&outcome.views) {
             for (node, ins, del) in view_deltas {
                 views.apply_delta(*node, ins, del)?;
             }
         }
-        self.maintenance.refresh(
-            &self.cqap,
-            &self.db,
-            &outcome.touched,
-            self.plans
-                .iter()
-                .zip(&mut self.compiled)
-                .map(|((evaluator, views), compiled)| (evaluator, views, compiled)),
-        )?;
         Ok(outcome.stats)
     }
 }
@@ -570,8 +558,6 @@ mod tests {
         // A fresh chain across the atoms (one new full-join row, so the
         // ΔS-views are non-empty): apply latency and net-op counters
         // land in the sink, and the views' overlays hold pending tuples.
-        // The Figure-1 plans fold no database content, so the delta
-        // recompiles none of them.
         let mut batch = DeltaBatch::new();
         for (i, rel) in db.relations().iter().enumerate() {
             let base = 9_000 + i as u64;
@@ -585,7 +571,6 @@ mod tests {
             db.relations().len() as u64
         );
         assert_eq!(snap.counter(CounterId::DeltaNetDeletes), 0);
-        assert_eq!(snap.counter(CounterId::PlanRecompiles), 0);
 
         // Probes over the dirty overlay are counted…
         assert!(stored.overlay_len() > 0, "chain insert leaves pending overlay");

@@ -302,7 +302,7 @@ impl TieredShardedIndex {
     }
 
     /// Attaches a metrics sink to every shard, both tiers: hot shards
-    /// record delta-apply latency and recompiles, cold shards add segment
+    /// record delta-apply latency and net ops, cold shards add segment
     /// reads/bytes, overlay probes and compactions. Also publishes the
     /// per-tier resident-byte gauges immediately (and again after every
     /// [`ApplyDelta::apply_delta`]), so a scrape always sees the current

@@ -353,8 +353,8 @@ proptest! {
     /// both index slots of the spilled backend's own copy-on-write
     /// lineage, while the source index it was spilled from stays
     /// untouched) and `(T1245, T234)` of Example E.8, whose access-free
-    /// bag is folded at compile time and must be recompiled when its
-    /// atoms change.
+    /// bag is joined per request from the spilled lineage's live atom
+    /// indexes, so a delta on its atoms reaches it with no recompile.
     #[test]
     fn stored_self_join_and_access_free_bag_match_rebuild(
         seed in 0u64..10_000,

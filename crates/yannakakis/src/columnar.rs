@@ -33,9 +33,7 @@
 use cqap_common::{hash_fold_column, hash_vals, CqapError, FxHashMap, Result, Tuple, Val};
 use cqap_relation::{Relation, RelationBuilder};
 
-use crate::compiled::{
-    BottomUpStep, CompiledPlan, HashJoin, ProbeJoin, RootStep, StaticGroups, TopDownStep,
-};
+use crate::compiled::{BottomUpStep, CompiledPlan, HashJoin, ProbeJoin, RootStep, TopDownStep};
 use crate::online::SViewProbe;
 use cqap_query::AccessRequest;
 
@@ -108,9 +106,9 @@ impl ColumnRun {
         self.rows += 1;
     }
 
-    /// Appends a slice of row tuples — the scatter used by the static-side
-    /// and overlay bucket probes and by loading a row [`Relation`] whose
-    /// column order already matches ([`Tuple::scatter_into`] per row).
+    /// Appends a slice of row tuples — the scatter used by the overlay
+    /// bucket probes and by loading a row [`Relation`] whose column order
+    /// already matches ([`Tuple::scatter_into`] per row).
     pub fn extend_from_tuples(&mut self, tuples: &[Tuple]) {
         let cols = &mut self.cols[..self.width];
         for t in tuples {
@@ -166,8 +164,8 @@ impl ColumnRun {
     }
 
     /// Appends one join output row whose right side is a row slice (the
-    /// static-join and T-view-program case, where the build side lives in
-    /// prebuilt tuple buckets).
+    /// T-view programs' join chains, whose build side is an atom index's
+    /// tuple bucket).
     #[inline]
     pub fn push_join_row(&mut self, left: &ColumnRun, l: usize, right: &[Val], appended: &[usize]) {
         debug_assert_eq!(self.width, left.width + appended.len());
@@ -415,9 +413,6 @@ impl CompiledPlan {
         let mut slots: Vec<ColSlot> = (0..self.num_nodes).map(|_| ColSlot::Empty).collect();
         for (node, rel) in t_views {
             self.check_t_view(*node, rel)?;
-            if self.static_node[*node] {
-                continue;
-            }
             let expected = self.t_schema[*node].as_ref().expect("validated at compile");
             let mut run = scratch.take_run();
             run.reset(expected.arity());
@@ -444,9 +439,9 @@ impl CompiledPlan {
     /// T-views as column runs in the **compile-time column order** — the
     /// compiled drivers produce their T-view programs' output directly as
     /// columns, so no row form ever exists (and hand over an iterator, so
-    /// no per-request collection exists either). Static (plan-owned)
-    /// nodes must be omitted; widths are validated against the compiled
-    /// schemas.
+    /// no per-request collection exists either). Every non-materialized
+    /// node takes one run, access-free bags included; widths are validated
+    /// against the compiled schemas.
     ///
     /// # Errors
     /// The same validation failures as [`CompiledPlan::answer_columnar`],
@@ -462,7 +457,7 @@ impl CompiledPlan {
         self.check_backend(views)?;
         let mut slots: Vec<ColSlot> = (0..self.num_nodes).map(|_| ColSlot::Empty).collect();
         for (node, run) in t_cols {
-            if node >= self.num_nodes || self.materialized[node] || self.static_node[node] {
+            if node >= self.num_nodes || self.materialized[node] {
                 return Err(CqapError::InvalidPmtd(format!(
                     "node {node} does not take per-request T-view columns"
                 )));
@@ -486,10 +481,7 @@ impl CompiledPlan {
 
     fn check_missing_slots(&self, slots: &[ColSlot<'_>]) -> Result<()> {
         for t in 0..self.num_nodes {
-            if !self.materialized[t]
-                && !self.static_node[t]
-                && matches!(slots[t], ColSlot::Empty)
-            {
+            if !self.materialized[t] && matches!(slots[t], ColSlot::Empty) {
                 return Err(CqapError::InvalidPmtd(format!(
                     "missing T-view for node {t}"
                 )));
@@ -574,52 +566,6 @@ impl CompiledPlan {
                     scratch.recycle_slot(src);
                     slots[*parent] = ColSlot::Owned(filtered);
                 }
-                BottomUpStep::HashSemiStaticChild {
-                    parent,
-                    parent_key,
-                    keys,
-                } => {
-                    scratch.sel.clear();
-                    let src = std::mem::replace(&mut slots[*parent], ColSlot::Empty);
-                    {
-                        let cr = src.run();
-                        for r in 0..cr.rows() {
-                            cr.project_row_into(r, parent_key, &mut scratch.key_vals);
-                            if keys.contains(scratch.key_vals.as_slice()) {
-                                scratch.sel.push(r as u32);
-                            }
-                        }
-                    }
-                    let filtered = gather_selected(scratch, &src);
-                    scratch.recycle_slot(src);
-                    slots[*parent] = ColSlot::Owned(filtered);
-                }
-                BottomUpStep::HashSemiStaticParent {
-                    child,
-                    parent,
-                    child_key,
-                    parent_arity,
-                    index,
-                } => {
-                    scratch.dedup.clear();
-                    let mut filtered = scratch.take_run();
-                    filtered.reset(*parent_arity);
-                    {
-                        let cr = slots[*child].run();
-                        cr.hash_rows_into(child_key, &mut scratch.hashes);
-                        for r in 0..cr.rows() {
-                            cr.project_row_into(r, child_key, &mut scratch.key_vals);
-                            let hash = scratch.hashes[r];
-                            if scratch.dedup.insert_if_absent(hash, &scratch.key_vals) {
-                                if let Some(bucket) = index.get(scratch.key_vals.as_slice()) {
-                                    filtered.extend_from_tuples(bucket);
-                                }
-                            }
-                        }
-                    }
-                    let old = std::mem::replace(&mut slots[*parent], ColSlot::Owned(filtered));
-                    scratch.recycle_slot(old);
-                }
                 BottomUpStep::ProjectChild { node, project } => {
                     scratch.dedup.clear();
                     let src = std::mem::replace(&mut slots[*node], ColSlot::Empty);
@@ -696,10 +642,6 @@ impl CompiledPlan {
                 scratch.recycle_run(reduced);
                 std::mem::swap(&mut acc, &mut next);
             }
-            RootStep::JoinStatic { join, groups } => {
-                exec_static_join_columnar(join, groups, &acc, &mut next, &mut scratch.key_vals);
-                std::mem::swap(&mut acc, &mut next);
-            }
         }
 
         // Top-down joins over the kept nodes.
@@ -712,9 +654,6 @@ impl CompiledPlan {
                     let src = std::mem::replace(&mut slots[*node], ColSlot::Empty);
                     exec_hash_join_columnar(join, &acc, src.run(), &mut next, scratch);
                     slots[*node] = src;
-                }
-                TopDownStep::JoinStatic { join, groups } => {
-                    exec_static_join_columnar(join, groups, &acc, &mut next, &mut scratch.key_vals);
                 }
             }
             std::mem::swap(&mut acc, &mut next);
@@ -856,27 +795,6 @@ fn exec_hash_join_columnar(
     }
     acc_out.reset(acc_in.width() + join.appended.len());
     acc_out.emit_join(acc_in, build, &join.appended, &scratch.pairs);
-}
-
-/// `acc_out = acc_in ⋈ static side` through the compile-time join index:
-/// probe with a borrowed key slice, emit matched rows from the prebuilt
-/// tuple buckets.
-fn exec_static_join_columnar(
-    join: &HashJoin,
-    groups: &StaticGroups,
-    acc_in: &ColumnRun,
-    acc_out: &mut ColumnRun,
-    key_vals: &mut Vec<Val>,
-) {
-    acc_out.reset(acc_in.width() + join.appended.len());
-    for l in 0..acc_in.rows() {
-        acc_in.project_row_into(l, &join.probe_key, key_vals);
-        if let Some(bucket) = groups.get(key_vals.as_slice()) {
-            for rt in bucket {
-                acc_out.push_join_row(acc_in, l, rt.as_slice(), &join.appended);
-            }
-        }
-    }
 }
 
 #[cfg(test)]

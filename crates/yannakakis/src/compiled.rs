@@ -6,10 +6,10 @@
 //! variables sit in each schema, what every join's output schema is.
 //! [`OnlineYannakakis::compile`] resolves all of it once — per (PMTD node,
 //! access pattern) — into a [`CompiledPlan`]: a linear program of
-//! bottom-up, root and top-down steps over pre-resolved column positions,
-//! with every reduction that touches only request-independent T-views
-//! folded or pre-indexed at compile time
-//! ([`OnlineYannakakis::compile_with_statics`]).
+//! bottom-up, root and top-down steps over pre-resolved column positions.
+//! Every T-view — an access-free bag's included — is an input the caller
+//! supplies per request, so a plan holds no database content and no delta
+//! can leave it stale: it is compiled once and never recompiled.
 //!
 //! This module holds the IR, the compiler and the per-request input
 //! validation; the step program is executed by [`crate::columnar`], the
@@ -20,20 +20,12 @@
 //! `crates/yannakakis/tests` enforces this against both the interpreted
 //! path and the naive evaluator.
 
-use std::sync::Arc;
-
-use cqap_common::{CqapError, FxHashMap, FxHashSet, Result, Tuple, VarSet};
+use cqap_common::{CqapError, Result, VarSet};
 use cqap_decomp::ViewKind;
 use cqap_query::AccessRequest;
 use cqap_relation::{is_identity, Relation, Schema};
 
 use crate::online::{OnlineYannakakis, SViewProbe};
-
-/// A prebuilt hash grouping of request-independent tuples by a key
-/// projection — the static side of a hoisted semijoin or join. Probed by
-/// borrowed `&[Val]` key slices (via `Tuple`'s `Borrow<[Val]>`), so warm
-/// requests never materialize a key tuple to use one.
-pub(crate) type StaticGroups = FxHashMap<Tuple, Vec<Tuple>>;
 
 /// Positions and output schema of a probe-join `left ⋈ view(node)` keyed
 /// on the link variables, with matches additionally checked on the other
@@ -92,26 +84,6 @@ pub(crate) enum BottomUpStep {
         child_key: Vec<usize>,
         parent_key: Vec<usize>,
     },
-    /// TT-edge whose child T-view is request-independent: the child's key
-    /// set was built once at compile time, so the per-request cost is one
-    /// set lookup per parent tuple — never a scan of the static side.
-    HashSemiStaticChild {
-        parent: usize,
-        parent_key: Vec<usize>,
-        keys: Arc<FxHashSet<Tuple>>,
-    },
-    /// TT-edge whose parent T-view is request-independent: a hash index
-    /// over the (large, static) parent was built once at compile time and
-    /// is probed with the small request-dependent child keys, making the
-    /// reduction output-sensitive instead of `O(|D|)` per request.
-    HashSemiStaticParent {
-        child: usize,
-        parent: usize,
-        child_key: Vec<usize>,
-        /// Arity of the parent slot (the width of the filtered output).
-        parent_arity: usize,
-        index: Arc<StaticGroups>,
-    },
     /// A TT-child that stays in the tree is projected to its head
     /// variables for the top-down pass.
     ProjectChild { node: usize, project: Project },
@@ -132,12 +104,6 @@ pub(crate) enum RootStep {
         project: Project,
         join: HashJoin,
     },
-    /// Static T root: the projected root view and its join index were
-    /// built at compile time; the request probes them directly.
-    JoinStatic {
-        join: HashJoin,
-        groups: Arc<StaticGroups>,
-    },
 }
 
 /// One top-down join action.
@@ -147,13 +113,6 @@ pub(crate) enum TopDownStep {
     Probe { node: usize, join: ProbeJoin },
     /// Join the accumulator with a kept (projected) T-view.
     Join { node: usize, join: HashJoin },
-    /// Join the accumulator with a kept *static* T-view whose hash index
-    /// was built at compile time: the request-dependent accumulator
-    /// probes the static side, never the other way around.
-    JoinStatic {
-        join: HashJoin,
-        groups: Arc<StaticGroups>,
-    },
 }
 
 /// An Online-Yannakakis execution compiled for one PMTD, one access
@@ -176,11 +135,6 @@ pub struct CompiledPlan {
     pub(crate) t_schema: Vec<Option<Schema>>,
     /// Expected varset per non-materialized node (for validation).
     pub(crate) t_varset: Vec<Option<VarSet>>,
-    /// Nodes whose T-view content is request-independent and was folded
-    /// into the plan at compile time (hoisted reductions, prebuilt join
-    /// indexes): callers may omit them per request, and any content they
-    /// do pass is validated but not read.
-    pub(crate) static_node: Vec<bool>,
     /// `(node, schema)` of every S-view the plan probes, validated against
     /// the backend per request.
     pub(crate) s_views: Vec<(usize, Schema)>,
@@ -213,27 +167,6 @@ fn compile_probe_join(left: &Schema, rel: &Schema, link: VarSet) -> Result<Probe
         rel_arity: rel.arity(),
         out_schema,
     })
-}
-
-/// Groups `tuples` by their projection onto `key` — the compile-time
-/// build of every hoisted static-side index.
-fn group_by(tuples: &[Tuple], key: &[usize]) -> StaticGroups {
-    let mut groups = StaticGroups::default();
-    for t in tuples {
-        groups.entry(t.project(key)).or_default().push(t.clone());
-    }
-    groups
-}
-
-/// The distinct projections of `rows` onto `positions`, in first-seen
-/// order — the compile-time fold of a static kept-child or root
-/// projection.
-fn project_distinct(rows: &[Tuple], positions: &[usize]) -> Vec<Tuple> {
-    let mut seen = FxHashSet::default();
-    rows.iter()
-        .map(|t| t.project(positions))
-        .filter(|p| seen.insert(p.clone()))
-        .collect()
 }
 
 fn compile_hash_join(left: &Schema, rel: &Schema) -> Result<HashJoin> {
@@ -278,41 +211,6 @@ impl OnlineYannakakis {
         views: &V,
         t_schemas: &[(usize, Schema)],
     ) -> Result<CompiledPlan> {
-        self.compile_with_statics(views, t_schemas, &[])
-    }
-
-    /// [`OnlineYannakakis::compile`] with the contents of the
-    /// *request-independent* T-views supplied up front, so every reduction
-    /// that touches only static state is hoisted out of the per-request
-    /// plan:
-    ///
-    /// * static-only edges (both sides request-independent, or a static
-    ///   parent under an S-child) are **folded**: the semijoin runs once,
-    ///   now, against `statics` and `views`;
-    /// * an edge with one static side gets a **prebuilt** key set / hash
-    ///   index over that side, so the per-request pass probes the static
-    ///   side with the small request-dependent side instead of scanning
-    ///   its `O(|D|)` tuples;
-    /// * root and top-down joins against still-static views probe a
-    ///   compile-time join index (the accumulator is the probe side).
-    ///
-    /// Each `(node, relation)` of `statics` must match the node's entry in
-    /// `t_schemas` exactly (same column order). The caller promises that
-    /// every future request would supply the same content for these nodes
-    /// — the compiled drivers guarantee it by construction (an access-free
-    /// bag's T-view cannot depend on the request) — and may then omit them
-    /// from the per-request T-views entirely; content passed anyway is
-    /// validated but not read.
-    ///
-    /// # Errors
-    /// The failure modes of [`OnlineYannakakis::compile`], plus a schema
-    /// mismatch between `statics` and `t_schemas`.
-    pub fn compile_with_statics<V: SViewProbe>(
-        &self,
-        views: &V,
-        t_schemas: &[(usize, Schema)],
-        statics: &[(usize, &Relation)],
-    ) -> Result<CompiledPlan> {
         let pmtd = self.pmtd();
         let td = pmtd.td();
         let head = pmtd.head();
@@ -348,28 +246,6 @@ impl OnlineYannakakis {
             .map(|s| s.as_ref().map(Schema::varset))
             .collect();
 
-        // Request-independent T-view contents, tracked through the
-        // bottom-up pass: a `Some` entry means the slot's content at this
-        // point of the step program is known at compile time, so any
-        // reduction over it can be hoisted out of the per-request plan.
-        let mut static_rows: Vec<Option<Vec<Tuple>>> = vec![None; num_nodes];
-        for (node, rel) in statics {
-            if *node >= num_nodes || materialized[*node] {
-                return Err(CqapError::InvalidPmtd(format!(
-                    "static content supplied for node {node}, which is not a T-view"
-                )));
-            }
-            let expected = slot_schema[*node].as_ref().expect("validated above");
-            if rel.schema() != expected {
-                return Err(CqapError::SchemaMismatch {
-                    expected: format!("{expected}"),
-                    found: format!("{}", rel.schema()),
-                });
-            }
-            static_rows[*node] = Some(rel.tuples().to_vec());
-        }
-        let static_node: Vec<bool> = static_rows.iter().map(Option::is_some).collect();
-
         let mut s_views: Vec<(usize, Schema)> = Vec::new();
         let mut require_s_view = |node: usize| -> Result<Schema> {
             let schema = views.schema(node).ok_or_else(|| {
@@ -382,9 +258,7 @@ impl OnlineYannakakis {
         };
 
         // Bottom-up pass over the edges, mirroring the interpreted path but
-        // recording position-resolved steps instead of executing them —
-        // except where a side is static, in which case the reduction is
-        // folded (both sides static) or its static side is pre-indexed.
+        // recording position-resolved steps instead of executing them.
         let mut bottom_up = Vec::new();
         let mut kept = vec![true; num_nodes];
         for t in td.bottom_up_order() {
@@ -395,36 +269,12 @@ impl OnlineYannakakis {
                 }
                 (ViewKind::S, ViewKind::T) => {
                     require_s_view(t)?;
-                    let link = self.link(t);
                     let parent_schema = slot_schema[p].as_ref().expect("T slot schema");
-                    let key_positions = parent_schema.positions_of_set(link)?;
-                    if let Some(rows) = static_rows[p].take() {
-                        // Fold: the reduction is request-independent; run
-                        // it once against the backend, now.
-                        let mut known: FxHashMap<Tuple, bool> = FxHashMap::default();
-                        let mut filtered = Vec::with_capacity(rows.len());
-                        for tup in rows {
-                            let key = tup.project(&key_positions);
-                            let hit = match known.get(&key) {
-                                Some(&hit) => hit,
-                                None => {
-                                    let hit = views.contains(t, &key)?;
-                                    known.insert(key, hit);
-                                    hit
-                                }
-                            };
-                            if hit {
-                                filtered.push(tup);
-                            }
-                        }
-                        static_rows[p] = Some(filtered);
-                    } else {
-                        bottom_up.push(BottomUpStep::ProbeSemi {
-                            child: t,
-                            parent: p,
-                            key_positions,
-                        });
-                    }
+                    bottom_up.push(BottomUpStep::ProbeSemi {
+                        child: t,
+                        parent: p,
+                        key_positions: parent_schema.positions_of_set(self.link(t))?,
+                    });
                     let child_head = pmtd.view_schema(t).intersect(head);
                     if child_head.is_subset(pmtd.view_schema(p)) {
                         kept[t] = false;
@@ -434,76 +284,19 @@ impl OnlineYannakakis {
                     let child_schema = slot_schema[t].as_ref().expect("T slot schema");
                     let parent_schema = slot_schema[p].as_ref().expect("T slot schema");
                     let shared = child_schema.varset().intersect(parent_schema.varset());
-                    let child_key = child_schema.positions_of_set(shared)?;
-                    let parent_key = parent_schema.positions_of_set(shared)?;
-                    let parent_arity = parent_schema.arity();
-                    match (static_rows[t].is_some(), static_rows[p].is_some()) {
-                        // Both sides static: fold the whole semijoin.
-                        (true, true) => {
-                            let keys: FxHashSet<Tuple> = static_rows[t]
-                                .as_ref()
-                                .expect("static child")
-                                .iter()
-                                .map(|c| c.project(&child_key))
-                                .collect();
-                            let rows = static_rows[p].take().expect("static parent");
-                            static_rows[p] = Some(
-                                rows.into_iter()
-                                    .filter(|pt| keys.contains(&pt.project(&parent_key)))
-                                    .collect(),
-                            );
-                        }
-                        // Static child: prebuild its key set.
-                        (true, false) => {
-                            let keys: FxHashSet<Tuple> = static_rows[t]
-                                .as_ref()
-                                .expect("static child")
-                                .iter()
-                                .map(|c| c.project(&child_key))
-                                .collect();
-                            bottom_up.push(BottomUpStep::HashSemiStaticChild {
-                                parent: p,
-                                parent_key,
-                                keys: Arc::new(keys),
-                            });
-                        }
-                        // Static parent: prebuild an index over it, probed
-                        // with the dynamic child's keys; the parent slot
-                        // becomes request-dependent from here on.
-                        (false, true) => {
-                            let rows = static_rows[p].take().expect("static parent");
-                            bottom_up.push(BottomUpStep::HashSemiStaticParent {
-                                child: t,
-                                parent: p,
-                                child_key,
-                                parent_arity,
-                                index: Arc::new(group_by(&rows, &parent_key)),
-                            });
-                        }
-                        (false, false) => {
-                            bottom_up.push(BottomUpStep::HashSemi {
-                                child: t,
-                                parent: p,
-                                child_key,
-                                parent_key,
-                            });
-                        }
-                    }
+                    bottom_up.push(BottomUpStep::HashSemi {
+                        child: t,
+                        parent: p,
+                        child_key: child_schema.positions_of_set(shared)?,
+                        parent_key: parent_schema.positions_of_set(shared)?,
+                    });
                     let child_head = pmtd.view_schema(t).intersect(head);
                     if child_head.is_subset(pmtd.view_schema(p)) {
                         kept[t] = false;
                     } else {
-                        let project =
-                            compile_project(slot_schema[t].as_ref().expect("T slot schema"), child_head)?;
-                        if let Some(rows) = static_rows[t].take() {
-                            static_rows[t] = Some(project_distinct(&rows, &project.positions));
-                        } else {
-                            bottom_up.push(BottomUpStep::ProjectChild {
-                                node: t,
-                                project: project.clone(),
-                            });
-                        }
+                        let project = compile_project(child_schema, child_head)?;
                         slot_schema[t] = Some(project.schema.clone());
+                        bottom_up.push(BottomUpStep::ProjectChild { node: t, project });
                     }
                 }
                 (ViewKind::T, ViewKind::S) => {
@@ -532,20 +325,10 @@ impl OnlineYannakakis {
                     compile_project(root_schema, pmtd.view_schema(root_node).intersect(head))?;
                 let join = compile_hash_join(&acc_schema, &project.schema)?;
                 acc_schema = join.out_schema.clone();
-                if let Some(rows) = static_rows[root_node].take() {
-                    // Static root: the projected root view and its join
-                    // index are built once, now.
-                    let reduced = project_distinct(&rows, &project.positions);
-                    RootStep::JoinStatic {
-                        groups: Arc::new(group_by(&reduced, &join.build_key)),
-                        join,
-                    }
-                } else {
-                    RootStep::Join {
-                        node: root_node,
-                        project,
-                        join,
-                    }
+                RootStep::Join {
+                    node: root_node,
+                    project,
+                    join,
                 }
             }
         };
@@ -567,14 +350,7 @@ impl OnlineYannakakis {
                     let rel_schema = slot_schema[t].as_ref().expect("T slot schema");
                     let join = compile_hash_join(&acc_schema, rel_schema)?;
                     acc_schema = join.out_schema.clone();
-                    if let Some(rows) = static_rows[t].take() {
-                        top_down.push(TopDownStep::JoinStatic {
-                            groups: Arc::new(group_by(&rows, &join.build_key)),
-                            join,
-                        });
-                    } else {
-                        top_down.push(TopDownStep::Join { node: t, join });
-                    }
+                    top_down.push(TopDownStep::Join { node: t, join });
                 }
             }
         }
@@ -598,7 +374,6 @@ impl OnlineYannakakis {
             materialized,
             t_schema,
             t_varset,
-            static_node,
             s_views,
             bottom_up,
             root,
@@ -680,6 +455,7 @@ mod tests {
     use crate::columnar::ColumnarScratch;
     use crate::naive::full_join;
     use crate::online::PreprocessedViews;
+    use cqap_common::Tuple;
     use cqap_decomp::families as pmtd_families;
     use cqap_decomp::Pmtd;
     use cqap_query::workload::Graph;
@@ -735,91 +511,6 @@ mod tests {
                 assert_eq!(compiled, interpreted, "{} on ({a},{b})", pmtd.summary());
             }
         }
-    }
-
-    #[test]
-    fn static_t_views_fold_into_the_plan() {
-        // Declaring every T-view static must hoist all reductions over
-        // them (folded semijoins, prebuilt key sets / join indexes, a
-        // static root join) without changing a single answer — and the
-        // folded plan must accept requests that omit the static content
-        // entirely.
-        let (cqap, pmtds) = pmtd_families::pmtds_3reach_fig1().unwrap();
-        let g = Graph::random(30, 130, 9);
-        let db = g.as_path_database(3);
-        let mut col = ColumnarScratch::new();
-        for pmtd in &pmtds[..2] {
-            let oy = OnlineYannakakis::new(pmtd.clone());
-            let (pre, t_views) = views_for(pmtd, &cqap, &db);
-            assert!(!t_views.is_empty());
-            let plain = oy.compile(&pre, &t_schemas(&t_views)).unwrap();
-            let folded = oy
-                .compile_with_statics(&pre, &t_schemas(&t_views), &refs(&t_views))
-                .unwrap();
-            for (a, b) in [(0u64, 1u64), (3, 7), (12, 4), (1, 1)] {
-                let req = AccessRequest::single(cqap.access(), &[a, b]).unwrap();
-                let expected = plain
-                    .answer_columnar(&pre, &refs(&t_views), &req, &mut col)
-                    .unwrap();
-                // Static T-views may be omitted per request...
-                assert_eq!(
-                    folded.answer_columnar(&pre, &[], &req, &mut col).unwrap(),
-                    expected,
-                    "folded {} on ({a},{b})",
-                    pmtd.summary()
-                );
-                // ...or passed anyway (validated, not read).
-                assert_eq!(
-                    folded
-                        .answer_columnar(&pre, &refs(&t_views), &req, &mut col)
-                        .unwrap(),
-                    expected
-                );
-            }
-        }
-        // Partially static: only the root T-view declared static on the
-        // pure-T chain PMTD. Its dynamic child semijoin-reduces it per
-        // request, so the plan prebuilds an index over the static parent
-        // and probes it with the (small) child keys.
-        let pmtd = &pmtds[0]; // (T134, T123): node 0 = root T134
-        let oy = OnlineYannakakis::new(pmtd.clone());
-        let (pre, t_views) = views_for(pmtd, &cqap, &db);
-        let root_node = pmtd.td().root();
-        let root_static: Vec<(usize, &Relation)> = t_views
-            .iter()
-            .filter(|(n, _)| *n == root_node)
-            .map(|(n, r)| (*n, r))
-            .collect();
-        assert_eq!(root_static.len(), 1);
-        let leaf_views: Vec<(usize, &Relation)> = t_views
-            .iter()
-            .filter(|(n, _)| *n != root_node)
-            .map(|(n, r)| (*n, r))
-            .collect();
-        let plain = oy.compile(&pre, &t_schemas(&t_views)).unwrap();
-        let folded = oy
-            .compile_with_statics(&pre, &t_schemas(&t_views), &root_static)
-            .unwrap();
-        for (a, b) in [(0u64, 1u64), (3, 7), (12, 4)] {
-            let req = AccessRequest::single(cqap.access(), &[a, b]).unwrap();
-            let expected = plain
-                .answer_columnar(&pre, &refs(&t_views), &req, &mut col)
-                .unwrap();
-            assert_eq!(
-                folded
-                    .answer_columnar(&pre, &leaf_views, &req, &mut col)
-                    .unwrap(),
-                expected,
-                "static-parent on ({a},{b})"
-            );
-        }
-
-        // Static content with the wrong schema is rejected at compile.
-        let bad = Relation::binary("bad", 0, 1, [(1, 2)]);
-        let statics = vec![(t_views[0].0, &bad)];
-        assert!(oy
-            .compile_with_statics(&pre, &t_schemas(&t_views), &statics)
-            .is_err());
     }
 
     #[test]

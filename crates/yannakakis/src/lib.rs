@@ -13,9 +13,9 @@
 //!   on the size of the S-views (Theorem 3.7). This interpreted,
 //!   paper-literal form is the reference the engine is tested against.
 //! * [`compiled`] — the plan IR and its compiler: per (PMTD, access
-//!   pattern) every schema lookup, traversal decision and request-independent
-//!   reduction of the online phase is resolved once, at index build time,
-//!   into a linear step program ([`CompiledPlan`]).
+//!   pattern) every schema lookup and traversal decision of the online
+//!   phase is resolved once, at index build time, into a linear step
+//!   program ([`CompiledPlan`]) that holds no database content.
 //! * [`columnar`] — the executor, and the one production engine: it runs a
 //!   compiled plan's steps column-at-a-time over a per-worker
 //!   struct-of-arrays scratch ([`ColumnarScratch`]), reaching the S-views

@@ -19,10 +19,12 @@
 //! Three fixtures cover what the reachability families do not: a self-join
 //! (one stored relation under two atoms, so one delta edits two index
 //! slots and one join-delta row comes out of both atoms' chains), the
-//! `(T1245, T234)` PMTD of Example E.8, whose access-free bag is folded
-//! into the plan at compile time — the one case where a delta must still
-//! recompile — and a hand-written decomposition with an *uncovered* bag,
-//! whose T-view joins every atom onto the whole request.
+//! `(T1245, T234)` PMTD of Example E.8, whose access-free bag `{x2,x3,x4}`
+//! is a T-view computed per request by a chain from the empty schema (or
+//! from its parent's link keys) — nothing of it is folded into the plan,
+//! so no delta leaves the plan stale — and a hand-written decomposition
+//! with an *uncovered* bag, whose T-view joins every atom onto the whole
+//! request.
 //!
 //! Every S-view of those families is keyed by its whole row. A fourth
 //! fixture keeps more in the head than the access pattern binds, so its
@@ -42,7 +44,6 @@ use cqap_common::{vars, Tuple, VarSet};
 use cqap_decomp::families as pmtd_families;
 use cqap_decomp::{Pmtd, TreeDecomposition};
 use cqap_delta::{ApplyDelta, DeltaBatch};
-use cqap_obs::{CounterId, MetricsSink};
 use cqap_panda::{instrument, AtomIndexCache, CqapIndex};
 use cqap_query::families::k_path_distinct;
 use cqap_query::workload::{graph_pair_requests, zipf_multi_requests, Graph};
@@ -366,10 +367,9 @@ proptest! {
     }
 
     /// `(T1245, T234)` of Example E.8 on its own (every PMTD answers
-    /// completely, so beside others a stale plan would hide in the union):
-    /// the bag `{x2,x3,x4}` holds no access variable, so its join is folded
-    /// into the plan at compile time and goes stale when `R2` or `R3`
-    /// change.
+    /// completely, so beside others a wrong plan would hide in the union):
+    /// the bag `{x2,x3,x4}` holds no access variable, and its T-view is
+    /// joined per request from the live `R2` / `R3` indexes.
     #[test]
     fn access_free_bag_delta_equivalence(seed in 0u64..10_000, edges in 40usize..110) {
         let (cqap, pmtds) = access_free_bag_pmtds();
@@ -381,12 +381,24 @@ proptest! {
     /// An uncovered bag: the root `{x1,x3,x5}` holds no atom, so its T-view
     /// is the chain over all four atoms seeded by the whole request and
     /// projected onto the bag; it reads the live atom indexes, so no delta
-    /// leaves it stale.
+    /// leaves it stale. That the fixture reaches that program shows in the
+    /// index slots: only a chain seeded by `x1` *and* `x5` closes on
+    /// `R4(x4,x5)` with both variables bound (the delta chains and the two
+    /// covered bags key `R4` on one).
     #[test]
     fn uncovered_bag_delta_equivalence(seed in 0u64..10_000, edges in 40usize..110) {
         let (cqap, pmtds) = uncovered_bag_pmtds(VarSet::from_iter([0, 4]));
         let graph = Graph::random(24, edges, seed);
         let db = graph.as_path_database(4);
+        let index = CqapIndex::build(&cqap, &db, &pmtds).unwrap();
+        let r4_keys: Vec<VarSet> = index
+            .maintenance()
+            .atom_indexes()
+            .entries()
+            .filter(|(relation, _, _)| *relation == "R4")
+            .map(|(_, _, index)| index.key_vars())
+            .collect();
+        prop_assert!(r4_keys.contains(&VarSet::from_iter([3, 4])), "R4 is keyed on {:?}", r4_keys);
         check_family(&cqap, &pmtds, &db, &graph, seed);
     }
 }
@@ -541,68 +553,44 @@ fn uncovered_bag_with_empty_access_pattern_matches_the_references() {
     assert_eq!(check(&index), before + 1, "the inserted chain is one new answer");
 }
 
-/// The recompile rule, counted: a plan is recompiled exactly when a delta
-/// touches a relation whose content it folded at compile time. Of the
-/// three plans only `(T1245, T234)` folds anything (`R2 ⋈ R3`, the
-/// access-free bag), so a delta on `R2` recompiles one plan, a delta on
-/// `R1` none — and the Figure-1 plans never recompile.
+/// `(T1245, T234)` alone under one-relation batches on each of `R1`–`R4`:
+/// each batch inserts one edge of a fresh 4-path and deletes a live edge of
+/// that relation, and after each every answer is the naive oracle's. The
+/// access-free bag `{x2,x3,x4}` reads `R2` and `R3` through the live atom
+/// indexes on every request, so there is nothing for a delta on them to
+/// leave stale — the last insert completes the path, and the plan, never
+/// recompiled, serves it.
 #[test]
-fn only_plans_with_stale_folded_content_recompile() {
-    let recompiles_after = |index: &mut CqapIndex, relation: &str, edge: (u64, u64)| {
-        let sink = MetricsSink::recording();
-        index.set_metrics_sink(sink.clone());
-        let batch = DeltaBatch::new().insert(relation, vec![Tuple::pair(edge.0, edge.1)]);
-        assert!(!index.apply_delta(&batch).unwrap().is_noop());
-        sink.snapshot().unwrap().counter(CounterId::PlanRecompiles)
-    };
-
+fn deltas_on_each_relation_of_an_access_free_bag_plan_match_naive() {
     let (cqap, pmtds) = access_free_bag_pmtds();
     let graph = Graph::random(24, 90, 7);
-    let mut index = CqapIndex::build(&cqap, &graph.as_path_database(4), &pmtds).unwrap();
-    assert_eq!(recompiles_after(&mut index, "R1", (9_000, 9_001)), 0);
-    assert_eq!(recompiles_after(&mut index, "R4", (9_003, 9_004)), 0);
-    assert_eq!(recompiles_after(&mut index, "R2", (9_001, 9_002)), 1);
-    assert_eq!(recompiles_after(&mut index, "R3", (9_002, 9_003)), 1);
-    // The chain is now complete and the recompiled static bag serves it.
-    let request = AccessRequest::single(cqap.access(), &[9_000, 9_004]).unwrap();
-    assert_eq!(index.answer(&request).unwrap().len(), 1);
-    assert_eq!(
-        index.answer(&request).unwrap(),
-        index.answer_from_scratch(&request).unwrap()
-    );
-
-    let (cqap, pmtds) = pmtd_families::pmtds_3reach_fig1().unwrap();
-    let graph = Graph::random(30, 120, 11);
-    let mut index = CqapIndex::build(&cqap, &graph.as_path_database(3), &pmtds).unwrap();
-    for relation in ["R1", "R2", "R3"] {
-        assert_eq!(recompiles_after(&mut index, relation, (9_000, 9_001)), 0);
+    let db = graph.as_path_database(4);
+    let mut index = CqapIndex::build(&cqap, &db, &pmtds[..1]).unwrap();
+    let path = AccessRequest::single(cqap.access(), &[9_000, 9_004]).unwrap();
+    let mut requests = requests_for(&cqap, &graph, 7);
+    requests.push(path.clone());
+    let hops = [("R1", 0), ("R4", 3), ("R2", 1), ("R3", 2)];
+    for (i, (relation, hop)) in hops.into_iter().enumerate() {
+        let gone = db.relation(relation).unwrap().tuples()[5 * i].clone();
+        let batch = DeltaBatch::new()
+            .insert(relation, vec![Tuple::pair(9_000 + hop, 9_001 + hop)])
+            .delete(relation, vec![gone]);
+        let stats = index.apply_delta(&batch).unwrap();
+        assert_eq!((stats.inserted, stats.deleted), (1, 1), "a delta on {relation}");
+        for request in &requests {
+            assert_eq!(
+                index.answer(request).unwrap(),
+                index.answer_from_scratch(request).unwrap(),
+                "after a delta on {relation}"
+            );
+        }
     }
-
-    // An uncovered bag folds nothing either: its program joins every atom
-    // onto the whole request through the live indexes. That the fixture
-    // reaches that program shows in the index slots: only a chain seeded
-    // by `x1` *and* `x5` closes on `R4(x4,x5)` with both variables bound
-    // (the delta chains and the two covered bags key `R4` on one).
-    let (cqap, pmtds) = uncovered_bag_pmtds(VarSet::from_iter([0, 4]));
-    let graph = Graph::random(24, 90, 7);
-    let mut index = CqapIndex::build(&cqap, &graph.as_path_database(4), &pmtds).unwrap();
-    let r4_keys: Vec<VarSet> = index
-        .maintenance()
-        .atom_indexes()
-        .entries()
-        .filter(|(relation, _, _)| *relation == "R4")
-        .map(|(_, _, index)| index.key_vars())
-        .collect();
-    assert!(r4_keys.contains(&VarSet::from_iter([3, 4])), "R4 is keyed on {r4_keys:?}");
-    for relation in ["R1", "R2", "R3", "R4"] {
-        assert_eq!(recompiles_after(&mut index, relation, (9_000, 9_001)), 0);
-    }
+    assert_eq!(index.answer(&path).unwrap().len(), 1, "9 000 → … → 9 004");
 }
 
 /// naive ≡ interpreted ≡ engine on `requests`, as built and after `batch`,
 /// with the engine's two-seeded T-view programs having run from the
-/// request *and* from their parent's link keys. Returns the plans the
-/// batch recompiled.
+/// request *and* from their parent's link keys.
 fn check_both_seeds(
     what: &str,
     cqap: &Cqap,
@@ -610,10 +598,8 @@ fn check_both_seeds(
     db: &Database,
     requests: &[AccessRequest],
     batch: &DeltaBatch,
-) -> u64 {
-    let sink = MetricsSink::recording();
+) {
     let mut index = CqapIndex::build(cqap, db, pmtds).unwrap();
-    index.set_metrics_sink(sink.clone());
     let check = |index: &CqapIndex, when: &str| {
         let sides = (instrument::request_side_programs(), instrument::parent_side_programs());
         for request in requests {
@@ -636,7 +622,6 @@ fn check_both_seeds(
     check(&index, "as built");
     assert!(!index.apply_delta(batch).unwrap().is_noop());
     check(&index, "after the delta");
-    sink.snapshot().unwrap().counter(CounterId::PlanRecompiles)
 }
 
 /// Single-tuple, multi-tuple and duplicate-binding requests over a graph's
@@ -671,8 +656,7 @@ fn both_seeds_agree_with_the_references() {
         let db = graph.as_path_database(3);
         let requests = mixed_requests(&cqap, &graph, seed);
         let batch = make_batch(0, &cqap, &db, seed);
-        let recompiled = check_both_seeds("3-reach", &cqap, &pmtds, &db, &requests, &batch);
-        assert_eq!(recompiled, 0, "the link-seeded chains read live slots too");
+        check_both_seeds("3-reach", &cqap, &pmtds, &db, &requests, &batch);
 
         let (cqap, pmtds) = pmtd_families::pmtds_4reach().unwrap();
         assert_eq!(pmtds.len(), 11);

@@ -11,7 +11,7 @@
 //! 1. a `TieredShardedIndex` is built with half its shards spilled to
 //!    disk, and the sink is attached to both tiers — cold-shard probes
 //!    count segment reads and bytes, delta maintenance records apply
-//!    latency, net-op sizes and plan recompiles;
+//!    latency and net-op sizes;
 //! 2. a delta batch (a fresh 3-path chain) flows through `ApplyDelta`,
 //!    leaving pending overlay tuples whose probes are counted until
 //!    compaction folds them away;
@@ -67,8 +67,7 @@ fn main() {
     // A delta batch: a fresh 3-path chain, one new join row, starting at
     // a vertex that hash-routes to a *cold* shard — so the ΔS-views land
     // as pending overlay tuples over a disk-resident run. The apply
-    // latency, net-op counters and recompile count (zero here: these
-    // plans read only live indexes) land in the sink.
+    // latency and net-op counters land in the sink.
     let placements = tiered.placements();
     assert!(
         placements.contains(&ShardTier::Cold),
@@ -99,11 +98,10 @@ fn main() {
         .expect("sink is recording")
         .delta(&before_apply);
     println!(
-        "delta-apply window: {} apply in {} ns (p50), {} net inserts, {} recompiles",
+        "delta-apply window: {} apply in {} ns (p50), {} net inserts",
         window.stage(StageId::DeltaApply).count,
         window.stage(StageId::DeltaApply).p50(),
         window.counter(CounterId::DeltaNetInserts),
-        window.counter(CounterId::PlanRecompiles),
     );
     assert_eq!(
         window.stage(StageId::DeltaApply).count,
@@ -194,11 +192,6 @@ fn main() {
     assert!(
         snapshot.counter(CounterId::DeltaNetInserts) >= db.relations().len() as u64,
         "the chain's net inserts are counted"
-    );
-    assert_eq!(
-        snapshot.counter(CounterId::PlanRecompiles),
-        0,
-        "the Figure-1 plans fold no database content, so a delta recompiles none"
     );
     assert!(
         exposition.contains("# TYPE cqap_stage_duration_nanoseconds histogram")

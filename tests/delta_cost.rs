@@ -5,7 +5,7 @@
 //! [`ApplyDelta::apply_delta`] must move the relation layer's counters by
 //! a small multiple of the join delta it causes — a handful of rows —
 //! and not by the database: no atom index is rebuilt (the indexes are
-//! edited in place), no plan is recompiled (the Figure-1 plans fold no
+//! edited in place), no plan is recompiled (a compiled plan holds no
 //! database content), no relation is re-deduplicated. Before the
 //! delta-proportional write path every effective batch re-indexed six
 //! 20 k-tuple atom relations and re-deduplicated as many.
@@ -14,8 +14,17 @@
 //! it is probed by — `O(|D|)` — and nothing else. The full join is
 //! streamed past the support counts, never held, so no index over a join
 //! prefix (the oracle's `Relation::join` builds one per atom) is counted.
+//!
+//! Both hold for plans with an **access-free bag** too — `(T1245, T234)`
+//! of Example E.8 and the Boolean triangle `(T123)` of Example E.4 — whose
+//! T-views are computed per request from the live atom indexes. When such
+//! a bag was joined once at compile time and folded into the plan, their
+//! builds indexed the join's prefixes and every delta on a bag atom
+//! re-joined the bag: a 1 + 1 `R2` batch on the 4-path cost 40 001 dedup
+//! inserts and 20 000 re-indexed tuples, a 1-tuple `R` insert on the
+//! triangle 60 004 and 40 002.
 
-use cqap_suite::decomp::families::pmtds_3reach_fig1;
+use cqap_suite::decomp::families::{pmtds_3reach_fig1, pmtds_4reach, pmtds_triangle};
 use cqap_suite::prelude::*;
 use cqap_suite::relation::instrument::{dedup_inserts, indexed_tuples};
 
@@ -108,4 +117,50 @@ fn one_tuple_delta_costs_its_join_delta_not_the_database() {
     index.apply_delta(&batch(inserted, deleted)).unwrap();
     assert_eq!(dedup_inserts() - dedup_before, 1);
     assert_eq!(indexed_tuples(), indexed_before);
+}
+
+/// Builds `pmtd`'s index over `db` and applies `batch` to it, holding both
+/// to the contract above: the build indexes its atom-index slots and
+/// nothing more, and the batch performs exactly one dedup insert (the
+/// stored relation's own, for its one inserted tuple) and indexes nothing.
+fn build_then_apply(what: &str, cqap: &Cqap, pmtd: &Pmtd, db: &Database, batch: &DeltaBatch) {
+    let indexed_before = indexed_tuples();
+    let mut index = CqapIndex::build(cqap, db, std::slice::from_ref(pmtd)).unwrap();
+    let slots = index.maintenance().atom_indexes().entries();
+    assert_eq!(
+        indexed_tuples() - indexed_before,
+        slots.map(|(_, _, index)| index.len() as u64).sum::<u64>(),
+        "{what}: a build indexes its atom-index slots and nothing more"
+    );
+    assert_eq!(index.space_used(), 0, "{what}: nothing is stored");
+
+    let (dedup_before, indexed_before) = (dedup_inserts(), indexed_tuples());
+    let stats = index.apply_delta(batch).unwrap();
+    assert_eq!(stats.inserted, 1, "{what}");
+    assert_eq!(dedup_inserts() - dedup_before, 1, "{what}: dedup inserts of one batch");
+    assert_eq!(indexed_tuples() - indexed_before, 0, "{what}: tuples indexed by one batch");
+}
+
+#[test]
+fn access_free_bags_cost_their_join_delta_not_a_rejoin() {
+    let graph = Graph::skewed(3_000, 20_000, 16, 400, 20_000);
+    let fresh = (0..graph.num_vertices as u64)
+        .map(|u| (u, u + 1))
+        .find(|e| !graph.edges.contains(e))
+        .expect("an absent edge");
+
+    let (four_reach, pmtds) = pmtds_4reach().unwrap();
+    let plan = pmtds.iter().find(|p| p.summary() == "(T1245, T234)").unwrap();
+    let (u, v) = graph.edges[0];
+    let batch = DeltaBatch::new()
+        .delete("R2", vec![Tuple::pair(u, v)])
+        .insert("R2", vec![Tuple::pair(fresh.0, fresh.1)]);
+    build_then_apply("(T1245, T234)", &four_reach, plan, &graph.as_path_database(4), &batch);
+
+    let (triangle, pmtds) = pmtds_triangle().unwrap();
+    assert_eq!(pmtds[0].summary(), "(T123)");
+    let mut db = Database::new();
+    db.add_relation(Relation::binary("R", 0, 1, graph.edges.iter().copied())).unwrap();
+    let batch = DeltaBatch::new().insert("R", vec![Tuple::pair(fresh.0, fresh.1)]);
+    build_then_apply("Boolean (T123)", &triangle, &pmtds[0], &db, &batch);
 }

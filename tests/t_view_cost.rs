@@ -13,11 +13,27 @@
 //! request's seed must keep winning. So the test fails under "always from
 //! the parent" (on the mirror) and under "never" (on `(T134, T123)`).
 //!
+//! The same choice serves a bag with **no access variable**. On the `g20k`
+//! 4-path, `(T1245, T234)` of Example E.8 has `T234 = R2 ⋈ R3`, the same
+//! for every request: from the request alone it is all 20 000 `R2` edges
+//! and every 2-path behind them, per request. Seeded from `T1245`'s
+//! distinct `(x2, x4)` keys it is the 2-paths between them, and that side
+//! wins on 1 815 of the 2 000 requests. The 15.7 k chain rows per request
+//! that remain are the honest `T` of a plan that stores nothing (`S = 0`):
+//! the paper's online phase, not a cost to hide by joining the bag at
+//! build time into a view `space_used()` does not count. (Measured split:
+//! `T1245` is 581 of them; the 185 requests whose first-step price — 20 001
+//! for the request's side — undercuts the parent's keys expand all of
+//! `R2 ⋈ R3`, ≈ 156 k rows each, and make up 92 % of the total: pricing
+//! past the first step is ROADMAP item 6(b).) The stored alternative is
+//! its sibling PMTD `(T1245, S24)`, which materializes the bag's
+//! projection `S24`.
+//!
 //! The counts come from `cqap_panda::instrument` — rows emitted by the
 //! steps of the programs' join chains, two-seeded programs run per side —
 //! and are exact and machine-independent: no timing.
 
-use cqap_suite::decomp::families::pmtds_3reach_all;
+use cqap_suite::decomp::families::{pmtds_3reach_all, pmtds_4reach};
 use cqap_suite::panda::{instrument, with_driver_scratch};
 use cqap_suite::prelude::*;
 use cqap_suite::query::workload::graph_pair_requests;
@@ -120,4 +136,60 @@ fn a_t_view_under_a_t_parent_expands_from_the_cheaper_side() {
     // delta chains' four slots plus the two request-seeded programs' two.
     assert_eq!(slots, 6);
     assert_eq!(mirror.maintenance().atom_indexes().entries().count(), 6);
+}
+
+#[test]
+fn an_access_free_t_view_expands_from_its_parents_keys() {
+    let (cqap, pmtds) = pmtds_4reach().unwrap();
+    let plan = |summary: &str| {
+        let pmtd = pmtds.iter().find(|p| p.summary() == summary).expect(summary);
+        std::slice::from_ref(pmtd)
+    };
+    let graph = Graph::skewed(3_000, 20_000, 16, 400, 20_000);
+    let db = graph.as_path_database(4);
+    let keys = graph_pair_requests(&graph, 2_000, 1);
+    let n = keys.len() as u64;
+    let requests: Vec<AccessRequest> = keys
+        .iter()
+        .map(|&(u, v)| AccessRequest::single(cqap.access(), &[u, v]).unwrap())
+        .collect();
+
+    let (mut out, mut into) = (vec![0u64; graph.num_vertices], vec![0u64; graph.num_vertices]);
+    for &(u, v) in &graph.edges {
+        out[u as usize] += 1;
+        into[v as usize] += 1;
+    }
+    // Seeding every program from the request alone: `T1245` is `R1` out
+    // of `x1`, then `R4` into `x5`; `T234` is every `R2` edge, then every
+    // `R3` edge behind it — whatever the request.
+    let two_paths: u64 = (0..graph.num_vertices).map(|b| into[b] * out[b]).sum();
+    let t234_alone = graph.edges.len() as u64 + two_paths;
+    let alone: u64 = keys
+        .iter()
+        .map(|&(u, v)| out[u as usize] * (1 + into[v as usize]) + t234_alone)
+        .sum();
+
+    let index = CqapIndex::build(&cqap, &db, plan("(T1245, T234)")).unwrap();
+    assert_eq!(index.space_used(), 0, "an online-only plan stores nothing");
+    let online = count(&index, &requests);
+    assert_eq!(online.from_request + online.from_parent, n, "T234 is two-seeded");
+    assert!(
+        5 * online.from_parent >= 4 * n,
+        "T234 ran from T1245's keys on {} of {n} requests",
+        online.from_parent
+    );
+    assert!(
+        online.rows <= alone,
+        "(T1245, T234) emitted {} rows over {n} requests, more than the {alone} of seeding \
+         from the request alone",
+        online.rows
+    );
+
+    // The stored alternative answers the same (every tenth request
+    // checked), out of `S24`.
+    let stored = CqapIndex::build(&cqap, &db, plan("(T1245, S24)")).unwrap();
+    assert!(stored.space_used() > 0);
+    for (request, answer) in requests.iter().zip(&online.answers).step_by(10) {
+        assert_eq!(&stored.answer(request).unwrap(), answer);
+    }
 }
