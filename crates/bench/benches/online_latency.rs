@@ -19,9 +19,6 @@
 //!   flight recorder riding the sink: the cost of leaving request tracing
 //!   on in production (unsampled requests stay allocation-free, so this
 //!   should sit on top of `driver_warm`);
-//! * `driver_cold_interpreted` — the pre-refactor interpreted path, kept
-//!   answering the same stream so the before/after of the compiled plans
-//!   stays visible in every run;
 //! * `sharded_cold` — a 2-shard `ShardedIndex` routing each binding to
 //!   its shard;
 //! * `tiered_cold` — a 2-shard `TieredShardedIndex` with one shard
@@ -106,13 +103,6 @@ fn bench_online_latency(c: &mut Criterion) {
         b.iter(|| {
             at = (at + 1) % requests.len();
             black_box(index.answer(&requests[at]).expect("answer"))
-        })
-    });
-    let mut at = 0usize;
-    group.bench_function("driver_cold_interpreted", |b| {
-        b.iter(|| {
-            at = (at + 1) % requests.len();
-            black_box(index.answer_interpreted(&requests[at]).expect("answer"))
         })
     });
 

@@ -1,11 +1,11 @@
 //! The compiled online driver: per-PMTD T-view *programs* plus the
 //! compiled probe plan of `cqap-yannakakis`.
 //!
-//! The interpreted driver ([`online_t_views`](crate::online_t_views))
-//! pays, on every request and for every non-materialized bag, the cost of
-//! (a) cloning each in-bag atom's relation out of the database (a full
-//! copy including its membership set) and (b) re-building a hash-join
-//! index over it. Both are request-independent, so a compiled T-view program
+//! A T-view is the join of a bag's atoms restricted by the request.
+//! Joining it from the stored relations would pay, on every request and
+//! for every non-materialized bag, the cost of (a) copying each in-bag
+//! atom's relation out of the database and (b) building a hash-join index
+//! over it. Both are request-independent, so a compiled T-view program
 //! hoists them to build time, and nothing else — a program holds no
 //! database content:
 //!
@@ -86,8 +86,7 @@
 //! A [`CompiledPmtd`] pairs these programs with the
 //! [`CompiledPlan`] for the PMTD; [`answer_with_compiled`] is the driver
 //! loop shared by every backend (in-memory `CqapIndex`, `cqap-store`'s
-//! disk-resident `StoredIndex`), mirroring
-//! [`answer_with_plans`](crate::answer_with_plans) step for step.
+//! disk-resident `StoredIndex`).
 
 use std::cell::RefCell;
 use std::sync::Arc;
@@ -493,8 +492,8 @@ impl CompiledPmtd {
     /// tuples only at the final head projection.
     ///
     /// # Errors
-    /// The same validation failures as the interpreted path, plus backend
-    /// storage errors.
+    /// Fails on a request over another access pattern, propagates the
+    /// plan's validation failures and backend storage errors.
     pub fn answer<V: SViewProbe>(
         &self,
         atom_indexes: &AtomIndexCache,
@@ -543,8 +542,7 @@ fn project_final(rel: Relation, target: VarSet) -> Result<Relation> {
 
 /// The compiled driver loop over any S-view backend: runs every PMTD's
 /// pipeline against the backend's live `atom_indexes`, unions the per-PMTD
-/// answers, and projects onto `declared_head ∪ access` — the compiled
-/// mirror of [`answer_with_plans`](crate::answer_with_plans), used by
+/// answers, and projects onto `declared_head ∪ access` — used by
 /// `CqapIndex` (in-memory views) and `cqap-store`'s `StoredIndex` (disk
 /// views), so the backends cannot silently diverge.
 ///
@@ -581,10 +579,11 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::driver::{online_t_views, CqapIndex};
+    use crate::driver::CqapIndex;
     use cqap_decomp::families as pf;
     use cqap_query::workload::{graph_pair_requests, Graph};
     use cqap_yannakakis::naive::full_join;
+    use cqap_yannakakis::naive_answer;
 
     /// Runs a program — fed `done`, the runs of the programs before it —
     /// and lifts its column run into a relation over the program's schema.
@@ -604,6 +603,27 @@ mod tests {
         let rel = Relation::from_tuples("T_view", program.schema.clone(), rows).unwrap();
         assert_eq!(rel.len(), out.rows(), "a T-view program emits distinct rows");
         (out, rel)
+    }
+
+    /// The T-view of `bag` for `request`, by the oracle's joins:
+    /// `π_bag(π_{A∩bag} request ⋈ in-bag atoms)` for a bag covered by its
+    /// atoms and access pattern, `π_bag(J ⋉ request)` for an uncovered one.
+    fn reference_t_view(
+        cqap: &Cqap,
+        db: &Database,
+        bag: VarSet,
+        request: &AccessRequest,
+    ) -> Relation {
+        let request_rel = request.as_relation();
+        let mut view = request_rel.project_onto(request.access().intersect(bag)).unwrap();
+        for atom in cqap.cq().atoms().iter().filter(|a| a.varset().is_subset(bag)) {
+            view = view.join(&atom_relation(db, atom).unwrap()).unwrap();
+        }
+        if view.varset() == bag {
+            return view;
+        }
+        let full = full_join(cqap, db).unwrap();
+        full.semijoin(&request_rel).unwrap().project_onto(bag).unwrap()
     }
 
     /// The 4-path query under the access pattern `{x1,x5}` on the
@@ -627,14 +647,14 @@ mod tests {
     }
 
     /// What a T-view program promises. A program without a T-parent emits
-    /// exactly the interpreted T-view. A program under one emits that view
+    /// exactly the reference T-view. A program under one emits that view
     /// semijoin-reduced by its parent's run when it took the parent's side
     /// and the whole view when it took the request's: in both cases a
-    /// subset of the interpreted T-view holding every row of it whose link
+    /// subset of the reference T-view holding every row of it whose link
     /// key some row of the parent's run carries — all the plan's semijoin
     /// and join with the parent ever look at.
     #[test]
-    fn compiled_t_views_match_the_interpreted_ones() {
+    fn compiled_t_views_match_the_reference_ones() {
         let random = Graph::random(35, 150, 3);
         let skewed = Graph::skewed(35, 150, 2, 24, 3);
         let (fig1, fig1_pmtds) = pf::pmtds_3reach_fig1().unwrap();
@@ -662,15 +682,11 @@ mod tests {
                     assert_eq!(compiled.programs.len(), pmtd.td().num_nodes() - s_views.len());
                     for (u, v) in graph_pair_requests(g, 15, 5) {
                         let request = AccessRequest::single(cqap.access(), &[u, v]).unwrap();
-                        let expected = online_t_views(&cqap, &db, pmtd, &request).unwrap();
                         let (mut runs, mut rels) = (Vec::new(), Vec::<Relation>::new());
                         for program in &compiled.programs {
                             let what = format!("node {} of {}", program.node, pmtd.summary());
-                            let want = expected
-                                .iter()
-                                .find(|(n, _)| *n == program.node)
-                                .map(|(_, r)| r)
-                                .expect("same node set");
+                            let bag = pmtd.td().bag(program.node);
+                            let want = &reference_t_view(&cqap, &db, bag, &request);
                             let parent = program.link.as_ref().map(|link| &rels[link.parent]);
                             assert_eq!(
                                 parent.is_some(),
@@ -778,13 +794,8 @@ mod tests {
         let check = |cqap: &Cqap, pmtds: &[Pmtd], requests: &[AccessRequest]| {
             let index = CqapIndex::build(cqap, &db, pmtds).unwrap();
             for request in requests {
-                let expected = index.answer_from_scratch(request).unwrap();
-                assert_eq!(index.answer(request).unwrap(), expected, "engine");
-                assert_eq!(
-                    index.answer_interpreted(request).unwrap(),
-                    expected,
-                    "interpreted"
-                );
+                let expected = naive_answer(cqap, &db, request).unwrap();
+                assert_eq!(index.answer(request).unwrap(), expected);
             }
             // One program per bag, nothing folded into the plan.
             assert_eq!(index.compiled().next().unwrap().programs.len(), 2);
@@ -813,7 +824,6 @@ mod tests {
         let falsy = AccessRequest::new(VarSet::EMPTY, vec![]).unwrap();
         let index = CqapIndex::build(&bool_cqap, &db, &pmtds).unwrap();
         assert!(index.answer(&falsy).unwrap().is_empty());
-        assert!(index.answer_interpreted(&falsy).unwrap().is_empty());
     }
 
     #[test]
@@ -851,7 +861,7 @@ mod tests {
         assert!(index.answer(&request).unwrap().is_empty());
         let batch = DeltaBatch::new().insert("R1", vec![Tuple::pair(9, 5)]);
         assert!(!index.apply_delta(&batch).unwrap().is_noop());
-        let expected = index.answer_from_scratch(&request).unwrap();
+        let expected = naive_answer(&cqap, index.database(), &request).unwrap();
         assert_eq!(expected.len(), 1, "9 → 5 → 6 → 7");
         assert_eq!(index.answer(&request).unwrap(), expected);
     }
@@ -871,11 +881,11 @@ mod tests {
             .into_iter()
             .map(|(u, v)| AccessRequest::single(cqap.access(), &[u, v]).unwrap())
             .collect();
-        // Expected answers (interpreted path) computed outside the
-        // counted window — the reference itself uses dedup inserts.
+        // Expected answers (naive oracle) computed outside the counted
+        // window — the oracle itself uses dedup inserts.
         let expected: Vec<Relation> = requests
             .iter()
-            .map(|r| index.answer_interpreted(r).unwrap())
+            .map(|r| naive_answer(&cqap, &db, r).unwrap())
             .collect();
         index.answer(&requests[0]).unwrap(); // warm the scratch arena
 
@@ -917,7 +927,7 @@ mod tests {
             .collect();
         let expected: Vec<Relation> = requests
             .iter()
-            .map(|r| index.answer_interpreted(r).unwrap())
+            .map(|r| naive_answer(&cqap, &db, r).unwrap())
             .collect();
         index.answer(&requests[0]).unwrap(); // warm the scratch arena
 
@@ -953,7 +963,7 @@ mod tests {
             .push(AccessRequest::single(cqap.access(), &[90_000, 90_003]).unwrap());
         let post_expected: Vec<Relation> = post_requests
             .iter()
-            .map(|r| index.answer_interpreted(r).unwrap())
+            .map(|r| naive_answer(&cqap, index.database(), r).unwrap())
             .collect();
         assert_eq!(
             post_expected.last().unwrap().len(),
@@ -983,7 +993,7 @@ mod tests {
     }
 
     #[test]
-    fn compiled_driver_matches_interpreted_driver() {
+    fn compiled_driver_matches_naive() {
         let (cqap, pmtds) = pf::pmtds_3reach_all().unwrap();
         let g = Graph::skewed(40, 180, 3, 30, 7);
         let db = g.as_path_database(3);
@@ -992,7 +1002,7 @@ mod tests {
             let request = AccessRequest::single(cqap.access(), &[u, v]).unwrap();
             assert_eq!(
                 index.answer(&request).unwrap(),
-                index.answer_interpreted(&request).unwrap(),
+                naive_answer(&cqap, &db, &request).unwrap(),
                 "({u},{v})"
             );
         }

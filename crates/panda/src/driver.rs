@@ -13,8 +13,8 @@
 //! for the incoming access request — joining only the atoms of each
 //! non-materialized bag, restricted by the request, through the same
 //! chain — runs Online Yannakakis per PMTD, and unions the results across
-//! PMTDs. The oracle's join (`naive::full_join`) is left to the oracle and
-//! the interpreted reference ([`online_t_views`]).
+//! PMTDs. The oracle's join (`naive::full_join`) is left to the oracle,
+//! `naive_answer`, which every answer here is tested against.
 //!
 //! The engine is *correct for every CQAP and PMTD set* and its space usage
 //! is exactly the S-view sizes; its online time is not always the optimum
@@ -34,15 +34,14 @@ use cqap_decomp::Pmtd;
 use cqap_delta::{ApplyDelta, DeltaBatch, DeltaStats};
 use cqap_query::{AccessRequest, Cqap};
 use cqap_relation::{Database, KeyedRows, Relation};
-use cqap_yannakakis::naive::{atom_relation, full_join};
-use cqap_yannakakis::{naive_answer, OnlineYannakakis, PreprocessedViews, SViewProbe};
+use cqap_yannakakis::{OnlineYannakakis, PreprocessedViews};
 
 use crate::compiled::{answer_with_compiled, CompiledPmtd};
 use crate::delta::DeltaMaintenance;
 
 /// The relation name stamped onto answers produced by
-/// [`CqapIndex::answer_degraded`], so degraded (possibly partial)
-/// answers are always distinguishable from full ones.
+/// [`CqapIndex::answer_degraded`], so degraded answers are always
+/// distinguishable from full ones.
 pub const DEGRADED_ANSWER_NAME: &str = "degraded";
 
 /// A materialized CQAP index over a set of PMTDs.
@@ -185,8 +184,7 @@ impl CqapIndex {
     /// the PMTD says) and column-at-a-time plan execution against
     /// pre-resolved positions, with all intermediate state in a per-worker
     /// struct-of-arrays scratch arena. Answers are identical to
-    /// [`CqapIndex::answer_interpreted`] and
-    /// [`CqapIndex::answer_from_scratch`] (proptest-enforced in
+    /// `naive_answer` over [`CqapIndex::database`] (proptest-enforced in
     /// `crates/yannakakis/tests`).
     pub fn answer(&self, request: &AccessRequest) -> Result<Relation> {
         answer_with_compiled(
@@ -201,13 +199,15 @@ impl CqapIndex {
     /// *cheapest* plan — the PMTD with the most materialized values,
     /// hence the least online work — skipping the cross-PMTD union.
     ///
-    /// With several PMTDs the per-plan answers can be complementary
-    /// (e.g. heavy/light splits), so the degraded answer may be a
-    /// **subset** of [`CqapIndex::answer`]. The answer relation is
+    /// Every PMTD of the set is built over the whole database at
+    /// `S = ∞`, so each answers the CQAP completely on its own and the
+    /// degraded contents are **identical** to [`CqapIndex::answer`]'s.
+    /// That stops holding once a budgeted build partitions the database
+    /// into sub-instances, each answered by one PMTD: one plan's answer is
+    /// then a subset, and this shortcut is unsound. The answer relation is
     /// renamed to [`DEGRADED_ANSWER_NAME`] so callers can always tell it
-    /// apart from a full answer; with a single PMTD the contents are
-    /// identical (but still flagged). The serving runtime uses this past
-    /// its overload watermark and never caches the result.
+    /// apart from a full answer. The serving runtime uses this past its
+    /// overload watermark and never caches the result.
     ///
     /// # Errors
     /// Propagates the plan's evaluation errors.
@@ -225,21 +225,6 @@ impl CqapIndex {
             request,
         )?;
         Ok(answer.with_name(DEGRADED_ANSWER_NAME))
-    }
-
-    /// The pre-compilation online phase: re-resolves schemas and rebuilds
-    /// T-views from the database on every request. Kept as the reference
-    /// the compiled path is tested against (and as the honest baseline for
-    /// the `online_latency` bench).
-    pub fn answer_interpreted(&self, request: &AccessRequest) -> Result<Relation> {
-        answer_with_plans(&self.cqap, &self.db, self.plans(), request)
-    }
-
-    /// Reference answer computed from scratch (used by tests and as the
-    /// zero-space baseline in benchmarks).
-    pub fn answer_from_scratch(&self, request: &AccessRequest) -> Result<Relation> {
-        let ans = naive_answer(&self.cqap, &self.db, request)?;
-        ans.project_onto(self.cqap.declared_head().union(self.cqap.access()))
     }
 
     /// The delta-maintenance state (delta chains, atom indexes). A second
@@ -272,116 +257,19 @@ impl ApplyDelta for CqapIndex {
     }
 }
 
-/// The shared online driver loop over any S-view backend: computes the
-/// T-views and runs Online Yannakakis for every plan, unions the per-plan
-/// answers, and projects onto `declared_head ∪ access`. [`CqapIndex`]
-/// calls this with its in-memory [`PreprocessedViews`]; `cqap-store`'s
-/// `StoredIndex` with its disk-resident views — one loop, so the backends
-/// cannot silently diverge.
-///
-/// # Errors
-/// Fails for an empty plan set, and propagates evaluation errors.
-pub fn answer_with_plans<'a, V, I>(
-    cqap: &Cqap,
-    db: &Database,
-    plans: I,
-    request: &AccessRequest,
-) -> Result<Relation>
-where
-    V: SViewProbe + 'a,
-    I: IntoIterator<Item = (&'a OnlineYannakakis, &'a V)>,
-{
-    let mut acc: Option<Relation> = None;
-    for (evaluator, views) in plans {
-        let t_views = online_t_views(cqap, db, evaluator.pmtd(), request)?;
-        let part = evaluator.answer_with(views, &t_views, request)?;
-        acc = Some(match acc {
-            None => part,
-            // Both sides are owned: move the larger, insert the smaller.
-            Some(prev) => prev.union_with(part)?,
-        });
-    }
-    let result = acc.ok_or_else(|| {
-        CqapError::InvalidQuery("the framework needs at least one PMTD".into())
-    })?;
-    result.project_onto(cqap.declared_head().union(cqap.access()))
-}
-
-/// Computes the online T-view content of a PMTD for the given request: for
-/// every non-materialized bag, the join of the request (projected onto the
-/// access variables inside the bag) with the atoms contained in the bag. In
-/// the rare case where a bag is not covered by its atoms and the access
-/// pattern (possible for hand-written decompositions), the view falls back
-/// to a projection of the request-restricted full join, which is always
-/// correct but pays the full-join cost online.
-///
-/// This is the online half of the framework pipeline, shared by every
-/// backend that answers from the same preprocessing output ([`CqapIndex`]
-/// in memory, `cqap-store`'s `StoredIndex` from disk).
-///
-/// # Errors
-/// Propagates schema/atom lookup failures from the database.
-pub fn online_t_views(
-    cqap: &Cqap,
-    db: &Database,
-    pmtd: &Pmtd,
-    request: &AccessRequest,
-) -> Result<Vec<(usize, Relation)>> {
-    let request_rel = request.as_relation();
-    let mut out = Vec::new();
-    for node in 0..pmtd.td().num_nodes() {
-        if pmtd.is_materialized(node) {
-            continue;
-        }
-        let bag = pmtd.td().bag(node);
-        let access_in_bag = request.access().intersect(bag);
-        let mut acc: Option<Relation> = if access_in_bag.is_empty() {
-            None
-        } else {
-            Some(request_rel.project_onto(access_in_bag)?)
-        };
-        for atom in cqap.cq().atoms() {
-            if !atom.varset().is_subset(bag) {
-                continue;
-            }
-            let rel = atom_relation(db, atom)?;
-            acc = Some(match acc {
-                None => rel,
-                Some(prev) => prev.join(&rel)?,
-            });
-        }
-        let view = match acc {
-            Some(rel) if rel.varset() == bag => rel,
-            _ => {
-                // Fallback: the bag is not covered by its atoms plus the
-                // access pattern; compute it from the restricted full
-                // join instead.
-                let full = full_join(cqap, db)?;
-                let restricted = if request.access().is_empty() {
-                    full
-                } else {
-                    full.semijoin(&request_rel)?
-                };
-                restricted.project_onto(bag)?
-            }
-        };
-        out.push((node, view));
-    }
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use cqap_common::Tuple;
     use cqap_decomp::families as pf;
     use cqap_query::workload::{graph_pair_requests, Graph};
+    use cqap_yannakakis::naive_answer;
 
     fn check_matches_scratch(index: &CqapIndex, cqap: &Cqap, requests: &[(u64, u64)]) {
         for &(a, b) in requests {
             let req = AccessRequest::single(cqap.access(), &[a, b]).unwrap();
             let got = index.answer(&req).unwrap();
-            let expected = index.answer_from_scratch(&req).unwrap();
+            let expected = naive_answer(cqap, index.database(), &req).unwrap();
             assert_eq!(got, expected, "mismatch on request ({a},{b})");
         }
     }
@@ -439,7 +327,7 @@ mod tests {
             .collect();
         let req = AccessRequest::new(cqap.access(), tuples).unwrap();
         let got = index.answer(&req).unwrap();
-        let expected = index.answer_from_scratch(&req).unwrap();
+        let expected = naive_answer(&cqap, &db, &req).unwrap();
         assert_eq!(got, expected);
     }
 

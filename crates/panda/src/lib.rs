@@ -29,6 +29,7 @@
 //! use cqap_panda::CqapIndex;
 //! use cqap_query::workload::{graph_pair_requests, Graph};
 //! use cqap_query::AccessRequest;
+//! use cqap_yannakakis::naive_answer;
 //!
 //! // The CQAP φ3(x1,x4 | x1,x4) ← R1(x1,x2) ∧ R2(x2,x3) ∧ R3(x3,x4)
 //! // and the three PMTDs of Figure 1.
@@ -47,7 +48,7 @@
 //! for (u, v) in graph_pair_requests(&graph, 5, 1) {
 //!     let request = AccessRequest::single(cqap.access(), &[u, v]).unwrap();
 //!     let answer = index.answer(&request).unwrap();
-//!     assert_eq!(answer, index.answer_from_scratch(&request).unwrap());
+//!     assert_eq!(answer, naive_answer(&cqap, &db, &request).unwrap());
 //! }
 //! ```
 //!
@@ -74,5 +75,5 @@ pub use compiled::{
     answer_with_compiled, with_driver_scratch, AtomIndexCache, CompiledPmtd, DriverScratch,
 };
 pub use delta::{DeltaMaintenance, DeltaOutcome};
-pub use driver::{answer_with_plans, online_t_views, CqapIndex, DEGRADED_ANSWER_NAME};
+pub use driver::{CqapIndex, DEGRADED_ANSWER_NAME};
 pub use rules::{generate_rules, prune_rules, rule_of_choice, TwoPhaseRule};

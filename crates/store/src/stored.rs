@@ -5,9 +5,9 @@
 //! in-memory [`CqapIndex`] — each plan's semijoin-reduced, link-keyed
 //! S-views are spilled to one sorted-run file per view (see
 //! [`crate::format`]) — and answers through the **same online phase**
-//! (the compiled columnar engine; [`OnlineYannakakis::answer_with`] as the
-//! interpreted reference), with the position-table probes replaced by
-//! fence-indexed segment reads. Because every probe returns the same
+//! (the compiled columnar engine, the very `CompiledPmtd` pipelines of the
+//! source index), with the position-table probes replaced by fence-indexed
+//! segment reads. Because every probe returns the same
 //! tuples, the answers are identical to the in-memory index (the
 //! equivalence proptest in `crates/store/tests` enforces this bit for
 //! bit), while the resident footprint of the probed S-views drops to the
@@ -32,7 +32,7 @@ use cqap_panda::{CqapIndex, DeltaMaintenance};
 use cqap_query::{AccessRequest, Cqap};
 use cqap_relation::{Database, KeyedRows, Relation, Schema};
 use cqap_serve::BatchAnswer;
-use cqap_yannakakis::{OnlineYannakakis, PreprocessedViews, SViewProbe};
+use cqap_yannakakis::{PreprocessedViews, SViewProbe};
 
 use crate::format::{write_run, StoredView};
 
@@ -211,7 +211,8 @@ impl SViewProbe for StoredViews {
 pub struct StoredIndex {
     cqap: Cqap,
     db: Database,
-    plans: Vec<(OnlineYannakakis, StoredViews)>,
+    /// Per plan, its spilled S-views.
+    plans: Vec<StoredViews>,
     /// The compiled pipelines, `Arc`-shared with the source index: the
     /// disk backend executes the *same* compiled plans as the in-memory
     /// one — only the probes behind `SViewProbe` change.
@@ -247,9 +248,8 @@ impl StoredIndex {
             CqapError::Other(format!("cannot create spill dir {}: {e}", dir.display()))
         })?;
         let (mut plans, mut counts) = (Vec::new(), Vec::new());
-        for (i, (evaluator, pre)) in index.plans().enumerate() {
-            let stored = StoredViews::spill(pre, dir, &format!("plan{i}"))?;
-            plans.push((evaluator.clone(), stored));
+        for (i, (_, pre)) in index.plans().enumerate() {
+            plans.push(StoredViews::spill(pre, dir, &format!("plan{i}"))?);
             counts.push(pre.clone());
         }
         Ok(StoredIndex {
@@ -325,7 +325,7 @@ impl StoredIndex {
     /// # Errors
     /// Fails on compaction I/O errors.
     pub fn compact(&mut self) -> Result<()> {
-        for (_, views) in &mut self.plans {
+        for views in &mut self.plans {
             views.compact()?;
         }
         Ok(())
@@ -333,14 +333,14 @@ impl StoredIndex {
 
     /// Delta tuples buffered across all views' overlays.
     pub fn overlay_len(&self) -> usize {
-        self.plans.iter().map(|(_, v)| v.overlay_len()).sum()
+        self.plans.iter().map(StoredViews::overlay_len).sum()
     }
 
     /// Attaches a metrics sink to the whole disk tier: every stored view
     /// (segment reads/bytes, overlay probes, compactions) and this
     /// backend's delta maintenance (apply latency, net ops).
     pub fn set_metrics_sink(&mut self, sink: cqap_obs::MetricsSink) {
-        for (_, views) in &mut self.plans {
+        for views in &mut self.plans {
             views.set_metrics_sink(&sink);
         }
         self.maintenance.set_metrics_sink(sink);
@@ -355,12 +355,12 @@ impl StoredIndex {
     /// same measure as [`CqapIndex::space_used`], so a spilled index
     /// reports the same `S` as its in-memory source.
     pub fn space_used(&self) -> usize {
-        self.plans.iter().map(|(_, v)| v.stored_values()).sum()
+        self.plans.iter().map(StoredViews::stored_values).sum()
     }
 
     /// Bytes the S-views occupy on disk.
     pub fn disk_bytes(&self) -> u64 {
-        self.plans.iter().map(|(_, v)| v.disk_bytes()).sum()
+        self.plans.iter().map(StoredViews::disk_bytes).sum()
     }
 
     /// View values resident in RAM for probing: the sparse fence indexes
@@ -369,7 +369,7 @@ impl StoredIndex {
     /// holds, support counts included, are
     /// [`StoredIndex::resident_bytes`].
     pub fn resident_values(&self) -> usize {
-        self.plans.iter().map(|(_, v)| v.resident_values()).sum()
+        self.plans.iter().map(StoredViews::resident_values).sum()
     }
 
     /// Heap bytes this cold lineage keeps resident for its `S`: the
@@ -377,7 +377,7 @@ impl StoredIndex {
     /// counts, from container capacities — the cold sibling of
     /// [`CqapIndex::resident_bytes`], excluding the same `O(|D|)` state.
     pub fn resident_bytes(&self) -> usize {
-        let views: usize = self.plans.iter().map(|(_, v)| v.resident_bytes()).sum();
+        let views: usize = self.plans.iter().map(StoredViews::resident_bytes).sum();
         let counts: usize = self.counts.iter().map(PreprocessedViews::resident_bytes).sum();
         views + counts
     }
@@ -395,25 +395,7 @@ impl StoredIndex {
         cqap_panda::answer_with_compiled(
             &self.cqap,
             self.maintenance.atom_indexes(),
-            self.compiled
-                .iter()
-                .zip(&self.plans)
-                .map(|(compiled, (_, views))| (compiled.as_ref(), views)),
-            request,
-        )
-    }
-
-    /// The pre-compilation online phase over the disk backend — the
-    /// interpreted driver loop ([`cqap_panda::answer_with_plans`]), kept
-    /// as the reference the compiled disk path is tested against.
-    ///
-    /// # Errors
-    /// Same failure modes as [`StoredIndex::answer`].
-    pub fn answer_interpreted(&self, request: &AccessRequest) -> Result<Relation> {
-        cqap_panda::answer_with_plans(
-            &self.cqap,
-            &self.db,
-            self.plans.iter().map(|(evaluator, views)| (evaluator, views)),
+            self.compiled.iter().map(AsRef::as_ref).zip(&self.plans),
             request,
         )
     }
@@ -431,7 +413,7 @@ impl StoredIndex {
 impl ApplyDelta for StoredIndex {
     fn apply_delta(&mut self, batch: &DeltaBatch) -> Result<DeltaStats> {
         let outcome = self.maintenance.apply(&self.cqap, &mut self.db, &mut self.counts, batch)?;
-        for ((_, views), view_deltas) in self.plans.iter_mut().zip(&outcome.views) {
+        for (views, view_deltas) in self.plans.iter_mut().zip(&outcome.views) {
             for (node, ins, del) in view_deltas {
                 views.apply_delta(*node, ins, del)?;
             }
@@ -607,12 +589,12 @@ mod tests {
             .into_iter()
             .map(|(u, v)| AccessRequest::single(cqap.access(), &[u, v]).unwrap())
             .collect();
-        // Expected answers (interpreted path) computed outside the
-        // counted window, and one warm-up pass so every worker-thread
-        // segment buffer has grown to its high-water mark.
+        // Expected answers (naive oracle) computed outside the counted
+        // window, and one warm-up pass so every worker-thread segment
+        // buffer has grown to its high-water mark.
         let expected: Vec<Relation> = requests
             .iter()
-            .map(|r| stored.answer_interpreted(r).unwrap())
+            .map(|r| cqap_yannakakis::naive_answer(&cqap, &db, r).unwrap())
             .collect();
         for r in &requests {
             stored.answer(r).unwrap();

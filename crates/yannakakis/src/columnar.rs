@@ -27,8 +27,7 @@
 //! On the warm serving path this executes a probe-only plan with **zero
 //! tuple heap boxings and zero relation-level dedup inserts**
 //! (counter-enforced by tests); answers are bit-for-bit identical to the
-//! interpreted reference and the naive evaluator (proptest-enforced in
-//! `crates/yannakakis/tests`).
+//! naive evaluator (proptest-enforced in `crates/yannakakis/tests`).
 
 use cqap_common::{hash_fold_column, hash_vals, CqapError, FxHashMap, Result, Tuple, Val};
 use cqap_relation::{Relation, RelationBuilder};
@@ -107,8 +106,8 @@ impl ColumnRun {
     }
 
     /// Appends a slice of row tuples — the scatter used by the overlay
-    /// bucket probes and by loading a row [`Relation`] whose column order
-    /// already matches ([`Tuple::scatter_into`] per row).
+    /// bucket probes and by seeding a chain with stored tuples
+    /// ([`Tuple::scatter_into`] per row).
     pub fn extend_from_tuples(&mut self, tuples: &[Tuple]) {
         let cols = &mut self.cols[..self.width];
         for t in tuples {
@@ -311,7 +310,7 @@ impl KeyMemo<()> {
 }
 
 /// Reusable per-worker scratch of the plan executor
-/// ([`CompiledPlan::answer_columnar`]). All buffers retain capacity
+/// ([`CompiledPlan::answer_from_columns`]). All buffers retain capacity
 /// across requests, so a warm worker executes a plan without allocating;
 /// one scratch per serving worker (the drivers keep it in a thread-local,
 /// so every pool thread owns exactly one arena).
@@ -386,66 +385,21 @@ impl ColSlot<'_> {
 }
 
 impl CompiledPlan {
-    /// Executes the plan column-at-a-time: same inputs, same validation
-    /// failures and same answers as the interpreted reference
-    /// ([`crate::OnlineYannakakis::answer_with`]), with every schema lookup
-    /// and traversal decision pre-resolved and all intermediate state in
-    /// `scratch`'s flat column runs (see the module docs).
-    ///
-    /// The supplied T-view relations are scattered into columns up front
-    /// (reordering on a slow path if the column order differs from the
-    /// compile-time schema); the compiled drivers avoid even that by
-    /// producing columns directly and calling
-    /// [`CompiledPlan::answer_from_columns`].
+    /// Executes the plan column-at-a-time, with every schema lookup and
+    /// traversal decision pre-resolved and all intermediate state in
+    /// `scratch`'s flat column runs (see the module docs). The caller
+    /// holds the T-views as column runs in the **compile-time column
+    /// order** — the compiled drivers produce their T-view programs' output
+    /// directly as columns, so no row form ever exists (and hand over an
+    /// iterator, so no per-request collection exists either). Every
+    /// non-materialized node takes one run, access-free bags included;
+    /// widths are validated against the compiled schemas.
     ///
     /// # Errors
-    /// The same validation failures as the interpreted path, plus whatever
+    /// Fails on a request over another access pattern, a backend whose
+    /// views differ from the compiled ones, a run for a materialized node,
+    /// a run of the wrong width or a missing run; plus whatever
     /// storage-level errors the backend's probes surface.
-    pub fn answer_columnar<V: SViewProbe>(
-        &self,
-        views: &V,
-        t_views: &[(usize, &Relation)],
-        request: &AccessRequest,
-        scratch: &mut ColumnarScratch,
-    ) -> Result<Relation> {
-        self.check_access(request)?;
-        self.check_backend(views)?;
-        let mut slots: Vec<ColSlot> = (0..self.num_nodes).map(|_| ColSlot::Empty).collect();
-        for (node, rel) in t_views {
-            self.check_t_view(*node, rel)?;
-            let expected = self.t_schema[*node].as_ref().expect("validated at compile");
-            let mut run = scratch.take_run();
-            run.reset(expected.arity());
-            if rel.schema() == expected {
-                run.extend_from_tuples(rel.tuples());
-            } else {
-                let positions = rel.schema().positions_of(expected.vars())?;
-                for t in rel.iter() {
-                    t.project_into(&positions, &mut scratch.row_buf);
-                    run.push_row(&scratch.row_buf);
-                }
-            }
-            slots[*node] = ColSlot::Owned(run);
-        }
-        self.check_missing_slots(&slots)?;
-        let result = self.run_columnar(views, request, &mut slots, scratch);
-        for slot in slots {
-            scratch.recycle_slot(slot);
-        }
-        result
-    }
-
-    /// [`CompiledPlan::answer_columnar`] for callers that already hold the
-    /// T-views as column runs in the **compile-time column order** — the
-    /// compiled drivers produce their T-view programs' output directly as
-    /// columns, so no row form ever exists (and hand over an iterator, so
-    /// no per-request collection exists either). Every non-materialized
-    /// node takes one run, access-free bags included; widths are validated
-    /// against the compiled schemas.
-    ///
-    /// # Errors
-    /// The same validation failures as [`CompiledPlan::answer_columnar`],
-    /// plus backend storage errors.
     pub fn answer_from_columns<'a, V: SViewProbe>(
         &self,
         views: &V,
@@ -471,23 +425,16 @@ impl CompiledPlan {
             }
             slots[node] = ColSlot::Borrowed(run);
         }
-        self.check_missing_slots(&slots)?;
+        if let Some(t) = (0..self.num_nodes)
+            .find(|&t| !self.materialized[t] && matches!(slots[t], ColSlot::Empty))
+        {
+            return Err(CqapError::InvalidPmtd(format!("missing T-view for node {t}")));
+        }
         let result = self.run_columnar(views, request, &mut slots, scratch);
         for slot in slots {
             scratch.recycle_slot(slot);
         }
         result
-    }
-
-    fn check_missing_slots(&self, slots: &[ColSlot<'_>]) -> Result<()> {
-        for t in 0..self.num_nodes {
-            if !self.materialized[t] && matches!(slots[t], ColSlot::Empty) {
-                return Err(CqapError::InvalidPmtd(format!(
-                    "missing T-view for node {t}"
-                )));
-            }
-        }
-        Ok(())
     }
 
     fn run_columnar<V: SViewProbe>(

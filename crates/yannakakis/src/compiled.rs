@@ -1,9 +1,9 @@
 //! Compiled probe plans: the plan IR and its compiler.
 //!
-//! [`OnlineYannakakis::answer_with`] re-derives, on *every* request, facts
-//! that depend only on the PMTD and the view schemas: which edges are SS /
-//! ST / TT, which nodes survive into the top-down pass, where the link
-//! variables sit in each schema, what every join's output schema is.
+//! The two passes of Online Yannakakis (see [`crate::online`]) turn on
+//! facts that depend only on the PMTD and the view schemas: which edges
+//! are SS / ST / TT, which nodes survive into the top-down pass, where the
+//! link variables sit in each schema, what every join's output schema is.
 //! [`OnlineYannakakis::compile`] resolves all of it once — per (PMTD node,
 //! access pattern) — into a [`CompiledPlan`]: a linear program of
 //! bottom-up, root and top-down steps over pre-resolved column positions.
@@ -13,17 +13,13 @@
 //!
 //! This module holds the IR, the compiler and the per-request input
 //! validation; the step program is executed by [`crate::columnar`], the
-//! single engine. Answers are identical to the interpreted reference by
-//! construction: the steps are the same semijoin-reduce and join passes,
-//! executed against the same [`SViewProbe`] backend, with the same
-//! validation failures. The equivalence proptest in
-//! `crates/yannakakis/tests` enforces this against both the interpreted
-//! path and the naive evaluator.
+//! single engine. The equivalence proptest in `crates/yannakakis/tests`
+//! holds every plan's answers to the naive evaluator.
 
 use cqap_common::{CqapError, Result, VarSet};
 use cqap_decomp::ViewKind;
 use cqap_query::AccessRequest;
-use cqap_relation::{is_identity, Relation, Schema};
+use cqap_relation::{is_identity, Schema};
 
 use crate::online::{OnlineYannakakis, SViewProbe};
 
@@ -94,8 +90,7 @@ pub(crate) enum BottomUpStep {
 pub(crate) enum RootStep {
     /// S root: the fused semijoin+join probe of the request against the
     /// root view (a request tuple with no match simply joins to nothing,
-    /// so the separate semijoin pass of the interpreted path is folded
-    /// into the join).
+    /// so the paper's separate semijoin pass is folded into the join).
     Probe { node: usize, join: ProbeJoin },
     /// T root: project the reduced root view to its head variables and
     /// join the request with it.
@@ -120,7 +115,7 @@ pub(crate) enum TopDownStep {
 ///
 /// Built once per plan at index-construction time via
 /// [`OnlineYannakakis::compile`]; executed per request via
-/// [`CompiledPlan::answer_columnar`] against any [`SViewProbe`] backend whose
+/// [`CompiledPlan::answer_from_columns`] against any [`SViewProbe`] backend whose
 /// view schemas match the compile-time ones (the in-memory and disk
 /// backends spill the *same* preprocessing output, so one compiled plan
 /// serves both).
@@ -129,12 +124,9 @@ pub struct CompiledPlan {
     pub(crate) access: VarSet,
     pub(crate) num_nodes: usize,
     pub(crate) materialized: Vec<bool>,
-    /// Expected schema per non-materialized node (compile-time T-view
-    /// column order; a request supplying the same varset in a different
-    /// order is reordered on a slow path).
+    /// Expected schema per non-materialized node (the compile-time T-view
+    /// column order every per-request run must arrive in).
     pub(crate) t_schema: Vec<Option<Schema>>,
-    /// Expected varset per non-materialized node (for validation).
-    pub(crate) t_varset: Vec<Option<VarSet>>,
     /// `(node, schema)` of every S-view the plan probes, validated against
     /// the backend per request.
     pub(crate) s_views: Vec<(usize, Schema)>,
@@ -204,8 +196,7 @@ impl OnlineYannakakis {
     /// # Errors
     /// Fails if a probed S-view is missing from the backend, a
     /// non-materialized node has no schema in `t_schemas`, or a schema
-    /// does not cover its link variables — exactly the shapes the
-    /// interpreted path would reject per request.
+    /// does not cover its link variables.
     pub fn compile<V: SViewProbe>(
         &self,
         views: &V,
@@ -241,10 +232,6 @@ impl OnlineYannakakis {
             }
         }
         let t_schema = slot_schema.clone();
-        let t_varset: Vec<Option<VarSet>> = t_schema
-            .iter()
-            .map(|s| s.as_ref().map(Schema::varset))
-            .collect();
 
         let mut s_views: Vec<(usize, Schema)> = Vec::new();
         let mut require_s_view = |node: usize| -> Result<Schema> {
@@ -257,8 +244,8 @@ impl OnlineYannakakis {
             Ok(schema.clone())
         };
 
-        // Bottom-up pass over the edges, mirroring the interpreted path but
-        // recording position-resolved steps instead of executing them.
+        // Bottom-up pass over the edges, recording position-resolved steps
+        // instead of executing them.
         let mut bottom_up = Vec::new();
         let mut kept = vec![true; num_nodes];
         for t in td.bottom_up_order() {
@@ -373,7 +360,6 @@ impl OnlineYannakakis {
             num_nodes,
             materialized,
             t_schema,
-            t_varset,
             s_views,
             bottom_up,
             root,
@@ -429,37 +415,19 @@ impl CompiledPlan {
         }
         Ok(())
     }
-
-    /// Validates one supplied T-view against the compile-time node set and
-    /// varset.
-    pub(crate) fn check_t_view(&self, node: usize, rel: &Relation) -> Result<()> {
-        if node >= self.num_nodes || self.materialized[node] {
-            return Err(CqapError::InvalidPmtd(format!(
-                "node {node} is materialized; its content belongs to preprocessing"
-            )));
-        }
-        let expected_varset = self.t_varset[node].expect("validated at compile");
-        if rel.varset() != expected_varset {
-            return Err(CqapError::SchemaMismatch {
-                expected: format!("ν({node}) = {expected_varset}"),
-                found: format!("{}", rel.schema()),
-            });
-        }
-        Ok(())
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::columnar::ColumnarScratch;
-    use crate::naive::full_join;
+    use crate::columnar::{ColumnRun, ColumnarScratch};
+    use crate::naive::{full_join, naive_answer};
     use crate::online::PreprocessedViews;
     use cqap_common::Tuple;
     use cqap_decomp::families as pmtd_families;
     use cqap_decomp::Pmtd;
     use cqap_query::workload::Graph;
-    use cqap_relation::Database;
+    use cqap_relation::{Database, Relation};
 
     fn views_for(
         pmtd: &Pmtd,
@@ -488,12 +456,26 @@ mod tests {
             .collect()
     }
 
-    fn refs(t_views: &[(usize, Relation)]) -> Vec<(usize, &Relation)> {
-        t_views.iter().map(|(n, r)| (*n, r)).collect()
+    /// The T-views as column runs in their own column order — the order
+    /// `t_schemas` compiles the plan with.
+    fn columns(t_views: &[(usize, Relation)]) -> Vec<(usize, ColumnRun)> {
+        t_views
+            .iter()
+            .map(|(n, rel)| {
+                let mut run = ColumnRun::new();
+                run.reset(rel.schema().arity());
+                run.extend_from_tuples(rel.tuples());
+                (*n, run)
+            })
+            .collect()
+    }
+
+    fn refs(cols: &[(usize, ColumnRun)]) -> impl Iterator<Item = (usize, &ColumnRun)> {
+        cols.iter().map(|(n, run)| (*n, run))
     }
 
     #[test]
-    fn compiled_matches_interpreted_on_every_fig1_pmtd() {
+    fn compiled_matches_naive_on_every_fig1_pmtd() {
         let (cqap, pmtds) = pmtd_families::pmtds_3reach_fig1().unwrap();
         let g = Graph::random(40, 160, 7);
         let db = g.as_path_database(3);
@@ -502,74 +484,43 @@ mod tests {
             let oy = OnlineYannakakis::new(pmtd.clone());
             let (pre, t_views) = views_for(pmtd, &cqap, &db);
             let plan = oy.compile(&pre, &t_schemas(&t_views)).unwrap();
+            let cols = columns(&t_views);
             for (a, b) in [(0u64, 1u64), (3, 7), (12, 4), (1, 1)] {
                 let req = AccessRequest::single(cqap.access(), &[a, b]).unwrap();
-                let interpreted = oy.answer(&pre, &t_views, &req).unwrap();
-                let compiled = plan
-                    .answer_columnar(&pre, &refs(&t_views), &req, &mut col)
-                    .unwrap();
-                assert_eq!(compiled, interpreted, "{} on ({a},{b})", pmtd.summary());
+                let compiled = plan.answer_from_columns(&pre, refs(&cols), &req, &mut col).unwrap();
+                let naive = naive_answer(&cqap, &db, &req).unwrap();
+                assert_eq!(compiled, naive, "{} on ({a},{b})", pmtd.summary());
             }
         }
     }
 
     #[test]
-    fn compiled_validation_matches_interpreted() {
+    fn compiled_validation_rejects_bad_inputs() {
         let (cqap, pmtds) = pmtd_families::pmtds_3reach_fig1().unwrap();
-        let middle = &pmtds[1];
+        let middle = &pmtds[1]; // (T134, S13)
         let g = Graph::random(20, 60, 43);
         let db = g.as_path_database(3);
         let oy = OnlineYannakakis::new(middle.clone());
         let (pre, t_views) = views_for(middle, &cqap, &db);
         let plan = oy.compile(&pre, &t_schemas(&t_views)).unwrap();
+        let cols = columns(&t_views);
         let mut col = ColumnarScratch::new();
 
         let req = AccessRequest::single(cqap.access(), &[0, 1]).unwrap();
+        assert!(plan.answer_from_columns(&pre, refs(&cols), &req, &mut col).is_ok());
         // Missing T-view.
-        assert!(plan.answer_columnar(&pre, &[], &req, &mut col).is_err());
+        assert!(plan.answer_from_columns(&pre, [], &req, &mut col).is_err());
         // Wrong access pattern.
-        let bad_req =
-            AccessRequest::single(cqap_common::vars![1, 2], &[0, 1]).unwrap();
-        assert!(plan
-            .answer_columnar(&pre, &refs(&t_views), &bad_req, &mut col)
-            .is_err());
+        let bad_req = AccessRequest::single(cqap_common::vars![1, 2], &[0, 1]).unwrap();
+        assert!(plan.answer_from_columns(&pre, refs(&cols), &bad_req, &mut col).is_err());
         // Supplying content for a materialized node.
-        let wrong_phase = vec![(
-            1usize,
-            Relation::from_tuples("x", Schema::of([0, 2]), std::iter::empty()).unwrap(),
-        )];
-        assert!(plan
-            .answer_columnar(&pre, &refs(&wrong_phase), &req, &mut col)
-            .is_err());
-    }
-
-    #[test]
-    fn reordered_t_views_are_normalized() {
-        let (cqap, pmtds) = pmtd_families::pmtds_3reach_fig1().unwrap();
-        let middle = &pmtds[1]; // (T134, S13)
-        let g = Graph::random(30, 120, 11);
-        let db = g.as_path_database(3);
-        let oy = OnlineYannakakis::new(middle.clone());
-        let (pre, t_views) = views_for(middle, &cqap, &db);
-        let plan = oy.compile(&pre, &t_schemas(&t_views)).unwrap();
-
-        // Reverse every T-view's column order: answers must not change.
-        let reversed: Vec<(usize, Relation)> = t_views
-            .iter()
-            .map(|(n, r)| {
-                let mut vars: Vec<_> = r.schema().vars().to_vec();
-                vars.reverse();
-                (*n, r.reorder(&Schema::of(vars)).unwrap())
-            })
-            .collect();
-        let req = AccessRequest::single(cqap.access(), &[0, 1]).unwrap();
-        let expected = oy.answer(&pre, &t_views, &req).unwrap();
-        let mut col = ColumnarScratch::new();
-        assert_eq!(
-            plan.answer_columnar(&pre, &refs(&reversed), &req, &mut col)
-                .unwrap(),
-            expected
-        );
+        let mut run = ColumnRun::new();
+        run.reset(2);
+        assert!(plan.answer_from_columns(&pre, [(1, &run)], &req, &mut col).is_err());
+        // A T-view of the wrong width.
+        assert!(plan.answer_from_columns(&pre, [(0, &run)], &req, &mut col).is_err());
+        // A compile-time T-view schema over the wrong variables.
+        assert!(oy.compile(&pre, &[(0, Schema::of([0, 2]))]).is_err());
     }
 
     #[test]
@@ -591,13 +542,14 @@ mod tests {
         let plan = oy.compile(&pre, &[]).unwrap();
         let mut col = ColumnarScratch::new();
         let req = AccessRequest::new(VarSet::EMPTY, vec![Tuple::empty()]).unwrap();
-        let ans = plan.answer_columnar(&pre, &[], &req, &mut col).unwrap();
-        assert_eq!(ans, oy.answer(&pre, &[], &req).unwrap());
+        let ans = plan.answer_from_columns(&pre, [], &req, &mut col).unwrap();
+        assert_eq!(ans, naive_answer(&q, &db, &req).unwrap());
         assert_eq!(ans.len(), 3);
+        assert!(ans.contains(&Tuple::pair(1, 3)));
         // The empty request is the "false" binding: no answers.
         let empty = AccessRequest::new(VarSet::EMPTY, vec![]).unwrap();
         assert!(plan
-            .answer_columnar(&pre, &[], &empty, &mut col)
+            .answer_from_columns(&pre, [], &empty, &mut col)
             .unwrap()
             .is_empty());
     }
@@ -616,15 +568,16 @@ mod tests {
         let oy = OnlineYannakakis::new(single.clone());
         let (pre, t_views) = views_for(single, &cqap, &db);
         assert!(t_views.is_empty());
+        assert!(pre.stored_values() > 0);
         let plan = oy.compile(&pre, &[]).unwrap();
         let mut col = ColumnarScratch::new();
 
         let warmup = AccessRequest::single(cqap.access(), &[0, 1]).unwrap();
-        plan.answer_columnar(&pre, &[], &warmup, &mut col).unwrap();
+        plan.answer_from_columns(&pre, [], &warmup, &mut col).unwrap();
 
-        // Expected answers computed up front: the interpreted reference
-        // (and relation equality itself) uses the dedup machinery, so it
-        // must stay outside the counted window.
+        // Expected answers computed up front: the naive oracle (and
+        // relation equality itself) uses the dedup machinery, so it must
+        // stay outside the counted window.
         let pairs = [(0u64, 1u64), (5, 9), (17, 3), (2, 2)];
         let requests: Vec<AccessRequest> = pairs
             .iter()
@@ -632,14 +585,14 @@ mod tests {
             .collect();
         let expected: Vec<Relation> = requests
             .iter()
-            .map(|req| oy.answer(&pre, &[], req).unwrap())
+            .map(|req| naive_answer(&cqap, &db, req).unwrap())
             .collect();
 
         let dedup_before = cqap_relation::instrument::dedup_inserts();
         let boxes_before = cqap_common::tuple::instrument::heap_boxings();
         let answers: Vec<Relation> = requests
             .iter()
-            .map(|req| plan.answer_columnar(&pre, &[], req, &mut col).unwrap())
+            .map(|req| plan.answer_from_columns(&pre, [], req, &mut col).unwrap())
             .collect();
         assert_eq!(
             cqap_relation::instrument::dedup_inserts(),

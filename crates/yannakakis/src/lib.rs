@@ -6,12 +6,13 @@
 //!   the access request and projects onto the head. It is the ground truth
 //!   every other algorithm in the workspace is tested against, and it doubles
 //!   as the "answer from scratch" baseline of the experiments.
-//! * [`online`] — **Online Yannakakis** (Section 3.1 / Appendix A of the
-//!   paper): the two-pass algorithm that answers an access request from a
-//!   PMTD's S-views (materialized, probe-only) and T-views (computed
-//!   online), in time that depends on the T-views and the output but *not*
-//!   on the size of the S-views (Theorem 3.7). This interpreted,
-//!   paper-literal form is the reference the engine is tested against.
+//! * [`online`] — the preprocessing half of **Online Yannakakis**
+//!   (Section 3.1 / Appendix A of the paper), the two-pass algorithm that
+//!   answers an access request from a PMTD's S-views (materialized,
+//!   probe-only) and T-views (computed online), in time that depends on the
+//!   T-views and the output but *not* on the size of the S-views
+//!   (Theorem 3.7): the preprocessed S-views and the probe seam
+//!   [`SViewProbe`] every storage backend implements.
 //! * [`compiled`] — the plan IR and its compiler: per (PMTD, access
 //!   pattern) every schema lookup and traversal decision of the online
 //!   phase is resolved once, at index build time, into a linear step
@@ -40,15 +41,16 @@
 //! ```
 //!
 //! Online Yannakakis answers the same request from a PMTD's preprocessed
-//! S-views. The fully materialized PMTD of Figure 1 (the `(S14)` plan)
-//! has no T-views at all, so the online phase is a pure index probe:
+//! S-views through a plan compiled once. The fully materialized PMTD of
+//! Figure 1 (the `(S14)` plan) has no T-views at all, so the online phase
+//! is a pure index probe:
 //!
 //! ```
 //! use cqap_decomp::families::pmtds_3reach_fig1;
 //! use cqap_query::AccessRequest;
 //! use cqap_query::workload::Graph;
 //! use cqap_yannakakis::naive::full_join;
-//! use cqap_yannakakis::{naive_answer, OnlineYannakakis};
+//! use cqap_yannakakis::{naive_answer, ColumnarScratch, OnlineYannakakis};
 //!
 //! let (cqap, pmtds) = pmtds_3reach_fig1().unwrap();
 //! let graph = Graph::random(40, 160, 7);
@@ -67,12 +69,14 @@
 //!     .map(|node| (node, full.project_onto(pmtd.view_schema(node)).unwrap()))
 //!     .collect();
 //! let preprocessed = evaluator.preprocess(&s_views).unwrap();
+//! let plan = evaluator.compile(&preprocessed, &[]).unwrap();
 //!
 //! // Online: no T-views to compute; every answer matches the naive one.
+//! let mut scratch = ColumnarScratch::new();
 //! for (u, v) in [(0, 1), (3, 7), (12, 4)] {
 //!     let request = AccessRequest::single(cqap.access(), &[u, v]).unwrap();
 //!     assert_eq!(
-//!         evaluator.answer(&preprocessed, &[], &request).unwrap(),
+//!         plan.answer_from_columns(&preprocessed, [], &request, &mut scratch).unwrap(),
 //!         naive_answer(&cqap, &db, &request).unwrap(),
 //!     );
 //! }

@@ -1,4 +1,5 @@
-//! Online Yannakakis for PMTDs (Section 3.1 / Appendix A).
+//! Online Yannakakis for PMTDs (Section 3.1 / Appendix A): the
+//! preprocessing half and the storage seam.
 //!
 //! The algorithm answers an access request from a PMTD's views in two
 //! passes:
@@ -10,13 +11,19 @@
 //!    (Theorem 3.7);
 //! 2. a **top-down join pass** over the reduced tree that assembles the
 //!    output without producing dangling intermediate tuples.
+//!
+//! This module holds what those passes read: the preprocessed S-views
+//! ([`PreprocessedViews`]), the probe seam every backend implements
+//! ([`SViewProbe`]) and the per-PMTD host [`OnlineYannakakis`]. The passes
+//! themselves are compiled once per plan ([`crate::compiled`]) and run by
+//! the one engine ([`crate::columnar`]); the naive evaluator
+//! ([`crate::naive`]) is the oracle they are tested against.
 
 use std::borrow::Cow;
 use std::sync::OnceLock;
 
-use cqap_common::{CqapError, FxHashMap, Result, Tuple, VarSet};
-use cqap_decomp::{Pmtd, ViewKind};
-use cqap_query::AccessRequest;
+use cqap_common::{CqapError, Result, Tuple, VarSet};
+use cqap_decomp::Pmtd;
 use cqap_relation::{KeyedRows, Relation, Schema};
 
 use crate::columnar::ColumnRun;
@@ -37,8 +44,8 @@ use crate::columnar::ColumnRun;
 ///   *is* the support-count table a delta edits — one `S`-sized table per
 ///   view, one random-access edit per full-join delta row;
 /// * **uncounted**, when hand-fed as row relations
-///   ([`OnlineYannakakis::preprocess`]): plain sets, for the interpreted
-///   reference, the tests and tools.
+///   ([`OnlineYannakakis::preprocess`]): plain sets, for the tests and
+///   tools.
 ///
 /// Both are edited through [`PreprocessedViews::edit`] and probed through
 /// [`SViewProbe`].
@@ -157,9 +164,9 @@ impl PreprocessedViews {
 /// of tuples matching a key (a join probe). Anything that can serve those
 /// two lookups — the resident [`PreprocessedViews`] rows behind their
 /// position tables, or a disk-resident sorted run with a fence index — can
-/// sit behind the columnar engine ([`crate::CompiledPlan::answer_columnar`])
-/// and the paper-literal reference ([`OnlineYannakakis::answer_with`])
-/// alike, and produce identical answers.
+/// sit behind the columnar engine
+/// ([`crate::CompiledPlan::answer_from_columns`]) and produce identical
+/// answers.
 ///
 /// Keys are the projection of a view tuple onto its link variables, in
 /// ascending variable order (the [`cqap_relation::HashIndex`] convention).
@@ -215,7 +222,10 @@ impl SViewProbe for PreprocessedViews {
     }
 }
 
-/// Online Yannakakis over one PMTD.
+/// Online Yannakakis over one PMTD: the host of its link variables, its
+/// preprocessing ([`OnlineYannakakis::preprocess`],
+/// [`OnlineYannakakis::counted_views`]) and its plan compiler
+/// ([`OnlineYannakakis::compile`]).
 #[derive(Clone, Debug)]
 pub struct OnlineYannakakis {
     pmtd: Pmtd,
@@ -314,403 +324,82 @@ impl OnlineYannakakis {
         }
         Ok(PreprocessedViews::of(runs))
     }
-
-    /// Online phase (Theorem 3.7): answers the access request given the
-    /// T-view contents (one relation per non-materialized node, over exactly
-    /// the view schema `ν(t) = χ(t)`). Returns the result over the head
-    /// variables.
-    pub fn answer(
-        &self,
-        pre: &PreprocessedViews,
-        t_views: &[(usize, Relation)],
-        request: &AccessRequest,
-    ) -> Result<Relation> {
-        self.answer_with(pre, t_views, request)
-    }
-
-    /// [`OnlineYannakakis::answer`] over any S-view backend: the same
-    /// two-pass algorithm, touching the materialized views only through
-    /// [`SViewProbe`] lookups. With [`PreprocessedViews`] this is exactly
-    /// `answer`; with a disk backend the identical passes run against
-    /// sorted runs on disk, and produce identical answers because every
-    /// probe returns the same tuples.
-    ///
-    /// # Errors
-    /// The same validation failures as [`OnlineYannakakis::answer`], plus
-    /// whatever storage-level errors the backend's probes surface.
-    pub fn answer_with<V: SViewProbe>(
-        &self,
-        pre: &V,
-        t_views: &[(usize, Relation)],
-        request: &AccessRequest,
-    ) -> Result<Relation> {
-        let td = self.pmtd.td();
-        let head = self.pmtd.head();
-        if request.access() != self.pmtd.access() {
-            return Err(CqapError::AccessPatternMismatch {
-                expected_arity: self.pmtd.access().len(),
-                found_arity: request.access().len(),
-            });
-        }
-
-        // Load and validate the T-views.
-        let mut t_rel: Vec<Option<Relation>> = vec![None; td.num_nodes()];
-        for (node, rel) in t_views {
-            if self.pmtd.is_materialized(*node) {
-                return Err(CqapError::InvalidPmtd(format!(
-                    "node {node} is materialized; its content belongs to preprocessing"
-                )));
-            }
-            let expected = self.pmtd.view_schema(*node);
-            if rel.varset() != expected {
-                return Err(CqapError::SchemaMismatch {
-                    expected: format!("ν({node}) = {expected}"),
-                    found: format!("{}", rel.schema()),
-                });
-            }
-            t_rel[*node] = Some(rel.clone());
-        }
-        for t in 0..td.num_nodes() {
-            if !self.pmtd.is_materialized(t) && t_rel[t].is_none() {
-                return Err(CqapError::InvalidPmtd(format!(
-                    "missing T-view for node {t}"
-                )));
-            }
-        }
-
-        // Bottom-up semijoin-reduce pass. `kept[t]` records whether the node
-        // still participates in the top-down join pass.
-        let mut kept = vec![true; td.num_nodes()];
-        for t in td.bottom_up_order() {
-            let Some(p) = td.parent(t) else { continue };
-            match (self.pmtd.view(t).kind, self.pmtd.view(p).kind) {
-                // SS-edge: already reduced during preprocessing.
-                (ViewKind::S, ViewKind::S) => {
-                    kept[t] = false;
-                }
-                // ST-edge: probe the S-view's index; the parent T-view keeps
-                // only tuples with a partner. The S-view itself stays for
-                // the top-down pass only if it contributes head variables
-                // not already present in the parent.
-                (ViewKind::S, ViewKind::T) => {
-                    if pre.schema(t).is_none() {
-                        return Err(CqapError::InvalidPmtd(format!(
-                            "S-view {t} was not preprocessed"
-                        )));
-                    }
-                    let parent = t_rel[p].take().expect("T-view present");
-                    t_rel[p] = Some(semijoin_probe(&parent, pre, t, self.link(t))?);
-                    let child_head = self.pmtd.view_schema(t).intersect(head);
-                    if child_head.is_subset(self.pmtd.view_schema(p)) {
-                        kept[t] = false;
-                    }
-                }
-                // TT-edge: ordinary hash semijoin; project the child to its
-                // head variables if it must stay in the tree.
-                (ViewKind::T, ViewKind::T) => {
-                    let child = t_rel[t].take().expect("T-view present");
-                    let parent = t_rel[p].take().expect("T-view present");
-                    t_rel[p] = Some(parent.semijoin(&child)?);
-                    let child_head = self.pmtd.view_schema(t).intersect(head);
-                    if child_head.is_subset(self.pmtd.view_schema(p)) {
-                        kept[t] = false;
-                        t_rel[t] = Some(child);
-                    } else {
-                        t_rel[t] = Some(child.project_onto(child_head)?);
-                    }
-                }
-                // A T-child under an S-parent cannot occur: M is closed
-                // under subtrees.
-                (ViewKind::T, ViewKind::S) => {
-                    unreachable!("materialization sets are subtree-closed")
-                }
-            }
-        }
-
-        // Reduce the access request at the root, then run the top-down join
-        // pass over the kept nodes.
-        let root = td.root();
-        let mut acc = request_relation(request);
-        match self.pmtd.view(root).kind {
-            ViewKind::S => {
-                if pre.schema(root).is_none() {
-                    return Err(CqapError::InvalidPmtd(
-                        "root S-view was not preprocessed".into(),
-                    ));
-                }
-                let link = self.link(root);
-                acc = semijoin_probe(&acc, pre, root, link)?;
-                acc = join_probe(&acc, pre, root, link)?;
-                kept[root] = false;
-            }
-            ViewKind::T => {
-                let reduced = t_rel[root]
-                    .take()
-                    .expect("root T-view present")
-                    .project_onto(self.pmtd.view_schema(root).intersect(head))?;
-                acc = acc.semijoin(&reduced)?;
-                acc = acc.join(&reduced)?;
-                kept[root] = false;
-            }
-        }
-
-        for t in td.top_down_order() {
-            if !kept[t] {
-                continue;
-            }
-            match self.pmtd.view(t).kind {
-                ViewKind::S => {
-                    acc = join_probe(&acc, pre, t, self.link(t))?;
-                }
-                ViewKind::T => {
-                    let rel = t_rel[t].as_ref().expect("kept T-view present");
-                    acc = acc.join(rel)?;
-                }
-            }
-        }
-        acc.project_onto(head)
-    }
-}
-
-/// The access request as a relation; an empty access pattern becomes the
-/// nullary relation holding the empty tuple (true) or nothing (false).
-fn request_relation(request: &AccessRequest) -> Relation {
-    if request.access().is_empty() {
-        let mut rel = Relation::new("Q_A", Schema::empty());
-        if !request.is_empty() {
-            rel.insert(Tuple::empty()).expect("empty tuple");
-        }
-        rel
-    } else {
-        request.as_relation()
-    }
-}
-
-/// Semijoin `left ⋉ view(node)` by probing the S-view backend on the link
-/// variables — O(|left|) probes regardless of the view's size. Probe
-/// outcomes are memoized per distinct key, so a backend with non-trivial
-/// probe cost (disk) is hit once per key, not once per tuple.
-fn semijoin_probe<V: SViewProbe>(
-    left: &Relation,
-    views: &V,
-    node: usize,
-    link: VarSet,
-) -> Result<Relation> {
-    let key_positions = left.schema().positions_of_set(link.intersect(left.varset()))?;
-    debug_assert_eq!(
-        link.intersect(left.varset()),
-        link,
-        "probe side must contain the link variables"
-    );
-    // Constant name: intermediate names are only read by tests and debug
-    // output, so the hot loop must not pay a `format!` for them.
-    let mut out = Relation::new("⋉S", left.schema().clone());
-    let mut known: FxHashMap<Tuple, bool> = FxHashMap::default();
-    for t in left.iter() {
-        let key = t.project(&key_positions);
-        let hit = match known.get(&key) {
-            Some(&hit) => hit,
-            None => {
-                let hit = views.contains(node, &key)?;
-                known.insert(key, hit);
-                hit
-            }
-        };
-        if hit {
-            out.insert(t.clone())?;
-        }
-    }
-    Ok(out)
-}
-
-/// The block of `node`'s view matching `key`, as row tuples: the seam
-/// writes columns, the paper-literal reference reads rows.
-fn probe_tuples<V: SViewProbe>(
-    views: &V,
-    node: usize,
-    key: &Tuple,
-    arity: usize,
-) -> Result<Vec<Tuple>> {
-    let mut run = ColumnRun::new();
-    run.reset(arity);
-    views.probe_columns(node, key, &mut run)?;
-    let mut row = Vec::with_capacity(arity);
-    Ok((0..run.rows())
-        .map(|r| {
-            run.row_into(r, &mut row);
-            Tuple::from_slice(&row)
-        })
-        .collect())
-}
-
-/// Join `left ⋈ view(node)` by probing the S-view backend on the link
-/// variables; matches are additionally checked on any other shared
-/// variables. O(|left| + |output|) probes, one backend probe per distinct
-/// key.
-fn join_probe<V: SViewProbe>(
-    left: &Relation,
-    views: &V,
-    node: usize,
-    link: VarSet,
-) -> Result<Relation> {
-    let rel_schema = views
-        .schema(node)
-        .ok_or_else(|| CqapError::InvalidPmtd(format!("S-view {node} was not preprocessed")))?
-        .clone();
-    let out_schema = left.schema().join(&rel_schema);
-    let key_positions = left.schema().positions_of_set(link)?;
-    let shared = left.varset().intersect(rel_schema.varset());
-    let extra_shared = shared.difference(link);
-    let left_extra = left.schema().positions_of_set(extra_shared)?;
-    let rel_extra = rel_schema.positions_of_set(extra_shared)?;
-    let appended: Vec<usize> = out_schema.vars()[left.schema().arity()..]
-        .iter()
-        .map(|&v| rel_schema.position(v).expect("appended var"))
-        .collect();
-    // Constant name, as in `semijoin_probe`: never `format!` per request.
-    let mut out = Relation::new("⋈S", out_schema);
-    let mut probes: FxHashMap<Tuple, Vec<Tuple>> = FxHashMap::default();
-    for lt in left.iter() {
-        let key = lt.project(&key_positions);
-        if !probes.contains_key(&key) {
-            let matched = probe_tuples(views, node, &key, rel_schema.arity())?;
-            probes.insert(key.clone(), matched);
-        }
-        let matches = probes.get(&key).expect("just inserted");
-        // The left-side comparison key is invariant across the matches of
-        // one left tuple: project it once, not once per match.
-        let lt_extra = lt.project(&left_extra);
-        for rt in matches {
-            if lt_extra == rt.project(&rel_extra) {
-                out.insert(lt.concat_projected(rt, &appended))?;
-            }
-        }
-    }
-    Ok(out)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cqap_common::vars;
     use cqap_decomp::families as pmtd_families;
-    use cqap_query::families as query_families;
     use cqap_query::workload::Graph;
+    use cqap_query::AccessRequest;
     use cqap_relation::Database;
 
-    /// Computes the content of every view of a PMTD directly from the full
-    /// join (the "ideal" materialization the framework's preprocessing
-    /// phase produces after its semijoin-reduce step).
+    /// The content of every S-view of a PMTD computed directly from the
+    /// full join (the "ideal" materialization the framework's
+    /// preprocessing phase produces after its semijoin-reduce step).
     fn views_from_full_join(
         pmtd: &Pmtd,
         cqap: &cqap_query::Cqap,
         db: &Database,
-    ) -> (Vec<(usize, Relation)>, Vec<(usize, Relation)>) {
+    ) -> Vec<(usize, Relation)> {
         let full = crate::naive::full_join(cqap, db).unwrap();
-        let mut s_views = Vec::new();
-        let mut t_views = Vec::new();
-        for t in 0..pmtd.td().num_nodes() {
-            let rel = full.project_onto(pmtd.view_schema(t)).unwrap();
-            if pmtd.is_materialized(t) {
-                s_views.push((t, rel));
-            } else {
-                t_views.push((t, rel));
-            }
-        }
-        (s_views, t_views)
+        pmtd.materialization_set()
+            .into_iter()
+            .map(|t| (t, full.project_onto(pmtd.view_schema(t)).unwrap()))
+            .collect()
     }
 
-    fn check_pmtd_against_naive(pmtd: &Pmtd, cqap: &cqap_query::Cqap, db: &Database, seed: u64) {
-        let oy = OnlineYannakakis::new(pmtd.clone());
-        let (s_views, t_views) = views_from_full_join(pmtd, cqap, db);
-        let pre = oy.preprocess(&s_views).unwrap();
-        let g = Graph::random(40, 10, seed);
-        let mut keys = cqap_query::workload::graph_pair_requests(&g, 20, seed);
-        keys.push((0, 1));
-        for (a, b) in keys {
-            let req = AccessRequest::single(cqap.access(), &[a, b]).unwrap();
-            let expected = crate::naive::naive_answer(cqap, db, &req).unwrap();
-            let got = oy.answer(&pre, &t_views, &req).unwrap();
-            assert_eq!(
-                got,
-                expected,
-                "PMTD {} disagrees with the naive evaluator on ({a},{b})",
-                pmtd.summary()
-            );
-        }
+    /// A backend that counts what the plan asks of it.
+    struct Counting<'a> {
+        views: &'a PreprocessedViews,
+        probes: std::cell::Cell<usize>,
+        rows: std::cell::Cell<usize>,
     }
 
-    #[test]
-    fn figure1_pmtds_agree_with_naive_on_3_reachability() {
-        let (cqap, pmtds) = pmtd_families::pmtds_3reach_fig1().unwrap();
-        let g = Graph::random(40, 160, 7);
-        let db = g.as_path_database(3);
-        for pmtd in &pmtds {
-            check_pmtd_against_naive(pmtd, &cqap, &db, 11);
+    impl SViewProbe for Counting<'_> {
+        fn schema(&self, node: usize) -> Option<&Schema> {
+            self.views.schema(node)
         }
-    }
 
-    #[test]
-    fn figure3_extra_pmtds_agree_with_naive() {
-        let (cqap, pmtds) = pmtd_families::pmtds_3reach_all().unwrap();
-        let g = Graph::skewed(60, 220, 3, 40, 13);
-        let db = g.as_path_database(3);
-        for pmtd in &pmtds {
-            check_pmtd_against_naive(pmtd, &cqap, &db, 17);
+        fn probe_columns(&self, node: usize, key: &Tuple, out: &mut ColumnRun) -> Result<()> {
+            let before = out.rows();
+            self.views.probe_columns(node, key, out)?;
+            self.probes.set(self.probes.get() + 1);
+            self.rows.set(self.rows.get() + out.rows() - before);
+            Ok(())
         }
-    }
 
-    #[test]
-    fn four_reach_pmtds_agree_with_naive() {
-        let (cqap, pmtds) = pmtd_families::pmtds_4reach().unwrap();
-        let g = Graph::random(30, 120, 23);
-        let db = g.as_path_database(4);
-        // The eleven PMTDs of Example E.8; checking a representative subset
-        // keeps the test fast while covering both chain orientations and
-        // the single-bag PMTD.
-        for pmtd in pmtds.iter().step_by(3) {
-            check_pmtd_against_naive(pmtd, &cqap, &db, 29);
-        }
-    }
-
-    #[test]
-    fn square_pmtds_agree_with_naive() {
-        let (cqap, pmtds) = pmtd_families::pmtds_square().unwrap();
-        let g = Graph::random(25, 120, 31);
-        let mut db = Database::new();
-        for i in 1..=4 {
-            db.add_relation(Relation::binary(
-                format!("R{i}"),
-                0,
-                1,
-                g.edges.iter().copied(),
-            ))
-            .unwrap();
-        }
-        // Rename columns per atom is handled by atom_relation; the stored
-        // relations only need matching arity.
-        for pmtd in &pmtds {
-            check_pmtd_against_naive(pmtd, &cqap, &db, 37);
+        fn contains(&self, node: usize, key: &Tuple) -> Result<bool> {
+            self.probes.set(self.probes.get() + 1);
+            self.views.contains(node, key)
         }
     }
 
     #[test]
     fn online_time_does_not_scan_s_views() {
         // Probe-only behaviour: answering from the fully-materialized PMTD
-        // (S14) touches only the request, regardless of |S-view|.
+        // (S14) costs one probe per distinct request tuple and reads only
+        // the rows that answer it, regardless of |S-view|.
         let (cqap, pmtds) = pmtd_families::pmtds_3reach_fig1().unwrap();
         let single = &pmtds[2];
         let g = Graph::random(60, 300, 41);
         let db = g.as_path_database(3);
         let oy = OnlineYannakakis::new(single.clone());
-        let (s_views, t_views) = views_from_full_join(single, &cqap, &db);
-        assert!(t_views.is_empty());
-        let pre = oy.preprocess(&s_views).unwrap();
-        assert!(pre.stored_values() > 0);
+        let pre = oy.preprocess(&views_from_full_join(single, &cqap, &db)).unwrap();
         assert_eq!(pre.num_views(), 1);
-        let req = AccessRequest::single(cqap.access(), &[0, 1]).unwrap();
-        let expected = crate::naive::naive_answer(&cqap, &db, &req).unwrap();
-        assert_eq!(oy.answer(&pre, &[], &req).unwrap(), expected);
+        let plan = oy.compile(&pre, &[]).unwrap();
+        let mut scratch = crate::ColumnarScratch::new();
+        let pairs = cqap_query::workload::graph_pair_requests(&g, 12, 43);
+        let mut tuples: Vec<Tuple> = pairs.iter().map(|&(u, v)| Tuple::pair(u, v)).collect();
+        tuples.push(tuples[0].clone());
+        let request = AccessRequest::new(cqap.access(), tuples).unwrap();
+        let counting = Counting { views: &pre, probes: 0.into(), rows: 0.into() };
+        let answer = plan.answer_from_columns(&counting, [], &request, &mut scratch).unwrap();
+        assert_eq!(answer, crate::naive_answer(&cqap, &db, &request).unwrap());
+        let distinct: std::collections::HashSet<_> = request.tuples().iter().collect();
+        assert_eq!(counting.probes.get(), distinct.len());
+        assert_eq!(counting.rows.get(), answer.len());
+        assert!(answer.len() < pre.stored_values());
     }
 
     #[test]
@@ -729,7 +418,7 @@ mod tests {
             let full = crate::naive::full_join(&cqap, &db).unwrap();
             for pmtd in &pmtds {
                 let oy = OnlineYannakakis::new(pmtd.clone());
-                let (s_views, _) = views_from_full_join(pmtd, &cqap, &db);
+                let s_views = views_from_full_join(pmtd, &cqap, &db);
                 let fed = oy.preprocess(&s_views).unwrap();
                 let mut fused = oy.counted_views().unwrap();
                 assert_eq!(fused.stored_values(), 0);
@@ -765,7 +454,7 @@ mod tests {
         let middle = &pmtds[1]; // (T134, S13)
         let db = Graph::random(30, 120, 47).as_path_database(3);
         let oy = OnlineYannakakis::new(middle.clone());
-        let (s_views, _) = views_from_full_join(middle, &cqap, &db);
+        let s_views = views_from_full_join(middle, &cqap, &db);
         let mut pre = oy.preprocess(&s_views).unwrap();
         let compact = pre.resident_bytes();
         assert!(compact > 0);
@@ -819,53 +508,17 @@ mod tests {
     fn validation_errors() {
         let (cqap, pmtds) = pmtd_families::pmtds_3reach_fig1().unwrap();
         let middle = &pmtds[1]; // (T134, S13)
-        let g = Graph::random(20, 60, 43);
-        let db = g.as_path_database(3);
+        let db = Graph::random(20, 60, 43).as_path_database(3);
         let oy = OnlineYannakakis::new(middle.clone());
-        let (s_views, t_views) = views_from_full_join(middle, &cqap, &db);
 
         // Wrong schema for the S-view.
         let bad = vec![(1usize, Relation::binary("bad", 0, 1, [(1, 2)]))];
         assert!(oy.preprocess(&bad).is_err());
         // Missing S-view.
         assert!(oy.preprocess(&[]).is_err());
-
-        let pre = oy.preprocess(&s_views).unwrap();
-        // Missing T-view.
-        let req = AccessRequest::single(cqap.access(), &[0, 1]).unwrap();
-        assert!(oy.answer(&pre, &[], &req).is_err());
-        // Wrong access pattern.
-        let bad_req = AccessRequest::single(vars![1, 2], &[0, 1]).unwrap();
-        assert!(oy.answer(&pre, &t_views, &bad_req).is_err());
-
-        // Supplying a T-view for a materialized node is rejected.
-        let wrong_phase = vec![(
-            1usize,
-            Relation::from_tuples("x", Schema::of([0, 2]), std::iter::empty()).unwrap(),
-        )];
-        assert!(oy.answer(&pre, &wrong_phase, &req).is_err());
-    }
-
-    #[test]
-    fn triangle_empty_access_pattern() {
-        let q = query_families::triangle_edge();
-        let single = cqap_decomp::TreeDecomposition::single(vars![1, 2, 3]);
-        let pmtd = Pmtd::for_cqap(single, [0], &q).unwrap();
-        let mut db = Database::new();
-        db.add_relation(Relation::binary(
-            "R",
-            0,
-            1,
-            [(1, 2), (2, 3), (3, 1), (3, 4)],
-        ))
-        .unwrap();
-        let oy = OnlineYannakakis::new(pmtd.clone());
-        let (s_views, t_views) = views_from_full_join(&pmtd, &q, &db);
-        assert!(t_views.is_empty());
-        let pre = oy.preprocess(&s_views).unwrap();
-        let req = AccessRequest::new(VarSet::EMPTY, vec![Tuple::empty()]).unwrap();
-        let ans = oy.answer(&pre, &[], &req).unwrap();
-        assert_eq!(ans.len(), 3);
-        assert!(ans.contains(&Tuple::pair(1, 3)));
+        // Content for a node outside the materialization set.
+        let wrong_phase = vec![(0usize, Relation::new("x", Schema::of([0, 2, 3])))];
+        assert!(oy.preprocess(&wrong_phase).is_err());
+        assert!(oy.preprocess(&views_from_full_join(middle, &cqap, &db)).is_ok());
     }
 }

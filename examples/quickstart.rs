@@ -50,7 +50,7 @@ fn main() {
             "  is there a path of length 3 from {u} to {v}?  {}",
             if answer.is_empty() { "no" } else { "yes" }
         );
-        assert_eq!(answer, index.answer_from_scratch(&request).unwrap());
+        assert_eq!(answer, naive_answer(&cqap, &db, &request).unwrap());
     }
 
     // 5. The analytic side: the rules generated by this PMTD set, and — for

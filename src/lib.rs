@@ -59,7 +59,7 @@
 //! // Online: ask whether vertex 0 reaches vertex 1 by a path of length 3.
 //! let request = AccessRequest::single(cqap.access(), &[0, 1]).unwrap();
 //! let answer = index.answer(&request).unwrap();
-//! assert_eq!(answer, index.answer_from_scratch(&request).unwrap());
+//! assert_eq!(answer, naive_answer(&cqap, &db, &request).unwrap());
 //! ```
 
 pub use cqap_common as common;

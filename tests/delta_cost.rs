@@ -105,7 +105,7 @@ fn one_tuple_delta_costs_its_join_delta_not_the_database() {
                 let request = AccessRequest::single(cqap.access(), &[source.0, target.1]).unwrap();
                 assert_eq!(
                     index.answer(&request).unwrap(),
-                    index.answer_from_scratch(&request).unwrap(),
+                    naive_answer(&cqap, index.database(), &request).unwrap(),
                     "request ({},{})",
                     source.0,
                     target.1

@@ -98,7 +98,7 @@ fn resident_bytes_stay_within_four_and_a_half_times_the_stored_values() {
         let request = AccessRequest::single(cqap.access(), &[u, v]).unwrap();
         assert_eq!(
             index.answer(&request).unwrap(),
-            index.answer_from_scratch(&request).unwrap(),
+            naive_answer(&cqap, index.database(), &request).unwrap(),
             "request ({u},{v})"
         );
     }
