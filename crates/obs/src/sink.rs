@@ -47,15 +47,11 @@ pub enum StageId {
     DeltaApply,
     /// Rewriting a stored view's sorted run to fold its overlay in.
     Compaction,
-    /// Time a submitter spent blocked at the admission gate before its
-    /// request was accepted (only the `Block` and `SemaphoreGate`
-    /// policies can wait; shed requests record nothing here).
-    AdmissionWait,
 }
 
 impl StageId {
     /// Number of stages.
-    pub const COUNT: usize = 9;
+    pub const COUNT: usize = 8;
 
     /// Every stage, in canonical export order.
     pub const ALL: [StageId; Self::COUNT] = [
@@ -67,7 +63,6 @@ impl StageId {
         StageId::TicketDelivery,
         StageId::DeltaApply,
         StageId::Compaction,
-        StageId::AdmissionWait,
     ];
 
     /// Stable snake_case name used as the `stage` label in exports.
@@ -81,7 +76,6 @@ impl StageId {
             StageId::TicketDelivery => "ticket_delivery",
             StageId::DeltaApply => "delta_apply",
             StageId::Compaction => "compaction",
-            StageId::AdmissionWait => "admission_wait",
         }
     }
 
@@ -116,8 +110,8 @@ pub enum CounterId {
     DeltaNetInserts,
     /// Net tuple deletions applied by delta maintenance.
     DeltaNetDeletes,
-    /// Requests rejected at the admission gate (shed, or timed out
-    /// waiting for admission), counted per resolved ticket.
+    /// Requests shed at the admission gate, counted per resolved
+    /// ticket.
     RequestsShed,
     /// Requests dropped because their deadline passed before the
     /// backend probe, counted per resolved ticket.
@@ -183,9 +177,7 @@ impl CounterId {
             CounterId::Compactions => "Stored-view compactions performed.",
             CounterId::DeltaNetInserts => "Net tuple insertions applied by delta maintenance.",
             CounterId::DeltaNetDeletes => "Net tuple deletions applied by delta maintenance.",
-            CounterId::RequestsShed => {
-                "Requests rejected at the admission gate (shed or admission timeout)."
-            }
+            CounterId::RequestsShed => "Requests shed at the admission gate.",
             CounterId::DeadlinesExpired => {
                 "Requests dropped because their deadline passed before the backend probe."
             }

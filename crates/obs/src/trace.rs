@@ -77,7 +77,7 @@ impl TraceId {
 
 /// What a trace event measures.
 ///
-/// The first nine variants mirror [`StageId`] one-to-one (a
+/// The first eight variants mirror [`StageId`] one-to-one (a
 /// [`RequestSpan`](crate::RequestSpan) lap writes both the stage
 /// histogram and, when traced, a ring event). The remainder are
 /// trace-only: the per-request root span and the store-side events
@@ -104,9 +104,6 @@ pub enum TraceStage {
     DeltaApply,
     /// Stored-view compaction (mirrors [`StageId::Compaction`]).
     Compaction,
-    /// Time blocked at the admission gate before acceptance (mirrors
-    /// [`StageId::AdmissionWait`]).
-    AdmissionWait,
     /// The whole-request root span, written at
     /// [`FlightRecorder::finish`] when the sampling policy commits
     /// the trace. A trace without a root is incomplete (or rejected
@@ -122,7 +119,7 @@ pub enum TraceStage {
 
 impl TraceStage {
     /// Number of trace stages.
-    pub const COUNT: usize = 12;
+    pub const COUNT: usize = 11;
 
     /// Every trace stage, in `repr` order.
     pub const ALL: [TraceStage; Self::COUNT] = [
@@ -134,7 +131,6 @@ impl TraceStage {
         TraceStage::TicketDelivery,
         TraceStage::DeltaApply,
         TraceStage::Compaction,
-        TraceStage::AdmissionWait,
         TraceStage::Request,
         TraceStage::SegmentRead,
         TraceStage::OverlayProbe,
@@ -152,7 +148,6 @@ impl TraceStage {
             TraceStage::TicketDelivery => "ticket_delivery",
             TraceStage::DeltaApply => "delta_apply",
             TraceStage::Compaction => "compaction",
-            TraceStage::AdmissionWait => "admission_wait",
             TraceStage::Request => "request",
             TraceStage::SegmentRead => "segment_read",
             TraceStage::OverlayProbe => "overlay_probe",

@@ -25,13 +25,14 @@
 //!   index, per-request result channels ([`Ticket`]), order-preserving
 //!   batch serving with intra-batch deduplication, in-flight probe sharing
 //!   across concurrent submitters (no thundering herd on a hot key), and
-//!   [`ServeStats`] counters.
-//! * Overload safety — bounded admission with three policies
-//!   ([`AdmissionConfig`]: block with optional timeout, shed with a typed
-//!   [`ServeError::Overloaded`], FIFO semaphore), absolute deadlines
+//!   [`ServeStats`] counters. Single and coalesced probes run as one kind
+//!   of job through one worker path.
+//! * Overload safety — shed-only bounded admission ([`AdmissionConfig`]:
+//!   a probe job past the bound resolves at once with a typed
+//!   [`ServeError::Overloaded`]), absolute deadlines
 //!   ([`ServeRuntime::submit_with_deadline`]) dropped before the backend
-//!   probe, client-side [`RetryPolicy`] backoff for shed requests, and an
-//!   optional cheapest-plan degrade mode past a queue-depth watermark.
+//!   probe, and an optional cheapest-plan degrade mode past a queue-depth
+//!   watermark.
 //!
 //! ## Worked example: serving a 1 000-request batch
 //!
@@ -96,13 +97,11 @@ pub mod cache;
 pub mod pool;
 pub mod runtime;
 
-pub use admission::{
-    retry_overloaded, AdmissionConfig, AdmissionPolicy, RetryPolicy, ServeError,
-};
+pub use admission::{AdmissionConfig, ServeError};
 pub use batch::BatchAnswer;
 pub use cache::LruCache;
 pub use pool::{default_threads, WorkStealingPool};
-pub use runtime::{ServeConfig, ServeRuntime, ServeStats, Ticket, WaitTimeout};
+pub use runtime::{ServeConfig, ServeRuntime, ServeStats, Ticket};
 
 use cqap_common::Result;
 

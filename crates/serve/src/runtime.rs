@@ -15,37 +15,43 @@
 //! than a deep `Relation` clone, and fanning one answer out to many
 //! duplicate requests shares a single allocation.
 //!
-//! Concurrent [`ServeRuntime::submit`]s of the same key are collapsed by an
-//! in-flight pending map: the first caller probes the index, later callers
-//! register as waiters on the same probe (counted as
-//! [`ServeStats::inflight_hits`]), so a hot key never causes a thundering
-//! herd of identical index probes.
+//! Concurrent requests for the same key are collapsed by an in-flight
+//! pending map: the first caller probes the index, later callers register
+//! as waiters on the same probe (counted as [`ServeStats::inflight_hits`]),
+//! so a hot key never causes a thundering herd of identical index probes.
 //!
-//! The index is `Arc`-shared and never mutated after construction, which is
-//! exactly the paper's regime: the preprocessing phase fixes the
-//! materialized views within the space budget, and the online phase is
-//! read-only.
+//! Both doors share one request path. Each distinct key is looked up once
+//! (a cache hit, a join of the probe in flight, or a fresh probe); fresh
+//! probes become *jobs* — a lone probe, or a §6.4-coalesced group probed
+//! in bulk — and every job is admitted, queued and resolved by one worker
+//! path. That path publishes each caller's outcome (answer, probe error,
+//! expiry or shed) to the cache and the pending map at one site, then lets
+//! go of the index and of its admission slot, and only then sends: a
+//! caller whose ticket resolved holds the only index handle again.
+//!
+//! The index is `Arc`-shared and read-only while requests are served —
+//! the paper's regime: preprocessing fixes the materialized views within
+//! the space budget, and the online phase only reads them.
+//! [`ServeRuntime::apply_delta`] mutates it between requests.
 //!
 //! ## Overload safety
 //!
 //! By default the front door is unbounded: an open-loop arrival stream
 //! faster than the service rate grows the pool queue (and every
 //! request's queue wait) without limit. Configuring
-//! [`ServeConfig::admission`] bounds it: every submission (and every
-//! dispatched batch probe) must take a permit from an admission gate
-//! first, and the configured [`AdmissionPolicy`](crate::AdmissionPolicy)
-//! decides what happens past the bound — block (with optional timeout),
-//! shed with a typed [`ServeError::Overloaded`](crate::ServeError),
-//! or FIFO-fair semaphore waiting. Rejections are counted in
-//! [`ServeStats::shed`]. Deadlines compose with it:
-//! [`ServeRuntime::submit_with_deadline`] threads an absolute deadline
-//! through the job and workers drop already-expired requests *before*
-//! the backend probe, resolving their tickets with
-//! [`CqapError::DeadlineExpired`] (counted in
+//! [`ServeConfig::admission`] bounds it: every probe job must take a
+//! permit from a shed-only admission gate, and a job that finds the gate
+//! full resolves its callers at once with a typed
+//! [`ServeError::Overloaded`](crate::ServeError), counted in
+//! [`ServeStats::shed`]. Cache hits and in-flight joins take no slot.
+//! Deadlines compose with it: [`ServeRuntime::submit_with_deadline`]
+//! threads an absolute deadline through the job and workers drop
+//! already-expired requests *before* the backend probe, resolving their
+//! tickets with [`CqapError::DeadlineExpired`] (counted in
 //! [`ServeStats::deadline_expired`] — a ticket never hangs).
 //! [`ServeRuntime::serve_batch_with_deadlines`] additionally dispatches
-//! probe groups earliest-deadline-first. Past an optional queue-depth
-//! watermark ([`ServeConfig::degrade_watermark`]) probes may answer
+//! probe jobs earliest-deadline-first. Past an optional queue-depth
+//! watermark ([`ServeConfig::degrade_watermark`]) lone probes may answer
 //! from the index's cheapest plan ([`BatchAnswer::answer_degraded`]),
 //! flagged in the answer and kept out of the cache.
 
@@ -59,7 +65,7 @@ use cqap_obs::{
     CounterId, MetricsSink, RequestSpan, StageId, StageTimer, TraceId, TraceScope, TraceStage,
 };
 
-use crate::admission::{retry_overloaded, AdmissionConfig, AdmissionGate, AdmissionPermit, RetryPolicy};
+use crate::admission::{AdmissionConfig, AdmissionGate, AdmissionPermit};
 use crate::batch::BatchAnswer;
 use crate::cache::LruCache;
 use crate::pool::{default_threads, WorkStealingPool};
@@ -72,12 +78,12 @@ pub struct ServeConfig {
     pub threads: usize,
     /// Capacity of the LRU answer cache, in entries. Zero disables caching.
     pub cache_capacity: usize,
-    /// Bounded admission at the front door; `None` (the default) keeps
-    /// the legacy unbounded behavior. See [`AdmissionConfig`].
+    /// Shed-only bounded admission; `None` (the default) admits every
+    /// probe. See [`AdmissionConfig`].
     pub admission: Option<AdmissionConfig>,
     /// Queue-depth watermark for graceful degradation: when set and the
-    /// pool's pending-job count exceeds it at dispatch time, a probe may
-    /// answer via [`BatchAnswer::answer_degraded`] (for multi-PMTD
+    /// pool's pending-job count exceeds it at dispatch time, a lone probe
+    /// may answer via [`BatchAnswer::answer_degraded`] (for multi-PMTD
     /// driver indexes: the cheapest plan only, flagged in the answer and
     /// never cached). `None` (the default) disables degrade mode.
     pub degrade_watermark: Option<usize>,
@@ -124,10 +130,9 @@ pub struct ServeStats {
     /// Delta batches applied through [`ServeRuntime::apply_delta`]
     /// (including net no-ops, which leave the cache warm).
     pub deltas_applied: u64,
-    /// Requests rejected at the admission gate (shed policy, or a
-    /// `Block` admission timeout), counted per resolved ticket — a shed
-    /// batch probe group counts every position it would have answered,
-    /// and waiters fanned an `Overloaded` error count too.
+    /// Requests shed at the admission gate, counted per resolved ticket —
+    /// a shed probe job counts every position it would have answered,
+    /// and waiters fanned the `Overloaded` error count too.
     pub shed: u64,
     /// Requests dropped because their deadline had passed before the
     /// backend probe ran, counted per resolved ticket (waiters joined
@@ -214,31 +219,6 @@ impl StatsCells {
     }
 }
 
-/// Why a [`Ticket::wait_timeout`] returned without an answer.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum WaitTimeout {
-    /// The timeout elapsed with the answer still pending. The ticket is
-    /// unchanged: wait again, poll later, or drop it — dropping never
-    /// leaks runtime state, because the pending-map entry belongs to the
-    /// in-flight probe (its worker removes the entry when it resolves;
-    /// the fan-out send to a dropped ticket is simply discarded).
-    Elapsed,
-    /// The request resolved, but to an error (admission rejection,
-    /// missed deadline, probe failure, or a torn-down runtime).
-    Failed(CqapError),
-}
-
-impl fmt::Display for WaitTimeout {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            WaitTimeout::Elapsed => write!(f, "timed out waiting for the answer"),
-            WaitTimeout::Failed(error) => write!(f, "request failed: {error}"),
-        }
-    }
-}
-
-impl std::error::Error for WaitTimeout {}
-
 /// A one-shot handle to the answer of a single submitted request.
 pub struct Ticket<A> {
     rx: mpsc::Receiver<Result<A>>,
@@ -256,25 +236,6 @@ impl<A> Ticket<A> {
             .unwrap_or_else(|_| Err(CqapError::Other("serve runtime dropped".into())))
     }
 
-    /// Blocks until the answer is ready or `timeout` elapses, bounding
-    /// the caller's wait even without request deadlines.
-    ///
-    /// On [`WaitTimeout::Elapsed`] the ticket remains usable — call
-    /// again, [`try_wait`](Self::try_wait), or drop it (dropping a
-    /// timed-out ticket never leaks the runtime's pending-map entry;
-    /// see [`WaitTimeout::Elapsed`]). A request that resolved to an
-    /// error yields [`WaitTimeout::Failed`].
-    pub fn wait_timeout(&self, timeout: Duration) -> Result<A, WaitTimeout> {
-        match self.rx.recv_timeout(timeout) {
-            Ok(Ok(answer)) => Ok(answer),
-            Ok(Err(error)) => Err(WaitTimeout::Failed(error)),
-            Err(mpsc::RecvTimeoutError::Timeout) => Err(WaitTimeout::Elapsed),
-            Err(mpsc::RecvTimeoutError::Disconnected) => Err(WaitTimeout::Failed(
-                CqapError::Other("serve runtime dropped".into()),
-            )),
-        }
-    }
-
     /// Non-blocking poll; `None` while the answer is still being computed.
     /// A torn-down runtime (or a request that panicked mid-answer) yields
     /// `Some(Err(..))`, never a stuck `None`.
@@ -289,74 +250,39 @@ impl<A> Ticket<A> {
     }
 }
 
-fn panic_message(panic: Box<dyn std::any::Any + Send>) -> String {
-    panic
-        .downcast_ref::<&str>()
-        .map(|s| (*s).to_string())
-        .or_else(|| panic.downcast_ref::<String>().cloned())
-        .unwrap_or_else(|| "non-string panic payload".into())
+/// Runs one call into the index, converting a panic into a regular
+/// [`CqapError`] (`"{what} panicked: …"`) so workers stay alive, the
+/// error counter stays truthful, and one bad member of a coalesced group
+/// cannot strand the rest.
+fn guarded<T>(what: &str, call: impl FnOnce() -> Result<T>) -> Result<T> {
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(call)).unwrap_or_else(|panic| {
+        let message = panic
+            .downcast_ref::<&str>()
+            .map(|s| (*s).to_string())
+            .or_else(|| panic.downcast_ref::<String>().cloned())
+            .unwrap_or_else(|| "non-string panic payload".into());
+        Err(CqapError::Other(format!("{what} panicked: {message}")))
+    })
 }
 
-/// Answers one request, converting a panic in the index into a regular
-/// [`CqapError`] so workers stay alive, the error counter stays truthful,
-/// and callers see "request panicked" rather than a torn-down-runtime
-/// message.
-fn answer_guarded<I: BatchAnswer>(index: &I, request: &I::Request) -> Result<I::Answer> {
-    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| index.answer_one(request)))
-        .unwrap_or_else(|panic| {
-            Err(CqapError::Other(format!(
-                "request panicked: {}",
-                panic_message(panic)
-            )))
-        })
+fn nanos(elapsed: Duration) -> u64 {
+    u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX)
 }
 
-/// [`BatchAnswer::answer_degraded`] with the same panic-to-error
-/// conversion as [`answer_guarded`]; `None` means the index offers no
-/// cheaper plan and the caller falls back to the full probe.
-fn degraded_guarded<I: BatchAnswer>(
-    index: &I,
-    request: &I::Request,
-) -> Option<Result<I::Answer>> {
-    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| index.answer_degraded(request)))
-        .unwrap_or_else(|panic| {
-            Some(Err(CqapError::Other(format!(
-                "degraded answer panicked: {}",
-                panic_message(panic)
-            ))))
-        })
+/// The typed expiry of a request whose `deadline` had passed at `now`.
+fn expiry(deadline: Instant, now: Instant) -> Option<CqapError> {
+    (now >= deadline).then(|| CqapError::DeadlineExpired {
+        late_ns: nanos(now - deadline),
+    })
 }
 
-/// [`BatchAnswer::extract`] with the same panic-to-error conversion as
-/// [`answer_guarded`], so one bad member of a coalesced group cannot strand
-/// the rest of the group.
-fn extract_guarded<I: BatchAnswer>(
-    index: &I,
-    bulk: &I::Answer,
-    request: &I::Request,
-) -> Result<I::Answer> {
-    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| index.extract(bulk, request)))
-        .unwrap_or_else(|panic| {
-            Err(CqapError::Other(format!(
-                "extract panicked: {}",
-                panic_message(panic)
-            )))
-        })
-}
-
-/// Clones a probe result for fan-out to waiters: `Ok` is a refcount bump,
-/// `Err` clones the (small) error value.
-fn clone_result<A>(result: &Result<Arc<A>>) -> Result<Arc<A>> {
-    match result {
-        Ok(answer) => Ok(Arc::clone(answer)),
-        Err(error) => Err(error.clone()),
-    }
-}
+/// The sending half of a ticket's (or a waiter's) one-shot result channel.
+type Reply<A> = mpsc::Sender<Result<Arc<A>>>;
 
 /// The mutable online state, behind one mutex: the LRU answer cache plus
 /// the in-flight pending map. Holding both under a single lock makes the
 /// "check cache, then join or register a probe" sequence atomic, so two
-/// concurrent submits of one key can never both miss the pending map.
+/// concurrent lookups of one key can never both miss the pending map.
 ///
 /// The cache stores `Arc<Answer>`: hits and inserts inside the critical
 /// section are refcount bumps, never deep answer clones.
@@ -364,13 +290,30 @@ struct OnlineState<I: BatchAnswer> {
     cache: LruCache<I::Request, Arc<I::Answer>>,
     /// Keys currently being probed by a pool worker, each with the result
     /// channels of callers that arrived while the probe was in flight.
-    pending: FxHashMap<I::Request, Vec<mpsc::Sender<Result<Arc<I::Answer>>>>>,
+    pending: FxHashMap<I::Request, Vec<Reply<I::Answer>>>,
+}
+
+impl<I: BatchAnswer> OnlineState<I> {
+    /// Resolves one probed key: caches `answer` when there is one worth
+    /// keeping, and removes the key's pending entry, returning the waiters
+    /// that joined it. An answer, a probe error, an expiry and a shed all
+    /// resolve here, so a key is cached and un-pended at one site.
+    fn publish(
+        &mut self,
+        request: &I::Request,
+        answer: Option<&Arc<I::Answer>>,
+    ) -> Vec<Reply<I::Answer>> {
+        if let Some(answer) = answer {
+            self.cache.insert(request.clone(), Arc::clone(answer));
+        }
+        self.pending.remove(request).unwrap_or_default()
+    }
 }
 
 /// What the state lookup decided for one distinct request key.
-enum Lookup<I: BatchAnswer> {
+enum Lookup<A> {
     /// The answer was cached.
-    Hit(Arc<I::Answer>),
+    Hit(Arc<A>),
     /// A probe for this key is already in flight; the caller's channel was
     /// registered as a waiter.
     Joined,
@@ -378,22 +321,162 @@ enum Lookup<I: BatchAnswer> {
     Probe,
 }
 
-/// One dispatchable unit formed by `serve_batch`'s coalescing stage: a
-/// lone fresh probe, or a coalesced group probed in bulk. Either way the
-/// unit is one backend probe, and admission charges it one slot.
-enum BatchJob<I: BatchAnswer> {
-    /// A single fresh probe and its result channel.
-    Single(I::Request, mpsc::Sender<Result<Arc<I::Answer>>>),
-    /// A coalesced bulk request plus per-member `(request, channel,
-    /// deadline)` resolution parts.
-    Coalesced(
-        I::Request,
-        Vec<(
-            I::Request,
-            mpsc::Sender<Result<Arc<I::Answer>>>,
-            Option<Instant>,
-        )>,
-    ),
+/// One caller a probe job answers: its request key, its result channel,
+/// and the deadline past which it resolves as expired instead.
+struct Member<I: BatchAnswer> {
+    request: I::Request,
+    tx: Reply<I::Answer>,
+    deadline: Option<Instant>,
+}
+
+/// One backend probe and the callers it answers: the unit the admission
+/// gate charges one slot and the pool runs as one job. A lone probe has
+/// `bulk = None` and one member; a coalesced group (§6.4) probes `bulk`,
+/// the merged request, and extracts each member's answer from it.
+struct Job<I: BatchAnswer> {
+    bulk: Option<I::Request>,
+    members: Vec<Member<I>>,
+    trace: TraceId,
+    /// Set when the job owns its trace's root (a lone `submit`): the root
+    /// is finished with the total since submission, before the send.
+    submitted: Option<Instant>,
+}
+
+/// What a runtime shares with its pool workers: the online state, the
+/// counters and the metrics sink.
+struct Shared<I: BatchAnswer> {
+    state: Mutex<OnlineState<I>>,
+    stats: StatsCells,
+    sink: MetricsSink,
+}
+
+impl<I: BatchAnswer> Shared<I> {
+    /// Commits the root total for a request that owns its trace; a no-op
+    /// for caller-allocated traces and batch legs (`submitted = None`).
+    fn finish_root(&self, trace: TraceId, submitted: Option<Instant>) {
+        if let Some(submitted) = submitted {
+            self.sink.trace_finish(trace, nanos(submitted.elapsed()));
+        }
+    }
+
+    /// The one worker path: resolves every member of `job` with at most
+    /// one backend probe.
+    ///
+    /// Each member's verdict is fixed before the probe: shed (the gate's
+    /// `refusal`), expired (its deadline passed), or live. The probe runs
+    /// while any member is live, on `bulk` — split per live member by
+    /// [`BatchAnswer::extract`] — or on the lone member's request;
+    /// `degrade` (set for lone jobs only) tries the cheapest plan first,
+    /// whose answer is never cached. A probe error reaches every live
+    /// member and counts once.
+    ///
+    /// All members are published under one lock while the job still holds
+    /// the index, so an `apply_delta` can never slip between the probe and
+    /// the publish (a pre-delta answer cached after the delta's clear).
+    /// The index handle and the `permit` go right after the publish and
+    /// *before* the first send, so a caller whose ticket resolved can
+    /// `apply_delta` at once. The delivery lap (admitted jobs only) and an
+    /// owned root are recorded before the member sends.
+    fn dispatch(
+        &self,
+        job: Job<I>,
+        index: Arc<I>,
+        permit: Option<AdmissionPermit>,
+        degrade: bool,
+        refusal: Option<CqapError>,
+    ) {
+        let mut span = RequestSpan::begin_traced(&self.sink, job.trace);
+        // One clock read fixes every verdict, and none without a deadline.
+        let now = job.members.iter().any(|m| m.deadline.is_some()).then(Instant::now);
+        let verdict =
+            |member: &Member<I>| refusal.clone().or_else(|| expiry(member.deadline?, now?));
+        let mut degraded = false;
+        let probe = job.members.iter().any(|m| verdict(m).is_none()).then(|| {
+            let _scope = TraceScope::enter(job.trace);
+            let request = job.bulk.as_ref().unwrap_or(&job.members[0].request);
+            if degrade {
+                let cheap = guarded("degraded answer", || {
+                    index.answer_degraded(request).transpose()
+                });
+                if let Some(cheap) = cheap.transpose() {
+                    degraded = true;
+                    return cheap.map(Arc::new);
+                }
+            }
+            guarded("request", || index.answer_one(request)).map(Arc::new)
+        });
+        if probe.is_some() {
+            span.lap(StageId::BackendProbe);
+        }
+        let mut errors = u64::from(matches!(probe, Some(Err(_))));
+        let mut resolved: Vec<_> = job
+            .members
+            .into_iter()
+            .map(|member| {
+                let result = match (verdict(&member), &probe) {
+                    (Some(error), _) => Err(error),
+                    (None, Some(Ok(answer))) if job.bulk.is_some() => {
+                        let part = guarded("extract", || index.extract(answer, &member.request))
+                            .map(Arc::new);
+                        errors += u64::from(part.is_err());
+                        part
+                    }
+                    (None, Some(result)) => result.clone(),
+                    (None, None) => unreachable!("a live member runs the probe"),
+                };
+                (member, result, Vec::new())
+            })
+            .collect();
+        // Tickets resolved without the probe (shed or expired): each member
+        // and each waiter that joined it.
+        let mut dropped = 0;
+        {
+            let mut state = self.state.lock().expect("state lock");
+            for (member, result, waiters) in &mut resolved {
+                // Degraded answers are never cached: a warm hit must not
+                // keep serving the cheap answer after the overload ends.
+                let keep = result.as_ref().ok().filter(|_| !degraded);
+                *waiters = state.publish(&member.request, keep);
+                if verdict(member).is_some() {
+                    dropped += 1 + waiters.len() as u64;
+                }
+            }
+        }
+        // Release after publish, before send: the caller a send unblocks
+        // may mutate the index next, and `Arc::get_mut` needs every other
+        // handle gone.
+        drop(index);
+        drop(permit);
+        if dropped > 0 {
+            let (cell, counter) = if refusal.is_some() {
+                (&self.stats.shed, CounterId::RequestsShed)
+            } else {
+                (&self.stats.deadline_expired, CounterId::DeadlinesExpired)
+            };
+            cell.fetch_add(dropped, Ordering::Relaxed);
+            self.sink.add(counter, dropped);
+        }
+        if errors > 0 {
+            self.stats.errors.fetch_add(errors, Ordering::Relaxed);
+        }
+        if degraded {
+            self.stats.degraded.fetch_add(1, Ordering::Relaxed);
+            self.sink.incr(CounterId::DegradedAnswers);
+        }
+        for (_, result, waiters) in &mut resolved {
+            for waiter in waiters.drain(..) {
+                let _ = waiter.send(result.clone());
+            }
+        }
+        // A shed job never queued or probed: it records no stage.
+        if refusal.is_none() {
+            span.lap(StageId::TicketDelivery);
+        }
+        self.finish_root(job.trace, job.submitted);
+        for (member, result, _) in resolved {
+            let _ = member.tx.send(result);
+        }
+    }
 }
 
 /// A concurrent, caching request-serving runtime over a shared immutable
@@ -401,9 +484,7 @@ enum BatchJob<I: BatchAnswer> {
 pub struct ServeRuntime<I: BatchAnswer + 'static> {
     index: Arc<I>,
     pool: WorkStealingPool,
-    state: Arc<Mutex<OnlineState<I>>>,
-    stats: Arc<StatsCells>,
-    sink: MetricsSink,
+    shared: Arc<Shared<I>>,
     gate: Option<Arc<AdmissionGate>>,
     degrade_watermark: Option<usize>,
 }
@@ -429,16 +510,18 @@ impl<I: BatchAnswer + 'static> ServeRuntime<I> {
         ServeRuntime {
             index,
             pool: WorkStealingPool::with_sink(config.threads, sink.clone()),
-            state: Arc::new(Mutex::new(OnlineState {
-                cache: LruCache::new(config.cache_capacity),
-                pending: FxHashMap::default(),
-            })),
-            stats: Arc::new(StatsCells::default()),
             gate: config
                 .admission
                 .map(|admission| AdmissionGate::new(admission, sink.clone())),
             degrade_watermark: config.degrade_watermark,
-            sink,
+            shared: Arc::new(Shared {
+                state: Mutex::new(OnlineState {
+                    cache: LruCache::new(config.cache_capacity),
+                    pending: FxHashMap::default(),
+                }),
+                stats: StatsCells::default(),
+                sink,
+            }),
         }
     }
 
@@ -450,7 +533,7 @@ impl<I: BatchAnswer + 'static> ServeRuntime<I> {
     /// The metrics sink this runtime records into (disabled unless the
     /// runtime was built with [`with_metrics`](Self::with_metrics)).
     pub fn metrics(&self) -> &MetricsSink {
-        &self.sink
+        &self.shared.sink
     }
 
     /// Number of worker threads.
@@ -460,7 +543,7 @@ impl<I: BatchAnswer + 'static> ServeRuntime<I> {
 
     /// Counters since construction.
     pub fn stats(&self) -> ServeStats {
-        self.stats.snapshot()
+        self.shared.stats.snapshot()
     }
 
     /// Applies one delta batch to the served index in place, through the
@@ -471,7 +554,10 @@ impl<I: BatchAnswer + 'static> ServeRuntime<I> {
     /// fully cancelling) leaves the LRU warm, because the index contents
     /// it reflects did not change. In-flight probes are unaffected either
     /// way: requiring exclusive access to the index (below) means none can
-    /// be running during an apply.
+    /// be running, or holding an unpublished answer, during an apply. A
+    /// worker lets go of the index after publishing and before it resolves
+    /// any ticket, so an apply right after a `wait()` or a `serve_batch`
+    /// finds the index free.
     ///
     /// # Errors
     /// Fails if the index `Arc` is shared outside this runtime or a probe
@@ -492,274 +578,74 @@ impl<I: BatchAnswer + 'static> ServeRuntime<I> {
             )
         })?;
         let stats = index.apply_delta(batch)?;
-        self.stats.deltas_applied.fetch_add(1, Ordering::Relaxed);
+        self.shared.stats.deltas_applied.fetch_add(1, Ordering::Relaxed);
         if !stats.is_noop() {
-            self.state.lock().expect("state lock").cache.clear();
+            self.shared.state.lock().expect("state lock").cache.clear();
         }
         Ok(stats)
     }
 
-    /// Atomically consults the cache and the pending map for `request`,
-    /// registering `tx` as a waiter (on an in-flight probe) or a new
-    /// pending entry (when the caller must probe) as appropriate.
+    /// Consults the cache and the pending map for `request` in the locked
+    /// `state`: a hit, a join of the probe in flight (registering the
+    /// channel `waiter` makes), or a fresh probe (registering a pending
+    /// entry that the probe's job resolves).
     fn lookup(
         &self,
+        state: &mut OnlineState<I>,
         request: &I::Request,
-        tx: &mpsc::Sender<Result<Arc<I::Answer>>>,
-    ) -> Lookup<I> {
-        let timer = self.sink.start();
-        let mut state = self.state.lock().expect("state lock");
-        let decision = if let Some(answer) = state.cache.get(request) {
-            self.stats.cache_hits.fetch_add(1, Ordering::Relaxed);
+        waiter: impl FnOnce() -> Reply<I::Answer>,
+    ) -> Lookup<I::Answer> {
+        let stats = &self.shared.stats;
+        if let Some(answer) = state.cache.get(request) {
+            stats.cache_hits.fetch_add(1, Ordering::Relaxed);
             Lookup::Hit(answer)
         } else if let Some(waiters) = state.pending.get_mut(request) {
-            self.stats.inflight_hits.fetch_add(1, Ordering::Relaxed);
-            waiters.push(tx.clone());
+            stats.inflight_hits.fetch_add(1, Ordering::Relaxed);
+            waiters.push(waiter());
             Lookup::Joined
         } else {
-            self.stats.cache_misses.fetch_add(1, Ordering::Relaxed);
+            stats.cache_misses.fetch_add(1, Ordering::Relaxed);
             state.pending.insert(request.clone(), Vec::new());
             Lookup::Probe
-        };
-        drop(state);
-        self.sink.stop(timer, StageId::CacheLookup);
-        decision
+        }
     }
 
-    /// Runs one index probe on the pool: computes the answer, publishes it
-    /// to the cache, drains the waiters registered while the probe was in
-    /// flight, and finally resolves `tx`.
-    ///
-    /// A sampled `trace` is pinned on the worker thread for the probe (so
-    /// store-layer leaf events attribute to it) and its laps become ring
-    /// events. When `submitted` is set this probe owns the request's root:
-    /// the trace is finished — before the resolving send, like the laps —
-    /// with the total latency since submission.
-    ///
-    /// `deadline` is checked on the worker *before* the backend probe:
-    /// an expired request is dropped and its ticket (plus any joined
-    /// waiters) resolves with [`CqapError::DeadlineExpired`]. `permit`
-    /// is the request's admission slot; it rides in the closure and is
-    /// released when the job finishes — including on a panicking
-    /// backend, because the pool catches unwinds and drops the
-    /// closure's captures.
-    fn dispatch_probe(
-        &self,
-        request: I::Request,
-        tx: mpsc::Sender<Result<Arc<I::Answer>>>,
-        trace: TraceId,
-        submitted: Option<Instant>,
-        deadline: Option<Instant>,
-        permit: Option<AdmissionPermit>,
-    ) {
+    /// Admits `job` and queues it on the pool — or, when the gate is full,
+    /// resolves it at once through the same worker path with the gate's
+    /// refusal. Degrade mode is decided here: the submitter sees the queue
+    /// depth the job is about to join, which is exactly the watermark
+    /// signal (a worker-side check would see one job fewer).
+    fn launch(&self, job: Job<I>) {
         let index = Arc::clone(&self.index);
-        let state = Arc::clone(&self.state);
-        let stats = Arc::clone(&self.stats);
-        let sink = self.sink.clone();
-        // Degrade decision at dispatch time: the submitter sees the queue
-        // depth this job is about to join, which is exactly the watermark
-        // signal (a worker-side check would see one job fewer).
-        let degrade = self
-            .degrade_watermark
-            .is_some_and(|watermark| self.pool.pending() > watermark);
-        self.pool.execute_traced(trace, move || {
-            let _permit = permit;
-            // Per-worker span over this probe's lifecycle: the probe
-            // itself, then publishing + fan-out as ticket delivery.
-            let mut span = RequestSpan::begin_traced(&sink, trace);
-            // Deadline gate before the probe: serving an answer nobody
-            // is waiting for anymore only steals capacity from requests
-            // that can still make theirs.
-            if let Some(deadline) = deadline {
-                let now = Instant::now();
-                if now >= deadline {
-                    let late_ns =
-                        u64::try_from((now - deadline).as_nanos()).unwrap_or(u64::MAX);
-                    let result: Result<Arc<I::Answer>> =
-                        Err(CqapError::DeadlineExpired { late_ns });
-                    let waiters = {
-                        let mut state = state.lock().expect("state lock");
-                        state.pending.remove(&request).unwrap_or_default()
-                    };
-                    let dropped = 1 + waiters.len() as u64;
-                    stats.deadline_expired.fetch_add(dropped, Ordering::Relaxed);
-                    sink.add(CounterId::DeadlinesExpired, dropped);
-                    for waiter in waiters {
-                        let _ = waiter.send(clone_result(&result));
-                    }
-                    span.lap(StageId::TicketDelivery);
-                    if let Some(submitted) = submitted {
-                        sink.trace_finish(
-                            trace,
-                            u64::try_from(submitted.elapsed().as_nanos()).unwrap_or(u64::MAX),
-                        );
-                    }
-                    let _ = tx.send(result);
-                    return;
-                }
-            }
-            let (result, degraded) = {
-                let _scope = TraceScope::enter(trace);
-                match degrade
-                    .then(|| degraded_guarded(index.as_ref(), &request))
-                    .flatten()
-                {
-                    Some(cheap) => (cheap.map(Arc::new), true),
-                    None => (
-                        answer_guarded(index.as_ref(), &request).map(Arc::new),
-                        false,
-                    ),
-                }
-            };
-            span.lap(StageId::BackendProbe);
-            if degraded {
-                stats.degraded.fetch_add(1, Ordering::Relaxed);
-                sink.incr(CounterId::DegradedAnswers);
-            }
-            if result.is_err() {
-                stats.errors.fetch_add(1, Ordering::Relaxed);
-            }
-            let waiters = {
-                let mut state = state.lock().expect("state lock");
-                // Degraded answers are never cached: a warm hit must not
-                // keep serving the cheap answer after the overload ends.
-                if !degraded {
-                    if let Ok(answer) = &result {
-                        state.cache.insert(request.clone(), Arc::clone(answer));
-                    }
-                }
-                state.pending.remove(&request).unwrap_or_default()
-            };
-            for waiter in waiters {
-                let _ = waiter.send(clone_result(&result));
-            }
-            // Record the delivery lap before the final send: the send
-            // is what unblocks the caller, and recording first keeps
-            // "a resolved ticket implies a recorded delivery" true for
-            // anyone snapshotting right after a wait().
-            span.lap(StageId::TicketDelivery);
-            if let Some(submitted) = submitted {
-                sink.trace_finish(
-                    trace,
-                    u64::try_from(submitted.elapsed().as_nanos()).unwrap_or(u64::MAX),
-                );
-            }
-            let _ = tx.send(result);
-        });
-    }
-
-    /// Runs one bulk probe for a coalesced group on the pool: computes the
-    /// bulk answer once, then per member extracts its answer, publishes it
-    /// to the cache under the member's own key, drains that key's pending
-    /// waiters, and resolves the member's channel. A bulk failure fans the
-    /// error out to every member (counted as one probe error).
-    ///
-    /// Each part carries its own optional deadline: the bulk probe is
-    /// skipped only when every member has expired, and an individually
-    /// late member resolves with [`CqapError::DeadlineExpired`] instead
-    /// of its extracted answer. The group holds one admission `permit`
-    /// (it is one backend probe), released when the job finishes.
-    fn dispatch_coalesced(
-        &self,
-        bulk: I::Request,
-        parts: Vec<(
-            I::Request,
-            mpsc::Sender<Result<Arc<I::Answer>>>,
-            Option<Instant>,
-        )>,
-        trace: TraceId,
-        permit: Option<AdmissionPermit>,
-    ) {
-        let index = Arc::clone(&self.index);
-        let state = Arc::clone(&self.state);
-        let stats = Arc::clone(&self.stats);
-        let sink = self.sink.clone();
-        self.pool.execute_traced(trace, move || {
-            let _permit = permit;
-            let mut span = RequestSpan::begin_traced(&sink, trace);
-            // The bulk probe runs unless *every* member's deadline has
-            // already passed: as long as one member can still use the
-            // answer, the group's work is not wasted.
-            let now = Instant::now();
-            let all_expired = !parts.is_empty()
-                && parts
-                    .iter()
-                    .all(|(_, _, deadline)| deadline.is_some_and(|d| now >= d));
-            let bulk_answer = if all_expired {
-                Err(CqapError::Other("coalesced group fully expired".into()))
-            } else {
-                let _scope = TraceScope::enter(trace);
-                answer_guarded(index.as_ref(), &bulk)
-            };
-            span.lap(StageId::BackendProbe);
-            if bulk_answer.is_err() && !all_expired {
-                stats.errors.fetch_add(1, Ordering::Relaxed);
-            }
-            let mut resolved = Vec::with_capacity(parts.len());
-            for (request, tx, deadline) in parts {
-                // Per-member expiry before extraction: a member that is
-                // already late gets the typed deadline error even when
-                // the group's bulk answer exists.
-                let expired_ns = deadline.and_then(|deadline| {
-                    let now = Instant::now();
-                    (now >= deadline)
-                        .then(|| u64::try_from((now - deadline).as_nanos()).unwrap_or(u64::MAX))
+        match self.gate.as_ref().map(AdmissionGate::admit).transpose() {
+            Err(refusal) => self.shared.dispatch(job, index, None, false, Some(refusal)),
+            Ok(permit) => {
+                let degrade = job.bulk.is_none()
+                    && self
+                        .degrade_watermark
+                        .is_some_and(|watermark| self.pool.pending() > watermark);
+                let shared = Arc::clone(&self.shared);
+                self.pool.execute_traced(job.trace, move || {
+                    shared.dispatch(job, index, permit, degrade, None);
                 });
-                let (result, expired) = match (expired_ns, &bulk_answer) {
-                    (Some(late_ns), _) => (Err(CqapError::DeadlineExpired { late_ns }), true),
-                    (None, Ok(answer)) => {
-                        let extracted =
-                            extract_guarded(index.as_ref(), answer, &request).map(Arc::new);
-                        if extracted.is_err() {
-                            stats.errors.fetch_add(1, Ordering::Relaxed);
-                        }
-                        (extracted, false)
-                    }
-                    (None, Err(error)) => (Err(error.clone()), false),
-                };
-                let waiters = {
-                    let mut state = state.lock().expect("state lock");
-                    if let Ok(answer) = &result {
-                        state.cache.insert(request.clone(), Arc::clone(answer));
-                    }
-                    state.pending.remove(&request).unwrap_or_default()
-                };
-                if expired {
-                    let dropped = 1 + waiters.len() as u64;
-                    stats.deadline_expired.fetch_add(dropped, Ordering::Relaxed);
-                    sink.add(CounterId::DeadlinesExpired, dropped);
-                }
-                for waiter in waiters {
-                    let _ = waiter.send(clone_result(&result));
-                }
-                resolved.push((tx, result));
             }
-            // Extraction, publication and waiter fan-out for the whole
-            // group count as one delivery observation, recorded before
-            // the member sends so a caller that saw its answer also
-            // sees the recording.
-            span.lap(StageId::TicketDelivery);
-            for (tx, result) in resolved {
-                let _ = tx.send(result);
-            }
-        });
+        }
     }
 
     /// Submits one request; the returned [`Ticket`] resolves to its answer.
     /// Cache hits resolve immediately without entering the pool, and
     /// concurrent submits of one key share a single index probe.
     ///
-    /// With admission configured ([`ServeConfig::admission`]) the submit
-    /// passes the gate first: under the shed policy an over-limit
-    /// request's ticket resolves immediately with
-    /// [`CqapError::Overloaded`] (see [`ServeStats::shed`]); under the
-    /// blocking policies this call waits for a slot before returning.
+    /// With admission configured ([`ServeConfig::admission`]) a request
+    /// that must probe the index takes a gate slot; past the bound its
+    /// ticket resolves immediately with [`CqapError::Overloaded`] (see
+    /// [`ServeStats::shed`]). This call never blocks.
     ///
     /// When the sink carries a flight recorder, a trace id is allocated
     /// per the sampling policy and the request's whole lifecycle (queue
     /// wait, probe, delivery, store-side leaf events) records against it.
     pub fn submit(&self, request: I::Request) -> Ticket<Arc<I::Answer>> {
-        let trace = self.sink.trace_begin();
+        let trace = self.shared.sink.trace_begin();
         let submitted = trace.is_sampled().then(Instant::now);
         self.submit_inner(request, trace, submitted, None)
     }
@@ -782,43 +668,16 @@ impl<I: BatchAnswer + 'static> ServeRuntime<I> {
     /// [`CqapError::DeadlineExpired`] — a late request never hangs its
     /// ticket and never costs a probe the caller no longer wants. A
     /// request that arrives already expired is rejected at submission,
-    /// before the admission gate. Cache hits and joins of in-flight
-    /// probes ignore the deadline: the answer is already paid for.
+    /// before the lookup. Cache hits and joins of in-flight probes ignore
+    /// the deadline: the answer is already paid for.
     pub fn submit_with_deadline(
         &self,
         request: I::Request,
         deadline: Instant,
     ) -> Ticket<Arc<I::Answer>> {
-        let trace = self.sink.trace_begin();
+        let trace = self.shared.sink.trace_begin();
         let submitted = trace.is_sampled().then(Instant::now);
         self.submit_inner(request, trace, submitted, Some(deadline))
-    }
-
-    /// Submits `request` and waits for its answer, retrying shed
-    /// submissions ([`CqapError::Overloaded`]) under `policy`'s jittered
-    /// exponential backoff. Any other error — including deadline expiry —
-    /// propagates immediately without a retry.
-    ///
-    /// # Errors
-    /// The last `Overloaded` once the retry budget is exhausted, or the
-    /// first non-overload error.
-    pub fn submit_with_retry(
-        &self,
-        request: I::Request,
-        policy: RetryPolicy,
-    ) -> Result<Arc<I::Answer>> {
-        retry_overloaded(policy, || self.submit(request.clone()).wait())
-    }
-
-    /// Commits the root total for a submit that owns its trace (see
-    /// [`submit`](Self::submit)); a no-op for caller-allocated traces.
-    fn finish_root(&self, trace: TraceId, submitted: Option<Instant>) {
-        if let Some(submitted) = submitted {
-            self.sink.trace_finish(
-                trace,
-                u64::try_from(submitted.elapsed().as_nanos()).unwrap_or(u64::MAX),
-            );
-        }
     }
 
     fn submit_inner(
@@ -829,48 +688,42 @@ impl<I: BatchAnswer + 'static> ServeRuntime<I> {
         deadline: Option<Instant>,
     ) -> Ticket<Arc<I::Answer>> {
         let (tx, rx) = mpsc::channel();
-        self.stats.served.fetch_add(1, Ordering::Relaxed);
-        // A request that arrives already expired is dropped before the
-        // admission gate — no point holding a slot for it.
-        if let Some(deadline) = deadline {
-            let now = Instant::now();
-            if now >= deadline {
-                let late_ns = u64::try_from((now - deadline).as_nanos()).unwrap_or(u64::MAX);
-                self.stats.deadline_expired.fetch_add(1, Ordering::Relaxed);
-                self.sink.incr(CounterId::DeadlinesExpired);
-                self.finish_root(trace, submitted);
-                let _ = tx.send(Err(CqapError::DeadlineExpired { late_ns }));
-                return Ticket { rx };
-            }
+        let shared = &self.shared;
+        shared.stats.served.fetch_add(1, Ordering::Relaxed);
+        // A request that arrives already expired never reaches the lookup:
+        // it holds no pending entry, so it resolves right here.
+        if let Some(expired) = deadline.and_then(|at| expiry(at, Instant::now())) {
+            shared.stats.deadline_expired.fetch_add(1, Ordering::Relaxed);
+            shared.sink.incr(CounterId::DeadlinesExpired);
+            shared.finish_root(trace, submitted);
+            let _ = tx.send(Err(expired));
+            return Ticket { rx };
         }
-        // Admission before lookup: one slot per submitted request, held
-        // from the gate to resolution. Hits and joins release theirs
-        // right away below; probes carry theirs into the worker.
-        let permit = match &self.gate {
-            Some(gate) => match gate.admit(trace) {
-                Ok(permit) => Some(permit),
-                Err(error) => {
-                    self.stats.shed.fetch_add(1, Ordering::Relaxed);
-                    self.sink.incr(CounterId::RequestsShed);
-                    self.finish_root(trace, submitted);
-                    let _ = tx.send(Err(error));
-                    return Ticket { rx };
-                }
-            },
-            None => None,
-        };
-        match self.lookup(&request, &tx) {
+        let timer = shared.sink.start();
+        let lookup = self.lookup(
+            &mut shared.state.lock().expect("state lock"),
+            &request,
+            || tx.clone(),
+        );
+        shared.sink.stop(timer, StageId::CacheLookup);
+        match lookup {
             Lookup::Hit(answer) => {
-                drop(permit);
                 // A root-owning submit commits the hit's (tiny) total, so
                 // cache hits still show up as committed traces.
-                self.finish_root(trace, submitted);
+                shared.finish_root(trace, submitted);
                 let _ = tx.send(Ok(answer));
             }
-            Lookup::Joined => drop(permit),
-            Lookup::Probe => {
-                self.dispatch_probe(request, tx, trace, submitted, deadline, permit);
-            }
+            Lookup::Joined => {}
+            Lookup::Probe => self.launch(Job {
+                bulk: None,
+                members: vec![Member {
+                    request,
+                    tx,
+                    deadline,
+                }],
+                trace,
+                submitted,
+            }),
         }
         Ticket { rx }
     }
@@ -898,8 +751,8 @@ impl<I: BatchAnswer + 'static> ServeRuntime<I> {
     /// whole batch on the first error.
     ///
     /// Deadlines shape the batch in two ways. Dispatch is
-    /// earliest-deadline-first: probe jobs (coalesced groups and
-    /// singles) enter the pool ordered by their earliest member
+    /// earliest-deadline-first: probe jobs (coalesced groups and lone
+    /// probes) enter the pool ordered by their earliest position's
     /// deadline, so the most urgent work queues first. And expiry is
     /// checked on the worker before each probe: a request whose deadline
     /// passed while queued resolves as [`CqapError::DeadlineExpired`]
@@ -928,13 +781,15 @@ impl<I: BatchAnswer + 'static> ServeRuntime<I> {
         requests: &[I::Request],
         deadlines: Option<&[Instant]>,
     ) -> Vec<Result<Arc<I::Answer>>> {
+        let shared = &self.shared;
         // One trace id covers the whole batch: its lookup/coalesce laps
         // and every probe it dispatches share the id, and the root spans
         // submission to the last gathered answer.
-        let trace = self.sink.trace_begin();
+        let trace = shared.sink.trace_begin();
         let submitted = trace.is_sampled().then(Instant::now);
         let mut answers: Vec<Option<Result<Arc<I::Answer>>>> = vec![None; requests.len()];
-        self.stats
+        shared
+            .stats
             .served
             .fetch_add(requests.len() as u64, Ordering::Relaxed);
 
@@ -945,70 +800,44 @@ impl<I: BatchAnswer + 'static> ServeRuntime<I> {
             groups.entry(request).or_default().push(position);
         }
 
-        // One state-lock pass to split hits / in-flight joins / fresh
-        // probes — the lock covers only O(1) lookups and refcount bumps;
-        // fan-out and dispatch happen after release, because workers
-        // publish their answers into the same state and must not queue
-        // behind the dispatcher.
-        let mut hits: Vec<(Arc<I::Answer>, Vec<usize>)> = Vec::new();
+        // One state-lock pass through the submit path's lookup — the lock
+        // covers only O(1) lookups and refcount bumps; dispatch happens
+        // after release, because workers publish their answers into the
+        // same state and must not queue behind the dispatcher.
         let mut probes: Vec<(I::Request, Vec<usize>)> = Vec::new();
         // Probes already in flight elsewhere that this batch joined:
         // `(receiver, positions)`, resolved by the owning caller's worker.
-        let mut joined: Vec<(mpsc::Receiver<Result<Arc<I::Answer>>>, Vec<usize>)> = Vec::new();
-        let lookup_timer = self.sink.start();
+        let mut joined = Vec::new();
+        let lookup_timer = shared.sink.start();
         let lookup_started = submitted.map(|_| Instant::now());
         {
-            let mut state = self.state.lock().expect("state lock");
+            let mut state = shared.state.lock().expect("state lock");
             for (request, positions) in groups {
                 let duplicates = positions.len() as u64 - 1;
-                self.stats.dedup_hits.fetch_add(duplicates, Ordering::Relaxed);
-                if let Some(answer) = state.cache.get(request) {
-                    self.stats.cache_hits.fetch_add(1, Ordering::Relaxed);
-                    hits.push((answer, positions));
-                } else if let Some(waiters) = state.pending.get_mut(request) {
-                    self.stats.inflight_hits.fetch_add(1, Ordering::Relaxed);
-                    let (wtx, wrx) = mpsc::channel();
-                    waiters.push(wtx);
-                    joined.push((wrx, positions));
-                } else {
-                    self.stats.cache_misses.fetch_add(1, Ordering::Relaxed);
-                    state.pending.insert(request.clone(), Vec::new());
-                    probes.push((request.clone(), positions));
+                shared.stats.dedup_hits.fetch_add(duplicates, Ordering::Relaxed);
+                let mut waiter = None;
+                let lookup = self.lookup(&mut state, request, || {
+                    let (tx, rx) = mpsc::channel();
+                    waiter = Some(rx);
+                    tx
+                });
+                match lookup {
+                    Lookup::Hit(answer) => {
+                        for position in positions {
+                            answers[position] = Some(Ok(Arc::clone(&answer)));
+                        }
+                    }
+                    Lookup::Joined => joined.extend(waiter.map(|rx| (rx, positions))),
+                    Lookup::Probe => probes.push((request.clone(), positions)),
                 }
             }
         }
-        self.sink.stop(lookup_timer, StageId::CacheLookup);
+        shared.sink.stop(lookup_timer, StageId::CacheLookup);
         if let Some(started) = lookup_started {
-            self.sink
+            shared
+                .sink
                 .trace_span(trace, TraceStage::CacheLookup, started, Instant::now(), 0);
         }
-        for (answer, positions) in hits {
-            for position in positions {
-                answers[position] = Some(Ok(Arc::clone(&answer)));
-            }
-        }
-
-        let record = |result: Result<Arc<I::Answer>>,
-                      positions: Vec<usize>,
-                      answers: &mut Vec<Option<Result<Arc<I::Answer>>>>| {
-            for position in positions {
-                answers[position] = Some(clone_result(&result));
-            }
-        };
-
-        // The dedup group's deadline window: earliest member for EDF
-        // ordering, latest member for the worker-side drop check (the
-        // probe still runs while anyone in the group can use it).
-        let group_deadline = |positions: &[usize], earliest: bool| -> Option<Instant> {
-            deadlines.map(|ds| {
-                let per_position = positions.iter().map(|&p| ds[p]);
-                if earliest {
-                    per_position.min().expect("non-empty group")
-                } else {
-                    per_position.max().expect("non-empty group")
-                }
-            })
-        };
 
         // Coalesce (§6.4): distinct fresh probes sharing a coalescing
         // class — for the framework drivers, single-tuple requests over
@@ -1023,166 +852,104 @@ impl<I: BatchAnswer + 'static> ServeRuntime<I> {
         // probe to the pool.
         let had_probes = !probes.is_empty();
         let coalesce_timer = if had_probes {
-            self.sink.start()
+            shared.sink.start()
         } else {
             StageTimer::disarmed()
         };
         let coalesce_started = if had_probes { lookup_started.map(|_| Instant::now()) } else { None };
-        let mut own: Vec<(mpsc::Receiver<Result<Arc<I::Answer>>>, Vec<usize>)> =
-            Vec::with_capacity(probes.len());
-        // Probe jobs awaiting dispatch as `(EDF key, worker-side drop
-        // deadline, job)`; built first so dispatch can order by urgency.
-        let mut jobs: Vec<(Option<Instant>, Option<Instant>, BatchJob<I>)> =
-            Vec::with_capacity(probes.len());
-        let mut singles: Vec<(I::Request, Vec<usize>)> = Vec::new();
-        let mut classes: FxHashMap<u64, Vec<(I::Request, Vec<usize>)>> = FxHashMap::default();
+        // Each own job member's receiver with its positions, gathered
+        // after dispatch together with the joined probes'.
+        let mut own = Vec::with_capacity(probes.len());
+        // One member per dedup group, with the group's deadline window:
+        // the earliest position orders dispatch (EDF), the latest decides
+        // the worker-side drop (the probe still runs while anyone in the
+        // group can use it).
+        let mut member = |request: I::Request, positions: Vec<usize>| {
+            let window = deadlines.map(|ds| {
+                let at = positions.iter().map(|&p| ds[p]);
+                let earliest = at.clone().min().expect("non-empty group");
+                (earliest, at.max().expect("non-empty group"))
+            });
+            let (tx, rx) = mpsc::channel();
+            own.push((rx, positions));
+            let deadline = window.map(|(_, latest)| latest);
+            (window.map(|(earliest, _)| earliest), Member { request, tx, deadline })
+        };
+        let job = |bulk, members| Job {
+            bulk,
+            members,
+            trace,
+            submitted: None,
+        };
+        // Probe jobs awaiting dispatch, each with its EDF key.
+        let mut jobs: Vec<(Option<Instant>, Job<I>)> = Vec::with_capacity(probes.len());
+        let mut classes: FxHashMap<Option<u64>, Vec<_>> = FxHashMap::default();
         for (request, positions) in probes {
-            // Guarded like the probe paths: a panicking classifier must
+            // Guarded like the probe itself: a panicking classifier must
             // not unwind serve_batch with this batch's keys stranded in
             // the pending map (later callers would wait on them forever).
-            let class = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                I::coalesce_class(&request)
-            }))
-            .unwrap_or(None);
-            match class {
-                Some(class) => classes.entry(class).or_default().push((request, positions)),
-                None => singles.push((request, positions)),
-            }
+            let class = guarded("coalesce_class", || Ok(I::coalesce_class(&request)));
+            classes.entry(class.ok().flatten()).or_default().push((request, positions));
         }
-        for (_, group) in classes {
-            if group.len() < 2 {
-                singles.extend(group);
-                continue;
-            }
-            let members: Vec<I::Request> = group.iter().map(|(r, _)| r.clone()).collect();
-            let merged = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                I::coalesce(&members)
-            }))
-            .unwrap_or_else(|panic| {
-                Err(CqapError::Other(format!(
-                    "coalesce panicked: {}",
-                    panic_message(panic)
-                )))
-            });
-            match merged {
-                Ok(bulk) => {
-                    self.stats
-                        .coalesced
-                        .fetch_add(group.len() as u64, Ordering::Relaxed);
-                    let mut parts = Vec::with_capacity(group.len());
-                    let mut edf: Option<Instant> = None;
-                    for (request, positions) in group {
-                        let member_deadline = group_deadline(&positions, false);
-                        edf = match (edf, group_deadline(&positions, true)) {
-                            (Some(a), Some(b)) => Some(a.min(b)),
-                            (a, None) => a,
-                            (None, b) => b,
-                        };
-                        let (ptx, prx) = mpsc::channel();
-                        parts.push((request, ptx, member_deadline));
-                        own.push((prx, positions));
-                    }
-                    jobs.push((edf, None, BatchJob::Coalesced(bulk, parts)));
+        for (class, group) in classes {
+            // Unclassed requests and groups of one probe alone, and so do
+            // the members of a group whose merge the index refused.
+            let merged = (class.is_some() && group.len() >= 2)
+                .then(|| {
+                    let requests: Vec<I::Request> = group.iter().map(|(r, _)| r.clone()).collect();
+                    guarded("coalesce", || I::coalesce(&requests)).ok()
+                })
+                .flatten();
+            let Some(bulk) = merged else {
+                for (request, positions) in group {
+                    let (earliest, lone) = member(request, positions);
+                    jobs.push((earliest, job(None, vec![lone])));
                 }
-                // The index refused the merge: dispatch the group one
-                // probe per request, as if it never coalesced.
-                Err(_) => singles.extend(group),
-            }
-        }
-        for (request, positions) in singles {
-            let edf = group_deadline(&positions, true);
-            let drop_deadline = group_deadline(&positions, false);
-            let (ptx, prx) = mpsc::channel();
-            own.push((prx, positions));
-            jobs.push((edf, drop_deadline, BatchJob::Single(request, ptx)));
+                continue;
+            };
+            shared
+                .stats
+                .coalesced
+                .fetch_add(group.len() as u64, Ordering::Relaxed);
+            let (earliest, members): (Vec<Option<Instant>>, Vec<Member<I>>) = group
+                .into_iter()
+                .map(|(request, positions)| member(request, positions))
+                .unzip();
+            jobs.push((earliest.into_iter().flatten().min(), job(Some(bulk), members)));
         }
         // Earliest-deadline-first dispatch: the most urgent job enters
-        // the pool's queue first. Jobs without a deadline go last; the
-        // no-deadline batch path keeps its original dispatch order.
+        // the pool's queue first (every job has a deadline when the batch
+        // does).
         if deadlines.is_some() {
-            jobs.sort_by(|(a, _, _), (b, _, _)| match (a, b) {
-                (Some(a), Some(b)) => a.cmp(b),
-                (Some(_), None) => std::cmp::Ordering::Less,
-                (None, Some(_)) => std::cmp::Ordering::Greater,
-                (None, None) => std::cmp::Ordering::Equal,
-            });
+            jobs.sort_by_key(|(earliest, _)| *earliest);
         }
-        // Dispatch in EDF order, charging admission one slot per probe
-        // job (a coalesced group is one backend probe). A shed job
-        // resolves all its members with the gate's error instead of
-        // dispatching; results still come back through each group's
-        // side channel, keeping the gather loop uniform.
-        for (_, drop_deadline, job) in jobs {
-            let permit = match &self.gate {
-                Some(gate) => match gate.admit(trace) {
-                    Ok(permit) => Some(permit),
-                    Err(error) => {
-                        self.shed_batch_job(job, &error);
-                        continue;
-                    }
-                },
-                None => None,
-            };
-            match job {
-                BatchJob::Single(request, ptx) => {
-                    self.dispatch_probe(request, ptx, trace, None, drop_deadline, permit);
-                }
-                BatchJob::Coalesced(bulk, parts) => {
-                    self.dispatch_coalesced(bulk, parts, trace, permit);
-                }
-            }
+        // Admission charges one slot per job; a shed job's members still
+        // resolve through their own channels, keeping the gather uniform.
+        for (_, next) in jobs {
+            self.launch(next);
         }
-        self.sink.stop(coalesce_timer, StageId::Coalesce);
+        shared.sink.stop(coalesce_timer, StageId::Coalesce);
         if let Some(started) = coalesce_started {
-            self.sink
+            shared
+                .sink
                 .trace_span(trace, TraceStage::Coalesce, started, Instant::now(), 0);
         }
 
-        for (prx, positions) in own.into_iter().chain(joined) {
-            let result = prx
+        for (rx, positions) in own.into_iter().chain(joined) {
+            let result = rx
                 .recv()
                 .unwrap_or_else(|_| Err(CqapError::Other("serve worker disappeared".into())));
-            record(result, positions, &mut answers);
+            for position in positions {
+                answers[position] = Some(result.clone());
+            }
         }
         // The batch owns its trace root: finish once every leg gathered,
         // spanning submission to the slowest answer.
-        if let Some(submitted) = submitted {
-            self.sink.trace_finish(
-                trace,
-                u64::try_from(submitted.elapsed().as_nanos()).unwrap_or(u64::MAX),
-            );
-        }
+        shared.finish_root(trace, submitted);
         answers
             .into_iter()
             .map(|a| a.expect("every position answered or errored"))
             .collect()
-    }
-
-    /// Resolves every member of a batch job that failed admission: the
-    /// members' pending entries are removed, waiters that joined since
-    /// the batch's lookup pass fan the same error, and each resolved
-    /// ticket (member channel or waiter) counts as shed.
-    fn shed_batch_job(&self, job: BatchJob<I>, error: &CqapError) {
-        let members: Vec<(I::Request, mpsc::Sender<Result<Arc<I::Answer>>>)> = match job {
-            BatchJob::Single(request, tx) => vec![(request, tx)],
-            BatchJob::Coalesced(_, parts) => {
-                parts.into_iter().map(|(r, tx, _)| (r, tx)).collect()
-            }
-        };
-        for (request, tx) in members {
-            let waiters = {
-                let mut state = self.state.lock().expect("state lock");
-                state.pending.remove(&request).unwrap_or_default()
-            };
-            let dropped = 1 + waiters.len() as u64;
-            self.stats.shed.fetch_add(dropped, Ordering::Relaxed);
-            self.sink.add(CounterId::RequestsShed, dropped);
-            let result: Result<Arc<I::Answer>> = Err(error.clone());
-            for waiter in waiters {
-                let _ = waiter.send(clone_result(&result));
-            }
-            let _ = tx.send(result);
-        }
     }
 }
 
@@ -1750,37 +1517,6 @@ mod tests {
     }
 
     #[test]
-    fn block_admission_backpressures_until_a_slot_frees() {
-        let (index, gate) = GatedIndex::new();
-        let runtime = Arc::new(ServeRuntime::with_config(
-            Arc::clone(&index),
-            ServeConfig {
-                threads: 2,
-                cache_capacity: 8,
-                admission: Some(AdmissionConfig::block(1, None)),
-                ..ServeConfig::default()
-            },
-        ));
-        let first = runtime.submit(1); // holds the only slot at the gate
-        let blocked_runtime = Arc::clone(&runtime);
-        let blocked = std::thread::spawn(move || blocked_runtime.submit(2).wait());
-        // The blocked submitter admits only after key 1's probe finishes,
-        // so until the first gate token is sent, exactly one probe runs.
-        let patience = Instant::now() + Duration::from_secs(10);
-        while index.probes.load(Ordering::Relaxed) == 0 {
-            assert!(Instant::now() < patience, "first probe never started");
-            std::thread::yield_now();
-        }
-        std::thread::sleep(Duration::from_millis(20));
-        assert_eq!(index.probes.load(Ordering::Relaxed), 1, "key 2 still gated out");
-        gate.send(()).expect("worker waiting");
-        gate.send(()).expect("worker waiting");
-        assert_eq!(*first.wait().unwrap(), 10);
-        assert_eq!(*blocked.join().unwrap().unwrap(), 20);
-        assert_eq!(runtime.stats().shed, 0, "blocking admission sheds nothing");
-    }
-
-    #[test]
     fn queued_request_past_its_deadline_is_dropped_before_the_probe() {
         let (index, gate) = GatedIndex::new();
         let runtime = ServeRuntime::with_config(
@@ -1824,64 +1560,160 @@ mod tests {
         assert_eq!(stats.cache_misses, 0, "the lookup was never consulted");
     }
 
+    /// Release before send: a worker lets go of the index before the send
+    /// that resolves a ticket, so the runtime holds the only handle again
+    /// by the time any caller sees an answer, and `apply_delta` straight
+    /// after succeeds on the first try — after a blocking `wait()`, after
+    /// a polling `try_wait()` (which sees the answer the moment it is
+    /// sent) and after a `serve_batch`.
     #[test]
-    fn wait_timeout_bounds_the_wait_and_keeps_the_ticket_usable() {
-        let (index, gate) = GatedIndex::new();
-        let runtime = ServeRuntime::with_config(
-            Arc::clone(&index),
+    fn apply_delta_right_after_an_answer_finds_the_index_free() {
+        use cqap_delta::DeltaBatch;
+
+        let (index, requests) = small_index();
+        let mut runtime = ServeRuntime::with_config(
+            index,
             ServeConfig {
-                threads: 1,
-                cache_capacity: 8,
+                threads: 2,
+                cache_capacity: 64,
                 ..ServeConfig::default()
             },
         );
-        let ticket = runtime.submit(4);
-        assert!(matches!(
-            ticket.wait_timeout(Duration::from_millis(10)),
-            Err(WaitTimeout::Elapsed)
-        ));
-        gate.send(()).expect("worker waiting");
-        // The timed-out ticket is still live: the answer arrives on the
-        // same channel once the probe completes, and dropping it instead
-        // would not leak the pending-map entry (the worker removed it
-        // when publishing).
-        assert_eq!(*ticket.wait_timeout(Duration::from_secs(10)).unwrap(), 40);
+        let edge = vec![cqap_common::Tuple::pair(1_000, 1_001)];
+        for round in 0..200 {
+            let request = &requests[round % requests.len()];
+            match round % 3 {
+                0 => {
+                    runtime.submit(request.clone()).wait().unwrap();
+                }
+                1 => {
+                    let ticket = runtime.submit(request.clone());
+                    let answer = loop {
+                        match ticket.try_wait() {
+                            Some(answer) => break answer,
+                            None => std::hint::spin_loop(),
+                        }
+                    };
+                    answer.unwrap();
+                }
+                _ => {
+                    runtime.serve_batch(&requests[..8]).unwrap();
+                }
+            }
+            // Every batch has a net effect, so it clears the cache and
+            // the next round probes the index again.
+            let batch = if round % 2 == 0 {
+                DeltaBatch::new().insert("R1", edge.clone())
+            } else {
+                DeltaBatch::new().delete("R1", edge.clone())
+            };
+            if let Err(error) = runtime.apply_delta(&batch) {
+                panic!("round {round}: {error}");
+            }
+        }
+        assert_eq!(runtime.stats().deltas_applied, 200);
     }
 
+    /// A driver index whose probes wait for the test's go-ahead.
+    struct GatedCqap {
+        inner: CqapIndex,
+        gate: Mutex<mpsc::Receiver<()>>,
+    }
+
+    impl crate::BatchAnswer for GatedCqap {
+        type Request = AccessRequest;
+        type Answer = cqap_relation::Relation;
+
+        fn answer_one(&self, request: &AccessRequest) -> Result<cqap_relation::Relation> {
+            self.gate
+                .lock()
+                .expect("gate lock")
+                .recv()
+                .expect("gate open");
+            self.inner.answer(request)
+        }
+    }
+
+    impl cqap_delta::ApplyDelta for GatedCqap {
+        fn apply_delta(
+            &mut self,
+            batch: &cqap_delta::DeltaBatch,
+        ) -> Result<cqap_delta::DeltaStats> {
+            self.inner.apply_delta(batch)
+        }
+    }
+
+    /// Publish before release: a worker holds the index until its answer
+    /// is cached and its pending entry is gone, so a delta applied while a
+    /// ticket is unresolved can never be followed by the worker caching
+    /// its pre-delta answer, nor by a later submit joining that probe.
+    /// Each round pins the worker between its probe and its publish (the
+    /// test holds the state lock before opening the probe's gate), checks
+    /// the index is still held there, then applies a delta that changes
+    /// the key's answer and requires the next submit of the key to match
+    /// the oracle over the updated database.
     #[test]
-    fn submit_with_retry_rides_out_a_transient_overload() {
-        let (index, gate) = GatedIndex::new();
-        let runtime = ServeRuntime::with_config(
-            Arc::clone(&index),
+    fn a_delta_never_lands_between_a_probe_and_its_publish() {
+        use cqap_delta::DeltaBatch;
+        use cqap_yannakakis::naive_answer;
+
+        let (index, requests) = small_index();
+        let (gate, rx) = mpsc::channel();
+        let index = GatedCqap {
+            inner: Arc::into_inner(index).expect("sole handle"),
+            gate: Mutex::new(rx),
+        };
+        let mut runtime = ServeRuntime::with_config(
+            Arc::new(index),
             ServeConfig {
-                threads: 1,
-                cache_capacity: 8,
-                admission: Some(AdmissionConfig::shed(1)),
+                threads: 2,
+                cache_capacity: 64,
                 ..ServeConfig::default()
             },
         );
-        let first = runtime.submit(1); // holds the only slot at the gate
-        // A plain submit sheds deterministically while the slot is held.
-        let error = runtime.submit(2).wait().expect_err("slot held");
-        assert!(error.is_overloaded());
-        // Free the slot mid-backoff; the second token pre-buffers for the
-        // retry's own probe.
-        let release = std::thread::spawn(move || {
-            std::thread::sleep(Duration::from_millis(15));
+        let shared = Arc::clone(&runtime.shared);
+        for round in 0..20 {
+            // A key off the graph, empty until this round's delta inserts
+            // the 3-path base → base+1 → base+2 → base+3.
+            let base = 1_000 + 10 * round;
+            let key = AccessRequest::single(requests[0].access(), &[base, base + 3]).unwrap();
+            let unresolved = runtime.submit(key.clone());
+            {
+                let _pinned = shared.state.lock().expect("state lock");
+                gate.send(()).expect("worker waiting");
+                std::thread::sleep(Duration::from_millis(5));
+                assert!(
+                    Arc::strong_count(runtime.index()) > 1,
+                    "round {round}: the worker let go of the index before publishing"
+                );
+            }
+            let batch = ["R1", "R2", "R3"]
+                .iter()
+                .zip(base..)
+                .fold(DeltaBatch::new(), |batch, (relation, from)| {
+                    batch.insert(*relation, vec![cqap_common::Tuple::pair(from, from + 1)])
+                });
+            // The worker may still be publishing: wait for its handle to go.
+            let patience = Instant::now() + Duration::from_secs(10);
+            let stats = loop {
+                match runtime.apply_delta(&batch) {
+                    Ok(stats) => break stats,
+                    Err(error) if error.to_string().contains("is shared") => {
+                        assert!(Instant::now() < patience, "round {round}: {error}");
+                        std::thread::yield_now();
+                    }
+                    Err(error) => panic!("round {round}: {error}"),
+                }
+            };
+            assert!(!stats.is_noop());
+            assert!(unresolved.wait().unwrap().is_empty(), "probed before the delta");
             gate.send(()).expect("worker waiting");
-            gate.send(()).expect("second token buffers for the retry");
-        });
-        let policy = RetryPolicy {
-            max_retries: 200,
-            base_delay: Duration::from_millis(2),
-            max_delay: Duration::from_millis(10),
-            jitter_seed: 42,
-        };
-        let answer = runtime.submit_with_retry(2, policy).unwrap();
-        assert_eq!(*answer, 20);
-        assert!(runtime.stats().shed >= 1);
-        assert_eq!(*first.wait().unwrap(), 10);
-        release.join().unwrap();
+            let fresh = runtime.submit(key.clone()).wait().unwrap();
+            let index = &runtime.index().inner;
+            let expected = naive_answer(index.cqap(), index.database(), &key).unwrap();
+            assert!(!expected.is_empty(), "the delta inserted a path for the key");
+            assert_eq!(*fresh, expected, "round {round}: a pre-delta answer was served");
+        }
     }
 
     /// An index that records the order keys are probed in, gated so the

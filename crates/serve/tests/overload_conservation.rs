@@ -1,29 +1,37 @@
 //! Property test: overload control **conserves requests**.
 //!
-//! Under every admission policy, request mix, and deadline mix, each
-//! submitted request resolves to exactly one of {answered, shed,
-//! deadline-expired} — nothing is double-counted, nothing vanishes, and
-//! no ticket is left unresolved at shutdown. The runtime's own counters
-//! must agree exactly with the client-side classification, and every
-//! answered request must equal the unthrottled reference answer: load
-//! shedding may drop work, but it must never corrupt it.
+//! Under every request mix, gate limit and deadline mix — submitted one
+//! by one or as coalesced batches — each submitted request resolves to
+//! exactly one of {answered, shed, deadline-expired}: nothing is
+//! double-counted, nothing vanishes, and no ticket is left unresolved at
+//! shutdown. The runtime's own counters must agree exactly with the
+//! client-side classification, and every answered request must equal the
+//! unthrottled reference answer: load shedding may drop work, but it must
+//! never corrupt it.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use cqap_decomp::families::pmtds_3reach_fig1;
 use cqap_indexes::TwoReachIndex;
+use cqap_panda::CqapIndex;
 use cqap_query::workload::{zipf_pair_requests, Graph};
-use cqap_serve::{AdmissionConfig, ServeConfig, ServeRuntime};
+use cqap_query::AccessRequest;
+use cqap_relation::Relation;
+use cqap_serve::{AdmissionConfig, ServeConfig, ServeError, ServeRuntime, Ticket};
 use proptest::prelude::*;
 
-/// The three gate policies under test, by case index. `Block` gets a
-/// generous timeout so a pathologically slow CI machine degrades into
-/// shedding rather than wedging the test.
-fn admission(policy: usize, max_pending: usize) -> AdmissionConfig {
-    match policy {
-        0 => AdmissionConfig::shed(max_pending),
-        1 => AdmissionConfig::block(max_pending, Some(Duration::from_secs(10))),
-        _ => AdmissionConfig::semaphore(max_pending),
+/// Batch size of the batched mode.
+const CHUNK: usize = 16;
+
+/// Which of {answered, shed, expired} a result is (`None` for any other
+/// error).
+fn outcome(result: &Result<Arc<Relation>, ServeError>) -> Option<usize> {
+    match result {
+        Ok(_) => Some(0),
+        Err(error) if error.is_overloaded() => Some(1),
+        Err(error) if error.is_deadline_expired() => Some(2),
+        Err(_) => None,
     }
 }
 
@@ -32,101 +40,150 @@ proptest! {
 
     /// Conservation: `submitted == answered + shed + deadline_expired`,
     /// exactly, on both the client's ledger and the runtime's counters —
-    /// across policies, tiny gate limits, and a mixed deadline stream.
+    /// across tiny gate limits, a mixed deadline stream, and two modes:
+    /// per-request submits (`mode = 0`) or `serve_batch_with_deadlines`
+    /// in chunks of [`CHUNK`], whose same-pattern requests coalesce into
+    /// bulk probe jobs (`mode = 1`).
     #[test]
     fn every_request_is_answered_shed_or_expired(
         seed in 0u64..10_000,
         n in 100usize..300,
         max_pending in 1usize..6,
-        policy in 0usize..3,
+        mode in 0usize..2,
     ) {
+        let (cqap, pmtds) = pmtds_3reach_fig1().unwrap();
         let graph = Graph::random(50, 220, seed);
-        let index = Arc::new(TwoReachIndex::build(&graph, 20_000));
-        let requests = zipf_pair_requests(&graph, n, 1.1, seed ^ 0xbeef);
-        let reference: Vec<bool> =
-            requests.iter().map(|&(u, v)| index.query(u, v)).collect();
+        let index = Arc::new(CqapIndex::build(&cqap, &graph.as_path_database(3), &pmtds).unwrap());
+        let requests: Vec<AccessRequest> = zipf_pair_requests(&graph, n, 1.1, seed ^ 0xbeef)
+            .into_iter()
+            .map(|(u, v)| AccessRequest::single(cqap.access(), &[u, v]).unwrap())
+            .collect();
+        let reference: Vec<Relation> =
+            requests.iter().map(|request| index.answer(request).unwrap()).collect();
 
         let runtime = ServeRuntime::with_config(
             Arc::clone(&index),
             ServeConfig {
                 threads: 2,
                 cache_capacity: 32,
-                admission: Some(admission(policy, max_pending)),
+                admission: Some(AdmissionConfig::shed(max_pending)),
                 ..ServeConfig::default()
             },
         );
 
         // Mixed deadline stream: most requests are deadline-free, every
         // 5th carries a comfortable deadline, every 10th an immediate one
-        // (already or nearly expired at the gate). Whether a given ticket
+        // (already or nearly expired at the door). Whether a given request
         // lands in `answered` or `expired` is timing-dependent; the
         // conservation identity must hold either way.
-        let tickets: Vec<_> = requests
-            .iter()
-            .enumerate()
-            .map(|(i, &request)| {
-                if i % 10 == 9 {
-                    runtime.submit_with_deadline(request, Instant::now())
-                } else if i % 5 == 4 {
-                    runtime.submit_with_deadline(
-                        request,
-                        Instant::now() + Duration::from_secs(30),
-                    )
-                } else {
-                    runtime.submit(request)
-                }
-            })
-            .collect();
+        let deadline = |i: usize| {
+            if i % 10 == 9 {
+                Some(Instant::now())
+            } else if i % 5 == 4 {
+                Some(Instant::now() + Duration::from_secs(30))
+            } else {
+                None
+            }
+        };
+        // Every request resolves — the results being collected at all is
+        // the "no request vanishes" half of the property.
+        let results: Vec<Result<Arc<Relation>, ServeError>> = if mode == 0 {
+            let tickets: Vec<_> = requests
+                .iter()
+                .enumerate()
+                .map(|(i, request)| match deadline(i) {
+                    Some(at) => runtime.submit_with_deadline(request.clone(), at),
+                    None => runtime.submit(request.clone()),
+                })
+                .collect();
+            tickets.into_iter().map(Ticket::wait).collect()
+        } else {
+            // Four threads take turns at the chunks, so one batch's jobs
+            // meet the others' at the gate and in the pending map.
+            let batch = |c: usize| {
+                let chunk = &requests[c * CHUNK..n.min((c + 1) * CHUNK)];
+                // A deadline-free request gets one far past the run.
+                let far = Instant::now() + Duration::from_secs(3_600);
+                let deadlines: Vec<Instant> = (c * CHUNK..c * CHUNK + chunk.len())
+                    .map(|i| deadline(i).unwrap_or(far))
+                    .collect();
+                (c, runtime.serve_batch_with_deadlines(chunk, &deadlines))
+            };
+            let chunks = n.div_ceil(CHUNK);
+            let mut batches: Vec<_> = std::thread::scope(|scope| {
+                let threads: Vec<_> = (0..4)
+                    .map(|t| {
+                        scope.spawn(move || (t..chunks).step_by(4).map(batch).collect::<Vec<_>>())
+                    })
+                    .collect();
+                threads.into_iter().flat_map(|t| t.join().unwrap()).collect()
+            });
+            batches.sort_by_key(|(c, _)| *c);
+            batches.into_iter().flat_map(|(_, results)| results).collect()
+        };
 
-        // Every ticket resolves — `wait` returning at all is the "no
-        // request vanishes" half of the property.
-        let (mut answered, mut shed, mut expired) = (0u64, 0u64, 0u64);
-        for (position, ticket) in tickets.into_iter().enumerate() {
-            match ticket.wait() {
-                Ok(answer) => {
-                    answered += 1;
-                    prop_assert_eq!(
-                        *answer, reference[position],
-                        "throttled answer diverged at position {}", position
-                    );
-                }
-                Err(error) if error.is_overloaded() => shed += 1,
-                Err(error) if error.is_deadline_expired() => expired += 1,
-                Err(error) => prop_assert!(false, "unexpected error: {}", error),
+        // The runtime counts a shed or an expiry once per resolution: per
+        // ticket, or in a batch per dedup group (every position of one
+        // request in one chunk shares one outcome, counted at the first).
+        let first_of = |p: usize| {
+            if mode == 0 {
+                p
+            } else {
+                (p - p % CHUNK..p).find(|&q| requests[q] == requests[p]).unwrap_or(p)
+            }
+        };
+        let (mut per_request, mut per_resolution) = ([0u64; 3], [0u64; 3]);
+        for (position, result) in results.iter().enumerate() {
+            let Some(kind) = outcome(result) else {
+                prop_assert!(false, "unexpected error: {:?}", result);
+                continue;
+            };
+            per_request[kind] += 1;
+            let first = first_of(position);
+            if first == position {
+                per_resolution[kind] += 1;
+            } else {
+                prop_assert_eq!(outcome(&results[first]), Some(kind), "a dedup group split");
+            }
+            if let Ok(answer) = result {
+                prop_assert_eq!(
+                    answer.as_ref(), &reference[position],
+                    "throttled answer diverged at position {}", position
+                );
             }
         }
 
         // Client ledger conserves by construction; the runtime's counters
-        // must agree with it exactly (shed and expired tickets are counted
-        // per resolved ticket, answered is the remainder).
-        prop_assert_eq!(answered + shed + expired, n as u64);
+        // must agree with it exactly.
+        let [answered, shed, _] = per_request;
+        prop_assert_eq!(per_request.iter().sum::<u64>(), n as u64);
         let stats = runtime.stats();
         prop_assert_eq!(stats.served, n as u64);
-        prop_assert_eq!(stats.shed, shed);
-        prop_assert_eq!(stats.deadline_expired, expired);
+        prop_assert_eq!(stats.shed, per_resolution[1]);
+        prop_assert_eq!(stats.deadline_expired, per_resolution[2]);
         prop_assert_eq!(stats.errors, 0);
-        // Answered requests were really served by the backend stack.
-        // Every request that passed both the gate and the door-side
-        // deadline check shows up as exactly one cache hit, miss, or
-        // in-flight join — so the backend totals cover the answered
-        // count, overshooting only by tickets that expired *after*
-        // lookup (queued past their deadline).
-        let backend = stats.cache_hits + stats.cache_misses + stats.inflight_hits;
-        prop_assert!(backend >= answered, "backend {} < answered {}", backend, answered);
+        // Every request that passed the door-side deadline check was
+        // looked up exactly once — as a cache hit, miss, in-flight join or
+        // batch duplicate. The gate sheds after the lookup, so the lookups
+        // cover every answered and every shed request; only a submit can
+        // expire at the door, so a batch looks up every position.
+        let looked_up =
+            stats.cache_hits + stats.cache_misses + stats.inflight_hits + stats.dedup_hits;
         prop_assert!(
-            backend <= answered + expired,
-            "backend {} > answered {} + expired {}", backend, answered, expired
+            looked_up >= answered + shed,
+            "lookups {} < answered {} + shed {}", looked_up, answered, shed
         );
+        prop_assert!(looked_up <= n as u64, "lookups {} > submitted {}", looked_up, n);
+        if mode == 1 {
+            prop_assert_eq!(looked_up, n as u64);
+        }
     }
 
     /// Shutdown flushes, never strands: tickets still unresolved when the
     /// runtime drops are answered (or typed-failed) by the drain — a
     /// `wait` after drop returns rather than hanging.
     #[test]
-    fn no_ticket_is_left_unresolved_at_shutdown(
-        seed in 0u64..10_000,
-        policy in 0usize..3,
-    ) {
+    fn no_ticket_is_left_unresolved_at_shutdown(seed in 0u64..10_000) {
         let graph = Graph::random(40, 160, seed);
         let index = Arc::new(TwoReachIndex::build(&graph, 20_000));
         let requests = zipf_pair_requests(&graph, 64, 1.1, seed ^ 0x50de);
@@ -138,7 +195,7 @@ proptest! {
             ServeConfig {
                 threads: 2,
                 cache_capacity: 16,
-                admission: Some(admission(policy, 4)),
+                admission: Some(AdmissionConfig::shed(4)),
                 ..ServeConfig::default()
             },
         );

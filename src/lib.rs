@@ -92,10 +92,7 @@ pub mod prelude {
     pub use cqap_query::workload::{Graph, SetFamily};
     pub use cqap_query::{AccessRequest, ConjunctiveQuery, Cqap, Hypergraph};
     pub use cqap_relation::{Database, Relation, Schema};
-    pub use cqap_serve::{
-        AdmissionConfig, AdmissionPolicy, BatchAnswer, RetryPolicy, ServeConfig, ServeError,
-        ServeRuntime,
-    };
+    pub use cqap_serve::{AdmissionConfig, BatchAnswer, ServeConfig, ServeError, ServeRuntime};
     pub use cqap_shard::{ShardRouter, ShardRouterConfig, ShardSpec, ShardedIndex};
     pub use cqap_store::{PlacementPolicy, ShardTier, StoredIndex, TieredShardedIndex};
     pub use cqap_yannakakis::{naive_answer, OnlineYannakakis};
