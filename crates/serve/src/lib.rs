@@ -22,7 +22,7 @@
 //!   runtime stores `Arc<Answer>` values, so hits and inserts inside the
 //!   cache mutex are refcount bumps, never deep `Relation` clones.
 //! * [`ServeRuntime`] — ties the three together: `Arc`-shared immutable
-//!   index, per-request result channels ([`Ticket`]), order-preserving
+//!   index, per-request one-shot result cells ([`Ticket`]), order-preserving
 //!   batch serving with intra-batch deduplication, in-flight probe sharing
 //!   across concurrent submitters (no thundering herd on a hot key), and
 //!   [`ServeStats`] counters. Single and coalesced probes run as one kind

@@ -38,6 +38,9 @@ struct Shared {
     /// Workers currently parked (or about to park) on `wakeup`; `execute`
     /// only pays for a notify when this is non-zero.
     sleepers: AtomicUsize,
+    /// Set by `Drop` before it waits for the queue to drain: only then
+    /// does a worker that empties the queue pay for a notify.
+    draining: AtomicBool,
     shutdown: AtomicBool,
     sleep_lock: Mutex<()>,
     wakeup: Condvar,
@@ -72,6 +75,7 @@ impl WorkStealingPool {
             queues: (0..threads).map(|_| Mutex::new(VecDeque::new())).collect(),
             pending: AtomicUsize::new(0),
             sleepers: AtomicUsize::new(0),
+            draining: AtomicBool::new(false),
             shutdown: AtomicBool::new(false),
             sleep_lock: Mutex::new(()),
             wakeup: Condvar::new(),
@@ -165,9 +169,14 @@ impl WorkStealingPool {
 impl Drop for WorkStealingPool {
     fn drop(&mut self) {
         // Let queued jobs drain (parked on the condvar, with the same
-        // bounded timeout the workers use), then stop the workers.
+        // bounded timeout the workers use), then stop the workers. The
+        // flag goes up before the first `pending` check (SeqCst on both
+        // sides): a worker that empties the queue either sees the flag and
+        // notifies under the sleep lock, or emptied it before this check
+        // reads `pending`.
+        self.shared.draining.store(true, Ordering::SeqCst);
         let mut guard = self.shared.sleep_lock.lock().expect("sleep lock");
-        while self.shared.pending.load(Ordering::Acquire) > 0 {
+        while self.shared.pending.load(Ordering::SeqCst) > 0 {
             guard = self
                 .shared
                 .wakeup
@@ -200,16 +209,21 @@ pub fn default_threads() -> usize {
 fn worker_loop(id: usize, shared: &Shared) {
     loop {
         if let Some(job) = find_job(id, shared) {
-            shared.pending.fetch_sub(1, Ordering::AcqRel);
+            // SeqCst pairs with `Drop`'s `draining` store and `pending`
+            // load (see there).
+            shared.pending.fetch_sub(1, Ordering::SeqCst);
             // Isolate job panics: a panicking request must not take the
             // worker down with it (queued jobs would never run and the
-            // pool's drop would wait forever). The job's result channel is
-            // dropped during the unwind, which surfaces to the caller as a
-            // disconnected ticket.
+            // pool's drop would wait forever). The job's unsent replies
+            // are dropped during the unwind, which resolves their tickets
+            // with an error.
             let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(job));
             shared.sink.gauge_add(GaugeId::QueueDepth, -1);
-            if shared.pending.load(Ordering::Acquire) == 0 {
-                // Wake anyone waiting for the queue to drain (drop).
+            // Only `Drop` waits for the queue to drain; while it is not
+            // waiting, an emptied queue costs no wake-up.
+            if shared.draining.load(Ordering::SeqCst) && shared.pending.load(Ordering::SeqCst) == 0
+            {
+                let _guard = shared.sleep_lock.lock().expect("sleep lock");
                 shared.wakeup.notify_all();
             }
             continue;

@@ -1,5 +1,5 @@
 //! The serving runtime: a shared immutable index behind a work-stealing
-//! pool, per-request result channels, and an LRU answer cache.
+//! pool, per-request one-shot result cells, and an LRU answer cache.
 //!
 //! [`ServeRuntime`] owns the three pieces and exposes two front doors:
 //!
@@ -7,8 +7,13 @@
 //!   concurrently, preserving order, deduplicating identical requests
 //!   within the batch and consulting the cache before touching the index;
 //! * [`ServeRuntime::submit`] — enqueue one request and get a [`Ticket`]
-//!   (a one-shot result channel) back, for callers that interleave
+//!   (a one-shot result cell) back, for callers that interleave
 //!   submission with other work.
+//!
+//! A ticket is one `Arc<Mutex<..>>` cell shared with the worker's reply:
+//! resolving it stores the result and unparks the caller only if the
+//! caller is blocked in [`Ticket::wait`], so a polled or already-resolved
+//! ticket costs one small allocation and two uncontended locks.
 //!
 //! Answers are handed out as `Arc<Answer>`: the cache stores the same
 //! `Arc`, so a hit inside the global cache mutex is a refcount bump rather
@@ -57,7 +62,8 @@
 
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::thread::{self, Thread};
 use std::time::{Duration, Instant};
 
 use cqap_common::{CqapError, FxHashMap, Result};
@@ -219,9 +225,93 @@ impl StatsCells {
     }
 }
 
+/// The error a ticket resolves to when its [`Reply`] was dropped unsent
+/// (a torn-down runtime, a job that panicked), or when its value was
+/// already taken.
+fn disconnected() -> CqapError {
+    CqapError::Other("serve runtime dropped the request".into())
+}
+
+/// A ticket's one-shot result cell, shared by the [`Reply`] that resolves
+/// it and the [`Ticket`] that reads it.
+struct Slot<A> {
+    /// The result, from the moment the reply resolves the ticket until
+    /// the ticket takes it.
+    value: Option<Result<A>>,
+    /// Set once the reply resolved the ticket (sent, or dropped unsent):
+    /// an empty `value` then means "already taken", not "still running".
+    resolved: bool,
+    /// The thread blocked in [`Ticket::wait`], if one registered; the
+    /// reply unparks it.
+    waiter: Option<Thread>,
+}
+
+type Cell<A> = Arc<Mutex<Slot<A>>>;
+
+/// Every update leaves the slot valid, so a poisoned cell is still read;
+/// this also keeps `Reply`'s drop from panicking.
+fn lock<A>(cell: &Cell<A>) -> MutexGuard<'_, Slot<A>> {
+    cell.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// A one-shot result cell: the [`Reply`] a worker resolves and the
+/// [`Ticket`] its caller waits on.
+fn oneshot<A>() -> (Reply<A>, Ticket<A>) {
+    let cell = Arc::new(Mutex::new(Slot {
+        value: None,
+        resolved: false,
+        waiter: None,
+    }));
+    (
+        Reply {
+            cell: Some(Arc::clone(&cell)),
+        },
+        Ticket { cell },
+    )
+}
+
+/// The resolving half of a ticket's one-shot result cell. Sending stores
+/// the result and wakes the ticket's waiter, if it parked; dropping it
+/// unsent resolves the ticket with the disconnect error instead, so a
+/// ticket never hangs.
+struct Reply<A> {
+    /// `None` once sent, so the drop that follows a send does nothing.
+    cell: Option<Cell<A>>,
+}
+
+impl<A> Reply<A> {
+    fn send(mut self, result: Result<A>) {
+        if let Some(cell) = self.cell.take() {
+            resolve(&cell, result);
+        }
+    }
+}
+
+impl<A> Drop for Reply<A> {
+    fn drop(&mut self) {
+        if let Some(cell) = self.cell.take() {
+            resolve(&cell, Err(disconnected()));
+        }
+    }
+}
+
+/// Stores `result` in the cell and unparks the waiter outside the lock;
+/// a ticket nobody blocks on costs no wake-up.
+fn resolve<A>(cell: &Cell<A>, result: Result<A>) {
+    let waiter = {
+        let mut slot = lock(cell);
+        slot.value = Some(result);
+        slot.resolved = true;
+        slot.waiter.take()
+    };
+    if let Some(waiter) = waiter {
+        waiter.unpark();
+    }
+}
+
 /// A one-shot handle to the answer of a single submitted request.
 pub struct Ticket<A> {
-    rx: mpsc::Receiver<Result<A>>,
+    cell: Cell<A>,
 }
 
 impl<A> Ticket<A> {
@@ -231,22 +321,27 @@ impl<A> Ticket<A> {
     /// Returns the answering error, or an internal error if the runtime was
     /// torn down before the request ran.
     pub fn wait(self) -> Result<A> {
-        self.rx
-            .recv()
-            .unwrap_or_else(|_| Err(CqapError::Other("serve runtime dropped".into())))
+        let mut slot = lock(&self.cell);
+        if !slot.resolved {
+            slot.waiter = Some(thread::current());
+        }
+        // Parking may wake spuriously (or on a stale unpark): re-check.
+        while !slot.resolved {
+            drop(slot);
+            thread::park();
+            slot = lock(&self.cell);
+        }
+        slot.value.take().unwrap_or_else(|| Err(disconnected()))
     }
 
     /// Non-blocking poll; `None` while the answer is still being computed.
     /// A torn-down runtime (or a request that panicked mid-answer) yields
-    /// `Some(Err(..))`, never a stuck `None`.
+    /// `Some(Err(..))`, never a stuck `None`; so does every poll after the
+    /// one that returned the answer.
     pub fn try_wait(&self) -> Option<Result<A>> {
-        match self.rx.try_recv() {
-            Ok(result) => Some(result),
-            Err(mpsc::TryRecvError::Empty) => None,
-            Err(mpsc::TryRecvError::Disconnected) => {
-                Some(Err(CqapError::Other("serve runtime dropped".into())))
-            }
-        }
+        let mut slot = lock(&self.cell);
+        slot.resolved
+            .then(|| slot.value.take().unwrap_or_else(|| Err(disconnected())))
     }
 }
 
@@ -276,8 +371,8 @@ fn expiry(deadline: Instant, now: Instant) -> Option<CqapError> {
     })
 }
 
-/// The sending half of a ticket's (or a waiter's) one-shot result channel.
-type Reply<A> = mpsc::Sender<Result<Arc<A>>>;
+/// The reply that resolves one caller's ticket for an index `I`.
+type AnswerReply<I> = Reply<Arc<<I as BatchAnswer>::Answer>>;
 
 /// The mutable online state, behind one mutex: the LRU answer cache plus
 /// the in-flight pending map. Holding both under a single lock makes the
@@ -288,22 +383,24 @@ type Reply<A> = mpsc::Sender<Result<Arc<A>>>;
 /// section are refcount bumps, never deep answer clones.
 struct OnlineState<I: BatchAnswer> {
     cache: LruCache<I::Request, Arc<I::Answer>>,
-    /// Keys currently being probed by a pool worker, each with the result
-    /// channels of callers that arrived while the probe was in flight.
-    pending: FxHashMap<I::Request, Vec<Reply<I::Answer>>>,
+    /// Keys currently being probed by a pool worker, each with the replies
+    /// of callers that arrived while the probe was in flight (one per
+    /// ticket).
+    pending: FxHashMap<I::Request, Vec<AnswerReply<I>>>,
 }
 
 impl<I: BatchAnswer> OnlineState<I> {
     /// Resolves one probed key: caches `answer` when there is one worth
-    /// keeping, and removes the key's pending entry, returning the waiters
-    /// that joined it. An answer, a probe error, an expiry and a shed all
-    /// resolve here, so a key is cached and un-pended at one site.
+    /// keeping (and a cache to keep it in), and removes the key's pending
+    /// entry, returning the waiters that joined it. An answer, a probe
+    /// error, an expiry and a shed all resolve here, so a key is cached
+    /// and un-pended at one site.
     fn publish(
         &mut self,
         request: &I::Request,
         answer: Option<&Arc<I::Answer>>,
-    ) -> Vec<Reply<I::Answer>> {
-        if let Some(answer) = answer {
+    ) -> Vec<AnswerReply<I>> {
+        if let Some(answer) = answer.filter(|_| self.cache.capacity() > 0) {
             self.cache.insert(request.clone(), Arc::clone(answer));
         }
         self.pending.remove(request).unwrap_or_default()
@@ -314,18 +411,18 @@ impl<I: BatchAnswer> OnlineState<I> {
 enum Lookup<A> {
     /// The answer was cached.
     Hit(Arc<A>),
-    /// A probe for this key is already in flight; the caller's channel was
+    /// A probe for this key is already in flight; the caller's reply was
     /// registered as a waiter.
     Joined,
     /// The caller must probe the index (a pending entry was registered).
     Probe,
 }
 
-/// One caller a probe job answers: its request key, its result channel,
-/// and the deadline past which it resolves as expired instead.
+/// One caller a probe job answers: its request key, its reply, and the
+/// deadline past which it resolves as expired instead.
 struct Member<I: BatchAnswer> {
     request: I::Request,
-    tx: Reply<I::Answer>,
+    reply: AnswerReply<I>,
     deadline: Option<Instant>,
 }
 
@@ -465,7 +562,7 @@ impl<I: BatchAnswer> Shared<I> {
         }
         for (_, result, waiters) in &mut resolved {
             for waiter in waiters.drain(..) {
-                let _ = waiter.send(result.clone());
+                waiter.send(result.clone());
             }
         }
         // A shed job never queued or probed: it records no stage.
@@ -474,7 +571,7 @@ impl<I: BatchAnswer> Shared<I> {
         }
         self.finish_root(job.trace, job.submitted);
         for (member, result, _) in resolved {
-            let _ = member.tx.send(result);
+            member.reply.send(result);
         }
     }
 }
@@ -587,13 +684,13 @@ impl<I: BatchAnswer + 'static> ServeRuntime<I> {
 
     /// Consults the cache and the pending map for `request` in the locked
     /// `state`: a hit, a join of the probe in flight (registering the
-    /// channel `waiter` makes), or a fresh probe (registering a pending
+    /// reply `waiter` yields), or a fresh probe (registering a pending
     /// entry that the probe's job resolves).
     fn lookup(
         &self,
         state: &mut OnlineState<I>,
         request: &I::Request,
-        waiter: impl FnOnce() -> Reply<I::Answer>,
+        waiter: impl FnOnce() -> AnswerReply<I>,
     ) -> Lookup<I::Answer> {
         let stats = &self.shared.stats;
         if let Some(answer) = state.cache.get(request) {
@@ -687,7 +784,7 @@ impl<I: BatchAnswer + 'static> ServeRuntime<I> {
         submitted: Option<Instant>,
         deadline: Option<Instant>,
     ) -> Ticket<Arc<I::Answer>> {
-        let (tx, rx) = mpsc::channel();
+        let (reply, ticket) = oneshot();
         let shared = &self.shared;
         shared.stats.served.fetch_add(1, Ordering::Relaxed);
         // A request that arrives already expired never reaches the lookup:
@@ -696,36 +793,39 @@ impl<I: BatchAnswer + 'static> ServeRuntime<I> {
             shared.stats.deadline_expired.fetch_add(1, Ordering::Relaxed);
             shared.sink.incr(CounterId::DeadlinesExpired);
             shared.finish_root(trace, submitted);
-            let _ = tx.send(Err(expired));
-            return Ticket { rx };
+            reply.send(Err(expired));
+            return ticket;
         }
         let timer = shared.sink.start();
+        // A join moves the reply into the pending entry it joins.
+        let mut reply = Some(reply);
         let lookup = self.lookup(
             &mut shared.state.lock().expect("state lock"),
             &request,
-            || tx.clone(),
+            || reply.take().expect("one join per lookup"),
         );
         shared.sink.stop(timer, StageId::CacheLookup);
-        match lookup {
-            Lookup::Hit(answer) => {
+        match (lookup, reply) {
+            (Lookup::Hit(answer), Some(reply)) => {
                 // A root-owning submit commits the hit's (tiny) total, so
                 // cache hits still show up as committed traces.
                 shared.finish_root(trace, submitted);
-                let _ = tx.send(Ok(answer));
+                reply.send(Ok(answer));
             }
-            Lookup::Joined => {}
-            Lookup::Probe => self.launch(Job {
+            (Lookup::Probe, Some(reply)) => self.launch(Job {
                 bulk: None,
                 members: vec![Member {
                     request,
-                    tx,
+                    reply,
                     deadline,
                 }],
                 trace,
                 submitted,
             }),
+            // Joined: the probe in flight resolves the reply it now holds.
+            _ => {}
         }
-        Ticket { rx }
+        ticket
     }
 
     /// Answers a batch of requests concurrently, preserving input order.
@@ -806,7 +906,7 @@ impl<I: BatchAnswer + 'static> ServeRuntime<I> {
         // same state and must not queue behind the dispatcher.
         let mut probes: Vec<(I::Request, Vec<usize>)> = Vec::new();
         // Probes already in flight elsewhere that this batch joined:
-        // `(receiver, positions)`, resolved by the owning caller's worker.
+        // `(ticket, positions)`, resolved by the owning caller's worker.
         let mut joined = Vec::new();
         let lookup_timer = shared.sink.start();
         let lookup_started = submitted.map(|_| Instant::now());
@@ -817,9 +917,9 @@ impl<I: BatchAnswer + 'static> ServeRuntime<I> {
                 shared.stats.dedup_hits.fetch_add(duplicates, Ordering::Relaxed);
                 let mut waiter = None;
                 let lookup = self.lookup(&mut state, request, || {
-                    let (tx, rx) = mpsc::channel();
-                    waiter = Some(rx);
-                    tx
+                    let (reply, ticket) = oneshot();
+                    waiter = Some(ticket);
+                    reply
                 });
                 match lookup {
                     Lookup::Hit(answer) => {
@@ -827,7 +927,7 @@ impl<I: BatchAnswer + 'static> ServeRuntime<I> {
                             answers[position] = Some(Ok(Arc::clone(&answer)));
                         }
                     }
-                    Lookup::Joined => joined.extend(waiter.map(|rx| (rx, positions))),
+                    Lookup::Joined => joined.extend(waiter.map(|ticket| (ticket, positions))),
                     Lookup::Probe => probes.push((request.clone(), positions)),
                 }
             }
@@ -857,8 +957,8 @@ impl<I: BatchAnswer + 'static> ServeRuntime<I> {
             StageTimer::disarmed()
         };
         let coalesce_started = if had_probes { lookup_started.map(|_| Instant::now()) } else { None };
-        // Each own job member's receiver with its positions, gathered
-        // after dispatch together with the joined probes'.
+        // Each own job member's ticket with its positions, gathered after
+        // dispatch together with the joined probes'.
         let mut own = Vec::with_capacity(probes.len());
         // One member per dedup group, with the group's deadline window:
         // the earliest position orders dispatch (EDF), the latest decides
@@ -870,10 +970,10 @@ impl<I: BatchAnswer + 'static> ServeRuntime<I> {
                 let earliest = at.clone().min().expect("non-empty group");
                 (earliest, at.max().expect("non-empty group"))
             });
-            let (tx, rx) = mpsc::channel();
-            own.push((rx, positions));
+            let (reply, ticket) = oneshot();
+            own.push((ticket, positions));
             let deadline = window.map(|(_, latest)| latest);
-            (window.map(|(earliest, _)| earliest), Member { request, tx, deadline })
+            (window.map(|(earliest, _)| earliest), Member { request, reply, deadline })
         };
         let job = |bulk, members| Job {
             bulk,
@@ -924,7 +1024,7 @@ impl<I: BatchAnswer + 'static> ServeRuntime<I> {
             jobs.sort_by_key(|(earliest, _)| *earliest);
         }
         // Admission charges one slot per job; a shed job's members still
-        // resolve through their own channels, keeping the gather uniform.
+        // resolve through their own tickets, keeping the gather uniform.
         for (_, next) in jobs {
             self.launch(next);
         }
@@ -935,10 +1035,8 @@ impl<I: BatchAnswer + 'static> ServeRuntime<I> {
                 .trace_span(trace, TraceStage::Coalesce, started, Instant::now(), 0);
         }
 
-        for (rx, positions) in own.into_iter().chain(joined) {
-            let result = rx
-                .recv()
-                .unwrap_or_else(|_| Err(CqapError::Other("serve worker disappeared".into())));
+        for (ticket, positions) in own.into_iter().chain(joined) {
+            let result = ticket.wait();
             for position in positions {
                 answers[position] = Some(result.clone());
             }
@@ -960,6 +1058,7 @@ mod tests {
     use cqap_panda::CqapIndex;
     use cqap_query::workload::{graph_pair_requests, Graph};
     use cqap_query::AccessRequest;
+    use std::sync::mpsc;
 
     fn small_index() -> (Arc<CqapIndex>, Vec<AccessRequest>) {
         let (cqap, pmtds) = pf::pmtds_3reach_fig1().unwrap();
@@ -1048,6 +1147,86 @@ mod tests {
         // A cache hit is sent synchronously, so the answer is already there.
         assert!(ticket.try_wait().is_some());
         assert_eq!(runtime.stats().cache_hits, 1);
+    }
+
+    // ----- The ticket contract -----
+
+    /// Tickets cross threads (the router waits on shard tickets, callers
+    /// hand tickets to pollers).
+    const _: fn() = || {
+        fn assert_send<T: Send>() {}
+        assert_send::<Ticket<Arc<cqap_relation::Relation>>>();
+    };
+
+    /// Spins until a thread blocked in `wait` has registered on the
+    /// reply's cell (it parks right after, outside the lock).
+    fn until_parked<A>(reply: &Reply<A>) {
+        let cell = reply.cell.as_ref().expect("unsent reply");
+        let patience = Instant::now() + Duration::from_secs(10);
+        while lock(cell).waiter.is_none() {
+            assert!(Instant::now() < patience, "the waiter never registered");
+            std::thread::yield_now();
+        }
+    }
+
+    #[test]
+    fn a_reply_dropped_unsent_resolves_its_ticket_with_an_error() {
+        let (reply, ticket) = oneshot::<u64>();
+        assert!(ticket.try_wait().is_none(), "unresolved");
+        drop(reply);
+        let polled = ticket.try_wait().expect("resolved by the drop");
+        assert_eq!(polled.unwrap_err().to_string(), disconnected().to_string());
+        assert!(ticket.wait().is_err());
+
+        // A waiter already blocked in `wait` is woken by the drop.
+        let (reply, ticket) = oneshot::<u64>();
+        let (outcome, woke) = mpsc::channel();
+        std::thread::spawn(move || outcome.send(ticket.wait()));
+        until_parked(&reply);
+        drop(reply);
+        let error = woke
+            .recv_timeout(Duration::from_secs(10))
+            .expect("the parked waiter woke")
+            .expect_err("dropped unsent");
+        assert_eq!(error.to_string(), disconnected().to_string());
+    }
+
+    #[test]
+    fn a_poll_after_the_answer_is_an_error_never_a_stuck_none() {
+        let (reply, ticket) = oneshot::<u64>();
+        reply.send(Ok(7));
+        assert_eq!(ticket.try_wait().unwrap().unwrap(), 7);
+        for _ in 0..3 {
+            assert!(
+                ticket.try_wait().is_some_and(|again| again.is_err()),
+                "the taken value reads as an error, not as pending"
+            );
+        }
+        assert!(ticket.wait().is_err());
+    }
+
+    #[test]
+    fn a_parked_waiter_wakes_on_every_send() {
+        const ROUNDS: u64 = 10_000;
+        let (tickets, parked) = mpsc::channel::<Ticket<u64>>();
+        let (answers, woke) = mpsc::channel();
+        let waiter = std::thread::spawn(move || {
+            for ticket in parked {
+                answers.send(ticket.wait().unwrap()).expect("test alive");
+            }
+        });
+        for round in 0..ROUNDS {
+            let (reply, ticket) = oneshot();
+            tickets.send(ticket).expect("waiter alive");
+            until_parked(&reply);
+            reply.send(Ok(round));
+            let answer = woke
+                .recv_timeout(Duration::from_secs(10))
+                .unwrap_or_else(|_| panic!("round {round}: the parked waiter never woke"));
+            assert_eq!(answer, round);
+        }
+        drop(tickets);
+        waiter.join().unwrap();
     }
 
     /// A deliberately faulty index: one poison key panics mid-answer.
