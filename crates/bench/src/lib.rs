@@ -26,17 +26,6 @@ use std::time::Instant;
 
 pub mod analytic;
 
-/// Defaults `BENCH_BASELINE` to `local` so a bench that calls this always
-/// dumps (and, on re-runs, compares against) its JSON baseline — the
-/// criterion shim only writes when the variable is set. Shared by the
-/// `shard_scaling` and `tier_tradeoff` benches so the naming convention
-/// cannot drift between them.
-pub fn ensure_baseline_named() {
-    if std::env::var("BENCH_BASELINE").map_or(true, |v| v.is_empty()) {
-        std::env::set_var("BENCH_BASELINE", "local");
-    }
-}
-
 /// One measured row of an empirical sweep.
 #[derive(Clone, Debug)]
 pub struct SweepRow {

@@ -1,5 +1,5 @@
-//! Snapshot and export: Prometheus text exposition and the criterion
-//! shim's `BENCH_*.json` schema.
+//! Snapshot and export: Prometheus text exposition and bench-style JSON
+//! records.
 
 use std::fmt::Write as _;
 
@@ -219,9 +219,10 @@ impl MetricsSnapshot {
         out
     }
 
-    /// Renders the per-stage latency distributions in the criterion
-    /// shim's `BENCH_*.json` record schema (a JSON array; one record
-    /// per non-empty stage, labelled `stage/<name>`).
+    /// Renders the per-stage latency distributions as bench-style JSON
+    /// records (`label`, `samples`, `median_ns`, … `p999_ns`, the fields
+    /// of the criterion shim's `SampleStats`): a JSON array, one record
+    /// per non-empty stage, labelled `stage/<name>`.
     ///
     /// `median_ns`/`p99_ns`/`p999_ns` are bucket-midpoint quantile
     /// estimates; `mad_ns` is not recoverable from buckets and is

@@ -25,7 +25,7 @@
 //! - [`MetricsSnapshot`] — an owned copy of a recorder, exportable as
 //!   Prometheus text exposition
 //!   ([`to_prometheus`](MetricsSnapshot::to_prometheus)) or the
-//!   criterion shim's `BENCH_*.json` schema
+//!   bench-style JSON records
 //!   ([`to_bench_json`](MetricsSnapshot::to_bench_json)); two
 //!   snapshots subtract into an interval window
 //!   ([`delta`](MetricsSnapshot::delta)).

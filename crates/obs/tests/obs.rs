@@ -291,8 +291,8 @@ fn prometheus_exposition_is_well_formed() {
     }
 }
 
-/// The bench-JSON export round-trips through the criterion shim's own
-/// baseline parser shape: label + numeric fields per record.
+/// The bench-JSON export has one record per non-empty stage: label +
+/// numeric fields.
 #[test]
 fn bench_json_contains_stage_records() {
     let snap = golden_recorder().snapshot();

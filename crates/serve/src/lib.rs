@@ -110,8 +110,8 @@ use cqap_common::Result;
 ///
 /// Threads claim requests from a shared atomic cursor, so finishing early
 /// on cheap requests automatically rebalances toward the expensive ones.
-/// Answers are returned in input order. This is the helper the throughput
-/// benches use to isolate raw parallel speedup from caching effects.
+/// Answers are returned in input order. `examples/serving.rs` uses it to
+/// isolate raw parallel speedup from caching effects.
 ///
 /// # Errors
 /// Fails if any request fails (the earliest failing position wins).

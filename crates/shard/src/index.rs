@@ -43,25 +43,9 @@ impl ShardedIndex {
     /// Fails if the spec is invalid (`shards == 0`) or any shard build
     /// fails (lowest shard id wins).
     pub fn build(cqap: &Cqap, db: &Database, pmtds: &[Pmtd], shards: usize) -> Result<Self> {
-        let pool = WorkStealingPool::new(shards.max(1).min(default_threads()));
-        ShardedIndex::build_with_pool(cqap, db, pmtds, shards, &pool)
-    }
-
-    /// [`ShardedIndex::build`] on a caller-provided pool (so several
-    /// sharded indexes can share one set of build workers).
-    ///
-    /// # Errors
-    /// Fails if the spec is invalid (`shards == 0`) or any shard build
-    /// fails (lowest shard id wins).
-    pub fn build_with_pool(
-        cqap: &Cqap,
-        db: &Database,
-        pmtds: &[Pmtd],
-        shards: usize,
-        pool: &WorkStealingPool,
-    ) -> Result<Self> {
         let spec = ShardSpec::new(cqap, shards)?;
         let partitions = spec.partition_database(db)?;
+        let pool = WorkStealingPool::new(shards.min(default_threads()));
         let (tx, rx) = mpsc::channel::<(usize, Result<CqapIndex>)>();
         let expected = partitions.len();
         for (shard, partition) in partitions.into_iter().enumerate() {
@@ -123,20 +107,30 @@ impl ShardedIndex {
     /// ownership of every shard.
     ///
     /// # Errors
-    /// Fails if any shard `Arc` is shared (serving handles must be
-    /// dropped before mutating).
+    /// Fails, with no shard changed, if any shard `Arc` is shared
+    /// (serving handles must be dropped before mutating).
     pub fn set_metrics_sink(&mut self, sink: cqap_obs::MetricsSink) -> Result<()> {
-        for shard in &mut self.shards {
-            let index = Arc::get_mut(shard).ok_or_else(|| {
-                CqapError::Other(
-                    "cannot attach a metrics sink: a shard index is shared \
-                     (serving handles must be dropped before mutating)"
-                        .into(),
-                )
-            })?;
+        for index in self.shards_mut("attach a metrics sink")? {
             index.set_metrics_sink(sink.clone());
         }
         Ok(())
+    }
+
+    /// Every shard's exclusive borrow, all taken before any shard is
+    /// touched, so a shared shard refuses a mutation before any shard has
+    /// changed instead of leaving the deployment half-changed.
+    fn shards_mut(&mut self, action: &str) -> Result<Vec<&mut CqapIndex>> {
+        self.shards
+            .iter_mut()
+            .map(|shard| {
+                Arc::get_mut(shard).ok_or_else(|| {
+                    CqapError::Other(format!(
+                        "cannot {action}: a shard index is shared (serving \
+                         handles must be dropped before mutating)"
+                    ))
+                })
+            })
+            .collect()
     }
 
     /// Total intrinsic space across shards (sum of per-shard S-view
@@ -187,14 +181,7 @@ impl ApplyDelta for ShardedIndex {
             self.spec.partition_delta(batch, db)?
         };
         let mut stats = DeltaStats::default();
-        for (shard, part) in self.shards.iter_mut().zip(parts) {
-            let index = Arc::get_mut(shard).ok_or_else(|| {
-                CqapError::Other(
-                    "cannot apply a delta: a shard index is shared (serving \
-                     handles must be dropped before mutating)"
-                        .into(),
-                )
-            })?;
+        for (index, part) in self.shards_mut("apply a delta")?.into_iter().zip(parts) {
             stats.merge(index.apply_delta(&part)?);
         }
         Ok(stats)
@@ -233,6 +220,7 @@ mod tests {
     use cqap_common::Tuple;
     use cqap_decomp::families as pf;
     use cqap_query::workload::{graph_pair_requests, zipf_multi_requests, Graph};
+    use cqap_yannakakis::naive_answer;
 
     fn fixture() -> (Cqap, Vec<Pmtd>, Graph, Database, CqapIndex) {
         let (cqap, pmtds) = pf::pmtds_3reach_fig1().unwrap();
@@ -296,16 +284,63 @@ mod tests {
         assert!(ShardedIndex::build(&cqap2, &db2, &pmtds, 3).is_err());
     }
 
+    /// A batch that routes to shards 0 and 1 of `spec` (a fresh path
+    /// through every relation from a start value on each shard, plus
+    /// deletes of existing tuples), and requests that see every part of it.
+    fn batch_on_shards_0_and_1(
+        cqap: &Cqap,
+        spec: &ShardSpec,
+        g: &Graph,
+        db: &Database,
+    ) -> (DeltaBatch, Vec<AccessRequest>) {
+        let mut requests: Vec<AccessRequest> = graph_pair_requests(g, 20, 43)
+            .into_iter()
+            .map(|(u, v)| AccessRequest::single(cqap.access(), &[u, v]).unwrap())
+            .collect();
+        let mut batch = DeltaBatch::new();
+        for shard in 0..2 {
+            let start = (50_000u64..)
+                .find(|&a| spec.shard_of_value(a) == shard)
+                .unwrap();
+            for (i, rel) in db.relations().iter().enumerate() {
+                let i = i as u64;
+                batch = batch.insert(rel.name(), vec![Tuple::pair(start + i, start + i + 1)]);
+            }
+            let end = start + db.num_relations() as u64;
+            requests.push(AccessRequest::single(cqap.access(), &[start, end]).unwrap());
+        }
+        let routed = &db.relations()[0];
+        let victims: Vec<Tuple> = routed.tuples().iter().step_by(5).take(6).cloned().collect();
+        (batch.delete(routed.name(), victims), requests)
+    }
+
     #[test]
-    fn shared_pool_builds_match_dedicated_pool_builds() {
+    fn a_shared_shard_refuses_a_delta_with_no_shard_changed() {
         let (cqap, pmtds, g, db, _) = fixture();
-        let pool = WorkStealingPool::new(2);
-        let a = ShardedIndex::build_with_pool(&cqap, &db, &pmtds, 3, &pool).unwrap();
-        let b = ShardedIndex::build(&cqap, &db, &pmtds, 3).unwrap();
-        assert_eq!(a.space_used(), b.space_used());
-        for (u, v) in graph_pair_requests(&g, 10, 41) {
-            let request = AccessRequest::single(cqap.access(), &[u, v]).unwrap();
-            assert_eq!(a.answer(&request).unwrap(), b.answer(&request).unwrap());
+        let mut sharded = ShardedIndex::build(&cqap, &db, &pmtds, 2).unwrap();
+        let (batch, requests) = batch_on_shards_0_and_1(&cqap, sharded.spec(), &g, &db);
+        let held = Arc::clone(&sharded.shards()[1]);
+        assert!(sharded.apply_delta(&batch).is_err());
+        drop(held);
+        for request in &requests {
+            let expected = naive_answer(&cqap, &db, request).unwrap();
+            assert_eq!(
+                sharded.answer(request).unwrap(),
+                expected,
+                "after the refusal"
+            );
+        }
+
+        sharded.apply_delta(&batch).unwrap();
+        let mut after = db.clone();
+        after.apply_delta(&batch).unwrap();
+        for request in &requests {
+            let expected = naive_answer(&cqap, &after, request).unwrap();
+            assert_eq!(
+                sharded.answer(request).unwrap(),
+                expected,
+                "after the re-apply"
+            );
         }
     }
 }

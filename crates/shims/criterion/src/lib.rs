@@ -6,38 +6,19 @@
 //! fixed-sample wall-clock harness: each benchmark closure is warmed up
 //! once and then timed for `sample_size` samples.
 //!
-//! Two fidelity features the workspace relies on for cross-PR
-//! comparability:
+//! Two fidelity features beyond a plain timer:
 //!
 //! * **Outlier-robust statistics.** Besides mean / min / max, every
 //!   benchmark reports the **median** and the **MAD** (median absolute
 //!   deviation from the median) — on noisy shared runners one descheduled
 //!   sample can double a mean, while the median±MAD pair barely moves.
-//! * **Baseline JSON dump** (`--save-baseline` stand-in). When the
-//!   `BENCH_BASELINE` environment variable is set (benches may also set it
-//!   themselves), every completed benchmark is appended to
-//!   `BENCH_<bench-binary>_<baseline>.json` in the working directory — a
-//!   JSON array of `{label, samples, median_ns, mad_ns, mean_ns, min_ns,
-//!   max_ns, p99_ns, p999_ns}` records, rewritten after each benchmark so
-//!   the file is valid even if the run is interrupted. Diffing two such
-//!   files is the cross-PR regression check. (The baseline *parser* reads
-//!   only `label` and `median_ns`, so files from before the tail-quantile
-//!   fields still compare.)
 //! * **Tail quantiles.** Every benchmark also reports its p99/p999,
 //!   estimated through the `cqap-obs` log-bucketed latency histogram —
 //!   the same estimator the serving stack's metrics exposition uses.
-//! * **Baseline comparison** (`--baseline` stand-in). When `BENCH_BASELINE`
-//!   names a baseline whose `BENCH_*.json` already exists, the saved run
-//!   is loaded first and every benchmark also prints its median delta
-//!   against it (`vs saved: 1.20 ms -> 1.08 ms (-10.0%)`) before the file
-//!   is rewritten with the fresh numbers — the regression check inline,
-//!   not just a file to diff by hand.
 //!
 //! There is no HTML report; the goal is comparable relative numbers in an
 //! environment without registry access.
 
-use std::path::{Path, PathBuf};
-use std::sync::{Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 pub use std::hint::black_box;
@@ -254,123 +235,6 @@ fn run_benchmark<F: FnMut(&mut Bencher)>(label: &str, samples: usize, mut f: F) 
         fmt_duration(Duration::from_nanos(stats.p999_ns as u64)),
         stats.samples,
     );
-    record_baseline(label, &stats);
-}
-
-/// Accumulated baseline records plus the file they are dumped to, and the
-/// medians of the previously saved run (if the baseline file already
-/// existed when this run started) for delta reporting.
-struct BaselineSink {
-    path: PathBuf,
-    records: Vec<String>,
-    saved: std::collections::HashMap<String, u128>,
-}
-
-static BASELINE_SINK: OnceLock<Option<Mutex<BaselineSink>>> = OnceLock::new();
-
-/// Appends one benchmark record to the baseline JSON file, if baseline
-/// dumping is enabled (`BENCH_BASELINE` set). The whole file is rewritten
-/// after every record so it is a valid JSON array at all times.
-///
-/// When `BENCH_BASELINE` names a baseline whose `BENCH_*.json` already
-/// exists, the old run is loaded first and every benchmark additionally
-/// prints its **median delta** against the saved run — the cross-PR
-/// regression check inline, instead of only dumping a file to diff by
-/// hand. (The file is still rewritten with the fresh run.)
-fn record_baseline(label: &str, stats: &SampleStats) {
-    let Some(sink) = BASELINE_SINK
-        .get_or_init(|| {
-            baseline_path().map(|path| {
-                let saved = std::fs::read_to_string(&path)
-                    .map(|body| parse_baseline(&body))
-                    .unwrap_or_default();
-                if !saved.is_empty() {
-                    println!(
-                        "comparing against saved baseline {} ({} benchmarks)",
-                        path.display(),
-                        saved.len()
-                    );
-                }
-                Mutex::new(BaselineSink {
-                    path,
-                    records: Vec::new(),
-                    saved,
-                })
-            })
-        })
-    else {
-        return;
-    };
-    let mut sink = sink.lock().expect("baseline sink");
-    if let Some(&old) = sink.saved.get(label) {
-        println!(
-            "{:<50} vs saved: {} -> {} ({})",
-            "",
-            fmt_duration(Duration::from_nanos(old as u64)),
-            fmt_duration(Duration::from_nanos(stats.median_ns as u64)),
-            fmt_delta(old, stats.median_ns),
-        );
-    }
-    sink.records.push(format!(
-        "  {{\"label\": {}, \"samples\": {}, \"median_ns\": {}, \"mad_ns\": {}, \"mean_ns\": {}, \"min_ns\": {}, \"max_ns\": {}, \"p99_ns\": {}, \"p999_ns\": {}}}",
-        json_string(label),
-        stats.samples,
-        stats.median_ns,
-        stats.mad_ns,
-        stats.mean_ns,
-        stats.min_ns,
-        stats.max_ns,
-        stats.p99_ns,
-        stats.p999_ns,
-    ));
-    let body = format!("[\n{}\n]\n", sink.records.join(",\n"));
-    if let Err(error) = std::fs::write(&sink.path, body) {
-        eprintln!("warning: cannot write baseline {}: {error}", sink.path.display());
-    }
-}
-
-/// Percentage change of the median, signed (`-` is faster than the saved
-/// run). A zero or missing old median yields `n/a` rather than a division
-/// blow-up.
-fn fmt_delta(old_ns: u128, new_ns: u128) -> String {
-    if old_ns == 0 {
-        return "n/a".into();
-    }
-    let pct = (new_ns as f64 - old_ns as f64) / old_ns as f64 * 100.0;
-    format!("{pct:+.1}%")
-}
-
-/// Parses a previously dumped baseline file into `label -> median_ns`.
-/// Only understands the shim's own output shape (an array of flat objects
-/// with string `label` and integer `median_ns`); anything unparseable is
-/// skipped silently, so a corrupt file degrades to "no comparison".
-fn parse_baseline(body: &str) -> std::collections::HashMap<String, u128> {
-    let mut out = std::collections::HashMap::new();
-    let mut rest = body;
-    while let Some(at) = rest.find("\"label\":") {
-        rest = &rest[at + "\"label\":".len()..];
-        let Some((label, after)) = parse_json_string(rest) else {
-            continue;
-        };
-        let median = after.find("\"median_ns\":").and_then(|at| {
-            let digits = after[at + "\"median_ns\":".len()..].trim_start();
-            let end = digits
-                .find(|c: char| !c.is_ascii_digit())
-                .unwrap_or(digits.len());
-            digits[..end].parse::<u128>().ok()
-        });
-        // Parse the median from this record only — cap the search at the
-        // record's closing brace so a missing field cannot steal the next
-        // record's median.
-        let record_end = after.find('}').unwrap_or(after.len());
-        if let Some(median) = median.filter(|_| {
-            after.find("\"median_ns\":").is_some_and(|at| at < record_end)
-        }) {
-            out.insert(label, median);
-        }
-        rest = after;
-    }
-    out
 }
 
 /// Parses a JSON string literal starting at (or after whitespace before)
@@ -406,53 +270,6 @@ pub fn parse_json_string(s: &str) -> Option<(String, &str)> {
         }
     }
     None
-}
-
-/// `BENCH_<bench-binary>_<baseline>.json`, or `None` when `BENCH_BASELINE`
-/// is unset/empty (dumping disabled — keeps unit-test runs file-free).
-fn baseline_path() -> Option<PathBuf> {
-    let baseline = std::env::var("BENCH_BASELINE").ok().filter(|b| !b.is_empty())?;
-    let binary = std::env::args()
-        .next()
-        .as_deref()
-        .and_then(|arg0| Path::new(arg0).file_stem().map(|s| s.to_string_lossy().into_owned()))
-        .unwrap_or_else(|| "bench".into());
-    let binary = strip_cargo_hash(&binary).to_string();
-    Some(PathBuf::from(format!("BENCH_{binary}_{baseline}.json")))
-}
-
-/// Strips the `-<16 hex>` suffix cargo appends to bench executable names.
-fn strip_cargo_hash(stem: &str) -> &str {
-    match stem.rsplit_once('-') {
-        Some((name, hash))
-            if !name.is_empty()
-                && hash.len() == 16
-                && hash.chars().all(|c| c.is_ascii_hexdigit()) =>
-        {
-            name
-        }
-        _ => stem,
-    }
-}
-
-/// Minimal JSON string encoder (labels are benchmark ids: ASCII-ish, but
-/// escape everything JSON requires anyway).
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 fn fmt_duration(d: Duration) -> String {
@@ -548,56 +365,6 @@ mod tests {
         // Odd-length median is the middle element.
         let odd: Vec<Duration> = [30u64, 10, 20].iter().map(|&n| Duration::from_nanos(n)).collect();
         assert_eq!(SampleStats::of(&odd).median_ns, 20);
-    }
-
-    #[test]
-    fn cargo_hash_suffix_is_stripped() {
-        assert_eq!(strip_cargo_hash("shard_scaling-0a1b2c3d4e5f6789"), "shard_scaling");
-        // Not a 16-hex suffix: untouched.
-        assert_eq!(strip_cargo_hash("serve-throughput"), "serve-throughput");
-        assert_eq!(strip_cargo_hash("plain"), "plain");
-    }
-
-    #[test]
-    fn json_strings_are_escaped() {
-        assert_eq!(json_string("group/bench k=2"), "\"group/bench k=2\"");
-        assert_eq!(json_string("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
-    }
-
-    #[test]
-    fn baseline_roundtrips_through_the_parser() {
-        // A dumped file parses back to exactly the labels and medians that
-        // went in, including escaped characters in labels.
-        let labels = ["shard_scaling/build/2", "odd \"label\"\\path", "t\tb"];
-        let body = format!(
-            "[\n{}\n]\n",
-            labels
-                .iter()
-                .enumerate()
-                .map(|(i, label)| format!(
-                    "  {{\"label\": {}, \"samples\": 5, \"median_ns\": {}, \"mad_ns\": 1, \"mean_ns\": 9, \"min_ns\": 1, \"max_ns\": 20}}",
-                    json_string(label),
-                    100 + i as u128,
-                ))
-                .collect::<Vec<_>>()
-                .join(",\n")
-        );
-        let parsed = parse_baseline(&body);
-        assert_eq!(parsed.len(), 3);
-        for (i, label) in labels.iter().enumerate() {
-            assert_eq!(parsed.get(*label), Some(&(100 + i as u128)), "{label}");
-        }
-        // Garbage degrades to "no comparison", never a panic.
-        assert!(parse_baseline("not json at all").is_empty());
-        assert!(parse_baseline("[{\"label\": \"x\"}]").is_empty());
-    }
-
-    #[test]
-    fn delta_formatting() {
-        assert_eq!(fmt_delta(1000, 900), "-10.0%");
-        assert_eq!(fmt_delta(1000, 1250), "+25.0%");
-        assert_eq!(fmt_delta(1000, 1000), "+0.0%");
-        assert_eq!(fmt_delta(0, 500), "n/a");
     }
 
     #[test]

@@ -30,10 +30,10 @@
 //!
 //! Both index types implement [`BatchAnswer`](cqap_serve::BatchAnswer)
 //! (including the request-coalescing protocol), so the entire serving
-//! surface — `ServeRuntime`, the benches, the examples — runs over the
-//! disk tier unchanged. The `tier_tradeoff` bench sweeps the fraction of
-//! cold shards under zipf traffic and dumps the space-vs-latency curve as
-//! a `BENCH_*.json` baseline.
+//! surface — `ServeRuntime`, the `perf/` harness, the examples — runs
+//! over the disk tier unchanged. `perf/` measures two points of the
+//! space-vs-latency curve: both shards cold (`cold_store`) and one hot,
+//! one cold (`delta_mix`).
 //!
 //! ## Worked example: spill, then answer identically
 //!

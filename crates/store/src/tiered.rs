@@ -14,8 +14,8 @@
 //! budget for the hot tier plus observed per-shard request frequency.
 //! Hottest shards are kept in memory first; whatever exceeds the budget
 //! pays disk reads. That is the paper's space/time tradeoff made physical:
-//! `S` resident buys probe latency, and the `tier_tradeoff` bench sweeps
-//! exactly this axis.
+//! `S` resident buys probe latency. `perf/`'s `cold_store` (both shards
+//! cold) and `delta_mix` (`[Hot, Cold]`) measure two points on this axis.
 
 use std::cmp::Reverse;
 use std::path::Path;
@@ -106,6 +106,12 @@ impl PlacementPolicy {
 enum TierShard {
     Hot(Arc<CqapIndex>),
     Cold(StoredIndex),
+}
+
+/// An exclusive borrow of one shard, from `TieredShardedIndex::shards_mut`.
+enum TierShardMut<'a> {
+    Hot(&'a mut CqapIndex),
+    Cold(&'a mut StoredIndex),
 }
 
 /// Per-tier space breakdown of a [`TieredShardedIndex`] — the "space" axis
@@ -310,27 +316,38 @@ impl TieredShardedIndex {
     /// exclusive ownership of the hot shards.
     ///
     /// # Errors
-    /// Fails if a hot shard `Arc` is shared (serving handles must be
-    /// dropped before mutating).
+    /// Fails, with no shard changed, if a hot shard `Arc` is shared
+    /// (serving handles must be dropped before mutating).
     pub fn set_metrics_sink(&mut self, sink: MetricsSink) -> Result<()> {
-        for shard in &mut self.shards {
+        for shard in self.shards_mut("attach a metrics sink")? {
             match shard {
-                TierShard::Hot(index) => {
-                    let index = Arc::get_mut(index).ok_or_else(|| {
-                        CqapError::Other(
-                            "cannot attach a metrics sink: a hot shard is shared \
-                             (serving handles must be dropped before mutating)"
-                                .into(),
-                        )
-                    })?;
-                    index.set_metrics_sink(sink.clone());
-                }
-                TierShard::Cold(stored) => stored.set_metrics_sink(sink.clone()),
+                TierShardMut::Hot(index) => index.set_metrics_sink(sink.clone()),
+                TierShardMut::Cold(stored) => stored.set_metrics_sink(sink.clone()),
             }
         }
         self.sink = sink;
         self.publish_space_gauges();
         Ok(())
+    }
+
+    /// Every shard's exclusive borrow, all taken before any shard is
+    /// touched, so a shared hot shard refuses a mutation before any shard
+    /// has changed instead of leaving the deployment half-changed.
+    fn shards_mut(&mut self, action: &str) -> Result<Vec<TierShardMut<'_>>> {
+        self.shards
+            .iter_mut()
+            .map(|shard| match shard {
+                TierShard::Hot(index) => {
+                    Arc::get_mut(index).map(TierShardMut::Hot).ok_or_else(|| {
+                        CqapError::Other(format!(
+                            "cannot {action}: a hot shard is shared (serving \
+                             handles must be dropped before mutating)"
+                        ))
+                    })
+                }
+                TierShard::Cold(stored) => Ok(TierShardMut::Cold(stored)),
+            })
+            .collect()
     }
 
     /// Publishes the RAM-resident footprint of each tier as absolute
@@ -459,20 +476,11 @@ impl ApplyDelta for TieredShardedIndex {
             self.spec.partition_delta(batch, db)?
         };
         let mut stats = DeltaStats::default();
-        for (shard, part) in self.shards.iter_mut().zip(parts) {
-            match shard {
-                TierShard::Hot(index) => {
-                    let index = Arc::get_mut(index).ok_or_else(|| {
-                        CqapError::Other(
-                            "cannot apply a delta: a hot shard is shared (serving \
-                             handles must be dropped before mutating)"
-                                .into(),
-                        )
-                    })?;
-                    stats.merge(index.apply_delta(&part)?);
-                }
-                TierShard::Cold(stored) => stats.merge(stored.apply_delta(&part)?),
-            }
+        for (shard, part) in self.shards_mut("apply a delta")?.into_iter().zip(parts) {
+            stats.merge(match shard {
+                TierShardMut::Hot(index) => index.apply_delta(&part)?,
+                TierShardMut::Cold(stored) => stored.apply_delta(&part)?,
+            });
         }
         // Deltas grow and shrink shards (and cold compactions fold
         // overlays into fresh runs), so re-publish the per-tier
@@ -512,6 +520,7 @@ mod tests {
     use cqap_common::Tuple;
     use cqap_decomp::families as pf;
     use cqap_query::workload::{graph_pair_requests, zipf_multi_requests, Graph};
+    use cqap_yannakakis::naive_answer;
 
     fn fixture() -> (Cqap, Vec<Pmtd>, Graph, Database, CqapIndex) {
         let (cqap, pmtds) = pf::pmtds_3reach_fig1().unwrap();
@@ -705,5 +714,63 @@ mod tests {
         assert!(dir.exists());
         drop(tiered);
         assert!(!dir.exists(), "scratch dir cleaned up on drop");
+    }
+
+    #[test]
+    fn a_shared_hot_shard_refuses_a_delta_with_no_shard_changed() {
+        let (cqap, pmtds, g, db, _) = fixture();
+        let sharded = ShardedIndex::build(&cqap, &db, &pmtds, 2).unwrap();
+        let held = Arc::clone(&sharded.shards()[1]);
+        let mut tiered = TieredShardedIndex::from_sharded(
+            sharded,
+            &[ShardTier::Cold, ShardTier::Hot],
+            scratch_dir("shared-test"),
+        )
+        .unwrap();
+
+        // A fresh path through every relation from a start value on each
+        // shard, plus deletes of existing tuples: both shards get a part.
+        let mut requests: Vec<AccessRequest> = graph_pair_requests(&g, 20, 43)
+            .into_iter()
+            .map(|(u, v)| AccessRequest::single(cqap.access(), &[u, v]).unwrap())
+            .collect();
+        let mut batch = DeltaBatch::new();
+        for shard in 0..2 {
+            let start = (50_000u64..)
+                .find(|&a| tiered.spec().shard_of_value(a) == shard)
+                .unwrap();
+            for (i, rel) in db.relations().iter().enumerate() {
+                let i = i as u64;
+                batch = batch.insert(rel.name(), vec![Tuple::pair(start + i, start + i + 1)]);
+            }
+            let end = start + db.num_relations() as u64;
+            requests.push(AccessRequest::single(cqap.access(), &[start, end]).unwrap());
+        }
+        let routed = &db.relations()[0];
+        let victims: Vec<Tuple> = routed.tuples().iter().step_by(5).take(6).cloned().collect();
+        let batch = batch.delete(routed.name(), victims);
+
+        assert!(tiered.apply_delta(&batch).is_err());
+        drop(held);
+        for request in &requests {
+            let expected = naive_answer(&cqap, &db, request).unwrap();
+            assert_eq!(
+                tiered.answer(request).unwrap(),
+                expected,
+                "after the refusal"
+            );
+        }
+
+        tiered.apply_delta(&batch).unwrap();
+        let mut after = db.clone();
+        after.apply_delta(&batch).unwrap();
+        for request in &requests {
+            let expected = naive_answer(&cqap, &after, request).unwrap();
+            assert_eq!(
+                tiered.answer(request).unwrap(),
+                expected,
+                "after the re-apply"
+            );
+        }
     }
 }
