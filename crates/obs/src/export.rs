@@ -218,44 +218,4 @@ impl MetricsSnapshot {
 
         out
     }
-
-    /// Renders the per-stage latency distributions as bench-style JSON
-    /// records (`label`, `samples`, `median_ns`, … `p999_ns`, the fields
-    /// of the criterion shim's `SampleStats`): a JSON array, one record
-    /// per non-empty stage, labelled `stage/<name>`.
-    ///
-    /// `median_ns`/`p99_ns`/`p999_ns` are bucket-midpoint quantile
-    /// estimates; `mad_ns` is not recoverable from buckets and is
-    /// reported as 0.
-    pub fn to_bench_json(&self) -> String {
-        let mut out = String::from("[");
-        let mut first = true;
-        for stage in StageId::ALL {
-            let hist = self.stage(stage);
-            if hist.is_empty() {
-                continue;
-            }
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            write!(
-                out,
-                "\n  {{\"label\": \"stage/{}\", \"samples\": {}, \"median_ns\": {}, \
-                 \"mad_ns\": 0, \"mean_ns\": {}, \"min_ns\": {}, \"max_ns\": {}, \
-                 \"p99_ns\": {}, \"p999_ns\": {}}}",
-                stage.name(),
-                hist.count,
-                hist.p50(),
-                hist.mean(),
-                hist.min,
-                hist.max,
-                hist.p99(),
-                hist.p999()
-            )
-            .expect("write to String");
-        }
-        out.push_str("\n]\n");
-        out
-    }
 }

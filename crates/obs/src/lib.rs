@@ -24,9 +24,7 @@
 //!   disabled.
 //! - [`MetricsSnapshot`] — an owned copy of a recorder, exportable as
 //!   Prometheus text exposition
-//!   ([`to_prometheus`](MetricsSnapshot::to_prometheus)) or the
-//!   bench-style JSON records
-//!   ([`to_bench_json`](MetricsSnapshot::to_bench_json)); two
+//!   ([`to_prometheus`](MetricsSnapshot::to_prometheus)); two
 //!   snapshots subtract into an interval window
 //!   ([`delta`](MetricsSnapshot::delta)).
 //! - [`trace`] — the flight recorder: a fixed-capacity seqlock ring

@@ -33,8 +33,7 @@ pub enum StageId {
     /// Answer-cache / in-flight map lookup under the runtime state
     /// lock.
     CacheLookup,
-    /// Classifying and merging a batch's requests into coalesced
-    /// probe groups.
+    /// Forming a batch's fresh probes into jobs and dispatching them.
     Coalesce,
     /// The backend index probe itself (the Yannakakis answer call).
     BackendProbe,

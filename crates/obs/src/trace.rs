@@ -91,7 +91,7 @@ pub enum TraceStage {
     /// Answer-cache / in-flight lookup (mirrors
     /// [`StageId::CacheLookup`]).
     CacheLookup,
-    /// Batch coalescing (mirrors [`StageId::Coalesce`]).
+    /// Batch job formation and dispatch (mirrors [`StageId::Coalesce`]).
     Coalesce,
     /// The backend index probe (mirrors [`StageId::BackendProbe`]).
     BackendProbe,

@@ -291,22 +291,6 @@ fn prometheus_exposition_is_well_formed() {
     }
 }
 
-/// The bench-JSON export has one record per non-empty stage: label +
-/// numeric fields.
-#[test]
-fn bench_json_contains_stage_records() {
-    let snap = golden_recorder().snapshot();
-    let json = snap.to_bench_json();
-    assert!(json.starts_with('[') && json.trim_end().ends_with(']'));
-    assert!(json.contains("\"label\": \"stage/cache_lookup\""));
-    assert!(json.contains("\"label\": \"stage/backend_probe\""));
-    assert!(json.contains("\"samples\": 3"));
-    assert!(json.contains("\"p99_ns\""));
-    assert!(json.contains("\"p999_ns\""));
-    // No empty stages leak into the dump.
-    assert!(!json.contains("stage/coalesce"));
-}
-
 /// `MetricsSnapshot::delta` recovers exactly the activity between two
 /// cumulative snapshots: counters/buckets subtract, gauges carry the
 /// signed change, and the delta histogram matches one that recorded

@@ -8,8 +8,9 @@
 //! answered with a typed [`ServeError::Overloaded`] at once. Admitted
 //! requests keep a bounded queue wait, and no submitter ever blocks.
 //!
-//! The runtime charges the gate once per probe job (a lone probe, or a
-//! coalesced group probed in bulk) on its one dispatch path, so every
+//! The runtime charges the gate once per probe job (a submit's lone
+//! probe, or one worker's share of a batch's fresh probes) on its one
+//! dispatch path, so every
 //! entry point — and everything layered on top (`ShardRouter`, tiered
 //! backends) — inherits the bound. Cache hits and joins of a probe
 //! already in flight take no slot. The gate is one atomic counter:

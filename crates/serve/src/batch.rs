@@ -8,13 +8,16 @@
 //! implements this trait, so the serving runtime, the throughput benches
 //! and the examples are written once, generically.
 //!
+//! A batch is answered member by member: [`BatchAnswer::answer_batch`],
+//! the one bulk seam, returns one result per request, so a bad request
+//! fails its own position and never its neighbours'.
+//!
 //! Implementations must be usable from many threads at once (`Sync` with
 //! `&self` answering); the probe counters inside `cqap-indexes` are relaxed
 //! atomics for exactly this reason.
 
 use std::hash::Hash;
 
-use cqap_common::CqapError;
 use cqap_common::Result;
 use cqap_common::Val;
 use cqap_indexes::{
@@ -28,12 +31,11 @@ use cqap_relation::Relation;
 /// An immutable index that answers access requests one at a time or in
 /// batches, safely from multiple threads.
 ///
-/// `answer_batch` has a sequential default; structures with a cheaper bulk
-/// strategy (shared scans, semi-naive frontiers) can override it for
-/// callers that consume whole batches directly. Note that the serving
-/// runtime in [`crate::runtime`] dispatches `answer_one` per request (it
-/// needs per-request caching and result channels), so a bulk override
-/// benefits direct `answer_batch` callers, not `ServeRuntime`.
+/// [`answer_batch`](Self::answer_batch) is the bulk seam: the serving
+/// runtime in [`crate::runtime`] hands every probe job's live requests to
+/// one `answer_batch` call, so an override (the shard router scatters
+/// every request's legs before it gathers any) benefits `ServeRuntime`
+/// too. The default answers request by request.
 pub trait BatchAnswer: Send + Sync {
     /// The per-request key. `Hash + Eq` so answers can be cached and
     /// duplicate requests within a batch deduplicated.
@@ -51,59 +53,17 @@ pub trait BatchAnswer: Send + Sync {
     /// schema mismatch); the specialized Boolean structures never fail.
     fn answer_one(&self, request: &Self::Request) -> Result<Self::Answer>;
 
-    /// Answers a batch of requests in order.
-    ///
-    /// # Errors
-    /// Fails on the first failing request.
-    fn answer_batch(&self, requests: &[Self::Request]) -> Result<Vec<Self::Answer>> {
+    /// Answers a batch of requests: one result per request, in order. A
+    /// failing request fails only its own position.
+    fn answer_batch(&self, requests: &[Self::Request]) -> Vec<Result<Self::Answer>> {
         requests.iter().map(|r| self.answer_one(r)).collect()
-    }
-
-    /// The *coalescing class* of a request, for index families that can
-    /// merge several queued requests into one bulk probe (the paper's
-    /// §6.4 batching remark). The serving runtime merges requests that
-    /// return the same `Some(class)` — for the framework driver,
-    /// single-tuple requests sharing an access pattern. `None` (the
-    /// default) opts the request out of coalescing.
-    fn coalesce_class(request: &Self::Request) -> Option<u64> {
-        let _ = request;
-        None
-    }
-
-    /// Merges two or more same-class requests into one bulk request whose
-    /// single probe answers all of them; the per-request answers are
-    /// recovered with [`BatchAnswer::extract`].
-    ///
-    /// # Errors
-    /// The default errs (it is never invoked unless
-    /// [`BatchAnswer::coalesce_class`] returned `Some`); implementations
-    /// may fail on inconsistent groups, in which case the runtime falls
-    /// back to one probe per request.
-    fn coalesce(requests: &[Self::Request]) -> Result<Self::Request> {
-        let _ = requests;
-        Err(CqapError::Other(
-            "this index family does not coalesce requests".into(),
-        ))
-    }
-
-    /// Extracts one merged request's answer from the bulk answer of the
-    /// probe dispatched for [`BatchAnswer::coalesce`]'s output.
-    ///
-    /// # Errors
-    /// The default errs (never invoked unless coalescing is supported);
-    /// implementations propagate their own extraction failures.
-    fn extract(&self, bulk: &Self::Answer, request: &Self::Request) -> Result<Self::Answer> {
-        let _ = (bulk, request);
-        Err(CqapError::Other(
-            "this index family does not coalesce requests".into(),
-        ))
     }
 
     /// A *degraded* (cheaper, possibly partial) answer, used by the
     /// serving runtime past its overload watermark
     /// (`ServeConfig::degrade_watermark`). `None` — the default — means
     /// the structure has no cheaper plan to offer, and the runtime falls
-    /// back to [`BatchAnswer::answer_one`].
+    /// back to [`BatchAnswer::answer_batch`].
     ///
     /// Implementations returning `Some` must mark the answer as degraded
     /// in a way the caller can observe (the framework driver renames the
@@ -115,76 +75,17 @@ pub trait BatchAnswer: Send + Sync {
     }
 }
 
-/// The coalescing class shared by every `AccessRequest`-keyed structure:
-/// single-tuple requests, grouped by their access pattern (the `VarSet`
-/// bits). Multi-tuple requests stay un-coalesced — they are already bulk
-/// probes.
-pub fn access_request_class(request: &AccessRequest) -> Option<u64> {
-    (request.len() == 1).then(|| request.access().0)
-}
-
-/// Merges single-tuple access requests over one access pattern into one
-/// multi-tuple request (the bulk probe of the §6.4 batching remark).
-///
-/// # Errors
-/// Fails if the group is empty, mixes access patterns, or contains a
-/// multi-tuple request — the runtime then falls back to individual probes.
-pub fn coalesce_access_requests(requests: &[AccessRequest]) -> Result<AccessRequest> {
-    let first = requests.first().ok_or_else(|| {
-        CqapError::Other("cannot coalesce an empty request group".into())
-    })?;
-    let access = first.access();
-    let mut tuples = Vec::with_capacity(requests.len());
-    for request in requests {
-        if request.access() != access || request.len() != 1 {
-            return Err(CqapError::Other(
-                "coalesce groups must be single-tuple requests over one access pattern".into(),
-            ));
-        }
-        tuples.extend(request.tuples().iter().cloned());
-    }
-    AccessRequest::new(access, tuples)
-}
-
-/// Recovers one request's answer from a coalesced probe's bulk answer.
-///
-/// Framework answers always carry the access variables (they are projected
-/// onto `declared_head ∪ access`), so the bulk answer splits exactly: the
-/// tuples belonging to request `t` are those matching `t` on the access
-/// variables — a semijoin with the request. This is why coalescing is
-/// answer-preserving: `π(join ⋉ ∪ᵢtᵢ) ⋉ tᵢ = π(join ⋉ tᵢ)`.
-///
-/// # Errors
-/// Fails only if the bulk answer does not contain the access variables
-/// (impossible for answers produced by the framework drivers).
-pub fn extract_access_answer(bulk: &Relation, request: &AccessRequest) -> Result<Relation> {
-    bulk.semijoin(&request.as_relation())
-}
-
 /// The framework driver: the online phase runs Online Yannakakis over every
 /// PMTD and unions the per-PMTD answers, so this impl is the generic
-/// (every-CQAP) serving path. It joins the coalescing protocol:
-/// single-tuple requests sharing the access pattern merge into one
-/// multi-tuple probe, and the per-request answers are recovered by
-/// semijoining the bulk answer with each request.
+/// (every-CQAP) serving path. A multi-binding request (the §6.4 batch
+/// `Q_A`) is answered in one engine pass by `answer_one`; `answer_batch`
+/// keeps the default, one request at a time.
 impl BatchAnswer for CqapIndex {
     type Request = AccessRequest;
     type Answer = Relation;
 
     fn answer_one(&self, request: &Self::Request) -> Result<Self::Answer> {
         self.answer(request)
-    }
-
-    fn coalesce_class(request: &Self::Request) -> Option<u64> {
-        access_request_class(request)
-    }
-
-    fn coalesce(requests: &[Self::Request]) -> Result<Self::Request> {
-        coalesce_access_requests(requests)
-    }
-
-    fn extract(&self, bulk: &Self::Answer, request: &Self::Request) -> Result<Self::Answer> {
-        extract_access_answer(bulk, request)
     }
 
     /// Past the runtime's overload watermark the driver answers from its
@@ -247,10 +148,10 @@ mod tests {
             .into_iter()
             .map(|(u, v)| AccessRequest::single(cqap.access(), &[u, v]).unwrap())
             .collect();
-        let batch = index.answer_batch(&requests).unwrap();
+        let batch = index.answer_batch(&requests);
         assert_eq!(batch.len(), requests.len());
-        for (request, answer) in requests.iter().zip(&batch) {
-            assert_eq!(answer, &index.answer(request).unwrap());
+        for (request, answer) in requests.iter().zip(batch) {
+            assert_eq!(answer.unwrap(), index.answer(request).unwrap());
         }
     }
 
@@ -271,9 +172,9 @@ mod tests {
         let family = SetFamily::zipf(15, 300, 60, 0.8, 13);
         let disjoint = SetDisjointnessIndex::build(&family, 500);
         let batch: Vec<(Val, Val)> = (0..15).map(|i| (i, (i + 3) % 15)).collect();
-        let answers = disjoint.answer_batch(&batch).unwrap();
-        for (&(a, b), &ans) in batch.iter().zip(&answers) {
-            assert_eq!(ans, disjoint.intersects(a, b));
+        let answers = disjoint.answer_batch(&batch);
+        for (&(a, b), ans) in batch.iter().zip(answers) {
+            assert_eq!(ans.unwrap(), disjoint.intersects(a, b));
         }
     }
 

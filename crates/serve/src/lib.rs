@@ -25,8 +25,10 @@
 //!   index, per-request one-shot result cells ([`Ticket`]), order-preserving
 //!   batch serving with intra-batch deduplication, in-flight probe sharing
 //!   across concurrent submitters (no thundering herd on a hot key), and
-//!   [`ServeStats`] counters. Single and coalesced probes run as one kind
-//!   of job through one worker path.
+//!   [`ServeStats`] counters. A submit's probe and a batch's fresh probes
+//!   run as one kind of job through one worker path, which answers a
+//!   job's members with one [`BatchAnswer::answer_batch`] call, member by
+//!   member.
 //! * Overload safety — shed-only bounded admission ([`AdmissionConfig`]:
 //!   a probe job past the bound resolves at once with a typed
 //!   [`ServeError::Overloaded`]), absolute deadlines

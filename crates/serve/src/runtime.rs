@@ -27,12 +27,14 @@
 //!
 //! Both doors share one request path. Each distinct key is looked up once
 //! (a cache hit, a join of the probe in flight, or a fresh probe); fresh
-//! probes become *jobs* — a lone probe, or a §6.4-coalesced group probed
-//! in bulk — and every job is admitted, queued and resolved by one worker
-//! path. That path publishes each caller's outcome (answer, probe error,
-//! expiry or shed) to the cache and the pending map at one site, then lets
-//! go of the index and of its admission slot, and only then sends: a
-//! caller whose ticket resolved holds the only index handle again.
+//! probes become *jobs* — a submit's lone probe, or a batch's fresh probes
+//! dealt into at most one job per worker — and every job is admitted,
+//! queued and resolved by one worker path. That path answers the job's
+//! live members with one [`BatchAnswer::answer_batch`] call, member by
+//! member, publishes each caller's outcome (answer, probe error, expiry or
+//! shed) to the cache and the pending map at one site, then lets go of the
+//! index and of its admission slot, and only then sends: a caller whose
+//! ticket resolved holds the only index handle again.
 //!
 //! The index is `Arc`-shared and read-only while requests are served —
 //! the paper's regime: preprocessing fixes the materialized views within
@@ -60,6 +62,7 @@
 //! from the index's cheapest plan ([`BatchAnswer::answer_degraded`]),
 //! flagged in the answer and kept out of the cache.
 
+use std::borrow::Cow;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
@@ -122,11 +125,10 @@ pub struct ServeStats {
     /// flight for the same key (cross-caller deduplication), instead of
     /// re-probing the index.
     pub inflight_hits: u64,
-    /// Requests merged with other same-class requests of their batch into
-    /// a single bulk probe (the §6.4 batching remark: for the framework
-    /// driver, queued single-tuple requests sharing an access pattern
-    /// become one multi-tuple probe before dispatch). Counts every member
-    /// of a merged group; groups of one dispatch normally and count zero.
+    /// Fresh probes of a batch that shared their probe job with at least
+    /// one other: every member of a job with two or more members counts,
+    /// a job of one counts zero. The job's members are answered by one
+    /// [`BatchAnswer::answer_batch`] call.
     pub coalesced: u64,
     /// Requests that had to probe the index.
     pub cache_misses: u64,
@@ -347,8 +349,8 @@ impl<A> Ticket<A> {
 
 /// Runs one call into the index, converting a panic into a regular
 /// [`CqapError`] (`"{what} panicked: …"`) so workers stay alive, the
-/// error counter stays truthful, and one bad member of a coalesced group
-/// cannot strand the rest.
+/// error counter stays truthful, and a panicking job still resolves every
+/// member.
 fn guarded<T>(what: &str, call: impl FnOnce() -> Result<T>) -> Result<T> {
     std::panic::catch_unwind(std::panic::AssertUnwindSafe(call)).unwrap_or_else(|panic| {
         let message = panic
@@ -418,20 +420,19 @@ enum Lookup<A> {
     Probe,
 }
 
-/// One caller a probe job answers: its request key, its reply, and the
-/// deadline past which it resolves as expired instead.
+/// One caller a probe job answers: its reply, and the deadline past which
+/// it resolves as expired instead.
 struct Member<I: BatchAnswer> {
-    request: I::Request,
     reply: AnswerReply<I>,
     deadline: Option<Instant>,
 }
 
-/// One backend probe and the callers it answers: the unit the admission
-/// gate charges one slot and the pool runs as one job. A lone probe has
-/// `bulk = None` and one member; a coalesced group (§6.4) probes `bulk`,
-/// the merged request, and extracts each member's answer from it.
+/// Fresh probes and the callers they answer: the unit the admission gate
+/// charges one slot and the pool runs as one job. A submit's job has one
+/// member; a batch deals its fresh probes into at most one job per worker.
 struct Job<I: BatchAnswer> {
-    bulk: Option<I::Request>,
+    /// One distinct request key per member, in member order.
+    requests: Vec<I::Request>,
     members: Vec<Member<I>>,
     trace: TraceId,
     /// Set when the job owns its trace's root (a lone `submit`): the root
@@ -457,15 +458,14 @@ impl<I: BatchAnswer> Shared<I> {
     }
 
     /// The one worker path: resolves every member of `job` with at most
-    /// one backend probe.
+    /// one call into the index.
     ///
-    /// Each member's verdict is fixed before the probe: shed (the gate's
-    /// `refusal`), expired (its deadline passed), or live. The probe runs
-    /// while any member is live, on `bulk` — split per live member by
-    /// [`BatchAnswer::extract`] — or on the lone member's request;
-    /// `degrade` (set for lone jobs only) tries the cheapest plan first,
-    /// whose answer is never cached. A probe error reaches every live
-    /// member and counts once.
+    /// Each member's verdict is fixed before the call: shed (the gate's
+    /// `refusal`), expired (its deadline passed), or live. The live
+    /// members' requests go to [`probe`] — one [`BatchAnswer::answer_batch`]
+    /// call, or the cheapest plan first when `degrade` is set (lone jobs
+    /// only), whose answer is never cached. Each failing member counts one
+    /// error.
     ///
     /// All members are published under one lock while the job still holds
     /// the index, so an `apply_delta` can never slip between the probe and
@@ -487,41 +487,39 @@ impl<I: BatchAnswer> Shared<I> {
         let now = job.members.iter().any(|m| m.deadline.is_some()).then(Instant::now);
         let verdict =
             |member: &Member<I>| refusal.clone().or_else(|| expiry(member.deadline?, now?));
+        let live = job.members.iter().filter(|m| verdict(m).is_none()).count();
         let mut degraded = false;
-        let probe = job.members.iter().any(|m| verdict(m).is_none()).then(|| {
+        let mut probed = (live > 0).then(|| {
             let _scope = TraceScope::enter(job.trace);
-            let request = job.bulk.as_ref().unwrap_or(&job.members[0].request);
-            if degrade {
-                let cheap = guarded("degraded answer", || {
-                    index.answer_degraded(request).transpose()
-                });
-                if let Some(cheap) = cheap.transpose() {
-                    degraded = true;
-                    return cheap.map(Arc::new);
-                }
-            }
-            guarded("request", || index.answer_one(request)).map(Arc::new)
-        });
-        if probe.is_some() {
+            let requests: Cow<'_, [I::Request]> = if live == job.members.len() {
+                Cow::Borrowed(&job.requests)
+            } else {
+                let live = job.requests.iter().zip(&job.members);
+                let live = live.filter(|(_, member)| verdict(member).is_none());
+                Cow::Owned(live.map(|(request, _)| request.clone()).collect())
+            };
+            let (answers, cheap) = probe(&*index, &requests, degrade);
+            degraded = cheap;
             span.lap(StageId::BackendProbe);
-        }
-        let mut errors = u64::from(matches!(probe, Some(Err(_))));
+            answers.map(Vec::into_iter)
+        });
+        let mut errors = 0;
         let mut resolved: Vec<_> = job
             .members
             .into_iter()
             .map(|member| {
-                let result = match (verdict(&member), &probe) {
+                let verdict = verdict(&member);
+                let skipped = verdict.is_some();
+                let result = match (verdict, &mut probed) {
                     (Some(error), _) => Err(error),
-                    (None, Some(Ok(answer))) if job.bulk.is_some() => {
-                        let part = guarded("extract", || index.extract(answer, &member.request))
-                            .map(Arc::new);
-                        errors += u64::from(part.is_err());
-                        part
+                    (None, Some(Ok(answers))) => {
+                        answers.next().expect("one answer per live member").map(Arc::new)
                     }
-                    (None, Some(result)) => result.clone(),
+                    (None, Some(Err(error))) => Err(error.clone()),
                     (None, None) => unreachable!("a live member runs the probe"),
                 };
-                (member, result, Vec::new())
+                errors += u64::from(!skipped && result.is_err());
+                (member, skipped, result, Vec::new())
             })
             .collect();
         // Tickets resolved without the probe (shed or expired): each member
@@ -529,12 +527,13 @@ impl<I: BatchAnswer> Shared<I> {
         let mut dropped = 0;
         {
             let mut state = self.state.lock().expect("state lock");
-            for (member, result, waiters) in &mut resolved {
+            let members = resolved.iter_mut().zip(&job.requests);
+            for ((_, skipped, result, waiters), request) in members {
                 // Degraded answers are never cached: a warm hit must not
                 // keep serving the cheap answer after the overload ends.
                 let keep = result.as_ref().ok().filter(|_| !degraded);
-                *waiters = state.publish(&member.request, keep);
-                if verdict(member).is_some() {
+                *waiters = state.publish(request, keep);
+                if *skipped {
                     dropped += 1 + waiters.len() as u64;
                 }
             }
@@ -560,7 +559,7 @@ impl<I: BatchAnswer> Shared<I> {
             self.stats.degraded.fetch_add(1, Ordering::Relaxed);
             self.sink.incr(CounterId::DegradedAnswers);
         }
-        for (_, result, waiters) in &mut resolved {
+        for (_, _, result, waiters) in &mut resolved {
             for waiter in waiters.drain(..) {
                 waiter.send(result.clone());
             }
@@ -570,10 +569,43 @@ impl<I: BatchAnswer> Shared<I> {
             span.lap(StageId::TicketDelivery);
         }
         self.finish_root(job.trace, job.submitted);
-        for (member, result, _) in resolved {
+        for (member, _, result, _) in resolved {
             member.reply.send(result);
         }
     }
+}
+
+/// Answers one job's live `requests`, one result each in order, and says
+/// whether they are degraded. A lone request past the degrade watermark
+/// tries the cheapest plan first; otherwise the requests go to one
+/// [`BatchAnswer::answer_batch`] call, and a panic in it (or a result count
+/// that does not match) is one error for all of them.
+fn probe<I: BatchAnswer>(
+    index: &I,
+    requests: &[I::Request],
+    degrade: bool,
+) -> (Result<Vec<Result<I::Answer>>>, bool) {
+    if let ([request], true) = (requests, degrade) {
+        let cheap = guarded("degraded answer", || {
+            index.answer_degraded(request).transpose()
+        });
+        if let Some(cheap) = cheap.transpose() {
+            return (Ok(vec![cheap]), true);
+        }
+    }
+    let answers = guarded("request", || {
+        let answers = index.answer_batch(requests);
+        if answers.len() == requests.len() {
+            Ok(answers)
+        } else {
+            Err(CqapError::Other(format!(
+                "answer_batch returned {} results for {} requests",
+                answers.len(),
+                requests.len()
+            )))
+        }
+    });
+    (answers, false)
 }
 
 /// A concurrent, caching request-serving runtime over a shared immutable
@@ -717,7 +749,7 @@ impl<I: BatchAnswer + 'static> ServeRuntime<I> {
         match self.gate.as_ref().map(AdmissionGate::admit).transpose() {
             Err(refusal) => self.shared.dispatch(job, index, None, false, Some(refusal)),
             Ok(permit) => {
-                let degrade = job.bulk.is_none()
+                let degrade = job.members.len() == 1
                     && self
                         .degrade_watermark
                         .is_some_and(|watermark| self.pool.pending() > watermark);
@@ -813,12 +845,8 @@ impl<I: BatchAnswer + 'static> ServeRuntime<I> {
                 reply.send(Ok(answer));
             }
             (Lookup::Probe, Some(reply)) => self.launch(Job {
-                bulk: None,
-                members: vec![Member {
-                    request,
-                    reply,
-                    deadline,
-                }],
+                requests: vec![request],
+                members: vec![Member { reply, deadline }],
                 trace,
                 submitted,
             }),
@@ -834,9 +862,10 @@ impl<I: BatchAnswer + 'static> ServeRuntime<I> {
     /// (sharing one `Arc`); previously served requests are answered from
     /// the LRU cache; requests whose probe is already in flight (from a
     /// concurrent `submit` or batch) join that probe instead of re-running
-    /// it. Remaining fresh probes that share a coalescing class (see
-    /// [`BatchAnswer::coalesce_class`]) are merged into one bulk probe
-    /// before dispatch and counted in [`ServeStats::coalesced`].
+    /// it. Remaining fresh probes are dealt into at most one job per
+    /// worker; each job answers its members with one
+    /// [`BatchAnswer::answer_batch`] call, member by member (jobs of two or
+    /// more members count in [`ServeStats::coalesced`]).
     ///
     /// # Errors
     /// Fails if any request fails (the first error in input order wins).
@@ -851,9 +880,9 @@ impl<I: BatchAnswer + 'static> ServeRuntime<I> {
     /// whole batch on the first error.
     ///
     /// Deadlines shape the batch in two ways. Dispatch is
-    /// earliest-deadline-first: probe jobs (coalesced groups and lone
-    /// probes) enter the pool ordered by their earliest position's
-    /// deadline, so the most urgent work queues first. And expiry is
+    /// earliest-deadline-first: fresh probes are sorted by their earliest
+    /// position's deadline before they are dealt into jobs, so the most
+    /// urgent work queues, and is answered, first. And expiry is
     /// checked on the worker before each probe: a request whose deadline
     /// passed while queued resolves as [`CqapError::DeadlineExpired`]
     /// without costing a backend probe (for a deduplicated group, only
@@ -883,7 +912,7 @@ impl<I: BatchAnswer + 'static> ServeRuntime<I> {
     ) -> Vec<Result<Arc<I::Answer>>> {
         let shared = &self.shared;
         // One trace id covers the whole batch: its lookup/coalesce laps
-        // and every probe it dispatches share the id, and the root spans
+        // and every job it dispatches share the id, and the root spans
         // submission to the last gathered answer.
         let trace = shared.sink.trace_begin();
         let submitted = trace.is_sampled().then(Instant::now);
@@ -939,17 +968,15 @@ impl<I: BatchAnswer + 'static> ServeRuntime<I> {
                 .trace_span(trace, TraceStage::CacheLookup, started, Instant::now(), 0);
         }
 
-        // Coalesce (§6.4): distinct fresh probes sharing a coalescing
-        // class — for the framework drivers, single-tuple requests over
-        // one access pattern — merge into a single bulk probe. The bulk
-        // answer is split back per member and published under the
-        // individual keys (cache inserts and pending waiters included),
-        // so coalescing is invisible to everything downstream of the
-        // dispatch.
+        // Job formation: fresh probes in EDF order (when the batch has
+        // deadlines), dealt into `min(threads, fresh)` contiguous jobs, so
+        // every worker gets one and the most urgent job queues first. Each
+        // job's members are answered by one `answer_batch` call and
+        // published under their own keys.
         //
         // The coalesce stage is timed per batch that had fresh probes:
-        // classification, merging and dispatch, up to handing the last
-        // probe to the pool.
+        // job formation and dispatch, up to handing the last job to the
+        // pool.
         let had_probes = !probes.is_empty();
         let coalesce_timer = if had_probes {
             shared.sink.start()
@@ -964,69 +991,40 @@ impl<I: BatchAnswer + 'static> ServeRuntime<I> {
         // the earliest position orders dispatch (EDF), the latest decides
         // the worker-side drop (the probe still runs while anyone in the
         // group can use it).
-        let mut member = |request: I::Request, positions: Vec<usize>| {
-            let window = deadlines.map(|ds| {
-                let at = positions.iter().map(|&p| ds[p]);
-                let earliest = at.clone().min().expect("non-empty group");
-                (earliest, at.max().expect("non-empty group"))
-            });
-            let (reply, ticket) = oneshot();
-            own.push((ticket, positions));
-            let deadline = window.map(|(_, latest)| latest);
-            (window.map(|(earliest, _)| earliest), Member { request, reply, deadline })
-        };
-        let job = |bulk, members| Job {
-            bulk,
-            members,
-            trace,
-            submitted: None,
-        };
-        // Probe jobs awaiting dispatch, each with its EDF key.
-        let mut jobs: Vec<(Option<Instant>, Job<I>)> = Vec::with_capacity(probes.len());
-        let mut classes: FxHashMap<Option<u64>, Vec<_>> = FxHashMap::default();
-        for (request, positions) in probes {
-            // Guarded like the probe itself: a panicking classifier must
-            // not unwind serve_batch with this batch's keys stranded in
-            // the pending map (later callers would wait on them forever).
-            let class = guarded("coalesce_class", || Ok(I::coalesce_class(&request)));
-            classes.entry(class.ok().flatten()).or_default().push((request, positions));
-        }
-        for (class, group) in classes {
-            // Unclassed requests and groups of one probe alone, and so do
-            // the members of a group whose merge the index refused.
-            let merged = (class.is_some() && group.len() >= 2)
-                .then(|| {
-                    let requests: Vec<I::Request> = group.iter().map(|(r, _)| r.clone()).collect();
-                    guarded("coalesce", || I::coalesce(&requests)).ok()
-                })
-                .flatten();
-            let Some(bulk) = merged else {
-                for (request, positions) in group {
-                    let (earliest, lone) = member(request, positions);
-                    jobs.push((earliest, job(None, vec![lone])));
-                }
-                continue;
-            };
-            shared
-                .stats
-                .coalesced
-                .fetch_add(group.len() as u64, Ordering::Relaxed);
-            let (earliest, members): (Vec<Option<Instant>>, Vec<Member<I>>) = group
-                .into_iter()
-                .map(|(request, positions)| member(request, positions))
-                .unzip();
-            jobs.push((earliest.into_iter().flatten().min(), job(Some(bulk), members)));
-        }
-        // Earliest-deadline-first dispatch: the most urgent job enters
-        // the pool's queue first (every job has a deadline when the batch
-        // does).
+        let mut fresh: Vec<(Option<Instant>, I::Request, Member<I>)> = probes
+            .into_iter()
+            .map(|(request, positions)| {
+                let window = deadlines.map(|ds| {
+                    let at = positions.iter().map(|&p| ds[p]);
+                    let earliest = at.clone().min().expect("non-empty group");
+                    (earliest, at.max().expect("non-empty group"))
+                });
+                let (reply, ticket) = oneshot();
+                own.push((ticket, positions));
+                let deadline = window.map(|(_, latest)| latest);
+                (window.map(|(earliest, _)| earliest), request, Member { reply, deadline })
+            })
+            .collect();
         if deadlines.is_some() {
-            jobs.sort_by_key(|(earliest, _)| *earliest);
+            fresh.sort_by_key(|(earliest, ..)| *earliest);
         }
+        let (n, jobs) = (fresh.len(), self.pool.threads().min(fresh.len()));
+        let mut fresh = fresh.into_iter();
         // Admission charges one slot per job; a shed job's members still
         // resolve through their own tickets, keeping the gather uniform.
-        for (_, next) in jobs {
-            self.launch(next);
+        for j in 0..jobs {
+            let size = n / jobs + usize::from(j < n % jobs);
+            let (requests, members): (Vec<_>, Vec<_>) =
+                fresh.by_ref().take(size).map(|(_, r, m)| (r, m)).unzip();
+            if size >= 2 {
+                shared.stats.coalesced.fetch_add(size as u64, Ordering::Relaxed);
+            }
+            self.launch(Job {
+                requests,
+                members,
+                trace,
+                submitted: None,
+            });
         }
         shared.sink.stop(coalesce_timer, StageId::Coalesce);
         if let Some(started) = coalesce_started {
@@ -1411,41 +1409,25 @@ mod tests {
         assert_eq!(index.probes.load(Ordering::Relaxed), 2);
     }
 
-    /// A coalescable index: a request is a list of keys, the answer their
-    /// doubles; single-key requests merge into one bulk probe.
-    struct BulkIndex {
+    /// An index that counts its probes (`answer_one` calls; the default
+    /// `answer_batch` makes one per request).
+    struct CountingIndex {
         probes: AtomicU64,
     }
 
-    impl crate::BatchAnswer for BulkIndex {
-        type Request = Vec<u64>;
-        type Answer = Vec<u64>;
+    impl crate::BatchAnswer for CountingIndex {
+        type Request = u64;
+        type Answer = u64;
 
-        fn answer_one(&self, request: &Vec<u64>) -> cqap_common::Result<Vec<u64>> {
+        fn answer_one(&self, request: &u64) -> cqap_common::Result<u64> {
             self.probes.fetch_add(1, Ordering::Relaxed);
-            Ok(request.iter().map(|k| k * 2).collect())
-        }
-
-        fn coalesce_class(request: &Vec<u64>) -> Option<u64> {
-            (request.len() == 1).then_some(0)
-        }
-
-        fn coalesce(requests: &[Vec<u64>]) -> cqap_common::Result<Vec<u64>> {
-            Ok(requests.concat())
-        }
-
-        fn extract(&self, bulk: &Vec<u64>, request: &Vec<u64>) -> cqap_common::Result<Vec<u64>> {
-            Ok(request
-                .iter()
-                .map(|k| k * 2)
-                .filter(|v| bulk.contains(v))
-                .collect())
+            Ok(request * 2)
         }
     }
 
     #[test]
-    fn same_class_probes_coalesce_into_one_bulk_probe() {
-        let index = Arc::new(BulkIndex {
+    fn fresh_distinct_keys_probe_once_each_and_cache_per_key() {
+        let index = Arc::new(CountingIndex {
             probes: AtomicU64::new(0),
         });
         let runtime = ServeRuntime::with_config(
@@ -1456,32 +1438,66 @@ mod tests {
                 ..ServeConfig::default()
             },
         );
-        let batch: Vec<Vec<u64>> = vec![vec![1], vec![2], vec![3], vec![4, 5]];
-        let answers: Vec<Vec<u64>> = runtime
-            .serve_batch(&batch)
-            .unwrap()
-            .iter()
-            .map(|a| (**a).clone())
-            .collect();
-        assert_eq!(answers, vec![vec![2], vec![4], vec![6], vec![8, 10]]);
-        // The three singles merged into one bulk probe; the multi-key
-        // request (class None) probed alone.
-        assert_eq!(index.probes.load(Ordering::Relaxed), 2, "two probes total");
+        let batch: Vec<u64> = vec![1, 2, 3, 4, 5];
+        let answers: Vec<u64> = runtime.serve_batch(&batch).unwrap().iter().map(|a| **a).collect();
+        assert_eq!(answers, vec![2, 4, 6, 8, 10]);
+        // Five fresh keys, five `answer_one` probes: one job per worker
+        // (three members and two), each answered member by member.
+        assert_eq!(index.probes.load(Ordering::Relaxed), 5, "one probe per key");
         let stats = runtime.stats();
-        assert_eq!(stats.coalesced, 3, "three members of the merged group");
-        assert_eq!(stats.cache_misses, 4);
-        // Merged members were cached under their own keys.
-        let again = runtime.serve_batch(&batch).unwrap();
-        assert_eq!(again.len(), 4);
-        assert_eq!(runtime.stats().cache_hits, 4);
-        assert_eq!(index.probes.load(Ordering::Relaxed), 2, "warm pass probes nothing");
+        assert_eq!(stats.cache_misses, 5);
+        assert_eq!(stats.coalesced, 5, "both jobs had two or more members");
+        // Every member was cached under its own key, so any subset hits.
+        let subset: Vec<u64> = runtime.serve_batch(&[4, 2]).unwrap().iter().map(|a| **a).collect();
+        assert_eq!(subset, vec![8, 4]);
+        assert_eq!(runtime.stats().cache_hits, 2);
+        assert_eq!(runtime.serve_batch(&batch).unwrap().len(), 5);
+        assert_eq!(runtime.stats().cache_hits, 7);
+        assert_eq!(index.probes.load(Ordering::Relaxed), 5, "warm passes probe nothing");
+    }
+
+    /// A batch is answered member by member: one request over another
+    /// access pattern, in the same job as valid ones (one worker), fails
+    /// only its own position.
+    #[test]
+    fn a_bad_request_fails_only_its_own_position() {
+        use cqap_yannakakis::naive_answer;
+
+        let (index, requests) = small_index();
+        let runtime = ServeRuntime::with_config(
+            Arc::clone(&index),
+            ServeConfig {
+                threads: 1,
+                cache_capacity: 64,
+                ..ServeConfig::default()
+            },
+        );
+        let wrong = AccessRequest::single(cqap_common::VarSet::from_iter([0, 1]), &[0, 1]).unwrap();
+        let mut batch = requests[..12].to_vec();
+        batch.insert(5, wrong);
+        let far = Instant::now() + Duration::from_secs(3_600);
+        let results = runtime.serve_batch_with_deadlines(&batch, &vec![far; batch.len()]);
+        for (position, (request, result)) in batch.iter().zip(&results).enumerate() {
+            if position == 5 {
+                assert!(
+                    matches!(result, Err(CqapError::AccessPatternMismatch { .. })),
+                    "the bad request fails with its own error: {result:?}"
+                );
+            } else {
+                let expected = naive_answer(index.cqap(), index.database(), request).unwrap();
+                assert_eq!(**result.as_ref().unwrap(), expected, "position {position}");
+            }
+        }
+        let stats = runtime.stats();
+        assert_eq!(stats.errors, 1, "one failing member, one error");
+        assert_eq!(stats.coalesced, 13, "every member shared the one job");
     }
 
     #[test]
     fn coalesced_driver_answers_match_sequential() {
-        // Distinct single-tuple driver requests share one access pattern,
-        // so a cold batch coalesces into one multi-tuple probe — and the
-        // extracted per-request answers are exactly the sequential ones.
+        // A cold batch's distinct requests share four probe jobs (one per
+        // worker), each answered member by member — exactly the
+        // sequential answers.
         let (index, requests) = small_index();
         let runtime = ServeRuntime::with_config(
             Arc::clone(&index),
@@ -1496,7 +1512,7 @@ mod tests {
             assert_eq!(answer.as_ref(), &index.answer(request).unwrap());
         }
         let stats = runtime.stats();
-        assert!(stats.coalesced > 0, "cold distinct singles coalesce: {stats:?}");
+        assert!(stats.coalesced > 0, "cold distinct requests share jobs: {stats:?}");
     }
 
     #[test]
@@ -1525,7 +1541,7 @@ mod tests {
         assert!(snap.stage(StageId::QueueWait).count > 0);
         assert!(
             snap.stage(StageId::Coalesce).count > 0,
-            "the cold batch had fresh probes to classify"
+            "the cold batch had fresh probes to form into jobs"
         );
         assert_eq!(
             snap.gauge(cqap_obs::GaugeId::QueueDepth),

@@ -1,10 +1,10 @@
 //! Property test: overload control **conserves requests**.
 //!
 //! Under every request mix, gate limit and deadline mix — submitted one
-//! by one or as coalesced batches — each submitted request resolves to
-//! exactly one of {answered, shed, deadline-expired}: nothing is
-//! double-counted, nothing vanishes, and no ticket is left unresolved at
-//! shutdown. The runtime's own counters must agree exactly with the
+//! by one or as batches of multi-member probe jobs — each submitted
+//! request resolves to exactly one of {answered, shed, deadline-expired}:
+//! nothing is double-counted, nothing vanishes, and no ticket is left
+//! unresolved at shutdown. The runtime's own counters must agree exactly with the
 //! client-side classification, and every answered request must equal the
 //! unthrottled reference answer: load shedding may drop work, but it must
 //! never corrupt it.
@@ -42,8 +42,8 @@ proptest! {
     /// exactly, on both the client's ledger and the runtime's counters —
     /// across tiny gate limits, a mixed deadline stream, and two modes:
     /// per-request submits (`mode = 0`) or `serve_batch_with_deadlines`
-    /// in chunks of [`CHUNK`], whose same-pattern requests coalesce into
-    /// bulk probe jobs (`mode = 1`).
+    /// in chunks of [`CHUNK`], whose fresh probes are dealt into one probe
+    /// job per worker, each answered member by member (`mode = 1`).
     #[test]
     fn every_request_is_answered_shed_or_expired(
         seed in 0u64..10_000,

@@ -190,27 +190,13 @@ impl ApplyDelta for ShardedIndex {
 
 /// The sharded index serves through the same one-trait API as every other
 /// structure, which is what lets runtimes, benches and examples work over
-/// shards unchanged. It joins the coalescing protocol: a merged
-/// multi-tuple probe is exactly the scatter-gather path, and per-request
-/// answers are recovered by semijoining the gathered union.
+/// shards unchanged.
 impl BatchAnswer for ShardedIndex {
     type Request = AccessRequest;
     type Answer = Relation;
 
     fn answer_one(&self, request: &Self::Request) -> Result<Self::Answer> {
         self.answer(request)
-    }
-
-    fn coalesce_class(request: &Self::Request) -> Option<u64> {
-        cqap_serve::batch::access_request_class(request)
-    }
-
-    fn coalesce(requests: &[Self::Request]) -> Result<Self::Request> {
-        cqap_serve::batch::coalesce_access_requests(requests)
-    }
-
-    fn extract(&self, bulk: &Self::Answer, request: &Self::Request) -> Result<Self::Answer> {
-        cqap_serve::batch::extract_access_answer(bulk, request)
     }
 }
 

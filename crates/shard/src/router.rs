@@ -13,7 +13,11 @@
 //!   the per-shard answers are *gathered* and unioned, visiting shards in
 //!   sub-request (first-appearance) order. Only the answer's *set
 //!   contents* are guaranteed — relations are sets, and the union's
-//!   internal tuple order depends on per-shard result sizes.
+//!   internal tuple order depends on per-shard result sizes;
+//! * a **batch** (`answer_batch`, one call per probe job of a front
+//!   runtime) scatters every request's legs before it gathers any, so the
+//!   shards probe the whole batch concurrently and each shard caches every
+//!   leg under its own key.
 //!
 //! Because the router is itself a `BatchAnswer`, the whole generic serving
 //! surface — a top-level [`ServeRuntime`] with its own global cache,
@@ -24,12 +28,12 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use cqap_common::Result;
-use cqap_obs::{trace, MetricsSink, StageId, TraceStage};
+use cqap_obs::{trace, MetricsSink, StageId, TraceId, TraceStage};
 use cqap_panda::CqapIndex;
 use cqap_query::AccessRequest;
 use cqap_relation::Relation;
 use cqap_serve::{
-    default_threads, AdmissionConfig, BatchAnswer, ServeConfig, ServeRuntime, ServeStats,
+    default_threads, AdmissionConfig, BatchAnswer, ServeConfig, ServeRuntime, ServeStats, Ticket,
 };
 
 use crate::index::ShardedIndex;
@@ -64,6 +68,9 @@ impl Default for ShardRouterConfig {
         }
     }
 }
+
+/// One scattered sub-request: the shard runtime's ticket for its answer.
+type Leg = Ticket<Arc<Relation>>;
 
 /// A scatter-gather router serving a [`ShardedIndex`] through one
 /// [`ServeRuntime`] per shard.
@@ -158,44 +165,32 @@ impl ShardRouter {
             .into_iter()
             .fold(ServeStats::default(), ServeStats::merge)
     }
-}
 
-impl BatchAnswer for ShardRouter {
-    type Request = AccessRequest;
-    /// `Arc` so the single-shard fast path hands the shard cache's answer
-    /// through without a deep `Relation` clone.
-    type Answer = Arc<Relation>;
-
-    /// Scatter-gather one request across the shard runtimes.
-    ///
-    /// Runs under the caller's [`trace::current`] id (set by the serving
-    /// worker that invoked this probe), so every scatter-gather leg
-    /// submitted to a shard runtime shares the parent request's trace.
-    fn answer_one(&self, request: &Self::Request) -> Result<Self::Answer> {
-        let parent = trace::current();
-        let mut parts = self.spec.split_request(request)?;
-        if parts.len() == 1 {
-            // Single-shard fast path (every single-binding request): one
-            // submission, no union, no further copies — the sub-request is
-            // the one split_request built, and the ticket's `Arc` is the
-            // shard cache's own allocation.
-            let (shard, sub) = parts.pop().expect("one part");
-            self.sink.shard_served(shard);
-            return self.runtimes[shard].submit_traced(sub, parent).wait();
-        }
-        // Scatter every sub-request before gathering any answer, so the
-        // shards probe concurrently; union the parts in sub-request order.
-        let tickets: Vec<_> = parts
+    /// Splits `request` per shard and submits every leg to its shard
+    /// runtime under the caller's trace, without waiting on any.
+    fn scatter(&self, request: &AccessRequest, parent: TraceId) -> Result<Vec<Leg>> {
+        let legs = self.spec.split_request(request)?;
+        Ok(legs
             .into_iter()
             .map(|(shard, sub)| {
                 self.sink.shard_served(shard);
                 self.runtimes[shard].submit_traced(sub, parent)
             })
-            .collect();
+            .collect())
+    }
+
+    /// Waits on one request's legs and unions their answers in leg
+    /// (first-appearance) order. A single leg — every single-binding
+    /// request — hands the shard cache's own `Arc` through, with no union
+    /// and no copy.
+    fn gather(&self, mut legs: Vec<Leg>, parent: TraceId) -> Result<Arc<Relation>> {
+        if legs.len() == 1 {
+            return legs.pop().expect("one leg").wait();
+        }
         let mut answer: Option<Relation> = None;
         let mut union_ns = 0u64;
-        for ticket in tickets {
-            let part = ticket.wait()?;
+        for leg in legs {
+            let part = leg.wait()?;
             // Only the union work is the gather stage; waiting on the
             // shard probes is their own backend-probe time.
             let timer = self.sink.start();
@@ -213,21 +208,38 @@ impl BatchAnswer for ShardRouter {
         self.sink.observe_ns(StageId::AnswerUnion, union_ns);
         Ok(Arc::new(answer.expect("split_request is never empty")))
     }
+}
 
-    fn coalesce_class(request: &Self::Request) -> Option<u64> {
-        cqap_serve::batch::access_request_class(request)
+impl BatchAnswer for ShardRouter {
+    type Request = AccessRequest;
+    /// `Arc` so the single-shard fast path hands the shard cache's answer
+    /// through without a deep `Relation` clone.
+    type Answer = Arc<Relation>;
+
+    /// Scatter-gather one request across the shard runtimes.
+    ///
+    /// Runs under the caller's [`trace::current`] id (set by the serving
+    /// worker that invoked this probe), so every scatter-gather leg
+    /// submitted to a shard runtime shares the parent request's trace.
+    fn answer_one(&self, request: &Self::Request) -> Result<Self::Answer> {
+        let parent = trace::current();
+        self.gather(self.scatter(request, parent)?, parent)
     }
 
-    fn coalesce(requests: &[Self::Request]) -> Result<Self::Request> {
-        cqap_serve::batch::coalesce_access_requests(requests)
-    }
-
-    /// A coalesced probe is one scatter-gather; each member's answer is
-    /// the semijoin of the gathered union with the member's binding.
-    fn extract(&self, bulk: &Self::Answer, request: &Self::Request) -> Result<Self::Answer> {
-        Ok(Arc::new(cqap_serve::batch::extract_access_answer(
-            bulk, request,
-        )?))
+    /// Scatters every request's legs before gathering any answer, so the
+    /// shards probe the whole batch concurrently and each shard runtime
+    /// caches every leg under its own key. A request that fails to split
+    /// or whose leg fails fails only its own position.
+    fn answer_batch(&self, requests: &[Self::Request]) -> Vec<Result<Self::Answer>> {
+        let parent = trace::current();
+        let scattered: Vec<_> = requests
+            .iter()
+            .map(|request| self.scatter(request, parent))
+            .collect();
+        scattered
+            .into_iter()
+            .map(|legs| self.gather(legs?, parent))
+            .collect()
     }
 }
 
@@ -302,6 +314,57 @@ mod tests {
             fleet.served,
             shard_stats.iter().map(|s| s.served).sum::<u64>()
         );
+    }
+
+    /// A routed batch is answered member by member: every request's legs
+    /// are scattered under one `answer_batch` call and each shard runtime
+    /// caches every leg under its own key, so a repeat of the batch is
+    /// served from the shard LRUs alone.
+    #[test]
+    fn a_routed_batch_caches_every_leg_in_its_shard() {
+        use cqap_yannakakis::naive_answer;
+        use std::collections::HashSet;
+
+        let (router, reference, cqap, g) = router_fixture(2);
+        let singles = graph_pair_requests(&g, 24, 61)
+            .into_iter()
+            .map(|(u, v)| AccessRequest::single(cqap.access(), &[u, v]).unwrap());
+        let multis = zipf_multi_requests(&g, 10, 4, 1.0, 67).into_iter().map(|tuples| {
+            let tuples = tuples.into_iter().map(|(u, v)| Tuple::pair(u, v)).collect();
+            AccessRequest::new(cqap.access(), tuples).unwrap()
+        });
+        // Keep requests whose legs no earlier request has, so every leg
+        // is submitted once per pass.
+        let mut legs = HashSet::new();
+        let mut requests = Vec::new();
+        for request in singles.chain(multis) {
+            let parts = router.spec().split_request(&request).unwrap();
+            if parts.iter().all(|part| !legs.contains(part)) {
+                legs.extend(parts);
+                requests.push(request);
+            }
+        }
+        assert!(requests.iter().any(|r| r.len() > 1), "the batch mixes in multi-binding requests");
+        // No front cache: the repeat reaches the router again.
+        let runtime = ServeRuntime::with_config(
+            Arc::new(router),
+            ServeConfig {
+                threads: 2,
+                cache_capacity: 0,
+                ..ServeConfig::default()
+            },
+        );
+        for pass in 0..2 {
+            let answers = runtime.serve_batch(&requests).unwrap();
+            for (request, answer) in requests.iter().zip(&answers) {
+                let expected =
+                    naive_answer(reference.cqap(), reference.database(), request).unwrap();
+                assert_eq!(***answer, expected, "pass {pass}");
+            }
+        }
+        let fleet = runtime.index().stats();
+        assert_eq!(fleet.cache_misses, legs.len() as u64, "the first pass probed each leg");
+        assert_eq!(fleet.cache_hits, legs.len() as u64, "the repeat hit each leg's shard LRU");
     }
 
     #[test]

@@ -28,12 +28,11 @@
 //!   frequency, with [`TieredShardedIndex::space_used`] reporting the
 //!   per-tier breakdown ([`TieredSpace`]).
 //!
-//! Both index types implement [`BatchAnswer`](cqap_serve::BatchAnswer)
-//! (including the request-coalescing protocol), so the entire serving
-//! surface — `ServeRuntime`, the `perf/` harness, the examples — runs
-//! over the disk tier unchanged. `perf/` measures two points of the
-//! space-vs-latency curve: both shards cold (`cold_store`) and one hot,
-//! one cold (`delta_mix`).
+//! Both index types implement [`BatchAnswer`](cqap_serve::BatchAnswer),
+//! so the entire serving surface — `ServeRuntime`, the `perf/` harness,
+//! the examples — runs over the disk tier unchanged. `perf/` measures two
+//! points of the space-vs-latency curve: both shards cold (`cold_store`)
+//! and one hot, one cold (`delta_mix`).
 //!
 //! ## Worked example: spill, then answer identically
 //!

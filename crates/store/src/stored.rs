@@ -424,27 +424,13 @@ impl ApplyDelta for StoredIndex {
 
 /// The disk backend serves through the same one-trait API as every other
 /// structure — a `StoredIndex` drops into `ServeRuntime`, the benches and
-/// the examples exactly like the in-memory driver. It also joins the
-/// request-coalescing protocol: merged probes amortize cold-tier segment
-/// reads across a whole batch.
+/// the examples exactly like the in-memory driver.
 impl BatchAnswer for StoredIndex {
     type Request = AccessRequest;
     type Answer = Relation;
 
     fn answer_one(&self, request: &Self::Request) -> Result<Self::Answer> {
         self.answer(request)
-    }
-
-    fn coalesce_class(request: &Self::Request) -> Option<u64> {
-        cqap_serve::batch::access_request_class(request)
-    }
-
-    fn coalesce(requests: &[Self::Request]) -> Result<Self::Request> {
-        cqap_serve::batch::coalesce_access_requests(requests)
-    }
-
-    fn extract(&self, bulk: &Self::Answer, request: &Self::Request) -> Result<Self::Answer> {
-        cqap_serve::batch::extract_access_answer(bulk, request)
     }
 }
 

@@ -491,26 +491,14 @@ impl ApplyDelta for TieredShardedIndex {
 }
 
 /// The tiered index serves through the same one-trait API as everything
-/// else, including the request-coalescing protocol — so the serving
-/// runtime, benches and examples run over hot/cold shards unchanged.
+/// else, so the serving runtime, benches and examples run over hot/cold
+/// shards unchanged.
 impl BatchAnswer for TieredShardedIndex {
     type Request = AccessRequest;
     type Answer = Relation;
 
     fn answer_one(&self, request: &Self::Request) -> Result<Self::Answer> {
         self.answer(request)
-    }
-
-    fn coalesce_class(request: &Self::Request) -> Option<u64> {
-        cqap_serve::batch::access_request_class(request)
-    }
-
-    fn coalesce(requests: &[Self::Request]) -> Result<Self::Request> {
-        cqap_serve::batch::coalesce_access_requests(requests)
-    }
-
-    fn extract(&self, bulk: &Self::Answer, request: &Self::Request) -> Result<Self::Answer> {
-        cqap_serve::batch::extract_access_answer(bulk, request)
     }
 }
 

@@ -94,9 +94,9 @@ fn main() {
     );
 
     let stats = runtime.stats();
-    // `cache_misses` counts requests that needed probe work, not probe
-    // dispatches: coalesced misses (same access pattern) share one bulk
-    // index probe, which is where the cold-batch speedup comes from.
+    // `cache_misses` counts requests that needed probe work; a cold
+    // batch's misses are dealt into one probe job per worker, each
+    // answered member by member through `BatchAnswer::answer_batch`.
     println!(
         "\nRuntime stats: {stats} ({:.1}% cache/dedup-served)",
         100.0 * (stats.cache_hits + stats.dedup_hits) as f64 / stats.served as f64

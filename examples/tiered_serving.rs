@@ -13,9 +13,9 @@
 //!    in memory and spills the rest to disk-resident sorted runs in a
 //!    temp directory (cleaned up before the example exits);
 //! 3. the `TieredShardedIndex` implements `BatchAnswer`, so a stock
-//!    `ServeRuntime` serves a zipf-skewed stream over it unchanged —
-//!    including the runtime's request coalescing (queued single-tuple
-//!    requests sharing the access pattern merge into one bulk probe);
+//!    `ServeRuntime` serves a zipf-skewed stream over it unchanged — a
+//!    batch's fresh probes are dealt into one job per worker and answered
+//!    member by member;
 //! 4. every answer is checked bit-for-bit identical to the unsharded
 //!    in-memory `CqapIndex` reference, and the per-tier space breakdown
 //!    plus the `ServeStats` counters are printed.
@@ -126,8 +126,8 @@ fn main() {
         cold_time.as_secs_f64() * 1e3,
         warm_time.as_secs_f64() * 1e3,
     );
-    // `cache_misses` counts requests needing probe work; coalesced misses
-    // share bulk probes, so the dispatched-probe count is far lower.
+    // `cache_misses` counts requests needing probe work, one index probe
+    // each; `coalesced` counts those that shared a probe job.
     println!("stats: {stats}");
     println!(
         "per-shard load (bindings): {:?}",
