@@ -37,8 +37,6 @@ pub struct LruCache<K, V> {
     head: usize,
     /// Least recently used slot, `NIL` when empty.
     tail: usize,
-    /// Slab slots freed by eviction, reusable by the next insert.
-    free: Vec<usize>,
 }
 
 impl<K: Eq + Hash + Clone, V: Clone> LruCache<K, V> {
@@ -52,7 +50,6 @@ impl<K: Eq + Hash + Clone, V: Clone> LruCache<K, V> {
             slots: Vec::new(),
             head: NIL,
             tail: NIL,
-            free: Vec::new(),
         }
     }
 
@@ -80,53 +77,47 @@ impl<K: Eq + Hash + Clone, V: Clone> LruCache<K, V> {
     }
 
     /// Inserts or refreshes `key → value`, evicting the least recently used
-    /// entry if the cache is full.
-    pub fn insert(&mut self, key: K, value: V) {
+    /// entry if the cache is full. Returns the entry the insert displaced —
+    /// the evicted one, or `key` with the value it replaced on a refresh —
+    /// so the caller chooses where it is dropped. A capacity-0 cache
+    /// returns `None`.
+    pub fn insert(&mut self, key: K, value: V) -> Option<(K, V)> {
         if self.capacity == 0 {
-            return;
+            return None;
         }
         if let Some(&slot) = self.map.get(&key) {
-            self.slots[slot].value = value;
+            let old = std::mem::replace(&mut self.slots[slot].value, value);
             self.detach(slot);
             self.attach_front(slot);
-            return;
+            return Some((key, old));
         }
-        if self.map.len() >= self.capacity {
+        let fresh = Slot {
+            key: key.clone(),
+            value,
+            prev: NIL,
+            next: NIL,
+        };
+        let (slot, evicted) = if self.map.len() >= self.capacity {
+            // Full: the least recently used slot takes the new entry.
             let lru = self.tail;
             debug_assert_ne!(lru, NIL);
             self.detach(lru);
-            self.map.remove(&self.slots[lru].key);
-            self.free.push(lru);
-        }
-        let slot = match self.free.pop() {
-            Some(slot) => {
-                self.slots[slot] = Slot {
-                    key: key.clone(),
-                    value,
-                    prev: NIL,
-                    next: NIL,
-                };
-                slot
-            }
-            None => {
-                self.slots.push(Slot {
-                    key: key.clone(),
-                    value,
-                    prev: NIL,
-                    next: NIL,
-                });
-                self.slots.len() - 1
-            }
+            let old = std::mem::replace(&mut self.slots[lru], fresh);
+            self.map.remove(&old.key);
+            (lru, Some((old.key, old.value)))
+        } else {
+            self.slots.push(fresh);
+            (self.slots.len() - 1, None)
         };
         self.map.insert(key, slot);
         self.attach_front(slot);
+        evicted
     }
 
     /// Removes all entries.
     pub fn clear(&mut self) {
         self.map.clear();
         self.slots.clear();
-        self.free.clear();
         self.head = NIL;
         self.tail = NIL;
     }
@@ -191,9 +182,31 @@ mod tests {
     #[test]
     fn zero_capacity_disables_caching() {
         let mut cache = LruCache::new(0);
-        cache.insert(1, 1);
+        assert_eq!(cache.insert(1, 1), None, "nothing to displace");
         assert_eq!(cache.get(&1), None);
         assert!(cache.is_empty());
+    }
+
+    #[test]
+    fn insert_returns_the_evicted_entry() {
+        let mut cache = LruCache::new(2);
+        assert_eq!(cache.insert("a", 1), None);
+        assert_eq!(cache.insert("b", 2), None, "room left: nothing evicted");
+        assert_eq!(cache.get(&"a"), Some(1)); // "b" is now the LRU
+        assert_eq!(cache.insert("c", 3), Some(("b", 2)));
+        assert_eq!(cache.insert("d", 4), Some(("a", 1)));
+        assert_eq!(cache.len(), 2);
+    }
+
+    #[test]
+    fn insert_returns_the_replaced_value_on_a_refresh() {
+        let mut cache = LruCache::new(2);
+        cache.insert(1, "one");
+        cache.insert(2, "two");
+        assert_eq!(cache.insert(1, "uno"), Some((1, "one")));
+        assert_eq!(cache.len(), 2, "a refresh evicts nothing");
+        assert_eq!(cache.get(&1), Some("uno"));
+        assert_eq!(cache.get(&2), Some("two"));
     }
 
     #[test]
@@ -207,8 +220,8 @@ mod tests {
         assert_eq!(cache.get(&99), Some(990));
         assert_eq!(cache.get(&97), Some(970));
         assert_eq!(cache.get(&0), None);
-        // The slab did not grow past capacity + pending free slots.
-        assert!(cache.slots.len() <= 4);
+        // An eviction reuses the evicted slot: the slab stops at capacity.
+        assert_eq!(cache.slots.len(), 3);
     }
 
     #[test]

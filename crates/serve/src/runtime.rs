@@ -10,10 +10,13 @@
 //!   (a one-shot result cell) back, for callers that interleave
 //!   submission with other work.
 //!
-//! A ticket is one `Arc<Mutex<..>>` cell shared with the worker's reply:
-//! resolving it stores the result and unparks the caller only if the
-//! caller is blocked in [`Ticket::wait`], so a polled or already-resolved
-//! ticket costs one small allocation and two uncontended locks.
+//! A ticket is one `Arc<Mutex<..>>` cell shared with the worker's reply.
+//! Resolving it is two steps: *fill* stores the result and takes the
+//! caller's thread if the caller is blocked in [`Ticket::wait`]; *wake*
+//! unparks that thread. A polled or already-resolved ticket therefore
+//! costs one small allocation and two uncontended locks. A worker fills
+//! every ticket of its job before it wakes anyone, so a caller gathering
+//! a batch's tickets wakes once per job, not once per ticket.
 //!
 //! Answers are handed out as `Arc<Answer>`: the cache stores the same
 //! `Arc`, so a hit inside the global cache mutex is a refcount bump rather
@@ -33,8 +36,9 @@
 //! live members with one [`BatchAnswer::answer_batch`] call, member by
 //! member, publishes each caller's outcome (answer, probe error, expiry or
 //! shed) to the cache and the pending map at one site, then lets go of the
-//! index and of its admission slot, and only then sends: a caller whose
-//! ticket resolved holds the only index handle again.
+//! index and of its admission slot, and only then fills the tickets and
+//! wakes their callers: a caller whose ticket resolved holds the only
+//! index handle again.
 //!
 //! The index is `Arc`-shared and read-only while requests are served —
 //! the paper's regime: preprocessing fixes the materialized views within
@@ -272,42 +276,74 @@ fn oneshot<A>() -> (Reply<A>, Ticket<A>) {
     )
 }
 
-/// The resolving half of a ticket's one-shot result cell. Sending stores
-/// the result and wakes the ticket's waiter, if it parked; dropping it
-/// unsent resolves the ticket with the disconnect error instead, so a
-/// ticket never hangs.
+/// The resolving half of a ticket's one-shot result cell. Resolving is
+/// two steps: [`fill`](Reply::fill) stores the result and hands back the
+/// thread parked on the ticket, if any; waking unparks it. Sending does
+/// both at once; dropping it unsent resolves the ticket with the
+/// disconnect error instead, so a ticket never hangs.
 struct Reply<A> {
-    /// `None` once sent, so the drop that follows a send does nothing.
+    /// `None` once filled, so the drop that follows a fill does nothing.
     cell: Option<Cell<A>>,
 }
 
 impl<A> Reply<A> {
-    fn send(mut self, result: Result<A>) {
-        if let Some(cell) = self.cell.take() {
-            resolve(&cell, result);
+    /// Resolves the ticket without waking its waiter: the caller owns the
+    /// returned thread and must unpark it (through [`Wakes`]).
+    #[must_use]
+    fn fill(mut self, result: Result<A>) -> Option<Thread> {
+        self.cell.take().and_then(|cell| fill(&cell, result))
+    }
+
+    /// Fill and wake, for a ticket resolved on its own.
+    fn send(self, result: Result<A>) {
+        if let Some(waiter) = self.fill(result) {
+            waiter.unpark();
         }
     }
 }
 
 impl<A> Drop for Reply<A> {
     fn drop(&mut self) {
-        if let Some(cell) = self.cell.take() {
-            resolve(&cell, Err(disconnected()));
+        if let Some(waiter) = self.cell.take().and_then(|cell| fill(&cell, Err(disconnected()))) {
+            waiter.unpark();
         }
     }
 }
 
-/// Stores `result` in the cell and unparks the waiter outside the lock;
-/// a ticket nobody blocks on costs no wake-up.
-fn resolve<A>(cell: &Cell<A>, result: Result<A>) {
-    let waiter = {
-        let mut slot = lock(cell);
-        slot.value = Some(result);
-        slot.resolved = true;
-        slot.waiter.take()
-    };
-    if let Some(waiter) = waiter {
-        waiter.unpark();
+/// Stores `result` in the cell, marks it resolved and takes the waiter
+/// that registered, to be unparked outside the lock; a ticket nobody
+/// blocks on costs no wake-up.
+fn fill<A>(cell: &Cell<A>, result: Result<A>) -> Option<Thread> {
+    let mut slot = lock(cell);
+    slot.value = Some(result);
+    slot.resolved = true;
+    slot.waiter.take()
+}
+
+/// The waiters of one job's filled tickets, unparked together once every
+/// ticket is filled. Dropping it is the wake, so an unwind between a fill
+/// and the wake still unparks every filled ticket's waiter. The first
+/// waiter is kept inline: a job with one recipient allocates nothing.
+#[derive(Default)]
+struct Wakes {
+    first: Option<Thread>,
+    rest: Vec<Thread>,
+}
+
+impl Wakes {
+    fn add(&mut self, waiter: Option<Thread>) {
+        match self.first {
+            None => self.first = waiter,
+            Some(_) => self.rest.extend(waiter),
+        }
+    }
+}
+
+impl Drop for Wakes {
+    fn drop(&mut self) {
+        for waiter in self.first.take().into_iter().chain(self.rest.drain(..)) {
+            waiter.unpark();
+        }
     }
 }
 
@@ -376,6 +412,9 @@ fn expiry(deadline: Instant, now: Instant) -> Option<CqapError> {
 /// The reply that resolves one caller's ticket for an index `I`.
 type AnswerReply<I> = Reply<Arc<<I as BatchAnswer>::Answer>>;
 
+/// A cache entry an insert displaced, dropped outside the state lock.
+type Displaced<I> = Option<(<I as BatchAnswer>::Request, Arc<<I as BatchAnswer>::Answer>)>;
+
 /// The mutable online state, behind one mutex: the LRU answer cache plus
 /// the in-flight pending map. Holding both under a single lock makes the
 /// "check cache, then join or register a probe" sequence atomic, so two
@@ -392,20 +431,25 @@ struct OnlineState<I: BatchAnswer> {
 }
 
 impl<I: BatchAnswer> OnlineState<I> {
-    /// Resolves one probed key: caches `answer` when there is one worth
-    /// keeping (and a cache to keep it in), and removes the key's pending
-    /// entry, returning the waiters that joined it. An answer, a probe
-    /// error, an expiry and a shed all resolve here, so a key is cached
-    /// and un-pended at one site.
+    /// Resolves one probed key: removes the key's pending entry (the
+    /// lookup that chose to probe registered it) and caches `answer` under
+    /// the entry's own key when there is one worth keeping (and a cache to
+    /// keep it in). Returns the waiters that
+    /// joined the probe and the cache entry the insert displaced. An
+    /// answer, a probe error, an expiry and a shed all resolve here, so a
+    /// key is cached and un-pended at one site.
     fn publish(
         &mut self,
         request: &I::Request,
         answer: Option<&Arc<I::Answer>>,
-    ) -> Vec<AnswerReply<I>> {
-        if let Some(answer) = answer.filter(|_| self.cache.capacity() > 0) {
-            self.cache.insert(request.clone(), Arc::clone(answer));
-        }
-        self.pending.remove(request).unwrap_or_default()
+    ) -> (Vec<AnswerReply<I>>, Displaced<I>) {
+        let Some((key, waiters)) = self.pending.remove_entry(request) else {
+            return (Vec::new(), None);
+        };
+        let displaced = answer
+            .filter(|_| self.cache.capacity() > 0)
+            .and_then(|answer| self.cache.insert(key, Arc::clone(answer)));
+        (waiters, displaced)
     }
 }
 
@@ -436,7 +480,7 @@ struct Job<I: BatchAnswer> {
     members: Vec<Member<I>>,
     trace: TraceId,
     /// Set when the job owns its trace's root (a lone `submit`): the root
-    /// is finished with the total since submission, before the send.
+    /// is finished with the total since submission, before the fill.
     submitted: Option<Instant>,
 }
 
@@ -470,10 +514,14 @@ impl<I: BatchAnswer> Shared<I> {
     /// All members are published under one lock while the job still holds
     /// the index, so an `apply_delta` can never slip between the probe and
     /// the publish (a pre-delta answer cached after the delta's clear).
-    /// The index handle and the `permit` go right after the publish and
-    /// *before* the first send, so a caller whose ticket resolved can
-    /// `apply_delta` at once. The delivery lap (admitted jobs only) and an
-    /// owned root are recorded before the member sends.
+    /// Then, in this order: the index handle and the `permit` go, so a
+    /// caller whose ticket resolved can `apply_delta` at once; the cache
+    /// entries the publish displaced are dropped, outside the lock; the
+    /// joined waiters' tickets are filled; the delivery lap (admitted jobs
+    /// only) and an owned root are recorded; every member's ticket is
+    /// filled; and only then is any caller woken. A caller parked on one
+    /// of the job's tickets therefore wakes once and finds the whole job
+    /// resolved, instead of racing the worker through the rest.
     fn dispatch(
         &self,
         job: Job<I>,
@@ -519,7 +567,7 @@ impl<I: BatchAnswer> Shared<I> {
                     (None, None) => unreachable!("a live member runs the probe"),
                 };
                 errors += u64::from(!skipped && result.is_err());
-                (member, skipped, result, Vec::new())
+                (member, skipped, result, Vec::new(), None)
             })
             .collect();
         // Tickets resolved without the probe (shed or expired): each member
@@ -528,21 +576,26 @@ impl<I: BatchAnswer> Shared<I> {
         {
             let mut state = self.state.lock().expect("state lock");
             let members = resolved.iter_mut().zip(&job.requests);
-            for ((_, skipped, result, waiters), request) in members {
+            for ((_, skipped, result, waiters, displaced), request) in members {
                 // Degraded answers are never cached: a warm hit must not
                 // keep serving the cheap answer after the overload ends.
                 let keep = result.as_ref().ok().filter(|_| !degraded);
-                *waiters = state.publish(request, keep);
+                (*waiters, *displaced) = state.publish(request, keep);
                 if *skipped {
                     dropped += 1 + waiters.len() as u64;
                 }
             }
         }
-        // Release after publish, before send: the caller a send unblocks
-        // may mutate the index next, and `Arc::get_mut` needs every other
-        // handle gone.
+        // Release after publish, before any fill: the caller a fill
+        // resolves may mutate the index next, and `Arc::get_mut` needs
+        // every other handle gone.
         drop(index);
         drop(permit);
+        // An evicted answer may hold the last handle on its relation: free
+        // it outside the state lock, before anyone wakes.
+        for (.., displaced) in &mut resolved {
+            drop(displaced.take());
+        }
         if dropped > 0 {
             let (cell, counter) = if refusal.is_some() {
                 (&self.stats.shed, CounterId::RequestsShed)
@@ -559,9 +612,12 @@ impl<I: BatchAnswer> Shared<I> {
             self.stats.degraded.fetch_add(1, Ordering::Relaxed);
             self.sink.incr(CounterId::DegradedAnswers);
         }
-        for (_, _, result, waiters) in &mut resolved {
+        // Fill every ticket, then wake: a caller gathering the job's
+        // tickets in order wakes on the first and finds the rest filled.
+        let mut wakes = Wakes::default();
+        for (_, _, result, waiters, _) in &mut resolved {
             for waiter in waiters.drain(..) {
-                waiter.send(result.clone());
+                wakes.add(waiter.fill(result.clone()));
             }
         }
         // A shed job never queued or probed: it records no stage.
@@ -569,9 +625,11 @@ impl<I: BatchAnswer> Shared<I> {
             span.lap(StageId::TicketDelivery);
         }
         self.finish_root(job.trace, job.submitted);
-        for (member, _, result, _) in resolved {
-            member.reply.send(result);
+        for (member, _, result, ..) in resolved {
+            wakes.add(member.reply.fill(result));
         }
+        // The wake: every ticket of the job is filled by now.
+        drop(wakes);
     }
 }
 
@@ -1224,6 +1282,74 @@ mod tests {
             assert_eq!(answer, round);
         }
         drop(tickets);
+        waiter.join().unwrap();
+    }
+
+    /// Fill, then wake: a caller parked on the first ticket of a job wakes
+    /// only once every ticket of the job is filled, so gathering the rest
+    /// never races the worker that fills them.
+    #[test]
+    fn a_job_wakes_its_parked_caller_once_every_ticket_is_filled() {
+        const MEMBERS: u64 = 4_096;
+        let runtime = ServeRuntime::with_config(
+            Arc::new(CountingIndex {
+                probes: AtomicU64::new(0),
+            }),
+            ServeConfig {
+                threads: 1,
+                cache_capacity: 0,
+                ..ServeConfig::default()
+            },
+        );
+        let (members, mut rest): (Vec<_>, Vec<_>) = (0..MEMBERS)
+            .map(|_| {
+                let (reply, ticket) = oneshot();
+                (Member { reply, deadline: None }, ticket)
+            })
+            .unzip();
+        let first = rest.remove(0);
+        let (outcome, woke) = mpsc::channel();
+        let caller = std::thread::spawn(move || {
+            let answer = first.wait();
+            // Last ticket first: a worker still filling fills it last.
+            let unfilled = rest.iter().rev().filter(|t| t.try_wait().is_none()).count();
+            outcome.send((answer, unfilled)).expect("test alive");
+        });
+        until_parked(&members[0].reply);
+        let job = Job {
+            requests: (0..MEMBERS).collect(),
+            members,
+            trace: TraceId::NONE,
+            submitted: None,
+        };
+        let index = Arc::clone(runtime.index());
+        runtime.shared.dispatch(job, index, None, false, None);
+        let (answer, unfilled) = woke
+            .recv_timeout(Duration::from_secs(10))
+            .expect("the parked caller woke");
+        assert_eq!(*answer.unwrap(), 0);
+        assert_eq!(unfilled, 0, "the caller woke before the job's last fill");
+        caller.join().unwrap();
+    }
+
+    /// The wake guard unparks on unwind: a panic between a fill and the
+    /// wake cannot leave the filled ticket's caller parked.
+    #[test]
+    fn a_wake_guard_unparks_during_unwind() {
+        let (reply, ticket) = oneshot::<u64>();
+        let (outcome, woke) = mpsc::channel();
+        let waiter = std::thread::spawn(move || outcome.send(ticket.wait()).expect("test alive"));
+        until_parked(&reply);
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let mut wakes = Wakes::default();
+            wakes.add(reply.fill(Ok(7)));
+            panic!("between the fill and the wake");
+        }));
+        assert!(unwound.is_err());
+        let answer = woke
+            .recv_timeout(Duration::from_secs(10))
+            .expect("the parked waiter woke during the unwind");
+        assert_eq!(answer.unwrap(), 7);
         waiter.join().unwrap();
     }
 

@@ -146,11 +146,15 @@ impl ShardedIndex {
     /// the answers in sub-request order.
     ///
     /// By the [`ShardSpec`] invariants this is *exactly equal* to the
-    /// unsharded [`CqapIndex::answer`] on the whole database.
+    /// unsharded [`CqapIndex::answer`] on the whole database. A request
+    /// with a [sole shard](ShardSpec::sole_shard) goes to it as is.
     ///
     /// # Errors
     /// Propagates the first failing shard's error.
     pub fn answer(&self, request: &AccessRequest) -> Result<Relation> {
+        if let Some(shard) = self.spec.sole_shard(request) {
+            return self.shards[shard].answer(request);
+        }
         let mut parts = self.spec.split_request(request)?.into_iter();
         let (shard, sub) = parts.next().expect("split_request is never empty");
         let mut answer = self.shards[shard].answer(&sub)?;

@@ -199,23 +199,31 @@ impl ShardSpec {
         Ok(out)
     }
 
+    /// The one shard that answers `request` whole, without splitting it:
+    /// `Some` for a request with at most one binding (the common serving
+    /// case), an empty access pattern (shard 0) or a single shard, `None`
+    /// when the bindings must be grouped per shard first.
+    pub fn sole_shard(&self, request: &AccessRequest) -> Option<usize> {
+        (self.shards == 1 || self.routing_var.is_none() || request.tuples().len() <= 1).then(|| {
+            request
+                .tuples()
+                .first()
+                .map_or(0, |t| self.shard_of_binding(t))
+        })
+    }
+
     /// Splits a request into per-shard sub-requests, in order of first
     /// appearance of each shard in the request's tuple list (so unioning
     /// the per-shard answers in the returned order is deterministic).
     ///
-    /// A single-binding request — the common serving case — maps to
-    /// exactly one `(shard, request)` pair without splitting; so does an
-    /// empty request or an empty access pattern (shard 0).
+    /// A request with a [sole shard](ShardSpec::sole_shard) maps to
+    /// exactly one `(shard, request)` pair without splitting.
     ///
     /// # Errors
     /// Propagates request reconstruction failures (cannot happen: arity
     /// was validated when `request` was built).
     pub fn split_request(&self, request: &AccessRequest) -> Result<Vec<(usize, AccessRequest)>> {
-        if self.shards == 1 || self.routing_var.is_none() || request.tuples().len() <= 1 {
-            let shard = request
-                .tuples()
-                .first()
-                .map_or(0, |t| self.shard_of_binding(t));
+        if let Some(shard) = self.sole_shard(request) {
             return Ok(vec![(shard, request.clone())]);
         }
         let mut order: Vec<usize> = Vec::new();

@@ -443,11 +443,15 @@ impl TieredShardedIndex {
     /// Answers an access request exactly like [`ShardedIndex::answer`]:
     /// split by routing hash, answer per shard (from whichever tier holds
     /// it), union the per-shard answers (set contents guaranteed; tuple
-    /// order is an implementation detail of the size-directed union).
+    /// order is an implementation detail of the size-directed union). A
+    /// request with a [sole shard](ShardSpec::sole_shard) goes to it as is.
     ///
     /// # Errors
     /// Propagates the first failing shard's error.
     pub fn answer(&self, request: &AccessRequest) -> Result<Relation> {
+        if let Some(shard) = self.spec.sole_shard(request) {
+            return self.answer_shard(shard, request);
+        }
         let mut parts = self.spec.split_request(request)?.into_iter();
         let (shard, sub) = parts.next().expect("split_request is never empty");
         let mut answer = self.answer_shard(shard, &sub)?;

@@ -539,3 +539,41 @@ fn an_empty_index_absorbing_the_database_as_one_batch_equals_a_build() {
         assert_eq!(cold.answer(&request).unwrap(), expected, "grown cold index, ({u},{v})");
     }
 }
+
+/// A request with a sole shard — no binding, one binding, or any request
+/// when `k = 1` — is answered by that shard on the borrowed request; the
+/// rest are split per shard and unioned. Both sharded indexes match the
+/// naive oracle on every path.
+#[test]
+fn sole_shard_and_split_requests_match_the_oracle() {
+    let (cqap, pmtds) = pmtds_3reach_fig1().unwrap();
+    let graph = Graph::random(40, 150, 23);
+    let db = graph.as_path_database(3);
+    let bindings: Vec<Tuple> = graph_pair_requests(&graph, 12, 29)
+        .into_iter()
+        .map(|(u, v)| Tuple::pair(u, v))
+        .collect();
+    let requests = [
+        AccessRequest::new(cqap.access(), Vec::new()).unwrap(),
+        AccessRequest::new(cqap.access(), bindings[..1].to_vec()).unwrap(),
+        AccessRequest::new(cqap.access(), bindings).unwrap(),
+    ];
+    for shards in [1, 3] {
+        let sharded = ShardedIndex::build(&cqap, &db, &pmtds, shards).unwrap();
+        let all_cold = PlacementPolicy::hot_budget(0);
+        let tiered =
+            TieredShardedIndex::build_in_temp(&cqap, &db, &pmtds, shards, &all_cold).unwrap();
+        for request in &requests {
+            let spec = sharded.spec();
+            let sole = spec.sole_shard(request);
+            assert_eq!(sole.is_some(), shards == 1 || request.len() <= 1);
+            if sole.is_none() {
+                assert!(spec.split_request(request).unwrap().len() > 1, "a real split");
+            }
+            let expected = naive_answer(&cqap, &db, request).unwrap();
+            let label = format!("k = {shards}, {} bindings", request.len());
+            assert_eq!(sharded.answer(request).unwrap(), expected, "sharded, {label}");
+            assert_eq!(tiered.answer(request).unwrap(), expected, "tiered, {label}");
+        }
+    }
+}
