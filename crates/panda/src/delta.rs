@@ -26,7 +26,9 @@
 //! `StoredIndex` keeps a clone as its counts beside the runs it probes)
 //! and lends them to [`DeltaMaintenance::build`] / [`DeltaMaintenance::apply`]
 //! by `&mut`; this module keeps only what expands a delta: the chains and
-//! the atom indexes.
+//! the atom indexes. A view row whose count crosses zero goes to the
+//! caller's sink `(plan, node, row, entered)` as it crosses, never into a
+//! list: the in-memory index passes a no-op, the cold tier its overlays.
 //!
 //! Each atom's term is one `JoinChain` (the chain type of the T-view
 //! programs, compiled once at build time) seeded with that atom's net
@@ -115,18 +117,19 @@ fn stream_delta_join(
 /// Gives (`Side::Inserts`) or takes (`Side::Deletes`) one support per row
 /// of `rows` (over `schema`, a permutation of the query's variables) to
 /// its projection onto every (counted) view of every plan — the one hot
-/// edit of a delta — and calls `moved(plan, view, row)` for each view row
-/// that thereby entered or left its view.
+/// edit of a delta — and calls `moved(plan, node, row, entered)` for each
+/// view row that thereby entered or left its view.
 fn shift_counts(
     schema: &Schema,
     rows: &ColumnRun,
     plans: &mut [PreprocessedViews],
     side: Side,
-    mut moved: impl FnMut(usize, usize, &[Val]),
+    moved: &mut impl FnMut(usize, usize, &[Val], bool),
 ) {
     let mut row = Vec::new();
+    let entered = matches!(side, Side::Inserts);
     for (p, plan) in plans.iter_mut().enumerate() {
-        for (v, (_, counts)) in plan.edit().enumerate() {
+        for (node, counts) in plan.edit() {
             let positions = schema
                 .positions_of_set(counts.schema().varset())
                 .expect("a view projects the full join");
@@ -137,22 +140,11 @@ fn shift_counts(
                     Side::Deletes => counts.sub(&row, 1),
                 };
                 if crossed_zero {
-                    moved(p, v, &row);
+                    moved(p, node, &row, entered);
                 }
             }
         }
     }
-}
-
-/// The per-plan ΔS-views of one applied batch plus what it changed.
-#[derive(Debug, Default)]
-pub struct DeltaOutcome {
-    /// Net database-level changes (see [`DeltaStats`]).
-    pub stats: DeltaStats,
-    /// Per plan (index-aligned with the PMTDs the maintenance was built
-    /// over), per materialized node: `(node, inserts, deletes)` — the net
-    /// view tuples to add and remove from that S-view.
-    pub views: Vec<Vec<(usize, Vec<Tuple>, Vec<Tuple>)>>,
 }
 
 /// Build-once maintenance state for a set of PMTD plans over one
@@ -202,7 +194,7 @@ impl DeltaMaintenance {
         seed.extend_from_tuples(db.relation_or_err(&atoms[0].relation)?.tuples());
         let (no_skip, mut scratch) = (|_, _: &Tuple| false, ChainScratch::default());
         let mut count = |rows: &ColumnRun| {
-            shift_counts(chains[0].schema(), rows, views, Side::Inserts, |_, _, _| {})
+            shift_counts(chains[0].schema(), rows, views, Side::Inserts, &mut |_, _, _, _| {})
         };
         chains[0].run(0, &atom_indexes, &seed, MORSEL_ROWS, &no_skip, &mut scratch, &mut count);
         Ok(DeltaMaintenance {
@@ -241,46 +233,37 @@ impl DeltaMaintenance {
     /// indexes into `views` (the lineage's counted S-views, one element
     /// per plan, as given to [`DeltaMaintenance::build`]), moves `db` and
     /// the atom indexes over the touched relations to the post-delta
-    /// state (in place, tuple by tuple), streams `ΔJ⁺`, and returns the
-    /// per-plan net ΔS-views — the view rows whose count reached or left
-    /// zero. `views` already holds them when this returns; the lists are
-    /// for a backend that probes a second form of the views (the cold
-    /// tier's overlays).
+    /// state (in place, tuple by tuple), and streams `ΔJ⁺`. Each view row
+    /// whose support count crosses zero goes to `moved(plan, node, row,
+    /// entered)` as it crosses, for a backend that keeps a second form of
+    /// the views (the cold tier's overlays); `views` already holds it. A
+    /// row that leaves and returns within the batch is reported both
+    /// times, so that backend's edits must net it.
     ///
     /// A batch whose net effect is empty short-circuits: `db`, the
-    /// views and the atom indexes are left untouched and the outcome
-    /// carries no view deltas.
+    /// views and the atom indexes are left untouched and nothing moves.
     pub fn apply(
         &mut self,
         cqap: &Cqap,
         db: &mut Database,
         views: &mut [PreprocessedViews],
         batch: &DeltaBatch,
-    ) -> Result<DeltaOutcome> {
+        moved: &mut impl FnMut(usize, usize, &[Val], bool),
+    ) -> Result<DeltaStats> {
         let timer = self.sink.start();
         let apply_mark = self.sink.trace_mark_background();
         let deltas = net_effect(db, batch)?;
+        let mut stats = DeltaStats::default();
         if deltas.is_empty() {
             self.sink.stop(timer, StageId::DeltaApply);
             self.sink.trace_leaf(apply_mark, TraceStage::DeltaApply, 0);
-            return Ok(DeltaOutcome::default());
+            return Ok(stats);
         }
         let atoms = cqap.cq().atoms();
-        let no_moves = |plan: &PreprocessedViews| {
-            plan.runs().map(|(node, _)| (node, Vec::new(), Vec::new())).collect()
-        };
-        let mut moves: Vec<Vec<_>> = views.iter().map(no_moves).collect();
         let chains = &self.chains;
         let mut stream = |side: Side, atom_indexes: &AtomIndexCache| {
             let mut count = |a: usize, rows: &ColumnRun| {
-                shift_counts(chains[a].schema(), rows, views, side, |p, v, row| {
-                    let (_, entered, left) = &mut moves[p][v];
-                    let moved: &mut Vec<Tuple> = match side {
-                        Side::Inserts => entered,
-                        Side::Deletes => left,
-                    };
-                    moved.push(Tuple::from_slice(row));
-                })
+                shift_counts(chains[a].schema(), rows, views, side, moved)
             };
             stream_delta_join(chains, atom_indexes, atoms, &deltas, side, MORSEL_ROWS, &mut count);
         };
@@ -289,7 +272,6 @@ impl DeltaMaintenance {
         stream(Side::Deletes, &self.atom_indexes);
         // Net effect into the stored relations and, bucket by bucket,
         // into every atom index over them.
-        let mut stats = DeltaStats::default();
         for delta in &deltas {
             let rel = db.relation_mut(&delta.relation)?;
             stats.deleted += rel.remove_all(&delta.deletes);
@@ -304,22 +286,6 @@ impl DeltaMaintenance {
         // ΔJ⁺ over the post-delta database: the view rows that gain their
         // first support enter.
         stream(Side::Inserts, &self.atom_indexes);
-        // A row that left under ΔJ⁻ and came back under ΔJ⁺ never moved.
-        for (_, entered, left) in moves.iter_mut().flatten() {
-            if entered.is_empty() || left.is_empty() {
-                continue;
-            }
-            let gone: FxHashSet<&Tuple> = left.iter().collect();
-            let back: FxHashSet<Tuple> = entered
-                .iter()
-                .filter(|t| gone.contains(t))
-                .cloned()
-                .collect();
-            if !back.is_empty() {
-                entered.retain(|t| !back.contains(t));
-                left.retain(|t| !back.contains(t));
-            }
-        }
         self.sink.add(CounterId::DeltaNetInserts, stats.inserted as u64);
         self.sink.add(CounterId::DeltaNetDeletes, stats.deleted as u64);
         self.sink.stop(timer, StageId::DeltaApply);
@@ -328,7 +294,7 @@ impl DeltaMaintenance {
             TraceStage::DeltaApply,
             (stats.inserted + stats.deleted) as u64,
         );
-        Ok(DeltaOutcome { stats, views: moves })
+        Ok(stats)
     }
 }
 

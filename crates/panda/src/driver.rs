@@ -253,7 +253,8 @@ impl CqapIndex {
 /// a net no-op leaves views, plans and the warm scratch state untouched.
 impl ApplyDelta for CqapIndex {
     fn apply_delta(&mut self, batch: &DeltaBatch) -> Result<DeltaStats> {
-        Ok(self.maintenance.apply(&self.cqap, &mut self.db, &mut self.views, batch)?.stats)
+        let no_second_form = &mut |_, _, _: &[_], _| {};
+        self.maintenance.apply(&self.cqap, &mut self.db, &mut self.views, batch, no_second_form)
     }
 }
 

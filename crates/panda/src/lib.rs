@@ -74,6 +74,6 @@ pub use analysis::{figure4a_curve, figure4b_curve, goldstein_baseline, table1_3r
 pub use compiled::{
     answer_with_compiled, with_driver_scratch, AtomIndexCache, CompiledPmtd, DriverScratch,
 };
-pub use delta::{DeltaMaintenance, DeltaOutcome};
+pub use delta::DeltaMaintenance;
 pub use driver::{CqapIndex, DEGRADED_ANSWER_NAME};
 pub use rules::{generate_rules, prune_rules, rule_of_choice, TwoPhaseRule};

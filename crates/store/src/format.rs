@@ -44,13 +44,19 @@
 //! on Unix; a seek lock elsewhere), which is what lets a disk-resident
 //! view sit behind the same `Sync` serving surface as the in-memory
 //! indexes.
+//!
+//! Deltas never touch the run: view rows that enter or leave land in an
+//! in-memory overlay of two [`KeyedRows`] (inserts by link key, tombstones
+//! by row) that probes merge in — skipped, unhashed, while empty — until
+//! [`StoredView::compact`] folds it in by one linear merge.
 
 use std::cell::RefCell;
+use std::cmp::Ordering;
 use std::fs::File;
 use std::io::Write;
 use std::path::{Path, PathBuf};
 
-use cqap_common::{varint, CqapError, FxHashMap, FxHashSet, Result, Tuple, Val, VarSet};
+use cqap_common::{varint, CqapError, Result, Tuple, Val, VarSet};
 use cqap_obs::{CounterId, MetricsSink, StageId, TraceStage};
 use cqap_relation::{KeyedRows, Relation, Schema};
 use cqap_yannakakis::ColumnRun;
@@ -195,6 +201,17 @@ impl ColLayout {
         self.stored_positions.len()
     }
 
+    /// `row`'s link key, in key order.
+    fn key_of<'r>(&'r self, row: &'r [Val]) -> impl Iterator<Item = Val> + 'r {
+        self.key_positions.iter().map(move |&p| row[p])
+    }
+
+    /// `row`'s stored (non-link) columns: within a record they alone order
+    /// the rows.
+    fn rest_of<'r>(&'r self, row: &'r [Val]) -> impl Iterator<Item = Val> + 'r {
+        self.stored_positions.iter().map(move |&p| row[p])
+    }
+
     /// Assembles row `r` of a decoded `count`-row block into `row`
     /// (cleared first): link columns come from the record key, the rest
     /// from the column-major block.
@@ -207,34 +224,45 @@ impl ColLayout {
     }
 }
 
-/// The in-memory delta overlay of one stored view — the LSM-style delta
-/// segment consulted at probe time on top of the immutable base run.
-///
-/// Inserts land in `added` (grouped by probe key, so a probe extends its
-/// base result with one bucket lookup); deletes of base tuples become
-/// tombstones in `deleted`, while deletes of overlay tuples cancel in
-/// place. The invariants `added ∩ base = ∅` and `deleted ⊆ base` hold
-/// because the maintenance layer feeds the overlay *net* view deltas, so
-/// `base − deleted + added` is exactly the maintained view content.
-#[derive(Default)]
+/// The delta overlay of one stored view: the rows that entered since the
+/// run was written (`added`, keyed by the link) and the base rows that
+/// left (`deleted`, found by the whole row; no key index). A row edit nets
+/// itself: a leave cancels an insert or adds a tombstone, an enter revokes
+/// a tombstone or adds an insert. Fed the view's own moves, `added ∩ base
+/// = ∅` and `deleted ⊆ base` hold, and `base − deleted + added` is the view.
 struct Overlay {
-    /// Inserted tuples, grouped by their link-key projection.
-    added: FxHashMap<Tuple, Vec<Tuple>>,
-    /// Total tuples across the `added` buckets.
-    added_len: usize,
-    /// Base-run tuples deleted since the run was written.
-    deleted: FxHashSet<Tuple>,
+    added: KeyedRows,
+    deleted: KeyedRows,
 }
 
 impl Overlay {
-    fn is_empty(&self) -> bool {
-        self.added_len == 0 && self.deleted.is_empty()
+    fn new(schema: &Schema, link: VarSet) -> Result<Self> {
+        Ok(Overlay {
+            added: KeyedRows::new(schema.clone(), link)?,
+            deleted: KeyedRows::new(schema.clone(), VarSet::EMPTY)?,
+        })
     }
 
-    /// Buffered delta tuples (inserts plus tombstones) — the compaction
+    fn is_empty(&self) -> bool {
+        self.added.is_empty() && self.deleted.is_empty()
+    }
+
+    /// Buffered delta rows (inserts plus tombstones) — the compaction
     /// trigger's size measure.
     fn len(&self) -> usize {
-        self.added_len + self.deleted.len()
+        self.added.len() + self.deleted.len()
+    }
+
+    /// `row`, of the view's arity, entered (`entered`) or left the view.
+    fn edit(&mut self, row: &[Val], entered: bool) {
+        let (undo, record) = if entered {
+            (&mut self.deleted, &mut self.added)
+        } else {
+            (&mut self.added, &mut self.deleted)
+        };
+        if !undo.remove(row) {
+            record.insert(row).expect("a view row has the view's arity");
+        }
     }
 }
 
@@ -341,9 +369,18 @@ impl<'a> RunWriter<'a> {
         }
     }
 
-    /// [`RunWriter::push_record`] over row tuples.
-    fn push_tuples(&mut self, key: &[Val], block: &[&Tuple]) {
-        self.push_record(key, block.len(), |r, p| block[r].get(p));
+    /// The rows `row(at)` for `at` in `order` (see [`run_order`]), one
+    /// record per run of equal keys.
+    fn push_rows<'r>(&mut self, order: &[u32], row: impl Fn(usize) -> &'r [Val]) {
+        let layout = self.layout;
+        let key_of = |at: u32| layout.key_of(row(at as usize));
+        // Allocated by the first record: most calls in a merge push none.
+        let mut key = Vec::new();
+        for block in order.chunk_by(|&a, &b| key_of(a).eq(key_of(b))) {
+            key.clear();
+            key.extend(key_of(block[0]));
+            self.push_record(&key, block.len(), |r, p| row(block[r] as usize)[p]);
+        }
     }
 
     /// One record whose block is already encoded (copied out of a
@@ -380,11 +417,25 @@ impl<'a> RunWriter<'a> {
     }
 }
 
+/// The positions `0..len` of the rows `row(at)`, sorted by (link key,
+/// row) — run order. Rows sharing a key differ only off the link, so the
+/// order is one lexicographic compare over the key columns, then the rest.
+fn run_order<'r>(layout: &ColLayout, len: usize, row: impl Fn(usize) -> &'r [Val]) -> Vec<u32> {
+    let columns: Vec<usize> =
+        layout.key_positions.iter().chain(&layout.stored_positions).copied().collect();
+    let mut order: Vec<u32> = (0..len as u32).collect();
+    order.sort_unstable_by(|&a, &b| {
+        let (a, b) = (row(a as usize), row(b as usize));
+        columns.iter().map(|&p| a[p]).cmp(columns.iter().map(|&p| b[p]))
+    });
+    order
+}
+
 /// Serializes the `len` distinct rows `row(0..len)` over `schema`, grouped
 /// and sorted by their projection onto `link`, to a new v2 compressed file
 /// at `path`. The rows stay where they are: only a vector of their
-/// positions is sorted — by (link key, row) — and each run of equal keys
-/// streams into the encoder as one record.
+/// positions is sorted ([`run_order`]) and each run of equal keys streams
+/// into the encoder as one record.
 fn write_rows<'a>(
     path: &Path,
     schema: &Schema,
@@ -393,23 +444,9 @@ fn write_rows<'a>(
     row: impl Fn(usize) -> &'a [Val],
 ) -> Result<()> {
     let layout = ColLayout::new(schema, link)?;
-    let key_of = |at: u32| {
-        let r = row(at as usize);
-        layout.key_positions.iter().map(move |&p| r[p])
-    };
-    let mut order: Vec<u32> = (0..len as u32).collect();
-    order.sort_unstable_by(|&a, &b| {
-        key_of(a)
-            .cmp(key_of(b))
-            .then_with(|| row(a as usize).cmp(row(b as usize)))
-    });
+    let order = run_order(&layout, len, &row);
     let mut writer = RunWriter::new(&layout);
-    let mut key = Vec::with_capacity(layout.key_positions.len());
-    for block in order.chunk_by(|&a, &b| key_of(a).eq(key_of(b))) {
-        key.clear();
-        key.extend(key_of(block[0]));
-        writer.push_record(&key, block.len(), |r, p| row(block[r] as usize)[p]);
-    }
+    writer.push_rows(&order, row);
     writer.finish(path, schema, link)
 }
 
@@ -623,6 +660,7 @@ impl StoredView {
         }
 
         let file = File::open(path).map_err(|e| io_err(path, "reopen", e))?;
+        let overlay = Overlay::new(&schema, link)?;
         Ok(StoredView {
             path: path.to_path_buf(),
             file: RandomAccess::new(file),
@@ -634,7 +672,7 @@ impl StoredView {
             num_records,
             file_bytes,
             delete_on_drop: false,
-            overlay: Overlay::default(),
+            overlay,
             sink: MetricsSink::disabled(),
         })
     }
@@ -665,7 +703,7 @@ impl StoredView {
     /// Number of stored tuples: the base run net of tombstones, plus the
     /// overlay's inserts — exactly the maintained view size.
     pub fn len(&self) -> usize {
-        self.num_tuples - self.overlay.deleted.len() + self.overlay.added_len
+        self.num_tuples - self.overlay.deleted.len() + self.overlay.added.len()
     }
 
     /// Whether the view stores no tuples.
@@ -707,16 +745,12 @@ impl StoredView {
     }
 
     /// Heap bytes held resident, from container capacities: the fence
-    /// index plus the overlay's insert buckets and tombstones (hash-table
-    /// slots are counted at their entry size plus one control byte).
+    /// index plus the overlay's two row stores, exact
+    /// ([`KeyedRows::heap_bytes`]).
     pub fn resident_bytes(&self) -> usize {
-        let tuple = std::mem::size_of::<Tuple>();
-        let bucket_slot = std::mem::size_of::<(Tuple, Vec<Tuple>)>() + 1;
-        let buckets: usize = self.overlay.added.values().map(|b| b.capacity() * tuple).sum();
         self.fences.capacity() * std::mem::size_of::<Fence>()
-            + self.overlay.added.capacity() * bucket_slot
-            + buckets
-            + self.overlay.deleted.capacity() * (tuple + 1)
+            + self.overlay.added.heap_bytes()
+            + self.overlay.deleted.heap_bytes()
     }
 
     /// All stored tuples whose link projection equals `key`, as row
@@ -827,19 +861,19 @@ impl StoredView {
                         break;
                     }
                     match kv.as_slice().cmp(key.as_slice()) {
-                        std::cmp::Ordering::Less => {
+                        Ordering::Less => {
                             logical += ((key_arity + 1 + count * arity) * 8) as u64;
                             if !cursor.skip_varints(count * stored_arity) {
                                 result = Err(corrupt(&self.path, "truncated block"));
                                 break;
                             }
                         }
-                        std::cmp::Ordering::Equal => {
+                        Ordering::Equal => {
                             logical += ((key_arity + 1 + count * arity) * 8) as u64;
                             result = on_match(&mut cursor, count, &kv, scratch).map(Some);
                             break;
                         }
-                        std::cmp::Ordering::Greater => {
+                        Ordering::Greater => {
                             logical += ((key_arity + 1) * 8) as u64;
                             break;
                         }
@@ -886,7 +920,7 @@ impl StoredView {
             for r in 0..count {
                 self.layout
                     .row_into(key_vals, &scratch.block, count, r, &mut scratch.row);
-                if !deleted.contains(scratch.row.as_slice()) {
+                if !deleted.contains(&scratch.row) {
                     scratch.live.push(r);
                 }
             }
@@ -902,7 +936,8 @@ impl StoredView {
     /// bulk-copies into its output column, while link columns splat from
     /// the key — no `Tuple` boxing, no row assembly. Pending tombstones
     /// turn the bulk copy into a gather over the surviving rows, and the
-    /// overlay's insert bucket for the key is scattered column-wise after.
+    /// overlay's inserts under the key are pushed after. A clean overlay
+    /// costs no lookup at all.
     /// A warm worker performs the whole probe without allocating: the
     /// segment lands in the thread's reused buffer and the block
     /// decompresses into reused scratch.
@@ -930,8 +965,8 @@ impl StoredView {
             });
             Ok(())
         })?;
-        if let Some(bucket) = self.overlay.added.get(key) {
-            out.extend_from_tuples(bucket);
+        if !self.overlay.added.is_empty() {
+            self.overlay.added.for_each_match(key.as_slice(), |row| out.push_row(row));
         }
         self.sink
             .trace_leaf(overlay_mark, TraceStage::OverlayProbe, self.overlay.len() as u64);
@@ -948,7 +983,8 @@ impl StoredView {
     /// Fails on I/O errors or if the segment bytes are malformed.
     pub fn contains_key(&self, key: &Tuple) -> Result<bool> {
         let overlay_mark = self.overlay_mark();
-        let found = if self.overlay.added.get(key).is_some_and(|b| !b.is_empty()) {
+        let added = &self.overlay.added;
+        let found = if !added.is_empty() && added.contains_key(key.as_slice()) {
             true
         } else if self.overlay.deleted.is_empty() {
             self.find_record(key, |_, _, _, _| Ok(()))?.is_some()
@@ -964,51 +1000,41 @@ impl StoredView {
         Ok(found)
     }
 
-    /// Absorbs one net ΔS-view into the delta overlay: `deletes` cancel
-    /// against buffered inserts or become tombstones over the base run,
-    /// `inserts` revoke tombstones or join the overlay's key buckets.
-    /// Compacts automatically once the overlay outgrows a quarter of the
-    /// base run (`overlay × 4 > base + 64` — the slack keeps tiny views
-    /// from rewriting their file on every batch).
+    /// Absorbs one view row that entered (`entered`) or left the view
+    /// into the delta overlay; it never compacts.
     ///
-    /// The caller (the maintenance layer) guarantees net semantics:
-    /// inserted tuples are absent from the view, deleted tuples present.
+    /// # Panics
+    /// If `row`'s length is not the view's arity.
+    pub fn edit_row(&mut self, row: &[Val], entered: bool) {
+        self.overlay.edit(row, entered);
+    }
+
+    /// Compacts once `overlay × 4 > base + 64` (the slack keeps tiny views
+    /// from rewriting their file on every batch).
+    pub(crate) fn compact_if_due(&mut self) -> Result<()> {
+        if self.overlay.len() * 4 > self.num_tuples + 64 {
+            return self.compact();
+        }
+        Ok(())
+    }
+
+    /// Absorbs one net ΔS-view (`deletes` leave, then `inserts` enter;
+    /// inserted tuples are absent from the view, deleted ones present) and
+    /// compacts if the overlay is due.
     ///
     /// # Errors
     /// Fails on I/O errors from a triggered compaction.
+    ///
+    /// # Panics
+    /// If a tuple's arity is not the view's.
     pub fn apply_delta(&mut self, inserts: &[Tuple], deletes: &[Tuple]) -> Result<()> {
         for t in deletes {
-            let key = t.project(&self.layout.key_positions);
-            let cancelled = match self.overlay.added.get_mut(&key) {
-                Some(bucket) => match bucket.iter().position(|b| b == t) {
-                    Some(at) => {
-                        bucket.swap_remove(at);
-                        self.overlay.added_len -= 1;
-                        if bucket.is_empty() {
-                            self.overlay.added.remove(&key);
-                        }
-                        true
-                    }
-                    None => false,
-                },
-                None => false,
-            };
-            if !cancelled {
-                self.overlay.deleted.insert(t.clone());
-            }
+            self.overlay.edit(t.as_slice(), false);
         }
         for t in inserts {
-            if self.overlay.deleted.remove(t) {
-                continue;
-            }
-            let key = t.project(&self.layout.key_positions);
-            self.overlay.added.entry(key).or_default().push(t.clone());
-            self.overlay.added_len += 1;
+            self.overlay.edit(t.as_slice(), true);
         }
-        if self.overlay.len() * 4 > self.num_tuples + 64 {
-            self.compact()?;
-        }
-        Ok(())
+        self.compact_if_due()
     }
 
     /// Folds the overlay into a fresh sorted run: base and overlay are
@@ -1051,10 +1077,11 @@ impl StoredView {
     /// Writes the maintained view content — base run minus tombstones plus
     /// the overlay's inserts — as a v2 run at `tmp`, byte for byte what
     /// [`write_view`] produces for that content, without materializing it:
-    /// one sequential walk of the (key- and block-sorted) base run merged
-    /// with the sorted overlay, straight into the encoder. A base record
-    /// the overlay does not touch is not even decoded; its block bytes
-    /// are copied.
+    /// the overlay's rows are sorted once into run order as positions into
+    /// their flat stores, and one sequential walk of the (key- and
+    /// block-sorted) base run consumes them in step, straight into the
+    /// encoder. A base record the overlay does not touch is not even
+    /// decoded; its block bytes are copied.
     fn write_merged(&self, tmp: &Path) -> Result<()> {
         let bytes = std::fs::read(&self.path)
             .map_err(|e| io_err(&self.path, "read for compaction", e))?;
@@ -1063,40 +1090,37 @@ impl StoredView {
             .get(header..)
             .ok_or_else(|| corrupt(&self.path, "truncated header"))?;
         let layout = &self.layout;
-        let key_arity = layout.key_positions.len();
-        let stored_arity = layout.stored_arity();
-
-        // The overlay in run order: insert buckets by key (each sorted),
-        // and the keys holding at least one tombstone.
-        let mut added: Vec<(&Tuple, Vec<&Tuple>)> = self
-            .overlay
-            .added
-            .iter()
-            .map(|(key, bucket)| {
-                let mut bucket: Vec<&Tuple> = bucket.iter().collect();
-                bucket.sort_unstable();
-                (key, bucket)
-            })
-            .collect();
-        added.sort_unstable_by(|a, b| a.0.cmp(b.0));
-        let mut added = added.into_iter().peekable();
-        let mut dead_keys: Vec<Tuple> = self
-            .overlay
-            .deleted
-            .iter()
-            .map(|t| t.project(&layout.key_positions))
-            .collect();
-        dead_keys.sort_unstable();
-        dead_keys.dedup();
-        let mut dead_keys = dead_keys.iter().peekable();
+        let (key_arity, stored_arity) = (layout.key_positions.len(), layout.stored_arity());
+        let (added, deleted) = (&self.overlay.added, &self.overlay.deleted);
+        let ins_order = run_order(layout, added.len(), |at| added.row(at));
+        let dead_order = run_order(layout, deleted.len(), |at| deleted.row(at));
+        let (mut ins, mut dead) = (&ins_order[..], &dead_order[..]);
+        // How many leading positions of `order` have a key `cmp` to `key`.
+        let leading = |rows: &KeyedRows, order: &[u32], key: &[Val], cmp| {
+            let key_of = |at: &u32| layout.key_of(rows.row(*at as usize));
+            order.iter().take_while(|at| key_of(at).cmp(key.iter().copied()) == cmp).count()
+        };
+        let ins_rest = |at: u32| layout.rest_of(added.row(at as usize));
+        let dead_rest = |at: u32| layout.rest_of(deleted.row(at as usize));
+        // `next` := the least key the overlay still touches, if any: the
+        // records below it are copied without a look at the overlay.
+        let least = |ins: &[u32], dead: &[u32], next: &mut Vec<Val>| {
+            let fronts = ins.first().map(|&at| added.row(at as usize)).into_iter();
+            let fronts = fronts.chain(dead.first().map(|&at| deleted.row(at as usize)));
+            let row = fronts.min_by(|a, b| layout.key_of(a).cmp(layout.key_of(b)));
+            next.clear();
+            next.extend(row.into_iter().flat_map(|row| layout.key_of(row)));
+            row.is_some()
+        };
+        let mut next = Vec::new();
+        let mut pending = least(ins, dead, &mut next);
 
         let mut writer = RunWriter::new(layout);
         let mut cursor = Cursor::new(body);
-        let mut head: Vec<Val> = Vec::new();
-        let mut key: Vec<Val> = Vec::new();
-        let mut block: Vec<Val> = Vec::new();
-        let mut row: Vec<Val> = Vec::with_capacity(self.schema.arity());
-        let mut survivors: Vec<Tuple> = Vec::new();
+        let (mut head, mut key, mut block) = (Vec::new(), Vec::new(), Vec::new());
+        // A touched record's rows in order: `Ok(r)` is row `r` of the base
+        // block, `Err(at)` the overlay insert at position `at`.
+        let mut merged: Vec<Result<usize, u32>> = Vec::new();
         for record in 0..self.num_records {
             let segment_head = record % FENCE_STRIDE == 0;
             let base = if segment_head { None } else { Some(head.as_slice()) };
@@ -1114,16 +1138,17 @@ impl StoredView {
             if count > self.num_tuples {
                 return Err(corrupt(&self.path, "block overruns tuple count"));
             }
-            // Overlay-only keys sorting before this record go out first.
-            while let Some((k, bucket)) = added.next_if(|(k, _)| k.as_slice() < key.as_slice()) {
-                writer.push_tuples(k.as_slice(), &bucket);
+            let (mut inserts, mut tombstones) = (&ins[..0], &dead[..0]);
+            if pending && next <= key {
+                // Overlay-only keys sorting before this record go out first.
+                let (before, rest) = ins.split_at(leading(added, ins, &key, Ordering::Less));
+                writer.push_rows(before, |at| added.row(at));
+                (inserts, ins) = rest.split_at(leading(added, rest, &key, Ordering::Equal));
+                dead = &dead[leading(deleted, dead, &key, Ordering::Less)..];
+                (tombstones, dead) = dead.split_at(leading(deleted, dead, &key, Ordering::Equal));
+                pending = least(ins, dead, &mut next);
             }
-            let inserts = added.next_if(|(k, _)| k.as_slice() == key.as_slice());
-            while dead_keys.next_if(|k| k.as_slice() < key.as_slice()).is_some() {}
-            let tombstoned = dead_keys
-                .next_if(|k| k.as_slice() == key.as_slice())
-                .is_some();
-            if inserts.is_none() && !tombstoned {
+            if inserts.is_empty() && tombstones.is_empty() {
                 let start = cursor.pos;
                 if !cursor.skip_varints(count * stored_arity) {
                     return Err(corrupt(&self.path, "truncated tuple"));
@@ -1134,26 +1159,31 @@ impl StoredView {
             if !cursor.read_block(count * stored_arity, &mut block) {
                 return Err(corrupt(&self.path, "truncated tuple"));
             }
-            survivors.clear();
+            // Both sides ascend and are disjoint (`added ∩ base = ∅`), and
+            // the key's tombstones are base rows in the same order.
+            let block = &block;
+            let base_rest = |r: usize| (0..stored_arity).map(move |c| block[c * count + r]);
+            let mut inserts = inserts.iter().copied().peekable();
+            let mut tombstones = tombstones.iter().copied().peekable();
+            merged.clear();
             for r in 0..count {
-                layout.row_into(&key, &block, count, r, &mut row);
-                if !(tombstoned && self.overlay.deleted.contains(row.as_slice())) {
-                    survivors.push(Tuple::from_slice(&row));
+                while let Some(at) = inserts.next_if(|&at| ins_rest(at).lt(base_rest(r))) {
+                    merged.push(Err(at));
+                }
+                if tombstones.next_if(|&at| dead_rest(at).eq(base_rest(r))).is_none() {
+                    merged.push(Ok(r));
                 }
             }
-            // The sides are disjoint (`added ∩ base = ∅`): no dedup needed.
-            let mut merged: Vec<&Tuple> = survivors.iter().collect();
-            if let Some((_, bucket)) = inserts {
-                merged.extend(bucket);
-                merged.sort_unstable();
-            }
+            merged.extend(inserts.map(Err));
             if !merged.is_empty() {
-                writer.push_tuples(&key, &merged);
+                writer.push_record(&key, merged.len(), |r, p| match (merged[r], layout.sources[p]) {
+                    (Ok(b), ColSource::Stored(c)) => block[c * count + b],
+                    (Ok(_), ColSource::Key(i)) => key[i],
+                    (Err(at), _) => added.row(at as usize)[p],
+                });
             }
         }
-        for (key, bucket) in added {
-            writer.push_tuples(key.as_slice(), &bucket);
-        }
+        writer.push_rows(ins, |at| added.row(at));
         writer.finish(tmp, &self.schema, self.link)
     }
 }
@@ -1429,6 +1459,40 @@ mod tests {
         }
         drop(view);
         assert!(!path.exists(), "delete_on_drop survives compaction");
+        cleanup(&path);
+    }
+
+    #[test]
+    fn a_row_that_leaves_and_returns_nets_to_nothing() {
+        let rel = Relation::binary("R", 0, 1, (0..40u64).map(|i| (i % 5, i)));
+        let path = scratch("netting.sview");
+        write_view(&path, &rel, vars![1]).unwrap();
+        let mut view = StoredView::open(&path).unwrap();
+        view.delete_on_drop();
+        // One overlay insert under an existing key, so a pending insert
+        // can leave and return too.
+        view.edit_row(&[2, 500], true);
+        let seen = |v: &StoredView| {
+            let keys = (0..7u64).map(Tuple::unary);
+            let probes = keys.map(|key| {
+                let mut rows = v.probe(&key).unwrap();
+                rows.sort_unstable();
+                (rows, v.contains_key(&key).unwrap())
+            });
+            (v.overlay_len(), v.len(), probes.collect::<Vec<_>>())
+        };
+        let before = seen(&view);
+        assert_eq!(before.0, 1);
+        for (row, first) in [
+            ([3u64, 8], false), // a base row leaves, then returns
+            ([2, 500], false),  // the overlay insert leaves, then returns
+            ([6, 501], true),   // a fresh row enters, then leaves
+        ] {
+            view.edit_row(&row, first);
+            view.edit_row(&row, !first);
+            assert_eq!(seen(&view), before, "row {row:?}");
+        }
+        drop(view);
         cleanup(&path);
     }
 

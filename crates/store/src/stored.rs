@@ -25,7 +25,7 @@
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use cqap_common::{CqapError, Result, Tuple};
+use cqap_common::{CqapError, Result, Tuple, Val};
 use cqap_decomp::Pmtd;
 use cqap_delta::{ApplyDelta, DeltaBatch, DeltaStats};
 use cqap_panda::{CqapIndex, DeltaMaintenance};
@@ -126,25 +126,17 @@ impl StoredViews {
         self.views.iter().flatten().map(StoredView::resident_bytes).sum()
     }
 
-    /// Absorbs one node's net ΔS-view into that view's delta overlay (see
-    /// [`StoredView::apply_delta`]); an oversized overlay compacts itself
-    /// into a rewritten run.
-    ///
-    /// # Errors
-    /// Fails if the node was never spilled, or on compaction I/O errors.
-    pub fn apply_delta(
-        &mut self,
-        node: usize,
-        inserts: &[Tuple],
-        deletes: &[Tuple],
-    ) -> Result<()> {
-        self.views
-            .get_mut(node)
-            .and_then(|v| v.as_mut())
-            .ok_or_else(|| {
-                CqapError::InvalidPmtd(format!("S-view {node} was not spilled"))
-            })?
-            .apply_delta(inserts, deletes)
+    /// Absorbs one row that entered or left `node`'s view into its delta
+    /// overlay ([`StoredView::edit_row`]); compaction waits for
+    /// [`StoredViews::compact_due`].
+    pub(crate) fn edit_row(&mut self, node: usize, row: &[Val], entered: bool) {
+        self.views[node].as_mut().expect("every counted view is spilled").edit_row(row, entered);
+    }
+
+    /// Compacts every view whose overlay outgrew a quarter of its base
+    /// run; all are tried, and the first error is returned.
+    pub(crate) fn compact_due(&mut self) -> Result<()> {
+        self.views.iter_mut().flatten().map(StoredView::compact_if_due).fold(Ok(()), Result::and)
     }
 
     /// Forces every view with a pending overlay to compact into a fresh
@@ -401,24 +393,26 @@ impl StoredIndex {
     }
 }
 
-/// Incremental maintenance of the disk tier: the same net effect and
-/// ΔS-views as the in-memory index (computed by this backend's own
-/// [`DeltaMaintenance`] lineage), absorbed as LSM-style delta overlays on
-/// the spilled runs instead of in-place row edits. Probes merge base +
-/// overlay until a size-triggered compaction streams both into a fresh
-/// fence-indexed run. The shared compiled pipelines read the live atom
-/// indexes and fold no database content, so they are never recompiled and
-/// rebuild equivalence holds at any overlay state. A net no-op carries no
-/// ΔS-views and leaves the overlays untouched.
+/// Incremental maintenance of the disk tier: this backend's own
+/// [`DeltaMaintenance`] lineage streams each moved view row from the count
+/// edit straight into its view's LSM-style overlay. Compaction runs only
+/// once every view has absorbed the batch, so a failed one leaves no view
+/// behind: the index answers the post-delta database and re-applying the
+/// batch is a no-op. The compiled pipelines fold no database content, so
+/// rebuild equivalence holds at any overlay state. A net no-op moves no
+/// row and compacts nothing.
 impl ApplyDelta for StoredIndex {
     fn apply_delta(&mut self, batch: &DeltaBatch) -> Result<DeltaStats> {
-        let outcome = self.maintenance.apply(&self.cqap, &mut self.db, &mut self.counts, batch)?;
-        for (views, view_deltas) in self.plans.iter_mut().zip(&outcome.views) {
-            for (node, ins, del) in view_deltas {
-                views.apply_delta(*node, ins, del)?;
-            }
+        let plans = &mut self.plans;
+        let overlay = &mut |plan: usize, node, row: &[Val], entered| {
+            plans[plan].edit_row(node, row, entered);
+        };
+        let (cqap, db, counts) = (&self.cqap, &mut self.db, &mut self.counts);
+        let stats = self.maintenance.apply(cqap, db, counts, batch, overlay)?;
+        if !stats.is_noop() {
+            self.plans.iter_mut().map(StoredViews::compact_due).fold(Ok(()), Result::and)?;
         }
-        Ok(outcome.stats)
+        Ok(stats)
     }
 }
 
@@ -435,7 +429,7 @@ impl BatchAnswer for StoredIndex {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use cqap_decomp::families as pf;
     use cqap_query::workload::{graph_pair_requests, zipf_multi_requests, Graph};
@@ -573,6 +567,7 @@ mod tests {
         stored.set_metrics_sink(sink.clone());
         let requests: Vec<AccessRequest> = graph_pair_requests(&g, 6, 17)
             .into_iter()
+            .chain([(9_000, 9_003)])
             .map(|(u, v)| AccessRequest::single(cqap.access(), &[u, v]).unwrap())
             .collect();
         // Expected answers (naive oracle) computed outside the counted
@@ -586,24 +581,114 @@ mod tests {
             stored.answer(r).unwrap();
         }
 
-        let dedup_before = cqap_relation::instrument::dedup_inserts();
-        let boxes_before = cqap_common::tuple::instrument::heap_boxings();
-        let answers: Vec<Relation> =
-            requests.iter().map(|r| stored.answer(r).unwrap()).collect();
-        assert_eq!(
-            cqap_relation::instrument::dedup_inserts(),
-            dedup_before,
-            "warm stored answering with a live sink must perform zero dedup inserts"
-        );
-        assert_eq!(
-            cqap_common::tuple::instrument::heap_boxings(),
-            boxes_before,
-            "warm stored answering with a live sink must perform zero tuple boxings"
-        );
-        assert_eq!(answers, expected);
+        let counted_pass = |stored: &StoredIndex, expected: &[Relation], when: &str| {
+            let dedup_before = cqap_relation::instrument::dedup_inserts();
+            let boxes_before = cqap_common::tuple::instrument::heap_boxings();
+            let answers: Vec<Relation> =
+                requests.iter().map(|r| stored.answer(r).unwrap()).collect();
+            assert_eq!(
+                cqap_relation::instrument::dedup_inserts(),
+                dedup_before,
+                "warm stored answering {when} must perform zero dedup inserts"
+            );
+            assert_eq!(
+                cqap_common::tuple::instrument::heap_boxings(),
+                boxes_before,
+                "warm stored answering {when} must perform zero tuple boxings"
+            );
+            assert_eq!(answers, expected, "{when}");
+        };
+        counted_pass(&stored, &expected, "with a live sink");
         // The sink really was live for the counted window.
         let snap = sink.snapshot().unwrap();
         assert!(snap.counter(CounterId::SegmentReads) >= 2 * requests.len() as u64);
+
+        // Again under a pending overlay — tombstones over the base run
+        // and inserts beside it — which probes merge without boxing.
+        let dropped = db.relation("R1").unwrap().tuples().iter().step_by(25).cloned().collect();
+        let batch = DeltaBatch::new()
+            .insert("R1", vec![Tuple::pair(9_000, 9_001)])
+            .insert("R2", vec![Tuple::pair(9_001, 9_002)])
+            .insert("R3", vec![Tuple::pair(9_002, 9_003)])
+            .delete("R1", dropped);
+        stored.apply_delta(&batch).unwrap();
+        assert!(stored.overlay_len() > 0, "the delta stays pending");
+        let expected: Vec<Relation> = requests
+            .iter()
+            .map(|r| cqap_yannakakis::naive_answer(&cqap, stored.database(), r).unwrap())
+            .collect();
+        for r in &requests {
+            stored.answer(r).unwrap();
+        }
+        let pending_before = sink.snapshot().unwrap().counter(CounterId::OverlayPendingProbes);
+        counted_pass(&stored, &expected, "under a pending overlay");
+        let snap = sink.snapshot().unwrap();
+        assert!(snap.counter(CounterId::OverlayPendingProbes) > pending_before);
+    }
+
+    /// A batch that makes the `S13` view of the fixture outgrow its
+    /// compaction trigger (a 40 × 40 fan of fresh `(x1, x3)` pairs) and
+    /// drops every third `R1` edge, so every view also loses rows.
+    pub(crate) fn compacting_batch(db: &Database) -> DeltaBatch {
+        let fan = |from: u64, to: u64, n: u64, out: bool| -> Vec<Tuple> {
+            (0..n)
+                .map(|i| if out { Tuple::pair(from, to + i) } else { Tuple::pair(from + i, to) })
+                .collect()
+        };
+        let dropped = db.relation("R1").unwrap().tuples().iter().step_by(3).cloned().collect();
+        DeltaBatch::new()
+            .insert("R1", fan(9_000, 9_100, 40, false))
+            .insert("R2", fan(9_100, 9_200, 40, true))
+            .insert("R3", fan(9_200, 9_300, 40, false))
+            .delete("R1", dropped)
+    }
+
+    /// A directory squatting on the compaction temp path of every spilled
+    /// view under `dir`, so each compaction fails before writing a byte.
+    pub(crate) fn squat_compactions(dir: &Path) -> Vec<PathBuf> {
+        let runs = std::fs::read_dir(dir).unwrap().map(|entry| entry.unwrap().path());
+        let squats: Vec<PathBuf> = runs
+            .filter(|path| path.extension().is_some_and(|ext| ext == "sview"))
+            .map(|path| path.with_extension("tmp"))
+            .collect();
+        squats.iter().for_each(|tmp| std::fs::create_dir(tmp).unwrap());
+        squats
+    }
+
+    #[test]
+    fn a_failed_compaction_still_applies_the_whole_batch_to_every_view() {
+        use cqap_yannakakis::naive_answer;
+
+        let (cqap, _, g, db, reference) = fixture();
+        let dir = scratch_dir("half-applied");
+        let mut stored = StoredIndex::spill(&reference, &dir).unwrap();
+        let squats = squat_compactions(&dir);
+        let batch = compacting_batch(&db);
+        assert!(stored.apply_delta(&batch).is_err(), "a due compaction must hit a squat");
+        assert!(stored.overlay_len() > 0, "the failed view keeps its overlay");
+
+        let mut after = db.clone();
+        after.apply_delta(&batch).unwrap();
+        let mut requests: Vec<AccessRequest> = graph_pair_requests(&g, 60, 47)
+            .into_iter()
+            .map(|(u, v)| AccessRequest::single(cqap.access(), &[u, v]).unwrap())
+            .collect();
+        requests.push(AccessRequest::single(cqap.access(), &[9_000, 9_300]).unwrap());
+        let check = |stored: &StoredIndex, when: &str| {
+            for request in &requests {
+                let expected = naive_answer(&cqap, &after, request).unwrap();
+                assert_eq!(stored.answer(request).unwrap(), expected, "{when}");
+            }
+        };
+        check(&stored, "after the failed compaction");
+        // Every view already absorbed the batch: the retry changes nothing.
+        assert!(stored.apply_delta(&batch).unwrap().is_noop());
+        check(&stored, "after the retry");
+        // Once the squats clear, the pending overlays compact cleanly.
+        squats.iter().for_each(|tmp| std::fs::remove_dir(tmp).unwrap());
+        stored.compact().unwrap();
+        assert_eq!(stored.overlay_len(), 0);
+        check(&stored, "after compaction");
     }
 
     #[test]

@@ -469,7 +469,10 @@ impl TieredShardedIndex {
 /// each shard absorbs its share through whichever tier holds it: hot
 /// shards update their hash-backed views in place, cold shards buffer
 /// LSM-style overlays on their spilled runs. Stats are shard-local sums,
-/// as in [`cqap_shard::ShardedIndex`]'s implementation.
+/// as in [`cqap_shard::ShardedIndex`]'s implementation. Every shard
+/// absorbs its share even if another fails (a cold compaction error), and
+/// the first error is returned, so no shard is left behind the others
+/// and re-applying the batch is a no-op.
 impl ApplyDelta for TieredShardedIndex {
     fn apply_delta(&mut self, batch: &DeltaBatch) -> Result<DeltaStats> {
         let parts = {
@@ -479,18 +482,22 @@ impl ApplyDelta for TieredShardedIndex {
             };
             self.spec.partition_delta(batch, db)?
         };
-        let mut stats = DeltaStats::default();
+        let (mut stats, mut applied) = (DeltaStats::default(), Ok(()));
         for (shard, part) in self.shards_mut("apply a delta")?.into_iter().zip(parts) {
-            stats.merge(match shard {
-                TierShardMut::Hot(index) => index.apply_delta(&part)?,
-                TierShardMut::Cold(stored) => stored.apply_delta(&part)?,
-            });
+            let shard_stats = match shard {
+                TierShardMut::Hot(index) => index.apply_delta(&part),
+                TierShardMut::Cold(stored) => stored.apply_delta(&part),
+            };
+            match shard_stats {
+                Ok(shard_stats) => stats.merge(shard_stats),
+                Err(e) => applied = applied.and(Err(e)),
+            }
         }
         // Deltas grow and shrink shards (and cold compactions fold
         // overlays into fresh runs), so re-publish the per-tier
         // resident-byte gauges after every absorbed batch.
         self.publish_space_gauges();
-        Ok(stats)
+        applied.map(|()| stats)
     }
 }
 
@@ -706,6 +713,41 @@ mod tests {
         assert!(dir.exists());
         drop(tiered);
         assert!(!dir.exists(), "scratch dir cleaned up on drop");
+    }
+
+    #[test]
+    fn a_failed_cold_compaction_still_applies_every_shard() {
+        use crate::stored::tests::{compacting_batch, squat_compactions};
+
+        let (cqap, pmtds, g, db, _) = fixture();
+        let sharded = ShardedIndex::build(&cqap, &db, &pmtds, 2).unwrap();
+        let dir = scratch_dir("half-applied-tiers");
+        let mut tiered =
+            TieredShardedIndex::from_sharded(sharded, &[ShardTier::Cold, ShardTier::Hot], &dir)
+                .unwrap();
+        let squats = squat_compactions(&dir.join("shard0"));
+        let batch = compacting_batch(&db);
+        assert!(tiered.apply_delta(&batch).is_err(), "the cold shard's compaction must fail");
+
+        let mut after = db.clone();
+        after.apply_delta(&batch).unwrap();
+        let requests: Vec<AccessRequest> = graph_pair_requests(&g, 60, 47)
+            .into_iter()
+            .chain([(9_000, 9_300), (9_001, 9_300)])
+            .map(|(u, v)| AccessRequest::single(cqap.access(), &[u, v]).unwrap())
+            .collect();
+        let check = |tiered: &TieredShardedIndex, when: &str| {
+            for request in &requests {
+                let expected = naive_answer(&cqap, &after, request).unwrap();
+                assert_eq!(tiered.answer(request).unwrap(), expected, "{when}");
+            }
+        };
+        check(&tiered, "after the failed compaction");
+        assert!(tiered.apply_delta(&batch).unwrap().is_noop());
+        check(&tiered, "after the retry");
+        squats.iter().for_each(|tmp| std::fs::remove_dir(tmp).unwrap());
+        drop(tiered);
+        let _ = std::fs::remove_dir(&dir);
     }
 
     #[test]

@@ -105,9 +105,8 @@ impl ColumnRun {
         self.rows += 1;
     }
 
-    /// Appends a slice of row tuples — the scatter used by the overlay
-    /// bucket probes and by seeding a chain with stored tuples
-    /// ([`Tuple::scatter_into`] per row).
+    /// Appends a slice of row tuples — the scatter used by seeding a
+    /// chain with stored tuples ([`Tuple::scatter_into`] per row).
     pub fn extend_from_tuples(&mut self, tuples: &[Tuple]) {
         let cols = &mut self.cols[..self.width];
         for t in tuples {
