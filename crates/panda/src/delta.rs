@@ -42,6 +42,18 @@
 //! tuple of an atom `b < a` that is in `ΔR_b` is skipped at the step
 //! joining `b` — a lookup in the batch-sized delta set.
 //!
+//! Those count edits are most of a write's time, and on a large view
+//! they wait on cache misses, not on instructions, so a morsel reaches
+//! each view as **one batch**: every view's column positions in every
+//! chain's schema are resolved once per build or apply, the morsel is
+//! projected and hashed once per view, column by column, into buffers
+//! reused across morsels, and
+//! [`KeyedRows::edit_counts`](cqap_relation::KeyedRows::edit_counts)
+//! warms each group of rows' table slots, rows and counts with
+//! independent loads before it edits any of them (see
+//! `cqap_relation::keyed_rows`). The edits, and the moved rows the sink
+//! sees, keep the row order of one edit at a time.
+//!
 //! **Build is a delta from empty**: every J-row is new and atom 0 is its
 //! first atom, so [`DeltaMaintenance::build`] runs atom 0's chain seeded
 //! with all of `R₀` into the empty views — `J` is streamed, never held.
@@ -64,7 +76,7 @@ use cqap_common::{FxHashSet, Result, Tuple, Val, VarSet};
 use cqap_delta::{net_effect, DeltaBatch, DeltaStats, RelationDelta};
 use cqap_obs::{CounterId, MetricsSink, StageId, TraceStage};
 use cqap_query::{Atom, Cqap};
-use cqap_relation::{Database, Schema};
+use cqap_relation::{CountEdit, Database, Schema};
 use cqap_yannakakis::{ColumnRun, OnlineYannakakis, PreprocessedViews, SViewProbe};
 
 use crate::chain::{ChainScratch, JoinChain, MORSEL_ROWS};
@@ -114,34 +126,74 @@ fn stream_delta_join(
     }
 }
 
-/// Gives (`Side::Inserts`) or takes (`Side::Deletes`) one support per row
-/// of `rows` (over `schema`, a permutation of the query's variables) to
-/// its projection onto every (counted) view of every plan — the one hot
-/// edit of a delta — and calls `moved(plan, node, row, entered)` for each
-/// view row that thereby entered or left its view.
-fn shift_counts(
-    schema: &Schema,
-    rows: &ColumnRun,
-    plans: &mut [PreprocessedViews],
-    side: Side,
-    moved: &mut impl FnMut(usize, usize, &[Val], bool),
-) {
-    let mut row = Vec::new();
-    let entered = matches!(side, Side::Inserts);
-    for (p, plan) in plans.iter_mut().enumerate() {
-        for (node, counts) in plan.edit() {
-            let positions = schema
-                .positions_of_set(counts.schema().varset())
-                .expect("a view projects the full join");
-            for r in 0..rows.rows() {
-                rows.project_row_into(r, &positions, &mut row);
-                let crossed_zero = match side {
-                    Side::Inserts => counts.add(&row, 1),
-                    Side::Deletes => counts.sub(&row, 1),
-                };
-                if crossed_zero {
-                    moved(p, node, &row, entered);
-                }
+/// The count edits of one build or apply: every counted view's columns
+/// in every chain's schema, resolved once, and the morsel buffers each
+/// edit reuses.
+struct CountEdits {
+    /// `positions[a]`: per view, plan by plan in
+    /// [`PreprocessedViews::edit`] order, the columns of atom `a`'s chain
+    /// schema that the view projects (in its ascending variable order).
+    positions: Vec<Vec<Vec<usize>>>,
+    /// A morsel projected onto one view, row after row.
+    rows: Vec<Val>,
+    /// [`cqap_common::hash_vals`] of each row of `rows`.
+    hashes: Vec<u64>,
+}
+
+impl CountEdits {
+    fn new(chains: &[JoinChain], plans: &[PreprocessedViews]) -> Self {
+        let positions = chains
+            .iter()
+            .map(|chain| {
+                plans
+                    .iter()
+                    .flat_map(PreprocessedViews::runs)
+                    .map(|(_, view)| {
+                        chain
+                            .schema()
+                            .positions_of_set(view.schema().varset())
+                            .expect("a view projects the full join")
+                    })
+                    .collect()
+            })
+            .collect();
+        CountEdits {
+            positions,
+            rows: Vec::new(),
+            hashes: Vec::new(),
+        }
+    }
+
+    /// Gives (`Side::Inserts`) or takes (`Side::Deletes`) one support per
+    /// row of `rows` (a morsel of atom `a`'s chain) to its projection onto
+    /// every (counted) view of every plan — the one hot edit of a delta —
+    /// and calls `moved(plan, node, row, entered)` for each view row that
+    /// thereby entered or left its view, in row order. Per view the
+    /// morsel is projected and hashed once, column by column, and handed
+    /// to [`KeyedRows::edit_counts`](cqap_relation::KeyedRows::edit_counts)
+    /// as one batch, whose grouped warm passes overlap the edits' cache
+    /// misses (see `cqap_relation::keyed_rows`).
+    fn shift_counts(
+        &mut self,
+        a: usize,
+        rows: &ColumnRun,
+        plans: &mut [PreprocessedViews],
+        side: Side,
+        moved: &mut impl FnMut(usize, usize, &[Val], bool),
+    ) {
+        let (edit, entered) = match side {
+            Side::Inserts => (CountEdit::Add(1), true),
+            Side::Deletes => (CountEdit::Sub(1), false),
+        };
+        let mut positions = self.positions[a].iter();
+        for (p, plan) in plans.iter_mut().enumerate() {
+            for (node, view) in plan.edit() {
+                let positions = positions.next().expect("views resolved at build or apply");
+                rows.project_rows_into(positions, &mut self.rows);
+                rows.hash_rows_into(positions, &mut self.hashes);
+                view.edit_counts(&self.rows, &self.hashes, edit, |row| {
+                    moved(p, node, row, entered)
+                });
             }
         }
     }
@@ -193,8 +245,9 @@ impl DeltaMaintenance {
         seed.reset(atoms[0].arity());
         seed.extend_from_tuples(db.relation_or_err(&atoms[0].relation)?.tuples());
         let (no_skip, mut scratch) = (|_, _: &Tuple| false, ChainScratch::default());
+        let mut edits = CountEdits::new(&chains, views);
         let mut count = |rows: &ColumnRun| {
-            shift_counts(chains[0].schema(), rows, views, Side::Inserts, &mut |_, _, _, _| {})
+            edits.shift_counts(0, rows, views, Side::Inserts, &mut |_, _, _, _| {})
         };
         chains[0].run(0, &atom_indexes, &seed, MORSEL_ROWS, &no_skip, &mut scratch, &mut count);
         Ok(DeltaMaintenance {
@@ -261,10 +314,10 @@ impl DeltaMaintenance {
         }
         let atoms = cqap.cq().atoms();
         let chains = &self.chains;
+        let mut edits = CountEdits::new(chains, views);
         let mut stream = |side: Side, atom_indexes: &AtomIndexCache| {
-            let mut count = |a: usize, rows: &ColumnRun| {
-                shift_counts(chains[a].schema(), rows, views, side, moved)
-            };
+            let mut count =
+                |a: usize, rows: &ColumnRun| edits.shift_counts(a, rows, views, side, moved);
             stream_delta_join(chains, atom_indexes, atoms, &deltas, side, MORSEL_ROWS, &mut count);
         };
         // ΔJ⁻ over the pre-delta database: the view rows that lose their

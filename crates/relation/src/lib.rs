@@ -37,7 +37,7 @@ pub mod split;
 pub use constraints::{ConstraintSet, DegreeConstraint};
 pub use database::Database;
 pub use index::HashIndex;
-pub use keyed_rows::KeyedRows;
+pub use keyed_rows::{CountEdit, KeyedRows};
 pub use ops::is_identity;
 pub use relation::{instrument, Relation, RelationBuilder};
 pub use schema::Schema;

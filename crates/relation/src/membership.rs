@@ -146,6 +146,28 @@ impl PositionTable {
         }
     }
 
+    /// The position held by the home slot of these hash bits, if that
+    /// slot's entry carries exactly these bits; `u32::MAX` otherwise (or
+    /// while the table is empty). A load-only guess — both the tag and
+    /// the entry are read whatever the tag says, so a caller that asks
+    /// for a whole group of rows before it edits any has the group's
+    /// cache misses in flight at once. Never an answer: a row displaced
+    /// from its home slot gets no hint, and the caller must check the
+    /// row at the hinted position before it trusts it.
+    #[inline]
+    pub(crate) fn home_hint(&self, bits: u64) -> u32 {
+        if self.slots.is_empty() {
+            return u32::MAX;
+        }
+        let i = self.home(bits);
+        let (tag, entry) = (self.tags[i], self.slots[i]);
+        if (tag == tag_of(bits)) & (entry >> 32 == bits) {
+            (entry & POSITION) as u32
+        } else {
+            u32::MAX
+        }
+    }
+
     /// Registers a row with these hash bits at position `at` unless
     /// `is_row` accepts a stored one, whose position comes back instead;
     /// on `None` the caller must store the row at `at`.

@@ -14,8 +14,10 @@
 //!   is cheap.
 //!
 //! [`split_geometric`] provides the full PANDA-style bucketing into
-//! `O(log |R|)` sub-relations with geometrically increasing degrees, used by
-//! the generic 2PP driver.
+//! `O(log |R|)` sub-relations with geometrically increasing degrees. It
+//! has no caller outside this module's tests: the space-budgeted index
+//! build (ROADMAP item 2) either becomes its first caller or the
+//! public-surface ledger (item 12) deletes it.
 
 use crate::index::HashIndex;
 use crate::relation::Relation;

@@ -8,12 +8,14 @@
 //! `swap_remove`d into. After every step the structure must agree with a
 //! `HashMap` of support counts, and a `Relation` + [`HashIndex::build`]
 //! over the same rows, on `len`, `contains`, per-row counts, `contains_key`,
-//! the probed rows of every key, and the row dump.
+//! the probed rows of every key, and the row dump. A second stream edits
+//! counts in groups, each applied once as one [`KeyedRows::edit_counts`]
+//! batch and once row by row.
 
 use std::collections::HashMap;
 
-use cqap_common::{Tuple, Val, VarSet};
-use cqap_relation::{HashIndex, KeyedRows, Relation, Schema};
+use cqap_common::{hash_vals, Tuple, Val, VarSet};
+use cqap_relation::{CountEdit, HashIndex, KeyedRows, Relation, Schema};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -171,6 +173,147 @@ proptest! {
         }
         prop_assert!(set.is_empty());
         prop_assert!(set.heap_bytes() <= 2_048, "an emptied structure still holds {} bytes", set.heap_bytes());
+    }
+}
+
+/// Fisher–Yates over the test's generator.
+fn shuffle<T>(rng: &mut StdRng, items: &mut [T]) {
+    for i in (1..items.len()).rev() {
+        items.swap(i, rng.random_range(0..i + 1));
+    }
+}
+
+/// A value whose one-value row hashes 1 above `v`'s, so the two rows
+/// share their table bits (the hash's top half): one Fx step over zero is
+/// a multiply by an odd constant, `hash_vals(&[1])`, so adding its inverse
+/// to `v` adds 1 to the hash.
+fn bits_partner(v: Val) -> Val {
+    let seed = hash_vals(&[1]);
+    let mut inverse = seed;
+    for _ in 0..5 {
+        inverse = inverse.wrapping_mul(2u64.wrapping_sub(seed.wrapping_mul(inverse)));
+    }
+    let partner = v.wrapping_add(inverse);
+    assert_eq!(hash_vals(&[partner]), hash_vals(&[v]).wrapping_add(1));
+    partner
+}
+
+/// Applies `group` to `batched` as one [`KeyedRows::edit_counts`] call and
+/// to `single` one row at a time (`add` / `sub`), updates the count model,
+/// and returns the rows that crossed zero — the same from both, in the
+/// same order.
+fn edit_both(
+    batched: &mut KeyedRows,
+    single: &mut KeyedRows,
+    model: &mut HashMap<Tuple, u32>,
+    group: &[Tuple],
+    edit: CountEdit,
+) -> Vec<Vec<Val>> {
+    let rows: Vec<Val> = group.iter().flat_map(|t| t.as_slice().to_vec()).collect();
+    let hashes: Vec<u64> = group.iter().map(|t| hash_vals(t.as_slice())).collect();
+    let mut crossed = Vec::new();
+    batched.edit_counts(&rows, &hashes, edit, |row| crossed.push(row.to_vec()));
+    let mut one_by_one = Vec::new();
+    for t in group {
+        let row = t.as_slice();
+        let moved = match edit {
+            CountEdit::Add(n) => single.add(row, n),
+            CountEdit::Sub(n) => single.sub(row, n),
+        };
+        if moved {
+            one_by_one.push(row.to_vec());
+        }
+        let count = model.entry(t.clone()).or_insert(0);
+        match edit {
+            CountEdit::Add(n) => *count += n,
+            CountEdit::Sub(n) => *count -= n,
+        }
+        if *count == 0 {
+            model.remove(t);
+        }
+    }
+    assert_eq!(crossed, one_by_one, "crossing rows, in order");
+    crossed
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Random groups of count edits, as batches of several hundred rows
+    /// (past the kernel's group size) and one row at a time, must leave
+    /// equal structures — the same rows at the same positions, the same
+    /// counts, the model's — and report the same crossings in the same
+    /// order. The stream covers rows repeated inside a group, enters and
+    /// leaves, a first group that grows the empty table through several
+    /// resizes, leave groups whose first edit evicts the row at position 0
+    /// (so the last row moves there) and whose last edit is that moved
+    /// row — a position the warm pass saw goes stale within the group —
+    /// and, at arity 1, distinct rows with the same table bits, whose home
+    /// slot hints at the other row.
+    #[test]
+    fn a_batch_edit_equals_one_row_at_a_time(
+        seed in 0u64..1_000_000,
+        arity in 0usize..5,
+        link_bits in 0u64..16,
+        groups in 4usize..12,
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed ^ 0x0062_6174_6368);
+        let schema = Schema::of(0..arity);
+        let link = VarSet(link_bits & ((1u64 << arity) - 1));
+        let mut batched = KeyedRows::counted(schema.clone(), link).unwrap();
+        let mut single = KeyedRows::counted(schema, link).unwrap();
+        let mut model: HashMap<Tuple, u32> = HashMap::new();
+        let draw = |rng: &mut StdRng, wide: u64| {
+            Tuple::from_slice(&(0..arity).map(|_| rng.random_range(0..wide)).collect::<Vec<_>>())
+        };
+        // Far more distinct rows than the empty table's 8 slots hold.
+        let first: Vec<Tuple> = (0..300).map(|_| draw(&mut rng, 40)).collect();
+        edit_both(&mut batched, &mut single, &mut model, &first, CountEdit::Add(1));
+        let (mut enters, mut leaves) = (0, 0);
+        for g in 0..groups {
+            if g % 2 == 1 {
+                // Adds: a narrow domain repeats rows inside the group (one
+                // repeat is forced), a wide one brings new rows.
+                let wide = if rng.random_range(0u32..2) == 0 { 3 } else { 60 };
+                let len = rng.random_range(1usize..700);
+                let mut group: Vec<Tuple> = (0..len).map(|_| draw(&mut rng, wide)).collect();
+                group.push(group[0].clone());
+                if arity == 1 {
+                    group.push(Tuple::unary(bits_partner(group[0].as_slice()[0])));
+                }
+                let by = rng.random_range(1u32..4);
+                enters += edit_both(&mut batched, &mut single, &mut model, &group, CountEdit::Add(by))
+                    .len();
+            } else if !batched.is_empty() {
+                // Leaves: the row at position 0 loses every support, the
+                // last row (which its eviction moves) comes at the end,
+                // and in between a shuffled share of every other row's
+                // supports. (With one row, that row is all of it.)
+                let head = Tuple::from_slice(batched.row(0));
+                let last = Tuple::from_slice(batched.row(batched.len() - 1));
+                let mut middle = Vec::new();
+                for (row, &count) in &model {
+                    if *row != head && *row != last {
+                        let take = rng.random_range(0..count + 1);
+                        middle.extend(std::iter::repeat_n(row.clone(), take as usize));
+                    }
+                }
+                shuffle(&mut rng, &mut middle);
+                let mut group = vec![head.clone(); model[&head] as usize];
+                if last != head {
+                    group.extend(middle);
+                    group.push(last);
+                }
+                leaves += edit_both(&mut batched, &mut single, &mut model, &group, CountEdit::Sub(1))
+                    .len();
+                prop_assert!(!batched.contains(head.as_slice()));
+            }
+            prop_assert_eq!(&batched, &single);
+            prop_assert!(batched.rows().eq(single.rows()), "rows at the same positions");
+            check(&batched, &model, true, &[]);
+        }
+        prop_assert!(enters > 0 || arity == 0);
+        prop_assert!(leaves > 0);
     }
 }
 

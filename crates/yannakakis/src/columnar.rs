@@ -184,6 +184,23 @@ impl ColumnRun {
         buf.extend(positions.iter().map(|&p| self.cols[p][r]));
     }
 
+    /// Writes every row projected onto `positions` into `out` (cleared
+    /// first), laid end to end — the row-major batch that
+    /// [`cqap_relation::KeyedRows::edit_counts`] takes, filled a column at
+    /// a time.
+    pub fn project_rows_into(&self, positions: &[usize], out: &mut Vec<Val>) {
+        out.clear();
+        out.resize(self.rows * positions.len(), 0);
+        if positions.is_empty() {
+            return;
+        }
+        for (j, &p) in positions.iter().enumerate() {
+            for (row, &v) in out.chunks_exact_mut(positions.len()).zip(&self.cols[p]) {
+                row[j] = v;
+            }
+        }
+    }
+
     /// Writes the full row `r` into `buf` (cleared first).
     #[inline]
     pub fn row_into(&self, r: usize, buf: &mut Vec<Val>) {
@@ -833,6 +850,43 @@ mod tests {
                 assert_eq!(hashes[r], hash_vals(&key), "row {r} at {positions:?}");
             }
         }
+    }
+
+    #[test]
+    fn batch_hashes_of_view_projections_are_hash_vals_of_their_rows() {
+        // The identity a counted view's batch edit relies on: a chain
+        // morsel hashed column by column onto a view's positions gives
+        // `hash_vals` of exactly the row `project_rows_into` lays down —
+        // for chain schemas in any variable order (so a view's positions,
+        // taken in its ascending variable order, are not ascending) and
+        // every view of arity 0 to 4.
+        use cqap_relation::Schema;
+        let mut non_ascending = 0;
+        for order in [[2, 3, 1, 4], [4, 1, 3, 2], [1, 2, 3, 4], [3, 4, 2, 1]] {
+            let schema = Schema::of(order);
+            let mut run = ColumnRun::new();
+            run.reset(schema.arity());
+            for i in 0..21u64 {
+                run.push_row(&[i, i.wrapping_mul(0x9e37_79b9), 1000 - i, i % 3]);
+            }
+            let (mut hashes, mut rows, mut key) = (Vec::new(), Vec::new(), Vec::new());
+            for view in schema.varset().subsets() {
+                let positions = schema.positions_of_set(view).unwrap();
+                assert_eq!(positions.len(), view.len());
+                non_ascending += usize::from(positions.windows(2).any(|w| w[0] > w[1]));
+                run.hash_rows_into(&positions, &mut hashes);
+                run.project_rows_into(&positions, &mut rows);
+                assert_eq!(hashes.len(), run.rows());
+                assert_eq!(rows.len(), run.rows() * positions.len());
+                for r in 0..run.rows() {
+                    run.project_row_into(r, &positions, &mut key);
+                    let laid = &rows[r * key.len()..(r + 1) * key.len()];
+                    assert_eq!(laid, &key[..], "row {r} of {view:?} over {order:?}");
+                    assert_eq!(hashes[r], hash_vals(laid), "row {r} of {view:?} over {order:?}");
+                }
+            }
+        }
+        assert!(non_ascending > 0);
     }
 
     #[test]

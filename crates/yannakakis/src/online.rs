@@ -139,9 +139,9 @@ impl PreprocessedViews {
     }
 
     /// The one edit entry: iterates `(node, S-view)` over the materialized
-    /// nodes for in-place edits — [`KeyedRows::add`] / [`KeyedRows::sub`]
-    /// on counted views (delta maintenance gives and takes one support
-    /// per full-join delta row), [`KeyedRows::insert`] /
+    /// nodes for in-place edits — [`KeyedRows::edit_counts`] on counted
+    /// views (delta maintenance gives and takes one support per full-join
+    /// delta row, a morsel per call), [`KeyedRows::insert`] /
     /// [`KeyedRows::remove`] on hand-fed ones. Each edit is one
     /// position-table edit plus an append or a `swap_remove`, independent
     /// of the view's size and of the degree of the key touched. Every
