@@ -118,11 +118,15 @@ pub enum CounterId {
     /// Requests answered in degrade mode (cheapest plan only, past
     /// the queue-depth watermark).
     DegradedAnswers,
+    /// Stored-view probes a run's key filter answered "no record"
+    /// without a fence search or a segment read. Every probe of a run
+    /// is one of these or one of [`CounterId::SegmentReads`].
+    FilterNegatives,
 }
 
 impl CounterId {
     /// Number of counters.
-    pub const COUNT: usize = 12;
+    pub const COUNT: usize = 13;
 
     /// Every counter, in canonical export order.
     pub const ALL: [CounterId; Self::COUNT] = [
@@ -138,6 +142,7 @@ impl CounterId {
         CounterId::RequestsShed,
         CounterId::DeadlinesExpired,
         CounterId::DegradedAnswers,
+        CounterId::FilterNegatives,
     ];
 
     /// Prometheus metric name (already `_total`-suffixed).
@@ -155,6 +160,7 @@ impl CounterId {
             CounterId::RequestsShed => "cqap_serve_shed_total",
             CounterId::DeadlinesExpired => "cqap_serve_deadline_expired_total",
             CounterId::DegradedAnswers => "cqap_serve_degraded_answers_total",
+            CounterId::FilterNegatives => "cqap_store_filter_negatives_total",
         }
     }
 
@@ -182,6 +188,9 @@ impl CounterId {
             }
             CounterId::DegradedAnswers => {
                 "Requests answered in degrade mode (cheapest plan only) past the watermark."
+            }
+            CounterId::FilterNegatives => {
+                "Stored-view probes the key filter answered without a segment read."
             }
         }
     }

@@ -30,25 +30,38 @@
 //! from [`StoredView::open`] — which is also the compaction validator, so
 //! a torn rewrite can never replace a valid run.
 //!
-//! At open time the file is scanned (and fully validated) once and every
-//! `FENCE_STRIDE`-th record's `(first key, byte offset)` is retained in
-//! memory — the *fence index*, the only resident state. A probe
-//! binary-searches the fences for the segment that could hold the key,
-//! performs **one contiguous file read** of that segment (at most
-//! `FENCE_STRIDE` records, now a few hundred bytes instead of a few KB),
-//! and walks the buffer until the key is found or passed. Blocks decode
-//! straight into [`ColumnRun`] columns — the stored columns are already
-//! column-major on disk and the link columns splat from the key, so no
-//! intermediate row or `Tuple` ever exists on the columnar path. Probes
-//! take `&self` and are safe from many threads at once (positioned reads
-//! on Unix; a seek lock elsewhere), which is what lets a disk-resident
-//! view sit behind the same `Sync` serving surface as the in-memory
-//! indexes.
+//! At open time the file is scanned (and fully validated) once. The scan
+//! keeps two pieces of resident state, neither of which is ever written
+//! to disk (the run format, its size and `S` do not depend on them):
+//!
+//! * the *fence index*: every `FENCE_STRIDE`-th record's first key and
+//!   byte offset, flat — one `Vec<Val>` of keys and one `Vec<u64>` of
+//!   offsets, `(key arity + 1) × 8` bytes per fence, so ≈ 1.5 bytes per
+//!   record at key arity 2;
+//! * the *key filter*: a split-block Bloom filter over every record key
+//!   (`KeyFilter`: 256-bit blocks, 8 bits set per key, ≈ 10 bits ≈
+//!   1.25 bytes per record), ≈ 1.3 % false positives.
+//!
+//! A probe first asks the filter: a key it rules out — most keys an
+//! access request asks for are absent — is answered "no record" with no
+//! fence search and no I/O. Otherwise the probe binary-searches the
+//! fences for the segment that could hold the key, performs **one
+//! contiguous file read** of that segment (at most `FENCE_STRIDE`
+//! records, a few hundred bytes), and walks the buffer until the key is
+//! found or passed. Blocks decode straight into [`ColumnRun`] columns —
+//! the stored columns are already column-major on disk and the link
+//! columns splat from the key, so no intermediate row or `Tuple` ever
+//! exists on the columnar path. Probes take `&self` and are safe from many
+//! threads at once (positioned reads on Unix; a seek lock elsewhere),
+//! which is what lets a disk-resident view sit behind the same `Sync`
+//! serving surface as the in-memory indexes.
 //!
 //! Deltas never touch the run: view rows that enter or leave land in an
 //! in-memory overlay of two [`KeyedRows`] (inserts by link key, tombstones
-//! by row) that probes merge in — skipped, unhashed, while empty — until
-//! [`StoredView::compact`] folds it in by one linear merge.
+//! by row) that probes merge in — skipped, unhashed, while empty, and
+//! whatever the key filter says of the run — until [`StoredView::compact`]
+//! folds it in by one linear merge; the open that validates the new run
+//! fills its filter.
 
 use std::cell::RefCell;
 use std::cmp::Ordering;
@@ -56,6 +69,7 @@ use std::fs::File;
 use std::io::Write;
 use std::path::{Path, PathBuf};
 
+use cqap_common::hash::hash_vals;
 use cqap_common::{varint, CqapError, Result, Tuple, Val, VarSet};
 use cqap_obs::{CounterId, MetricsSink, StageId, TraceStage};
 use cqap_relation::{KeyedRows, Relation, Schema};
@@ -147,11 +161,82 @@ impl RandomAccess {
     }
 }
 
-/// One fence: the key of the segment's first record plus its byte offset.
-/// The fence key doubles as the segment's delta base.
-struct Fence {
-    key: Tuple,
-    offset: u64,
+/// Filter bits per stored record: with 8 bits set per key this keeps the
+/// false-positive rate near 1.3 % (measured; the unit tests bound it by
+/// 3 %).
+const FILTER_BITS_PER_RECORD: usize = 10;
+
+/// The odd multipliers that pick a key's bit in each word of its block
+/// (the split-block Bloom filter's salts, as in Apache Parquet).
+const FILTER_SALT: [u32; 8] = [
+    0x47b6_137b, 0x4497_4d91, 0x8824_ad5b, 0xa2b7_289d,
+    0x7054_95c7, 0x2df1_424b, 0x9efc_4947, 0x5c6b_fb31,
+];
+
+/// One filter block: eight 32-bit words, aligned so a lookup touches one
+/// cache line.
+#[derive(Clone, Copy, Default)]
+#[repr(align(32))]
+struct FilterBlock([u32; 8]);
+
+/// The per-run key filter: a split-block Bloom filter (a blocked filter
+/// after Putze, Sanders & Singler, "Cache-, Hash- and Space-Efficient
+/// Bloom Filters", 2007) over the run's record keys. A key's hash picks
+/// one 256-bit block and sets one bit in each of its eight words, so an
+/// insert or a lookup is one cache line and eight shifts. It never
+/// answers "absent" for a stored key; an absent key passes with
+/// ≈ 1.3 % probability at [`FILTER_BITS_PER_RECORD`] bits per record.
+struct KeyFilter {
+    blocks: Vec<FilterBlock>,
+}
+
+impl KeyFilter {
+    /// An empty filter sized for `records` keys.
+    fn with_capacity(records: usize) -> Self {
+        let blocks = (records * FILTER_BITS_PER_RECORD).div_ceil(256);
+        KeyFilter {
+            blocks: vec![FilterBlock::default(); blocks],
+        }
+    }
+
+    /// The block of `hash` (its high half, scaled to the block count) and
+    /// the bit each of the block's words must hold (from its low half).
+    fn locate(&self, hash: u64) -> (usize, [u32; 8]) {
+        let block = ((hash >> 32) * self.blocks.len() as u64) >> 32;
+        let low = hash as u32;
+        (block as usize, FILTER_SALT.map(|salt| 1 << (low.wrapping_mul(salt) >> 27)))
+    }
+
+    fn insert(&mut self, hash: u64) {
+        let (block, bits) = self.locate(hash);
+        let words = &mut self.blocks[block].0;
+        for (word, bit) in words.iter_mut().zip(bits) {
+            *word |= bit;
+        }
+    }
+
+    /// `false` only if no key with this hash was inserted.
+    fn may_contain(&self, hash: u64) -> bool {
+        let (block, bits) = self.locate(hash);
+        self.blocks
+            .get(block)
+            .is_some_and(|b| b.0.iter().zip(bits).all(|(&word, bit)| word & bit != 0))
+    }
+
+    fn heap_bytes(&self) -> usize {
+        self.blocks.capacity() * std::mem::size_of::<FilterBlock>()
+    }
+}
+
+/// A record key's filter hash: the word-by-word Fx fold, finished by the
+/// murmur3 mixer so that both halves depend on every key bit.
+fn key_hash(key: &[Val]) -> u64 {
+    let mut h = hash_vals(key);
+    h ^= h >> 33;
+    h = h.wrapping_mul(0xff51_afd7_ed55_8ccd);
+    h ^= h >> 33;
+    h = h.wrapping_mul(0xc4ce_b9fe_1a85_ec53);
+    h ^ (h >> 33)
 }
 
 /// Where a decoded column's values come from: link columns are implied by
@@ -267,8 +352,9 @@ impl Overlay {
 }
 
 /// A disk-resident S-view: a compressed sorted run on disk plus the
-/// in-memory fence index. Probing never scans the file — a binary search
-/// over the fences narrows the key to one segment, which is fetched in a
+/// in-memory key filter and fence index. Probing never scans the file — a
+/// key the filter rules out costs no I/O at all, and a binary search over
+/// the fences narrows any other key to one segment, which is fetched in a
 /// single contiguous read and decoded out of per-thread scratch.
 pub struct StoredView {
     path: PathBuf,
@@ -276,7 +362,13 @@ pub struct StoredView {
     schema: Schema,
     link: VarSet,
     layout: ColLayout,
-    fences: Vec<Fence>,
+    /// Fence `i`'s key — the first key of segment `i`, which doubles as
+    /// the segment's delta base — is `fence_keys[i * k..(i + 1) * k]`
+    /// for key arity `k`.
+    fence_keys: Vec<Val>,
+    /// Fence `i`'s byte offset in the file.
+    fence_offsets: Vec<u64>,
+    filter: KeyFilter,
     num_tuples: usize,
     num_records: usize,
     file_bytes: u64,
@@ -523,9 +615,13 @@ impl<'a> Cursor<'a> {
 
     /// Decodes `n` block values into `out` (cleared first) through the
     /// 8-wide fast path of [`varint::decode_block`]; `false` on truncated
-    /// or overlong input.
+    /// or overlong input — and before any allocation if fewer than `n`
+    /// bytes are left, since every varint takes at least one.
     fn read_block(&mut self, n: usize, out: &mut Vec<Val>) -> bool {
         out.clear();
+        if n > self.rest().len() {
+            return false;
+        }
         match varint::decode_block(self.rest(), n, out) {
             Some(used) => {
                 self.pos += used;
@@ -568,10 +664,12 @@ fn read_u64_at(bytes: &[u8], pos: &mut usize) -> Option<u64> {
 impl StoredView {
     /// Opens a view file, validating the header and **every record** —
     /// canonical varints, non-empty blocks, strictly ascending keys, the
-    /// tuple count, no trailing bytes — while building the fence index in
-    /// one sequential scan. Corruption of any kind (including a v1 or
-    /// otherwise wrong version tag, truncated or overlong varints) is an
-    /// error, never a panic.
+    /// tuple count, no trailing bytes — while building the fence index and
+    /// filling the key filter in one sequential scan. Corruption of any
+    /// kind (including a v1 or otherwise wrong version tag, truncated or
+    /// overlong varints, counts the file is too short to hold) is an
+    /// error, never a panic: every count read from the file is bounded by
+    /// the bytes left before anything is sized from it.
     ///
     /// # Errors
     /// Fails on I/O errors or a malformed file.
@@ -606,12 +704,22 @@ impl StoredView {
             ColLayout::new(&schema, link).map_err(|_| corrupt(path, "invalid link layout"))?;
         let key_arity = layout.key_positions.len();
         let stored_arity = layout.stored_arity();
+        // A record spends at least a byte per key value and one on its
+        // count, so a longer record count cannot be true.
+        let body = &bytes[header_bytes..];
+        if num_records.checked_mul(key_arity + 1).is_none_or(|least| least > body.len()) {
+            return Err(corrupt(path, "record count overruns the file"));
+        }
 
         // Sequential validation scan: decode every key and block value
-        // (strict canonical varints), check key order, and remember every
-        // FENCE_STRIDE-th record's first key and offset.
-        let mut fences = Vec::with_capacity(num_records.div_ceil(FENCE_STRIDE));
-        let mut cursor = Cursor::new(&bytes[header_bytes..]);
+        // (strict canonical varints), check key order, remember every
+        // FENCE_STRIDE-th record's first key and offset, and add every
+        // key to the filter.
+        let fences = num_records.div_ceil(FENCE_STRIDE);
+        let mut fence_keys = Vec::with_capacity(fences * key_arity);
+        let mut fence_offsets = Vec::with_capacity(fences);
+        let mut filter = KeyFilter::with_capacity(num_records);
+        let mut cursor = Cursor::new(body);
         let mut head: Vec<Val> = Vec::with_capacity(key_arity);
         let mut key: Vec<Val> = Vec::with_capacity(key_arity);
         let mut prev_key: Vec<Val> = Vec::new();
@@ -627,14 +735,13 @@ impl StoredView {
             if segment_head {
                 head.clear();
                 head.extend_from_slice(&key);
-                fences.push(Fence {
-                    key: Tuple::from_slice(&key),
-                    offset,
-                });
+                fence_keys.extend_from_slice(&key);
+                fence_offsets.push(offset);
             }
             if record > 0 && prev_key.as_slice() >= key.as_slice() {
                 return Err(corrupt(path, "keys out of order"));
             }
+            filter.insert(key_hash(&key));
             prev_key.clear();
             prev_key.extend_from_slice(&key);
             let count = cursor
@@ -647,7 +754,13 @@ impl StoredView {
             if count > num_tuples {
                 return Err(corrupt(path, "block overruns tuple count"));
             }
-            if !cursor.read_block(count * stored_arity, &mut block) {
+            // A key-only record is its one row (rows are distinct); any
+            // other block spends at least a byte per stored value.
+            if stored_arity == 0 && count != 1 {
+                return Err(corrupt(path, "key-only record holds more than one row"));
+            }
+            let values = count.checked_mul(stored_arity).unwrap_or(usize::MAX);
+            if !cursor.read_block(values, &mut block) {
                 return Err(corrupt(path, "truncated or overlong varint in block"));
             }
             seen_tuples += count;
@@ -667,7 +780,9 @@ impl StoredView {
             schema,
             link,
             layout,
-            fences,
+            fence_keys,
+            fence_offsets,
+            filter,
             num_tuples,
             num_records,
             file_bytes,
@@ -737,18 +852,22 @@ impl StoredView {
         self.file_bytes
     }
 
-    /// Values held resident in memory: the fence index plus any buffered
-    /// overlay tuples (the per-view RAM cost of the cold tier).
+    /// Values held resident in memory: the fence keys plus any buffered
+    /// overlay tuples (the per-view RAM cost of the cold tier, in the
+    /// paper's unit; the key filter holds bits, not values).
     pub fn resident_values(&self) -> usize {
-        let fences: usize = self.fences.iter().map(|f| f.key.arity()).sum();
-        fences + self.overlay.len() * self.schema.arity()
+        self.fence_keys.len() + self.overlay.len() * self.schema.arity()
     }
 
-    /// Heap bytes held resident, from container capacities: the fence
-    /// index plus the overlay's two row stores, exact
-    /// ([`KeyedRows::heap_bytes`]).
+    /// Heap bytes held resident, from container capacities, exact: the
+    /// flat fence index (`(key arity + 1) × 8` bytes per fence, one fence
+    /// per `FENCE_STRIDE` = 16 records), the key filter (32-byte blocks,
+    /// ≈ 10 bits per record) and the overlay's two row stores
+    /// ([`KeyedRows::heap_bytes`]). At key arity 2 the run's own share is
+    /// ≈ 2.75 bytes per record.
     pub fn resident_bytes(&self) -> usize {
-        self.fences.capacity() * std::mem::size_of::<Fence>()
+        (self.fence_keys.capacity() + self.fence_offsets.capacity()) * std::mem::size_of::<u64>()
+            + self.filter.heap_bytes()
             + self.overlay.added.heap_bytes()
             + self.overlay.deleted.heap_bytes()
     }
@@ -772,15 +891,40 @@ impl StoredView {
             .collect())
     }
 
+    /// Makes the key filter answer "maybe" for every key, as if the run
+    /// had no filter: the mutation the count-contract test must catch.
+    #[cfg(test)]
+    pub(crate) fn saturate_filter(&mut self) {
+        for block in &mut self.filter.blocks {
+            block.0 = [u32::MAX; 8];
+        }
+    }
+
+    /// The number of fences whose key is `<= key`.
+    fn fences_at_or_below(&self, key: &[Val]) -> usize {
+        let k = key.len();
+        let (mut lo, mut hi) = (0, self.fence_offsets.len());
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            if &self.fence_keys[mid * k..(mid + 1) * k] <= key {
+                lo = mid + 1;
+            } else {
+                hi = mid;
+            }
+        }
+        lo
+    }
+
     /// The shared segment walk behind [`StoredView::probe_columns`] and
-    /// [`StoredView::contains_key`]: fence
-    /// search, one contiguous segment read into this worker thread's
-    /// reused buffer, then a forward walk of the sorted records (decoding
-    /// each delta key against the segment head) that stops as soon as the
-    /// run passes `key`. `on_match(cursor, count, key_vals, scratch)`
-    /// runs at most once, positioned at the matching record's block;
-    /// `Ok(None)` means no record matched. Counts one segment read, its
-    /// on-disk (compressed) bytes, and the logical bytes the walked
+    /// [`StoredView::contains_key`]: the key filter, then fence search,
+    /// one contiguous segment read into this worker thread's reused
+    /// buffer, and a forward walk of the sorted records (decoding each
+    /// delta key against the segment head) that stops as soon as the run
+    /// passes `key`. `on_match(cursor, count, key_vals, scratch)` runs at
+    /// most once, positioned at the matching record's block; `Ok(None)`
+    /// means no record matched. A key of the link's arity is counted
+    /// exactly once: as a filter negative, or as one segment read with
+    /// its on-disk (compressed) bytes and the logical bytes the walked
     /// records decode to.
     fn find_record<R>(
         &self,
@@ -790,19 +934,17 @@ impl StoredView {
         if key.arity() != self.link.len() {
             return Ok(None);
         }
-        // Last fence whose first key is <= the target; if even the first
-        // fence is greater, the key precedes every record.
-        let idx = self
-            .fences
-            .partition_point(|f| f.key.as_slice() <= key.as_slice());
-        if idx == 0 {
+        if !self.filter.may_contain(key_hash(key.as_slice())) {
+            self.sink.incr(CounterId::FilterNegatives);
             return Ok(None);
         }
-        let start = self.fences[idx - 1].offset;
-        let end = self
-            .fences
-            .get(idx)
-            .map_or(self.file_bytes, |f| f.offset);
+        // The segment of the last fence whose first key is <= the target.
+        // A run the filter passes a key for has a record, so a fence; a
+        // (false-positive) key below the first one reads segment 0 and
+        // stops at its first record.
+        let idx = self.fences_at_or_below(key.as_slice()).max(1);
+        let start = self.fence_offsets[idx - 1];
+        let end = self.fence_offsets.get(idx).copied().unwrap_or(self.file_bytes);
         self.sink.incr(CounterId::SegmentReads);
         self.sink.add(CounterId::SegmentBytesRead, end - start);
         // Leaf trace event for the physical read: armed only when the
@@ -1624,6 +1766,156 @@ mod tests {
         assert_eq!(view.overlay_len(), 0, "compaction triggered");
         assert_eq!(view.len(), 51);
         cleanup(&path);
+    }
+
+    /// A valid two-column run keyed on its first column, with `patch`
+    /// applied to its bytes: header words at 8-byte offsets (records at
+    /// 40, tuples at 48), body from byte 56.
+    fn crafted(name: &str, link: VarSet, patch: impl FnOnce(&mut Vec<u8>)) -> Result<StoredView> {
+        let rel = Relation::binary("R", 0, 1, [(1, 2), (3, 4)]);
+        let path = scratch(name);
+        write_view(&path, &rel, link).unwrap();
+        let mut bytes = std::fs::read(&path).unwrap();
+        patch(&mut bytes);
+        std::fs::write(&path, &bytes).unwrap();
+        let opened = StoredView::open(&path);
+        cleanup(&path);
+        opened
+    }
+
+    fn set_header(bytes: &mut [u8], at: usize, value: u64) {
+        bytes[at..at + 8].copy_from_slice(&value.to_le_bytes());
+    }
+
+    #[test]
+    fn a_record_count_past_the_file_is_rejected_before_allocating() {
+        let opened = crafted("records-2-40.sview", vars![1], |b| set_header(b, 40, 1 << 40));
+        assert!(opened.is_err(), "2^40 records in a 6-byte body");
+    }
+
+    #[test]
+    fn a_record_count_of_u64_max_is_rejected() {
+        let opened = crafted("records-max.sview", vars![1], |b| set_header(b, 40, u64::MAX));
+        assert!(opened.is_err(), "u64::MAX records");
+    }
+
+    #[test]
+    fn a_block_count_past_the_file_is_rejected_before_allocating() {
+        // Tuple total u64::MAX, and the first record (key 1 at byte 56,
+        // count 1 at byte 57) claims 2^40 rows.
+        let opened = crafted("block-2-40.sview", vars![1], |b| {
+            set_header(b, 48, u64::MAX);
+            assert_eq!((b[56], b[57]), (1, 1));
+            let mut count = Vec::new();
+            varint::encode_u64(1 << 40, &mut count);
+            b.splice(57..58, count);
+        });
+        assert!(opened.is_err(), "a 2^40-row block in a 7-byte body");
+    }
+
+    #[test]
+    fn a_key_only_record_of_many_rows_is_rejected() {
+        // Full link: records store no block, so nothing on disk bounds a
+        // count — but a key-only record is its one row. The tuple total
+        // agrees with the counts, so only that rule can reject the file.
+        let opened = crafted("key-only-count.sview", vars![1, 2], |b| {
+            set_header(b, 48, (1 << 40) + 1);
+            assert_eq!((b[56], b[57], b[58]), (1, 2, 1));
+            let mut count = Vec::new();
+            varint::encode_u64(1 << 40, &mut count);
+            b.splice(58..59, count);
+        });
+        assert!(opened.is_err(), "2^40 copies of one key-only row");
+    }
+
+    #[test]
+    fn the_key_filter_passes_under_three_percent_of_absent_keys() {
+        // 20 000 stored arity-2 keys; 100 000 keys drawn from the same
+        // ranges that the run does not hold.
+        let stored = |i: u64| (i % 200, i / 200 * 3);
+        let rel = Relation::binary("R", 0, 1, (0..20_000).map(stored));
+        let path = scratch("filter-fpr.sview");
+        write_view(&path, &rel, vars![1, 2]).unwrap();
+        let view = StoredView::open(&path).unwrap();
+        assert_eq!(view.num_keys(), 20_000);
+        let absent = (0..100_000u64).map(|i| [i % 200, (i / 200) * 3 + 1 + i % 2]);
+        let passed = absent.filter(|key| view.filter.may_contain(key_hash(key))).count();
+        assert!(passed * 100 < 3 * 100_000, "{passed} of 100 000 absent keys passed");
+        cleanup(&path);
+    }
+
+    /// Values of every varint length class and the extremes, or a dense
+    /// small range (shared keys, multi-row records).
+    fn draw(rng: &mut rand::rngs::StdRng, wide: bool) -> Val {
+        use rand::Rng;
+        const PALETTE: [Val; 8] = [0, 1, 0x7f, 0x80, 1 << 32, 1 << 63, u64::MAX - 1, u64::MAX];
+        if wide {
+            PALETTE[rng.random_range(0..PALETTE.len())]
+        } else {
+            rng.random_range(0..6)
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+
+        /// The filter has no false negatives: every stored key passes it
+        /// and is found by both probes, and a key only the overlay holds
+        /// is found before and after compaction folds it into the run.
+        #[test]
+        fn the_key_filter_never_hides_a_stored_key(
+            seed in 0u64..1_000_000,
+            key_arity in 0usize..5,
+            rows in 0usize..150,
+        ) {
+            use rand::SeedableRng;
+            let wide = seed % 2 == 0;
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let arity = key_arity + 1;
+            let link = VarSet((1 << key_arity) - 1);
+            let tuples: Vec<Tuple> = (0..rows)
+                .map(|_| Tuple::from_slice(&(0..arity).map(|_| draw(&mut rng, wide)).collect::<Vec<_>>()))
+                .collect();
+            let rel = Relation::from_tuples("P", Schema::of(0..arity), tuples).unwrap();
+            let path = scratch(&format!("filter-{seed}-{key_arity}-{rows}-{wide}.sview"));
+            write_view(&path, &rel, link).unwrap();
+            let mut view = StoredView::open(&path).unwrap();
+            view.delete_on_drop();
+            let found = |view: &StoredView, row: &[Val]| {
+                let key = Tuple::from_slice(&row[..key_arity]);
+                let mut run = ColumnRun::new();
+                run.reset(arity);
+                view.probe_columns(&key, &mut run).unwrap();
+                let mut got = Vec::new();
+                let hit = (0..run.rows()).any(|r| {
+                    run.row_into(r, &mut got);
+                    got == row
+                });
+                hit && view.contains_key(&key).unwrap()
+            };
+            for row in rel.tuples() {
+                proptest::prop_assert!(view.filter.may_contain(key_hash(&row.as_slice()[..key_arity])));
+                proptest::prop_assert!(found(&view, row.as_slice()), "stored row {:?}", row);
+            }
+            // A key the base run lacks, held by the overlay alone.
+            let base_keys: std::collections::HashSet<&[Val]> =
+                rel.tuples().iter().map(|t| &t.as_slice()[..key_arity]).collect();
+            let fresh = (0..64)
+                .map(|_| (0..arity).map(|_| draw(&mut rng, true) ^ 0x5a).collect::<Vec<Val>>())
+                .find(|row| !base_keys.contains(&row[..key_arity]));
+            if let Some(fresh) = fresh {
+                view.edit_row(&fresh, true);
+                proptest::prop_assert!(found(&view, &fresh), "overlay-only row {:?}", fresh);
+                view.compact().unwrap();
+                proptest::prop_assert!(view.filter.may_contain(key_hash(&fresh[..key_arity])));
+                proptest::prop_assert!(found(&view, &fresh), "compacted row {:?}", fresh);
+                for row in rel.tuples() {
+                    proptest::prop_assert!(found(&view, row.as_slice()), "row {:?} after compaction", row);
+                }
+            }
+            drop(view);
+            cleanup(&path);
+        }
     }
 
     #[test]

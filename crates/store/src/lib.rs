@@ -8,10 +8,10 @@
 //! only existed in RAM; here it becomes physical at a second storage tier:
 //!
 //! * [`format`](mod@format) — the on-disk view format: each S-view serialized as a
-//!   sorted run of `(key, tuple-block)` records, probed via a sparse
-//!   in-memory *fence index* (binary search over the fences, then one
-//!   contiguous file read). Plain `std` files, no serialization or mmap
-//!   dependency.
+//!   sorted run of `(key, tuple-block)` records, probed via an in-memory
+//!   *key filter* (a key the run does not hold costs no I/O) and a sparse
+//!   *fence index* (binary search over the fences, then one contiguous
+//!   file read). Plain `std` files, no serialization or mmap dependency.
 //! * [`StoredIndex`] — the framework driver answering from disk: built
 //!   from the **same preprocessing output** as
 //!   [`CqapIndex`](cqap_panda::CqapIndex) and running the **same online

@@ -11,7 +11,7 @@
 //! tuples, the answers are identical to the in-memory index (the
 //! equivalence proptest in `crates/store/tests` enforces this bit for
 //! bit), while the resident footprint of the probed S-views drops to the
-//! fence index — plus the support counts every maintenance lineage keeps
+//! fence index and key filter — plus the support counts every maintenance lineage keeps
 //! ([`StoredIndex::resident_bytes`] is the honest total).
 //!
 //! Those counts are a clone, taken at spill time, of the source index's
@@ -193,8 +193,8 @@ impl SViewProbe for StoredViews {
 /// A CQAP index whose S-views live on disk: same preprocessing content,
 /// same online algorithm, answers identical to [`CqapIndex`] — but the
 /// space budget `S` is spent on the cold tier. What stays resident is the
-/// fence indexes and pending delta overlays of the views, this lineage's
-/// support counts (a clone of the source's counted S-views: one 4-byte
+/// fence indexes, key filters and pending delta overlays of the views,
+/// this lineage's support counts (a clone of the source's counted S-views: one 4-byte
 /// count per stored view row on top of a compact copy of the row — what
 /// keeps `apply_delta` proportional to the delta without reading the runs
 /// back), and the `O(|D|)` state every backend keeps: the input database
@@ -365,8 +365,8 @@ impl StoredIndex {
     }
 
     /// Heap bytes this cold lineage keeps resident for its `S`: the
-    /// views' fence indexes and overlays plus the lineage's support
-    /// counts, from container capacities — the cold sibling of
+    /// views' fence indexes, key filters and overlays plus the lineage's
+    /// support counts, from container capacities — the cold sibling of
     /// [`CqapIndex::resident_bytes`], excluding the same `O(|D|)` state.
     pub fn resident_bytes(&self) -> usize {
         let views: usize = self.plans.iter().map(StoredViews::resident_bytes).sum();
@@ -599,9 +599,11 @@ pub(crate) mod tests {
             assert_eq!(answers, expected, "{when}");
         };
         counted_pass(&stored, &expected, "with a live sink");
-        // The sink really was live for the counted window.
+        // The sink really was live for the counted window: every probe
+        // is a segment read or a key-filter negative.
         let snap = sink.snapshot().unwrap();
-        assert!(snap.counter(CounterId::SegmentReads) >= 2 * requests.len() as u64);
+        let probes = snap.counter(CounterId::SegmentReads) + snap.counter(CounterId::FilterNegatives);
+        assert!(probes >= 2 * requests.len() as u64);
 
         // Again under a pending overlay — tombstones over the base run
         // and inserts beside it — which probes merge without boxing.
@@ -624,6 +626,63 @@ pub(crate) mod tests {
         counted_pass(&stored, &expected, "under a pending overlay");
         let snap = sink.snapshot().unwrap();
         assert!(snap.counter(CounterId::OverlayPendingProbes) > pending_before);
+    }
+
+    /// The cold tier's count contract, exact and repeatable: over a fixed
+    /// request set on the S14 plan (one probe of its one view per
+    /// request), every probe is a segment read or a key-filter negative,
+    /// and the reads are the requests whose key the run holds plus false
+    /// positives on at most 3 % of the rest. A filter that always answers
+    /// "maybe" reads a segment for every request and fails it.
+    #[test]
+    fn cold_probes_read_segments_only_for_held_keys_and_false_positives() {
+        use cqap_obs::{CounterId, MetricsSink};
+
+        let (cqap, pmtds) = pf::pmtds_3reach_fig1().unwrap();
+        let g = Graph::skewed(600, 3_600, 8, 220, 7);
+        let db = g.as_path_database(3);
+        let mut stored = StoredIndex::build_in_temp(&cqap, &db, &pmtds[2..3]).unwrap();
+        let sink = MetricsSink::recording();
+        stored.set_metrics_sink(sink.clone());
+        let pairs = graph_pair_requests(&g, 3_000, 41);
+        let requests: Vec<AccessRequest> = pairs
+            .iter()
+            .map(|&(u, v)| AccessRequest::single(cqap.access(), &[u, v]).unwrap())
+            .collect();
+        // The run's keys, from the support counts it was spilled with.
+        let held = {
+            let mut views = stored.support_counts();
+            let (_, _, s14) = views.next().expect("the S14 plan materializes S14");
+            assert!(views.next().is_none(), "S14 is the plan's one view");
+            pairs.iter().filter(|&&(u, v)| s14.contains_key(&[u, v])).count() as u64
+        };
+        let absent = requests.len() as u64 - held;
+        assert!(held > 0 && absent > held, "{held} held of {}", requests.len());
+
+        // (segment reads, filter negatives) of one pass over the requests.
+        let pass = |stored: &StoredIndex| {
+            let before = sink.snapshot().unwrap();
+            for request in &requests {
+                stored.answer(request).unwrap();
+            }
+            let counted = sink.snapshot().unwrap().delta(&before);
+            let reads = counted.counter(CounterId::SegmentReads);
+            let negatives = counted.counter(CounterId::FilterNegatives);
+            assert_eq!(reads + negatives, requests.len() as u64, "one probe per request");
+            (reads, negatives)
+        };
+        let within_contract = |reads: u64| reads >= held && (reads - held) * 100 <= 3 * absent;
+
+        let (reads, negatives) = pass(&stored);
+        assert!(within_contract(reads), "{reads} reads for {held} held keys of {}", requests.len());
+        assert_eq!(pass(&stored), (reads, negatives), "the count is repeatable");
+
+        for plan in &mut stored.plans {
+            plan.views.iter_mut().flatten().for_each(StoredView::saturate_filter);
+        }
+        let (reads, negatives) = pass(&stored);
+        assert_eq!((reads, negatives), (requests.len() as u64, 0));
+        assert!(!within_contract(reads), "an always-maybe filter breaks the contract");
     }
 
     /// A batch that makes the `S13` view of the fixture outgrow its

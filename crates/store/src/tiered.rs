@@ -370,8 +370,8 @@ impl TieredShardedIndex {
     /// Heap bytes `(hot, cold)` the two tiers keep resident for their
     /// `S`, from container capacities: hot shards hold their counted
     /// S-views ([`CqapIndex::resident_bytes`]); cold shards hold fence
-    /// indexes, pending overlays and — the part a fence-only count
-    /// misses — their own support counts, a clone of those same tables
+    /// indexes, key filters, pending overlays and — the part a fence-only
+    /// count misses — their own support counts, a clone of those same tables
     /// ([`StoredIndex::resident_bytes`]).
     pub fn resident_bytes(&self) -> (usize, usize) {
         let (mut hot, mut cold) = (0, 0);

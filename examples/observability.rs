@@ -10,8 +10,9 @@
 //!
 //! 1. a `TieredShardedIndex` is built with half its shards spilled to
 //!    disk, and the sink is attached to both tiers — cold-shard probes
-//!    count segment reads and bytes, delta maintenance records apply
-//!    latency and net-op sizes;
+//!    count segment reads and bytes (or a key-filter negative, for a key
+//!    the run does not hold), delta maintenance records apply latency
+//!    and net-op sizes;
 //! 2. a delta batch (a fresh 3-path chain) flows through `ApplyDelta`,
 //!    leaving pending overlay tuples whose probes are counted until
 //!    compaction folds them away;
@@ -181,6 +182,10 @@ fn main() {
         snapshot.counter(CounterId::SegmentBytesRead)
             >= snapshot.counter(CounterId::SegmentReads),
         "segment reads are at least one byte each"
+    );
+    assert!(
+        snapshot.counter(CounterId::FilterNegatives) > 0,
+        "cold-tier probes for absent keys are answered by the key filter"
     );
     assert!(
         snapshot.counter(CounterId::OverlayPendingProbes) > 0,
