@@ -13,10 +13,12 @@
 //!   of Figures 4a/4b, and the Section 6 / Appendix E/F symbolic tradeoffs.
 //! * **empirical** — sweep the space budget of the concrete index
 //!   structures on synthetic workloads and record measured space, measured
-//!   online work (hash probes + scanned tuples) and wall-clock time; the
-//!   *shape* of these curves is what the paper's tradeoffs predict.
+//!   online work (hash probes + scanned tuples, read as the difference of
+//!   [`cqap_common::work::total`] around the query loop — the structures
+//!   hold no counter) and wall-clock time; the *shape* of these curves is
+//!   what the paper's tradeoffs predict.
 
-use cqap_common::Val;
+use cqap_common::{work, Val};
 use cqap_indexes::{
     BfsBaseline, FullReachMaterialization, HierarchicalIndex, KReachGoldstein,
     SetDisjointnessIndex, SquareIndex, TriangleIndex, TwoReachIndex,
@@ -88,10 +90,9 @@ fn measure<F: FnMut(&(Val, Val)) -> bool>(
     budget: Option<usize>,
     space_used: usize,
     requests: &[(Val, Val)],
-    work_counter: impl Fn() -> u64,
     mut query: F,
 ) -> SweepRow {
-    let start_work = work_counter();
+    let start_work = work::total();
     let start = Instant::now();
     let mut positives = 0usize;
     for req in requests {
@@ -100,7 +101,7 @@ fn measure<F: FnMut(&(Val, Val)) -> bool>(
         }
     }
     let elapsed = start.elapsed().as_nanos() as f64;
-    let total_work = work_counter() - start_work;
+    let total_work = work::total() - start_work;
     SweepRow {
         config,
         budget,
@@ -162,7 +163,6 @@ pub fn sweep_2reach(scale: Scale) -> Vec<SweepRow> {
         None,
         bfs.space_used(),
         &requests,
-        || bfs.counter.total(),
         |&(u, v)| bfs.query(u, v),
     ));
     for (exp, budget) in budget_grid(n) {
@@ -172,7 +172,6 @@ pub fn sweep_2reach(scale: Scale) -> Vec<SweepRow> {
             Some(budget),
             idx.space_used(),
             &requests,
-            || idx.counter.total(),
             |&(u, v)| idx.query(u, v),
         ));
     }
@@ -182,7 +181,6 @@ pub fn sweep_2reach(scale: Scale) -> Vec<SweepRow> {
         None,
         full.space_used(),
         &requests,
-        || full.counter.total(),
         |&(u, v)| full.query(u, v),
     ));
     rows
@@ -202,7 +200,6 @@ pub fn sweep_kreach(k: usize, scale: Scale) -> Vec<SweepRow> {
         None,
         bfs.space_used(),
         &requests,
-        || bfs.counter.total(),
         |&(u, v)| bfs.query(u, v),
     ));
     // Parallel build of the budgeted structures (the builds dominate).
@@ -223,7 +220,6 @@ pub fn sweep_kreach(k: usize, scale: Scale) -> Vec<SweepRow> {
             Some(*budget),
             idx.space_used(),
             &requests,
-            || idx.counter.total(),
             |&(u, v)| idx.query(u, v),
         ));
     }
@@ -233,7 +229,6 @@ pub fn sweep_kreach(k: usize, scale: Scale) -> Vec<SweepRow> {
         None,
         full.space_used(),
         &requests,
-        || full.counter.total(),
         |&(u, v)| full.query(u, v),
     ));
     rows
@@ -255,7 +250,6 @@ pub fn sweep_kset(scale: Scale) -> Vec<SweepRow> {
             Some(budget),
             idx.space_used(),
             &requests,
-            || idx.counter.total(),
             |&(a, b)| idx.intersects(a, b),
         ));
     }
@@ -275,7 +269,6 @@ pub fn sweep_square(scale: Scale) -> Vec<SweepRow> {
             Some(budget),
             idx.space_used(),
             &requests,
-            || idx.counter.total(),
             |&(a, c)| idx.query(a, c),
         ));
     }
@@ -297,7 +290,6 @@ pub fn sweep_triangle(scale: Scale) -> Vec<SweepRow> {
         None,
         idx.space_used(),
         &requests,
-        || idx.counter.total(),
         |&(u, v)| idx.edge_in_triangle(u, v),
     )]
 }
@@ -330,7 +322,7 @@ pub fn sweep_hierarchical(scale: Scale) -> Vec<SweepRow> {
     for threshold in [1usize, 2, 4, 8, 16, 64, 1 << 20] {
         let idx = HierarchicalIndex::build_with_threshold(&inst, threshold);
         let start = Instant::now();
-        let before = idx.counter.total();
+        let before = work::total();
         let mut positives = 0usize;
         for &(z1, z2, z3, z4) in &requests {
             if idx.query(z1, z2, z3, z4) {
@@ -342,7 +334,7 @@ pub fn sweep_hierarchical(scale: Scale) -> Vec<SweepRow> {
             config: format!("hierarchical Δ={threshold}"),
             budget: None,
             space_used: idx.space_used(),
-            avg_work: (idx.counter.total() - before) as f64 / requests.len() as f64,
+            avg_work: (work::total() - before) as f64 / requests.len() as f64,
             avg_time_ns: elapsed / requests.len() as f64,
             positive_rate: positives as f64 / requests.len() as f64,
         });
@@ -364,7 +356,6 @@ pub fn batching_experiment(scale: Scale) -> Vec<SweepRow> {
         Some(n),
         idx.space_used(),
         &requests,
-        || idx.counter.total(),
         |&(u, v)| idx.query(u, v),
     );
 

@@ -13,6 +13,9 @@
 //!   non-cryptographic hash, following the standard advice for database
 //!   workloads where HashDoS is not a concern.
 //! * [`CqapError`] — the shared error type.
+//! * [`work`] — the paper's online time `T` (hash probes + scanned
+//!   tuples), one per-thread count every structure and the driver record
+//!   into.
 
 pub mod error;
 pub mod hash;
@@ -20,6 +23,7 @@ pub mod rat;
 pub mod tuple;
 pub mod varint;
 pub mod varset;
+pub mod work;
 
 pub use error::{CqapError, Result};
 pub use hash::{hash_fold_column, hash_vals, FxHashMap, FxHashSet, FxHasher};

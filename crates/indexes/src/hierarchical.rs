@@ -19,8 +19,7 @@
 //! (everything materialized vs. everything online), which is what the
 //! Appendix F experiment measures.
 
-use crate::ProbeCounter;
-use cqap_common::{FxHashMap, FxHashSet, Val};
+use cqap_common::{work, FxHashMap, FxHashSet, Val};
 
 /// A tuple of one hierarchical input relation: `(x, y, z)`.
 pub type HTuple = (Val, Val, Val);
@@ -107,8 +106,6 @@ pub struct HierarchicalIndex {
     u_by_xz: FxHashMap<(Val, Val), FxHashSet<Val>>,
     threshold: usize,
     space: usize,
-    /// Online cost counters.
-    pub counter: ProbeCounter,
 }
 
 impl HierarchicalIndex {
@@ -185,7 +182,6 @@ impl HierarchicalIndex {
             u_by_xz,
             threshold,
             space,
-            counter: ProbeCounter::new(),
         }
     }
 
@@ -217,19 +213,19 @@ impl HierarchicalIndex {
     /// `Z = (z1, z2, z3, z4)`.
     pub fn query(&self, z1: Val, z2: Val, z3: Val, z4: Val) -> bool {
         // Light roots: intersect the two materialized half-view lists.
-        self.counter.add_probes(2);
+        work::add(2, 0);
         let l1 = self.w1.get(&(z1, z2));
         let l2 = self.w2.get(&(z3, z4));
         if let (Some(l1), Some(l2)) = (l1, l2) {
             let (small, big) = if l1.len() <= l2.len() { (l1, l2) } else { (l2, l1) };
-            self.counter.add_scans(small.len() as u64);
+            work::add(0, small.len() as u64);
             if small.iter().any(|x| big.binary_search(x).is_ok()) {
                 return true;
             }
         }
         // Heavy roots: check each one directly against the four atoms.
         for &x in &self.heavy_roots {
-            self.counter.add_probes(4);
+            work::add(4, 0);
             let (Some(ry), Some(sy), Some(ty), Some(uy)) = (
                 self.r_by_xz.get(&(x, z1)),
                 self.s_by_xz.get(&(x, z2)),
@@ -240,7 +236,7 @@ impl HierarchicalIndex {
             };
             let y1_ok = {
                 let (a, b) = if ry.len() <= sy.len() { (ry, sy) } else { (sy, ry) };
-                self.counter.add_scans(a.len() as u64);
+                work::add(0, a.len() as u64);
                 a.iter().any(|y| b.contains(y))
             };
             if !y1_ok {
@@ -248,7 +244,7 @@ impl HierarchicalIndex {
             }
             let y2_ok = {
                 let (a, b) = if ty.len() <= uy.len() { (ty, uy) } else { (uy, ty) };
-                self.counter.add_scans(a.len() as u64);
+                work::add(0, a.len() as u64);
                 a.iter().any(|y| b.contains(y))
             };
             if y2_ok {
@@ -351,17 +347,24 @@ mod tests {
         let tight = HierarchicalIndex::build_with_threshold(&inst, 1);
         let roomy = HierarchicalIndex::build_with_threshold(&inst, 1_000_000);
         let mut rng = StdRng::seed_from_u64(11);
-        for _ in 0..200 {
-            let z = (
-                rng.random_range(0..12) as Val,
-                rng.random_range(0..12) as Val,
-                rng.random_range(0..12) as Val,
-                rng.random_range(0..12) as Val,
-            );
-            tight.query(z.0, z.1, z.2, z.3);
-            roomy.query(z.0, z.1, z.2, z.3);
-        }
-        assert!(roomy.counter.total() <= tight.counter.total());
+        let requests: Vec<(Val, Val, Val, Val)> = (0..200)
+            .map(|_| {
+                (
+                    rng.random_range(0..12) as Val,
+                    rng.random_range(0..12) as Val,
+                    rng.random_range(0..12) as Val,
+                    rng.random_range(0..12) as Val,
+                )
+            })
+            .collect();
+        let work_of = |idx: &HierarchicalIndex| {
+            let before = work::total();
+            for &(z1, z2, z3, z4) in &requests {
+                idx.query(z1, z2, z3, z4);
+            }
+            work::total() - before
+        };
+        assert!(work_of(&roomy) <= work_of(&tight));
     }
 
     #[test]

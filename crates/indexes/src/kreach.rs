@@ -14,8 +14,7 @@
 //! * [`BfsBaseline`] — the `S = O(1)` extreme: answer every request by a
 //!   length-bounded breadth-first search.
 
-use crate::ProbeCounter;
-use cqap_common::{FxHashMap, FxHashSet, Val};
+use cqap_common::{work, FxHashMap, FxHashSet, Val};
 use cqap_query::workload::Graph;
 
 /// Adjacency representation shared by the reachability structures.
@@ -83,8 +82,6 @@ pub fn k_reachable_naive(adj: &Adjacency, k: usize, u: Val, v: Val) -> bool {
 pub struct BfsBaseline {
     adj: Adjacency,
     k: usize,
-    /// Online cost counters.
-    pub counter: ProbeCounter,
 }
 
 impl BfsBaseline {
@@ -93,7 +90,6 @@ impl BfsBaseline {
         BfsBaseline {
             adj: Adjacency::new(graph),
             k,
-            counter: ProbeCounter::new(),
         }
     }
 
@@ -110,7 +106,7 @@ impl BfsBaseline {
             let mut next = FxHashSet::default();
             for &x in &frontier {
                 if let Some(succ) = self.adj.succ.get(&x) {
-                    self.counter.add_scans(succ.len() as u64);
+                    work::add(0, succ.len() as u64);
                     next.extend(succ.iter().copied());
                 }
             }
@@ -119,7 +115,7 @@ impl BfsBaseline {
                 return false;
             }
         }
-        self.counter.add_probes(1);
+        work::add(1, 0);
         frontier.contains(&v)
     }
 }
@@ -127,8 +123,6 @@ impl BfsBaseline {
 /// The `T = O(1)` extreme: all k-reachable pairs stored in a hash table.
 pub struct FullReachMaterialization {
     pairs: FxHashSet<(Val, Val)>,
-    /// Online cost counters.
-    pub counter: ProbeCounter,
 }
 
 impl FullReachMaterialization {
@@ -157,10 +151,7 @@ impl FullReachMaterialization {
                 pairs.insert((s, t));
             }
         }
-        FullReachMaterialization {
-            pairs,
-            counter: ProbeCounter::new(),
-        }
+        FullReachMaterialization { pairs }
     }
 
     /// Intrinsic space: the stored pair table.
@@ -170,7 +161,7 @@ impl FullReachMaterialization {
 
     /// O(1) lookup.
     pub fn query(&self, u: Val, v: Val) -> bool {
-        self.counter.add_probes(1);
+        work::add(1, 0);
         self.pairs.contains(&(u, v))
     }
 }
@@ -187,8 +178,6 @@ pub struct TwoReachIndex {
     heavy_in: FxHashSet<Val>,
     /// Materialized S13: heavy-heavy 2-reachable pairs.
     s13: FxHashSet<(Val, Val)>,
-    /// Online cost counters.
-    pub counter: ProbeCounter,
 }
 
 impl TwoReachIndex {
@@ -236,7 +225,6 @@ impl TwoReachIndex {
             heavy_out,
             heavy_in,
             s13,
-            counter: ProbeCounter::new(),
         }
     }
 
@@ -253,22 +241,20 @@ impl TwoReachIndex {
     /// Whether there is a path of length exactly 2 from `a` to `c`.
     pub fn query(&self, a: Val, c: Val) -> bool {
         if self.heavy_out.contains(&a) && self.heavy_in.contains(&c) {
-            self.counter.add_probes(1);
+            work::add(1, 0);
             return self.s13.contains(&(a, c));
         }
         if self.adj.out_degree(a) <= self.threshold {
             // a is light: scan its successors and probe the edge (b, c).
             if let Some(succ) = self.adj.succ.get(&a) {
-                self.counter.add_scans(succ.len() as u64);
-                self.counter.add_probes(succ.len() as u64);
+                work::add(succ.len() as u64, succ.len() as u64);
                 return succ.iter().any(|&b| self.adj.edges.contains(&(b, c)));
             }
             return false;
         }
         // c is light: scan its predecessors and probe the edge (a, b).
         if let Some(pred) = self.adj.pred.get(&c) {
-            self.counter.add_scans(pred.len() as u64);
-            self.counter.add_probes(pred.len() as u64);
+            work::add(pred.len() as u64, pred.len() as u64);
             return pred.iter().any(|&b| self.adj.edges.contains(&(a, b)));
         }
         false
@@ -290,8 +276,6 @@ pub struct KReachGoldstein {
     levels: Vec<FxHashSet<(Val, Val)>>,
     heavy_out: FxHashSet<Val>,
     heavy_in: FxHashSet<Val>,
-    /// Online cost counters.
-    pub counter: ProbeCounter,
 }
 
 impl KReachGoldstein {
@@ -351,7 +335,6 @@ impl KReachGoldstein {
             levels,
             heavy_out,
             heavy_in,
-            counter: ProbeCounter::new(),
         }
     }
 
@@ -389,23 +372,23 @@ impl KReachGoldstein {
             return u == v;
         }
         if j == 1 {
-            self.counter.add_probes(1);
+            work::add(1, 0);
             return self.adj.edges.contains(&(u, v));
         }
         if self.heavy_out.contains(&u) && self.heavy_in.contains(&v) {
-            self.counter.add_probes(1);
+            work::add(1, 0);
             return self.levels[j - 2].contains(&(u, v));
         }
         if self.adj.out_degree(u) <= self.threshold {
             if let Some(succ) = self.adj.succ.get(&u) {
-                self.counter.add_scans(succ.len() as u64);
+                work::add(0, succ.len() as u64);
                 return succ.iter().any(|&w| self.query_level(j - 1, w, v));
             }
             return false;
         }
         // v must be light on the in-side.
         if let Some(pred) = self.adj.pred.get(&v) {
-            self.counter.add_scans(pred.len() as u64);
+            work::add(0, pred.len() as u64);
             return pred.iter().any(|&w| self.query_level(j - 1, u, w));
         }
         false
@@ -448,11 +431,15 @@ mod tests {
         let roomy = TwoReachIndex::build(&g, 1 << 18);
         // More budget: no less materialized space, no more online work.
         assert!(roomy.space_used() >= tight.space_used());
-        for (u, v) in queries(&g, 300, 13) {
-            tight.query(u, v);
-            roomy.query(u, v);
-        }
-        assert!(roomy.counter.total() <= tight.counter.total());
+        let requests = queries(&g, 300, 13);
+        let work_of = |idx: &TwoReachIndex| {
+            let before = work::total();
+            for &(u, v) in &requests {
+                idx.query(u, v);
+            }
+            work::total() - before
+        };
+        assert!(work_of(&roomy) <= work_of(&tight));
         // The heavy-heavy table is bounded by (|E|/Δ)².
         let cap = (g.len() / roomy.threshold() + 1).pow(2);
         assert!(roomy.space_used() / 2 <= cap);
@@ -500,9 +487,9 @@ mod tests {
                 assert_eq!(full.query(u, v), expected);
             }
             // Full materialization answers with a single probe.
-            full.counter.reset();
+            let before = work::total();
             full.query(0, 1);
-            assert_eq!(full.counter.total(), 1);
+            assert_eq!(work::total() - before, 1);
         }
     }
 

@@ -3,10 +3,13 @@
 //! Concrete, budget-parameterized data structures for the CQAPs the paper
 //! studies — the *empirical* half of the reproduction. Each structure
 //! implements one of the materialization strategies the framework
-//! prescribes, exposes its intrinsic space usage (`space_used`, counted in
-//! stored values beyond the input) and counts the probes it performs online
-//! so benchmarks can report machine-independent time measures next to
-//! wall-clock numbers.
+//! prescribes and exposes its intrinsic space usage (`space_used`, counted
+//! in stored values beyond the input). Its online work — hash probes and
+//! scanned tuples, the paper's `T` — goes to [`cqap_common::work`], the one
+//! per-thread count the framework driver records into too, so benchmarks
+//! report machine-independent time next to wall-clock numbers by diffing
+//! `work::total()` around a query loop. A structure holds no counter: it is
+//! immutable after its build and `Sync`.
 //!
 //! | module | paper reference | structure |
 //! |---|---|---|
@@ -15,8 +18,6 @@
 //! | [`square`] | Ex. 5.2 / E.5 | opposite-corners-of-a-square index (`S·T² = |D|²·|Q|²`) |
 //! | [`triangle`] | Ex. E.4 | edge-participates-in-a-triangle index (linear space, constant time) |
 //! | [`hierarchical`] | App. F | two-level Boolean hierarchical CQAP index (adapted Kara et al. strategy) |
-
-use std::sync::atomic::{AtomicU64, Ordering};
 
 pub mod hierarchical;
 pub mod kreach;
@@ -29,67 +30,3 @@ pub use kreach::{BfsBaseline, FullReachMaterialization, KReachGoldstein, TwoReac
 pub use setdisjoint::SetDisjointnessIndex;
 pub use square::SquareIndex;
 pub use triangle::TriangleIndex;
-
-/// Online cost counters shared by every index structure: the number of hash
-/// probes and the number of tuples scanned while answering queries since
-/// the last [`ProbeCounter::reset`]. These are the machine-independent
-/// "time" measure the benchmark harness reports next to wall-clock time.
-///
-/// The counters are relaxed atomics rather than `Cell`s so that every index
-/// structure is `Sync` and can be probed concurrently from many serving
-/// threads (see the `cqap-serve` crate); counting stays accurate under
-/// concurrency because each increment is a single atomic add.
-#[derive(Debug, Default)]
-pub struct ProbeCounter {
-    probes: AtomicU64,
-    scans: AtomicU64,
-}
-
-impl Clone for ProbeCounter {
-    fn clone(&self) -> Self {
-        ProbeCounter {
-            probes: AtomicU64::new(self.probes.load(Ordering::Relaxed)),
-            scans: AtomicU64::new(self.scans.load(Ordering::Relaxed)),
-        }
-    }
-}
-
-impl ProbeCounter {
-    /// Creates a zeroed counter.
-    pub fn new() -> Self {
-        ProbeCounter::default()
-    }
-
-    /// Records `n` hash probes.
-    #[inline]
-    pub fn add_probes(&self, n: u64) {
-        self.probes.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Records `n` scanned tuples.
-    #[inline]
-    pub fn add_scans(&self, n: u64) {
-        self.scans.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Hash probes performed since the last reset.
-    pub fn probes(&self) -> u64 {
-        self.probes.load(Ordering::Relaxed)
-    }
-
-    /// Tuples scanned since the last reset.
-    pub fn scans(&self) -> u64 {
-        self.scans.load(Ordering::Relaxed)
-    }
-
-    /// Total online work (probes + scans).
-    pub fn total(&self) -> u64 {
-        self.probes.load(Ordering::Relaxed) + self.scans.load(Ordering::Relaxed)
-    }
-
-    /// Resets both counters to zero.
-    pub fn reset(&self) {
-        self.probes.store(0, Ordering::Relaxed);
-        self.scans.store(0, Ordering::Relaxed);
-    }
-}

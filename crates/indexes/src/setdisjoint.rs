@@ -14,8 +14,7 @@
 //! tables (with the heavy-pair table still short-circuiting Boolean
 //! heavy-heavy 2-set queries).
 
-use crate::ProbeCounter;
-use cqap_common::{FxHashMap, FxHashSet, Val};
+use cqap_common::{work, FxHashMap, FxHashSet, Val};
 use cqap_query::workload::SetFamily;
 
 /// A space/time-tradeoff index for set disjointness and set intersection.
@@ -30,8 +29,6 @@ pub struct SetDisjointnessIndex {
     heavy: FxHashSet<Val>,
     /// For heavy set pairs (a ≤ b): whether they intersect.
     heavy_pairs: FxHashMap<(Val, Val), bool>,
-    /// Online cost counters.
-    pub counter: ProbeCounter,
     budget: usize,
 }
 
@@ -89,7 +86,6 @@ impl SetDisjointnessIndex {
             threshold,
             heavy,
             heavy_pairs,
-            counter: ProbeCounter::new(),
             budget,
         }
     }
@@ -124,7 +120,7 @@ impl SetDisjointnessIndex {
     /// 2-set disjointness: do sets `a` and `b` intersect?
     pub fn intersects(&self, a: Val, b: Val) -> bool {
         if self.heavy.contains(&a) && self.heavy.contains(&b) {
-            self.counter.add_probes(1);
+            work::add(1, 0);
             let key = if a <= b { (a, b) } else { (b, a) };
             return *self.heavy_pairs.get(&key).unwrap_or(&false);
         }
@@ -140,7 +136,7 @@ impl SetDisjointnessIndex {
             _ => return false, // an unknown set is empty
         };
         let scanned = &self.elements[&scan];
-        self.counter.add_scans(scanned.len() as u64);
+        work::add(0, scanned.len() as u64);
         scanned
             .iter()
             .any(|&e| self.membership.contains(&(probe, e)))
@@ -165,7 +161,7 @@ impl SetDisjointnessIndex {
             return Vec::new();
         }
         let base = &self.elements[&smallest];
-        self.counter.add_scans(base.len() as u64);
+        work::add(0, base.len() as u64);
         base.iter()
             .copied()
             .filter(|&e| {
@@ -173,7 +169,7 @@ impl SetDisjointnessIndex {
                     if s == smallest {
                         true
                     } else {
-                        self.counter.add_probes(1);
+                        work::add(1, 0);
                         self.membership.contains(&(s, e))
                     }
                 })
@@ -250,15 +246,17 @@ mod tests {
         let small = SetDisjointnessIndex::build(&f, 4);
         let large = SetDisjointnessIndex::build(&f, 10_000);
         let queries: Vec<(Val, Val)> = (0..40).map(|i| (i % 7, (i * 3) % 40)).collect();
-        for &(a, b) in &queries {
-            small.intersects(a, b);
-            large.intersects(a, b);
-        }
+        let work_of = |idx: &SetDisjointnessIndex| {
+            let before = work::total();
+            for &(a, b) in &queries {
+                idx.intersects(a, b);
+            }
+            work::total() - before
+        };
+        let (large_work, small_work) = (work_of(&large), work_of(&small));
         assert!(
-            large.counter.total() <= small.counter.total(),
-            "large-budget index should do no more online work ({} vs {})",
-            large.counter.total(),
-            small.counter.total()
+            large_work <= small_work,
+            "large-budget index should do no more online work ({large_work} vs {small_work})"
         );
     }
 
@@ -269,10 +267,10 @@ mod tests {
         // With a huge budget every non-trivial set is heavy.
         assert!(idx.num_heavy() > 0);
         let heavy: Vec<Val> = (0..f.num_sets as Val).filter(|&s| idx.is_heavy(s)).collect();
-        idx.counter.reset();
+        let (probes, scans) = (work::probes(), work::scans());
         idx.intersects(heavy[0], heavy[heavy.len() - 1]);
-        assert_eq!(idx.counter.scans(), 0);
-        assert_eq!(idx.counter.probes(), 1);
+        assert_eq!(work::scans() - scans, 0);
+        assert_eq!(work::probes() - probes, 1);
     }
 
     #[test]

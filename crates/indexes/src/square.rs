@@ -8,7 +8,6 @@
 //! their conjunction, giving the paper's `S · T² ≾ |D|² · |Q|²` tradeoff.
 
 use crate::kreach::{k_reachable_naive, Adjacency, TwoReachIndex};
-use crate::ProbeCounter;
 use cqap_common::Val;
 use cqap_query::workload::Graph;
 
@@ -20,8 +19,6 @@ pub struct SquareIndex {
     /// The `x3 → x4 → x1` side.
     backward: TwoReachIndex,
     adj: Adjacency,
-    /// Online cost counters (aggregated over both halves).
-    pub counter: ProbeCounter,
 }
 
 impl SquareIndex {
@@ -33,7 +30,6 @@ impl SquareIndex {
             forward: TwoReachIndex::build(graph, half),
             backward: TwoReachIndex::build(graph, half),
             adj: Adjacency::new(graph),
-            counter: ProbeCounter::new(),
         }
     }
 
@@ -45,16 +41,7 @@ impl SquareIndex {
     /// Whether `(a, c)` are opposite corners of a square: `a` 2-reaches `c`
     /// and `c` 2-reaches `a`.
     pub fn query(&self, a: Val, c: Val) -> bool {
-        let result = self.forward.query(a, c) && self.backward.query(c, a);
-        // Fold the halves' counters into the aggregate counter so callers
-        // see one number per query.
-        self.counter
-            .add_probes(self.forward.counter.probes() + self.backward.counter.probes());
-        self.counter
-            .add_scans(self.forward.counter.scans() + self.backward.counter.scans());
-        self.forward.counter.reset();
-        self.backward.counter.reset();
-        result
+        self.forward.query(a, c) && self.backward.query(c, a)
     }
 
     /// Reference answer by BFS on both sides.
@@ -66,6 +53,7 @@ impl SquareIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cqap_common::work;
     use cqap_query::workload::graph_pair_requests;
 
     #[test]
@@ -99,10 +87,14 @@ mod tests {
         let tight = SquareIndex::build(&g, 2);
         let roomy = SquareIndex::build(&g, 1 << 18);
         assert!(roomy.space_used() >= tight.space_used());
-        for (a, c) in graph_pair_requests(&g, 200, 29) {
-            tight.query(a, c);
-            roomy.query(a, c);
-        }
-        assert!(roomy.counter.total() <= tight.counter.total());
+        let requests = graph_pair_requests(&g, 200, 29);
+        let work_of = |idx: &SquareIndex| {
+            let before = work::total();
+            for &(a, c) in &requests {
+                idx.query(a, c);
+            }
+            work::total() - before
+        };
+        assert!(work_of(&roomy) <= work_of(&tight));
     }
 }

@@ -9,8 +9,7 @@
 //! E.4 turned into code.
 
 use crate::kreach::Adjacency;
-use crate::ProbeCounter;
-use cqap_common::{FxHashSet, Val};
+use cqap_common::{work, FxHashSet, Val};
 use cqap_query::workload::Graph;
 
 /// A linear-space, constant-time index for edge triangle detection.
@@ -20,8 +19,6 @@ pub struct TriangleIndex {
     /// `(x1, x3) = (u, v)`.
     s13: FxHashSet<(Val, Val)>,
     adj: Adjacency,
-    /// Online cost counters.
-    pub counter: ProbeCounter,
 }
 
 impl TriangleIndex {
@@ -43,11 +40,7 @@ impl TriangleIndex {
                 s13.insert((x1, x3));
             }
         }
-        TriangleIndex {
-            s13,
-            adj,
-            counter: ProbeCounter::new(),
-        }
+        TriangleIndex { s13, adj }
     }
 
     /// Intrinsic space: the materialized answer pairs (at most `|E|`).
@@ -59,7 +52,7 @@ impl TriangleIndex {
     /// `x1 → x2 → x3 → x1` (the edge triangle detection problem of the
     /// introduction). Constant time.
     pub fn edge_in_triangle(&self, x3: Val, x1: Val) -> bool {
-        self.counter.add_probes(1);
+        work::add(1, 0);
         self.adj.edges.contains(&(x3, x1)) && self.s13.contains(&(x1, x3))
     }
 
@@ -120,8 +113,8 @@ mod tests {
         let g = Graph::random(200, 3000, 17);
         let idx = TriangleIndex::build(&g);
         assert!(idx.space_used() <= 2 * g.edges.len());
-        idx.counter.reset();
+        let before = work::total();
         idx.edge_in_triangle(0, 1);
-        assert_eq!(idx.counter.total(), 1);
+        assert_eq!(work::total() - before, 1);
     }
 }

@@ -44,13 +44,12 @@
 //! `O(|D|)`-sized slot of one-tuple buckets for every delta batch to edit.
 //! It builds a slot only when the cache holds none over that atom.
 
-use cqap_common::{Result, Tuple, Val, VarSet};
+use cqap_common::{work, Result, Tuple, Val, VarSet};
 use cqap_query::Atom;
 use cqap_relation::{Database, Schema};
 use cqap_yannakakis::ColumnRun;
 
 use crate::compiled::AtomIndexCache;
-use crate::instrument;
 
 /// Rows a chain step collects before handing them on: what every
 /// production caller of [`JoinChain::run`] passes as `cap` (tests pass 1).
@@ -171,8 +170,8 @@ impl JoinChain {
 
     /// How many tuples the first step would walk for row `r` of a seed
     /// `input`: one degree lookup in the live index, nothing expanded (0
-    /// for a chain without steps). What a T-view program weighs its two
-    /// seeds by.
+    /// for a chain without steps), counted as one probe of `T`. What a
+    /// T-view program weighs its two seeds by.
     pub(crate) fn first_fanout(
         &self,
         atom_indexes: &AtomIndexCache,
@@ -183,7 +182,7 @@ impl JoinChain {
         let Some(step) = self.steps.first() else {
             return 0;
         };
-        instrument::record_step(1, 0);
+        work::add(1, 0);
         input.project_row_into(r, &step.key_positions, &mut scratch.key_vals);
         let key = Tuple::from_slice(&scratch.key_vals);
         atom_indexes.index(step.slot).degree(&key)
@@ -196,7 +195,9 @@ impl JoinChain {
     /// once more at the end of the input. A probed tuple failing the step's
     /// `checks` is no match. `skip(atom, tuple)` drops a probed tuple at
     /// the step joining `atom` — delta maintenance's first-atom rule; every
-    /// other caller skips nothing.
+    /// other caller skips nothing. Each step records its `T`: one probe per
+    /// input row and every row it emits as a scan, so a row a later
+    /// membership step drops still counts as the work it was.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn run(
         &self,
@@ -240,7 +241,7 @@ impl JoinChain {
             emitted += out.rows();
             self.run(depth + 1, atom_indexes, &out, cap, skip, scratch, sink);
         }
-        instrument::record_step(input.rows() as u64, emitted as u64);
+        work::add(input.rows() as u64, emitted as u64);
         scratch.levels[depth] = out;
     }
 }

@@ -580,6 +580,7 @@ where
 mod tests {
     use super::*;
     use crate::driver::CqapIndex;
+    use cqap_common::work;
     use cqap_decomp::families as pf;
     use cqap_query::workload::{graph_pair_requests, Graph};
     use cqap_yannakakis::naive::full_join;
@@ -748,15 +749,14 @@ mod tests {
         let (parent_run, parent_rel) = exec_to_relation(root, atom_indexes, &request, &[]);
         assert!(parent_rel.is_empty());
 
-        let probes = instrument::index_probes();
-        let rows = instrument::chain_rows();
+        let (probes, rows) = (work::probes(), work::scans());
         let taken = instrument::parent_side_programs();
         let (_, child_rel) = exec_to_relation(child, atom_indexes, &request, &[parent_run]);
         assert!(child_rel.is_empty());
-        assert_eq!(instrument::chain_rows(), rows, "nothing expanded out of the hub");
+        assert_eq!(work::scans(), rows, "nothing expanded out of the hub");
         assert_eq!(instrument::parent_side_programs(), taken + 1);
         assert_eq!(
-            instrument::index_probes(),
+            work::probes(),
             probes + 1,
             "the request side's degree lookup and nothing else"
         );

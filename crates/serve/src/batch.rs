@@ -13,8 +13,8 @@
 //! fails its own position and never its neighbours'.
 //!
 //! Implementations must be usable from many threads at once (`Sync` with
-//! `&self` answering); the probe counters inside `cqap-indexes` are relaxed
-//! atomics for exactly this reason.
+//! `&self` answering); a structure holds no counter — its online work goes
+//! to the per-thread [`cqap_common::work`] count.
 
 use std::hash::Hash;
 
@@ -135,6 +135,7 @@ impl BatchAnswer for HierarchicalIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cqap_common::work;
     use cqap_decomp::families as pf;
     use cqap_query::workload::{graph_pair_requests, Graph, SetFamily};
 
@@ -180,40 +181,35 @@ mod tests {
 
     #[test]
     fn indexes_are_shareable_across_threads() {
-        // The point of the atomic probe counters: &TwoReachIndex can be
-        // probed from several threads simultaneously.
-        let g = Graph::random(50, 250, 21);
-        let index = TwoReachIndex::build(&g, 5_000);
-        let requests = graph_pair_requests(&g, 200, 23);
-        let expected: Vec<bool> = requests.iter().map(|&(u, v)| index.query(u, v)).collect();
-        index.counter.reset();
-        let results: Vec<Vec<bool>> = std::thread::scope(|s| {
-            (0..4)
-                .map(|_| {
-                    s.spawn(|| {
-                        requests
-                            .iter()
-                            .map(|pair| index.answer_one(pair).unwrap())
-                            .collect::<Vec<bool>>()
-                    })
-                })
-                .collect::<Vec<_>>()
-                .into_iter()
-                .map(|h| h.join().unwrap())
-                .collect()
-        });
-        for run in &results {
-            assert_eq!(run, &expected);
-        }
-        // No probes lost to races: 4 identical passes count exactly 4x the
-        // single-pass work.
-        let single_pass = {
-            let fresh = TwoReachIndex::build(&g, 5_000);
-            for &(u, v) in &requests {
-                fresh.query(u, v);
+        // A structure holds no counter, so `&index` is probed from several
+        // threads at once and each thread's work is its own: four
+        // concurrent passes count exactly four single-threaded ones, with
+        // nothing lost or counted twice.
+        fn four_threads_count_four_passes<I: BatchAnswer>(index: &I, requests: &[I::Request])
+        where
+            I::Answer: PartialEq + std::fmt::Debug,
+        {
+            let pass = || {
+                let before = work::total();
+                let answers: Vec<I::Answer> =
+                    requests.iter().map(|r| index.answer_one(r).unwrap()).collect();
+                (answers, work::total() - before)
+            };
+            let (expected, single_pass) = pass();
+            let runs: Vec<(Vec<I::Answer>, u64)> = std::thread::scope(|s| {
+                let handles: Vec<_> = (0..4).map(|_| s.spawn(pass)).collect();
+                handles.into_iter().map(|h| h.join().unwrap()).collect()
+            });
+            assert!(single_pass > 0);
+            for (answers, _) in &runs {
+                assert_eq!(answers, &expected);
             }
-            fresh.counter.total()
-        };
-        assert_eq!(index.counter.total(), 4 * single_pass);
+            assert_eq!(runs.iter().map(|(_, w)| w).sum::<u64>(), 4 * single_pass);
+        }
+
+        let g = Graph::random(50, 250, 21);
+        let requests = graph_pair_requests(&g, 200, 23);
+        four_threads_count_four_passes(&TwoReachIndex::build(&g, 5_000), &requests);
+        four_threads_count_four_passes(&SquareIndex::build(&g, 5_000), &requests);
     }
 }

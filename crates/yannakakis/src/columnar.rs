@@ -24,12 +24,20 @@
 //!   into the answer [`Relation`]
 //!   ([`cqap_relation::RelationBuilder::push_row`], inline for arity ≤ 4).
 //!
+//! The S-view half of the paper's `T` is counted here, at the seam, into
+//! [`cqap_common::work`]: one probe per `probe_columns` call (a distinct
+//! key after the memo) plus the rows it appended as scans, one probe per
+//! semijoin `contains`, and the request's tuples as scans once per answer.
+//! Every backend thus reports the same `T` for the same plan and request —
+//! a key-filter negative on disk is still one S-view probe; physical reads
+//! are the store's own counters.
+//!
 //! On the warm serving path this executes a probe-only plan with **zero
 //! tuple heap boxings and zero relation-level dedup inserts**
 //! (counter-enforced by tests); answers are bit-for-bit identical to the
 //! naive evaluator (proptest-enforced in `crates/yannakakis/tests`).
 
-use cqap_common::{hash_fold_column, hash_vals, CqapError, FxHashMap, Result, Tuple, Val};
+use cqap_common::{hash_fold_column, hash_vals, work, CqapError, FxHashMap, Result, Tuple, Val};
 use cqap_relation::{Relation, RelationBuilder};
 
 use crate::compiled::{BottomUpStep, CompiledPlan, HashJoin, ProbeJoin, RootStep, TopDownStep};
@@ -483,6 +491,7 @@ impl CompiledPlan {
                                 None => {
                                     let key = Tuple::from_slice(&scratch.key_vals);
                                     let hit = views.contains(*child, &key)?;
+                                    work::add(1, 0);
                                     scratch.semi.insert(hash, &scratch.key_vals, hit);
                                     hit
                                 }
@@ -551,7 +560,9 @@ impl CompiledPlan {
             }
         }
 
-        // Seed the accumulator with the (deduplicated) request bindings.
+        // Seed the accumulator with the (deduplicated) request bindings:
+        // the request's tuples are scanned once.
+        work::add(0, request.len() as u64);
         let mut acc = std::mem::take(&mut scratch.acc);
         let mut next = std::mem::take(&mut scratch.next);
         acc.reset(self.access.len());
@@ -682,6 +693,7 @@ impl CompiledPlan {
                     let start = scratch.pool.rows() as u32;
                     views.probe_columns(node, &key, &mut scratch.pool)?;
                     let end = scratch.pool.rows() as u32;
+                    work::add(1, u64::from(end - start));
                     scratch.ranges.insert(hash, &scratch.key_vals, (start, end));
                     (start, end)
                 }

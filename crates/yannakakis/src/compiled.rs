@@ -250,10 +250,13 @@ impl OnlineYannakakis {
         let mut kept = vec![true; num_nodes];
         for t in td.bottom_up_order() {
             let Some(p) = td.parent(t) else { continue };
+            // A child joins top-down only for the head variables its
+            // parent's view lacks.
+            let child_head = pmtd.view_schema(t).intersect(head);
+            kept[t] = !child_head.is_subset(pmtd.view_schema(p));
             match (pmtd.view(t).kind, pmtd.view(p).kind) {
-                (ViewKind::S, ViewKind::S) => {
-                    kept[t] = false;
-                }
+                // Preprocessing reduced the child into its parent.
+                (ViewKind::S, ViewKind::S) => {}
                 (ViewKind::S, ViewKind::T) => {
                     require_s_view(t)?;
                     let parent_schema = slot_schema[p].as_ref().expect("T slot schema");
@@ -262,10 +265,6 @@ impl OnlineYannakakis {
                         parent: p,
                         key_positions: parent_schema.positions_of_set(self.link(t))?,
                     });
-                    let child_head = pmtd.view_schema(t).intersect(head);
-                    if child_head.is_subset(pmtd.view_schema(p)) {
-                        kept[t] = false;
-                    }
                 }
                 (ViewKind::T, ViewKind::T) => {
                     let child_schema = slot_schema[t].as_ref().expect("T slot schema");
@@ -277,10 +276,7 @@ impl OnlineYannakakis {
                         child_key: child_schema.positions_of_set(shared)?,
                         parent_key: parent_schema.positions_of_set(shared)?,
                     });
-                    let child_head = pmtd.view_schema(t).intersect(head);
-                    if child_head.is_subset(pmtd.view_schema(p)) {
-                        kept[t] = false;
-                    } else {
+                    if kept[t] {
                         let project = compile_project(child_schema, child_head)?;
                         slot_schema[t] = Some(project.schema.clone());
                         bottom_up.push(BottomUpStep::ProjectChild { node: t, project });

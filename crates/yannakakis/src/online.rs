@@ -329,6 +329,7 @@ impl OnlineYannakakis {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cqap_common::work;
     use cqap_decomp::families as pmtd_families;
     use cqap_query::workload::Graph;
     use cqap_query::AccessRequest;
@@ -349,7 +350,8 @@ mod tests {
             .collect()
     }
 
-    /// A backend that counts what the plan asks of it.
+    /// A backend that counts what the plan asks of it, independently of
+    /// the engine's own `work` accounting.
     struct Counting<'a> {
         views: &'a PreprocessedViews,
         probes: std::cell::Cell<usize>,
@@ -394,11 +396,16 @@ mod tests {
         tuples.push(tuples[0].clone());
         let request = AccessRequest::new(cqap.access(), tuples).unwrap();
         let counting = Counting { views: &pre, probes: 0.into(), rows: 0.into() };
+        let (probes, scans) = (work::probes(), work::scans());
         let answer = plan.answer_from_columns(&counting, [], &request, &mut scratch).unwrap();
         assert_eq!(answer, crate::naive_answer(&cqap, &db, &request).unwrap());
         let distinct: std::collections::HashSet<_> = request.tuples().iter().collect();
         assert_eq!(counting.probes.get(), distinct.len());
         assert_eq!(counting.rows.get(), answer.len());
+        // The engine's `T` is what the backend saw: its probes, then the
+        // request's tuples and the rows the probes returned as scans.
+        assert_eq!(work::probes() - probes, counting.probes.get() as u64);
+        assert_eq!(work::scans() - scans, (request.len() + counting.rows.get()) as u64);
         assert!(answer.len() < pre.stored_values());
     }
 

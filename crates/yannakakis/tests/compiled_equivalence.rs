@@ -8,10 +8,10 @@
 //! bit-for-bit identical to the naive join (the oracle): compiled plans
 //! are an *optimization*, never a semantics change.
 
-use cqap_common::Tuple;
-use cqap_decomp::{families as pmtd_families, Pmtd};
+use cqap_common::{vars, Tuple};
+use cqap_decomp::{families as pmtd_families, Pmtd, TreeDecomposition};
 use cqap_query::workload::{graph_pair_requests, zipf_multi_requests, Graph};
-use cqap_query::{AccessRequest, Cqap};
+use cqap_query::{AccessRequest, Atom, ConjunctiveQuery, Cqap};
 use cqap_relation::{Database, Relation};
 use cqap_yannakakis::naive::{full_join, naive_answer};
 use cqap_yannakakis::{ColumnRun, ColumnarScratch, OnlineYannakakis};
@@ -134,4 +134,29 @@ proptest! {
         let mut scratch = ColumnarScratch::new();
         check_family(&cqap, &pmtds, &db, &requests, &mut scratch);
     }
+}
+
+/// A stored view under a stored parent still joins in when it holds head
+/// variables its parent's view lacks: `φ(x1, x2, x3 | x1)` over a 2-path
+/// with every materialization set of its path decomposition, `(S12, S23)`
+/// included, whose answer needs `S23`'s `x3`.
+#[test]
+fn an_s_view_under_an_s_view_adds_its_head_variables() {
+    let atoms = vec![Atom::new("R1", vec![0, 1]).unwrap(), Atom::new("R2", vec![1, 2]).unwrap()];
+    let cq = ConjunctiveQuery::new("path2", 3, atoms, vars![1, 2, 3]).unwrap();
+    let cqap = Cqap::new(cq, vars![1]).unwrap();
+    let td = TreeDecomposition::path(vec![vars![1, 2], vars![2, 3]]).unwrap();
+    let materializations: [&[usize]; 3] = [&[], &[1], &[0, 1]];
+    let pmtds: Vec<Pmtd> = materializations
+        .iter()
+        .map(|m| Pmtd::for_cqap(td.clone(), m.iter().copied(), &cqap).unwrap())
+        .collect();
+    let graph = Graph::skewed(40, 200, 2, 20, 3);
+    let db = graph.as_path_database(2);
+    let binding = |x1: u64| Tuple::from_slice(&[x1]);
+    let requests = vec![
+        AccessRequest::new(cqap.access(), vec![binding(0)]).unwrap(),
+        AccessRequest::new(cqap.access(), (0..20).map(binding).collect()).unwrap(),
+    ];
+    check_family(&cqap, &pmtds, &db, &requests, &mut ColumnarScratch::new());
 }

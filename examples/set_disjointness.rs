@@ -11,6 +11,7 @@
 //! Section 6.1 at several space budgets and reports the measured
 //! space/online-work tradeoff, which should follow `S · T² ≈ N²`.
 
+use cqap_suite::common::work;
 use cqap_suite::prelude::*;
 use cqap_suite::query::workload::set_tuple_requests;
 
@@ -30,13 +31,14 @@ fn main() {
     for exponent in [0.5f64, 0.75, 1.0, 1.25, 1.5] {
         let budget = (n as f64).powf(exponent) as usize;
         let idx = SetDisjointnessIndex::build(&family, budget);
+        let before = work::total();
         let mut intersecting = 0usize;
         for &(a, b) in &pair_queries {
             if idx.intersects(a, b) {
                 intersecting += 1;
             }
         }
-        let avg_work = idx.counter.total() as f64 / pair_queries.len() as f64;
+        let avg_work = (work::total() - before) as f64 / pair_queries.len() as f64;
         let product = (idx.space_used().max(1) as f64) * avg_work * avg_work;
         println!(
             "{:>14} {:>14} {:>14.1} {:>16.3}",

@@ -5,7 +5,8 @@
 //! 2023). It re-exports the whole workspace under one roof so the examples,
 //! the integration tests and downstream users can depend on a single crate:
 //!
-//! * [`common`] — values, tuples, variable sets, exact rationals, hashing.
+//! * [`common`] — values, tuples, variable sets, exact rationals, hashing,
+//!   and the one count of online work `T` (`common::work`).
 //! * [`relation`] — relations, schemas, degree constraints, operators,
 //!   heavy/light splits.
 //! * [`query`] — hypergraphs, CQAPs, fractional edge covers, query families,

@@ -29,17 +29,20 @@
 //! its sibling PMTD `(T1245, S24)`, which materializes the bag's
 //! projection `S24`.
 //!
-//! The counts come from `cqap_panda::instrument` — rows emitted by the
-//! steps of the programs' join chains, two-seeded programs run per side —
-//! and are exact and machine-independent: no timing.
+//! The rows are the scans of `cqap_common::work`, the one count of `T`:
+//! rows emitted by the steps of the programs' join chains, plus the
+//! request's one tuple per answer (these plans probe no S-view). The
+//! programs run per side come from `cqap_panda::instrument`. Both are
+//! exact and machine-independent: no timing.
 
+use cqap_suite::common::work;
 use cqap_suite::decomp::families::{pmtds_3reach_all, pmtds_4reach};
 use cqap_suite::panda::{instrument, with_driver_scratch};
 use cqap_suite::prelude::*;
 use cqap_suite::query::workload::graph_pair_requests;
 
-/// Rows emitted and programs run per side while `index`'s one plan
-/// answers `requests`.
+/// Tuples scanned (chain rows plus each request's tuple) and programs run
+/// per side while `index`'s one plan answers `requests`.
 struct Counted {
     rows: u64,
     from_request: u64,
@@ -48,7 +51,7 @@ struct Counted {
 }
 
 fn count(index: &CqapIndex, requests: &[AccessRequest]) -> Counted {
-    let rows = instrument::chain_rows();
+    let rows = work::scans();
     let from_request = instrument::request_side_programs();
     let from_parent = instrument::parent_side_programs();
     let (plan, views) = (index.compiled().next().unwrap(), index.plans().next().unwrap().1);
@@ -58,7 +61,7 @@ fn count(index: &CqapIndex, requests: &[AccessRequest]) -> Counted {
         .map(|r| with_driver_scratch(|s| plan.answer(atom_indexes, views, r, s)).unwrap())
         .collect();
     Counted {
-        rows: instrument::chain_rows() - rows,
+        rows: work::scans() - rows,
         from_request: instrument::request_side_programs() - from_request,
         from_parent: instrument::parent_side_programs() - from_parent,
         answers,
