@@ -155,7 +155,8 @@ impl CqapIndex {
     /// preprocessed (semijoin-reduced, link-keyed, counted) S-views. This
     /// is the preprocessing output a second storage tier spills:
     /// `cqap-store` streams exactly these views to disk, keyed by the same
-    /// link variables, and clones them as its lineage's support counts.
+    /// link variables, and keeps them as its lineage's support counts —
+    /// cloned, or taken over by [`CqapIndex::into_parts`].
     pub fn plans(&self) -> impl Iterator<Item = (&OnlineYannakakis, &PreprocessedViews)> {
         self.plans.iter().map(|p| &p.evaluator).zip(&self.views)
     }
@@ -230,9 +231,25 @@ impl CqapIndex {
     /// The delta-maintenance state (delta chains, atom indexes). A second
     /// backend over the same preprocessing output (the disk spill in
     /// `cqap-store`) clones this, and the views of [`CqapIndex::plans`],
-    /// to maintain its own lineage.
+    /// to maintain its own lineage, or takes both over by
+    /// [`CqapIndex::into_parts`].
     pub fn maintenance(&self) -> &DeltaMaintenance {
         &self.maintenance
+    }
+
+    /// Hands the index over to a backend that replaces it (`cqap-store`'s
+    /// spill of an owned shard): the CQAP, the database, the compiled
+    /// pipelines, the counted S-views per plan and the delta maintenance
+    /// — what [`CqapIndex::cqap`], [`CqapIndex::database`],
+    /// [`CqapIndex::compiled`], [`CqapIndex::plans`] and
+    /// [`CqapIndex::maintenance`] show, moved instead of cloned, so the
+    /// `S`-sized views are never held twice. The evaluators are dropped.
+    pub fn into_parts(
+        self,
+    ) -> (Cqap, Database, Vec<std::sync::Arc<CompiledPmtd>>, Vec<PreprocessedViews>, DeltaMaintenance)
+    {
+        let compiled = self.plans.into_iter().map(|p| p.compiled).collect();
+        (self.cqap, self.db, compiled, self.views, self.maintenance)
     }
 
     /// Attaches a metrics sink to the index's delta maintenance:

@@ -30,6 +30,14 @@
 //! from [`StoredView::open`] — which is also the compaction validator, so
 //! a torn rewrite can never replace a valid run.
 //!
+//! Writing a run (a spill, or the overlay side of a compaction) first puts
+//! row positions in *run order* — link key, then the rest of the row — by
+//! a stable LSD radix sort: one counting pass per byte that some row
+//! varies in, column by column from the last, over a column gathered once
+//! into a flat buffer (two passes per column of ids below 2¹⁶; a few words
+//! per row of scratch, freed before encoding). Rows are distinct, so run
+//! order is total and the file is the one any correct sort would write.
+//!
 //! At open time the file is scanned (and fully validated) once. The scan
 //! keeps two pieces of resident state, neither of which is ever written
 //! to disk (the run format, its size and `S` do not depend on them):
@@ -510,24 +518,60 @@ impl<'a> RunWriter<'a> {
 }
 
 /// The positions `0..len` of the rows `row(at)`, sorted by (link key,
-/// row) — run order. Rows sharing a key differ only off the link, so the
-/// order is one lexicographic compare over the key columns, then the rest.
+/// row) — run order: lexicographic over the key columns, then the rest.
+///
+/// A stable LSD radix sort: the columns are sorted last to first, each
+/// by its bytes low to high, one counting pass per byte. A byte no row
+/// varies in (the column's OR and AND agree on it) gets no pass, so a
+/// column of ids below 2¹⁶ takes two passes, a full-range `u64` at most
+/// eight and a constant column none. Each column is gathered once, in
+/// the current order, into a flat key buffer that moves through the
+/// column's passes beside the positions, so a pass streams two arrays
+/// instead of chasing rows. The scratch beside the result — two keys and
+/// a position per row — is freed on return, before any encoding. Rows are
+/// distinct and the columns cover the whole row, so run order is a strict
+/// total order: the result is the one any correct sort gives, and a run
+/// is byte for byte what a comparison sort wrote.
 fn run_order<'r>(layout: &ColLayout, len: usize, row: impl Fn(usize) -> &'r [Val]) -> Vec<u32> {
-    let columns: Vec<usize> =
-        layout.key_positions.iter().chain(&layout.stored_positions).copied().collect();
     let mut order: Vec<u32> = (0..len as u32).collect();
-    order.sort_unstable_by(|&a, &b| {
-        let (a, b) = (row(a as usize), row(b as usize));
-        columns.iter().map(|&p| a[p]).cmp(columns.iter().map(|&p| b[p]))
-    });
+    let mut next_order = vec![0u32; len];
+    let (mut keys, mut next_keys) = (vec![0 as Val; len], vec![0 as Val; len]);
+    for &p in layout.key_positions.iter().chain(&layout.stored_positions).rev() {
+        let (mut any, mut all) = (0, Val::MAX);
+        for (key, &at) in keys.iter_mut().zip(&order) {
+            *key = row(at as usize)[p];
+            any |= *key;
+            all &= *key;
+        }
+        let varying = any ^ all;
+        for shift in (0..Val::BITS).step_by(8).filter(|&s| (varying >> s) & 0xff != 0) {
+            let digit = |key: Val| (key >> shift) as usize & 0xff;
+            let mut starts = [0usize; 256];
+            for &key in &keys {
+                starts[digit(key)] += 1;
+            }
+            let mut sum = 0;
+            for start in &mut starts {
+                (*start, sum) = (sum, sum + *start);
+            }
+            for (&key, &at) in keys.iter().zip(&order) {
+                let slot = &mut starts[digit(key)];
+                (next_keys[*slot], next_order[*slot]) = (key, at);
+                *slot += 1;
+            }
+            std::mem::swap(&mut keys, &mut next_keys);
+            std::mem::swap(&mut order, &mut next_order);
+        }
+    }
     order
 }
 
 /// Serializes the `len` distinct rows `row(0..len)` over `schema`, grouped
 /// and sorted by their projection onto `link`, to a new v2 compressed file
 /// at `path`. The rows stay where they are: only a vector of their
-/// positions is sorted ([`run_order`]) and each run of equal keys streams
-/// into the encoder as one record.
+/// positions is radix-sorted ([`run_order`], whose key buffers are freed
+/// before the encoder starts) and each run of equal keys streams into
+/// the encoder as one record.
 fn write_rows<'a>(
     path: &Path,
     schema: &Schema,
@@ -1853,6 +1897,56 @@ mod tests {
             PALETTE[rng.random_range(0..PALETTE.len())]
         } else {
             rng.random_range(0..6)
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// The radix sort is run order: the positions it returns equal a
+        /// comparison sort's by (key columns, then the rest). The codec
+        /// tests compare runs written through `run_order` with each other,
+        /// so this is the order's independent oracle. Values sit on both
+        /// sides of every byte boundary, and some rows differ from another
+        /// only in the top byte of one column.
+        #[test]
+        fn radix_run_order_is_the_comparison_order(
+            seed in 0u64..1_000_000,
+            arity in 0usize..6,
+            link_bits in 0u64..32,
+            rows in 0usize..3_001,
+        ) {
+            use rand::{Rng, SeedableRng};
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let mut palette = vec![0, Val::MAX];
+            for byte in 1..8 {
+                palette.extend([(1 << (8 * byte)) - 1, 1 << (8 * byte)]);
+            }
+            let mut seen = std::collections::HashSet::new();
+            let mut table: Vec<Vec<Val>> = Vec::new();
+            for _ in 0..rows {
+                let mut row: Vec<Val> =
+                    (0..arity).map(|_| palette[rng.random_range(0..palette.len())]).collect();
+                if arity > 0 && !table.is_empty() && rng.random_range(0..4) == 0 {
+                    row = table[rng.random_range(0..table.len())].clone();
+                    let col = rng.random_range(0..arity);
+                    row[col] = row[col] & !(0xff << 56) | rng.random_range(0..256u64) << 56;
+                }
+                if seen.insert(row.clone()) {
+                    table.push(row);
+                }
+            }
+            let link = VarSet(link_bits & ((1 << arity) - 1));
+            let layout = ColLayout::new(&Schema::of(0..arity), link).unwrap();
+            let columns: Vec<usize> =
+                layout.key_positions.iter().chain(&layout.stored_positions).copied().collect();
+            let mut expected: Vec<u32> = (0..table.len() as u32).collect();
+            expected.sort_unstable_by(|&a, &b| {
+                let (a, b) = (&table[a as usize], &table[b as usize]);
+                columns.iter().map(|&p| a[p]).cmp(columns.iter().map(|&p| b[p]))
+            });
+            let got = run_order(&layout, table.len(), |at| table[at].as_slice());
+            proptest::prop_assert_eq!(got, expected, "arity {}, link {:?}", arity, link);
         }
     }
 

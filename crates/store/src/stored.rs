@@ -14,12 +14,14 @@
 //! fence index and key filter — plus the support counts every maintenance lineage keeps
 //! ([`StoredIndex::resident_bytes`] is the honest total).
 //!
-//! Those counts are a clone, taken at spill time, of the source index's
-//! counted S-views — the same `S`-sized link-keyed tables the hot index
-//! probes, so a cold lineage is resident at the hot figure *plus* its
-//! fences and overlays, and a view whose link is a proper part of its row
-//! carries its key chains along (+8 B per row and the chain heads) though
-//! nothing cold probes them. That stands until the counts themselves
+//! Those counts are the source index's counted S-views — moved over when
+//! the source is given up (a tiered index's cold shard,
+//! [`StoredIndex::build`]), cloned exact-fit by [`StoredIndex::spill`] —
+//! the same `S`-sized link-keyed tables the hot index probes, so a cold
+//! lineage is resident at the hot figure *plus* its fences and overlays,
+//! and a view whose link is a proper part of its row carries its key
+//! chains along (+8 B per row and the chain heads) though nothing cold
+//! probes them. That stands until the counts themselves
 //! move to disk (ROADMAP open item 4(b)).
 
 use std::path::{Path, PathBuf};
@@ -194,7 +196,7 @@ impl SViewProbe for StoredViews {
 /// same online algorithm, answers identical to [`CqapIndex`] — but the
 /// space budget `S` is spent on the cold tier. What stays resident is the
 /// fence indexes, key filters and pending delta overlays of the views,
-/// this lineage's support counts (a clone of the source's counted S-views: one 4-byte
+/// this lineage's support counts (the source's counted S-views: one 4-byte
 /// count per stored view row on top of a compact copy of the row — what
 /// keeps `apply_delta` proportional to the delta without reading the runs
 /// back), and the `O(|D|)` state every backend keeps: the input database
@@ -210,16 +212,17 @@ pub struct StoredIndex {
     /// one — only the probes behind `SViewProbe` change.
     compiled: Vec<std::sync::Arc<cqap_panda::CompiledPmtd>>,
     /// This lineage's support counts, per plan: the source index's
-    /// counted S-views cloned at spill time, edited by `maintenance` and
-    /// never probed (counted in [`StoredIndex::resident_bytes`]).
+    /// counted S-views, moved or cloned at spill time, edited by
+    /// `maintenance` and never probed (counted in
+    /// [`StoredIndex::resident_bytes`]).
     counts: Vec<PreprocessedViews>,
-    /// This backend's own maintenance lineage (cloned from the source
-    /// index at spill time): compiled delta plans and the atom indexes
-    /// the pipelines above probe — shared with the source by `Arc`, so
-    /// they exist once per deployment until either side applies a delta
-    /// and its touched indexes diverge copy-on-write. (Like the retained
-    /// database, the atom indexes are `O(|D|)` state outside the
-    /// S-accounting.)
+    /// This backend's own maintenance lineage (moved or cloned from the
+    /// source index at spill time): compiled delta plans and the atom
+    /// indexes the pipelines above probe — a clone shares them with the
+    /// source by `Arc`, so they exist once per deployment until either
+    /// side applies a delta and its touched indexes diverge
+    /// copy-on-write. (Like the retained database, the atom indexes are
+    /// `O(|D|)` state outside the S-accounting.)
     maintenance: DeltaMaintenance,
     // Declared last: removes the spill directory after the views above
     // have deleted their files.
@@ -232,32 +235,60 @@ impl StoredIndex {
     /// missing). The returned index owns the files — they are deleted when
     /// it drops, and `dir` itself is removed if that leaves it empty.
     ///
+    /// `index` stays as it was: its parts are cloned (the counts
+    /// exact-fit) and spilled by the path a tiered index's owned cold
+    /// shard takes without the clone.
+    ///
     /// # Errors
     /// Fails on I/O errors.
     pub fn spill(index: &CqapIndex, dir: impl AsRef<Path>) -> Result<StoredIndex> {
-        let dir = dir.as_ref();
+        let parts = (
+            index.cqap().clone(),
+            index.database().clone(),
+            index.compiled().cloned().collect(),
+            index.plans().map(|(_, pre)| pre.clone()).collect(),
+            index.maintenance().clone(),
+        );
+        StoredIndex::spill_parts(parts, dir.as_ref())
+    }
+
+    /// The one spill path: writes every plan's views under `dir` and
+    /// keeps the parts of an index ([`CqapIndex::into_parts`], or their
+    /// clones) as this lineage's own — the counted S-views become its
+    /// support counts, so parts handed over are never copied.
+    pub(crate) fn spill_parts(
+        (cqap, db, compiled, counts, maintenance): (
+            Cqap,
+            Database,
+            Vec<std::sync::Arc<cqap_panda::CompiledPmtd>>,
+            Vec<PreprocessedViews>,
+            DeltaMaintenance,
+        ),
+        dir: &Path,
+    ) -> Result<StoredIndex> {
         std::fs::create_dir_all(dir).map_err(|e| {
             CqapError::Other(format!("cannot create spill dir {}: {e}", dir.display()))
         })?;
-        let (mut plans, mut counts) = (Vec::new(), Vec::new());
-        for (i, (_, pre)) in index.plans().enumerate() {
-            plans.push(StoredViews::spill(pre, dir, &format!("plan{i}"))?);
-            counts.push(pre.clone());
-        }
+        let plans = counts
+            .iter()
+            .enumerate()
+            .map(|(i, pre)| StoredViews::spill(pre, dir, &format!("plan{i}")))
+            .collect::<Result<_>>()?;
         Ok(StoredIndex {
-            cqap: index.cqap().clone(),
-            db: index.database().clone(),
+            cqap,
+            db,
             plans,
-            compiled: index.compiled().cloned().collect(),
+            compiled,
             counts,
-            maintenance: index.maintenance().clone(),
+            maintenance,
             _dir: DirCleanup(dir.to_path_buf()),
         })
     }
 
     /// Runs the full preprocessing phase and spills the result: equivalent
-    /// to `CqapIndex::build` followed by [`StoredIndex::spill`] (the
-    /// in-memory views are dropped once written).
+    /// to `CqapIndex::build` followed by [`StoredIndex::spill`], except
+    /// that the built index is handed over rather than cloned: its
+    /// counted S-views become the lineage's support counts.
     ///
     /// # Errors
     /// Propagates build failures (mismatched PMTDs, empty PMTD set) and
@@ -268,8 +299,7 @@ impl StoredIndex {
         pmtds: &[Pmtd],
         dir: impl AsRef<Path>,
     ) -> Result<StoredIndex> {
-        let index = CqapIndex::build(cqap, db, pmtds)?;
-        StoredIndex::spill(&index, dir)
+        StoredIndex::spill_parts(CqapIndex::build(cqap, db, pmtds)?.into_parts(), dir.as_ref())
     }
 
     /// [`StoredIndex::build`] into a fresh process-unique directory under

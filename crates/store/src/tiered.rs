@@ -237,7 +237,10 @@ impl TieredShardedIndex {
     /// Applies an explicit per-shard placement to an already built
     /// [`ShardedIndex`], consuming it: hot shards keep their in-memory
     /// index, cold shards are spilled under `<dir>/shard<i>` and the
-    /// in-memory copy is released.
+    /// in-memory copy is released. A cold shard whose `Arc` only
+    /// `sharded` held is handed over whole, its counted S-views becoming
+    /// the cold support counts; one still shared elsewhere is cloned and
+    /// left to its other holders.
     ///
     /// # Errors
     /// Fails if `placement` does not have exactly one entry per shard, or
@@ -263,10 +266,11 @@ impl TieredShardedIndex {
             shards.push(match tier {
                 ShardTier::Hot => TierShard::Hot(index),
                 ShardTier::Cold => {
-                    let stored = StoredIndex::spill(&index, dir.join(format!("shard{i}")))?;
-                    // `index` drops here: the cold shard's in-memory
-                    // S-views are released.
-                    TierShard::Cold(stored)
+                    let dir = dir.join(format!("shard{i}"));
+                    TierShard::Cold(match Arc::try_unwrap(index) {
+                        Ok(owned) => StoredIndex::spill_parts(owned.into_parts(), &dir)?,
+                        Err(shared) => StoredIndex::spill(&shared, &dir)?,
+                    })
                 }
             });
         }
@@ -806,5 +810,54 @@ mod tests {
                 "after the re-apply"
             );
         }
+    }
+
+    #[test]
+    fn a_shared_cold_shard_is_cloned_an_owned_one_moved_and_both_maintain() {
+        use crate::stored::tests::compacting_batch;
+        use cqap_obs::CounterId;
+
+        let (cqap, pmtds, g, db, _) = fixture();
+        let sharded = ShardedIndex::build(&cqap, &db, &pmtds, 2).unwrap();
+        // Another holder keeps shard 0, so its spill clones; shard 1 is
+        // only the sharded index's and is handed over whole.
+        let held = Arc::clone(&sharded.shards()[0]);
+        let held_counts: Vec<_> = held.support_counts().map(|(p, n, c)| (p, n, c.clone())).collect();
+        let dir = scratch_dir("spill-paths");
+        let mut tiered =
+            TieredShardedIndex::from_sharded(sharded, &[ShardTier::Cold, ShardTier::Cold], &dir)
+                .unwrap();
+        let sink = MetricsSink::recording();
+        tiered.set_metrics_sink(sink.clone()).unwrap();
+
+        let requests: Vec<AccessRequest> = graph_pair_requests(&g, 60, 53)
+            .into_iter()
+            .chain([(9_000, 9_300), (9_001, 9_300)])
+            .map(|(u, v)| AccessRequest::single(cqap.access(), &[u, v]).unwrap())
+            .collect();
+        let check = |tiered: &TieredShardedIndex, db: &Database, when: &str| {
+            for request in &requests {
+                let expected = naive_answer(&cqap, db, request).unwrap();
+                assert_eq!(tiered.answer(request).unwrap(), expected, "{when}");
+            }
+            let rebuilt = ShardedIndex::build(&cqap, db, &pmtds, 2).unwrap();
+            for (shard, rebuilt) in tiered.shards.iter().zip(rebuilt.shards()) {
+                let TierShard::Cold(stored) = shard else { panic!("both shards are cold") };
+                assert!(stored.support_counts().eq(rebuilt.support_counts()), "{when}");
+            }
+        };
+        check(&tiered, &db, "as spilled");
+        assert!(tiered.observed_loads().iter().all(|&load| load > 0), "both shards answer");
+
+        let batch = compacting_batch(&db);
+        tiered.apply_delta(&batch).unwrap();
+        assert!(sink.snapshot().unwrap().counter(CounterId::Compactions) > 0);
+        let mut after = db.clone();
+        after.apply_delta(&batch).unwrap();
+        check(&tiered, &after, "after the compacting batch");
+        // The clone left the other holder's shard as it was.
+        assert!(held.support_counts().eq(held_counts.iter().map(|(p, n, c)| (*p, *n, c))));
+        drop(tiered);
+        let _ = std::fs::remove_dir(&dir);
     }
 }

@@ -103,11 +103,14 @@ fn resident_bytes_stay_within_four_and_a_half_times_the_stored_values() {
         );
     }
 
-    // A cold lineage keeps fences and its own support counts: a clone of
-    // the hot tables (exact-fit, where the originals carry up to an eighth
-    // of growth slack in their vectors), so it is resident at the hot
-    // figure plus a fence index — a small fraction of it, and at least the
-    // fence keys themselves (no overlay is pending right after a spill).
+    // A cold lineage keeps fences and its own support counts. Spilled by
+    // reference, as here, the counts are a clone of the hot tables
+    // (exact-fit, where the originals carry up to an eighth of growth
+    // slack in their vectors); a tiered index's cold shard moves the
+    // originals instead, slack and all. Either way the lineage is resident
+    // at the hot figure plus a fence index — a small fraction of it, and
+    // at least the fence keys themselves (no overlay is pending right
+    // after a spill).
     let stored = StoredIndex::spill(&index, scratch_dir("resident-cost")).unwrap();
     let hot = index.resident_bytes();
     drop(index);
