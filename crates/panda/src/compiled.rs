@@ -133,7 +133,8 @@ pub struct DriverScratch {
     /// Reused projection buffer of the T-view programs.
     vals: Vec<Val>,
     /// Deduplication memo: of the seed of a multi-tuple request, then of
-    /// the parent's link keys or an uncovered bag's final projection.
+    /// the parent's link keys or an uncovered bag's final projection, and
+    /// of a request's bindings when the union's stop rule counts them.
     memo: KeyMemo<()>,
     /// Pooled per-program output runs.
     slot_runs: Vec<ColumnRun>,
@@ -540,11 +541,62 @@ fn project_final(rel: Relation, target: VarSet) -> Result<Relation> {
     rel.project_onto(target)
 }
 
-/// The compiled driver loop over any S-view backend: runs every PMTD's
-/// pipeline against the backend's live `atom_indexes`, unions the per-PMTD
-/// answers, and projects onto `declared_head ∪ access` — used by
+/// The order the framework union runs a plan set in: plan positions by
+/// ascending T-view program count — the plan that joins the fewest bags
+/// per request first — ties in the given order. For the Figure-1 set
+/// `[(T134, T123), (T134, S13), (S14)]` it is `[2, 1, 0]`.
+///
+/// Computed once per index, at build or spill: a request iterates it and
+/// neither allocates nor sorts for it. The indexes keep the given order
+/// in what they show (`plans()`, `compiled()`).
+pub fn union_order<'a>(plans: impl IntoIterator<Item = &'a CompiledPmtd>) -> Vec<usize> {
+    let t_views: Vec<usize> = plans.into_iter().map(|p| p.programs.len()).collect();
+    let mut order: Vec<usize> = (0..t_views.len()).collect();
+    order.sort_by_key(|&i| t_views[i]);
+    order
+}
+
+/// Whether `held` answer tuples of a Boolean-given-access CQAP — each a
+/// binding of `request` — are every distinct binding of it. Bindings are
+/// counted (once, into `distinct`) only for a request that repeats one;
+/// the count reads the request, not the index, and adds nothing to `T`.
+fn holds_every_binding(
+    held: usize,
+    request: &AccessRequest,
+    distinct: &mut Option<usize>,
+    memo: &mut KeyMemo<()>,
+) -> bool {
+    if held == request.len() {
+        return true;
+    }
+    if held == 0 {
+        return false;
+    }
+    let distinct = *distinct.get_or_insert_with(|| {
+        memo.clear();
+        let tuples = request.tuples().iter();
+        tuples.filter(|t| memo.insert_if_absent(hash_vals(t.as_slice()), t.as_slice())).count()
+    });
+    held == distinct
+}
+
+/// The compiled driver loop over any S-view backend: runs the PMTDs'
+/// pipelines against the backend's live `atom_indexes`, unions the
+/// per-PMTD answers, and projects onto `declared_head ∪ access` — used by
 /// `CqapIndex` (in-memory views) and `cqap-store`'s `StoredIndex` (disk
-/// views), so the backends cannot silently diverge.
+/// views), so the backends cannot silently diverge. Both pass `plans` in
+/// their [`union_order`].
+///
+/// **Stop rule.** When the CQAP is Boolean given its access pattern
+/// (k-reachability, the square, set disjointness), every answer tuple is
+/// a binding of the request and the union only grows, so once it holds
+/// every distinct binding no later plan can add a tuple: the loop stops
+/// there. The check runs after a plan, never before the first (an empty
+/// request gets the first plan's empty answer, schema included), and it
+/// assumes nothing about any one plan being complete — it holds at every
+/// `S`, under any split of the database into sub-instances. A
+/// non-Boolean CQAP, or a request with a binding still unanswered, runs
+/// every plan.
 ///
 /// # Errors
 /// Fails for an empty plan set, and propagates evaluation errors.
@@ -558,16 +610,23 @@ where
     V: SViewProbe + 'a,
     I: IntoIterator<Item = (&'a CompiledPmtd, &'a V)>,
 {
+    let stops = cqap.is_boolean_given_access();
     with_driver_scratch(|scratch| {
         let mut acc: Option<Relation> = None;
+        let mut distinct = None;
         for (plan, views) in plans {
             let part = plan.answer(atom_indexes, views, request, scratch)?;
-            acc = Some(match acc {
+            let union = match acc {
                 None => part,
                 // Both sides are owned: the larger moves, the smaller's
                 // tuples are inserted — no relation clone.
                 Some(prev) => prev.union_with(part)?,
-            });
+            };
+            let held = union.len();
+            acc = Some(union);
+            if stops && holds_every_binding(held, request, &mut distinct, &mut scratch.memo) {
+                break;
+            }
         }
         let result = acc.ok_or_else(|| {
             CqapError::InvalidQuery("the framework needs at least one PMTD".into())

@@ -13,8 +13,12 @@
 //! for the incoming access request — joining only the atoms of each
 //! non-materialized bag, restricted by the request, through the same
 //! chain — runs Online Yannakakis per PMTD, and unions the results across
-//! PMTDs. The oracle's join (`naive::full_join`) is left to the oracle,
-//! `naive_answer`, which every answer here is tested against.
+//! PMTDs, fewest T-views first ([`union_order`]). For a CQAP that is
+//! Boolean given its access pattern the union stops at the first plan
+//! after which it holds every binding of the request: every answer tuple
+//! is a binding, so no later PMTD could add one. The oracle's join
+//! (`naive::full_join`) is left to the oracle, `naive_answer`, which every
+//! answer here is tested against.
 //!
 //! The engine is *correct for every CQAP and PMTD set* and its space usage
 //! is exactly the S-view sizes; its online time is not always the optimum
@@ -36,7 +40,7 @@ use cqap_query::{AccessRequest, Cqap};
 use cqap_relation::{Database, KeyedRows, Relation};
 use cqap_yannakakis::{OnlineYannakakis, PreprocessedViews};
 
-use crate::compiled::{answer_with_compiled, CompiledPmtd};
+use crate::compiled::{answer_with_compiled, union_order, CompiledPmtd};
 use crate::delta::DeltaMaintenance;
 
 /// The relation name stamped onto answers produced by
@@ -52,6 +56,9 @@ pub struct CqapIndex {
     /// Per plan, its counted S-views: probed by [`CqapIndex::answer`],
     /// edited by `maintenance` — the one `S`-sized table per (plan, node).
     views: Vec<PreprocessedViews>,
+    /// Plan positions in the order [`CqapIndex::answer`] unions them
+    /// ([`union_order`]), fixed at build.
+    order: Vec<usize>,
     maintenance: DeltaMaintenance,
 }
 
@@ -104,11 +111,13 @@ impl CqapIndex {
                 compiled: std::sync::Arc::new(compiled),
             });
         }
+        let order = union_order(plans.iter().map(|p| p.compiled.as_ref()));
         Ok(CqapIndex {
             cqap: cqap.clone(),
             db: db.clone(),
             plans,
             views,
+            order,
             maintenance,
         })
     }
@@ -151,18 +160,20 @@ impl CqapIndex {
         &self.db
     }
 
-    /// The per-PMTD plans — each an Online-Yannakakis evaluator plus its
-    /// preprocessed (semijoin-reduced, link-keyed, counted) S-views. This
-    /// is the preprocessing output a second storage tier spills:
-    /// `cqap-store` streams exactly these views to disk, keyed by the same
-    /// link variables, and keeps them as its lineage's support counts —
-    /// cloned, or taken over by [`CqapIndex::into_parts`].
+    /// The per-PMTD plans, in the order of the build's PMTDs — each an
+    /// Online-Yannakakis evaluator plus its preprocessed (semijoin-reduced,
+    /// link-keyed, counted) S-views. This is the preprocessing output a
+    /// second storage tier spills: `cqap-store` streams exactly these views
+    /// to disk, keyed by the same link variables, and keeps them as its
+    /// lineage's support counts — cloned, or taken over by
+    /// [`CqapIndex::into_parts`].
     pub fn plans(&self) -> impl Iterator<Item = (&OnlineYannakakis, &PreprocessedViews)> {
         self.plans.iter().map(|p| &p.evaluator).zip(&self.views)
     }
 
-    /// The per-PMTD compiled pipelines (T-view programs + probe plans) —
-    /// what [`CqapIndex::answer`] executes. A second backend over the same
+    /// The per-PMTD compiled pipelines (T-view programs + probe plans), in
+    /// the order of the build's PMTDs — what [`CqapIndex::answer`]
+    /// executes, in its [`union_order`]. A second backend over the same
     /// preprocessing output (e.g. `cqap-store`'s disk spill) shares these
     /// by `Arc` instead of recompiling, and answers them against its clone
     /// of [`CqapIndex::maintenance`]'s atom indexes.
@@ -176,8 +187,16 @@ impl CqapIndex {
     }
 
     /// Online phase: answers an access request by running Online Yannakakis
-    /// for every PMTD and unioning the per-PMTD answers (Section 4.3),
+    /// per PMTD and unioning the per-PMTD answers (Section 4.3),
     /// projected onto the CQAP's declared head.
+    ///
+    /// The PMTDs run fewest T-views first ([`union_order`]: for the
+    /// Figure-1 set `(S14)`, then `(T134, S13)`, then `(T134, T123)`).
+    /// When the CQAP is Boolean given its access pattern, the union stops
+    /// after the first plan at which it holds every distinct binding of
+    /// the request — exact at every `S`, because the answer is a subset of
+    /// the request and the union only grows. A non-Boolean CQAP, or a
+    /// request with a binding still unanswered, runs every plan.
     ///
     /// Requests run through the **compiled columnar** pipeline: per-request
     /// work is the T-view programs' join chains over the live atom indexes
@@ -191,14 +210,20 @@ impl CqapIndex {
         answer_with_compiled(
             &self.cqap,
             self.maintenance.atom_indexes(),
-            self.plans.iter().map(|p| p.compiled.as_ref()).zip(&self.views),
+            self.order.iter().map(|&i| (self.plans[i].compiled.as_ref(), &self.views[i])),
             request,
         )
     }
 
     /// Graceful-degradation online phase: answers from the single
-    /// *cheapest* plan — the PMTD with the most materialized values,
-    /// hence the least online work — skipping the cross-PMTD union.
+    /// *cheapest* plan — the first of [`CqapIndex::answer`]'s
+    /// [`union_order`], the PMTD with the fewest T-views — skipping the
+    /// rest of the union.
+    ///
+    /// Its only saving over [`CqapIndex::answer`] is on requests with a
+    /// binding that plan leaves unanswered: for a CQAP Boolean given its
+    /// access pattern, `answer` already stops after this plan once every
+    /// binding is answered.
     ///
     /// Every PMTD of the set is built over the whole database at
     /// `S = ∞`, so each answers the CQAP completely on its own and the
@@ -213,16 +238,11 @@ impl CqapIndex {
     /// # Errors
     /// Propagates the plan's evaluation errors.
     pub fn answer_degraded(&self, request: &AccessRequest) -> Result<Relation> {
-        let (plan, views) = self
-            .plans
-            .iter()
-            .zip(&self.views)
-            .max_by_key(|(_, views)| views.stored_values())
-            .expect("build requires at least one PMTD");
+        let first = self.order[0];
         let answer = answer_with_compiled(
             &self.cqap,
             self.maintenance.atom_indexes(),
-            std::iter::once((plan.compiled.as_ref(), views)),
+            std::iter::once((self.plans[first].compiled.as_ref(), &self.views[first])),
             request,
         )?;
         Ok(answer.with_name(DEGRADED_ANSWER_NAME))
@@ -357,6 +377,27 @@ mod tests {
         let db2 = g.as_path_database(2);
         assert!(CqapIndex::build(&cqap2, &db2, &pmtds3).is_err());
         assert!(CqapIndex::build(&cqap3, &db2, &[]).is_err());
+    }
+
+    #[test]
+    fn the_union_runs_fewest_t_views_first_and_degrades_to_its_first_plan() {
+        // The Figure-1 set is given as (T134, T123), (T134, S13), (S14):
+        // two T-views, one, none. The union runs it backwards, `plans()`
+        // and `compiled()` keep the given order, and the degraded answer
+        // comes from (S14), the plan with the most stored values.
+        let (cqap, pmtds) = pf::pmtds_3reach_fig1().unwrap();
+        let g = Graph::random(30, 120, 51);
+        let index = CqapIndex::build(&cqap, &g.as_path_database(3), &pmtds).unwrap();
+        assert_eq!(index.order, [2, 1, 0]);
+        let stored: Vec<usize> = index.plans().map(|(_, views)| views.stored_values()).collect();
+        assert_eq!(stored[0], 0);
+        assert!(stored[2] > stored[1] && stored[1] > 0, "{stored:?}");
+        for (u, v) in graph_pair_requests(&g, 20, 53) {
+            let req = AccessRequest::single(cqap.access(), &[u, v]).unwrap();
+            let degraded = index.answer_degraded(&req).unwrap();
+            assert_eq!(degraded.name(), DEGRADED_ANSWER_NAME);
+            assert_eq!(degraded, index.answer(&req).unwrap());
+        }
     }
 
     #[test]

@@ -72,7 +72,8 @@ pub mod rules;
 
 pub use analysis::{figure4a_curve, figure4b_curve, goldstein_baseline, table1_3reach, RuleReport};
 pub use compiled::{
-    answer_with_compiled, with_driver_scratch, AtomIndexCache, CompiledPmtd, DriverScratch,
+    answer_with_compiled, union_order, with_driver_scratch, AtomIndexCache, CompiledPmtd,
+    DriverScratch,
 };
 pub use delta::DeltaMaintenance;
 pub use driver::{CqapIndex, DEGRADED_ANSWER_NAME};

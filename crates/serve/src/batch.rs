@@ -89,7 +89,7 @@ impl BatchAnswer for CqapIndex {
     }
 
     /// Past the runtime's overload watermark the driver answers from its
-    /// single cheapest PMTD (most materialization, least online work);
+    /// single cheapest PMTD (the first its union runs: fewest T-views);
     /// the answer relation is renamed to
     /// [`DEGRADED_ANSWER_NAME`](cqap_panda::DEGRADED_ANSWER_NAME).
     fn answer_degraded(&self, request: &Self::Request) -> Option<Result<Self::Answer>> {

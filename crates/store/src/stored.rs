@@ -211,6 +211,9 @@ pub struct StoredIndex {
     /// disk backend executes the *same* compiled plans as the in-memory
     /// one — only the probes behind `SViewProbe` change.
     compiled: Vec<std::sync::Arc<cqap_panda::CompiledPmtd>>,
+    /// Plan positions in the order [`StoredIndex::answer`] unions them
+    /// ([`cqap_panda::union_order`]), fixed at spill.
+    order: Vec<usize>,
     /// This lineage's support counts, per plan: the source index's
     /// counted S-views, moved or cloned at spill time, edited by
     /// `maintenance` and never probed (counted in
@@ -274,11 +277,13 @@ impl StoredIndex {
             .enumerate()
             .map(|(i, pre)| StoredViews::spill(pre, dir, &format!("plan{i}")))
             .collect::<Result<_>>()?;
+        let order = cqap_panda::union_order(compiled.iter().map(AsRef::as_ref));
         Ok(StoredIndex {
             cqap,
             db,
             plans,
             compiled,
+            order,
             counts,
             maintenance,
             _dir: DirCleanup(dir.to_path_buf()),
@@ -407,8 +412,12 @@ impl StoredIndex {
     /// Online phase: identical to [`CqapIndex::answer`] — literally the
     /// same compiled columnar driver loop
     /// ([`cqap_panda::answer_with_compiled`]) executing the same
-    /// [`cqap_panda::CompiledPmtd`] pipelines — with every S-view probe
-    /// served from disk, decoded column-directly out of the segment reads.
+    /// [`cqap_panda::CompiledPmtd`] pipelines in the same
+    /// [`cqap_panda::union_order`], fewest T-views first, under the same
+    /// stop rule (a CQAP Boolean given its access pattern ends the union
+    /// at the first plan after which it holds every binding of the
+    /// request) — with every S-view probe served from disk, decoded
+    /// column-directly out of the segment reads.
     ///
     /// # Errors
     /// The same validation failures as the in-memory driver, plus I/O
@@ -417,7 +426,7 @@ impl StoredIndex {
         cqap_panda::answer_with_compiled(
             &self.cqap,
             self.maintenance.atom_indexes(),
-            self.compiled.iter().map(AsRef::as_ref).zip(&self.plans),
+            self.order.iter().map(|&i| (self.compiled[i].as_ref(), &self.plans[i])),
             request,
         )
     }

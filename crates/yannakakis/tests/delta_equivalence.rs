@@ -611,8 +611,26 @@ fn check_both_seeds(
     check(&index, "after the delta");
 }
 
+/// `requests`, then each of them again with `nowhere`, a binding with no
+/// answer, added. The union of a Boolean-given-access CQAP stops once
+/// every binding is answered — here mostly after a plan without the
+/// two-seeded programs — so only a request with an unanswered binding
+/// runs those programs over its other bindings.
+fn and_with_a_miss(mut requests: Vec<AccessRequest>, nowhere: Tuple) -> Vec<AccessRequest> {
+    let missed: Vec<AccessRequest> = requests
+        .iter()
+        .map(|request| {
+            let tuples = request.tuples().iter().cloned().chain([nowhere.clone()]).collect();
+            AccessRequest::new(request.access(), tuples).unwrap()
+        })
+        .collect();
+    requests.extend(missed);
+    requests
+}
+
 /// Single-tuple, multi-tuple and duplicate-binding requests over a graph's
-/// endpoints (raw zipf ids: the hubs of a skewed graph are its low ids).
+/// endpoints (raw zipf ids: the hubs of a skewed graph are its low ids),
+/// each also with a binding off the graph ([`and_with_a_miss`]).
 fn mixed_requests(cqap: &Cqap, graph: &Graph, seed: u64) -> Vec<AccessRequest> {
     let mut requests = requests_for(cqap, graph, seed);
     let pairs = graph_pair_requests(graph, 14, seed ^ 0xd0b1e);
@@ -627,7 +645,8 @@ fn mixed_requests(cqap: &Cqap, graph: &Graph, seed: u64) -> Vec<AccessRequest> {
         let tuples = vec![Tuple::pair(u, v), Tuple::pair(u, v), Tuple::pair(u, other)];
         requests.push(AccessRequest::new(cqap.access(), tuples).unwrap());
     }
-    requests
+    let off = graph.num_vertices as u64;
+    and_with_a_miss(requests, binding(cqap, (off, off)))
 }
 
 /// The families whose plans hold a T-view under a T-parent, on skewed
@@ -688,6 +707,7 @@ fn both_seeds_agree_with_the_references() {
             }
             requests.push(AccessRequest::new(cqap.access(), tuples).unwrap());
         }
+        let requests = and_with_a_miss(requests, Tuple::from_slice(&[4, 4, 4, 4]));
         let gone: Vec<Tuple> = db.relation("S").unwrap().tuples().iter().step_by(7).cloned().collect();
         let batch = DeltaBatch::new()
             .delete("S", gone)

@@ -9,6 +9,7 @@ use cqap_suite::panda::analysis::{
 use cqap_suite::panda::rules::minimal_rules;
 use cqap_suite::prelude::*;
 use cqap_suite::query::workload::graph_pair_requests;
+use cqap_suite::store::{scratch_dir, StoredIndex};
 use proptest::prelude::*;
 
 #[test]
@@ -24,6 +25,19 @@ fn three_reach_pipeline_matches_naive_on_skewed_graph() {
             naive_answer(&cqap, &db, &request).unwrap(),
             "request ({u},{v})"
         );
+    }
+
+    // Edge requests, on both backends: no binding at all (the union still
+    // runs its first plan and answers empty, with the head's schema), and
+    // a binding given twice beside one given once.
+    let stored = StoredIndex::spill(&index, scratch_dir("framework-edge")).unwrap();
+    let (u, v) = graph.edges[0];
+    let twice = [Tuple::pair(u, v), Tuple::pair(v, u), Tuple::pair(u, v)];
+    for tuples in [Vec::new(), twice.to_vec()] {
+        let request = AccessRequest::new(cqap.access(), tuples).unwrap();
+        let expected = naive_answer(&cqap, &db, &request).unwrap();
+        assert_eq!(index.answer(&request).unwrap(), expected, "{} binding(s)", request.len());
+        assert_eq!(stored.answer(&request).unwrap(), expected, "{} binding(s)", request.len());
     }
 }
 
