@@ -85,8 +85,8 @@
 //!
 //! A [`CompiledPmtd`] pairs these programs with the
 //! [`CompiledPlan`] for the PMTD; [`answer_with_compiled`] is the driver
-//! loop shared by every backend (in-memory `CqapIndex`, `cqap-store`'s
-//! disk-resident `StoredIndex`).
+//! loop shared by both places a `CqapIndex`'s S-views live (resident, or
+//! spilled to `cqap-store`'s disk-resident runs).
 
 use std::cell::RefCell;
 use std::sync::Arc;
@@ -156,9 +156,8 @@ impl DriverScratch {
 /// indexes in place instead of evicting and rebuilding them.
 ///
 /// Cloning shares every index by `Arc` and keeps the slot numbering, so a
-/// second backend over the same preprocessing output (the disk spill)
-/// keeps executing the source's compiled pipelines against its own copy
-/// of the table; the first delta on either side copies a touched index
+/// copy of an index (the one `CqapIndex::spill` writes) keeps executing
+/// the source's compiled pipelines against its own copy of the table; the first delta on either side copies a touched index
 /// once (`Arc::make_mut`) and the lineages diverge from there.
 #[derive(Clone, Debug, Default)]
 pub struct AtomIndexCache {
@@ -368,7 +367,7 @@ impl TViewProgram {
 /// the compiled Online-Yannakakis plan, sharing one fixed set of schemas.
 ///
 /// Compiled once per plan at index build time and shared by `Arc` when a
-/// second backend (e.g. a disk spill) reuses the same preprocessing
+/// copy of the index (e.g. a disk spill) reuses the same preprocessing
 /// output. It holds no database content — the programs read the live
 /// [`AtomIndexCache`] and the plan probes the live S-views — so no delta
 /// leaves it stale and it is never recompiled.
@@ -583,9 +582,9 @@ fn holds_every_binding(
 /// The compiled driver loop over any S-view backend: runs the PMTDs'
 /// pipelines against the backend's live `atom_indexes`, unions the
 /// per-PMTD answers, and projects onto `declared_head ∪ access` — used by
-/// `CqapIndex` (in-memory views) and `cqap-store`'s `StoredIndex` (disk
-/// views), so the backends cannot silently diverge. Both pass `plans` in
-/// their [`union_order`].
+/// `CqapIndex` over its in-memory views and over its spilled
+/// `cqap-store` views alike, so the two cannot silently diverge. Both
+/// pass `plans` in the index's [`union_order`].
 ///
 /// **Stop rule.** When the CQAP is Boolean given its access pattern
 /// (k-reachability, the square, set disjointness), every answer tuple is

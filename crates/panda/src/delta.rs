@@ -22,13 +22,13 @@
 //! link, so the table the online phase probes is the table a delta edits
 //! — one `S`-sized table per (plan, node) per lineage, one random-access
 //! edit per `ΔJ` row and view, and nothing to copy the edit into. The
-//! backend owns the tables (`CqapIndex` serves from them; a spilled
-//! `StoredIndex` keeps a clone as its counts beside the runs it probes)
+//! backend owns the tables (`CqapIndex` serves from them; once spilled,
+//! it keeps them as its counts beside the runs it probes)
 //! and lends them to [`DeltaMaintenance::build`] / [`DeltaMaintenance::apply`]
 //! by `&mut`; this module keeps only what expands a delta: the chains and
 //! the atom indexes. A view row whose count crosses zero goes to the
 //! caller's sink `(plan, node, row, entered)` as it crosses, never into a
-//! list: the in-memory index passes a no-op, the cold tier its overlays.
+//! list: a resident index passes a no-op, a spilled one its overlays.
 //!
 //! Each atom's term is one `JoinChain` (the chain type of the T-view
 //! programs, compiled once at build time) seeded with that atom's net
@@ -204,8 +204,8 @@ impl CountEdits {
 /// backend's compiled pipelines answer against. The counted S-views a
 /// delta edits are the backend's (see the module docs).
 ///
-/// Cloneable so a second backend over the same preprocessing output (the
-/// disk spill in `cqap-store`) carries its own maintenance lineage; the
+/// Cloneable so a copy of an index (the one `CqapIndex::spill` writes)
+/// carries its own maintenance lineage; the
 /// atom indexes are `Arc`-shared until a delta diverges them (one
 /// copy-on-write per touched index).
 #[derive(Clone, Debug)]

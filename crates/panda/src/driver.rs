@@ -33,42 +33,50 @@
 //! seeds over the *whole* database — the shadow of the paper's partition
 //! into heavy and light sub-instances, not the partition.
 
-use cqap_common::{CqapError, Result};
+use std::path::Path;
+use std::sync::Arc;
+
+use cqap_common::{CqapError, Result, Val};
 use cqap_decomp::Pmtd;
 use cqap_delta::{ApplyDelta, DeltaBatch, DeltaStats};
 use cqap_query::{AccessRequest, Cqap};
 use cqap_relation::{Database, KeyedRows, Relation};
+use cqap_store::{StoredView, StoredViews};
 use cqap_yannakakis::{OnlineYannakakis, PreprocessedViews};
 
 use crate::compiled::{answer_with_compiled, union_order, CompiledPmtd};
 use crate::delta::DeltaMaintenance;
+use crate::stored::Spilled;
 
 /// The relation name stamped onto answers produced by
 /// [`CqapIndex::answer_degraded`], so degraded answers are always
 /// distinguishable from full ones.
 pub const DEGRADED_ANSWER_NAME: &str = "degraded";
 
-/// A materialized CQAP index over a set of PMTDs.
+/// A materialized CQAP index over a set of PMTDs, its S-views resident
+/// or spilled to disk ([`CqapIndex::spill`]).
 pub struct CqapIndex {
     cqap: Cqap,
     db: Database,
     plans: Vec<Plan>,
-    /// Per plan, its counted S-views: probed by [`CqapIndex::answer`],
-    /// edited by `maintenance` — the one `S`-sized table per (plan, node).
+    /// Per plan, its counted S-views: probed by [`CqapIndex::answer`]
+    /// while the index is resident, edited by `maintenance` in both
+    /// states — the one `S`-sized table per (plan, node).
     views: Vec<PreprocessedViews>,
     /// Plan positions in the order [`CqapIndex::answer`] unions them
     /// ([`union_order`]), fixed at build.
     order: Vec<usize>,
     maintenance: DeltaMaintenance,
+    /// The views' sorted runs once spilled: probed instead of `views`.
+    spilled: Option<Spilled>,
 }
 
+#[derive(Clone)]
 struct Plan {
     evaluator: OnlineYannakakis,
-    /// `Arc`-shared so a second backend over the same preprocessing
-    /// output (a disk spill) reuses the pipeline by refcount, not by copy
-    /// (the `O(|D|)`-sized atom indexes it probes live in the
-    /// maintenance's `AtomIndexCache`, shared the same way).
-    compiled: std::sync::Arc<CompiledPmtd>,
+    /// `Arc`-shared so the copy [`CqapIndex::spill`] writes reuses the
+    /// pipeline by refcount (its atom indexes are shared the same way).
+    compiled: Arc<CompiledPmtd>,
 }
 
 impl CqapIndex {
@@ -108,7 +116,7 @@ impl CqapIndex {
             let compiled = maintenance.compile(cqap, db, &evaluator, views)?;
             plans.push(Plan {
                 evaluator,
-                compiled: std::sync::Arc::new(compiled),
+                compiled: Arc::new(compiled),
             });
         }
         let order = union_order(plans.iter().map(|p| p.compiled.as_ref()));
@@ -119,24 +127,142 @@ impl CqapIndex {
             views,
             order,
             maintenance,
+            spilled: None,
         })
     }
 
-    /// The intrinsic space cost: total stored values across all S-views of
-    /// all PMTDs (excluding the input database itself, as in the paper's
-    /// `Õ(S + |D|)` accounting).
-    pub fn space_used(&self) -> usize {
-        self.views.iter().map(PreprocessedViews::stored_values).sum()
+    /// A copy of this index with its S-views spilled to sorted-run files
+    /// under `dir` (created if missing; see [`CqapIndex::spill_in_place`]).
+    /// `self` stays as it was: the copy shares the compiled pipelines and
+    /// the atom indexes by `Arc` and clones the rest, its counted views
+    /// exact-fit.
+    ///
+    /// ```
+    /// use cqap_decomp::families::pmtds_3reach_fig1;
+    /// use cqap_panda::CqapIndex;
+    /// use cqap_query::workload::{graph_pair_requests, Graph};
+    /// use cqap_query::AccessRequest;
+    ///
+    /// let (cqap, pmtds) = pmtds_3reach_fig1().unwrap();
+    /// let graph = Graph::random(40, 170, 42);
+    /// let db = graph.as_path_database(3);
+    ///
+    /// // Preprocess once in memory, then spill the S-views to disk (a
+    /// // process-unique scratch dir, so concurrent runs cannot collide).
+    /// let hot = CqapIndex::build(&cqap, &db, &pmtds).unwrap();
+    /// let cold = hot.spill(cqap_store::scratch_dir("doc")).unwrap();
+    ///
+    /// // Same intrinsic S, a fraction of it resident, identical answers.
+    /// assert_eq!(cold.space_used(), hot.space_used());
+    /// assert!(cold.resident_values() < cold.space_used());
+    /// for (u, v) in graph_pair_requests(&graph, 10, 7) {
+    ///     let request = AccessRequest::single(cqap.access(), &[u, v]).unwrap();
+    ///     assert_eq!(cold.answer(&request).unwrap(), hot.answer(&request).unwrap());
+    /// }
+    /// // Dropping `cold` deletes the spilled files and `dir` again.
+    /// ```
+    ///
+    /// # Errors
+    /// Fails like [`CqapIndex::spill_in_place`].
+    pub fn spill(&self, dir: impl AsRef<Path>) -> Result<CqapIndex> {
+        let mut copy = CqapIndex {
+            cqap: self.cqap.clone(),
+            db: self.db.clone(),
+            plans: self.plans.clone(),
+            views: self.views.clone(),
+            order: self.order.clone(),
+            maintenance: self.maintenance.clone(),
+            spilled: None,
+        };
+        copy.spill_in_place(dir)?;
+        Ok(copy)
     }
 
-    /// Heap bytes the index actually holds for its `S`: the resident
-    /// S-views of every plan, support counts included (they are one
-    /// table), from vector capacities (see [`KeyedRows::heap_bytes`]) —
-    /// the number to hold against `space_used() × size_of::<Val>()`.
-    /// Excludes the `O(|D|)` state (database, atom indexes), like
-    /// [`CqapIndex::space_used`].
+    /// Spills the S-views of every plan to one sorted-run file per view
+    /// under `dir` (created if missing); from then on every S-view probe
+    /// is a fence-indexed read of those files, and the counted views stay
+    /// resident as the support counts deltas edit. The index owns the
+    /// files: they are deleted when it drops, and `dir` too if that
+    /// leaves it empty.
+    ///
+    /// # Errors
+    /// Fails, leaving the index resident, if it is already spilled or on
+    /// I/O errors.
+    pub fn spill_in_place(&mut self, dir: impl AsRef<Path>) -> Result<()> {
+        if self.spilled.is_some() {
+            return Err(CqapError::Other("the index is already spilled".into()));
+        }
+        self.spilled = Some(Spilled::write(&self.views, dir.as_ref())?);
+        Ok(())
+    }
+
+    /// Whether the S-views are probed from disk ([`CqapIndex::spill`]).
+    pub fn is_spilled(&self) -> bool {
+        self.spilled.is_some()
+    }
+
+    fn stored_views(&self) -> impl Iterator<Item = &StoredView> {
+        self.spilled.iter().flat_map(|s| &s.plans).flat_map(StoredViews::views)
+    }
+
+    fn stored_views_mut(&mut self) -> impl Iterator<Item = &mut StoredView> {
+        self.spilled.iter_mut().flat_map(|s| &mut s.plans).flat_map(StoredViews::views_mut)
+    }
+
+    /// The intrinsic space cost: total stored values across the S-views
+    /// every PMTD probes — resident or spilled — excluding the input
+    /// database itself, as in the paper's `Õ(S + |D|)` accounting.
+    pub fn space_used(&self) -> usize {
+        match self.spilled {
+            None => self.views.iter().map(PreprocessedViews::stored_values).sum(),
+            Some(_) => self.stored_views().map(StoredView::stored_values).sum(),
+        }
+    }
+
+    /// S-view values resident in RAM for probing: all of them while the
+    /// index is resident; once spilled, the sparse fence indexes plus any
+    /// pending delta overlays (the support counts show in
+    /// [`CqapIndex::resident_bytes`]).
+    pub fn resident_values(&self) -> usize {
+        match self.spilled {
+            None => self.space_used(),
+            Some(_) => self.stored_views().map(StoredView::resident_values).sum(),
+        }
+    }
+
+    /// Heap bytes the index actually holds for its `S`, from container
+    /// capacities (see [`KeyedRows::heap_bytes`]): the counted S-views of
+    /// every plan — probed while resident, the support counts once
+    /// spilled — plus, once spilled, the runs' fence indexes, key filters
+    /// and overlays. The number to hold against
+    /// `space_used() × size_of::<Val>()`. Excludes the `O(|D|)` state
+    /// (database, atom indexes), like [`CqapIndex::space_used`].
     pub fn resident_bytes(&self) -> usize {
-        self.views.iter().map(PreprocessedViews::resident_bytes).sum()
+        let counts: usize = self.views.iter().map(PreprocessedViews::resident_bytes).sum();
+        counts + self.stored_views().map(StoredView::resident_bytes).sum::<usize>()
+    }
+
+    /// Bytes the spilled S-views occupy on disk (0 while resident).
+    pub fn disk_bytes(&self) -> u64 {
+        self.stored_views().map(StoredView::disk_bytes).sum()
+    }
+
+    /// Delta tuples buffered in the spilled views' overlays (0 while
+    /// resident, and after [`CqapIndex::compact`]).
+    pub fn overlay_len(&self) -> usize {
+        self.stored_views().map(StoredView::overlay_len).sum()
+    }
+
+    /// Forces every spilled view with a pending delta overlay to compact
+    /// into a fresh validated run (see [`StoredView::compact`]); a
+    /// resident index has nothing to compact. Normally compaction
+    /// triggers itself by overlay size; this is the explicit hook for
+    /// tests and maintenance windows.
+    ///
+    /// # Errors
+    /// Every view is tried; the first compaction error is returned.
+    pub fn compact(&mut self) -> Result<()> {
+        self.stored_views_mut().map(StoredView::compact).fold(Ok(()), Result::and)
     }
 
     /// Iterates `(plan, node, counted S-view)` over every materialized
@@ -162,22 +288,17 @@ impl CqapIndex {
 
     /// The per-PMTD plans, in the order of the build's PMTDs — each an
     /// Online-Yannakakis evaluator plus its preprocessed (semijoin-reduced,
-    /// link-keyed, counted) S-views. This is the preprocessing output a
-    /// second storage tier spills: `cqap-store` streams exactly these views
-    /// to disk, keyed by the same link variables, and keeps them as its
-    /// lineage's support counts — cloned, or taken over by
-    /// [`CqapIndex::into_parts`].
+    /// link-keyed, counted) S-views, the content [`CqapIndex::spill`]
+    /// writes to disk.
     pub fn plans(&self) -> impl Iterator<Item = (&OnlineYannakakis, &PreprocessedViews)> {
         self.plans.iter().map(|p| &p.evaluator).zip(&self.views)
     }
 
     /// The per-PMTD compiled pipelines (T-view programs + probe plans), in
     /// the order of the build's PMTDs — what [`CqapIndex::answer`]
-    /// executes, in its [`union_order`]. A second backend over the same
-    /// preprocessing output (e.g. `cqap-store`'s disk spill) shares these
-    /// by `Arc` instead of recompiling, and answers them against its clone
-    /// of [`CqapIndex::maintenance`]'s atom indexes.
-    pub fn compiled(&self) -> impl Iterator<Item = &std::sync::Arc<CompiledPmtd>> {
+    /// executes, in its [`union_order`], against
+    /// [`CqapIndex::maintenance`]'s atom indexes.
+    pub fn compiled(&self) -> impl Iterator<Item = &Arc<CompiledPmtd>> {
         self.plans.iter().map(|p| &p.compiled)
     }
 
@@ -203,16 +324,13 @@ impl CqapIndex {
     /// (an access-free bag's included — its T-view is computed online, as
     /// the PMTD says) and column-at-a-time plan execution against
     /// pre-resolved positions, with all intermediate state in a per-worker
-    /// struct-of-arrays scratch arena. Answers are identical to
-    /// `naive_answer` over [`CqapIndex::database`] (proptest-enforced in
-    /// `crates/yannakakis/tests`).
+    /// struct-of-arrays scratch arena. A spilled index runs the same loop
+    /// with every S-view probe served from disk, decoded column-directly
+    /// out of the segment reads. Answers are identical to `naive_answer`
+    /// over [`CqapIndex::database`] (proptest-enforced in
+    /// `crates/yannakakis/tests` and `crates/shard/tests`).
     pub fn answer(&self, request: &AccessRequest) -> Result<Relation> {
-        answer_with_compiled(
-            &self.cqap,
-            self.maintenance.atom_indexes(),
-            self.order.iter().map(|&i| (self.plans[i].compiled.as_ref(), &self.views[i])),
-            request,
-        )
+        self.answer_plans(&self.order, request)
     }
 
     /// Graceful-degradation online phase: answers from the single
@@ -238,44 +356,44 @@ impl CqapIndex {
     /// # Errors
     /// Propagates the plan's evaluation errors.
     pub fn answer_degraded(&self, request: &AccessRequest) -> Result<Relation> {
-        let first = self.order[0];
-        let answer = answer_with_compiled(
-            &self.cqap,
-            self.maintenance.atom_indexes(),
-            std::iter::once((self.plans[first].compiled.as_ref(), &self.views[first])),
-            request,
-        )?;
+        let answer = self.answer_plans(&self.order[..1], request)?;
         Ok(answer.with_name(DEGRADED_ANSWER_NAME))
     }
 
-    /// The delta-maintenance state (delta chains, atom indexes). A second
-    /// backend over the same preprocessing output (the disk spill in
-    /// `cqap-store`) clones this, and the views of [`CqapIndex::plans`],
-    /// to maintain its own lineage, or takes both over by
-    /// [`CqapIndex::into_parts`].
+    /// Unions the plans at `order`'s positions, probing wherever the
+    /// S-views live.
+    fn answer_plans(&self, order: &[usize], request: &AccessRequest) -> Result<Relation> {
+        let (cqap, atoms) = (&self.cqap, self.maintenance.atom_indexes());
+        let compiled = |i: usize| self.plans[i].compiled.as_ref();
+        match &self.spilled {
+            None => answer_with_compiled(
+                cqap,
+                atoms,
+                order.iter().map(|&i| (compiled(i), &self.views[i])),
+                request,
+            ),
+            Some(spilled) => answer_with_compiled(
+                cqap,
+                atoms,
+                order.iter().map(|&i| (compiled(i), &spilled.plans[i])),
+                request,
+            ),
+        }
+    }
+
+    /// The delta-maintenance state (delta chains, atom indexes).
     pub fn maintenance(&self) -> &DeltaMaintenance {
         &self.maintenance
     }
 
-    /// Hands the index over to a backend that replaces it (`cqap-store`'s
-    /// spill of an owned shard): the CQAP, the database, the compiled
-    /// pipelines, the counted S-views per plan and the delta maintenance
-    /// — what [`CqapIndex::cqap`], [`CqapIndex::database`],
-    /// [`CqapIndex::compiled`], [`CqapIndex::plans`] and
-    /// [`CqapIndex::maintenance`] show, moved instead of cloned, so the
-    /// `S`-sized views are never held twice. The evaluators are dropped.
-    pub fn into_parts(
-        self,
-    ) -> (Cqap, Database, Vec<std::sync::Arc<CompiledPmtd>>, Vec<PreprocessedViews>, DeltaMaintenance)
-    {
-        let compiled = self.plans.into_iter().map(|p| p.compiled).collect();
-        (self.cqap, self.db, compiled, self.views, self.maintenance)
-    }
-
-    /// Attaches a metrics sink to the index's delta maintenance:
+    /// Attaches a metrics sink to the index's delta maintenance —
     /// [`ApplyDelta::apply_delta`] then records apply latency and net
-    /// insert/delete counters into it.
+    /// insert/delete counters into it — and to every spilled view
+    /// (segment reads and bytes, overlay probes, compactions).
     pub fn set_metrics_sink(&mut self, sink: cqap_obs::MetricsSink) {
+        for view in self.stored_views_mut() {
+            view.set_metrics_sink(sink.clone());
+        }
         self.maintenance.set_metrics_sink(sink);
     }
 }
@@ -283,15 +401,32 @@ impl CqapIndex {
 /// In-place incremental maintenance, `O(|Δ| + |ΔJ|)` end to end: the net
 /// effect flows through the delta chains (editing the stored relations
 /// and the atom indexes tuple by tuple) into the support counts of every
-/// plan's resident [`PreprocessedViews`] — a view row enters or leaves
-/// where its count crosses zero, so that one edit per `ΔJ` row is the
-/// whole view maintenance. The compiled pipelines read that live state
-/// and hold no database content of their own, so none is ever recompiled;
-/// a net no-op leaves views, plans and the warm scratch state untouched.
+/// plan's [`PreprocessedViews`] — a view row enters or leaves where its
+/// count crosses zero, so that one edit per `ΔJ` row is the whole view
+/// maintenance. The compiled pipelines read that live state and hold no
+/// database content of their own, so none is ever recompiled; a net no-op
+/// leaves views, plans and the warm scratch state untouched.
+///
+/// A spilled index streams each moved view row from the count edit
+/// straight into its run's LSM-style overlay, and compacts the views
+/// whose overlay is due only once every view has absorbed the batch: a
+/// failed compaction returns its error with the batch whole, so the index
+/// answers the post-delta database and re-applying the batch is a no-op.
 impl ApplyDelta for CqapIndex {
     fn apply_delta(&mut self, batch: &DeltaBatch) -> Result<DeltaStats> {
-        let no_second_form = &mut |_, _, _: &[_], _| {};
-        self.maintenance.apply(&self.cqap, &mut self.db, &mut self.views, batch, no_second_form)
+        let (cqap, db, views) = (&self.cqap, &mut self.db, &mut self.views);
+        let Some(spilled) = &mut self.spilled else {
+            let no_second_form = &mut |_, _, _: &[_], _| {};
+            return self.maintenance.apply(cqap, db, views, batch, no_second_form);
+        };
+        let overlay = &mut |plan: usize, node, row: &[Val], entered| {
+            spilled.plans[plan].edit_row(node, row, entered);
+        };
+        let stats = self.maintenance.apply(cqap, db, views, batch, overlay)?;
+        if !stats.is_noop() {
+            self.stored_views_mut().map(StoredView::compact_if_due).fold(Ok(()), Result::and)?;
+        }
+        Ok(stats)
     }
 }
 
@@ -398,6 +533,39 @@ mod tests {
             assert_eq!(degraded.name(), DEGRADED_ANSWER_NAME);
             assert_eq!(degraded, index.answer(&req).unwrap());
         }
+    }
+
+    #[test]
+    fn compact_tries_every_view_and_returns_the_first_error() {
+        use cqap_common::Tuple;
+        use cqap_delta::DeltaBatch;
+
+        // The Figure-1 set spills (T134, S13)'s S13 run and (S14)'s S14
+        // run; a squat on S13's compaction temp path fails that view
+        // alone, and S14 comes after it. One fresh chain leaves one row
+        // pending in each, too few to trigger a compaction on apply.
+        let (cqap, pmtds) = pf::pmtds_3reach_fig1().unwrap();
+        let db = Graph::skewed(50, 220, 4, 30, 23).as_path_database(3);
+        let dir = cqap_store::scratch_dir("compact-every-view");
+        let mut index = CqapIndex::build(&cqap, &db, &pmtds).unwrap().spill(&dir).unwrap();
+        let (s13, _) = index.plans().nth(1).unwrap().1.runs().next().unwrap();
+        let squat = dir.join(format!("plan1_node{s13}.tmp"));
+        std::fs::create_dir(&squat).unwrap();
+        let pending = |index: &CqapIndex, plan: usize| -> usize {
+            let views = index.spilled.as_ref().unwrap().plans[plan].views();
+            views.map(StoredView::overlay_len).sum()
+        };
+        let chain = DeltaBatch::new()
+            .insert("R1", vec![Tuple::pair(9_000, 9_001)])
+            .insert("R2", vec![Tuple::pair(9_001, 9_002)])
+            .insert("R3", vec![Tuple::pair(9_002, 9_003)]);
+        index.apply_delta(&chain).unwrap();
+        assert_eq!((pending(&index, 1), pending(&index, 2)), (1, 1));
+
+        assert!(index.compact().is_err(), "S13's compaction must hit the squat");
+        assert_eq!(pending(&index, 1), 1, "the failed view keeps its overlay");
+        assert_eq!(pending(&index, 2), 0, "S14 still compacts");
+        std::fs::remove_dir(&squat).unwrap();
     }
 
     #[test]

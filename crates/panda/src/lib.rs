@@ -69,6 +69,7 @@ pub mod delta;
 pub mod driver;
 pub mod instrument;
 pub mod rules;
+mod stored;
 
 pub use analysis::{figure4a_curve, figure4b_curve, goldstein_baseline, table1_3reach, RuleReport};
 pub use compiled::{

@@ -19,7 +19,7 @@ use cqap_panda::CqapIndex;
 use cqap_query::workload::{graph_pair_requests, Graph};
 use cqap_query::{AccessRequest, Atom, ConjunctiveQuery, Cqap};
 use cqap_relation::{Database, Relation};
-use cqap_store::{scratch_dir, StoredIndex};
+use cqap_store::scratch_dir;
 use cqap_yannakakis::naive_answer;
 
 /// The `(probes, scans)` this thread spends while `answer` answers
@@ -64,7 +64,7 @@ fn hot_and_cold_backends_count_the_same_t() {
     // every probe is an S-view probe.
     for plans in [&pmtds[..], &pmtds[2..]] {
         let hot = CqapIndex::build(&cqap, &db, plans).unwrap();
-        let cold = StoredIndex::spill(&hot, scratch_dir("online-work")).unwrap();
+        let cold = hot.spill(scratch_dir("online-work")).unwrap();
         let (hot_t, hot_answers) = work_of(&requests, |r| hot.answer(r).unwrap());
         let (cold_t, cold_answers) = work_of(&requests, |r| cold.answer(r).unwrap());
         assert_eq!(hot_answers, cold_answers);
@@ -111,7 +111,7 @@ fn s_view_probes_count_distinct_keys_and_the_rows_they_return() {
     let scans = request.len() + acc_rows.len() + s23_rows;
 
     let hot = CqapIndex::build(&cqap, &db, std::slice::from_ref(&pmtd)).unwrap();
-    let cold = StoredIndex::spill(&hot, scratch_dir("online-work-keys")).unwrap();
+    let cold = hot.spill(scratch_dir("online-work-keys")).unwrap();
     let requests = std::slice::from_ref(&request);
     let (hot_t, hot_answers) = work_of(requests, |r| hot.answer(r).unwrap());
     let (cold_t, cold_answers) = work_of(requests, |r| cold.answer(r).unwrap());
@@ -121,13 +121,11 @@ fn s_view_probes_count_distinct_keys_and_the_rows_they_return() {
     assert_eq!(cold_t, hot_t);
 }
 
-type Backend = Box<dyn Fn(&AccessRequest) -> Relation>;
-
-/// The in-memory index over `pmtds` and its disk spill, as answer functions.
-fn both_backends(cqap: &Cqap, db: &Database, pmtds: &[Pmtd]) -> [Backend; 2] {
+/// The in-memory index over `pmtds` and its disk spill.
+fn both_backends(cqap: &Cqap, db: &Database, pmtds: &[Pmtd]) -> [CqapIndex; 2] {
     let hot = CqapIndex::build(cqap, db, pmtds).unwrap();
-    let cold = StoredIndex::spill(&hot, scratch_dir("online-work-stop")).unwrap();
-    [Box::new(move |r| hot.answer(r).unwrap()), Box::new(move |r| cold.answer(r).unwrap())]
+    let cold = hot.spill(scratch_dir("online-work-stop")).unwrap();
+    [hot, cold]
 }
 
 /// Holds the union over `pmtds` to its stop rule in exact counts, on both
@@ -146,9 +144,9 @@ fn check_union_cost(
     for backend in 0..2 {
         for (request, runs) in requests {
             let request = std::slice::from_ref(request);
-            let (t, answers) = work_of(request, &union[backend]);
+            let (t, answers) = work_of(request, |r| union[backend].answer(r).unwrap());
             let expected = alone[..*runs].iter().fold((0, 0), |(probes, scans), plan| {
-                let (t, _) = work_of(request, &plan[backend]);
+                let (t, _) = work_of(request, |r| plan[backend].answer(r).unwrap());
                 (probes + t.0, scans + t.1)
             });
             let what = format!("backend {backend}, {} binding(s)", request[0].len());

@@ -1,27 +1,34 @@
 //! [`ShardedIndex`]: `k` independently built [`CqapIndex`] shards over a
-//! hash-partitioned database.
+//! hash-partitioned database, each resident or spilled to disk.
 //!
 //! Preprocessing is embarrassingly parallel across shards — each shard
 //! runs the full framework pipeline (full join of *its* partition, S-view
 //! materialization, Online-Yannakakis preprocessing) on the existing
 //! work-stealing pool — and each shard's working set covers only its hash
 //! class of the routing variable, which is the "datasets larger than one
-//! index" half of the roadmap item.
+//! index" half of the roadmap item. A placement
+//! ([`ShardedIndex::from_sharded`], see [`crate::tiered`]) then spills
+//! the cold shards.
 
+use std::path::Path;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc};
 
-use cqap_common::{CqapError, Result};
+use cqap_common::{CqapError, Result, Val};
 use cqap_decomp::Pmtd;
 use cqap_delta::{ApplyDelta, DeltaBatch, DeltaStats};
+use cqap_obs::{GaugeId, MetricsSink};
 use cqap_panda::CqapIndex;
 use cqap_query::{AccessRequest, Cqap};
 use cqap_relation::{Database, Relation};
 use cqap_serve::{default_threads, BatchAnswer, WorkStealingPool};
 
 use crate::partition::ShardSpec;
+use crate::tiered::{PlacementPolicy, ShardTier, TieredSpace};
 
 /// A hash-sharded CQAP index: the partition contract plus one
-/// `Arc`-shared [`CqapIndex`] per shard.
+/// `Arc`-shared [`CqapIndex`] per shard, each resident (hot) or spilled
+/// (cold).
 ///
 /// Implements [`BatchAnswer`] (splitting each request across shards and
 /// unioning the per-shard answers), so a `ShardedIndex` drops into every
@@ -32,12 +39,20 @@ use crate::partition::ShardSpec;
 pub struct ShardedIndex {
     spec: ShardSpec,
     shards: Vec<Arc<CqapIndex>>,
+    /// Bindings routed to each shard since construction — the observed
+    /// request frequency a re-placement would feed back into
+    /// [`PlacementPolicy::with_weights`].
+    loads: Vec<AtomicU64>,
+    /// Publishes the per-tier resident-byte gauges whenever the shard
+    /// contents change. Disabled (free) until
+    /// [`ShardedIndex::set_metrics_sink`].
+    sink: MetricsSink,
 }
 
 impl ShardedIndex {
     /// Partitions `db` under the [`ShardSpec`] contract and builds the `k`
-    /// shard indexes concurrently on a fresh work-stealing pool sized
-    /// `min(k, available parallelism)`.
+    /// shard indexes, all resident, concurrently on a fresh work-stealing
+    /// pool sized `min(k, available parallelism)`.
     ///
     /// # Errors
     /// Fails if the spec is invalid (`shards == 0`) or any shard build
@@ -83,7 +98,48 @@ impl ShardedIndex {
                 .into_iter()
                 .map(|s| s.expect("every shard built or errored"))
                 .collect(),
+            loads: (0..expected).map(|_| AtomicU64::new(0)).collect(),
+            sink: MetricsSink::disabled(),
         })
+    }
+
+    /// Applies a per-shard placement: every resident shard placed
+    /// [`ShardTier::Cold`] is spilled under `<dir>/shard<i>` — in place
+    /// when `sharded` alone holds its `Arc`, so its counted S-views stay
+    /// the spilled shard's support counts, or as a spilled copy when the
+    /// `Arc` is shared, left to its other holders as it was.
+    ///
+    /// # Errors
+    /// Fails if `placement` does not have exactly one entry per shard,
+    /// places a spilled shard hot, or on spill I/O errors.
+    pub fn from_sharded(
+        mut sharded: ShardedIndex,
+        placement: &[ShardTier],
+        dir: impl AsRef<Path>,
+    ) -> Result<ShardedIndex> {
+        if placement.len() != sharded.num_shards() {
+            return Err(CqapError::InvalidQuery(format!(
+                "placement has {} entries for {} shards",
+                placement.len(),
+                sharded.num_shards()
+            )));
+        }
+        for (i, (shard, tier)) in sharded.shards.iter_mut().zip(placement).enumerate() {
+            match (*tier, shard.is_spilled()) {
+                (ShardTier::Hot, true) => {
+                    return Err(CqapError::InvalidQuery(format!("shard {i} is already spilled")))
+                }
+                (ShardTier::Cold, false) => {
+                    let dir = dir.as_ref().join(format!("shard{i}"));
+                    match Arc::get_mut(shard) {
+                        Some(owned) => owned.spill_in_place(dir)?,
+                        None => *shard = Arc::new(shard.spill(dir)?),
+                    }
+                }
+                _ => {}
+            }
+        }
+        Ok(sharded)
     }
 
     /// The partition contract.
@@ -101,18 +157,34 @@ impl ShardedIndex {
         &self.shards
     }
 
-    /// Attaches a metrics sink to every shard's delta maintenance, so a
-    /// sharded [`ApplyDelta::apply_delta`] records apply latency and
-    /// net-op counters. Like `apply_delta` itself, this needs exclusive
-    /// ownership of every shard.
+    /// The tier of each shard, in shard order.
+    pub fn placements(&self) -> Vec<ShardTier> {
+        let tier = |spilled| if spilled { ShardTier::Cold } else { ShardTier::Hot };
+        self.shards.iter().map(|s| tier(s.is_spilled())).collect()
+    }
+
+    /// Bindings served per shard since construction — the observed
+    /// frequency input for the next placement round.
+    pub fn observed_loads(&self) -> Vec<u64> {
+        self.loads.iter().map(|l| l.load(Ordering::Relaxed)).collect()
+    }
+
+    /// Attaches a metrics sink to every shard — delta-apply latency and
+    /// net ops, plus segment reads/bytes, overlay probes and compactions
+    /// on spilled shards — and publishes the per-tier resident-byte
+    /// gauges now and after every [`ApplyDelta::apply_delta`]. Like
+    /// `apply_delta` itself, this needs exclusive ownership of every
+    /// shard.
     ///
     /// # Errors
     /// Fails, with no shard changed, if any shard `Arc` is shared
     /// (serving handles must be dropped before mutating).
-    pub fn set_metrics_sink(&mut self, sink: cqap_obs::MetricsSink) -> Result<()> {
+    pub fn set_metrics_sink(&mut self, sink: MetricsSink) -> Result<()> {
         for index in self.shards_mut("attach a metrics sink")? {
             index.set_metrics_sink(sink.clone());
         }
+        self.sink = sink;
+        self.publish_space_gauges();
         Ok(())
     }
 
@@ -133,17 +205,81 @@ impl ShardedIndex {
             .collect()
     }
 
-    /// Total intrinsic space across shards (sum of per-shard S-view
-    /// sizes). Views that project away the routing variable overlap
-    /// between shards, so this can exceed the unsharded index's
+    /// Publishes [`ShardedIndex::resident_bytes`] per tier and the cold
+    /// tier's *compressed* on-disk bytes as absolute gauges: the physical
+    /// footprint the byte budget actually buys.
+    fn publish_space_gauges(&self) {
+        if !self.sink.is_enabled() {
+            return;
+        }
+        let (hot, cold) = self.resident_bytes();
+        self.sink.gauge_set(GaugeId::HotResidentBytes, hot as i64);
+        self.sink.gauge_set(GaugeId::ColdResidentBytes, cold as i64);
+        self.sink
+            .gauge_set(GaugeId::ColdDiskBytes, self.space_used().cold_disk_bytes as i64);
+    }
+
+    /// Heap bytes `(hot, cold)` the two tiers keep resident for their
+    /// `S`, from container capacities ([`CqapIndex::resident_bytes`]): hot
+    /// shards hold their counted S-views; cold shards hold fence indexes,
+    /// key filters, pending overlays and — the part a fence-only count
+    /// misses — those same counted views, as their support counts.
+    pub fn resident_bytes(&self) -> (usize, usize) {
+        let (mut hot, mut cold) = (0, 0);
+        for shard in &self.shards {
+            let tier = if shard.is_spilled() { &mut cold } else { &mut hot };
+            *tier += shard.resident_bytes();
+        }
+        (hot, cold)
+    }
+
+    /// The intrinsic space per tier: per-shard S-view sizes summed. Views
+    /// that project away the routing variable overlap between shards, so
+    /// the total can exceed the unsharded index's
     /// [`CqapIndex::space_used`] — the price of partitioned builds.
-    pub fn space_used(&self) -> usize {
-        self.shards.iter().map(|s| s.space_used()).sum()
+    pub fn space_used(&self) -> TieredSpace {
+        let mut space = TieredSpace::default();
+        for shard in &self.shards {
+            if shard.is_spilled() {
+                space.cold_shards += 1;
+                space.cold_values += shard.space_used();
+                space.cold_disk_bytes += shard.disk_bytes();
+                space.cold_resident_values += shard.resident_values();
+            } else {
+                space.hot_shards += 1;
+                space.hot_values += shard.space_used();
+            }
+        }
+        space
+    }
+
+    /// Bytes each shard's S-views occupy, by the uniform
+    /// `values × size_of::<Val>()` measure both tiers share — the size
+    /// input a placement decision works from.
+    pub fn shard_bytes(&self) -> Vec<usize> {
+        self.shards.iter().map(|s| s.space_used() * std::mem::size_of::<Val>()).collect()
+    }
+
+    /// The placement `policy` picks for the shards' **current** sizes (feed
+    /// it [`ShardedIndex::observed_loads`] via
+    /// [`PlacementPolicy::with_weights`] for traffic-aware scoring) — the
+    /// input of [`ShardedIndex::from_sharded`] after a build, and, as
+    /// deltas grow or shrink shards, what to compare with
+    /// [`ShardedIndex::placements`] to see which shards are worth
+    /// migrating at the next rebuild.
+    pub fn replan(&self, policy: &PlacementPolicy) -> Vec<ShardTier> {
+        policy.place(&self.shard_bytes())
+    }
+
+    fn answer_shard(&self, shard: usize, sub: &AccessRequest) -> Result<Relation> {
+        self.loads[shard].fetch_add(sub.len().max(1) as u64, Ordering::Relaxed);
+        self.shards[shard].answer(sub)
     }
 
     /// Answers an access request: routes each binding to the shard owning
-    /// its routing value, answers the per-shard sub-requests, and unions
-    /// the answers in sub-request order.
+    /// its routing value, answers the per-shard sub-requests (from
+    /// whichever tier holds each shard), and unions the answers in
+    /// sub-request order.
     ///
     /// By the [`ShardSpec`] invariants this is *exactly equal* to the
     /// unsharded [`CqapIndex::answer`] on the whole database. A request
@@ -153,14 +289,14 @@ impl ShardedIndex {
     /// Propagates the first failing shard's error.
     pub fn answer(&self, request: &AccessRequest) -> Result<Relation> {
         if let Some(shard) = self.spec.sole_shard(request) {
-            return self.shards[shard].answer(request);
+            return self.answer_shard(shard, request);
         }
         let mut parts = self.spec.split_request(request)?.into_iter();
         let (shard, sub) = parts.next().expect("split_request is never empty");
-        let mut answer = self.shards[shard].answer(&sub)?;
+        let mut answer = self.answer_shard(shard, &sub)?;
         for (shard, sub) in parts {
             // Both sides are owned: move the larger, insert the smaller.
-            answer = answer.union_with(self.shards[shard].answer(&sub)?)?;
+            answer = answer.union_with(self.answer_shard(shard, &sub)?)?;
         }
         Ok(answer)
     }
@@ -170,7 +306,10 @@ impl ShardedIndex {
 /// through [`ShardSpec::partition_delta`] — delta tuples partition (or
 /// replicate) exactly like the base data did — and each shard absorbs its
 /// per-shard batch through its own [`ApplyDelta`] seam, keeping the
-/// partition invariants (and hence exact sharded answering) intact.
+/// partition invariants (and hence exact sharded answering) intact. Every
+/// shard absorbs its share even if another fails (a cold compaction
+/// error) and the first error is returned, so no shard is left behind
+/// the others and re-applying the batch is a no-op.
 ///
 /// The returned [`DeltaStats`] sum the **shard-local** net effects: a
 /// routed relation's changes count once in total, while a replicated
@@ -180,21 +319,24 @@ impl ShardedIndex {
 /// play.
 impl ApplyDelta for ShardedIndex {
     fn apply_delta(&mut self, batch: &DeltaBatch) -> Result<DeltaStats> {
-        let parts = {
-            let db = self.shards[0].database();
-            self.spec.partition_delta(batch, db)?
-        };
-        let mut stats = DeltaStats::default();
+        let parts = self.spec.partition_delta(batch, self.shards[0].database())?;
+        let (mut stats, mut applied) = (DeltaStats::default(), Ok(()));
         for (index, part) in self.shards_mut("apply a delta")?.into_iter().zip(parts) {
-            stats.merge(index.apply_delta(&part)?);
+            match index.apply_delta(&part) {
+                Ok(shard_stats) => stats.merge(shard_stats),
+                Err(e) => applied = applied.and(Err(e)),
+            }
         }
-        Ok(stats)
+        // Deltas grow and shrink shards (and compactions fold overlays
+        // into fresh runs), so re-publish the per-tier gauges.
+        self.publish_space_gauges();
+        applied.map(|()| stats)
     }
 }
 
 /// The sharded index serves through the same one-trait API as every other
 /// structure, which is what lets runtimes, benches and examples work over
-/// shards unchanged.
+/// shards — hot, cold or mixed — unchanged.
 impl BatchAnswer for ShardedIndex {
     type Request = AccessRequest;
     type Answer = Relation;

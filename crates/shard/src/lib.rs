@@ -16,6 +16,13 @@
 //! * [`ShardedIndex`] — `k` independently and concurrently built
 //!   `CqapIndex` shards; itself a [`BatchAnswer`](cqap_serve::BatchAnswer)
 //!   implementor, so it drops into every generic serving surface.
+//! * [`tiered`] — placement: each shard stays resident (**hot**) or is
+//!   spilled to disk (**cold**) by a [`PlacementPolicy`] driven by a
+//!   hot-tier byte budget and observed per-shard request frequency
+//!   ([`ShardedIndex::from_sharded`]), with
+//!   [`ShardedIndex::space_used`] reporting the per-tier breakdown
+//!   ([`TieredSpace`]). Hot and cold shards answer identically, so every
+//!   surface here — the router included — serves any tier split.
 //! * [`ShardRouter`] — one [`ServeRuntime`](cqap_serve::ServeRuntime) per
 //!   shard; single-binding requests route to exactly one shard,
 //!   multi-binding requests scatter-gather, and the router is again a
@@ -67,7 +74,9 @@
 pub mod index;
 pub mod partition;
 pub mod router;
+pub mod tiered;
 
 pub use index::ShardedIndex;
 pub use partition::ShardSpec;
 pub use router::{ShardRouter, ShardRouterConfig};
+pub use tiered::{PlacementPolicy, ShardTier, TieredSpace};

@@ -246,6 +246,7 @@ impl BatchAnswer for ShardRouter {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ShardTier;
     use cqap_common::Tuple;
     use cqap_decomp::families as pf;
     use cqap_query::workload::{graph_pair_requests, zipf_multi_requests, Graph};
@@ -262,23 +263,35 @@ mod tests {
     #[test]
     fn router_matches_unsharded_reference() {
         let (router, reference, cqap, g) = router_fixture(3);
-        // Single-binding requests (the fast path)...
-        for (u, v) in graph_pair_requests(&g, 30, 43) {
-            let request = AccessRequest::single(cqap.access(), &[u, v]).unwrap();
-            assert_eq!(
-                *router.answer_one(&request).unwrap(),
-                reference.answer(&request).unwrap()
-            );
+        // The same deployment with shard 1 spilled to disk: a router
+        // serves any tier split.
+        let (_, pmtds) = pf::pmtds_3reach_fig1().unwrap();
+        let sharded = ShardedIndex::build(&cqap, reference.database(), &pmtds, 3).unwrap();
+        let placement = [ShardTier::Hot, ShardTier::Cold, ShardTier::Hot];
+        let dir = cqap_store::scratch_dir("router-cold");
+        let cold = ShardRouter::new(ShardedIndex::from_sharded(sharded, &placement, &dir).unwrap());
+        for router in [&router, &cold] {
+            // Single-binding requests (the fast path)...
+            for (u, v) in graph_pair_requests(&g, 30, 43) {
+                let request = AccessRequest::single(cqap.access(), &[u, v]).unwrap();
+                assert_eq!(
+                    *router.answer_one(&request).unwrap(),
+                    reference.answer(&request).unwrap()
+                );
+            }
+            // ...and multi-binding scatter-gather requests.
+            for tuples in zipf_multi_requests(&g, 15, 5, 1.0, 47) {
+                let tuples: Vec<Tuple> =
+                    tuples.into_iter().map(|(u, v)| Tuple::pair(u, v)).collect();
+                let request = AccessRequest::new(cqap.access(), tuples).unwrap();
+                assert_eq!(
+                    *router.answer_one(&request).unwrap(),
+                    reference.answer(&request).unwrap()
+                );
+            }
         }
-        // ...and multi-binding scatter-gather requests.
-        for tuples in zipf_multi_requests(&g, 15, 5, 1.0, 47) {
-            let tuples: Vec<Tuple> = tuples.into_iter().map(|(u, v)| Tuple::pair(u, v)).collect();
-            let request = AccessRequest::new(cqap.access(), tuples).unwrap();
-            assert_eq!(
-                *router.answer_one(&request).unwrap(),
-                reference.answer(&request).unwrap()
-            );
-        }
+        drop(cold);
+        std::fs::remove_dir(&dir).unwrap();
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! Property test: the storage tier is *exactly* the in-memory index.
 //!
 //! Across randomized databases, tier splits and zipf-skewed multi-tuple
-//! request batches, both a [`StoredIndex`] (every S-view on disk) and a
-//! [`TieredShardedIndex`] (every hot/cold shard placement) must answer
+//! request batches, both a spilled [`CqapIndex`] (every S-view on disk)
+//! and a [`ShardedIndex`] (every hot/cold shard placement) must answer
 //! bit-for-bit identically to the single in-memory [`CqapIndex`] built
 //! over the whole database — the acceptance bar for the on-disk format
 //! and the placement invariants, mirroring `shard_equivalence.rs` one
@@ -18,8 +18,8 @@ use cqap_panda::{AtomIndexCache, CqapIndex};
 use cqap_query::workload::{graph_pair_requests, zipf_multi_requests, Graph};
 use cqap_query::{AccessRequest, Atom, ConjunctiveQuery, Cqap};
 use cqap_relation::{Database, HashIndex, Relation, Schema};
-use cqap_shard::ShardedIndex;
-use cqap_store::{scratch_dir, PlacementPolicy, ShardTier, StoredIndex, TieredShardedIndex};
+use cqap_shard::{PlacementPolicy, ShardTier, ShardedIndex};
+use cqap_store::scratch_dir;
 use cqap_yannakakis::naive_answer;
 use proptest::prelude::*;
 
@@ -95,6 +95,20 @@ fn assert_atom_indexes_match_rebuild(maintained: &AtomIndexCache, db: &Database,
     }
 }
 
+/// `k` shards placed by `policy`, the cold ones spilled under a fresh
+/// scratch directory.
+fn build_placed(
+    cqap: &Cqap,
+    db: &Database,
+    pmtds: &[Pmtd],
+    shards: usize,
+    policy: &PlacementPolicy,
+) -> ShardedIndex {
+    let sharded = ShardedIndex::build(cqap, db, pmtds, shards).unwrap();
+    let placement = sharded.replan(policy);
+    ShardedIndex::from_sharded(sharded, &placement, scratch_dir("tiered")).unwrap()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
@@ -125,7 +139,8 @@ proptest! {
         // Naive oracle ≡ engine on *both* backends (hash probes in memory,
         // fence + segment reads with column-direct decode on disk): one
         // equivalence class per request.
-        let stored = StoredIndex::build_in_temp(&cqap, &db, &pmtds).unwrap();
+        let stored =
+            CqapIndex::build(&cqap, &db, &pmtds).unwrap().spill(scratch_dir("stored")).unwrap();
         prop_assert_eq!(stored.space_used(), reference.space_used());
         // The v2 delta+varint runs must beat the plain 8-bytes-per-value
         // encoding on every random database, not just the benchmarks.
@@ -139,7 +154,7 @@ proptest! {
             prop_assert_eq!(
                 stored.answer(request).unwrap(),
                 expected.clone(),
-                "StoredIndex engine diverged from the naive oracle"
+                "spilled CqapIndex engine diverged from the naive oracle"
             );
             prop_assert_eq!(
                 reference.answer(request).unwrap(),
@@ -162,7 +177,7 @@ proptest! {
                 })
                 .collect();
             let sharded = ShardedIndex::build(&cqap, &db, &pmtds, 3).unwrap();
-            let tiered = TieredShardedIndex::from_sharded(
+            let tiered = ShardedIndex::from_sharded(
                 sharded,
                 &placement,
                 scratch_dir("proptest"),
@@ -207,8 +222,7 @@ proptest! {
         let spec = cqap_shard::ShardSpec::new(&cqap, 3).unwrap();
         let weights = PlacementPolicy::observe(&spec, &requests);
         let policy = PlacementPolicy::hot_budget(budget_kb * 1024).with_weights(weights);
-        let tiered =
-            TieredShardedIndex::build_in_temp(&cqap, &db, &pmtds, 3, &policy).unwrap();
+        let tiered = build_placed(&cqap, &db, &pmtds, 3, &policy);
         let space = tiered.space_used();
         prop_assert_eq!(space.hot_shards + space.cold_shards, 3);
         for request in &requests {
@@ -224,7 +238,7 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
 
-    /// Delta segments on the disk tier: a [`StoredIndex`] maintained
+    /// Delta segments on the disk tier: a spilled [`CqapIndex`] maintained
     /// through [`ApplyDelta`] — deltas buffered as LSM-style overlay
     /// segments, then folded down by a forced compaction — answers
     /// identically to the incrementally maintained in-memory index *and*
@@ -252,7 +266,8 @@ proptest! {
                 .unwrap(),
         );
 
-        let mut stored = StoredIndex::build_in_temp(&cqap, &db, &pmtds).unwrap();
+        let mut stored =
+            CqapIndex::build(&cqap, &db, &pmtds).unwrap().spill(scratch_dir("stored")).unwrap();
         let mut memory = CqapIndex::build(&cqap, &db, &pmtds).unwrap();
         let mut reference_db = db.clone();
 
@@ -278,8 +293,10 @@ proptest! {
                 round,
             );
             let rebuilt = CqapIndex::build(&cqap, &reference_db, &pmtds).unwrap();
-            let rebuilt_stored =
-                StoredIndex::build_in_temp(&cqap, &reference_db, &pmtds).unwrap();
+            let rebuilt_stored = CqapIndex::build(&cqap, &reference_db, &pmtds)
+                .unwrap()
+                .spill(scratch_dir("stored"))
+                .unwrap();
             prop_assert_eq!(
                 stored.space_used(),
                 rebuilt.space_used(),
@@ -378,7 +395,7 @@ proptest! {
             requests.push(AccessRequest::single(cqap.access(), &[base, base + hops]).unwrap());
 
             let source = CqapIndex::build(cqap, &db, pmtds).unwrap();
-            let mut stored = StoredIndex::spill(&source, scratch_dir("fixtures")).unwrap();
+            let mut stored = source.spill(scratch_dir("fixtures")).unwrap();
             let mut reference_db = db.clone();
             // Round 0 inserts a fresh chain (one edge per atom) and
             // deletes scattered edges; round 1 deletes the chain again.
@@ -464,7 +481,7 @@ proptest! {
                 })
                 .collect();
             let sharded = ShardedIndex::build(&cqap, &db, &pmtds, 3).unwrap();
-            let mut tiered = TieredShardedIndex::from_sharded(
+            let mut tiered = ShardedIndex::from_sharded(
                 sharded,
                 &placement,
                 scratch_dir("delta-proptest"),
@@ -519,7 +536,7 @@ fn an_empty_index_absorbing_the_database_as_one_batch_equals_a_build() {
     assert!(join_rows > 3 * 4096, "a full join of {join_rows} rows is too few morsels");
 
     let mut hot = CqapIndex::build(&cqap, &empty, &pmtds).unwrap();
-    let mut cold = StoredIndex::spill(&hot, scratch_dir("from-empty")).unwrap();
+    let mut cold = hot.spill(scratch_dir("from-empty")).unwrap();
     assert_eq!((hot.space_used(), cold.space_used()), (0, 0));
     for stats in [hot.apply_delta(&batch).unwrap(), cold.apply_delta(&batch).unwrap()] {
         assert_eq!((stats.inserted, stats.deleted), (3 * graph.edges.len(), 0));
@@ -561,8 +578,7 @@ fn sole_shard_and_split_requests_match_the_oracle() {
     for shards in [1, 3] {
         let sharded = ShardedIndex::build(&cqap, &db, &pmtds, shards).unwrap();
         let all_cold = PlacementPolicy::hot_budget(0);
-        let tiered =
-            TieredShardedIndex::build_in_temp(&cqap, &db, &pmtds, shards, &all_cold).unwrap();
+        let tiered = build_placed(&cqap, &db, &pmtds, shards, &all_cold);
         for request in &requests {
             let spec = sharded.spec();
             let sole = spec.sole_shard(request);

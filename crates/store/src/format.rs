@@ -1197,7 +1197,7 @@ impl StoredView {
 
     /// Compacts once `overlay × 4 > base + 64` (the slack keeps tiny views
     /// from rewriting their file on every batch).
-    pub(crate) fn compact_if_due(&mut self) -> Result<()> {
+    pub fn compact_if_due(&mut self) -> Result<()> {
         if self.overlay.len() * 4 > self.num_tuples + 64 {
             return self.compact();
         }

@@ -1,73 +1,51 @@
 //! # cqap-store
 //!
-//! The tiered storage backend: disk-resident S-views with hot/cold shard
-//! placement.
+//! Disk-resident S-views: the paper's space budget `S` spent on a second
+//! storage tier.
 //!
-//! The paper's central object is the space budget `S` — it decides which
-//! views are materialized and how fast probes are. Until this crate, `S`
-//! only existed in RAM; here it becomes physical at a second storage tier:
+//! * [`format`](mod@format) — the on-disk view format: each S-view
+//!   serialized as a sorted run of `(key, tuple-block)` records, probed
+//!   via an in-memory *key filter* (a key the run does not hold costs no
+//!   I/O) and a sparse *fence index* (binary search over the fences, then
+//!   one contiguous file read), with an LSM-style delta overlay that
+//!   compacts into a fresh run. Plain `std` files, no serialization or
+//!   mmap dependency.
+//! * [`StoredViews`] — the spilled views of one PMTD plan behind the
+//!   online phase's [`SViewProbe`](cqap_yannakakis::SViewProbe) seam.
+//!   `cqap-panda`'s `CqapIndex::spill` writes one per plan and answers
+//!   through them with the same compiled plans, so a spilled index
+//!   answers exactly like the resident one.
 //!
-//! * [`format`](mod@format) — the on-disk view format: each S-view serialized as a
-//!   sorted run of `(key, tuple-block)` records, probed via an in-memory
-//!   *key filter* (a key the run does not hold costs no I/O) and a sparse
-//!   *fence index* (binary search over the fences, then one contiguous
-//!   file read). Plain `std` files, no serialization or mmap dependency.
-//! * [`StoredIndex`] — the framework driver answering from disk: built
-//!   from the **same preprocessing output** as
-//!   [`CqapIndex`](cqap_panda::CqapIndex) and running the **same online
-//!   phase** through the
-//!   [`SViewProbe`](cqap_yannakakis::SViewProbe) seam, so its answers are
-//!   identical to the in-memory index (proptest-enforced in
-//!   `crates/store/tests`) while the S-views' resident footprint shrinks
-//!   to the fence indexes.
-//! * [`TieredShardedIndex`] — the `cqap-shard` seam extended by a storage
-//!   dimension: every hash shard is independently placed
-//!   [`Hot`](ShardTier::Hot) (in-memory `CqapIndex`) or
-//!   [`Cold`](ShardTier::Cold) (`StoredIndex`) by a [`PlacementPolicy`]
-//!   driven by a hot-tier byte budget and observed per-shard request
-//!   frequency, with [`TieredShardedIndex::space_used`] reporting the
-//!   per-tier breakdown ([`TieredSpace`]).
-//!
-//! Both index types implement [`BatchAnswer`](cqap_serve::BatchAnswer),
-//! so the entire serving surface — `ServeRuntime`, the `perf/` harness,
-//! the examples — runs over the disk tier unchanged. `perf/` measures two
-//! points of the space-vs-latency curve: both shards cold (`cold_store`)
-//! and one hot, one cold (`delta_mix`).
-//!
-//! ## Worked example: spill, then answer identically
+//! ## Worked example: write a run, probe it
 //!
 //! ```
-//! use cqap_decomp::families::pmtds_3reach_fig1;
-//! use cqap_panda::CqapIndex;
-//! use cqap_query::workload::{graph_pair_requests, Graph};
-//! use cqap_query::AccessRequest;
-//! use cqap_store::StoredIndex;
+//! use cqap_common::{Tuple, VarSet};
+//! use cqap_relation::Relation;
+//! use cqap_store::format::write_view;
+//! use cqap_store::{scratch_dir, StoredView};
 //!
-//! let (cqap, pmtds) = pmtds_3reach_fig1().unwrap();
-//! let graph = Graph::random(40, 170, 42);
-//! let db = graph.as_path_database(3);
+//! // A view over (x1, x4), keyed by x1.
+//! let view = Relation::binary("S14", 0, 3, [(1, 4), (1, 5), (2, 4)]);
+//! let dir = scratch_dir("doc");
+//! std::fs::create_dir_all(&dir).unwrap();
+//! let path = dir.join("s14.sview");
+//! write_view(&path, &view, VarSet::from_iter([0])).unwrap();
 //!
-//! // Preprocess once in memory, then spill the S-views to disk (a
-//! // process-unique scratch dir, so concurrent runs cannot collide).
-//! let hot = CqapIndex::build(&cqap, &db, &pmtds).unwrap();
-//! let cold = StoredIndex::spill(&hot, cqap_store::scratch_dir("doc")).unwrap();
+//! let mut run = StoredView::open(&path).unwrap();
+//! run.delete_on_drop();
+//! assert_eq!(run.stored_values(), view.stored_values());
+//! assert_eq!(run.probe(&Tuple::from_slice(&[1])).unwrap().len(), 2);
+//! assert!(!run.contains_key(&Tuple::from_slice(&[3])).unwrap());
 //!
-//! // Same intrinsic S, a fraction of it resident, identical answers.
-//! assert_eq!(cold.space_used(), hot.space_used());
-//! assert!(cold.resident_values() < cold.space_used());
-//! for (u, v) in graph_pair_requests(&graph, 10, 7) {
-//!     let request = AccessRequest::single(cqap.access(), &[u, v]).unwrap();
-//!     assert_eq!(cold.answer(&request).unwrap(), hot.answer(&request).unwrap());
-//! }
-//! // Dropping `cold` deletes the spilled files again.
+//! // Dropping the view deletes its file; the directory is the caller's.
+//! drop(run);
+//! std::fs::remove_dir(&dir).unwrap();
 //! ```
 
 #![deny(missing_docs)]
 
 pub mod format;
 pub mod stored;
-pub mod tiered;
 
 pub use format::StoredView;
-pub use stored::{scratch_dir, StoredIndex, StoredViews};
-pub use tiered::{PlacementPolicy, ShardTier, TieredShardedIndex, TieredSpace};
+pub use stored::{scratch_dir, StoredViews};

@@ -103,9 +103,8 @@ impl PreprocessedViews {
     }
 
     /// Iterates `(node, S-view)` over the materialized nodes: the reduced
-    /// rows and their link key in the resident layout. A second storage
-    /// tier (the disk backend in `cqap-store`) streams its runs from
-    /// these.
+    /// rows and their link key in the resident layout. A spilled index
+    /// streams its `cqap-store` runs from these.
     pub fn runs(&self) -> impl Iterator<Item = (usize, &KeyedRows)> + '_ {
         self.views
             .iter()

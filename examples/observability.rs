@@ -8,7 +8,7 @@
 //! One `MetricsSink` (a shared lock-free recorder from `cqap-obs`) is
 //! attached to every layer of a tiered deployment:
 //!
-//! 1. a `TieredShardedIndex` is built with half its shards spilled to
+//! 1. a `ShardedIndex` is placed with half its shards spilled to
 //!    disk, and the sink is attached to both tiers — cold-shard probes
 //!    count segment reads and bytes (or a key-filter negative, for a key
 //!    the run does not hold), delta maintenance records apply latency
@@ -34,6 +34,7 @@ use cqap_suite::decomp::families::pmtds_3reach_fig1;
 use cqap_suite::obs::{CounterId, StageId};
 use cqap_suite::prelude::*;
 use cqap_suite::query::workload::zipf_pair_requests;
+use cqap_suite::store::scratch_dir;
 
 const SHARDS: usize = 4;
 const REQUESTS: usize = 600;
@@ -54,8 +55,10 @@ fn main() {
     let reference = CqapIndex::build(&cqap, &db, &pmtds).expect("reference build");
     let budget_bytes = reference.space_used() * std::mem::size_of::<Val>() / 2;
     let policy = PlacementPolicy::hot_budget(budget_bytes).with_weights(weights);
-    let mut tiered = TieredShardedIndex::build_in_temp(&cqap, &db, &pmtds, SHARDS, &policy)
-        .expect("tiered build");
+    let dir = scratch_dir("tiered");
+    let sharded = ShardedIndex::build(&cqap, &db, &pmtds, SHARDS).expect("sharded build");
+    let placement = sharded.replan(&policy);
+    let mut tiered = ShardedIndex::from_sharded(sharded, &placement, &dir).expect("spill");
     println!("placement: {:?}", tiered.placements());
 
     // One live sink for everything. Attaching to the index needs exclusive
@@ -145,8 +148,10 @@ fn main() {
     runtime.serve_batch(&requests).expect("cold pass");
     runtime.serve_batch(&requests).expect("warm pass");
     println!("stats: {}", runtime.stats());
-    // Join the pool so every in-flight worker lap has landed in the sink.
+    // Join the pool so every in-flight worker lap has landed in the sink;
+    // the index drops with it and deletes its spilled runs.
     drop(runtime);
+    std::fs::remove_dir(&dir).expect("spill dir empty");
 
     // The merged snapshot, as Prometheus would scrape it.
     let snapshot = sink.snapshot().expect("sink is recording");

@@ -49,7 +49,7 @@ fn main() {
         reference.space_used(),
         sharded.num_shards(),
         sharded_build.as_secs_f64() * 1e3,
-        sharded.space_used(),
+        sharded.space_used().total_values(),
     );
 
     // The serving stack over shards: per-shard runtimes behind the

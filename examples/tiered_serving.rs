@@ -4,7 +4,7 @@
 //! cargo run --release --example tiered_serving
 //! ```
 //!
-//! The tiered deployment of `cqap-store`, end to end:
+//! A tiered deployment, end to end:
 //!
 //! 1. the database is hash-partitioned into `k = 4` shards under the
 //!    unchanged `ShardSpec` contract and a `CqapIndex` is built per shard;
@@ -12,7 +12,7 @@
 //!    total S plus observed per-shard traffic — keeps the hottest shards
 //!    in memory and spills the rest to disk-resident sorted runs in a
 //!    temp directory (cleaned up before the example exits);
-//! 3. the `TieredShardedIndex` implements `BatchAnswer`, so a stock
+//! 3. the placed `ShardedIndex` implements `BatchAnswer`, so a stock
 //!    `ServeRuntime` serves a zipf-skewed stream over it unchanged — a
 //!    batch's fresh probes are dealt into one job per worker and answered
 //!    member by member;
@@ -26,6 +26,7 @@ use std::time::Instant;
 use cqap_suite::decomp::families::pmtds_3reach_fig1;
 use cqap_suite::prelude::*;
 use cqap_suite::query::workload::zipf_pair_requests;
+use cqap_suite::store::scratch_dir;
 
 const SHARDS: usize = 4;
 const REQUESTS: usize = 800;
@@ -51,16 +52,19 @@ fn main() {
         .collect();
 
     // Budget roughly half the total S in memory; spill the rest, coldest
-    // shards (by the sampled traffic) first. Runs live in a temp dir the
-    // index removes again when dropped.
+    // shards (by the sampled traffic) first. Each cold shard's runs live
+    // in a subdirectory of a temp dir, which it removes again when
+    // dropped; the temp dir itself goes once they are gone.
+    let dir = scratch_dir("tiered");
     let spec = ShardSpec::new(&cqap, SHARDS).expect("spec");
     let weights = PlacementPolicy::observe(&spec, &sample);
     let budget_bytes = reference.space_used() * std::mem::size_of::<Val>() / 2;
     let policy = PlacementPolicy::hot_budget(budget_bytes).with_weights(weights);
 
     let start = Instant::now();
-    let tiered = TieredShardedIndex::build_in_temp(&cqap, &db, &pmtds, SHARDS, &policy)
-        .expect("tiered build");
+    let sharded = ShardedIndex::build(&cqap, &db, &pmtds, SHARDS).expect("sharded build");
+    let placement = sharded.replan(&policy);
+    let tiered = ShardedIndex::from_sharded(sharded, &placement, &dir).expect("spill");
     let build_time = start.elapsed();
 
     let space = tiered.space_used();
@@ -138,5 +142,7 @@ fn main() {
         requests.len()
     );
     // Dropping the runtime drops the tiered index, which deletes its
-    // spilled runs and scratch directory.
+    // spilled runs; then the scratch directory goes.
+    drop(runtime);
+    let _ = std::fs::remove_dir(&dir);
 }

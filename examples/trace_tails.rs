@@ -11,7 +11,7 @@
 //! answers came back — against a deliberately under-provisioned deployment,
 //! and uses the `cqap-obs` flight recorder to explain the resulting tail:
 //!
-//! 1. a `TieredShardedIndex` is built with **every shard cold** (zero hot
+//! 1. a `ShardedIndex` is placed with **every shard cold** (zero hot
 //!    budget), so each backend probe pays disk fence reads, and a delta
 //!    batch leaves **pending overlay tuples** on the cold runs — every
 //!    probe merges the uncompacted overlay until compaction folds it away;
@@ -43,6 +43,7 @@ use cqap_suite::obs::{
 };
 use cqap_suite::prelude::*;
 use cqap_suite::query::workload::open_loop_pair_stream;
+use cqap_suite::store::scratch_dir;
 
 const SHARDS: usize = 2;
 const THREADS: usize = 2;
@@ -61,8 +62,10 @@ fn main() {
 
     // Zero hot budget: every shard spills, every probe is a disk probe.
     let policy = PlacementPolicy::hot_budget(0);
-    let mut tiered = TieredShardedIndex::build_in_temp(&cqap, &db, &pmtds, SHARDS, &policy)
-        .expect("tiered build");
+    let dir = scratch_dir("tiered");
+    let sharded = ShardedIndex::build(&cqap, &db, &pmtds, SHARDS).expect("sharded build");
+    let placement = sharded.replan(&policy);
+    let mut tiered = ShardedIndex::from_sharded(sharded, &placement, &dir).expect("spill");
     assert!(
         tiered.placements().iter().all(|t| *t == ShardTier::Cold),
         "zero budget spills everything"
@@ -125,8 +128,10 @@ fn main() {
         ticket.wait().expect("request answers");
     }
     println!("stats: {}", runtime.stats());
-    // Join the pool so every in-flight span has landed in the ring.
+    // Join the pool so every in-flight span has landed in the ring; the
+    // index drops with it and deletes its spilled runs.
     drop(runtime);
+    std::fs::remove_dir(&dir).expect("spill dir empty");
 
     let events = tracer.drain();
     println!(

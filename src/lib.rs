@@ -22,7 +22,9 @@
 //!   [`MetricsSink`](obs::MetricsSink), with Prometheus-text and
 //!   bench-JSON export.
 //! * [`panda`] — 2-phase disjunctive rules, the framework driver, and the
-//!   Table 1 / Figure 4 analysis entry points.
+//!   Table 1 / Figure 4 analysis entry points. The driver,
+//!   [`CqapIndex`](panda::CqapIndex), answers from resident S-views or,
+//!   once [spilled](panda::CqapIndex::spill), from disk-resident ones.
 //! * [`indexes`] — the concrete budget-parameterized index structures and
 //!   baselines used by the empirical experiments.
 //! * [`serve`] — the batched, concurrent request-serving runtime: the
@@ -33,14 +35,14 @@
 //!   admission, request deadlines, load shedding and degrade mode.
 //! * [`shard`] — hash-sharded serving: [`ShardedIndex`](shard::ShardedIndex)
 //!   partitions the database by routing-variable hash into independently
-//!   built `CqapIndex` shards, and [`ShardRouter`](shard::ShardRouter)
-//!   scatter-gathers requests across per-shard runtimes.
-//! * [`store`] — the tiered storage backend:
-//!   [`StoredIndex`](store::StoredIndex) answers from disk-resident
-//!   S-views (sorted runs with sparse fence indexes), and
-//!   [`TieredShardedIndex`](store::TieredShardedIndex) places each hash
-//!   shard hot (in memory) or cold (on disk) under a budget- and
-//!   traffic-driven [`PlacementPolicy`](store::PlacementPolicy).
+//!   built `CqapIndex` shards, places each hot (in memory) or cold (on
+//!   disk) under a budget- and traffic-driven
+//!   [`PlacementPolicy`](shard::PlacementPolicy), and
+//!   [`ShardRouter`](shard::ShardRouter) scatter-gathers requests across
+//!   per-shard runtimes.
+//! * [`store`] — the on-disk S-view format: sorted runs with key filters
+//!   and sparse fence indexes, probed through
+//!   [`StoredViews`](store::StoredViews).
 //!
 //! ## Quick start
 //!
@@ -74,8 +76,15 @@ pub use cqap_query as query;
 pub use cqap_relation as relation;
 pub use cqap_serve as serve;
 pub use cqap_shard as shard;
-pub use cqap_store as store;
 pub use cqap_yannakakis as yannakakis;
+
+/// `cqap-store` (the on-disk S-view format), plus the names the `perf/`
+/// harness still calls the spilled index and the placed sharded index by.
+pub mod store {
+    pub use cqap_panda::CqapIndex as StoredIndex;
+    pub use cqap_shard::{ShardTier, ShardedIndex as TieredShardedIndex, TieredSpace};
+    pub use cqap_store::*;
+}
 
 /// The most commonly used items, for glob import in examples and tests.
 pub mod prelude {
@@ -94,7 +103,8 @@ pub mod prelude {
     pub use cqap_query::{AccessRequest, ConjunctiveQuery, Cqap, Hypergraph};
     pub use cqap_relation::{Database, Relation, Schema};
     pub use cqap_serve::{AdmissionConfig, BatchAnswer, ServeConfig, ServeError, ServeRuntime};
-    pub use cqap_shard::{ShardRouter, ShardRouterConfig, ShardSpec, ShardedIndex};
-    pub use cqap_store::{PlacementPolicy, ShardTier, StoredIndex, TieredShardedIndex};
+    pub use cqap_shard::{
+        PlacementPolicy, ShardRouter, ShardRouterConfig, ShardSpec, ShardTier, ShardedIndex,
+    };
     pub use cqap_yannakakis::{naive_answer, OnlineYannakakis};
 }

@@ -9,7 +9,7 @@ use cqap_suite::panda::analysis::{
 use cqap_suite::panda::rules::minimal_rules;
 use cqap_suite::prelude::*;
 use cqap_suite::query::workload::graph_pair_requests;
-use cqap_suite::store::{scratch_dir, StoredIndex};
+use cqap_suite::store::scratch_dir;
 use proptest::prelude::*;
 
 #[test]
@@ -30,7 +30,7 @@ fn three_reach_pipeline_matches_naive_on_skewed_graph() {
     // Edge requests, on both backends: no binding at all (the union still
     // runs its first plan and answers empty, with the head's schema), and
     // a binding given twice beside one given once.
-    let stored = StoredIndex::spill(&index, scratch_dir("framework-edge")).unwrap();
+    let stored = index.spill(scratch_dir("framework-edge")).unwrap();
     let (u, v) = graph.edges[0];
     let twice = [Tuple::pair(u, v), Tuple::pair(v, u), Tuple::pair(u, v)];
     for tuples in [Vec::new(), twice.to_vec()] {

@@ -19,7 +19,7 @@
 //! support counts are a clone of the very tables the hot index probes, so
 //! it holds the hot figure *plus* its fences and overlays. That is the
 //! standing argument for moving the cold counts to disk (ROADMAP open
-//! item 4(b)); until then the test pins "cold counts = the hot figure at
+//! item 3(a)); until then the test pins "cold counts = the hot figure at
 //! spill time" and "the rest is fences".
 
 use std::collections::HashSet;
@@ -106,12 +106,12 @@ fn resident_bytes_stay_within_four_and_a_half_times_the_stored_values() {
     // A cold lineage keeps fences and its own support counts. Spilled by
     // reference, as here, the counts are a clone of the hot tables
     // (exact-fit, where the originals carry up to an eighth of growth
-    // slack in their vectors); a tiered index's cold shard moves the
-    // originals instead, slack and all. Either way the lineage is resident
+    // slack in their vectors); a placed cold shard spilled in place keeps
+    // the originals instead, slack and all. Either way the lineage is resident
     // at the hot figure plus a fence index — a small fraction of it, and
     // at least the fence keys themselves (no overlay is pending right
     // after a spill).
-    let stored = StoredIndex::spill(&index, scratch_dir("resident-cost")).unwrap();
+    let stored = index.spill(scratch_dir("resident-cost")).unwrap();
     let hot = index.resident_bytes();
     drop(index);
     let cold = stored.resident_bytes();
