@@ -30,3 +30,45 @@ pub use kreach::{BfsBaseline, FullReachMaterialization, KReachGoldstein, TwoReac
 pub use setdisjoint::SetDisjointnessIndex;
 pub use square::SquareIndex;
 pub use triangle::TriangleIndex;
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use cqap_common::{work, Val};
+    use cqap_query::workload::{graph_pair_requests, Graph};
+
+    #[test]
+    fn indexes_are_shareable_across_threads() {
+        // A structure holds no counter, so `&index` is probed from several
+        // threads at once and each thread's work is its own: four
+        // concurrent passes count exactly four single-threaded ones, with
+        // nothing lost or counted twice.
+        fn four_threads_count_four_passes(
+            query: impl Fn(Val, Val) -> bool + Sync,
+            requests: &[(Val, Val)],
+        ) {
+            let pass = || {
+                let before = work::total();
+                let answers: Vec<bool> = requests.iter().map(|&(u, v)| query(u, v)).collect();
+                (answers, work::total() - before)
+            };
+            let (expected, single_pass) = pass();
+            let runs: Vec<(Vec<bool>, u64)> = std::thread::scope(|s| {
+                let handles: Vec<_> = (0..4).map(|_| s.spawn(pass)).collect();
+                handles.into_iter().map(|h| h.join().unwrap()).collect()
+            });
+            assert!(single_pass > 0);
+            for (answers, _) in &runs {
+                assert_eq!(answers, &expected);
+            }
+            assert_eq!(runs.iter().map(|(_, w)| w).sum::<u64>(), 4 * single_pass);
+        }
+
+        let g = Graph::random(50, 250, 21);
+        let requests = graph_pair_requests(&g, 200, 23);
+        let two_reach = TwoReachIndex::build(&g, 5_000);
+        four_threads_count_four_passes(|u, v| two_reach.query(u, v), &requests);
+        let square = SquareIndex::build(&g, 5_000);
+        four_threads_count_four_passes(|u, v| square.query(u, v), &requests);
+    }
+}

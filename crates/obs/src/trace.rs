@@ -695,7 +695,8 @@ impl fmt::Display for TailReport {
 /// A *committed* trace is one with a [`TraceStage::Request`] root
 /// event — its duration is the request's total latency. The dominant
 /// stage is the non-root stage with the largest summed duration
-/// inside the trace; markers record overlay-pending probes, segment
+/// inside the trace ([`TraceStage::Request`] when no stage has a
+/// non-zero total); markers record overlay-pending probes, segment
 /// reads, and background maintenance events (recorded against trace
 /// id 0) whose windows overlap the request's. Buckets come back
 /// slowest-first.
@@ -741,9 +742,12 @@ pub fn tail_attribution(events: &[TraceEvent], fraction: f64) -> TailReport {
             }
         }
         markers.sort_unstable();
+        // A trace whose children were overwritten in the ring keeps only
+        // its root (written last): with no timed stage it blames none.
         let dominant = per_stage
             .iter()
             .enumerate()
+            .filter(|(_, &ns)| ns > 0)
             .max_by_key(|(_, &ns)| ns)
             .map(|(i, _)| TraceStage::ALL[i])
             .unwrap_or(TraceStage::Request);
@@ -937,6 +941,14 @@ mod tests {
         let display = report.to_string();
         assert!(display.contains("queue_wait"));
         assert!(display.contains("overlay_pending"));
+    }
+
+    #[test]
+    fn a_root_without_timed_stages_is_dominated_by_the_request() {
+        let report = tail_attribution(&[ev(1, TraceStage::Request, 0, 5_000, 5_000)], 1.0);
+        assert_eq!(report.tail_count, 1);
+        assert_eq!(report.buckets[0].dominant, TraceStage::Request);
+        assert!(!report.has_dominant(TraceStage::OverlayProbe));
     }
 
     #[test]

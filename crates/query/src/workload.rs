@@ -239,24 +239,6 @@ pub fn zipf_pair_requests(graph: &Graph, n: usize, skew: f64, seed: u64) -> Vec<
         .collect()
 }
 
-/// Splits a request stream into batches of `batch_size` (the last batch may
-/// be shorter), the unit the serving runtime consumes.
-pub fn into_batches<T>(requests: Vec<T>, batch_size: usize) -> Vec<Vec<T>> {
-    assert!(batch_size > 0, "batch size must be positive");
-    let mut batches = Vec::with_capacity(requests.len().div_ceil(batch_size));
-    let mut current = Vec::with_capacity(batch_size);
-    for request in requests {
-        current.push(request);
-        if current.len() == batch_size {
-            batches.push(std::mem::replace(&mut current, Vec::with_capacity(batch_size)));
-        }
-    }
-    if !current.is_empty() {
-        batches.push(current);
-    }
-    batches
-}
-
 /// Generates `n` **multi-tuple** access requests: each request carries
 /// `tuples_per_request` zipf-skewed endpoint pairs (deduplicated within the
 /// request). This is the workload shape a scatter-gather shard router has
@@ -316,156 +298,6 @@ pub fn poisson_arrivals_ns(n: usize, rate_per_sec: f64, seed: u64) -> Vec<u64> {
             (t * 1e9) as u64
         })
         .collect()
-}
-
-/// Generates `n` **flash-crowd arrival offsets** in nanoseconds: a
-/// baseline Poisson process at `base_rate_per_sec` with a step change to
-/// `burst_rate_per_sec` for the window starting `burst_start_sec` after
-/// stream start and lasting `burst_len_sec`. This is the canonical
-/// overload shape — steady offered load an admission gate can absorb,
-/// then a burst that exceeds service capacity and must be shed (or
-/// queued, compounding the tail) until the window passes.
-///
-/// The rate switch is evaluated at each arrival's timestamp, so the gap
-/// *after* the last pre-burst arrival already uses the burst rate once
-/// the clock crosses the window boundary.
-pub fn flash_crowd_arrivals_ns(
-    n: usize,
-    base_rate_per_sec: f64,
-    burst_rate_per_sec: f64,
-    burst_start_sec: f64,
-    burst_len_sec: f64,
-    seed: u64,
-) -> Vec<u64> {
-    assert!(base_rate_per_sec > 0.0, "base arrival rate must be positive");
-    assert!(
-        burst_rate_per_sec > 0.0,
-        "burst arrival rate must be positive"
-    );
-    assert!(burst_len_sec >= 0.0, "burst window cannot be negative");
-    let mut rng = StdRng::seed_from_u64(seed);
-    let burst_end_sec = burst_start_sec + burst_len_sec;
-    let mut t = 0.0f64;
-    (0..n)
-        .map(|_| {
-            let rate = if t >= burst_start_sec && t < burst_end_sec {
-                burst_rate_per_sec
-            } else {
-                base_rate_per_sec
-            };
-            let u = rng.random_range(0..u64::MAX) as f64 / u64::MAX as f64;
-            t += -(1.0 - u).ln() / rate;
-            (t * 1e9) as u64
-        })
-        .collect()
-}
-
-/// Generates `n` `(tenant, endpoint pair)` requests from a multi-tenant
-/// mix: `tenants` tenants share the serving runtime, each with its own
-/// zipf-skewed hot set (hot-key identity is offset per tenant, so tenants
-/// mostly don't share cache entries), and tenant `0` is **abusive** — it
-/// submits `abuse_factor` times a fair tenant's share of the stream. This
-/// is the workload that motivates per-tenant admission: without isolation
-/// the abusive tenant's queue depth taxes every well-behaved tenant's
-/// latency.
-pub fn multi_tenant_pair_requests(
-    graph: &Graph,
-    n: usize,
-    tenants: usize,
-    skew: f64,
-    abuse_factor: usize,
-    seed: u64,
-) -> Vec<(usize, (Val, Val))> {
-    assert!(tenants > 0, "need at least one tenant");
-    assert!(abuse_factor > 0, "abuse factor must be at least 1 (fair)");
-    let mut rng = StdRng::seed_from_u64(seed);
-    let sampler = ZipfSampler::new(graph.num_vertices, skew);
-    // Tenant weights: the abusive tenant 0 counts `abuse_factor` shares,
-    // every other tenant one share.
-    let total_shares = abuse_factor + (tenants - 1);
-    // Per-tenant hot-set offset, as in the drifting generator: distinct
-    // tenants get (mostly) disjoint heavy hitters.
-    let stride = (graph.num_vertices / tenants).max(1);
-    (0..n)
-        .map(|_| {
-            let share = rng.random_range(0..total_shares as u64) as usize;
-            let tenant = if share < abuse_factor {
-                0
-            } else {
-                share - abuse_factor + 1
-            };
-            let offset = tenant * stride;
-            let u = (sampler.sample(&mut rng) + offset) % graph.num_vertices;
-            let v = (sampler.sample(&mut rng) + offset) % graph.num_vertices;
-            (tenant, (u as Val, v as Val))
-        })
-        .collect()
-}
-
-/// Generates `n` access-request keys whose zipf distribution **drifts**:
-/// the stream is cut into windows of `rotate_every` requests, the skew
-/// interpolates linearly from `skew_from` to `skew_to` across the windows,
-/// and each window rotates *which* vertices are the hot ranks. The drift
-/// defeats any cache warmed on an earlier window's heavy hitters — each
-/// rotation forces fresh cold probes mid-stream, the workload shape that
-/// keeps a serving tail alive even after warm-up.
-pub fn drifting_zipf_pair_requests(
-    graph: &Graph,
-    n: usize,
-    skew_from: f64,
-    skew_to: f64,
-    rotate_every: usize,
-    seed: u64,
-) -> Vec<(Val, Val)> {
-    assert!(rotate_every > 0, "window must be positive");
-    let mut rng = StdRng::seed_from_u64(seed);
-    let num_windows = n.div_ceil(rotate_every).max(1);
-    // Hot-key identity shifts by a fixed stride per window, so distinct
-    // windows have (mostly) disjoint heavy hitters.
-    let stride = (graph.num_vertices / num_windows).max(1);
-    let mut out = Vec::with_capacity(n);
-    for w in 0..num_windows {
-        let frac = if num_windows == 1 {
-            0.0
-        } else {
-            w as f64 / (num_windows - 1) as f64
-        };
-        let skew = skew_from + (skew_to - skew_from) * frac;
-        let sampler = ZipfSampler::new(graph.num_vertices, skew);
-        let offset = w * stride;
-        for _ in (w * rotate_every)..((w + 1) * rotate_every).min(n) {
-            let u = (sampler.sample(&mut rng) + offset) % graph.num_vertices;
-            let v = (sampler.sample(&mut rng) + offset) % graph.num_vertices;
-            out.push((u as Val, v as Val));
-        }
-    }
-    out
-}
-
-/// The combined open-loop stream: [`poisson_arrivals_ns`] zipped with
-/// [`drifting_zipf_pair_requests`] — `(arrival offset ns, endpoint key)`
-/// pairs ready for an open-loop driver to replay against a serving
-/// runtime.
-pub fn open_loop_pair_stream(
-    graph: &Graph,
-    n: usize,
-    rate_per_sec: f64,
-    skew_from: f64,
-    skew_to: f64,
-    rotate_every: usize,
-    seed: u64,
-) -> Vec<(u64, (Val, Val))> {
-    let arrivals = poisson_arrivals_ns(n, rate_per_sec, seed);
-    let keys = drifting_zipf_pair_requests(
-        graph,
-        n,
-        skew_from,
-        skew_to,
-        rotate_every,
-        // Decorrelate the key stream from the arrival process.
-        seed ^ 0x9E37_79B9_7F4A_7C15,
-    );
-    arrivals.into_iter().zip(keys).collect()
 }
 
 /// The shard a routing-key value belongs to under hash partitioning. This
@@ -702,128 +534,5 @@ mod tests {
         // A 4x rate quarters the span.
         let fast = poisson_arrivals_ns(10_000, 200_000.0, 13);
         assert!(*fast.last().unwrap() < *a.last().unwrap() / 2);
-    }
-
-    #[test]
-    fn drifting_zipf_rotates_the_hot_keys() {
-        let g = Graph::random(200, 800, 3);
-        let keys = drifting_zipf_pair_requests(&g, 4_000, 1.2, 1.2, 1_000, 21);
-        assert_eq!(
-            keys,
-            drifting_zipf_pair_requests(&g, 4_000, 1.2, 1.2, 1_000, 21),
-            "deterministic given seed"
-        );
-        assert!(keys.iter().all(|&(u, v)| (u as usize) < 200 && (v as usize) < 200));
-        // The modal source key of the first window differs from the last
-        // window's: the hot identity rotated.
-        let modal = |window: &[(Val, Val)]| -> Val {
-            let mut counts = cqap_common::FxHashMap::<Val, usize>::default();
-            for &(u, _) in window {
-                *counts.entry(u).or_insert(0) += 1;
-            }
-            counts.into_iter().max_by_key(|&(_, c)| c).unwrap().0
-        };
-        let first = modal(&keys[..1_000]);
-        let last = modal(&keys[3_000..]);
-        assert_ne!(first, last, "hot key rotated across windows");
-        // And within a window the stream is genuinely skewed.
-        let first_hits = keys[..1_000].iter().filter(|&&(u, _)| u == first).count();
-        assert!(first_hits > 50, "window hot key dominates: {first_hits}");
-    }
-
-    #[test]
-    fn open_loop_stream_zips_arrivals_and_keys() {
-        let g = Graph::random(100, 400, 5);
-        let stream = open_loop_pair_stream(&g, 500, 10_000.0, 0.8, 1.4, 100, 17);
-        assert_eq!(stream.len(), 500);
-        assert!(stream.windows(2).all(|w| w[0].0 <= w[1].0));
-        assert_eq!(
-            stream.iter().map(|&(at, _)| at).collect::<Vec<_>>(),
-            poisson_arrivals_ns(500, 10_000.0, 17)
-        );
-    }
-
-    #[test]
-    fn flash_crowd_bursts_inside_the_window() {
-        // 1k req/s baseline, 20k req/s burst over seconds [1, 2).
-        let a = flash_crowd_arrivals_ns(10_000, 1_000.0, 20_000.0, 1.0, 1.0, 9);
-        assert_eq!(
-            a,
-            flash_crowd_arrivals_ns(10_000, 1_000.0, 20_000.0, 1.0, 1.0, 9),
-            "deterministic"
-        );
-        assert!(a.windows(2).all(|w| w[0] <= w[1]), "arrival times nondecrease");
-        let in_window = |lo_s: f64, hi_s: f64| {
-            a.iter()
-                .filter(|&&t| (t as f64) >= lo_s * 1e9 && (t as f64) < hi_s * 1e9)
-                .count()
-        };
-        let before = in_window(0.0, 1.0);
-        let during = in_window(1.0, 2.0);
-        // ≈1 000 arrivals in the baseline second, ≈20 000 offered in the
-        // burst second (capped by n); the step must be unmistakable.
-        assert!(before < 2 * during / 10, "burst dwarfs baseline: {before} vs {during}");
-        assert!(during > 5_000, "burst window carries the mass: {during}");
-        // With burst rate == base rate the generator degenerates to plain
-        // Poisson arrivals.
-        assert_eq!(
-            flash_crowd_arrivals_ns(500, 4_000.0, 4_000.0, 0.5, 1.0, 13),
-            poisson_arrivals_ns(500, 4_000.0, 13)
-        );
-    }
-
-    #[test]
-    fn multi_tenant_mix_is_skewed_toward_the_abuser() {
-        let g = Graph::random(200, 800, 3);
-        let reqs = multi_tenant_pair_requests(&g, 8_000, 4, 1.2, 6, 11);
-        assert_eq!(
-            reqs,
-            multi_tenant_pair_requests(&g, 8_000, 4, 1.2, 6, 11),
-            "deterministic given seed"
-        );
-        let mut per_tenant = vec![0usize; 4];
-        for &(tenant, (u, v)) in &reqs {
-            assert!(tenant < 4);
-            assert!((u as usize) < 200 && (v as usize) < 200);
-            per_tenant[tenant] += 1;
-        }
-        // Tenant 0 holds 6 of 9 shares ≈ 2/3 of the stream; each fair
-        // tenant ≈ 1/9.
-        assert!(per_tenant[0] > 4_500, "abuser dominates: {per_tenant:?}");
-        for tenant in 1..4 {
-            assert!(
-                (400..1_600).contains(&per_tenant[tenant]),
-                "fair tenant share: {per_tenant:?}"
-            );
-        }
-        // Tenants have (mostly) distinct hot keys: the abuser's modal
-        // source differs from tenant 2's.
-        let modal = |tenant: usize| -> Val {
-            let mut counts = cqap_common::FxHashMap::<Val, usize>::default();
-            for &(t, (u, _)) in &reqs {
-                if t == tenant {
-                    *counts.entry(u).or_insert(0) += 1;
-                }
-            }
-            counts.into_iter().max_by_key(|&(_, c)| c).unwrap().0
-        };
-        assert_ne!(modal(0), modal(2), "per-tenant hot sets are offset");
-        // abuse_factor == 1 is a fair mix: every tenant within 2x of the
-        // uniform share.
-        let fair = multi_tenant_pair_requests(&g, 8_000, 4, 1.0, 1, 7);
-        let mut counts = vec![0usize; 4];
-        for &(t, _) in &fair {
-            counts[t] += 1;
-        }
-        assert!(counts.iter().all(|&c| (1_000..4_000).contains(&c)), "{counts:?}");
-    }
-
-    #[test]
-    fn batching_splits_and_preserves_order() {
-        let batches = into_batches((0..10).collect::<Vec<_>>(), 4);
-        assert_eq!(batches, vec![vec![0, 1, 2, 3], vec![4, 5, 6, 7], vec![8, 9]]);
-        let whole = into_batches(vec![1, 2], 10);
-        assert_eq!(whole, vec![vec![1, 2]]);
-        assert!(into_batches(Vec::<u8>::new(), 3).is_empty());
     }
 }

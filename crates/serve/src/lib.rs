@@ -9,10 +9,10 @@
 //! other crates build the "once" half; this crate is the "heavy stream"
 //! half:
 //!
-//! * [`BatchAnswer`] — the one serving API every index family implements:
-//!   the framework driver [`CqapIndex`](cqap_panda::CqapIndex) (whose
-//!   online phase is Online Yannakakis per PMTD) and all specialized
-//!   structures of `cqap-indexes`.
+//! * [`BatchAnswer`] — the one serving API: the framework driver
+//!   [`CqapIndex`](cqap_panda::CqapIndex) (whose online phase is Online
+//!   Yannakakis per PMTD) implements it, and so do the sharded index and
+//!   shard router of `cqap-shard` that wrap it.
 //! * [`WorkStealingPool`] — a std-only work-stealing thread pool (the
 //!   environment has no registry access, so no rayon); round-robin
 //!   distribution plus steal-half-from-a-victim rebalances skewed batches.
@@ -88,8 +88,7 @@
 //! ```
 //!
 //! For one-at-a-time submission use [`ServeRuntime::submit`], which returns
-//! a [`Ticket`] per request; for a pool-free scoped helper (no `'static`
-//! bound, no runtime construction) use [`answer_batch_parallel`].
+//! a [`Ticket`] per request.
 
 #![deny(missing_docs)]
 
@@ -105,69 +104,22 @@ pub use cache::LruCache;
 pub use pool::{default_threads, WorkStealingPool};
 pub use runtime::{ServeConfig, ServeRuntime, ServeStats, Ticket};
 
-use cqap_common::Result;
-
-/// Answers `requests` in parallel on `threads` scoped threads, without
-/// building a [`ServeRuntime`] (no pool, no cache, no `'static` bounds).
-///
-/// Threads claim requests from a shared atomic cursor, so finishing early
-/// on cheap requests automatically rebalances toward the expensive ones.
-/// Answers are returned in input order. `examples/serving.rs` uses it to
-/// isolate raw parallel speedup from caching effects.
-///
-/// # Errors
-/// Fails if any request fails (the earliest failing position wins).
-pub fn answer_batch_parallel<I: BatchAnswer>(
-    index: &I,
-    requests: &[I::Request],
-    threads: usize,
-) -> Result<Vec<I::Answer>> {
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::sync::Mutex;
-
-    let threads = threads.max(1).min(requests.len().max(1));
-    let cursor = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<Result<I::Answer>>>> =
-        requests.iter().map(|_| Mutex::new(None)).collect();
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| loop {
-                let position = cursor.fetch_add(1, Ordering::Relaxed);
-                let Some(request) = requests.get(position) else {
-                    return;
-                };
-                *slots[position].lock().expect("slot lock") = Some(index.answer_one(request));
-            });
-        }
-    });
-    slots
-        .into_iter()
-        .map(|slot| slot.into_inner().expect("slot lock").expect("slot filled"))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cqap_indexes::TwoReachIndex;
-    use cqap_query::workload::{graph_pair_requests, Graph};
-
-    #[test]
-    fn scoped_parallel_matches_sequential() {
-        let g = Graph::random(60, 300, 3);
-        let index = TwoReachIndex::build(&g, 20_000);
-        let requests = graph_pair_requests(&g, 500, 5);
-        let sequential: Vec<bool> = requests.iter().map(|&(u, v)| index.query(u, v)).collect();
-        for threads in [1, 2, 8, 64] {
-            let parallel = answer_batch_parallel(&index, &requests, threads).unwrap();
-            assert_eq!(parallel, sequential, "threads = {threads}");
-        }
-    }
+    use cqap_decomp::families::pmtds_3reach_fig1;
+    use cqap_panda::CqapIndex;
+    use cqap_query::workload::Graph;
+    use std::sync::Arc;
 
     #[test]
     fn empty_batch() {
-        let g = Graph::random(10, 20, 1);
-        let index = TwoReachIndex::build(&g, 100);
-        assert!(answer_batch_parallel(&index, &[], 4).unwrap().is_empty());
+        let (cqap, pmtds) = pmtds_3reach_fig1().unwrap();
+        let db = Graph::random(10, 20, 1).as_path_database(3);
+        let index = Arc::new(CqapIndex::build(&cqap, &db, &pmtds).unwrap());
+        let runtime = ServeRuntime::new(index);
+        assert!(runtime.serve_batch(&[]).unwrap().is_empty());
+        let stats = runtime.stats();
+        assert_eq!((stats.served, stats.cache_misses), (0, 0));
     }
 }

@@ -1866,6 +1866,108 @@ mod tests {
         assert_eq!(stats.errors, 0, "expiry is not a probe error");
     }
 
+    /// Overload as counts, not timings: with the single worker held at
+    /// the gate, an unbounded runtime queues every submit (its queue-depth
+    /// gauge reaches the submitted count), while a shed-bounded one never
+    /// holds more than `K` permits and sheds exactly the rest.
+    #[test]
+    fn a_held_worker_queues_every_submit_unless_the_gate_sheds() {
+        use cqap_obs::GaugeId;
+
+        const N: u64 = 12;
+        const K: usize = 3;
+        for admission in [None, Some(AdmissionConfig::shed(K))] {
+            let (index, gate) = GatedIndex::new();
+            let sink = MetricsSink::recording();
+            let runtime = ServeRuntime::with_metrics(
+                Arc::clone(&index),
+                ServeConfig {
+                    threads: 1,
+                    cache_capacity: 0,
+                    admission,
+                    ..ServeConfig::default()
+                },
+                sink.clone(),
+            );
+            // Distinct keys (13 is the poison key), one probe job each.
+            let mut tickets = Vec::new();
+            for key in 1..=N {
+                tickets.push((key, runtime.submit(key)));
+                let gauges = sink.snapshot().expect("sink is recording");
+                let admitted = gauges.gauge(GaugeId::AdmittedPending);
+                match admission {
+                    None => {
+                        assert_eq!(gauges.gauge(GaugeId::QueueDepth), key as i64);
+                        assert_eq!(admitted, 0, "no gate, no permits");
+                    }
+                    Some(_) => assert!(admitted <= K as i64, "{admitted} permits held"),
+                }
+            }
+            let admitted = if admission.is_some() { K as u64 } else { N };
+            let gauges = sink.snapshot().expect("sink is recording");
+            assert_eq!(gauges.gauge(GaugeId::QueueDepth), admitted as i64);
+            assert_eq!(runtime.stats().shed, N - admitted);
+            for _ in 0..admitted {
+                gate.send(()).expect("worker waiting");
+            }
+            let (mut answered, mut shed) = (0, 0);
+            for (key, ticket) in tickets {
+                match ticket.wait() {
+                    Ok(answer) => {
+                        assert_eq!(*answer, key * 10);
+                        answered += 1;
+                    }
+                    Err(error) if error.is_overloaded() => shed += 1,
+                    Err(error) => panic!("unexpected serving error: {error}"),
+                }
+            }
+            assert_eq!((answered, shed), (admitted, N - admitted));
+            assert_eq!(index.probes.load(Ordering::Relaxed), admitted);
+            drop(runtime);
+            let gauges = sink.snapshot().expect("sink is recording");
+            assert_eq!(gauges.gauge(GaugeId::QueueDepth), 0);
+            assert_eq!(gauges.gauge(GaugeId::AdmittedPending), 0);
+        }
+    }
+
+    /// A queue-wait-dominated tail, made deterministic: the single worker
+    /// is held at the gate while traced submits queue behind it, so every
+    /// request but the first waits in the queue for at least the hold,
+    /// and their probes find their release token already sent.
+    #[test]
+    fn requests_queued_behind_a_held_worker_make_a_queue_wait_tail() {
+        use cqap_obs::{tail_attribution, FlightRecorder, SamplingPolicy, TraceStage};
+
+        const N: u64 = 8;
+        let (index, gate) = GatedIndex::new();
+        let tracer = Arc::new(FlightRecorder::new(1 << 10, SamplingPolicy::Always));
+        let sink = MetricsSink::recording().with_tracer(Arc::clone(&tracer));
+        let runtime = ServeRuntime::with_metrics(
+            index,
+            ServeConfig {
+                threads: 1,
+                cache_capacity: 0,
+                ..ServeConfig::default()
+            },
+            sink,
+        );
+        let tickets: Vec<_> = (1..=N).map(|key| runtime.submit(key)).collect();
+        std::thread::sleep(Duration::from_millis(20));
+        for _ in 0..N {
+            gate.send(()).expect("worker waiting");
+        }
+        for (key, ticket) in (1..=N).zip(tickets) {
+            assert_eq!(*ticket.wait().unwrap(), key * 10);
+        }
+        drop(runtime); // join the pool so every leg is in the ring
+        let report = tail_attribution(&tracer.drain(), 0.5);
+        assert_eq!(report.traces, N as usize, "every submit committed a trace");
+        assert!(
+            report.has_dominant(TraceStage::QueueWait),
+            "the queued requests' tail is queue wait:\n{report}"
+        );
+    }
+
     #[test]
     fn already_expired_submit_is_rejected_at_the_door() {
         let (index, requests) = small_index();

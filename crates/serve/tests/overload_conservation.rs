@@ -12,8 +12,7 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use cqap_decomp::families::pmtds_3reach_fig1;
-use cqap_indexes::TwoReachIndex;
+use cqap_decomp::families::{pmtds_2reach, pmtds_3reach_fig1};
 use cqap_panda::CqapIndex;
 use cqap_query::workload::{zipf_pair_requests, Graph};
 use cqap_query::AccessRequest;
@@ -184,11 +183,15 @@ proptest! {
     /// `wait` after drop returns rather than hanging.
     #[test]
     fn no_ticket_is_left_unresolved_at_shutdown(seed in 0u64..10_000) {
+        let (cqap, pmtds) = pmtds_2reach().unwrap();
         let graph = Graph::random(40, 160, seed);
-        let index = Arc::new(TwoReachIndex::build(&graph, 20_000));
-        let requests = zipf_pair_requests(&graph, 64, 1.1, seed ^ 0x50de);
-        let reference: Vec<bool> =
-            requests.iter().map(|&(u, v)| index.query(u, v)).collect();
+        let index = Arc::new(CqapIndex::build(&cqap, &graph.as_path_database(2), &pmtds).unwrap());
+        let requests: Vec<AccessRequest> = zipf_pair_requests(&graph, 64, 1.1, seed ^ 0x50de)
+            .into_iter()
+            .map(|(u, v)| AccessRequest::single(cqap.access(), &[u, v]).unwrap())
+            .collect();
+        let reference: Vec<Relation> =
+            requests.iter().map(|request| index.answer(request).unwrap()).collect();
 
         let runtime = ServeRuntime::with_config(
             Arc::clone(&index),
@@ -201,7 +204,7 @@ proptest! {
         );
         let tickets: Vec<_> = requests
             .iter()
-            .map(|&request| runtime.submit(request))
+            .map(|request| runtime.submit(request.clone()))
             .collect();
         // Drop with every ticket still in hand: the pool drains its queue
         // before the workers join, so in-flight probes complete.

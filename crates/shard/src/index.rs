@@ -31,9 +31,8 @@ use crate::tiered::{PlacementPolicy, ShardTier, TieredSpace};
 /// (cold).
 ///
 /// Implements [`BatchAnswer`] (splitting each request across shards and
-/// unioning the per-shard answers), so a `ShardedIndex` drops into every
-/// generic serving surface — `ServeRuntime`, `answer_batch_parallel`, the
-/// benches — exactly like a single `CqapIndex`. For serving production
+/// unioning the per-shard answers), so a `ShardedIndex` drops into a
+/// `ServeRuntime` exactly like a single `CqapIndex`. For serving production
 /// traffic prefer [`ShardRouter`](crate::ShardRouter), which puts a full
 /// `ServeRuntime` (pool + cache) in front of every shard.
 pub struct ShardedIndex {

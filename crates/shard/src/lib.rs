@@ -27,8 +27,8 @@
 //!   shard; single-binding requests route to exactly one shard,
 //!   multi-binding requests scatter-gather, and the router is again a
 //!   `BatchAnswer` — wrap it in a top-level `ServeRuntime` and the whole
-//!   existing surface (LRU cache, `serve_batch`, `submit`/`Ticket`,
-//!   benches, examples) serves over shards unchanged.
+//!   existing surface (LRU cache, `serve_batch`, `submit`/`Ticket`)
+//!   serves over shards unchanged.
 //!
 //! ## Worked example: shards end to end
 //!

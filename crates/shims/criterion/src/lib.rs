@@ -237,41 +237,6 @@ fn run_benchmark<F: FnMut(&mut Bencher)>(label: &str, samples: usize, mut f: F) 
     );
 }
 
-/// Parses a JSON string literal starting at (or after whitespace before)
-/// an opening quote; returns the unescaped content and the remainder.
-///
-/// Public because downstream examples reuse it to sanity-check other
-/// JSON artifacts (e.g. Chrome trace exports) without a JSON dependency.
-pub fn parse_json_string(s: &str) -> Option<(String, &str)> {
-    let s = s.trim_start();
-    let mut chars = s.char_indices();
-    match chars.next() {
-        Some((_, '"')) => {}
-        _ => return None,
-    }
-    let mut out = String::new();
-    while let Some((i, c)) = chars.next() {
-        match c {
-            '"' => return Some((out, &s[i + 1..])),
-            '\\' => match chars.next()?.1 {
-                '"' => out.push('"'),
-                '\\' => out.push('\\'),
-                'n' => out.push('\n'),
-                'r' => out.push('\r'),
-                't' => out.push('\t'),
-                'u' => {
-                    let code: String = (0..4).filter_map(|_| chars.next().map(|(_, c)| c)).collect();
-                    let c = u32::from_str_radix(&code, 16).ok().and_then(char::from_u32)?;
-                    out.push(c);
-                }
-                _ => return None,
-            },
-            c => out.push(c),
-        }
-    }
-    None
-}
-
 fn fmt_duration(d: Duration) -> String {
     let nanos = d.as_nanos();
     if nanos < 1_000 {
@@ -365,14 +330,5 @@ mod tests {
         // Odd-length median is the middle element.
         let odd: Vec<Duration> = [30u64, 10, 20].iter().map(|&n| Duration::from_nanos(n)).collect();
         assert_eq!(SampleStats::of(&odd).median_ns, 20);
-    }
-
-    #[test]
-    fn json_string_parser_handles_escapes() {
-        let (s, rest) = parse_json_string("  \"a\\\"b\\\\c\\u0041\" , tail").unwrap();
-        assert_eq!(s, "a\"b\\cA");
-        assert_eq!(rest, " , tail");
-        assert!(parse_json_string("no quote").is_none());
-        assert!(parse_json_string("\"unterminated").is_none());
     }
 }

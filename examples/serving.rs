@@ -8,12 +8,11 @@
 //! materializes views within a space budget, then a stream of access
 //! requests arrives. This example builds the 3-reachability CQAP index of
 //! Figure 1 once, generates a zipf-skewed stream of 2 000 requests, and
-//! answers it four ways:
+//! answers it three ways:
 //!
 //! 1. one at a time with `CqapIndex::answer` (the baseline loop);
-//! 2. in parallel on scoped threads (`answer_batch_parallel`);
-//! 3. through the full `ServeRuntime` (work-stealing pool + LRU cache);
-//! 4. through the runtime again, now with a warm cache.
+//! 2. through the full `ServeRuntime` (work-stealing pool + LRU cache);
+//! 3. through the runtime again, now with a warm cache.
 //!
 //! Every strategy is checked to produce bit-for-bit identical answers.
 
@@ -23,7 +22,7 @@ use std::time::Instant;
 use cqap_suite::decomp::families::pmtds_3reach_fig1;
 use cqap_suite::prelude::*;
 use cqap_suite::query::workload::zipf_pair_requests;
-use cqap_suite::serve::{answer_batch_parallel, default_threads};
+use cqap_suite::serve::default_threads;
 
 const REQUESTS: usize = 2_000;
 
@@ -57,14 +56,7 @@ fn main() {
     let sequential_time = start.elapsed();
     report("sequential loop", sequential_time, sequential_time);
 
-    // 2. Scoped parallel batch (no cache): pure concurrency speedup.
-    let start = Instant::now();
-    let parallel =
-        answer_batch_parallel(index.as_ref(), &requests, threads).expect("batch succeeds");
-    report("parallel batch (no cache)", start.elapsed(), sequential_time);
-    assert_eq!(parallel, sequential, "parallel answers must match");
-
-    // 3. The full runtime: pool + LRU answer cache, cold.
+    // 2. The full runtime: pool + LRU answer cache, cold.
     let runtime = ServeRuntime::with_config(
         Arc::clone(&index),
         ServeConfig {
@@ -83,7 +75,7 @@ fn main() {
         "runtime answers must match"
     );
 
-    // 4. Same stream again: the zipf head is now cached.
+    // 3. Same stream again: the zipf head is now cached.
     let start = Instant::now();
     let warm = runtime.serve_batch(&requests).expect("serving succeeds");
     report("serve runtime (warm cache)", start.elapsed(), sequential_time);

@@ -26,10 +26,12 @@
 //!   [`CqapIndex`](panda::CqapIndex), answers from resident S-views or,
 //!   once [spilled](panda::CqapIndex::spill), from disk-resident ones.
 //! * [`indexes`] — the concrete budget-parameterized index structures and
-//!   baselines used by the empirical experiments.
-//! * [`serve`] — the batched, concurrent request-serving runtime: the
-//!   [`BatchAnswer`](serve::BatchAnswer) trait every index family
-//!   implements, a work-stealing thread pool, an `Arc`-valued LRU answer
+//!   baselines used by the empirical experiments: the paper's reference
+//!   points for the tradeoff curves, queried directly and never served.
+//! * [`serve`] — the batched, concurrent request-serving runtime over the
+//!   framework driver: the [`BatchAnswer`](serve::BatchAnswer) trait
+//!   (implemented by `CqapIndex` and the sharded index and router that
+//!   wrap it), a work-stealing thread pool, an `Arc`-valued LRU answer
 //!   cache with in-flight probe sharing, and
 //!   [`ServeRuntime`](serve::ServeRuntime) — overload-safe via bounded
 //!   admission, request deadlines, load shedding and degrade mode.
