@@ -12,7 +12,7 @@ use cqap_panda::rules::minimal_rules;
 use cqap_query::families as query_families;
 
 /// Prints the PMTD inventory of one of the paper's figures.
-pub fn print_pmtds(title: &str, cqap: &cqap_query::Cqap, pmtds: &[Pmtd]) {
+pub(crate) fn print_pmtds(title: &str, cqap: &cqap_query::Cqap, pmtds: &[Pmtd]) {
     println!("\n== {title} ==");
     println!("CQAP: {cqap}");
     for (i, p) in pmtds.iter().enumerate() {

@@ -98,15 +98,6 @@ pub fn hash_u64(x: u64) -> u64 {
     h.finish()
 }
 
-/// Hash a pair of `u64` keys directly.
-#[inline]
-pub fn hash_pair(a: u64, b: u64) -> u64 {
-    let mut h = FxHasher::default();
-    h.write_u64(a);
-    h.write_u64(b);
-    h.finish()
-}
-
 /// Hash a slice of `u64` values word-by-word — the key hash of the
 /// compiled online path's probe memos, computed **once** per key
 /// occurrence and then reused for lookup and insertion (a map keyed by
@@ -152,12 +143,12 @@ mod tests {
     #[test]
     fn deterministic() {
         assert_eq!(hash_u64(42), hash_u64(42));
-        assert_eq!(hash_pair(1, 2), hash_pair(1, 2));
+        assert_eq!(hash_vals(&[1, 2]), hash_vals(&[1, 2]));
     }
 
     #[test]
     fn distinguishes_order() {
-        assert_ne!(hash_pair(1, 2), hash_pair(2, 1));
+        assert_ne!(hash_vals(&[1, 2]), hash_vals(&[2, 1]));
     }
 
     #[test]

@@ -62,18 +62,6 @@ impl Rat {
         Rat { num: n, den: 1 }
     }
 
-    /// Numerator (after normalization).
-    #[inline]
-    pub fn numer(self) -> i128 {
-        self.num
-    }
-
-    /// Denominator (always positive).
-    #[inline]
-    pub fn denom(self) -> i128 {
-        self.den
-    }
-
     /// Whether this is exactly zero.
     #[inline]
     pub fn is_zero(self) -> bool {
@@ -92,15 +80,10 @@ impl Rat {
         self.num < 0
     }
 
-    /// Whether the value is an integer.
-    #[inline]
-    pub fn is_integer(self) -> bool {
-        self.den == 1
-    }
-
     /// Absolute value.
     #[inline]
-    pub fn abs(self) -> Rat {
+    #[cfg(test)]
+    pub(crate) fn abs(self) -> Rat {
         Rat {
             num: self.num.abs(),
             den: self.den,
@@ -123,7 +106,8 @@ impl Rat {
     }
 
     /// The minimum of two rationals.
-    pub fn min(self, other: Rat) -> Rat {
+    #[cfg(test)]
+    pub(crate) fn min(self, other: Rat) -> Rat {
         if self <= other {
             self
         } else {
@@ -132,7 +116,8 @@ impl Rat {
     }
 
     /// The maximum of two rationals.
-    pub fn max(self, other: Rat) -> Rat {
+    #[cfg(test)]
+    pub(crate) fn max(self, other: Rat) -> Rat {
         if self >= other {
             self
         } else {
@@ -279,7 +264,7 @@ mod tests {
         assert_eq!(Rat::new(-2, -4), Rat::new(1, 2));
         assert_eq!(Rat::new(2, -4), Rat::new(-1, 2));
         assert_eq!(Rat::new(0, -5), Rat::ZERO);
-        assert_eq!(Rat::new(0, 7).denom(), 1);
+        assert_eq!(Rat::new(0, 7), Rat::ZERO);
     }
 
     #[test]
@@ -308,8 +293,6 @@ mod tests {
         assert!(rat(0, 5).is_zero());
         assert!(rat(3, 2).is_positive());
         assert!(rat(-3, 2).is_negative());
-        assert!(rat(4, 2).is_integer());
-        assert!(!rat(1, 2).is_integer());
         assert!((rat(1, 2).to_f64() - 0.5).abs() < 1e-12);
         assert_eq!(rat(-3, 2).abs(), rat(3, 2));
     }

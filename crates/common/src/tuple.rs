@@ -188,7 +188,8 @@ impl Tuple {
     }
 
     /// Concatenates two tuples.
-    pub fn concat(&self, other: &Tuple) -> Tuple {
+    #[cfg(test)]
+    pub(crate) fn concat(&self, other: &Tuple) -> Tuple {
         let a = self.as_slice();
         let b = other.as_slice();
         let total = a.len() + b.len();

@@ -8,7 +8,7 @@
 //!
 //! Decoding here is **strict**: every helper rejects, as an `Err`-shaped
 //! `None`, both *truncated* input (continuation bit set at end of buffer,
-//! or more than [`MAX_LEN`] bytes) and *overlong* (non-canonical)
+//! or more than `MAX_LEN` bytes) and *overlong* (non-canonical)
 //! encodings — a multi-byte varint whose final byte is `0x00` would
 //! decode to the same value with fewer bytes, and a 10th byte above `0x01`
 //! would overflow 64 bits. Canonical-only decoding makes the on-disk
@@ -21,7 +21,7 @@
 //! magnitudes of either sign stay short.
 
 /// Maximum encoded length of a `u64`: ⌈64 / 7⌉ bytes.
-pub const MAX_LEN: usize = 10;
+pub(crate) const MAX_LEN: usize = 10;
 
 /// Appends the LEB128 encoding of `value` to `out`.
 #[inline]
@@ -37,17 +37,10 @@ pub fn encode_u64(mut value: u64, out: &mut Vec<u8>) {
     }
 }
 
-/// Number of bytes [`encode_u64`] emits for `value` (without encoding).
-#[inline]
-pub fn encoded_len(value: u64) -> usize {
-    // bits-needed / 7, rounded up; `value == 0` still takes one byte.
-    (64 - value.leading_zeros() as usize).max(1).div_ceil(7)
-}
-
 /// Decodes one canonical LEB128 `u64` from the front of `buf`.
 ///
 /// Returns the value and the number of bytes consumed, or `None` when the
-/// input is truncated, longer than [`MAX_LEN`] bytes, overflows 64 bits,
+/// input is truncated, longer than `MAX_LEN` bytes, overflows 64 bits,
 /// or is a non-canonical (overlong) encoding.
 #[inline]
 pub fn decode_u64(buf: &[u8]) -> Option<(u64, usize)> {
@@ -78,11 +71,11 @@ pub fn decode_u64(buf: &[u8]) -> Option<(u64, usize)> {
 
 /// Maps a signed delta into the zigzag unsigned space.
 #[inline]
-pub fn zigzag(v: i64) -> u64 {
+pub(crate) fn zigzag(v: i64) -> u64 {
     ((v << 1) ^ (v >> 63)) as u64
 }
 
-/// Inverse of [`zigzag`].
+/// Inverse of `zigzag`.
 #[inline]
 pub fn unzigzag(v: u64) -> i64 {
     ((v >> 1) as i64) ^ -((v & 1) as i64)
@@ -93,13 +86,6 @@ pub fn unzigzag(v: u64) -> i64 {
 #[inline]
 pub fn encode_delta(base: u64, value: u64, out: &mut Vec<u8>) {
     encode_u64(zigzag(value.wrapping_sub(base) as i64), out);
-}
-
-/// Decodes a zigzag delta from `buf` and applies it to `base`.
-#[inline]
-pub fn decode_delta(base: u64, buf: &[u8]) -> Option<(u64, usize)> {
-    let (raw, used) = decode_u64(buf)?;
-    Some((base.wrapping_add(unzigzag(raw) as u64), used))
 }
 
 /// Decodes `n` canonical varints from the front of `buf` into `out`,
@@ -148,7 +134,6 @@ mod tests {
     fn round_trip(v: u64) {
         let mut buf = Vec::new();
         encode_u64(v, &mut buf);
-        assert_eq!(buf.len(), encoded_len(v), "len for {v}");
         assert_eq!(decode_u64(&buf), Some((v, buf.len())), "round trip {v}");
     }
 
@@ -227,9 +212,10 @@ mod tests {
         for (base, value) in pairs {
             let mut buf = Vec::new();
             encode_delta(base, value, &mut buf);
+            let (raw, used) = decode_u64(&buf).unwrap();
             assert_eq!(
-                decode_delta(base, &buf),
-                Some((value, buf.len())),
+                (base.wrapping_add(unzigzag(raw) as u64), used),
+                (value, buf.len()),
                 "base {base} value {value}"
             );
         }

@@ -17,7 +17,7 @@ use std::ops::{BitAnd, BitOr, BitXor, Sub};
 pub type Var = usize;
 
 /// Maximum number of distinct variables supported in one query.
-pub const MAX_VARS: usize = 64;
+pub(crate) const MAX_VARS: usize = 64;
 
 /// A set of query variables represented as a 64-bit mask.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
@@ -38,7 +38,7 @@ impl VarSet {
     }
 
     /// Creates a set from an iterator of variables.
-    pub fn from_iter<I: IntoIterator<Item = Var>>(iter: I) -> Self {
+    pub(crate) fn from_iter<I: IntoIterator<Item = Var>>(iter: I) -> Self {
         let mut s = VarSet::EMPTY;
         for v in iter {
             s = s.insert(v);
@@ -123,12 +123,6 @@ impl VarSet {
         self != other && self.is_subset(other)
     }
 
-    /// Whether `self ⊇ other`.
-    #[inline]
-    pub fn is_superset(self, other: VarSet) -> bool {
-        other.is_subset(self)
-    }
-
     /// Whether the sets are disjoint.
     #[inline]
     pub fn is_disjoint(self, other: VarSet) -> bool {
@@ -151,16 +145,6 @@ impl VarSet {
     /// Returns the variables as a `Vec`, ascending.
     pub fn to_vec(self) -> Vec<Var> {
         self.iter().collect()
-    }
-
-    /// Smallest variable in the set, if non-empty.
-    #[inline]
-    pub fn min_var(self) -> Option<Var> {
-        if self.0 == 0 {
-            None
-        } else {
-            Some(self.0.trailing_zeros() as usize)
-        }
     }
 
     /// Largest variable in the set, if non-empty.
@@ -344,9 +328,8 @@ mod tests {
     fn iteration_order() {
         let a = VarSet::from_iter([5, 1, 9]);
         assert_eq!(a.to_vec(), vec![1, 5, 9]);
-        assert_eq!(a.min_var(), Some(1));
         assert_eq!(a.max_var(), Some(9));
-        assert_eq!(VarSet::EMPTY.min_var(), None);
+        assert_eq!(VarSet::EMPTY.max_var(), None);
     }
 
     #[test]

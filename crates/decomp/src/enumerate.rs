@@ -77,7 +77,7 @@ pub fn induced_pmtds(td: &TreeDecomposition, cqap: &Cqap) -> Result<Vec<Pmtd>> {
 /// Builds the PMTD obtained from `td` by merging each node of `antichain`'s
 /// subtree into its bag, truncating those subtrees, and materializing the
 /// merged nodes.
-pub fn merge_and_truncate(
+pub(crate) fn merge_and_truncate(
     td: &TreeDecomposition,
     antichain: &[usize],
     cqap: &Cqap,

@@ -29,7 +29,7 @@ pub struct View {
 
 impl View {
     /// Paper-style label such as `T134` or `S13` (1-based variable digits).
-    pub fn label(&self) -> String {
+    pub(crate) fn label(&self) -> String {
         let mut s = match self.kind {
             ViewKind::S => String::from("S"),
             ViewKind::T => String::from("T"),
@@ -65,7 +65,7 @@ pub struct Pmtd {
 
 impl Pmtd {
     /// Creates a PMTD, validating the three properties of Definition 3.2.
-    pub fn new(
+    pub(crate) fn new(
         td: TreeDecomposition,
         materialized_nodes: impl IntoIterator<Item = usize>,
         head: VarSet,
@@ -195,12 +195,12 @@ impl Pmtd {
     }
 
     /// All views in node order.
-    pub fn views(&self) -> Vec<View> {
+    pub(crate) fn views(&self) -> Vec<View> {
         (0..self.td.num_nodes()).map(|t| self.view(t)).collect()
     }
 
     /// The S-views (materialized during preprocessing).
-    pub fn s_views(&self) -> Vec<View> {
+    pub(crate) fn s_views(&self) -> Vec<View> {
         self.views()
             .into_iter()
             .filter(|v| v.kind == ViewKind::S)
@@ -208,7 +208,7 @@ impl Pmtd {
     }
 
     /// The T-views (computed online).
-    pub fn t_views(&self) -> Vec<View> {
+    pub(crate) fn t_views(&self) -> Vec<View> {
         self.views()
             .into_iter()
             .filter(|v| v.kind == ViewKind::T)
@@ -218,7 +218,7 @@ impl Pmtd {
     /// PMTD non-redundancy (Definition 3.4): every materialized view is
     /// non-empty, and within each kind no view schema is a subset of
     /// another.
-    pub fn is_non_redundant(&self) -> bool {
+    pub(crate) fn is_non_redundant(&self) -> bool {
         let s: Vec<VarSet> = self.s_views().iter().map(|v| v.vars).collect();
         let t: Vec<VarSet> = self.t_views().iter().map(|v| v.vars).collect();
         if s.iter().any(|v| v.is_empty()) {
@@ -241,7 +241,7 @@ impl Pmtd {
     /// every S-view schema of `self` is contained in some S-view schema of
     /// `other`, and every T-view schema of `self` is contained in some
     /// T-view schema of `other`.
-    pub fn dominated_by(&self, other: &Pmtd) -> bool {
+    pub(crate) fn dominated_by(&self, other: &Pmtd) -> bool {
         let other_s: Vec<VarSet> = other.s_views().iter().map(|v| v.vars).collect();
         let other_t: Vec<VarSet> = other.t_views().iter().map(|v| v.vars).collect();
         self.s_views()

@@ -23,7 +23,7 @@ impl TreeDecomposition {
     /// root. Structural validity (single root, acyclicity, connectivity) is
     /// checked here; validity *with respect to a hypergraph* (edge coverage
     /// and the running-intersection property) is checked by
-    /// [`TreeDecomposition::validate_for`].
+    /// `TreeDecomposition::validate_for`.
     pub fn new(bags: Vec<VarSet>, parent: Vec<Option<usize>>, root: usize) -> Result<Self> {
         let n = bags.len();
         if n == 0 {
@@ -110,7 +110,7 @@ impl TreeDecomposition {
 
     /// All bags in node order.
     #[inline]
-    pub fn bags(&self) -> &[VarSet] {
+    pub(crate) fn bags(&self) -> &[VarSet] {
         &self.bags
     }
 
@@ -128,7 +128,8 @@ impl TreeDecomposition {
 
     /// The children of `t`.
     #[inline]
-    pub fn children(&self, t: usize) -> &[usize] {
+    #[cfg(test)]
+    pub(crate) fn children(&self, t: usize) -> &[usize] {
         &self.children[t]
     }
 
@@ -140,7 +141,7 @@ impl TreeDecomposition {
     }
 
     /// Whether `anc` is a **proper** ancestor of `node`.
-    pub fn is_ancestor(&self, anc: usize, node: usize) -> bool {
+    pub(crate) fn is_ancestor(&self, anc: usize, node: usize) -> bool {
         let mut cur = self.parent[node];
         while let Some(p) = cur {
             if p == anc {
@@ -152,7 +153,7 @@ impl TreeDecomposition {
     }
 
     /// The nodes of the subtree rooted at `t` (including `t`), in preorder.
-    pub fn subtree(&self, t: usize) -> Vec<usize> {
+    pub(crate) fn subtree(&self, t: usize) -> Vec<usize> {
         let mut out = Vec::new();
         let mut stack = vec![t];
         while let Some(u) = stack.pop() {
@@ -177,7 +178,7 @@ impl TreeDecomposition {
 
     /// `TOP_r(x)`: the node closest to the root whose bag contains `x`, if
     /// any. With the running-intersection property this is unique.
-    pub fn top(&self, x: Var) -> Option<usize> {
+    pub(crate) fn top(&self, x: Var) -> Option<usize> {
         let mut best: Option<(usize, usize)> = None; // (depth, node)
         for t in 0..self.num_nodes() {
             if self.bags[t].contains(x) {
@@ -192,7 +193,7 @@ impl TreeDecomposition {
     }
 
     /// Depth of a node (root has depth 0).
-    pub fn depth(&self, t: usize) -> usize {
+    pub(crate) fn depth(&self, t: usize) -> usize {
         let mut d = 0;
         let mut cur = self.parent[t];
         while let Some(p) = cur {
@@ -206,7 +207,7 @@ impl TreeDecomposition {
     /// be contained in some bag, every hypergraph vertex must appear in some
     /// bag, and each variable's bags must form a connected subtree (the
     /// running-intersection property).
-    pub fn validate_for(&self, hypergraph: &Hypergraph) -> Result<()> {
+    pub(crate) fn validate_for(&self, hypergraph: &Hypergraph) -> Result<()> {
         for e in hypergraph.edges() {
             if !self.bags.iter().any(|b| e.is_subset(*b)) {
                 return Err(CqapError::InvalidDecomposition(format!(
@@ -254,7 +255,7 @@ impl TreeDecomposition {
     /// Whether this decomposition is free-connex w.r.t. its root and the
     /// head `H` (Definition 3.1 / reference \[34\]): for every `x ∈ H` and
     /// `y ∈ vars \ H`, `TOP_r(y)` is not a (proper) ancestor of `TOP_r(x)`.
-    pub fn is_free_connex(&self, head: VarSet) -> bool {
+    pub(crate) fn is_free_connex(&self, head: VarSet) -> bool {
         let all = self.all_vars();
         let non_head = all.difference(head);
         for x in head.intersect(all).iter() {

@@ -75,12 +75,6 @@ impl DeltaBatch {
         &self.ops
     }
 
-    /// Whether the batch holds no operations at all. (A non-empty batch
-    /// may still have an empty *net effect*; see [`net_effect`].)
-    pub fn is_empty(&self) -> bool {
-        self.ops.is_empty()
-    }
-
     /// Total number of tuples across all operations (before netting).
     pub fn num_tuples(&self) -> usize {
         self.ops.iter().map(|(_, _, ts)| ts.len()).sum()
@@ -124,7 +118,7 @@ pub struct RelationDelta {
 
 impl RelationDelta {
     /// Whether this relation is left unchanged.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.inserts.is_empty() && self.deletes.is_empty()
     }
 }

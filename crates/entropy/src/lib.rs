@@ -25,7 +25,7 @@
 pub mod flow;
 pub mod joint;
 pub mod lp;
-pub mod polycone;
+mod polycone;
 pub mod setfn;
 pub mod terms;
 pub mod tradeoff;

@@ -17,7 +17,7 @@ use cqap_common::{Rat, VarSet};
 /// Maps the non-empty subsets of `[n]` to a contiguous block of LP variable
 /// indices starting at `base`.
 #[derive(Clone, Copy, Debug)]
-pub struct PolyVars {
+pub(crate) struct PolyVars {
     /// Ground-set size.
     pub n: usize,
     /// First LP variable index of the block.
@@ -26,13 +26,13 @@ pub struct PolyVars {
 
 impl PolyVars {
     /// Number of LP variables used by one polymatroid block.
-    pub fn block_len(n: usize) -> usize {
+    pub(crate) fn block_len(n: usize) -> usize {
         (1usize << n) - 1
     }
 
     /// The LP variable index of `h(set)`; `None` for the empty set (whose
     /// value is identically zero and therefore contributes nothing).
-    pub fn var(&self, set: VarSet) -> Option<usize> {
+    pub(crate) fn var(&self, set: VarSet) -> Option<usize> {
         if set.is_empty() {
             None
         } else {
@@ -43,20 +43,20 @@ impl PolyVars {
     }
 
     /// Appends `coeff · h(set)` to a constraint row (no-op for `∅`).
-    pub fn push(&self, row: &mut Vec<(usize, Rat)>, coeff: Rat, set: VarSet) {
+    pub(crate) fn push(&self, row: &mut Vec<(usize, Rat)>, coeff: Rat, set: VarSet) {
         if let Some(v) = self.var(set) {
             row.push((v, coeff));
         }
     }
 
     /// Appends `coeff · h(of | on) = coeff · (h(of ∪ on) − h(on))`.
-    pub fn push_conditional(&self, row: &mut Vec<(usize, Rat)>, coeff: Rat, of: VarSet, on: VarSet) {
+    pub(crate) fn push_conditional(&self, row: &mut Vec<(usize, Rat)>, coeff: Rat, of: VarSet, on: VarSet) {
         self.push(row, coeff, of.union(on));
         self.push(row, -coeff, on);
     }
 
     /// Adds the elemental polymatroid inequalities for this block to `lp`.
-    pub fn add_polymatroid_constraints(&self, lp: &mut Lp) {
+    pub(crate) fn add_polymatroid_constraints(&self, lp: &mut Lp) {
         let full = VarSet::prefix(self.n);
         // Monotonicity at the top: h([n]\{i}) − h([n]) ≤ 0.
         for i in full.iter() {

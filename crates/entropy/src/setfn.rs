@@ -47,11 +47,6 @@ impl SetFunction {
         SetFunction::from_fn(n, |s| Rat::int(s.len().min(cap) as i128))
     }
 
-    /// Ground-set size `n`.
-    pub fn num_vars(&self) -> usize {
-        self.n
-    }
-
     /// `h(X)`.
     pub fn eval(&self, set: VarSet) -> Rat {
         let mask = set.0 as usize;

@@ -78,7 +78,7 @@ pub struct LogSize {
 
 impl LogSize {
     /// `log|D|` (the size of one input relation).
-    pub fn db() -> Self {
+    pub(crate) fn db() -> Self {
         LogSize {
             d: Rat::ONE,
             q: Rat::ZERO,
@@ -86,7 +86,7 @@ impl LogSize {
     }
 
     /// `log|Q_A|` (the size of the access request).
-    pub fn access() -> Self {
+    pub(crate) fn access() -> Self {
         LogSize {
             d: Rat::ZERO,
             q: Rat::ONE,
@@ -94,7 +94,7 @@ impl LogSize {
     }
 
     /// Evaluates at `log|D| = 1` and the given `log|Q_A|`.
-    pub fn eval(&self, log_q: Rat) -> Rat {
+    pub(crate) fn eval(&self, log_q: Rat) -> Rat {
         self.d + self.q * log_q
     }
 }
@@ -158,11 +158,6 @@ impl Stats {
     /// Adds an extra degree constraint guarded by the database.
     pub fn add_dc(&mut self, on: VarSet, of: VarSet, size: LogSize) {
         self.dc.push(StatConstraint { on, of, size });
-    }
-
-    /// Adds an extra degree constraint guarded by the access request.
-    pub fn add_ac(&mut self, on: VarSet, of: VarSet, size: LogSize) {
-        self.ac.push(StatConstraint { on, of, size });
     }
 
     /// The split constraints `SC` spanned by the cardinality constraints of

@@ -22,7 +22,7 @@
 use cqap_common::{work, FxHashMap, FxHashSet, Val};
 
 /// A tuple of one hierarchical input relation: `(x, y, z)`.
-pub type HTuple = (Val, Val, Val);
+pub(crate) type HTuple = (Val, Val, Val);
 
 /// The synthetic input of the hierarchical experiment: the four ternary
 /// relations of Figure 6a.
@@ -40,13 +40,9 @@ pub struct HierarchicalInstance {
 
 impl HierarchicalInstance {
     /// Total number of tuples `N`.
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
         self.r.len() + self.s.len() + self.t.len() + self.u.len()
-    }
-
-    /// Whether the instance is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 
     /// Generates a skewed instance: `num_roots` root values, the first
@@ -188,7 +184,8 @@ impl HierarchicalIndex {
     /// Builds the index from a space budget: `Δ ≈ budget / N` per root (the
     /// materialized half-views hold `O(N · Δ / N) = O(Δ)` values per root on
     /// average).
-    pub fn build(inst: &HierarchicalInstance, budget: usize) -> Self {
+    #[cfg(test)]
+    pub(crate) fn build(inst: &HierarchicalInstance, budget: usize) -> Self {
         let n = inst.len().max(1);
         let threshold = (budget.max(1) / n.max(1)).max(1);
         Self::build_with_threshold(inst, threshold)
@@ -197,11 +194,6 @@ impl HierarchicalIndex {
     /// The root-degree threshold Δ.
     pub fn threshold(&self) -> usize {
         self.threshold
-    }
-
-    /// Number of heavy roots checked online per request.
-    pub fn num_heavy_roots(&self) -> usize {
-        self.heavy_roots.len()
     }
 
     /// Intrinsic space usage: the materialized half-view entries.
@@ -336,8 +328,8 @@ mod tests {
         let inst = instance();
         let all_online = HierarchicalIndex::build_with_threshold(&inst, 1);
         let all_materialized = HierarchicalIndex::build_with_threshold(&inst, 1_000_000);
-        assert!(all_online.num_heavy_roots() >= all_materialized.num_heavy_roots());
-        assert_eq!(all_materialized.num_heavy_roots(), 0);
+        assert!(all_online.heavy_roots.len() >= all_materialized.heavy_roots.len());
+        assert_eq!(all_materialized.heavy_roots.len(), 0);
         assert!(all_materialized.space_used() >= all_online.space_used());
     }
 

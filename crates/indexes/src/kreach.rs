@@ -41,19 +41,9 @@ impl Adjacency {
         adj
     }
 
-    /// Number of edges.
-    pub fn num_edges(&self) -> usize {
-        self.edges.len()
-    }
-
     /// Out-degree of a vertex.
-    pub fn out_degree(&self, v: Val) -> usize {
+    pub(crate) fn out_degree(&self, v: Val) -> usize {
         self.succ.get(&v).map_or(0, Vec::len)
-    }
-
-    /// In-degree of a vertex (used by tests and future strategies).
-    pub fn in_degree(&self, v: Val) -> usize {
-        self.pred.get(&v).map_or(0, Vec::len)
     }
 }
 
@@ -189,7 +179,7 @@ impl TwoReachIndex {
     }
 
     /// Builds the index with an explicit degree threshold.
-    pub fn build_with_threshold(graph: &Graph, threshold: usize) -> Self {
+    pub(crate) fn build_with_threshold(graph: &Graph, threshold: usize) -> Self {
         let adj = Adjacency::new(graph);
         let heavy_out: FxHashSet<Val> = adj
             .succ
@@ -229,7 +219,8 @@ impl TwoReachIndex {
     }
 
     /// The degree threshold Δ.
-    pub fn threshold(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn threshold(&self) -> usize {
         self.threshold
     }
 
@@ -284,7 +275,7 @@ impl KReachGoldstein {
     /// `O((|E|/Δ)²)` entries per level and queries take `O(Δ^{k−1})` probes,
     /// i.e. `S = (|E|/Δ)²` and `T = Δ^{k−1}` — the
     /// `S · T^{2/(k−1)} = O(|E|²)` tradeoff.
-    pub fn build_with_threshold(graph: &Graph, k: usize, threshold: usize) -> Self {
+    pub(crate) fn build_with_threshold(graph: &Graph, k: usize, threshold: usize) -> Self {
         assert!(k >= 1);
         let adj = Adjacency::new(graph);
         let threshold = threshold.max(1);
@@ -348,13 +339,9 @@ impl KReachGoldstein {
     }
 
     /// The degree threshold Δ.
-    pub fn threshold(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn threshold(&self) -> usize {
         self.threshold
-    }
-
-    /// Path length `k`.
-    pub fn k(&self) -> usize {
-        self.k
     }
 
     /// Intrinsic space: the materialized heavy-heavy tables of all levels.

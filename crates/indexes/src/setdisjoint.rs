@@ -29,7 +29,6 @@ pub struct SetDisjointnessIndex {
     heavy: FxHashSet<Val>,
     /// For heavy set pairs (a ≤ b): whether they intersect.
     heavy_pairs: FxHashMap<(Val, Val), bool>,
-    budget: usize,
 }
 
 impl SetDisjointnessIndex {
@@ -42,12 +41,11 @@ impl SetDisjointnessIndex {
         let n = family.len().max(1);
         let budget = budget.max(1);
         let threshold = (n as f64 / (budget as f64).sqrt()).ceil() as usize;
-        Self::build_with_threshold(family, threshold, budget)
+        Self::build_with_threshold(family, threshold)
     }
 
-    /// Builds the index with an explicit degree threshold (used by the
-    /// benchmark harness to sweep the tradeoff directly).
-    pub fn build_with_threshold(family: &SetFamily, threshold: usize, budget: usize) -> Self {
+    /// Builds the index with an explicit degree threshold.
+    fn build_with_threshold(family: &SetFamily, threshold: usize) -> Self {
         let mut membership = FxHashSet::default();
         let mut elements: FxHashMap<Val, Vec<Val>> = FxHashMap::default();
         for &(e, s) in &family.memberships {
@@ -86,7 +84,6 @@ impl SetDisjointnessIndex {
             threshold,
             heavy,
             heavy_pairs,
-            budget,
         }
     }
 
@@ -96,13 +93,9 @@ impl SetDisjointnessIndex {
     }
 
     /// The number of heavy sets.
-    pub fn num_heavy(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn num_heavy(&self) -> usize {
         self.heavy.len()
-    }
-
-    /// The space budget the index was built for.
-    pub fn budget(&self) -> usize {
-        self.budget
     }
 
     /// Intrinsic space usage: the heavy-pair table (the membership and
@@ -110,11 +103,6 @@ impl SetDisjointnessIndex {
     /// separately as `|D|`).
     pub fn space_used(&self) -> usize {
         self.heavy_pairs.len()
-    }
-
-    /// Whether both sets are heavy (answered from the materialized table).
-    pub fn is_heavy(&self, set: Val) -> bool {
-        self.heavy.contains(&set)
     }
 
     /// 2-set disjointness: do sets `a` and `b` intersect?
@@ -175,15 +163,6 @@ impl SetDisjointnessIndex {
                 })
             })
             .collect()
-    }
-
-    /// k-set disjointness (Boolean): is the intersection of the given sets
-    /// non-empty?
-    pub fn intersects_all(&self, sets: &[Val]) -> bool {
-        if sets.len() == 2 {
-            return self.intersects(sets[0], sets[1]);
-        }
-        !self.intersection(sets).is_empty()
     }
 
     /// Reference answer computed by brute force (used in tests).
@@ -266,7 +245,7 @@ mod tests {
         let idx = SetDisjointnessIndex::build(&f, 1_000_000);
         // With a huge budget every non-trivial set is heavy.
         assert!(idx.num_heavy() > 0);
-        let heavy: Vec<Val> = (0..f.num_sets as Val).filter(|&s| idx.is_heavy(s)).collect();
+        let heavy: Vec<Val> = (0..f.num_sets as Val).filter(|s| idx.heavy.contains(s)).collect();
         let (probes, scans) = (work::probes(), work::scans());
         idx.intersects(heavy[0], heavy[heavy.len() - 1]);
         assert_eq!(work::scans() - scans, 0);
@@ -293,10 +272,6 @@ mod tests {
             got_sorted.sort_unstable();
             expected.sort_unstable();
             assert_eq!(got_sorted, expected, "combo {combo:?}");
-            assert_eq!(
-                idx.intersects_all(&combo.map(|s| s as Val)),
-                !expected.is_empty()
-            );
         }
     }
 

@@ -55,16 +55,6 @@ impl TriangleIndex {
         work::add(1, 0);
         self.adj.edges.contains(&(x3, x1)) && self.s13.contains(&(x1, x3))
     }
-
-    /// Enumerates all answers `(x1, x3)` of the CQAP (the full S-view).
-    pub fn all_pairs(&self) -> impl Iterator<Item = (Val, Val)> + '_ {
-        self.s13.iter().copied()
-    }
-
-    /// Number of answer pairs.
-    pub fn num_pairs(&self) -> usize {
-        self.s13.len()
-    }
 }
 
 #[cfg(test)]
@@ -86,7 +76,7 @@ mod tests {
         assert!(!idx.edge_in_triangle(4, 5));
         // Non-edges are never reported.
         assert!(!idx.edge_in_triangle(1, 4));
-        assert_eq!(idx.num_pairs(), 3);
+        assert_eq!(idx.s13.len(), 3);
         assert!(idx.space_used() <= 2 * g.edges.len());
     }
 
@@ -103,7 +93,7 @@ mod tests {
             assert_eq!(idx.edge_in_triangle(x3, x1), expected, "edge ({x3},{x1})");
         }
         // The enumerated pairs are exactly the reversed triangle edges.
-        for (x1, x3) in idx.all_pairs() {
+        for &(x1, x3) in &idx.s13 {
             assert!(adj.edges.contains(&(x3, x1)));
         }
     }

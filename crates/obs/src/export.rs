@@ -8,17 +8,13 @@ use crate::sink::{CounterId, GaugeId, StageId};
 
 /// An owned point-in-time copy of every metric in a
 /// [`Recorder`](crate::Recorder).
-///
-/// Snapshots from different recorders (e.g. one per worker process)
-/// merge element-wise via [`merge`](Self::merge) because every
-/// recorder shares the same fixed metric layout.
 #[derive(Debug, Clone, Default)]
 pub struct MetricsSnapshot {
-    /// Per-stage latency histograms, indexed like [`StageId::ALL`].
+    /// Per-stage latency histograms, indexed like `StageId::ALL`.
     pub stages: [HistogramSnapshot; StageId::COUNT],
     /// Counter values, indexed like [`CounterId::ALL`].
     pub counters: [u64; CounterId::COUNT],
-    /// Gauge values, indexed like [`GaugeId::ALL`].
+    /// Gauge values, indexed like `GaugeId::ALL`.
     pub gauges: [i64; GaugeId::COUNT],
     /// Requests served per shard (trailing all-zero shards trimmed;
     /// empty when the stack is unsharded).
@@ -63,7 +59,7 @@ impl MetricsSnapshot {
     ///
     /// Counters and per-shard served counts subtract (saturating);
     /// stage histograms subtract bucket-wise
-    /// ([`HistogramSnapshot::delta`]); gauges are instantaneous, so
+    /// (`HistogramSnapshot::delta`); gauges are instantaneous, so
     /// the delta carries their signed change over the window.
     pub fn delta(&self, earlier: &MetricsSnapshot) -> MetricsSnapshot {
         let mut shard_served: Vec<u64> = self.shard_served.clone();
@@ -77,26 +73,6 @@ impl MetricsSnapshot {
             }),
             gauges: std::array::from_fn(|i| self.gauges[i] - earlier.gauges[i]),
             shard_served,
-        }
-    }
-
-    /// Merges another snapshot into this one (element-wise addition;
-    /// histogram min/max combine, gauges add).
-    pub fn merge(&mut self, other: &MetricsSnapshot) {
-        for (mine, theirs) in self.stages.iter_mut().zip(&other.stages) {
-            mine.merge(theirs);
-        }
-        for (mine, theirs) in self.counters.iter_mut().zip(&other.counters) {
-            *mine += theirs;
-        }
-        for (mine, theirs) in self.gauges.iter_mut().zip(&other.gauges) {
-            *mine += theirs;
-        }
-        if self.shard_served.len() < other.shard_served.len() {
-            self.shard_served.resize(other.shard_served.len(), 0);
-        }
-        for (mine, theirs) in self.shard_served.iter_mut().zip(&other.shard_served) {
-            *mine += theirs;
         }
     }
 

@@ -25,17 +25,17 @@ use std::time::Duration;
 /// nanoseconds (141 ≈ 100·√2), so consecutive boundaries are a factor
 /// of ≈1.41 apart. The last boundary is `100 << 30` ≈ 107.4s, which
 /// caps the resolvable range at roughly 100 seconds as advertised.
-pub const NUM_BOUNDS: usize = 61;
+pub(crate) const NUM_BOUNDS: usize = 61;
 
 /// Total bucket count: one per finite boundary plus the overflow bucket.
-pub const NUM_BUCKETS: usize = NUM_BOUNDS + 1;
+pub(crate) const NUM_BUCKETS: usize = NUM_BOUNDS + 1;
 
 /// Upper bucket boundaries in nanoseconds, strictly increasing.
 ///
 /// Bucket `0` covers `[0, BOUNDS[0])`, bucket `i` covers
 /// `[BOUNDS[i-1], BOUNDS[i])`, and bucket `NUM_BOUNDS` is the overflow
 /// bucket `[BOUNDS[NUM_BOUNDS-1], ∞)`.
-pub const BOUNDS: [u64; NUM_BOUNDS] = build_bounds();
+pub(crate) const BOUNDS: [u64; NUM_BOUNDS] = build_bounds();
 
 const fn build_bounds() -> [u64; NUM_BOUNDS] {
     let mut bounds = [0u64; NUM_BOUNDS];
@@ -128,11 +128,6 @@ impl LatencyHistogram {
         self.record_ns(u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX));
     }
 
-    /// Number of recorded observations.
-    pub fn count(&self) -> u64 {
-        self.count.load(Ordering::Relaxed)
-    }
-
     /// Takes a point-in-time copy of the histogram state.
     ///
     /// Individual loads are relaxed, so a snapshot taken while writers
@@ -150,22 +145,6 @@ impl LatencyHistogram {
             min: self.min.load(Ordering::Relaxed),
             max: self.max.load(Ordering::Relaxed),
         }
-    }
-
-    /// Adds every observation recorded in `other` into `self`.
-    ///
-    /// Both histograms share the fixed bucket layout, so merging is
-    /// element-wise atomic addition — the merge-across-workers path.
-    pub fn merge_from(&self, other: &HistogramSnapshot) {
-        for (bucket, &n) in self.buckets.iter().zip(&other.buckets) {
-            if n > 0 {
-                bucket.fetch_add(n, Ordering::Relaxed);
-            }
-        }
-        self.count.fetch_add(other.count, Ordering::Relaxed);
-        self.sum.fetch_add(other.sum, Ordering::Relaxed);
-        self.min.fetch_min(other.min, Ordering::Relaxed);
-        self.max.fetch_max(other.max, Ordering::Relaxed);
     }
 }
 
@@ -208,7 +187,8 @@ impl HistogramSnapshot {
     }
 
     /// Mean observed value in nanoseconds (0 when empty).
-    pub fn mean(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn mean(&self) -> u64 {
         if self.count == 0 {
             0
         } else {
@@ -225,7 +205,7 @@ impl HistogramSnapshot {
     /// reconstructs them from its own non-empty buckets (tightened by
     /// the cumulative extremes): they are correct to bucket
     /// resolution, like the quantile estimates.
-    pub fn delta(&self, earlier: &HistogramSnapshot) -> HistogramSnapshot {
+    pub(crate) fn delta(&self, earlier: &HistogramSnapshot) -> HistogramSnapshot {
         let mut buckets = [0u64; NUM_BUCKETS];
         for (slot, (&later, &past)) in buckets
             .iter_mut()
@@ -273,24 +253,36 @@ impl HistogramSnapshot {
     /// `lo`/`hi` are the containing bucket's boundaries tightened by
     /// the exact observed min/max; the overflow bucket's upper bound is
     /// the observed max. Returns `(0, 0)` when empty.
+    ///
+    /// A snapshot taken while writers are active can be inconsistent:
+    /// `record_ns` bumps the bucket before `count` and `min`/`max`, and
+    /// the loads are not one atomic read. So the rank is taken over the
+    /// buckets themselves, and min/max tighten the bucket only where they
+    /// overlap it; `lo <= hi` always holds, inside the sample's bucket.
     pub fn quantile_bounds(&self, q: f64) -> (u64, u64) {
-        if self.count == 0 {
+        let total: u64 = self.buckets.iter().sum();
+        if total == 0 {
             return (0, 0);
         }
         // Rank of the quantile sample, 1-based: the standard
         // ceil(q * n) nearest-rank definition, clamped to [1, n].
-        let rank = ((q * self.count as f64).ceil() as u64).clamp(1, self.count);
+        let rank = ((q * total as f64).ceil() as u64).clamp(1, total);
         let mut seen = 0u64;
-        for (idx, &n) in self.buckets.iter().enumerate() {
-            seen += n;
-            if seen >= rank {
-                let (lo, hi) = bucket_range(idx);
-                return (lo.max(self.min), hi.min(self.max.saturating_add(1)));
-            }
+        let idx = self
+            .buckets
+            .iter()
+            .position(|&n| {
+                seen += n;
+                seen >= rank
+            })
+            .unwrap_or(NUM_BOUNDS);
+        let (lo, hi) = bucket_range(idx);
+        let (tight_lo, tight_hi) = (lo.max(self.min), hi.min(self.max.saturating_add(1)));
+        if tight_lo < tight_hi {
+            (tight_lo, tight_hi)
+        } else {
+            (lo, hi)
         }
-        // Unreachable while count == sum of buckets, but keep a sane
-        // fallback for racy snapshots.
-        (self.min, self.max)
     }
 
     /// Estimates the `q`-quantile in nanoseconds.
@@ -303,16 +295,6 @@ impl HistogramSnapshot {
     pub fn quantile(&self, q: f64) -> u64 {
         let (lo, hi) = self.quantile_bounds(q);
         lo + (hi - lo) / 2
-    }
-
-    /// Median estimate (p50), in nanoseconds.
-    pub fn p50(&self) -> u64 {
-        self.quantile(0.50)
-    }
-
-    /// 95th percentile estimate, in nanoseconds.
-    pub fn p95(&self) -> u64 {
-        self.quantile(0.95)
     }
 
     /// 99th percentile estimate, in nanoseconds.
@@ -360,5 +342,36 @@ mod tests {
         }
         assert_eq!(s.mean(), 5_000);
         assert_eq!((s.min, s.max), (5_000, 5_000));
+    }
+
+    /// Snapshots a live scrape can see: `record_ns` bumps the bucket
+    /// before `min`/`max`, so a bucket can hold a sample the extremes do
+    /// not cover yet. The bounds must stay ordered and inside the bucket
+    /// of the ranked sample, and `quantile` must not overflow.
+    #[test]
+    fn racy_snapshots_keep_quantile_bounds_inside_the_bucket() {
+        // One sample in its bucket, min/max still at their empty values.
+        let mut fresh = HistogramSnapshot::empty();
+        fresh.buckets[bucket_of(1_000)] = 1;
+        fresh.count = 1;
+        fresh.sum = 1_000;
+        // Ten samples at 5 ms seen by min/max, a 1 µs one not yet.
+        let mut late = HistogramSnapshot::empty();
+        late.buckets[bucket_of(5_000_000)] = 10;
+        late.buckets[bucket_of(1_000)] = 1;
+        late.count = 11;
+        late.sum = 50_001_000;
+        late.min = 5_000_000;
+        late.max = 5_000_000;
+        for (snapshot, low_bucket_quantiles) in [(&fresh, 1.0), (&late, 1.0 / 11.0)] {
+            for q in [0.0, 0.05, low_bucket_quantiles, 0.5, 0.99, 1.0] {
+                let (lo, hi) = snapshot.quantile_bounds(q);
+                let ns = if q <= low_bucket_quantiles { 1_000 } else { 5_000_000 };
+                let (bucket_lo, bucket_hi) = bucket_range(bucket_of(ns));
+                assert!(bucket_lo <= lo && lo <= hi && hi <= bucket_hi, "q={q}: ({lo}, {hi})");
+                let estimate = snapshot.quantile(q);
+                assert!(lo <= estimate && estimate <= hi, "q={q}: {estimate}");
+            }
+        }
     }
 }

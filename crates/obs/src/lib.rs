@@ -58,12 +58,8 @@ mod sink;
 pub mod trace;
 
 pub use export::MetricsSnapshot;
-pub use hist::{
-    bucket_of, bucket_range, HistogramSnapshot, LatencyHistogram, BOUNDS, NUM_BOUNDS, NUM_BUCKETS,
-};
-pub use sink::{
-    CounterId, GaugeId, MetricsSink, Recorder, RequestSpan, StageId, StageTimer, MAX_SHARDS,
-};
+pub use hist::{bucket_of, bucket_range, HistogramSnapshot, LatencyHistogram};
+pub use sink::{CounterId, GaugeId, MetricsSink, Recorder, RequestSpan, StageId, StageTimer};
 pub use trace::{
     tail_attribution, to_chrome_trace, FlightRecorder, SamplingPolicy, TailBucket, TailReport,
     TraceEvent, TraceId, TraceScope, TraceStage,

@@ -50,10 +50,10 @@ pub enum StageId {
 
 impl StageId {
     /// Number of stages.
-    pub const COUNT: usize = 8;
+    pub(crate) const COUNT: usize = 8;
 
     /// Every stage, in canonical export order.
-    pub const ALL: [StageId; Self::COUNT] = [
+    pub(crate) const ALL: [StageId; Self::COUNT] = [
         StageId::QueueWait,
         StageId::CacheLookup,
         StageId::Coalesce,
@@ -126,7 +126,7 @@ pub enum CounterId {
 
 impl CounterId {
     /// Number of counters.
-    pub const COUNT: usize = 13;
+    pub(crate) const COUNT: usize = 13;
 
     /// Every counter, in canonical export order.
     pub const ALL: [CounterId; Self::COUNT] = [
@@ -165,7 +165,7 @@ impl CounterId {
     }
 
     /// One-line help string for the Prometheus exposition.
-    pub fn help(self) -> &'static str {
+    pub(crate) fn help(self) -> &'static str {
         match self {
             CounterId::PoolSteals => "Successful steals in the work-stealing pool.",
             CounterId::PoolParks => "Times a pool worker parked after finding no work.",
@@ -221,10 +221,10 @@ pub enum GaugeId {
 
 impl GaugeId {
     /// Number of gauges.
-    pub const COUNT: usize = 5;
+    pub(crate) const COUNT: usize = 5;
 
     /// Every gauge, in canonical export order.
-    pub const ALL: [GaugeId; Self::COUNT] = [
+    pub(crate) const ALL: [GaugeId; Self::COUNT] = [
         GaugeId::QueueDepth,
         GaugeId::HotResidentBytes,
         GaugeId::ColdResidentBytes,
@@ -233,7 +233,7 @@ impl GaugeId {
     ];
 
     /// Prometheus metric name.
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             GaugeId::QueueDepth => "cqap_serve_queue_depth",
             GaugeId::HotResidentBytes => "cqap_store_hot_resident_bytes",
@@ -244,7 +244,7 @@ impl GaugeId {
     }
 
     /// One-line help string for the Prometheus exposition.
-    pub fn help(self) -> &'static str {
+    pub(crate) fn help(self) -> &'static str {
         match self {
             GaugeId::QueueDepth => "Jobs currently queued or executing in the serving pool.",
             GaugeId::HotResidentBytes => {
@@ -270,14 +270,13 @@ impl GaugeId {
 
 /// Largest shard index tracked individually by the per-shard served
 /// counters; higher shard indexes fold into the last slot.
-pub const MAX_SHARDS: usize = 64;
+pub(crate) const MAX_SHARDS: usize = 64;
 
 /// The shared registry of atomics a [`MetricsSink`] records into.
 ///
 /// One recorder aggregates a whole serving stack: all workers, shards
 /// and tiers record into the same fixed-layout atomics, so there is
-/// nothing to merge at snapshot time unless multiple recorders are in
-/// play (see [`MetricsSnapshot::merge`]).
+/// nothing to merge at snapshot time.
 #[derive(Debug)]
 pub struct Recorder {
     stages: [LatencyHistogram; StageId::COUNT],
@@ -301,21 +300,6 @@ impl Recorder {
             gauges: [const { AtomicI64::new(0) }; GaugeId::COUNT],
             shard_served: [const { AtomicU64::new(0) }; MAX_SHARDS],
         }
-    }
-
-    /// The live histogram for one stage.
-    pub fn stage(&self, stage: StageId) -> &LatencyHistogram {
-        &self.stages[stage.index()]
-    }
-
-    /// Current value of a counter.
-    pub fn counter(&self, counter: CounterId) -> u64 {
-        self.counters[counter.index()].load(Ordering::Relaxed)
-    }
-
-    /// Current value of a gauge.
-    pub fn gauge(&self, gauge: GaugeId) -> i64 {
-        self.gauges[gauge.index()].load(Ordering::Relaxed)
     }
 
     /// Takes a point-in-time copy of every metric.
@@ -408,16 +392,6 @@ impl MetricsSink {
     #[inline]
     pub fn is_enabled(&self) -> bool {
         self.recorder.is_some()
-    }
-
-    /// The recorder behind this sink, if attached.
-    pub fn recorder(&self) -> Option<&Arc<Recorder>> {
-        self.recorder.as_ref()
-    }
-
-    /// The flight recorder behind this sink, if attached.
-    pub fn tracer(&self) -> Option<&Arc<FlightRecorder>> {
-        self.tracer.as_ref()
     }
 
     /// Allocates a trace id for a new request per the tracer's
@@ -534,7 +508,7 @@ impl MetricsSink {
     }
 
     /// Counts one request served by shard `shard`; indexes past
-    /// [`MAX_SHARDS`] fold into the last slot.
+    /// `MAX_SHARDS` fold into the last slot.
     #[inline]
     pub fn shard_served(&self, shard: usize) {
         if let Some(r) = &self.recorder {
@@ -603,11 +577,6 @@ pub struct RequestSpan<'a> {
 }
 
 impl<'a> RequestSpan<'a> {
-    /// Starts a span; reads the clock only if the sink is enabled.
-    #[inline]
-    pub fn begin(sink: &'a MetricsSink) -> Self {
-        Self::begin_traced(sink, TraceId::NONE)
-    }
 
     /// Starts a span whose laps also record trace events against
     /// `trace` (when sampled and a tracer is attached).
@@ -619,12 +588,6 @@ impl<'a> RequestSpan<'a> {
             sink,
             trace,
         }
-    }
-
-    /// The trace id this span records against.
-    #[inline]
-    pub fn trace(&self) -> TraceId {
-        self.trace
     }
 
     /// Records the time since the last lap against `stage` and
@@ -641,14 +604,6 @@ impl<'a> RequestSpan<'a> {
                 self.sink.trace_span(self.trace, stage.into(), last, now, 0);
             }
             self.last = Some(now);
-        }
-    }
-
-    /// Restarts the clock without recording (skips uninteresting gaps).
-    #[inline]
-    pub fn skip(&mut self) {
-        if self.last.is_some() {
-            self.last = Some(Instant::now());
         }
     }
 }

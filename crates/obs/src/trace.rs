@@ -43,11 +43,11 @@ use crate::hist::LatencyHistogram;
 use crate::sink::StageId;
 
 /// The identity of one request's trace, allocated by
-/// [`FlightRecorder::begin`].
+/// `FlightRecorder::begin`.
 ///
 /// Id `0` is the "not sampled" sentinel ([`TraceId::NONE`]): events
 /// recorded against it are dropped unless their stage is a background
-/// stage (see [`TraceStage::is_background`]).
+/// stage (see `TraceStage::is_background`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct TraceId(u64);
 
@@ -105,7 +105,7 @@ pub enum TraceStage {
     /// Stored-view compaction (mirrors [`StageId::Compaction`]).
     Compaction,
     /// The whole-request root span, written at
-    /// [`FlightRecorder::finish`] when the sampling policy commits
+    /// `FlightRecorder::finish` when the sampling policy commits
     /// the trace. A trace without a root is incomplete (or rejected
     /// by threshold sampling) and is ignored by the reports.
     Request,
@@ -119,10 +119,10 @@ pub enum TraceStage {
 
 impl TraceStage {
     /// Number of trace stages.
-    pub const COUNT: usize = 11;
+    pub(crate) const COUNT: usize = 11;
 
     /// Every trace stage, in `repr` order.
-    pub const ALL: [TraceStage; Self::COUNT] = [
+    pub(crate) const ALL: [TraceStage; Self::COUNT] = [
         TraceStage::QueueWait,
         TraceStage::CacheLookup,
         TraceStage::Coalesce,
@@ -138,7 +138,7 @@ impl TraceStage {
 
     /// Stable snake_case name (matches [`StageId::name`] for the
     /// mirrored stages).
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             TraceStage::QueueWait => "queue_wait",
             TraceStage::CacheLookup => "cache_lookup",
@@ -159,7 +159,7 @@ impl TraceStage {
     /// to one request but still lands in the ring, so the tail report
     /// can detect wall-clock overlap with slow requests.
     #[inline]
-    pub fn is_background(self) -> bool {
+    pub(crate) fn is_background(self) -> bool {
         matches!(self, TraceStage::DeltaApply | TraceStage::Compaction)
     }
 
@@ -169,7 +169,7 @@ impl TraceStage {
 }
 
 impl From<StageId> for TraceStage {
-    /// The mirrored stages share `repr` indexes with [`StageId::ALL`].
+    /// The mirrored stages share `repr` indexes with `StageId::ALL`.
     fn from(stage: StageId) -> Self {
         TraceStage::ALL[stage as usize]
     }
@@ -221,14 +221,14 @@ pub struct TraceEvent {
 impl TraceEvent {
     /// Event duration in nanoseconds.
     #[inline]
-    pub fn duration_ns(&self) -> u64 {
+    pub(crate) fn duration_ns(&self) -> u64 {
         self.t_end_ns.saturating_sub(self.t_start_ns)
     }
 
     /// Whether this event's `[t_start, t_end)` window overlaps
     /// another's.
     #[inline]
-    pub fn overlaps(&self, other: &TraceEvent) -> bool {
+    pub(crate) fn overlaps(&self, other: &TraceEvent) -> bool {
         self.t_start_ns < other.t_end_ns && other.t_start_ns < self.t_end_ns
     }
 }
@@ -317,16 +317,6 @@ impl FlightRecorder {
         }
     }
 
-    /// Ring capacity in events.
-    pub fn capacity(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// The sampling policy this recorder was created with.
-    pub fn policy(&self) -> SamplingPolicy {
-        self.policy
-    }
-
     /// Events dropped because a concurrent writer owned the target
     /// slot (distinct from overflow, where newer events silently
     /// overwrite older ones).
@@ -337,14 +327,14 @@ impl FlightRecorder {
     /// Nanoseconds since the recorder epoch — the clock every event
     /// timestamp is expressed in.
     #[inline]
-    pub fn now_ns(&self) -> u64 {
+    pub(crate) fn now_ns(&self) -> u64 {
         u64::try_from(self.epoch.elapsed().as_nanos()).unwrap_or(u64::MAX)
     }
 
     /// Converts an [`Instant`] into epoch-relative nanoseconds
     /// (instants before the epoch clamp to 0).
     #[inline]
-    pub fn instant_ns(&self, at: Instant) -> u64 {
+    pub(crate) fn instant_ns(&self, at: Instant) -> u64 {
         u64::try_from(at.saturating_duration_since(self.epoch).as_nanos()).unwrap_or(u64::MAX)
     }
 
@@ -352,7 +342,7 @@ impl FlightRecorder {
     /// policy; returns [`TraceId::NONE`] when the request is not
     /// sampled (one relaxed counter increment, nothing else).
     #[inline]
-    pub fn begin(&self) -> TraceId {
+    pub(crate) fn begin(&self) -> TraceId {
         match self.policy {
             SamplingPolicy::Always | SamplingPolicy::Threshold { .. } => self.fresh_id(),
             SamplingPolicy::OneInN(n) => {
@@ -374,7 +364,7 @@ impl FlightRecorder {
     /// the policy commits the trace, writes its root
     /// [`TraceStage::Request`] event (ending now, spanning
     /// `total_ns`). A [`TraceId::NONE`] finish is a no-op.
-    pub fn finish(&self, id: TraceId, total_ns: u64) {
+    pub(crate) fn finish(&self, id: TraceId, total_ns: u64) {
         if !id.is_sampled() {
             return;
         }
@@ -452,7 +442,7 @@ impl FlightRecorder {
     /// Records one event from a pair of [`Instant`]s (converted to
     /// the recorder epoch).
     #[inline]
-    pub fn record_span(
+    pub(crate) fn record_span(
         &self,
         id: TraceId,
         stage: TraceStage,
@@ -636,7 +626,7 @@ pub struct TailBucket {
 
 impl TailBucket {
     /// Whether the bucket carries a given store-side marker.
-    pub fn has_marker(&self, marker: &str) -> bool {
+    pub(crate) fn has_marker(&self, marker: &str) -> bool {
         self.markers.iter().any(|m| *m == marker)
     }
 }

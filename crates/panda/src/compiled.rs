@@ -84,7 +84,7 @@
 //! request instead of per sub-instance; it does not replace the partition.
 //!
 //! A [`CompiledPmtd`] pairs these programs with the
-//! [`CompiledPlan`] for the PMTD; [`answer_with_compiled`] is the driver
+//! [`CompiledPlan`] for the PMTD; `answer_with_compiled` is the driver
 //! loop shared by both places a `CqapIndex`'s S-views live (resident, or
 //! spilled to `cqap-store`'s disk-resident runs).
 
@@ -142,7 +142,7 @@ pub struct DriverScratch {
 
 impl DriverScratch {
     /// A fresh scratch arena (all buffers empty).
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         DriverScratch::default()
     }
 }
@@ -390,7 +390,7 @@ impl CompiledPmtd {
     /// # Errors
     /// Propagates schema/atom resolution failures; fails if a probed
     /// S-view is missing from `views`.
-    pub fn compile<V: SViewProbe>(
+    pub(crate) fn compile<V: SViewProbe>(
         cqap: &Cqap,
         db: &Database,
         evaluator: &OnlineYannakakis,
@@ -548,7 +548,7 @@ fn project_final(rel: Relation, target: VarSet) -> Result<Relation> {
 /// Computed once per index, at build or spill: a request iterates it and
 /// neither allocates nor sorts for it. The indexes keep the given order
 /// in what they show (`plans()`, `compiled()`).
-pub fn union_order<'a>(plans: impl IntoIterator<Item = &'a CompiledPmtd>) -> Vec<usize> {
+pub(crate) fn union_order<'a>(plans: impl IntoIterator<Item = &'a CompiledPmtd>) -> Vec<usize> {
     let t_views: Vec<usize> = plans.into_iter().map(|p| p.programs.len()).collect();
     let mut order: Vec<usize> = (0..t_views.len()).collect();
     order.sort_by_key(|&i| t_views[i]);
@@ -599,7 +599,7 @@ fn holds_every_binding(
 ///
 /// # Errors
 /// Fails for an empty plan set, and propagates evaluation errors.
-pub fn answer_with_compiled<'a, V, I>(
+pub(crate) fn answer_with_compiled<'a, V, I>(
     cqap: &Cqap,
     atom_indexes: &AtomIndexCache,
     plans: I,

@@ -24,7 +24,7 @@
 //! edit per `ΔJ` row and view, and nothing to copy the edit into. The
 //! backend owns the tables (`CqapIndex` serves from them; once spilled,
 //! it keeps them as its counts beside the runs it probes)
-//! and lends them to [`DeltaMaintenance::build`] / [`DeltaMaintenance::apply`]
+//! and lends them to `DeltaMaintenance::build` / `DeltaMaintenance::apply`
 //! by `&mut`; this module keeps only what expands a delta: the chains and
 //! the atom indexes. A view row whose count crosses zero goes to the
 //! caller's sink `(plan, node, row, entered)` as it crosses, never into a
@@ -55,7 +55,7 @@
 //! sees, keep the row order of one edit at a time.
 //!
 //! **Build is a delta from empty**: every J-row is new and atom 0 is its
-//! first atom, so [`DeltaMaintenance::build`] runs atom 0's chain seeded
+//! first atom, so `DeltaMaintenance::build` runs atom 0's chain seeded
 //! with all of `R₀` into the empty views — `J` is streamed, never held.
 //!
 //! Every step of an apply costs `O(|Δ| + |ΔJ|)`, never `O(|D|)`:
@@ -231,7 +231,7 @@ impl DeltaMaintenance {
     ///
     /// # Errors
     /// Propagates schema/atom resolution failures.
-    pub fn build(cqap: &Cqap, db: &Database, views: &mut [PreprocessedViews]) -> Result<Self> {
+    pub(crate) fn build(cqap: &Cqap, db: &Database, views: &mut [PreprocessedViews]) -> Result<Self> {
         let atoms = cqap.cq().atoms();
         let mut atom_indexes = AtomIndexCache::default();
         let chains = (0..atoms.len())
@@ -259,13 +259,13 @@ impl DeltaMaintenance {
 
     /// Attaches a metrics sink: [`DeltaMaintenance::apply`] records the
     /// `delta_apply` stage latency and the net insert/delete counters.
-    pub fn set_metrics_sink(&mut self, sink: MetricsSink) {
+    pub(crate) fn set_metrics_sink(&mut self, sink: MetricsSink) {
         self.sink = sink;
     }
 
     /// The live atom indexes the owning backend's compiled pipelines
     /// answer against (see
-    /// [`answer_with_compiled`](crate::answer_with_compiled)).
+    /// `answer_with_compiled`).
     pub fn atom_indexes(&self) -> &AtomIndexCache {
         &self.atom_indexes
     }
@@ -295,7 +295,7 @@ impl DeltaMaintenance {
     ///
     /// A batch whose net effect is empty short-circuits: `db`, the
     /// views and the atom indexes are left untouched and nothing moves.
-    pub fn apply(
+    pub(crate) fn apply(
         &mut self,
         cqap: &Cqap,
         db: &mut Database,

@@ -6,14 +6,14 @@
 //! which is exactly the content the paper's preprocessing phase guarantees
 //! after its final semijoin-reduce step) and indexes them for Online
 //! Yannakakis. The full join itself is never held: the build is delta
-//! maintenance from empty ([`DeltaMaintenance::build`]), which streams it
+//! maintenance from empty (`DeltaMaintenance::build`), which streams it
 //! through the crate's one join chain into the index's counted S-views —
 //! the tables the online phase probes are the support-count tables a delta
 //! edits, so `S` is resident once. The online phase computes the T-views
 //! for the incoming access request — joining only the atoms of each
 //! non-materialized bag, restricted by the request, through the same
 //! chain — runs Online Yannakakis per PMTD, and unions the results across
-//! PMTDs, fewest T-views first ([`union_order`]). For a CQAP that is
+//! PMTDs, fewest T-views first (`union_order`). For a CQAP that is
 //! Boolean given its access pattern the union stops at the first plan
 //! after which it holds every binding of the request: every answer tuple
 //! is a binding, so no later PMTD could add one. The oracle's join
@@ -296,7 +296,7 @@ impl CqapIndex {
 
     /// The per-PMTD compiled pipelines (T-view programs + probe plans), in
     /// the order of the build's PMTDs — what [`CqapIndex::answer`]
-    /// executes, in its [`union_order`], against
+    /// executes, in its `union_order`, against
     /// [`CqapIndex::maintenance`]'s atom indexes.
     pub fn compiled(&self) -> impl Iterator<Item = &Arc<CompiledPmtd>> {
         self.plans.iter().map(|p| &p.compiled)
@@ -311,7 +311,7 @@ impl CqapIndex {
     /// per PMTD and unioning the per-PMTD answers (Section 4.3),
     /// projected onto the CQAP's declared head.
     ///
-    /// The PMTDs run fewest T-views first ([`union_order`]: for the
+    /// The PMTDs run fewest T-views first (`union_order`: for the
     /// Figure-1 set `(S14)`, then `(T134, S13)`, then `(T134, T123)`).
     /// When the CQAP is Boolean given its access pattern, the union stops
     /// after the first plan at which it holds every distinct binding of
@@ -335,7 +335,7 @@ impl CqapIndex {
 
     /// Graceful-degradation online phase: answers from the single
     /// *cheapest* plan — the first of [`CqapIndex::answer`]'s
-    /// [`union_order`], the PMTD with the fewest T-views — skipping the
+    /// `union_order`, the PMTD with the fewest T-views — skipping the
     /// rest of the union.
     ///
     /// Its only saving over [`CqapIndex::answer`] is on requests with a

@@ -72,10 +72,7 @@ pub mod rules;
 mod stored;
 
 pub use analysis::{figure4a_curve, figure4b_curve, goldstein_baseline, table1_3reach, RuleReport};
-pub use compiled::{
-    answer_with_compiled, union_order, with_driver_scratch, AtomIndexCache, CompiledPmtd,
-    DriverScratch,
-};
+pub use compiled::{with_driver_scratch, AtomIndexCache, CompiledPmtd, DriverScratch};
 pub use delta::DeltaMaintenance;
 pub use driver::{CqapIndex, DEGRADED_ANSWER_NAME};
-pub use rules::{generate_rules, prune_rules, rule_of_choice, TwoPhaseRule};
+pub use rules::TwoPhaseRule;

@@ -54,7 +54,7 @@ impl fmt::Display for TwoPhaseRule {
 /// PMTD in the set: an S-target for every chosen materialized view, a
 /// T-target for every chosen online view. Empty view schemas (which only
 /// occur in redundant PMTDs) are skipped.
-pub fn rule_of_choice(pmtds: &[Pmtd], choice: &[usize]) -> TwoPhaseRule {
+pub(crate) fn rule_of_choice(pmtds: &[Pmtd], choice: &[usize]) -> TwoPhaseRule {
     assert_eq!(pmtds.len(), choice.len());
     let num_vars = pmtds
         .iter()
@@ -82,7 +82,7 @@ pub fn rule_of_choice(pmtds: &[Pmtd], choice: &[usize]) -> TwoPhaseRule {
 /// Generates every 2-phase disjunctive rule induced by the PMTD set: the
 /// cartesian product of view choices (Section 4.2), deduplicated by target
 /// set.
-pub fn generate_rules(pmtds: &[Pmtd]) -> Vec<TwoPhaseRule> {
+pub(crate) fn generate_rules(pmtds: &[Pmtd]) -> Vec<TwoPhaseRule> {
     assert!(!pmtds.is_empty(), "rule generation needs at least one PMTD");
     let sizes: Vec<usize> = pmtds.iter().map(|p| p.td().num_nodes()).collect();
     let total: usize = sizes.iter().product();
@@ -105,7 +105,7 @@ pub fn generate_rules(pmtds: &[Pmtd]) -> Vec<TwoPhaseRule> {
 /// Prunes the rule set down to the rules with inclusion-minimal target sets
 /// (Observation E.1): a rule whose targets strictly contain another rule's
 /// targets is "no harder" and can be ignored when combining tradeoffs.
-pub fn prune_rules(rules: Vec<TwoPhaseRule>) -> Vec<TwoPhaseRule> {
+pub(crate) fn prune_rules(rules: Vec<TwoPhaseRule>) -> Vec<TwoPhaseRule> {
     let mut keep = vec![true; rules.len()];
     for i in 0..rules.len() {
         for j in 0..rules.len() {

@@ -37,13 +37,6 @@ impl FractionalEdgeCover {
         Ok(FractionalEdgeCover { weights })
     }
 
-    /// Creates the all-ones cover (weight 1 on every edge).
-    pub fn all_ones(hypergraph: &Hypergraph) -> Self {
-        FractionalEdgeCover {
-            weights: vec![Rat::ONE; hypergraph.num_edges()],
-        }
-    }
-
     /// Weight of edge `i`.
     pub fn weight(&self, i: usize) -> Rat {
         self.weights[i]
@@ -52,13 +45,6 @@ impl FractionalEdgeCover {
     /// All weights.
     pub fn weights(&self) -> &[Rat] {
         &self.weights
-    }
-
-    /// Total weight `Σ_F u_F` (written `u*` in the paper).
-    pub fn total_weight(&self) -> Rat {
-        self.weights
-            .iter()
-            .fold(Rat::ZERO, |acc, &w| acc + w)
     }
 
     /// The coverage of a single variable: `Σ_{F ∋ v} u_F`.
@@ -89,23 +75,6 @@ impl FractionalEdgeCover {
             .map(|v| self.coverage(hypergraph, v))
             .min()
     }
-
-    /// The scaled cover `u / α(u, A)`, which covers `[n] \ A` with weight
-    /// exactly 1 at the minimizing variable. Returns `None` when the slack
-    /// is undefined or zero.
-    pub fn scaled_by_slack(
-        &self,
-        hypergraph: &Hypergraph,
-        access: VarSet,
-    ) -> Option<FractionalEdgeCover> {
-        let alpha = self.slack(hypergraph, access)?;
-        if alpha.is_zero() {
-            return None;
-        }
-        Some(FractionalEdgeCover {
-            weights: self.weights.iter().map(|&w| w / alpha).collect(),
-        })
-    }
 }
 
 #[cfg(test)]
@@ -131,12 +100,11 @@ mod tests {
     #[test]
     fn coverage_and_covers() {
         let h = kset3();
-        let u = FractionalEdgeCover::all_ones(&h);
+        let u = FractionalEdgeCover::new(&h, vec![Rat::ONE; 3]).unwrap();
         // y = x4 appears in all three edges.
         assert_eq!(u.coverage(&h, 3), Rat::int(3));
         assert_eq!(u.coverage(&h, 0), Rat::ONE);
         assert!(u.covers(&h, vars![1, 2, 3, 4]));
-        assert_eq!(u.total_weight(), Rat::int(3));
 
         let half = FractionalEdgeCover::new(&h, vec![rat(1, 2); 3]).unwrap();
         assert!(!half.covers(&h, vars![1]));
@@ -149,10 +117,10 @@ mod tests {
         // slack w.r.t. [k] (the access variables x1..xk) is k, because only
         // y = x_{k+1} is outside A and it is covered k times.
         let h = kset3();
-        let u = FractionalEdgeCover::all_ones(&h);
+        let u = FractionalEdgeCover::new(&h, vec![Rat::ONE; 3]).unwrap();
         assert_eq!(u.slack(&h, vars![1, 2, 3]), Some(Rat::int(3)));
-        // Scaling by the slack yields weight 1/3 per edge, still covering y.
-        let scaled = u.scaled_by_slack(&h, vars![1, 2, 3]).unwrap();
+        // Weight 1/3 per edge (the cover scaled by the slack) still covers y.
+        let scaled = FractionalEdgeCover::new(&h, vec![rat(1, 3); 3]).unwrap();
         assert_eq!(scaled.weight(0), rat(1, 3));
         assert!(scaled.covers(&h, vars![4]));
     }
@@ -161,7 +129,7 @@ mod tests {
     fn slack_on_path_query() {
         // 3-path R1(x1,x2), R2(x2,x3), R3(x3,x4), A = {x1,x4}.
         let h = Hypergraph::new(4, vec![vars![1, 2], vars![2, 3], vars![3, 4]]).unwrap();
-        let u = FractionalEdgeCover::all_ones(&h);
+        let u = FractionalEdgeCover::new(&h, vec![Rat::ONE; 3]).unwrap();
         // x2 and x3 are each covered twice, so the slack is 2.
         assert_eq!(u.slack(&h, vars![1, 4]), Some(Rat::int(2)));
         // With all variables in A the slack is undefined.
@@ -172,8 +140,7 @@ mod tests {
     fn zero_slack_scaling() {
         let h = Hypergraph::new(2, vec![vars![1], vars![2]]).unwrap();
         let u = FractionalEdgeCover::new(&h, vec![Rat::ONE, Rat::ZERO]).unwrap();
-        // x2's coverage is 0 so the slack w.r.t. {x1} is 0 and scaling fails.
+        // x2's coverage is 0 so the slack w.r.t. {x1} is 0: no scaling exists.
         assert_eq!(u.slack(&h, vars![1]), Some(Rat::ZERO));
-        assert!(u.scaled_by_slack(&h, vars![1]).is_none());
     }
 }

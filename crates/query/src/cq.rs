@@ -131,12 +131,12 @@ impl ConjunctiveQuery {
     }
 
     /// Number of variables.
-    pub fn num_vars(&self) -> usize {
+    pub(crate) fn num_vars(&self) -> usize {
         self.num_vars
     }
 
     /// All variables `[n]`.
-    pub fn all_vars(&self) -> VarSet {
+    pub(crate) fn all_vars(&self) -> VarSet {
         VarSet::prefix(self.num_vars)
     }
 
@@ -146,22 +146,12 @@ impl ConjunctiveQuery {
     }
 
     /// The head variables `H`.
-    pub fn head(&self) -> VarSet {
+    pub(crate) fn head(&self) -> VarSet {
         self.head
     }
 
-    /// Whether the query is *full* (`H = [n]`).
-    pub fn is_full(&self) -> bool {
-        self.head == self.all_vars()
-    }
-
-    /// Whether the query is *Boolean* (`H = ∅`).
-    pub fn is_boolean(&self) -> bool {
-        self.head.is_empty()
-    }
-
     /// The query hypergraph (one edge per atom).
-    pub fn hypergraph(&self) -> Hypergraph {
+    pub(crate) fn hypergraph(&self) -> Hypergraph {
         Hypergraph::new(self.num_vars, self.atoms.iter().map(Atom::varset).collect())
             .expect("atoms validated at construction")
     }
@@ -175,14 +165,15 @@ impl ConjunctiveQuery {
     }
 
     /// Returns a copy of the query with a different head.
-    pub fn with_head(&self, head: VarSet) -> Result<Self> {
+    pub(crate) fn with_head(&self, head: VarSet) -> Result<Self> {
         ConjunctiveQuery::new(self.name.clone(), self.num_vars, self.atoms.clone(), head)
     }
 
     /// Whether the query is *hierarchical*: for any two variables, the sets
     /// of atoms containing them are either disjoint or one contains the
     /// other (Appendix F).
-    pub fn is_hierarchical(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_hierarchical(&self) -> bool {
         let atom_sets: Vec<VarSet> = self.atoms.iter().map(Atom::varset).collect();
         let atoms_of = |v: Var| -> u64 {
             let mut mask = 0u64;
@@ -288,12 +279,11 @@ mod tests {
     #[test]
     fn full_and_boolean() {
         let q = two_path();
-        assert!(!q.is_full());
-        assert!(!q.is_boolean());
+        assert_ne!(q.head(), q.all_vars());
         let full = q.with_head(vars![1, 2, 3]).unwrap();
-        assert!(full.is_full());
+        assert_eq!(full.head(), full.all_vars());
         let boolean = q.with_head(VarSet::EMPTY).unwrap();
-        assert!(boolean.is_boolean());
+        assert!(boolean.head().is_empty());
     }
 
     #[test]

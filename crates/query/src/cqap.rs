@@ -66,12 +66,6 @@ impl Cqap {
         self.declared_head
     }
 
-    /// The non-access head variables `H \ A` — the "output" variables a user
-    /// receives for each access request binding.
-    pub fn free_output(&self) -> VarSet {
-        self.head().difference(self.access)
-    }
-
     /// Whether the CQAP is Boolean *given* its access pattern (no output
     /// variables besides the access variables).
     pub fn is_boolean_given_access(&self) -> bool {
@@ -213,7 +207,6 @@ mod tests {
         assert_eq!(q.access(), vars![1, 4]);
         assert_eq!(q.head(), vars![1, 4]);
         assert!(q.is_boolean_given_access());
-        assert_eq!(q.free_output(), VarSet::EMPTY);
     }
 
     #[test]
@@ -235,7 +228,6 @@ mod tests {
         let q = Cqap::new(cq, vars![1, 2, 3, 4]).unwrap();
         assert_eq!(q.head(), vars![1, 2, 3, 4, 5]);
         assert_eq!(q.declared_head(), vars![5]);
-        assert_eq!(q.free_output(), vars![5]);
         assert!(!q.is_boolean_given_access());
     }
 

@@ -3,10 +3,10 @@
 //! Variable numbering follows the paper exactly (rendered 1-based in
 //! `Display`, stored 0-based):
 //!
-//! * [`k_reachability`] — `φ_k(x_1, x_{k+1} | x_1, x_{k+1}) ← ⋀_i R(x_i, x_{i+1})`
-//!   (Example 2.3; the self-join over one edge relation `R`).
-//! * [`k_path_distinct`] — the same body but with distinct relation names
-//!   `R_1..R_k` (the form used in Example 3.3 and Appendix E).
+//! * [`k_path_distinct`] — k-reachability,
+//!   `φ_k(x_1, x_{k+1} | x_1, x_{k+1}) ← ⋀_i R_i(x_i, x_{i+1})`, with
+//!   distinct relation names `R_1..R_k` (the form used in Example 3.3 and
+//!   Appendix E; Example 2.3's self-join reads one `R` at every hop).
 //! * [`k_set_disjointness`] / [`k_set_intersection`] — Example 2.2 /
 //!   Section 6.1, over `R(y, x)` meaning "element y belongs to set x".
 //! * [`square`] — Example 5.2: opposite corners of a 4-cycle.
@@ -19,26 +19,9 @@ use crate::cq::{Atom, ConjunctiveQuery};
 use crate::cqap::Cqap;
 use cqap_common::VarSet;
 
-/// The k-reachability CQAP over a single edge relation `R`:
-/// `φ_k(x_1, x_{k+1} | x_1, x_{k+1}) ← R(x_1,x_2) ∧ ... ∧ R(x_k, x_{k+1})`.
-///
-/// # Panics
-/// Panics if `k == 0` or `k + 1 > 64`.
-pub fn k_reachability(k: usize) -> Cqap {
-    assert!(k >= 1, "k-reachability requires k >= 1");
-    let atoms = (0..k)
-        .map(|i| Atom::new("R", vec![i, i + 1]).expect("distinct vars"))
-        .collect();
-    let head = VarSet::from_iter([0, k]);
-    let cq = ConjunctiveQuery::new(format!("reach{k}"), k + 1, atoms, head)
-        .expect("valid k-path query");
-    Cqap::new(cq, head).expect("A ⊆ vars")
-}
-
 /// The k-path CQAP with *distinct* relation names `R1..Rk`, as used in the
-/// worked examples of Section 3 and Appendix E. Structurally identical to
-/// [`k_reachability`] but each atom reads its own relation, which lets
-/// workloads vary the levels independently.
+/// worked examples of Section 3 and Appendix E. Each atom reads its own
+/// relation, which lets workloads vary the levels independently.
 pub fn k_path_distinct(k: usize) -> Cqap {
     assert!(k >= 1);
     let atoms = (0..k)
@@ -145,7 +128,8 @@ pub fn hierarchical_two_level() -> Cqap {
 
 /// A star CQAP `φ(x_0 | x_1..x_k) ← ⋀_i R_i(x_0, x_i)` used by tests of the
 /// decomposition machinery (hierarchical, acyclic, one shared variable).
-pub fn star(k: usize) -> Cqap {
+#[cfg(test)]
+pub(crate) fn star(k: usize) -> Cqap {
     assert!(k >= 1);
     let atoms = (1..=k)
         .map(|i| Atom::new(format!("R{i}"), vec![0, i]).expect("distinct vars"))
@@ -164,14 +148,14 @@ mod tests {
     #[test]
     fn reachability_shapes() {
         for k in 1..=6 {
-            let q = k_reachability(k);
+            let q = k_path_distinct(k);
             assert_eq!(q.num_vars(), k + 1);
             assert_eq!(q.cq().atoms().len(), k);
             assert_eq!(q.access(), VarSet::from_iter([0, k]));
             assert_eq!(q.head(), q.access());
             assert!(q.is_boolean_given_access());
-            // Every atom reads the same relation R.
-            assert_eq!(q.cq().relation_names(), vec!["R"]);
+            // One relation per hop.
+            assert_eq!(q.cq().relation_names().len(), k);
         }
     }
 
@@ -195,7 +179,7 @@ mod tests {
 
         let i = k_set_intersection(3);
         assert_eq!(i.head(), vars![1, 2, 3, 4]);
-        assert_eq!(i.free_output(), vars![4]);
+        assert_eq!(i.head().difference(i.access()), vars![4]);
         assert!(!i.is_boolean_given_access());
     }
 
@@ -226,6 +210,6 @@ mod tests {
     fn star_query() {
         let s = star(3);
         assert!(s.cq().is_hierarchical());
-        assert_eq!(s.free_output(), vars![1]);
+        assert_eq!(s.head().difference(s.access()), vars![1]);
     }
 }

@@ -1,6 +1,6 @@
 //! Query hypergraphs.
 
-use cqap_common::{CqapError, Result, Var, VarSet};
+use cqap_common::{CqapError, Result, VarSet};
 use std::fmt;
 
 /// The hypergraph `H = ([n], E)` associated with a conjunctive query: the
@@ -18,7 +18,7 @@ impl Hypergraph {
     /// # Errors
     /// Returns an error if an edge is empty or mentions a variable `≥
     /// num_vars`.
-    pub fn new(num_vars: usize, edges: Vec<VarSet>) -> Result<Self> {
+    pub(crate) fn new(num_vars: usize, edges: Vec<VarSet>) -> Result<Self> {
         let universe = VarSet::prefix(num_vars);
         for (i, e) in edges.iter().enumerate() {
             if e.is_empty() {
@@ -35,7 +35,8 @@ impl Hypergraph {
 
     /// Number of vertices (variables).
     #[inline]
-    pub fn num_vars(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn num_vars(&self) -> usize {
         self.num_vars
     }
 
@@ -53,50 +54,8 @@ impl Hypergraph {
 
     /// Number of hyperedges.
     #[inline]
-    pub fn num_edges(&self) -> usize {
+    pub(crate) fn num_edges(&self) -> usize {
         self.edges.len()
-    }
-
-    /// The edges containing variable `v`.
-    pub fn edges_containing(&self, v: Var) -> impl Iterator<Item = (usize, VarSet)> + '_ {
-        self.edges
-            .iter()
-            .enumerate()
-            .filter(move |(_, e)| e.contains(v))
-            .map(|(i, &e)| (i, e))
-    }
-
-    /// Whether `set` is contained in some hyperedge (i.e. the set is
-    /// "covered" by an atom — the condition for a tree-decomposition bag to
-    /// host an atom).
-    pub fn some_edge_contains(&self, set: VarSet) -> bool {
-        self.edges.iter().any(|e| set.is_subset(*e))
-    }
-
-    /// Whether every vertex appears in at least one edge.
-    pub fn covers_all_vertices(&self) -> bool {
-        let mut seen = VarSet::EMPTY;
-        for e in &self.edges {
-            seen = seen.union(*e);
-        }
-        self.vertices().is_subset(seen)
-    }
-
-    /// Whether two variables co-occur in some edge.
-    pub fn adjacent(&self, u: Var, v: Var) -> bool {
-        self.edges.iter().any(|e| e.contains(u) && e.contains(v))
-    }
-
-    /// The neighbours of a variable (vertices sharing an edge with it),
-    /// including the variable itself.
-    pub fn closed_neighborhood(&self, v: Var) -> VarSet {
-        let mut out = VarSet::singleton(v);
-        for e in &self.edges {
-            if e.contains(v) {
-                out = out.union(*e);
-            }
-        }
-        out
     }
 }
 
@@ -131,25 +90,6 @@ mod tests {
         assert_eq!(h.vertices(), vars![1, 2, 3, 4]);
         assert!(Hypergraph::new(2, vec![VarSet::EMPTY]).is_err());
         assert!(Hypergraph::new(2, vec![vars![1, 3]]).is_err());
-    }
-
-    #[test]
-    fn coverage_queries() {
-        let h = three_path();
-        assert!(h.some_edge_contains(vars![2, 3]));
-        assert!(!h.some_edge_contains(vars![1, 3]));
-        assert!(h.covers_all_vertices());
-        let partial = Hypergraph::new(3, vec![vars![1, 2]]).unwrap();
-        assert!(!partial.covers_all_vertices());
-    }
-
-    #[test]
-    fn adjacency() {
-        let h = three_path();
-        assert!(h.adjacent(0, 1));
-        assert!(!h.adjacent(0, 2));
-        assert_eq!(h.closed_neighborhood(1), vars![1, 2, 3]);
-        assert_eq!(h.edges_containing(2).count(), 2);
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //!
 //! All generators are deterministic given their seed.
 
-use cqap_common::{Tuple, Val, Var, VarSet};
+use cqap_common::{Tuple, Val, Var};
 use cqap_relation::{Database, Relation};
 use rand::rngs::StdRng;
 use rand::seq::IndexedRandom;
@@ -101,7 +101,7 @@ impl Graph {
     }
 
     /// Loads the graph as a binary relation over variables `(a, b)`.
-    pub fn as_relation(&self, name: &str, a: Var, b: Var) -> Relation {
+    pub(crate) fn as_relation(&self, name: &str, a: Var, b: Var) -> Relation {
         Relation::binary(name.to_string(), a, b, self.edges.iter().copied())
     }
 
@@ -301,10 +301,8 @@ pub fn poisson_arrivals_ns(n: usize, rate_per_sec: f64, seed: u64) -> Vec<u64> {
 }
 
 /// The shard a routing-key value belongs to under hash partitioning. This
-/// single function is the partition invariant shared by the `cqap-shard`
-/// data partitioner and these workload helpers — a request stream split
-/// with [`partition_by_shard`] lands each request on the shard that owns
-/// its key.
+/// single function is the partition invariant of the `cqap-shard` data
+/// partitioner: a request lands on the shard that owns its key.
 ///
 /// The hash is mapped to `0..shards` by multiply-shift over the *high*
 /// bits (Lemire's range reduction) rather than `% shards`: the Fx hash is
@@ -314,23 +312,6 @@ pub fn poisson_arrivals_ns(n: usize, rate_per_sec: f64, seed: u64) -> Vec<u64> {
 pub fn shard_of_key(key: Val, shards: usize) -> usize {
     assert!(shards > 0, "need at least one shard");
     ((u128::from(cqap_common::hash::hash_u64(key)) * shards as u128) >> 64) as usize
-}
-
-/// Splits a request stream into `shards` per-shard streams by a routing-key
-/// function, preserving relative order within each shard (the order a
-/// per-shard runtime would observe).
-pub fn partition_by_shard<T>(
-    items: Vec<T>,
-    shards: usize,
-    key: impl Fn(&T) -> Val,
-) -> Vec<Vec<T>> {
-    assert!(shards > 0, "need at least one shard");
-    let mut out: Vec<Vec<T>> = (0..shards).map(|_| Vec::new()).collect();
-    for item in items {
-        let shard = shard_of_key(key(&item), shards);
-        out[shard].push(item);
-    }
-    out
 }
 
 /// Inverse-CDF sampler for the zipf distribution over `0..n` (rank `i` has
@@ -359,15 +340,10 @@ impl ZipfSampler {
     }
 }
 
-/// Convenience: the access [`VarSet`] consisting of the first and last
-/// variable of a k-path query.
-pub fn path_endpoints(k: usize) -> VarSet {
-    VarSet::from_iter([0, k])
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cqap_common::VarSet;
 
     #[test]
     fn random_graph_deterministic_and_distinct() {
@@ -433,11 +409,6 @@ mod tests {
     }
 
     #[test]
-    fn endpoints_helper() {
-        assert_eq!(path_endpoints(3), VarSet::from_iter([0, 3]));
-    }
-
-    #[test]
     fn zipf_requests_are_skewed_and_deterministic() {
         let g = Graph::random(200, 800, 3);
         let a = zipf_pair_requests(&g, 2_000, 1.1, 7);
@@ -472,31 +443,6 @@ mod tests {
             zipf_multi_requests(&g, 200, 6, 1.0, 9),
             "deterministic given seed"
         );
-    }
-
-    #[test]
-    fn shard_partition_is_total_and_order_preserving() {
-        let g = Graph::random(100, 400, 3);
-        let requests = graph_pair_requests(&g, 500, 7);
-        for shards in [1, 2, 3, 7] {
-            let parts = partition_by_shard(requests.clone(), shards, |&(u, _)| u);
-            assert_eq!(parts.len(), shards);
-            assert_eq!(parts.iter().map(Vec::len).sum::<usize>(), requests.len());
-            for (shard, part) in parts.iter().enumerate() {
-                // Every item landed on the shard that owns its key...
-                assert!(part.iter().all(|&(u, _)| shard_of_key(u, shards) == shard));
-                // ...and relative order within the shard is preserved.
-                let expected: Vec<_> = requests
-                    .iter()
-                    .filter(|&&(u, _)| shard_of_key(u, shards) == shard)
-                    .copied()
-                    .collect();
-                assert_eq!(part, &expected);
-            }
-        }
-        // k = 1 is the identity partition.
-        let whole = partition_by_shard(requests.clone(), 1, |&(u, _)| u);
-        assert_eq!(whole[0], requests);
     }
 
     #[test]

@@ -52,24 +52,6 @@ impl DegreeConstraint {
     pub fn is_cardinality(&self) -> bool {
         self.on.is_empty()
     }
-
-    /// `log2` of the bound, used by the LP layer.
-    #[inline]
-    pub fn log_bound(&self) -> f64 {
-        (self.bound.max(1) as f64).log2()
-    }
-
-    /// Whether the given relation *guards* this constraint: its schema
-    /// contains `Y` and its actual max degree is within the bound.
-    pub fn guarded_by(&self, rel: &Relation) -> bool {
-        if !self.of.is_subset(rel.varset()) {
-            return false;
-        }
-        match rel.max_degree(self.on, self.of) {
-            Ok(deg) => (deg as u64) <= self.bound,
-            Err(_) => false,
-        }
-    }
 }
 
 impl fmt::Debug for DegreeConstraint {
@@ -213,17 +195,6 @@ mod tests {
         cs.add(DegreeConstraint::new(vars![1], vars![1, 2], 7).unwrap());
         assert_eq!(cs.len(), 1);
         assert_eq!(cs.bound(vars![1], vars![1, 2]), Some(4));
-    }
-
-    #[test]
-    fn guard_check() {
-        let r = Relation::binary("R", 0, 1, [(1, 10), (1, 11), (2, 10)]);
-        let c = DegreeConstraint::new(vars![1], vars![1, 2], 2).unwrap();
-        assert!(c.guarded_by(&r));
-        let too_tight = DegreeConstraint::new(vars![1], vars![1, 2], 1).unwrap();
-        assert!(!too_tight.guarded_by(&r));
-        let wrong_vars = DegreeConstraint::new(vars![3], vars![3, 4], 10).unwrap();
-        assert!(!wrong_vars.guarded_by(&r));
     }
 
     #[test]

@@ -10,8 +10,7 @@ use std::fmt;
 /// degree constraints `DC` they guard (Section 2.2).
 ///
 /// The paper defines `|D|` as the *maximum* relation size; [`Database::size`]
-/// follows that convention, while [`Database::total_tuples`] reports the sum
-/// (useful for space accounting in benches).
+/// follows that convention.
 #[derive(Clone, Default)]
 pub struct Database {
     relations: Vec<Relation>,
@@ -41,16 +40,6 @@ impl Database {
             .add_cardinality(rel.varset(), rel.len() as u64);
         self.relations.push(rel);
         Ok(())
-    }
-
-    /// Adds a relation and infers *all* of its degree constraints (not just
-    /// the cardinality constraint). Inference is quadratic in the number of
-    /// subsets of the relation's variables, so this is intended for the
-    /// small-arity relations of the paper's workloads.
-    pub fn add_relation_with_stats(&mut self, rel: Relation) -> Result<()> {
-        let inferred = ConstraintSet::infer_from(&rel)?;
-        self.constraints.merge(&inferred);
-        self.add_relation(rel)
     }
 
     /// Looks up a relation by name.
@@ -95,24 +84,14 @@ impl Database {
         &self.constraints
     }
 
-    /// Adds an externally known degree constraint (the caller asserts it is
-    /// guarded by one of the relations).
-    pub fn add_constraint(&mut self, c: crate::constraints::DegreeConstraint) {
-        self.constraints.add(c);
-    }
-
     /// `|D|`: the maximum relation size (the paper's database-size measure).
     pub fn size(&self) -> usize {
         self.relations.iter().map(Relation::len).max().unwrap_or(0)
     }
 
-    /// Total number of tuples across all relations.
-    pub fn total_tuples(&self) -> usize {
-        self.relations.iter().map(Relation::len).sum()
-    }
-
     /// Total number of stored values across all relations (arity-weighted).
-    pub fn stored_values(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn stored_values(&self) -> usize {
         self.relations.iter().map(Relation::stored_values).sum()
     }
 }
@@ -144,7 +123,6 @@ mod tests {
         assert!(db.relation("T").is_none());
         assert!(db.relation_or_err("T").is_err());
         assert_eq!(db.size(), 2);
-        assert_eq!(db.total_tuples(), 3);
         assert_eq!(db.stored_values(), 6);
     }
 
@@ -168,15 +146,9 @@ mod tests {
 
     #[test]
     fn stats_inference() {
-        let mut db = Database::new();
-        db.add_relation_with_stats(Relation::binary(
-            "R",
-            0,
-            1,
-            [(1, 10), (1, 11), (1, 12), (2, 10)],
-        ))
-        .unwrap();
-        assert_eq!(db.constraints().bound(vars![1], vars![1, 2]), Some(3));
-        assert_eq!(db.constraints().bound(vars![2], vars![1, 2]), Some(2));
+        let r = Relation::binary("R", 0, 1, [(1, 10), (1, 11), (1, 12), (2, 10)]);
+        let inferred = ConstraintSet::infer_from(&r).unwrap();
+        assert_eq!(inferred.bound(vars![1], vars![1, 2]), Some(3));
+        assert_eq!(inferred.bound(vars![2], vars![1, 2]), Some(2));
     }
 }

@@ -64,12 +64,6 @@ impl HashIndex {
         self.key_vars
     }
 
-    /// The schema of the indexed tuples.
-    #[inline]
-    pub fn schema(&self) -> &Schema {
-        &self.schema
-    }
-
     /// Number of distinct keys.
     #[inline]
     pub fn num_keys(&self) -> usize {
@@ -96,7 +90,8 @@ impl HashIndex {
 
     /// Whether any tuple matches the key (a semijoin probe).
     #[inline]
-    pub fn contains_key(&self, key: &Tuple) -> bool {
+    #[cfg(test)]
+    pub(crate) fn contains_key(&self, key: &Tuple) -> bool {
         self.buckets.contains_key(key)
     }
 
@@ -118,7 +113,8 @@ impl HashIndex {
 
     /// Machine-independent space measure: number of stored values across all
     /// buckets (keys are not double counted since the tuples embed them).
-    pub fn stored_values(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn stored_values(&self) -> usize {
         self.entries * self.schema.arity()
     }
 
@@ -140,7 +136,7 @@ impl HashIndex {
 
     /// Removes tuples incrementally, returning how many were found.
     ///
-    /// Buckets left empty are dropped so [`HashIndex::contains_key`] (the
+    /// Buckets left empty are dropped so `HashIndex::contains_key` (the
     /// semijoin probe) stays exact — a lingering empty bucket would make
     /// a deleted key look present.
     pub fn remove_all(&mut self, tuples: &[Tuple]) -> usize {

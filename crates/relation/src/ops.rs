@@ -1,5 +1,4 @@
-//! Relational operators: projection, selection, natural join, semijoin,
-//! antijoin, union, intersection.
+//! Relational operators: projection, natural join, semijoin and union.
 //!
 //! These are the operators that proof-sequence steps compile into (Section 5
 //! of the paper): a composition step is a join, a decomposition step is a
@@ -10,7 +9,7 @@
 use crate::index::HashIndex;
 use crate::relation::{Relation, RelationBuilder};
 use crate::schema::Schema;
-use cqap_common::{FxHashSet, Result, Tuple, Val, Var, VarSet};
+use cqap_common::{FxHashSet, Result, Tuple, VarSet};
 
 /// Whether `positions` is the identity permutation `0..arity` — i.e. the
 /// projection/reorder it describes is a no-op. Shared with the compiled
@@ -47,25 +46,6 @@ impl Relation {
         let mut out = RelationBuilder::new(format!("π{}({})", schema, self.name()), schema);
         for t in self.iter() {
             out.push(t.project(&positions));
-        }
-        Ok(out.finish())
-    }
-
-    /// σ_{v = val}(R): selection of tuples whose value for `v` equals `val`.
-    pub fn select_eq(&self, v: Var, val: Val) -> Result<Relation> {
-        let pos = self
-            .schema()
-            .position(v)
-            .ok_or_else(|| cqap_common::CqapError::UnknownVariable(format!("x{}", v + 1)))?;
-        // A selection of a set is a subset: duplicate-free by construction.
-        let mut out = RelationBuilder::distinct(
-            format!("σ_x{}={}({})", v + 1, val, self.name()),
-            self.schema().clone(),
-        );
-        for t in self.iter() {
-            if t.get(pos) == val {
-                out.push(t.clone());
-            }
         }
         Ok(out.finish())
     }
@@ -160,26 +140,6 @@ impl Relation {
         Ok(out.finish())
     }
 
-    /// Antijoin `R ▷ S`: tuples of `R` that join with *no* tuple of `S`.
-    pub fn antijoin(&self, other: &Relation) -> Result<Relation> {
-        let shared = self.varset().intersect(other.varset());
-        let other_keys: FxHashSet<Tuple> = {
-            let positions = other.schema().positions_of_set(shared)?;
-            other.iter().map(|t| t.project(&positions)).collect()
-        };
-        let left_key = self.schema().positions_of_set(shared)?;
-        let mut out = RelationBuilder::distinct(
-            format!("({} ▷ {})", self.name(), other.name()),
-            self.schema().clone(),
-        );
-        for t in self.iter() {
-            if !other_keys.contains(&t.project(&left_key)) {
-                out.push(t.clone());
-            }
-        }
-        Ok(out.finish())
-    }
-
     /// Union of two relations over the same variable set (columns are
     /// reordered if necessary).
     ///
@@ -236,58 +196,12 @@ impl Relation {
         }
         Ok(base)
     }
-
-    /// Intersection of two relations over the same variable set.
-    ///
-    /// Iterates the *smaller* input and membership-tests the larger one,
-    /// so the cost is O(min(|R|, |S|)) lookups; no input is cloned.
-    pub fn intersect_rel(&self, other: &Relation) -> Result<Relation> {
-        let reordered;
-        let other = if other.schema() == self.schema() {
-            other
-        } else {
-            reordered = other.reorder(self.schema())?;
-            &reordered
-        };
-        let (scan, lookup) = if self.len() <= other.len() {
-            (self, other)
-        } else {
-            (other, self)
-        };
-        // An intersection of sets is a subset of the scanned set.
-        let mut out = RelationBuilder::distinct(
-            format!("({} ∩ {})", self.name(), other.name()),
-            self.schema().clone(),
-        );
-        for t in scan.iter() {
-            if lookup.contains(t) {
-                out.push(t.clone());
-            }
-        }
-        Ok(out.finish())
-    }
-
-    /// Cartesian product (join with no shared variables); provided for
-    /// completeness and used by a handful of tests.
-    pub fn cross(&self, other: &Relation) -> Result<Relation> {
-        debug_assert!(self.varset().is_disjoint(other.varset()));
-        self.join(other)
-    }
-}
-
-/// Joins an ordered sequence of relations left to right.
-pub fn join_all(relations: &[Relation]) -> Result<Relation> {
-    assert!(!relations.is_empty(), "join_all of empty sequence");
-    let mut acc = relations[0].clone();
-    for r in &relations[1..] {
-        acc = acc.join(r)?;
-    }
-    Ok(acc)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cqap_common::Var;
     use cqap_common::vars;
 
     fn rel(name: &'static str, a: Var, b: Var, pairs: &[(u64, u64)]) -> Relation {
@@ -304,15 +218,6 @@ mod tests {
         // Projecting on a variable not in the schema keeps only the overlap.
         let q = r.project_onto(vars![2, 5]).unwrap();
         assert_eq!(q.schema().vars(), &[1]);
-    }
-
-    #[test]
-    fn selection() {
-        let r = rel("R", 0, 1, &[(1, 10), (2, 20)]);
-        let s = r.select_eq(0, 1).unwrap();
-        assert_eq!(s.len(), 1);
-        assert!(s.contains(&Tuple::pair(1, 10)));
-        assert!(r.select_eq(5, 1).is_err());
     }
 
     #[test]
@@ -366,11 +271,11 @@ mod tests {
         let r = rel("R", 0, 1, &[(1, 10), (2, 20), (3, 30)]);
         let s = rel("S", 1, 2, &[(10, 100), (30, 300)]);
         let semi = r.semijoin(&s).unwrap();
-        let anti = r.antijoin(&s).unwrap();
         assert_eq!(semi.len(), 2);
-        assert_eq!(anti.len(), 1);
-        assert!(anti.contains(&Tuple::pair(2, 20)));
-        // semijoin ∪ antijoin = R
+        assert!(!semi.contains(&Tuple::pair(2, 20)));
+        // The semijoin and the tuples it drops partition R.
+        let mut anti = Relation::new("anti", r.schema().clone());
+        anti.insert(Tuple::pair(2, 20)).unwrap();
         assert_eq!(semi.union(&anti).unwrap(), r);
     }
 
@@ -421,17 +326,6 @@ mod tests {
     }
 
     #[test]
-    fn intersection_is_size_symmetric() {
-        let big = rel("big", 0, 1, &(0..300u64).map(|i| (i, i)).collect::<Vec<_>>());
-        let small = rel("small", 0, 1, &[(3, 3), (7, 8)]);
-        let a = big.intersect_rel(&small).unwrap();
-        let b = small.intersect_rel(&big).unwrap();
-        assert_eq!(a, b);
-        assert_eq!(a.len(), 1);
-        assert!(a.contains(&Tuple::pair(3, 3)));
-    }
-
-    #[test]
     fn identity_projection_and_reorder_are_clones() {
         let r = rel("R", 0, 1, &[(1, 2), (3, 4)]);
         let p = r.project_onto(VarSet::from_iter([0, 1, 9])).unwrap();
@@ -442,20 +336,11 @@ mod tests {
     }
 
     #[test]
-    fn intersection() {
-        let r = rel("R", 0, 1, &[(1, 10), (2, 20)]);
-        let s = rel("S", 0, 1, &[(2, 20), (3, 30)]);
-        let i = r.intersect_rel(&s).unwrap();
-        assert_eq!(i.len(), 1);
-        assert!(i.contains(&Tuple::pair(2, 20)));
-    }
-
-    #[test]
     fn join_all_three_path() {
         let r1 = rel("R1", 0, 1, &[(1, 2), (5, 6)]);
         let r2 = rel("R2", 1, 2, &[(2, 3)]);
         let r3 = rel("R3", 2, 3, &[(3, 4)]);
-        let j = join_all(&[r1, r2, r3]).unwrap();
+        let j = r1.join(&r2).unwrap().join(&r3).unwrap();
         assert_eq!(j.len(), 1);
         assert!(j.contains(&Tuple::from_slice(&[1, 2, 3, 4])));
     }

@@ -175,7 +175,7 @@ impl Relation {
     /// membership set). For callers that fold a relation into another
     /// structure and would otherwise clone every tuple.
     #[inline]
-    pub fn into_tuples(self) -> Vec<Tuple> {
+    pub(crate) fn into_tuples(self) -> Vec<Tuple> {
         self.tuples
     }
 
@@ -217,7 +217,8 @@ impl Relation {
 
     /// Returns the tuple values for variable `v` (one per tuple, with
     /// repetitions).
-    pub fn column(&self, v: Var) -> Result<Vec<Val>> {
+    #[cfg(test)]
+    pub(crate) fn column(&self, v: Var) -> Result<Vec<Val>> {
         let pos = self
             .schema
             .position(v)
@@ -226,7 +227,7 @@ impl Relation {
     }
 
     /// Number of distinct values of the projection onto `vars` (a `VarSet`).
-    pub fn distinct_count(&self, vars: VarSet) -> Result<usize> {
+    pub(crate) fn distinct_count(&self, vars: VarSet) -> Result<usize> {
         let positions = self.schema.positions_of_set(vars.intersect(self.varset()))?;
         let mut set: FxHashSet<Tuple> = FxHashSet::default();
         for t in &self.tuples {
@@ -381,7 +382,7 @@ pub struct RelationBuilder {
 impl RelationBuilder {
     /// A builder that deduplicates on push, exactly like
     /// [`Relation::insert`].
-    pub fn new(name: impl Into<Cow<'static, str>>, schema: Schema) -> Self {
+    pub(crate) fn new(name: impl Into<Cow<'static, str>>, schema: Schema) -> Self {
         RelationBuilder {
             name: name.into(),
             schema,
@@ -403,21 +404,6 @@ impl RelationBuilder {
         }
     }
 
-    /// The schema tuples must conform to.
-    pub fn schema(&self) -> &Schema {
-        &self.schema
-    }
-
-    /// Number of tuples accepted so far.
-    pub fn len(&self) -> usize {
-        self.tuples.len()
-    }
-
-    /// Whether no tuple has been accepted yet.
-    pub fn is_empty(&self) -> bool {
-        self.tuples.is_empty()
-    }
-
     /// Appends one row given as a value slice — the column-to-row exit of
     /// the columnar execution path: the row crosses into a [`Tuple`] here
     /// (inline for arity ≤ 4, so narrow answers never touch the heap) and
@@ -429,7 +415,7 @@ impl RelationBuilder {
 
     /// Appends a tuple (deduplicating unless this is a distinct builder).
     #[inline]
-    pub fn push(&mut self, t: Tuple) {
+    pub(crate) fn push(&mut self, t: Tuple) {
         debug_assert_eq!(
             t.arity(),
             self.schema.arity(),

@@ -43,7 +43,8 @@ impl Schema {
     }
 
     /// The empty schema (for Boolean results).
-    pub fn empty() -> Self {
+    #[cfg(test)]
+    pub(crate) fn empty() -> Self {
         Schema {
             vars: Vec::new(),
             varset: VarSet::EMPTY,
@@ -76,7 +77,8 @@ impl Schema {
 
     /// Whether the schema contains variable `v`.
     #[inline]
-    pub fn contains(&self, v: Var) -> bool {
+    #[cfg(test)]
+    pub(crate) fn contains(&self, v: Var) -> bool {
         self.varset.contains(v)
     }
 

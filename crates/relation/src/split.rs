@@ -13,11 +13,9 @@
 //!   `X`-value has degree `≤ threshold`, so expanding a light value online
 //!   is cheap.
 //!
-//! [`split_geometric`] provides the full PANDA-style bucketing into
-//! `O(log |R|)` sub-relations with geometrically increasing degrees. It
-//! has no caller outside this module's tests: the space-budgeted index
-//! build (ROADMAP item 2) either becomes its first caller or the
-//! public-surface ledger (item 12) deletes it.
+//! PANDA's full bucketing into `O(log |R|)` sub-relations of geometrically
+//! increasing degree is not implemented: the space-budgeted build of
+//! ROADMAP item 2 starts from one threshold.
 
 use crate::index::HashIndex;
 use crate::relation::Relation;
@@ -39,10 +37,6 @@ pub struct HeavyLightSplit {
 }
 
 impl HeavyLightSplit {
-    /// Sanity invariant: the two parts partition the input.
-    pub fn total_len(&self) -> usize {
-        self.heavy.len() + self.light.len()
-    }
 }
 
 /// Splits `rel` on the key variables `x` with the given degree `threshold`.
@@ -90,51 +84,6 @@ pub fn heavy_keys(rel: &Relation, x: VarSet, threshold: usize) -> Result<Vec<Tup
         .collect())
 }
 
-/// A single bucket of a geometric split: all tuples whose key degree lies in
-/// `(2^(j-1), 2^j]` (bucket 0 holds degree-1 keys).
-#[derive(Clone, Debug)]
-pub struct DegreeBucket {
-    /// Bucket index `j`; key degrees are in `(2^(j-1), 2^j]`.
-    pub level: u32,
-    /// The sub-relation.
-    pub part: Relation,
-    /// Number of distinct key values in the bucket (`N_X^{(j)}`).
-    pub num_keys: usize,
-    /// Maximum key degree in the bucket (`N_{Y|X}^{(j)}`).
-    pub max_degree: usize,
-}
-
-/// PANDA-style geometric split of `rel` on key set `x`: the tuples are
-/// partitioned into `O(log |rel|)` buckets by the power-of-two range their
-/// key degree falls into. Within bucket `j`, the number of distinct keys
-/// times the maximum degree is at most `2 · |rel|` — the "splitting
-/// property" the 2PP analysis relies on (`N_X^{(j)} · N_{Y|X}^{(j)} ≤ 2 N`).
-pub fn split_geometric(rel: &Relation, x: VarSet) -> Result<Vec<DegreeBucket>> {
-    let idx = HashIndex::build(rel, x)?;
-    let max_level = (usize::BITS - rel.len().max(1).leading_zeros()) + 1;
-    let mut buckets: Vec<Option<DegreeBucket>> = (0..=max_level).map(|_| None).collect();
-    for (_key, tuples) in idx.groups() {
-        let d = tuples.len();
-        let level = if d <= 1 {
-            0
-        } else {
-            usize::BITS - (d - 1).leading_zeros()
-        };
-        let entry = buckets[level as usize].get_or_insert_with(|| DegreeBucket {
-            level,
-            part: Relation::new(format!("{}^({})", rel.name(), level), rel.schema().clone()),
-            num_keys: 0,
-            max_degree: 0,
-        });
-        entry.num_keys += 1;
-        entry.max_degree = entry.max_degree.max(d);
-        for t in tuples {
-            entry.part.insert(t.clone())?;
-        }
-    }
-    Ok(buckets.into_iter().flatten().collect())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -156,13 +105,13 @@ mod tests {
     fn threshold_split_partitions_input() {
         let r = skewed();
         let split = split_heavy_light(&r, vars![1], 3).unwrap();
-        assert_eq!(split.total_len(), r.len());
+        assert_eq!(split.heavy.len() + split.light.len(), r.len());
         assert_eq!(split.heavy.len(), 10);
         assert_eq!(split.light.len(), 4);
         assert_eq!(split.heavy_keys, 1);
         assert_eq!(split.light_keys, 4);
         // Heavy and light parts are disjoint.
-        assert!(split.heavy.intersect_rel(&split.light).unwrap().is_empty());
+        assert!(split.heavy.iter().all(|t| !split.light.contains(t)));
     }
 
     #[test]
@@ -193,32 +142,5 @@ mod tests {
         let split = split_heavy_light(&r, vars![1], 3).unwrap();
         let idx = HashIndex::build(&split.light, vars![1]).unwrap();
         assert!(idx.max_degree() <= 3);
-    }
-
-    #[test]
-    fn geometric_split_covers_and_bounds() {
-        let r = skewed();
-        let buckets = split_geometric(&r, vars![1]).unwrap();
-        let total: usize = buckets.iter().map(|b| b.part.len()).sum();
-        assert_eq!(total, r.len());
-        for b in &buckets {
-            // splitting property: keys × degree ≤ 2 |R|
-            assert!(b.num_keys * b.max_degree <= 2 * r.len());
-            // degrees really lie in the bucket's range
-            let lower = if b.level == 0 { 0 } else { 1usize << (b.level - 1) };
-            assert!(b.max_degree <= 1usize << b.level);
-            assert!(b.max_degree > lower || b.level == 0);
-        }
-        // vertex 1 (degree 10) goes to level 4 (range (8, 16]).
-        assert!(buckets.iter().any(|b| b.level == 4 && b.num_keys == 1));
-        // degree-1 vertices go to level 0.
-        assert!(buckets.iter().any(|b| b.level == 0 && b.num_keys == 4));
-    }
-
-    #[test]
-    fn geometric_split_on_empty_relation() {
-        let r = Relation::binary("E", 0, 1, std::iter::empty());
-        let buckets = split_geometric(&r, vars![1]).unwrap();
-        assert!(buckets.is_empty());
     }
 }

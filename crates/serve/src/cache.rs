@@ -29,7 +29,7 @@ struct Slot<K, V> {
 /// `get` refreshes recency; `insert` evicts the least recently used entry
 /// once `capacity` is exceeded. A capacity of zero disables the cache (every
 /// `insert` is a no-op and every `get` misses).
-pub struct LruCache<K, V> {
+pub(crate) struct LruCache<K, V> {
     capacity: usize,
     map: FxHashMap<K, usize>,
     slots: Vec<Slot<K, V>>,
@@ -41,7 +41,7 @@ pub struct LruCache<K, V> {
 
 impl<K: Eq + Hash + Clone, V: Clone> LruCache<K, V> {
     /// Creates a cache holding at most `capacity` entries.
-    pub fn new(capacity: usize) -> Self {
+    pub(crate) fn new(capacity: usize) -> Self {
         let mut map = FxHashMap::default();
         map.reserve(capacity.min(1 << 20));
         LruCache {
@@ -53,23 +53,13 @@ impl<K: Eq + Hash + Clone, V: Clone> LruCache<K, V> {
         }
     }
 
-    /// Number of cached entries.
-    pub fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    /// Whether the cache holds no entries.
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
-    }
-
     /// The configured capacity.
-    pub fn capacity(&self) -> usize {
+    pub(crate) fn capacity(&self) -> usize {
         self.capacity
     }
 
     /// Looks up `key`, refreshing its recency on a hit.
-    pub fn get(&mut self, key: &K) -> Option<V> {
+    pub(crate) fn get(&mut self, key: &K) -> Option<V> {
         let &slot = self.map.get(key)?;
         self.detach(slot);
         self.attach_front(slot);
@@ -81,7 +71,7 @@ impl<K: Eq + Hash + Clone, V: Clone> LruCache<K, V> {
     /// the evicted one, or `key` with the value it replaced on a refresh —
     /// so the caller chooses where it is dropped. A capacity-0 cache
     /// returns `None`.
-    pub fn insert(&mut self, key: K, value: V) -> Option<(K, V)> {
+    pub(crate) fn insert(&mut self, key: K, value: V) -> Option<(K, V)> {
         if self.capacity == 0 {
             return None;
         }
@@ -115,7 +105,7 @@ impl<K: Eq + Hash + Clone, V: Clone> LruCache<K, V> {
     }
 
     /// Removes all entries.
-    pub fn clear(&mut self) {
+    pub(crate) fn clear(&mut self) {
         self.map.clear();
         self.slots.clear();
         self.head = NIL;
@@ -165,7 +155,7 @@ mod tests {
         assert_eq!(cache.get(&"b"), None);
         assert_eq!(cache.get(&"a"), Some(1));
         assert_eq!(cache.get(&"c"), Some(3));
-        assert_eq!(cache.len(), 2);
+        assert_eq!(cache.map.len(), 2);
     }
 
     #[test]
@@ -184,7 +174,7 @@ mod tests {
         let mut cache = LruCache::new(0);
         assert_eq!(cache.insert(1, 1), None, "nothing to displace");
         assert_eq!(cache.get(&1), None);
-        assert!(cache.is_empty());
+        assert!(cache.map.is_empty());
     }
 
     #[test]
@@ -195,7 +185,7 @@ mod tests {
         assert_eq!(cache.get(&"a"), Some(1)); // "b" is now the LRU
         assert_eq!(cache.insert("c", 3), Some(("b", 2)));
         assert_eq!(cache.insert("d", 4), Some(("a", 1)));
-        assert_eq!(cache.len(), 2);
+        assert_eq!(cache.map.len(), 2);
     }
 
     #[test]
@@ -204,7 +194,7 @@ mod tests {
         cache.insert(1, "one");
         cache.insert(2, "two");
         assert_eq!(cache.insert(1, "uno"), Some((1, "one")));
-        assert_eq!(cache.len(), 2, "a refresh evicts nothing");
+        assert_eq!(cache.map.len(), 2, "a refresh evicts nothing");
         assert_eq!(cache.get(&1), Some("uno"));
         assert_eq!(cache.get(&2), Some("two"));
     }
@@ -215,7 +205,7 @@ mod tests {
         for i in 0..100 {
             cache.insert(i, i * 10);
         }
-        assert_eq!(cache.len(), 3);
+        assert_eq!(cache.map.len(), 3);
         // Only the last three survive, most recent first.
         assert_eq!(cache.get(&99), Some(990));
         assert_eq!(cache.get(&97), Some(970));
@@ -229,7 +219,7 @@ mod tests {
         let mut cache = LruCache::new(4);
         cache.insert(1, 1);
         cache.clear();
-        assert!(cache.is_empty());
+        assert!(cache.map.is_empty());
         cache.insert(2, 2);
         assert_eq!(cache.get(&2), Some(2));
     }

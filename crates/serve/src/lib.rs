@@ -16,7 +16,7 @@
 //! * [`WorkStealingPool`] — a std-only work-stealing thread pool (the
 //!   environment has no registry access, so no rayon); round-robin
 //!   distribution plus steal-half-from-a-victim rebalances skewed batches.
-//! * [`LruCache`] — an O(1) LRU answer cache keyed by the request (for the
+//! * `LruCache` — an O(1) LRU answer cache keyed by the request (for the
 //!   driver that is the `(access, tuples)` pair), so zipfian request
 //!   streams hit hot answers without re-running the online phase. The
 //!   runtime stores `Arc<Answer>` values, so hits and inserts inside the
@@ -94,13 +94,12 @@
 
 pub mod admission;
 pub mod batch;
-pub mod cache;
+mod cache;
 pub mod pool;
 pub mod runtime;
 
 pub use admission::{AdmissionConfig, ServeError};
 pub use batch::BatchAnswer;
-pub use cache::LruCache;
 pub use pool::{default_threads, WorkStealingPool};
 pub use runtime::{ServeConfig, ServeRuntime, ServeStats, Ticket};
 

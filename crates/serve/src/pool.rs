@@ -69,7 +69,7 @@ impl WorkStealingPool {
     /// Creates a pool with `threads` workers recording into `sink`:
     /// per-job queue-wait latency, steal and park counts, and the live
     /// queue-depth gauge (jobs queued or executing).
-    pub fn with_sink(threads: usize, sink: MetricsSink) -> Self {
+    pub(crate) fn with_sink(threads: usize, sink: MetricsSink) -> Self {
         let threads = threads.max(1);
         let shared = Arc::new(Shared {
             queues: (0..threads).map(|_| Mutex::new(VecDeque::new())).collect(),
@@ -97,13 +97,8 @@ impl WorkStealingPool {
         }
     }
 
-    /// A pool sized to the machine (`std::thread::available_parallelism`).
-    pub fn with_default_size() -> Self {
-        WorkStealingPool::new(default_threads())
-    }
-
     /// Number of worker threads.
-    pub fn threads(&self) -> usize {
+    pub(crate) fn threads(&self) -> usize {
         self.workers.len()
     }
 
@@ -117,7 +112,7 @@ impl WorkStealingPool {
     /// queue-wait histogram, a sampled `trace` gets a
     /// [`TraceStage::QueueWait`] flight-recorder event spanning the time
     /// the job sat queued before a worker picked it up.
-    pub fn execute_traced(&self, trace: TraceId, job: impl FnOnce() + Send + 'static) {
+    pub(crate) fn execute_traced(&self, trace: TraceId, job: impl FnOnce() + Send + 'static) {
         // With a live sink the job is wrapped to record how long it sat
         // queued before a worker picked it up. Exactly one Box is
         // allocated either way (the Job itself), so instrumentation
@@ -161,7 +156,7 @@ impl WorkStealingPool {
     }
 
     /// Number of jobs pushed but not yet started.
-    pub fn pending(&self) -> usize {
+    pub(crate) fn pending(&self) -> usize {
         self.shared.pending.load(Ordering::Acquire)
     }
 }

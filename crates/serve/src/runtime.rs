@@ -717,17 +717,6 @@ impl<I: BatchAnswer + 'static> ServeRuntime<I> {
         &self.index
     }
 
-    /// The metrics sink this runtime records into (disabled unless the
-    /// runtime was built with [`with_metrics`](Self::with_metrics)).
-    pub fn metrics(&self) -> &MetricsSink {
-        &self.shared.sink
-    }
-
-    /// Number of worker threads.
-    pub fn threads(&self) -> usize {
-        self.pool.threads()
-    }
-
     /// Counters since construction.
     pub fn stats(&self) -> ServeStats {
         self.shared.stats.snapshot()

@@ -223,7 +223,7 @@ impl ShardedIndex {
     /// shards hold their counted S-views; cold shards hold fence indexes,
     /// key filters, pending overlays and — the part a fence-only count
     /// misses — those same counted views, as their support counts.
-    pub fn resident_bytes(&self) -> (usize, usize) {
+    pub(crate) fn resident_bytes(&self) -> (usize, usize) {
         let (mut hot, mut cold) = (0, 0);
         for shard in &self.shards {
             let tier = if shard.is_spilled() { &mut cold } else { &mut hot };

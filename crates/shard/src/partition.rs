@@ -62,7 +62,7 @@ impl ShardSpec {
     ///
     /// # Errors
     /// Fails if `shards` is zero.
-    pub fn for_access(access_vars: impl AsRef<[Var]>, shards: usize) -> Result<Self> {
+    pub(crate) fn for_access(access_vars: impl AsRef<[Var]>, shards: usize) -> Result<Self> {
         if shards == 0 {
             return Err(CqapError::InvalidQuery(
                 "a sharded index needs at least one shard".into(),
@@ -82,13 +82,8 @@ impl ShardSpec {
     }
 
     /// Number of shards `k`.
-    pub fn shards(&self) -> usize {
+    pub(crate) fn shards(&self) -> usize {
         self.shards
-    }
-
-    /// The routing variable, if the access pattern is non-empty.
-    pub fn routing_var(&self) -> Option<Var> {
-        self.routing_var
     }
 
     /// The shard owning a routing-variable value.
@@ -112,7 +107,7 @@ impl ShardSpec {
     /// # Errors
     /// Propagates relation-construction failures (cannot happen for
     /// schema-consistent inputs).
-    pub fn partition_database(&self, db: &Database) -> Result<Vec<Database>> {
+    pub(crate) fn partition_database(&self, db: &Database) -> Result<Vec<Database>> {
         let mut out: Vec<Database> = (0..self.shards).map(|_| Database::new()).collect();
         for relation in db.relations() {
             let split_pos = self
@@ -145,7 +140,7 @@ impl ShardSpec {
     }
 
     /// Routes a delta batch under the **same data-placement invariant** as
-    /// [`ShardSpec::partition_database`]: an operation on a relation that
+    /// `ShardSpec::partition_database`: an operation on a relation that
     /// mentions the routing variable is split by the hash of each tuple's
     /// routing column, while operations on every other relation are
     /// replicated to all shards. Operation order is preserved within each
@@ -258,7 +253,7 @@ mod tests {
     #[test]
     fn routing_variable_is_min_access_var() {
         let spec = spec3();
-        assert_eq!(spec.routing_var(), Some(0));
+        assert_eq!(spec.routing_var, Some(0));
         assert_eq!(spec.shards(), 3);
         assert!(ShardSpec::for_access([0usize, 3], 0).is_err());
     }
@@ -266,7 +261,7 @@ mod tests {
     #[test]
     fn empty_access_routes_everything_to_shard_zero() {
         let spec = ShardSpec::for_access([] as [Var; 0], 4).unwrap();
-        assert_eq!(spec.routing_var(), None);
+        assert_eq!(spec.routing_var, None);
         assert_eq!(spec.shard_of_binding(&Tuple::empty()), 0);
         let req = AccessRequest::new(VarSet::EMPTY, vec![Tuple::empty()]).unwrap();
         let parts = spec.split_request(&req).unwrap();

@@ -32,9 +32,7 @@ use cqap_obs::{trace, MetricsSink, StageId, TraceId, TraceStage};
 use cqap_panda::CqapIndex;
 use cqap_query::AccessRequest;
 use cqap_relation::Relation;
-use cqap_serve::{
-    default_threads, AdmissionConfig, BatchAnswer, ServeConfig, ServeRuntime, ServeStats, Ticket,
-};
+use cqap_serve::{default_threads, AdmissionConfig, BatchAnswer, ServeConfig, ServeRuntime, Ticket};
 
 use crate::index::ShardedIndex;
 use crate::partition::ShardSpec;
@@ -83,12 +81,7 @@ pub struct ShardRouter {
 impl ShardRouter {
     /// Routes over `index` with the default per-shard configuration.
     pub fn new(index: ShardedIndex) -> Self {
-        ShardRouter::with_config(index, ShardRouterConfig::default())
-    }
-
-    /// Routes over `index`, with `config` applied to every shard runtime.
-    pub fn with_config(index: ShardedIndex, config: ShardRouterConfig) -> Self {
-        ShardRouter::with_metrics(index, config, MetricsSink::disabled())
+        ShardRouter::with_metrics(index, ShardRouterConfig::default(), MetricsSink::disabled())
     }
 
     /// Routes over `index`, recording into `sink`: every shard runtime
@@ -130,40 +123,25 @@ impl ShardRouter {
         }
     }
 
-    /// The metrics sink this router (and every shard runtime) records
-    /// into; disabled unless built with
-    /// [`with_metrics`](Self::with_metrics).
-    pub fn metrics(&self) -> &MetricsSink {
-        &self.sink
-    }
-
     /// The partition contract the router routes by.
-    pub fn spec(&self) -> &ShardSpec {
+    #[cfg(test)]
+    pub(crate) fn spec(&self) -> &ShardSpec {
         &self.spec
-    }
-
-    /// Number of shards.
-    pub fn num_shards(&self) -> usize {
-        self.runtimes.len()
-    }
-
-    /// The per-shard runtimes, in shard order (for direct shard probing
-    /// and per-shard cache warm-up).
-    pub fn runtimes(&self) -> &[ServeRuntime<CqapIndex>] {
-        &self.runtimes
     }
 
     /// Per-shard serving counters, in shard order — the load-balance view
     /// (hash skew shows up as uneven `served` counts here).
-    pub fn shard_stats(&self) -> Vec<ServeStats> {
+    #[cfg(test)]
+    pub(crate) fn shard_stats(&self) -> Vec<cqap_serve::ServeStats> {
         self.runtimes.iter().map(ServeRuntime::stats).collect()
     }
 
     /// Fleet-wide counters: the field-wise sum of every shard's stats.
-    pub fn stats(&self) -> ServeStats {
+    #[cfg(test)]
+    pub(crate) fn stats(&self) -> cqap_serve::ServeStats {
         self.shard_stats()
             .into_iter()
-            .fold(ServeStats::default(), ServeStats::merge)
+            .fold(Default::default(), cqap_serve::ServeStats::merge)
     }
 
     /// Splits `request` per shard and submits every leg to its shard

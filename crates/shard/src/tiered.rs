@@ -77,7 +77,7 @@ impl PlacementPolicy {
     /// shard id as the deterministic tie-break) and kept [`ShardTier::Hot`]
     /// while they fit the remaining byte budget; everything else goes
     /// [`ShardTier::Cold`].
-    pub fn place(&self, shard_bytes: &[usize]) -> Vec<ShardTier> {
+    pub(crate) fn place(&self, shard_bytes: &[usize]) -> Vec<ShardTier> {
         let mut order: Vec<usize> = (0..shard_bytes.len()).collect();
         order.sort_by_key(|&i| (Reverse(self.weights.get(i).copied().unwrap_or(0)), i));
         let mut remaining = self.hot_budget_bytes;
@@ -109,7 +109,7 @@ pub struct TieredSpace {
     /// View values the cold shards keep resident (their sparse fence
     /// indexes and pending overlays) — the S-view share only; the cold
     /// tier's support counts show in
-    /// [`ShardedIndex::resident_bytes`](crate::ShardedIndex::resident_bytes).
+    /// `ShardedIndex::resident_bytes`.
     pub cold_resident_values: usize,
 }
 
@@ -121,7 +121,8 @@ impl TieredSpace {
 
     /// Values actually resident in RAM: hot S-views plus cold fence
     /// indexes.
-    pub fn resident_values(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn resident_values(&self) -> usize {
         self.hot_values + self.cold_resident_values
     }
 }

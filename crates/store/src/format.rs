@@ -854,11 +854,6 @@ impl StoredView {
         &self.schema
     }
 
-    /// The link (probe-key) variables.
-    pub fn link(&self) -> VarSet {
-        self.link
-    }
-
     /// Number of stored tuples: the base run net of tombstones, plus the
     /// overlay's inserts — exactly the maintained view size.
     pub fn len(&self) -> usize {
@@ -871,7 +866,8 @@ impl StoredView {
     }
 
     /// Number of distinct keys in the base run (records).
-    pub fn num_keys(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn num_keys(&self) -> usize {
         self.num_records
     }
 
@@ -1191,7 +1187,7 @@ impl StoredView {
     ///
     /// # Panics
     /// If `row`'s length is not the view's arity.
-    pub fn edit_row(&mut self, row: &[Val], entered: bool) {
+    pub(crate) fn edit_row(&mut self, row: &[Val], entered: bool) {
         self.overlay.edit(row, entered);
     }
 

@@ -85,7 +85,7 @@ impl StoredViews {
     }
 
     /// Absorbs one row that entered or left `node`'s view into its delta
-    /// overlay ([`StoredView::edit_row`]); compaction waits for the owner.
+    /// overlay (`StoredView::edit_row`); compaction waits for the owner.
     pub fn edit_row(&mut self, node: usize, row: &[Val], entered: bool) {
         self.views[node].as_mut().expect("every counted view is spilled").edit_row(row, entered);
     }

@@ -137,7 +137,7 @@ impl ColumnRun {
 
     /// Bulk row selection: appends `src`'s rows at the given indices
     /// (column-at-a-time). Widths must match.
-    pub fn gather(&mut self, src: &ColumnRun, rows: &[u32]) {
+    pub(crate) fn gather(&mut self, src: &ColumnRun, rows: &[u32]) {
         debug_assert_eq!(self.width, src.width);
         for j in 0..self.width {
             let from = &src.cols[j];
@@ -150,7 +150,7 @@ impl ColumnRun {
     /// pair, the output row is `left`'s full row followed by `right`'s
     /// `appended` columns. `self` must be reset to
     /// `left.width() + appended.len()`.
-    pub fn emit_join(
+    pub(crate) fn emit_join(
         &mut self,
         left: &ColumnRun,
         right: &ColumnRun,
@@ -291,21 +291,21 @@ impl<P> KeyMemo<P> {
     /// The payload stored under `key`, if present. `hash` must be
     /// `hash_vals(key)`.
     #[inline]
-    pub fn get(&self, hash: u64, key: &[Val]) -> Option<&P> {
+    pub(crate) fn get(&self, hash: u64, key: &[Val]) -> Option<&P> {
         self.find(hash, key)
             .map(|at| &self.entries[at as usize].payload)
     }
 
     /// Mutable access to the payload stored under `key`, if present.
     #[inline]
-    pub fn get_mut(&mut self, hash: u64, key: &[Val]) -> Option<&mut P> {
+    pub(crate) fn get_mut(&mut self, hash: u64, key: &[Val]) -> Option<&mut P> {
         self.find(hash, key)
             .map(|at| &mut self.entries[at as usize].payload)
     }
 
     /// Inserts `payload` under `key`, which must not be present yet (the
     /// memo usage pattern is get-miss-then-insert).
-    pub fn insert(&mut self, hash: u64, key: &[Val], payload: P) {
+    pub(crate) fn insert(&mut self, hash: u64, key: &[Val], payload: P) {
         debug_assert!(self.find(hash, key).is_none(), "key inserted twice");
         let start = self.keys.len() as u32;
         self.keys.extend_from_slice(key);

@@ -367,13 +367,9 @@ impl OnlineYannakakis {
 }
 
 impl CompiledPlan {
-    /// The access pattern this plan answers.
-    pub fn access(&self) -> VarSet {
-        self.access
-    }
 
     /// The schema of the answers this plan produces.
-    pub fn output_schema(&self) -> &Schema {
+    pub(crate) fn output_schema(&self) -> &Schema {
         &self.final_schema
     }
 

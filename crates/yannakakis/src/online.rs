@@ -97,11 +97,6 @@ impl PreprocessedViews {
             .sum()
     }
 
-    /// Number of materialized views.
-    pub fn num_views(&self) -> usize {
-        self.views.iter().flatten().count()
-    }
-
     /// Iterates `(node, S-view)` over the materialized nodes: the reduced
     /// rows and their link key in the resident layout. A spilled index
     /// streams its `cqap-store` runs from these.
@@ -387,7 +382,7 @@ mod tests {
         let db = g.as_path_database(3);
         let oy = OnlineYannakakis::new(single.clone());
         let pre = oy.preprocess(&views_from_full_join(single, &cqap, &db)).unwrap();
-        assert_eq!(pre.num_views(), 1);
+        assert_eq!(pre.views.iter().flatten().count(), 1);
         let plan = oy.compile(&pre, &[]).unwrap();
         let mut scratch = crate::ColumnarScratch::new();
         let pairs = cqap_query::workload::graph_pair_requests(&g, 12, 43);
@@ -436,7 +431,7 @@ mod tests {
                     }
                 }
                 assert_eq!(fused.stored_values(), fed.stored_values());
-                assert_eq!(fused.num_views(), s_views.len());
+                assert_eq!(fused.views.iter().flatten().count(), s_views.len());
                 for ((a, fused_run), (b, fed_run)) in fused.runs().zip(fed.runs()) {
                     assert_eq!(a, b);
                     assert_eq!(fused_run.link(), oy.link(a));
@@ -493,7 +488,7 @@ mod tests {
         let (_, pmtds) = pmtd_families::pmtds_3reach_fig1().unwrap();
         let oy = OnlineYannakakis::new(pmtds[1].clone()); // (T134, S13)
         let mut pre = oy.counted_views().unwrap();
-        assert_eq!((pre.num_views(), pre.stored_values()), (1, 0));
+        assert_eq!((pre.views.iter().flatten().count(), pre.stored_values()), (1, 0));
         let (node, view) = pre.edit().next().unwrap();
         assert!(view.add(&[1, 3], 1));
         assert!(!view.add(&[1, 3], 1));
