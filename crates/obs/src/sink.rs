@@ -405,9 +405,8 @@ impl MetricsSink {
         }
     }
 
-    /// Completes a trace (writes its root event when the sampling
-    /// policy commits it). No-op without a tracer or for an unsampled
-    /// id.
+    /// Completes a trace by writing its root event. No-op without a
+    /// tracer or for an unsampled id.
     #[inline]
     pub fn trace_finish(&self, id: TraceId, total_ns: u64) {
         if let Some(t) = &self.tracer {
@@ -437,7 +436,7 @@ impl MetricsSink {
     /// [`trace_leaf`](Self::trace_leaf).
     #[inline]
     pub fn trace_mark(&self) -> Option<Instant> {
-        if self.tracer.is_some() && trace::current().is_sampled() {
+        if self.tracer.is_some() && trace::current().is_some_and(TraceId::is_sampled) {
             Some(Instant::now())
         } else {
             None
@@ -458,7 +457,8 @@ impl MetricsSink {
     #[inline]
     pub fn trace_leaf(&self, start: Option<Instant>, stage: TraceStage, payload: u64) {
         if let (Some(t), Some(start)) = (&self.tracer, start) {
-            t.record_span(trace::current(), stage, self.shard, start, Instant::now(), payload);
+            let trace = trace::current().unwrap_or(TraceId::NONE);
+            t.record_span(trace, stage, self.shard, start, Instant::now(), payload);
         }
     }
 

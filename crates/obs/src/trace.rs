@@ -18,13 +18,9 @@
 //! consistent subset of the events actually written, and on overflow
 //! newer events overwrite older ones (newest wins).
 //!
-//! Sampling is a [`SamplingPolicy`]: record every request, one in N,
-//! or — threshold mode — record everything into the ring but *commit*
-//! a trace (write its root [`TraceStage::Request`] event) only when
-//! the request's total latency exceeds a live quantile estimate from
-//! the recorder's own log-bucketed total-latency histogram (the same
-//! [`LatencyHistogram`] machinery the metrics exposition uses).
-//! Uncommitted events simply age out of the ring.
+//! Sampling is a [`SamplingPolicy`]: record every request, or one in
+//! N. A sampled request's trace is committed by its root
+//! [`TraceStage::Request`] event, written once the request resolves.
 //!
 //! Drained events export as Chrome trace-event JSON
 //! ([`to_chrome_trace`]) loadable in `chrome://tracing` / Perfetto,
@@ -39,7 +35,6 @@ use std::fmt::Write as _;
 use std::sync::atomic::{fence, AtomicU64, Ordering};
 use std::time::Instant;
 
-use crate::hist::LatencyHistogram;
 use crate::sink::StageId;
 
 /// The identity of one request's trace, allocated by
@@ -105,9 +100,9 @@ pub enum TraceStage {
     /// Stored-view compaction (mirrors [`StageId::Compaction`]).
     Compaction,
     /// The whole-request root span, written at
-    /// `FlightRecorder::finish` when the sampling policy commits
-    /// the trace. A trace without a root is incomplete (or rejected
-    /// by threshold sampling) and is ignored by the reports.
+    /// `FlightRecorder::finish` once a sampled request resolves. A
+    /// trace without a root is incomplete and is ignored by the
+    /// reports.
     Request,
     /// One contiguous cold-store segment read; the payload is the
     /// byte count.
@@ -183,17 +178,6 @@ pub enum SamplingPolicy {
     /// One request in `n` is traced (relaxed round-robin across all
     /// submitting threads; `n = 0` behaves like `n = 1`).
     OneInN(u64),
-    /// Every request writes events, but a trace is *committed* (its
-    /// root event written, making it visible to the reports) only
-    /// when its total latency reaches the live `quantile` estimate of
-    /// the recorder's own total-latency histogram. Until enough
-    /// requests have finished for the estimate to warm up, everything
-    /// commits.
-    Threshold {
-        /// The quantile of the running total-latency distribution a
-        /// request must reach to be kept, e.g. `0.99`.
-        quantile: f64,
-    },
 }
 
 /// One drained trace event.
@@ -260,10 +244,6 @@ impl Slot {
     }
 }
 
-/// How many threshold-mode finishes share one cached quantile
-/// estimate before it is refreshed from the totals histogram.
-const THRESHOLD_REFRESH: u64 = 64;
-
 /// The lock-free flight recorder: a ring of seqlock slots plus the
 /// sampling state.
 ///
@@ -279,11 +259,6 @@ pub struct FlightRecorder {
     sample_counter: AtomicU64,
     /// Writes dropped because a concurrent writer owned the slot.
     contended_drops: AtomicU64,
-    /// Total request latencies, fed by [`finish`](Self::finish);
-    /// threshold sampling reads its live quantile from here.
-    totals: LatencyHistogram,
-    finishes: AtomicU64,
-    cached_threshold_ns: AtomicU64,
 }
 
 impl fmt::Debug for FlightRecorder {
@@ -311,9 +286,6 @@ impl FlightRecorder {
             next_id: AtomicU64::new(0),
             sample_counter: AtomicU64::new(0),
             contended_drops: AtomicU64::new(0),
-            totals: LatencyHistogram::new(),
-            finishes: AtomicU64::new(0),
-            cached_threshold_ns: AtomicU64::new(0),
         }
     }
 
@@ -344,7 +316,7 @@ impl FlightRecorder {
     #[inline]
     pub(crate) fn begin(&self) -> TraceId {
         match self.policy {
-            SamplingPolicy::Always | SamplingPolicy::Threshold { .. } => self.fresh_id(),
+            SamplingPolicy::Always => self.fresh_id(),
             SamplingPolicy::OneInN(n) => {
                 let tick = self.sample_counter.fetch_add(1, Ordering::Relaxed);
                 if tick % n.max(1) == 0 {
@@ -360,36 +332,13 @@ impl FlightRecorder {
         TraceId(self.next_id.fetch_add(1, Ordering::Relaxed) + 1)
     }
 
-    /// Completes a trace: feeds the total-latency histogram and, when
-    /// the policy commits the trace, writes its root
-    /// [`TraceStage::Request`] event (ending now, spanning
-    /// `total_ns`). A [`TraceId::NONE`] finish is a no-op.
+    /// Commits a trace: writes its root [`TraceStage::Request`] event
+    /// (ending now, spanning `total_ns`). A [`TraceId::NONE`] finish
+    /// records nothing.
     pub(crate) fn finish(&self, id: TraceId, total_ns: u64) {
-        if !id.is_sampled() {
-            return;
-        }
-        self.totals.record_ns(total_ns);
-        let committed = match self.policy {
-            SamplingPolicy::Always | SamplingPolicy::OneInN(_) => true,
-            SamplingPolicy::Threshold { quantile } => {
-                let n = self.finishes.fetch_add(1, Ordering::Relaxed);
-                if n % THRESHOLD_REFRESH == 0 {
-                    let estimate = self.totals.snapshot().quantile(quantile);
-                    self.cached_threshold_ns.store(estimate, Ordering::Relaxed);
-                }
-                total_ns >= self.cached_threshold_ns.load(Ordering::Relaxed)
-            }
-        };
-        if committed {
+        if id.is_sampled() {
             let end = self.now_ns();
-            self.record(
-                id,
-                TraceStage::Request,
-                0,
-                end.saturating_sub(total_ns),
-                end,
-                total_ns,
-            );
+            self.record(id, TraceStage::Request, 0, end.saturating_sub(total_ns), end, total_ns);
         }
     }
 
@@ -519,14 +468,15 @@ impl FlightRecorder {
 // the leaf layers read it back.
 
 thread_local! {
-    static CURRENT_TRACE: Cell<u64> = const { Cell::new(0) };
+    static CURRENT_TRACE: Cell<Option<TraceId>> = const { Cell::new(None) };
 }
 
-/// The trace id the current thread is serving, set by
-/// [`TraceScope::enter`]; [`TraceId::NONE`] outside any scope.
+/// The trace the current thread is serving, set by
+/// [`TraceScope::enter`]: `Some` inside a scope, even an unsampled one
+/// ([`TraceId::NONE`]), and `None` outside any scope.
 #[inline]
-pub fn current() -> TraceId {
-    CURRENT_TRACE.with(|c| TraceId(c.get()))
+pub fn current() -> Option<TraceId> {
+    CURRENT_TRACE.with(Cell::get)
 }
 
 /// An RAII guard pinning a request's trace id on the current thread
@@ -536,14 +486,14 @@ pub fn current() -> TraceId {
 /// on drop, so nested scopes compose.
 #[derive(Debug)]
 pub struct TraceScope {
-    prev: u64,
+    prev: Option<TraceId>,
 }
 
 impl TraceScope {
     /// Pins `id` as the current thread's trace until the guard drops.
     pub fn enter(id: TraceId) -> TraceScope {
         TraceScope {
-            prev: CURRENT_TRACE.with(|c| c.replace(id.0)),
+            prev: CURRENT_TRACE.with(|c| c.replace(Some(id))),
         }
     }
 }
@@ -851,40 +801,18 @@ mod tests {
     }
 
     #[test]
-    fn threshold_commits_only_slow_traces_once_warm() {
-        let fr = FlightRecorder::new(4096, SamplingPolicy::Threshold { quantile: 0.9 });
-        // Warm the estimator past the first refresh with fast requests.
-        for _ in 0..=THRESHOLD_REFRESH {
-            let id = fr.begin();
-            fr.finish(id, 1_000);
-        }
-        let fast = fr.begin();
-        fr.finish(fast, 500);
-        let slow = fr.begin();
-        fr.finish(slow, 1_000_000);
-        let events = fr.drain();
-        let committed: Vec<u64> = events
-            .iter()
-            .filter(|e| e.stage == TraceStage::Request)
-            .map(|e| e.trace_id)
-            .collect();
-        assert!(committed.contains(&slow.get()), "slow trace commits");
-        assert!(!committed.contains(&fast.get()), "fast trace is rejected");
-    }
-
-    #[test]
     fn trace_scope_nests_and_restores() {
-        assert_eq!(current(), TraceId::NONE);
+        assert_eq!(current(), None);
         {
             let _outer = TraceScope::enter(TraceId::from_raw(7));
-            assert_eq!(current().get(), 7);
+            assert_eq!(current(), Some(TraceId::from_raw(7)));
             {
-                let _inner = TraceScope::enter(TraceId::from_raw(9));
-                assert_eq!(current().get(), 9);
+                let _inner = TraceScope::enter(TraceId::NONE);
+                assert_eq!(current(), Some(TraceId::NONE), "an unsampled scope is still a scope");
             }
-            assert_eq!(current().get(), 7);
+            assert_eq!(current(), Some(TraceId::from_raw(7)));
         }
-        assert_eq!(current(), TraceId::NONE);
+        assert_eq!(current(), None);
     }
 
     #[test]

@@ -1,20 +1,19 @@
-//! Databases: named collections of relations plus the degree constraints
-//! they guard.
+//! Databases: named collections of relations.
 
-use crate::constraints::ConstraintSet;
 use crate::relation::Relation;
 use cqap_common::{CqapError, Result};
 use std::fmt;
 
-/// A database instance `D`: the input relations of a CQAP, together with the
-/// degree constraints `DC` they guard (Section 2.2).
+/// A database instance `D`: the input relations of a CQAP (Section 2.2).
+/// It stores no degree constraints `DC`:
+/// [`ConstraintSet::infer_from`](crate::ConstraintSet::infer_from) measures
+/// those a relation satisfies.
 ///
 /// The paper defines `|D|` as the *maximum* relation size; [`Database::size`]
 /// follows that convention.
 #[derive(Clone, Default)]
 pub struct Database {
     relations: Vec<Relation>,
-    constraints: ConstraintSet,
 }
 
 impl Database {
@@ -34,10 +33,6 @@ impl Database {
                 rel.name()
             )));
         }
-        // Maintain the paper's assumption that DC always contains the
-        // cardinality constraint (∅, F, |R_F|) for every relation.
-        self.constraints
-            .add_cardinality(rel.varset(), rel.len() as u64);
         self.relations.push(rel);
         Ok(())
     }
@@ -55,13 +50,6 @@ impl Database {
 
     /// Mutable lookup of a relation by name, for in-place delta
     /// maintenance.
-    ///
-    /// The constraint set is *not* refreshed: the cardinality constraint
-    /// recorded at [`Database::add_relation`] time describes the relation
-    /// as loaded. Constraints only feed analysis-time plan selection
-    /// (entropy bounds, heavy/light splits), never answer correctness, so
-    /// a maintained database keeps its build-time constraints until the
-    /// next full rebuild.
     pub fn relation_mut(&mut self, name: &str) -> Result<&mut Relation> {
         self.relations
             .iter_mut()
@@ -77,11 +65,6 @@ impl Database {
     /// Number of relations.
     pub fn num_relations(&self) -> usize {
         self.relations.len()
-    }
-
-    /// The degree constraints guarded by this database.
-    pub fn constraints(&self) -> &ConstraintSet {
-        &self.constraints
     }
 
     /// `|D|`: the maximum relation size (the paper's database-size measure).
@@ -109,6 +92,7 @@ impl fmt::Debug for Database {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::constraints::ConstraintSet;
     use cqap_common::vars;
 
     #[test]
@@ -134,14 +118,6 @@ mod tests {
         assert!(db
             .add_relation(Relation::binary("R", 1, 2, [(1, 2)]))
             .is_err());
-    }
-
-    #[test]
-    fn cardinality_constraints_always_present() {
-        let mut db = Database::new();
-        db.add_relation(Relation::binary("R", 0, 1, [(1, 2), (2, 3), (3, 4)]))
-            .unwrap();
-        assert_eq!(db.constraints().cardinality_of(vars![1, 2]), Some(3));
     }
 
     #[test]

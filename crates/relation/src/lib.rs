@@ -16,8 +16,7 @@
 //!   probed by a link key, optionally carrying support counts. An S-view
 //!   of Online Yannakakis and the support counts delta maintenance keeps
 //!   for it are one such table.
-//! * [`Database`] — a named collection of relations guarded by a set of
-//!   degree constraints.
+//! * [`Database`] — a named collection of relations.
 //! * [`DegreeConstraint`] / [`ConstraintSet`] — the statistics `N_{Y|X}`
 //!   from Section 2 of the paper, including the *best constraint
 //!   assumption*.

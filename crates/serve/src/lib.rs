@@ -25,16 +25,16 @@
 //!   index, per-request one-shot result cells ([`Ticket`]), order-preserving
 //!   batch serving with intra-batch deduplication, in-flight probe sharing
 //!   across concurrent submitters (no thundering herd on a hot key), and
-//!   [`ServeStats`] counters. A submit's probe and a batch's fresh probes
-//!   run as one kind of job through one worker path, which answers a
-//!   job's members with one [`BatchAnswer::answer_batch`] call, member by
-//!   member.
+//!   [`ServeStats`] counters. Every door is one request path (a submit
+//!   is a batch of one) whose fresh probes run as jobs through one worker
+//!   path, which answers a job's members with one
+//!   [`BatchAnswer::answer_batch`] call, member by member.
 //! * Overload safety — shed-only bounded admission ([`AdmissionConfig`]:
 //!   a probe job past the bound resolves at once with a typed
 //!   [`ServeError::Overloaded`]), absolute deadlines
-//!   ([`ServeRuntime::submit_with_deadline`]) dropped before the backend
-//!   probe, and an optional cheapest-plan degrade mode past a queue-depth
-//!   watermark.
+//!   ([`ServeRuntime::submit_with_deadline`]) checked once, on the worker
+//!   before the backend probe, and an optional cheapest-plan degrade mode
+//!   past a queue-depth watermark.
 //!
 //! ## Worked example: serving a 1 000-request batch
 //!

@@ -1,44 +1,31 @@
 //! The serving runtime: a shared immutable index behind a work-stealing
 //! pool, per-request one-shot result cells, and an LRU answer cache.
 //!
-//! [`ServeRuntime`] owns the three pieces and exposes two front doors:
-//!
-//! * [`ServeRuntime::serve_batch`] — answer a slice of requests
-//!   concurrently, preserving order, deduplicating identical requests
-//!   within the batch and consulting the cache before touching the index;
-//! * [`ServeRuntime::submit`] — enqueue one request and get a [`Ticket`]
-//!   (a one-shot result cell) back, for callers that interleave
-//!   submission with other work.
+//! [`ServeRuntime`] has two kinds of front door: [`ServeRuntime::submit`]
+//! enqueues one request and returns a [`Ticket`] (a one-shot result
+//! cell), and [`ServeRuntime::serve_batch`] answers a slice of requests
+//! concurrently, in order. Both kinds (and their deadline variants) are
+//! one request path, called with one entry or many: count the entries,
+//! group duplicates, look every group up once under the state lock — a
+//! cache hit, a join of the probe already in flight for the key (counted
+//! as [`ServeStats::inflight_hits`], so a hot key never causes a
+//! thundering herd), or a fresh probe — and deal the fresh probes into at
+//! most one *job* per worker. Every job is admitted, queued and resolved
+//! by one worker path. That path answers the job's live members with one
+//! [`BatchAnswer::answer_batch`] call, publishes each outcome (answer,
+//! probe error, expiry or shed) to the cache and the pending map at one
+//! site, lets go of the index and its admission slot, and only then
+//! fills the tickets and wakes their callers: a caller whose ticket
+//! resolved holds the only index handle again.
 //!
 //! A ticket is one `Arc<Mutex<..>>` cell shared with the worker's reply.
 //! Resolving it is two steps: *fill* stores the result and takes the
 //! caller's thread if the caller is blocked in [`Ticket::wait`]; *wake*
-//! unparks that thread. A polled or already-resolved ticket therefore
-//! costs one small allocation and two uncontended locks. A worker fills
-//! every ticket of its job before it wakes anyone, so a caller gathering
-//! a batch's tickets wakes once per job, not once per ticket.
-//!
-//! Answers are handed out as `Arc<Answer>`: the cache stores the same
-//! `Arc`, so a hit inside the global cache mutex is a refcount bump rather
-//! than a deep `Relation` clone, and fanning one answer out to many
-//! duplicate requests shares a single allocation.
-//!
-//! Concurrent requests for the same key are collapsed by an in-flight
-//! pending map: the first caller probes the index, later callers register
-//! as waiters on the same probe (counted as [`ServeStats::inflight_hits`]),
-//! so a hot key never causes a thundering herd of identical index probes.
-//!
-//! Both doors share one request path. Each distinct key is looked up once
-//! (a cache hit, a join of the probe in flight, or a fresh probe); fresh
-//! probes become *jobs* — a submit's lone probe, or a batch's fresh probes
-//! dealt into at most one job per worker — and every job is admitted,
-//! queued and resolved by one worker path. That path answers the job's
-//! live members with one [`BatchAnswer::answer_batch`] call, member by
-//! member, publishes each caller's outcome (answer, probe error, expiry or
-//! shed) to the cache and the pending map at one site, then lets go of the
-//! index and of its admission slot, and only then fills the tickets and
-//! wakes their callers: a caller whose ticket resolved holds the only
-//! index handle again.
+//! unparks that thread. A worker fills every ticket of its job before it
+//! wakes anyone, so a caller gathering a batch's tickets wakes once per
+//! job, not once per ticket. Answers are handed out as `Arc<Answer>`: the
+//! cache stores the same `Arc`, so a hit is a refcount bump, and
+//! duplicates share one allocation.
 //!
 //! The index is `Arc`-shared and read-only while requests are served —
 //! the paper's regime: preprocessing fixes the materialized views within
@@ -47,36 +34,38 @@
 //!
 //! ## Overload safety
 //!
-//! By default the front door is unbounded: an open-loop arrival stream
-//! faster than the service rate grows the pool queue (and every
-//! request's queue wait) without limit. Configuring
-//! [`ServeConfig::admission`] bounds it: every probe job must take a
-//! permit from a shed-only admission gate, and a job that finds the gate
-//! full resolves its callers at once with a typed
-//! [`ServeError::Overloaded`](crate::ServeError), counted in
-//! [`ServeStats::shed`]. Cache hits and in-flight joins take no slot.
-//! Deadlines compose with it: [`ServeRuntime::submit_with_deadline`]
-//! threads an absolute deadline through the job and workers drop
-//! already-expired requests *before* the backend probe, resolving their
-//! tickets with [`CqapError::DeadlineExpired`] (counted in
-//! [`ServeStats::deadline_expired`] — a ticket never hangs).
-//! [`ServeRuntime::serve_batch_with_deadlines`] additionally dispatches
-//! probe jobs earliest-deadline-first. Past an optional queue-depth
-//! watermark ([`ServeConfig::degrade_watermark`]) lone probes may answer
-//! from the index's cheapest plan ([`BatchAnswer::answer_degraded`]),
-//! flagged in the answer and kept out of the cache.
+//! By default the front door is unbounded. Configuring
+//! [`ServeConfig::admission`] bounds it: every probe job takes a permit
+//! from a shed-only gate, and a job that finds the gate full resolves its
+//! callers at once with a typed [`ServeError::Overloaded`](crate::ServeError),
+//! counted in [`ServeStats::shed`]. Cache hits and in-flight joins take
+//! no slot. A deadline ([`ServeRuntime::submit_with_deadline`],
+//! [`ServeRuntime::serve_batch_with_deadlines`]) has one rule: a job's
+//! worker drops a member whose deadline has passed *before* the backend
+//! probe and resolves it with [`CqapError::DeadlineExpired`] (counted in
+//! [`ServeStats::deadline_expired`]); a hit or a join is answered
+//! regardless. Batches dispatch earliest-deadline-first. Past an optional
+//! queue-depth watermark ([`ServeConfig::degrade_watermark`]) lone probes
+//! may answer from the index's cheapest plan
+//! ([`BatchAnswer::answer_degraded`]), flagged in the answer and kept out
+//! of the cache.
+//!
+//! A request path call inside a [`TraceScope`] — a shard leg, submitted
+//! by the router from a front worker's probe — records against that
+//! scope's trace and owns no root; a call outside any scope begins its
+//! own trace.
 
 use std::borrow::Cow;
 use std::fmt;
+use std::mem;
+use std::slice;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::{self, Thread};
 use std::time::{Duration, Instant};
 
 use cqap_common::{CqapError, FxHashMap, Result};
-use cqap_obs::{
-    CounterId, MetricsSink, RequestSpan, StageId, StageTimer, TraceId, TraceScope, TraceStage,
-};
+use cqap_obs::{trace, CounterId, MetricsSink, RequestSpan, StageId, TraceId, TraceScope};
 
 use crate::admission::{AdmissionConfig, AdmissionGate, AdmissionPermit};
 use crate::batch::BatchAnswer;
@@ -453,15 +442,31 @@ impl<I: BatchAnswer> OnlineState<I> {
     }
 }
 
-/// What the state lookup decided for one distinct request key.
-enum Lookup<A> {
-    /// The answer was cached.
-    Hit(Arc<A>),
-    /// A probe for this key is already in flight; the caller's reply was
-    /// registered as a waiter.
-    Joined,
-    /// The caller must probe the index (a pending entry was registered).
-    Probe,
+/// One distinct request of a door's entries: the position it first
+/// appears at, then the positions of its duplicates.
+struct Group {
+    first: usize,
+    rest: Vec<usize>,
+}
+
+impl Group {
+    fn positions(&self) -> impl Iterator<Item = usize> + '_ {
+        std::iter::once(self.first).chain(self.rest.iter().copied())
+    }
+}
+
+/// A group's outcome at its door: the cached answer, or the ticket that a
+/// probe (already in flight, or launched by this call) resolves.
+enum Outcome<A> {
+    Cached(Arc<A>),
+    Ticket(Ticket<Arc<A>>),
+}
+
+/// The entries of one door's call: a lone request, owned so that it moves
+/// into its probe job, or a batch with optional per-position deadlines.
+enum Entries<'a, R> {
+    Lone(R, Option<Instant>),
+    Batch(&'a [R], Option<&'a [Instant]>),
 }
 
 /// One caller a probe job answers: its reply, and the deadline past which
@@ -472,15 +477,17 @@ struct Member<I: BatchAnswer> {
 }
 
 /// Fresh probes and the callers they answer: the unit the admission gate
-/// charges one slot and the pool runs as one job. A submit's job has one
-/// member; a batch deals its fresh probes into at most one job per worker.
+/// charges one slot and the pool runs as one job. A lone request's job has
+/// one member; a batch deals its fresh probes into at most one job per
+/// worker.
 struct Job<I: BatchAnswer> {
     /// One distinct request key per member, in member order.
     requests: Vec<I::Request>,
     members: Vec<Member<I>>,
     trace: TraceId,
-    /// Set when the job owns its trace's root (a lone `submit`): the root
-    /// is finished with the total since submission, before the fill.
+    /// Set when the job owns its trace's root (a lone request outside any
+    /// trace scope): the root is finished with the total since
+    /// submission, before the fill.
     submitted: Option<Instant>,
 }
 
@@ -493,8 +500,9 @@ struct Shared<I: BatchAnswer> {
 }
 
 impl<I: BatchAnswer> Shared<I> {
-    /// Commits the root total for a request that owns its trace; a no-op
-    /// for caller-allocated traces and batch legs (`submitted = None`).
+    /// Commits the root total for a request that owns a sampled trace; a
+    /// no-op inside a trace scope and for an unsampled trace
+    /// (`submitted = None`).
     fn finish_root(&self, trace: TraceId, submitted: Option<Instant>) {
         if let Some(submitted) = submitted {
             self.sink.trace_finish(trace, nanos(submitted.elapsed()));
@@ -762,27 +770,28 @@ impl<I: BatchAnswer + 'static> ServeRuntime<I> {
     }
 
     /// Consults the cache and the pending map for `request` in the locked
-    /// `state`: a hit, a join of the probe in flight (registering the
-    /// reply `waiter` yields), or a fresh probe (registering a pending
-    /// entry that the probe's job resolves).
+    /// `state`: a hit; a join of the probe in flight, whose waiters get a
+    /// new reply; or a fresh probe, whose pending entry is registered and
+    /// whose reply comes back for the job that will resolve it.
     fn lookup(
         &self,
         state: &mut OnlineState<I>,
         request: &I::Request,
-        waiter: impl FnOnce() -> AnswerReply<I>,
-    ) -> Lookup<I::Answer> {
+    ) -> (Outcome<I::Answer>, Option<AnswerReply<I>>) {
         let stats = &self.shared.stats;
         if let Some(answer) = state.cache.get(request) {
             stats.cache_hits.fetch_add(1, Ordering::Relaxed);
-            Lookup::Hit(answer)
-        } else if let Some(waiters) = state.pending.get_mut(request) {
+            return (Outcome::Cached(answer), None);
+        }
+        let (reply, ticket) = oneshot();
+        if let Some(waiters) = state.pending.get_mut(request) {
             stats.inflight_hits.fetch_add(1, Ordering::Relaxed);
-            waiters.push(waiter());
-            Lookup::Joined
+            waiters.push(reply);
+            (Outcome::Ticket(ticket), None)
         } else {
             stats.cache_misses.fetch_add(1, Ordering::Relaxed);
             state.pending.insert(request.clone(), Vec::new());
-            Lookup::Probe
+            (Outcome::Ticket(ticket), Some(reply))
         }
     }
 
@@ -817,90 +826,43 @@ impl<I: BatchAnswer + 'static> ServeRuntime<I> {
     /// ticket resolves immediately with [`CqapError::Overloaded`] (see
     /// [`ServeStats::shed`]). This call never blocks.
     ///
-    /// When the sink carries a flight recorder, a trace id is allocated
-    /// per the sampling policy and the request's whole lifecycle (queue
-    /// wait, probe, delivery, store-side leaf events) records against it.
+    /// With a flight recorder on the sink, the request's whole lifecycle
+    /// records against the enclosing [`TraceScope`]'s trace, or else a
+    /// trace of its own, allocated per the sampling policy.
     pub fn submit(&self, request: I::Request) -> Ticket<Arc<I::Answer>> {
-        let trace = self.shared.sink.trace_begin();
-        let submitted = trace.is_sampled().then(Instant::now);
-        self.submit_inner(request, trace, submitted, None)
-    }
-
-    /// [`submit`](Self::submit) against a caller-allocated trace id, so a
-    /// router can fan one request out to several shard runtimes with every
-    /// scatter-gather leg sharing the parent request's trace.
-    ///
-    /// The trace's root is never committed here: the caller allocated the
-    /// id, so the caller finishes the trace once the whole request (all
-    /// legs) resolves. This call only attributes the leg's events to it.
-    pub fn submit_traced(&self, request: I::Request, trace: TraceId) -> Ticket<Arc<I::Answer>> {
-        self.submit_inner(request, trace, None, None)
+        self.submit_entry(request, None)
     }
 
     /// [`submit`](Self::submit) with an absolute deadline.
     ///
-    /// If the request is still queued when `deadline` passes, the worker
-    /// drops it *before* the backend probe and the ticket resolves with
-    /// [`CqapError::DeadlineExpired`] — a late request never hangs its
-    /// ticket and never costs a probe the caller no longer wants. A
-    /// request that arrives already expired is rejected at submission,
-    /// before the lookup. Cache hits and joins of in-flight probes ignore
-    /// the deadline: the answer is already paid for.
+    /// A request that must be probed, and whose `deadline` has passed when
+    /// a worker picks its job up (or had passed on arrival), is dropped
+    /// *before* the backend probe: its ticket resolves with
+    /// [`CqapError::DeadlineExpired`]. Cache hits and joins of in-flight
+    /// probes ignore the deadline: the answer is already paid for.
     pub fn submit_with_deadline(
         &self,
         request: I::Request,
         deadline: Instant,
     ) -> Ticket<Arc<I::Answer>> {
-        let trace = self.shared.sink.trace_begin();
-        let submitted = trace.is_sampled().then(Instant::now);
-        self.submit_inner(request, trace, submitted, Some(deadline))
+        self.submit_entry(request, Some(deadline))
     }
 
-    fn submit_inner(
-        &self,
-        request: I::Request,
-        trace: TraceId,
-        submitted: Option<Instant>,
-        deadline: Option<Instant>,
-    ) -> Ticket<Arc<I::Answer>> {
-        let (reply, ticket) = oneshot();
-        let shared = &self.shared;
-        shared.stats.served.fetch_add(1, Ordering::Relaxed);
-        // A request that arrives already expired never reaches the lookup:
-        // it holds no pending entry, so it resolves right here.
-        if let Some(expired) = deadline.and_then(|at| expiry(at, Instant::now())) {
-            shared.stats.deadline_expired.fetch_add(1, Ordering::Relaxed);
-            shared.sink.incr(CounterId::DeadlinesExpired);
-            shared.finish_root(trace, submitted);
-            reply.send(Err(expired));
-            return ticket;
-        }
-        let timer = shared.sink.start();
-        // A join moves the reply into the pending entry it joins.
-        let mut reply = Some(reply);
-        let lookup = self.lookup(
-            &mut shared.state.lock().expect("state lock"),
-            &request,
-            || reply.take().expect("one join per lookup"),
-        );
-        shared.sink.stop(timer, StageId::CacheLookup);
-        match (lookup, reply) {
-            (Lookup::Hit(answer), Some(reply)) => {
-                // A root-owning submit commits the hit's (tiny) total, so
-                // cache hits still show up as committed traces.
-                shared.finish_root(trace, submitted);
+    /// The one-request doors: the lone entry's ticket. A hit's ticket is
+    /// resolved here, and a root-owning hit commits its (tiny) total, so
+    /// cache hits still show up as committed traces.
+    fn submit_entry(&self, request: I::Request, deadline: Option<Instant>) -> Ticket<Arc<I::Answer>> {
+        let mut outcome = None;
+        let (trace, root) = self.serve(Entries::Lone(request, deadline), |_, o| outcome = Some(o));
+        match outcome.expect("one outcome per entry") {
+            Outcome::Ticket(ticket) => ticket,
+            Outcome::Cached(answer) => {
+                self.shared.finish_root(trace, root);
+                let (reply, ticket) = oneshot();
                 reply.send(Ok(answer));
+                ticket
             }
-            (Lookup::Probe, Some(reply)) => self.launch(Job {
-                requests: vec![request],
-                members: vec![Member { reply, deadline }],
-                trace,
-                submitted,
-            }),
-            // Joined: the probe in flight resolves the reply it now holds.
-            _ => {}
         }
-        ticket
     }
 
     /// Answers a batch of requests concurrently, preserving input order.
@@ -919,23 +881,18 @@ impl<I: BatchAnswer + 'static> ServeRuntime<I> {
     pub fn serve_batch(&self, requests: &[I::Request]) -> Result<Vec<Arc<I::Answer>>> {
         // Collecting short-circuits on the first `Err` in iteration
         // order, which is input order — the documented contract.
-        self.serve_batch_inner(requests, None).into_iter().collect()
+        self.gather(requests, None).into_iter().collect()
     }
 
     /// [`serve_batch`](Self::serve_batch) with one absolute deadline per
     /// request, returning per-position results instead of failing the
     /// whole batch on the first error.
     ///
-    /// Deadlines shape the batch in two ways. Dispatch is
-    /// earliest-deadline-first: fresh probes are sorted by their earliest
-    /// position's deadline before they are dealt into jobs, so the most
-    /// urgent work queues, and is answered, first. And expiry is
-    /// checked on the worker before each probe: a request whose deadline
-    /// passed while queued resolves as [`CqapError::DeadlineExpired`]
-    /// without costing a backend probe (for a deduplicated group, only
-    /// once every duplicate position has expired). Positions that join a
-    /// probe already in flight take that probe's outcome; their own
-    /// deadline does not cancel work another caller still wants.
+    /// Dispatch is earliest-deadline-first: distinct requests are ordered
+    /// by their earliest position's deadline before their fresh probes
+    /// are dealt into jobs. Expiry follows
+    /// [`submit_with_deadline`](Self::submit_with_deadline)'s rule; a
+    /// deduplicated group expires only once every position has.
     ///
     /// # Panics
     /// Panics if `deadlines.len() != requests.len()`.
@@ -944,125 +901,130 @@ impl<I: BatchAnswer + 'static> ServeRuntime<I> {
         requests: &[I::Request],
         deadlines: &[Instant],
     ) -> Vec<Result<Arc<I::Answer>>> {
-        assert_eq!(
-            requests.len(),
-            deadlines.len(),
-            "one deadline per request"
-        );
-        self.serve_batch_inner(requests, Some(deadlines))
+        assert_eq!(requests.len(), deadlines.len(), "one deadline per request");
+        self.gather(requests, Some(deadlines))
     }
 
-    fn serve_batch_inner(
+    /// The batch doors' gather: one result per position, in input order.
+    /// An owned root spans submission to the slowest answer.
+    fn gather(
         &self,
         requests: &[I::Request],
         deadlines: Option<&[Instant]>,
     ) -> Vec<Result<Arc<I::Answer>>> {
-        let shared = &self.shared;
-        // One trace id covers the whole batch: its lookup/coalesce laps
-        // and every job it dispatches share the id, and the root spans
-        // submission to the last gathered answer.
-        let trace = shared.sink.trace_begin();
-        let submitted = trace.is_sampled().then(Instant::now);
         let mut answers: Vec<Option<Result<Arc<I::Answer>>>> = vec![None; requests.len()];
-        shared
-            .stats
-            .served
-            .fetch_add(requests.len() as u64, Ordering::Relaxed);
-
-        // Deduplicate: positions sharing a request share one computation.
-        let mut groups: FxHashMap<&I::Request, Vec<usize>> = FxHashMap::default();
-        groups.reserve(requests.len());
-        for (position, request) in requests.iter().enumerate() {
-            groups.entry(request).or_default().push(position);
-        }
-
-        // One state-lock pass through the submit path's lookup — the lock
-        // covers only O(1) lookups and refcount bumps; dispatch happens
-        // after release, because workers publish their answers into the
-        // same state and must not queue behind the dispatcher.
-        let mut probes: Vec<(I::Request, Vec<usize>)> = Vec::new();
-        // Probes already in flight elsewhere that this batch joined:
-        // `(ticket, positions)`, resolved by the owning caller's worker.
-        let mut joined = Vec::new();
-        let lookup_timer = shared.sink.start();
-        let lookup_started = submitted.map(|_| Instant::now());
-        {
-            let mut state = shared.state.lock().expect("state lock");
-            for (request, positions) in groups {
-                let duplicates = positions.len() as u64 - 1;
-                shared.stats.dedup_hits.fetch_add(duplicates, Ordering::Relaxed);
-                let mut waiter = None;
-                let lookup = self.lookup(&mut state, request, || {
-                    let (reply, ticket) = oneshot();
-                    waiter = Some(ticket);
-                    reply
-                });
-                match lookup {
-                    Lookup::Hit(answer) => {
-                        for position in positions {
-                            answers[position] = Some(Ok(Arc::clone(&answer)));
-                        }
-                    }
-                    Lookup::Joined => joined.extend(waiter.map(|ticket| (ticket, positions))),
-                    Lookup::Probe => probes.push((request.clone(), positions)),
+        let mut tickets = Vec::new();
+        let (trace, root) =
+            self.serve(Entries::Batch(requests, deadlines), |group, outcome| match outcome {
+                Outcome::Cached(answer) => {
+                    group.positions().for_each(|p| answers[p] = Some(Ok(Arc::clone(&answer))));
                 }
+                Outcome::Ticket(ticket) => tickets.push((ticket, group)),
+            });
+        for (ticket, group) in tickets {
+            let result = ticket.wait();
+            group.positions().for_each(|p| answers[p] = Some(result.clone()));
+        }
+        self.shared.finish_root(trace, root);
+        answers
+            .into_iter()
+            .map(|a| a.expect("every position answered or errored"))
+            .collect()
+    }
+
+    /// The one request path behind every door. It counts the entries as
+    /// served, groups duplicates (a lone entry is its own group: no map,
+    /// no hash), looks every group up in one pass under the state lock,
+    /// then deals the fresh probes into `min(threads, fresh)` contiguous
+    /// jobs, earliest deadline first, and launches them after the lock's
+    /// release (workers publish into the same state). Each group's outcome
+    /// goes to `deliver`. Expiry is left to the jobs' workers.
+    ///
+    /// A call inside a [`TraceScope`] records against that scope's trace,
+    /// sampled or not, and owns no root. Outside any scope it begins its
+    /// own trace and returns, for a sampled one, the instant its root
+    /// began: a lone request's job commits that root (its door, on a hit),
+    /// a batch's door after the gather.
+    fn serve(
+        &self,
+        entries: Entries<'_, I::Request>,
+        mut deliver: impl FnMut(Group, Outcome<I::Answer>),
+    ) -> (TraceId, Option<Instant>) {
+        let shared = &self.shared;
+        let (trace, root) = match trace::current() {
+            Some(trace) => (trace, None),
+            None => {
+                let trace = shared.sink.trace_begin();
+                (trace, trace.is_sampled().then(Instant::now))
+            }
+        };
+        let lone = matches!(entries, Entries::Lone(..));
+        let (requests, deadlines) = match &entries {
+            Entries::Lone(request, deadline) => {
+                (slice::from_ref(request), deadline.as_ref().map(slice::from_ref))
+            }
+            Entries::Batch(requests, deadlines) => (*requests, *deadlines),
+        };
+        shared.stats.served.fetch_add(requests.len() as u64, Ordering::Relaxed);
+        // A batch's positions sharing a request share one lookup; the
+        // groups go most urgent first.
+        let mut groups = Vec::new();
+        if !lone {
+            let mut by_request = FxHashMap::<&I::Request, Group>::default();
+            by_request.reserve(requests.len());
+            for (position, request) in requests.iter().enumerate() {
+                by_request
+                    .entry(request)
+                    .and_modify(|group| group.rest.push(position))
+                    .or_insert(Group { first: position, rest: Vec::new() });
+            }
+            let duplicates = (requests.len() - by_request.len()) as u64;
+            shared.stats.dedup_hits.fetch_add(duplicates, Ordering::Relaxed);
+            groups.extend(by_request);
+            if let Some(deadlines) = deadlines {
+                groups.sort_by_key(|(_, group)| group.positions().map(|p| deadlines[p]).min());
             }
         }
-        shared.sink.stop(lookup_timer, StageId::CacheLookup);
-        if let Some(started) = lookup_started {
-            shared
-                .sink
-                .trace_span(trace, TraceStage::CacheLookup, started, Instant::now(), 0);
-        }
+        let alone = lone.then(|| (&requests[0], Group { first: 0, rest: Vec::new() }));
 
-        // Job formation: fresh probes in EDF order (when the batch has
-        // deadlines), dealt into `min(threads, fresh)` contiguous jobs, so
-        // every worker gets one and the most urgent job queues first. Each
-        // job's members are answered by one `answer_batch` call and
-        // published under their own keys.
-        //
-        // The coalesce stage is timed per batch that had fresh probes:
-        // job formation and dispatch, up to handing the last job to the
-        // pool.
-        let had_probes = !probes.is_empty();
-        let coalesce_timer = if had_probes {
-            shared.sink.start()
-        } else {
-            StageTimer::disarmed()
-        };
-        let coalesce_started = if had_probes { lookup_started.map(|_| Instant::now()) } else { None };
-        // Each own job member's ticket with its positions, gathered after
-        // dispatch together with the joined probes'.
-        let mut own = Vec::with_capacity(probes.len());
-        // One member per dedup group, with the group's deadline window:
-        // the earliest position orders dispatch (EDF), the latest decides
-        // the worker-side drop (the probe still runs while anyone in the
-        // group can use it).
-        let mut fresh: Vec<(Option<Instant>, I::Request, Member<I>)> = probes
-            .into_iter()
-            .map(|(request, positions)| {
-                let window = deadlines.map(|ds| {
-                    let at = positions.iter().map(|&p| ds[p]);
-                    let earliest = at.clone().min().expect("non-empty group");
-                    (earliest, at.max().expect("non-empty group"))
-                });
-                let (reply, ticket) = oneshot();
-                own.push((ticket, positions));
-                let deadline = window.map(|(_, latest)| latest);
-                (window.map(|(earliest, _)| earliest), request, Member { reply, deadline })
-            })
-            .collect();
-        if deadlines.is_some() {
-            fresh.sort_by_key(|(earliest, ..)| *earliest);
+        let mut span = RequestSpan::begin_traced(&shared.sink, trace);
+        // The fresh probes, in group order: a batch clones each request
+        // (the lone request moves in below), and each group is one member
+        // with its latest deadline, so the probe runs while any of its
+        // positions can use it.
+        let (mut probed, mut fresh) = (Vec::new(), Vec::new());
+        {
+            let mut state = shared.state.lock().expect("state lock");
+            for (request, group) in alone.into_iter().chain(groups) {
+                let (outcome, reply) = self.lookup(&mut state, request);
+                if let Some(reply) = reply {
+                    let deadline = deadlines.and_then(|ds| group.positions().map(|p| ds[p]).max());
+                    fresh.push(Member { reply, deadline });
+                    if !lone {
+                        probed.push(request.clone());
+                    }
+                }
+                deliver(group, outcome);
+            }
         }
+        span.lap(StageId::CacheLookup);
+        if fresh.is_empty() {
+            return (trace, root);
+        }
+        if let Entries::Lone(request, _) = entries {
+            probed.push(request);
+        }
+        // Job formation: contiguous runs, so every worker gets one and the
+        // most urgent job queues first. The last job takes the rest whole,
+        // so a lone probe's job is the two vectors built above.
         let (n, jobs) = (fresh.len(), self.pool.threads().min(fresh.len()));
-        let mut fresh = fresh.into_iter();
-        // Admission charges one slot per job; a shed job's members still
-        // resolve through their own tickets, keeping the gather uniform.
         for j in 0..jobs {
             let size = n / jobs + usize::from(j < n % jobs);
-            let (requests, members): (Vec<_>, Vec<_>) =
-                fresh.by_ref().take(size).map(|(_, r, m)| (r, m)).unzip();
+            let (requests, members) = if j + 1 < jobs {
+                (probed.drain(..size).collect(), fresh.drain(..size).collect())
+            } else {
+                (mem::take(&mut probed), mem::take(&mut fresh))
+            };
             if size >= 2 {
                 shared.stats.coalesced.fetch_add(size as u64, Ordering::Relaxed);
             }
@@ -1070,29 +1032,14 @@ impl<I: BatchAnswer + 'static> ServeRuntime<I> {
                 requests,
                 members,
                 trace,
-                submitted: None,
+                submitted: root.filter(|_| lone),
             });
         }
-        shared.sink.stop(coalesce_timer, StageId::Coalesce);
-        if let Some(started) = coalesce_started {
-            shared
-                .sink
-                .trace_span(trace, TraceStage::Coalesce, started, Instant::now(), 0);
+        // The batch doors time job formation and launch as `Coalesce`.
+        if !lone {
+            span.lap(StageId::Coalesce);
         }
-
-        for (ticket, positions) in own.into_iter().chain(joined) {
-            let result = ticket.wait();
-            for position in positions {
-                answers[position] = Some(result.clone());
-            }
-        }
-        // The batch owns its trace root: finish once every leg gathered,
-        // spanning submission to the slowest answer.
-        shared.finish_root(trace, submitted);
-        answers
-            .into_iter()
-            .map(|a| a.expect("every position answered or errored"))
-            .collect()
+        (trace, root)
     }
 }
 
@@ -1957,19 +1904,72 @@ mod tests {
         );
     }
 
+    /// One deadline rule: an already-expired request is looked up like any
+    /// other. On a cold cache its job expires on the worker with no probe;
+    /// once its answer is cached, it is answered.
     #[test]
-    fn already_expired_submit_is_rejected_at_the_door() {
-        let (index, requests) = small_index();
-        let runtime = ServeRuntime::new(index);
-        let ticket = runtime.submit_with_deadline(
-            requests[0].clone(),
-            Instant::now() - Duration::from_millis(5),
-        );
-        let error = ticket.wait().expect_err("expired on arrival");
+    fn an_already_expired_submit_is_answered_only_if_cached() {
+        let index = Arc::new(CountingIndex {
+            probes: AtomicU64::new(0),
+        });
+        let runtime = ServeRuntime::new(Arc::clone(&index));
+        let past = Instant::now() - Duration::from_millis(5);
+        let error = runtime.submit_with_deadline(4, past).wait().expect_err("expired, cold");
         assert!(error.is_deadline_expired(), "got: {error}");
+        assert_eq!(index.probes.load(Ordering::Relaxed), 0, "expired before the probe");
         let stats = runtime.stats();
-        assert_eq!(stats.deadline_expired, 1);
-        assert_eq!(stats.cache_misses, 0, "the lookup was never consulted");
+        assert_eq!((stats.cache_misses, stats.deadline_expired), (1, 1));
+
+        assert_eq!(*runtime.submit(4).wait().unwrap(), 8);
+        let cached = runtime.submit_with_deadline(4, past).wait();
+        assert_eq!(*cached.expect("answered from the cache"), 8);
+        assert_eq!(index.probes.load(Ordering::Relaxed), 1, "only the deadline-free submit probed");
+        let stats = runtime.stats();
+        assert_eq!((stats.cache_hits, stats.deadline_expired), (1, 1));
+    }
+
+    /// A batch's duplicates share one deadline window: their probe runs
+    /// while any position can still use it, and expires, once, only when
+    /// every position has expired.
+    #[test]
+    fn a_duplicate_group_expires_only_once_every_position_has() {
+        for far in [true, false] {
+            let (index, gate) = GatedIndex::new();
+            let runtime = Arc::new(ServeRuntime::with_config(
+                Arc::clone(&index),
+                ServeConfig {
+                    threads: 1,
+                    cache_capacity: 8,
+                    ..ServeConfig::default()
+                },
+            ));
+            // Key 1 holds the single worker, so the batch's job queues.
+            let held = runtime.submit(1);
+            let near = Instant::now() + Duration::from_millis(20);
+            let later = if far { near + Duration::from_secs(3_600) } else { near };
+            let batch_runtime = Arc::clone(&runtime);
+            let batch = std::thread::spawn(move || {
+                batch_runtime.serve_batch_with_deadlines(&[2, 2], &[near, later])
+            });
+            let patience = Instant::now() + Duration::from_secs(10);
+            while runtime.stats().cache_misses < 2 || Instant::now() <= near {
+                assert!(Instant::now() < patience, "the batch never queued");
+                std::thread::yield_now();
+            }
+            gate.send(()).expect("worker waiting");
+            gate.send(()).expect("gate alive");
+            assert_eq!(*held.wait().unwrap(), 10);
+            let results = batch.join().unwrap();
+            let key_probes = index.probes.load(Ordering::Relaxed) - 1;
+            let stats = runtime.stats();
+            if far {
+                assert!(results.iter().all(|r| r.as_ref().is_ok_and(|a| **a == 20)));
+                assert_eq!((key_probes, stats.deadline_expired), (1, 0));
+            } else {
+                assert!(results.iter().all(|r| r.as_ref().is_err_and(|e| e.is_deadline_expired())));
+                assert_eq!((key_probes, stats.deadline_expired), (0, 1));
+            }
+        }
     }
 
     /// Release before send: a worker lets go of the index before the send

@@ -11,7 +11,6 @@
 //! the cold shards.
 
 use std::path::Path;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc};
 
 use cqap_common::{CqapError, Result, Val};
@@ -38,10 +37,6 @@ use crate::tiered::{PlacementPolicy, ShardTier, TieredSpace};
 pub struct ShardedIndex {
     spec: ShardSpec,
     shards: Vec<Arc<CqapIndex>>,
-    /// Bindings routed to each shard since construction — the observed
-    /// request frequency a re-placement would feed back into
-    /// [`PlacementPolicy::with_weights`].
-    loads: Vec<AtomicU64>,
     /// Publishes the per-tier resident-byte gauges whenever the shard
     /// contents change. Disabled (free) until
     /// [`ShardedIndex::set_metrics_sink`].
@@ -97,7 +92,6 @@ impl ShardedIndex {
                 .into_iter()
                 .map(|s| s.expect("every shard built or errored"))
                 .collect(),
-            loads: (0..expected).map(|_| AtomicU64::new(0)).collect(),
             sink: MetricsSink::disabled(),
         })
     }
@@ -160,12 +154,6 @@ impl ShardedIndex {
     pub fn placements(&self) -> Vec<ShardTier> {
         let tier = |spilled| if spilled { ShardTier::Cold } else { ShardTier::Hot };
         self.shards.iter().map(|s| tier(s.is_spilled())).collect()
-    }
-
-    /// Bindings served per shard since construction — the observed
-    /// frequency input for the next placement round.
-    pub fn observed_loads(&self) -> Vec<u64> {
-        self.loads.iter().map(|l| l.load(Ordering::Relaxed)).collect()
     }
 
     /// Attaches a metrics sink to every shard — delta-apply latency and
@@ -260,7 +248,7 @@ impl ShardedIndex {
     }
 
     /// The placement `policy` picks for the shards' **current** sizes (feed
-    /// it [`ShardedIndex::observed_loads`] via
+    /// it [`PlacementPolicy::observe`] over a traffic sample via
     /// [`PlacementPolicy::with_weights`] for traffic-aware scoring) — the
     /// input of [`ShardedIndex::from_sharded`] after a build, and, as
     /// deltas grow or shrink shards, what to compare with
@@ -268,11 +256,6 @@ impl ShardedIndex {
     /// migrating at the next rebuild.
     pub fn replan(&self, policy: &PlacementPolicy) -> Vec<ShardTier> {
         policy.place(&self.shard_bytes())
-    }
-
-    fn answer_shard(&self, shard: usize, sub: &AccessRequest) -> Result<Relation> {
-        self.loads[shard].fetch_add(sub.len().max(1) as u64, Ordering::Relaxed);
-        self.shards[shard].answer(sub)
     }
 
     /// Answers an access request: routes each binding to the shard owning
@@ -288,14 +271,14 @@ impl ShardedIndex {
     /// Propagates the first failing shard's error.
     pub fn answer(&self, request: &AccessRequest) -> Result<Relation> {
         if let Some(shard) = self.spec.sole_shard(request) {
-            return self.answer_shard(shard, request);
+            return self.shards[shard].answer(request);
         }
         let mut parts = self.spec.split_request(request)?.into_iter();
         let (shard, sub) = parts.next().expect("split_request is never empty");
-        let mut answer = self.answer_shard(shard, &sub)?;
+        let mut answer = self.shards[shard].answer(&sub)?;
         for (shard, sub) in parts {
             // Both sides are owned: move the larger, insert the smaller.
-            answer = answer.union_with(self.answer_shard(shard, &sub)?)?;
+            answer = answer.union_with(self.shards[shard].answer(&sub)?)?;
         }
         Ok(answer)
     }

@@ -19,6 +19,11 @@
 //!   shards probe the whole batch concurrently and each shard caches every
 //!   leg under its own key.
 //!
+//! Legs are plain [`ServeRuntime::submit`] calls made inside the parent's
+//! [`TraceScope`] (the front worker's, or an unsampled one for a direct
+//! call), so a shard runtime records each leg under the parent request's
+//! trace and commits no root of its own.
+//!
 //! Because the router is itself a `BatchAnswer`, the whole generic serving
 //! surface — a top-level [`ServeRuntime`] with its own global cache,
 //! `serve_batch`, `submit`/`Ticket`, the benches and examples — works over
@@ -28,7 +33,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use cqap_common::Result;
-use cqap_obs::{trace, MetricsSink, StageId, TraceId, TraceStage};
+use cqap_obs::{trace, MetricsSink, StageId, TraceId, TraceScope, TraceStage};
 use cqap_panda::CqapIndex;
 use cqap_query::AccessRequest;
 use cqap_relation::Relation;
@@ -145,14 +150,15 @@ impl ShardRouter {
     }
 
     /// Splits `request` per shard and submits every leg to its shard
-    /// runtime under the caller's trace, without waiting on any.
-    fn scatter(&self, request: &AccessRequest, parent: TraceId) -> Result<Vec<Leg>> {
+    /// runtime, without waiting on any. Called inside the parent's
+    /// [`TraceScope`], so each leg records against the parent's trace.
+    fn scatter(&self, request: &AccessRequest) -> Result<Vec<Leg>> {
         let legs = self.spec.split_request(request)?;
         Ok(legs
             .into_iter()
             .map(|(shard, sub)| {
                 self.sink.shard_served(shard);
-                self.runtimes[shard].submit_traced(sub, parent)
+                self.runtimes[shard].submit(sub)
             })
             .collect())
     }
@@ -199,21 +205,23 @@ impl BatchAnswer for ShardRouter {
     /// Runs under the caller's [`trace::current`] id (set by the serving
     /// worker that invoked this probe), so every scatter-gather leg
     /// submitted to a shard runtime shares the parent request's trace.
+    /// A direct call, outside any scope, runs its legs under an unsampled
+    /// scope: they record nothing and own no root.
     fn answer_one(&self, request: &Self::Request) -> Result<Self::Answer> {
-        let parent = trace::current();
-        self.gather(self.scatter(request, parent)?, parent)
+        let parent = trace::current().unwrap_or(TraceId::NONE);
+        let _scope = TraceScope::enter(parent);
+        self.gather(self.scatter(request)?, parent)
     }
 
     /// Scatters every request's legs before gathering any answer, so the
     /// shards probe the whole batch concurrently and each shard runtime
     /// caches every leg under its own key. A request that fails to split
-    /// or whose leg fails fails only its own position.
+    /// or whose leg fails fails only its own position. The legs share
+    /// the caller's trace, as in [`answer_one`](Self::answer_one).
     fn answer_batch(&self, requests: &[Self::Request]) -> Vec<Result<Self::Answer>> {
-        let parent = trace::current();
-        let scattered: Vec<_> = requests
-            .iter()
-            .map(|request| self.scatter(request, parent))
-            .collect();
+        let parent = trace::current().unwrap_or(TraceId::NONE);
+        let _scope = TraceScope::enter(parent);
+        let scattered: Vec<_> = requests.iter().map(|request| self.scatter(request)).collect();
         scattered
             .into_iter()
             .map(|legs| self.gather(legs?, parent))
@@ -408,6 +416,67 @@ mod tests {
         assert!(per_shard >= 21, "routed requests counted per shard");
         assert!(snap.shard_balance_skew().expect("shards served") >= 1.0);
         assert_eq!(snap.gauge(GaugeId::QueueDepth), 0);
+    }
+
+    /// A shard leg runs inside its front request's trace scope and takes
+    /// its trace from it: a leg of a sampled request records under the
+    /// front request's id, a leg of an unsampled one records nothing, and
+    /// no leg begins a trace or commits a root of its own.
+    #[test]
+    fn shard_legs_record_under_their_front_requests_trace() {
+        use cqap_obs::{FlightRecorder, SamplingPolicy};
+        use std::collections::HashSet;
+
+        const FRONT: u16 = u16::MAX;
+        let (cqap, pmtds) = pf::pmtds_3reach_fig1().unwrap();
+        let g = Graph::skewed(45, 200, 4, 28, 37);
+        let sharded = ShardedIndex::build(&cqap, &g.as_path_database(3), &pmtds, 2).unwrap();
+        let tracer = Arc::new(FlightRecorder::new(1 << 14, SamplingPolicy::OneInN(2)));
+        let sink = MetricsSink::recording().with_tracer(Arc::clone(&tracer));
+        let router = ShardRouter::with_metrics(sharded, ShardRouterConfig::default(), sink.clone());
+        let front = ServeRuntime::with_metrics(
+            Arc::new(router),
+            ServeConfig {
+                threads: 2,
+                cache_capacity: 0,
+                ..ServeConfig::default()
+            },
+            sink.with_shard_label(FRONT),
+        );
+        let singles = graph_pair_requests(&g, 16, 71)
+            .into_iter()
+            .map(|(u, v)| AccessRequest::single(cqap.access(), &[u, v]).unwrap());
+        let multis = zipf_multi_requests(&g, 16, 4, 1.0, 73).into_iter().map(|tuples| {
+            let tuples = tuples.into_iter().map(|(u, v)| Tuple::pair(u, v)).collect();
+            AccessRequest::new(cqap.access(), tuples).unwrap()
+        });
+        // One at a time, so the front's requests take the sampling ticks
+        // in order: every other one is sampled.
+        let requests: Vec<AccessRequest> = singles.chain(multis).collect();
+        for request in &requests {
+            front.submit(request.clone()).wait().unwrap();
+        }
+        drop(front); // join every pool so every leg is in the ring
+        let events = tracer.drain();
+        let ids = |keep: &dyn Fn(&&cqap_obs::TraceEvent) -> bool| -> HashSet<u64> {
+            events.iter().filter(keep).map(|e| e.trace_id).collect()
+        };
+        // A root carries no shard label: the front's own laps name its
+        // sampled requests.
+        let sampled = ids(&|e| e.shard == FRONT);
+        assert_eq!(sampled.len(), requests.len().div_ceil(2), "every other front request");
+        let roots: Vec<_> = events.iter().filter(|e| e.stage == TraceStage::Request).collect();
+        assert_eq!(roots.len(), sampled.len(), "one root per sampled front request");
+        assert_eq!(ids(&|e| e.stage == TraceStage::Request), sampled, "a shard leg committed a root");
+        let legs = |e: &&cqap_obs::TraceEvent| e.shard != FRONT && e.stage != TraceStage::Request;
+        assert!(
+            events.iter().filter(legs).any(|e| e.stage == TraceStage::BackendProbe && e.shard == 1),
+            "the sampled requests' legs reached both shards"
+        );
+        assert!(
+            ids(&legs).is_subset(&sampled),
+            "a shard-labelled event carries no front request's id"
+        );
     }
 
     #[test]
