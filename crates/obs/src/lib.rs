@@ -19,9 +19,12 @@
 //!   reduces every recording call to a null check, so instrumented
 //!   warm paths stay allocation-free and effectively free when
 //!   metrics are off.
-//! - [`RequestSpan`] / [`StageTimer`] — per-worker lifecycle timing
-//!   helpers that skip the clock read entirely when the sink is
-//!   disabled.
+//! - [`Span`] — the one stage timer: a request's (or a maintenance
+//!   job's) timeline of consecutive stage laps. Each lap reads the clock
+//!   once and writes that reading to the stage histogram and the flight
+//!   recorder; a span opened outside any [`TraceScope`] owns its trace's
+//!   root and commits it when dropped. A disabled sink's spans never
+//!   read the clock.
 //! - [`MetricsSnapshot`] — an owned copy of a recorder, exportable as
 //!   Prometheus text exposition
 //!   ([`to_prometheus`](MetricsSnapshot::to_prometheus)); two
@@ -39,12 +42,15 @@
 //! use cqap_obs::{MetricsSink, StageId, CounterId};
 //!
 //! let sink = MetricsSink::recording();
-//! let timer = sink.start();
-//! // ... do the work being timed ...
-//! sink.stop(timer, StageId::BackendProbe);
+//! let mut span = sink.span();
+//! // ... look the request up ...
+//! span.lap(StageId::CacheLookup, 0);
+//! // ... probe the index ...
+//! span.lap(StageId::BackendProbe, 0);
 //! sink.incr(CounterId::SegmentReads);
 //!
 //! let snap = sink.snapshot().unwrap();
+//! assert_eq!(snap.stage(StageId::CacheLookup).count, 1);
 //! assert_eq!(snap.stage(StageId::BackendProbe).count, 1);
 //! assert_eq!(snap.counter(CounterId::SegmentReads), 1);
 //! println!("{}", snap.to_prometheus());
@@ -59,7 +65,7 @@ pub mod trace;
 
 pub use export::MetricsSnapshot;
 pub use hist::{bucket_of, bucket_range, HistogramSnapshot, LatencyHistogram};
-pub use sink::{CounterId, GaugeId, MetricsSink, Recorder, RequestSpan, StageId, StageTimer};
+pub use sink::{CounterId, GaugeId, MetricsSink, Recorder, Span, StageId};
 pub use trace::{
     tail_attribution, to_chrome_trace, FlightRecorder, SamplingPolicy, TailBucket, TailReport,
     TraceEvent, TraceId, TraceScope, TraceStage,

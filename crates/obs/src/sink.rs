@@ -13,7 +13,7 @@
 use std::fmt;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use crate::export::MetricsSnapshot;
 use crate::hist::LatencyHistogram;
@@ -27,8 +27,8 @@ use crate::trace::{self, FlightRecorder, TraceId, TraceStage};
 /// and cold-store compaction).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StageId {
-    /// Time a job spent queued in the work-stealing pool before a
-    /// worker picked it up.
+    /// Time from a probe job's launch (admission, then the push onto
+    /// the work-stealing pool) until a worker picked it up.
     QueueWait,
     /// Answer-cache / in-flight map lookup under the runtime state
     /// lock.
@@ -331,10 +331,11 @@ impl Recorder {
 /// performs relaxed atomic updates. Neither path allocates.
 ///
 /// A sink may additionally carry a [`FlightRecorder`]
-/// ([`with_tracer`](Self::with_tracer)): request-lifecycle laps then
-/// also write compact ring events for sampled requests, and a
-/// per-clone shard label ([`with_shard_label`](Self::with_shard_label))
-/// stamps those events with the shard that produced them.
+/// ([`with_tracer`](Self::with_tracer)): a [`Span`]'s laps then also
+/// write compact ring events for sampled requests, and a per-clone shard
+/// label ([`with_shard_label`](Self::with_shard_label)) stamps those
+/// events, and the roots its spans commit, with the shard that produced
+/// them.
 #[derive(Clone, Default)]
 pub struct MetricsSink {
     recorder: Option<Arc<Recorder>>,
@@ -394,71 +395,53 @@ impl MetricsSink {
         self.recorder.is_some()
     }
 
-    /// Allocates a trace id for a new request per the tracer's
-    /// sampling policy; [`TraceId::NONE`] when no tracer is attached
-    /// or the request is not sampled.
-    #[inline]
-    pub fn trace_begin(&self) -> TraceId {
-        match &self.tracer {
-            Some(t) => t.begin(),
-            None => TraceId::NONE,
-        }
+    /// Opens a [`Span`] at this stage boundary: a request's timeline.
+    ///
+    /// Inside a [`TraceScope`](crate::TraceScope) the span records against
+    /// the scope's trace and owns no root. Outside any scope it begins a
+    /// trace of its own, per the tracer's sampling policy, and owns that
+    /// trace's root. The clock runs only when a lap can record it: a
+    /// recorder is attached, or a tracer is and the trace is sampled.
+    pub fn span(&self) -> Span {
+        let (trace, owns_root) = match trace::current() {
+            Some(trace) => (trace, false),
+            None => (self.tracer.as_ref().map_or(TraceId::NONE, |t| t.begin()), true),
+        };
+        let traced = self.tracer.is_some() && trace.is_sampled();
+        self.open(trace, owns_root, self.recorder.is_some() || traced)
     }
 
-    /// Completes a trace by writing its root event. No-op without a
-    /// tracer or for an unsampled id.
-    #[inline]
-    pub fn trace_finish(&self, id: TraceId, total_ns: u64) {
-        if let Some(t) = &self.tracer {
-            t.finish(id, total_ns);
-        }
-    }
-
-    /// Records one trace event spanning `start..end` against `id`,
-    /// stamped with this sink's shard label.
-    #[inline]
-    pub fn trace_span(
-        &self,
-        id: TraceId,
-        stage: TraceStage,
-        start: Instant,
-        end: Instant,
-        payload: u64,
-    ) {
-        if let Some(t) = &self.tracer {
-            t.record_span(id, stage, self.shard, start, end, payload);
-        }
-    }
-
-    /// Starts a leaf-event clock iff the *current thread's* trace
-    /// (see [`trace::current`]) is sampled and a tracer is attached —
-    /// unsampled requests skip even the clock read. Pair with
-    /// [`trace_leaf`](Self::trace_leaf).
-    #[inline]
-    pub fn trace_mark(&self) -> Option<Instant> {
-        if self.tracer.is_some() && trace::current().is_some_and(TraceId::is_sampled) {
-            Some(Instant::now())
+    /// Opens a [`Span`] for work that is no request of its own, to be
+    /// lapped as `stage`; it never begins a trace or owns a root, and
+    /// records against the current [`TraceScope`](crate::TraceScope)'s
+    /// trace (trace 0 outside any scope). A background stage (delta apply,
+    /// compaction) runs its clock whenever this sink records anything. A
+    /// leaf stage (a store read, an overlay probe) has no histogram, so
+    /// its clock runs only inside a sampled trace with a tracer attached.
+    pub fn inner_span(&self, stage: impl Into<TraceStage>) -> Span {
+        let stage = stage.into();
+        debug_assert!(
+            stage.is_background() || StageId::ALL.get(stage as usize).is_none(),
+            "an inner span laps a background or a leaf stage"
+        );
+        let trace = trace::current().unwrap_or(TraceId::NONE);
+        let timed = if stage.is_background() {
+            self.recorder.is_some() || self.tracer.is_some()
         } else {
-            None
-        }
+            self.tracer.is_some() && trace.is_sampled()
+        };
+        self.open(trace, false, timed)
     }
 
-    /// Starts a clock for a background (request-independent) event
-    /// whenever a tracer is attached. Pair with
-    /// [`trace_leaf`](Self::trace_leaf).
-    #[inline]
-    pub fn trace_mark_background(&self) -> Option<Instant> {
-        self.tracer.as_ref().map(|_| Instant::now())
-    }
-
-    /// Completes a leaf event started by [`trace_mark`](Self::trace_mark)
-    /// or [`trace_mark_background`](Self::trace_mark_background),
-    /// attributing it to the current thread's trace.
-    #[inline]
-    pub fn trace_leaf(&self, start: Option<Instant>, stage: TraceStage, payload: u64) {
-        if let (Some(t), Some(start)) = (&self.tracer, start) {
-            let trace = trace::current().unwrap_or(TraceId::NONE);
-            t.record_span(trace, stage, self.shard, start, Instant::now(), payload);
+    /// A span over `trace`, timed (reading the clock now) or inert. An
+    /// inert span never records, so it holds no handle on the recorders.
+    fn open(&self, trace: TraceId, owns_root: bool, timed: bool) -> Span {
+        let now = timed.then(Instant::now);
+        Span {
+            sink: if timed { self.clone() } else { MetricsSink::default() },
+            trace,
+            root: now.filter(|_| owns_root && trace.is_sampled()),
+            last: now,
         }
     }
 
@@ -515,95 +498,109 @@ impl MetricsSink {
             r.shard_served[shard.min(MAX_SHARDS - 1)].fetch_add(1, Ordering::Relaxed);
         }
     }
-
-    /// Starts a stage timer.
-    ///
-    /// On a disabled sink this skips the clock read entirely and the
-    /// eventual [`stop`](Self::stop) is a no-op.
-    #[inline]
-    pub fn start(&self) -> StageTimer {
-        StageTimer(self.recorder.as_ref().map(|_| Instant::now()))
-    }
-
-    /// Stops a timer and records the elapsed time against `stage`.
-    #[inline]
-    pub fn stop(&self, timer: StageTimer, stage: StageId) {
-        if let (Some(r), Some(started)) = (&self.recorder, timer.0) {
-            r.stages[stage.index()]
-                .record_ns(u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX));
-        }
-    }
 }
 
-/// A pending stage measurement from [`MetricsSink::start`].
+/// One timeline of consecutive stages, opened by [`MetricsSink::span`] or
+/// [`MetricsSink::inner_span`].
 ///
-/// Holds `None` when the sink was disabled, so no clock was read.
+/// Each [`lap`](Self::lap) ends the current stage and starts the next at
+/// one clock reading, so a span's stages tile its lifetime and each is
+/// recorded exactly once. A span that owns its trace's root commits it
+/// when dropped, once, stamped with its sink's shard label. A span moves
+/// across threads with the work it times: the serving runtime hands a
+/// request's span from its front door to the worker that answers it.
 #[derive(Debug)]
-#[must_use = "pass the timer back to MetricsSink::stop to record it"]
-pub struct StageTimer(Option<Instant>);
-
-impl StageTimer {
-    /// A timer that records nothing when stopped.
-    pub fn disarmed() -> Self {
-        StageTimer(None)
-    }
-
-    /// Nanoseconds since the timer started, or `None` for a disarmed
-    /// timer — for callers that accumulate several timed segments into
-    /// a single observation before recording it.
-    pub fn elapsed_ns(&self) -> Option<u64> {
-        self.0
-            .map(|started| u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX))
-    }
-}
-
-/// A per-worker span recorder that splits one request's lifecycle into
-/// consecutive stage laps.
-///
-/// Each [`lap`](Self::lap) records the time since the previous lap (or
-/// since construction) against the given stage and restarts the clock,
-/// so a worker times `probe → delivery` with a single span and two lap
-/// calls — one clock read per boundary instead of two per stage.
-///
-/// A span built with [`begin_traced`](Self::begin_traced) additionally
-/// writes each lap as a flight-recorder event when its request is
-/// sampled, so one request's stage breakdown is reconstructible from
-/// a drained trace.
-#[derive(Debug)]
-pub struct RequestSpan<'a> {
-    sink: &'a MetricsSink,
-    last: Option<Instant>,
+pub struct Span {
+    sink: MetricsSink,
     trace: TraceId,
+    /// The instant the root began, when the span owns a sampled root.
+    root: Option<Instant>,
+    /// The last stage boundary; `None` when no lap can record.
+    last: Option<Instant>,
 }
 
-impl<'a> RequestSpan<'a> {
-
-    /// Starts a span whose laps also record trace events against
-    /// `trace` (when sampled and a tracer is attached).
+impl Span {
+    /// Ends the current stage as `stage`. The time since the last boundary
+    /// goes to the stage's histogram (a [`StageId`] stage, recorder
+    /// attached) and, with `payload`, to the flight recorder (a sampled
+    /// trace, or a background stage); the next stage starts at the same
+    /// reading.
     #[inline]
-    pub fn begin_traced(sink: &'a MetricsSink, trace: TraceId) -> Self {
-        Self {
-            last: (sink.recorder.is_some() || trace.is_sampled())
-                .then(Instant::now),
-            sink,
-            trace,
+    pub fn lap(&mut self, stage: impl Into<TraceStage>, payload: u64) {
+        let Some(last) = self.last else {
+            return;
+        };
+        let stage = stage.into();
+        debug_assert!(stage != TraceStage::Request, "a root is committed by the drop");
+        let now = Instant::now();
+        if let (Some(r), Some(histogram)) = (&self.sink.recorder, StageId::ALL.get(stage as usize)) {
+            r.stages[histogram.index()].record_ns(nanos(now - last));
+        }
+        if let Some(t) = &self.sink.tracer {
+            t.record_span(self.trace, stage, self.sink.shard, last, now, payload);
+        }
+        self.last = Some(now);
+    }
+}
+
+impl From<&Span> for TraceId {
+    /// The trace a span records against: what a
+    /// [`TraceScope`](crate::TraceScope) entered with the span pins.
+    fn from(span: &Span) -> TraceId {
+        span.trace
+    }
+}
+
+impl Drop for Span {
+    /// Commits the root of a trace this span owns.
+    fn drop(&mut self) {
+        if let (Some(t), Some(root)) = (&self.sink.tracer, self.root) {
+            t.finish(self.trace, self.sink.shard, nanos(root.elapsed()));
         }
     }
+}
 
-    /// Records the time since the last lap against `stage` and
-    /// restarts the clock.
-    #[inline]
-    pub fn lap(&mut self, stage: StageId) {
-        if let Some(last) = self.last {
-            let now = Instant::now();
-            self.sink.observe_ns(
-                stage,
-                u64::try_from(now.duration_since(last).as_nanos()).unwrap_or(u64::MAX),
-            );
-            if self.trace.is_sampled() {
-                self.sink.trace_span(self.trace, stage.into(), last, now, 0);
+fn nanos(elapsed: Duration) -> u64 {
+    u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::trace::{SamplingPolicy, TraceScope};
+
+    /// A leaf span runs its clock only inside a sampled trace: outside any
+    /// scope, or in an unsampled one, it stays disarmed however much the
+    /// sink records. A background span runs its clock whenever the sink
+    /// records anything, in a scope or not.
+    #[test]
+    fn inner_spans_are_timed_only_when_a_lap_can_record() {
+        let tracer = Arc::new(FlightRecorder::new(64, SamplingPolicy::Always));
+        let sink = MetricsSink::recording().with_tracer(tracer);
+        let leaves = [TraceStage::SegmentRead, TraceStage::OverlayProbe];
+        for leaf in leaves {
+            assert!(sink.inner_span(leaf).last.is_none(), "{leaf:?} outside any scope");
+        }
+        {
+            let _scope = TraceScope::enter(TraceId::NONE);
+            for leaf in leaves {
+                assert!(sink.inner_span(leaf).last.is_none(), "{leaf:?} unsampled");
             }
-            self.last = Some(now);
+            assert!(sink.inner_span(StageId::Compaction).last.is_some());
+        }
+        let root = sink.span();
+        {
+            let _scope = TraceScope::enter(&root);
+            for leaf in leaves {
+                assert!(sink.inner_span(leaf).last.is_some(), "{leaf:?} sampled");
+            }
+        }
+        let untraced = MetricsSink::recording();
+        let _scope = TraceScope::enter(&root);
+        assert!(untraced.inner_span(TraceStage::SegmentRead).last.is_none(), "no tracer");
+        for background in [StageId::DeltaApply, StageId::Compaction] {
+            assert!(untraced.inner_span(background).last.is_some(), "{background:?}");
+            assert!(MetricsSink::disabled().inner_span(background).last.is_none());
         }
     }
 }

@@ -73,14 +73,14 @@ impl TraceId {
 /// What a trace event measures.
 ///
 /// The first eight variants mirror [`StageId`] one-to-one (a
-/// [`RequestSpan`](crate::RequestSpan) lap writes both the stage
-/// histogram and, when traced, a ring event). The remainder are
+/// [`Span`](crate::Span) lap writes both the stage histogram and, when
+/// traced, a ring event). The remainder are
 /// trace-only: the per-request root span and the store-side events
 /// that attribute a slow probe to its physical cause.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 #[repr(u8)]
 pub enum TraceStage {
-    /// Time queued in the work-stealing pool (mirrors
+    /// A job's wait from launch to pickup (mirrors
     /// [`StageId::QueueWait`]).
     QueueWait,
     /// Answer-cache / in-flight lookup (mirrors
@@ -333,12 +333,12 @@ impl FlightRecorder {
     }
 
     /// Commits a trace: writes its root [`TraceStage::Request`] event
-    /// (ending now, spanning `total_ns`). A [`TraceId::NONE`] finish
-    /// records nothing.
-    pub(crate) fn finish(&self, id: TraceId, total_ns: u64) {
+    /// (ending now, spanning `total_ns`), stamped with the committing
+    /// sink's `shard` label. A [`TraceId::NONE`] finish records nothing.
+    pub(crate) fn finish(&self, id: TraceId, shard: u16, total_ns: u64) {
         if id.is_sampled() {
             let end = self.now_ns();
-            self.record(id, TraceStage::Request, 0, end.saturating_sub(total_ns), end, total_ns);
+            self.record(id, TraceStage::Request, shard, end.saturating_sub(total_ns), end, total_ns);
         }
     }
 
@@ -490,10 +490,11 @@ pub struct TraceScope {
 }
 
 impl TraceScope {
-    /// Pins `id` as the current thread's trace until the guard drops.
-    pub fn enter(id: TraceId) -> TraceScope {
+    /// Pins `id` (a [`TraceId`], or a [`Span`](crate::Span)'s trace) as
+    /// the current thread's trace until the guard drops.
+    pub fn enter(id: impl Into<TraceId>) -> TraceScope {
         TraceScope {
-            prev: CURRENT_TRACE.with(|c| c.replace(Some(id))),
+            prev: CURRENT_TRACE.with(|c| c.replace(Some(id.into()))),
         }
     }
 }
@@ -759,7 +760,7 @@ mod tests {
         assert!(a.is_sampled() && b.is_sampled() && a != b);
         fr.record(a, TraceStage::BackendProbe, 3, 100, 200, 0);
         fr.record(b, TraceStage::QueueWait, 0, 50, 90, 0);
-        fr.finish(a, 150);
+        fr.finish(a, 0, 150);
         let events = fr.drain();
         assert_eq!(events.len(), 3);
         // Sorted by start time: b's queue wait first.

@@ -383,22 +383,21 @@ fn sink_lifecycle_round_trips_through_the_ring() {
     let sink = MetricsSink::recording().with_tracer(Arc::clone(&tracer));
     let shard_sink = sink.with_shard_label(3);
 
-    let id = sink.trace_begin();
+    // Outside any scope the span begins, and owns, a trace of its own.
+    let root = sink.span();
+    let id = TraceId::from(&root);
     assert!(id.is_sampled());
-    let started = std::time::Instant::now();
-    let mut span = cqap_obs::RequestSpan::begin_traced(&shard_sink, id);
-    {
-        let _scope = cqap_obs::trace::TraceScope::enter(id);
-        let mark = shard_sink.trace_mark();
-        assert!(mark.is_some(), "sampled trace arms the leaf clock");
-        shard_sink.trace_leaf(mark, TraceStage::SegmentRead, 512);
-    }
-    span.lap(StageId::BackendProbe);
-    span.lap(StageId::TicketDelivery);
-    sink.trace_finish(
-        id,
-        u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX),
-    );
+    let mut span = {
+        let _scope = cqap_obs::trace::TraceScope::enter(&root);
+        let mut read = shard_sink.inner_span(TraceStage::SegmentRead);
+        read.lap(TraceStage::SegmentRead, 512);
+        // Inside the scope a span joins the root's trace.
+        shard_sink.span()
+    };
+    span.lap(StageId::BackendProbe, 0);
+    span.lap(StageId::TicketDelivery, 0);
+    drop(span);
+    drop(root); // commits the root
 
     let events = tracer.drain();
     let of_id: Vec<&TraceEvent> = events.iter().filter(|e| e.trace_id == id.get()).collect();
@@ -416,8 +415,12 @@ fn sink_lifecycle_round_trips_through_the_ring() {
     let snap = sink.snapshot().unwrap();
     assert_eq!(snap.stage(StageId::BackendProbe).count, 1);
     assert_eq!(snap.stage(StageId::TicketDelivery).count, 1);
-    // Outside the scope, unsampled leaf marks stay disarmed.
-    assert!(shard_sink.trace_mark().is_none());
+    // Outside the scope, an unsampled leaf span stays disarmed and records
+    // nothing (`sink::tests` checks that its clock never runs).
+    shard_sink
+        .inner_span(TraceStage::SegmentRead)
+        .lap(TraceStage::SegmentRead, 512);
+    assert_eq!(tracer.drain().len(), events.len());
 }
 
 proptest! {

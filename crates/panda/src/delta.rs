@@ -74,7 +74,7 @@
 
 use cqap_common::{FxHashSet, Result, Tuple, Val, VarSet};
 use cqap_delta::{net_effect, DeltaBatch, DeltaStats, RelationDelta};
-use cqap_obs::{CounterId, MetricsSink, StageId, TraceStage};
+use cqap_obs::{CounterId, MetricsSink, StageId};
 use cqap_query::{Atom, Cqap};
 use cqap_relation::{CountEdit, Database, Schema};
 use cqap_yannakakis::{ColumnRun, OnlineYannakakis, PreprocessedViews, SViewProbe};
@@ -303,13 +303,11 @@ impl DeltaMaintenance {
         batch: &DeltaBatch,
         moved: &mut impl FnMut(usize, usize, &[Val], bool),
     ) -> Result<DeltaStats> {
-        let timer = self.sink.start();
-        let apply_mark = self.sink.trace_mark_background();
+        let mut span = self.sink.inner_span(StageId::DeltaApply);
         let deltas = net_effect(db, batch)?;
         let mut stats = DeltaStats::default();
         if deltas.is_empty() {
-            self.sink.stop(timer, StageId::DeltaApply);
-            self.sink.trace_leaf(apply_mark, TraceStage::DeltaApply, 0);
+            span.lap(StageId::DeltaApply, 0);
             return Ok(stats);
         }
         let atoms = cqap.cq().atoms();
@@ -341,12 +339,7 @@ impl DeltaMaintenance {
         stream(Side::Inserts, &self.atom_indexes);
         self.sink.add(CounterId::DeltaNetInserts, stats.inserted as u64);
         self.sink.add(CounterId::DeltaNetDeletes, stats.deleted as u64);
-        self.sink.stop(timer, StageId::DeltaApply);
-        self.sink.trace_leaf(
-            apply_mark,
-            TraceStage::DeltaApply,
-            (stats.inserted + stats.deleted) as u64,
-        );
+        span.lap(StageId::DeltaApply, (stats.inserted + stats.deleted) as u64);
         Ok(stats)
     }
 }

@@ -97,11 +97,15 @@ pub mod batch;
 mod cache;
 pub mod pool;
 pub mod runtime;
+mod ticket;
 
 pub use admission::{AdmissionConfig, ServeError};
 pub use batch::BatchAnswer;
 pub use pool::{default_threads, WorkStealingPool};
-pub use runtime::{ServeConfig, ServeRuntime, ServeStats, Ticket};
+pub use {
+    runtime::{ServeConfig, ServeRuntime, ServeStats},
+    ticket::Ticket,
+};
 
 #[cfg(test)]
 mod tests {

@@ -22,9 +22,9 @@ use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use cqap_obs::{CounterId, GaugeId, MetricsSink, StageId, TraceId, TraceStage};
+use cqap_obs::{CounterId, GaugeId, MetricsSink};
 
 type Job = Box<dyn FnOnce() + Send + 'static>;
 
@@ -66,9 +66,9 @@ impl WorkStealingPool {
         WorkStealingPool::with_sink(threads, MetricsSink::disabled())
     }
 
-    /// Creates a pool with `threads` workers recording into `sink`:
-    /// per-job queue-wait latency, steal and park counts, and the live
-    /// queue-depth gauge (jobs queued or executing).
+    /// Creates a pool with `threads` workers recording into `sink`: steal
+    /// and park counts, and the live queue-depth gauge (jobs queued or
+    /// executing). A job times its own queue wait.
     pub(crate) fn with_sink(threads: usize, sink: MetricsSink) -> Self {
         let threads = threads.max(1);
         let shared = Arc::new(Shared {
@@ -105,35 +105,6 @@ impl WorkStealingPool {
     /// Schedules a job. Jobs are distributed round-robin over the worker
     /// deques; an idle worker steals if the assigned worker is busy.
     pub fn execute(&self, job: impl FnOnce() + Send + 'static) {
-        self.execute_traced(TraceId::NONE, job);
-    }
-
-    /// Schedules a job on behalf of a traced request: in addition to the
-    /// queue-wait histogram, a sampled `trace` gets a
-    /// [`TraceStage::QueueWait`] flight-recorder event spanning the time
-    /// the job sat queued before a worker picked it up.
-    pub(crate) fn execute_traced(&self, trace: TraceId, job: impl FnOnce() + Send + 'static) {
-        // With a live sink the job is wrapped to record how long it sat
-        // queued before a worker picked it up. Exactly one Box is
-        // allocated either way (the Job itself), so instrumentation
-        // adds no allocation to the submit path.
-        let job: Job = if self.shared.sink.is_enabled() || trace.is_sampled() {
-            let sink = self.shared.sink.clone();
-            let queued = Instant::now();
-            Box::new(move || {
-                let picked = Instant::now();
-                sink.observe_ns(
-                    StageId::QueueWait,
-                    u64::try_from(picked.duration_since(queued).as_nanos()).unwrap_or(u64::MAX),
-                );
-                if trace.is_sampled() {
-                    sink.trace_span(trace, TraceStage::QueueWait, queued, picked, 0);
-                }
-                job();
-            })
-        } else {
-            Box::new(job)
-        };
         self.shared.sink.gauge_add(GaugeId::QueueDepth, 1);
         let slot = self.next_queue.fetch_add(1, Ordering::Relaxed) % self.shared.queues.len();
         // `pending` goes up before the job is visible, so a worker that
@@ -142,7 +113,7 @@ impl WorkStealingPool {
         self.shared.queues[slot]
             .lock()
             .expect("queue lock")
-            .push_back(job);
+            .push_back(Box::new(job));
         // Dekker-style pairing with the sleeper (see worker_loop): SeqCst
         // puts this `pending` bump and the `sleepers` read in one total
         // order with the sleeper's `sleepers` bump and `pending` re-check,
@@ -279,6 +250,7 @@ fn find_job(id: usize, shared: &Shared) -> Option<Job> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cqap_obs::StageId;
     use std::sync::atomic::AtomicU64;
     use std::sync::mpsc;
 
@@ -372,7 +344,11 @@ mod tests {
         std::thread::sleep(Duration::from_millis(20));
         drop(pool);
         let snap = sink.snapshot().expect("sink is recording");
-        assert_eq!(snap.stage(StageId::QueueWait).count, 64);
+        assert_eq!(
+            snap.stage(StageId::QueueWait).count,
+            0,
+            "the pool times no stage: a job laps its own queue wait"
+        );
         assert_eq!(
             snap.gauge(GaugeId::QueueDepth),
             0,

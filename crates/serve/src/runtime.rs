@@ -18,14 +18,11 @@
 //! fills the tickets and wakes their callers: a caller whose ticket
 //! resolved holds the only index handle again.
 //!
-//! A ticket is one `Arc<Mutex<..>>` cell shared with the worker's reply.
-//! Resolving it is two steps: *fill* stores the result and takes the
-//! caller's thread if the caller is blocked in [`Ticket::wait`]; *wake*
-//! unparks that thread. A worker fills every ticket of its job before it
-//! wakes anyone, so a caller gathering a batch's tickets wakes once per
-//! job, not once per ticket. Answers are handed out as `Arc<Answer>`: the
-//! cache stores the same `Arc`, so a hit is a refcount bump, and
-//! duplicates share one allocation.
+//! A [`Ticket`] is a one-shot result cell. A worker fills every ticket of
+//! its job before it wakes anyone, so a caller gathering a batch's tickets
+//! wakes once per job, not once per ticket. Answers are handed out as
+//! `Arc<Answer>`: the cache stores the same `Arc`, so a hit is a refcount
+//! bump, and duplicates share one allocation.
 //!
 //! The index is `Arc`-shared and read-only while requests are served —
 //! the paper's regime: preprocessing fixes the materialized views within
@@ -50,27 +47,34 @@
 //! ([`BatchAnswer::answer_degraded`]), flagged in the answer and kept out
 //! of the cache.
 //!
-//! A request path call inside a [`TraceScope`] — a shard leg, submitted
-//! by the router from a front worker's probe — records against that
-//! scope's trace and owns no root; a call outside any scope begins its
-//! own trace.
+//! Every door call opens one [`Span`]: the request's lifecycle. Its
+//! `CacheLookup` lap ends the lookup pass. A lone request's span then goes
+//! where its answer comes from: a hit finishes it at the door, a join
+//! moves it into the pending map's waiter entry, and a fresh probe moves
+//! it into its job. A batch keeps its span at the door (`Coalesce`, then
+//! the gather) and each job carries a leg of it. A job's first lap, at
+//! pickup, is `QueueWait`; then `BackendProbe` and `TicketDelivery`. A
+//! span opened inside a [`TraceScope`] (a shard leg, submitted by the
+//! router from a front worker's probe) records against that scope's trace
+//! and owns no root; outside any scope it owns its trace's root, and a
+//! job finishes the spans it carries before it fills their tickets.
 
 use std::borrow::Cow;
 use std::fmt;
 use std::mem;
 use std::slice;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
-use std::thread::{self, Thread};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use cqap_common::{CqapError, FxHashMap, Result};
-use cqap_obs::{trace, CounterId, MetricsSink, RequestSpan, StageId, TraceId, TraceScope};
+use cqap_obs::{CounterId, MetricsSink, Span, StageId, TraceScope};
 
 use crate::admission::{AdmissionConfig, AdmissionGate, AdmissionPermit};
 use crate::batch::BatchAnswer;
 use crate::cache::LruCache;
 use crate::pool::{default_threads, WorkStealingPool};
+use crate::ticket::{oneshot, Reply, Ticket, Wakes};
 
 /// Configuration for a [`ServeRuntime`].
 #[derive(Clone, Copy, Debug)]
@@ -144,27 +148,6 @@ pub struct ServeStats {
     pub degraded: u64,
 }
 
-impl ServeStats {
-    /// Field-wise sum of two stats snapshots — the aggregation a router
-    /// over several per-shard runtimes uses to report fleet-wide counters.
-    #[must_use]
-    pub fn merge(self, other: ServeStats) -> ServeStats {
-        ServeStats {
-            served: self.served + other.served,
-            cache_hits: self.cache_hits + other.cache_hits,
-            dedup_hits: self.dedup_hits + other.dedup_hits,
-            inflight_hits: self.inflight_hits + other.inflight_hits,
-            coalesced: self.coalesced + other.coalesced,
-            cache_misses: self.cache_misses + other.cache_misses,
-            errors: self.errors + other.errors,
-            deltas_applied: self.deltas_applied + other.deltas_applied,
-            shed: self.shed + other.shed,
-            deadline_expired: self.deadline_expired + other.deadline_expired,
-            degraded: self.degraded + other.degraded,
-        }
-    }
-}
-
 impl fmt::Display for ServeStats {
     /// One-line human-readable summary, e.g.
     /// `served 512 | cache 100 | dedup 12 | in-flight 3 | coalesced 200 | misses 397 | errors 0 | deltas 1 | shed 4 | expired 2 | degraded 0`.
@@ -220,158 +203,6 @@ impl StatsCells {
     }
 }
 
-/// The error a ticket resolves to when its [`Reply`] was dropped unsent
-/// (a torn-down runtime, a job that panicked), or when its value was
-/// already taken.
-fn disconnected() -> CqapError {
-    CqapError::Other("serve runtime dropped the request".into())
-}
-
-/// A ticket's one-shot result cell, shared by the [`Reply`] that resolves
-/// it and the [`Ticket`] that reads it.
-struct Slot<A> {
-    /// The result, from the moment the reply resolves the ticket until
-    /// the ticket takes it.
-    value: Option<Result<A>>,
-    /// Set once the reply resolved the ticket (sent, or dropped unsent):
-    /// an empty `value` then means "already taken", not "still running".
-    resolved: bool,
-    /// The thread blocked in [`Ticket::wait`], if one registered; the
-    /// reply unparks it.
-    waiter: Option<Thread>,
-}
-
-type Cell<A> = Arc<Mutex<Slot<A>>>;
-
-/// Every update leaves the slot valid, so a poisoned cell is still read;
-/// this also keeps `Reply`'s drop from panicking.
-fn lock<A>(cell: &Cell<A>) -> MutexGuard<'_, Slot<A>> {
-    cell.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-/// A one-shot result cell: the [`Reply`] a worker resolves and the
-/// [`Ticket`] its caller waits on.
-fn oneshot<A>() -> (Reply<A>, Ticket<A>) {
-    let cell = Arc::new(Mutex::new(Slot {
-        value: None,
-        resolved: false,
-        waiter: None,
-    }));
-    (
-        Reply {
-            cell: Some(Arc::clone(&cell)),
-        },
-        Ticket { cell },
-    )
-}
-
-/// The resolving half of a ticket's one-shot result cell. Resolving is
-/// two steps: [`fill`](Reply::fill) stores the result and hands back the
-/// thread parked on the ticket, if any; waking unparks it. Sending does
-/// both at once; dropping it unsent resolves the ticket with the
-/// disconnect error instead, so a ticket never hangs.
-struct Reply<A> {
-    /// `None` once filled, so the drop that follows a fill does nothing.
-    cell: Option<Cell<A>>,
-}
-
-impl<A> Reply<A> {
-    /// Resolves the ticket without waking its waiter: the caller owns the
-    /// returned thread and must unpark it (through [`Wakes`]).
-    #[must_use]
-    fn fill(mut self, result: Result<A>) -> Option<Thread> {
-        self.cell.take().and_then(|cell| fill(&cell, result))
-    }
-
-    /// Fill and wake, for a ticket resolved on its own.
-    fn send(self, result: Result<A>) {
-        if let Some(waiter) = self.fill(result) {
-            waiter.unpark();
-        }
-    }
-}
-
-impl<A> Drop for Reply<A> {
-    fn drop(&mut self) {
-        if let Some(waiter) = self.cell.take().and_then(|cell| fill(&cell, Err(disconnected()))) {
-            waiter.unpark();
-        }
-    }
-}
-
-/// Stores `result` in the cell, marks it resolved and takes the waiter
-/// that registered, to be unparked outside the lock; a ticket nobody
-/// blocks on costs no wake-up.
-fn fill<A>(cell: &Cell<A>, result: Result<A>) -> Option<Thread> {
-    let mut slot = lock(cell);
-    slot.value = Some(result);
-    slot.resolved = true;
-    slot.waiter.take()
-}
-
-/// The waiters of one job's filled tickets, unparked together once every
-/// ticket is filled. Dropping it is the wake, so an unwind between a fill
-/// and the wake still unparks every filled ticket's waiter. The first
-/// waiter is kept inline: a job with one recipient allocates nothing.
-#[derive(Default)]
-struct Wakes {
-    first: Option<Thread>,
-    rest: Vec<Thread>,
-}
-
-impl Wakes {
-    fn add(&mut self, waiter: Option<Thread>) {
-        match self.first {
-            None => self.first = waiter,
-            Some(_) => self.rest.extend(waiter),
-        }
-    }
-}
-
-impl Drop for Wakes {
-    fn drop(&mut self) {
-        for waiter in self.first.take().into_iter().chain(self.rest.drain(..)) {
-            waiter.unpark();
-        }
-    }
-}
-
-/// A one-shot handle to the answer of a single submitted request.
-pub struct Ticket<A> {
-    cell: Cell<A>,
-}
-
-impl<A> Ticket<A> {
-    /// Blocks until the answer is ready.
-    ///
-    /// # Errors
-    /// Returns the answering error, or an internal error if the runtime was
-    /// torn down before the request ran.
-    pub fn wait(self) -> Result<A> {
-        let mut slot = lock(&self.cell);
-        if !slot.resolved {
-            slot.waiter = Some(thread::current());
-        }
-        // Parking may wake spuriously (or on a stale unpark): re-check.
-        while !slot.resolved {
-            drop(slot);
-            thread::park();
-            slot = lock(&self.cell);
-        }
-        slot.value.take().unwrap_or_else(|| Err(disconnected()))
-    }
-
-    /// Non-blocking poll; `None` while the answer is still being computed.
-    /// A torn-down runtime (or a request that panicked mid-answer) yields
-    /// `Some(Err(..))`, never a stuck `None`; so does every poll after the
-    /// one that returned the answer.
-    pub fn try_wait(&self) -> Option<Result<A>> {
-        let mut slot = lock(&self.cell);
-        slot.resolved
-            .then(|| slot.value.take().unwrap_or_else(|| Err(disconnected())))
-    }
-}
-
 /// Runs one call into the index, converting a panic into a regular
 /// [`CqapError`] (`"{what} panicked: …"`) so workers stay alive, the
 /// error counter stays truthful, and a panicking job still resolves every
@@ -413,10 +244,17 @@ type Displaced<I> = Option<(<I as BatchAnswer>::Request, Arc<<I as BatchAnswer>:
 /// section are refcount bumps, never deep answer clones.
 struct OnlineState<I: BatchAnswer> {
     cache: LruCache<I::Request, Arc<I::Answer>>,
-    /// Keys currently being probed by a pool worker, each with the replies
-    /// of callers that arrived while the probe was in flight (one per
-    /// ticket).
-    pending: FxHashMap<I::Request, Vec<AnswerReply<I>>>,
+    /// Keys currently being probed by a pool worker, each with the callers
+    /// that arrived while the probe was in flight (one per ticket).
+    pending: FxHashMap<I::Request, Vec<Waiter<I>>>,
+}
+
+/// A caller that joined a probe in flight: its reply and, for a lone
+/// request, its door's span, which the probe's job finishes before it
+/// fills the ticket.
+struct Waiter<I: BatchAnswer> {
+    reply: AnswerReply<I>,
+    span: Option<Span>,
 }
 
 impl<I: BatchAnswer> OnlineState<I> {
@@ -431,7 +269,7 @@ impl<I: BatchAnswer> OnlineState<I> {
         &mut self,
         request: &I::Request,
         answer: Option<&Arc<I::Answer>>,
-    ) -> (Vec<AnswerReply<I>>, Displaced<I>) {
+    ) -> (Vec<Waiter<I>>, Displaced<I>) {
         let Some((key, waiters)) = self.pending.remove_entry(request) else {
             return (Vec::new(), None);
         };
@@ -484,11 +322,8 @@ struct Job<I: BatchAnswer> {
     /// One distinct request key per member, in member order.
     requests: Vec<I::Request>,
     members: Vec<Member<I>>,
-    trace: TraceId,
-    /// Set when the job owns its trace's root (a lone request outside any
-    /// trace scope): the root is finished with the total since
-    /// submission, before the fill.
-    submitted: Option<Instant>,
+    /// A lone request's door span, or a leg of a batch door's span.
+    span: Span,
 }
 
 /// What a runtime shares with its pool workers: the online state, the
@@ -500,15 +335,6 @@ struct Shared<I: BatchAnswer> {
 }
 
 impl<I: BatchAnswer> Shared<I> {
-    /// Commits the root total for a request that owns a sampled trace; a
-    /// no-op inside a trace scope and for an unsampled trace
-    /// (`submitted = None`).
-    fn finish_root(&self, trace: TraceId, submitted: Option<Instant>) {
-        if let Some(submitted) = submitted {
-            self.sink.trace_finish(trace, nanos(submitted.elapsed()));
-        }
-    }
-
     /// The one worker path: resolves every member of `job` with at most
     /// one call into the index.
     ///
@@ -525,11 +351,13 @@ impl<I: BatchAnswer> Shared<I> {
     /// Then, in this order: the index handle and the `permit` go, so a
     /// caller whose ticket resolved can `apply_delta` at once; the cache
     /// entries the publish displaced are dropped, outside the lock; the
-    /// joined waiters' tickets are filled; the delivery lap (admitted jobs
-    /// only) and an owned root are recorded; every member's ticket is
-    /// filled; and only then is any caller woken. A caller parked on one
-    /// of the job's tickets therefore wakes once and finds the whole job
-    /// resolved, instead of racing the worker through the rest.
+    /// joined waiters' spans are finished and their tickets filled; the
+    /// job's span laps the delivery (admitted jobs only) and is finished;
+    /// every member's ticket is filled; and only then is any caller woken.
+    /// A caller parked on one of the job's tickets therefore wakes once and
+    /// finds the whole job resolved, instead of racing the worker through
+    /// the rest. A span that owns its trace's root thus commits it before
+    /// its caller can see the answer.
     fn dispatch(
         &self,
         job: Job<I>,
@@ -538,30 +366,34 @@ impl<I: BatchAnswer> Shared<I> {
         degrade: bool,
         refusal: Option<CqapError>,
     ) {
-        let mut span = RequestSpan::begin_traced(&self.sink, job.trace);
+        let Job { requests, members, mut span } = job;
+        // A shed job never queued or probed: it records no stage.
+        let admitted = refusal.is_none();
+        if admitted {
+            span.lap(StageId::QueueWait, 0);
+        }
         // One clock read fixes every verdict, and none without a deadline.
-        let now = job.members.iter().any(|m| m.deadline.is_some()).then(Instant::now);
+        let now = members.iter().any(|m| m.deadline.is_some()).then(Instant::now);
         let verdict =
             |member: &Member<I>| refusal.clone().or_else(|| expiry(member.deadline?, now?));
-        let live = job.members.iter().filter(|m| verdict(m).is_none()).count();
+        let live = members.iter().filter(|m| verdict(m).is_none()).count();
         let mut degraded = false;
         let mut probed = (live > 0).then(|| {
-            let _scope = TraceScope::enter(job.trace);
-            let requests: Cow<'_, [I::Request]> = if live == job.members.len() {
-                Cow::Borrowed(&job.requests)
+            let _scope = TraceScope::enter(&span);
+            let requests: Cow<'_, [I::Request]> = if live == members.len() {
+                Cow::Borrowed(&requests)
             } else {
-                let live = job.requests.iter().zip(&job.members);
+                let live = requests.iter().zip(&members);
                 let live = live.filter(|(_, member)| verdict(member).is_none());
                 Cow::Owned(live.map(|(request, _)| request.clone()).collect())
             };
             let (answers, cheap) = probe(&*index, &requests, degrade);
             degraded = cheap;
-            span.lap(StageId::BackendProbe);
+            span.lap(StageId::BackendProbe, 0);
             answers.map(Vec::into_iter)
         });
         let mut errors = 0;
-        let mut resolved: Vec<_> = job
-            .members
+        let mut resolved: Vec<_> = members
             .into_iter()
             .map(|member| {
                 let verdict = verdict(&member);
@@ -583,7 +415,7 @@ impl<I: BatchAnswer> Shared<I> {
         let mut dropped = 0;
         {
             let mut state = self.state.lock().expect("state lock");
-            let members = resolved.iter_mut().zip(&job.requests);
+            let members = resolved.iter_mut().zip(&requests);
             for ((_, skipped, result, waiters, displaced), request) in members {
                 // Degraded answers are never cached: a warm hit must not
                 // keep serving the cheap answer after the overload ends.
@@ -624,15 +456,15 @@ impl<I: BatchAnswer> Shared<I> {
         // tickets in order wakes on the first and finds the rest filled.
         let mut wakes = Wakes::default();
         for (_, _, result, waiters, _) in &mut resolved {
-            for waiter in waiters.drain(..) {
-                wakes.add(waiter.fill(result.clone()));
+            for Waiter { reply, span } in waiters.drain(..) {
+                drop(span);
+                wakes.add(reply.fill(result.clone()));
             }
         }
-        // A shed job never queued or probed: it records no stage.
-        if refusal.is_none() {
-            span.lap(StageId::TicketDelivery);
+        if admitted {
+            span.lap(StageId::TicketDelivery, 0);
         }
-        self.finish_root(job.trace, job.submitted);
+        drop(span);
         for (member, _, result, ..) in resolved {
             wakes.add(member.reply.fill(result));
         }
@@ -771,12 +603,14 @@ impl<I: BatchAnswer + 'static> ServeRuntime<I> {
 
     /// Consults the cache and the pending map for `request` in the locked
     /// `state`: a hit; a join of the probe in flight, whose waiters get a
-    /// new reply; or a fresh probe, whose pending entry is registered and
-    /// whose reply comes back for the job that will resolve it.
+    /// new reply and `span` (a lone door's, which laps `CacheLookup` here);
+    /// or a fresh probe, whose pending entry is registered and whose reply
+    /// comes back for the job that will resolve it.
     fn lookup(
         &self,
         state: &mut OnlineState<I>,
         request: &I::Request,
+        span: &mut Option<Span>,
     ) -> (Outcome<I::Answer>, Option<AnswerReply<I>>) {
         let stats = &self.shared.stats;
         if let Some(answer) = state.cache.get(request) {
@@ -786,7 +620,10 @@ impl<I: BatchAnswer + 'static> ServeRuntime<I> {
         let (reply, ticket) = oneshot();
         if let Some(waiters) = state.pending.get_mut(request) {
             stats.inflight_hits.fetch_add(1, Ordering::Relaxed);
-            waiters.push(reply);
+            if let Some(span) = span {
+                span.lap(StageId::CacheLookup, 0);
+            }
+            waiters.push(Waiter { reply, span: span.take() });
             (Outcome::Ticket(ticket), None)
         } else {
             stats.cache_misses.fetch_add(1, Ordering::Relaxed);
@@ -810,9 +647,8 @@ impl<I: BatchAnswer + 'static> ServeRuntime<I> {
                         .degrade_watermark
                         .is_some_and(|watermark| self.pool.pending() > watermark);
                 let shared = Arc::clone(&self.shared);
-                self.pool.execute_traced(job.trace, move || {
-                    shared.dispatch(job, index, permit, degrade, None);
-                });
+                self.pool
+                    .execute(move || shared.dispatch(job, index, permit, degrade, None));
             }
         }
     }
@@ -849,15 +685,14 @@ impl<I: BatchAnswer + 'static> ServeRuntime<I> {
     }
 
     /// The one-request doors: the lone entry's ticket. A hit's ticket is
-    /// resolved here, and a root-owning hit commits its (tiny) total, so
-    /// cache hits still show up as committed traces.
+    /// resolved here, after its door span is finished, so cache hits still
+    /// show up as committed traces.
     fn submit_entry(&self, request: I::Request, deadline: Option<Instant>) -> Ticket<Arc<I::Answer>> {
         let mut outcome = None;
-        let (trace, root) = self.serve(Entries::Lone(request, deadline), |_, o| outcome = Some(o));
+        self.serve(Entries::Lone(request, deadline), |_, o| outcome = Some(o));
         match outcome.expect("one outcome per entry") {
             Outcome::Ticket(ticket) => ticket,
             Outcome::Cached(answer) => {
-                self.shared.finish_root(trace, root);
                 let (reply, ticket) = oneshot();
                 reply.send(Ok(answer));
                 ticket
@@ -906,7 +741,7 @@ impl<I: BatchAnswer + 'static> ServeRuntime<I> {
     }
 
     /// The batch doors' gather: one result per position, in input order.
-    /// An owned root spans submission to the slowest answer.
+    /// The door's span is finished after the slowest answer.
     fn gather(
         &self,
         requests: &[I::Request],
@@ -914,8 +749,7 @@ impl<I: BatchAnswer + 'static> ServeRuntime<I> {
     ) -> Vec<Result<Arc<I::Answer>>> {
         let mut answers: Vec<Option<Result<Arc<I::Answer>>>> = vec![None; requests.len()];
         let mut tickets = Vec::new();
-        let (trace, root) =
-            self.serve(Entries::Batch(requests, deadlines), |group, outcome| match outcome {
+        let door = self.serve(Entries::Batch(requests, deadlines), |group, outcome| match outcome {
                 Outcome::Cached(answer) => {
                     group.positions().for_each(|p| answers[p] = Some(Ok(Arc::clone(&answer))));
                 }
@@ -925,7 +759,7 @@ impl<I: BatchAnswer + 'static> ServeRuntime<I> {
             let result = ticket.wait();
             group.positions().for_each(|p| answers[p] = Some(result.clone()));
         }
-        self.shared.finish_root(trace, root);
+        drop(door);
         answers
             .into_iter()
             .map(|a| a.expect("every position answered or errored"))
@@ -940,24 +774,18 @@ impl<I: BatchAnswer + 'static> ServeRuntime<I> {
     /// release (workers publish into the same state). Each group's outcome
     /// goes to `deliver`. Expiry is left to the jobs' workers.
     ///
-    /// A call inside a [`TraceScope`] records against that scope's trace,
-    /// sampled or not, and owns no root. Outside any scope it begins its
-    /// own trace and returns, for a sampled one, the instant its root
-    /// began: a lone request's job commits that root (its door, on a hit),
-    /// a batch's door after the gather.
+    /// The door's span laps `CacheLookup` after the lookup pass. A lone
+    /// request's span goes with its outcome (a hit finishes it here, a
+    /// join moves it into the waiter entry, a fresh probe into its job); a
+    /// batch's span laps `Coalesce` after the launch and comes back for the
+    /// gather to finish.
     fn serve(
         &self,
         entries: Entries<'_, I::Request>,
         mut deliver: impl FnMut(Group, Outcome<I::Answer>),
-    ) -> (TraceId, Option<Instant>) {
+    ) -> Option<Span> {
         let shared = &self.shared;
-        let (trace, root) = match trace::current() {
-            Some(trace) => (trace, None),
-            None => {
-                let trace = shared.sink.trace_begin();
-                (trace, trace.is_sampled().then(Instant::now))
-            }
-        };
+        let mut door = Some(shared.sink.span());
         let lone = matches!(entries, Entries::Lone(..));
         let (requests, deadlines) = match &entries {
             Entries::Lone(request, deadline) => {
@@ -987,16 +815,17 @@ impl<I: BatchAnswer + 'static> ServeRuntime<I> {
         }
         let alone = lone.then(|| (&requests[0], Group { first: 0, rest: Vec::new() }));
 
-        let mut span = RequestSpan::begin_traced(&shared.sink, trace);
         // The fresh probes, in group order: a batch clones each request
-        // (the lone request moves in below), and each group is one member
-        // with its latest deadline, so the probe runs while any of its
-        // positions can use it.
+        // (the lone request moves into its job), and each group is one
+        // member with its latest deadline, so the probe runs while any of
+        // its positions can use it.
         let (mut probed, mut fresh) = (Vec::new(), Vec::new());
         {
             let mut state = shared.state.lock().expect("state lock");
             for (request, group) in alone.into_iter().chain(groups) {
-                let (outcome, reply) = self.lookup(&mut state, request);
+                // Only a lone request's span can move into a waiter entry.
+                let span = if lone { &mut door } else { &mut None };
+                let (outcome, reply) = self.lookup(&mut state, request, span);
                 if let Some(reply) = reply {
                     let deadline = deadlines.and_then(|ds| group.positions().map(|p| ds[p]).max());
                     fresh.push(Member { reply, deadline });
@@ -1007,16 +836,32 @@ impl<I: BatchAnswer + 'static> ServeRuntime<I> {
                 deliver(group, outcome);
             }
         }
-        span.lap(StageId::CacheLookup);
-        if fresh.is_empty() {
-            return (trace, root);
+        // A lone join's span waits in its waiter entry, for the job that
+        // resolves the probe to finish.
+        let mut span = door?;
+        span.lap(StageId::CacheLookup, 0);
+        match entries {
+            // A hit's span is finished here, before its ticket resolves.
+            Entries::Lone(..) if fresh.is_empty() => None,
+            Entries::Lone(request, _) => {
+                self.launch(Job { requests: vec![request], members: fresh, span });
+                None
+            }
+            Entries::Batch(..) if fresh.is_empty() => Some(span),
+            Entries::Batch(..) => {
+                self.launch_batch(probed, fresh, &span);
+                span.lap(StageId::Coalesce, 0);
+                Some(span)
+            }
         }
-        if let Entries::Lone(request, _) = entries {
-            probed.push(request);
-        }
-        // Job formation: contiguous runs, so every worker gets one and the
-        // most urgent job queues first. The last job takes the rest whole,
-        // so a lone probe's job is the two vectors built above.
+    }
+
+    /// Job formation for a batch door: contiguous runs, so every worker
+    /// gets one and the most urgent job queues first; the last job takes
+    /// the rest whole. Each job carries a leg of the door's span: a span
+    /// opened inside the door's scope.
+    fn launch_batch(&self, mut probed: Vec<I::Request>, mut fresh: Vec<Member<I>>, door: &Span) {
+        let _scope = TraceScope::enter(door);
         let (n, jobs) = (fresh.len(), self.pool.threads().min(fresh.len()));
         for j in 0..jobs {
             let size = n / jobs + usize::from(j < n % jobs);
@@ -1026,26 +871,21 @@ impl<I: BatchAnswer + 'static> ServeRuntime<I> {
                 (mem::take(&mut probed), mem::take(&mut fresh))
             };
             if size >= 2 {
-                shared.stats.coalesced.fetch_add(size as u64, Ordering::Relaxed);
+                self.shared.stats.coalesced.fetch_add(size as u64, Ordering::Relaxed);
             }
             self.launch(Job {
                 requests,
                 members,
-                trace,
-                submitted: root.filter(|_| lone),
+                span: self.shared.sink.span(),
             });
         }
-        // The batch doors time job formation and launch as `Coalesce`.
-        if !lone {
-            span.lap(StageId::Coalesce);
-        }
-        (trace, root)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ticket::tests::until_parked;
     use cqap_decomp::families as pf;
     use cqap_panda::CqapIndex;
     use cqap_query::workload::{graph_pair_requests, Graph};
@@ -1141,86 +981,6 @@ mod tests {
         assert_eq!(runtime.stats().cache_hits, 1);
     }
 
-    // ----- The ticket contract -----
-
-    /// Tickets cross threads (the router waits on shard tickets, callers
-    /// hand tickets to pollers).
-    const _: fn() = || {
-        fn assert_send<T: Send>() {}
-        assert_send::<Ticket<Arc<cqap_relation::Relation>>>();
-    };
-
-    /// Spins until a thread blocked in `wait` has registered on the
-    /// reply's cell (it parks right after, outside the lock).
-    fn until_parked<A>(reply: &Reply<A>) {
-        let cell = reply.cell.as_ref().expect("unsent reply");
-        let patience = Instant::now() + Duration::from_secs(10);
-        while lock(cell).waiter.is_none() {
-            assert!(Instant::now() < patience, "the waiter never registered");
-            std::thread::yield_now();
-        }
-    }
-
-    #[test]
-    fn a_reply_dropped_unsent_resolves_its_ticket_with_an_error() {
-        let (reply, ticket) = oneshot::<u64>();
-        assert!(ticket.try_wait().is_none(), "unresolved");
-        drop(reply);
-        let polled = ticket.try_wait().expect("resolved by the drop");
-        assert_eq!(polled.unwrap_err().to_string(), disconnected().to_string());
-        assert!(ticket.wait().is_err());
-
-        // A waiter already blocked in `wait` is woken by the drop.
-        let (reply, ticket) = oneshot::<u64>();
-        let (outcome, woke) = mpsc::channel();
-        std::thread::spawn(move || outcome.send(ticket.wait()));
-        until_parked(&reply);
-        drop(reply);
-        let error = woke
-            .recv_timeout(Duration::from_secs(10))
-            .expect("the parked waiter woke")
-            .expect_err("dropped unsent");
-        assert_eq!(error.to_string(), disconnected().to_string());
-    }
-
-    #[test]
-    fn a_poll_after_the_answer_is_an_error_never_a_stuck_none() {
-        let (reply, ticket) = oneshot::<u64>();
-        reply.send(Ok(7));
-        assert_eq!(ticket.try_wait().unwrap().unwrap(), 7);
-        for _ in 0..3 {
-            assert!(
-                ticket.try_wait().is_some_and(|again| again.is_err()),
-                "the taken value reads as an error, not as pending"
-            );
-        }
-        assert!(ticket.wait().is_err());
-    }
-
-    #[test]
-    fn a_parked_waiter_wakes_on_every_send() {
-        const ROUNDS: u64 = 10_000;
-        let (tickets, parked) = mpsc::channel::<Ticket<u64>>();
-        let (answers, woke) = mpsc::channel();
-        let waiter = std::thread::spawn(move || {
-            for ticket in parked {
-                answers.send(ticket.wait().unwrap()).expect("test alive");
-            }
-        });
-        for round in 0..ROUNDS {
-            let (reply, ticket) = oneshot();
-            tickets.send(ticket).expect("waiter alive");
-            until_parked(&reply);
-            reply.send(Ok(round));
-            let answer = woke
-                .recv_timeout(Duration::from_secs(10))
-                .unwrap_or_else(|_| panic!("round {round}: the parked waiter never woke"));
-            assert_eq!(answer, round);
-        }
-        drop(tickets);
-        waiter.join().unwrap();
-    }
-
     /// Fill, then wake: a caller parked on the first ticket of a job wakes
     /// only once every ticket of the job is filled, so gathering the rest
     /// never races the worker that fills them.
@@ -1255,8 +1015,7 @@ mod tests {
         let job = Job {
             requests: (0..MEMBERS).collect(),
             members,
-            trace: TraceId::NONE,
-            submitted: None,
+            span: runtime.shared.sink.span(),
         };
         let index = Arc::clone(runtime.index());
         runtime.shared.dispatch(job, index, None, false, None);
@@ -1266,27 +1025,6 @@ mod tests {
         assert_eq!(*answer.unwrap(), 0);
         assert_eq!(unfilled, 0, "the caller woke before the job's last fill");
         caller.join().unwrap();
-    }
-
-    /// The wake guard unparks on unwind: a panic between a fill and the
-    /// wake cannot leave the filled ticket's caller parked.
-    #[test]
-    fn a_wake_guard_unparks_during_unwind() {
-        let (reply, ticket) = oneshot::<u64>();
-        let (outcome, woke) = mpsc::channel();
-        let waiter = std::thread::spawn(move || outcome.send(ticket.wait()).expect("test alive"));
-        until_parked(&reply);
-        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let mut wakes = Wakes::default();
-            wakes.add(reply.fill(Ok(7)));
-            panic!("between the fill and the wake");
-        }));
-        assert!(unwound.is_err());
-        let answer = woke
-            .recv_timeout(Duration::from_secs(10))
-            .expect("the parked waiter woke during the unwind");
-        assert_eq!(answer.unwrap(), 7);
-        waiter.join().unwrap();
     }
 
     /// A deliberately faulty index: one poison key panics mid-answer.
@@ -1902,6 +1640,132 @@ mod tests {
             report.has_dominant(TraceStage::QueueWait),
             "the queued requests' tail is queue wait:\n{report}"
         );
+    }
+
+    /// Every door outcome under `SamplingPolicy::Always`, with the single
+    /// worker held at the gate so each outcome is fixed: every trace
+    /// commits exactly one root, and the row's door (the last trace begun)
+    /// records exactly the listed stages.
+    #[test]
+    fn every_door_outcome_commits_one_root_over_its_exact_stages() {
+        use cqap_obs::{FlightRecorder, SamplingPolicy, TraceStage};
+        use std::collections::BTreeMap;
+        use TraceStage::*;
+
+        type Door = fn(&ServeRuntime<GatedIndex>, &mpsc::Sender<()>);
+        let rows: [(&str, Option<AdmissionConfig>, Door, &[TraceStage]); 6] = [
+            (
+                "lone miss",
+                None,
+                |runtime, gate| {
+                    let ticket = runtime.submit(1);
+                    gate.send(()).expect("worker waiting");
+                    assert_eq!(*ticket.wait().unwrap(), 10);
+                },
+                &[QueueWait, CacheLookup, BackendProbe, TicketDelivery, Request],
+            ),
+            (
+                "lone hit",
+                None,
+                |runtime, gate| {
+                    let cold = runtime.submit(1);
+                    gate.send(()).expect("worker waiting");
+                    cold.wait().unwrap();
+                    assert_eq!(*runtime.submit(1).wait().unwrap(), 10);
+                },
+                &[CacheLookup, Request],
+            ),
+            (
+                "lone join",
+                None,
+                |runtime, gate| {
+                    let held = runtime.submit(1);
+                    let joined = runtime.submit(1);
+                    gate.send(()).expect("worker waiting");
+                    held.wait().unwrap();
+                    assert_eq!(*joined.wait().unwrap(), 10);
+                    assert_eq!(runtime.stats().inflight_hits, 1);
+                },
+                &[CacheLookup, Request],
+            ),
+            (
+                "lone shed",
+                Some(AdmissionConfig::shed(1)),
+                |runtime, gate| {
+                    let held = runtime.submit(1);
+                    assert!(runtime.submit(2).wait().unwrap_err().is_overloaded());
+                    gate.send(()).expect("worker waiting");
+                    held.wait().unwrap();
+                },
+                &[CacheLookup, Request],
+            ),
+            (
+                "lone expired",
+                None,
+                |runtime, gate| {
+                    let held = runtime.submit(1);
+                    let past = Instant::now() - Duration::from_millis(1);
+                    let expired = runtime.submit_with_deadline(2, past);
+                    gate.send(()).expect("worker waiting");
+                    held.wait().unwrap();
+                    assert!(expired.wait().unwrap_err().is_deadline_expired());
+                },
+                &[QueueWait, CacheLookup, TicketDelivery, Request],
+            ),
+            (
+                "batch: a duplicate, a hit, a join and fresh probes",
+                None,
+                |runtime, gate| {
+                    let cold = runtime.submit(1);
+                    gate.send(()).expect("worker waiting");
+                    cold.wait().unwrap();
+                    let held = runtime.submit(2);
+                    std::thread::scope(|scope| {
+                        let batch = scope.spawn(|| runtime.serve_batch(&[3, 3, 1, 2, 4]));
+                        let patience = Instant::now() + Duration::from_secs(10);
+                        while runtime.stats().inflight_hits == 0 {
+                            assert!(Instant::now() < patience, "the batch never joined");
+                            std::thread::yield_now();
+                        }
+                        for _ in 0..3 {
+                            gate.send(()).expect("worker waiting");
+                        }
+                        let answers: Vec<u64> =
+                            batch.join().unwrap().unwrap().iter().map(|a| **a).collect();
+                        assert_eq!(answers, [30, 30, 10, 20, 40]);
+                    });
+                    held.wait().unwrap();
+                },
+                &[QueueWait, CacheLookup, Coalesce, BackendProbe, TicketDelivery, Request],
+            ),
+        ];
+        for (row, admission, door, stages) in rows {
+            let (index, gate) = GatedIndex::new();
+            let tracer = Arc::new(FlightRecorder::new(1 << 10, SamplingPolicy::Always));
+            let runtime = ServeRuntime::with_metrics(
+                index,
+                ServeConfig {
+                    threads: 1,
+                    cache_capacity: 8,
+                    admission,
+                    ..ServeConfig::default()
+                },
+                MetricsSink::recording().with_tracer(Arc::clone(&tracer)),
+            );
+            door(&runtime, &gate);
+            drop(runtime); // join the pool so every lap is in the ring
+            let mut traces = BTreeMap::<u64, Vec<TraceStage>>::new();
+            for event in tracer.drain() {
+                traces.entry(event.trace_id).or_default().push(event.stage);
+            }
+            for (trace, recorded) in &mut traces {
+                let roots = recorded.iter().filter(|&&stage| stage == Request).count();
+                assert_eq!(roots, 1, "{row}: trace {trace} committed {roots} roots");
+                recorded.sort_unstable();
+            }
+            let (_, last) = traces.pop_last().expect("the row's door began a trace");
+            assert_eq!(last, stages, "{row}");
+        }
     }
 
     /// One deadline rule: an already-expired request is looked up like any

@@ -19,10 +19,11 @@
 //!   shards probe the whole batch concurrently and each shard caches every
 //!   leg under its own key.
 //!
-//! Legs are plain [`ServeRuntime::submit`] calls made inside the parent's
-//! [`TraceScope`] (the front worker's, or an unsampled one for a direct
-//! call), so a shard runtime records each leg under the parent request's
-//! trace and commits no root of its own.
+//! Every call opens one [`Span`](cqap_obs::Span) and submits its legs, as
+//! plain [`ServeRuntime::submit`] calls, inside that span's
+//! [`TraceScope`]. Called from a front worker's probe, the span joins the
+//! front request's trace; called directly, it owns a trace of its own. A
+//! shard runtime records each leg under that trace and commits no root.
 //!
 //! Because the router is itself a `BatchAnswer`, the whole generic serving
 //! surface — a top-level [`ServeRuntime`] with its own global cache,
@@ -30,10 +31,9 @@
 //! shards unchanged.
 
 use std::sync::Arc;
-use std::time::Instant;
 
 use cqap_common::Result;
-use cqap_obs::{trace, MetricsSink, StageId, TraceId, TraceScope, TraceStage};
+use cqap_obs::{MetricsSink, StageId, TraceScope};
 use cqap_panda::CqapIndex;
 use cqap_query::AccessRequest;
 use cqap_relation::Relation;
@@ -93,7 +93,9 @@ impl ShardRouter {
     /// shares the sink (their stage timings and pool gauges aggregate
     /// into one recorder), the router counts requests per shard for the
     /// load-balance skew view, and multi-shard gathers record the
-    /// answer-union stage.
+    /// answer-union stage. Shard `i` labels its trace events `i`; the
+    /// router labels its own (its union laps, a direct call's root) one
+    /// past the last shard.
     pub fn with_metrics(index: ShardedIndex, config: ShardRouterConfig, sink: MetricsSink) -> Self {
         let spec = *index.spec();
         let threads = if config.threads_per_shard == 0 {
@@ -124,7 +126,7 @@ impl ShardRouter {
         ShardRouter {
             spec,
             runtimes,
-            sink,
+            sink: sink.with_shard_label(spec.shards() as u16),
         }
     }
 
@@ -141,17 +143,9 @@ impl ShardRouter {
         self.runtimes.iter().map(ServeRuntime::stats).collect()
     }
 
-    /// Fleet-wide counters: the field-wise sum of every shard's stats.
-    #[cfg(test)]
-    pub(crate) fn stats(&self) -> cqap_serve::ServeStats {
-        self.shard_stats()
-            .into_iter()
-            .fold(Default::default(), cqap_serve::ServeStats::merge)
-    }
-
     /// Splits `request` per shard and submits every leg to its shard
-    /// runtime, without waiting on any. Called inside the parent's
-    /// [`TraceScope`], so each leg records against the parent's trace.
+    /// runtime, without waiting on any. Called inside the call's
+    /// [`TraceScope`], so each leg records against the call's trace.
     fn scatter(&self, request: &AccessRequest) -> Result<Vec<Leg>> {
         let legs = self.spec.split_request(request)?;
         Ok(legs
@@ -163,34 +157,22 @@ impl ShardRouter {
             .collect())
     }
 
-    /// Waits on one request's legs and unions their answers in leg
-    /// (first-appearance) order. A single leg — every single-binding
-    /// request — hands the shard cache's own `Arc` through, with no union
-    /// and no copy.
-    fn gather(&self, mut legs: Vec<Leg>, parent: TraceId) -> Result<Arc<Relation>> {
+    /// Waits on one request's legs in leg (first-appearance) order, then
+    /// unions their answers under one `AnswerUnion` lap: waiting on the
+    /// shard probes is their own backend-probe time. A single leg — every
+    /// single-binding request — hands the shard cache's own `Arc` through,
+    /// with no union and no copy.
+    fn gather(&self, mut legs: Vec<Leg>) -> Result<Arc<Relation>> {
         if legs.len() == 1 {
             return legs.pop().expect("one leg").wait();
         }
-        let mut answer: Option<Relation> = None;
-        let mut union_ns = 0u64;
-        for leg in legs {
-            let part = leg.wait()?;
-            // Only the union work is the gather stage; waiting on the
-            // shard probes is their own backend-probe time.
-            let timer = self.sink.start();
-            let union_started = parent.is_sampled().then(Instant::now);
-            answer = Some(match answer {
-                None => part.as_ref().clone(),
-                Some(acc) => acc.union(part.as_ref())?,
-            });
-            union_ns += timer.elapsed_ns().unwrap_or(0);
-            if let Some(started) = union_started {
-                self.sink
-                    .trace_span(parent, TraceStage::AnswerUnion, started, Instant::now(), 0);
-            }
-        }
-        self.sink.observe_ns(StageId::AnswerUnion, union_ns);
-        Ok(Arc::new(answer.expect("split_request is never empty")))
+        let parts = legs.into_iter().map(Leg::wait).collect::<Result<Vec<_>>>()?;
+        let mut span = self.sink.span();
+        let mut parts = parts.into_iter();
+        let first = parts.next().expect("split_request is never empty").as_ref().clone();
+        let answer = parts.try_fold(first, |acc, part| acc.union(&part))?;
+        span.lap(StageId::AnswerUnion, 0);
+        Ok(Arc::new(answer))
     }
 }
 
@@ -200,32 +182,24 @@ impl BatchAnswer for ShardRouter {
     /// through without a deep `Relation` clone.
     type Answer = Arc<Relation>;
 
-    /// Scatter-gather one request across the shard runtimes.
-    ///
-    /// Runs under the caller's [`trace::current`] id (set by the serving
-    /// worker that invoked this probe), so every scatter-gather leg
-    /// submitted to a shard runtime shares the parent request's trace.
-    /// A direct call, outside any scope, runs its legs under an unsampled
-    /// scope: they record nothing and own no root.
+    /// Scatter-gather one request across the shard runtimes, its legs
+    /// under the call's span (see the module docs).
     fn answer_one(&self, request: &Self::Request) -> Result<Self::Answer> {
-        let parent = trace::current().unwrap_or(TraceId::NONE);
-        let _scope = TraceScope::enter(parent);
-        self.gather(self.scatter(request)?, parent)
+        let span = self.sink.span();
+        let _scope = TraceScope::enter(&span);
+        self.gather(self.scatter(request)?)
     }
 
     /// Scatters every request's legs before gathering any answer, so the
     /// shards probe the whole batch concurrently and each shard runtime
     /// caches every leg under its own key. A request that fails to split
     /// or whose leg fails fails only its own position. The legs share
-    /// the caller's trace, as in [`answer_one`](Self::answer_one).
+    /// the call's span, as in [`answer_one`](Self::answer_one).
     fn answer_batch(&self, requests: &[Self::Request]) -> Vec<Result<Self::Answer>> {
-        let parent = trace::current().unwrap_or(TraceId::NONE);
-        let _scope = TraceScope::enter(parent);
+        let span = self.sink.span();
+        let _scope = TraceScope::enter(&span);
         let scattered: Vec<_> = requests.iter().map(|request| self.scatter(request)).collect();
-        scattered
-            .into_iter()
-            .map(|legs| self.gather(legs?, parent))
-            .collect()
+        scattered.into_iter().map(|legs| self.gather(legs?)).collect()
     }
 }
 
@@ -234,6 +208,7 @@ mod tests {
     use super::*;
     use crate::ShardTier;
     use cqap_common::Tuple;
+    use cqap_obs::TraceStage;
     use cqap_decomp::families as pf;
     use cqap_query::workload::{graph_pair_requests, zipf_multi_requests, Graph};
 
@@ -307,12 +282,7 @@ mod tests {
         // Requests flowed through to the shard runtimes.
         let shard_stats = runtime.index().shard_stats();
         assert_eq!(shard_stats.len(), 4);
-        let fleet = runtime.index().stats();
-        assert!(fleet.served > 0);
-        assert_eq!(
-            fleet.served,
-            shard_stats.iter().map(|s| s.served).sum::<u64>()
-        );
+        assert!(shard_stats.iter().map(|s| s.served).sum::<u64>() > 0);
     }
 
     /// A routed batch is answered member by member: every request's legs
@@ -361,9 +331,11 @@ mod tests {
                 assert_eq!(***answer, expected, "pass {pass}");
             }
         }
-        let fleet = runtime.index().stats();
-        assert_eq!(fleet.cache_misses, legs.len() as u64, "the first pass probed each leg");
-        assert_eq!(fleet.cache_hits, legs.len() as u64, "the repeat hit each leg's shard LRU");
+        let shards = runtime.index().shard_stats();
+        let misses: u64 = shards.iter().map(|s| s.cache_misses).sum();
+        let hits: u64 = shards.iter().map(|s| s.cache_hits).sum();
+        assert_eq!(misses, legs.len() as u64, "the first pass probed each leg");
+        assert_eq!(hits, legs.len() as u64, "the repeat hit each leg's shard LRU");
     }
 
     #[test]
@@ -461,7 +433,7 @@ mod tests {
         let ids = |keep: &dyn Fn(&&cqap_obs::TraceEvent) -> bool| -> HashSet<u64> {
             events.iter().filter(keep).map(|e| e.trace_id).collect()
         };
-        // A root carries no shard label: the front's own laps name its
+        // The front's own laps and roots carry its label: they name its
         // sampled requests.
         let sampled = ids(&|e| e.shard == FRONT);
         assert_eq!(sampled.len(), requests.len().div_ceil(2), "every other front request");
@@ -479,6 +451,82 @@ mod tests {
         );
     }
 
+    /// A root is stamped with the label of the sink that commits it: every
+    /// front request's root carries the front's label, and a directly
+    /// called router's root and union lap carry the router's own label (one
+    /// past the last shard), so each is told apart from the shard legs
+    /// recorded under the same trace.
+    #[test]
+    fn front_roots_carry_the_front_label_and_legs_their_shards() {
+        use cqap_obs::{FlightRecorder, SamplingPolicy};
+
+        const FRONT: u16 = 7;
+        const ROUTER: u16 = 2;
+        let (cqap, pmtds) = pf::pmtds_3reach_fig1().unwrap();
+        let g = Graph::skewed(45, 200, 4, 28, 37);
+        let sharded = ShardedIndex::build(&cqap, &g.as_path_database(3), &pmtds, 2).unwrap();
+        let tracer = Arc::new(FlightRecorder::new(1 << 12, SamplingPolicy::Always));
+        let sink = MetricsSink::recording().with_tracer(Arc::clone(&tracer));
+        // No shard cache: every leg probes its shard.
+        let config = ShardRouterConfig {
+            cache_capacity: 0,
+            ..ShardRouterConfig::default()
+        };
+        let router = Arc::new(ShardRouter::with_metrics(sharded, config, sink.clone()));
+        let front = ServeRuntime::with_metrics(
+            Arc::clone(&router),
+            ServeConfig {
+                threads: 1,
+                cache_capacity: 0,
+                ..ServeConfig::default()
+            },
+            sink.with_shard_label(FRONT),
+        );
+        let requests: Vec<AccessRequest> = graph_pair_requests(&g, 8, 79)
+            .into_iter()
+            .map(|(u, v)| AccessRequest::single(cqap.access(), &[u, v]).unwrap())
+            .collect();
+        for request in &requests {
+            front.submit(request.clone()).wait().unwrap();
+        }
+        drop(front);
+        let events = tracer.drain();
+        let roots: Vec<_> = events.iter().filter(|e| e.stage == TraceStage::Request).collect();
+        assert_eq!(roots.len(), requests.len(), "one root per front request");
+        assert!(
+            roots.iter().all(|e| e.shard == FRONT),
+            "a root carries the front's label"
+        );
+        for root in &roots {
+            let probes = events
+                .iter()
+                .filter(|e| e.trace_id == root.trace_id && e.stage == TraceStage::BackendProbe);
+            let labels: Vec<u16> = probes.map(|e| e.shard).collect();
+            assert_eq!(labels.len(), 2, "a front probe and one shard leg's probe");
+            assert!(labels.contains(&FRONT) && labels.iter().any(|&l| l < 2), "{labels:?}");
+        }
+
+        // A direct multi-binding call owns its root: one per call, under
+        // the router's label, beside its union lap; its legs carry theirs.
+        let tuples = graph_pair_requests(&g, 8, 79).into_iter().map(|(u, v)| Tuple::pair(u, v));
+        let multi = AccessRequest::new(cqap.access(), tuples.collect()).unwrap();
+        let legs = router.spec().split_request(&multi).unwrap().len();
+        assert_eq!(legs, 2, "the request spans both shards");
+        router.answer_one(&multi).unwrap();
+        let fronts: Vec<u64> = roots.iter().map(|e| e.trace_id).collect();
+        let mut events = tracer.drain();
+        events.retain(|e| !fronts.contains(&e.trace_id));
+        let labels = |stage: TraceStage| -> Vec<u16> {
+            events.iter().filter(|e| e.stage == stage).map(|e| e.shard).collect()
+        };
+        assert_eq!(labels(TraceStage::Request), [ROUTER], "one root, the router's");
+        assert_eq!(labels(TraceStage::AnswerUnion), [ROUTER], "one union lap");
+        let mut probes = labels(TraceStage::BackendProbe);
+        probes.sort_unstable();
+        assert_eq!(probes, [0, 1], "one probe per shard leg");
+        assert!(events.iter().all(|e| e.trace_id == events[0].trace_id), "one trace");
+    }
+
     #[test]
     fn shard_caches_absorb_repeats() {
         let (router, _, cqap, g) = router_fixture(2);
@@ -494,11 +542,13 @@ mod tests {
         for request in &requests {
             router.answer_one(request).unwrap();
         }
-        let fleet = router.stats();
-        assert_eq!(fleet.served, 2 * requests.len() as u64);
+        let shards = router.shard_stats();
+        let served: u64 = shards.iter().map(|s| s.served).sum();
+        let warm: u64 = shards.iter().map(|s| s.cache_hits + s.inflight_hits).sum();
+        assert_eq!(served, 2 * requests.len() as u64);
         assert!(
-            fleet.cache_hits + fleet.inflight_hits >= requests.len() as u64,
-            "warm pass should avoid index probes: {fleet:?}"
+            warm >= requests.len() as u64,
+            "warm pass should avoid index probes: {shards:?}"
         );
     }
 }

@@ -79,7 +79,7 @@ use std::path::{Path, PathBuf};
 
 use cqap_common::hash::hash_vals;
 use cqap_common::{varint, CqapError, Result, Tuple, Val, VarSet};
-use cqap_obs::{CounterId, MetricsSink, StageId, TraceStage};
+use cqap_obs::{CounterId, MetricsSink, Span, StageId, TraceStage};
 use cqap_relation::{KeyedRows, Relation, Schema};
 use cqap_yannakakis::ColumnRun;
 
@@ -987,10 +987,10 @@ impl StoredView {
         let end = self.fence_offsets.get(idx).copied().unwrap_or(self.file_bytes);
         self.sink.incr(CounterId::SegmentReads);
         self.sink.add(CounterId::SegmentBytesRead, end - start);
-        // Leaf trace event for the physical read: armed only when the
+        // Leaf trace event for the physical read: timed only when the
         // current thread serves a sampled trace, so unsampled probes skip
         // even the clock reads.
-        let read_mark = self.sink.trace_mark();
+        let mut read = self.sink.inner_span(TraceStage::SegmentRead);
         let key_arity = self.link.len();
         let arity = self.schema.arity();
         let stored_arity = self.layout.stored_arity();
@@ -1012,8 +1012,7 @@ impl StoredView {
                 .map_err(|e| io_err(&self.path, "segment read", e))
                 .map(|()| None);
             if result.is_ok() {
-                self.sink
-                    .trace_leaf(read_mark, TraceStage::SegmentRead, end - start);
+                read.lap(TraceStage::SegmentRead, end - start);
                 let mut cursor = Cursor::new(&buf[..len]);
                 // Logical (uncompressed-equivalent) bytes represented by
                 // the records this walk visits: the decoded half of the
@@ -1071,13 +1070,13 @@ impl StoredView {
     }
 
     /// Counts a probe that finds delta tuples pending in the overlay and
-    /// arms its `OverlayProbe` trace leaf; free while the overlay is clean.
-    fn overlay_mark(&self) -> Option<std::time::Instant> {
+    /// opens its `OverlayProbe` trace leaf; free while the overlay is clean.
+    fn overlay_probe(&self) -> Option<Span> {
         if self.overlay.is_empty() {
             return None;
         }
         self.sink.incr(CounterId::OverlayPendingProbes);
-        self.sink.trace_mark()
+        Some(self.sink.inner_span(TraceStage::OverlayProbe))
     }
 
     /// The one block decode of the cold tier, run with `cursor` at the
@@ -1128,7 +1127,7 @@ impl StoredView {
     /// Fails on I/O errors or if the segment bytes are malformed.
     pub fn probe_columns(&self, key: &Tuple, out: &mut ColumnRun) -> Result<()> {
         debug_assert_eq!(out.width(), self.schema.arity());
-        let overlay_mark = self.overlay_mark();
+        let overlay_probe = self.overlay_probe();
         let sources = &self.layout.sources;
         self.find_record(key, |cursor, count, key_vals, scratch| {
             // The whole block is decoded (and validated) before any
@@ -1150,8 +1149,9 @@ impl StoredView {
         if !self.overlay.added.is_empty() {
             self.overlay.added.for_each_match(key.as_slice(), |row| out.push_row(row));
         }
-        self.sink
-            .trace_leaf(overlay_mark, TraceStage::OverlayProbe, self.overlay.len() as u64);
+        if let Some(mut probe) = overlay_probe {
+            probe.lap(TraceStage::OverlayProbe, self.overlay.len() as u64);
+        }
         Ok(())
     }
 
@@ -1164,7 +1164,7 @@ impl StoredView {
     /// # Errors
     /// Fails on I/O errors or if the segment bytes are malformed.
     pub fn contains_key(&self, key: &Tuple) -> Result<bool> {
-        let overlay_mark = self.overlay_mark();
+        let overlay_probe = self.overlay_probe();
         let added = &self.overlay.added;
         let found = if !added.is_empty() && added.contains_key(key.as_slice()) {
             true
@@ -1177,8 +1177,9 @@ impl StoredView {
             })?
             .unwrap_or(false)
         };
-        self.sink
-            .trace_leaf(overlay_mark, TraceStage::OverlayProbe, self.overlay.len() as u64);
+        if let Some(mut probe) = overlay_probe {
+            probe.lap(TraceStage::OverlayProbe, self.overlay.len() as u64);
+        }
         Ok(found)
     }
 
@@ -1238,8 +1239,7 @@ impl StoredView {
         // so the tail report can flag requests whose window a compaction
         // overlapped. Payload: the overlay size being folded in.
         let pending = self.overlay.len() as u64;
-        let compact_mark = self.sink.trace_mark_background();
-        let timer = self.sink.start();
+        let mut span = self.sink.inner_span(StageId::Compaction);
         let tmp = self.path.with_extension("tmp");
         self.write_merged(&tmp)?;
         let mut fresh = validate_and_swap(&self.path, &tmp)?;
@@ -1250,9 +1250,7 @@ impl StoredView {
         fresh.sink = self.sink.clone();
         *self = fresh;
         self.sink.incr(CounterId::Compactions);
-        self.sink.stop(timer, StageId::Compaction);
-        self.sink
-            .trace_leaf(compact_mark, TraceStage::Compaction, pending);
+        span.lap(StageId::Compaction, pending);
         Ok(())
     }
 
