@@ -17,7 +17,6 @@
 //! checks.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Duration;
 
 /// Number of finite bucket boundaries.
 ///
@@ -119,13 +118,6 @@ impl LatencyHistogram {
         self.sum.fetch_add(ns, Ordering::Relaxed);
         self.min.fetch_min(ns, Ordering::Relaxed);
         self.max.fetch_max(ns, Ordering::Relaxed);
-    }
-
-    /// Records one observation of a [`Duration`], saturating at
-    /// `u64::MAX` nanoseconds (~584 years).
-    #[inline]
-    pub fn record(&self, elapsed: Duration) {
-        self.record_ns(u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX));
     }
 
     /// Takes a point-in-time copy of the histogram state.
@@ -295,16 +287,6 @@ impl HistogramSnapshot {
     pub fn quantile(&self, q: f64) -> u64 {
         let (lo, hi) = self.quantile_bounds(q);
         lo + (hi - lo) / 2
-    }
-
-    /// 99th percentile estimate, in nanoseconds.
-    pub fn p99(&self) -> u64 {
-        self.quantile(0.99)
-    }
-
-    /// 99.9th percentile estimate, in nanoseconds.
-    pub fn p999(&self) -> u64 {
-        self.quantile(0.999)
     }
 }
 

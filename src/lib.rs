@@ -19,8 +19,7 @@
 //!   [`ApplyDelta`](delta::ApplyDelta) maintenance seam.
 //! * [`obs`] — std-only observability: lock-free counters/gauges and
 //!   log-bucketed latency histograms behind a
-//!   [`MetricsSink`](obs::MetricsSink), with Prometheus-text and
-//!   bench-JSON export.
+//!   [`MetricsSink`](obs::MetricsSink), with Prometheus-text export.
 //! * [`panda`] — 2-phase disjunctive rules, the framework driver, and the
 //!   Table 1 / Figure 4 analysis entry points. The driver,
 //!   [`CqapIndex`](panda::CqapIndex), answers from resident S-views or,
