@@ -1,130 +1,56 @@
 //! The experiment runner: one sub-command per table/figure of the paper.
 //!
 //! ```sh
-//! cargo run --release -p cqap-bench --bin experiments -- <experiment> [--json] [--small]
+//! cargo run --release -p cqap-bench --bin experiments -- [<experiment>] [--small] [--json]
 //! ```
 //!
-//! Experiments:
-//!
-//! | id | paper artifact |
-//! |----|----------------|
-//! | `table1` | Table 1 — 2-phase disjunctive rules for 3-reachability |
-//! | `fig1`, `fig2`, `fig3` | PMTD inventories of Figures 1–3 |
-//! | `fig4a`, `fig4b` | analytic tradeoff curves of Figures 4a/4b |
-//! | `e8` | Example E.8 rule tradeoffs for 4-reachability |
-//! | `section6` | §6.2/6.3 edge-cover and tree-decomposition tradeoffs |
-//! | `appendix-f` | Appendix F hierarchical tradeoffs (very slow: 7-variable LP, may run for a very long time) |
-//! | `2reach` | §5 running example, empirical sweep |
-//! | `3reach`, `4reach` | Figures 4a/4b empirical sweeps (Goldstein baseline) |
-//! | `kset` | §6.1 k-set disjointness empirical sweep |
-//! | `square` | Example 5.2 empirical sweep |
-//! | `triangle` | Example E.4 empirical measurement |
-//! | `hierarchical` | Appendix F empirical sweep |
-//! | `batching` | §6.4 batching remark |
-//! | `all` | every analytic experiment plus the default empirical sweeps |
+//! The experiment defaults to `all`. `--small` runs the sweeps at
+//! [`Scale::small`], and `--json` prints one sweep's rows as JSON lines.
+//! Anything else exits 2 with the usage line, which lists the experiments.
 
-use cqap_bench::{analytic, batching_experiment, print_rows, rows_to_json, Scale, SweepRow};
+use cqap_bench::{rows_to_json, Body, Scale, EXPERIMENTS};
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let json = args.iter().any(|a| a == "--json");
-    let small = args.iter().any(|a| a == "--small");
-    let scale = if small { Scale::small() } else { Scale::default() };
-    let which = args
-        .iter()
-        .find(|a| !a.starts_with("--"))
-        .cloned()
-        .unwrap_or_else(|| "all".to_string());
-
-    let emit = |title: &str, rows: Vec<SweepRow>| {
-        if json {
-            println!("{}", rows_to_json(&rows));
-        } else {
-            print_rows(title, &rows);
-        }
-    };
-
-    match which.as_str() {
-        "table1" => analytic::table1(),
-        "fig1" => analytic::figure1(),
-        "fig2" => analytic::figure2(),
-        "fig3" => analytic::figure3(),
-        "fig4a" => analytic::figure4(3),
-        "fig4b" => analytic::figure4(4),
-        "e8" => analytic::example_e8(),
-        "section6" => analytic::section6_examples(),
-        "appendix-f" => analytic::appendix_f(),
-        "2reach" => emit(
-            "§5 running example: 2-reachability sweep",
-            cqap_bench::sweep_2reach(scale),
-        ),
-        "3reach" => emit(
-            "Figure 4a (empirical): 3-reachability sweep",
-            cqap_bench::sweep_kreach(3, scale),
-        ),
-        "4reach" => emit(
-            "Figure 4b (empirical): 4-reachability sweep",
-            cqap_bench::sweep_kreach(4, scale),
-        ),
-        "kset" => emit(
-            "§6.1: k-set disjointness sweep",
-            cqap_bench::sweep_kset(scale),
-        ),
-        "square" => emit(
-            "Example 5.2: square query sweep",
-            cqap_bench::sweep_square(scale),
-        ),
-        "triangle" => emit(
-            "Example E.4: triangle edge detection",
-            cqap_bench::sweep_triangle(scale),
-        ),
-        "hierarchical" => emit(
-            "Appendix F: hierarchical CQAP sweep",
-            cqap_bench::sweep_hierarchical(scale),
-        ),
-        "batching" => emit("§6.4 batching remark", batching_experiment(scale)),
-        "all" => {
-            analytic::figure1();
-            analytic::figure2();
-            analytic::figure3();
-            analytic::table1();
-            analytic::figure4(3);
-            analytic::figure4(4);
-            analytic::example_e8();
-            analytic::section6_examples();
-            emit(
-                "§5 running example: 2-reachability sweep",
-                cqap_bench::sweep_2reach(scale),
-            );
-            emit(
-                "Figure 4a (empirical): 3-reachability sweep",
-                cqap_bench::sweep_kreach(3, scale),
-            );
-            emit(
-                "Figure 4b (empirical): 4-reachability sweep",
-                cqap_bench::sweep_kreach(4, scale),
-            );
-            emit(
-                "§6.1: k-set disjointness sweep",
-                cqap_bench::sweep_kset(scale),
-            );
-            emit(
-                "Example 5.2: square query sweep",
-                cqap_bench::sweep_square(scale),
-            );
-            emit(
-                "Example E.4: triangle edge detection",
-                cqap_bench::sweep_triangle(scale),
-            );
-            emit(
-                "Appendix F: hierarchical CQAP sweep",
-                cqap_bench::sweep_hierarchical(scale),
-            );
-            emit("§6.4 batching remark", batching_experiment(scale));
-        }
-        other => {
-            eprintln!("unknown experiment `{other}`; see the module docs for the list");
-            std::process::exit(2);
+    let (mut name, mut small, mut json) = (None, false, false);
+    for arg in std::env::args().skip(1) {
+        match arg.as_str() {
+            "--small" => small = true,
+            "--json" => json = true,
+            _ if name.is_none() => name = Some(arg),
+            _ => usage(),
         }
     }
+    let name = name.unwrap_or_else(|| "all".to_string());
+    let scale = small.then(Scale::small).unwrap_or_default();
+    if json {
+        // `all` is no entry, so it has no rows to print either.
+        let Some(Body::Sweep(sweep)) = EXPERIMENTS.iter().find(|e| e.name == name).map(|e| &e.body)
+        else {
+            usage()
+        };
+        println!("{}", rows_to_json(&sweep(scale)));
+        return;
+    }
+    let all = name == "all";
+    let chosen: Vec<_> = EXPERIMENTS
+        .iter()
+        .filter(|e| if all { e.in_all } else { e.name == name })
+        .collect();
+    if chosen.is_empty() {
+        usage()
+    }
+    for e in chosen {
+        print!("{}", e.section(scale));
+    }
+}
+
+/// Prints the usage line and the experiments, then exits 2.
+fn usage() -> ! {
+    eprintln!("usage: experiments [<experiment>] [--small] [--json (a sweep only)]");
+    for e in EXPERIMENTS {
+        let note = if e.in_all { "" } else { " (not in `all`)" };
+        eprintln!("  {:<13} {}{note}", e.name, e.title);
+    }
+    eprintln!("  all           every experiment above not marked otherwise (the default)");
+    std::process::exit(2)
 }

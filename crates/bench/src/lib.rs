@@ -6,7 +6,9 @@
 //! It is the one harness that measures the paper's structures: every
 //! empirical row carries space, online work and wall-clock time.
 //!
-//! Two kinds of experiments:
+//! [`EXPERIMENTS`] lists them, each once: the `experiments` binary, its
+//! `all`, its usage line and the golden test (`tests/golden.rs`) read it.
+//! An entry's [`Body`] is one of two kinds:
 //!
 //! * **analytic** — regenerate the paper's tables/figures exactly (rational
 //!   LP): Table 1, the PMTD inventories of Figures 1–3, the tradeoff curves
@@ -19,14 +21,19 @@
 //!   what the paper's tradeoffs predict.
 
 use cqap_common::{work, FxHashMap, FxHashSet, Val};
+use cqap_indexes::hierarchical::HierarchicalInstance;
+use cqap_indexes::kreach::Adjacency;
 use cqap_indexes::{
     BfsBaseline, FullReachMaterialization, HierarchicalIndex, KReachGoldstein,
     SetDisjointnessIndex, SquareIndex, TriangleIndex, TwoReachIndex,
 };
 use cqap_query::workload::{graph_pair_requests, set_tuple_requests, Graph, SetFamily};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use std::time::Instant;
 
-pub mod analytic;
+mod analytic;
+use Body::{Analytic, Sweep};
 
 /// One measured row of an empirical sweep.
 #[derive(Clone, Debug)]
@@ -45,16 +52,145 @@ pub struct SweepRow {
     pub positive_rate: f64,
 }
 
-/// Prints a slice of sweep rows as an aligned table.
-pub fn print_rows(title: &str, rows: &[SweepRow]) {
-    println!("\n== {title} ==");
-    println!(
-        "{:<34} {:>12} {:>12} {:>14} {:>14} {:>10}",
+/// What an experiment computes.
+pub enum Body {
+    /// An empirical sweep: measured rows at a [`Scale`].
+    Sweep(fn(Scale) -> Vec<SweepRow>),
+    /// An analytic result, exact: the text below the section title.
+    Analytic(fn() -> String),
+}
+
+/// One table or figure of the paper's evaluation, as `experiments` runs it.
+pub struct Experiment {
+    /// The `experiments` sub-command.
+    pub name: &'static str,
+    /// The paper artifact, printed as the section title.
+    pub title: &'static str,
+    /// Whether `experiments all` runs it.
+    pub in_all: bool,
+    /// What it computes.
+    pub body: Body,
+}
+
+/// An entry that `experiments all` runs.
+const fn entry(name: &'static str, title: &'static str, body: Body) -> Experiment {
+    Experiment {
+        name,
+        title,
+        in_all: true,
+        body,
+    }
+}
+
+/// Every experiment, in the order `experiments all` prints them.
+pub const EXPERIMENTS: &[Experiment] = &[
+    entry(
+        "fig1",
+        "Figure 1: PMTDs for the 3-reachability CQAP",
+        Analytic(analytic::figure1),
+    ),
+    entry(
+        "fig2",
+        "Figure 2: PMTDs for the square CQAP",
+        Analytic(analytic::figure2),
+    ),
+    entry(
+        "fig3",
+        "Figure 3: all PMTDs for the 3-reachability CQAP",
+        Analytic(analytic::figure3),
+    ),
+    entry(
+        "table1",
+        "Table 1: 2-phase disjunctive rules for 3-reachability",
+        Analytic(analytic::table1),
+    ),
+    entry(
+        "fig4a",
+        "Figure 4a: 3-reachability tradeoff (|Q_A| = 1)",
+        Analytic(|| analytic::figure4(3)),
+    ),
+    entry(
+        "fig4b",
+        "Figure 4b: 4-reachability tradeoff (|Q_A| = 1)",
+        Analytic(|| analytic::figure4(4)),
+    ),
+    entry(
+        "e8",
+        "Example E.8: 4-reachability rules",
+        Analytic(analytic::example_e8),
+    ),
+    entry(
+        "section6",
+        "Section 6.2/6.3 tradeoffs",
+        Analytic(analytic::section6_examples),
+    ),
+    Experiment {
+        in_all: false,
+        ..entry(
+            "appendix-f",
+            "Appendix F: Boolean hierarchical CQAP",
+            Analytic(analytic::appendix_f),
+        )
+    },
+    entry(
+        "2reach",
+        "§5 running example: 2-reachability sweep",
+        Sweep(sweep_2reach),
+    ),
+    entry(
+        "3reach",
+        "Figure 4a (empirical): 3-reachability sweep",
+        Sweep(|s| sweep_kreach(3, s)),
+    ),
+    entry(
+        "4reach",
+        "Figure 4b (empirical): 4-reachability sweep",
+        Sweep(|s| sweep_kreach(4, s)),
+    ),
+    entry("kset", "§6.1: k-set disjointness sweep", Sweep(sweep_kset)),
+    entry(
+        "square",
+        "Example 5.2: square query sweep",
+        Sweep(sweep_square),
+    ),
+    entry(
+        "triangle",
+        "Example E.4: triangle edge detection",
+        Sweep(sweep_triangle),
+    ),
+    entry(
+        "hierarchical",
+        "Appendix F: hierarchical CQAP sweep",
+        Sweep(sweep_hierarchical),
+    ),
+    entry(
+        "batching",
+        "§6.4 batching remark",
+        Sweep(batching_experiment),
+    ),
+];
+
+impl Experiment {
+    /// The text `experiments <name>` prints: the title, then the analytic
+    /// text or the measured rows as an aligned table.
+    pub fn section(&self, scale: Scale) -> String {
+        let body = match self.body {
+            Sweep(sweep) => table(&sweep(scale)),
+            Analytic(render) => render(),
+        };
+        format!("\n== {} ==\n{body}", self.title)
+    }
+}
+
+/// Sweep rows as an aligned table.
+fn table(rows: &[SweepRow]) -> String {
+    let mut out = format!(
+        "{:<34} {:>12} {:>12} {:>14} {:>14} {:>10}\n",
         "configuration", "budget", "space", "avg work", "avg ns/query", "positive"
     );
     for r in rows {
-        println!(
-            "{:<34} {:>12} {:>12} {:>14.1} {:>14.1} {:>9.1}%",
+        out += &format!(
+            "{:<34} {:>12} {:>12} {:>14.1} {:>14.1} {:>9.1}%\n",
             r.config,
             r.budget.map_or_else(|| "-".to_string(), |b| b.to_string()),
             r.space_used,
@@ -63,6 +199,7 @@ pub fn print_rows(title: &str, rows: &[SweepRow]) {
             100.0 * r.positive_rate
         );
     }
+    out
 }
 
 /// Serializes rows as JSON lines (for downstream plotting). The format is
@@ -85,33 +222,27 @@ pub fn rows_to_json(rows: &[SweepRow]) -> String {
         .join("\n")
 }
 
-/// Answers every request once, reading the clock and
-/// [`work::total`] around the whole loop: the one place a row's
-/// `avg_time_ns` and `avg_work` come from.
+/// Answers every request once, reading the clock and [`work::total`]
+/// around the whole loop: the one place a row's `avg_time_ns` and
+/// `avg_work` come from. `head` is the row's `(config, budget, space_used)`.
 fn measure<R>(
-    config: String,
-    budget: Option<usize>,
-    space_used: usize,
+    head: (String, Option<usize>, usize),
     requests: &[R],
     mut query: impl FnMut(&R) -> bool,
 ) -> SweepRow {
+    let (config, budget, space_used) = head;
     let start_work = work::total();
     let start = Instant::now();
-    let mut positives = 0usize;
-    for req in requests {
-        if query(req) {
-            positives += 1;
-        }
-    }
+    let positives = requests.iter().filter(|r| query(r)).count();
     let elapsed = start.elapsed().as_nanos() as f64;
-    let total_work = work::total() - start_work;
+    let per_request = |x: f64| x / requests.len().max(1) as f64;
     SweepRow {
         config,
         budget,
         space_used,
-        avg_work: total_work as f64 / requests.len().max(1) as f64,
-        avg_time_ns: elapsed / requests.len().max(1) as f64,
-        positive_rate: positives as f64 / requests.len().max(1) as f64,
+        avg_work: per_request((work::total() - start_work) as f64),
+        avg_time_ns: per_request(elapsed),
+        positive_rate: per_request(positives as f64),
     }
 }
 
@@ -155,63 +286,37 @@ impl Scale {
 
 /// §5 running example: the 2-reachability heavy/light index vs. the
 /// baselines, swept over the space budget.
-pub fn sweep_2reach(scale: Scale) -> Vec<SweepRow> {
+fn sweep_2reach(scale: Scale) -> Vec<SweepRow> {
     let graph = Graph::skewed(scale.edges / 5, scale.edges, 20, 500, 7);
     let requests = graph_pair_requests(&graph, scale.requests, 11);
-    let n = graph.len();
-    let mut rows = Vec::new();
-
     let bfs = BfsBaseline::build(&graph, 2);
-    rows.push(measure(
-        "bfs-from-scratch (S=0)".into(),
-        None,
-        bfs.space_used(),
-        &requests,
-        |&(u, v)| bfs.query(u, v),
-    ));
-    for (exp, budget) in budget_grid(n) {
+    let head = ("bfs-from-scratch (S=0)".into(), None, bfs.space_used());
+    let mut rows = vec![measure(head, &requests, |&(u, v)| bfs.query(u, v))];
+    for (exp, budget) in budget_grid(graph.len()) {
         let idx = TwoReachIndex::build(&graph, budget);
-        rows.push(measure(
-            format!("two-reach S=|E|^{exp:.2}"),
-            Some(budget),
-            idx.space_used(),
-            &requests,
-            |&(u, v)| idx.query(u, v),
-        ));
+        let label = format!("two-reach S=|E|^{exp:.2}");
+        let head = (label, Some(budget), idx.space_used());
+        rows.push(measure(head, &requests, |&(u, v)| idx.query(u, v)));
     }
     let full = FullReachMaterialization::build(&graph, 2);
-    rows.push(measure(
-        "full materialization".into(),
-        None,
-        full.space_used(),
-        &requests,
-        |&(u, v)| full.query(u, v),
-    ));
+    let head = ("full materialization".into(), None, full.space_used());
+    rows.push(measure(head, &requests, |&(u, v)| full.query(u, v)));
     rows
 }
 
 /// Figures 4a/4b (empirical side): the Goldstein-et-al. k-reachability
 /// structure swept over the budget, vs. BFS and full materialization.
-pub fn sweep_kreach(k: usize, scale: Scale) -> Vec<SweepRow> {
+fn sweep_kreach(k: usize, scale: Scale) -> Vec<SweepRow> {
     let graph = Graph::skewed(scale.edges / 5, scale.edges, 15, 400, 13 + k as u64);
     let requests = graph_pair_requests(&graph, scale.requests, 17);
-    let n = graph.len();
-    let mut rows = Vec::new();
-
     let bfs = BfsBaseline::build(&graph, k);
-    rows.push(measure(
-        format!("{k}-reach bfs (S=0)"),
-        None,
-        bfs.space_used(),
-        &requests,
-        |&(u, v)| bfs.query(u, v),
-    ));
+    let head = (format!("{k}-reach bfs (S=0)"), None, bfs.space_used());
+    let mut rows = vec![measure(head, &requests, |&(u, v)| bfs.query(u, v))];
     // Parallel build of the budgeted structures (the builds dominate).
-    let grid = budget_grid(n);
     let indexes: Vec<(f64, usize, KReachGoldstein)> = std::thread::scope(|s| {
-        let handles: Vec<_> = grid
-            .iter()
-            .map(|&(exp, budget)| {
+        let handles: Vec<_> = budget_grid(graph.len())
+            .into_iter()
+            .map(|(exp, budget)| {
                 let graph = &graph;
                 s.spawn(move || (exp, budget, KReachGoldstein::build(graph, k, budget)))
             })
@@ -219,166 +324,111 @@ pub fn sweep_kreach(k: usize, scale: Scale) -> Vec<SweepRow> {
         handles.into_iter().map(|h| h.join().unwrap()).collect()
     });
     for (exp, budget, idx) in &indexes {
-        rows.push(measure(
-            format!("{k}-reach goldstein S=|E|^{exp:.2}"),
-            Some(*budget),
-            idx.space_used(),
-            &requests,
-            |&(u, v)| idx.query(u, v),
-        ));
+        let label = format!("{k}-reach goldstein S=|E|^{exp:.2}");
+        let head = (label, Some(*budget), idx.space_used());
+        rows.push(measure(head, &requests, |&(u, v)| idx.query(u, v)));
     }
     let full = FullReachMaterialization::build(&graph, k);
-    rows.push(measure(
-        format!("{k}-reach full materialization"),
-        None,
-        full.space_used(),
-        &requests,
-        |&(u, v)| full.query(u, v),
-    ));
+    let label = format!("{k}-reach full materialization");
+    let head = (label, None, full.space_used());
+    rows.push(measure(head, &requests, |&(u, v)| full.query(u, v)));
     rows
 }
 
 /// §6.1 / Example 6.2: k-set disjointness swept over the budget.
-pub fn sweep_kset(scale: Scale) -> Vec<SweepRow> {
+fn sweep_kset(scale: Scale) -> Vec<SweepRow> {
     let family = SetFamily::zipf(scale.edges / 20, scale.edges * 5, scale.edges / 2, 1.0, 5);
-    let n = family.len();
     let requests: Vec<(Val, Val)> = set_tuple_requests(&family, 2, scale.requests, 3)
         .into_iter()
         .map(|t| (t.get(0), t.get(1)))
         .collect();
-    let mut rows = Vec::new();
-    for (exp, budget) in budget_grid(n) {
+    let grid = budget_grid(family.len()).into_iter();
+    grid.map(|(exp, budget)| {
         let idx = SetDisjointnessIndex::build(&family, budget);
-        rows.push(measure(
-            format!("set-disjointness S=N^{exp:.2}"),
-            Some(budget),
-            idx.space_used(),
-            &requests,
-            |&(a, b)| idx.intersects(a, b),
-        ));
-    }
-    rows
+        let label = format!("set-disjointness S=N^{exp:.2}");
+        let head = (label, Some(budget), idx.space_used());
+        measure(head, &requests, |&(a, b)| idx.intersects(a, b))
+    })
+    .collect()
 }
 
 /// Example 5.2 / E.5: the square CQAP swept over the budget.
-pub fn sweep_square(scale: Scale) -> Vec<SweepRow> {
+fn sweep_square(scale: Scale) -> Vec<SweepRow> {
     let graph = Graph::skewed(scale.edges / 5, scale.edges, 20, 400, 23);
     let requests = graph_pair_requests(&graph, scale.requests, 29);
-    let n = graph.len();
-    let mut rows = Vec::new();
-    for (exp, budget) in budget_grid(n) {
+    let grid = budget_grid(graph.len()).into_iter();
+    grid.map(|(exp, budget)| {
         let idx = SquareIndex::build(&graph, budget);
-        rows.push(measure(
-            format!("square S=|E|^{exp:.2}"),
-            Some(budget),
-            idx.space_used(),
-            &requests,
-            |&(a, c)| idx.query(a, c),
-        ));
-    }
-    rows
+        let label = format!("square S=|E|^{exp:.2}");
+        let head = (label, Some(budget), idx.space_used());
+        measure(head, &requests, |&(a, c)| idx.query(a, c))
+    })
+    .collect()
 }
 
 /// Example E.4: the triangle index (linear space, constant time).
-pub fn sweep_triangle(scale: Scale) -> Vec<SweepRow> {
+fn sweep_triangle(scale: Scale) -> Vec<SweepRow> {
     let graph = Graph::random(scale.edges / 10, scale.edges, 31);
     let idx = TriangleIndex::build(&graph);
-    let requests: Vec<(Val, Val)> = graph
-        .edges
-        .iter()
-        .take(scale.requests)
-        .map(|&(u, v)| (u, v))
-        .collect();
-    vec![measure(
-        "triangle edge-detection".into(),
-        None,
-        idx.space_used(),
-        &requests,
-        |&(u, v)| idx.edge_in_triangle(u, v),
-    )]
+    let requests: Vec<(Val, Val)> = graph.edges.iter().take(scale.requests).copied().collect();
+    let head = ("triangle edge-detection".into(), None, idx.space_used());
+    let row = measure(head, &requests, |&(u, v)| idx.edge_in_triangle(u, v));
+    vec![row]
 }
 
 /// Appendix F: the hierarchical CQAP swept over the root-degree threshold.
-pub fn sweep_hierarchical(scale: Scale) -> Vec<SweepRow> {
+fn sweep_hierarchical(scale: Scale) -> Vec<SweepRow> {
     let roots = (scale.edges / 40).max(20);
-    let inst = cqap_indexes::hierarchical::HierarchicalInstance::generate(
-        roots,
-        (roots / 20).max(2),
-        120,
-        6,
-        64,
-        37,
-    );
-    use rand::rngs::StdRng;
-    use rand::{Rng, SeedableRng};
+    let inst = HierarchicalInstance::generate(roots, (roots / 20).max(2), 120, 6, 64, 37);
     let mut rng = StdRng::seed_from_u64(41);
-    let requests: Vec<(Val, Val, Val, Val)> = (0..scale.requests)
-        .map(|_| {
-            (
-                rng.random_range(0..64) as Val,
-                rng.random_range(0..64) as Val,
-                rng.random_range(0..64) as Val,
-                rng.random_range(0..64) as Val,
-            )
-        })
-        .collect();
+    let mut z = || rng.random_range(0..64) as Val;
+    let requests: Vec<_> = (0..scale.requests).map(|_| (z(), z(), z(), z())).collect();
     [1usize, 2, 4, 8, 16, 64, 1 << 20]
         .into_iter()
         .map(|threshold| {
             let idx = HierarchicalIndex::build_with_threshold(&inst, threshold);
-            measure(
-                format!("hierarchical Δ={threshold}"),
-                None,
-                idx.space_used(),
-                &requests,
-                |&(z1, z2, z3, z4)| idx.query(z1, z2, z3, z4),
-            )
+            let label = format!("hierarchical Δ={threshold}");
+            let head = (label, None, idx.space_used());
+            measure(head, &requests, |&(z1, z2, z3, z4)| {
+                idx.query(z1, z2, z3, z4)
+            })
         })
         .collect()
 }
 
 /// §6.4 batching remark: answering `|D|` single-tuple requests one by one
 /// versus batching them into one query answered from scratch.
-pub fn batching_experiment(scale: Scale) -> Vec<SweepRow> {
+fn batching_experiment(scale: Scale) -> Vec<SweepRow> {
     let graph = Graph::skewed(scale.edges / 5, scale.edges, 15, 300, 43);
     let n = graph.len();
     let requests = graph_pair_requests(&graph, n.min(scale.requests * 4), 47);
 
     // One-by-one with the budget-S Goldstein structure at S = |E|.
     let idx = KReachGoldstein::build(&graph, 3, n);
-    let one_by_one = measure(
-        "one-by-one (S=|E|)".into(),
-        Some(n),
-        idx.space_used(),
-        &requests,
-        |&(u, v)| idx.query(u, v),
-    );
+    let head = ("one-by-one (S=|E|)".into(), Some(n), idx.space_used());
+    let one_by_one = measure(head, &requests, |&(u, v)| idx.query(u, v));
 
     // Batched: a single pass that joins the request set with the path
     // levels (semi-naive evaluation restricted to the requested sources),
     // run by the first request inside the same window. Work is counted as
     // `BfsBaseline` counts it: a scan per successor walked, a probe per
     // request's final membership test.
-    let adj = cqap_indexes::kreach::Adjacency::new(&graph);
+    let adj = Adjacency::new(&graph);
     let mut reach = None;
-    let batched = measure(
-        format!("batched ({} requests at once)", requests.len()),
-        Some(n),
-        0,
-        &requests,
-        |&(u, v)| {
-            let reach = reach.get_or_insert_with(|| batched_reach(&adj, &requests, 3));
-            work::add(1, 0);
-            reach.get(&u).is_some_and(|r| r.contains(&v))
-        },
-    );
+    let label = format!("batched ({} requests at once)", requests.len());
+    let head = (label, Some(n), 0);
+    let batched = measure(head, &requests, |&(u, v)| {
+        let reach = reach.get_or_insert_with(|| batched_reach(&adj, &requests, 3));
+        work::add(1, 0);
+        reach.get(&u).is_some_and(|r| r.contains(&v))
+    });
     vec![one_by_one, batched]
 }
 
 /// The vertices `k` steps from each request's source, found in one
 /// level-by-level pass over all sources at once.
 fn batched_reach(
-    adj: &cqap_indexes::kreach::Adjacency,
+    adj: &Adjacency,
     requests: &[(Val, Val)],
     k: usize,
 ) -> FxHashMap<Val, FxHashSet<Val>> {
