@@ -16,7 +16,8 @@
 //! * [`joint`] — joint Shannon-flow inequalities (Definition D.4) and their
 //!   LP-based validity check.
 //! * [`tradeoff`] — the heart of the reproduction: given a 2-phase
-//!   disjunctive rule's target sets and the degree-constraint statistics, it
+//!   disjunctive rule's target sets and the degree-constraint statistics
+//!   ([`Stats`]: the paper's uniform setting, or measured from a database), it
 //!   computes the intrinsic space-time tradeoff — both as an exact
 //!   `OBJ(S)` sweep (the curves of Figure 4) and as a validity check for the
 //!   symbolic `S^w · T^v ≾ |D|^c · |Q|^d` tradeoffs the paper tabulates

@@ -261,8 +261,8 @@ impl Tableau {
         loop {
             iterations += 1;
             let reduced = self.reduced_costs(objective);
-            let candidates =
-                (0..forbidden_from.min(self.num_cols)).filter(|&c| reduced[c].is_positive() && !self.in_basis(c));
+            let candidates = (0..forbidden_from.min(self.num_cols))
+                .filter(|&c| reduced[c].is_positive() && !self.in_basis(c));
             let entering = if iterations > bland_after {
                 // Bland's rule: smallest index.
                 candidates.min()
@@ -364,7 +364,11 @@ mod tests {
         let mut lp = Lp::new(2);
         lp.set_objective(0, Rat::int(3));
         lp.set_objective(1, Rat::int(2));
-        lp.add_constraint(vec![(0, Rat::ONE), (1, Rat::ONE)], Relation::Le, Rat::int(4));
+        lp.add_constraint(
+            vec![(0, Rat::ONE), (1, Rat::ONE)],
+            Relation::Le,
+            Rat::int(4),
+        );
         lp.add_constraint(vec![(0, Rat::ONE)], Relation::Le, Rat::int(2));
         match lp.solve() {
             LpOutcome::Optimal { value, solution } => {
@@ -418,7 +422,11 @@ mod tests {
         let mut lp = Lp::new(2);
         lp.set_objective(0, Rat::ONE);
         lp.set_objective(1, Rat::ONE);
-        lp.add_constraint(vec![(0, Rat::ONE), (1, Rat::ONE)], Relation::Eq, Rat::int(3));
+        lp.add_constraint(
+            vec![(0, Rat::ONE), (1, Rat::ONE)],
+            Relation::Eq,
+            Rat::int(3),
+        );
         lp.add_constraint(vec![(0, Rat::ONE)], Relation::Le, Rat::ONE);
         assert_eq!(lp.solve().value(), Some(Rat::int(3)));
     }
@@ -459,7 +467,11 @@ mod tests {
         // (x + x) ≤ 3 → x ≤ 3/2.
         let mut lp = Lp::new(1);
         lp.set_objective(0, Rat::ONE);
-        lp.add_constraint(vec![(0, Rat::ONE), (0, Rat::ONE)], Relation::Le, Rat::int(3));
+        lp.add_constraint(
+            vec![(0, Rat::ONE), (0, Rat::ONE)],
+            Relation::Le,
+            Rat::int(3),
+        );
         assert_eq!(lp.solve().value(), Some(rat(3, 2)));
     }
 

@@ -50,7 +50,13 @@ impl PolyVars {
     }
 
     /// Appends `coeff · h(of | on) = coeff · (h(of ∪ on) − h(on))`.
-    pub(crate) fn push_conditional(&self, row: &mut Vec<(usize, Rat)>, coeff: Rat, of: VarSet, on: VarSet) {
+    pub(crate) fn push_conditional(
+        &self,
+        row: &mut Vec<(usize, Rat)>,
+        coeff: Rat,
+        of: VarSet,
+        on: VarSet,
+    ) {
         self.push(row, coeff, of.union(on));
         self.push(row, -coeff, on);
     }

@@ -20,11 +20,20 @@
 //! the degree constraints `DC` (both phases), the access constraints `AC`
 //! (online phase only), and the split constraints `SC` that couple the two
 //! phases (Definition C.2).
+//!
+//! [`Stats`] is the one degree-constraint type, with two constructors:
+//! [`Stats::uniform_for_cqap`] is the paper's setting (every atom `|D|`, no
+//! degree constraint), and [`Stats::measured`] prices a concrete database
+//! (every atom's measured degrees `N_{Y|X}`). A measured bound is the
+//! exponent `log_{|D|} N` with `|D|` the largest relation's size, rounded
+//! *up* to a multiple of 1/64, so it stays a true upper bound and the LP
+//! stays exact-rational.
 
 use crate::lp::{Lp, LpOutcome, Relation};
 use crate::polycone::PolyVars;
-use cqap_common::{Rat, VarSet};
+use cqap_common::{CqapError, Rat, Result, VarSet};
 use cqap_query::Cqap;
+use cqap_relation::Database;
 use std::fmt;
 
 /// The shape of a 2-phase disjunctive rule: the schemas of its S-targets
@@ -77,14 +86,6 @@ pub struct LogSize {
 }
 
 impl LogSize {
-    /// `log|D|` (the size of one input relation).
-    pub(crate) fn db() -> Self {
-        LogSize {
-            d: Rat::ONE,
-            q: Rat::ZERO,
-        }
-    }
-
     /// `log|Q_A|` (the size of the access request).
     pub(crate) fn access() -> Self {
         LogSize {
@@ -113,6 +114,9 @@ pub struct StatConstraint {
 /// Symbolic input statistics: the degree constraints `DC` guarded by the
 /// database and `AC` guarded by the access request, with bounds expressed
 /// in units of `log|D|` and `log|Q_A|`.
+///
+/// `DC` holds at most one constraint per `(X, Y)` pair, the smallest bound
+/// (the paper's *best constraint assumption*).
 #[derive(Clone, Debug, Default)]
 pub struct Stats {
     /// Number of query variables.
@@ -123,22 +127,64 @@ pub struct Stats {
     pub ac: Vec<StatConstraint>,
 }
 
+/// The denominator measured exponents are rounded up to: a measured bound
+/// `N` becomes `|D|^{k/64}`.
+const EXPONENT_DENOM: i128 = 64;
+
 impl Stats {
     /// The "uniform" statistics used throughout the paper's examples: every
     /// atom's variable set gets the cardinality bound `|D|`, and the access
     /// pattern gets the cardinality bound `|Q_A|`.
     pub fn uniform_for_cqap(cqap: &Cqap) -> Stats {
-        let mut dc: Vec<StatConstraint> = Vec::new();
+        let mut stats = Stats::for_access(cqap);
         for edge in cqap.hypergraph().edges() {
-            if dc.iter().any(|c| c.of == *edge && c.on.is_empty()) {
-                continue;
-            }
-            dc.push(StatConstraint {
-                on: VarSet::EMPTY,
-                of: *edge,
-                size: LogSize::db(),
-            });
+            stats.add_dc(VarSet::EMPTY, *edge, Rat::ONE);
         }
+        stats
+    }
+
+    /// The statistics of a concrete database: for every atom `F` and every
+    /// `X ⊂ Y ⊆ vars(F)`, the measured maximum degree `N_{Y|X}` of the
+    /// atom's stored relation, as the exponent `log_{|D|} N_{Y|X}` rounded
+    /// up to a multiple of 1/64, with `|D|` = [`Database::size`]. The access
+    /// pattern gets `|Q_A|`, as in [`Stats::uniform_for_cqap`].
+    ///
+    /// # Errors
+    /// Returns an error if an atom's relation is missing from `db` or has a
+    /// different arity than the atom.
+    pub fn measured(cqap: &Cqap, db: &Database) -> Result<Stats> {
+        let mut stats = Stats::for_access(cqap);
+        let size = db.size();
+        for atom in cqap.cq().atoms() {
+            let rel = db.relation_or_err(&atom.relation)?;
+            let columns = rel.schema().vars();
+            if columns.len() != atom.arity() {
+                return Err(CqapError::SchemaMismatch {
+                    expected: format!("arity {}", atom.arity()),
+                    found: format!("arity {}", columns.len()),
+                });
+            }
+            // The stored columns holding the atom variables in `s`.
+            let stored = |s: VarSet| -> VarSet {
+                atom.vars
+                    .iter()
+                    .zip(columns)
+                    .filter(|(v, _)| s.contains(**v))
+                    .map(|(_, &c)| c)
+                    .collect()
+            };
+            for y in atom.varset().subsets().filter(|y| !y.is_empty()) {
+                for x in y.subsets().filter(|&x| x != y) {
+                    let degree = rel.max_degree(stored(x), stored(y))?;
+                    stats.add_dc(x, y, size_exponent(degree, size));
+                }
+            }
+        }
+        Ok(stats)
+    }
+
+    /// Statistics with the access constraint `|Q_A|` and no `DC` yet.
+    fn for_access(cqap: &Cqap) -> Stats {
         let ac = if cqap.access().is_empty() {
             Vec::new()
         } else {
@@ -150,14 +196,22 @@ impl Stats {
         };
         Stats {
             num_vars: cqap.num_vars(),
-            dc,
+            dc: Vec::new(),
             ac,
         }
     }
 
-    /// Adds an extra degree constraint guarded by the database.
-    pub fn add_dc(&mut self, on: VarSet, of: VarSet, size: LogSize) {
-        self.dc.push(StatConstraint { on, of, size });
+    /// Adds the degree constraint `N_{of|on} ≤ |D|^d` guarded by the
+    /// database, keeping the smaller bound if the pair is already present.
+    fn add_dc(&mut self, on: VarSet, of: VarSet, d: Rat) {
+        match self.dc.iter_mut().find(|c| c.on == on && c.of == of) {
+            Some(c) => c.size.d = c.size.d.min(d),
+            None => self.dc.push(StatConstraint {
+                on,
+                of,
+                size: LogSize { d, q: Rat::ZERO },
+            }),
+        }
     }
 
     /// The split constraints `SC` spanned by the cardinality constraints of
@@ -180,6 +234,17 @@ impl Stats {
         }
         out
     }
+}
+
+/// `log_{|D|} n` rounded up to a multiple of `1/EXPONENT_DENOM`: the
+/// smallest `k/64` with `|D|^{k/64} ≥ n`, clamped to `[0, 1]` (sound
+/// because `n ≤ |D|`). `n ≤ 1` or `|D| ≤ 1` gives 0.
+fn size_exponent(n: usize, db_size: usize) -> Rat {
+    if n <= 1 || db_size <= 1 {
+        return Rat::ZERO;
+    }
+    let k = (EXPONENT_DENOM as f64 * (n as f64).ln() / (db_size as f64).ln()).ceil();
+    Rat::new((k as i128).clamp(0, EXPONENT_DENOM), EXPONENT_DENOM)
 }
 
 /// A claimed symbolic tradeoff `S^{s_exp} · T^{t_exp} ≾ |D|^{d_exp} ·
@@ -344,13 +409,11 @@ fn base_lp(
 /// S-target for every input (the LP of (12) is infeasible), and `None` when
 /// the online time is unbounded under the given statistics (which indicates
 /// missing constraints rather than a meaningful tradeoff).
-pub fn time_exponent_at(
-    rule: &RuleShape,
-    stats: &Stats,
-    sigma: Rat,
-    log_q: Rat,
-) -> Option<Rat> {
-    assert_eq!(rule.num_vars, stats.num_vars, "rule/stats variable mismatch");
+pub fn time_exponent_at(rule: &RuleShape, stats: &Stats, sigma: Rat, log_q: Rat) -> Option<Rat> {
+    assert_eq!(
+        rule.num_vars, stats.num_vars,
+        "rule/stats variable mismatch"
+    );
     if rule.t_targets.is_empty() {
         return Some(Rat::ZERO);
     }
@@ -386,7 +449,10 @@ pub fn time_exponent_at(
 /// over the coupled polymatroid cone with `log|D| = 1` and `log|Q_A|` a free
 /// non-negative variable; the claim holds iff the optimum is at most `c`.
 pub fn verify_tradeoff(rule: &RuleShape, stats: &Stats, claim: &SymbolicTradeoff) -> bool {
-    assert_eq!(rule.num_vars, stats.num_vars, "rule/stats variable mismatch");
+    assert_eq!(
+        rule.num_vars, stats.num_vars,
+        "rule/stats variable mismatch"
+    );
     let n = stats.num_vars;
     let block = PolyVars::block_len(n);
     let tmin = 2 * block;
@@ -420,12 +486,7 @@ pub fn verify_tradeoff(rule: &RuleShape, stats: &Stats, claim: &SymbolicTradeoff
 
 /// Whether a claimed tradeoff is *tight* in the `|D|` exponent: the claim
 /// holds, but lowering the `|D|` exponent by `epsilon` breaks it.
-pub fn is_tight(
-    rule: &RuleShape,
-    stats: &Stats,
-    claim: &SymbolicTradeoff,
-    epsilon: Rat,
-) -> bool {
+pub fn is_tight(rule: &RuleShape, stats: &Stats, claim: &SymbolicTradeoff, epsilon: Rat) -> bool {
     if !verify_tradeoff(rule, stats, claim) {
         return false;
     }
@@ -468,6 +529,7 @@ mod tests {
     use cqap_common::rat::rat;
     use cqap_common::vars;
     use cqap_query::families;
+    use cqap_relation::Relation;
 
     fn two_reach_rule_and_stats() -> (RuleShape, Stats) {
         let q = families::k_path_distinct(2);
@@ -590,11 +652,7 @@ mod tests {
         // {x1,x2,x4,x5} → {x2,x3,x4} gives S^{3/2}·T ≾ |Q|·|D|³.
         let q = families::k_path_distinct(4);
         let stats = Stats::uniform_for_cqap(&q);
-        let rule = RuleShape::new(
-            5,
-            vec![vars![1, 5], vars![2, 4]],
-            vec![vars![2, 3, 4]],
-        );
+        let rule = RuleShape::new(5, vec![vars![1, 5], vars![2, 4]], vec![vars![2, 3, 4]]);
         let claim = SymbolicTradeoff {
             s_exp: rat(3, 2),
             t_exp: Rat::ONE,
@@ -622,6 +680,86 @@ mod tests {
             time_exponent_at(&rule, &stats, Rat::ZERO, Rat::ZERO),
             Some(Rat::ZERO)
         );
+    }
+
+    /// The `DC` bound of `(on, of)`, if present.
+    fn dc_bound(stats: &Stats, on: VarSet, of: VarSet) -> Option<Rat> {
+        stats
+            .dc
+            .iter()
+            .find(|c| c.on == on && c.of == of)
+            .map(|c| c.size.d)
+    }
+
+    /// A database holding one binary relation per `(name, tuples)`, each
+    /// stored over the columns `(x1, x2)`.
+    fn binary_db(relations: &[(&str, &[(u64, u64)])]) -> Database {
+        let mut db = Database::new();
+        for (name, tuples) in relations {
+            db.add_relation(Relation::binary(
+                name.to_string(),
+                0,
+                1,
+                tuples.iter().copied(),
+            ))
+            .unwrap();
+        }
+        db
+    }
+
+    #[test]
+    fn best_constraint_assumption() {
+        let mut stats = Stats::default();
+        stats.add_dc(vars![1], vars![1, 2], Rat::ONE);
+        stats.add_dc(vars![1], vars![1, 2], rat(1, 4));
+        stats.add_dc(vars![1], vars![1, 2], rat(1, 2));
+        assert_eq!(stats.dc.len(), 1);
+        assert_eq!(dc_bound(&stats, vars![1], vars![1, 2]), Some(rat(1, 4)));
+    }
+
+    #[test]
+    fn measured_from_a_relation() {
+        // R1(x1, x2) over |D| = |R1| = 4: out-degree 3, in-degree 2.
+        let q = families::k_path_distinct(1);
+        let db = binary_db(&[("R1", &[(1, 10), (1, 11), (1, 12), (2, 10)])]);
+        let stats = Stats::measured(&q, &db).unwrap();
+        assert_eq!(stats.dc.len(), 5);
+        assert_eq!(stats.ac.len(), 1);
+        let bound = |on, of| dc_bound(&stats, on, of).unwrap();
+        // N = |D| gives exactly 1.
+        assert_eq!(bound(VarSet::EMPTY, vars![1, 2]), Rat::ONE);
+        // 64 · ln 3 / ln 4 ≈ 50.7 rounds up to 51; 2 = 4^{1/2} exactly.
+        assert_eq!(bound(vars![1], vars![1, 2]), rat(51, 64));
+        assert_eq!(bound(vars![2], vars![1, 2]), rat(1, 2));
+        assert_eq!(bound(VarSet::EMPTY, vars![1]), rat(1, 2));
+        assert_eq!(bound(VarSet::EMPTY, vars![2]), rat(51, 64));
+
+        assert_eq!(size_exponent(1, 4), Rat::ZERO);
+        assert_eq!(size_exponent(4, 4), Rat::ONE);
+        let empty = Stats::measured(&q, &binary_db(&[("R1", &[])])).unwrap();
+        assert!(empty.dc.iter().all(|c| c.size.d.is_zero()));
+
+        assert!(Stats::measured(&q, &binary_db(&[("R2", &[(1, 2)])])).is_err());
+        let mut ternary = Database::new();
+        let schema = cqap_relation::Schema::of([0, 1, 2]);
+        ternary.add_relation(Relation::new("R1", schema)).unwrap();
+        assert!(Stats::measured(&q, &ternary).is_err());
+    }
+
+    #[test]
+    fn measured_keeps_the_smallest_bound_across_atoms() {
+        // 2-reach: |π_x2| is 1 in R1(x1, x2) and 4 = |D| in R2(x2, x3),
+        // each stored over (x1, x2) and read by position.
+        let q = families::k_path_distinct(2);
+        let db = binary_db(&[
+            ("R1", &[(1, 10), (2, 10), (3, 10), (4, 10)]),
+            ("R2", &[(10, 1), (11, 1), (12, 1), (13, 1)]),
+        ]);
+        let stats = Stats::measured(&q, &db).unwrap();
+        assert_eq!(dc_bound(&stats, VarSet::EMPTY, vars![2]), Some(Rat::ZERO));
+        assert_eq!(dc_bound(&stats, VarSet::EMPTY, vars![1]), Some(Rat::ONE));
+        assert_eq!(dc_bound(&stats, VarSet::EMPTY, vars![3]), Some(Rat::ZERO));
+        assert_eq!(stats.dc.len(), 9);
     }
 
     #[test]

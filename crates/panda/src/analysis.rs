@@ -16,8 +16,7 @@ use crate::rules::{minimal_rules, TwoPhaseRule};
 use cqap_common::{CqapError, Rat, Result};
 use cqap_decomp::families as pmtd_families;
 use cqap_entropy::tradeoff::{
-    combined_curve, is_tight, time_exponent_at, verify_tradeoff, Stats, SymbolicTradeoff,
-    TradeoffCurve,
+    combined_curve, is_tight, verify_tradeoff, Stats, SymbolicTradeoff, TradeoffCurve,
 };
 use cqap_query::Cqap;
 
@@ -211,14 +210,6 @@ pub fn figure4b_curve(sigmas: &[Rat]) -> Result<TradeoffCurve> {
     let rules = minimal_rules(&pmtds);
     let shapes: Vec<_> = rules.iter().map(|r| r.shape.clone()).collect();
     Ok(combined_curve(&shapes, &stats, sigmas, Rat::ZERO))
-}
-
-/// The time exponent of a single rule at a given space budget (`|Q_A| = 1`)
-/// — convenience wrapper used by the bench binaries to print per-rule
-/// curves.
-pub fn rule_time_exponent(rule: &TwoPhaseRule, cqap: &Cqap, sigma: Rat) -> Option<Rat> {
-    let stats = Stats::uniform_for_cqap(cqap);
-    time_exponent_at(&rule.shape, &stats, sigma, Rat::ZERO)
 }
 
 #[cfg(test)]

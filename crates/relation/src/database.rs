@@ -5,9 +5,8 @@ use cqap_common::{CqapError, Result};
 use std::fmt;
 
 /// A database instance `D`: the input relations of a CQAP (Section 2.2).
-/// It stores no degree constraints `DC`:
-/// [`ConstraintSet::infer_from`](crate::ConstraintSet::infer_from) measures
-/// those a relation satisfies.
+/// It stores no degree constraints `DC`: `cqap_entropy`'s `Stats::measured`
+/// measures those its relations satisfy.
 ///
 /// The paper defines `|D|` as the *maximum* relation size; [`Database::size`]
 /// follows that convention.
@@ -92,7 +91,6 @@ impl fmt::Debug for Database {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::constraints::ConstraintSet;
     use cqap_common::vars;
 
     #[test]
@@ -122,9 +120,13 @@ mod tests {
 
     #[test]
     fn stats_inference() {
+        // The degrees `Stats::measured` reads off a stored relation.
+        let mut db = Database::new();
         let r = Relation::binary("R", 0, 1, [(1, 10), (1, 11), (1, 12), (2, 10)]);
-        let inferred = ConstraintSet::infer_from(&r).unwrap();
-        assert_eq!(inferred.bound(vars![1], vars![1, 2]), Some(3));
-        assert_eq!(inferred.bound(vars![2], vars![1, 2]), Some(2));
+        db.add_relation(r).unwrap();
+        let r = db.relation_or_err("R").unwrap();
+        assert_eq!(db.size(), 4);
+        assert_eq!(r.max_degree(vars![1], vars![1, 2]).unwrap(), 3);
+        assert_eq!(r.max_degree(vars![2], vars![1, 2]).unwrap(), 2);
     }
 }

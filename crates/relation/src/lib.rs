@@ -17,13 +17,9 @@
 //!   of Online Yannakakis and the support counts delta maintenance keeps
 //!   for it are one such table.
 //! * [`Database`] — a named collection of relations.
-//! * [`DegreeConstraint`] / [`ConstraintSet`] — the statistics `N_{Y|X}`
-//!   from Section 2 of the paper, including the *best constraint
-//!   assumption*.
 //! * [`split`] — heavy/light partitioning of a relation on a `(Y|X)` pair,
 //!   the "split step" of the 2PP algorithm (Appendix C.2).
 
-pub mod constraints;
 pub mod database;
 pub mod index;
 pub mod keyed_rows;
@@ -33,7 +29,6 @@ pub mod relation;
 pub mod schema;
 pub mod split;
 
-pub use constraints::{ConstraintSet, DegreeConstraint};
 pub use database::Database;
 pub use index::HashIndex;
 pub use keyed_rows::{CountEdit, KeyedRows};

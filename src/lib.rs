@@ -7,13 +7,13 @@
 //!
 //! * [`common`] — values, tuples, variable sets, exact rationals, hashing,
 //!   and the one count of online work `T` (`common::work`).
-//! * [`relation`] — relations, schemas, degree constraints, operators,
-//!   heavy/light splits.
+//! * [`relation`] — relations, schemas, operators, heavy/light splits.
 //! * [`query`] — hypergraphs, CQAPs, fractional edge covers, query families,
 //!   workload generators.
 //! * [`decomp`] — tree decompositions and PMTDs.
 //! * [`entropy`] — polymatroids, (joint) Shannon-flow inequalities, the
-//!   exact-rational LP, and tradeoff computation/verification.
+//!   exact-rational LP, degree constraints (uniform or measured from a
+//!   database), and tradeoff computation/verification.
 //! * [`yannakakis`] — the naive evaluator and Online Yannakakis.
 //! * [`delta`] — delta batches, net-effect computation, and the
 //!   [`ApplyDelta`](delta::ApplyDelta) maintenance seam.

@@ -36,6 +36,65 @@ fn time_exponent_monotone_in_budget() {
     }
 }
 
+/// Statistics measured from a skewed graph only add and tighten `DC` rows
+/// of the uniform LP, so no rule's time exponent rises; and every measured
+/// bound `|D|^{k/64}` holds on the database it was measured from.
+#[test]
+fn measured_statistics_never_raise_a_rule_exponent() {
+    let graph = Graph::skewed(2000, 8000, 10, 300, 7);
+    let fixtures = [
+        pmtd_families::pmtds_2reach(),
+        pmtd_families::pmtds_3reach_fig1(),
+        pmtd_families::pmtds_square(),
+    ];
+    for (cqap, pmtds) in fixtures.map(Result::unwrap) {
+        // Each relation stored over its atom's variables, so the realised
+        // degrees below are read without renaming.
+        let mut db = Database::new();
+        for atom in cqap.cq().atoms() {
+            let (a, b) = (atom.vars[0], atom.vars[1]);
+            let rel = Relation::binary(atom.relation.clone(), a, b, graph.edges.clone());
+            db.add_relation(rel).unwrap();
+        }
+        let measured = Stats::measured(&cqap, &db).unwrap();
+        let ln_size = (db.size() as f64).ln();
+        for c in &measured.dc {
+            let realised = cqap
+                .cq()
+                .atoms()
+                .iter()
+                .filter(|atom| c.of.is_subset(atom.varset()))
+                .map(|atom| db.relation(&atom.relation).unwrap().max_degree(c.on, c.of))
+                .map(Result::unwrap)
+                .min()
+                .unwrap();
+            assert!(
+                (realised as f64).ln() <= c.size.d.to_f64() * ln_size + 1e-9,
+                "{}: deg({} | {}) = {realised} exceeds |D|^{}",
+                cqap.cq().name(),
+                c.of,
+                c.on,
+                c.size.d
+            );
+        }
+
+        let uniform = Stats::uniform_for_cqap(&cqap);
+        for rule in minimal_rules(&pmtds) {
+            for i in 0..=8 {
+                let sigma = Rat::new(i, 4);
+                let tau = |stats| time_exponent_at(&rule.shape, stats, sigma, Rat::ZERO).unwrap();
+                let (m, u) = (tau(&measured), tau(&uniform));
+                assert!(
+                    m <= u,
+                    "{} rule {} at σ = {sigma}: measured τ = {m} > uniform τ = {u}",
+                    cqap.cq().name(),
+                    rule.label()
+                );
+            }
+        }
+    }
+}
+
 /// Consistency between the two analytic interfaces: if a symbolic tradeoff
 /// `S^w·T ≾ |D|^c` is verified for a rule, then the OBJ(σ) sweep never
 /// exceeds `c − w·σ`.
