@@ -6,13 +6,14 @@
 //! operations, and [`ApplyDelta`] is the seam every backend implements to
 //! absorb one batch in place — the in-memory index edits its S-views and
 //! atom indexes tuple by tuple, the disk tier buffers LSM-style overlay
-//! segments, shards route tuples by the routing variable, and the serving
+//! segments, shards route tuples by their split column, and the serving
 //! runtime invalidates its answer cache.
 //!
-//! The semantic contract, enforced by the `delta_equivalence` proptest
-//! harness, is **rebuild equivalence**: applying a batch incrementally
-//! must leave every backend answering exactly like an index rebuilt from
-//! scratch over the post-delta database.
+//! The semantic contract, enforced by the equivalence matrix of the
+//! umbrella crate (`tests/equivalence.rs`), is **rebuild equivalence**:
+//! applying a batch incrementally must leave every backend answering
+//! exactly like an index rebuilt from scratch over the post-delta
+//! database, and like the naive evaluator over it.
 //!
 //! Batches are applied with *net-effect* semantics under the set
 //! semantics of [`cqap_relation::Relation`]: operations are replayed in

@@ -327,8 +327,8 @@ impl CqapIndex {
     /// struct-of-arrays scratch arena. A spilled index runs the same loop
     /// with every S-view probe served from disk, decoded column-directly
     /// out of the segment reads. Answers are identical to `naive_answer`
-    /// over [`CqapIndex::database`] (proptest-enforced in
-    /// `crates/yannakakis/tests` and `crates/shard/tests`).
+    /// over [`CqapIndex::database`] (enforced on every backend by the
+    /// umbrella crate's equivalence matrix).
     pub fn answer(&self, request: &AccessRequest) -> Result<Relation> {
         self.answer_plans(&self.order, request)
     }

@@ -1,9 +1,10 @@
 //! Per-thread counts of the T-view programs' side choice, beside
 //! `cqap_common::tuple::instrument` and `cqap_relation::instrument`: which
 //! seed a two-seeded program took, exact and machine-independent, for a
-//! test to diff around the code under test (`tests/t_view_cost.rs` and the
-//! `both_seeds_*` harness of `delta_equivalence.rs`). They count a choice,
-//! not work: the chains' probes and rows go to `cqap_common::work`.
+//! test to diff around the code under test (`tests/t_view_cost.rs`, and
+//! the equivalence matrix `tests/matrix/mod.rs`, whose two-seeded fixtures
+//! must take both sides in every check of their resident index). They count a choice, not work: the chains' probes and rows go
+//! to `cqap_common::work`.
 //! Monotone; per-thread so concurrent serving workers and parallel tests
 //! do not pollute each other's readings.
 

@@ -8,9 +8,9 @@
 //! the roadmap's "a shard is one `Arc<index>` + its runtime" seam real:
 //!
 //! * [`ShardSpec`] — the partition contract: requests route by the hash of
-//!   their *routing variable* (the minimum access variable); relations
-//!   mentioning the routing variable are hash-partitioned by it, all
-//!   others replicated. These invariants make per-shard answers *exactly*
+//!   their *routing variable* (the minimum access variable); a relation
+//!   every atom of which reads the routing variable at one column is
+//!   hash-partitioned on that column, all others replicated. These invariants make per-shard answers *exactly*
 //!   the unsharded answers (see the [`partition`] module docs for the
 //!   argument).
 //! * [`ShardedIndex`] — `k` independently and concurrently built

@@ -13,29 +13,42 @@
 //!    `hash(v) mod k` where `v` is its routing-variable value — the same
 //!    [`shard_of_key`] the workload helpers use. Nothing else about the
 //!    binding influences placement.
-//! 3. **Data placement.** A relation that *mentions* the routing variable
-//!    is partitioned by the hash of its routing-variable column; every
-//!    other relation is replicated to all shards.
+//! 3. **Data placement.** A relation `R` is split on column `c` — each
+//!    tuple goes to the shard owning its value at `c` — iff every atom
+//!    reading `R` has the routing variable at column `c`; every other
+//!    relation is replicated to all shards. The engine reads an atom's
+//!    variables by position, so the column comes from the atoms, never
+//!    from the stored schema's labels: `R4(x4, x1)` splits on its second
+//!    column, and the self-join `R(y, x1), R(y, x2)` is replicated (its
+//!    second atom has no routing variable).
 //!
 //! Together these guarantee that shard `i` holds **every** tuple of every
 //! relation that can participate in a join result whose routing value
-//! hashes to `i`: relations mentioning the routing variable contribute
-//! only tuples in the shard's hash class (and all of those are present),
-//! and all remaining relations are complete. Hence, for any sub-request
-//! whose bindings all hash to `i`,
+//! hashes to `i`: a split relation's tuple meets such a result only
+//! through atoms that put the routing value at its split column, so it
+//! sits in the shard's hash class (and all of those are present), and all
+//! remaining relations are complete. Hence, for any sub-request whose
+//! bindings all hash to `i`,
 //! `π_head(join(D_i) ⋉ Q_A) = π_head(join(D) ⋉ Q_A)` — the shard's answer
 //! is exactly the unsharded answer for those bindings.
 
-use cqap_common::{CqapError, Result, Tuple, Val, Var};
+use std::hash::Hasher;
+
+use cqap_common::{CqapError, FxHasher, Result, Tuple, Val, Var};
 use cqap_delta::DeltaBatch;
 use cqap_query::workload::shard_of_key;
-use cqap_query::{AccessRequest, Cqap};
+use cqap_query::{AccessRequest, Atom, Cqap};
 use cqap_relation::{Database, Relation};
 
-/// The partition contract of a sharded deployment: shard count plus
-/// routing variable. Cheap to copy and embedded in every sharded
-/// structure, so the data partitioner and the request router can never
-/// disagree.
+/// How many relations a spec can split; a CQAP whose atoms allow more
+/// replicates the rest, which stays exact (invariant 3 only narrows what
+/// is split).
+const MAX_SPLITS: usize = 8;
+
+/// The partition contract of a sharded deployment: shard count, routing
+/// variable and the column each split relation is split on. Cheap to copy
+/// and embedded in every sharded structure, so the data partitioner and
+/// the request router can never disagree.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ShardSpec {
     shards: usize,
@@ -45,40 +58,81 @@ pub struct ShardSpec {
     /// Position of the routing variable inside a request tuple (access
     /// variables are bound in ascending order).
     routing_pos: usize,
+    /// `(name hash, column)` of each split relation (invariant 3), in
+    /// the first `num_splits` slots; a relation not listed is replicated.
+    splits: [(u64, usize); MAX_SPLITS],
+    num_splits: usize,
+}
+
+/// The key a relation name is listed under in [`ShardSpec::splits`].
+fn name_hash(name: &str) -> u64 {
+    let mut hasher = FxHasher::default();
+    hasher.write(name.as_bytes());
+    hasher.finish()
 }
 
 impl ShardSpec {
-    /// The spec for a CQAP: routes by the minimum access variable.
+    /// The spec for a CQAP: routes by the minimum access variable, and
+    /// splits each relation whose every atom holds that variable at one
+    /// column on that column (invariant 3).
     ///
     /// # Errors
     /// Fails if `shards` is zero.
     pub fn new(cqap: &Cqap, shards: usize) -> Result<Self> {
-        ShardSpec::for_access(cqap.access().iter().collect::<Vec<_>>(), shards)
-    }
-
-    /// The spec for an explicit access-variable list (sorted internally:
-    /// request tuples bind access variables in ascending order, so the
-    /// routing position is computed against that order).
-    ///
-    /// # Errors
-    /// Fails if `shards` is zero.
-    pub(crate) fn for_access(access_vars: impl AsRef<[Var]>, shards: usize) -> Result<Self> {
         if shards == 0 {
             return Err(CqapError::InvalidQuery(
                 "a sharded index needs at least one shard".into(),
             ));
         }
-        let mut access = access_vars.as_ref().to_vec();
-        access.sort_unstable();
-        access.dedup();
-        let routing_var = access.first().copied();
-        Ok(ShardSpec {
+        let routing_var = cqap.access().iter().next();
+        let mut spec = ShardSpec {
             shards,
             routing_var,
             // The routing variable is the minimum, i.e. the first value of
             // every (ascending) request binding.
             routing_pos: 0,
-        })
+            splits: [(0, 0); MAX_SPLITS],
+            num_splits: 0,
+        };
+        let Some(routing) = routing_var.filter(|_| shards > 1) else {
+            return Ok(spec);
+        };
+        let atoms = cqap.cq().atoms();
+        let column_in = |atom: &Atom| atom.vars.iter().position(|&v| v == routing);
+        let mut names: Vec<&str> = atoms.iter().map(|a| a.relation.as_str()).collect();
+        names.sort_unstable();
+        names.dedup();
+        for name in &names {
+            let mut columns = atoms.iter().filter(|a| a.relation == *name).map(column_in);
+            let hash = name_hash(name);
+            // A name sharing its hash with another read name stays
+            // replicated: a lookup could not tell the two apart.
+            let clash = names
+                .iter()
+                .any(|other| other != name && name_hash(other) == hash);
+            let agreed = columns
+                .next()
+                .flatten()
+                .filter(|&c| !clash && columns.all(|o| o == Some(c)));
+            if let Some(column) = agreed.filter(|_| spec.num_splits < MAX_SPLITS) {
+                spec.splits[spec.num_splits] = (hash, column);
+                spec.num_splits += 1;
+            }
+        }
+        Ok(spec)
+    }
+
+    /// The column `relation` is split on, `None` when it is replicated. A
+    /// relation no atom reads is replicated, or split on a column in range
+    /// should its name hash like a split one's — either way exact, since
+    /// it cannot change an answer.
+    fn split_column(&self, relation: &Relation) -> Option<usize> {
+        let key = name_hash(relation.name());
+        self.splits[..self.num_splits]
+            .iter()
+            .find(|&&(hash, _)| hash == key)
+            .map(|&(_, column)| column)
+            .filter(|&column| column < relation.schema().arity())
     }
 
     /// Number of shards `k`.
@@ -100,9 +154,9 @@ impl ShardSpec {
         self.shard_of_value(binding.get(self.routing_pos))
     }
 
-    /// Partitions a database into the `k` per-shard databases: relations
-    /// mentioning the routing variable are split by its hash, all others
-    /// are replicated (invariant 3 above).
+    /// Partitions a database into the `k` per-shard databases: each split
+    /// relation by the hash of its split column, all others replicated
+    /// (invariant 3 above).
     ///
     /// # Errors
     /// Propagates relation-construction failures (cannot happen for
@@ -110,11 +164,7 @@ impl ShardSpec {
     pub(crate) fn partition_database(&self, db: &Database) -> Result<Vec<Database>> {
         let mut out: Vec<Database> = (0..self.shards).map(|_| Database::new()).collect();
         for relation in db.relations() {
-            let split_pos = self
-                .routing_var
-                .filter(|_| self.shards > 1)
-                .and_then(|r| relation.schema().position(r));
-            match split_pos {
+            match self.split_column(relation) {
                 Some(position) => {
                     let mut buckets: Vec<Vec<Tuple>> =
                         (0..self.shards).map(|_| Vec::new()).collect();
@@ -140,10 +190,9 @@ impl ShardSpec {
     }
 
     /// Routes a delta batch under the **same data-placement invariant** as
-    /// `ShardSpec::partition_database`: an operation on a relation that
-    /// mentions the routing variable is split by the hash of each tuple's
-    /// routing column, while operations on every other relation are
-    /// replicated to all shards. Operation order is preserved within each
+    /// `ShardSpec::partition_database`: an operation on a split relation
+    /// is split by the hash of each tuple's split column, while operations
+    /// on every other relation are replicated to all shards. Operation order is preserved within each
     /// per-shard batch, so per-shard net effects replay exactly like the
     /// global batch would — applying the routed batches to the shard
     /// partitions yields precisely the partitions of the post-delta
@@ -167,11 +216,7 @@ impl ShardSpec {
                     found: format!("delta tuple of arity {}", bad.arity()),
                 });
             }
-            let split_pos = self
-                .routing_var
-                .filter(|_| self.shards > 1)
-                .and_then(|r| relation.schema().position(r));
-            match split_pos {
+            match self.split_column(relation) {
                 Some(position) => {
                     let mut buckets: Vec<Vec<Tuple>> =
                         (0..self.shards).map(|_| Vec::new()).collect();
@@ -244,10 +289,15 @@ impl ShardSpec {
 mod tests {
     use super::*;
     use cqap_common::VarSet;
+    use cqap_query::families::{k_path_distinct, k_set_intersection, square, triangle_edge};
     use cqap_query::workload::Graph;
+    use cqap_query::ConjunctiveQuery;
+    use cqap_yannakakis::naive_answer;
+    use proptest::prelude::*;
 
+    /// 3-reachability over 3 shards: access `{x0, x3}`, routing by `x0`.
     fn spec3() -> ShardSpec {
-        ShardSpec::for_access([0usize, 3], 3).unwrap()
+        ShardSpec::new(&k_path_distinct(3), 3).unwrap()
     }
 
     #[test]
@@ -255,12 +305,33 @@ mod tests {
         let spec = spec3();
         assert_eq!(spec.routing_var, Some(0));
         assert_eq!(spec.shards(), 3);
-        assert!(ShardSpec::for_access([0usize, 3], 0).is_err());
+        assert!(ShardSpec::new(&k_path_distinct(3), 0).is_err());
+    }
+
+    /// Invariant 3 reads the split column off the atoms: `R4(x4, x1)`
+    /// splits on its second column whatever its stored schema says, a
+    /// relation under an atom without the routing variable is replicated
+    /// (the self-join `R(y, x1), R(y, x2)`), and so is every relation of a
+    /// single shard.
+    #[test]
+    fn split_columns_come_from_the_atoms() {
+        let relation = |name: &'static str| {
+            Relation::new(name, cqap_relation::Schema::new(vec![0, 1]).unwrap())
+        };
+        let spec = ShardSpec::new(&square(true), 3).unwrap();
+        let columns: Vec<_> = ["R1", "R2", "R3", "R4"]
+            .map(|n| spec.split_column(&relation(n)))
+            .into();
+        assert_eq!(columns, [Some(0), None, None, Some(1)]);
+        let spec = ShardSpec::new(&k_set_intersection(2), 3).unwrap();
+        assert_eq!(spec.split_column(&relation("R")), None);
+        let spec = ShardSpec::new(&square(true), 1).unwrap();
+        assert_eq!(spec.split_column(&relation("R1")), None);
     }
 
     #[test]
     fn empty_access_routes_everything_to_shard_zero() {
-        let spec = ShardSpec::for_access([] as [Var; 0], 4).unwrap();
+        let spec = ShardSpec::new(&triangle_edge(), 4).unwrap();
         assert_eq!(spec.routing_var, None);
         assert_eq!(spec.shard_of_binding(&Tuple::empty()), 0);
         let req = AccessRequest::new(VarSet::EMPTY, vec![Tuple::empty()]).unwrap();
@@ -279,10 +350,7 @@ mod tests {
 
         // R1 is partitioned: shard sizes sum to |R1| and every tuple sits
         // on the shard owning its x0 hash.
-        let total_r1: usize = parts
-            .iter()
-            .map(|p| p.relation("R1").unwrap().len())
-            .sum();
+        let total_r1: usize = parts.iter().map(|p| p.relation("R1").unwrap().len()).sum();
         assert_eq!(total_r1, db.relation("R1").unwrap().len());
         for (shard, part) in parts.iter().enumerate() {
             for tuple in part.relation("R1").unwrap().iter() {
@@ -294,11 +362,48 @@ mod tests {
         }
     }
 
+    /// More splittable relations than a spec lists: the star
+    /// `R1(x0, x1), …, R9(x0, x9)` under access `{x0}` splits the first
+    /// eight names on column 0 and replicates `R9`, and every shard still
+    /// answers its bindings exactly like the whole database.
+    #[test]
+    fn relations_past_the_split_table_are_replicated() {
+        let atoms = (1..=9)
+            .map(|i| Atom::new(format!("R{i}"), vec![0, i]).unwrap())
+            .collect();
+        let x0 = VarSet::from_iter([0]);
+        let cq = ConjunctiveQuery::new("star9", 10, atoms, x0).unwrap();
+        let cqap = Cqap::new(cq, x0).unwrap();
+        // `R_i` holds every `x0` below 12 but `i`: 0, 10 and 11 answer.
+        let mut db = Database::new();
+        for i in 1..=9u64 {
+            let pairs = (0..12u64).filter(|&v| v != i).map(|v| (v, v % 3));
+            db.add_relation(Relation::binary(format!("R{i}"), 0, 1, pairs))
+                .unwrap();
+        }
+        let spec = ShardSpec::new(&cqap, 3).unwrap();
+        for relation in db.relations() {
+            let expected = (relation.name() != "R9").then_some(0);
+            assert_eq!(spec.split_column(relation), expected, "{}", relation.name());
+        }
+        let parts = spec.partition_database(&db).unwrap();
+        let mut answered = 0;
+        for v in 0..12 {
+            let request = AccessRequest::single(x0, &[v]).unwrap();
+            let expected = naive_answer(&cqap, &db, &request).unwrap();
+            let shard = &parts[spec.shard_of_value(v)];
+            assert_eq!(shard.relation("R9"), db.relation("R9"));
+            assert_eq!(naive_answer(&cqap, shard, &request).unwrap(), expected, "x0 = {v}");
+            answered += expected.len();
+        }
+        assert_eq!(answered, 3);
+    }
+
     #[test]
     fn single_shard_partition_is_the_identity() {
         let g = Graph::random(40, 150, 13);
         let db = g.as_path_database(3);
-        let spec = ShardSpec::for_access([0usize, 3], 1).unwrap();
+        let spec = ShardSpec::new(&k_path_distinct(3), 1).unwrap();
         let parts = spec.partition_database(&db).unwrap();
         assert_eq!(parts.len(), 1);
         for relation in db.relations() {
@@ -343,5 +448,65 @@ mod tests {
         assert_eq!(parts.len(), 1);
         assert_eq!(parts[0].0, spec.shard_of_value(7));
         assert_eq!(parts[0].1, single);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(10))]
+
+        /// The delta-routing contract: tuples of a split relation land on
+        /// exactly their hash shard, while ops on replicated relations —
+        /// `R2` of the 3-path, and the self-joined `R` of 2-set
+        /// intersection, whose second atom has no routing variable —
+        /// appear verbatim in *every* per-shard batch.
+        #[test]
+        fn partition_delta_routes_and_replicates(seed in 0u64..10_000, edges in 40usize..120) {
+            let graph = Graph::random(30, edges, seed);
+            let db = graph.as_path_database(3);
+            let mut kset_db = Database::new();
+            kset_db.add_relation(db.relations()[1].clone().with_name("R")).unwrap();
+            let inserts: Vec<Tuple> = (0..12u64)
+                .map(|i| Tuple::pair(40_000 + seed + i, 40_000 + seed + i + 1))
+                .collect();
+            let deletes: Vec<Tuple> = db.relations()[1].tuples().iter().take(4).cloned().collect();
+            let cases = [
+                (k_path_distinct(3), &db, Some("R1"), "R2"),
+                (k_set_intersection(2), &kset_db, None, "R"),
+            ];
+            for (cqap, db, routed, replicated) in cases {
+                let mut batch = DeltaBatch::new().delete(replicated, deletes.clone());
+                if let Some(routed) = routed {
+                    batch = batch.insert(routed, inserts.clone());
+                }
+                for k in [2usize, 3, 7] {
+                    let spec = ShardSpec::new(&cqap, k).unwrap();
+                    let parts = spec.partition_delta(&batch, db).unwrap();
+                    prop_assert_eq!(parts.len(), k);
+                    for t in inserts.iter().filter(|_| routed.is_some()) {
+                        let home = spec.shard_of_value(t.get(0));
+                        for (shard, part) in parts.iter().enumerate() {
+                            let present = part
+                                .ops()
+                                .iter()
+                                .any(|(name, _, tuples)| Some(name.as_str()) == routed && tuples.contains(t));
+                            prop_assert_eq!(present, shard == home, "k = {}: {:?} on shard {}", k, t, shard);
+                        }
+                    }
+                    for part in &parts {
+                        let replica: Vec<&Tuple> = part
+                            .ops()
+                            .iter()
+                            .filter(|(name, _, _)| name == replicated)
+                            .flat_map(|(_, _, tuples)| tuples)
+                            .collect();
+                        prop_assert_eq!(&replica, &deletes.iter().collect::<Vec<_>>(), "k = {}", k);
+                    }
+                }
+                // `k = 1` degenerates to replication everywhere: one shard,
+                // every op.
+                let parts = ShardSpec::new(&cqap, 1).unwrap().partition_delta(&batch, db).unwrap();
+                prop_assert_eq!(parts.len(), 1);
+                prop_assert_eq!(parts[0].num_tuples(), batch.num_tuples());
+            }
+        }
     }
 }

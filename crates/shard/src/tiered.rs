@@ -503,4 +503,37 @@ mod tests {
         drop(tiered);
         let _ = std::fs::remove_dir(&dir);
     }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(8))]
+
+        /// The budget-driven policy end to end: any hot budget yields a
+        /// placement of every shard whose tiered index answers like the
+        /// unsharded one.
+        #[test]
+        fn policy_budgets_stay_exact(seed in 0u64..10_000, budget_kb in 0usize..64) {
+            let (cqap, pmtds) = pf::pmtds_3reach_fig1().unwrap();
+            let graph = Graph::random(40, 150, seed);
+            let db = graph.as_path_database(3);
+            let reference = CqapIndex::build(&cqap, &db, &pmtds).unwrap();
+            let requests: Vec<AccessRequest> = graph_pair_requests(&graph, 12, seed ^ 0x7ab)
+                .into_iter()
+                .map(|(u, v)| AccessRequest::single(cqap.access(), &[u, v]).unwrap())
+                .collect();
+
+            let spec = ShardSpec::new(&cqap, 3).unwrap();
+            let weights = PlacementPolicy::observe(&spec, &requests);
+            let policy = PlacementPolicy::hot_budget(budget_kb * 1024).with_weights(weights);
+            let tiered = build_placed(&cqap, &db, &pmtds, 3, &policy);
+            let space = tiered.space_used();
+            proptest::prop_assert_eq!(space.hot_shards + space.cold_shards, 3);
+            for request in &requests {
+                proptest::prop_assert_eq!(
+                    tiered.answer(request).unwrap(),
+                    reference.answer(request).unwrap(),
+                    "budget {}KiB placement diverged", budget_kb
+                );
+            }
+        }
+    }
 }

@@ -1,7 +1,7 @@
 //! Codec-level property test for the v2 compressed run format.
 //!
-//! `store_equivalence.rs` exercises the format through whole indexes over
-//! graph workloads; this file attacks the codec directly: random
+//! The umbrella crate's equivalence matrix exercises the format through
+//! whole spilled indexes; this file attacks the codec directly: random
 //! relations of every arity (1 up to 7), every link subset (empty, full,
 //! scattered), and value mixes that force every varint length class —
 //! zero, `u64::MAX`, both sides of each 7-bit boundary — must round-trip

@@ -35,7 +35,7 @@
 //! On the warm serving path this executes a probe-only plan with **zero
 //! tuple heap boxings and zero relation-level dedup inserts**
 //! (counter-enforced by tests); answers are bit-for-bit identical to the
-//! naive evaluator (proptest-enforced in `crates/yannakakis/tests`).
+//! naive evaluator (enforced by the umbrella crate's equivalence matrix).
 
 use cqap_common::{hash_fold_column, hash_vals, work, CqapError, FxHashMap, Result, Tuple, Val};
 use cqap_relation::{Relation, RelationBuilder};

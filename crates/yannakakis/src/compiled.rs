@@ -13,8 +13,9 @@
 //!
 //! This module holds the IR, the compiler and the per-request input
 //! validation; the step program is executed by [`crate::columnar`], the
-//! single engine. The equivalence proptest in `crates/yannakakis/tests`
-//! holds every plan's answers to the naive evaluator.
+//! single engine. The umbrella crate's equivalence matrix
+//! (`tests/equivalence.rs`) holds every plan's answers, through every
+//! index backend, to the naive evaluator.
 
 use cqap_common::{CqapError, Result, VarSet};
 use cqap_decomp::ViewKind;

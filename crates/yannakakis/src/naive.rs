@@ -46,19 +46,13 @@ pub fn naive_answer(cqap: &Cqap, db: &Database, request: &AccessRequest) -> Resu
             found_arity: request.access().len(),
         });
     }
-    let mut acc = if request.access().is_empty() {
-        None
-    } else {
-        Some(request.as_relation())
-    };
+    // The request joins first even under an empty access pattern: its one
+    // possible binding `()` is the join's unit, and a request without it
+    // answers nothing.
+    let mut joined = request.as_relation();
     for atom in cqap.cq().atoms() {
-        let rel = atom_relation(db, atom)?;
-        acc = Some(match acc {
-            None => rel,
-            Some(prev) => prev.join(&rel)?,
-        });
+        joined = joined.join(&atom_relation(db, atom)?)?;
     }
-    let joined = acc.expect("query has at least one atom");
     joined.project_onto(cqap.head())
 }
 
