@@ -27,29 +27,23 @@ pub(crate) type HTuple = (Val, Val, Val);
 /// The synthetic input of the hierarchical experiment: the four ternary
 /// relations of Figure 6a.
 #[derive(Clone, Debug, Default)]
-pub struct HierarchicalInstance {
+pub(crate) struct HierarchicalInstance {
     /// `R(x, y1, z1)`.
-    pub r: Vec<HTuple>,
+    pub(crate) r: Vec<HTuple>,
     /// `S(x, y1, z2)`.
-    pub s: Vec<HTuple>,
+    pub(crate) s: Vec<HTuple>,
     /// `T(x, y2, z3)`.
-    pub t: Vec<HTuple>,
+    pub(crate) t: Vec<HTuple>,
     /// `U(x, y2, z4)`.
-    pub u: Vec<HTuple>,
+    pub(crate) u: Vec<HTuple>,
 }
 
 impl HierarchicalInstance {
-    /// Total number of tuples `N`.
-    #[cfg(test)]
-    pub(crate) fn len(&self) -> usize {
-        self.r.len() + self.s.len() + self.t.len() + self.u.len()
-    }
-
     /// Generates a skewed instance: `num_roots` root values, the first
     /// `num_heavy` of which receive `heavy_width` (y, z) combinations per
     /// relation while the rest receive few, drawn deterministically from
     /// the seed.
-    pub fn generate(
+    pub(crate) fn generate(
         num_roots: usize,
         num_heavy: usize,
         heavy_width: usize,
@@ -88,7 +82,7 @@ fn sorted_dedup<T: Ord>(mut v: Vec<T>) -> Vec<T> {
 }
 
 /// The budget-parameterized index for the hierarchical CQAP.
-pub struct HierarchicalIndex {
+pub(crate) struct HierarchicalIndex {
     /// Light-root half-views: `(z1, z2) → sorted x values` with `∃y1. R∧S`.
     w1: FxHashMap<(Val, Val), Vec<Val>>,
     /// Light-root half-views: `(z3, z4) → sorted x values` with `∃y2. T∧U`.
@@ -100,23 +94,16 @@ pub struct HierarchicalIndex {
     s_by_xz: FxHashMap<(Val, Val), FxHashSet<Val>>,
     t_by_xz: FxHashMap<(Val, Val), FxHashSet<Val>>,
     u_by_xz: FxHashMap<(Val, Val), FxHashSet<Val>>,
-    threshold: usize,
     space: usize,
 }
 
 impl HierarchicalIndex {
     /// Builds the index with the given root-degree threshold `Δ`.
-    pub fn build_with_threshold(inst: &HierarchicalInstance, threshold: usize) -> Self {
+    pub(crate) fn build_with_threshold(inst: &HierarchicalInstance, threshold: usize) -> Self {
         let threshold = threshold.max(1);
         // Per-root tuple counts to classify heavy/light.
         let mut degree: FxHashMap<Val, usize> = FxHashMap::default();
-        for (x, _, _) in inst
-            .r
-            .iter()
-            .chain(&inst.s)
-            .chain(&inst.t)
-            .chain(&inst.u)
-        {
+        for (x, _, _) in inst.r.iter().chain(&inst.s).chain(&inst.t).chain(&inst.u) {
             *degree.entry(*x).or_default() += 1;
         }
         let heavy: FxHashSet<Val> = degree
@@ -164,8 +151,8 @@ impl HierarchicalIndex {
         let w1 = half_view(&r_by_xz, &s_by_xz);
         let w2 = half_view(&t_by_xz, &u_by_xz);
 
-        let space = w1.values().map(Vec::len).sum::<usize>()
-            + w2.values().map(Vec::len).sum::<usize>();
+        let space =
+            w1.values().map(Vec::len).sum::<usize>() + w2.values().map(Vec::len).sum::<usize>();
         let mut heavy_roots: Vec<Val> = heavy.into_iter().collect();
         heavy_roots.sort_unstable();
         HierarchicalIndex {
@@ -176,40 +163,28 @@ impl HierarchicalIndex {
             s_by_xz,
             t_by_xz,
             u_by_xz,
-            threshold,
             space,
         }
     }
 
-    /// Builds the index from a space budget: `Δ ≈ budget / N` per root (the
-    /// materialized half-views hold `O(N · Δ / N) = O(Δ)` values per root on
-    /// average).
-    #[cfg(test)]
-    pub(crate) fn build(inst: &HierarchicalInstance, budget: usize) -> Self {
-        let n = inst.len().max(1);
-        let threshold = (budget.max(1) / n.max(1)).max(1);
-        Self::build_with_threshold(inst, threshold)
-    }
-
-    /// The root-degree threshold Δ.
-    pub fn threshold(&self) -> usize {
-        self.threshold
-    }
-
     /// Intrinsic space usage: the materialized half-view entries.
-    pub fn space_used(&self) -> usize {
+    pub(crate) fn space_used(&self) -> usize {
         self.space
     }
 
     /// Answers the Boolean hierarchical CQAP for the request
     /// `Z = (z1, z2, z3, z4)`.
-    pub fn query(&self, z1: Val, z2: Val, z3: Val, z4: Val) -> bool {
+    pub(crate) fn query(&self, z1: Val, z2: Val, z3: Val, z4: Val) -> bool {
         // Light roots: intersect the two materialized half-view lists.
         work::add(2, 0);
         let l1 = self.w1.get(&(z1, z2));
         let l2 = self.w2.get(&(z3, z4));
         if let (Some(l1), Some(l2)) = (l1, l2) {
-            let (small, big) = if l1.len() <= l2.len() { (l1, l2) } else { (l2, l1) };
+            let (small, big) = if l1.len() <= l2.len() {
+                (l1, l2)
+            } else {
+                (l2, l1)
+            };
             work::add(0, small.len() as u64);
             if small.iter().any(|x| big.binary_search(x).is_ok()) {
                 return true;
@@ -227,7 +202,11 @@ impl HierarchicalIndex {
                 continue;
             };
             let y1_ok = {
-                let (a, b) = if ry.len() <= sy.len() { (ry, sy) } else { (sy, ry) };
+                let (a, b) = if ry.len() <= sy.len() {
+                    (ry, sy)
+                } else {
+                    (sy, ry)
+                };
                 work::add(0, a.len() as u64);
                 a.iter().any(|y| b.contains(y))
             };
@@ -235,40 +214,14 @@ impl HierarchicalIndex {
                 continue;
             }
             let y2_ok = {
-                let (a, b) = if ty.len() <= uy.len() { (ty, uy) } else { (uy, ty) };
+                let (a, b) = if ty.len() <= uy.len() {
+                    (ty, uy)
+                } else {
+                    (uy, ty)
+                };
                 work::add(0, a.len() as u64);
                 a.iter().any(|y| b.contains(y))
             };
-            if y2_ok {
-                return true;
-            }
-        }
-        false
-    }
-
-    /// Reference answer by brute force over all roots.
-    pub fn query_naive(&self, inst: &HierarchicalInstance, z: (Val, Val, Val, Val)) -> bool {
-        let roots: FxHashSet<Val> = inst.r.iter().map(|&(x, _, _)| x).collect();
-        for &x in &roots {
-            let y1_ok = inst.r.iter().any(|&(rx, ry, rz)| {
-                rx == x
-                    && rz == z.0
-                    && inst
-                        .s
-                        .iter()
-                        .any(|&(sx, sy, sz)| sx == x && sy == ry && sz == z.1)
-            });
-            if !y1_ok {
-                continue;
-            }
-            let y2_ok = inst.t.iter().any(|&(tx, ty, tz)| {
-                tx == x
-                    && tz == z.2
-                    && inst
-                        .u
-                        .iter()
-                        .any(|&(ux, uy, uz)| ux == x && uy == ty && uz == z.3)
-            });
             if y2_ok {
                 return true;
             }
@@ -280,6 +233,11 @@ impl HierarchicalIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::oracle::verdicts;
+    use cqap_common::Tuple;
+    use cqap_query::families::hierarchical_two_level;
+    use cqap_relation::{Database, Relation, Schema};
+    use cqap_yannakakis::naive_answer;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -287,24 +245,39 @@ mod tests {
         HierarchicalInstance::generate(60, 3, 60, 4, 12, 7)
     }
 
+    /// The instance as the hierarchical CQAP's database: `R`, `S`, `T`
+    /// and `U` over `(x, y, z)`.
+    fn database(inst: &HierarchicalInstance) -> Database {
+        let mut db = Database::new();
+        for (name, rows) in [
+            ("R", &inst.r),
+            ("S", &inst.s),
+            ("T", &inst.t),
+            ("U", &inst.u),
+        ] {
+            let tuples = rows.iter().map(|&(x, y, z)| Tuple::triple(x, y, z));
+            let schema = Schema::new(vec![0, 1, 2]).unwrap();
+            db.add_relation(Relation::from_tuples(name, schema, tuples).unwrap())
+                .unwrap();
+        }
+        db
+    }
+
     #[test]
     fn matches_naive() {
         let inst = instance();
+        let (cqap, db) = (hierarchical_two_level(), database(&inst));
         let mut rng = StdRng::seed_from_u64(3);
+        let mut z = || rng.random_range(0..12) as Val;
+        let requests: Vec<Tuple> = (0..150)
+            .map(|_| Tuple::from_slice(&[z(), z(), z(), z()]))
+            .collect();
+        let checks = verdicts(&cqap, &db, requests, |r| naive_answer(&cqap, &db, r));
         for threshold in [1usize, 8, 1_000] {
             let idx = HierarchicalIndex::build_with_threshold(&inst, threshold);
-            for _ in 0..150 {
-                let z = (
-                    rng.random_range(0..12) as Val,
-                    rng.random_range(0..12) as Val,
-                    rng.random_range(0..12) as Val,
-                    rng.random_range(0..12) as Val,
-                );
-                assert_eq!(
-                    idx.query(z.0, z.1, z.2, z.3),
-                    idx.query_naive(&inst, z),
-                    "Δ = {threshold}, z = {z:?}"
-                );
+            for (z, held) in &checks {
+                let got = idx.query(z.get(0), z.get(1), z.get(2), z.get(3));
+                assert_eq!(got, *held, "Δ = {threshold}, z = {z:?}");
             }
         }
     }
@@ -357,12 +330,5 @@ mod tests {
             work::total() - before
         };
         assert!(work_of(&roomy) <= work_of(&tight));
-    }
-
-    #[test]
-    fn budget_constructor() {
-        let inst = instance();
-        let idx = HierarchicalIndex::build(&inst, 10 * inst.len());
-        assert!(idx.threshold() >= 1);
     }
 }

@@ -19,18 +19,18 @@ use cqap_query::workload::Graph;
 
 /// Adjacency representation shared by the reachability structures.
 #[derive(Clone, Debug, Default)]
-pub struct Adjacency {
+pub(crate) struct Adjacency {
     /// Successors of each vertex.
-    pub succ: FxHashMap<Val, Vec<Val>>,
+    pub(crate) succ: FxHashMap<Val, Vec<Val>>,
     /// Predecessors of each vertex.
-    pub pred: FxHashMap<Val, Vec<Val>>,
+    pub(crate) pred: FxHashMap<Val, Vec<Val>>,
     /// Edge membership.
-    pub edges: FxHashSet<(Val, Val)>,
+    pub(crate) edges: FxHashSet<(Val, Val)>,
 }
 
 impl Adjacency {
     /// Builds the adjacency structure of a graph.
-    pub fn new(graph: &Graph) -> Self {
+    pub(crate) fn new(graph: &Graph) -> Self {
         let mut adj = Adjacency::default();
         for &(u, v) in &graph.edges {
             if adj.edges.insert((u, v)) {
@@ -47,36 +47,15 @@ impl Adjacency {
     }
 }
 
-/// Whether there is a path of length exactly `k` from `u` to `v`, computed
-/// by forward BFS level by level (the reference answer and the zero-space
-/// baseline's workhorse).
-pub fn k_reachable_naive(adj: &Adjacency, k: usize, u: Val, v: Val) -> bool {
-    let mut frontier: FxHashSet<Val> = FxHashSet::default();
-    frontier.insert(u);
-    for _ in 0..k {
-        let mut next = FxHashSet::default();
-        for &x in &frontier {
-            if let Some(succ) = adj.succ.get(&x) {
-                next.extend(succ.iter().copied());
-            }
-        }
-        frontier = next;
-        if frontier.is_empty() {
-            return false;
-        }
-    }
-    frontier.contains(&v)
-}
-
 /// The `S = O(1)` baseline: answer every query by a length-k BFS.
-pub struct BfsBaseline {
+pub(crate) struct BfsBaseline {
     adj: Adjacency,
     k: usize,
 }
 
 impl BfsBaseline {
     /// Builds the baseline (no preprocessing beyond adjacency lists).
-    pub fn build(graph: &Graph, k: usize) -> Self {
+    pub(crate) fn build(graph: &Graph, k: usize) -> Self {
         BfsBaseline {
             adj: Adjacency::new(graph),
             k,
@@ -84,12 +63,12 @@ impl BfsBaseline {
     }
 
     /// Intrinsic space: nothing beyond the input.
-    pub fn space_used(&self) -> usize {
+    pub(crate) fn space_used(&self) -> usize {
         0
     }
 
     /// Whether `u` reaches `v` by a path of length exactly `k`.
-    pub fn query(&self, u: Val, v: Val) -> bool {
+    pub(crate) fn query(&self, u: Val, v: Val) -> bool {
         let mut frontier: FxHashSet<Val> = FxHashSet::default();
         frontier.insert(u);
         for _ in 0..self.k {
@@ -111,13 +90,13 @@ impl BfsBaseline {
 }
 
 /// The `T = O(1)` extreme: all k-reachable pairs stored in a hash table.
-pub struct FullReachMaterialization {
+pub(crate) struct FullReachMaterialization {
     pairs: FxHashSet<(Val, Val)>,
 }
 
 impl FullReachMaterialization {
     /// Materializes every k-reachable pair of the graph.
-    pub fn build(graph: &Graph, k: usize) -> Self {
+    pub(crate) fn build(graph: &Graph, k: usize) -> Self {
         let adj = Adjacency::new(graph);
         // Forward expansion from every source vertex.
         let mut pairs = FxHashSet::default();
@@ -145,12 +124,12 @@ impl FullReachMaterialization {
     }
 
     /// Intrinsic space: the stored pair table.
-    pub fn space_used(&self) -> usize {
+    pub(crate) fn space_used(&self) -> usize {
         2 * self.pairs.len()
     }
 
     /// O(1) lookup.
-    pub fn query(&self, u: Val, v: Val) -> bool {
+    pub(crate) fn query(&self, u: Val, v: Val) -> bool {
         work::add(1, 0);
         self.pairs.contains(&(u, v))
     }
@@ -158,7 +137,7 @@ impl FullReachMaterialization {
 
 /// The Section 5 running example: a 2-reachability index with heavy/light
 /// splitting on both endpoints.
-pub struct TwoReachIndex {
+pub(crate) struct TwoReachIndex {
     adj: Adjacency,
     /// Degree threshold Δ = |D|/√S.
     threshold: usize,
@@ -172,7 +151,7 @@ pub struct TwoReachIndex {
 
 impl TwoReachIndex {
     /// Builds the index with space budget `S` (threshold `Δ = ⌈|E|/√S⌉`).
-    pub fn build(graph: &Graph, budget: usize) -> Self {
+    pub(crate) fn build(graph: &Graph, budget: usize) -> Self {
         let n = graph.len().max(1);
         let threshold = (n as f64 / (budget.max(1) as f64).sqrt()).ceil() as usize;
         Self::build_with_threshold(graph, threshold.max(1))
@@ -225,12 +204,12 @@ impl TwoReachIndex {
     }
 
     /// Intrinsic space: the materialized heavy-heavy pair table.
-    pub fn space_used(&self) -> usize {
+    pub(crate) fn space_used(&self) -> usize {
         2 * self.s13.len()
     }
 
     /// Whether there is a path of length exactly 2 from `a` to `c`.
-    pub fn query(&self, a: Val, c: Val) -> bool {
+    pub(crate) fn query(&self, a: Val, c: Val) -> bool {
         if self.heavy_out.contains(&a) && self.heavy_in.contains(&c) {
             work::add(1, 0);
             return self.s13.contains(&(a, c));
@@ -259,7 +238,7 @@ impl TwoReachIndex {
 /// out-degree and whose target has heavy in-degree, and otherwise expands
 /// the light endpoint, delegating to the level-(k−1) structure. Level 1 is
 /// an edge lookup.
-pub struct KReachGoldstein {
+pub(crate) struct KReachGoldstein {
     k: usize,
     adj: Adjacency,
     threshold: usize,
@@ -331,7 +310,7 @@ impl KReachGoldstein {
 
     /// Builds the structure from a space budget: `Δ = ⌈|E|/√(S/(k−1))⌉`, so
     /// that the `k−1` materialized levels together fit in `O(S)`.
-    pub fn build(graph: &Graph, k: usize, budget: usize) -> Self {
+    pub(crate) fn build(graph: &Graph, k: usize, budget: usize) -> Self {
         let n = graph.len().max(1);
         let per_level = (budget.max(1) as f64 / (k.max(2) - 1) as f64).max(1.0);
         let threshold = (n as f64 / per_level.sqrt()).ceil() as usize;
@@ -345,12 +324,12 @@ impl KReachGoldstein {
     }
 
     /// Intrinsic space: the materialized heavy-heavy tables of all levels.
-    pub fn space_used(&self) -> usize {
+    pub(crate) fn space_used(&self) -> usize {
         self.levels.iter().map(|t| 2 * t.len()).sum()
     }
 
     /// Whether there is a path of length exactly `k` from `u` to `v`.
-    pub fn query(&self, u: Val, v: Val) -> bool {
+    pub(crate) fn query(&self, u: Val, v: Val) -> bool {
         self.query_level(self.k, u, v)
     }
 
@@ -385,7 +364,14 @@ impl KReachGoldstein {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::oracle::{assert_pairs, bindings, verdicts};
+    use crate::{budget_grid, reach_drivers, reach_instance, TEST_SCALE};
+    use cqap_common::Tuple;
+    use cqap_panda::CqapIndex;
+    use cqap_query::families::k_path_distinct;
     use cqap_query::workload::graph_pair_requests;
+    use cqap_yannakakis::naive_answer;
+    use proptest::prelude::*;
 
     fn graph() -> Graph {
         Graph::skewed(300, 1500, 6, 120, 3)
@@ -395,20 +381,70 @@ mod tests {
         graph_pair_requests(g, n, seed)
     }
 
+    /// Every pair the graph's `k`-path database answers, then `requests`
+    /// with `naive_answer`'s verdict.
+    fn naive_reach(k: usize, graph: &Graph, requests: &[(Val, Val)]) -> Vec<(Tuple, bool)> {
+        let (cqap, db) = (k_path_distinct(k), graph.as_path_database(k));
+        verdicts(&cqap, &db, bindings(requests), |r| {
+            naive_answer(&cqap, &db, r)
+        })
+    }
+
+    /// The `k`-reach sweep's structures, built on the sweep's own graph
+    /// (at test scale), against the drivers the sweep prints rows for: on
+    /// the sweep's requests every driver answers alike, and every
+    /// structure agrees with them there and on every pair the graph
+    /// answers (BFS, which stores nothing, on the requests alone).
+    fn sweep_structures_agree_with_drivers(k: usize) {
+        let (graph, requests) = reach_instance(k, TEST_SCALE);
+        let (cqap, drivers) = reach_drivers(k, &graph);
+        let db = graph.as_path_database(k);
+        let checks_of =
+            |driver: &CqapIndex| verdicts(&cqap, &db, bindings(&requests), |r| driver.answer(r));
+        let checks = checks_of(&drivers[0].1);
+        for (label, driver) in &drivers[1..] {
+            assert!(
+                checks_of(driver) == checks,
+                "{label} answers unlike the set"
+            );
+        }
+        let on_requests = &checks[checks.len() - requests.len()..];
+        assert!(on_requests.iter().any(|(_, held)| *held));
+        assert!(on_requests.iter().any(|(_, held)| !held));
+        let bfs = BfsBaseline::build(&graph, k);
+        assert_pairs(on_requests, |u, v| bfs.query(u, v), "bfs");
+        let full = FullReachMaterialization::build(&graph, k);
+        assert_pairs(&checks, |u, v| full.query(u, v), "full materialization");
+        for (_, budget) in budget_grid(graph.len()) {
+            let what = format!("budget {budget}");
+            if k == 2 {
+                let idx = TwoReachIndex::build(&graph, budget);
+                assert_pairs(&checks, |u, v| idx.query(u, v), &what);
+            } else {
+                let idx = KReachGoldstein::build(&graph, k, budget);
+                assert_pairs(&checks, |u, v| idx.query(u, v), &what);
+            }
+        }
+    }
+
     #[test]
     fn two_reach_matches_naive() {
         let g = graph();
-        let adj = Adjacency::new(&g);
+        let checks = naive_reach(2, &g, &queries(&g, 200, 11));
         for budget in [1usize, 64, 1024, 1 << 16] {
             let idx = TwoReachIndex::build(&g, budget);
-            for (u, v) in queries(&g, 200, 11) {
-                assert_eq!(
-                    idx.query(u, v),
-                    k_reachable_naive(&adj, 2, u, v),
-                    "budget {budget}, pair ({u},{v})"
-                );
-            }
+            assert_pairs(&checks, |u, v| idx.query(u, v), &format!("budget {budget}"));
         }
+    }
+
+    #[test]
+    fn specialized_two_reach_index_agrees_with_framework_driver() {
+        sweep_structures_agree_with_drivers(2);
+    }
+
+    #[test]
+    fn goldstein_agrees_with_framework_driver() {
+        sweep_structures_agree_with_drivers(3);
     }
 
     #[test]
@@ -435,17 +471,15 @@ mod tests {
     #[test]
     fn goldstein_matches_naive_for_k_3_and_4() {
         let g = Graph::skewed(200, 900, 5, 80, 9);
-        let adj = Adjacency::new(&g);
         for k in [3usize, 4] {
+            let checks = naive_reach(k, &g, &queries(&g, 120, 17 + k as u64));
             for threshold in [1usize, 4, 16, 1024] {
                 let idx = KReachGoldstein::build_with_threshold(&g, k, threshold);
-                for (u, v) in queries(&g, 120, 17 + k as u64) {
-                    assert_eq!(
-                        idx.query(u, v),
-                        k_reachable_naive(&adj, k, u, v),
-                        "k={k}, Δ={threshold}, pair ({u},{v})"
-                    );
-                }
+                assert_pairs(
+                    &checks,
+                    |u, v| idx.query(u, v),
+                    &format!("k={k}, Δ={threshold}"),
+                );
             }
         }
     }
@@ -462,17 +496,16 @@ mod tests {
     #[test]
     fn extremes_agree() {
         let g = Graph::skewed(150, 700, 4, 60, 21);
-        let adj = Adjacency::new(&g);
         for k in [2usize, 3] {
             let bfs = BfsBaseline::build(&g, k);
             let full = FullReachMaterialization::build(&g, k);
             assert_eq!(bfs.space_used(), 0);
             assert!(full.space_used() > 0);
-            for (u, v) in queries(&g, 150, 31) {
-                let expected = k_reachable_naive(&adj, k, u, v);
-                assert_eq!(bfs.query(u, v), expected);
-                assert_eq!(full.query(u, v), expected);
-            }
+            let checks = naive_reach(k, &g, &queries(&g, 150, 31));
+            // BFS stores nothing: the requests alone check it.
+            let on_requests = &checks[checks.len() - 150..];
+            assert_pairs(on_requests, |u, v| bfs.query(u, v), &format!("bfs, k={k}"));
+            assert_pairs(&checks, |u, v| full.query(u, v), &format!("full, k={k}"));
             // Full materialization answers with a single probe.
             let before = work::total();
             full.query(0, 1);
@@ -489,5 +522,21 @@ mod tests {
             assert!(idx.query(u, v));
         }
         assert!(!idx.query(1, 1) || g.edges.contains(&(1, 1)));
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(12))]
+
+        /// Property: for random graphs and random budgets, the budgeted
+        /// 2-reachability index always agrees with the naive evaluator.
+        #[test]
+        fn prop_two_reach_index_is_correct(seed in 0u64..500, budget_exp in 0usize..18) {
+            let graph = Graph::skewed(80, 400, 3, 50, seed);
+            let idx = TwoReachIndex::build(&graph, 1usize << budget_exp);
+            let requests = graph_pair_requests(&graph, 25, seed.wrapping_add(1));
+            for (pair, held) in naive_reach(2, &graph, &requests) {
+                prop_assert_eq!(idx.query(pair.get(0), pair.get(1)), held);
+            }
+        }
     }
 }

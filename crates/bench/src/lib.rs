@@ -18,21 +18,44 @@
 //!   online work (hash probes + scanned tuples, read as the difference of
 //!   [`cqap_common::work::total`] around the query loop — the structures
 //!   hold no counter) and wall-clock time; the *shape* of these curves is
-//!   what the paper's tradeoffs predict.
+//!   what the paper's tradeoffs predict. The `2reach` and `3reach` sweeps
+//!   also print the framework driver on the same graph and requests: its
+//!   fixture's whole PMTD set and each PMTD alone, at `S = ∞`.
+//!
+//! The structures the sweeps measure are private modules, the paper's
+//! hand-built reference points (PAPER.md's fixture table). Each holds no
+//! counter: it records into [`cqap_common::work`] and is `Sync`. Their
+//! tests hold each one to the one oracle, `naive_answer`, directly or
+//! through its fixture's `CqapIndex`.
+//!
+//! | module | paper reference | structure |
+//! |---|---|---|
+//! | `setdisjoint` | §1, §6.1, Ex. 6.2 | 2-set disjointness / k-set intersection with heavy/light thresholding (`S·T² = N²`) |
+//! | `kreach` | §5, §6.4 | 2-reachability heavy/light index, the Goldstein-et-al. recursive k-reachability structure (`S·T^{2/(k−1)} = |D|²`), full materialization, BFS baseline |
+//! | `square` | Ex. 5.2 / E.5 | opposite-corners-of-a-square index (`S·T² = |D|²·|Q|²`) |
+//! | `triangle` | Ex. E.4 | edge-participates-in-a-triangle index (linear space, constant time) |
+//! | `hierarchical` | App. F | two-level Boolean hierarchical CQAP index (adapted Kara et al. strategy) |
 
-use cqap_common::{work, FxHashMap, FxHashSet, Val};
-use cqap_indexes::hierarchical::HierarchicalInstance;
-use cqap_indexes::kreach::Adjacency;
-use cqap_indexes::{
-    BfsBaseline, FullReachMaterialization, HierarchicalIndex, KReachGoldstein,
-    SetDisjointnessIndex, SquareIndex, TriangleIndex, TwoReachIndex,
-};
+use cqap_common::{work, FxHashMap, FxHashSet, Result, Val};
+use cqap_decomp::{families, Pmtd};
+use cqap_panda::CqapIndex;
 use cqap_query::workload::{graph_pair_requests, set_tuple_requests, Graph, SetFamily};
+use cqap_query::{AccessRequest, Cqap};
+use hierarchical::{HierarchicalIndex, HierarchicalInstance};
+use kreach::{Adjacency, BfsBaseline, FullReachMaterialization, KReachGoldstein, TwoReachIndex};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use setdisjoint::SetDisjointnessIndex;
+use square::SquareIndex;
 use std::time::Instant;
+use triangle::TriangleIndex;
 
 mod analytic;
+mod hierarchical;
+mod kreach;
+mod setdisjoint;
+mod square;
+mod triangle;
 use Body::{Analytic, Sweep};
 
 /// One measured row of an empirical sweep.
@@ -284,11 +307,69 @@ impl Scale {
     }
 }
 
+/// The graph and `(u, v)` requests of the `k`-reachability sweep at
+/// `scale`: the `2reach` sweep's for `k = 2`, else `3reach` / `4reach`'s.
+/// The sweep and its structures' agreement tests read this one instance.
+fn reach_instance(k: usize, scale: Scale) -> (Graph, Vec<(Val, Val)>) {
+    let (graph, seed) = if k == 2 {
+        (Graph::skewed(scale.edges / 5, scale.edges, 20, 500, 7), 11)
+    } else {
+        let seed = 13 + k as u64;
+        (
+            Graph::skewed(scale.edges / 5, scale.edges, 15, 400, seed),
+            17,
+        )
+    };
+    let requests = graph_pair_requests(&graph, scale.requests, seed);
+    (graph, requests)
+}
+
+/// The framework driver on a `k`-reachability sweep's graph: PAPER.md's
+/// fixture (`pmtds_2reach`, or `pmtds_3reach_fig1` for `k = 3`) over
+/// `graph.as_path_database(k)` at `S = ∞`, built for the whole PMTD set
+/// and then for each PMTD alone, each with its label. The sweep prints a
+/// row per driver, and the structures' agreement test checks them against
+/// every one.
+fn reach_drivers(k: usize, graph: &Graph) -> (Cqap, Vec<(String, CqapIndex)>) {
+    let fixture = match k {
+        2 => families::pmtds_2reach(),
+        3 => families::pmtds_3reach_fig1(),
+        _ => panic!("no driver rows for {k}-reachability"),
+    };
+    let (cqap, pmtds) = fixture.expect("the paper's PMTD sets are valid");
+    let db = graph.as_path_database(k);
+    let build = |set: &[Pmtd]| CqapIndex::build(&cqap, &db, set).expect("the driver builds");
+    let mut drivers = vec![("PMTD set".to_string(), build(&pmtds))];
+    drivers.extend(
+        pmtds
+            .iter()
+            .map(|p| (p.summary(), build(std::slice::from_ref(p)))),
+    );
+    (cqap, drivers)
+}
+
+/// The rows of [`reach_drivers`] on the sweep's requests: `space_used()`
+/// and [`work::total`] per request, measured like every structure's row.
+fn driver_rows(k: usize, graph: &Graph, requests: &[(Val, Val)]) -> Vec<SweepRow> {
+    let (cqap, drivers) = reach_drivers(k, graph);
+    let bind = |&(u, v): &(Val, Val)| AccessRequest::single(cqap.access(), &[u, v]);
+    let requests: Vec<AccessRequest> = requests
+        .iter()
+        .map(bind)
+        .collect::<Result<_>>()
+        .expect("a pair binds the two endpoints");
+    let row = |(label, index): &(String, CqapIndex)| {
+        let label = format!("{k}-reach driver {label} S=∞");
+        let answered = |r: &AccessRequest| !index.answer(r).expect("a valid request").is_empty();
+        measure((label, None, index.space_used()), &requests, answered)
+    };
+    drivers.iter().map(row).collect()
+}
+
 /// §5 running example: the 2-reachability heavy/light index vs. the
-/// baselines, swept over the space budget.
+/// baselines, swept over the space budget, then the framework driver.
 fn sweep_2reach(scale: Scale) -> Vec<SweepRow> {
-    let graph = Graph::skewed(scale.edges / 5, scale.edges, 20, 500, 7);
-    let requests = graph_pair_requests(&graph, scale.requests, 11);
+    let (graph, requests) = reach_instance(2, scale);
     let bfs = BfsBaseline::build(&graph, 2);
     let head = ("bfs-from-scratch (S=0)".into(), None, bfs.space_used());
     let mut rows = vec![measure(head, &requests, |&(u, v)| bfs.query(u, v))];
@@ -301,14 +382,15 @@ fn sweep_2reach(scale: Scale) -> Vec<SweepRow> {
     let full = FullReachMaterialization::build(&graph, 2);
     let head = ("full materialization".into(), None, full.space_used());
     rows.push(measure(head, &requests, |&(u, v)| full.query(u, v)));
+    rows.extend(driver_rows(2, &graph, &requests));
     rows
 }
 
 /// Figures 4a/4b (empirical side): the Goldstein-et-al. k-reachability
-/// structure swept over the budget, vs. BFS and full materialization.
+/// structure swept over the budget, vs. BFS and full materialization,
+/// then (for `k = 3`) the framework driver.
 fn sweep_kreach(k: usize, scale: Scale) -> Vec<SweepRow> {
-    let graph = Graph::skewed(scale.edges / 5, scale.edges, 15, 400, 13 + k as u64);
-    let requests = graph_pair_requests(&graph, scale.requests, 17);
+    let (graph, requests) = reach_instance(k, scale);
     let bfs = BfsBaseline::build(&graph, k);
     let head = (format!("{k}-reach bfs (S=0)"), None, bfs.space_used());
     let mut rows = vec![measure(head, &requests, |&(u, v)| bfs.query(u, v))];
@@ -332,6 +414,9 @@ fn sweep_kreach(k: usize, scale: Scale) -> Vec<SweepRow> {
     let label = format!("{k}-reach full materialization");
     let head = (label, None, full.space_used());
     rows.push(measure(head, &requests, |&(u, v)| full.query(u, v)));
+    if k == 3 {
+        rows.extend(driver_rows(3, &graph, &requests));
+    }
     rows
 }
 
@@ -451,17 +536,71 @@ fn batched_reach(
     reach
 }
 
+/// The scale the sweeps' unit tests run at.
+#[cfg(test)]
+const TEST_SCALE: Scale = Scale {
+    edges: 2_000,
+    requests: 150,
+};
+
+/// The one oracle as the reference structures' tests ask it.
+#[cfg(test)]
+mod oracle {
+    use cqap_common::{FxHashSet, Result, Tuple, Val};
+    use cqap_query::{AccessRequest, Cqap};
+    use cqap_relation::{Database, Relation};
+    use cqap_yannakakis::naive::full_join;
+
+    /// `(u, v)` pairs as bindings of a two-variable access pattern.
+    pub(crate) fn bindings(pairs: &[(Val, Val)]) -> impl Iterator<Item = Tuple> + '_ {
+        pairs.iter().map(|&(u, v)| Tuple::pair(u, v))
+    }
+
+    /// Every binding the CQAP answers on `db`, then each of `extra`, with
+    /// its verdict: the oracle's full join on the access variables gives
+    /// the first list (all held), and `reference`, asked one request
+    /// holding `extra`, judges the rest. A structure checked on every
+    /// answered binding fails when it loses one stored answer.
+    pub(crate) fn verdicts(
+        cqap: &Cqap,
+        db: &Database,
+        extra: impl IntoIterator<Item = Tuple>,
+        reference: impl FnOnce(&AccessRequest) -> Result<Relation>,
+    ) -> Vec<(Tuple, bool)> {
+        let access = cqap.access();
+        let request = AccessRequest::new(access, extra.into_iter().collect()).unwrap();
+        let held = reference(&request).unwrap().project_onto(access).unwrap();
+        let held: FxHashSet<&Tuple> = held.iter().collect();
+        let answered = full_join(cqap, db).unwrap().project_onto(access).unwrap();
+        let positives = answered.iter().map(|b| (b.clone(), true));
+        let extra = request
+            .tuples()
+            .iter()
+            .map(|b| (b.clone(), held.contains(b)));
+        positives.chain(extra).collect()
+    }
+
+    /// Asserts that `query` answers each two-value binding of `checks` as
+    /// its verdict says.
+    pub(crate) fn assert_pairs(
+        checks: &[(Tuple, bool)],
+        query: impl Fn(Val, Val) -> bool,
+        what: &str,
+    ) {
+        for (pair, held) in checks {
+            let got = query(pair.get(0), pair.get(1));
+            assert_eq!(got, *held, "{what}: pair {pair:?}");
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn sweeps_produce_monotone_shapes() {
-        let scale = Scale {
-            edges: 2_000,
-            requests: 150,
-        };
-        let rows = sweep_2reach(scale);
+        let rows = sweep_2reach(TEST_SCALE);
         assert!(rows.len() >= 3);
         // Within the budgeted two-reach rows, more budget never increases
         // the average online work.
@@ -504,6 +643,61 @@ mod tests {
         // the experiment binary rather than asserted at toy scale.
         assert!((rows[0].positive_rate - rows[1].positive_rate).abs() < 1e-9);
         assert!(rows.iter().all(|r| r.avg_work > 0.0));
+    }
+
+    #[test]
+    fn driver_rows_answer_every_request_like_the_structures() {
+        for (k, rows) in [
+            (2, sweep_2reach(TEST_SCALE)),
+            (3, sweep_kreach(3, TEST_SCALE)),
+        ] {
+            let prefix = format!("{k}-reach driver ");
+            let (drivers, structures): (Vec<_>, Vec<_>) =
+                rows.iter().partition(|r| r.config.starts_with(&prefix));
+            // The whole set, then each PMTD of the fixture alone.
+            assert_eq!(drivers.len(), if k == 2 { 3 } else { 4 });
+            assert!(structures.len() >= 9);
+            let rate = structures[0].positive_rate;
+            assert!(rate > 0.0);
+            for r in drivers.iter().chain(&structures) {
+                assert_eq!(r.positive_rate, rate, "{}", r.config);
+            }
+        }
+    }
+
+    #[test]
+    fn indexes_are_shareable_across_threads() {
+        // A structure holds no counter, so `&index` is probed from several
+        // threads at once and each thread's work is its own: four
+        // concurrent passes count exactly four single-threaded ones, with
+        // nothing lost or counted twice.
+        fn four_threads_count_four_passes(
+            query: impl Fn(Val, Val) -> bool + Sync,
+            requests: &[(Val, Val)],
+        ) {
+            let pass = || {
+                let before = work::total();
+                let answers: Vec<bool> = requests.iter().map(|&(u, v)| query(u, v)).collect();
+                (answers, work::total() - before)
+            };
+            let (expected, single_pass) = pass();
+            let runs: Vec<(Vec<bool>, u64)> = std::thread::scope(|s| {
+                let handles: Vec<_> = (0..4).map(|_| s.spawn(pass)).collect();
+                handles.into_iter().map(|h| h.join().unwrap()).collect()
+            });
+            assert!(single_pass > 0);
+            for (answers, _) in &runs {
+                assert_eq!(answers, &expected);
+            }
+            assert_eq!(runs.iter().map(|(_, w)| w).sum::<u64>(), 4 * single_pass);
+        }
+
+        let g = Graph::random(50, 250, 21);
+        let requests = graph_pair_requests(&g, 200, 23);
+        let two_reach = TwoReachIndex::build(&g, 5_000);
+        four_threads_count_four_passes(|u, v| two_reach.query(u, v), &requests);
+        let square = SquareIndex::build(&g, 5_000);
+        four_threads_count_four_passes(|u, v| square.query(u, v), &requests);
     }
 
     #[test]

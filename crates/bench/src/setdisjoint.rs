@@ -18,13 +18,11 @@ use cqap_common::{work, FxHashMap, FxHashSet, Val};
 use cqap_query::workload::SetFamily;
 
 /// A space/time-tradeoff index for set disjointness and set intersection.
-pub struct SetDisjointnessIndex {
+pub(crate) struct SetDisjointnessIndex {
     /// Membership test: (set, element) pairs.
     membership: FxHashSet<(Val, Val)>,
     /// Elements of each set.
     elements: FxHashMap<Val, Vec<Val>>,
-    /// Degree threshold Δ.
-    threshold: usize,
     /// Heavy sets (size > Δ).
     heavy: FxHashSet<Val>,
     /// For heavy set pairs (a ≤ b): whether they intersect.
@@ -37,7 +35,7 @@ impl SetDisjointnessIndex {
     ///
     /// The threshold is `Δ = ⌈N / √budget⌉` (with `budget ≥ 1`), matching
     /// the analysis in the introduction of the paper.
-    pub fn build(family: &SetFamily, budget: usize) -> Self {
+    pub(crate) fn build(family: &SetFamily, budget: usize) -> Self {
         let n = family.len().max(1);
         let budget = budget.max(1);
         let threshold = (n as f64 / (budget as f64).sqrt()).ceil() as usize;
@@ -81,15 +79,9 @@ impl SetDisjointnessIndex {
         SetDisjointnessIndex {
             membership,
             elements,
-            threshold,
             heavy,
             heavy_pairs,
         }
-    }
-
-    /// The degree threshold Δ in use.
-    pub fn threshold(&self) -> usize {
-        self.threshold
     }
 
     /// The number of heavy sets.
@@ -101,12 +93,12 @@ impl SetDisjointnessIndex {
     /// Intrinsic space usage: the heavy-pair table (the membership and
     /// element tables are the input database itself, which the paper counts
     /// separately as `|D|`).
-    pub fn space_used(&self) -> usize {
+    pub(crate) fn space_used(&self) -> usize {
         self.heavy_pairs.len()
     }
 
     /// 2-set disjointness: do sets `a` and `b` intersect?
-    pub fn intersects(&self, a: Val, b: Val) -> bool {
+    pub(crate) fn intersects(&self, a: Val, b: Val) -> bool {
         if self.heavy.contains(&a) && self.heavy.contains(&b) {
             work::add(1, 0);
             let key = if a <= b { (a, b) } else { (b, a) };
@@ -132,8 +124,9 @@ impl SetDisjointnessIndex {
 
     /// k-set intersection: the elements common to all the given sets
     /// (Example 2.2, eq. (2)). Returns an empty vector if any set is
-    /// unknown.
-    pub fn intersection(&self, sets: &[Val]) -> Vec<Val> {
+    /// unknown. No sweep measures it; its test holds it to the oracle.
+    #[cfg(test)]
+    pub(crate) fn intersection(&self, sets: &[Val]) -> Vec<Val> {
         if sets.is_empty() {
             return Vec::new();
         }
@@ -164,58 +157,68 @@ impl SetDisjointnessIndex {
             })
             .collect()
     }
-
-    /// Reference answer computed by brute force (used in tests).
-    pub fn intersects_naive(&self, a: Val, b: Val) -> bool {
-        match (self.elements.get(&a), self.elements.get(&b)) {
-            (Some(ea), Some(eb)) => {
-                let set: FxHashSet<Val> = ea.iter().copied().collect();
-                eb.iter().any(|e| set.contains(e))
-            }
-            _ => false,
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cqap_query::workload::SetFamily;
+    use crate::oracle::{assert_pairs, bindings, verdicts};
+    use cqap_common::Tuple;
+    use cqap_decomp::enumerate::trivial_pmtds;
+    use cqap_panda::CqapIndex;
+    use cqap_query::families::{k_set_disjointness, k_set_intersection};
+    use cqap_query::AccessRequest;
+    use cqap_relation::Database;
+    use cqap_yannakakis::naive_answer;
+    use proptest::prelude::*;
 
     fn family() -> SetFamily {
         SetFamily::zipf(40, 2_000, 400, 1.0, 7)
+    }
+
+    /// The family as the k-set CQAPs' one relation `R(y, x)`: element `y`
+    /// belongs to set `x`.
+    fn database(f: &SetFamily) -> Database {
+        let mut db = Database::new();
+        db.add_relation(f.as_relation("R", 2, 0)).unwrap();
+        db
+    }
+
+    /// Every set pair that 2-set disjointness answers on the family, then
+    /// `pairs`, each with `naive_answer`'s verdict.
+    fn naive_intersects(f: &SetFamily, pairs: &[(Val, Val)]) -> Vec<(Tuple, bool)> {
+        let (cqap, db) = (k_set_disjointness(2), database(f));
+        verdicts(&cqap, &db, bindings(pairs), |r| naive_answer(&cqap, &db, r))
     }
 
     #[test]
     fn matches_naive_on_all_pairs() {
         let f = family();
         let idx = SetDisjointnessIndex::build(&f, 64);
-        for a in 0..f.num_sets as Val {
-            for b in 0..f.num_sets as Val {
-                assert_eq!(
-                    idx.intersects(a, b),
-                    idx.intersects_naive(a, b),
-                    "sets {a}, {b}"
-                );
-            }
-        }
+        let sets = 0..f.num_sets as Val;
+        let pairs: Vec<(Val, Val)> = sets
+            .clone()
+            .flat_map(|a| sets.clone().map(move |b| (a, b)))
+            .collect();
+        let checks = naive_intersects(&f, &pairs);
+        assert_pairs(&checks, |a, b| idx.intersects(a, b), "sets");
     }
 
     #[test]
     fn space_respects_budget_shape() {
         let f = family();
-        let n = f.len();
         for budget in [1usize, 16, 256, 4096] {
             let idx = SetDisjointnessIndex::build(&f, budget);
-            // Heavy sets are at most N/Δ ≈ √budget, so the pair table is
-            // O(budget) (up to the +1 rounding of the threshold).
-            let heavy_bound = n / idx.threshold() + 1;
-            assert!(idx.num_heavy() <= heavy_bound);
+            // A heavy set holds more than Δ = ⌈N/√budget⌉ of the N
+            // elements, so fewer than √budget sets are heavy, and the table
+            // of heavy pairs (a set with itself included) fits the budget.
+            let heavy = idx.num_heavy();
             assert!(
-                idx.space_used() <= heavy_bound * (heavy_bound + 1) / 2,
-                "budget {budget}: {} stored",
-                idx.space_used()
+                heavy * heavy < budget,
+                "budget {budget}: {heavy} heavy sets"
             );
+            assert_eq!(idx.space_used(), heavy * (heavy + 1) / 2);
+            assert!(idx.space_used() <= budget);
         }
     }
 
@@ -245,7 +248,9 @@ mod tests {
         let idx = SetDisjointnessIndex::build(&f, 1_000_000);
         // With a huge budget every non-trivial set is heavy.
         assert!(idx.num_heavy() > 0);
-        let heavy: Vec<Val> = (0..f.num_sets as Val).filter(|s| idx.heavy.contains(s)).collect();
+        let heavy: Vec<Val> = (0..f.num_sets as Val)
+            .filter(|s| idx.heavy.contains(s))
+            .collect();
         let (probes, scans) = (work::probes(), work::scans());
         idx.intersects(heavy[0], heavy[heavy.len() - 1]);
         assert_eq!(work::scans() - scans, 0);
@@ -256,23 +261,20 @@ mod tests {
     fn k_set_intersection_matches_naive() {
         let f = family();
         let idx = SetDisjointnessIndex::build(&f, 128);
+        let (cqap, db) = (k_set_intersection(3), database(&f));
+        let mut nonempty = 0;
         for combo in [[0, 1, 2], [0, 5, 10], [3, 3, 7], [30, 31, 32]] {
-            let got = idx.intersection(&combo.map(|s| s as Val));
-            // Brute force.
-            let mut expected: Vec<Val> = idx.elements[&(combo[0] as Val)]
-                .iter()
-                .copied()
-                .filter(|&e| {
-                    combo[1..]
-                        .iter()
-                        .all(|&s| idx.membership.contains(&(s as Val, e)))
-                })
-                .collect();
-            let mut got_sorted = got.clone();
-            got_sorted.sort_unstable();
+            let request = AccessRequest::single(cqap.access(), &combo).unwrap();
+            // The head is the three sets, then the element `y`.
+            let answer = naive_answer(&cqap, &db, &request).unwrap();
+            let mut expected: Vec<Val> = answer.iter().map(|t| t.get(3)).collect();
+            let mut got = idx.intersection(&combo);
+            got.sort_unstable();
             expected.sort_unstable();
-            assert_eq!(got_sorted, expected, "combo {combo:?}");
+            assert_eq!(got, expected, "combo {combo:?}");
+            nonempty += usize::from(!got.is_empty());
         }
+        assert!(nonempty > 0);
     }
 
     #[test]
@@ -282,5 +284,41 @@ mod tests {
         assert!(!idx.intersects(0, 10_000));
         assert!(idx.intersection(&[0, 10_000]).is_empty());
         assert!(idx.intersection(&[]).is_empty());
+    }
+
+    #[test]
+    fn boolean_k_set_disjointness_end_to_end() {
+        // The Boolean 2-set disjointness CQAP answered through the framework
+        // driver (trivial PMTDs of Theorem 6.1) versus the specialized
+        // heavy/light structure of the introduction.
+        let family = SetFamily::zipf(30, 1_000, 150, 1.0, 3);
+        let cqap = k_set_disjointness(2);
+        let pmtds = trivial_pmtds(&cqap).unwrap();
+        let db = database(&family);
+        let driver = CqapIndex::build(&cqap, &db, &pmtds).unwrap();
+        let specialized = SetDisjointnessIndex::build(&family, 256);
+        let sets = family.num_sets as Val;
+        let pairs: Vec<(Val, Val)> = (0..10)
+            .flat_map(|a| [a, a + 3, a + 11].map(|b| (a, b % sets)))
+            .collect();
+        let checks = verdicts(&cqap, &db, bindings(&pairs), |r| driver.answer(r));
+        assert_pairs(&checks, |a, b| specialized.intersects(a, b), "set pair");
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(12))]
+
+        /// Property: the set-disjointness index is correct for every budget.
+        #[test]
+        fn prop_set_disjointness_correct(seed in 0u64..500, budget in 1usize..5_000) {
+            let family = SetFamily::zipf(25, 600, 120, 0.8, seed);
+            let idx = SetDisjointnessIndex::build(&family, budget);
+            let pairs: Vec<(Val, Val)> = (0..25)
+                .flat_map(|a| (a..25).step_by(5).map(move |b| (a, b)))
+                .collect();
+            for (pair, held) in naive_intersects(&family, &pairs) {
+                prop_assert_eq!(idx.intersects(pair.get(0), pair.get(1)), held);
+            }
+        }
     }
 }

@@ -7,64 +7,91 @@
 //! so the structure is two [`TwoReachIndex`]-style halves and the answer is
 //! their conjunction, giving the paper's `S · T² ≾ |D|² · |Q|²` tradeoff.
 
-use crate::kreach::{k_reachable_naive, Adjacency, TwoReachIndex};
+use crate::kreach::TwoReachIndex;
 use cqap_common::Val;
 use cqap_query::workload::Graph;
 
 /// A budget-parameterized index for the square CQAP over a single graph
 /// (all four atoms read the same edge relation, as in Example E.5).
-pub struct SquareIndex {
+pub(crate) struct SquareIndex {
     /// The `x1 → x2 → x3` side.
     forward: TwoReachIndex,
     /// The `x3 → x4 → x1` side.
     backward: TwoReachIndex,
-    adj: Adjacency,
 }
 
 impl SquareIndex {
     /// Builds the index with a total space budget split evenly across the
     /// two sides of the square.
-    pub fn build(graph: &Graph, budget: usize) -> Self {
+    pub(crate) fn build(graph: &Graph, budget: usize) -> Self {
         let half = (budget / 2).max(1);
         SquareIndex {
             forward: TwoReachIndex::build(graph, half),
             backward: TwoReachIndex::build(graph, half),
-            adj: Adjacency::new(graph),
         }
     }
 
     /// Intrinsic space usage of both halves.
-    pub fn space_used(&self) -> usize {
+    pub(crate) fn space_used(&self) -> usize {
         self.forward.space_used() + self.backward.space_used()
     }
 
     /// Whether `(a, c)` are opposite corners of a square: `a` 2-reaches `c`
     /// and `c` 2-reaches `a`.
-    pub fn query(&self, a: Val, c: Val) -> bool {
+    pub(crate) fn query(&self, a: Val, c: Val) -> bool {
         self.forward.query(a, c) && self.backward.query(c, a)
-    }
-
-    /// Reference answer by BFS on both sides.
-    pub fn query_naive(&self, a: Val, c: Val) -> bool {
-        k_reachable_naive(&self.adj, 2, a, c) && k_reachable_naive(&self.adj, 2, c, a)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::oracle::{assert_pairs, bindings, verdicts};
     use cqap_common::work;
+    use cqap_decomp::families::pmtds_square;
+    use cqap_panda::CqapIndex;
+    use cqap_query::families::square;
     use cqap_query::workload::graph_pair_requests;
+    use cqap_relation::{Database, Relation};
+    use cqap_yannakakis::naive_answer;
+
+    /// The square CQAP's database over one graph: all four atoms read its
+    /// edges (Example E.5).
+    fn database(graph: &Graph) -> Database {
+        let mut db = Database::new();
+        for i in 1..=4 {
+            let edges = graph.edges.iter().copied();
+            db.add_relation(Relation::binary(format!("R{i}"), 0, 1, edges))
+                .unwrap();
+        }
+        db
+    }
 
     #[test]
     fn matches_naive() {
         let g = Graph::skewed(200, 1200, 5, 90, 19);
+        let (cqap, db) = (square(true), database(&g));
+        let requests = graph_pair_requests(&g, 200, 7);
+        let checks = verdicts(&cqap, &db, bindings(&requests), |r| {
+            naive_answer(&cqap, &db, r)
+        });
         for budget in [2usize, 128, 1 << 14] {
             let idx = SquareIndex::build(&g, budget);
-            for (a, c) in graph_pair_requests(&g, 200, 7) {
-                assert_eq!(idx.query(a, c), idx.query_naive(a, c), "pair ({a},{c})");
-            }
+            assert_pairs(&checks, |a, c| idx.query(a, c), &format!("budget {budget}"));
         }
+    }
+
+    #[test]
+    fn specialized_square_index_agrees_with_framework_driver() {
+        let (cqap, pmtds) = pmtds_square().unwrap();
+        let graph = Graph::random(40, 250, 31);
+        let db = database(&graph);
+        let driver = CqapIndex::build(&cqap, &db, &pmtds).unwrap();
+        let specialized = SquareIndex::build(&graph, 1 << 10);
+        let requests = graph_pair_requests(&graph, 40, 37);
+        let checks = verdicts(&cqap, &db, bindings(&requests), |r| driver.answer(r));
+        assert!(checks.iter().any(|(_, held)| *held));
+        assert_pairs(&checks, |a, c| specialized.query(a, c), "square");
     }
 
     #[test]

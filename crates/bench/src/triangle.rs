@@ -13,7 +13,7 @@ use cqap_common::{work, FxHashSet, Val};
 use cqap_query::workload::Graph;
 
 /// A linear-space, constant-time index for edge triangle detection.
-pub struct TriangleIndex {
+pub(crate) struct TriangleIndex {
     /// Edges `(u, v)` such that the edge `v → u` closes a triangle
     /// `u → w → v → u` — i.e. the materialized S-view `S13` with
     /// `(x1, x3) = (u, v)`.
@@ -25,7 +25,7 @@ impl TriangleIndex {
     /// Preprocesses the graph: for every edge `x3 → x1`, decides whether
     /// some `x2` completes the triangle `x1 → x2 → x3`, scanning the lower-
     /// degree endpoint (the standard linear-space triangle detection).
-    pub fn build(graph: &Graph) -> Self {
+    pub(crate) fn build(graph: &Graph) -> Self {
         let adj = Adjacency::new(graph);
         let mut s13 = FxHashSet::default();
         for &(x3, x1) in &adj.edges {
@@ -44,14 +44,14 @@ impl TriangleIndex {
     }
 
     /// Intrinsic space: the materialized answer pairs (at most `|E|`).
-    pub fn space_used(&self) -> usize {
+    pub(crate) fn space_used(&self) -> usize {
         2 * self.s13.len()
     }
 
     /// Whether the edge `(x3, x1)` participates in a triangle
     /// `x1 → x2 → x3 → x1` (the edge triangle detection problem of the
     /// introduction). Constant time.
-    pub fn edge_in_triangle(&self, x3: Val, x1: Val) -> bool {
+    pub(crate) fn edge_in_triangle(&self, x3: Val, x1: Val) -> bool {
         work::add(1, 0);
         self.adj.edges.contains(&(x3, x1)) && self.s13.contains(&(x1, x3))
     }
@@ -60,6 +60,10 @@ impl TriangleIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cqap_query::families::triangle_edge;
+    use cqap_query::AccessRequest;
+    use cqap_relation::{Database, Relation};
+    use cqap_yannakakis::naive_answer;
 
     #[test]
     fn small_graph() {
@@ -83,19 +87,24 @@ mod tests {
     #[test]
     fn matches_brute_force() {
         let g = Graph::random(60, 500, 13);
-        let adj = Adjacency::new(&g);
         let idx = TriangleIndex::build(&g);
-        for &(x3, x1) in adj.edges.iter() {
-            let expected = adj
-                .succ
-                .get(&x1)
-                .map_or(false, |succ| succ.iter().any(|&x2| adj.edges.contains(&(x2, x3))));
+        // The access pattern is empty, so one binding-free request asks for
+        // every `(x1, x3)` on a triangle.
+        let cqap = triangle_edge();
+        let mut db = Database::new();
+        let edges = g.edges.iter().copied();
+        db.add_relation(Relation::binary("R", 0, 1, edges)).unwrap();
+        let request = AccessRequest::single(cqap.access(), &[]).unwrap();
+        let answer = naive_answer(&cqap, &db, &request).unwrap();
+        let on_triangle: FxHashSet<(Val, Val)> =
+            answer.iter().map(|t| (t.get(0), t.get(1))).collect();
+        assert!(!on_triangle.is_empty());
+        for &(x3, x1) in &g.edges {
+            let expected = on_triangle.contains(&(x1, x3));
             assert_eq!(idx.edge_in_triangle(x3, x1), expected, "edge ({x3},{x1})");
         }
-        // The enumerated pairs are exactly the reversed triangle edges.
-        for &(x1, x3) in &idx.s13 {
-            assert!(adj.edges.contains(&(x3, x1)));
-        }
+        // The materialized pairs are exactly the oracle's answer.
+        assert_eq!(idx.s13, on_triangle);
     }
 
     #[test]

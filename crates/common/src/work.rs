@@ -1,8 +1,8 @@
 //! The paper's online time `T` (§4–§6), counted: hash probes plus scanned
 //! tuples, beside `tuple::instrument` and `cqap_relation::instrument`.
 //!
-//! Every `T` in the workspace comes from here: the hand-written structures
-//! of `cqap-indexes`, the framework driver's join chains (one probe per
+//! Every `T` in the workspace comes from here: the hand-written reference
+//! structures of `cqap-bench`, the framework driver's join chains (one probe per
 //! atom-index lookup, every emitted row a scan) and its S-view probes (one
 //! probe per distinct key or semijoin test, the rows returned and the
 //! request's tuples as scans). The counts are exact and machine-independent,

@@ -238,13 +238,43 @@ impl Stats {
 
 /// `log_{|D|} n` rounded up to a multiple of `1/EXPONENT_DENOM`: the
 /// smallest `k/64` with `|D|^{k/64} ≥ n`, clamped to `[0, 1]` (sound
-/// because `n ≤ |D|`). `n ≤ 1` or `|D| ≤ 1` gives 0.
+/// because `n ≤ |D|`). `n ≤ 1` or `|D| ≤ 1` gives 0. Decided in integers,
+/// `n^64 ≤ |D|^k`, so a power of `|D|` is not rounded past its exponent.
 fn size_exponent(n: usize, db_size: usize) -> Rat {
     if n <= 1 || db_size <= 1 {
         return Rat::ZERO;
     }
-    let k = (EXPONENT_DENOM as f64 * (n as f64).ln() / (db_size as f64).ln()).ceil();
-    Rat::new((k as i128).clamp(0, EXPONENT_DENOM), EXPONENT_DENOM)
+    let mut target = vec![1];
+    for _ in 0..EXPONENT_DENOM {
+        mul_limbs(&mut target, n);
+    }
+    // `|D|^k` for k = 0, 1, …: the first that reaches `n^64`.
+    let mut power = vec![1];
+    for k in 0..EXPONENT_DENOM {
+        if limbs_le(&target, &power) {
+            return Rat::new(k, EXPONENT_DENOM);
+        }
+        mul_limbs(&mut power, db_size);
+    }
+    Rat::ONE
+}
+
+/// Multiplies a little-endian `u64`-limb number by `factor` in place.
+fn mul_limbs(limbs: &mut Vec<u64>, factor: usize) {
+    let mut carry = 0u128;
+    for limb in limbs.iter_mut() {
+        let wide = *limb as u128 * factor as u128 + carry;
+        *limb = wide as u64;
+        carry = wide >> 64;
+    }
+    if carry > 0 {
+        limbs.push(carry as u64);
+    }
+}
+
+/// `a ≤ b` for little-endian limb numbers without leading zero limbs.
+fn limbs_le(a: &[u64], b: &[u64]) -> bool {
+    a.len() < b.len() || (a.len() == b.len() && a.iter().rev().le(b.iter().rev()))
 }
 
 /// A claimed symbolic tradeoff `S^{s_exp} · T^{t_exp} ≾ |D|^{d_exp} ·
@@ -736,6 +766,10 @@ mod tests {
 
         assert_eq!(size_exponent(1, 4), Rat::ZERO);
         assert_eq!(size_exponent(4, 4), Rat::ONE);
+        // 625^{48/64} = 125 and 1296^{48/64} = 216 exactly (in f64, 64 ·
+        // ln n / ln |D| lands just above 48).
+        assert_eq!(size_exponent(125, 625), rat(48, 64));
+        assert_eq!(size_exponent(216, 1296), rat(48, 64));
         let empty = Stats::measured(&q, &binary_db(&[("R1", &[])])).unwrap();
         assert!(empty.dc.iter().all(|c| c.size.d.is_zero()));
 
@@ -744,6 +778,43 @@ mod tests {
         let schema = cqap_relation::Schema::of([0, 1, 2]);
         ternary.add_relation(Relation::new("R1", schema)).unwrap();
         assert!(Stats::measured(&q, &ternary).is_err());
+    }
+
+    #[test]
+    fn size_exponent_is_the_smallest_exact_upper_bound() {
+        // `base^exp` in limbs, checked against `u128` past one limb.
+        let power = |base: usize, exp: i128| {
+            let mut limbs = vec![1];
+            (0..exp).for_each(|_| mul_limbs(&mut limbs, base));
+            limbs
+        };
+        assert_eq!(
+            power(3, 50),
+            [(3u128.pow(50) as u64), (3u128.pow(50) >> 64) as u64]
+        );
+        assert!(limbs_le(&power(2, 64), &power(2, 64)));
+        assert!(!limbs_le(&power(2, 65), &power(2, 64)));
+        for db_size in 2..128 {
+            for n in 2..=db_size {
+                let e = size_exponent(n, db_size);
+                let k = (e.to_f64() * EXPONENT_DENOM as f64).round() as i128;
+                assert_eq!(rat(k, EXPONENT_DENOM), e);
+                let target = power(n, EXPONENT_DENOM);
+                assert!(
+                    limbs_le(&target, &power(db_size, k)),
+                    "({n}, {db_size}) → {e}"
+                );
+                assert!(
+                    !limbs_le(&target, &power(db_size, k - 1)),
+                    "({n}, {db_size}) → {e}"
+                );
+                // Away from a multiple of 1/64, f64 rounds the same way.
+                let x = EXPONENT_DENOM as f64 * (n as f64).ln() / (db_size as f64).ln();
+                if (x - x.round()).abs() > 1e-6 {
+                    assert_eq!(k, x.ceil() as i128, "({n}, {db_size})");
+                }
+            }
+        }
     }
 
     #[test]

@@ -23,7 +23,7 @@
 //! The engine is *correct for every CQAP and PMTD set* and its space usage
 //! is exactly the S-view sizes; its online time is not always the optimum
 //! the 2PP analysis promises (that requires the per-rule heavy/light
-//! splitting implemented by the specialized structures in `cqap-indexes`),
+//! splitting implemented by `cqap-bench`'s hand-written structures),
 //! which is precisely the gap the benchmarks quantify. One part of that
 //! gap is closed online: a T-view under a T-parent is expanded from the
 //! parent's link keys when exact first-step fan-outs say that is cheaper

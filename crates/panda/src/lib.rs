@@ -10,8 +10,8 @@
 //!   [`driver::CqapIndex`] materializes the S-views of a PMTD set during a
 //!   preprocessing phase and answers access requests with Online Yannakakis
 //!   per PMTD, unioning the per-PMTD results (Section 4.3). It is the
-//!   reference "framework engine" the specialized index structures in
-//!   `cqap-indexes` are benchmarked against.
+//!   reference "framework engine" the hand-written structures of
+//!   `cqap-bench` are benchmarked against.
 //! * [`analysis`] — the analytic reproduction entry points: Table 1
 //!   (2-phase disjunctive rules for 3-reachability with their verified
 //!   tradeoffs), the combined tradeoff curves of Figures 4a and 4b, and the

@@ -145,6 +145,7 @@ mod compaction;
 
 #[cfg(test)]
 mod tests {
+    use std::path::Path;
     use std::sync::Arc;
 
     use super::*;
@@ -161,18 +162,28 @@ mod tests {
     use cqap_store::scratch_dir;
     use cqap_yannakakis::naive_answer;
 
-    /// `k` shards placed by `policy`, the cold ones spilled under a fresh
-    /// scratch directory.
+    /// `k` shards placed by `policy`, the cold ones spilled under `dir`,
+    /// which the caller hands to [`remove_placed_dir`] once the index drops.
     fn build_placed(
         cqap: &Cqap,
         db: &Database,
         pmtds: &[Pmtd],
         shards: usize,
         policy: &PlacementPolicy,
+        dir: &Path,
     ) -> ShardedIndex {
         let sharded = ShardedIndex::build(cqap, db, pmtds, shards).unwrap();
         let placement = sharded.replan(policy);
-        ShardedIndex::from_sharded(sharded, &placement, scratch_dir("tiered")).unwrap()
+        ShardedIndex::from_sharded(sharded, &placement, dir).unwrap()
+    }
+
+    /// Removes the directory a dropped [`build_placed`] index spilled
+    /// under (absent if no shard went cold). It must be empty, since each
+    /// cold shard removes its own directory, so a leak fails the test.
+    fn remove_placed_dir(dir: &Path) {
+        if dir.exists() {
+            std::fs::remove_dir(dir).unwrap();
+        }
     }
 
     fn fixture() -> (Cqap, Vec<Pmtd>, Graph, Database, CqapIndex) {
@@ -263,7 +274,8 @@ mod tests {
     fn space_reports_per_tier() {
         let (cqap, pmtds, _, db, _) = fixture();
         let policy = PlacementPolicy::hot_budget(0);
-        let tiered = build_placed(&cqap, &db, &pmtds, 2, &policy);
+        let dir = scratch_dir("tiered");
+        let tiered = build_placed(&cqap, &db, &pmtds, 2, &policy, &dir);
         let space = tiered.space_used();
         assert_eq!(space.cold_shards, 2);
         assert_eq!(space.hot_shards, 0);
@@ -272,6 +284,8 @@ mod tests {
         assert!(space.cold_disk_bytes > 0);
         assert!(space.resident_values() < space.total_values());
         assert!(space.to_string().contains("cold"));
+        drop(tiered);
+        remove_placed_dir(&dir);
     }
 
     #[test]
@@ -285,7 +299,8 @@ mod tests {
         // shards really hold — more than their resident fence values,
         // because every cold lineage keeps its support counts.
         let policy = PlacementPolicy::hot_budget(0);
-        let mut tiered = build_placed(&cqap, &db, &pmtds, 2, &policy);
+        let cold_dir = scratch_dir("tiered");
+        let mut tiered = build_placed(&cqap, &db, &pmtds, 2, &policy, &cold_dir);
         let sink = MetricsSink::recording();
         tiered.set_metrics_sink(sink.clone()).unwrap();
         let space = tiered.space_used();
@@ -324,8 +339,11 @@ mod tests {
         // S-views — each one table with its support counts — at their real
         // size: above the nominal 8 bytes per value, within 4.5x of it, and
         // far below the 24x a tuple-copying layout cost.
+        drop(tiered);
+        remove_placed_dir(&cold_dir);
         let policy = PlacementPolicy::hot_budget(usize::MAX);
-        let mut tiered = build_placed(&cqap, &db, &pmtds, 2, &policy);
+        let hot_dir = scratch_dir("tiered");
+        let mut tiered = build_placed(&cqap, &db, &pmtds, 2, &policy, &hot_dir);
         let sink = MetricsSink::recording();
         tiered.set_metrics_sink(sink.clone()).unwrap();
         let space = tiered.space_used();
@@ -337,6 +355,8 @@ mod tests {
         assert_eq!(cold, 0);
         assert_eq!(snap.gauge(GaugeId::ColdResidentBytes), 0);
         assert_eq!(snap.gauge(GaugeId::ColdDiskBytes), 0);
+        drop(tiered);
+        remove_placed_dir(&hot_dir);
     }
 
     #[test]
@@ -524,7 +544,8 @@ mod tests {
             let spec = ShardSpec::new(&cqap, 3).unwrap();
             let weights = PlacementPolicy::observe(&spec, &requests);
             let policy = PlacementPolicy::hot_budget(budget_kb * 1024).with_weights(weights);
-            let tiered = build_placed(&cqap, &db, &pmtds, 3, &policy);
+            let dir = scratch_dir("tiered");
+            let tiered = build_placed(&cqap, &db, &pmtds, 3, &policy, &dir);
             let space = tiered.space_used();
             proptest::prop_assert_eq!(space.hot_shards + space.cold_shards, 3);
             for request in &requests {
@@ -534,6 +555,8 @@ mod tests {
                     "budget {}KiB placement diverged", budget_kb
                 );
             }
+            drop(tiered);
+            remove_placed_dir(&dir);
         }
     }
 }

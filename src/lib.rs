@@ -24,9 +24,6 @@
 //!   Table 1 / Figure 4 analysis entry points. The driver,
 //!   [`CqapIndex`](panda::CqapIndex), answers from resident S-views or,
 //!   once [spilled](panda::CqapIndex::spill), from disk-resident ones.
-//! * [`indexes`] — the concrete budget-parameterized index structures and
-//!   baselines used by the empirical experiments: the paper's reference
-//!   points for the tradeoff curves, queried directly and never served.
 //! * [`serve`] — the batched, concurrent request-serving runtime over the
 //!   framework driver: the [`BatchAnswer`](serve::BatchAnswer) trait
 //!   (implemented by `CqapIndex` and the sharded index and router that
@@ -70,7 +67,6 @@ pub use cqap_common as common;
 pub use cqap_decomp as decomp;
 pub use cqap_delta as delta;
 pub use cqap_entropy as entropy;
-pub use cqap_indexes as indexes;
 pub use cqap_obs as obs;
 pub use cqap_panda as panda;
 pub use cqap_query as query;
@@ -93,10 +89,6 @@ pub mod prelude {
     pub use cqap_decomp::{Pmtd, TreeDecomposition, ViewKind};
     pub use cqap_entropy::tradeoff::{Stats, SymbolicTradeoff};
     pub use cqap_entropy::RuleShape;
-    pub use cqap_indexes::{
-        BfsBaseline, FullReachMaterialization, HierarchicalIndex, KReachGoldstein,
-        SetDisjointnessIndex, SquareIndex, TriangleIndex, TwoReachIndex,
-    };
     pub use cqap_delta::{ApplyDelta, DeltaBatch};
     pub use cqap_obs::{MetricsSink, MetricsSnapshot};
     pub use cqap_panda::{CqapIndex, TwoPhaseRule};
