@@ -84,8 +84,8 @@
 //! request instead of per sub-instance; it does not replace the partition.
 //!
 //! A [`CompiledPmtd`] pairs these programs with the
-//! [`CompiledPlan`] for the PMTD; `answer_with_compiled` is the driver
-//! loop shared by both places a `CqapIndex`'s S-views live (resident, or
+//! [`CompiledPlan`] for the PMTD; its `CompiledPmtd::answer` is the one
+//! request path of both places a `CqapIndex`'s S-views live (resident, or
 //! spilled to `cqap-store`'s disk-resident runs).
 
 use std::cell::RefCell;
@@ -110,7 +110,7 @@ thread_local! {
 }
 
 /// Runs `f` with this thread's reusable [`DriverScratch`] arena.
-pub fn with_driver_scratch<R>(f: impl FnOnce(&mut DriverScratch) -> R) -> R {
+pub(crate) fn with_driver_scratch<R>(f: impl FnOnce(&mut DriverScratch) -> R) -> R {
     DRIVER_SCRATCH.with(|cell| f(&mut cell.borrow_mut()))
 }
 
@@ -118,7 +118,7 @@ pub fn with_driver_scratch<R>(f: impl FnOnce(&mut DriverScratch) -> R) -> R {
 /// executor's arena plus the buffers of the T-view programs, so neither
 /// half of a request allocates working state on a warm worker.
 #[derive(Debug, Default)]
-pub struct DriverScratch {
+pub(crate) struct DriverScratch {
     /// The plan executor's arena (handed to
     /// `CompiledPlan::answer_from_columns`).
     col: ColumnarScratch,
@@ -133,8 +133,7 @@ pub struct DriverScratch {
     /// Reused projection buffer of the T-view programs.
     vals: Vec<Val>,
     /// Deduplication memo: of the seed of a multi-tuple request, then of
-    /// the parent's link keys or an uncovered bag's final projection, and
-    /// of a request's bindings when the union's stop rule counts them.
+    /// the parent's link keys or an uncovered bag's final projection.
     memo: KeyMemo<()>,
     /// Pooled per-program output runs.
     slot_runs: Vec<ColumnRun>,
@@ -374,6 +373,9 @@ impl TViewProgram {
 #[derive(Clone, Debug)]
 pub struct CompiledPmtd {
     access: VarSet,
+    /// What an answer is projected onto: the CQAP's declared head and its
+    /// access variables.
+    output: VarSet,
     /// One T-view program per non-materialized node, in top-down order.
     programs: Vec<TViewProgram>,
     plan: CompiledPlan,
@@ -482,6 +484,7 @@ impl CompiledPmtd {
         let plan = evaluator.compile(views, &t_schemas)?;
         Ok(CompiledPmtd {
             access,
+            output: cqap.declared_head().union(access),
             programs,
             plan,
         })
@@ -489,12 +492,13 @@ impl CompiledPmtd {
 
     /// Answers one request: the T-view programs write their output directly as
     /// column runs, the plan executes column-at-a-time, and rows become
-    /// tuples only at the final head projection.
+    /// tuples only at the final head projection — onto the CQAP's declared
+    /// head and access variables, the answer `naive_answer` gives.
     ///
     /// # Errors
     /// Fails on a request over another access pattern, propagates the
     /// plan's validation failures and backend storage errors.
-    pub fn answer<V: SViewProbe>(
+    pub(crate) fn answer<V: SViewProbe>(
         &self,
         atom_indexes: &AtomIndexCache,
         views: &V,
@@ -524,14 +528,14 @@ impl CompiledPmtd {
             &mut scratch.col,
         );
         scratch.slot_runs = runs;
-        answer
+        project_final(answer?, self.output)
     }
 }
 
 /// Projects `rel` onto `target ∩ varset` like
 /// [`Relation::project_onto`], but moves the relation through unchanged
-/// when the projection is the identity (the common case for the framework
-/// drivers, whose plans already produce head-shaped answers).
+/// when the projection is the identity (the common case: a plan already
+/// produces head-shaped answers).
 fn project_final(rel: Relation, target: VarSet) -> Result<Relation> {
     let keep = target.intersect(rel.varset());
     if keep == rel.varset() && rel.schema().vars().windows(2).all(|w| w[0] < w[1]) {
@@ -540,98 +544,16 @@ fn project_final(rel: Relation, target: VarSet) -> Result<Relation> {
     rel.project_onto(target)
 }
 
-/// The order the framework union runs a plan set in: plan positions by
-/// ascending T-view program count — the plan that joins the fewest bags
-/// per request first — ties in the given order. For the Figure-1 set
-/// `[(T134, T123), (T134, S13), (S14)]` it is `[2, 1, 0]`.
+/// The plan `CqapIndex::answer` runs: the position of the plan with the
+/// fewest T-view programs — the one that joins the fewest bags per
+/// request — the first of them on a tie. For the Figure-1 set
+/// `[(T134, T123), (T134, S13), (S14)]` it is `2`.
 ///
-/// Computed once per index, at build or spill: a request iterates it and
-/// neither allocates nor sorts for it. The indexes keep the given order
-/// in what they show (`plans()`, `compiled()`).
-pub(crate) fn union_order<'a>(plans: impl IntoIterator<Item = &'a CompiledPmtd>) -> Vec<usize> {
-    let t_views: Vec<usize> = plans.into_iter().map(|p| p.programs.len()).collect();
-    let mut order: Vec<usize> = (0..t_views.len()).collect();
-    order.sort_by_key(|&i| t_views[i]);
-    order
-}
-
-/// Whether `held` answer tuples of a Boolean-given-access CQAP — each a
-/// binding of `request` — are every distinct binding of it. Bindings are
-/// counted (once, into `distinct`) only for a request that repeats one;
-/// the count reads the request, not the index, and adds nothing to `T`.
-fn holds_every_binding(
-    held: usize,
-    request: &AccessRequest,
-    distinct: &mut Option<usize>,
-    memo: &mut KeyMemo<()>,
-) -> bool {
-    if held == request.len() {
-        return true;
-    }
-    if held == 0 {
-        return false;
-    }
-    let distinct = *distinct.get_or_insert_with(|| {
-        memo.clear();
-        let tuples = request.tuples().iter();
-        tuples.filter(|t| memo.insert_if_absent(hash_vals(t.as_slice()), t.as_slice())).count()
-    });
-    held == distinct
-}
-
-/// The compiled driver loop over any S-view backend: runs the PMTDs'
-/// pipelines against the backend's live `atom_indexes`, unions the
-/// per-PMTD answers, and projects onto `declared_head ∪ access` — used by
-/// `CqapIndex` over its in-memory views and over its spilled
-/// `cqap-store` views alike, so the two cannot silently diverge. Both
-/// pass `plans` in the index's [`union_order`].
-///
-/// **Stop rule.** When the CQAP is Boolean given its access pattern
-/// (k-reachability, the square, set disjointness), every answer tuple is
-/// a binding of the request and the union only grows, so once it holds
-/// every distinct binding no later plan can add a tuple: the loop stops
-/// there. The check runs after a plan, never before the first (an empty
-/// request gets the first plan's empty answer, schema included), and it
-/// assumes nothing about any one plan being complete — it holds at every
-/// `S`, under any split of the database into sub-instances. A
-/// non-Boolean CQAP, or a request with a binding still unanswered, runs
-/// every plan.
-///
-/// # Errors
-/// Fails for an empty plan set, and propagates evaluation errors.
-pub(crate) fn answer_with_compiled<'a, V, I>(
-    cqap: &Cqap,
-    atom_indexes: &AtomIndexCache,
-    plans: I,
-    request: &AccessRequest,
-) -> Result<Relation>
-where
-    V: SViewProbe + 'a,
-    I: IntoIterator<Item = (&'a CompiledPmtd, &'a V)>,
-{
-    let stops = cqap.is_boolean_given_access();
-    with_driver_scratch(|scratch| {
-        let mut acc: Option<Relation> = None;
-        let mut distinct = None;
-        for (plan, views) in plans {
-            let part = plan.answer(atom_indexes, views, request, scratch)?;
-            let union = match acc {
-                None => part,
-                // Both sides are owned: the larger moves, the smaller's
-                // tuples are inserted — no relation clone.
-                Some(prev) => prev.union_with(part)?,
-            };
-            let held = union.len();
-            acc = Some(union);
-            if stops && holds_every_binding(held, request, &mut distinct, &mut scratch.memo) {
-                break;
-            }
-        }
-        let result = acc.ok_or_else(|| {
-            CqapError::InvalidQuery("the framework needs at least one PMTD".into())
-        })?;
-        project_final(result, cqap.declared_head().union(cqap.access()))
-    })
+/// Computed once per index, at build: a request reads it. The index keeps
+/// the given order in what it shows (`plans()`, `compiled()`).
+pub(crate) fn cheapest_plan<'a>(plans: impl IntoIterator<Item = &'a CompiledPmtd>) -> usize {
+    let plans = plans.into_iter().enumerate();
+    plans.min_by_key(|(_, plan)| plan.programs.len()).map_or(0, |(i, _)| i)
 }
 
 #[cfg(test)]
@@ -926,15 +848,15 @@ mod tests {
 
     #[test]
     fn warm_single_request_driver_path_performs_zero_dedup_inserts() {
-        // The fully-materialized plan (S14): after one warm-up request,
-        // the complete driver path — T-view programs, compiled plan,
-        // per-PMTD union, final projection — must never touch the
+        // The Figure-1 set answers with its fully-materialized plan (S14):
+        // after one warm-up request, the complete driver path — T-view
+        // programs, compiled plan, final projection — must never touch the
         // relation-level dedup machinery (the paper's "probe-only online
         // phase" made literal at the allocator level).
         let (cqap, pmtds) = pf::pmtds_3reach_fig1().unwrap();
         let g = Graph::random(50, 260, 13);
         let db = g.as_path_database(3);
-        let index = CqapIndex::build(&cqap, &db, &pmtds[2..3]).unwrap();
+        let index = CqapIndex::build(&cqap, &db, &pmtds).unwrap();
         let requests: Vec<AccessRequest> = graph_pair_requests(&g, 6, 17)
             .into_iter()
             .map(|(u, v)| AccessRequest::single(cqap.access(), &[u, v]).unwrap())

@@ -264,8 +264,7 @@ impl DeltaMaintenance {
     }
 
     /// The live atom indexes the owning backend's compiled pipelines
-    /// answer against (see
-    /// `answer_with_compiled`).
+    /// answer against (see `CqapIndex::answer`).
     pub fn atom_indexes(&self) -> &AtomIndexCache {
         &self.atom_indexes
     }

@@ -9,16 +9,29 @@
 //! maintenance from empty (`DeltaMaintenance::build`), which streams it
 //! through the crate's one join chain into the index's counted S-views —
 //! the tables the online phase probes are the support-count tables a delta
-//! edits, so `S` is resident once. The online phase computes the T-views
-//! for the incoming access request — joining only the atoms of each
+//! edits, so `S` is resident once. The online phase runs **one** plan: the
+//! PMTD with the fewest T-views (`cheapest_plan`; `(S14)` for Figure 1,
+//! `(S13)` for 2-reachability). It computes that plan's T-views for the
+//! incoming access request — joining only the atoms of each
 //! non-materialized bag, restricted by the request, through the same
-//! chain — runs Online Yannakakis per PMTD, and unions the results across
-//! PMTDs, fewest T-views first (`union_order`). For a CQAP that is
-//! Boolean given its access pattern the union stops at the first plan
-//! after which it holds every binding of the request: every answer tuple
-//! is a binding, so no later PMTD could add one. The oracle's join
-//! (`naive::full_join`) is left to the oracle, `naive_answer`, which every
-//! answer here is tested against.
+//! chain — and runs Online Yannakakis over them and the plan's S-views.
+//! The oracle's join (`naive::full_join`) is left to the oracle,
+//! `naive_answer`, which every answer here is tested against.
+//!
+//! *Why one plan answers.* The paper (§4.3) unions the per-PMTD answers
+//! because PANDA hands each PMTD its own share of the sub-instances. Here
+//! every plan of an index is built over the index's one database. Each
+//! PMTD is a free-connex tree decomposition with the access variables
+//! `A ⊆ χ(root)`; its S-views are projections `π(J)` of the full join over
+//! that database, and its T-views are joined over the same database. So
+//! Online Yannakakis on any one plan returns `Q_A(db)` whole, and a union
+//! with the other plans adds nothing. The equivalence matrix holds each
+//! plan alone to `naive_answer` in every phase (its per-PMTD cells), so
+//! the plan left unrun is checked all the same. Every plan's S-views are
+//! still built, maintained and spilled (`plans()`, `compiled()`,
+//! `space_used()` see them all). The one union left is the one over the
+//! shards and parts of a deployment (`ShardedIndex::answer`), whose
+//! databases differ.
 //!
 //! The engine is *correct for every CQAP and PMTD set* and its space usage
 //! is exactly the S-view sizes; its online time is not always the optimum
@@ -44,7 +57,7 @@ use cqap_relation::{Database, KeyedRows, Relation};
 use cqap_store::{StoredView, StoredViews};
 use cqap_yannakakis::{OnlineYannakakis, PreprocessedViews};
 
-use crate::compiled::{answer_with_compiled, union_order, CompiledPmtd};
+use crate::compiled::{cheapest_plan, with_driver_scratch, CompiledPmtd};
 use crate::delta::DeltaMaintenance;
 use crate::stored::Spilled;
 
@@ -63,9 +76,9 @@ pub struct CqapIndex {
     /// while the index is resident, edited by `maintenance` in both
     /// states — the one `S`-sized table per (plan, node).
     views: Vec<PreprocessedViews>,
-    /// Plan positions in the order [`CqapIndex::answer`] unions them
-    /// ([`union_order`]), fixed at build.
-    order: Vec<usize>,
+    /// The position of the plan [`CqapIndex::answer`] runs
+    /// ([`cheapest_plan`]), fixed at build.
+    answering: usize,
     maintenance: DeltaMaintenance,
     /// The views' sorted runs once spilled: probed instead of `views`.
     spilled: Option<Spilled>,
@@ -119,13 +132,13 @@ impl CqapIndex {
                 compiled: Arc::new(compiled),
             });
         }
-        let order = union_order(plans.iter().map(|p| p.compiled.as_ref()));
+        let answering = cheapest_plan(plans.iter().map(|p| p.compiled.as_ref()));
         Ok(CqapIndex {
             cqap: cqap.clone(),
             db: db.clone(),
             plans,
             views,
-            order,
+            answering,
             maintenance,
             spilled: None,
         })
@@ -170,7 +183,7 @@ impl CqapIndex {
             db: self.db.clone(),
             plans: self.plans.clone(),
             views: self.views.clone(),
-            order: self.order.clone(),
+            answering: self.answering,
             maintenance: self.maintenance.clone(),
             spilled: None,
         };
@@ -295,9 +308,9 @@ impl CqapIndex {
     }
 
     /// The per-PMTD compiled pipelines (T-view programs + probe plans), in
-    /// the order of the build's PMTDs — what [`CqapIndex::answer`]
-    /// executes, in its `union_order`, against
-    /// [`CqapIndex::maintenance`]'s atom indexes.
+    /// the order of the build's PMTDs — each answers the CQAP alone, against
+    /// [`CqapIndex::maintenance`]'s atom indexes; [`CqapIndex::answer`] runs
+    /// the one with the fewest T-views.
     pub fn compiled(&self) -> impl Iterator<Item = &Arc<CompiledPmtd>> {
         self.plans.iter().map(|p| &p.compiled)
     }
@@ -308,77 +321,39 @@ impl CqapIndex {
     }
 
     /// Online phase: answers an access request by running Online Yannakakis
-    /// per PMTD and unioning the per-PMTD answers (Section 4.3),
-    /// projected onto the CQAP's declared head.
-    ///
-    /// The PMTDs run fewest T-views first (`union_order`: for the
-    /// Figure-1 set `(S14)`, then `(T134, S13)`, then `(T134, T123)`).
-    /// When the CQAP is Boolean given its access pattern, the union stops
-    /// after the first plan at which it holds every distinct binding of
-    /// the request — exact at every `S`, because the answer is a subset of
-    /// the request and the union only grows. A non-Boolean CQAP, or a
-    /// request with a binding still unanswered, runs every plan.
+    /// over one plan — the PMTD with the fewest T-views (for the Figure-1
+    /// set `(S14)`) — projected onto the CQAP's declared head. Every plan
+    /// is built over the index's one database, so each alone answers the
+    /// CQAP completely (the module doc has the argument).
     ///
     /// Requests run through the **compiled columnar** pipeline: per-request
     /// work is the T-view programs' join chains over the live atom indexes
     /// (an access-free bag's included — its T-view is computed online, as
     /// the PMTD says) and column-at-a-time plan execution against
     /// pre-resolved positions, with all intermediate state in a per-worker
-    /// struct-of-arrays scratch arena. A spilled index runs the same loop
+    /// struct-of-arrays scratch arena. A spilled index runs the same plan
     /// with every S-view probe served from disk, decoded column-directly
     /// out of the segment reads. Answers are identical to `naive_answer`
     /// over [`CqapIndex::database`] (enforced on every backend by the
     /// umbrella crate's equivalence matrix).
     pub fn answer(&self, request: &AccessRequest) -> Result<Relation> {
-        self.answer_plans(&self.order, request)
+        let (i, atoms) = (self.answering, self.maintenance.atom_indexes());
+        let plan = &self.plans[i].compiled;
+        with_driver_scratch(|scratch| match &self.spilled {
+            None => plan.answer(atoms, &self.views[i], request, scratch),
+            Some(spilled) => plan.answer(atoms, &spilled.plans[i], request, scratch),
+        })
     }
 
-    /// Graceful-degradation online phase: answers from the single
-    /// *cheapest* plan — the first of [`CqapIndex::answer`]'s
-    /// `union_order`, the PMTD with the fewest T-views — skipping the
-    /// rest of the union.
-    ///
-    /// Its only saving over [`CqapIndex::answer`] is on requests with a
-    /// binding that plan leaves unanswered: for a CQAP Boolean given its
-    /// access pattern, `answer` already stops after this plan once every
-    /// binding is answered.
-    ///
-    /// Every PMTD of the set is built over the whole database at
-    /// `S = ∞`, so each answers the CQAP completely on its own and the
-    /// degraded contents are **identical** to [`CqapIndex::answer`]'s.
-    /// That stops holding once a budgeted build partitions the database
-    /// into sub-instances, each answered by one PMTD: one plan's answer is
-    /// then a subset, and this shortcut is unsound. The answer relation is
-    /// renamed to [`DEGRADED_ANSWER_NAME`] so callers can always tell it
-    /// apart from a full answer. The serving runtime uses this past its
-    /// overload watermark and never caches the result.
+    /// [`CqapIndex::answer`] under another name: the same plan and the same
+    /// contents, the answer relation renamed to [`DEGRADED_ANSWER_NAME`].
+    /// It stays only for the serving runtime's degrade mode, which flags
+    /// and never caches what it returns.
     ///
     /// # Errors
-    /// Propagates the plan's evaluation errors.
+    /// Fails like [`CqapIndex::answer`].
     pub fn answer_degraded(&self, request: &AccessRequest) -> Result<Relation> {
-        let answer = self.answer_plans(&self.order[..1], request)?;
-        Ok(answer.with_name(DEGRADED_ANSWER_NAME))
-    }
-
-    /// Unions the plans at `order`'s positions, probing wherever the
-    /// S-views live.
-    fn answer_plans(&self, order: &[usize], request: &AccessRequest) -> Result<Relation> {
-        let (cqap, atoms) = (&self.cqap, self.maintenance.atom_indexes());
-        let compiled = |i: usize| self.plans[i].compiled.as_ref();
-        match &self.spilled {
-            None => answer_with_compiled(
-                cqap,
-                atoms,
-                order.iter().map(|&i| (compiled(i), &self.views[i])),
-                request,
-            ),
-            Some(spilled) => answer_with_compiled(
-                cqap,
-                atoms,
-                order.iter().map(|&i| (compiled(i), &spilled.plans[i])),
-                request,
-            ),
-        }
+        Ok(self.answer(request)?.with_name(DEGRADED_ANSWER_NAME))
     }
 
     /// The delta-maintenance state (delta chains, atom indexes).
@@ -515,15 +490,15 @@ mod tests {
     }
 
     #[test]
-    fn the_union_runs_fewest_t_views_first_and_degrades_to_its_first_plan() {
+    fn the_plan_with_the_fewest_t_views_answers_and_degrades_to_itself() {
         // The Figure-1 set is given as (T134, T123), (T134, S13), (S14):
-        // two T-views, one, none. The union runs it backwards, `plans()`
-        // and `compiled()` keep the given order, and the degraded answer
-        // comes from (S14), the plan with the most stored values.
+        // two T-views, one, none. (S14) answers, `plans()` and
+        // `compiled()` keep the given order, and the degraded answer is
+        // the same answer renamed.
         let (cqap, pmtds) = pf::pmtds_3reach_fig1().unwrap();
         let g = Graph::random(30, 120, 51);
         let index = CqapIndex::build(&cqap, &g.as_path_database(3), &pmtds).unwrap();
-        assert_eq!(index.order, [2, 1, 0]);
+        assert_eq!(index.answering, 2);
         let stored: Vec<usize> = index.plans().map(|(_, views)| views.stored_values()).collect();
         assert_eq!(stored[0], 0);
         assert!(stored[2] > stored[1] && stored[1] > 0, "{stored:?}");

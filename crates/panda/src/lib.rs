@@ -9,7 +9,8 @@
 //! * [`driver`] — an executable instantiation of the general framework: a
 //!   [`driver::CqapIndex`] materializes the S-views of a PMTD set during a
 //!   preprocessing phase and answers access requests with Online Yannakakis
-//!   per PMTD, unioning the per-PMTD results (Section 4.3). It is the
+//!   over the PMTD with the fewest T-views (Section 4.3; every PMTD covers
+//!   the index's one database, so no per-PMTD union is needed). It is the
 //!   reference "framework engine" the hand-written structures of
 //!   `cqap-bench` are benchmarked against.
 //! * [`analysis`] — the analytic reproduction entry points: Table 1
@@ -72,7 +73,7 @@ pub mod rules;
 mod stored;
 
 pub use analysis::{figure4a_curve, figure4b_curve, goldstein_baseline, table1_3reach, RuleReport};
-pub use compiled::{with_driver_scratch, AtomIndexCache, CompiledPmtd, DriverScratch};
+pub use compiled::{AtomIndexCache, CompiledPmtd};
 pub use delta::DeltaMaintenance;
 pub use driver::{CqapIndex, DEGRADED_ANSWER_NAME};
 pub use rules::TwoPhaseRule;

@@ -68,7 +68,8 @@ impl Cqap {
 
     /// Whether the CQAP is Boolean *given* its access pattern (no output
     /// variables besides the access variables).
-    pub fn is_boolean_given_access(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_boolean_given_access(&self) -> bool {
         self.declared_head.is_subset(self.access)
     }
 

@@ -145,8 +145,7 @@ impl Relation {
     ///
     /// The *larger* input is cloned as the base and the smaller one is
     /// inserted into it, so only O(min(|R|, |S|)) tuples go through the
-    /// per-tuple insert path — the shape of the per-PMTD answer union in
-    /// the serving driver. (The bulk side still costs O(big) to clone,
+    /// per-tuple insert path. (The bulk side still costs O(big) to clone,
     /// and its membership set materializes once if it was lazily built;
     /// the saving is the per-tuple re-insertion, not the copy.)
     pub fn union(&self, other: &Relation) -> Result<Relation> {
@@ -175,9 +174,8 @@ impl Relation {
     /// the base *by move* — no relation is cloned at all — and only the
     /// smaller side's tuples go through the per-tuple insert path
     /// (mismatched column orders reorder `other` into `self`'s schema
-    /// first). This is the union the serving drivers use to fold
-    /// per-PMTD and per-shard answers, where both sides are freshly
-    /// produced and owned. Note the result's tuple *order* depends on
+    /// first). This is the union the sharded index uses to fold per-shard
+    /// answers, where both sides are freshly produced and owned. Note the result's tuple *order* depends on
     /// which side was larger; only the set contents are guaranteed.
     pub fn union_with(self, other: Relation) -> Result<Relation> {
         let other = if other.schema() == self.schema() {

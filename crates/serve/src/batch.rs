@@ -70,9 +70,9 @@ pub trait BatchAnswer: Send + Sync {
     }
 }
 
-/// The framework driver: the online phase runs Online Yannakakis over every
-/// PMTD and unions the per-PMTD answers, so this impl is the generic
-/// (every-CQAP) serving path. A multi-binding request (the §6.4 batch
+/// The framework driver: the online phase runs Online Yannakakis over the
+/// PMTD with the fewest T-views, so this impl is the generic (every-CQAP)
+/// serving path. A multi-binding request (the §6.4 batch
 /// `Q_A`) is answered in one engine pass by `answer_one`; `answer_batch`
 /// keeps the default, one request at a time.
 impl BatchAnswer for CqapIndex {
@@ -83,9 +83,9 @@ impl BatchAnswer for CqapIndex {
         self.answer(request)
     }
 
-    /// Past the runtime's overload watermark the driver answers from its
-    /// single cheapest PMTD (the first its union runs: fewest T-views);
-    /// the answer relation is renamed to
+    /// Past the runtime's overload watermark the driver answers as it
+    /// always does, from the one PMTD with the fewest T-views; the answer
+    /// relation is renamed to
     /// [`DEGRADED_ANSWER_NAME`](cqap_panda::DEGRADED_ANSWER_NAME).
     fn answer_degraded(&self, request: &Self::Request) -> Option<Result<Self::Answer>> {
         Some(CqapIndex::answer_degraded(self, request))

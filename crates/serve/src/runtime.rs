@@ -89,9 +89,9 @@ pub struct ServeConfig {
     pub admission: Option<AdmissionConfig>,
     /// Queue-depth watermark for graceful degradation: when set and the
     /// pool's pending-job count exceeds it at dispatch time, a lone probe
-    /// may answer via [`BatchAnswer::answer_degraded`] (for multi-PMTD
-    /// driver indexes: the cheapest plan only, flagged in the answer and
-    /// never cached). `None` (the default) disables degrade mode.
+    /// may answer via [`BatchAnswer::answer_degraded`] (for the driver
+    /// index: its one answering plan, flagged in the answer and never
+    /// cached). `None` (the default) disables degrade mode.
     pub degrade_watermark: Option<usize>,
 }
 

@@ -49,8 +49,8 @@ fn chain_keyed_view_delta_equivalence() {
     Fixture::open_head_path2_chain_keyed().run_only(COLUMNS, &phases);
 }
 
-/// `(T1245, T234)` alone: every plan of a set answers completely, so beside
-/// others a wrong one would hide in the union.
+/// `(T1245, T234)` alone: a set index answers with its cheapest plan, so
+/// only a set of this plan alone runs it.
 #[test]
 fn access_free_bag_delta_equivalence() {
     Fixture::access_free_bag().run_only(COLUMNS, &[Phase::Maintained]);

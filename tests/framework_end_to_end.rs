@@ -26,8 +26,8 @@ fn three_reach_pipeline_matches_naive_on_skewed_graph() {
         );
     }
 
-    // Edge requests, on both backends: no binding at all (the union still
-    // runs its first plan and answers empty, with the head's schema), and
+    // Edge requests, on both backends: no binding at all (the plan still
+    // runs and answers empty, with the head's schema), and
     // a binding given twice beside one given once.
     let stored = index.spill(scratch_dir("framework-edge")).unwrap();
     let (u, v) = graph.edges[0];

@@ -13,8 +13,8 @@
 //!   `(T1245, T234)`'s access-free bag alone, and an uncovered bag under
 //!   `{x1, x5}` and under the empty access pattern.
 //! * **Backend** ([`Column`]) — a resident and a spilled `CqapIndex` (and,
-//!   for a set, one of each per PMTD: the union stops once every binding is
-//!   answered, so beside other plans a wrong one could hide), all-hot
+//!   for a set, one of each per PMTD: a set index answers with its one
+//!   cheapest plan, so only these cells run the others), all-hot
 //!   `ShardedIndex` deployments of 1 and 3 shards, a `[Hot, Cold, Cold]`
 //!   one rotated by the seed, a `ServeRuntime` over the resident index and
 //!   one over the 3-shard index, and a `ShardRouter`.
@@ -135,9 +135,10 @@ pub struct Fixture {
     pub pmtds: Vec<Pmtd>,
     domain: u64,
     tuples: usize,
-    /// Whether the set's resident cell must run a two-seeded T-view
-    /// program from the request *and* from its parent's link keys, in
-    /// every check of every phase.
+    /// Whether the per-PMTD resident cells, summed, must run a two-seeded
+    /// T-view program from the request *and* from its parent's link keys,
+    /// in every check of every phase (so a slice of such a row selects
+    /// [`Column::PerPmtd`]).
     both_seeds: bool,
     /// Makes the row's database: [`Fixture::random_database`] but for a
     /// row whose shape needs a particular one.
@@ -337,6 +338,11 @@ impl Fixture {
 
     /// The `columns` × `phases` slice of the row, at both seeds.
     pub fn run_only(&self, columns: &[Column], phases: &[Phase]) {
+        assert!(
+            !self.both_seeds || columns.contains(&Column::PerPmtd),
+            "{}: a two-seeded row's slice selects Column::PerPmtd, whose cells check both seeds",
+            self.name
+        );
         for seed in SEEDS {
             self.run_seed(seed, columns, phases);
         }
@@ -649,6 +655,8 @@ impl Fixture {
             .map(|r| naive_answer(&self.cqap, db, r).unwrap())
             .collect();
         let mut rebuilt = BTreeMap::new();
+        // Program runs per side, summed over the per-PMTD resident cells.
+        let (mut from_request, mut from_parent) = (0, 0);
         for cell in cells {
             let at = format!("{} × {} × {phase}", self.name, cell.label);
             let sides = (
@@ -656,14 +664,9 @@ impl Fixture {
                 instrument::parent_side_programs(),
             );
             let answers = cell.answer(&self.cqap, &self.pmtds, requests);
-            if self.both_seeds && cell.label == "resident" {
-                let from_request = instrument::request_side_programs() - sides.0;
-                let from_parent = instrument::parent_side_programs() - sides.1;
-                assert!(
-                    from_request > 0 && from_parent > 0,
-                    "{at}: {from_request} program runs from the request, {from_parent} from \
-                     the parent — a cell that never reaches a side proves nothing about it"
-                );
+            if cell.plan.is_some() && matches!(&cell.backend, Backend::Index(i) if !i.is_spilled()) {
+                from_request += instrument::request_side_programs() - sides.0;
+                from_parent += instrument::parent_side_programs() - sides.1;
             }
             for ((request, answer), expected) in requests.iter().zip(answers).zip(&expected) {
                 assert_eq!(
@@ -702,6 +705,12 @@ impl Fixture {
                 assert_equals_rebuild(index, rebuilt, &format!("{at}, shard {shard}"));
             }
         }
+        assert!(
+            !self.both_seeds || (from_request > 0 && from_parent > 0),
+            "{} × per-PMTD resident × {phase}: {from_request} program runs from the request, \
+             {from_parent} from the parent — cells that never reach a side prove nothing about it",
+            self.name
+        );
     }
 }
 

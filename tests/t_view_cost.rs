@@ -37,7 +37,7 @@
 
 use cqap_suite::common::work;
 use cqap_suite::decomp::families::{pmtds_3reach_all, pmtds_4reach};
-use cqap_suite::panda::{instrument, with_driver_scratch};
+use cqap_suite::panda::instrument;
 use cqap_suite::prelude::*;
 use cqap_suite::query::workload::graph_pair_requests;
 
@@ -54,12 +54,7 @@ fn count(index: &CqapIndex, requests: &[AccessRequest]) -> Counted {
     let rows = work::scans();
     let from_request = instrument::request_side_programs();
     let from_parent = instrument::parent_side_programs();
-    let (plan, views) = (index.compiled().next().unwrap(), index.plans().next().unwrap().1);
-    let atom_indexes = index.maintenance().atom_indexes();
-    let answers = requests
-        .iter()
-        .map(|r| with_driver_scratch(|s| plan.answer(atom_indexes, views, r, s)).unwrap())
-        .collect();
+    let answers = requests.iter().map(|r| index.answer(r).unwrap()).collect();
     Counted {
         rows: work::scans() - rows,
         from_request: instrument::request_side_programs() - from_request,
