@@ -544,18 +544,6 @@ fn project_final(rel: Relation, target: VarSet) -> Result<Relation> {
     rel.project_onto(target)
 }
 
-/// The plan `CqapIndex::answer` runs: the position of the plan with the
-/// fewest T-view programs — the one that joins the fewest bags per
-/// request — the first of them on a tie. For the Figure-1 set
-/// `[(T134, T123), (T134, S13), (S14)]` it is `2`.
-///
-/// Computed once per index, at build: a request reads it. The index keeps
-/// the given order in what it shows (`plans()`, `compiled()`).
-pub(crate) fn cheapest_plan<'a>(plans: impl IntoIterator<Item = &'a CompiledPmtd>) -> usize {
-    let plans = plans.into_iter().enumerate();
-    plans.min_by_key(|(_, plan)| plan.programs.len()).map_or(0, |(i, _)| i)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -718,7 +706,7 @@ mod tests {
         let g = Graph::skewed(40, 200, 2, 30, 9);
         let db = g.as_path_database(3);
         let index = CqapIndex::build(&cqap, &db, &pmtds[..1]).unwrap();
-        let compiled = index.compiled().next().unwrap();
+        let compiled = index.compiled();
         let atom_indexes = index.maintenance().atom_indexes();
         let [root, child] = &compiled.programs[..] else {
             panic!("(T134, T123) has two programs")
@@ -778,7 +766,7 @@ mod tests {
                 assert_eq!(index.answer(request).unwrap(), expected);
             }
             // One program per bag, nothing folded into the plan.
-            assert_eq!(index.compiled().next().unwrap().programs.len(), 2);
+            assert_eq!(index.compiled().programs.len(), 2);
         };
 
         let cq = ConjunctiveQuery::new("p2", 3, atoms(), full_head).unwrap();

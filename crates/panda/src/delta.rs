@@ -14,20 +14,20 @@
 //! * `ΔJ⁺ = ⋃_a (ΔR⁺ renamed to atom a) ⋈ (all other atoms over the
 //!   post-delta database)` — the J-rows that appear.
 //!
-//! A support count per (plan, materialized node, view tuple) tracks how
+//! A support count per (materialized node, view tuple) tracks how
 //! many J-rows project onto it; a view tuple leaves its S-view when its
 //! count reaches zero and enters when it departs from zero. The counts
 //! live **in the S-view itself**: the backend's resident
 //! [`PreprocessedViews`] are counted `KeyedRows` keyed by each view's
 //! link, so the table the online phase probes is the table a delta edits
-//! — one `S`-sized table per (plan, node) per lineage, one random-access
+//! — one `S`-sized table per node per lineage, one random-access
 //! edit per `ΔJ` row and view, and nothing to copy the edit into. The
 //! backend owns the tables (`CqapIndex` serves from them; once spilled,
 //! it keeps them as its counts beside the runs it probes)
 //! and lends them to `DeltaMaintenance::build` / `DeltaMaintenance::apply`
 //! by `&mut`; this module keeps only what expands a delta: the chains and
 //! the atom indexes. A view row whose count crosses zero goes to the
-//! caller's sink `(plan, node, row, entered)` as it crosses, never into a
+//! caller's sink `(node, row, entered)` as it crosses, never into a
 //! list: a resident index passes a no-op, a spilled one its overlays.
 //!
 //! Each atom's term is one `JoinChain` (the chain type of the T-view
@@ -67,9 +67,9 @@
 //!   ΔJ⁻ and ΔJ⁺ joins — the cache is their single owner, T-view programs
 //!   and delta chains only hold slot numbers, so nothing is evicted,
 //!   rebuilt or re-shared;
-//! * the compiled pipelines read those live indexes and probe the live
-//!   S-views and fold no database content — an access-free bag's T-view
-//!   is computed per request like any other — so **no plan is ever
+//! * the compiled pipeline reads those live indexes and probes the live
+//!   S-views and folds no database content — an access-free bag's T-view
+//!   is computed per request like any other — so **the plan is never
 //!   recompiled**: a delta never re-joins a bag.
 
 use cqap_common::{FxHashSet, Result, Tuple, Val, VarSet};
@@ -130,9 +130,9 @@ fn stream_delta_join(
 /// in every chain's schema, resolved once, and the morsel buffers each
 /// edit reuses.
 struct CountEdits {
-    /// `positions[a]`: per view, plan by plan in
-    /// [`PreprocessedViews::edit`] order, the columns of atom `a`'s chain
-    /// schema that the view projects (in its ascending variable order).
+    /// `positions[a]`: per view, in [`PreprocessedViews::edit`] order, the
+    /// columns of atom `a`'s chain schema that the view projects (in its
+    /// ascending variable order).
     positions: Vec<Vec<Vec<usize>>>,
     /// A morsel projected onto one view, row after row.
     rows: Vec<Val>,
@@ -141,13 +141,12 @@ struct CountEdits {
 }
 
 impl CountEdits {
-    fn new(chains: &[JoinChain], plans: &[PreprocessedViews]) -> Self {
+    fn new(chains: &[JoinChain], views: &PreprocessedViews) -> Self {
         let positions = chains
             .iter()
             .map(|chain| {
-                plans
-                    .iter()
-                    .flat_map(PreprocessedViews::runs)
+                views
+                    .runs()
                     .map(|(_, view)| {
                         chain
                             .schema()
@@ -166,9 +165,9 @@ impl CountEdits {
 
     /// Gives (`Side::Inserts`) or takes (`Side::Deletes`) one support per
     /// row of `rows` (a morsel of atom `a`'s chain) to its projection onto
-    /// every (counted) view of every plan — the one hot edit of a delta —
-    /// and calls `moved(plan, node, row, entered)` for each view row that
-    /// thereby entered or left its view, in row order. Per view the
+    /// every (counted) view — the one hot edit of a delta — and calls
+    /// `moved(node, row, entered)` for each view row that thereby entered
+    /// or left its view, in row order. Per view the
     /// morsel is projected and hashed once, column by column, and handed
     /// to [`KeyedRows::edit_counts`](cqap_relation::KeyedRows::edit_counts)
     /// as one batch, whose grouped warm passes overlap the edits' cache
@@ -177,32 +176,26 @@ impl CountEdits {
         &mut self,
         a: usize,
         rows: &ColumnRun,
-        plans: &mut [PreprocessedViews],
+        views: &mut PreprocessedViews,
         side: Side,
-        moved: &mut impl FnMut(usize, usize, &[Val], bool),
+        moved: &mut impl FnMut(usize, &[Val], bool),
     ) {
         let (edit, entered) = match side {
             Side::Inserts => (CountEdit::Add(1), true),
             Side::Deletes => (CountEdit::Sub(1), false),
         };
-        let mut positions = self.positions[a].iter();
-        for (p, plan) in plans.iter_mut().enumerate() {
-            for (node, view) in plan.edit() {
-                let positions = positions.next().expect("views resolved at build or apply");
-                rows.project_rows_into(positions, &mut self.rows);
-                rows.hash_rows_into(positions, &mut self.hashes);
-                view.edit_counts(&self.rows, &self.hashes, edit, |row| {
-                    moved(p, node, row, entered)
-                });
-            }
+        for ((node, view), positions) in views.edit().zip(&self.positions[a]) {
+            rows.project_rows_into(positions, &mut self.rows);
+            rows.hash_rows_into(positions, &mut self.hashes);
+            view.edit_counts(&self.rows, &self.hashes, edit, |row| moved(node, row, entered));
         }
     }
 }
 
-/// Build-once maintenance state for a set of PMTD plans over one
-/// database: the per-atom delta chains and the atom-index cache the
-/// backend's compiled pipelines answer against. The counted S-views a
-/// delta edits are the backend's (see the module docs).
+/// Build-once maintenance state for a PMTD plan over one database: the
+/// per-atom delta chains and the atom-index cache the backend's compiled
+/// pipeline answers against. The counted S-views a delta edits are the
+/// backend's (see the module docs).
 ///
 /// Cloneable so a copy of an index (the one `CqapIndex::spill` writes)
 /// carries its own maintenance lineage; the
@@ -223,15 +216,14 @@ pub struct DeltaMaintenance {
 impl DeltaMaintenance {
     /// Compiles, per atom, the delta chain expanding that atom's tuple
     /// deltas to full-join row deltas (its own schema joined with all
-    /// other atoms, indexed over `db`), and fills `views` — one plan's
-    /// empty counted S-views per element
-    /// ([`OnlineYannakakis::counted_views`]) — in one pass over the
-    /// streamed full join: the insert of the whole database into an empty
-    /// one, whose first atom is always atom 0.
+    /// other atoms, indexed over `db`), and fills `views` — the plan's
+    /// empty counted S-views ([`OnlineYannakakis::counted_views`]) — in
+    /// one pass over the streamed full join: the insert of the whole
+    /// database into an empty one, whose first atom is always atom 0.
     ///
     /// # Errors
     /// Propagates schema/atom resolution failures.
-    pub(crate) fn build(cqap: &Cqap, db: &Database, views: &mut [PreprocessedViews]) -> Result<Self> {
+    pub(crate) fn build(cqap: &Cqap, db: &Database, views: &mut PreprocessedViews) -> Result<Self> {
         let atoms = cqap.cq().atoms();
         let mut atom_indexes = AtomIndexCache::default();
         let chains = (0..atoms.len())
@@ -247,7 +239,7 @@ impl DeltaMaintenance {
         let (no_skip, mut scratch) = (|_, _: &Tuple| false, ChainScratch::default());
         let mut edits = CountEdits::new(&chains, views);
         let mut count = |rows: &ColumnRun| {
-            edits.shift_counts(0, rows, views, Side::Inserts, &mut |_, _, _, _| {})
+            edits.shift_counts(0, rows, views, Side::Inserts, &mut |_, _, _| {})
         };
         chains[0].run(0, &atom_indexes, &seed, MORSEL_ROWS, &no_skip, &mut scratch, &mut count);
         Ok(DeltaMaintenance {
@@ -263,8 +255,8 @@ impl DeltaMaintenance {
         self.sink = sink;
     }
 
-    /// The live atom indexes the owning backend's compiled pipelines
-    /// answer against (see `CqapIndex::answer`).
+    /// The live atom indexes the owning backend's compiled pipeline
+    /// answers against (see `CqapIndex::answer`).
     pub fn atom_indexes(&self) -> &AtomIndexCache {
         &self.atom_indexes
     }
@@ -282,15 +274,15 @@ impl DeltaMaintenance {
     }
 
     /// Applies one batch: streams `ΔJ⁻` against the pre-delta atom
-    /// indexes into `views` (the lineage's counted S-views, one element
-    /// per plan, as given to [`DeltaMaintenance::build`]), moves `db` and
-    /// the atom indexes over the touched relations to the post-delta
-    /// state (in place, tuple by tuple), and streams `ΔJ⁺`. Each view row
-    /// whose support count crosses zero goes to `moved(plan, node, row,
-    /// entered)` as it crosses, for a backend that keeps a second form of
-    /// the views (the cold tier's overlays); `views` already holds it. A
-    /// row that leaves and returns within the batch is reported both
-    /// times, so that backend's edits must net it.
+    /// indexes into `views` (the lineage's counted S-views, as given to
+    /// [`DeltaMaintenance::build`]), moves `db` and the atom indexes over
+    /// the touched relations to the post-delta state (in place, tuple by
+    /// tuple), and streams `ΔJ⁺`. Each view row whose support count
+    /// crosses zero goes to `moved(node, row, entered)` as it crosses,
+    /// for a backend that keeps a second form of the views (the cold
+    /// tier's overlays); `views` already holds it. A row that leaves and
+    /// returns within the batch is reported both times, so that
+    /// backend's edits must net it.
     ///
     /// A batch whose net effect is empty short-circuits: `db`, the
     /// views and the atom indexes are left untouched and nothing moves.
@@ -298,9 +290,9 @@ impl DeltaMaintenance {
         &mut self,
         cqap: &Cqap,
         db: &mut Database,
-        views: &mut [PreprocessedViews],
+        views: &mut PreprocessedViews,
         batch: &DeltaBatch,
-        moved: &mut impl FnMut(usize, usize, &[Val], bool),
+        moved: &mut impl FnMut(usize, &[Val], bool),
     ) -> Result<DeltaStats> {
         let mut span = self.sink.inner_span(StageId::DeltaApply);
         let deltas = net_effect(db, batch)?;
@@ -376,7 +368,8 @@ mod tests {
                 new_db.apply_delta(&batch).unwrap();
                 let (j_old, j_new) = (oracle_join(&cqap, &old_db), oracle_join(&cqap, &new_db));
                 for cap in [1, 3, MORSEL_ROWS] {
-                    let mut m = DeltaMaintenance::build(&cqap, &old_db, &mut []).unwrap();
+                    let mut empty = PreprocessedViews::default();
+                    let mut m = DeltaMaintenance::build(&cqap, &old_db, &mut empty).unwrap();
                     let what = |side: &str| format!("{side} of {} at cap {cap}", cqap.cq().name());
                     let stream = |side: Side, indexes: &AtomIndexCache, target: &Schema| {
                         let mut streamed = Vec::new();

@@ -1,37 +1,39 @@
 //! An executable instantiation of the general framework (Sections 4.2–4.3).
 //!
 //! [`CqapIndex`] is the "reference engine" for the framework: given a CQAP,
-//! a database and a set of PMTDs, the preprocessing phase materializes the
-//! S-views of every PMTD (as semijoin-reduced projections of the full join,
-//! which is exactly the content the paper's preprocessing phase guarantees
-//! after its final semijoin-reduce step) and indexes them for Online
-//! Yannakakis. The full join itself is never held: the build is delta
-//! maintenance from empty (`DeltaMaintenance::build`), which streams it
-//! through the crate's one join chain into the index's counted S-views —
-//! the tables the online phase probes are the support-count tables a delta
-//! edits, so `S` is resident once. The online phase runs **one** plan: the
-//! PMTD with the fewest T-views (`cheapest_plan`; `(S14)` for Figure 1,
-//! `(S13)` for 2-reachability). It computes that plan's T-views for the
+//! a database and a set of PMTDs, the preprocessing phase picks the one
+//! PMTD the index answers with and materializes its S-views (as
+//! semijoin-reduced projections of the full join, which is exactly the
+//! content the paper's preprocessing phase guarantees after its final
+//! semijoin-reduce step) and indexes them for Online Yannakakis. The full
+//! join itself is never held: the build is delta maintenance from empty
+//! (`DeltaMaintenance::build`), which streams it through the crate's one
+//! join chain into the index's counted S-views — the tables the online
+//! phase probes are the support-count tables a delta edits, so `S` is
+//! resident once. The online phase computes that plan's T-views for the
 //! incoming access request — joining only the atoms of each
 //! non-materialized bag, restricted by the request, through the same
 //! chain — and runs Online Yannakakis over them and the plan's S-views.
 //! The oracle's join (`naive::full_join`) is left to the oracle,
 //! `naive_answer`, which every answer here is tested against.
 //!
-//! *Why one plan answers.* The paper (§4.3) unions the per-PMTD answers
-//! because PANDA hands each PMTD its own share of the sub-instances. Here
-//! every plan of an index is built over the index's one database. Each
-//! PMTD is a free-connex tree decomposition with the access variables
-//! `A ⊆ χ(root)`; its S-views are projections `π(J)` of the full join over
-//! that database, and its T-views are joined over the same database. So
-//! Online Yannakakis on any one plan returns `Q_A(db)` whole, and a union
-//! with the other plans adds nothing. The equivalence matrix holds each
-//! plan alone to `naive_answer` in every phase (its per-PMTD cells), so
-//! the plan left unrun is checked all the same. Every plan's S-views are
-//! still built, maintained and spilled (`plans()`, `compiled()`,
-//! `space_used()` see them all). The one union left is the one over the
-//! shards and parts of a deployment (`ShardedIndex::answer`), whose
-//! databases differ.
+//! *Why one plan is built.* The paper (§4.2–4.3) hands each PMTD its own
+//! share of the sub-instances, materializes S-views only over those and
+//! unions the per-PMTD answers. An index built from a PMTD set has no
+//! space budget (`S = ∞`), and at `S = ∞` every sub-instance goes to the
+//! PMTD with the least online time, so the others store nothing. Here that
+//! PMTD is the one with the fewest non-materialized bags (the fewest
+//! T-views to join per request; the first on a tie): `(S14)` for Figure 1,
+//! `(S13)` for 2-reachability. It is a free-connex tree decomposition with
+//! the access variables `A ⊆ χ(root)`; its S-views are projections `π(J)`
+//! of the full join over the index's database, and its T-views are joined
+//! over the same database, so Online Yannakakis on it alone returns
+//! `Q_A(db)` whole. The index builds, maintains and spills that plan only;
+//! the other PMTDs of the set are checked against the CQAP and dropped.
+//! The equivalence matrix still builds each PMTD of a set alone (its
+//! per-PMTD cells) and holds it to `naive_answer` in every phase. The one
+//! union left is the one over the shards and parts of a deployment
+//! (`ShardedIndex::answer`), whose databases differ.
 //!
 //! The engine is *correct for every CQAP and PMTD set* and its space usage
 //! is exactly the S-view sizes; its online time is not always the optimum
@@ -54,10 +56,10 @@ use cqap_decomp::Pmtd;
 use cqap_delta::{ApplyDelta, DeltaBatch, DeltaStats};
 use cqap_query::{AccessRequest, Cqap};
 use cqap_relation::{Database, KeyedRows, Relation};
-use cqap_store::{StoredView, StoredViews};
+use cqap_store::StoredView;
 use cqap_yannakakis::{OnlineYannakakis, PreprocessedViews};
 
-use crate::compiled::{cheapest_plan, with_driver_scratch, CompiledPmtd};
+use crate::compiled::{with_driver_scratch, CompiledPmtd};
 use crate::delta::DeltaMaintenance;
 use crate::stored::Spilled;
 
@@ -66,45 +68,33 @@ use crate::stored::Spilled;
 /// distinguishable from full ones.
 pub const DEGRADED_ANSWER_NAME: &str = "degraded";
 
-/// A materialized CQAP index over a set of PMTDs, its S-views resident
-/// or spilled to disk ([`CqapIndex::spill`]).
+/// A materialized CQAP index over the one PMTD of a set it answers with,
+/// its S-views resident or spilled to disk ([`CqapIndex::spill`]).
 pub struct CqapIndex {
     cqap: Cqap,
     db: Database,
-    plans: Vec<Plan>,
-    /// Per plan, its counted S-views: probed by [`CqapIndex::answer`]
-    /// while the index is resident, edited by `maintenance` in both
-    /// states — the one `S`-sized table per (plan, node).
-    views: Vec<PreprocessedViews>,
-    /// The position of the plan [`CqapIndex::answer`] runs
-    /// ([`cheapest_plan`]), fixed at build.
-    answering: usize,
+    evaluator: OnlineYannakakis,
+    /// `Arc`-shared so the copy [`CqapIndex::spill`] writes reuses the
+    /// pipeline by refcount (its atom indexes are shared the same way).
+    compiled: Arc<CompiledPmtd>,
+    /// The plan's counted S-views: probed by [`CqapIndex::answer`] while
+    /// the index is resident, edited by `maintenance` in both states —
+    /// the one `S`-sized table per node.
+    views: PreprocessedViews,
     maintenance: DeltaMaintenance,
     /// The views' sorted runs once spilled: probed instead of `views`.
     spilled: Option<Spilled>,
 }
 
-#[derive(Clone)]
-struct Plan {
-    evaluator: OnlineYannakakis,
-    /// `Arc`-shared so the copy [`CqapIndex::spill`] writes reuses the
-    /// pipeline by refcount (its atom indexes are shared the same way).
-    compiled: Arc<CompiledPmtd>,
-}
-
 impl CqapIndex {
-    /// Preprocessing phase: materializes and indexes the S-views of every
-    /// PMTD in the set.
+    /// Preprocessing phase: picks the PMTD of the set with the fewest
+    /// non-materialized bags (the first on a tie; the module doc has why
+    /// it alone is built) and materializes and indexes its S-views.
     ///
     /// # Errors
-    /// Returns an error if a PMTD does not match the CQAP (different access
-    /// pattern or head).
+    /// Returns an error if the set is empty or a PMTD does not match the
+    /// CQAP (different access pattern or head).
     pub fn build(cqap: &Cqap, db: &Database, pmtds: &[Pmtd]) -> Result<Self> {
-        if pmtds.is_empty() {
-            return Err(CqapError::InvalidQuery(
-                "the framework needs at least one PMTD".into(),
-            ));
-        }
         for p in pmtds {
             if p.access() != cqap.access() || p.head() != cqap.head() {
                 return Err(CqapError::InvalidPmtd(
@@ -112,33 +102,27 @@ impl CqapIndex {
                 ));
             }
         }
-        // Delta maintenance from empty: the atom indexes (one table for
-        // the whole build — PMTDs sharing an (atom, join-key) pair share
-        // one slot), the per-atom delta chains, and every view filled
-        // with its counted projection of the streamed full join, all
-        // views in one pass. A counted projection is both the S-view (its
-        // distinct rows, keyed by the link) and the view's support counts.
-        let evaluators: Vec<_> = pmtds.iter().map(|p| OnlineYannakakis::new(p.clone())).collect();
-        let mut views = evaluators
-            .iter()
-            .map(OnlineYannakakis::counted_views)
-            .collect::<Result<Vec<_>>>()?;
+        let t_views = |p: &&Pmtd| p.td().num_nodes() - p.materialization_set().len();
+        let Some(pmtd) = pmtds.iter().min_by_key(t_views) else {
+            return Err(CqapError::InvalidQuery(
+                "the framework needs at least one PMTD".into(),
+            ));
+        };
+        // Delta maintenance from empty: the atom indexes, the per-atom
+        // delta chains, and every view filled with its counted projection
+        // of the streamed full join, all views in one pass. A counted
+        // projection is both the S-view (its distinct rows, keyed by the
+        // link) and the view's support counts.
+        let evaluator = OnlineYannakakis::new(pmtd.clone());
+        let mut views = evaluator.counted_views()?;
         let mut maintenance = DeltaMaintenance::build(cqap, db, &mut views)?;
-        let mut plans = Vec::with_capacity(pmtds.len());
-        for (evaluator, views) in evaluators.into_iter().zip(&views) {
-            let compiled = maintenance.compile(cqap, db, &evaluator, views)?;
-            plans.push(Plan {
-                evaluator,
-                compiled: Arc::new(compiled),
-            });
-        }
-        let answering = cheapest_plan(plans.iter().map(|p| p.compiled.as_ref()));
+        let compiled = Arc::new(maintenance.compile(cqap, db, &evaluator, &views)?);
         Ok(CqapIndex {
             cqap: cqap.clone(),
             db: db.clone(),
-            plans,
+            evaluator,
+            compiled,
             views,
-            answering,
             maintenance,
             spilled: None,
         })
@@ -146,7 +130,7 @@ impl CqapIndex {
 
     /// A copy of this index with its S-views spilled to sorted-run files
     /// under `dir` (created if missing; see [`CqapIndex::spill_in_place`]).
-    /// `self` stays as it was: the copy shares the compiled pipelines and
+    /// `self` stays as it was: the copy shares the compiled pipeline and
     /// the atom indexes by `Arc` and clones the rest, its counted views
     /// exact-fit.
     ///
@@ -181,9 +165,9 @@ impl CqapIndex {
         let mut copy = CqapIndex {
             cqap: self.cqap.clone(),
             db: self.db.clone(),
-            plans: self.plans.clone(),
+            evaluator: self.evaluator.clone(),
+            compiled: Arc::clone(&self.compiled),
             views: self.views.clone(),
-            answering: self.answering,
             maintenance: self.maintenance.clone(),
             spilled: None,
         };
@@ -191,9 +175,9 @@ impl CqapIndex {
         Ok(copy)
     }
 
-    /// Spills the S-views of every plan to one sorted-run file per view
-    /// under `dir` (created if missing); from then on every S-view probe
-    /// is a fence-indexed read of those files, and the counted views stay
+    /// Spills the plan's S-views to one sorted-run file per view under
+    /// `dir` (created if missing); from then on every S-view probe is a
+    /// fence-indexed read of those files, and the counted views stay
     /// resident as the support counts deltas edit. The index owns the
     /// files: they are deleted when it drops, and `dir` too if that
     /// leaves it empty.
@@ -215,19 +199,19 @@ impl CqapIndex {
     }
 
     fn stored_views(&self) -> impl Iterator<Item = &StoredView> {
-        self.spilled.iter().flat_map(|s| &s.plans).flat_map(StoredViews::views)
+        self.spilled.iter().flat_map(|s| s.views.views())
     }
 
     fn stored_views_mut(&mut self) -> impl Iterator<Item = &mut StoredView> {
-        self.spilled.iter_mut().flat_map(|s| &mut s.plans).flat_map(StoredViews::views_mut)
+        self.spilled.iter_mut().flat_map(|s| s.views.views_mut())
     }
 
     /// The intrinsic space cost: total stored values across the S-views
-    /// every PMTD probes — resident or spilled — excluding the input
+    /// the plan probes — resident or spilled — excluding the input
     /// database itself, as in the paper's `Õ(S + |D|)` accounting.
     pub fn space_used(&self) -> usize {
         match self.spilled {
-            None => self.views.iter().map(PreprocessedViews::stored_values).sum(),
+            None => self.views.stored_values(),
             Some(_) => self.stored_views().map(StoredView::stored_values).sum(),
         }
     }
@@ -244,15 +228,15 @@ impl CqapIndex {
     }
 
     /// Heap bytes the index actually holds for its `S`, from container
-    /// capacities (see [`KeyedRows::heap_bytes`]): the counted S-views of
-    /// every plan — probed while resident, the support counts once
-    /// spilled — plus, once spilled, the runs' fence indexes, key filters
-    /// and overlays. The number to hold against
+    /// capacities (see [`KeyedRows::heap_bytes`]): the plan's counted
+    /// S-views — probed while resident, the support counts once spilled —
+    /// plus, once spilled, the runs' fence indexes, key filters and
+    /// overlays. The number to hold against
     /// `space_used() × size_of::<Val>()`. Excludes the `O(|D|)` state
     /// (database, atom indexes), like [`CqapIndex::space_used`].
     pub fn resident_bytes(&self) -> usize {
-        let counts: usize = self.views.iter().map(PreprocessedViews::resident_bytes).sum();
-        counts + self.stored_views().map(StoredView::resident_bytes).sum::<usize>()
+        let stored: usize = self.stored_views().map(StoredView::resident_bytes).sum();
+        self.views.resident_bytes() + stored
     }
 
     /// Bytes the spilled S-views occupy on disk (0 while resident).
@@ -278,13 +262,11 @@ impl CqapIndex {
         self.stored_views_mut().map(StoredView::compact).fold(Ok(()), Result::and)
     }
 
-    /// Iterates `(plan, node, counted S-view)` over every materialized
-    /// node — what the rebuild-equivalence tests compare against a fresh
+    /// Iterates `(node, counted S-view)` over the plan's materialized
+    /// nodes — what the rebuild-equivalence tests compare against a fresh
     /// build over the post-delta database (rows, link *and* counts).
-    pub fn support_counts(&self) -> impl Iterator<Item = (usize, usize, &KeyedRows)> + '_ {
-        self.views.iter().enumerate().flat_map(|(plan, views)| {
-            views.runs().map(move |(node, counts)| (plan, node, counts))
-        })
+    pub fn support_counts(&self) -> impl Iterator<Item = (usize, &KeyedRows)> + '_ {
+        self.views.runs()
     }
 
     /// The CQAP this index answers.
@@ -299,31 +281,24 @@ impl CqapIndex {
         &self.db
     }
 
-    /// The per-PMTD plans, in the order of the build's PMTDs — each an
-    /// Online-Yannakakis evaluator plus its preprocessed (semijoin-reduced,
-    /// link-keyed, counted) S-views, the content [`CqapIndex::spill`]
-    /// writes to disk.
+    /// The plan the index answers with, as its one item: the
+    /// Online-Yannakakis evaluator of the chosen PMTD plus its
+    /// preprocessed (semijoin-reduced, link-keyed, counted) S-views, the
+    /// content [`CqapIndex::spill`] writes to disk.
     pub fn plans(&self) -> impl Iterator<Item = (&OnlineYannakakis, &PreprocessedViews)> {
-        self.plans.iter().map(|p| &p.evaluator).zip(&self.views)
+        std::iter::once((&self.evaluator, &self.views))
     }
 
-    /// The per-PMTD compiled pipelines (T-view programs + probe plans), in
-    /// the order of the build's PMTDs — each answers the CQAP alone, against
-    /// [`CqapIndex::maintenance`]'s atom indexes; [`CqapIndex::answer`] runs
-    /// the one with the fewest T-views.
-    pub fn compiled(&self) -> impl Iterator<Item = &Arc<CompiledPmtd>> {
-        self.plans.iter().map(|p| &p.compiled)
-    }
-
-    /// Number of PMTDs in the plan set.
-    pub fn num_pmtds(&self) -> usize {
-        self.plans.len()
+    /// The plan's compiled pipeline (T-view programs + probe plans), which
+    /// [`CqapIndex::answer`] runs against [`CqapIndex::maintenance`]'s
+    /// atom indexes.
+    pub fn compiled(&self) -> &Arc<CompiledPmtd> {
+        &self.compiled
     }
 
     /// Online phase: answers an access request by running Online Yannakakis
-    /// over one plan — the PMTD with the fewest T-views (for the Figure-1
-    /// set `(S14)`) — projected onto the CQAP's declared head. Every plan
-    /// is built over the index's one database, so each alone answers the
+    /// over the index's one plan (for the Figure-1 set `(S14)`), projected
+    /// onto the CQAP's declared head. The plan's PMTD alone answers the
     /// CQAP completely (the module doc has the argument).
     ///
     /// Requests run through the **compiled columnar** pipeline: per-request
@@ -337,11 +312,10 @@ impl CqapIndex {
     /// over [`CqapIndex::database`] (enforced on every backend by the
     /// umbrella crate's equivalence matrix).
     pub fn answer(&self, request: &AccessRequest) -> Result<Relation> {
-        let (i, atoms) = (self.answering, self.maintenance.atom_indexes());
-        let plan = &self.plans[i].compiled;
+        let (plan, atoms) = (&self.compiled, self.maintenance.atom_indexes());
         with_driver_scratch(|scratch| match &self.spilled {
-            None => plan.answer(atoms, &self.views[i], request, scratch),
-            Some(spilled) => plan.answer(atoms, &spilled.plans[i], request, scratch),
+            None => plan.answer(atoms, &self.views, request, scratch),
+            Some(spilled) => plan.answer(atoms, &spilled.views, request, scratch),
         })
     }
 
@@ -375,12 +349,12 @@ impl CqapIndex {
 
 /// In-place incremental maintenance, `O(|Δ| + |ΔJ|)` end to end: the net
 /// effect flows through the delta chains (editing the stored relations
-/// and the atom indexes tuple by tuple) into the support counts of every
+/// and the atom indexes tuple by tuple) into the support counts of the
 /// plan's [`PreprocessedViews`] — a view row enters or leaves where its
 /// count crosses zero, so that one edit per `ΔJ` row is the whole view
-/// maintenance. The compiled pipelines read that live state and hold no
-/// database content of their own, so none is ever recompiled; a net no-op
-/// leaves views, plans and the warm scratch state untouched.
+/// maintenance. The compiled pipeline reads that live state and holds no
+/// database content of its own, so it is never recompiled; a net no-op
+/// leaves views, plan and the warm scratch state untouched.
 ///
 /// A spilled index streams each moved view row from the count edit
 /// straight into its run's LSM-style overlay, and compacts the views
@@ -391,11 +365,11 @@ impl ApplyDelta for CqapIndex {
     fn apply_delta(&mut self, batch: &DeltaBatch) -> Result<DeltaStats> {
         let (cqap, db, views) = (&self.cqap, &mut self.db, &mut self.views);
         let Some(spilled) = &mut self.spilled else {
-            let no_second_form = &mut |_, _, _: &[_], _| {};
+            let no_second_form = &mut |_, _: &[_], _| {};
             return self.maintenance.apply(cqap, db, views, batch, no_second_form);
         };
-        let overlay = &mut |plan: usize, node, row: &[Val], entered| {
-            spilled.plans[plan].edit_row(node, row, entered);
+        let overlay = &mut |node, row: &[Val], entered| {
+            spilled.views.edit_row(node, row, entered);
         };
         let stats = self.maintenance.apply(cqap, db, views, batch, overlay)?;
         if !stats.is_noop() {
@@ -413,6 +387,11 @@ mod tests {
     use cqap_query::workload::{graph_pair_requests, Graph};
     use cqap_yannakakis::naive_answer;
 
+    /// The summaries of the PMTDs `index` built plans for.
+    fn built_plans(index: &CqapIndex) -> Vec<String> {
+        index.plans().map(|(evaluator, _)| evaluator.pmtd().summary()).collect()
+    }
+
     fn check_matches_scratch(index: &CqapIndex, cqap: &Cqap, requests: &[(u64, u64)]) {
         for &(a, b) in requests {
             let req = AccessRequest::single(cqap.access(), &[a, b]).unwrap();
@@ -428,7 +407,7 @@ mod tests {
         let g = Graph::skewed(50, 220, 3, 35, 5);
         let db = g.as_path_database(3);
         let index = CqapIndex::build(&cqap, &db, &pmtds).unwrap();
-        assert_eq!(index.num_pmtds(), 5);
+        assert_eq!(built_plans(&index), ["(S14)"]);
         assert!(index.space_used() > 0);
         let reqs = graph_pair_requests(&g, 25, 9);
         check_matches_scratch(&index, &cqap, &reqs);
@@ -492,55 +471,72 @@ mod tests {
     #[test]
     fn the_plan_with_the_fewest_t_views_answers_and_degrades_to_itself() {
         // The Figure-1 set is given as (T134, T123), (T134, S13), (S14):
-        // two T-views, one, none. (S14) answers, `plans()` and
-        // `compiled()` keep the given order, and the degraded answer is
-        // the same answer renamed.
+        // two T-views, one, none. Only (S14) is built, so the set stores
+        // what (S14) alone stores, and the degraded answer is the same
+        // answer renamed.
         let (cqap, pmtds) = pf::pmtds_3reach_fig1().unwrap();
         let g = Graph::random(30, 120, 51);
-        let index = CqapIndex::build(&cqap, &g.as_path_database(3), &pmtds).unwrap();
-        assert_eq!(index.answering, 2);
-        let stored: Vec<usize> = index.plans().map(|(_, views)| views.stored_values()).collect();
-        assert_eq!(stored[0], 0);
-        assert!(stored[2] > stored[1] && stored[1] > 0, "{stored:?}");
+        let db = g.as_path_database(3);
+        let index = CqapIndex::build(&cqap, &db, &pmtds).unwrap();
+        assert_eq!(built_plans(&index), ["(S14)"]);
+        let alone: Vec<usize> = pmtds
+            .iter()
+            .map(|p| CqapIndex::build(&cqap, &db, std::slice::from_ref(p)).unwrap().space_used())
+            .collect();
+        assert_eq!(alone[0], 0);
+        assert!(alone[2] > alone[1] && alone[1] > 0, "{alone:?}");
+        assert_eq!(index.space_used(), alone[2]);
         for (u, v) in graph_pair_requests(&g, 20, 53) {
             let req = AccessRequest::single(cqap.access(), &[u, v]).unwrap();
             let degraded = index.answer_degraded(&req).unwrap();
             assert_eq!(degraded.name(), DEGRADED_ANSWER_NAME);
             assert_eq!(degraded, index.answer(&req).unwrap());
         }
+
+        // A tie goes to the first: (T134, S13) and (T124, S24) each join
+        // one T-view per request.
+        let (cqap, all) = pf::pmtds_3reach_all().unwrap();
+        let tied = [all[3].clone(), all[1].clone()];
+        let index = CqapIndex::build(&cqap, &db, &tied).unwrap();
+        assert_eq!(built_plans(&index), ["(T124, S24)"]);
     }
 
     #[test]
     fn compact_tries_every_view_and_returns_the_first_error() {
-        use cqap_common::Tuple;
+        use cqap_common::{vars, Tuple};
+        use cqap_decomp::TreeDecomposition;
         use cqap_delta::DeltaBatch;
+        use cqap_query::{Atom, ConjunctiveQuery};
 
-        // The Figure-1 set spills (T134, S13)'s S13 run and (S14)'s S14
-        // run; a squat on S13's compaction temp path fails that view
-        // alone, and S14 comes after it. One fresh chain leaves one row
-        // pending in each, too few to trigger a compaction on apply.
-        let (cqap, pmtds) = pf::pmtds_3reach_fig1().unwrap();
-        let db = Graph::skewed(50, 220, 4, 30, 23).as_path_database(3);
+        // Every 2-path out of `x1` on the path {x1,x2} → {x2,x3}, both
+        // bags stored: the plan spills S12 (node 0) and then S23 (node 1).
+        // A squat on S12's compaction temp path fails that view alone,
+        // and S23 comes after it. One fresh path leaves one row pending
+        // in each, too few to trigger a compaction on apply.
+        let atoms = vec![Atom::new("R1", vec![0, 1]).unwrap(), Atom::new("R2", vec![1, 2]).unwrap()];
+        let cq = ConjunctiveQuery::new("open_head_path2", 3, atoms, vars![1, 2, 3]).unwrap();
+        let cqap = Cqap::new(cq, vars![1]).unwrap();
+        let td = TreeDecomposition::path(vec![vars![1, 2], vars![2, 3]]).unwrap();
+        let pmtd = Pmtd::for_cqap(td, [0, 1], &cqap).unwrap();
+        let db = Graph::skewed(50, 220, 4, 30, 23).as_path_database(2);
         let dir = cqap_store::scratch_dir("compact-every-view");
-        let mut index = CqapIndex::build(&cqap, &db, &pmtds).unwrap().spill(&dir).unwrap();
-        let (s13, _) = index.plans().nth(1).unwrap().1.runs().next().unwrap();
-        let squat = dir.join(format!("plan1_node{s13}.tmp"));
-        std::fs::create_dir(&squat).unwrap();
-        let pending = |index: &CqapIndex, plan: usize| -> usize {
-            let views = index.spilled.as_ref().unwrap().plans[plan].views();
-            views.map(StoredView::overlay_len).sum()
+        let mut index = CqapIndex::build(&cqap, &db, &[pmtd]).unwrap().spill(&dir).unwrap();
+        assert_eq!(built_plans(&index), ["(S12, S23)"]);
+        std::fs::create_dir(dir.join("node0.tmp")).unwrap();
+        let pending = |index: &CqapIndex| -> Vec<usize> {
+            index.stored_views().map(StoredView::overlay_len).collect()
         };
-        let chain = DeltaBatch::new()
+        let path = DeltaBatch::new()
             .insert("R1", vec![Tuple::pair(9_000, 9_001)])
-            .insert("R2", vec![Tuple::pair(9_001, 9_002)])
-            .insert("R3", vec![Tuple::pair(9_002, 9_003)]);
-        index.apply_delta(&chain).unwrap();
-        assert_eq!((pending(&index, 1), pending(&index, 2)), (1, 1));
+            .insert("R2", vec![Tuple::pair(9_001, 9_002)]);
+        index.apply_delta(&path).unwrap();
+        assert_eq!(pending(&index), [1, 1]);
 
-        assert!(index.compact().is_err(), "S13's compaction must hit the squat");
-        assert_eq!(pending(&index, 1), 1, "the failed view keeps its overlay");
-        assert_eq!(pending(&index, 2), 0, "S14 still compacts");
-        std::fs::remove_dir(&squat).unwrap();
+        assert!(index.compact().is_err(), "S12's compaction must hit the squat");
+        assert_eq!(pending(&index), [1, 0], "the failed view keeps its overlay, S23 compacts");
+        std::fs::remove_dir(dir.join("node0.tmp")).unwrap();
+        index.compact().unwrap();
+        assert_eq!(pending(&index), [0, 0]);
     }
 
     #[test]

@@ -7,10 +7,11 @@
 //!   PMTD, deduplicated, with the paper's "discard rules with strictly more
 //!   targets" pruning (Observation E.1).
 //! * [`driver`] — an executable instantiation of the general framework: a
-//!   [`driver::CqapIndex`] materializes the S-views of a PMTD set during a
-//!   preprocessing phase and answers access requests with Online Yannakakis
-//!   over the PMTD with the fewest T-views (Section 4.3; every PMTD covers
-//!   the index's one database, so no per-PMTD union is needed). It is the
+//!   [`driver::CqapIndex`] picks the PMTD of a set with the fewest T-views,
+//!   materializes its S-views during a preprocessing phase and answers
+//!   access requests with Online Yannakakis over it (Section 4.3; with no
+//!   space budget every sub-instance goes to that PMTD, so the others
+//!   store nothing and no per-PMTD union is needed). It is the
 //!   reference "framework engine" the hand-written structures of
 //!   `cqap-bench` are benchmarked against.
 //! * [`analysis`] — the analytic reproduction entry points: Table 1
@@ -40,9 +41,11 @@
 //! let graph = Graph::random(50, 200, 42);
 //! let db = graph.as_path_database(3);
 //!
-//! // Preprocessing phase: materialize the S-views of every PMTD.
+//! // Preprocessing phase: pick the PMTD with the fewest T-views, (S14),
+//! // and materialize its S-view.
 //! let index = CqapIndex::build(&cqap, &db, &pmtds).unwrap();
-//! assert_eq!(index.num_pmtds(), 3);
+//! let (plan, _) = index.plans().next().unwrap();
+//! assert_eq!(plan.pmtd().summary(), "(S14)");
 //!
 //! // Online phase: answer access requests, checked against the naive
 //! // from-scratch evaluation.

@@ -1,7 +1,7 @@
-//! The spilled state of a [`CqapIndex`](crate::CqapIndex): its S-views as
-//! sorted-run files, one [`StoredViews`] per plan.
+//! The spilled state of a [`CqapIndex`](crate::CqapIndex): its plan's
+//! S-views as sorted-run files, one [`StoredViews`].
 //!
-//! A spilled index answers through the **same** compiled pipelines, with
+//! A spilled index answers through the **same** compiled pipeline, with
 //! the position-table probes replaced by fence-indexed segment reads that
 //! return the same tuples, so the answers are identical (proptested in
 //! `crates/shard/tests`) while the probed S-views' resident footprint
@@ -24,29 +24,25 @@ use cqap_common::{CqapError, Result};
 use cqap_store::StoredViews;
 use cqap_yannakakis::PreprocessedViews;
 
-/// Per plan, its spilled S-views, and the directory they live in.
+/// The plan's spilled S-views, and the directory they live in.
 pub(crate) struct Spilled {
-    pub(crate) plans: Vec<StoredViews>,
+    pub(crate) views: StoredViews,
     // Declared last: removes the spill directory after the views above
     // have deleted their files.
     _dir: DirCleanup,
 }
 
 impl Spilled {
-    /// Writes every plan's views under `dir` (created if missing) as
-    /// `plan<i>_node<n>.sview` and opens them back; on failure the files
-    /// written so far and a directory left empty are removed again.
-    pub(crate) fn write(views: &[PreprocessedViews], dir: &Path) -> Result<Spilled> {
+    /// Writes the plan's views under `dir` (created if missing) as
+    /// `node<n>.sview` and opens them back; on failure the files written
+    /// so far and a directory left empty are removed again.
+    pub(crate) fn write(views: &PreprocessedViews, dir: &Path) -> Result<Spilled> {
         std::fs::create_dir_all(dir).map_err(|e| {
             CqapError::Other(format!("cannot create spill dir {}: {e}", dir.display()))
         })?;
         let guard = DirCleanup(dir.to_path_buf());
-        let plans = views
-            .iter()
-            .enumerate()
-            .map(|(i, pre)| StoredViews::spill(pre, dir, &format!("plan{i}")))
-            .collect::<Result<_>>()?;
-        Ok(Spilled { plans, _dir: guard })
+        let views = StoredViews::spill(views, dir)?;
+        Ok(Spilled { views, _dir: guard })
     }
 }
 
@@ -92,7 +88,7 @@ mod tests {
         let (cqap, pmtds, g, db, reference) = fixture();
         let stored =
             CqapIndex::build(&cqap, &db, &pmtds).unwrap().spill(scratch_dir("stored")).unwrap();
-        assert_eq!(stored.num_pmtds(), reference.num_pmtds());
+        assert!(stored.support_counts().eq(reference.support_counts()));
         for (u, v) in graph_pair_requests(&g, 40, 29) {
             let request = AccessRequest::single(cqap.access(), &[u, v]).unwrap();
             assert_eq!(

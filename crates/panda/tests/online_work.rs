@@ -7,10 +7,11 @@
 //! and the on-disk index report the same `T` by construction — what these
 //! tests hold them to. Exact and machine-independent: no timing.
 //!
-//! The same counts are the only witness of which plan a set index runs:
-//! every plan alone answers the CQAP completely, so the answer-equivalence
-//! tests cannot see a set index that runs another plan, or more than one —
-//! only what it costs shows which ran.
+//! The same counts are the witness of which plan a set index runs: every
+//! plan alone answers the CQAP completely, so the answer-equivalence tests
+//! cannot see a set index that runs another plan, or more than one — only
+//! what it costs shows which ran. (That it builds no other plan is
+//! `tests/delta_equivalence.rs`'s `a_set_index_is_its_cheapest_pmtd_built_alone`.)
 
 use cqap_common::{vars, work, FxHashMap, FxHashSet, Tuple, Val};
 use cqap_decomp::families::pmtds_3reach_fig1;

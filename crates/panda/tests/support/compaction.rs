@@ -8,9 +8,10 @@ use cqap_common::Tuple;
 use cqap_delta::DeltaBatch;
 use cqap_relation::Database;
 
-/// A batch that makes the `S13` view of the fixture outgrow its
-/// compaction trigger (a 40 × 40 fan of fresh `(x1, x3)` pairs) and
-/// drops every third `R1` edge, so every view also loses rows.
+/// A batch that makes the `S14` view of the fixture outgrow its
+/// compaction trigger (40 fresh sources through one fresh 2-path to 40
+/// fresh targets: 40 × 40 new `(x1, x4)` pairs) and drops every third
+/// `R1` edge, so every view also loses rows.
 pub fn compacting_batch(db: &Database) -> DeltaBatch {
     let fan = |from: u64, to: u64, n: u64, out: bool| -> Vec<Tuple> {
         (0..n)
@@ -20,8 +21,8 @@ pub fn compacting_batch(db: &Database) -> DeltaBatch {
     let dropped = db.relation("R1").unwrap().tuples().iter().step_by(3).cloned().collect();
     DeltaBatch::new()
         .insert("R1", fan(9_000, 9_100, 40, false))
-        .insert("R2", fan(9_100, 9_200, 40, true))
-        .insert("R3", fan(9_200, 9_300, 40, false))
+        .insert("R2", vec![Tuple::pair(9_100, 9_200)])
+        .insert("R3", fan(9_200, 9_300, 40, true))
         .delete("R1", dropped)
 }
 

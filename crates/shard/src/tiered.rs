@@ -484,7 +484,7 @@ mod tests {
         // Another holder keeps shard 0, so its spill clones; shard 1 is
         // only the sharded index's and is handed over whole.
         let held = Arc::clone(&sharded.shards()[0]);
-        let held_counts: Vec<_> = held.support_counts().map(|(p, n, c)| (p, n, c.clone())).collect();
+        let held_counts: Vec<_> = held.support_counts().map(|(n, c)| (n, c.clone())).collect();
         let dir = scratch_dir("spill-paths");
         let mut tiered =
             ShardedIndex::from_sharded(sharded, &[ShardTier::Cold, ShardTier::Cold], &dir)
@@ -519,7 +519,7 @@ mod tests {
         after.apply_delta(&batch).unwrap();
         check(&tiered, &after, "after the compacting batch");
         // The clone left the other holder's shard as it was.
-        assert!(held.support_counts().eq(held_counts.iter().map(|(p, n, c)| (*p, *n, c))));
+        assert!(held.support_counts().eq(held_counts.iter().map(|(n, c)| (*n, c))));
         drop(tiered);
         let _ = std::fs::remove_dir(&dir);
     }

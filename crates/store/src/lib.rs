@@ -12,8 +12,8 @@
 //!   mmap dependency.
 //! * [`StoredViews`] — the spilled views of one PMTD plan behind the
 //!   online phase's [`SViewProbe`](cqap_yannakakis::SViewProbe) seam.
-//!   `cqap-panda`'s `CqapIndex::spill` writes one per plan and answers
-//!   through them with the same compiled plans, so a spilled index
+//!   `cqap-panda`'s `CqapIndex::spill` writes one for its plan and
+//!   answers through it with the same compiled plan, so a spilled index
 //!   answers exactly like the resident one.
 //!
 //! ## Worked example: write a run, probe it

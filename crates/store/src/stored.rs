@@ -39,21 +39,17 @@ pub struct StoredViews {
 }
 
 impl StoredViews {
-    /// Spills every materialized view of `pre` to `<dir>/<prefix>_node<n>.sview`
+    /// Spills every materialized view of `pre` to `<dir>/node<n>.sview`
     /// — streamed from the resident rows, no row relation in between —
     /// and opens the files back as fence-indexed stored views (which own
     /// and delete the files when dropped).
     ///
     /// # Errors
     /// Fails on I/O errors.
-    pub fn spill(
-        pre: &PreprocessedViews,
-        dir: &Path,
-        prefix: &str,
-    ) -> Result<StoredViews> {
+    pub fn spill(pre: &PreprocessedViews, dir: &Path) -> Result<StoredViews> {
         let mut views: Vec<Option<StoredView>> = Vec::new();
         for (node, run) in pre.runs() {
-            let path = dir.join(format!("{prefix}_node{node}.sview"));
+            let path = dir.join(format!("node{node}.sview"));
             write_run(&path, run)?;
             let mut view = StoredView::open(&path)?;
             view.delete_on_drop();
@@ -140,7 +136,7 @@ mod tests {
         let (_, counts) = index.plans().next().unwrap();
         let dir = scratch_dir("filter-contract");
         std::fs::create_dir_all(&dir).unwrap();
-        let mut stored = StoredViews::spill(counts, &dir, "plan0").unwrap();
+        let mut stored = StoredViews::spill(counts, &dir).unwrap();
         let sink = MetricsSink::recording();
         stored.views_mut().for_each(|view| view.set_metrics_sink(sink.clone()));
         let pairs = graph_pair_requests(&g, 3_000, 41);

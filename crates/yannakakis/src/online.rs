@@ -49,7 +49,7 @@ use crate::columnar::ColumnRun;
 ///
 /// Both are edited through [`PreprocessedViews::edit`] and probed through
 /// [`SViewProbe`].
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct PreprocessedViews {
     views: Vec<Option<SView>>,
 }

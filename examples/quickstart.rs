@@ -33,11 +33,14 @@ fn main() {
         db.size()
     );
 
-    // 3. Preprocessing phase: materialize the S-views of every PMTD.
+    // 3. Preprocessing phase: pick the PMTD with the fewest T-views and
+    //    materialize its S-views.
     let index = CqapIndex::build(&cqap, &db, &pmtds).expect("preprocessing succeeds");
+    let (plan, _) = index.plans().next().expect("an index builds one plan");
     println!(
-        "Preprocessed {} PMTDs, intrinsic space = {} stored values",
-        index.num_pmtds(),
+        "Preprocessed {} of {} PMTDs, intrinsic space = {} stored values",
+        plan.pmtd().summary(),
+        pmtds.len(),
         index.space_used()
     );
 

@@ -32,9 +32,11 @@ fn main() {
     let graph = Graph::skewed(800, 5_000, 8, 250, 7);
     let db = graph.as_path_database(3);
     let index = Arc::new(CqapIndex::build(&cqap, &db, &pmtds).expect("preprocessing succeeds"));
+    let (plan, _) = index.plans().next().expect("an index builds one plan");
     println!(
-        "Index built: {} PMTDs, intrinsic space = {} stored values",
-        index.num_pmtds(),
+        "Index built: {} of {} PMTDs, intrinsic space = {} stored values",
+        plan.pmtd().summary(),
+        pmtds.len(),
         index.space_used()
     );
 

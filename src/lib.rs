@@ -54,7 +54,8 @@
 //! let graph = Graph::random(50, 200, 42);
 //! let db = graph.as_path_database(3);
 //!
-//! // Preprocessing: materialize the S-views of every PMTD.
+//! // Preprocessing: materialize the S-views of the PMTD with the fewest
+//! // T-views, (S14).
 //! let index = CqapIndex::build(&cqap, &db, &pmtds).unwrap();
 //!
 //! // Online: ask whether vertex 0 reaches vertex 1 by a path of length 3.

@@ -1,8 +1,8 @@
 //! The compiled plans answer exactly like the naive oracle: every PMTD of
 //! a family alone, and the family as a set, each on a resident and a
 //! spilled index as built — the built column of the equivalence matrix's
-//! index and per-PMTD cells (`matrix/mod.rs`). A set index runs only its
-//! cheapest plan, so the per-PMTD cells are what run the others.
+//! index and per-PMTD cells (`matrix/mod.rs`). A set index builds only its
+//! cheapest PMTD, so the per-PMTD cells are what build the others.
 
 mod matrix;
 

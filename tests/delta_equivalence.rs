@@ -10,6 +10,7 @@ mod matrix;
 use cqap_suite::common::Tuple;
 use cqap_suite::delta::{ApplyDelta, DeltaBatch};
 use cqap_suite::prelude::*;
+use cqap_suite::store::scratch_dir;
 use cqap_suite::yannakakis::SViewProbe;
 
 use matrix::{
@@ -49,7 +50,7 @@ fn chain_keyed_view_delta_equivalence() {
     Fixture::open_head_path2_chain_keyed().run_only(COLUMNS, &phases);
 }
 
-/// `(T1245, T234)` alone: a set index answers with its cheapest plan, so
+/// `(T1245, T234)` alone: a set index builds only its cheapest PMTD, so
 /// only a set of this plan alone runs it.
 #[test]
 fn access_free_bag_delta_equivalence() {
@@ -131,11 +132,12 @@ fn both_seeds_agree_with_the_references() {
 }
 
 /// A hub key of a chain-keyed view, deleted whole: sources 0 and 1 each
-/// reach 40 midpoints with 30 targets apiece, so `S123` (probed by `x1`)
-/// holds two chains of 1 200 rows and `S23` (probed by `x2`) 40 chains of
-/// 30 rows supported twice. One batch deletes every `R1` tuple: the views
-/// must end as a rebuild over the empty join — no row, no key, and no more
-/// than 2 KiB of heap each.
+/// reach 40 midpoints with 30 targets apiece, so `S123` (probed by `x1`,
+/// the view the set builds) holds two chains of 1 200 rows and `S23`
+/// (probed by `x2`, the view of `(T12, S23)` built alone) 40 chains of 30
+/// rows supported twice. One batch deletes every `R1` tuple: each view
+/// must end as a rebuild over the empty join — no row, no key, and no
+/// more than 2 KiB of heap.
 #[test]
 fn a_hub_key_of_a_chain_keyed_view_is_deleted_in_one_batch() {
     let (cqap, pmtds) = open_head_path2(&[&[], &[1]], true);
@@ -146,40 +148,94 @@ fn a_hub_key_of_a_chain_keyed_view_is_deleted_in_one_batch() {
         .unwrap();
     db.add_relation(Relation::binary("R2", 0, 1, targets))
         .unwrap();
-    let mut index = CqapIndex::build(&cqap, &db, &pmtds).unwrap();
-    let hub = AccessRequest::single(cqap.access(), &[0]).unwrap();
-    let check = |index: &CqapIndex, rows: usize| {
-        let expected = naive_answer(&cqap, index.database(), &hub).unwrap();
-        assert_eq!(expected.len(), rows);
-        assert_eq!(index.answer(&hub).unwrap(), expected, "engine");
-    };
-    check(&index, 1_200);
-    let (_, s123) = index.plans().nth(2).unwrap();
-    assert_eq!(s123.stored_values(), 3 * 2_400);
-    let held = index.resident_bytes();
-    assert!(held > 8 * index.space_used());
-
     let gone: Vec<Tuple> = sources.map(|(u, mid)| Tuple::pair(u, mid)).collect();
     let batch = DeltaBatch::new().delete("R1", gone);
-    let stats = index.apply_delta(&batch).unwrap();
-    assert_eq!((stats.inserted, stats.deleted), (0, 80));
-    db.apply_delta(&batch).unwrap();
-    assert_equals_rebuild(
-        &index,
-        &CqapIndex::build(&cqap, &db, &pmtds).unwrap(),
-        "emptied",
-    );
-    assert_eq!((index.space_used(), chain_keyed_views(&index)), (0, 2));
-    for (_, views) in index.plans() {
-        for (node, run) in views.runs() {
-            assert!(!views.contains(node, &Tuple::from_slice(&[0])).unwrap());
-            assert!(!views.contains(node, &Tuple::from_slice(&[100])).unwrap());
-            assert!(
-                run.heap_bytes() <= 2_048,
-                "emptied view {node} holds {} of {held} bytes",
-                run.heap_bytes()
-            );
+    let mut emptied = db.clone();
+    emptied.apply_delta(&batch).unwrap();
+    let hub = AccessRequest::single(cqap.access(), &[0]).unwrap();
+    let check = |index: &CqapIndex, rows: usize, view: &str| {
+        let expected = naive_answer(&cqap, index.database(), &hub).unwrap();
+        assert_eq!(expected.len(), rows);
+        assert_eq!(index.answer(&hub).unwrap(), expected, "{view}: engine");
+    };
+    let indexes = [
+        ("S123", &pmtds[..], 3 * 2_400),
+        ("S23", &pmtds[1..2], 2 * 1_200),
+    ];
+    for (view, chosen, values) in indexes {
+        let mut index = CqapIndex::build(&cqap, &db, chosen).unwrap();
+        check(&index, 1_200, view);
+        assert_eq!(chain_keyed_views(&index), 1, "{view}");
+        let (_, views) = index.plans().next().unwrap();
+        assert_eq!(views.stored_values(), values, "{view}");
+        let held = index.resident_bytes();
+        assert!(held > 8 * index.space_used(), "{view}");
+
+        let stats = index.apply_delta(&batch).unwrap();
+        assert_eq!((stats.inserted, stats.deleted), (0, 80));
+        let rebuilt = CqapIndex::build(&cqap, &emptied, chosen).unwrap();
+        assert_equals_rebuild(&index, &rebuilt, &format!("{view} emptied"));
+        assert_eq!((index.space_used(), chain_keyed_views(&index)), (0, 1));
+        for (_, views) in index.plans() {
+            for (node, run) in views.runs() {
+                assert!(!views.contains(node, &Tuple::from_slice(&[0])).unwrap());
+                assert!(!views.contains(node, &Tuple::from_slice(&[100])).unwrap());
+                assert!(
+                    run.heap_bytes() <= 2_048,
+                    "emptied view {view} holds {} of {held} bytes",
+                    run.heap_bytes()
+                );
+            }
+        }
+        check(&index, 0, view);
+    }
+}
+
+/// A set index builds, maintains and spills only its cheapest PMTD (the
+/// fewest non-materialized bags): it holds exactly what that PMTD built
+/// alone holds — S-view space, support counts, atom indexes, and once
+/// spilled the same bytes on disk — as built and after a real delta.
+#[test]
+fn a_set_index_is_its_cheapest_pmtd_built_alone() {
+    for (fixture, cheapest) in [
+        (Fixture::pmtds_3reach_fig1(), "(S14)"),
+        (Fixture::pmtds_2reach(), "(S13)"),
+        (Fixture::open_head_path2_chain_keyed(), "(S123)"),
+    ] {
+        let (db, _, deltas) = fixture.instance(SEEDS[0]);
+        let alone: Vec<Pmtd> = fixture
+            .pmtds
+            .iter()
+            .filter(|p| p.summary() == cheapest)
+            .cloned()
+            .collect();
+        assert_eq!(alone.len(), 1, "{}: {cheapest} is in the set", fixture.name);
+        let build = |pmtds: &[Pmtd]| {
+            let resident = CqapIndex::build(&fixture.cqap, &db, pmtds).unwrap();
+            let spilled = resident.spill(scratch_dir("set-vs-alone")).unwrap();
+            [resident, spilled]
+        };
+        let (mut set, mut one) = (build(&fixture.pmtds), build(&alone));
+        for (set, one) in set.iter_mut().zip(&mut one) {
+            let backend = ["resident", "spilled"][set.is_spilled() as usize];
+            let at = |phase| format!("{} × {backend} × {phase}", fixture.name);
+            assert_same_index(set, one, &at("built"));
+            let (ours, theirs) = (set.apply_delta(&deltas[0]), one.apply_delta(&deltas[0]));
+            assert_eq!(ours.unwrap(), theirs.unwrap());
+            assert_same_index(set, one, &at("after a delta"));
         }
     }
-    check(&index, 0);
+}
+
+fn assert_same_index(set: &CqapIndex, alone: &CqapIndex, at: &str) {
+    assert!(alone.space_used() > 0, "{at}: no S-view row to compare");
+    assert_eq!(set.space_used(), alone.space_used(), "{at}: S-view space");
+    let counts = set.support_counts().eq(alone.support_counts());
+    assert!(counts, "{at}: support counts");
+    let (ours, theirs) = (
+        set.maintenance().atom_indexes(),
+        alone.maintenance().atom_indexes(),
+    );
+    assert!(ours.entries().eq(theirs.entries()), "{at}: atom indexes");
+    assert_eq!(set.disk_bytes(), alone.disk_bytes(), "{at}: spilled bytes");
 }

@@ -13,8 +13,8 @@
 //!   `(T1245, T234)`'s access-free bag alone, and an uncovered bag under
 //!   `{x1, x5}` and under the empty access pattern.
 //! * **Backend** ([`Column`]) — a resident and a spilled `CqapIndex` (and,
-//!   for a set, one of each per PMTD: a set index answers with its one
-//!   cheapest plan, so only these cells run the others), all-hot
+//!   for a set, one of each per PMTD: a set index builds only its
+//!   cheapest PMTD, so only these cells build the others), all-hot
 //!   `ShardedIndex` deployments of 1 and 3 shards, a `[Hot, Cold, Cold]`
 //!   one rotated by the seed, a `ServeRuntime` over the resident index and
 //!   one over the 3-shard index, and a `ShardRouter`.
@@ -143,9 +143,10 @@ pub struct Fixture {
     /// Makes the row's database: [`Fixture::random_database`] but for a
     /// row whose shape needs a particular one.
     database: fn(&Fixture, &mut Rng) -> Database,
-    /// Asserts, on the resident set index as built, that the fixture
+    /// Asserts, on the resident set index as built (`None`) and on each
+    /// per-PMTD resident cell as built (`Some(p)`), that the fixture
     /// reaches the shape it is here for.
-    shape: fn(&CqapIndex),
+    shape: fn(Option<usize>, &CqapIndex),
 }
 
 impl Fixture {
@@ -163,7 +164,7 @@ impl Fixture {
             tuples,
             both_seeds: false,
             database: Fixture::random_database,
-            shape: |_| {},
+            shape: |_, _| {},
         }
     }
 
@@ -248,7 +249,10 @@ impl Fixture {
             Pmtd::for_cqap(td.clone(), [], &cqap).unwrap(),
             Pmtd::for_cqap(td, [0], &cqap).unwrap(),
         ];
-        let shape: fn(&CqapIndex) = |index| {
+        let shape: fn(Option<usize>, &CqapIndex) = |plan, index| {
+            if plan.is_some() {
+                return;
+            }
             let slots: std::collections::BTreeSet<_> = atom_index_keys(index, "E")
                 .into_iter()
                 .map(|(vars, _)| vars)
@@ -267,9 +271,16 @@ impl Fixture {
 
     /// `(T12, T23)`, `(T12, S23)` — its S-view probed by `x2` alone — and
     /// `(S123)`, probed by `x1`: two S-views keyed by a proper part of their
-    /// rows, served through per-key chains of the counted table.
+    /// rows, served through per-key chains of the counted table. The set
+    /// builds `(S123)`; `(T12, S23)`'s per-PMTD cells hold `S23`.
     pub fn open_head_path2_chain_keyed() -> Self {
-        let shape: fn(&CqapIndex) = |index| assert_eq!(chain_keyed_views(index), 2, "S23 and S123");
+        let shape: fn(Option<usize>, &CqapIndex) = |plan, index| {
+            let (view, expected) = match plan {
+                None => ("S123", 1),
+                Some(p) => (["none", "S23", "S123"][p], [0, 1, 1][p]),
+            };
+            assert_eq!(chain_keyed_views(index), expected, "{view}");
+        };
         let pmtds = open_head_path2(&[&[], &[1]], true);
         Fixture {
             shape,
@@ -302,7 +313,10 @@ impl Fixture {
     /// The uncovered root under `{x1, x5}`: only its chain, seeded by `x1`
     /// *and* `x5`, closes on `R4(x4, x5)` with both variables bound.
     pub fn uncovered_bag_x1_x5() -> Self {
-        let shape: fn(&CqapIndex) = |index| {
+        let shape: fn(Option<usize>, &CqapIndex) = |plan, index| {
+            if plan.is_some() {
+                return;
+            }
             let keys: Vec<VarSet> = atom_index_keys(index, "R4")
                 .into_iter()
                 .map(|(_, key)| key)
@@ -360,7 +374,8 @@ impl Fixture {
 
     fn run_seed(&self, seed: u64, columns: &[Column], phases: &[Phase]) {
         let (db, requests, deltas) = self.instance(seed);
-        (self.shape)(&CqapIndex::build(&self.cqap, &db, &self.pmtds).unwrap());
+        let set = CqapIndex::build(&self.cqap, &db, &self.pmtds).unwrap();
+        (self.shape)(None, &set);
 
         // The tiered backends' shard directories, removed once they drop.
         let dir = scratch_dir("equivalence");
@@ -569,6 +584,9 @@ impl Fixture {
                 None => (has(Column::Resident), has(Column::Spilled)),
             };
             let resident = CqapIndex::build(cqap, db, chosen).unwrap();
+            if plan.is_some() {
+                (self.shape)(plan, &resident);
+            }
             let spilled = keep_spilled.then(|| resident.spill(scratch_dir("equivalence")).unwrap());
             let suffix = plan.map_or(String::new(), |p| format!(" {}", pmtds[p].summary()));
             if keep_resident {

@@ -115,7 +115,7 @@ fn resident_bytes_stay_within_four_and_a_half_times_the_stored_values() {
     let hot = index.resident_bytes();
     drop(index);
     let cold = stored.resident_bytes();
-    let counts: usize = stored.support_counts().map(|(_, _, c)| c.heap_bytes()).sum();
+    let counts: usize = stored.support_counts().map(|(_, c)| c.heap_bytes()).sum();
     assert!(
         counts <= hot && 9 * counts >= 8 * hot,
         "cold counts hold {counts} bytes, the hot index they were cloned from {hot}"
