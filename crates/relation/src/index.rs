@@ -244,10 +244,7 @@ mod tests {
         idx.insert_all(&[Tuple::pair(9, 90)]);
         assert_eq!(idx.len(), 6);
         assert!(idx.contains_key(&Tuple::unary(9)));
-        assert_eq!(
-            idx.remove_all(&[Tuple::pair(9, 90), Tuple::pair(1, 10)]),
-            2
-        );
+        assert_eq!(idx.remove_all(&[Tuple::pair(9, 90), Tuple::pair(1, 10)]), 2);
         assert_eq!(idx.len(), 4);
         assert!(
             !idx.contains_key(&Tuple::unary(9)),

@@ -401,7 +401,9 @@ impl KeyedRows {
     /// arity, or the count overflows `u32`.
     pub fn add(&mut self, row: &[Val], n: u32) -> bool {
         let mut entered = false;
-        self.edit_counts(row, &[hash_vals(row)], CountEdit::Add(n), |_| entered = true);
+        self.edit_counts(row, &[hash_vals(row)], CountEdit::Add(n), |_| {
+            entered = true
+        });
         entered
     }
 
@@ -438,7 +440,10 @@ impl KeyedRows {
         edit: CountEdit,
         mut crossed: impl FnMut(&[Val]),
     ) {
-        assert!(self.counts.is_some(), "count edits need a counted structure");
+        assert!(
+            self.counts.is_some(),
+            "count edits need a counted structure"
+        );
         let arity = self.schema.arity();
         // The flat store is only addressable while every row has `arity`
         // values, so this is a hard check.
@@ -497,7 +502,10 @@ impl KeyedRows {
             CountEdit::Add(n) => {
                 debug_assert!(n > 0);
                 let existing = hinted.or_else(|| self.enter(bits, row));
-                let counts = self.counts.as_mut().expect("count edits need a counted structure");
+                let counts = self
+                    .counts
+                    .as_mut()
+                    .expect("count edits need a counted structure");
                 match existing {
                     None => {
                         reserve_tight(counts, 1);
@@ -517,7 +525,10 @@ impl KeyedRows {
                     debug_assert!(false, "support count of an absent row went negative");
                     return false;
                 };
-                let counts = self.counts.as_mut().expect("count edits need a counted structure");
+                let counts = self
+                    .counts
+                    .as_mut()
+                    .expect("count edits need a counted structure");
                 debug_assert!(counts[at] >= n, "support count went negative");
                 counts[at] = counts[at].saturating_sub(n);
                 if counts[at] > 0 {
@@ -534,9 +545,9 @@ impl KeyedRows {
     /// row's count.)
     fn enter(&mut self, bits: u64, row: &[Val]) -> Option<usize> {
         let (vals, arity) = (&self.vals, self.schema.arity());
-        let existing = self.table.insert(bits, self.len, |at| {
-            same_row(row_at(vals, arity, at), row)
-        });
+        let existing = self
+            .table
+            .insert(bits, self.len, |at| same_row(row_at(vals, arity, at), row));
         if existing.is_none() {
             self.push(row);
         }

@@ -34,10 +34,8 @@ impl Relation {
         let schema = Schema::of(keep.iter());
         if keep == self.varset() {
             // Column permutation: a bijection on tuples, no dedup needed.
-            let mut out = RelationBuilder::distinct(
-                format!("π{}({})", schema, self.name()),
-                schema,
-            );
+            let mut out =
+                RelationBuilder::distinct(format!("π{}({})", schema, self.name()), schema);
             for t in self.iter() {
                 out.push(t.project(&positions));
             }
@@ -199,8 +197,8 @@ impl Relation {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cqap_common::Var;
     use cqap_common::vars;
+    use cqap_common::Var;
 
     fn rel(name: &'static str, a: Var, b: Var, pairs: &[(u64, u64)]) -> Relation {
         Relation::binary(name, a, b, pairs.iter().copied())
@@ -236,11 +234,20 @@ mod tests {
     fn join_indexes_the_smaller_input() {
         use crate::relation::instrument::indexed_tuples;
         let one = rel("one", 0, 1, &[(7, 8)]);
-        let many = rel("many", 1, 2, &(0..300u64).map(|i| (i, i + 1)).collect::<Vec<_>>());
+        let many = rel(
+            "many",
+            1,
+            2,
+            &(0..300u64).map(|i| (i, i + 1)).collect::<Vec<_>>(),
+        );
         for (left, right, row) in [(&one, &many, [7, 8, 9]), (&many, &one, [8, 9, 7])] {
             let before = indexed_tuples();
             let j = left.join(right).unwrap();
-            assert_eq!(indexed_tuples() - before, 1, "a 1 × n join indexes the one tuple");
+            assert_eq!(
+                indexed_tuples() - before,
+                1,
+                "a 1 × n join indexes the one tuple"
+            );
             assert_eq!(j.schema(), &left.schema().join(right.schema()));
             assert_eq!(j.tuples(), [Tuple::from_slice(&row)]);
         }
@@ -291,7 +298,12 @@ mod tests {
     fn union_is_size_symmetric() {
         // A tiny delta unioned into a big relation must not depend on the
         // argument order for its result (only for its cost).
-        let big = rel("big", 0, 1, &(0..500u64).map(|i| (i, i + 1)).collect::<Vec<_>>());
+        let big = rel(
+            "big",
+            0,
+            1,
+            &(0..500u64).map(|i| (i, i + 1)).collect::<Vec<_>>(),
+        );
         let delta = rel("delta", 0, 1, &[(1, 2), (1_000, 1_001)]);
         let a = big.union(&delta).unwrap();
         let b = delta.union(&big).unwrap();
@@ -304,12 +316,20 @@ mod tests {
         assert_eq!(u.schema().vars(), &[1, 0]);
         assert_eq!(u.len(), 501);
         assert!(u.contains(&Tuple::pair(9_999, 77)));
-        assert!(u.contains(&Tuple::pair(2, 1)), "big side reordered into self's schema");
+        assert!(
+            u.contains(&Tuple::pair(2, 1)),
+            "big side reordered into self's schema"
+        );
     }
 
     #[test]
     fn consuming_union_matches_borrowing_union() {
-        let big = rel("big", 0, 1, &(0..200u64).map(|i| (i, i + 1)).collect::<Vec<_>>());
+        let big = rel(
+            "big",
+            0,
+            1,
+            &(0..200u64).map(|i| (i, i + 1)).collect::<Vec<_>>(),
+        );
         let delta = rel("delta", 0, 1, &[(1, 2), (900, 901)]);
         let expected = big.union(&delta).unwrap();
         assert_eq!(big.clone().union_with(delta.clone()).unwrap(), expected);

@@ -204,7 +204,10 @@ impl Relation {
         }
         instrument::record_dedup_inserts(1);
         let _ = self.seen();
-        let seen = self.seen.get_mut().expect("membership table just materialized");
+        let seen = self
+            .seen
+            .get_mut()
+            .expect("membership table just materialized");
         Ok(push_if_absent(seen, &mut self.tuples, t))
     }
 
@@ -228,7 +231,9 @@ impl Relation {
 
     /// Number of distinct values of the projection onto `vars` (a `VarSet`).
     pub(crate) fn distinct_count(&self, vars: VarSet) -> Result<usize> {
-        let positions = self.schema.positions_of_set(vars.intersect(self.varset()))?;
+        let positions = self
+            .schema
+            .positions_of_set(vars.intersect(self.varset()))?;
         let mut set: FxHashSet<Tuple> = FxHashSet::default();
         for t in &self.tuples {
             set.insert(t.project(&positions));
@@ -486,10 +491,7 @@ mod tests {
         let r = edges("R", &[(1, 10), (1, 11), (1, 12), (2, 10), (3, 10)]);
         assert_eq!(r.distinct_count(VarSet::singleton(0)).unwrap(), 3);
         assert_eq!(r.distinct_count(VarSet::singleton(1)).unwrap(), 3);
-        assert_eq!(
-            r.distinct_count(VarSet::from_iter([0, 1])).unwrap(),
-            5
-        );
+        assert_eq!(r.distinct_count(VarSet::from_iter([0, 1])).unwrap(), 5);
         // max out-degree of variable x1 is 3 (vertex 1).
         assert_eq!(
             r.max_degree(VarSet::singleton(0), VarSet::from_iter([0, 1]))
@@ -504,7 +506,8 @@ mod tests {
         );
         // cardinality constraint: X = ∅.
         assert_eq!(
-            r.max_degree(VarSet::EMPTY, VarSet::from_iter([0, 1])).unwrap(),
+            r.max_degree(VarSet::EMPTY, VarSet::from_iter([0, 1]))
+                .unwrap(),
             5
         );
     }
@@ -563,9 +566,12 @@ mod tests {
         let r = b.finish();
         assert_eq!(r.len(), 2);
         assert!(r.contains(&Tuple::pair(1, 2)));
-        let direct =
-            Relation::from_tuples("out", Schema::of([0, 1]), [Tuple::pair(1, 2), Tuple::pair(2, 3)])
-                .unwrap();
+        let direct = Relation::from_tuples(
+            "out",
+            Schema::of([0, 1]),
+            [Tuple::pair(1, 2), Tuple::pair(2, 3)],
+        )
+        .unwrap();
         assert_eq!(r, direct);
     }
 

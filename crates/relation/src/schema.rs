@@ -30,10 +30,7 @@ impl Schema {
             }
             seen = seen.insert(v);
         }
-        Ok(Schema {
-            varset: seen,
-            vars,
-        })
+        Ok(Schema { varset: seen, vars })
     }
 
     /// Creates a schema, panicking on duplicates (for statically-known

@@ -36,8 +36,7 @@ pub struct HeavyLightSplit {
     pub light_keys: usize,
 }
 
-impl HeavyLightSplit {
-}
+impl HeavyLightSplit {}
 
 /// Splits `rel` on the key variables `x` with the given degree `threshold`.
 ///
