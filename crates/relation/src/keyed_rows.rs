@@ -7,9 +7,10 @@
 //!
 //! * the rows live **once**, row-major in one flat `Vec<Val>` (16 bytes
 //!   for a two-column row, against a 40-byte inline `Tuple`);
-//! * a row is found through the 9-byte-per-slot position table that also
-//!   backs [`Relation`]'s membership test (see `membership.rs`), so set
-//!   insert and delete are `O(1)` — a delete is a `swap_remove`;
+//! * a row is found through the position table that also backs
+//!   [`Relation`]'s membership test (see `membership.rs`; 9 bytes per
+//!   slot at a load of ⅜–¾, so 12–24 bytes per row), so set insert and
+//!   delete are `O(1)` — a delete is a `swap_remove`;
 //! * when the link is all columns (in schema order) the key *is* the row
 //!   and that table is the probe index; when the link is empty every row
 //!   matches the one empty key; only for a proper part of the row does
@@ -25,21 +26,25 @@
 //! Counts are edited in **batches** ([`KeyedRows::edit_counts`]; `add` /
 //! `sub` are its one-row case), because a count edit on a large view is
 //! bound by memory latency, not by instructions: on a counted two-column
-//! table of 553 k rows (the benchmark's S14) a random `add` costs
-//! 175–208 ns, against 31–33 ns at 8 k rows — each edit waits on misses
-//! to the tag, the entry, the row and the count in turn. The batch edit
-//! takes the rows laid end to end with their [`hash_vals`] (hashed by the
-//! caller, column by column) and works in groups of `EDIT_GROUP`: a first
-//! pass loads every row's home tag and entry, a second the row and count
-//! that entry points at, and only then are the group's edits applied, in
-//! row order. The loads of a pass are independent, so their misses
-//! overlap (two such passes before 256-row groups of `add`s brought the
-//! 553 k-row edit to 98–105 ns; group prefetching, as in Chen, Ailamaki,
-//! Gibbons & Mowry, *Improving Hash Join Performance through
-//! Prefetching*, ICDE 2004, with plain loads). Every edit still checks
-//! its row: a position seen by the warm pass is used only if the row is
-//! still there, so an earlier edit of the group that moved or evicted it
-//! costs a table walk, never a wrong count.
+//! table of 553 k rows (the benchmark's S14) a random `add` cost
+//! 175–208 ns, against 31–33 ns at 8 k rows, when PR 35 measured it —
+//! each edit waits on misses to the tag, the entry, the row and the count
+//! in turn. The batch edit takes the rows laid end to end with their
+//! [`hash_vals`] (hashed by the caller, column by column) and works in
+//! groups of `EDIT_GROUP`: a first pass loads the tag word of every
+//! row's home slot and the entry there, a second the row and count the
+//! hinted entry points at, and only then are the group's edits
+//! applied, in row order. The loads of a pass are independent, so their
+//! misses overlap (two such passes before 256-row groups of `add`s
+//! brought PR 35's 553 k-row edit to 98–105 ns; group prefetching, as in
+//! Chen, Ailamaki, Gibbons & Mowry, *Improving Hash Join Performance
+//! through Prefetching*, ICDE 2004, with plain loads). A hint covers the
+//! aligned group of eight slots the tag word spans, not the home slot
+//! alone, because at a load of up to ¾ a row is often a slot or two past
+//! its home.
+//! Every edit still checks its row: a position seen by the warm pass is
+//! used only if the row is still there, so an earlier edit of the group
+//! that moved or evicted it costs a table walk, never a wrong count.
 //!
 //! Vectors grow by an eighth, not by doubling, and give capacity back
 //! when they shrink, so [`KeyedRows::heap_bytes`] tracks the content.
@@ -467,9 +472,10 @@ impl KeyedRows {
         }
     }
 
-    /// The two load-only passes over a group: the home slot of every row
-    /// (its tag and entry, whose position becomes the row's hint), then
-    /// the hinted row and its count. No load depends on another of the
+    /// The two load-only passes over a group: the home group of every row
+    /// (its tag word and home entry; the first tag match at or after the
+    /// home slot, if its entry carries the row's hash bits, becomes the
+    /// row's hint), then the hinted row and its count. No load depends on another of the
     /// same pass, so the CPU keeps the group's misses in flight together
     /// and the edits that follow find their lines cached.
     fn warm(&self, hashes: &[u64], hints: &mut [u32]) {

@@ -12,7 +12,8 @@
 //!   variables (probes are O(1) and never enumerate the indexed relation);
 //!   the join index over the atoms of a query.
 //! * [`KeyedRows`] — the compact resident form of a materialized view: flat
-//!   rows stored once, found through a 9-byte-per-slot position table,
+//!   rows stored once, found through a position table of 9 bytes per slot
+//!   at a load of up to ¾ (its tags scanned eight slots per word),
 //!   probed by a link key, optionally carrying support counts. An S-view
 //!   of Online Yannakakis and the support counts delta maintenance keeps
 //!   for it are one such table.

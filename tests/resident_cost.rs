@@ -4,14 +4,15 @@
 //! The paper's budget is `S` stored values. On a 20 k-edge skewed graph
 //! (the benchmark's `g20k`, the fixture of `tests/delta_cost.rs`) the hot
 //! index must hold its S-views, support counts included, in at most
-//! **4.5 times** `space_used() × size_of::<Val>()` heap bytes — each row
-//! once as flat values plus a 9-byte-per-slot position table and a 4-byte
-//! count (3.35× measured as built). The S-view *is* its counted table, so
-//! there is no second copy to pay for; with one (a view beside the count
-//! table it was copied from) the same index cost 6.3×, and the
-//! tuple-copying layout before that about 24×: a row lived three times as
-//! a 40-byte `Tuple`, in a relation, in a hash index's per-key `Vec` and
-//! in a hash map of counts. `resident_bytes` is computed from container
+//! **2.5 times** `space_used() × size_of::<Val>()` heap bytes — each row
+//! once as flat values plus a position table of 9-byte slots at a load of
+//! up to ¾ and a 4-byte count (2.43× measured as built, 2.31× after the
+//! deltas; 3.49× while the table ran at a load of at most ½). The S-view
+//! *is* its counted table, so there is no second copy to pay for; with
+//! one (a view beside the count table it was copied from) the same index
+//! cost 6.3×, and the tuple-copying layout before that about 24×: a row
+//! lived three times as a 40-byte `Tuple`, in a relation, in a hash
+//! index's per-key `Vec` and in a hash map of counts. `resident_bytes` is computed from container
 //! capacities, so unlike RSS it is deterministic and this test fails when
 //! a copy comes back.
 //!
@@ -29,7 +30,7 @@ use cqap_suite::prelude::*;
 use cqap_suite::store::scratch_dir;
 
 #[test]
-fn resident_bytes_stay_within_four_and_a_half_times_the_stored_values() {
+fn resident_bytes_stay_within_two_and_a_half_times_the_stored_values() {
     let (cqap, pmtds) = pmtds_3reach_fig1().unwrap();
     let graph = Graph::skewed(3_000, 20_000, 16, 400, 20_000);
     let db = graph.as_path_database(3);
@@ -42,7 +43,7 @@ fn resident_bytes_stay_within_four_and_a_half_times_the_stored_values() {
             "{when}: the rows alone are `nominal` bytes"
         );
         assert!(
-            2 * resident <= 9 * nominal,
+            2 * resident <= 5 * nominal,
             "{when}: {resident} resident bytes for {nominal} bytes of stored values ({:.1}x)",
             resident as f64 / nominal as f64
         );
@@ -108,9 +109,10 @@ fn resident_bytes_stay_within_four_and_a_half_times_the_stored_values() {
     // (exact-fit, where the originals carry up to an eighth of growth
     // slack in their vectors); a placed cold shard spilled in place keeps
     // the originals instead, slack and all. Either way the lineage is resident
-    // at the hot figure plus a fence index — a small fraction of it, and
-    // at least the fence keys themselves (no overlay is pending right
-    // after a spill).
+    // at the hot figure plus a fence index — under a fifth of the stored
+    // values' bytes, and at least the fence keys themselves (no overlay
+    // is pending right after a spill).
+    let nominal = index.space_used() * std::mem::size_of::<Val>();
     let stored = index.spill(scratch_dir("resident-cost")).unwrap();
     let hot = index.resident_bytes();
     drop(index);
@@ -122,7 +124,7 @@ fn resident_bytes_stay_within_four_and_a_half_times_the_stored_values() {
     );
     let fences = cold - counts;
     assert!(
-        fences >= stored.resident_values() * std::mem::size_of::<Val>() && fences < hot / 16,
+        fences >= stored.resident_values() * std::mem::size_of::<Val>() && 5 * fences < nominal,
         "cold lineage holds {cold} bytes: {counts} of counts, {fences} of fences"
     );
 }
