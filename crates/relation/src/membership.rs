@@ -450,8 +450,8 @@ mod tests {
 
     #[test]
     fn bulk_build_equals_incremental_inserts() {
-        // 1 000 rows need 2 048 slots at any load up to ½; 1 500 fit in
-        // 2 048 only at ¾.
+        // 1 000 rows take 2 048 slots at a load of ½ or ¾; 1 500 fit in
+        // 2 048 only at ¾ (½ gives 4 096).
         for (rows, slots) in [(1_000u64, 2_048), (1_500, 2_048)] {
             let tuples: Vec<Tuple> = (0..rows).map(|i| Tuple::pair(i % 31, i)).collect();
             let mut table = PositionTable::with_capacity(tuples.len());
